@@ -44,7 +44,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        wire: WireKind::from_env(),
+        wire: WireKind::default(),
         consumers: 3,
         steps: 6,
         step_delay: Duration::ZERO,
@@ -287,7 +287,7 @@ fn run_writer(args: &Args) {
 /// them via `--port-file`, serve until the writer stream ends.
 fn run_staging(args: &Args) {
     // The split-process tiers always talk over real sockets; record that
-    // in the report regardless of `NEK_WIRE`/`--wire`.
+    // in the report regardless of `--wire`.
     let args = Args {
         wire: WireKind::Tcp,
         ..args.clone()

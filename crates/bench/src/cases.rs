@@ -107,7 +107,7 @@ pub fn insitu_config(sweep: &Pb146Sweep, ranks: usize, mode: InSituMode) -> InSi
         machine: sweep.machine.clone(),
         image_size: (800, 600),
         mode,
-        exec: nek_sensei::ExecMode::default(),
+        exec: nek_sensei::ExecMode::Synchronous,
         sched: commsim::SchedMode::default(),
         faults: FaultPlan::none(),
         output_dir: None,

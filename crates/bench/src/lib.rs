@@ -57,8 +57,7 @@ pub struct HarnessArgs {
     /// Run the sweep at exactly this rank count instead of the scaled
     /// paper series (`--ranks N`).
     pub ranks: Option<usize>,
-    /// Wire engine override (`--wire channel|tcp`); `None` follows
-    /// `NEK_WIRE`.
+    /// Wire engine (`--wire channel|tcp`); `None` is the channel engine.
     pub wire: Option<transport::WireKind>,
 }
 
@@ -118,13 +117,13 @@ impl HarnessArgs {
         args
     }
 
-    /// Execution mode for the in situ runners: `--pipelined` wins,
-    /// otherwise the `NEK_EXEC_MODE` default applies.
+    /// Execution mode for the in situ runners: pipelined with
+    /// `--pipelined`, synchronous without. The flag is the only selector.
     pub fn exec_mode(&self) -> nek_sensei::ExecMode {
         if self.pipelined {
             nek_sensei::ExecMode::Pipelined
         } else {
-            nek_sensei::ExecMode::default()
+            nek_sensei::ExecMode::Synchronous
         }
     }
 
@@ -140,10 +139,10 @@ impl HarnessArgs {
         self.sched.unwrap_or_default()
     }
 
-    /// Wire engine: `--wire` wins, otherwise the `NEK_WIRE` default
-    /// applies.
+    /// Wire engine: `--wire channel|tcp`, the channel engine without
+    /// the flag. The flag is the only selector.
     pub fn wire_kind(&self) -> transport::WireKind {
-        self.wire.unwrap_or_else(transport::WireKind::from_env)
+        self.wire.unwrap_or_default()
     }
 }
 

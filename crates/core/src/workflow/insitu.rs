@@ -8,17 +8,18 @@
 //!   adaptor every `trigger_every` steps: device→host staging, VTK-model
 //!   conversion, two images rendered and written per trigger.
 //!
-//! Each configuration runs in one of two execution modes
-//! ([`ExecMode`]):
+//! One driver runs them all. Every solver rank runs the same loop — step,
+//! and on a trigger publish a [`FieldSnapshot`] into a sink — and one
+//! `Consumer` (checkpoint writer or SENSEI bridge) eats the snapshots.
+//! [`ExecMode`] only decides where that consumer sits:
 //!
-//! * **Synchronous** — the solver publishes a [`FieldSnapshot`] and runs
-//!   the consumer (checkpoint writer or SENSEI bridge) inline before the
-//!   next timestep, like classic tightly-coupled in situ.
-//! * **Pipelined** — consumers run in a second rank world on pool
-//!   threads. The solver publishes a snapshot and immediately resumes
-//!   stepping while the previous snapshot is rendered/written
-//!   concurrently. Snapshots are owned and immutable, so no
-//!   copy-on-publish beyond the single device→host staging is needed.
+//! * **Synchronous** — the sink *is* the consumer, called inline before
+//!   the next timestep, like classic tightly-coupled in situ.
+//! * **Pipelined** — the sink is a link to the same consumer running in a
+//!   second rank world on pool threads. The solver publishes a snapshot
+//!   and immediately resumes stepping while the previous snapshot is
+//!   rendered/written concurrently. Snapshots are owned and immutable, so
+//!   no copy-on-publish beyond the single device→host staging is needed.
 //!   A credit scheme bounds the pipeline at [`PIPELINE_DEPTH`] frames in
 //!   flight: the producer blocks (and its virtual clock advances to the
 //!   consumer's completion time) when the consumer falls behind, so
@@ -31,12 +32,12 @@ use std::sync::Arc;
 use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::checkpoint::FldCheckpointer;
 use crate::metrics::{MemoryBreakdown, RunMetrics};
-use crate::workflow::sampler::{fault_summary, memory_summary, StepSampler};
-use crate::workflow::supervisor::{resume_solver, RecoveryOptions, SupervisedStepper};
+use crate::workflow::sampler::{attach_observability, collect_reports, fault_summary, SimLoop};
+use crate::workflow::supervisor::RecoveryOptions;
 use commsim::WatchdogTimeout;
 use commsim::{
     run_ranks_with_registry, with_mode, Comm, CommStats, EventKind, FaultPlan, MachineModel,
-    PhaseBreakdown, RankTrace, SchedMode, TelemetryHub,
+    PhaseBreakdown, RankResult, RankTrace, SchedMode, TelemetryHub,
 };
 use insitu::Bridge;
 use memtrack::Registry;
@@ -72,9 +73,10 @@ impl InSituMode {
 }
 
 /// How consumers run relative to the solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Consumers run inline between timesteps.
+    #[default]
     Synchronous,
     /// Consumers run concurrently on a second rank world, overlapped
     /// with the next timesteps (bounded by [`PIPELINE_DEPTH`]).
@@ -88,21 +90,6 @@ impl ExecMode {
             ExecMode::Synchronous => "synchronous",
             ExecMode::Pipelined => "pipelined",
         }
-    }
-
-    /// Read `NEK_EXEC_MODE` (`"pipelined"` / `"synchronous"`); defaults
-    /// to [`ExecMode::Synchronous`] when unset or unrecognised.
-    pub fn from_env() -> Self {
-        match std::env::var("NEK_EXEC_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("pipelined") => ExecMode::Pipelined,
-            _ => ExecMode::Synchronous,
-        }
-    }
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -188,228 +175,75 @@ impl InSituReport {
     }
 }
 
-/// The Catalyst runtime configuration `run_insitu` generates: a pressure
-/// slice plus a velocity contour, every `trigger` steps.
-fn catalyst_xml(
-    trigger: u64,
-    width: usize,
-    height: usize,
-    output_dir: Option<&std::path::Path>,
-) -> String {
-    let out_attr = output_dir
-        .map(|d| format!(r#" output="{}""#, d.display()))
-        .unwrap_or_default();
-    format!(
-        r#"<sensei>
+/// What eats published snapshots: the same object whether it is called
+/// inline on the solver rank or from the consumer world's frame loop.
+enum Consumer {
+    Checkpoint(FldCheckpointer),
+    Catalyst(Bridge),
+}
+
+impl Consumer {
+    /// `cfg.mode`'s consumer. The Catalyst runtime configuration is
+    /// generated here: a pressure slice plus a velocity contour, every
+    /// `trigger_every` steps.
+    fn new(comm: &mut Comm, cfg: &InSituConfig) -> Self {
+        match cfg.mode {
+            InSituMode::Original => unreachable!("original mode has no consumer"),
+            InSituMode::Checkpointing => {
+                Consumer::Checkpoint(FldCheckpointer::new(comm, cfg.output_dir.clone()))
+            }
+            InSituMode::Catalyst => {
+                let trigger = cfg.trigger_every.max(1);
+                let (width, height) = cfg.image_size;
+                let out_attr = cfg
+                    .output_dir
+                    .as_ref()
+                    .map(|d| format!(r#" output="{}""#, d.display()))
+                    .unwrap_or_default();
+                let xml = format!(
+                    r#"<sensei>
   <analysis type="catalyst" frequency="{trigger}" width="{width}" height="{height}"
             slice_array="pressure" contour_array="velocity"{out_attr}/>
 </sensei>"#
-    )
-}
+                );
+                Consumer::Catalyst(
+                    Bridge::initialize(comm, &xml, &[CatalystAnalysis::factory()])
+                        .expect("valid generated config"),
+                )
+            }
+        }
+    }
 
-/// Execute one configuration and collect the paper's §4.1 metrics.
-pub fn run_insitu(cfg: &InSituConfig) -> InSituReport {
-    match cfg.exec {
-        ExecMode::Synchronous => run_synchronous(cfg),
-        // Original has no consumer to overlap with; the pipelined run is
-        // the synchronous run by construction.
-        ExecMode::Pipelined if cfg.mode == InSituMode::Original => run_synchronous(cfg),
-        ExecMode::Pipelined => run_pipelined(cfg),
+    /// Consume one step. Takes the snapshot by value so its pooled
+    /// buffers are back in the pool when this returns.
+    fn consume(
+        &mut self,
+        comm: &mut Comm,
+        step: u64,
+        snapshot: Arc<FieldSnapshot>,
+        geometry: Option<Arc<NekGeometry>>,
+    ) {
+        match self {
+            Consumer::Checkpoint(chk) => {
+                let _sp = comm.span("insitu/checkpoint");
+                chk.write(comm, &snapshot);
+            }
+            Consumer::Catalyst(bridge) => {
+                let geometry = geometry.expect("catalyst frames carry geometry");
+                let mut da = SnapshotAdaptor::new(comm, snapshot, geometry);
+                bridge.update(comm, step, &mut da).expect("in situ update");
+            }
+        }
+    }
+
+    fn finish(self, comm: &mut Comm) {
+        if let Consumer::Catalyst(mut bridge) = self {
+            bridge.finalize(comm).expect("finalize");
+        }
     }
 }
 
-fn report_from(
-    cfg: &InSituConfig,
-    registry: &Registry,
-    times_stats: Vec<(f64, CommStats)>,
-    traces: Vec<RankTrace>,
-    hub: Option<&TelemetryHub>,
-) -> InSituReport {
-    let metrics = RunMetrics::from_ranks(&times_stats, cfg.steps, registry);
-    let phases = (!traces.is_empty()).then(|| PhaseBreakdown::from_traces(&traces));
-    let snapshot_pool_rank_peak = registry
-        .snapshot()
-        .entries
-        .iter()
-        .filter(|(name, _, _)| name.ends_with("/snapshot-pool"))
-        .map(|(_, _, peak)| *peak)
-        .max()
-        .unwrap_or(0);
-    // Critical path before collect: the step windows are a non-draining
-    // recorder peek, and the sem/critical_* gauges must be registered
-    // before the metrics snapshot.
-    let critical = crate::workflow::sampler::analyze_critical(&traces, hub);
-    let mut run_report = hub.map(|hub| {
-        telemetry::RunReport::collect(
-            insitu_manifest(cfg),
-            hub,
-            registry.snapshot().entries,
-            memory_summary(&metrics.memory),
-        )
-    });
-    if let Some(r) = &mut run_report {
-        r.critical = critical;
-    }
-    InSituReport {
-        mode: cfg.mode,
-        exec: cfg.exec,
-        ranks: cfg.ranks,
-        steps: cfg.steps,
-        bytes_written: metrics.totals.bytes_written_fs,
-        files_written: metrics.totals.files_written,
-        metrics,
-        traces,
-        phases,
-        snapshot_pool_rank_peak,
-        run_report,
-    }
-}
-
-fn insitu_manifest(cfg: &InSituConfig) -> telemetry::Manifest {
-    let pipelined = cfg.exec == ExecMode::Pipelined && cfg.mode != InSituMode::Original;
-    telemetry::Manifest {
-        case: cfg.case.name.clone(),
-        workflow: "insitu".into(),
-        mode: cfg.mode.label().to_ascii_lowercase(),
-        exec: cfg.exec.label().into(),
-        sched: cfg.sched.label().into(),
-        wire: "none".into(),
-        ranks: cfg.ranks,
-        // The pipelined consumer world mirrors the sim world 1:1.
-        endpoint_ranks: if pipelined { cfg.ranks } else { 0 },
-        steps: cfg.steps as u64,
-        trigger_every: cfg.trigger_every.max(1),
-        machine: cfg.machine.name.into(),
-        fault_plan: fault_summary(&cfg.faults),
-        pool_threads: rayon::pool::current_threads(),
-        pipeline_depth: if pipelined { PIPELINE_DEPTH } else { 0 },
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Synchronous path
-// ---------------------------------------------------------------------------
-
-fn run_synchronous(cfg: &InSituConfig) -> InSituReport {
-    let registry = Registry::new();
-    let hub = cfg
-        .telemetry
-        .then(|| cfg.recovery.hub.clone().unwrap_or_default());
-    let case = cfg.case.clone();
-    let mode = cfg.mode;
-    let steps = cfg.steps;
-    let trigger = cfg.trigger_every.max(1);
-    let (width, height) = cfg.image_size;
-    let output_dir = cfg.output_dir.clone();
-    let trace = cfg.trace;
-    let faults = cfg.faults.clone();
-    let recovery = cfg.recovery.clone();
-    let rank_hub = hub.clone();
-    let rank_registry = registry.clone();
-
-    let results = with_mode(cfg.sched, || {
-        run_ranks_with_registry(
-            cfg.ranks,
-            cfg.machine.clone(),
-            registry.clone(),
-            move |comm| {
-                if trace {
-                    comm.enable_tracing(0);
-                }
-                if let Some(hub) = &rank_hub {
-                    comm.enable_telemetry(hub, 0);
-                }
-                let setup = comm.span("sim/setup");
-                let mut solver = case.build(comm);
-                drop(setup);
-                // Host-side baseline: mesh setup, solver host mirrors, MPI
-                // buffers (NekRS keeps roughly the field set on the host too).
-                let host_base = comm.accountant("host-base");
-                let _base = host_base.charge(solver.n_nodes() as u64 * 8 * 60);
-                let start = resume_solver(comm, &mut solver, &recovery);
-                let mut supervised = SupervisedStepper::new(comm, &recovery, &faults);
-                // Rank 0 feeds the flight recorder one sample per step.
-                let mut sampler = (comm.rank() == 0)
-                    .then(|| rank_hub.clone())
-                    .flatten()
-                    .map(|hub| StepSampler::new(hub, rank_registry.clone(), comm.now()));
-
-                match mode {
-                    InSituMode::Original => {
-                        for s in start..=steps {
-                            solver.step(comm);
-                            supervised.after_step(comm, &mut solver, s as u64);
-                            if let Some(sampler) = &mut sampler {
-                                sampler.sample(comm, s as u64, None, 0.0);
-                            }
-                        }
-                    }
-                    InSituMode::Checkpointing => {
-                        let mut chk = FldCheckpointer::new(comm, output_dir.clone());
-                        let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
-                        let spec = SnapshotSpec {
-                            pressure: true,
-                            velocity: true,
-                            temperature: true,
-                            ..SnapshotSpec::default()
-                        };
-                        for s in start..=steps {
-                            solver.step(comm);
-                            supervised.after_step(comm, &mut solver, s as u64);
-                            if (s as u64).is_multiple_of(trigger) {
-                                let snap = solver.publish_snapshot(comm, &spec, &pool);
-                                let _sp = comm.span("insitu/checkpoint");
-                                chk.write(comm, &snap);
-                            }
-                            if let Some(sampler) = &mut sampler {
-                                sampler.sample(comm, s as u64, Some(&pool), 0.0);
-                            }
-                        }
-                    }
-                    InSituMode::Catalyst => {
-                        let xml = catalyst_xml(trigger, width, height, output_dir.as_deref());
-                        let mut bridge =
-                            Bridge::initialize(comm, &xml, &[CatalystAnalysis::factory()])
-                                .expect("valid generated config");
-                        let geometry = Arc::new(NekGeometry::build(comm, &solver));
-                        let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
-                        for s in start..=steps {
-                            solver.step(comm);
-                            supervised.after_step(comm, &mut solver, s as u64);
-                            let step = s as u64;
-                            if bridge.triggers_at(step) {
-                                let spec = SnapshotSpec::from_names(bridge.arrays_at(step));
-                                let snap = solver.publish_snapshot(comm, &spec, &pool);
-                                let mut da =
-                                    SnapshotAdaptor::new(comm, snap, Arc::clone(&geometry));
-                                bridge.update(comm, step, &mut da).expect("in situ update");
-                            }
-                            if let Some(sampler) = &mut sampler {
-                                sampler.sample(comm, step, Some(&pool), 0.0);
-                            }
-                        }
-                        bridge.finalize(comm).expect("finalize");
-                    }
-                }
-                {
-                    let _sp = comm.span("sim/finalize");
-                    comm.barrier();
-                }
-                comm.take_trace()
-            },
-        )
-    });
-
-    let times_stats: Vec<(f64, CommStats)> = results.iter().map(|r| (r.time, r.stats)).collect();
-    let traces: Vec<RankTrace> = results.into_iter().filter_map(|r| r.value).collect();
-    report_from(cfg, &registry, times_stats, traces, hub.as_ref())
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined path
-// ---------------------------------------------------------------------------
-
-/// One published step travelling from a producer rank to its consumer.
+/// One published step on its way to the consumer.
 struct PublishedFrame {
     snapshot: Arc<FieldSnapshot>,
     /// Catalyst frames carry the (immutable, shared) geometry.
@@ -549,61 +383,25 @@ fn consumer_arrive(comm: &mut Comm, faults: &FaultPlan, frame: &PublishedFrame) 
     }
 }
 
-fn consume_checkpoints(
+/// One rank of the pipelined consumer world: the [`Consumer`] behind its
+/// link, crediting the producer after every frame.
+fn consumer_rank(
     comm: &mut Comm,
-    link: ConsumerLink,
-    faults: &FaultPlan,
-    output_dir: Option<std::path::PathBuf>,
-) {
-    let mut chk = FldCheckpointer::new(comm, output_dir);
+    cfg: &InSituConfig,
+    hub: Option<&TelemetryHub>,
+    link: Option<ConsumerLink>,
+) -> Option<RankTrace> {
+    attach_observability(comm, cfg.trace, hub, 1);
+    let link = link.expect("one consumer link per rank");
+    let mut consumer = Consumer::new(comm, cfg);
     // Frames come from the producer world: wait off-token (see
     // `Comm::external_wait`) so an event-scheduled producer can progress.
     while let Ok(msg) = comm.external_wait(|| link.frames.recv()) {
         match msg {
             ToConsumer::Frame(frame) => {
-                consumer_arrive(comm, faults, &frame);
-                {
-                    let _sp = comm.span("insitu/checkpoint");
-                    chk.write(comm, &frame.snapshot);
-                }
-                // Return the pooled buffers before crediting the slot.
-                drop(frame);
-                let _ = link.credits.send(Credit {
-                    finished_at: comm.now(),
-                });
-            }
-            ToConsumer::Done { at } => {
-                let _sp = comm.span("insitu/wait");
-                comm.advance_to(at);
-                return;
-            }
-        }
-    }
-}
-
-fn consume_catalyst(
-    comm: &mut Comm,
-    link: ConsumerLink,
-    faults: &FaultPlan,
-    trigger: u64,
-    width: usize,
-    height: usize,
-    output_dir: Option<std::path::PathBuf>,
-) {
-    let xml = catalyst_xml(trigger, width, height, output_dir.as_deref());
-    let mut bridge = Bridge::initialize(comm, &xml, &[CatalystAnalysis::factory()])
-        .expect("valid generated config");
-    while let Ok(msg) = comm.external_wait(|| link.frames.recv()) {
-        match msg {
-            ToConsumer::Frame(frame) => {
-                consumer_arrive(comm, faults, &frame);
-                let geometry = frame.geometry.expect("catalyst frames carry geometry");
-                let mut da = SnapshotAdaptor::new(comm, frame.snapshot, geometry);
-                bridge
-                    .update(comm, frame.step, &mut da)
-                    .expect("in situ update");
-                // Return the pooled buffers before crediting the slot.
-                drop(da);
+                consumer_arrive(comm, &cfg.faults, &frame);
+                // The pooled buffers are back before the slot is credited.
+                consumer.consume(comm, frame.step, frame.snapshot, frame.geometry);
                 let _ = link.credits.send(Credit {
                     finished_at: comm.now(),
                 });
@@ -613,175 +411,195 @@ fn consume_catalyst(
                     let _sp = comm.span("insitu/wait");
                     comm.advance_to(at);
                 }
-                bridge.finalize(comm).expect("finalize");
-                return;
+                consumer.finish(comm);
+                break;
             }
         }
     }
+    comm.take_trace()
 }
 
-fn run_pipelined(cfg: &InSituConfig) -> InSituReport {
-    let registry = Registry::new();
-    let hub = cfg
-        .telemetry
-        .then(|| cfg.recovery.hub.clone().unwrap_or_default());
-    let (producer_links, consumer_links) = pipeline_links(cfg.ranks);
-    let producer_links = Arc::new(Mutex::new(producer_links));
-    let consumer_links = Arc::new(Mutex::new(consumer_links));
+/// Where a solver rank's published snapshots go.
+enum Sink {
+    /// Synchronous: straight into the consumer, on this rank's clock.
+    Inline(Consumer),
+    /// Pipelined: to the consumer world, bounded by credits.
+    Linked(ProducerLink),
+}
 
-    // Consumer world. Same registry as the producer world: the analysis
-    // threads live on the same node as the rank they serve, so their
-    // memory charges land on the same per-rank accountants.
-    let consumer_world = {
-        let machine = cfg.machine.clone();
-        let registry = registry.clone();
-        let ranks = cfg.ranks;
-        let mode = cfg.mode;
-        let trigger = cfg.trigger_every.max(1);
-        let (width, height) = cfg.image_size;
-        let output_dir = cfg.output_dir.clone();
-        let trace = cfg.trace;
-        let faults = cfg.faults.clone();
-        let links = Arc::clone(&consumer_links);
-        let hub = hub.clone();
-        let sched = cfg.sched;
-        std::thread::spawn(move || {
-            with_mode(sched, || {
-                run_ranks_with_registry(ranks, machine, registry, move |comm| {
-                    if trace {
-                        comm.enable_tracing(1);
-                    }
-                    if let Some(hub) = &hub {
-                        comm.enable_telemetry(hub, 1);
-                    }
-                    let link = links.lock()[comm.rank()]
-                        .take()
-                        .expect("one consumer per rank");
-                    match mode {
-                        InSituMode::Checkpointing => {
-                            consume_checkpoints(comm, link, &faults, output_dir.clone());
-                        }
-                        InSituMode::Catalyst => {
-                            consume_catalyst(
-                                comm,
-                                link,
-                                &faults,
-                                trigger,
-                                width,
-                                height,
-                                output_dir.clone(),
-                            );
-                        }
-                        InSituMode::Original => unreachable!("original mode has no consumer"),
-                    }
-                    comm.take_trace()
-                })
-            })
-        })
+/// One rank of the solver world, in every mode: step, and on a trigger
+/// publish into the sink. `link` is this rank's pipeline endpoint when
+/// the run is pipelined.
+fn solver_rank(
+    comm: &mut Comm,
+    cfg: &InSituConfig,
+    hub: Option<&TelemetryHub>,
+    link: Option<ProducerLink>,
+) -> Option<RankTrace> {
+    attach_observability(comm, cfg.trace, hub, 0);
+    let setup = comm.span("sim/setup");
+    let mut solver = cfg.case.build(comm);
+    drop(setup);
+    // Host-side baseline: mesh setup, solver host mirrors, MPI
+    // buffers (NekRS keeps roughly the field set on the host too).
+    let host_base = comm.accountant("host-base");
+    let _base = host_base.charge(solver.n_nodes() as u64 * 8 * 60);
+    // Original publishes nothing: no staging pool, no sink, no geometry.
+    let pool = (cfg.mode != InSituMode::Original)
+        .then(|| SnapshotPool::new(comm.accountant("snapshot-pool")));
+    let mut sim = SimLoop::new(comm, &mut solver, &cfg.recovery, &cfg.faults, pool.clone());
+    let mut sink = pool.is_some().then(|| match link {
+        Some(link) => Sink::Linked(link),
+        None => Sink::Inline(Consumer::new(comm, cfg)),
+    });
+    // `run_insitu` generates the consumer configuration itself, so the
+    // producer knows the requested fields up front: checkpoints dump
+    // everything, the Catalyst config is a pressure slice + velocity
+    // contour over the (immutable, shared) geometry.
+    let spec = SnapshotSpec {
+        pressure: true,
+        velocity: true,
+        temperature: cfg.mode == InSituMode::Checkpointing,
+        ..SnapshotSpec::default()
     };
-
-    // Producer world (the solver), on the calling thread.
-    let case = cfg.case.clone();
-    let mode = cfg.mode;
-    let steps = cfg.steps;
+    let geometry =
+        (cfg.mode == InSituMode::Catalyst).then(|| Arc::new(NekGeometry::build(comm, &solver)));
     let trigger = cfg.trigger_every.max(1);
-    let trace = cfg.trace;
-    let producer_faults = cfg.faults.clone();
-    let recovery = cfg.recovery.clone();
-    let links = Arc::clone(&producer_links);
-    let rank_hub = hub.clone();
-    let rank_registry = registry.clone();
-    let producer_results = with_mode(cfg.sched, || {
+    sim.run(comm, &mut solver, cfg.steps, |comm, solver, step| {
+        let (Some(sink), Some(pool)) = (&mut sink, &pool) else {
+            return 0.0;
+        };
+        if step.is_multiple_of(trigger) {
+            if let Sink::Linked(link) = sink {
+                link.reserve(comm, step, cfg.recovery.watchdog);
+            }
+            let snapshot = solver.publish_snapshot(comm, &spec, pool);
+            match sink {
+                Sink::Inline(consumer) => consumer.consume(comm, step, snapshot, geometry.clone()),
+                Sink::Linked(link) => link.send(PublishedFrame {
+                    snapshot,
+                    geometry: geometry.clone(),
+                    step,
+                    published_at: comm.now(),
+                }),
+            }
+        }
+        match sink {
+            Sink::Inline(_) => 0.0,
+            Sink::Linked(link) => link.backpressure_wait,
+        }
+    });
+    match sink {
+        Some(Sink::Inline(consumer)) => consumer.finish(comm),
+        Some(Sink::Linked(link)) => link.finish(comm),
+        None => {}
+    }
+    {
+        let _sp = comm.span("sim/finalize");
+        comm.barrier();
+    }
+    comm.take_trace()
+}
+
+/// Run one of the run's rank worlds under its scheduler: rank `r` takes
+/// `links[r]` (None past the end) into `body`.
+fn run_world<L: Send + 'static>(
+    cfg: &Arc<InSituConfig>,
+    hub: &Option<TelemetryHub>,
+    registry: &Registry,
+    links: Vec<Option<L>>,
+    body: fn(&mut Comm, &InSituConfig, Option<&TelemetryHub>, Option<L>) -> Option<RankTrace>,
+) -> Vec<RankResult<Option<RankTrace>>> {
+    let (cfg, hub, links) = (Arc::clone(cfg), hub.clone(), Mutex::new(links));
+    with_mode(cfg.sched, || {
         run_ranks_with_registry(
             cfg.ranks,
             cfg.machine.clone(),
             registry.clone(),
             move |comm| {
-                if trace {
-                    comm.enable_tracing(0);
-                }
-                if let Some(hub) = &rank_hub {
-                    comm.enable_telemetry(hub, 0);
-                }
-                let setup = comm.span("sim/setup");
-                let mut solver = case.build(comm);
-                drop(setup);
-                let host_base = comm.accountant("host-base");
-                let _base = host_base.charge(solver.n_nodes() as u64 * 8 * 60);
-                let start = resume_solver(comm, &mut solver, &recovery);
-                let mut supervised = SupervisedStepper::new(comm, &recovery, &producer_faults);
-                let watchdog = recovery.watchdog;
-                let mut sampler = (comm.rank() == 0)
-                    .then(|| rank_hub.clone())
-                    .flatten()
-                    .map(|hub| StepSampler::new(hub, rank_registry.clone(), comm.now()));
-
-                let mut link = links.lock()[comm.rank()]
-                    .take()
-                    .expect("one producer per rank");
-                let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
-                // `run_insitu` generates the consumer configuration itself, so
-                // the producer knows the requested fields up front (the
-                // Catalyst config is a pressure slice + velocity contour).
-                let (spec, geometry) = match mode {
-                    InSituMode::Checkpointing => (
-                        SnapshotSpec {
-                            pressure: true,
-                            velocity: true,
-                            temperature: true,
-                            ..SnapshotSpec::default()
-                        },
-                        None,
-                    ),
-                    InSituMode::Catalyst => (
-                        SnapshotSpec {
-                            pressure: true,
-                            velocity: true,
-                            ..SnapshotSpec::default()
-                        },
-                        Some(Arc::new(NekGeometry::build(comm, &solver))),
-                    ),
-                    InSituMode::Original => unreachable!("original runs synchronously"),
-                };
-
-                for s in start..=steps {
-                    solver.step(comm);
-                    let step = s as u64;
-                    supervised.after_step(comm, &mut solver, step);
-                    if step.is_multiple_of(trigger) {
-                        link.reserve(comm, step, watchdog);
-                        let snapshot = solver.publish_snapshot(comm, &spec, &pool);
-                        link.send(PublishedFrame {
-                            snapshot,
-                            geometry: geometry.clone(),
-                            step,
-                            published_at: comm.now(),
-                        });
-                    }
-                    if let Some(sampler) = &mut sampler {
-                        sampler.sample(comm, step, Some(&pool), link.backpressure_wait);
-                    }
-                }
-                link.finish(comm);
-                {
-                    let _sp = comm.span("sim/finalize");
-                    comm.barrier();
-                }
-                comm.take_trace()
+                let link = links.lock().get_mut(comm.rank()).and_then(Option::take);
+                body(comm, &cfg, hub.as_ref(), link)
             },
         )
-    });
-    let consumer_results = consumer_world.join().expect("consumer world");
+    })
+}
 
-    let mut times_stats: Vec<(f64, CommStats)> =
-        producer_results.iter().map(|r| (r.time, r.stats)).collect();
-    times_stats.extend(consumer_results.iter().map(|r| (r.time, r.stats)));
-    let traces: Vec<RankTrace> = producer_results
-        .into_iter()
-        .chain(consumer_results)
-        .filter_map(|r| r.value)
-        .collect();
-    report_from(cfg, &registry, times_stats, traces, hub.as_ref())
+/// Execute one configuration and collect the paper's §4.1 metrics.
+pub fn run_insitu(cfg: &InSituConfig) -> InSituReport {
+    let registry = Registry::new();
+    let hub = cfg
+        .telemetry
+        .then(|| cfg.recovery.hub.clone().unwrap_or_default());
+    // The rank closures outlive this borrow ('static worlds).
+    let shared = Arc::new(cfg.clone());
+    // Original has no consumer to overlap with: its pipelined run is the
+    // synchronous run.
+    let pipelined = cfg.exec == ExecMode::Pipelined && cfg.mode != InSituMode::Original;
+
+    // Pipelined: the consumer world, on its own thread. Same registry as
+    // the solver world: the analysis threads live on the same node as the
+    // rank they serve, so their memory charges land on the same per-rank
+    // accountants.
+    let (producer_links, consumer_links) = pipeline_links(if pipelined { cfg.ranks } else { 0 });
+    let consumer_world = pipelined.then(|| {
+        let (cfg, hub, registry) = (Arc::clone(&shared), hub.clone(), registry.clone());
+        std::thread::spawn(move || run_world(&cfg, &hub, &registry, consumer_links, consumer_rank))
+    });
+    // Solver world, on the calling thread.
+    let solver_results = run_world(&shared, &hub, &registry, producer_links, solver_rank);
+    let consumer_results = consumer_world
+        .map(|world| world.join().expect("consumer world"))
+        .unwrap_or_default();
+
+    let results: Vec<_> = solver_results.into_iter().chain(consumer_results).collect();
+    let times_stats: Vec<(f64, CommStats)> = results.iter().map(|r| (r.time, r.stats)).collect();
+    let traces: Vec<RankTrace> = results.into_iter().filter_map(|r| r.value).collect();
+
+    let metrics = RunMetrics::from_ranks(&times_stats, cfg.steps, &registry);
+    let snapshot_pool_rank_peak = registry
+        .snapshot()
+        .entries
+        .iter()
+        .filter(|(name, _, _)| name.ends_with("/snapshot-pool"))
+        .map(|(_, _, peak)| *peak)
+        .max()
+        .unwrap_or(0);
+    let (phases, run_report) = collect_reports(
+        &traces,
+        hub.as_ref(),
+        &registry,
+        &metrics.memory,
+        telemetry::Manifest {
+            case: cfg.case.name.clone(),
+            workflow: "insitu".into(),
+            mode: cfg.mode.label().to_ascii_lowercase(),
+            exec: cfg.exec.label().into(),
+            sched: cfg.sched.label().into(),
+            wire: "none".into(),
+            ranks: cfg.ranks,
+            // The pipelined consumer world mirrors the sim world 1:1.
+            endpoint_ranks: if pipelined { cfg.ranks } else { 0 },
+            steps: cfg.steps as u64,
+            trigger_every: cfg.trigger_every.max(1),
+            machine: cfg.machine.name.into(),
+            fault_plan: fault_summary(&cfg.faults),
+            pool_threads: rayon::pool::current_threads(),
+            pipeline_depth: if pipelined { PIPELINE_DEPTH } else { 0 },
+        },
+    );
+    InSituReport {
+        mode: cfg.mode,
+        exec: cfg.exec,
+        ranks: cfg.ranks,
+        steps: cfg.steps,
+        bytes_written: metrics.totals.bytes_written_fs,
+        files_written: metrics.totals.files_written,
+        metrics,
+        traces,
+        phases,
+        snapshot_pool_rank_peak,
+        run_report,
+    }
 }
 
 #[cfg(test)]
@@ -801,7 +619,7 @@ mod tests {
             machine: MachineModel::polaris(),
             image_size: (64, 48),
             mode,
-            exec: ExecMode::default(),
+            exec: ExecMode::Synchronous,
             sched: SchedMode::default(),
             faults: FaultPlan::none(),
             output_dir: None,

@@ -12,11 +12,11 @@
 
 use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::metrics::{DegradationSummary, RunMetrics};
-use crate::workflow::sampler::{fault_summary, memory_summary, StepSampler};
-use crate::workflow::supervisor::{resume_solver, RecoveryOptions, SupervisedStepper};
+use crate::workflow::sampler::{attach_observability, collect_reports, fault_summary, SimLoop};
+use crate::workflow::supervisor::RecoveryOptions;
 use commsim::{
-    run_ranks_with_registry, with_mode, CommStats, FaultPlan, MachineModel, PhaseBreakdown,
-    RankTrace, SchedMode,
+    run_ranks_with_registry, with_mode, Comm, CommStats, FaultPlan, MachineModel, PhaseBreakdown,
+    RankTrace, SchedMode, TelemetryHub,
 };
 use insitu::Bridge;
 use memtrack::Registry;
@@ -83,7 +83,7 @@ pub struct InTransitConfig {
     pub sched: SchedMode,
     /// Which wire carries the staged frames between the worlds: the
     /// in-process channel engine (bitwise-identical to the original
-    /// transport) or real loopback TCP sockets (`NEK_WIRE` / `--wire`).
+    /// transport) or real loopback TCP sockets (`--wire tcp`).
     pub wire: WireKind,
     /// When > 0, replace the endpoint's fixed analysis with a
     /// [`StagingService`] fanning each step out to this many concurrent
@@ -188,10 +188,8 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
     let hub = cfg
         .telemetry
         .then(|| cfg.recovery.hub.clone().unwrap_or_default());
-    let case = cfg.case.clone();
-    let steps = cfg.steps;
-    let trigger = cfg.trigger_every.max(1);
-    let has_temperature = case.config.temperature.is_some();
+    // The rank closures outlive this borrow ('static worlds).
+    let shared = Arc::new(cfg.clone());
 
     // Endpoint world (when transporting).
     let (writers, endpoint_handle) = if endpoint_ranks > 0 {
@@ -206,283 +204,229 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
             cfg.wire,
         )
         .expect("wire setup");
-        let xml = endpoint_xml(cfg);
-        let machine = cfg.machine.clone();
-        let sim_ranks = cfg.sim_ranks;
-        let mode = cfg.mode;
-        let trace = cfg.trace;
-        let endpoint_hub = hub.clone();
-        let sched = cfg.sched;
-        let staging_consumers = cfg.staging_consumers;
-        let staging_dir = cfg.staging_dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("nek-staging-{}", std::process::id()))
-        });
-        let image_size = cfg.image_size;
+        let (cfg, hub) = (Arc::clone(&shared), hub.clone());
         let handle = std::thread::spawn(move || {
-            with_mode(sched, || {
-                commsim::run_ranks_with_state(machine, readers, move |comm, mut reader| {
-                    if trace {
-                        comm.enable_tracing(1);
-                    }
-                    if let Some(hub) = &endpoint_hub {
-                        comm.enable_telemetry(hub, 1);
-                    }
-                    reader.set_accountant(comm.accountant("staging"));
-                    if staging_consumers > 0 {
-                        // Fan-out mode: the staging service replaces the
-                        // fixed analysis; N local consumer sessions with
-                        // identical specs drain concurrently (one render
-                        // per step, N−1 cache hits).
-                        let mut service =
-                            StagingService::new(reader, sim_ranks, &staging_dir, 32);
-                        let handle = service.handle();
-                        let spec = SessionSpec {
-                            width: image_size.0,
-                            height: image_size.1,
-                            ..SessionSpec::default()
-                        };
-                        let drains: Vec<_> = (0..staging_consumers)
-                            .map(|_| {
-                                let mut client = handle.attach_local(spec.clone(), 4);
-                                std::thread::spawn(move || {
-                                    client
-                                        .drain(std::time::Duration::from_secs(120))
-                                        .expect("consumer drain")
-                                })
-                            })
-                            .collect();
-                        let report = service.run(comm).expect("staging run");
-                        for d in drains {
-                            d.join().expect("consumer thread");
-                        }
-                        let stats = *comm.stats();
-                        return (
-                            EndpointOutcome::Staging(Box::new(report)),
-                            stats,
-                            comm.take_trace(),
-                        );
-                    }
-                    let factories = match mode {
-                        EndpointMode::Catalyst => vec![CatalystAnalysis::factory()],
-                        _ => vec![],
-                    };
-                    let mut consumer =
-                        transport::EndpointConsumer::new(reader, &xml, &factories, sim_ranks)
-                            .expect("valid endpoint config");
-                    let report = consumer.run(comm).expect("endpoint run");
-                    let stats = *comm.stats();
-                    (EndpointOutcome::Consumer(report), stats, comm.take_trace())
+            with_mode(cfg.sched, || {
+                commsim::run_ranks_with_state(cfg.machine.clone(), readers, move |comm, reader| {
+                    endpoint_rank(comm, &cfg, hub.as_ref(), reader)
                 })
             })
         });
-        (Some(writers), Some(handle))
+        (writers.into_iter().map(Some).collect(), Some(handle))
     } else {
-        (None, None)
+        (Vec::new(), None)
     };
 
     // Simulation world.
-    let writer_slots: Arc<Mutex<Vec<Option<transport::SstWriter>>>> = Arc::new(Mutex::new(
-        writers
-            .map(|ws| ws.into_iter().map(Some).collect())
-            .unwrap_or_default(),
-    ));
-    let mode = cfg.mode;
-    let slots = Arc::clone(&writer_slots);
     let report_sink: ReportSink = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&report_sink);
-    let fallback_dir = cfg.fallback_dir.clone();
-    let trace = cfg.trace;
-    let sim_faults = cfg.faults.clone();
-    let recovery = cfg.recovery.clone();
-    let rank_hub = hub.clone();
-    let rank_registry = registry.clone();
-    let results = with_mode(cfg.sched, || {
-        run_ranks_with_registry(
-            cfg.sim_ranks,
-            cfg.machine.clone(),
-            registry.clone(),
-            move |comm| {
-                if trace {
-                    comm.enable_tracing(0);
-                }
-                if let Some(hub) = &rank_hub {
-                    comm.enable_telemetry(hub, 0);
-                }
-                let setup = comm.span("sim/setup");
-                let mut solver = case.build(comm);
-                let host_base = comm.accountant("host-base");
-                let _base = host_base.charge(solver.n_nodes() as u64 * 8 * 60);
-
-                let arrays = if has_temperature {
-                    "pressure,velocity,temperature"
-                } else {
-                    "pressure,velocity"
-                };
-                let (xml, factories): (String, Vec<insitu::AdaptorFactory>) = match mode {
-                    EndpointMode::NoTransport => ("<sensei></sensei>".to_string(), vec![]),
-                    _ => {
-                        let writer = slots.lock()[comm.rank()]
-                            .take()
-                            .expect("one staging writer per sim rank");
-                        (
-                            format!(
-                                r#"<sensei><analysis type="adios-sst" frequency="{trigger}" arrays="{arrays}"/></sensei>"#
-                            ),
-                            vec![TransportAnalysis::factory_with_recovery(
-                                writer,
-                                fallback_dir.clone(),
-                                Some(Arc::clone(&sink)),
-                            )],
-                        )
-                    }
-                };
-                let mut bridge =
-                    Bridge::initialize(comm, &xml, &factories).expect("valid generated config");
-                drop(setup);
-                let start = resume_solver(comm, &mut solver, &recovery);
-                let mut supervised = SupervisedStepper::new(comm, &recovery, &sim_faults);
-                let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
-                let mut sampler = (comm.rank() == 0)
-                    .then(|| rank_hub.clone())
-                    .flatten()
-                    .map(|hub| StepSampler::new(hub, rank_registry.clone(), comm.now()));
-                // Built on the first trigger: NoTransport never pays for the
-                // VTK geometry, matching its bare-solver memory profile.
-                let mut geometry: Option<Arc<NekGeometry>> = None;
-                for s in start..=steps {
-                    solver.step(comm);
-                    let step = s as u64;
-                    supervised.after_step(comm, &mut solver, step);
-                    if bridge.triggers_at(step) {
-                        if geometry.is_none() {
-                            geometry = Some(Arc::new(NekGeometry::build(comm, &solver)));
-                        }
-                        let spec = SnapshotSpec::from_names(bridge.arrays_at(step));
-                        let snap = solver.publish_snapshot(comm, &spec, &pool);
-                        let mut da = SnapshotAdaptor::new(
-                            comm,
-                            snap,
-                            Arc::clone(geometry.as_ref().expect("built above")),
-                        );
-                        bridge.update(comm, step, &mut da).expect("update");
-                    }
-                    if let Some(sampler) = &mut sampler {
-                        sampler.sample(comm, step, Some(&pool), 0.0);
-                    }
-                }
-                {
-                    let _sp = comm.span("sim/finalize");
-                    bridge.finalize(comm).expect("finalize");
-                    comm.barrier();
-                }
-                comm.take_trace()
-            },
-        )
-    });
+    let results = {
+        let (cfg, hub) = (shared, hub.clone());
+        let writers: Mutex<Vec<Option<transport::SstWriter>>> = Mutex::new(writers);
+        let sink = Arc::clone(&report_sink);
+        with_mode(cfg.sched, || {
+            run_ranks_with_registry(
+                cfg.sim_ranks,
+                cfg.machine.clone(),
+                registry.clone(),
+                move |comm| {
+                    let writer = writers.lock().get_mut(comm.rank()).and_then(Option::take);
+                    sim_rank(comm, &cfg, hub.as_ref(), writer, &sink)
+                },
+            )
+        })
+    };
 
     let times_stats: Vec<(f64, CommStats)> = results.iter().map(|r| (r.time, r.stats)).collect();
     let sim = RunMetrics::from_ranks(&times_stats, cfg.steps, &registry);
-    let sim_node_mem_peak = sim.memory.host_max_rank_peak * cfg.machine.ranks_per_node as u64;
-
-    let degradation = DegradationSummary::from_reports(&report_sink.lock());
-
-    let mut traces: Vec<RankTrace> = results.into_iter().filter_map(|r| r.value).collect();
-
-    let mut staging: Option<StagingReport> = None;
-    let (
-        endpoint_steps,
-        endpoint_bytes_received,
-        endpoint_bytes_written,
-        endpoint_partial_steps,
-        endpoint_corrupt_rejected,
-        endpoint_crashes,
-        endpoint_delivered,
-    ) = match endpoint_handle {
-        Some(handle) => {
-            let endpoint_results = handle.join().expect("endpoint world");
-            let mut steps = 0u64;
-            let mut bytes = 0u64;
-            let mut written = 0u64;
-            let mut partial = 0u64;
-            let mut corrupt = 0u64;
-            let mut crashes = 0usize;
-            let mut delivered = Vec::new();
-            for (outcome, stats, trace) in endpoint_results {
-                written += stats.bytes_written_fs;
-                traces.extend(trace);
-                match outcome {
-                    EndpointOutcome::Consumer(r) => {
-                        steps = steps.max(r.steps_processed);
-                        bytes += r.bytes_received;
-                        partial += r.partial_steps;
-                        corrupt += r.corrupt_rejected;
-                        crashes += usize::from(r.crashed);
-                        delivered.push(r.delivered_steps);
-                    }
-                    EndpointOutcome::Staging(r) => {
-                        steps = steps.max(r.steps);
-                        bytes += r.bytes_received;
-                        staging = Some(*r);
-                    }
-                }
-            }
-            (steps, bytes, written, partial, corrupt, crashes, delivered)
-        }
-        None => (0, 0, 0, 0, 0, 0, Vec::new()),
-    };
-
-    let phases = (!traces.is_empty()).then(|| PhaseBreakdown::from_traces(&traces));
-    // Critical path before collect: the step windows are a non-draining
-    // recorder peek, and the sem/critical_* gauges must be registered
-    // before the metrics snapshot.
-    let critical = crate::workflow::sampler::analyze_critical(&traces, hub.as_ref());
-    let mut run_report = hub.as_ref().map(|hub| {
-        telemetry::RunReport::collect(
-            telemetry::Manifest {
-                case: cfg.case.name.clone(),
-                workflow: "intransit".into(),
-                mode: cfg.mode.label().to_ascii_lowercase(),
-                exec: "concurrent".into(),
-                sched: cfg.sched.label().into(),
-                wire: cfg.wire.label().into(),
-                ranks: cfg.sim_ranks,
-                endpoint_ranks,
-                steps: cfg.steps as u64,
-                trigger_every: cfg.trigger_every.max(1),
-                machine: cfg.machine.name.into(),
-                fault_plan: fault_summary(&cfg.faults),
-                pool_threads: rayon::pool::current_threads(),
-                // The staging queue bound plays the credit-depth role here.
-                pipeline_depth: cfg.queue_capacity,
-            },
-            hub,
-            registry.snapshot().entries,
-            memory_summary(&sim.memory),
-        )
-    });
-    if let Some(r) = &mut run_report {
-        r.critical = critical;
-    }
-    InTransitReport {
+    let mut report = InTransitReport {
         mode: cfg.mode,
         sim_ranks: cfg.sim_ranks,
         endpoint_ranks,
         steps: cfg.steps,
+        sim_node_mem_peak: sim.memory.host_max_rank_peak * cfg.machine.ranks_per_node as u64,
         sim,
-        sim_node_mem_peak,
-        endpoint_steps,
-        endpoint_bytes_received,
-        endpoint_bytes_written,
-        endpoint_partial_steps,
-        endpoint_corrupt_rejected,
-        endpoint_crashes,
-        endpoint_delivered,
-        degradation,
-        traces,
-        phases,
-        run_report,
-        staging,
+        endpoint_steps: 0,
+        endpoint_bytes_received: 0,
+        endpoint_bytes_written: 0,
+        endpoint_partial_steps: 0,
+        endpoint_corrupt_rejected: 0,
+        endpoint_crashes: 0,
+        endpoint_delivered: Vec::new(),
+        degradation: DegradationSummary::from_reports(&report_sink.lock()),
+        traces: results.into_iter().filter_map(|r| r.value).collect(),
+        phases: None,
+        run_report: None,
+        staging: None,
+    };
+    let endpoint_results = endpoint_handle.map(|h| h.join().expect("endpoint world"));
+    for (outcome, stats, trace) in endpoint_results.unwrap_or_default() {
+        report.endpoint_bytes_written += stats.bytes_written_fs;
+        report.traces.extend(trace);
+        match outcome {
+            EndpointOutcome::Consumer(r) => {
+                report.endpoint_steps = report.endpoint_steps.max(r.steps_processed);
+                report.endpoint_bytes_received += r.bytes_received;
+                report.endpoint_partial_steps += r.partial_steps;
+                report.endpoint_corrupt_rejected += r.corrupt_rejected;
+                report.endpoint_crashes += usize::from(r.crashed);
+                report.endpoint_delivered.push(r.delivered_steps);
+            }
+            EndpointOutcome::Staging(r) => {
+                report.endpoint_steps = report.endpoint_steps.max(r.steps);
+                report.endpoint_bytes_received += r.bytes_received;
+                report.staging = Some(*r);
+            }
+        }
     }
+
+    (report.phases, report.run_report) = collect_reports(
+        &report.traces,
+        hub.as_ref(),
+        &registry,
+        &report.sim.memory,
+        telemetry::Manifest {
+            case: cfg.case.name.clone(),
+            workflow: "intransit".into(),
+            mode: cfg.mode.label().to_ascii_lowercase(),
+            exec: "concurrent".into(),
+            sched: cfg.sched.label().into(),
+            wire: cfg.wire.label().into(),
+            ranks: cfg.sim_ranks,
+            endpoint_ranks,
+            steps: cfg.steps as u64,
+            trigger_every: cfg.trigger_every.max(1),
+            machine: cfg.machine.name.into(),
+            fault_plan: fault_summary(&cfg.faults),
+            pool_threads: rayon::pool::current_threads(),
+            // The staging queue bound plays the credit-depth role here.
+            pipeline_depth: cfg.queue_capacity,
+        },
+    );
+    report
+}
+
+/// One endpoint rank: the classic single consumer, or the staging
+/// fan-out service when `staging_consumers` > 0.
+fn endpoint_rank(
+    comm: &mut Comm,
+    cfg: &InTransitConfig,
+    hub: Option<&TelemetryHub>,
+    mut reader: transport::SstReader,
+) -> (EndpointOutcome, CommStats, Option<RankTrace>) {
+    attach_observability(comm, cfg.trace, hub, 1);
+    reader.set_accountant(comm.accountant("staging"));
+    let outcome = if cfg.staging_consumers > 0 {
+        // Fan-out mode: the staging service replaces the fixed analysis; N
+        // local consumer sessions with identical specs drain concurrently
+        // (one render per step, N−1 cache hits).
+        let staging_dir = cfg.staging_dir.clone().unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("nek-staging-{}", std::process::id()))
+        });
+        let mut service = StagingService::new(reader, cfg.sim_ranks, &staging_dir, 32);
+        let handle = service.handle();
+        let spec = SessionSpec {
+            width: cfg.image_size.0,
+            height: cfg.image_size.1,
+            ..SessionSpec::default()
+        };
+        let drains: Vec<_> = (0..cfg.staging_consumers)
+            .map(|_| {
+                let mut client = handle.attach_local(spec.clone(), 4);
+                std::thread::spawn(move || {
+                    client
+                        .drain(std::time::Duration::from_secs(120))
+                        .expect("consumer drain")
+                })
+            })
+            .collect();
+        let report = service.run(comm).expect("staging run");
+        for d in drains {
+            d.join().expect("consumer thread");
+        }
+        EndpointOutcome::Staging(Box::new(report))
+    } else {
+        let factories = match cfg.mode {
+            EndpointMode::Catalyst => vec![CatalystAnalysis::factory()],
+            _ => vec![],
+        };
+        let xml = endpoint_xml(cfg);
+        let mut consumer =
+            transport::EndpointConsumer::new(reader, &xml, &factories, cfg.sim_ranks)
+                .expect("valid endpoint config");
+        EndpointOutcome::Consumer(consumer.run(comm).expect("endpoint run"))
+    };
+    (outcome, *comm.stats(), comm.take_trace())
+}
+
+/// One simulation rank: the solver with the SENSEI bridge configured for
+/// the staging transport (`writer` is this rank's end of the link; None
+/// only under NoTransport).
+fn sim_rank(
+    comm: &mut Comm,
+    cfg: &InTransitConfig,
+    hub: Option<&TelemetryHub>,
+    writer: Option<transport::SstWriter>,
+    report_sink: &ReportSink,
+) -> Option<RankTrace> {
+    attach_observability(comm, cfg.trace, hub, 0);
+    let setup = comm.span("sim/setup");
+    let mut solver = cfg.case.build(comm);
+    let host_base = comm.accountant("host-base");
+    let _base = host_base.charge(solver.n_nodes() as u64 * 8 * 60);
+
+    let (xml, factories): (String, Vec<insitu::AdaptorFactory>) = match cfg.mode {
+        EndpointMode::NoTransport => ("<sensei></sensei>".to_string(), vec![]),
+        _ => {
+            let writer = writer.expect("one staging writer per sim rank");
+            let trigger = cfg.trigger_every.max(1);
+            let arrays = if cfg.case.config.temperature.is_some() {
+                "pressure,velocity,temperature"
+            } else {
+                "pressure,velocity"
+            };
+            (
+                format!(
+                    r#"<sensei><analysis type="adios-sst" frequency="{trigger}" arrays="{arrays}"/></sensei>"#
+                ),
+                vec![TransportAnalysis::factory_with_recovery(
+                    writer,
+                    cfg.fallback_dir.clone(),
+                    Some(Arc::clone(report_sink)),
+                )],
+            )
+        }
+    };
+    let mut bridge = Bridge::initialize(comm, &xml, &factories).expect("valid generated config");
+    drop(setup);
+    let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
+    let mut sim = SimLoop::new(
+        comm,
+        &mut solver,
+        &cfg.recovery,
+        &cfg.faults,
+        Some(pool.clone()),
+    );
+    // Built on the first trigger: NoTransport never pays for the VTK
+    // geometry, matching its bare-solver memory profile.
+    let mut geometry: Option<Arc<NekGeometry>> = None;
+    sim.run(comm, &mut solver, cfg.steps, |comm, solver, step| {
+        if bridge.triggers_at(step) {
+            let geometry =
+                geometry.get_or_insert_with(|| Arc::new(NekGeometry::build(comm, solver)));
+            let spec = SnapshotSpec::from_names(bridge.arrays_at(step));
+            let snap = solver.publish_snapshot(comm, &spec, &pool);
+            let mut da = SnapshotAdaptor::new(comm, snap, Arc::clone(geometry));
+            bridge.update(comm, step, &mut da).expect("update");
+        }
+        // No credit pipeline on this side of the staging link.
+        0.0
+    });
+    {
+        let _sp = comm.span("sim/finalize");
+        bridge.finalize(comm).expect("finalize");
+        comm.barrier();
+    }
+    comm.take_trace()
 }
 
 fn endpoint_xml(cfg: &InTransitConfig) -> String {

@@ -41,6 +41,6 @@ pub use colormap::Colormap;
 pub use composite::composite_to_root;
 pub use filters::{contour, slice_plane, surface, threshold, TriangleSoup};
 pub use pipeline::{
-    CatalystAnalysis, FrameCache, FrameKey, RenderPass, RenderPipeline, RenderScratch,
+    fnv1a64, CatalystAnalysis, FrameCache, FrameKey, RenderPass, RenderPipeline, RenderScratch,
 };
 pub use raster::Framebuffer;

@@ -189,6 +189,17 @@ impl FrameCache {
     }
 }
 
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 of `bytes`: tiny, dependency-free and stable across
+/// platforms. The golden-image and determinism suites pin rendered files
+/// with it; [`RenderPipeline::fingerprint`] folds it field by field.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET_BASIS;
+    fnv1a(&mut h, bytes);
+    h
+}
+
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= u64::from(b);
@@ -237,7 +248,7 @@ impl RenderPipeline {
     /// given mesh: image size, legend, compositing, and per pass the
     /// filter, array, colormap stops, fixed range, and camera direction.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET_BASIS;
         fnv1a(&mut h, &(self.width as u64).to_le_bytes());
         fnv1a(&mut h, &(self.height as u64).to_le_bytes());
         fnv1a(&mut h, &[u8::from(self.legend)]);

@@ -34,7 +34,8 @@
 //! * [`wire`] — the pluggable wire layer beneath the engine: the in-process
 //!   channel engine (bitwise-identical to the original transport) and a
 //!   real loopback-TCP engine carrying the same CRC32/BP frames as
-//!   length-prefixed packets, selected by `NEK_WIRE=channel|tcp`.
+//!   length-prefixed packets, selected by [`WireKind`] (`--wire` on the
+//!   harness binaries; channel by default).
 //! * [`staging`] — the multi-client staging service: one writer fanned out
 //!   to N consumer sessions with per-session credit backpressure, rendered
 //!   frames served through an LRU cache, late joiners caught up from the

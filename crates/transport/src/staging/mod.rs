@@ -42,7 +42,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long the service will wait (real time) for a stalled session to
 /// replenish credits before detaching it.
@@ -632,8 +632,14 @@ impl StagingService {
                 DownLink::Local(tx) => tx.send(DownMsg::End).is_ok(),
                 DownLink::Tcp(stream) => {
                     stream.set_write_timeout(Some(CREDIT_WAIT)).ok();
-                    comm.external_wait(|| protocol::write_down(stream, &DownMsg::End))
-                        .is_ok()
+                    let sent = comm
+                        .external_wait(|| protocol::write_down(stream, &DownMsg::End))
+                        .is_ok();
+                    // Half-close only: the client is still granting credits
+                    // for frames it has buffered, and `forward_credits`
+                    // keeps the read side open until the client hangs up.
+                    stream.shutdown(std::net::Shutdown::Write).ok();
+                    sent
                 }
             };
             if !sent {
@@ -678,12 +684,26 @@ impl StagingService {
     }
 }
 
+/// Forward one TCP session's credit grants to the service until the
+/// client hangs up. Once the service is gone the grants are read and
+/// discarded instead: closing a socket with unread inbound data makes the
+/// kernel answer RST, and the RST throws away the frames and `End` the
+/// client has not read yet. A client that never hangs up is cut off
+/// [`CREDIT_WAIT`] after the service went away.
 fn forward_credits(mut stream: TcpStream, tx: Sender<u32>) {
+    let mut cutoff: Option<Instant> = None;
     loop {
+        if let Some(cutoff) = cutoff {
+            let left = cutoff.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            stream.set_read_timeout(Some(left)).ok();
+        }
         match protocol::read_credit(&mut stream) {
             Ok(Some(n)) => {
-                if tx.send(n).is_err() {
-                    return;
+                if cutoff.is_none() && tx.send(n).is_err() {
+                    cutoff = Some(Instant::now() + CREDIT_WAIT);
                 }
             }
             Ok(None) | Err(_) => return,

@@ -16,8 +16,9 @@
 //!   a bounded in-process forwarding queue play the staging-queue role;
 //!   TCP flow control carries the back-pressure.
 //!
-//! The engine is selected by [`WireKind`] — `NEK_WIRE=channel|tcp` in the
-//! environment, `--wire` on the harness binaries.
+//! The engine is selected by [`WireKind`]: a config field on the library
+//! entry points, `--wire channel|tcp` on the harness binaries (channel
+//! when absent).
 //!
 //! # Frame layout (tcp)
 //!
@@ -58,14 +59,6 @@ impl WireKind {
         } else {
             None
         }
-    }
-
-    /// The engine selected by `NEK_WIRE` (default: channel).
-    pub fn from_env() -> Self {
-        std::env::var("NEK_WIRE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
     }
 
     /// Display / manifest label.

@@ -38,7 +38,7 @@ fn main() {
         machine,
         image_size: (800, 600),
         mode: InSituMode::Original,
-        exec: nek_sensei::ExecMode::default(),
+        exec: nek_sensei::ExecMode::Synchronous,
         sched: Default::default(),
         faults: commsim::FaultPlan::none(),
         trace: false,

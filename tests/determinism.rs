@@ -5,10 +5,10 @@
 //! because the figure harnesses' value rests on both properties.
 
 use commsim::MachineModel;
-use nek_sensei::{run_insitu, InSituConfig, InSituMode};
+use nek_sensei::{run_insitu, ExecMode, InSituConfig, InSituMode};
 use sem::cases::{pb146, CaseParams};
 
-fn one_run(mode: InSituMode) -> (f64, u64, u64, u64) {
+fn one_run(mode: InSituMode, exec: ExecMode) -> (f64, u64, u64, u64) {
     let mut params = CaseParams::pb146_default();
     params.elems = [3, 3, 4];
     params.order = 2;
@@ -20,7 +20,7 @@ fn one_run(mode: InSituMode) -> (f64, u64, u64, u64) {
         machine: MachineModel::polaris(),
         image_size: (64, 48),
         mode,
-        exec: Default::default(),
+        exec,
         sched: Default::default(),
         faults: commsim::FaultPlan::none(),
         output_dir: None,
@@ -38,21 +38,30 @@ fn one_run(mode: InSituMode) -> (f64, u64, u64, u64) {
 
 #[test]
 fn virtual_time_is_bitwise_reproducible() {
-    for mode in [
-        InSituMode::Original,
-        InSituMode::Checkpointing,
-        InSituMode::Catalyst,
-    ] {
-        let a = one_run(mode);
-        let b = one_run(mode);
-        assert_eq!(
-            a.0.to_bits(),
-            b.0.to_bits(),
-            "{mode:?}: virtual time must not depend on scheduling"
-        );
-        assert_eq!(a.1, b.1, "{mode:?}: memory peaks must be deterministic");
-        assert_eq!(a.2, b.2, "{mode:?}: D2H traffic must be deterministic");
-        assert_eq!(a.3, b.3, "{mode:?}: bytes written must be deterministic");
+    for exec in [ExecMode::Synchronous, ExecMode::Pipelined] {
+        for mode in [
+            InSituMode::Original,
+            InSituMode::Checkpointing,
+            InSituMode::Catalyst,
+        ] {
+            let a = one_run(mode, exec);
+            let b = one_run(mode, exec);
+            let cell = format!("{mode:?}/{exec:?}");
+            assert_eq!(
+                a.0.to_bits(),
+                b.0.to_bits(),
+                "{cell}: virtual time must not depend on scheduling"
+            );
+            // A pipelined staging pool grows to one or two buffers per rank
+            // depending on whether the consumer thread returned the first
+            // before the next publish: real time, bounded by the pipeline
+            // depth (tests/snapshot_pipeline.rs) but not reproducible.
+            if exec == ExecMode::Synchronous {
+                assert_eq!(a.1, b.1, "{cell}: memory peaks must be deterministic");
+            }
+            assert_eq!(a.2, b.2, "{cell}: D2H traffic must be deterministic");
+            assert_eq!(a.3, b.3, "{cell}: bytes written must be deterministic");
+        }
     }
 }
 
@@ -65,34 +74,39 @@ fn derating_scales_compute_time_exactly() {
     let mut params = CaseParams::pb146_default();
     params.elems = [3, 3, 4];
     params.order = 2;
-    let mk = |machine: MachineModel| {
-        let r = run_insitu(&InSituConfig {
-            case: pb146(&params, 8),
-            ranks: 2,
-            steps: 3,
-            trigger_every: 2,
-            machine,
-            image_size: (64, 48),
-            mode: InSituMode::Checkpointing,
-            exec: Default::default(),
-            sched: Default::default(),
-            faults: commsim::FaultPlan::none(),
-            output_dir: None,
-            trace: false,
-            telemetry: false,
-            recovery: Default::default(),
-        });
-        (
-            r.metrics.time_to_solution,
-            r.metrics.totals.time_gpu_compute,
-        )
-    };
-    let (plain_total, plain_gpu) = mk(MachineModel::polaris());
-    let (derated_total, derated_gpu) = mk(MachineModel::polaris().derate_throughput(50.0));
-    let ratio = derated_gpu / plain_gpu;
-    assert!(
-        (ratio - 50.0).abs() < 1e-6,
-        "GPU compute must scale by exactly 50x, got {ratio}"
-    );
-    assert!(derated_total > plain_total, "total time must not shrink");
+    for exec in [ExecMode::Synchronous, ExecMode::Pipelined] {
+        let mk = |machine: MachineModel| {
+            let r = run_insitu(&InSituConfig {
+                case: pb146(&params, 8),
+                ranks: 2,
+                steps: 3,
+                trigger_every: 2,
+                machine,
+                image_size: (64, 48),
+                mode: InSituMode::Checkpointing,
+                exec,
+                sched: Default::default(),
+                faults: commsim::FaultPlan::none(),
+                output_dir: None,
+                trace: false,
+                telemetry: false,
+                recovery: Default::default(),
+            });
+            (
+                r.metrics.time_to_solution,
+                r.metrics.totals.time_gpu_compute,
+            )
+        };
+        let (plain_total, plain_gpu) = mk(MachineModel::polaris());
+        let (derated_total, derated_gpu) = mk(MachineModel::polaris().derate_throughput(50.0));
+        let ratio = derated_gpu / plain_gpu;
+        assert!(
+            (ratio - 50.0).abs() < 1e-6,
+            "{exec:?}: GPU compute must scale by exactly 50x, got {ratio}"
+        );
+        assert!(
+            derated_total > plain_total,
+            "{exec:?}: total time must not shrink"
+        );
+    }
 }

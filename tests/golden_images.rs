@@ -15,20 +15,11 @@
 
 use commsim::MachineModel;
 use nek_sensei::{
-    run_insitu, run_intransit, EndpointMode, InSituConfig, InSituMode, InTransitConfig,
+    run_insitu, run_intransit, EndpointMode, ExecMode, InSituConfig, InSituMode, InTransitConfig,
 };
+use render::fnv1a64;
 use sem::cases::{pb146, rbc, CaseParams};
 use transport::{QueuePolicy, StagingLink, WriterConfig};
-
-/// FNV-1a 64 — tiny, dependency-free, and stable across platforms.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("nek-sensei-golden-{tag}-{}", std::process::id()));
@@ -60,39 +51,42 @@ const GOLDEN_PB146_VELOCITY_CONTOUR: u64 = 0x1e9049e0312575fe;
 
 #[test]
 fn pb146_insitu_frames_match_goldens() {
-    let dir = scratch_dir("pb146");
-    let mut params = CaseParams::pb146_default();
-    params.elems = [2, 2, 4];
-    params.order = 2;
-    let report = run_insitu(&InSituConfig {
-        case: pb146(&params, 8),
-        ranks: 2,
-        steps: 3,
-        trigger_every: 3,
-        machine: MachineModel::test_tiny(),
-        image_size: (64, 48),
-        mode: InSituMode::Catalyst,
-        exec: Default::default(),
-        sched: Default::default(),
-        faults: commsim::FaultPlan::none(),
-        output_dir: Some(dir.clone()),
-        trace: false,
-        telemetry: false,
-        recovery: Default::default(),
-    });
-    assert!(report.files_written > 0, "Catalyst must write images");
-    // Trigger fires once, at step 3: the paper's two-image setup.
-    assert_golden(
-        &dir,
-        "pressure_slice_000003.png",
-        GOLDEN_PB146_PRESSURE_SLICE,
-    );
-    assert_golden(
-        &dir,
-        "velocity_contour_000003.png",
-        GOLDEN_PB146_VELOCITY_CONTOUR,
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    // Same pixels whether the bridge runs inline or in the consumer world.
+    for exec in [ExecMode::Synchronous, ExecMode::Pipelined] {
+        let dir = scratch_dir(&format!("pb146-{}", exec.label()));
+        let mut params = CaseParams::pb146_default();
+        params.elems = [2, 2, 4];
+        params.order = 2;
+        let report = run_insitu(&InSituConfig {
+            case: pb146(&params, 8),
+            ranks: 2,
+            steps: 3,
+            trigger_every: 3,
+            machine: MachineModel::test_tiny(),
+            image_size: (64, 48),
+            mode: InSituMode::Catalyst,
+            exec,
+            sched: Default::default(),
+            faults: commsim::FaultPlan::none(),
+            output_dir: Some(dir.clone()),
+            trace: false,
+            telemetry: false,
+            recovery: Default::default(),
+        });
+        assert!(report.files_written > 0, "Catalyst must write images");
+        // Trigger fires once, at step 3: the paper's two-image setup.
+        assert_golden(
+            &dir,
+            "pressure_slice_000003.png",
+            GOLDEN_PB146_PRESSURE_SLICE,
+        );
+        assert_golden(
+            &dir,
+            "velocity_contour_000003.png",
+            GOLDEN_PB146_VELOCITY_CONTOUR,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---- Rayleigh–Bénard, in transit Catalyst endpoint (§4.2) --------------

@@ -8,20 +8,11 @@
 //! propagation of pool-width overrides into commsim's rank threads.
 
 use commsim::{run_ranks, with_mode, MachineModel, SchedMode};
-use nek_sensei::{run_insitu, InSituConfig, InSituMode};
+use nek_sensei::{run_insitu, ExecMode, InSituConfig, InSituMode};
 use rayon::pool;
+use render::fnv1a64;
 use sem::cases::{pb146, CaseParams};
 use sem::navier_stokes::FieldId;
-
-/// FNV-1a 64 — tiny, dependency-free, and stable across platforms.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Run a short pb146 solve on 2 ranks and return every field as raw bits.
 fn solve_field_bits(pool_threads: usize) -> Vec<Vec<u64>> {
@@ -87,8 +78,12 @@ fn overlapped_gather_scatter_bitwise_identical_in_both_sched_modes() {
 }
 
 /// Render the pb146 Catalyst frames and hash every PNG written.
-fn golden_hashes(pool_threads: usize, tag: &str) -> Vec<(String, u64)> {
-    let dir = std::env::temp_dir().join(format!("nek-sensei-par-det-{tag}-{}", std::process::id()));
+fn golden_hashes(pool_threads: usize, exec: ExecMode) -> Vec<(String, u64)> {
+    let dir = std::env::temp_dir().join(format!(
+        "nek-sensei-par-det-{pool_threads}-{}-{}",
+        exec.label(),
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     pool::with_override(pool_threads, || {
@@ -103,7 +98,7 @@ fn golden_hashes(pool_threads: usize, tag: &str) -> Vec<(String, u64)> {
             machine: MachineModel::test_tiny(),
             image_size: (64, 48),
             mode: InSituMode::Catalyst,
-            exec: Default::default(),
+            exec,
             sched: Default::default(),
             faults: commsim::FaultPlan::none(),
             output_dir: Some(dir.clone()),
@@ -130,12 +125,18 @@ fn golden_hashes(pool_threads: usize, tag: &str) -> Vec<(String, u64)> {
 
 #[test]
 fn golden_image_hashes_identical_across_pool_widths() {
-    let sequential = golden_hashes(1, "seq");
-    let parallel = golden_hashes(4, "par");
-    assert_eq!(
-        sequential, parallel,
-        "rendered frames diverged between 1 and 4 pool threads"
-    );
+    let sequential = golden_hashes(1, ExecMode::Synchronous);
+    for (threads, exec) in [
+        (4, ExecMode::Synchronous),
+        (1, ExecMode::Pipelined),
+        (4, ExecMode::Pipelined),
+    ] {
+        assert_eq!(
+            sequential,
+            golden_hashes(threads, exec),
+            "rendered frames diverged between 1 synchronous and {threads} {exec:?} pool threads"
+        );
+    }
 }
 
 #[test]

@@ -18,6 +18,7 @@ use nek_sensei::{
     run_insitu, run_intransit, run_supervised_insitu, EndpointMode, ExecMode, InSituConfig,
     InSituMode, InTransitConfig, SupervisorConfig,
 };
+use render::fnv1a64;
 use sem::cases::{pb146, rbc, CaseParams};
 use sem::navier_stokes::FieldId;
 use transport::{QueuePolicy, StagingLink, WriterConfig};
@@ -28,25 +29,9 @@ use transport::{QueuePolicy, StagingLink, WriterConfig};
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator::new();
 
-/// FNV-1a 64 — the same dependency-free hash the golden-image suite pins.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn hash_f64s(values: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    fnv1a64(&bytes)
 }
 
 fn scratch(tag: &str) -> std::path::PathBuf {

@@ -6,6 +6,7 @@
 
 use commsim::{run_ranks, ConsumerStall, FaultPlan, MachineModel};
 use nek_sensei::{run_insitu, ExecMode, InSituConfig, InSituMode, PIPELINE_DEPTH};
+use render::fnv1a64;
 use sem::cases::{pb146, CaseParams};
 use sem::snapshot::{SnapshotPool, SnapshotSpec};
 use std::collections::BTreeMap;
@@ -38,16 +39,6 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
-}
-
-/// FNV-1a 64 (same as the golden-image tests).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Hash every file in `dir` by name.

@@ -8,7 +8,7 @@ use meshdata::{CellType, DataArray, MultiBlock, UnstructuredGrid};
 use nek_sensei::{run_intransit, EndpointMode, InTransitConfig};
 use sem::cases::{rbc, CaseParams};
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 use transport::wire::loopback_listener;
 use transport::{
@@ -116,6 +116,26 @@ fn channel_fanout_three_concurrent_consumers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `sim_ranks` TCP writers into one staging service that accepts TCP
+/// consumer sessions at the returned address.
+fn tcp_service(sim_ranks: usize, dir: &Path) -> (Vec<SstWriter>, StagingService, String) {
+    let (writers, mut readers) = StagingNetwork::build_wired(
+        sim_ranks,
+        1,
+        16,
+        StagingLink::test_tiny(),
+        QueuePolicy::Block,
+        FaultPlan::none(),
+        WriterConfig::default(),
+        WireKind::Tcp,
+    )
+    .expect("loopback sockets");
+    let service = StagingService::new(readers.remove(0), sim_ranks, dir, 16);
+    let (consumer_listener, port) = loopback_listener().expect("consumer port");
+    service.listen_consumers(consumer_listener);
+    (writers, service, format!("127.0.0.1:{port}"))
+}
+
 /// TCP everywhere: writers reach the service over loopback sockets AND
 /// the three consumer sessions attach over the TCP consumer protocol.
 /// Runs under both rank schedulers — all socket waits sit behind
@@ -123,21 +143,7 @@ fn channel_fanout_three_concurrent_consumers() {
 fn tcp_fanout(mode: SchedMode, tag: &str) {
     let dir = tempdir(tag);
     let report = with_mode(mode, || {
-        let (writers, mut readers) = StagingNetwork::build_wired(
-            2,
-            1,
-            16,
-            StagingLink::test_tiny(),
-            QueuePolicy::Block,
-            FaultPlan::none(),
-            WriterConfig::default(),
-            WireKind::Tcp,
-        )
-        .expect("loopback sockets");
-        let service = StagingService::new(readers.remove(0), 2, &dir, 16);
-        let (consumer_listener, port) = loopback_listener().expect("consumer port");
-        service.listen_consumers(consumer_listener);
-        let addr = format!("127.0.0.1:{port}");
+        let (writers, service, addr) = tcp_service(2, &dir);
         let drains: Vec<_> = (0..CONSUMERS)
             .map(|_| {
                 let addr = addr.clone();
@@ -185,21 +191,7 @@ fn tcp_fanout_three_consumers_event_sched() {
 #[test]
 fn tcp_late_joiner_replays_parked_steps() {
     let dir = tempdir("tcp_late");
-    let (writers, mut readers) = StagingNetwork::build_wired(
-        1,
-        1,
-        16,
-        StagingLink::test_tiny(),
-        QueuePolicy::Block,
-        FaultPlan::none(),
-        WriterConfig::default(),
-        WireKind::Tcp,
-    )
-    .expect("loopback sockets");
-    let service = StagingService::new(readers.remove(0), 1, &dir, 16);
-    let (consumer_listener, port) = loopback_listener().expect("consumer port");
-    service.listen_consumers(consumer_listener);
-    let addr = format!("127.0.0.1:{port}");
+    let (writers, service, addr) = tcp_service(1, &dir);
     let mut early = ConsumerClient::connect(&addr, &SessionSpec::default(), 8).expect("connect");
     let handle = service.handle();
     while handle.attached() < 1 {
@@ -229,6 +221,39 @@ fn tcp_late_joiner_replays_parked_steps() {
         "late joiner never caught up from the parked files: {:?}",
         report.sessions
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The service sends every frame and `End` and is gone before the client
+/// reads anything; the client then reads slowly, granting one credit per
+/// frame. Grants that arrive after the service left must not reset the
+/// connection: every buffered frame and a clean end of stream come out.
+#[test]
+fn tcp_slow_reader_drains_after_the_service_is_gone() {
+    let dir = tempdir("tcp_slow");
+    let (writers, service, addr) = tcp_service(1, &dir);
+    let mut client =
+        ConsumerClient::connect(&addr, &SessionSpec::default(), STEPS as u32).expect("connect");
+    let handle = service.handle();
+    while handle.attached() < 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let sim = drive_writers(writers, STEPS);
+    let report = run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
+        s.run(comm).unwrap()
+    })
+    .remove(0);
+    sim.join().unwrap();
+    assert_eq!(report.sessions[0].frames_sent, STEPS);
+    for step in 1..=STEPS {
+        let frame = client.next_frame(Duration::from_secs(120));
+        assert_eq!(frame.expect("no reset").expect("a frame").step, step);
+        client.grant(1).expect("grant");
+        // Slow reader: time for a reset to overtake the buffered frames.
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let end = client.next_frame(Duration::from_secs(120));
+    assert!(end.expect("clean end of stream").is_none());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,7 +5,7 @@
 
 use commsim::{chrome_trace_json, EndpointCrash, FaultPlan, MachineModel, PhaseBreakdown};
 use nek_sensei::{
-    run_insitu, run_intransit, EndpointMode, InSituConfig, InSituMode, InTransitConfig,
+    run_insitu, run_intransit, EndpointMode, ExecMode, InSituConfig, InSituMode, InTransitConfig,
 };
 use sem::cases::{rbc, CaseParams};
 use transport::{QueuePolicy, StagingLink, WriterConfig};
@@ -41,16 +41,11 @@ fn traced_intransit(sim_ranks: usize, mode: EndpointMode) -> InTransitConfig {
     }
 }
 
-/// Rank worlds a traced in situ run produces: 1 synchronously, 2 when
-/// `NEK_EXEC_MODE=pipelined` adds the consumer world (pid 1).
-fn insitu_worlds() -> usize {
-    match nek_sensei::ExecMode::default() {
-        nek_sensei::ExecMode::Pipelined => 2,
-        nek_sensei::ExecMode::Synchronous => 1,
-    }
-}
+/// Both execution modes, with the rank worlds a traced in situ run
+/// produces in each: pipelined adds the consumer world (pid 1).
+const EXEC_WORLDS: [(ExecMode, usize); 2] = [(ExecMode::Synchronous, 1), (ExecMode::Pipelined, 2)];
 
-fn traced_insitu(ranks: usize) -> InSituConfig {
+fn traced_insitu(ranks: usize, exec: ExecMode) -> InSituConfig {
     let mut params = CaseParams::rbc_default();
     params.elems = [2, 2, ranks.max(2)];
     params.order = 2;
@@ -62,7 +57,7 @@ fn traced_insitu(ranks: usize) -> InSituConfig {
         machine: MachineModel::test_tiny(),
         image_size: (80, 60),
         mode: InSituMode::Catalyst,
-        exec: Default::default(),
+        exec,
         sched: Default::default(),
         faults: commsim::FaultPlan::none(),
         output_dir: None,
@@ -116,20 +111,22 @@ fn intransit_catalyst_attributes_virtual_time_to_phases() {
 
 #[test]
 fn insitu_catalyst_attribution_holds_without_transport() {
-    let r = run_insitu(&traced_insitu(4));
-    let phases = r.phases.expect("trace: true produces a breakdown");
-    assert_eq!(phases.ranks.len(), 4 * insitu_worlds());
-    assert_phases_bounded_by_wall(&phases);
-    assert!(
-        phases.attributed_fraction() >= 0.95,
-        "{}",
-        phases.to_table()
-    );
-    // In situ everything happens on the simulation ranks: in-situ copy
-    // and render spans exist, transport spans do not.
-    assert!(phases.count("insitu/execute") > 0);
-    assert!(phases.count("render/raster") > 0);
-    assert_eq!(phases.count("transport/send"), 0);
+    for (exec, worlds) in EXEC_WORLDS {
+        let r = run_insitu(&traced_insitu(4, exec));
+        let phases = r.phases.expect("trace: true produces a breakdown");
+        assert_eq!(phases.ranks.len(), 4 * worlds);
+        assert_phases_bounded_by_wall(&phases);
+        assert!(
+            phases.attributed_fraction() >= 0.95,
+            "{exec:?}\n{}",
+            phases.to_table()
+        );
+        // In situ everything happens on the simulation node: in-situ copy
+        // and render spans exist, transport spans do not.
+        assert!(phases.count("insitu/execute") > 0);
+        assert!(phases.count("render/raster") > 0);
+        assert_eq!(phases.count("transport/send"), 0);
+    }
 }
 
 /// A fig5 cell whose trigger never fires leaves the endpoint at virtual
@@ -243,27 +240,29 @@ fn assert_structurally_valid_json(s: &str) {
 
 #[test]
 fn chrome_trace_for_four_ranks_is_well_formed() {
-    let r = run_insitu(&traced_insitu(4));
-    assert_eq!(r.traces.len(), 4 * insitu_worlds());
-    let json = chrome_trace_json(&r.traces);
-    let t = json.trim();
-    assert!(t.starts_with('['), "trace-event format is a JSON array");
-    assert!(t.ends_with(']'));
-    assert_structurally_valid_json(t);
-    // One thread-name metadata record per rank, on the simulation pid.
-    for rank in 0..4 {
-        let needle = format!(r#""name":"thread_name","ph":"M","pid":0,"tid":{rank}"#);
-        assert!(json.contains(&needle), "missing metadata for rank {rank}");
-    }
-    assert!(json.contains(r#""name":"process_name""#));
-    // Complete events carry the fields Perfetto requires.
-    let x_events = json.matches(r#""ph":"X""#).count();
-    assert!(x_events > 0, "no complete events emitted");
-    for field in [r#""ts":"#, r#""dur":"#, r#""cat":"#] {
-        assert!(
-            json.matches(field).count() >= x_events,
-            "every X event needs {field}"
-        );
+    for (exec, worlds) in EXEC_WORLDS {
+        let r = run_insitu(&traced_insitu(4, exec));
+        assert_eq!(r.traces.len(), 4 * worlds);
+        let json = chrome_trace_json(&r.traces);
+        let t = json.trim();
+        assert!(t.starts_with('['), "trace-event format is a JSON array");
+        assert!(t.ends_with(']'));
+        assert_structurally_valid_json(t);
+        // One thread-name metadata record per rank, on the simulation pid.
+        for rank in 0..4 {
+            let needle = format!(r#""name":"thread_name","ph":"M","pid":0,"tid":{rank}"#);
+            assert!(json.contains(&needle), "missing metadata for rank {rank}");
+        }
+        assert!(json.contains(r#""name":"process_name""#));
+        // Complete events carry the fields Perfetto requires.
+        let x_events = json.matches(r#""ph":"X""#).count();
+        assert!(x_events > 0, "no complete events emitted");
+        for field in [r#""ts":"#, r#""dur":"#, r#""cat":"#] {
+            assert!(
+                json.matches(field).count() >= x_events,
+                "every X event needs {field}"
+            );
+        }
     }
 }
 

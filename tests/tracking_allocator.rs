@@ -8,7 +8,18 @@ use memtrack::TrackingAllocator;
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator::new();
 
+/// The counters are process-global and every assertion below compares two
+/// reads of them, so nothing else may allocate or free in between — not a
+/// sibling test, and not libtest's main thread, which reports one test's
+/// result while the next is running. One `#[test]` is the only quiet
+/// process; the solver part goes last because it leaves pool threads behind.
 #[test]
+fn tracking_allocator_end_to_end() {
+    real_allocations_move_the_counters();
+    peak_captures_a_transient_high_water_mark();
+    solver_heap_usage_is_observable_process_wide();
+}
+
 fn real_allocations_move_the_counters() {
     let count0 = global_allocation_count();
     let cur0 = global_current();
@@ -22,7 +33,6 @@ fn real_allocations_move_the_counters() {
     assert!(global_current() < cur0 + (1 << 20), "drop must credit back");
 }
 
-#[test]
 fn peak_captures_a_transient_high_water_mark() {
     reset_peak();
     let base = global_peak();
@@ -35,7 +45,6 @@ fn peak_captures_a_transient_high_water_mark() {
     assert!(global_current() < global_peak());
 }
 
-#[test]
 fn solver_heap_usage_is_observable_process_wide() {
     use commsim::{run_ranks, MachineModel};
     use sem::cases::{pb146, CaseParams};
@@ -50,9 +59,7 @@ fn solver_heap_usage_is_observable_process_wide() {
         solver.step(comm);
     });
     let grown = global_peak() - before;
-    // 2 ranks × ~70 elements × 64 nodes × many f64 fields: hundreds of KB
-    // (tests run concurrently, so `before` may already sit above the quiet
-    // baseline — keep the bound conservative).
+    // 2 ranks × ~70 elements × 64 nodes × many f64 fields: hundreds of KB.
     assert!(
         grown > 400 << 10,
         "solver run must raise the real heap peak (grew {grown} B)"
