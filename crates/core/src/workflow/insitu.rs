@@ -526,6 +526,7 @@ fn run_world<L: Send + 'static>(
 
 /// Execute one configuration and collect the paper's §4.1 metrics.
 pub fn run_insitu(cfg: &InSituConfig) -> InSituReport {
+    memtrack::cap_malloc_arenas();
     let registry = Registry::new();
     let hub = cfg
         .telemetry

@@ -173,6 +173,7 @@ enum EndpointOutcome {
 /// Execute one in-transit configuration.
 pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
     assert!(cfg.ratio >= 1, "ratio must be >= 1");
+    memtrack::cap_malloc_arenas();
     let endpoint_ranks = match cfg.mode {
         EndpointMode::NoTransport => 0,
         _ => (cfg.sim_ranks / cfg.ratio).max(1),

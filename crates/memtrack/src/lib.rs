@@ -17,13 +17,16 @@
 //!
 //! Both instruments report `current()` and `peak()` in bytes and are safe to
 //! use concurrently from many rank threads.
+//!
+//! Because ranks are threads, the crate also holds the one allocator
+//! setting the drivers make: [`cap_malloc_arenas`].
 
 pub mod accountant;
 pub mod alloc;
 pub mod registry;
 
 pub use accountant::{Accountant, Charge};
-pub use alloc::TrackingAllocator;
+pub use alloc::{cap_malloc_arenas, TrackingAllocator};
 pub use registry::{Registry, Snapshot};
 
 /// Format a byte count in human-readable IEC units (KiB/MiB/GiB).

@@ -828,7 +828,8 @@ mod tests {
         let mut late_frames = vec![];
         while let Some(f) = late.next_frame(Duration::from_secs(20)).unwrap() {
             late_frames.push(f);
-            late.grant(1).unwrap();
+            // The service may already be gone after its last frame.
+            let _ = late.grant(1);
         }
         let mut early_frames = vec![first];
         early_frames.extend(early.drain(Duration::from_secs(20)).unwrap());
