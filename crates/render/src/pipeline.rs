@@ -507,6 +507,8 @@ pub struct CatalystAnalysis {
     mesh: String,
     pipeline: RenderPipeline,
     output_dir: Option<std::path::PathBuf>,
+    /// `output_dir` exists: it is created by the first image written.
+    output_dir_created: bool,
     images_rendered: u64,
     bytes_written: u64,
     last_images: Vec<RenderedImage>,
@@ -525,6 +527,7 @@ impl CatalystAnalysis {
             mesh: mesh.into(),
             pipeline,
             output_dir,
+            output_dir_created: false,
             images_rendered: 0,
             bytes_written: 0,
             last_images: Vec::new(),
@@ -612,8 +615,11 @@ impl AnalysisAdaptor for CatalystAnalysis {
                 let wire = (png.len() as f64 / comm.machine().derate_factor).max(1.0) as u64;
                 comm.fs_write(wire, 1);
                 if let Some(dir) = &self.output_dir {
-                    std::fs::create_dir_all(dir)
-                        .map_err(|e| insitu::Error::Analysis(format!("mkdir {dir:?}: {e}")))?;
+                    if !self.output_dir_created {
+                        std::fs::create_dir_all(dir)
+                            .map_err(|e| insitu::Error::Analysis(format!("mkdir {dir:?}: {e}")))?;
+                        self.output_dir_created = true;
+                    }
                     let path = dir.join(format!("{}.png", img.name));
                     let mut f = std::fs::File::create(&path)
                         .map_err(|e| insitu::Error::Analysis(format!("create {path:?}: {e}")))?;

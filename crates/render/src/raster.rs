@@ -206,9 +206,9 @@ impl Framebuffer {
         }
     }
 
-    /// Flatten to bytes (RGB interleaved) for image encoders.
-    pub fn rgb_bytes(&self) -> Vec<u8> {
-        self.color.iter().flat_map(|c| c.iter().copied()).collect()
+    /// The pixels as bytes (RGB interleaved, row-major) for image encoders.
+    pub fn rgb_bytes(&self) -> &[u8] {
+        self.color.as_flattened()
     }
 }
 

@@ -11,38 +11,12 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use meshdata::{ArrayData, CellType, DataArray, MultiBlock, UnstructuredGrid};
 
+/// CRC32 (IEEE) of a byte slice — the workspace's one CRC kernel, shared
+/// with the PNG encoder.
+pub use render::image::crc32;
+
 const MAGIC: u32 = 0x4250_344C; // "BP4L"
 const VERSION: u32 = 2; // v2: trailing CRC32 frame check
-
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Verify a frame's trailing CRC32 without parsing the body. Cheap enough
 /// to run on every received packet.

@@ -1115,19 +1115,60 @@ mod tests {
         drop(readers);
     }
 
+    /// A wire that tells the test when a `try_send` found the queue full,
+    /// i.e. when the writer is about to block on the reader.
+    struct FullSignal {
+        inner: Box<dyn WireTx>,
+        full: std::sync::mpsc::Sender<()>,
+    }
+
+    impl WireTx for FullSignal {
+        fn try_send(&mut self, packet: Packet) -> Result<(), WireSendError> {
+            let sent = self.inner.try_send(packet);
+            if matches!(sent, Err(WireSendError::Full(_))) {
+                let _ = self.full.send(());
+            }
+            sent
+        }
+
+        fn send_timeout(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
+            self.inner.send_timeout(packet, timeout)
+        }
+    }
+
     #[test]
     fn blocking_policy_applies_backpressure() {
         let (writers, readers) =
             StagingNetwork::build(1, 1, 1, StagingLink::test_tiny(), QueuePolicy::Block);
-        // Reader drains slowly with a large virtual clock.
+        // Back-pressure is charged only when the writer finds the queue full,
+        // so whether it happens is a real-time race between the two worlds.
+        // Pin the schedule: the reader frees a slot only once the writer has
+        // hit the full queue (or is done and has dropped its wire).
+        let (full, writer_blocked) = std::sync::mpsc::channel();
+        let writers: Vec<SstWriter> = writers
+            .into_iter()
+            .map(|w| SstWriter {
+                tx: Box::new(FullSignal {
+                    inner: w.tx,
+                    full: full.clone(),
+                }),
+                ..w
+            })
+            .collect();
+        drop(full);
+        let readers: Vec<_> = readers.into_iter().zip([writer_blocked]).collect();
         let reader_thread = std::thread::spawn(move || {
-            run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
+            run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, state| {
+                let (mut reader, writer_blocked) = state;
                 let mut n = 0;
-                while reader.recv_step(comm).unwrap().is_some() {
+                loop {
+                    let _ = writer_blocked.recv();
+                    if reader.recv_step(comm).unwrap().is_none() {
+                        break n;
+                    }
                     comm.advance(10.0); // slow consumer: 10 virtual s/step
                     n += 1;
                 }
-                n
             })
         });
         let writer_times =
@@ -1140,7 +1181,10 @@ mod tests {
         assert_eq!(reader_thread.join().unwrap()[0], 4);
         let (t, written) = writer_times[0];
         assert_eq!(written, 4);
-        // The writer must have inherited some of the reader's slowness.
+        // Depth 1: write k blocks until the reader takes step k-1 off the
+        // queue, which it does only after processing step k-2 — so the last
+        // write (k = 3) resumes no earlier than the drain time the reader
+        // published delivering step 1, one 10 s step in.
         assert!(t >= 10.0, "backpressure must slow the writer: t = {t}");
     }
 
