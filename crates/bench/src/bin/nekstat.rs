@@ -292,6 +292,16 @@ fn summarize(r: &RunReport) {
     }
 
     let aggs = aggregate(r);
+    // Event-mode runs only: how often a rank gave up the run token.
+    if let (Some(Agg::Counter(msg)), Some(Agg::Counter(coll))) = (
+        aggs.get("sched/blocks_message"),
+        aggs.get("sched/blocks_collective"),
+    ) {
+        println!(
+            "\nscheduler hand-offs: {msg} recv parks + {coll} collective parks ({:.0} per step)",
+            (msg + coll) as f64 / m.steps.max(1) as f64
+        );
+    }
     if !aggs.is_empty() {
         let rows: Vec<Vec<String>> = aggs
             .iter()

@@ -74,23 +74,42 @@ struct Envelope {
     payload: Box<dyn Any + Send>,
 }
 
-enum Phase {
-    Collecting,
-    Distributing,
-}
-
-struct CollState {
-    phase: Phase,
+/// One of the two result slots of the collective rendezvous.
+///
+/// Collective *k* of a world uses slot *k* mod 2. A rank reaches
+/// collective *k*+2 only after it left *k*+1, which completed only after
+/// every rank arrived there — that is, after every rank left *k*. So the
+/// slot a rank arrives at has always been reset by the last rank to leave
+/// its previous user, and nobody ever waits to *enter* a collective.
+struct CollSlot {
     arrived: usize,
     departed: usize,
-    times: Vec<f64>,
-    /// Per-rank trace-context words captured at rendezvous arrival (0 =
-    /// untraced). Lets each departing rank record a causal edge from the
-    /// critical contributor.
-    ctxs: Vec<u64>,
+    /// The latest arrival so far — the critical contributor, from which
+    /// every departing rank records its causal edge: virtual time, rank
+    /// (lowest among equal times) and trace-context word (0 = untraced).
+    /// Folded in as ranks arrive; the order they arrive in cannot change it.
+    t_max: f64,
+    crit_rank: usize,
+    crit_ctx: u64,
     inputs: Vec<Option<Box<dyn Any + Send>>>,
+    /// Set by the last arrival, cleared by the last departure.
     result: Option<Arc<dyn Any + Send + Sync>>,
     out_time: f64,
+}
+
+impl CollSlot {
+    fn new(size: usize) -> Self {
+        Self {
+            arrived: 0,
+            departed: 0,
+            t_max: 0.0,
+            crit_rank: 0,
+            crit_ctx: 0,
+            inputs: (0..size).map(|_| None).collect(),
+            result: None,
+            out_time: 0.0,
+        }
+    }
 }
 
 /// Shared state of one simulated job: mailboxes, collective rendezvous,
@@ -100,7 +119,7 @@ pub struct World {
     machine: Arc<MachineModel>,
     senders: Vec<Sender<Envelope>>,
     receivers: Mutex<Vec<Option<Receiver<Envelope>>>>,
-    coll: Mutex<CollState>,
+    coll: Mutex<[CollSlot; 2]>,
     coll_cv: Condvar,
     poisoned: AtomicBool,
     registry: Registry,
@@ -139,16 +158,7 @@ impl World {
             machine: Arc::new(machine),
             senders,
             receivers: Mutex::new(receivers),
-            coll: Mutex::new(CollState {
-                phase: Phase::Collecting,
-                arrived: 0,
-                departed: 0,
-                times: vec![0.0; size],
-                ctxs: vec![0; size],
-                inputs: (0..size).map(|_| None).collect(),
-                result: None,
-                out_time: 0.0,
-            }),
+            coll: Mutex::new([CollSlot::new(size), CollSlot::new(size)]),
             coll_cv: Condvar::new(),
             poisoned: AtomicBool::new(false),
             registry,
@@ -185,6 +195,7 @@ impl World {
             rank,
             rx,
             stash: Vec::new(),
+            coll_seq: 0,
             clock: Clock::new(),
             stats: CommStats::default(),
             tracer: Tracer::disabled(),
@@ -217,6 +228,9 @@ pub struct Comm {
     rank: usize,
     rx: Receiver<Envelope>,
     stash: Vec<Envelope>,
+    /// Collectives this rank has entered; its parity picks the
+    /// rendezvous slot (see [`CollSlot`]).
+    coll_seq: usize,
     clock: Clock,
     stats: CommStats,
     tracer: Tracer,
@@ -455,13 +469,9 @@ impl Comm {
             .send(env)
             .expect("mailbox closed: world torn down while sending");
         if let Some(s) = &self.world.sched {
-            // Event mode: wake the destination if it is parked in a recv,
-            // then cede the token if some ready rank is earlier in virtual
-            // time — the send-side yield point of the event scheduler.
+            // Event mode: make the destination runnable if it is parked in
+            // a recv. The sender keeps the run token.
             s.notify_message(dest);
-            if !s.yield_if_earlier(self.rank, self.clock.now().to_bits()) {
-                self.sched_abort("send");
-            }
         }
     }
 
@@ -518,8 +528,7 @@ impl Comm {
         if let Some(i) = self.stash.iter().position(&pred) {
             return self.stash.remove(i);
         }
-        let sched = self.world.sched.clone();
-        if let Some(s) = &sched {
+        if self.world.sched.is_some() {
             // Event mode: drain the mailbox, re-check, and park until a
             // sender posts a wakeup. No polling — the scheduler resumes
             // this rank only when a message has actually arrived (or the
@@ -529,9 +538,7 @@ impl Comm {
                 if let Some(i) = self.stash.iter().position(&pred) {
                     return self.stash.remove(i);
                 }
-                if !s.block(self.rank, WaitReason::Message, self.clock.now().to_bits()) {
-                    self.sched_abort("recv");
-                }
+                self.sched_block(WaitReason::Message);
             }
         }
         loop {
@@ -591,33 +598,32 @@ impl Comm {
         R: Send + Sync + 'static,
         F: FnOnce(Vec<T>) -> R,
     {
-        let world = Arc::clone(&self.world);
-        let mut st = world.coll.lock();
-        // Wait for any previous collective to fully drain.
-        while !matches!(st.phase, Phase::Collecting) {
-            self.check_poison();
-            match &world.sched {
-                None => self.coll_wait(&mut st),
-                Some(s) => {
-                    drop(st);
-                    if !s.block(
-                        self.rank,
-                        WaitReason::Collective,
-                        self.clock.now().to_bits(),
-                    ) {
-                        self.sched_abort("collective");
-                    }
-                    st = world.coll.lock();
-                }
-            }
+        let world = &*self.world;
+        let parity = self.coll_seq & 1;
+        self.coll_seq += 1;
+        let now = self.clock.now();
+        let mut slots = world.coll.lock();
+        let slot = &mut slots[parity];
+        assert!(
+            slot.result.is_none(),
+            "collective slot reused before its last reader left"
+        );
+        let latest = slot.arrived == 0
+            || match now.total_cmp(&slot.t_max) {
+                std::cmp::Ordering::Greater => true,
+                std::cmp::Ordering::Equal => self.rank < slot.crit_rank,
+                std::cmp::Ordering::Less => false,
+            };
+        if latest {
+            slot.t_max = now;
+            slot.crit_rank = self.rank;
+            slot.crit_ctx = self.tracer.ctx_word();
         }
-        st.times[self.rank] = self.clock.now();
-        st.ctxs[self.rank] = self.tracer.ctx_word();
-        st.inputs[self.rank] = Some(Box::new(input));
-        st.arrived += 1;
-        if st.arrived == world.size {
+        slot.inputs[self.rank] = Some(Box::new(input));
+        slot.arrived += 1;
+        if slot.arrived == world.size {
             // Last arrival combines, prices, and releases everyone.
-            let inputs: Vec<T> = st
+            let inputs: Vec<T> = slot
                 .inputs
                 .iter_mut()
                 .map(|slot| {
@@ -630,76 +636,61 @@ impl Comm {
                         })
                 })
                 .collect();
-            let t_max = st.times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            st.out_time = t_max
+            slot.out_time = slot.t_max
                 + world
                     .machine
                     .network
                     .collective_time(world.size, payload_bytes);
-            st.result = Some(Arc::new(combine(inputs)));
-            st.phase = Phase::Distributing;
-            world.coll_cv.notify_all();
-            if let Some(s) = &world.sched {
-                s.notify_collective();
+            slot.result = Some(Arc::new(combine(inputs)));
+            match &world.sched {
+                None => {
+                    world.coll_cv.notify_all();
+                }
+                Some(s) => s.notify_collective(),
             }
         } else {
-            while !matches!(st.phase, Phase::Distributing) {
-                self.check_poison();
+            while slots[parity].result.is_none() {
                 match &world.sched {
-                    None => self.coll_wait(&mut st),
-                    Some(s) => {
-                        drop(st);
-                        if !s.block(
-                            self.rank,
-                            WaitReason::Collective,
-                            self.clock.now().to_bits(),
-                        ) {
-                            self.sched_abort("collective");
-                        }
-                        st = world.coll.lock();
+                    None => {
+                        self.check_poison();
+                        world
+                            .coll_cv
+                            .wait_for(&mut slots, Duration::from_millis(50));
+                    }
+                    Some(_) => {
+                        drop(slots);
+                        self.sched_block(WaitReason::Collective);
+                        slots = world.coll.lock();
                     }
                 }
             }
         }
-        let result: Arc<R> = Arc::clone(st.result.as_ref().expect("collective result missing"))
+        let slot = &mut slots[parity];
+        let result: Arc<R> = Arc::clone(slot.result.as_ref().expect("collective result missing"))
             .downcast::<R>()
             .expect("collective result type mismatch");
-        let out_time = st.out_time;
+        let out_time = slot.out_time;
         // Causal edge from the critical contributor: the last rank to
         // arrive (lowest rank among virtual-time ties). Deterministic in
-        // both sched modes because `times` is — it holds virtual clocks,
-        // not wall clocks.
-        let crit = st
-            .times
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| a.total_cmp(b).then(ib.cmp(ia)))
-            .map(|(i, t)| (i, *t));
-        if let Some((crit_rank, t_max)) = crit {
-            let src = st.ctxs[crit_rank];
-            if src != 0 {
-                self.tracer.record_edge(
-                    src,
-                    t_max,
-                    out_time,
-                    self.clock.now(),
-                    trace::EdgeKind::Collective,
-                );
-            }
+        // both sched modes because it is chosen on virtual clocks, not
+        // wall clocks.
+        if slot.crit_ctx != 0 {
+            self.tracer.record_edge(
+                slot.crit_ctx,
+                slot.t_max,
+                out_time,
+                now,
+                trace::EdgeKind::Collective,
+            );
         }
-        st.departed += 1;
-        if st.departed == world.size {
-            st.arrived = 0;
-            st.departed = 0;
-            st.result = None;
-            st.phase = Phase::Collecting;
-            world.coll_cv.notify_all();
-            if let Some(s) = &world.sched {
-                s.notify_collective();
-            }
+        slot.departed += 1;
+        if slot.departed == world.size {
+            slot.arrived = 0;
+            slot.departed = 0;
+            slot.result = None;
         }
-        drop(st);
-        let wait = out_time - self.clock.now();
+        drop(slots);
+        let wait = out_time - now;
         if wait > 0.0 {
             self.stats.time_comm += wait;
         }
@@ -731,10 +722,6 @@ impl Comm {
         self.stats.collectives += 1;
     }
 
-    fn coll_wait(&self, st: &mut parking_lot::MutexGuard<'_, CollState>) {
-        self.world.coll_cv.wait_for(st, Duration::from_millis(50));
-    }
-
     fn check_poison(&self) {
         assert!(
             !self.world.is_poisoned(),
@@ -743,15 +730,22 @@ impl Comm {
         );
     }
 
-    /// Abort a blocked event-mode operation: the scheduler returned
-    /// `false`, meaning the world poisoned or the program deadlocked.
-    fn sched_abort(&self, what: &str) -> ! {
-        if let Some(s) = &self.world.sched {
-            if let Some(d) = s.deadlock_diag() {
-                panic!("{d}");
-            }
+    /// Event mode: give up the run token until the scheduler grants it
+    /// back. Panics when it never will — the world poisoned, or the
+    /// program deadlocked (then with the scheduler's diagnostic).
+    fn sched_block(&self, reason: WaitReason) {
+        let s = self.world.sched.as_ref().expect("event-mode world");
+        if s.block(self.rank, reason, self.clock.now().to_bits()) {
+            return;
         }
-        panic!("rank {} aborting {what}: another rank panicked", self.rank);
+        if let Some(d) = s.deadlock_diag() {
+            panic!("{d}");
+        }
+        panic!(
+            "rank {} aborting {}: another rank panicked",
+            self.rank,
+            reason.label()
+        );
     }
 
     /// Run `f` — which may block on something *outside* this world (an OS

@@ -13,15 +13,16 @@
 //!   failure into an actionable error.
 //!
 //! * [`EventExecutor`] — discrete-event mode. Rank threads exist only as
-//!   suspension points: a single *run token* is granted to one rank at a
-//!   time by [`EventSched`], and every blocking point in
-//!   `comm.rs` (recv, barrier/reduce rendezvous) parks the thread and
-//!   returns the token. The scheduler always resumes the runnable rank
-//!   with the **earliest virtual clock** (a pending queue keyed by the
-//!   clock's bit pattern), so execution order follows virtual time, not
-//!   OS scheduling. Blocked ranks are woken by targeted `unpark`s (O(1)
-//!   per message, O(waiters) per collective phase flip), which is what
-//!   makes 10k-rank worlds practical.
+//!   resumable tasks: a single *run token* is granted to one rank at a
+//!   time by [`EventSched`], and a rank returns it only where it would
+//!   otherwise wait — a `recv` with no matching message, a collective
+//!   that is not complete yet, an `external_wait` — or when it finishes.
+//!   Sends never give it up. The scheduler always resumes the runnable
+//!   rank with the **earliest virtual clock** (a pending queue keyed by
+//!   the clock's bit pattern), so the run repeats exactly. Blocked ranks
+//!   are woken by targeted `unpark`s (O(1) per message, O(waiters) per
+//!   completed collective), which is what makes 10k-rank worlds
+//!   practical.
 //!
 //! Virtual-time output is bitwise identical across the two executors by
 //! construction: both drive the *same* rendezvous code in `comm.rs`, and
@@ -204,7 +205,7 @@ impl Executor for ThreadExecutor {
 }
 
 /// The discrete-event executor: rank threads are coroutine-style tasks
-/// suspended at every communication point; an [`EventSched`] resumes the
+/// suspended wherever they would wait; an [`EventSched`] resumes the
 /// runnable rank with the earliest virtual clock.
 #[derive(Debug, Clone, Copy)]
 pub struct EventExecutor {
@@ -317,6 +318,17 @@ where
                     }
                 };
                 if let Some(s) = &sched {
+                    // The scheduler's hand-off counts ride the telemetry
+                    // bus, not `CommStats`: that struct must compare
+                    // equal across executors.
+                    let blocks = s.rank_blocks(rank);
+                    let telemetry = comm.telemetry();
+                    telemetry
+                        .counter("sched/blocks_message")
+                        .add(blocks.message);
+                    telemetry
+                        .counter("sched/blocks_collective")
+                        .add(blocks.collective);
                     s.finish(rank);
                 }
                 out
@@ -358,6 +370,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::BlockCounts;
 
     #[test]
     fn env_default_is_thread() {
@@ -441,5 +454,144 @@ mod tests {
             assert_eq!(x.time.to_bits(), y.time.to_bits(), "rank {}", x.rank);
             assert_eq!(x.stats, y.stats, "rank {}", x.rank);
         }
+    }
+
+    /// An event world over a scheduler the test keeps a handle on.
+    fn event_world<R, F>(size: usize, f: F) -> (Vec<RankResult<R>>, Arc<EventSched>)
+    where
+        R: Send + 'static,
+        F: Fn(&mut Comm) -> R + Send + Sync + 'static,
+    {
+        let sched = Arc::new(EventSched::new(size));
+        let results = spawn_and_join(
+            size,
+            MachineModel::test_tiny(),
+            Registry::new(),
+            RANK_STACK_BYTES,
+            Some(Arc::clone(&sched)),
+            f,
+        );
+        (results, sched)
+    }
+
+    #[test]
+    fn each_allreduce_parks_all_ranks_but_the_last_to_arrive() {
+        const RANKS: usize = 6;
+        const ROUNDS: usize = 40;
+        let (results, sched) = event_world(RANKS, |comm| {
+            (0..ROUNDS)
+                .map(|i| comm.allreduce((comm.rank() * i) as f64, crate::ReduceOp::Sum))
+                .sum::<f64>()
+        });
+        let expected: f64 = (0..ROUNDS).map(|i| (15 * i) as f64).sum();
+        assert!(results.iter().all(|r| r.value == expected));
+        // Nobody waits to enter a collective and nobody is woken early:
+        // one park per rank per collective, minus the rank that completes it.
+        assert_eq!(
+            sched.blocks(),
+            BlockCounts {
+                message: 0,
+                collective: ((RANKS - 1) * ROUNDS) as u64,
+            }
+        );
+    }
+
+    #[test]
+    fn a_rank_that_only_sends_keeps_the_token() {
+        const SENDS: u32 = 50;
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log2 = Arc::clone(&log);
+        let (_, sched) = event_world(4, move |comm| match comm.rank() {
+            0 => {
+                // Later in virtual time than every other rank: ordering
+                // execution by timestamp would interleave them here.
+                comm.advance(1.0);
+                for i in 0..SENDS {
+                    comm.send(1, 9, i, 4);
+                    log2.lock().push(0);
+                }
+            }
+            1 => {
+                for i in 0..SENDS {
+                    assert_eq!(comm.recv::<u32>(0, 9), i);
+                    log2.lock().push(1);
+                }
+            }
+            r => log2.lock().push(r),
+        });
+        let log = log.lock().clone();
+        let first = log.iter().position(|&r| r == 0).unwrap();
+        assert!(
+            log[first..first + SENDS as usize].iter().all(|&r| r == 0),
+            "another rank ran between two sends: {log:?}"
+        );
+        // Rank 1 parks once if it got to its first recv before rank 0 ran.
+        let blocks = sched.blocks();
+        assert!(blocks.message <= 1 && blocks.collective == 0, "{blocks:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler deadlock")]
+    fn one_collective_short_is_a_diagnosed_deadlock() {
+        // Rank 2 leaves after the first barrier; ranks 0 and 1 park in the
+        // second one, in the slot nobody will ever complete.
+        event_world(3, |comm| {
+            comm.barrier();
+            if comm.rank() != 2 {
+                comm.barrier();
+            }
+        });
+    }
+
+    /// Back-to-back collectives of five result types, every result
+    /// depending on the round, folded into one checksum per rank. Rank 3
+    /// stalls in real time now and then so the others pile up a full
+    /// collective ahead of it.
+    fn mixed_collective_laps(comm: &mut Comm) -> u64 {
+        let (n, r) = (comm.size(), comm.rank());
+        let mut sum = 0u64;
+        for i in 0..2000usize {
+            if r == 3 && i % 64 == 0 {
+                thread::sleep(std::time::Duration::from_micros(200));
+            }
+            comm.advance((r + 1) as f64 * 1e-6);
+            comm.barrier();
+            let a = comm.allreduce((r * i) as f64, crate::ReduceOp::Sum);
+            let mut v = [r as f64, i as f64, (r ^ i) as f64];
+            comm.allreduce_vec(&mut v, crate::ReduceOp::Max);
+            let g = comm.allgather(vec![r as u8; i % 5], (i % 5) as u64);
+            let b = comm.bcast(i % n, (r * 1000 + i) as u64, 8);
+            assert_eq!(b, ((i % n) * 1000 + i) as u64, "round {i}");
+            assert!(g
+                .iter()
+                .enumerate()
+                .all(|(q, x)| *x == vec![q as u8; i % 5]));
+            sum = sum
+                .wrapping_mul(31)
+                .wrapping_add(a.to_bits() ^ v[2].to_bits() ^ b);
+        }
+        sum
+    }
+
+    #[test]
+    fn two_slot_rendezvous_holds_up_under_laps_in_thread_mode() {
+        // A slot reused a generation early trips the reuse assertion or
+        // hands some rank another round's result (wrong value, failed
+        // downcast); one reset before its last reader leaves that reader
+        // without a result — a diagnosed deadlock in the event world, which
+        // therefore runs first.
+        let (event, _) = event_world(8, mixed_collective_laps);
+        let thread = ThreadExecutor::default().run_world(
+            8,
+            MachineModel::test_tiny(),
+            Registry::new(),
+            mixed_collective_laps,
+        );
+        for (t, e) in thread.iter().zip(&event) {
+            assert_eq!(t.value, e.value, "rank {}", t.rank);
+            assert_eq!(t.time.to_bits(), e.time.to_bits(), "rank {}", t.rank);
+            assert_eq!(t.stats, e.stats, "rank {}", t.rank);
+        }
+        assert_eq!(thread[0].stats.collectives, 10_000);
     }
 }

@@ -284,3 +284,42 @@ fn event_log_is_sorted_with_stable_tie_break_in_both_sched_modes() {
     }
     assert_eq!(thread, event, "event logs differ across schedulers");
 }
+
+/// The event scheduler's hand-off counts ride the bus: an event-mode
+/// report carries them per rank, and every collective parked exactly
+/// all ranks but the one that completed it. A thread-mode run has no
+/// scheduler and reports no such rows.
+#[test]
+fn event_mode_reports_carry_the_scheduler_hand_off_counts() {
+    let run = |sched: commsim::SchedMode| {
+        let mut cfg = stalled_insitu_config(true, None);
+        cfg.exec = ExecMode::Synchronous;
+        cfg.faults = FaultPlan::none();
+        cfg.sched = sched;
+        let r = run_insitu(&cfg);
+        let sum = |base: &str| -> Option<u64> {
+            let report = r.run_report.as_ref().expect("telemetry: true");
+            let rows: Vec<u64> = (report.metrics.iter())
+                .filter(|(name, _)| name.ends_with(base))
+                .map(|(_, v)| match v {
+                    telemetry::MetricValue::Counter(c) => *c,
+                    other => panic!("{base} is not a counter: {other:?}"),
+                })
+                .collect();
+            (!rows.is_empty()).then(|| {
+                assert_eq!(rows.len(), cfg.ranks, "one {base} row per rank");
+                rows.iter().sum()
+            })
+        };
+        (
+            r.metrics.totals.collectives,
+            sum("/sched/blocks_collective"),
+            sum("/sched/blocks_message"),
+        )
+    };
+    let (collectives, coll_parks, msg_parks) = run(commsim::SchedMode::Event);
+    // `totals` sums over the two ranks; each collective parked one of them.
+    assert_eq!(coll_parks, Some(collectives / 2));
+    assert!(msg_parks.is_some());
+    assert_eq!(run(commsim::SchedMode::Thread), (collectives, None, None));
+}
