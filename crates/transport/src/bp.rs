@@ -8,7 +8,9 @@
 //! is detected and rejected at the receiver instead of being silently
 //! decoded into garbage grids (see the fault model in DESIGN.md).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::codec::{
+    self, put_bytes, put_f32s, put_f64, put_f64s, put_i64s, put_u32, put_u64, Prefix, Reader,
+};
 use meshdata::{ArrayData, CellType, DataArray, MultiBlock, UnstructuredGrid};
 
 /// CRC32 (IEEE) of a byte slice — the workspace's one CRC kernel, shared
@@ -18,14 +20,29 @@ pub use render::image::crc32;
 const MAGIC: u32 = 0x4250_344C; // "BP4L"
 const VERSION: u32 = 2; // v2: trailing CRC32 frame check
 
+/// Fixed bytes of the frame header (magic, version, producer, step, time,
+/// block count), of one block (index, point, cell and connectivity counts)
+/// and of one array (name length, components, type tag, scalar count):
+/// the terms of the frame length, and the least a declared block or
+/// array count must find unread to be believed.
+const HEADER_BYTES: usize = 4 + 4 + 4 + 8 + 8 + 4;
+const BLOCK_BYTES: usize = 4 + 8 + 8 + 8;
+const ARRAY_BYTES: usize = 4 + 4 + 1 + 8;
+
+/// The frame body, once its trailing CRC32 is verified.
+fn verified_body(payload: &[u8]) -> Result<&[u8], BpError> {
+    let (body, trailer) = payload.split_last_chunk::<4>().ok_or(BpError::Truncated)?;
+    if Reader::new(trailer).u32() == Ok(crc32(body)) {
+        Ok(body)
+    } else {
+        Err(BpError::ChecksumMismatch)
+    }
+}
+
 /// Verify a frame's trailing CRC32 without parsing the body. Cheap enough
 /// to run on every received packet.
 pub fn frame_crc_ok(payload: &[u8]) -> bool {
-    if payload.len() < 4 {
-        return false;
-    }
-    let (body, trailer) = payload.split_at(payload.len() - 4);
-    crc32(body) == u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]])
+    verified_body(payload).is_ok()
 }
 
 /// One step's worth of data from one producer.
@@ -39,6 +56,24 @@ pub struct StepData {
     pub time: f64,
     /// The producer's local blocks: (global block index, grid).
     pub blocks: Vec<(u32, UnstructuredGrid)>,
+}
+
+impl StepData {
+    /// Move this producer's blocks into their slots of `mb` (one slot per
+    /// simulation rank).
+    ///
+    /// # Errors
+    /// [`BpError::Malformed`] for a block index `mb` has no slot for.
+    pub fn place_into(self, mb: &mut MultiBlock) -> Result<(), BpError> {
+        let n = mb.blocks.len();
+        for (idx, grid) in self.blocks {
+            let slot = mb.blocks.get_mut(idx as usize).ok_or_else(|| {
+                BpError::Malformed(format!("block index {idx} in a {n}-block dataset"))
+            })?;
+            *slot = Some(grid);
+        }
+        Ok(())
+    }
 }
 
 /// Marshaling/unmarshaling errors.
@@ -64,60 +99,79 @@ impl std::fmt::Display for BpError {
 
 impl std::error::Error for BpError {}
 
+impl From<codec::Error> for BpError {
+    fn from(e: codec::Error) -> Self {
+        match e {
+            codec::Error::Truncated => BpError::Truncated,
+            codec::Error::NotUtf8 => BpError::Malformed("non-utf8 array name".into()),
+        }
+    }
+}
+
+fn arrays_len(arrays: &[DataArray]) -> usize {
+    let array =
+        |a: &DataArray| ARRAY_BYTES + a.name.len() + a.data.scalar_len() * a.data.scalar_size();
+    4 + arrays.iter().map(array).sum::<usize>()
+}
+
 /// Serialize the local blocks of `mb` for `producer` at (`step`, `time`).
 pub fn marshal_blocks(producer: u32, step: u64, time: f64, mb: &MultiBlock) -> Vec<u8> {
-    let mut out = BytesMut::new();
-    out.put_u32_le(MAGIC);
-    out.put_u32_le(VERSION);
-    out.put_u32_le(producer);
-    out.put_u64_le(step);
-    out.put_f64_le(time);
-    let locals: Vec<_> = mb.local_blocks().collect();
-    out.put_u32_le(locals.len() as u32);
-    for (idx, g) in locals {
-        out.put_u32_le(idx as u32);
-        out.put_u64_le(g.n_points() as u64);
-        out.put_u64_le(g.n_cells() as u64);
-        for p in &g.points {
-            out.put_f64_le(p[0]);
-            out.put_f64_le(p[1]);
-            out.put_f64_le(p[2]);
-        }
-        out.put_u64_le(g.connectivity.len() as u64);
-        for &c in &g.connectivity {
-            out.put_i64_le(c);
-        }
-        for &o in &g.offsets {
-            out.put_i64_le(o);
-        }
-        for &t in &g.types {
-            out.put_u8(t as u8);
-        }
+    // The exact frame length, so the buffer is reserved once.
+    let block = |g: &UnstructuredGrid| {
+        BLOCK_BYTES
+            + 24 * g.n_points()
+            + 8 * (g.connectivity.len() + g.offsets.len())
+            + g.types.len()
+            + arrays_len(&g.point_data)
+            + arrays_len(&g.cell_data)
+    };
+    let len = HEADER_BYTES + mb.local_blocks().map(|(_, g)| block(g)).sum::<usize>() + 4;
+    let mut out = Vec::with_capacity(len);
+    put_u32(&mut out, MAGIC);
+    put_u32(&mut out, VERSION);
+    put_u32(&mut out, producer);
+    put_u64(&mut out, step);
+    put_f64(&mut out, time);
+    put_u32(&mut out, mb.local_blocks().count() as u32);
+    for (idx, g) in mb.local_blocks() {
+        put_u32(&mut out, idx as u32);
+        put_u64(&mut out, g.n_points() as u64);
+        put_u64(&mut out, g.n_cells() as u64);
+        put_f64s(&mut out, g.points.as_flattened());
+        put_u64(&mut out, g.connectivity.len() as u64);
+        put_i64s(&mut out, &g.connectivity);
+        put_i64s(&mut out, &g.offsets);
+        out.extend(g.types.iter().map(|&t| t as u8));
         put_arrays(&mut out, &g.point_data);
         put_arrays(&mut out, &g.cell_data);
     }
-    let trailer = crc32(&out).to_le_bytes();
-    out.put_slice(&trailer);
-    out.to_vec()
+    let crc = crc32(&out);
+    put_u32(&mut out, crc);
+    debug_assert_eq!(out.len(), len, "the length formula and the layout disagree");
+    out
 }
 
-fn put_arrays(out: &mut BytesMut, arrays: &[DataArray]) {
-    out.put_u32_le(arrays.len() as u32);
+fn put_arrays(out: &mut Vec<u8>, arrays: &[DataArray]) {
+    put_u32(out, arrays.len() as u32);
     for a in arrays {
-        out.put_u32_le(a.name.len() as u32);
-        out.put_slice(a.name.as_bytes());
-        out.put_u32_le(a.components as u32);
-        let (tag, bytes): (u8, Vec<u8>) = match &a.data {
-            ArrayData::F32(_) => (0, a.data.to_le_bytes()),
+        put_bytes(out, a.name.as_bytes());
+        put_u32(out, a.components as u32);
+        out.push(match &a.data {
+            ArrayData::F32(_) => 0,
             // Shared snapshot storage marshals as plain Float64 so the
             // endpoint reconstructs an owned array.
-            ArrayData::F64(_) | ArrayData::F64Shared(_) => (1, a.data.to_le_bytes()),
-            ArrayData::I64(_) => (2, a.data.to_le_bytes()),
-            ArrayData::U8(_) => (3, a.data.to_le_bytes()),
-        };
-        out.put_u8(tag);
-        out.put_u64_le(a.data.scalar_len() as u64);
-        out.put_slice(&bytes);
+            ArrayData::F64(_) | ArrayData::F64Shared(_) => 1,
+            ArrayData::I64(_) => 2,
+            ArrayData::U8(_) => 3,
+        });
+        put_u64(out, a.data.scalar_len() as u64);
+        match &a.data {
+            ArrayData::F32(v) => put_f32s(out, v),
+            ArrayData::F64(v) => put_f64s(out, v),
+            ArrayData::F64Shared(v) => put_f64s(out, v),
+            ArrayData::I64(v) => put_i64s(out, v),
+            ArrayData::U8(v) => out.extend_from_slice(v),
+        }
     }
 }
 
@@ -126,47 +180,36 @@ fn put_arrays(out: &mut BytesMut, arrays: &[DataArray]) {
 /// # Errors
 /// CRC mismatch, truncation, or malformed structure.
 pub fn unmarshal_blocks(payload: &[u8]) -> Result<StepData, BpError> {
-    if payload.len() < 4 {
-        return Err(BpError::Truncated);
-    }
-    if !frame_crc_ok(payload) {
-        return Err(BpError::ChecksumMismatch);
-    }
-    let mut buf = Bytes::copy_from_slice(&payload[..payload.len() - 4]);
-    let magic = get_u32(&mut buf)?;
+    let mut r = Reader::new(verified_body(payload)?);
+    let magic = r.u32()?;
     if magic != MAGIC {
         return Err(BpError::Malformed(format!("bad magic {magic:#x}")));
     }
-    let version = get_u32(&mut buf)?;
+    let version = r.u32()?;
     if version != VERSION {
         return Err(BpError::Malformed(format!("unsupported version {version}")));
     }
-    let producer = get_u32(&mut buf)?;
-    let step = get_u64(&mut buf)?;
-    let time = get_f64(&mut buf)?;
-    let n_blocks = get_u32(&mut buf)?;
-    let mut blocks = Vec::with_capacity(n_blocks as usize);
+    let (producer, step, time) = (r.u32()?, r.u64()?, r.f64()?);
+    let n_blocks = r.count(Prefix::U32, BLOCK_BYTES + 4 + 4)?;
+    let mut blocks = Vec::new();
     for _ in 0..n_blocks {
-        let idx = get_u32(&mut buf)?;
-        let n_points = get_u64(&mut buf)? as usize;
-        let n_cells = get_u64(&mut buf)? as usize;
+        let idx = r.u32()?;
+        let n_points = r.count(Prefix::U64, 24)?;
+        let n_cells = r.count(Prefix::U64, 9)?;
         let mut g = UnstructuredGrid::new();
-        need(&buf, sized(n_points, 24, 0)?)?;
-        for _ in 0..n_points {
-            g.add_point([buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le()]);
-        }
-        let conn_len = get_u64(&mut buf)? as usize;
-        need(&buf, sized(conn_len, 8, sized(n_cells, 9, 0)?)?)?;
-        g.connectivity = (0..conn_len).map(|_| buf.get_i64_le()).collect();
-        g.offsets = (0..n_cells).map(|_| buf.get_i64_le()).collect();
-        g.types = (0..n_cells)
-            .map(|_| {
-                CellType::from_u8(buf.get_u8())
-                    .ok_or_else(|| BpError::Malformed("unknown cell type".into()))
-            })
+        g.points = r.f64x3s(n_points)?;
+        let conn_len = r.count(Prefix::U64, 8)?;
+        g.connectivity = r.i64s(conn_len)?;
+        g.offsets = r.i64s(n_cells)?;
+        let cell_type =
+            |&t| CellType::from_u8(t).ok_or_else(|| BpError::Malformed("unknown cell type".into()));
+        g.types = r
+            .take(n_cells)?
+            .iter()
+            .map(cell_type)
             .collect::<Result<_, _>>()?;
-        g.point_data = get_arrays(&mut buf)?;
-        g.cell_data = get_arrays(&mut buf)?;
+        g.point_data = get_arrays(&mut r)?;
+        g.cell_data = get_arrays(&mut r)?;
         g.validate()
             .map_err(|e| BpError::Malformed(format!("invalid grid: {e}")))?;
         blocks.push((idx, g));
@@ -179,41 +222,24 @@ pub fn unmarshal_blocks(payload: &[u8]) -> Result<StepData, BpError> {
     })
 }
 
-fn get_arrays(buf: &mut Bytes) -> Result<Vec<DataArray>, BpError> {
-    let n = get_u32(buf)?;
-    let mut arrays = Vec::with_capacity(n as usize);
+fn get_arrays(r: &mut Reader<'_>) -> Result<Vec<DataArray>, BpError> {
+    let n = r.count(Prefix::U32, ARRAY_BYTES)?;
+    let mut arrays = Vec::new();
     for _ in 0..n {
-        let name_len = get_u32(buf)? as usize;
-        need(buf, name_len)?;
-        let name = String::from_utf8(buf.copy_to_bytes(name_len).to_vec())
-            .map_err(|_| BpError::Malformed("non-utf8 array name".into()))?;
-        let components = get_u32(buf)? as usize;
-        need(buf, 1)?;
-        let tag = buf.get_u8();
-        let scalar_len = get_u64(buf)? as usize;
+        let name = r.str()?.to_owned();
+        let components = r.u32()? as usize;
+        let tag = r.u8()?;
+        let scalar_len = r.count(Prefix::U64, 1)?;
         let data = match tag {
-            0 => {
-                need(buf, sized(scalar_len, 4, 0)?)?;
-                ArrayData::F32((0..scalar_len).map(|_| buf.get_f32_le()).collect())
-            }
-            1 => {
-                need(buf, sized(scalar_len, 8, 0)?)?;
-                ArrayData::F64((0..scalar_len).map(|_| buf.get_f64_le()).collect())
-            }
-            2 => {
-                need(buf, sized(scalar_len, 8, 0)?)?;
-                ArrayData::I64((0..scalar_len).map(|_| buf.get_i64_le()).collect())
-            }
-            3 => {
-                need(buf, scalar_len)?;
-                ArrayData::U8(buf.copy_to_bytes(scalar_len).to_vec())
-            }
+            0 => ArrayData::F32(r.f32s(scalar_len)?),
+            1 => ArrayData::F64(r.f64s(scalar_len)?),
+            2 => ArrayData::I64(r.i64s(scalar_len)?),
+            3 => ArrayData::U8(r.take(scalar_len)?.to_vec()),
             other => return Err(BpError::Malformed(format!("unknown type tag {other}"))),
         };
-        if components == 0 || data.scalar_len() % components != 0 {
+        if components == 0 || scalar_len % components != 0 {
             return Err(BpError::Malformed(format!(
-                "array '{name}': {} scalars not divisible by {components} components",
-                data.scalar_len()
+                "array '{name}': {scalar_len} scalars not divisible by {components} components"
             )));
         }
         arrays.push(DataArray {
@@ -223,37 +249,6 @@ fn get_arrays(buf: &mut Bytes) -> Result<Vec<DataArray>, BpError> {
         });
     }
     Ok(arrays)
-}
-
-fn need(buf: &Bytes, n: usize) -> Result<(), BpError> {
-    if buf.remaining() < n {
-        Err(BpError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-/// Overflow-safe `a * b (+ c)` for size checks on untrusted counts: a
-/// corrupted header can declare astronomically large element counts.
-fn sized(a: usize, b: usize, c: usize) -> Result<usize, BpError> {
-    a.checked_mul(b)
-        .and_then(|ab| ab.checked_add(c))
-        .ok_or(BpError::Truncated)
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, BpError> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, BpError> {
-    need(buf, 8)?;
-    Ok(buf.get_u64_le())
-}
-
-fn get_f64(buf: &mut Bytes) -> Result<f64, BpError> {
-    need(buf, 8)?;
-    Ok(buf.get_f64_le())
 }
 
 #[cfg(test)]

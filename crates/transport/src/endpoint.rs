@@ -14,13 +14,11 @@
 //! deterministic for a given fault plan and seed, which the recovery tests
 //! rely on.
 
-use crate::bp;
 use crate::engine::SstReader;
 use commsim::Comm;
 use insitu::configurable::AdaptorFactory;
 use insitu::data_adaptor::StaticDataAdaptor;
 use insitu::ConfigurableAnalysis;
-use meshdata::MultiBlock;
 
 /// Outcome of an endpoint rank's run.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,22 +104,7 @@ impl EndpointConsumer {
             }
             // Rebuild this endpoint rank's slice of the global multiblock
             // from the producers that did arrive.
-            let unmarshal = comm.span("transport/unmarshal");
-            let mut mb = MultiBlock::new(self.n_sim_ranks);
-            for packet in &delivery.packets {
-                let data = bp::unmarshal_blocks(&packet.payload).map_err(|e| {
-                    insitu::Error::Analysis(format!("unmarshal from {}: {e}", packet.producer))
-                })?;
-                // Unmarshal cost: one sweep over the payload.
-                comm.compute_host(
-                    packet.payload.len() as f64,
-                    packet.payload.len() as f64 * 2.0,
-                );
-                for (idx, grid) in data.blocks {
-                    mb.blocks[idx as usize] = Some(grid);
-                }
-            }
-            drop(unmarshal);
+            let mb = delivery.unmarshal(comm, self.n_sim_ranks)?;
             let _exec = comm.span("insitu/execute");
             let mut da = StaticDataAdaptor::new("mesh", mb, delivery.time, delivery.step);
             self.analyses.execute(comm, delivery.step.max(1), &mut da)?;
@@ -149,7 +132,7 @@ mod tests {
     use crate::link::StagingLink;
     use commsim::{run_ranks_with_state, MachineModel};
     use insitu::AnalysisAdaptor as _;
-    use meshdata::{CellType, DataArray, UnstructuredGrid};
+    use meshdata::{CellType, DataArray, MultiBlock, UnstructuredGrid};
 
     fn block(rank: usize, nranks: usize) -> MultiBlock {
         let z0 = rank as f64;

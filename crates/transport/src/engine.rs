@@ -40,6 +40,7 @@ use crate::wire::{
 use commsim::FaultPlan;
 use crossbeam_channel::bounded;
 use memtrack::Accountant;
+use meshdata::MultiBlock;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -54,15 +55,15 @@ pub enum QueuePolicy {
     DiscardNewest,
 }
 
-/// What a packet carries.
+/// What a packet carries; the value is the wire frame's kind byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// A marshaled step payload (data plane, lossy).
-    Data,
+    Data = 0,
     /// Control: the producer gave up on this step (reliable plane).
-    Skip,
+    Skip = 1,
     /// Control: the producer will send nothing further (reliable plane).
-    Detach,
+    Detach = 2,
 }
 
 /// One message from one producer.
@@ -197,7 +198,8 @@ impl SstWriter {
         comm.advance(self.link.control_latency);
         let mut attempt = 0u32;
         loop {
-            match self.faults.attempt_fate(self.producer, step, attempt) {
+            // What the failed attempt costs the writer, in virtual time.
+            let penalty = match self.faults.attempt_fate(self.producer, step, attempt) {
                 commsim::AttemptFate::Deliver { extra_delay } => {
                     let packet = Packet {
                         kind: PacketKind::Data,
@@ -225,36 +227,17 @@ impl SstWriter {
                             self.control(comm, PacketKind::Skip, step, false);
                             Ok(WriteOutcome::Discarded)
                         }
-                        Err((error, payload)) => {
-                            self.fail_step(comm, step, attempt + 1, error, payload)
-                        }
+                        Err((error, payload)) => self.fail_step(comm, step, error, payload),
                     };
                 }
+                // Lost on the wire: wait out the ack timeout and back off.
                 commsim::AttemptFate::Drop => {
-                    // Lost on the wire: wait out the ack timeout, back off,
-                    // retransmit — all in virtual time.
-                    let _sp = comm.span("transport/retry");
-                    comm.advance(self.config.ack_timeout + self.config.backoff(attempt));
-                    self.retries += 1;
-                    comm.telemetry().counter("transport/retries").inc();
-                    attempt += 1;
-                    if attempt >= self.config.max_attempts {
-                        return self.fail_step(
-                            comm,
-                            step,
-                            attempt,
-                            TransportError::StepLost {
-                                step,
-                                attempts: attempt,
-                            },
-                            payload,
-                        );
-                    }
+                    self.config.ack_timeout + self.config.backoff(attempt)
                 }
                 commsim::AttemptFate::Corrupt => {
                     // The frame arrives damaged; ship the damaged bytes so
                     // the reader's CRC genuinely rejects them, then pay the
-                    // NACK round trip and retransmit.
+                    // NACK round trip.
                     let mut damaged = payload.clone();
                     self.faults
                         .corrupt_payload(&mut damaged, self.producer, step, attempt);
@@ -272,28 +255,23 @@ impl SstWriter {
                         },
                     );
                     self.corrupt_frames += 1;
-                    let _sp = comm.span("transport/retry");
-                    comm.advance(
-                        self.link.transfer_time(nbytes)
-                            + self.link.control_latency
-                            + self.config.backoff(attempt),
-                    );
-                    self.retries += 1;
-                    comm.telemetry().counter("transport/retries").inc();
-                    attempt += 1;
-                    if attempt >= self.config.max_attempts {
-                        return self.fail_step(
-                            comm,
-                            step,
-                            attempt,
-                            TransportError::StepLost {
-                                step,
-                                attempts: attempt,
-                            },
-                            payload,
-                        );
-                    }
+                    self.link.transfer_time(nbytes)
+                        + self.link.control_latency
+                        + self.config.backoff(attempt)
                 }
+            };
+            // Retransmit, all in virtual time, until the attempts run out.
+            let _sp = comm.span("transport/retry");
+            comm.advance(penalty);
+            self.retries += 1;
+            comm.telemetry().counter("transport/retries").inc();
+            attempt += 1;
+            if attempt >= self.config.max_attempts {
+                let error = TransportError::StepLost {
+                    step,
+                    attempts: attempt,
+                };
+                return self.fail_step(comm, step, error, payload);
             }
         }
     }
@@ -411,11 +389,9 @@ impl SstWriter {
         &mut self,
         comm: &mut commsim::Comm,
         step: u64,
-        attempts: u32,
         error: TransportError,
         payload: Vec<u8>,
     ) -> Result<WriteOutcome, WriteError> {
-        let _ = attempts;
         self.steps_failed += 1;
         if error == TransportError::Disconnected {
             // Unrecoverable: the reader is gone, nothing can be notified.
@@ -503,6 +479,31 @@ impl StepDelivery {
     /// True when every producer contributed.
     pub fn is_complete(&self) -> bool {
         self.missing.is_empty()
+    }
+
+    /// Rebuild the `n_blocks`-slot multiblock from the producers that did
+    /// arrive, charging one sweep over each payload.
+    ///
+    /// # Errors
+    /// A payload that does not unmarshal or names a block outside the
+    /// dataset.
+    pub fn unmarshal(
+        &self,
+        comm: &mut commsim::Comm,
+        n_blocks: usize,
+    ) -> insitu::Result<MultiBlock> {
+        let _span = comm.span("transport/unmarshal");
+        let mut mb = MultiBlock::new(n_blocks);
+        for packet in &self.packets {
+            bp::unmarshal_blocks(&packet.payload)
+                .and_then(|data| data.place_into(&mut mb))
+                .map_err(|e| {
+                    insitu::Error::Analysis(format!("unmarshal from {}: {e}", packet.producer))
+                })?;
+            let nbytes = packet.payload.len() as f64;
+            comm.compute_host(nbytes, nbytes * 2.0);
+        }
+        Ok(mb)
     }
 }
 
@@ -875,7 +876,7 @@ impl StagingNetwork {
             let state = Arc::new(ReaderState {
                 drain_time: Mutex::new(0.0),
             });
-            let (mut txs, rx): (Vec<Box<dyn WireTx>>, Box<dyn WireRx>) = match wire {
+            let (txs, rx): (Vec<Box<dyn WireTx>>, Box<dyn WireRx>) = match wire {
                 WireKind::Channel => {
                     let (tx, rx) = bounded(capacity);
                     (
@@ -895,11 +896,12 @@ impl StagingNetwork {
                     (txs, Box::new(rx))
                 }
             };
-            for w in (0..per_reader).rev() {
+            // Reader-major, so `writers` comes out in producer order.
+            for (w, tx) in txs.into_iter().enumerate() {
                 writers.push(Self::make_writer(
                     r * per_reader + w,
                     r,
-                    txs.pop().expect("one tx per writer"),
+                    tx,
                     link,
                     policy,
                     config,
@@ -907,10 +909,6 @@ impl StagingNetwork {
                     Arc::clone(&state),
                 ));
             }
-            // The rev/pop dance kept tx ownership simple; restore producer
-            // order within this reader's block.
-            let base = writers.len() - per_reader;
-            writers[base..].reverse();
             readers.push(Self::make_reader(
                 r,
                 rx,
@@ -919,7 +917,6 @@ impl StagingNetwork {
                 Arc::clone(&faults),
             ));
         }
-        // `writers` was pushed reader-major which is already producer order.
         Ok((writers, readers))
     }
 

@@ -11,6 +11,7 @@
 //! File layout: `[u64 magic][ (u64 len)(payload)… ]`.
 
 use crate::bp::{self, StepData};
+use crate::codec::{self, Prefix, Reader};
 use commsim::Comm;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -35,7 +36,7 @@ impl BpFileWriter {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("producer_{producer:05}.bp4l"));
         let mut file = std::fs::File::create(&path)?;
-        file.write_all(&FILE_MAGIC.to_le_bytes())?;
+        codec::write_u64(&mut file, FILE_MAGIC)?;
         Ok(Self {
             path,
             file,
@@ -49,7 +50,7 @@ impl BpFileWriter {
     /// # Errors
     /// I/O failures.
     pub fn append(&mut self, comm: &mut Comm, payload: &[u8]) -> std::io::Result<()> {
-        self.file.write_all(&(payload.len() as u64).to_le_bytes())?;
+        codec::write_u64(&mut self.file, payload.len() as u64)?;
         self.file.write_all(payload)?;
         let nbytes = payload.len() as u64 + 8;
         comm.fs_write(nbytes, comm.size());
@@ -89,7 +90,7 @@ impl BpFileReader {
         let mut file = std::fs::File::open(path)?;
         let mut magic = [0u8; 8];
         file.read_exact(&mut magic)?;
-        if u64::from_le_bytes(magic) != FILE_MAGIC {
+        if Reader::new(&magic).u64() != Ok(FILE_MAGIC) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "not a bp4l file",
@@ -106,17 +107,11 @@ impl BpFileReader {
     /// # Errors
     /// I/O failures, truncation, or unmarshalable payloads.
     pub fn next_step(&mut self) -> std::io::Result<Option<StepData>> {
-        let mut len_bytes = [0u8; 8];
-        match self.file.read_exact(&mut len_bytes) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e),
-        }
-        let len = u64::from_le_bytes(len_bytes) as usize;
-        let mut payload = vec![0u8; len];
-        self.file.read_exact(&mut payload)?;
+        let Some(payload) = codec::read_record(&mut self.file, Prefix::U64)? else {
+            return Ok(None);
+        };
         let step = bp::unmarshal_blocks(&payload)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e}")))?;
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         self.steps_read += 1;
         Ok(Some(step))
     }

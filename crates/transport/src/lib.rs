@@ -11,6 +11,9 @@
 //!
 //! * [`bp`] — compact binary marshaling of rank-local mesh blocks + arrays
 //!   (the BP analogue), with exact round-trip tests.
+//! * `codec` (private) — the one little-endian, length-prefixed reader and
+//!   writer under all four byte formats (BP payload, wire frame, session
+//!   protocol, `.bp4l` file); it reserves nothing on a prefix's say-so.
 //! * [`link`] — the staging network model (latency/bandwidth for the data
 //!   plane, per-message control latency — the UCX/TCP parameters).
 //! * [`engine`] — [`engine::SstWriter`] / [`engine::SstReader`]: bounded
@@ -43,6 +46,7 @@
 
 pub mod adaptor;
 pub mod bp;
+mod codec;
 pub mod endpoint;
 pub mod engine;
 pub mod error;

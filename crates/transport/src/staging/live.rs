@@ -170,22 +170,9 @@ impl LiveServer {
                     return;
                 }
                 match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        stream
-                            .set_read_timeout(Some(Duration::from_secs(5)))
-                            .ok();
-                        let Ok((_, _, follow)) = protocol::read_hello(&mut stream) else {
-                            continue;
-                        };
-                        if !follow {
-                            // This listener serves telemetry only.
-                            let _ = protocol::write_down(&mut stream, &DownMsg::End);
-                            continue;
-                        }
-                        stream.set_nonblocking(false).ok();
-                        let hub = hub.clone();
-                        let stop = stop2.clone();
-                        std::thread::spawn(move || serve_follow(stream, &hub, &stop));
+                    // This listener serves telemetry only.
+                    Ok((stream, _)) => {
+                        super::serve_connection(stream, Some((hub.clone(), stop2.clone())), None)
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(25));

@@ -29,7 +29,6 @@ pub mod protocol;
 pub use live::{FollowClient, LiveServer};
 pub use protocol::{DownMsg, FrameMsg, SessionSpec, TelemetryMsg};
 
-use crate::bp;
 use crate::engine::SstReader;
 use crate::file_engine::{BpFileReader, BpFileWriter};
 use commsim::Comm;
@@ -316,56 +315,22 @@ impl StagingService {
         self.live_hub = Some(hub);
     }
 
-    /// Accept TCP consumer sessions off `listener` until the service
-    /// drops its handle side. Each connection sends a `Hello`; a reader
-    /// thread per connection forwards its credit grants. A `Hello` with
-    /// the follow flag set opens a live telemetry session instead (only
-    /// honored after [`StagingService::set_live_hub`]; otherwise the
-    /// connection gets an immediate `End`).
+    /// Accept TCP consumer sessions off `listener`. Each connection sends
+    /// a `Hello` and is served on a thread of its own (see
+    /// [`serve_connection`]), which then forwards the session's credit
+    /// grants. A `Hello` with the follow flag set opens a live telemetry
+    /// session instead (only honored after
+    /// [`StagingService::set_live_hub`]; otherwise the connection gets an
+    /// immediate `End`).
     pub fn listen_consumers(&self, listener: TcpListener) {
         let handle = self.handle();
-        let live_hub = self.live_hub.clone();
-        let live_stop = self.live_stop.clone();
+        let live = self
+            .live_hub
+            .clone()
+            .map(|hub| (hub, self.live_stop.clone()));
         std::thread::spawn(move || {
-            loop {
-                let Ok((mut stream, _)) = listener.accept() else {
-                    return;
-                };
-                stream.set_nodelay(true).ok();
-                let Ok((spec, credits, follow)) = protocol::read_hello(&mut stream) else {
-                    continue;
-                };
-                if follow {
-                    match &live_hub {
-                        Some(hub) => {
-                            let hub = hub.clone();
-                            let stop = live_stop.clone();
-                            std::thread::spawn(move || live::serve_follow(stream, &hub, &stop));
-                        }
-                        None => {
-                            let _ = protocol::write_down(&mut stream, &DownMsg::End);
-                        }
-                    }
-                    continue;
-                }
-                let (credit_tx, credit_rx) = bounded(1024);
-                let Ok(read_half) = stream.try_clone() else {
-                    continue;
-                };
-                std::thread::spawn(move || forward_credits(read_half, credit_tx));
-                if handle
-                    .joiners
-                    .send(PendingSession {
-                        spec,
-                        credits,
-                        down: DownLink::Tcp(stream),
-                        credit_rx,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-                handle.attached.fetch_add(1, Ordering::SeqCst);
+            while let Ok((stream, _)) = listener.accept() {
+                serve_connection(stream, live.clone(), Some(handle.clone()));
             }
         });
     }
@@ -427,26 +392,22 @@ impl StagingService {
             return Ok(());
         }
         let _span = comm.span("staging/catchup");
-        // Merge the parked per-producer files back into per-step blocks.
-        let mut steps: BTreeMap<u64, (f64, Vec<(u32, meshdata::UnstructuredGrid)>)> =
-            BTreeMap::new();
+        // Merge the parked per-producer files back into per-step datasets.
+        let mut steps: BTreeMap<u64, MultiBlock> = BTreeMap::new();
         for producer in self.parkers.keys() {
             let path = self.park_dir.join(format!("producer_{producer:05}.bp4l"));
-            let mut file = BpFileReader::open(&path)
-                .map_err(|e| insitu::Error::Analysis(format!("catch-up open {path:?}: {e}")))?;
-            while let Some(data) = file
-                .next_step()
-                .map_err(|e| insitu::Error::Analysis(format!("catch-up read {path:?}: {e}")))?
-            {
-                let entry = steps.entry(data.step).or_insert((data.time, Vec::new()));
-                entry.1.extend(data.blocks);
+            let failed = |what: &str, e: &dyn std::fmt::Display| {
+                insitu::Error::Analysis(format!("catch-up {what} {path:?}: {e}"))
+            };
+            let mut file = BpFileReader::open(&path).map_err(|e| failed("open", &e))?;
+            while let Some(data) = file.next_step().map_err(|e| failed("read", &e))? {
+                let mb = steps
+                    .entry(data.step)
+                    .or_insert_with(|| MultiBlock::new(self.n_sim_ranks));
+                data.place_into(mb).map_err(|e| failed("read", &e))?;
             }
         }
-        for (step, (_time, blocks)) in steps {
-            let mut mb = MultiBlock::new(self.n_sim_ranks);
-            for (idx, grid) in blocks {
-                mb.blocks[idx as usize] = Some(grid);
-            }
+        for (step, mb) in steps {
             let (images, hit) =
                 session
                     .pipeline
@@ -590,21 +551,7 @@ impl StagingService {
                 parked_appends += self.park(comm, packet.producer, &packet.payload)?;
             }
             self.parked_steps.push(delivery.step);
-            let unmarshal = comm.span("transport/unmarshal");
-            let mut mb = MultiBlock::new(self.n_sim_ranks);
-            for packet in &delivery.packets {
-                let data = bp::unmarshal_blocks(&packet.payload).map_err(|e| {
-                    insitu::Error::Analysis(format!("unmarshal from {}: {e}", packet.producer))
-                })?;
-                comm.compute_host(
-                    packet.payload.len() as f64,
-                    packet.payload.len() as f64 * 2.0,
-                );
-                for (idx, grid) in data.blocks {
-                    mb.blocks[idx as usize] = Some(grid);
-                }
-            }
-            drop(unmarshal);
+            let mb = delivery.unmarshal(comm, self.n_sim_ranks)?;
             let _render = comm.span("staging/fanout");
             for i in 0..self.sessions.len() {
                 if !self.sessions[i].open {
@@ -682,6 +629,53 @@ impl StagingService {
             finish_time: comm.now(),
         })
     }
+}
+
+/// How long a fresh connection may take to deliver its `Hello`.
+const HELLO_WAIT: Duration = Duration::from_secs(5);
+
+/// Serve one accepted connection on a thread of its own, so a peer that
+/// connects and says nothing holds up nobody else: read its `Hello` under
+/// [`HELLO_WAIT`], then stream telemetry (`live`) or attach a frame session
+/// (`frames`), whichever the `Hello` asks for and this listener offers —
+/// or answer `End`. Both the consumer listener and [`LiveServer`] accept
+/// through here.
+fn serve_connection(
+    mut stream: TcpStream,
+    live: Option<(telemetry::TelemetryHub, Arc<std::sync::atomic::AtomicBool>)>,
+    frames: Option<StagingHandle>,
+) {
+    std::thread::spawn(move || {
+        stream.set_nonblocking(false).ok();
+        stream.set_nodelay(true).ok();
+        stream.set_read_timeout(Some(HELLO_WAIT)).ok();
+        let Ok((spec, credits, follow)) = protocol::read_hello(&mut stream) else {
+            return;
+        };
+        stream.set_read_timeout(None).ok();
+        match (follow, live, frames) {
+            (true, Some((hub, stop)), _) => live::serve_follow(stream, &hub, &stop),
+            (false, _, Some(handle)) => {
+                let Ok(read_half) = stream.try_clone() else {
+                    return;
+                };
+                let (credit_tx, credit_rx) = bounded(1024);
+                let pending = PendingSession {
+                    spec,
+                    credits,
+                    down: DownLink::Tcp(stream),
+                    credit_rx,
+                };
+                if handle.joiners.send(pending).is_ok() {
+                    handle.attached.fetch_add(1, Ordering::SeqCst);
+                    forward_credits(read_half, credit_tx);
+                }
+            }
+            _ => {
+                let _ = protocol::write_down(&mut stream, &DownMsg::End);
+            }
+        }
+    });
 }
 
 /// Forward one TCP session's credit grants to the service until the

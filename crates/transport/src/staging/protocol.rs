@@ -22,6 +22,7 @@
 //! atomics only, so attaching and detaching never perturbs the
 //! virtual-clock run being observed.
 
+use crate::codec::{self, Prefix, Reader};
 use std::io::{Read, Write};
 
 /// What one consumer session wants rendered from every staged step.
@@ -93,85 +94,26 @@ const TAG_FRAME: u8 = 10;
 const TAG_END: u8 = 11;
 const TAG_TELEMETRY: u8 = 12;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Largest image side a `Hello` may ask for: the spec sizes a
+/// framebuffer on the service.
+const MAX_IMAGE_SIDE: usize = 4096;
+
+fn invalid(what: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, what)
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> std::io::Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "staging protocol frame truncated",
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> std::io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> std::io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> std::io::Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn str(&mut self) -> std::io::Result<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 protocol string")
-        })
-    }
-
-    fn bytes(&mut self) -> std::io::Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-}
-
-fn write_tagged(w: &mut impl Write, tag: u8, body: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(5 + body.len());
-    frame.extend_from_slice(&(1 + body.len() as u32).to_le_bytes());
-    frame.push(tag);
-    frame.extend_from_slice(body);
-    w.write_all(&frame)
-}
-
-fn read_tagged(r: &mut impl Read) -> std::io::Result<Option<(u8, Vec<u8>)>> {
-    let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "zero-length protocol frame",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    let tag = body.remove(0);
-    Ok(Some((tag, body)))
+/// Write one `[u32 len][u8 tag][body…]` message; `capacity` is the room
+/// to reserve for what `body` appends.
+fn send(
+    w: &mut impl Write,
+    tag: u8,
+    capacity: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    w.write_all(&codec::record(1 + capacity, |msg| {
+        msg.push(tag);
+        body(msg);
+    }))
 }
 
 /// Write the session-opening `Hello` (spec + initial credits). A true
@@ -185,56 +127,55 @@ pub fn write_hello(
     credits: u32,
     follow: bool,
 ) -> std::io::Result<()> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&(spec.width as u32).to_le_bytes());
-    body.extend_from_slice(&(spec.height as u32).to_le_bytes());
-    for d in spec.camera_dir {
-        body.extend_from_slice(&d.to_le_bytes());
-    }
-    put_str(&mut body, &spec.colormap);
-    put_str(&mut body, &spec.array);
-    body.extend_from_slice(&credits.to_le_bytes());
-    body.push(u8::from(follow));
-    write_tagged(w, TAG_HELLO, &body)
+    let room = 48 + spec.colormap.len() + spec.array.len();
+    send(w, TAG_HELLO, room, |msg| {
+        codec::put_u32(msg, spec.width as u32);
+        codec::put_u32(msg, spec.height as u32);
+        for d in spec.camera_dir {
+            codec::put_f64(msg, d);
+        }
+        codec::put_bytes(msg, spec.colormap.as_bytes());
+        codec::put_bytes(msg, spec.array.as_bytes());
+        codec::put_u32(msg, credits);
+        msg.push(u8::from(follow));
+    })
 }
 
 /// Read a `Hello` off a fresh consumer connection; the final bool is the
 /// follow flag.
 ///
 /// # Errors
-/// I/O failures, a non-Hello first frame, or a malformed body.
+/// I/O failures, a non-Hello first frame, a malformed body, or a spec no
+/// session can be built from (an image side of 0 or above
+/// `MAX_IMAGE_SIDE`, a non-finite camera direction).
 pub fn read_hello(r: &mut impl Read) -> std::io::Result<(SessionSpec, u32, bool)> {
-    let Some((tag, body)) = read_tagged(r)? else {
+    let Some(msg) = codec::read_record(r, Prefix::U32)? else {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "connection closed before Hello",
         ));
     };
+    let mut c = Reader::new(&msg);
+    let tag = c.u8()?;
     if tag != TAG_HELLO {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("expected Hello, got tag {tag}"),
-        ));
+        return Err(invalid(format!("expected Hello, got tag {tag}")));
     }
-    let mut c = Cursor { buf: &body, pos: 0 };
-    let width = c.u32()? as usize;
-    let height = c.u32()? as usize;
-    let camera_dir = [c.f64()?, c.f64()?, c.f64()?];
-    let colormap = c.str()?;
-    let array = c.str()?;
-    let credits = c.u32()?;
-    let follow = c.take(1)?[0] != 0;
-    Ok((
-        SessionSpec {
-            width,
-            height,
-            camera_dir,
-            colormap,
-            array,
-        },
-        credits,
-        follow,
-    ))
+    let spec = SessionSpec {
+        width: c.u32()? as usize,
+        height: c.u32()? as usize,
+        camera_dir: [c.f64()?, c.f64()?, c.f64()?],
+        colormap: c.str()?.to_owned(),
+        array: c.str()?.to_owned(),
+    };
+    let (credits, follow) = (c.u32()?, c.u8()? != 0);
+    let usable = [spec.width, spec.height]
+        .iter()
+        .all(|side| (1..=MAX_IMAGE_SIDE).contains(side))
+        && spec.camera_dir.iter().all(|d| d.is_finite());
+    if !usable {
+        return Err(invalid(format!("no session can be built from {spec:?}")));
+    }
+    Ok((spec, credits, follow))
 }
 
 /// Write a credit replenishment.
@@ -242,7 +183,7 @@ pub fn read_hello(r: &mut impl Read) -> std::io::Result<(SessionSpec, u32, bool)
 /// # Errors
 /// I/O failures.
 pub fn write_credit(w: &mut impl Write, n: u32) -> std::io::Result<()> {
-    write_tagged(w, TAG_CREDIT, &n.to_le_bytes())
+    send(w, TAG_CREDIT, 4, |msg| codec::put_u32(msg, n))
 }
 
 /// Read the next credit grant; `Ok(None)` when the consumer closed.
@@ -250,16 +191,13 @@ pub fn write_credit(w: &mut impl Write, n: u32) -> std::io::Result<()> {
 /// # Errors
 /// I/O failures or a malformed/unexpected frame.
 pub fn read_credit(r: &mut impl Read) -> std::io::Result<Option<u32>> {
-    match read_tagged(r)? {
-        None => Ok(None),
-        Some((TAG_CREDIT, body)) => {
-            let mut c = Cursor { buf: &body, pos: 0 };
-            Ok(Some(c.u32()?))
-        }
-        Some((tag, _)) => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("expected Credit, got tag {tag}"),
-        )),
+    let Some(msg) = codec::read_record(r, Prefix::U32)? else {
+        return Ok(None);
+    };
+    let mut c = Reader::new(&msg);
+    match c.u8()? {
+        TAG_CREDIT => Ok(Some(c.u32()?)),
+        tag => Err(invalid(format!("expected Credit, got tag {tag}"))),
     }
 }
 
@@ -269,21 +207,17 @@ pub fn read_credit(r: &mut impl Read) -> std::io::Result<Option<u32>> {
 /// I/O failures.
 pub fn write_down(w: &mut impl Write, msg: &DownMsg) -> std::io::Result<()> {
     match msg {
-        DownMsg::Frame(f) => {
-            let mut body = Vec::with_capacity(32 + f.name.len() + f.png.len());
-            body.extend_from_slice(&f.step.to_le_bytes());
-            body.push(u8::from(f.cache_hit));
-            put_str(&mut body, &f.name);
-            put_bytes(&mut body, &f.png);
-            write_tagged(w, TAG_FRAME, &body)
-        }
-        DownMsg::End => write_tagged(w, TAG_END, &[]),
-        DownMsg::Telemetry(t) => {
-            let mut body = Vec::with_capacity(12 + t.json.len());
-            body.extend_from_slice(&t.seq.to_le_bytes());
-            put_str(&mut body, &t.json);
-            write_tagged(w, TAG_TELEMETRY, &body)
-        }
+        DownMsg::Frame(f) => send(w, TAG_FRAME, 17 + f.name.len() + f.png.len(), |msg| {
+            codec::put_u64(msg, f.step);
+            msg.push(u8::from(f.cache_hit));
+            codec::put_bytes(msg, f.name.as_bytes());
+            codec::put_bytes(msg, &f.png);
+        }),
+        DownMsg::End => send(w, TAG_END, 0, |_| ()),
+        DownMsg::Telemetry(t) => send(w, TAG_TELEMETRY, 12 + t.json.len(), |msg| {
+            codec::put_u64(msg, t.seq);
+            codec::put_bytes(msg, t.json.as_bytes());
+        }),
     }
 }
 
@@ -293,32 +227,33 @@ pub fn write_down(w: &mut impl Write, msg: &DownMsg) -> std::io::Result<()> {
 /// # Errors
 /// I/O failures or a malformed frame.
 pub fn read_down(r: &mut impl Read) -> std::io::Result<Option<DownMsg>> {
-    match read_tagged(r)? {
-        None => Ok(None),
-        Some((TAG_FRAME, body)) => {
-            let mut c = Cursor { buf: &body, pos: 0 };
-            let step = c.u64()?;
-            let cache_hit = c.take(1)?[0] != 0;
-            let name = c.str()?;
-            let png = c.bytes()?;
+    let Some(mut msg) = codec::read_record(r, Prefix::U32)? else {
+        return Ok(None);
+    };
+    let mut c = Reader::new(&msg);
+    match c.u8()? {
+        TAG_FRAME => {
+            let (step, cache_hit) = (c.u64()?, c.u8()? != 0);
+            let name = c.str()?.to_owned();
+            // The PNG is most of the message: keep the buffer it arrived
+            // in and cut the header off its front.
+            let png_len = c.bytes()?.len();
+            let end = msg.len() - c.remaining();
+            msg.truncate(end);
+            msg.drain(..end - png_len);
             Ok(Some(DownMsg::Frame(FrameMsg {
                 step,
                 cache_hit,
                 name,
-                png,
+                png: msg,
             })))
         }
-        Some((TAG_END, _)) => Ok(Some(DownMsg::End)),
-        Some((TAG_TELEMETRY, body)) => {
-            let mut c = Cursor { buf: &body, pos: 0 };
-            let seq = c.u64()?;
-            let json = c.str()?;
-            Ok(Some(DownMsg::Telemetry(TelemetryMsg { seq, json })))
-        }
-        Some((tag, _)) => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("unexpected down tag {tag}"),
-        )),
+        TAG_END => Ok(Some(DownMsg::End)),
+        TAG_TELEMETRY => Ok(Some(DownMsg::Telemetry(TelemetryMsg {
+            seq: c.u64()?,
+            json: c.str()?.to_owned(),
+        }))),
+        tag => Err(invalid(format!("unexpected down tag {tag}"))),
     }
 }
 

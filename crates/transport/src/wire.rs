@@ -33,6 +33,7 @@
 //! [`crate::TransportError::ShortRead`] and counts under
 //! `transport/short_reads`.
 
+use crate::codec::{self, Prefix, Reader};
 use crate::engine::{Packet, PacketKind};
 use crossbeam_channel::{Receiver, Sender};
 use std::io::{Read, Write};
@@ -165,14 +166,6 @@ impl WireRx for ChannelWireRx {
 
 const HEADER_LEN: usize = 1 + 4 + 8 + 8 + 8 + 8 + 8;
 
-fn kind_byte(kind: PacketKind) -> u8 {
-    match kind {
-        PacketKind::Data => 0,
-        PacketKind::Skip => 1,
-        PacketKind::Detach => 2,
-    }
-}
-
 fn byte_kind(b: u8) -> Option<PacketKind> {
     match b {
         0 => Some(PacketKind::Data),
@@ -184,64 +177,39 @@ fn byte_kind(b: u8) -> Option<PacketKind> {
 
 /// Serialize one packet into its wire frame (length prefix included).
 pub fn encode_packet(packet: &Packet) -> Vec<u8> {
-    let body_len = HEADER_LEN + packet.payload.len();
-    let mut out = Vec::with_capacity(4 + body_len);
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.push(kind_byte(packet.kind));
-    out.extend_from_slice(&(packet.producer as u32).to_le_bytes());
-    out.extend_from_slice(&packet.step.to_le_bytes());
-    out.extend_from_slice(&packet.time.to_le_bytes());
-    out.extend_from_slice(&packet.t_avail.to_le_bytes());
-    out.extend_from_slice(&packet.ctx.to_le_bytes());
-    out.extend_from_slice(&packet.t_sent.to_le_bytes());
-    out.extend_from_slice(&packet.payload);
-    out
+    codec::record(HEADER_LEN + packet.payload.len(), |out| {
+        out.push(packet.kind as u8);
+        codec::put_u32(out, packet.producer as u32);
+        codec::put_u64(out, packet.step);
+        codec::put_f64(out, packet.time);
+        codec::put_f64(out, packet.t_avail);
+        codec::put_u64(out, packet.ctx);
+        codec::put_f64(out, packet.t_sent);
+        out.extend_from_slice(&packet.payload);
+    })
+}
+
+fn parse_packet(body: &[u8]) -> Result<Packet, codec::Error> {
+    let mut r = Reader::new(body);
+    Ok(Packet {
+        // An unknown kind reads like a header that is not all there.
+        kind: byte_kind(r.u8()?).ok_or(codec::Error::Truncated)?,
+        producer: r.u32()? as usize,
+        step: r.u64()?,
+        time: r.f64()?,
+        t_avail: r.f64()?,
+        ctx: r.u64()?,
+        t_sent: r.f64()?,
+        payload: r.take(r.remaining())?.to_vec(),
+    })
 }
 
 /// Decode one frame *body* (everything after the length prefix).
 pub fn decode_packet(body: &[u8]) -> Result<Packet, WireRecvError> {
-    if body.len() < HEADER_LEN {
-        return Err(WireRecvError::ShortRead {
-            wanted: HEADER_LEN,
-            got: body.len(),
-        });
-    }
-    let kind = byte_kind(body[0]).ok_or(WireRecvError::ShortRead {
+    parse_packet(body).map_err(|_| WireRecvError::ShortRead {
         wanted: HEADER_LEN,
-        got: 0,
-    })?;
-    let producer = u32::from_le_bytes(body[1..5].try_into().expect("4 bytes")) as usize;
-    let step = u64::from_le_bytes(body[5..13].try_into().expect("8 bytes"));
-    let time = f64::from_le_bytes(body[13..21].try_into().expect("8 bytes"));
-    let t_avail = f64::from_le_bytes(body[21..29].try_into().expect("8 bytes"));
-    let ctx = u64::from_le_bytes(body[29..37].try_into().expect("8 bytes"));
-    let t_sent = f64::from_le_bytes(body[37..45].try_into().expect("8 bytes"));
-    Ok(Packet {
-        kind,
-        producer,
-        step,
-        time,
-        t_avail,
-        ctx,
-        t_sent,
-        payload: body[HEADER_LEN..].to_vec(),
+        got: body.len(),
     })
-}
-
-/// Fill `buf` from `r`, tolerating split writes. `Ok(n)` is the byte count
-/// actually read: `buf.len()` on success, less when the stream ended
-/// mid-section (the short-read case), 0 on a clean end-of-stream.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(got)
 }
 
 /// Read one frame off a byte stream. `Ok(None)` is a clean end-of-stream
@@ -249,19 +217,13 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
 /// [`WireRecvError::ShortRead`]. I/O errors (reset connections) are
 /// reported as short reads too — the bytes are equally gone.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Packet>, WireRecvError> {
-    let mut len_bytes = [0u8; 4];
-    match read_full(r, &mut len_bytes) {
-        Ok(0) => return Ok(None),
-        Ok(4) => {}
-        Ok(got) => return Err(WireRecvError::ShortRead { wanted: 4, got }),
-        Err(_) => return Err(WireRecvError::ShortRead { wanted: 4, got: 0 }),
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    let mut body = vec![0u8; len];
-    match read_full(r, &mut body) {
-        Ok(got) if got == len => decode_packet(&body).map(Some),
-        Ok(got) => Err(WireRecvError::ShortRead { wanted: len, got }),
-        Err(_) => Err(WireRecvError::ShortRead { wanted: len, got: 0 }),
+    match codec::read_record(r, Prefix::U32) {
+        Ok(Some(body)) => decode_packet(&body).map(Some),
+        Ok(None) => Ok(None),
+        Err(short) => Err(WireRecvError::ShortRead {
+            wanted: short.wanted,
+            got: short.got,
+        }),
     }
 }
 

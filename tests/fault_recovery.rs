@@ -419,3 +419,125 @@ mod wire_framing {
         }
     }
 }
+
+/// The two stream decoders a peer or a disk can feed garbage: the staging
+/// session protocol and the park-file reader a late joiner catches up
+/// from. Arbitrary bytes, every truncation and every byte with one bit
+/// flipped come back as `Ok` or `Err` — never a panic.
+mod session_and_park_framing {
+    use super::scratch_dir;
+    use commsim::{run_ranks, MachineModel};
+    use meshdata::{CellType, DataArray, MultiBlock, UnstructuredGrid};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use transport::staging::protocol::{
+        read_credit, read_down, read_hello, write_credit, write_down, write_hello,
+    };
+    use transport::staging::DownMsg;
+    use transport::{
+        marshal_blocks, BpFileReader, BpFileWriter, FrameMsg, SessionSpec, TelemetryMsg,
+    };
+
+    /// `bytes`, every prefix of it, and a copy per byte with bit
+    /// `(position + salt) % 8` flipped.
+    fn mutations(bytes: &[u8], salt: usize) -> Vec<Vec<u8>> {
+        let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
+        let flips = (0..bytes.len()).map(|at| {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 1 << ((at + salt) % 8);
+            flipped
+        });
+        std::iter::once(bytes.to_vec())
+            .chain(cuts)
+            .chain(flips)
+            .collect()
+    }
+
+    /// Run all three readers over `wire` until each stops.
+    fn read_everything(wire: &[u8]) {
+        let _ = read_hello(&mut &wire[..]);
+        let mut up = wire;
+        while let Ok(Some(_)) = read_credit(&mut up) {}
+        let mut down = wire;
+        while let Ok(Some(_)) = read_down(&mut down) {}
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn session_protocol_frames_never_panic(
+            noise in vec(0u8..=255, 0..256),
+            (width, height, credits) in (0usize..5000, 0usize..5000, 0u32..1000),
+            colormap in "[a-z-]{0,12}",
+            json in "[a-z0-9{}:\" ]{0,40}",
+            png in vec(0u8..=255, 0..64),
+            salt in 0usize..8,
+        ) {
+            read_everything(&noise);
+            let spec = SessionSpec { width, height, colormap, ..SessionSpec::default() };
+            let frame = FrameMsg { step: 9, cache_hit: true, name: spec.array.clone(), png };
+            let telemetry = TelemetryMsg { seq: 3, json };
+            // One stream per direction, every message kind in it.
+            let mut up = Vec::new();
+            write_hello(&mut up, &spec, credits, salt % 2 == 1).unwrap();
+            write_credit(&mut up, credits).unwrap();
+            let mut down = Vec::new();
+            write_down(&mut down, &DownMsg::Frame(frame.clone())).unwrap();
+            write_down(&mut down, &DownMsg::Telemetry(telemetry.clone())).unwrap();
+            write_down(&mut down, &DownMsg::End).unwrap();
+            for wire in mutations(&up, salt).iter().chain(&mutations(&down, salt)) {
+                read_everything(wire);
+            }
+            // Untouched, the down stream reads back as written.
+            let mut r = &down[..];
+            prop_assert_eq!(read_down(&mut r).unwrap(), Some(DownMsg::Frame(frame)));
+            prop_assert_eq!(read_down(&mut r).unwrap(), Some(DownMsg::Telemetry(telemetry)));
+            prop_assert_eq!(read_down(&mut r).unwrap(), Some(DownMsg::End));
+            prop_assert_eq!(read_down(&mut r).unwrap(), None);
+        }
+
+        #[test]
+        fn park_file_catch_up_never_panics(
+            noise in vec(0u8..=255, 0..128),
+            values in vec(-1.0e6..1.0e6f64, 2..6),
+            salt in 0usize..8,
+        ) {
+            let dir = scratch_dir("park-framing");
+            let mut g = UnstructuredGrid::new();
+            for (i, _) in values.iter().enumerate() {
+                g.add_point([i as f64, 0.0, 1.0]);
+            }
+            g.add_cell(CellType::Line, &[0, 1]);
+            g.add_point_data(DataArray::scalars_f64("pressure", values)).expect("matching length");
+            let mb = MultiBlock::local(0, 1, g);
+            let dir2 = dir.clone();
+            run_ranks(1, MachineModel::test_tiny(), move |comm| {
+                let mut w = BpFileWriter::create(&dir2, 0).expect("park file");
+                for step in 1..=2 {
+                    w.append(comm, &marshal_blocks(0, step, 0.5, &mb)).expect("append");
+                }
+            });
+            let path = dir.join("producer_00000.bp4l");
+            let parked = std::fs::read(&path).expect("park file");
+            // Steps a catch-up gets out of the file before it stops.
+            let catch_up = |bytes: &[u8]| {
+                std::fs::write(&path, bytes).expect("rewrite");
+                let mut steps = 0;
+                if let Ok(mut reader) = BpFileReader::open(&path) {
+                    while let Ok(Some(_)) = reader.next_step() {
+                        steps += 1;
+                    }
+                }
+                steps
+            };
+            prop_assert_eq!(catch_up(&parked), 2);
+            catch_up(&noise);
+            // Garbage behind a good magic reaches the step framing.
+            catch_up(&[&parked[..8], &noise[..]].concat());
+            for bytes in mutations(&parked, salt) {
+                prop_assert!(catch_up(&bytes) <= 2);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}

@@ -257,6 +257,101 @@ fn tcp_slow_reader_drains_after_the_service_is_gone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Drive `STEPS` steps through `service` with `client` attached, and
+/// return what the client drained next to the service's report.
+fn run_with_one_consumer(
+    writers: Vec<SstWriter>,
+    service: StagingService,
+    mut client: ConsumerClient,
+) -> (Vec<FrameMsg>, StagingReport) {
+    let drain = std::thread::spawn(move || client.drain(Duration::from_secs(120)).expect("drain"));
+    let sim = drive_writers(writers, STEPS);
+    let report = run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
+        s.run(comm).unwrap()
+    })
+    .remove(0);
+    sim.join().unwrap();
+    (drain.join().unwrap(), report)
+}
+
+/// Wait for `n` sessions to be attached; false after two seconds.
+fn attached_within_2s(service: &StagingService, n: usize) -> bool {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while service.handle().attached() < n {
+        if std::time::Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    true
+}
+
+/// A peer that connects and never sends its `Hello` used to sit on the
+/// accept thread forever; every later consumer was locked out. Now each
+/// handshake runs on its own thread under a deadline.
+#[test]
+fn tcp_silent_peer_does_not_lock_out_later_consumers() {
+    let dir = tempdir("tcp_silent");
+    let (writers, service, addr) = tcp_service(1, &dir);
+    // Connected first, so accepted first.
+    let silent = std::net::TcpStream::connect(&addr).expect("silent peer");
+    let client = ConsumerClient::connect(&addr, &SessionSpec::default(), 4).expect("connect");
+    assert!(
+        attached_within_2s(&service, 1),
+        "a silent peer kept a real consumer from attaching"
+    );
+    let (frames, report) = run_with_one_consumer(writers, service, client);
+    let steps: Vec<u64> = frames.iter().map(|f| f.step).collect();
+    assert_eq!(steps, (1..=STEPS).collect::<Vec<_>>());
+    assert_eq!(report.sessions.len(), 1);
+    assert!(!report.sessions[0].detached);
+    drop(silent);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `Hello` no session can be built from — an image that would size a
+/// 40 GB framebuffer, a NaN camera — is refused at the handshake: the
+/// connection is closed, nothing attaches, and the next session runs as
+/// if the refused ones had never called.
+#[test]
+fn tcp_unusable_hellos_are_refused_and_the_next_session_is_unaffected() {
+    use std::io::Read as _;
+    use transport::staging::protocol::write_hello;
+    let dir = tempdir("tcp_refused");
+    let (writers, service, addr) = tcp_service(1, &dir);
+    let oversized = SessionSpec {
+        width: 100_000,
+        height: 100_000,
+        ..SessionSpec::default()
+    };
+    let zero_height = SessionSpec {
+        height: 0,
+        ..SessionSpec::default()
+    };
+    let nan_camera = SessionSpec {
+        camera_dir: [0.0, f64::NAN, 1.0],
+        ..SessionSpec::default()
+    };
+    for spec in [oversized, zero_height, nan_camera] {
+        let mut peer = std::net::TcpStream::connect(&addr).expect("connect");
+        write_hello(&mut peer, &spec, 4, false).expect("hello");
+        peer.set_read_timeout(Some(Duration::from_secs(5))).ok();
+        let closed = peer.read(&mut [0u8; 1]);
+        assert!(
+            matches!(closed, Ok(0)),
+            "{spec:?} was not refused: {closed:?}"
+        );
+    }
+    assert_eq!(service.handle().attached(), 0);
+    let client = ConsumerClient::connect(&addr, &SessionSpec::default(), 4).expect("connect");
+    assert!(attached_within_2s(&service, 1));
+    let (frames, report) = run_with_one_consumer(writers, service, client);
+    assert_eq!(frames.len(), STEPS as usize);
+    assert_eq!(report.sessions.len(), 1);
+    assert_eq!(report.cache_misses, STEPS);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A connection that dies mid-frame surfaces as a typed transient
 /// `TransportError::ShortRead`, counted under `transport/short_reads`,
 /// and the stream still drains to a clean end afterwards.
