@@ -9,7 +9,7 @@ use crate::HarnessArgs;
 use commsim::{Comm, FaultPlan, MachineModel};
 use insitu::AnalysisAdaptor;
 use nek_sensei::{InSituConfig, InSituMode, InTransitConfig, SnapshotPlane};
-use render::pipeline::{Compositing, FilterKind, RenderPass, RenderPipeline};
+use render::pipeline::{FilterKind, RenderPass, RenderPipeline};
 use render::{CatalystAnalysis, Colormap};
 use sem::cases::{pb146, rbc, CaseParams, CaseSetup};
 use sem::navier_stokes::FlowSolver;
@@ -217,7 +217,6 @@ pub fn pb146_showcase_pipeline() -> RenderPipeline {
                 camera_dir: [0.8, 1.0, 0.5],
             },
         ],
-        compositing: Compositing::Gather,
         legend: true,
     }
 }
@@ -249,7 +248,6 @@ pub fn rbc_side_view_pipeline() -> RenderPipeline {
                 camera_dir: [0.6, -1.0, 0.35],
             },
         ],
-        compositing: Compositing::Gather,
         legend: true,
     }
 }

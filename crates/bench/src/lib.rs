@@ -1,6 +1,7 @@
 //! Shared utilities for the figure-regeneration harnesses.
 //!
-//! Every harness binary accepts the same flags:
+//! Every figure binary accepts the same flags (anything else — an
+//! unknown flag, a missing or malformed value — is a usage error, exit 2):
 //!
 //! * `--scale <N>` — divide the paper's rank counts by `N` (default: a
 //!   scale that fits a laptop; see each binary). The mesh scales with the
@@ -61,60 +62,87 @@ pub struct HarnessArgs {
     pub wire: Option<transport::WireKind>,
 }
 
+/// The flag list printed by `--help` and after a usage error.
+const USAGE: &str = "flags: --scale N | --ranks N | --steps N | --trigger N | --out DIR | --trace-out DIR | --report-out DIR | --full | --pipelined | --sched thread|event | --wire channel|tcp | --seeds N | --json-out FILE | --restart-from DIR | --checkpoint-dir DIR | --checkpoint-every N";
+
+/// The value following `flag`, read as a `T`. A value that is absent,
+/// looks like the next flag, or does not read as a `T` is an error: these
+/// binaries regenerate the paper's tables, and running the defaults
+/// instead of what was asked for is a wrong table with exit code 0.
+fn value<T: std::str::FromStr>(
+    flag: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let v = rest
+        .next()
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag}: cannot read '{v}' as a value"))
+}
+
 impl HarnessArgs {
-    /// Parse from `std::env::args` (ignores unknown flags).
+    /// Parse from `std::env::args`. `--help` prints the flag list and
+    /// exits 0; anything [`Self::parse_from`] refuses prints the reason
+    /// and the flag list and exits 2.
     pub fn parse() -> Self {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        Self::parse_from(argv).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse a flag list (without the program name).
+    ///
+    /// # Errors
+    /// An unknown flag, a flag whose value is missing, and a value that
+    /// does not parse (`--steps abc`, `--sched evnt`) each name the flag.
+    pub fn parse_from(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut args = Self::default();
-        let mut it = std::env::args().skip(1);
+        let mut it = argv.into_iter();
         while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--scale" => args.scale = it.next().and_then(|v| v.parse().ok()),
-                "--steps" => args.steps = it.next().and_then(|v| v.parse().ok()),
-                "--trigger" => args.trigger = it.next().and_then(|v| v.parse().ok()),
-                "--out" => args.out = it.next().map(Into::into),
+            let flag = flag.as_str();
+            match flag {
+                "--scale" => args.scale = Some(value(flag, &mut it)?),
+                "--steps" => args.steps = Some(value(flag, &mut it)?),
+                "--trigger" => args.trigger = Some(value(flag, &mut it)?),
+                "--out" => args.out = Some(value(flag, &mut it)?),
                 "--full" => args.full = true,
                 "--pipelined" => args.pipelined = true,
-                "--trace-out" => args.trace_out = it.next().map(Into::into),
-                "--report-out" => args.report_out = it.next().map(Into::into),
-                "--seeds" => args.seeds = it.next().and_then(|v| v.parse().ok()),
-                "--json-out" => args.json_out = it.next().map(Into::into),
-                "--restart-from" => args.restart_from = it.next().map(Into::into),
-                "--checkpoint-dir" => args.checkpoint_dir = it.next().map(Into::into),
-                "--checkpoint-every" => {
-                    args.checkpoint_every = it.next().and_then(|v| v.parse().ok())
-                }
+                "--trace-out" => args.trace_out = Some(value(flag, &mut it)?),
+                "--report-out" => args.report_out = Some(value(flag, &mut it)?),
+                "--seeds" => args.seeds = Some(value(flag, &mut it)?),
+                "--json-out" => args.json_out = Some(value(flag, &mut it)?),
+                "--restart-from" => args.restart_from = Some(value(flag, &mut it)?),
+                "--checkpoint-dir" => args.checkpoint_dir = Some(value(flag, &mut it)?),
+                "--checkpoint-every" => args.checkpoint_every = Some(value(flag, &mut it)?),
                 "--sched" => {
-                    args.sched = it.next().and_then(|v| {
-                        if v.eq_ignore_ascii_case("event") {
-                            Some(commsim::SchedMode::Event)
-                        } else if v.eq_ignore_ascii_case("thread") {
-                            Some(commsim::SchedMode::Thread)
-                        } else {
-                            eprintln!("warning: unknown --sched '{v}' (thread|event)");
-                            None
-                        }
-                    })
+                    let v: String = value(flag, &mut it)?;
+                    args.sched = Some(if v.eq_ignore_ascii_case("event") {
+                        commsim::SchedMode::Event
+                    } else if v.eq_ignore_ascii_case("thread") {
+                        commsim::SchedMode::Thread
+                    } else {
+                        return Err(format!("--sched: '{v}' is neither thread nor event"));
+                    });
                 }
-                "--ranks" => args.ranks = it.next().and_then(|v| v.parse().ok()),
+                "--ranks" => args.ranks = Some(value(flag, &mut it)?),
                 "--wire" => {
-                    args.wire = it.next().and_then(|v| {
-                        let parsed = transport::WireKind::parse(&v);
-                        if parsed.is_none() {
-                            eprintln!("warning: unknown --wire '{v}' (channel|tcp)");
-                        }
-                        parsed
-                    })
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --scale N | --ranks N | --steps N | --trigger N | --out DIR | --trace-out DIR | --report-out DIR | --full | --pipelined | --sched thread|event | --wire channel|tcp | --seeds N | --json-out FILE | --restart-from DIR | --checkpoint-dir DIR | --checkpoint-every N"
+                    let v: String = value(flag, &mut it)?;
+                    args.wire = Some(
+                        transport::WireKind::parse(&v)
+                            .ok_or_else(|| format!("--wire: '{v}' is neither channel nor tcp"))?,
                     );
-                    std::process::exit(0);
                 }
-                other => eprintln!("warning: ignoring unknown flag '{other}'"),
+                other => return Err(format!("unknown flag '{other}'")),
             }
         }
-        args
+        Ok(args)
     }
 
     /// Execution mode for the in situ runners: pipelined with
@@ -330,6 +358,86 @@ pub fn fmt_secs(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse_from(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn every_flag_ci_and_the_readme_pass_is_understood() {
+        let a =
+            parse("--steps 6 --trigger 3 --scale 140 --trace-out traces/ --report-out reports/")
+                .unwrap();
+        assert_eq!((a.steps, a.trigger, a.scale), (Some(6), Some(3), Some(140)));
+        assert_eq!(a.trace_out.as_deref(), Some("traces/".as_ref()));
+        assert_eq!(a.report_out.as_deref(), Some("reports/".as_ref()));
+        assert!(a.telemetry());
+
+        let a = parse("--ranks 1120 --sched event --steps 1 --trigger 1 --report-out r/").unwrap();
+        assert_eq!(a.ranks, Some(1120));
+        assert_eq!(a.sched_mode(), commsim::SchedMode::Event);
+        assert_eq!(
+            parse("--full --sched THREAD").unwrap().sched,
+            Some(commsim::SchedMode::Thread)
+        );
+
+        let a = parse("--seeds 8 --json-out soak.json").unwrap();
+        assert_eq!(a.seeds, Some(8));
+        assert_eq!(a.json_out.as_deref(), Some("soak.json".as_ref()));
+
+        let a = parse("--checkpoint-dir ck/ --checkpoint-every 2 --restart-from ck/cell").unwrap();
+        assert_eq!(a.checkpoint_dir.as_deref(), Some("ck/".as_ref()));
+        assert_eq!(a.checkpoint_every, Some(2));
+        assert_eq!(a.restart_from.as_deref(), Some("ck/cell".as_ref()));
+
+        let a = parse("--out out/fig1 --pipelined --wire tcp").unwrap();
+        assert_eq!(a.out.as_deref(), Some("out/fig1".as_ref()));
+        assert_eq!(a.exec_mode(), nek_sensei::ExecMode::Pipelined);
+        assert_eq!(a.wire_kind(), transport::WireKind::Tcp);
+
+        let none = parse("").unwrap();
+        assert!(none.steps.is_none() && !none.full && none.sched.is_none());
+    }
+
+    #[test]
+    fn malformed_values_are_usage_errors_that_name_the_flag() {
+        for (line, flag) in [
+            ("--steps abc", "--steps"),
+            ("--ranks 1120x", "--ranks"),
+            ("--trigger -1", "--trigger"),
+            ("--checkpoint-every 2.5", "--checkpoint-every"),
+            ("--sched evnt", "--sched"),
+            ("--wire udp", "--wire"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+        // An empty value (`--scale ""`) is malformed too.
+        let err = HarnessArgs::parse_from(["--scale".to_string(), String::new()]).unwrap_err();
+        assert!(err.contains("--scale"), "{err}");
+    }
+
+    #[test]
+    fn missing_values_are_usage_errors() {
+        for line in [
+            "--steps",
+            "--out",
+            "--steps --full",
+            "--sched",
+            "--out --trace-out t/",
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains("needs a value"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        for line in ["--stpes 6", "--steps 6 --quick", "extra", "--steps=6"] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains("unknown flag"), "{line}: {err}");
+        }
+    }
 
     #[test]
     fn table_is_aligned() {

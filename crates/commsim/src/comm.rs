@@ -840,11 +840,6 @@ impl Comm {
         let r = self.allreduce(value, op);
         (self.rank == root).then_some(r)
     }
-
-    /// Take the stats out when the rank finishes (used by the runner).
-    pub fn into_stats(self) -> CommStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]

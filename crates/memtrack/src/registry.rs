@@ -31,11 +31,6 @@ impl Snapshot {
         self.entries.iter().map(|(_, c, _)| c).sum()
     }
 
-    /// Sum of peak bytes over all entries.
-    pub fn total_peak(&self) -> u64 {
-        self.entries.iter().map(|(_, _, p)| p).sum()
-    }
-
     /// Entries whose name starts with `prefix` (e.g. `"rank3/"`).
     pub fn with_prefix(&self, prefix: &str) -> Snapshot {
         Snapshot {

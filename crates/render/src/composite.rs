@@ -1,13 +1,9 @@
 //! Sort-last parallel compositing.
 //!
 //! Every rank rasterizes its local blocks into a full-size framebuffer;
-//! the images are then merged by per-pixel depth test. Two strategies are
-//! provided (an ablation in DESIGN.md):
-//!
-//! * [`composite_to_root`] — serial gather: every rank sends its image to
-//!   rank 0, which merges. O(P) messages into one rank.
-//! * [`composite_tree`] — binary-tree exchange: ⌈log₂P⌉ rounds of pairwise
-//!   merges; rank 0 ends with the result.
+//! [`composite_to_root`] then merges the images by per-pixel depth test:
+//! every rank sends its image to rank 0, which merges — O(P) messages into
+//! one rank.
 
 use crate::raster::Framebuffer;
 use commsim::Comm;
@@ -47,40 +43,6 @@ pub fn composite_to_root(comm: &mut Comm, fb: Framebuffer) -> Option<Framebuffer
         acc.composite_in(&other);
     }
     Some(acc)
-}
-
-/// Binary-tree compositing: ranks pair up across ⌈log₂P⌉ stages; the lower
-/// rank of each pair keeps the merged image. Rank 0 returns the result.
-pub fn composite_tree(comm: &mut Comm, fb: Framebuffer) -> Option<Framebuffer> {
-    let rank = comm.rank();
-    let size = comm.size();
-    let mut acc = Some(fb);
-    let mut stride = 1;
-    while stride < size {
-        if rank.is_multiple_of(2 * stride) {
-            let partner = rank + stride;
-            if partner < size {
-                let other: Framebuffer = comm.recv(partner, TAG_COMPOSITE);
-                let mine = acc.as_mut().expect("active rank holds an image");
-                let work = fb_nbytes(comm, mine) as f64;
-                comm.compute_host(work * 0.3, work * 2.0);
-                mine.composite_in(&other);
-            }
-        } else if rank % (2 * stride) == stride {
-            let partner = rank - stride;
-            let mine = acc.take().expect("active rank holds an image");
-            let bytes = fb_nbytes(comm, &mine);
-            comm.send(partner, TAG_COMPOSITE, mine, bytes);
-            // This rank is done; it still loops to keep collective symmetry
-            // but sends nothing further.
-        }
-        stride *= 2;
-    }
-    if rank == 0 {
-        acc
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -132,27 +94,6 @@ mod tests {
             center[0] < 60,
             "rank 0 (scalar 0) must be in front: {center:?}"
         );
-    }
-
-    #[test]
-    fn tree_and_gather_agree() {
-        let gather = run_ranks(4, MachineModel::test_tiny(), |comm| {
-            composite_to_root(comm, render_local(comm.rank())).map(|f| f.color)
-        });
-        let tree = run_ranks(4, MachineModel::test_tiny(), |comm| {
-            composite_tree(comm, render_local(comm.rank())).map(|f| f.color)
-        });
-        assert_eq!(gather[0], tree[0]);
-    }
-
-    #[test]
-    fn tree_works_for_non_power_of_two() {
-        let res = run_ranks(3, MachineModel::test_tiny(), |comm| {
-            composite_tree(comm, render_local(comm.rank())).map(|f| f.coverage())
-        });
-        assert!(res[0].unwrap() > 0.0);
-        assert!(res[1].is_none());
-        assert!(res[2].is_none());
     }
 
     #[test]

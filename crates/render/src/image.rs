@@ -1,11 +1,11 @@
-//! Image encoders — PNG (stored-deflate, spec-compliant) and PPM — and the
-//! workspace's one CRC-32.
+//! The PNG encoder (stored-deflate, spec-compliant) and the workspace's
+//! one CRC-32.
 //!
 //! The PNG encoder emits uncompressed deflate blocks inside a valid zlib
 //! stream with correct CRC32/Adler32 checksums — readable by any viewer,
 //! no compression dependency. The paper's storage-economy claim (6.5 MB of
-//! images vs 19 GB of checkpoints) is reproduced from the byte counts these
-//! encoders return.
+//! images vs 19 GB of checkpoints) is reproduced from the byte counts this
+//! encoder returns.
 //!
 //! Nothing is compressed, so every length in the file is known before the
 //! first pixel is read. [`encode_png`] uses that: it reserves the output
@@ -26,13 +26,6 @@ const PNG_SIGNATURE: [u8; 8] = [0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x0A];
 
 /// Largest payload of one stored deflate block (its length field is 16 bits).
 const STORED_BLOCK_MAX: usize = 65535;
-
-/// Encode a framebuffer as a binary PPM (P6).
-pub fn encode_ppm(fb: &Framebuffer) -> Vec<u8> {
-    let mut out = format!("P6\n{} {}\n255\n", fb.width, fb.height).into_bytes();
-    out.extend_from_slice(fb.rgb_bytes());
-    out
-}
 
 /// Encode a framebuffer as an 8-bit RGB PNG.
 pub fn encode_png(fb: &Framebuffer) -> Vec<u8> {
@@ -490,14 +483,6 @@ mod tests {
             adler.update(piece);
         }
         assert_eq!(adler.finish(), reference::adler32(&data));
-    }
-
-    #[test]
-    fn ppm_header_and_size() {
-        let fb = Framebuffer::new(4, 3);
-        let ppm = encode_ppm(&fb);
-        assert!(ppm.starts_with(b"P6\n4 3\n255\n"));
-        assert_eq!(ppm.len(), 11 + 4 * 3 * 3);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   image of the extracted geometry).
 //! * [`composite`] — sort-last parallel rendering: every rank rasterizes
 //!   its local blocks, then color+depth images are depth-composited to
-//!   rank 0 (serial gather or binary-tree exchange).
-//! * [`image`] — PNG (stored-deflate, CRC-correct) and PPM encoders.
+//!   rank 0 (serial gather).
+//! * [`image`] — the PNG encoder (stored-deflate, CRC-correct).
 //! * [`pipeline`] — a declarative render pipeline (the `analysis.py`
 //!   analogue) and [`pipeline::CatalystAnalysis`], the
 //!   [`insitu::AnalysisAdaptor`] that the paper's Catalyst configuration

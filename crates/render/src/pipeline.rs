@@ -9,7 +9,7 @@
 
 use crate::camera::Camera;
 use crate::colormap::Colormap;
-use crate::composite::{composite_to_root, composite_tree};
+use crate::composite::composite_to_root;
 use crate::filters::{self, TriangleSoup};
 use crate::image::encode_png;
 use crate::raster::Framebuffer;
@@ -60,15 +60,6 @@ pub struct RenderPass {
     pub camera_dir: [f64; 3],
 }
 
-/// Compositing strategy (ablation: serial gather vs binary tree).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Compositing {
-    /// Everyone sends to rank 0.
-    Gather,
-    /// ⌈log₂P⌉ pairwise rounds.
-    Tree,
-}
-
 /// The full pipeline configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RenderPipeline {
@@ -78,8 +69,6 @@ pub struct RenderPipeline {
     pub height: usize,
     /// The passes (images) per trigger.
     pub passes: Vec<RenderPass>,
-    /// Parallel compositing strategy.
-    pub compositing: Compositing,
     /// Burn a colormap legend into each image (ParaView scalar bar).
     pub legend: bool,
 }
@@ -239,26 +228,18 @@ impl RenderPipeline {
                     camera_dir: [1.0, 1.0, 0.4],
                 },
             ],
-            compositing: Compositing::Gather,
             legend: true,
         }
     }
 
     /// FNV-64 fingerprint of everything that determines the pixels for a
-    /// given mesh: image size, legend, compositing, and per pass the
+    /// given mesh: image size, legend, and per pass the
     /// filter, array, colormap stops, fixed range, and camera direction.
     pub fn fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET_BASIS;
         fnv1a(&mut h, &(self.width as u64).to_le_bytes());
         fnv1a(&mut h, &(self.height as u64).to_le_bytes());
         fnv1a(&mut h, &[u8::from(self.legend)]);
-        fnv1a(
-            &mut h,
-            &[match self.compositing {
-                Compositing::Gather => 0u8,
-                Compositing::Tree => 1,
-            }],
-        );
         for pass in &self.passes {
             fnv1a(&mut h, pass.name.as_bytes());
             fnv1a(&mut h, pass.array.as_bytes());
@@ -412,11 +393,7 @@ impl RenderPipeline {
             // rank 0 gets the merged image back and returns it to the
             // scratch afterwards so the next pass reuses the allocation.
             let local_fb = std::mem::take(&mut scratch.fb);
-            let composited = match self.compositing {
-                Compositing::Gather => composite_to_root(comm, local_fb),
-                Compositing::Tree => composite_tree(comm, local_fb),
-            };
-            let png = match composited {
+            let png = match composite_to_root(comm, local_fb) {
                 Some(mut fb) => {
                     if self.legend {
                         fb.draw_legend(&pass.colormap, (lo, hi));
@@ -546,9 +523,6 @@ impl CatalystAnalysis {
         let mut pipeline = RenderPipeline::two_image_default(&slice_array, &contour_array);
         pipeline.width = spec.attr_parse_or("width", 800usize);
         pipeline.height = spec.attr_parse_or("height", 600usize);
-        if spec.attr("compositing") == Some("tree") {
-            pipeline.compositing = Compositing::Tree;
-        }
         let output_dir = spec.attr("output").map(std::path::PathBuf::from);
         Ok(Self::new(
             spec.attr_or("mesh", "mesh").to_string(),
@@ -748,20 +722,5 @@ mod tests {
             }
             assert_eq!(ca.execution_counts(), vec![2]);
         });
-    }
-
-    #[test]
-    fn tree_compositing_option_works_in_pipeline() {
-        let res = run_ranks(4, MachineModel::test_tiny(), |comm| {
-            let mut pipeline = RenderPipeline::two_image_default("pressure", "velocity");
-            pipeline.compositing = Compositing::Tree;
-            pipeline.passes.truncate(1);
-            pipeline.width = 64;
-            pipeline.height = 64;
-            let mb = block(comm.rank(), comm.size());
-            let images = pipeline.execute(comm, &mb, 0);
-            images[0].png.is_some()
-        });
-        assert_eq!(res, vec![true, false, false, false]);
     }
 }

@@ -27,9 +27,12 @@
 //!   (pebble-bed reactor core: flow through a bed of spherical pebbles)
 //!   and `rbc` (Rayleigh–Bénard convection, the mesoscale case).
 //!
-//! All fields live in [`devsim::DeviceBuf`]s; every kernel charges the
-//! rank's virtual clock with an operation-count cost, so the figure
-//! harnesses measure the same compute/copy structure the paper does.
+//! Device residency is modelled, not typed: fields are host `Vec<f64>`s
+//! charged to the rank's `gpu` accountant, every kernel charges the
+//! virtual clock with an operation-count cost, and the only host-visible
+//! copy is [`FlowSolver::publish_snapshot`], which pays `Comm::d2h` — so
+//! the figure harnesses measure the same compute/copy structure the
+//! paper does.
 
 pub mod basis;
 pub mod cases;

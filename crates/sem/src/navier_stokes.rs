@@ -16,7 +16,7 @@
 //!
 //! Fields are conceptually GPU-resident: construction charges the rank's
 //! `gpu` memory accountant, all operators charge GPU kernel time, and the
-//! only host-visible access is [`FlowSolver::stage_to_host`], which pays
+//! only host-visible access is [`FlowSolver::publish_snapshot`], which pays
 //! the D2H transfer — the constraint the paper's in situ overhead hinges on.
 
 use crate::cg::{self, CgConfig, CgResult};
@@ -380,7 +380,7 @@ impl FlowSolver {
     }
 
     /// Device-side view of a field — for device code (tests, kernels).
-    /// Host-side consumers must use [`FlowSolver::stage_to_host`].
+    /// Host-side consumers must use [`FlowSolver::publish_snapshot`].
     pub fn field_device(&self, id: FieldId) -> Option<&[f64]> {
         match id {
             FieldId::VelX => Some(&self.u[0]),
@@ -391,85 +391,16 @@ impl FlowSolver {
         }
     }
 
-    /// Copy a field to host memory, charging the rank's D2H transfer cost —
-    /// the `occa::memory::copyTo` the paper's instrumentation must perform
-    /// because VTK cannot read device memory.
-    pub fn stage_to_host(&self, comm: &mut Comm, id: FieldId) -> Option<Vec<f64>> {
-        let field = self.field_device(id)?;
-        comm.d2h((field.len() * 8) as u64);
-        Some(field.to_vec())
-    }
-
-    /// Copy several fields to host memory in one pooled transfer: a single
-    /// D2H latency for the whole batch (vs one per field with repeated
-    /// [`FlowSolver::stage_to_host`]) — the copy-granularity ablation in
-    /// DESIGN.md. Unknown/absent fields are skipped.
-    pub fn stage_many_to_host(&self, comm: &mut Comm, ids: &[FieldId]) -> Vec<(FieldId, Vec<f64>)> {
-        let mut out = Vec::with_capacity(ids.len());
-        let mut total_bytes = 0u64;
-        for &id in ids {
-            if let Some(field) = self.field_device(id) {
-                total_bytes += (field.len() * 8) as u64;
-                out.push((id, field.to_vec()));
-            }
-        }
-        if total_bytes > 0 {
-            comm.d2h(total_bytes);
-        }
-        out
-    }
-
-    /// Compute the vorticity ∇×u on the device and return it (continuous,
-    /// gather-scatter averaged), staged to host.
-    pub fn vorticity_host(&mut self, comm: &mut Comm) -> [Vec<f64>; 3] {
-        let n = self.n_nodes();
-        // The returned vectors are the host-side copies (the allocation is
-        // the staging buffer); intermediates reuse solver scratch.
-        let mut wx = vec![0.0; n];
-        let mut wy = vec![0.0; n];
-        let mut wz = vec![0.0; n];
-        self.ops.curl(
-            comm,
-            &self.u[0],
-            &self.u[1],
-            &self.u[2],
-            &mut wx,
-            &mut wy,
-            &mut wz,
-            &mut self.scratch,
-        );
-        self.gs.average(comm, &mut wx);
-        self.gs.average(comm, &mut wy);
-        self.gs.average(comm, &mut wz);
-        comm.d2h((3 * n * 8) as u64);
-        [wx, wy, wz]
-    }
-
-    /// Compute the Q-criterion on the device (continuous) and stage it.
-    pub fn q_criterion_host(&mut self, comm: &mut Comm) -> Vec<f64> {
-        let n = self.n_nodes();
-        let mut q = vec![0.0; n];
-        self.ops.q_criterion(
-            comm,
-            &self.u[0],
-            &self.u[1],
-            &self.u[2],
-            &mut q,
-            &mut self.ws,
-        );
-        self.gs.average(comm, &mut q);
-        comm.d2h((n * 8) as u64);
-        q
-    }
-
     /// Stage every field requested by `spec` into an owned, pooled
     /// [`FieldSnapshot`] — the single D2H publish point of the data plane.
     ///
-    /// Primary fields (velocity, pressure, temperature) share one pooled
-    /// D2H transfer; derived fields (vorticity, Q-criterion) are computed
-    /// on device and staged with their own transfers, exactly as the
-    /// per-field staging paths used to charge. Each field is staged once
-    /// per call no matter how many consumers later read the snapshot.
+    /// This is the `occa::memory::copyTo` the paper's instrumentation must
+    /// perform because VTK cannot read device memory. Primary fields
+    /// (velocity, pressure, temperature) share one pooled D2H transfer —
+    /// one launch latency for the batch; derived fields (vorticity,
+    /// Q-criterion) are computed on device, gather-scatter averaged, and
+    /// staged with one transfer each. Each field is staged once per call
+    /// no matter how many consumers later read the snapshot.
     pub fn publish_snapshot(
         &mut self,
         comm: &mut Comm,
@@ -1492,10 +1423,16 @@ mod tests {
                 u0,
                 None,
             );
-            let [_, _, wz] = solver.vorticity_host(comm);
-            wz.iter()
+            let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
+            let spec = SnapshotSpec {
+                vorticity: true,
+                ..Default::default()
+            };
+            let snap = solver.publish_snapshot(comm, &spec, &pool);
+            let w = snap.field("vorticity").expect("requested").values();
+            w.chunks_exact(3)
                 .zip(&exact)
-                .map(|(a, b)| (a - b).abs())
+                .map(|(w, b)| (w[2] - b).abs())
                 .fold(0.0, f64::max)
         });
         assert!(err[0] < 5e-3, "vorticity error {}", err[0]);
@@ -1524,7 +1461,13 @@ mod tests {
                 u0,
                 None,
             );
-            let q = solver.q_criterion_host(comm);
+            let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
+            let spec = SnapshotSpec {
+                q_criterion: true,
+                ..Default::default()
+            };
+            let snap = solver.publish_snapshot(comm, &spec, &pool);
+            let q = snap.field("q_criterion").expect("requested").values();
             q.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
         });
         assert!(q_max[0] > 0.5, "TGV cores must have Q>0: {}", q_max[0]);
@@ -1537,38 +1480,48 @@ mod tests {
             let mesh = LocalMesh::new(spec, 0, 1);
             let n = mesh.layout().n_nodes();
             let zero = vec![0.0; n];
-            let solver = FlowSolver::new(
+            let cfg = SolverConfig {
+                temperature: Some(TemperatureConfig {
+                    diffusivity: 1.0,
+                    buoyancy: 0.0,
+                    bc: BcSet::all_neumann(),
+                    cg: CgConfig::default(),
+                }),
+                ..Default::default()
+            };
+            let mut solver = FlowSolver::new(
                 comm,
                 mesh,
-                SolverConfig::default(),
+                cfg,
                 FlowBcs {
                     velocity: [BcSet::all_dirichlet_zero(); 3],
                     pressure: BcSet::all_neumann(),
                 },
-                [zero.clone(), zero.clone(), zero],
-                None,
+                [zero.clone(), zero.clone(), zero.clone()],
+                Some(zero),
             );
-            let ids = [
-                FieldId::VelX,
-                FieldId::VelY,
-                FieldId::VelZ,
-                FieldId::Pressure,
-            ];
-            let t0 = comm.now();
-            let fields = solver.stage_many_to_host(comm, &ids);
-            let pooled = comm.now() - t0;
-            let t1 = comm.now();
-            for id in ids {
-                let _ = solver.stage_to_host(comm, id);
-            }
-            let separate = comm.now() - t1;
-            (fields.len(), pooled, separate)
+            let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
+            let spec = SnapshotSpec {
+                velocity: true,
+                pressure: true,
+                temperature: true,
+                ..Default::default()
+            };
+            let (t0, b0) = (comm.now(), comm.stats().bytes_d2h);
+            let snap = solver.publish_snapshot(comm, &spec, &pool);
+            let total_bytes = (5 * n * 8) as u64;
+            assert_eq!(snap.staged_bytes(), total_bytes);
+            (
+                comm.now(),
+                t0 + comm.machine().d2h_time(total_bytes),
+                comm.stats().bytes_d2h - b0,
+                total_bytes,
+            )
         });
-        let (count, pooled, separate) = res[0];
-        assert_eq!(count, 4);
-        // Same bytes, but three fewer launch latencies.
-        let latency = MachineModel::test_tiny().gpu.xfer_latency;
-        assert!((separate - pooled - 3.0 * latency).abs() < 1e-12);
+        let (now, after_one_transfer, staged, total_bytes) = res[0];
+        // Three primary fields, five components, one launch latency.
+        assert_eq!(now.to_bits(), after_one_transfer.to_bits());
+        assert_eq!(staged, total_bytes);
     }
 
     #[test]
@@ -1637,13 +1590,13 @@ mod tests {
     }
 
     #[test]
-    fn stage_to_host_charges_d2h() {
+    fn publish_charges_d2h_for_what_it_stages_and_skips_absent_temperature() {
         let res = run_ranks(1, MachineModel::test_tiny(), |comm| {
             let spec = Arc::new(MeshSpec::box_mesh(2, [1, 1, 1], [1.0; 3], [false; 3]));
             let mesh = LocalMesh::new(spec, 0, 1);
             let n = mesh.layout().n_nodes();
             let zero = vec![0.0; n];
-            let solver = FlowSolver::new(
+            let mut solver = FlowSolver::new(
                 comm,
                 mesh,
                 SolverConfig::default(),
@@ -1654,10 +1607,17 @@ mod tests {
                 [zero.clone(), zero.clone(), zero],
                 None,
             );
+            let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
+            let spec = SnapshotSpec {
+                pressure: true,
+                temperature: true,
+                ..Default::default()
+            };
             let before = comm.stats().bytes_d2h;
-            let staged = solver.stage_to_host(comm, FieldId::Pressure).unwrap();
-            assert!(solver.stage_to_host(comm, FieldId::Temperature).is_none());
-            (staged.len(), comm.stats().bytes_d2h - before)
+            let snap = solver.publish_snapshot(comm, &spec, &pool);
+            assert!(snap.field("temperature").is_none());
+            let staged = snap.field("pressure").expect("requested").values().len();
+            (staged, comm.stats().bytes_d2h - before)
         });
         let (len, bytes) = res[0];
         assert_eq!(bytes, (len * 8) as u64);

@@ -18,7 +18,7 @@ use rayon::pool;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Raw-pointer wrapper so per-block disjoint output ranges can be handed
-/// to pool workers (mirrors the shim prelude's internal pattern).
+/// to pool workers.
 struct SendPtr(*mut f64);
 // SAFETY: each block derives a disjoint subslice; no two jobs alias.
 unsafe impl Send for SendPtr {}
@@ -1165,26 +1165,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn simd_kernels_measure_under_criterion_at_np_3_to_8() {
-        // The autovectorization claim is a codegen property we can't
-        // assert from a test, but we can pin the harness the perf report
-        // uses to time these kernels at every production order.
-        for np in 3..=8usize {
-            let (u, d, dt) = test_elem(np);
-            let mut out = vec![0.0; np * np * np];
-            let stats = criterion::measure(1, 3, || {
-                for axis in 0..3 {
-                    deriv_elem(&u, &d, &dt, np, axis, 1.1, &mut out);
-                    deriv_t_elem_accum(&u, &d, np, axis, 0.7, &mut out);
-                }
-                criterion::black_box(out[0])
-            });
-            assert_eq!(stats.n, 3);
-            assert!(stats.median_s >= 0.0 && stats.median_s.is_finite(), "{stats:?}");
         }
     }
 

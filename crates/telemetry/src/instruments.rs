@@ -311,13 +311,6 @@ pub struct TelemetryHub {
 }
 
 impl TelemetryHub {
-    /// A hub whose flight recorder holds at most `capacity` samples.
-    pub fn with_recorder_capacity(capacity: usize) -> Self {
-        let hub = Self::default();
-        *lock(&hub.inner.recorder) = FlightRecorder::new(capacity);
-        hub
-    }
-
     /// Get or create the counter `name`. If `name` already names a
     /// different instrument type, returns a disabled handle (the
     /// registration wins; the caller's updates are dropped).

@@ -67,13 +67,24 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and its input can come from a TCP peer (`nekstat
+/// --follow`), so the depth must not be the sender's to choose; a
+/// RunReport nests 4 deep.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse `text` as a single JSON document.
 ///
 /// # Errors
-/// A human-readable message with a byte offset on malformed input.
+/// A human-readable message with a byte offset on malformed input or on
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -86,6 +97,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -114,8 +127,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),

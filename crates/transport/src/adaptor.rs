@@ -87,11 +87,6 @@ impl TransportAnalysis {
         self
     }
 
-    /// Push this producer's [`ProducerReport`] into `sink` at finalize.
-    pub fn set_report_sink(&mut self, sink: ReportSink) {
-        self.sink = Some(sink);
-    }
-
     /// Writer statistics: (steps staged, steps dropped, bytes sent).
     pub fn stats(&self) -> (u64, u64, u64) {
         (

@@ -350,7 +350,6 @@ impl StagingService {
                 range: None,
                 camera_dir: spec.camera_dir,
             }],
-            compositing: render::pipeline::Compositing::Gather,
             legend: false,
         }
     }

@@ -1,17 +1,10 @@
-//! Offline stand-in for the `criterion` subset this workspace's benches
-//! use: `criterion_group!`/`criterion_main!`, benchmark groups with
-//! `sample_size`, `bench_function` / `bench_with_input`, `Bencher::iter`,
-//! `BenchmarkId`, and `black_box`.
-//!
-//! Instead of criterion's adaptive sampling, each benchmark runs one
-//! untimed warm-up iteration and then a small fixed number of
-//! individually timed samples on the monotonic clock, reporting the
-//! median and the median absolute deviation (MAD) — robust statistics
-//! that shrug off the occasional scheduler hiccup while keeping
-//! `cargo bench` fast on the simulated whole-run benches. The same
-//! [`measure`] harness backs the `perf_report` binary.
+//! What is left of the offline `criterion` stand-in: [`measure`], the
+//! warm-up + samples + median/MAD harness `nekbench` times its station
+//! benches with, its [`Stats`], and [`black_box`]. The group/bencher API
+//! and the entry-point macros went with the microbenches that used them;
+//! the crate keeps its name because `nekbench::surface` names
+//! `criterion::measure`.
 
-use std::fmt::Display;
 use std::time::Instant;
 
 /// Opaque-to-the-optimizer identity, re-exported from std.
@@ -59,199 +52,19 @@ fn median(xs: &mut [f64]) -> f64 {
     }
 }
 
-/// Timing context handed to benchmark closures.
-pub struct Bencher {
-    samples: usize,
-    stats: Option<Stats>,
-}
-
-impl Bencher {
-    /// Measure `f`: one untimed warm-up call, then `samples` individually
-    /// timed calls; median/MAD are recorded for the report line.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, f: F) {
-        self.stats = Some(measure(1, self.samples, f));
-    }
-}
-
-/// Benchmark label: a function name plus a parameter tag.
-pub struct BenchmarkId {
-    label: String,
-}
-
-impl BenchmarkId {
-    /// Label the benchmark `function_name/parameter`.
-    pub fn new<P: Display>(function_name: &str, parameter: P) -> Self {
-        Self {
-            label: format!("{function_name}/{parameter}"),
-        }
-    }
-}
-
-/// Anything usable as a benchmark label.
-pub trait IntoBenchmarkId {
-    /// The rendered label.
-    fn into_label(self) -> String;
-}
-
-impl IntoBenchmarkId for BenchmarkId {
-    fn into_label(self) -> String {
-        self.label
-    }
-}
-
-impl IntoBenchmarkId for &str {
-    fn into_label(self) -> String {
-        self.to_string()
-    }
-}
-
-impl IntoBenchmarkId for String {
-    fn into_label(self) -> String {
-        self
-    }
-}
-
-impl IntoBenchmarkId for &String {
-    fn into_label(self) -> String {
-        self.clone()
-    }
-}
-
-/// Top-level benchmark driver.
-#[derive(Default)]
-pub struct Criterion {}
-
-impl Criterion {
-    /// Accept and ignore CLI configuration (API parity).
-    pub fn configure_from_args(self) -> Self {
-        self
-    }
-
-    /// Open a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            _criterion: self,
-            name: name.to_string(),
-            sample_size: 10,
-        }
-    }
-
-    /// Run a single ungrouped benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        run_one("", id.to_string(), 10, f);
-        self
-    }
-}
-
-/// A named set of benchmarks sharing a sample size.
-pub struct BenchmarkGroup<'a> {
-    _criterion: &'a mut Criterion,
-    name: String,
-    sample_size: usize,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Set how many timed iterations each benchmark runs.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n;
-        self
-    }
-
-    /// Run `f` as a benchmark under this group.
-    pub fn bench_function<I: IntoBenchmarkId, F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: I,
-        f: F,
-    ) -> &mut Self {
-        run_one(&self.name, id.into_label(), self.sample_size, f);
-        self
-    }
-
-    /// Run `f` as a benchmark, passing `input` through.
-    pub fn bench_with_input<I: IntoBenchmarkId, T: ?Sized, F: FnMut(&mut Bencher, &T)>(
-        &mut self,
-        id: I,
-        input: &T,
-        mut f: F,
-    ) -> &mut Self {
-        run_one(&self.name, id.into_label(), self.sample_size, |b| {
-            f(b, input)
-        });
-        self
-    }
-
-    /// Explicitly end the group (no-op; provided for API parity).
-    pub fn finish(self) {}
-}
-
-fn run_one<F: FnMut(&mut Bencher)>(group: &str, label: String, sample_size: usize, mut f: F) {
-    // Cap the sample count well below criterion's defaults: several
-    // benches wrap entire simulated runs, and the point here is a smoke
-    // signal with honest statistics.
-    let samples = sample_size.clamp(1, 10);
-    let mut b = Bencher {
-        samples,
-        stats: None,
-    };
-    f(&mut b);
-    let full = if group.is_empty() {
-        label
-    } else {
-        format!("{group}/{label}")
-    };
-    match b.stats {
-        Some(Stats { median_s, mad_s, n }) => println!(
-            "bench {full:<48} {:>12.3} ms/iter (median, ±{:.3} MAD, n={n})",
-            median_s * 1e3,
-            mad_s * 1e3
-        ),
-        None => println!("bench {full:<48} (no measurement: closure never called iter)"),
-    }
-}
-
-/// Collect benchmark functions into a runnable group.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        fn $name() {
-            let mut criterion = $crate::Criterion::default().configure_from_args();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Entry point running every listed group.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn bencher_counts_iterations() {
-        let mut calls = 0u64;
-        let mut c = Criterion::default();
-        let mut g = c.benchmark_group("g");
-        g.sample_size(5).bench_function("count", |b| {
-            b.iter(|| calls += 1);
-        });
-        g.finish();
-        // 1 warm-up + 5 timed samples.
-        assert_eq!(calls, 6);
-    }
-
-    #[test]
     fn measure_reports_robust_stats() {
+        let mut calls = 0u64;
         let stats = measure(2, 5, || {
+            calls += 1;
             std::thread::sleep(std::time::Duration::from_micros(200))
         });
+        // 2 warm-up + 5 timed samples.
+        assert_eq!(calls, 7);
         assert_eq!(stats.n, 5);
         assert!(stats.median_s >= 200e-6, "median {}", stats.median_s);
         assert!(stats.mad_s >= 0.0);
@@ -265,10 +78,5 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&mut [7.0]), 7.0);
-    }
-
-    #[test]
-    fn benchmark_id_formats() {
-        assert_eq!(BenchmarkId::new("f", 32).into_label(), "f/32");
     }
 }

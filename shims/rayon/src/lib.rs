@@ -1,30 +1,29 @@
-//! Offline stand-in for the `rayon` subset this workspace uses:
-//! `par_chunks` / `par_chunks_mut` from the prelude — backed by a real
-//! work-distributing thread pool.
+//! Offline stand-in for the part of `rayon` this workspace uses: not the
+//! parallel-iterator prelude but a small work-distributing thread pool,
+//! [`pool`], whose [`pool::run`] / [`pool::run_partitioned`] the SEM
+//! operators dispatch their element blocks through.
 //!
-//! Unlike the original sequential shim, chunks are now executed on a
-//! fixed pool of worker threads (sized from `available_parallelism`, or
-//! `NEK_POOL_THREADS` / `RAYON_NUM_THREADS` when set). The design keeps
-//! three properties the workspace depends on:
+//! Jobs run on a fixed pool of worker threads (sized from
+//! `available_parallelism`, or `NEK_POOL_THREADS` / `RAYON_NUM_THREADS`
+//! when set). The design keeps three properties the workspace depends on:
 //!
-//! * **Bitwise determinism.** Work is split into the same chunks as the
-//!   sequential iterators, each chunk writes only its own output slice,
-//!   and the arithmetic inside a chunk is untouched — so results are
-//!   bit-identical for any pool size, including 1.
+//! * **Bitwise determinism.** [`pool::partition`] is pure arithmetic, each
+//!   job writes only its own output range, and the arithmetic inside a
+//!   job is untouched — so results are bit-identical for any pool size,
+//!   including 1.
 //! * **One shared pool.** commsim runs one thread per simulated rank;
 //!   all ranks submit to the same global pool so N ranks do not spawn
 //!   N×cores workers. Rank threads inherit the submitting thread's
 //!   [`pool::with_threads`] override (the commsim runner propagates it).
-//! * **Zero steady-state allocation.** A `for_each` batch lives on the
-//!   submitting thread's stack; the job queue holds raw batch pointers
-//!   in a pre-reserved ring, so hot-loop submissions do not touch the
-//!   heap.
+//! * **Zero steady-state allocation.** A batch lives on the submitting
+//!   thread's stack; the job queue holds raw batch pointers in a
+//!   pre-reserved ring, so hot-loop submissions do not touch the heap.
 //!
-//! Panics inside a chunk poison the batch (remaining chunks are drained
+//! Panics inside a job poison the batch (remaining jobs are drained
 //! unexecuted), and the first panic payload is re-raised on the
 //! submitting thread once all workers have detached from the batch.
 
-/// The work-distributing thread pool behind `par_chunks{,_mut}`.
+/// The work-distributing thread pool.
 pub mod pool {
     use std::any::Any;
     use std::cell::Cell;
@@ -38,7 +37,7 @@ pub mod pool {
     /// Hard cap on spawned workers (guards absurd env-var values).
     const MAX_WORKERS: usize = 256;
 
-    /// One `for_each` submission. Lives on the submitting thread's stack;
+    /// One [`run`] submission. Lives on the submitting thread's stack;
     /// `pending` counts one unit per queued helper entry plus one for the
     /// submitter, and `run` does not return until it reaches zero, so no
     /// worker ever touches a dead batch.
@@ -113,8 +112,8 @@ pub mod pool {
         }
     }
 
-    /// Claim chunk indices until the batch is exhausted. On panic, poison
-    /// the batch so remaining chunks are drained unexecuted and stash the
+    /// Claim job indices until the batch is exhausted. On panic, poison
+    /// the batch so remaining jobs are drained unexecuted and stash the
     /// first payload for the submitter to re-raise.
     fn work_on(batch: &Batch) {
         loop {
@@ -201,8 +200,7 @@ pub mod pool {
     /// Bounds of block `b` when `0..n_items` is split into `nblocks`
     /// contiguous blocks whose sizes differ by at most one. Purely
     /// arithmetic, so the partition is identical on every thread and
-    /// every run — the scheduling analogue of the deterministic
-    /// chunk→output mapping `par_chunks` relies on.
+    /// every run, whatever the pool does.
     pub fn partition(n_items: usize, nblocks: usize, b: usize) -> (usize, usize) {
         debug_assert!(b < nblocks);
         let base = n_items / nblocks;
@@ -303,205 +301,48 @@ pub mod pool {
     }
 }
 
-/// Prelude mirroring `rayon::prelude` for the traits this workspace uses.
-pub mod prelude {
-    use crate::pool;
-
-    /// Raw-pointer wrapper so disjoint mutable chunks can be handed to
-    /// worker threads.
-    struct SendPtr<T>(*mut T);
-    // SAFETY: each job index derives a disjoint subslice from the base
-    // pointer; no two jobs alias.
-    unsafe impl<T: Send> Send for SendPtr<T> {}
-    unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-    impl<T> SendPtr<T> {
-        // Accessor (rather than field access) so closures capture the
-        // whole wrapper, keeping its Send/Sync impls in effect.
-        fn get(&self) -> *mut T {
-            self.0
-        }
-    }
-
-    fn n_chunks(len: usize, size: usize) -> usize {
-        len.div_ceil(size)
-    }
-
-    /// Parallel iterator over `size`-sized chunks of a shared slice.
-    pub struct ParChunks<'a, T> {
-        slice: &'a [T],
-        size: usize,
-    }
-
-    /// Parallel iterator over `size`-sized chunks of a mutable slice.
-    pub struct ParChunksMut<'a, T> {
-        slice: &'a mut [T],
-        size: usize,
-    }
-
-    /// `ParChunksMut` zipped with `ParChunks`, pairing chunk i with chunk i.
-    pub struct ZipMut<'a, 'b, T, U> {
-        a: ParChunksMut<'a, T>,
-        b: ParChunks<'b, U>,
-    }
-
-    impl<'a, T: Sync> ParChunks<'a, T> {
-        /// Apply `f` to every chunk, distributed across the pool.
-        pub fn for_each<F: Fn(&[T]) + Sync>(self, f: F) {
-            let (slice, size) = (self.slice, self.size);
-            pool::run(n_chunks(slice.len(), size), |i| {
-                let start = i * size;
-                let end = (start + size).min(slice.len());
-                f(&slice[start..end]);
-            });
-        }
-    }
-
-    impl<'a, T: Send> ParChunksMut<'a, T> {
-        /// Pair with the chunks of a shared slice (rayon's `zip`).
-        pub fn zip<'b, U>(self, other: ParChunks<'b, U>) -> ZipMut<'a, 'b, T, U> {
-            ZipMut { a: self, b: other }
-        }
-
-        /// Apply `f` to every chunk, distributed across the pool.
-        pub fn for_each<F: Fn(&mut [T]) + Sync>(self, f: F) {
-            let size = self.size;
-            let len = self.slice.len();
-            let base = SendPtr(self.slice.as_mut_ptr());
-            pool::run(n_chunks(len, size), |i| {
-                let start = i * size;
-                let end = (start + size).min(len);
-                // SAFETY: job i touches only [start, end); chunks are
-                // disjoint by construction.
-                let chunk =
-                    unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-                f(chunk);
-            });
-        }
-    }
-
-    impl<'a, 'b, T: Send, U: Sync> ZipMut<'a, 'b, T, U> {
-        /// Apply `f` to each `(mut_chunk, shared_chunk)` pair.
-        pub fn for_each<F: Fn((&mut [T], &[U])) + Sync>(self, f: F) {
-            let (a_size, a_len) = (self.a.size, self.a.slice.len());
-            let (b_size, b_len) = (self.b.size, self.b.slice.len());
-            let n = n_chunks(a_len, a_size).min(n_chunks(b_len, b_size));
-            let base = SendPtr(self.a.slice.as_mut_ptr());
-            let b = self.b.slice;
-            pool::run(n, |i| {
-                let astart = i * a_size;
-                let aend = (astart + a_size).min(a_len);
-                let bstart = i * b_size;
-                let bend = (bstart + b_size).min(b_len);
-                // SAFETY: job i touches only its own output range.
-                let ac = unsafe {
-                    std::slice::from_raw_parts_mut(base.get().add(astart), aend - astart)
-                };
-                f((ac, &b[bstart..bend]));
-            });
-        }
-    }
-
-    /// `par_chunks` over shared slices.
-    pub trait ParallelSlice<T> {
-        /// Parallel iterator over `size`-sized chunks of the slice.
-        fn par_chunks(&self, size: usize) -> ParChunks<'_, T>;
-    }
-
-    /// `par_chunks_mut` over mutable slices.
-    pub trait ParallelSliceMut<T> {
-        /// Parallel iterator over `size`-sized mutable chunks of the slice.
-        fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
-    }
-
-    impl<T> ParallelSlice<T> for [T] {
-        fn par_chunks(&self, size: usize) -> ParChunks<'_, T> {
-            assert!(size > 0, "chunk size must be non-zero");
-            ParChunks { slice: self, size }
-        }
-    }
-
-    impl<T> ParallelSliceMut<T> for [T] {
-        fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
-            assert!(size > 0, "chunk size must be non-zero");
-            ParChunksMut { slice: self, size }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::pool;
-    use super::prelude::*;
-
-    #[test]
-    fn chunked_zip_matches_sequential() {
-        let src = [1.0f64, 2.0, 3.0, 4.0];
-        let mut dst = [0.0f64; 4];
-        dst.par_chunks_mut(2)
-            .zip(src.par_chunks(2))
-            .for_each(|(d, s)| {
-                for (di, si) in d.iter_mut().zip(s) {
-                    *di = si * 2.0;
-                }
-            });
-        assert_eq!(dst, [2.0, 4.0, 6.0, 8.0]);
-    }
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn results_identical_across_pool_sizes() {
-        let n = 10_007; // deliberately not a multiple of the chunk size
+        // Job i sums a fixed 64-item chunk in index order into its own
+        // slot: which thread runs it must not change a bit.
+        let n = 10_007usize; // deliberately not a multiple of the chunk size
         let src: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let run = |threads: usize| {
             pool::with_threads(threads, || {
-                let mut dst = vec![0.0f64; n];
-                dst.par_chunks_mut(64)
-                    .zip(src.par_chunks(64))
-                    .for_each(|(d, s)| {
-                        for (di, si) in d.iter_mut().zip(s) {
-                            *di = si * 1.5 + 0.25;
-                        }
-                    });
-                dst
+                let sums: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+                pool::run(sums.len(), |i| {
+                    let chunk = &src[i * 64..(i * 64 + 64).min(n)];
+                    let sum = chunk.iter().fold(0.25, |acc, v| acc + v * 1.5);
+                    sums[i].store(sum.to_bits(), Ordering::Relaxed);
+                });
+                sums.into_iter()
+                    .map(AtomicU64::into_inner)
+                    .collect::<Vec<_>>()
             })
         };
         let seq = run(1);
+        assert!(seq.iter().all(|&bits| bits != 0), "every job must run");
         for threads in [2, 3, 8] {
-            let par = run(threads);
-            assert!(
-                seq.iter()
-                    .zip(&par)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "pool size {threads} changed results"
-            );
+            assert_eq!(seq, run(threads), "pool size {threads} changed results");
         }
     }
 
     #[test]
-    fn uneven_tail_chunk_is_processed() {
-        pool::with_threads(4, || {
-            let mut v = vec![0u64; 130]; // 130 = 2*64 + tail of 2
-            v.par_chunks_mut(64).for_each(|c| {
-                for x in c.iter_mut() {
-                    *x = 7;
-                }
-            });
-            assert!(v.iter().all(|&x| x == 7));
-        });
-    }
-
-    #[test]
-    fn panic_in_chunk_propagates_and_pool_survives() {
-        let result = std::panic::catch_unwind(|| {
+    fn panic_in_job_propagates_drains_the_batch_and_pool_survives() {
+        let ran = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool::with_threads(4, || {
-                let mut v = vec![0.0f64; 256];
-                v.par_chunks_mut(16).for_each(|c| {
-                    if c[0] == 0.0 {
-                        panic!("poisoned worker");
-                    }
+                pool::run(64, |_| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    panic!("poisoned worker");
                 });
             });
-        });
+        }));
         let err = result.expect_err("panic should propagate to the submitter");
         let msg = err
             .downcast_ref::<&str>()
@@ -510,13 +351,20 @@ mod tests {
             .or_else(|| err.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("poisoned worker"), "unexpected payload: {msg}");
+        // A thread poisons the batch after its first panic and checks the
+        // flag before every further job, so each runs at most one.
+        let ran = ran.into_inner();
+        assert!((1..=4).contains(&ran), "{ran} of 64 jobs ran");
 
         // The pool must stay usable after a poisoned batch.
         pool::with_threads(4, || {
-            let mut v = [0u8; 64];
-            v.par_chunks_mut(8)
-                .for_each(|c| c.iter_mut().for_each(|x| *x = 1));
-            assert!(v.iter().all(|&x| x == 1));
+            let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+            pool::run_partitioned(hits.len(), |_, start, end| {
+                for h in &hits[start..end] {
+                    h.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         });
     }
 
@@ -544,7 +392,7 @@ mod tests {
 
     #[test]
     fn run_partitioned_visits_every_item_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::atomic::AtomicU32;
         for threads in [1usize, 3, 4] {
             pool::with_threads(threads, || {
                 let n = 101;

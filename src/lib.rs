@@ -7,9 +7,8 @@
 //! |---|---|
 //! | [`memtrack`] | memory high-water instrumentation |
 //! | [`commsim`] | MPI + Polaris/JUWELS machine models |
-//! | [`devsim`] | OCCA device abstraction |
 //! | [`meshdata`] | VTK data model + VTU/PVTU files |
-//! | [`sem`] | NekRS (spectral-element Navier–Stokes) |
+//! | [`sem`] | NekRS (spectral-element Navier–Stokes); OCCA device residency is modelled by its `gpu` accountant and `Comm::d2h` |
 //! | [`insitu`] | SENSEI (generic in situ interface) |
 //! | [`render`] | ParaView Catalyst / OSPRay rendering |
 //! | [`transport`] | ADIOS2 SST / BP staging |
@@ -19,7 +18,6 @@
 //! for the substitution methodology and the per-figure results.
 
 pub use commsim;
-pub use devsim;
 pub use insitu;
 pub use memtrack;
 pub use meshdata;

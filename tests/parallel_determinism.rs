@@ -1,7 +1,7 @@
 //! The thread pool must change wall time only — never results.
 //!
-//! `shims/rayon` distributes `par_chunks` work across a real pool, but
-//! each chunk writes a fixed, disjoint output range and per-chunk
+//! `shims/rayon` distributes element blocks across a real pool, but
+//! each block writes a fixed, disjoint output range and per-element
 //! arithmetic order is untouched, so solver fields and rendered frames
 //! must be *bitwise* identical whatever the pool width. These tests pin
 //! that contract, plus the pool's panic/poisoning behavior and the
@@ -154,17 +154,14 @@ fn pool_override_propagates_into_rank_threads() {
 
 #[test]
 fn poisoned_worker_panic_reaches_caller_and_pool_survives() {
-    use rayon::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     let panicked = std::panic::catch_unwind(|| {
         pool::with_threads(4, || {
-            let mut data = vec![0.0f64; 4096];
-            data.par_chunks_mut(64).for_each(|chunk| {
-                if chunk[0] == 0.0 {
-                    // Every chunk trips this; the first panic wins and the
-                    // rest are drained without running.
-                    panic!("injected worker panic");
-                }
+            pool::run(64, |_| {
+                // Every job trips this; the first panic wins and the
+                // rest are drained without running.
+                panic!("injected worker panic");
             });
         })
     });
@@ -173,12 +170,12 @@ fn poisoned_worker_panic_reaches_caller_and_pool_survives() {
     // The pool is not wedged: the next parallel op completes and the
     // results are correct.
     pool::with_threads(4, || {
-        let mut data = vec![1.0f64; 4096];
-        data.par_chunks_mut(64).for_each(|chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1.0;
+        let data: Vec<AtomicU64> = (0..4096).map(|_| AtomicU64::new(1)).collect();
+        pool::run_partitioned(data.len(), |_, start, end| {
+            for v in &data[start..end] {
+                v.fetch_add(1, Ordering::Relaxed);
             }
         });
-        assert!(data.iter().all(|&v| v == 2.0));
+        assert!(data.iter().all(|v| v.load(Ordering::Relaxed) == 2));
     });
 }

@@ -323,3 +323,95 @@ fn event_mode_reports_carry_the_scheduler_hand_off_counts() {
     assert!(msg_parks.is_some());
     assert_eq!(run(commsim::SchedMode::Thread), (collectives, None, None));
 }
+
+/// `nekstat` parses reports from files and, under `--follow`, JSON a TCP
+/// peer sent: the parser recurses once per nesting level, so the level
+/// count must not be the sender's to choose. (Without the cap 100 000
+/// brackets overflow the stack — an abort, not a panic.)
+#[test]
+fn json_depth_bomb_is_an_error_not_a_stack_overflow() {
+    let bombs = [
+        "[".repeat(100_000),
+        "{\"a\":".repeat(100_000),
+        "[{\"a\":".repeat(50_000),
+    ];
+    for bomb in &bombs {
+        for parsed in [
+            telemetry::json::parse(bomb).map(drop),
+            RunReport::from_json(bomb).map(drop),
+        ] {
+            let err = parsed.expect_err("depth bomb must be refused");
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+    }
+    // The cap is on depth, not size: a legal document at the limit parses.
+    let depth = telemetry::json::MAX_DEPTH;
+    let legal = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+    telemetry::json::parse(&legal).expect("nesting at the cap is legal");
+}
+
+mod report_json_boundary {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    /// A real report's JSON, produced once.
+    fn real_report_json() -> &'static str {
+        static JSON: OnceLock<String> = OnceLock::new();
+        JSON.get_or_init(|| {
+            let mut cfg = stalled_insitu_config(true, None);
+            (cfg.ranks, cfg.steps) = (1, 2);
+            run_insitu(&cfg).run_report.expect("report").to_json()
+        })
+    }
+
+    /// Must not panic, whatever the text. `from_json` starts with
+    /// `json::parse`, so every input goes through both.
+    fn read(bytes: &[u8]) {
+        let _ = RunReport::from_json(&String::from_utf8_lossy(bytes));
+    }
+
+    /// Every truncation of a real report, and the report with one bit
+    /// flipped at every position, come back as `Ok` or `Err`.
+    #[test]
+    fn every_truncation_and_a_bit_flip_at_every_byte() {
+        // Up to the closing brace, so that every strict prefix is broken.
+        let real = real_report_json().trim_end().as_bytes();
+        for cut in 0..real.len() {
+            let prefix = String::from_utf8_lossy(&real[..cut]);
+            assert!(RunReport::from_json(&prefix).is_err(), "cut at {cut}");
+        }
+        let mut flipped = real.to_vec();
+        for at in 0..real.len() {
+            flipped[at] ^= 1 << (at % 8);
+            read(&flipped);
+            flipped[at] = real[at];
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// Arbitrary bytes, arbitrary JSON punctuation, and a real report
+        /// with several bits flipped and its tail cut at once, come back
+        /// as `Ok` or `Err`.
+        #[test]
+        fn report_json_never_panics(
+            noise in vec(0u8..=255, 0..512),
+            tokens in "[{}\\[:,\"\\\\a-z0-9 .+-]{0,64}",
+            flips in vec((0.0..1.0f64, 0u8..8), 1..8),
+            keep in 0.0..1.0f64,
+        ) {
+            read(&noise);
+            read(tokens.as_bytes());
+            let mut mutated = real_report_json().as_bytes().to_vec();
+            for (at, bit) in flips {
+                let at = (at * mutated.len() as f64) as usize;
+                mutated[at] ^= 1 << bit;
+            }
+            read(&mutated);
+            mutated.truncate((keep * mutated.len() as f64) as usize);
+            read(&mutated);
+        }
+    }
+}
