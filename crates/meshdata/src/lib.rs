@@ -13,8 +13,8 @@
 //! * [`MultiBlock`] — one block per rank, SENSEI's multi-block convention.
 //! * [`MeshMetadata`] — the `GetMeshMetadata` answer: array names,
 //!   centerings, counts, bounds.
-//! * [`writer`] — legacy `.vtk` ASCII, `.vtu` XML (inline-ASCII or raw
-//!   appended binary), and `.pvtu` parallel index files. Checkpointing
+//! * [`writer`] — `.vtu` XML (inline-ASCII or raw appended binary) and
+//!   `.pvtu` parallel index files. Checkpointing
 //!   cost/size measurements in the figure harnesses use the exact byte
 //!   counts these writers produce.
 //! * [`reader`] — a `.vtu` reader for round-trip validation.

@@ -57,11 +57,10 @@ pub fn read_vtu(input: &[u8]) -> Result<UnstructuredGrid> {
         .ok_or_else(|| Error::Parse("missing Points/DataArray".into()))?;
     let coords = read_array_values(points_da, blob)?;
     let coords = as_f64(&coords);
-    if coords.len() != n_points * 3 {
+    if n_points.checked_mul(3) != Some(coords.len()) {
         return Err(Error::Parse(format!(
-            "points array has {} scalars, expected {}",
-            coords.len(),
-            n_points * 3
+            "points array has {} scalars for {n_points} points",
+            coords.len()
         )));
     }
     for c in coords.chunks_exact(3) {
@@ -90,20 +89,31 @@ pub fn read_vtu(input: &[u8]) -> Result<UnstructuredGrid> {
     let types = types.ok_or_else(|| Error::Parse("missing types".into()))?;
     let conn = as_i64(&conn);
     let offs = as_i64(&offs);
-    if offs.len() != n_cells {
-        return Err(Error::Parse("offsets length != cell count".into()));
-    }
     let type_vals: Vec<u8> = match &types {
         ArrayData::U8(v) => v.clone(),
         other => as_i64(other).iter().map(|&x| x as u8).collect(),
     };
+    if offs.len() != n_cells || type_vals.len() != n_cells {
+        return Err(Error::Parse("offsets/types length != cell count".into()));
+    }
+    // The offsets come from the file: each cell must end after it starts,
+    // inside the connectivity, and span its type's point count.
     let mut start = 0usize;
     for (c, (&end, tv)) in offs.iter().zip(&type_vals).enumerate() {
         let ctype = CellType::from_u8(*tv)
             .ok_or_else(|| Error::Parse(format!("cell {c} has unknown type {tv}")))?;
-        let ids = &conn[start..end as usize];
+        let ids = usize::try_from(end)
+            .ok()
+            .and_then(|end| conn.get(start..end))
+            .filter(|ids| ids.len() == ctype.n_points())
+            .ok_or_else(|| {
+                Error::Parse(format!(
+                    "cell {c} ({ctype:?}) has offsets {start}..{end} into {} connectivity entries",
+                    conn.len()
+                ))
+            })?;
         grid.add_cell(ctype, ids);
-        start = end as usize;
+        start += ids.len();
     }
 
     // Attributes.
@@ -129,6 +139,13 @@ fn read_attribute(da: &XmlNode, blob: Option<&[u8]>) -> Result<DataArray> {
         .map(|s| s.parse().unwrap_or(1))
         .unwrap_or(1);
     let data = read_array_values(da, blob)?;
+    // `DataArray::len` divides by the component count.
+    if components == 0 || data.scalar_len() % components != 0 {
+        return Err(Error::Parse(format!(
+            "array '{name}' has {} scalars for {components} components",
+            data.scalar_len()
+        )));
+    }
     Ok(DataArray {
         name,
         components,
@@ -146,16 +163,17 @@ fn read_array_values(da: &XmlNode, blob: Option<&[u8]>) -> Result<ArrayData> {
         Some("appended") => {
             let blob =
                 blob.ok_or_else(|| Error::Parse("appended array but no AppendedData".into()))?;
+            // Offset and length come from the file: `[u32 nbytes][payload]`
+            // at `offset` must lie inside the blob.
             let offset: usize = da.attr_parse("offset")?;
-            if offset + 4 > blob.len() {
-                return Err(Error::Parse("appended offset beyond blob".into()));
-            }
-            let nbytes = u32::from_le_bytes(blob[offset..offset + 4].try_into().unwrap()) as usize;
-            let start = offset + 4;
-            if start + nbytes > blob.len() {
-                return Err(Error::Parse("appended payload beyond blob".into()));
-            }
-            parse_raw(&ty, &blob[start..start + nbytes])
+            let (header, rest) = blob
+                .get(offset..)
+                .and_then(|b| b.split_first_chunk::<4>())
+                .ok_or_else(|| Error::Parse("appended offset beyond blob".into()))?;
+            let payload = rest
+                .get(..u32::from_le_bytes(*header) as usize)
+                .ok_or_else(|| Error::Parse("appended payload beyond blob".into()))?;
+            parse_raw(&ty, payload)
         }
         Some(other) => Err(Error::Parse(format!("unsupported format '{other}'"))),
     }

@@ -1,13 +1,11 @@
-//! File writers: legacy `.vtk`, XML `.vtu`, and parallel `.pvtu`.
+//! File writers: XML `.vtu` and parallel `.pvtu`.
 //!
 //! Checkpointing in both of the paper's workflows means serializing the
 //! rank-local unstructured grid with these formats; the figure harnesses
 //! charge filesystem time for exactly the byte counts produced here.
 
-pub mod legacy;
 pub mod pvtu;
 pub mod vtu;
 
-pub use legacy::write_legacy_vtk;
 pub use pvtu::write_pvtu;
 pub use vtu::{write_vtu, Encoding};

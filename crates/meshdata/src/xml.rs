@@ -65,14 +65,23 @@ impl XmlNode {
     }
 }
 
+/// Deepest element nesting [`parse`] accepts (the root is level 1). The
+/// parser recurses once per open element and its input is a user's
+/// analysis configuration or a checkpoint file, so the depth must not be
+/// the document's to choose; a `.vtu` nests 5 deep, a `<sensei>`
+/// configuration 2.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a document and return its root element.
 ///
 /// # Errors
-/// Any malformed construct yields [`Error::Parse`] with position context.
+/// Any malformed construct, or nesting deeper than [`MAX_DEPTH`], yields
+/// [`Error::Parse`] with position context.
 pub fn parse(input: &str) -> Result<XmlNode> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_misc()?;
     let root = p.parse_element()?;
@@ -86,6 +95,8 @@ pub fn parse(input: &str) -> Result<XmlNode> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Elements open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -145,6 +156,17 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_element(&mut self) -> Result<XmlNode> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let node = self.parse_open_element();
+        self.depth -= 1;
+        node
+    }
+
+    /// The element at `pos`, children included; `depth` already counts it.
+    fn parse_open_element(&mut self) -> Result<XmlNode> {
         if self.peek() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }

@@ -70,10 +70,6 @@ pub struct GatherScatter {
     /// Shared segments with no exchanged node — free to gather while the
     /// exchange is in flight.
     interior_segs: Vec<u32>,
-    /// Elements owning at least one exchanged node, ascending.
-    boundary_elems: Vec<u32>,
-    /// Elements owning no exchanged node, ascending.
-    interior_elems: Vec<u32>,
     /// Count of distinct local nodes that appear in an exchange.
     n_boundary_nodes: usize,
     overlap: Cell<GsOverlap>,
@@ -130,11 +126,9 @@ impl GatherScatter {
         }
 
         // Boundary/interior classification: a node is "boundary" when it
-        // is exchanged with a neighbor rank; a gid segment or an element
-        // is boundary when it contains one. Interior segments can be
-        // gathered while the exchange is in flight (comm/compute overlap),
-        // and interior elements are the operator work a solver may
-        // schedule under the same window.
+        // is exchanged with a neighbor rank; a gid segment is boundary
+        // when it contains one. Interior segments can be gathered while
+        // the exchange is in flight (comm/compute overlap).
         let mut is_boundary = vec![false; n_nodes];
         for ex in &exchanges {
             for &i in &ex.nodes {
@@ -155,22 +149,6 @@ impl GatherScatter {
                 interior_segs.push(s as u32);
             }
         }
-        let npe = l.nodes_per_elem();
-        let mut elem_boundary = vec![false; l.n_elems];
-        for (i, &b) in is_boundary.iter().enumerate() {
-            if b {
-                elem_boundary[i / npe] = true;
-            }
-        }
-        let mut boundary_elems = Vec::new();
-        let mut interior_elems = Vec::new();
-        for (e, &b) in elem_boundary.iter().enumerate() {
-            if b {
-                boundary_elems.push(e as u32);
-            } else {
-                interior_elems.push(e as u32);
-            }
-        }
 
         let mut gs = Self {
             n_nodes,
@@ -180,8 +158,6 @@ impl GatherScatter {
             mult_inv: Vec::new(),
             boundary_segs,
             interior_segs,
-            boundary_elems,
-            interior_elems,
             n_boundary_nodes,
             overlap: Cell::new(GsOverlap::default()),
         };
@@ -202,17 +178,6 @@ impl GatherScatter {
     /// used by assembled inner products.
     pub fn mult_inv(&self) -> &[f64] {
         &self.mult_inv
-    }
-
-    /// Elements owning at least one rank-boundary (exchanged) node.
-    pub fn boundary_elems(&self) -> &[u32] {
-        &self.boundary_elems
-    }
-
-    /// Elements whose nodes are all rank-local — operator work that can
-    /// proceed while an exchange is in flight.
-    pub fn interior_elems(&self) -> &[u32] {
-        &self.interior_elems
     }
 
     /// Number of distinct local nodes shared with a neighbor rank.
@@ -545,90 +510,52 @@ mod tests {
 
     #[test]
     fn classification_single_rank_has_no_boundary() {
-        let res = with_mesh(1, 2, [2, 2, 2], [false; 3], |mesh, gs, _comm| {
-            (
-                gs.n_boundary_nodes(),
-                gs.boundary_elems().len(),
-                gs.interior_elems().len(),
-                mesh.elems.len(),
-            )
+        let res = with_mesh(1, 2, [2, 2, 2], [false; 3], |_mesh, gs, _comm| {
+            gs.n_boundary_nodes()
         });
-        let (nb, be, ie, ne) = res[0];
-        assert_eq!(nb, 0, "single rank exchanges nothing");
-        assert_eq!(be, 0);
-        assert_eq!(ie, ne, "every element is interior");
+        assert_eq!(res[0], 0, "single rank exchanges nothing");
     }
 
     #[test]
-    fn classification_multi_rank_splits_slab_elements() {
-        // 1×1×4 column over 2 ranks: each rank holds 2 elements, exactly
-        // one of which touches the inter-rank plane.
-        let res = with_mesh(2, 2, [1, 1, 4], [false; 3], |mesh, gs, comm| {
-            let np = mesh.layout().np;
-            (
-                comm.rank(),
-                gs.boundary_elems().to_vec(),
-                gs.interior_elems().to_vec(),
-                gs.n_boundary_nodes(),
-                np,
-            )
+    fn classification_multi_rank_counts_the_interface_plane() {
+        // 1×1×4 column over 2 ranks: each rank holds 2 elements and shares
+        // one plane of (N+1)² nodes with its neighbor.
+        let res = with_mesh(2, 2, [1, 1, 4], [false; 3], |mesh, gs, _comm| {
+            (gs.n_boundary_nodes(), mesh.layout().np)
         });
-        for (rank, be, ie, nb, np) in res {
-            // Rank 0 owns ez 0..2 (boundary element is its top, local
-            // element 1); rank 1 owns ez 2..4 (boundary is its bottom,
-            // local element 0).
-            let expect_boundary = if rank == 0 { vec![1u32] } else { vec![0u32] };
-            let expect_interior = if rank == 0 { vec![0u32] } else { vec![1u32] };
-            assert_eq!(be, expect_boundary, "rank {rank}");
-            assert_eq!(ie, expect_interior, "rank {rank}");
-            // One interface plane of (N+1)² nodes.
-            assert_eq!(nb, np * np, "rank {rank}");
+        for (nb, np) in res {
+            assert_eq!(nb, np * np);
         }
     }
 
     #[test]
-    fn classification_periodic_wrap_makes_all_elements_boundary() {
+    fn classification_periodic_wrap_exchanges_both_faces() {
         // Periodic z with one element per rank: both k-faces of every
         // element are inter-rank interfaces.
         let res = with_mesh(2, 2, [1, 1, 2], [false, false, true], |mesh, gs, _comm| {
-            let np = mesh.layout().np;
-            (
-                gs.boundary_elems().len(),
-                gs.interior_elems().len(),
-                gs.n_boundary_nodes(),
-                np,
-            )
+            (gs.n_boundary_nodes(), mesh.layout().np)
         });
-        for (be, ie, nb, np) in res {
-            assert_eq!(be, 1, "the single element touches both interfaces");
-            assert_eq!(ie, 0);
+        for (nb, np) in res {
             assert_eq!(nb, 2 * np * np, "both faces exchanged");
         }
     }
 
     #[test]
-    fn classification_solid_elements_are_interior() {
-        // Solid mid-element severs the column: no rank exchanges, so all
-        // fluid elements classify interior even though the rank count > 1.
+    fn classification_severed_column_has_no_boundary() {
+        // Solid mid-element severs the column: no rank exchanges, even
+        // though the rank count > 1.
         let res = run_ranks(3, MachineModel::test_tiny(), |comm| {
             let mut raw = MeshSpec::box_mesh(2, [1, 1, 3], [1.0; 3], [false; 3]);
             let mid = raw.elem_index([0, 0, 1]);
             raw.solid[mid] = true;
             let mesh = LocalMesh::new(Arc::new(raw), comm.rank(), comm.size());
             let gs = GatherScatter::new(&mesh, comm);
-            (
-                mesh.elems.len(),
-                gs.boundary_elems().len(),
-                gs.interior_elems().len(),
-                gs.n_boundary_nodes(),
-            )
+            (mesh.elems.len(), gs.n_boundary_nodes())
         });
-        assert_eq!(res[1], (0, 0, 0, 0), "solid rank holds no fluid elements");
-        for &(ne, be, ie, nb) in [&res[0], &res[2]] {
+        assert_eq!(res[1], (0, 0), "solid rank holds no fluid elements");
+        for &(ne, nb) in [&res[0], &res[2]] {
             assert_eq!(ne, 1);
-            assert_eq!(be, 0, "severed column exchanges nothing");
-            assert_eq!(ie, 1);
-            assert_eq!(nb, 0);
+            assert_eq!(nb, 0, "severed column exchanges nothing");
         }
     }
 

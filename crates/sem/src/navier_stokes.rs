@@ -25,51 +25,10 @@ use crate::mesh::{BcSet, LocalMesh};
 use crate::operators::{transpose_op, Ops};
 use crate::snapshot::{self, FieldSnapshot, SnapshotPool, SnapshotSpec};
 use crate::timestep::{bdf_coeffs, ext_coeffs};
-use crate::workspace::{BlockArena, Workspace};
+use crate::workspace::Workspace;
 use commsim::{Comm, ReduceOp};
 use memtrack::Charge;
 use std::sync::Arc;
-
-/// Solver phases instrumented with per-phase block-imbalance counters
-/// (`sem/block_dispatch/<phase>`, `sem/block_slack/<phase>`).
-const BLOCK_PHASES: [&str; 7] = [
-    "advection",
-    "pressure",
-    "project",
-    "viscous",
-    "temperature",
-    "filter",
-    "diagnostics",
-];
-
-#[derive(Clone, Copy)]
-enum BlockPhase {
-    Advection = 0,
-    Pressure = 1,
-    Project = 2,
-    Viscous = 3,
-    Temperature = 4,
-    Filter = 5,
-    Diagnostics = 6,
-}
-
-/// Lazily-bound telemetry handles for the element-block scheduler: one
-/// overlap-ratio gauge plus per-phase dispatch/slack counters.
-struct BlockInstruments {
-    overlap_ratio: commsim::Gauge,
-    dispatches: [commsim::Counter; BLOCK_PHASES.len()],
-    slack: [commsim::Counter; BLOCK_PHASES.len()],
-}
-
-impl BlockInstruments {
-    fn new(t: &commsim::RankTelemetry) -> Self {
-        Self {
-            overlap_ratio: t.gauge("sem/overlap_ratio"),
-            dispatches: BLOCK_PHASES.map(|p| t.counter(&format!("sem/block_dispatch/{p}"))),
-            slack: BLOCK_PHASES.map(|p| t.counter(&format!("sem/block_slack/{p}"))),
-        }
-    }
-}
 
 /// Temperature-equation configuration (enables Boussinesq coupling).
 #[derive(Debug, Clone)]
@@ -181,6 +140,92 @@ pub enum FieldId {
     Temperature,
 }
 
+/// One advected–diffused field — u_x, u_y, u_z or T — with everything
+/// its implicit update needs.
+struct Transported {
+    value: Vec<f64>,
+    /// Earlier values, newest first (BDF ring, at most 2).
+    hist: Vec<Vec<f64>>,
+    /// Explicit terms (advection + forcing), newest first (EXT ring, at
+    /// most 3).
+    rhs_hist: Vec<Vec<f64>>,
+    /// 1 on free nodes, 0 on Dirichlet nodes.
+    mask: Vec<f64>,
+    /// Dirichlet lift: the boundary value on Dirichlet nodes, 0 elsewhere.
+    lift: Vec<f64>,
+    /// ν for a velocity component, κ for temperature.
+    diffusivity: f64,
+    /// CG controls for the Helmholtz solve.
+    cg: CgConfig,
+}
+
+impl Transported {
+    fn new(mesh: &LocalMesh, value: Vec<f64>, bc: &BcSet, diffusivity: f64, cg: CgConfig) -> Self {
+        let (mask, lift) = mesh.dirichlet_mask(bc);
+        Self {
+            value,
+            // Capacity for the steady-state ring length plus the one-slot
+            // overshoot during insert, so history pushes never reallocate.
+            hist: Vec::with_capacity(3),
+            rhs_hist: Vec::with_capacity(4),
+            mask,
+            lift,
+            diffusivity,
+            cg,
+        }
+    }
+
+    /// Make the value continuous across elements and restore its
+    /// boundary values.
+    fn project(&mut self, comm: &mut Comm, gs: &GatherScatter) {
+        gs.average(comm, &mut self.value);
+        for ((v, &m), &l) in self.value.iter_mut().zip(&self.mask).zip(&self.lift) {
+            *v = *v * m + l;
+        }
+    }
+
+    /// The order-`k` BDF/EXT sum `Σ −(bⱼ/b₀)·valueⱼ + (Δt/b₀)·Σ aⱼ·rhsⱼ`
+    /// in a workspace buffer. Pure local arithmetic: charges no virtual
+    /// time.
+    fn extrapolate(&self, k: usize, dt: f64, ws: &mut Workspace) -> Vec<f64> {
+        let (b0, bprev) = bdf_coeffs(k);
+        let mut hat = ws.take();
+        for (j, &bj) in bprev.iter().enumerate() {
+            let vj = if j == 0 {
+                &self.value
+            } else {
+                &self.hist[j - 1]
+            };
+            let coeff = -bj / b0;
+            for (h, &v) in hat.iter_mut().zip(vj) {
+                *h += coeff * v;
+            }
+        }
+        for (j, &aj) in ext_coeffs(k).iter().enumerate() {
+            let nj = &self.rhs_hist[j.min(self.rhs_hist.len() - 1)];
+            let coeff = dt / b0 * aj;
+            for (h, &v) in hat.iter_mut().zip(nj) {
+                *h += coeff * v;
+            }
+        }
+        hat
+    }
+}
+
+/// Insert `newest` at the front of a history ring holding at most `cap`
+/// entries. The expiring slot goes back to the arena first, so the push
+/// never grows the Vec.
+fn rotate(ring: &mut Vec<Vec<f64>>, cap: usize, newest: Vec<f64>, ws: &mut Workspace) {
+    if ring.len() == cap {
+        ws.put(ring.pop().expect("ring non-empty"));
+    }
+    ring.insert(0, newest);
+}
+
+/// Index of temperature in `FlowSolver::fields`, after the velocity
+/// components 0..3.
+const TEMPERATURE: usize = 3;
+
 /// The flow solver state for one rank.
 pub struct FlowSolver {
     /// Rank-local mesh.
@@ -190,48 +235,36 @@ pub struct FlowSolver {
     /// Operator context.
     pub ops: Ops,
     cfg: SolverConfig,
-    u: [Vec<f64>; 3],
+    /// u_x, u_y, u_z, then T when the temperature equation is enabled.
+    fields: Vec<Transported>,
     p: Vec<f64>,
-    t: Option<Vec<f64>>,
-    u_hist: Vec<[Vec<f64>; 3]>,
-    adv_hist: Vec<[Vec<f64>; 3]>,
-    t_hist: Vec<Vec<f64>>,
-    t_adv_hist: Vec<Vec<f64>>,
-    vel_mask: [Vec<f64>; 3],
-    vel_vals: [Vec<f64>; 3],
     p_mask: Vec<f64>,
     p_fix_mean: bool,
-    t_mask: Vec<f64>,
-    t_vals: Vec<f64>,
     mass_diag: Vec<f64>,
     mass_diag_assembled: Vec<f64>,
     stiff_diag_assembled: Vec<f64>,
     p_diag_inv: Vec<f64>,
-    filter_matrix: Option<Vec<f64>>,
-    /// Transpose of `filter_matrix`, feeding the axis-0 SIMD kernel of
-    /// `apply_tensor_op`.
-    filter_matrix_t: Option<Vec<f64>>,
+    /// The modal filter's 1-D matrix and its transpose.
+    filter_matrix: Option<(Vec<f64>, Vec<f64>)>,
     scratch: Vec<f64>,
     /// Scratch-buffer arena for all per-step temporaries; after the warm-up
     /// steps the hot loop recycles these instead of allocating.
     ws: Workspace,
-    /// Per-worker pencil arena for the fused blocked Helmholtz/stiffness
-    /// applies (growth-only, sized on first use).
-    block_arena: BlockArena,
     step_index: usize,
     time: f64,
     /// Lazily-bound telemetry instrument for per-step virtual time
     /// (`rank<r>/sem/step_time`); a no-op handle when telemetry is off.
     step_hist: Option<commsim::Histogram>,
-    /// Lazily-bound block-scheduler instruments (overlap ratio gauge +
-    /// per-phase imbalance counters).
-    block_instr: Option<BlockInstruments>,
+    /// Lazily-bound gauge for the share of gather-scatter exchange latency
+    /// hidden behind interior work (`sem/overlap_ratio`).
+    overlap_ratio: Option<commsim::Gauge>,
     _gpu_charge: Charge,
 }
 
 impl FlowSolver {
     /// Build a solver over `mesh` with initial velocity `u0` (element-major
-    /// per component) and optional initial temperature `t0`.
+    /// per component) and initial temperature `t0`, which is required
+    /// with — and only used with — `cfg.temperature`.
     pub fn new(
         comm: &mut Comm,
         mesh: LocalMesh,
@@ -249,23 +282,19 @@ impl FlowSolver {
             "temperature enabled but t0 missing or mis-sized"
         );
 
-        let mut vel_mask: [Vec<f64>; 3] = Default::default();
-        let mut vel_vals: [Vec<f64>; 3] = Default::default();
-        for c in 0..3 {
-            let (m, v) = mesh.dirichlet_mask(&bcs.velocity[c]);
-            vel_mask[c] = m;
-            vel_vals[c] = v;
+        let mut fields: Vec<Transported> = u0
+            .into_iter()
+            .zip(&bcs.velocity)
+            .map(|(u, bc)| Transported::new(&mesh, u, bc, cfg.viscosity, cfg.velocity_cg))
+            .collect();
+        if let (Some(tc), Some(t)) = (&cfg.temperature, t0) {
+            fields.push(Transported::new(&mesh, t, &tc.bc, tc.diffusivity, tc.cg));
         }
         let (p_mask, _) = mesh.dirichlet_mask(&bcs.pressure);
         // Pure Neumann pressure (no Dirichlet node anywhere globally)?
         let local_free = p_mask.iter().cloned().fold(1.0f64, f64::min);
         let global_free = comm.allreduce(local_free, ReduceOp::Min);
         let p_fix_mean = global_free > 0.5;
-
-        let (t_mask, t_vals) = match &cfg.temperature {
-            Some(tc) => mesh.dirichlet_mask(&tc.bc),
-            None => (vec![1.0; n], vec![0.0; n]),
-        };
 
         let mass_diag = ops.mass_diag();
         let mut mass_diag_assembled = mass_diag.clone();
@@ -276,38 +305,25 @@ impl FlowSolver {
             .iter()
             .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
             .collect();
-        let filter_matrix = cfg
-            .filter
-            .map(|f| ops.basis.filter_matrix(f.strength, f.modes));
-        let filter_matrix_t = filter_matrix
-            .as_ref()
-            .map(|m| transpose_op(m, ops.basis.np()));
-
-        // Make initial state continuous and boundary-consistent.
-        let mut u = u0;
-        for c in 0..3 {
-            gs.average(comm, &mut u[c]);
-            for i in 0..n {
-                u[c][i] = u[c][i] * vel_mask[c][i] + vel_vals[c][i];
-            }
-        }
-        let t = t0.map(|mut t| {
-            gs.average(comm, &mut t);
-            for i in 0..n {
-                t[i] = t[i] * t_mask[i] + t_vals[i];
-            }
-            t
+        let filter_matrix = cfg.filter.map(|f| {
+            let m = ops.basis.filter_matrix(f.strength, f.modes);
+            let mt = transpose_op(&m, ops.basis.np());
+            (m, mt)
         });
 
+        // Make initial state continuous and boundary-consistent.
+        for f in &mut fields {
+            f.project(comm, &gs);
+        }
+
         // Everything above lives in device memory in NekRS; charge it.
-        let n_fields = 3 + 1 + if t.is_some() { 1 } else { 0 };
-        let histories = 3 * 2 + 3 * 3 + 2 + 3; // u_hist + adv_hist + t hists
+        let n_fields = fields.len() + 1;
+        let histories = 3 * 2 + 3 * 3 + 2 + 3; // BDF + EXT rings of u and T
         let bytes = ((n_fields + histories + 8) * n * 8) as u64;
         let gpu_charge = comm.accountant("gpu").charge(bytes);
 
-        // Setup-time operator and gather-scatter traffic should not leak
-        // into the first step's scheduling/overlap telemetry.
-        ops.take_dispatch_stats();
+        // Setup-time gather-scatter traffic should not leak into the first
+        // step's overlap telemetry.
         gs.take_overlap();
 
         Self {
@@ -315,48 +331,23 @@ impl FlowSolver {
             gs,
             ops,
             cfg,
-            u,
+            fields,
             p: vec![0.0; n],
-            t,
-            // Capacity for the steady-state ring length plus the one-slot
-            // overshoot during insert, so history pushes never reallocate.
-            u_hist: Vec::with_capacity(3),
-            adv_hist: Vec::with_capacity(4),
-            t_hist: Vec::with_capacity(3),
-            t_adv_hist: Vec::with_capacity(4),
-            vel_mask,
-            vel_vals,
             p_mask,
             p_fix_mean,
-            t_mask,
-            t_vals,
             mass_diag,
             mass_diag_assembled,
             stiff_diag_assembled,
             p_diag_inv,
             filter_matrix,
-            filter_matrix_t,
             scratch: vec![0.0; n],
             ws: Workspace::new(n),
-            block_arena: BlockArena::new(),
             step_index: 0,
             time: 0.0,
             step_hist: None,
-            block_instr: None,
+            overlap_ratio: None,
             _gpu_charge: gpu_charge,
         }
-    }
-
-    /// Drain the operator context's dispatch counters into `phase`'s
-    /// block-imbalance telemetry (binding the instruments on first use,
-    /// inside the warm-up steps, so steady state stays allocation-free).
-    fn note_block_phase(&mut self, comm: &mut Comm, phase: BlockPhase) {
-        let (dispatches, slack) = self.ops.take_dispatch_stats();
-        let instr = self
-            .block_instr
-            .get_or_insert_with(|| BlockInstruments::new(comm.telemetry()));
-        instr.dispatches[phase as usize].add(dispatches);
-        instr.slack[phase as usize].add(slack);
     }
 
     /// Number of local nodes.
@@ -382,13 +373,14 @@ impl FlowSolver {
     /// Device-side view of a field — for device code (tests, kernels).
     /// Host-side consumers must use [`FlowSolver::publish_snapshot`].
     pub fn field_device(&self, id: FieldId) -> Option<&[f64]> {
-        match id {
-            FieldId::VelX => Some(&self.u[0]),
-            FieldId::VelY => Some(&self.u[1]),
-            FieldId::VelZ => Some(&self.u[2]),
-            FieldId::Pressure => Some(&self.p),
-            FieldId::Temperature => self.t.as_deref(),
-        }
+        let c = match id {
+            FieldId::VelX => 0,
+            FieldId::VelY => 1,
+            FieldId::VelZ => 2,
+            FieldId::Pressure => return Some(&self.p),
+            FieldId::Temperature => TEMPERATURE,
+        };
+        self.fields.get(c).map(|f| f.value.as_slice())
     }
 
     /// Stage every field requested by `spec` into an owned, pooled
@@ -411,13 +403,14 @@ impl FlowSolver {
         let n = self.n_nodes();
         let mut fields = Vec::with_capacity(5);
         let mut primary_bytes = 0u64;
+        let [ux, uy, uz] = [0, 1, 2].map(|c| &self.fields[c].value);
 
         if spec.velocity {
             let mut buf = pool.take(3 * n);
             for i in 0..n {
-                buf[3 * i] = self.u[0][i];
-                buf[3 * i + 1] = self.u[1][i];
-                buf[3 * i + 2] = self.u[2][i];
+                buf[3 * i] = ux[i];
+                buf[3 * i + 1] = uy[i];
+                buf[3 * i + 2] = uz[i];
             }
             primary_bytes += (3 * n * 8) as u64;
             fields.push(snapshot::field_from_pooled("velocity", 3, buf));
@@ -429,9 +422,9 @@ impl FlowSolver {
             fields.push(snapshot::field_from_pooled("pressure", 1, buf));
         }
         if spec.temperature {
-            if let Some(t) = &self.t {
+            if let Some(t) = self.fields.get(TEMPERATURE) {
                 let mut buf = pool.take(n);
-                buf.copy_from_slice(t);
+                buf.copy_from_slice(&t.value);
                 primary_bytes += (n * 8) as u64;
                 fields.push(snapshot::field_from_pooled("temperature", 1, buf));
             }
@@ -446,9 +439,9 @@ impl FlowSolver {
             let mut wz = pool.take(n);
             self.ops.curl(
                 comm,
-                &self.u[0],
-                &self.u[1],
-                &self.u[2],
+                ux,
+                uy,
+                uz,
                 &mut wx,
                 &mut wy,
                 &mut wz,
@@ -471,14 +464,7 @@ impl FlowSolver {
         }
         if spec.q_criterion {
             let mut q = pool.take(n);
-            self.ops.q_criterion(
-                comm,
-                &self.u[0],
-                &self.u[1],
-                &self.u[2],
-                &mut q,
-                &mut self.ws,
-            );
+            self.ops.q_criterion(comm, ux, uy, uz, &mut q, &mut self.ws);
             self.gs.average(comm, &mut q);
             comm.d2h((n * 8) as u64);
             fields.push(snapshot::field_from_pooled("q_criterion", 1, q));
@@ -516,16 +502,16 @@ impl FlowSolver {
         // device costs H2D transfers.
         let n_fields = 4 + t.is_some() as u64;
         comm.h2d(n_fields * n as u64 * 8);
-        self.u = u;
         self.p = p;
-        if let (Some(dst), Some(src)) = (self.t.as_mut(), t) {
-            assert_eq!(src.len(), n, "restored T size mismatch");
-            *dst = src;
+        let mut restored = u.into_iter().chain(t);
+        for f in &mut self.fields {
+            if let Some(src) = restored.next() {
+                assert_eq!(src.len(), n, "restored field size mismatch");
+                f.value = src;
+            }
+            f.hist.clear();
+            f.rhs_hist.clear();
         }
-        self.u_hist.clear();
-        self.adv_hist.clear();
-        self.t_hist.clear();
-        self.t_adv_hist.clear();
         self.step_index = step_index;
         self.time = time;
     }
@@ -533,9 +519,10 @@ impl FlowSolver {
     /// Global kinetic energy ½∫|u|² (multiplicity-weighted quadrature).
     pub fn kinetic_energy(&self, comm: &mut Comm) -> f64 {
         let w = self.gs.mult_inv();
-        let local: f64 = (0..3)
-            .map(|c| {
-                self.u[c]
+        let local: f64 = self.fields[..3]
+            .iter()
+            .map(|f| {
+                f.value
                     .iter()
                     .zip(&self.mass_diag)
                     .zip(w)
@@ -548,8 +535,9 @@ impl FlowSolver {
 
     /// Global maximum |u| over all nodes (CFL diagnostics).
     pub fn max_velocity(&self, comm: &mut Comm) -> f64 {
+        let [ux, uy, uz] = [0, 1, 2].map(|c| &self.fields[c].value);
         let local = (0..self.n_nodes())
-            .map(|i| (self.u[0][i].powi(2) + self.u[1][i].powi(2) + self.u[2][i].powi(2)).sqrt())
+            .map(|i| (ux[i].powi(2) + uy[i].powi(2) + uz[i].powi(2)).sqrt())
             .fold(0.0, f64::max);
         comm.allreduce(local, ReduceOp::Max)
     }
@@ -562,96 +550,48 @@ impl FlowSolver {
         // from `step_index`: after `restore` the step counter is mid-run but
         // the rings are empty, and the scheme must ramp back up from
         // BDF1/EXT1 exactly as on a cold start.
-        let k = self.cfg.bdf_order.min(self.u_hist.len() + 1).clamp(1, 3);
-        let (b0, bprev) = bdf_coeffs(k);
-        let a = ext_coeffs(k);
+        let k = self
+            .cfg
+            .bdf_order
+            .min(self.fields[0].hist.len() + 1)
+            .clamp(1, 3);
+        let (b0, _) = bdf_coeffs(k);
         let dt = self.cfg.dt;
         let h0 = b0 / dt;
 
-        // 1. Advection (+ buoyancy) at time n. (All per-step temporaries
-        // below come from the workspace arena and go back into it; `advect`
-        // and friends overwrite every element, so recycled contents never
-        // leak into results.)
+        // 1. Advection (+ forcing) of every transported field at time n.
+        // (All per-step temporaries below come from the workspace arena and
+        // go back into it; `advect` and friends overwrite every element, so
+        // recycled contents never leak into results.)
         let sp = comm.span("sem/advection");
-        let mut adv: [Vec<f64>; 3] = [
-            self.ws.take_uninit(),
-            self.ws.take_uninit(),
-            self.ws.take_uninit(),
-        ];
-        for c in 0..3 {
-            let (ux, uy, uz) = (&self.u[0], &self.u[1], &self.u[2]);
+        for c in 0..self.fields.len() {
+            let [ux, uy, uz, u] = [0, 1, 2, c].map(|i| &self.fields[i].value);
+            let mut adv = self.ws.take_uninit();
             self.ops
-                .advect(comm, ux, uy, uz, &self.u[c], &mut adv[c], &mut self.scratch);
+                .advect(comm, ux, uy, uz, u, &mut adv, &mut self.scratch);
+            rotate(&mut self.fields[c].rhs_hist, 3, adv, &mut self.ws);
         }
-        for c in 0..3 {
-            let f = self.cfg.body_force[c];
-            if f != 0.0 {
-                for v in adv[c].iter_mut() {
-                    *v += f;
+        for (f, &force) in self.fields.iter_mut().zip(&self.cfg.body_force) {
+            if force != 0.0 {
+                for v in f.rhs_hist[0].iter_mut() {
+                    *v += force;
                 }
             }
         }
-        let mut t_adv: Option<Vec<f64>> = None;
-        if let (Some(tc), Some(t)) = (&self.cfg.temperature, &self.t) {
-            let mut ta = self.ws.take_uninit();
-            self.ops.advect(
-                comm,
-                &self.u[0],
-                &self.u[1],
-                &self.u[2],
-                t,
-                &mut ta,
-                &mut self.scratch,
-            );
-            for i in 0..n {
-                adv[2][i] += tc.buoyancy * t[i];
+        if let (Some(tc), ([.., uz], [t])) =
+            (&self.cfg.temperature, self.fields.split_at_mut(TEMPERATURE))
+        {
+            for (v, &ti) in uz.rhs_hist[0].iter_mut().zip(&t.value) {
+                *v += tc.buoyancy * ti;
             }
-            t_adv = Some(ta);
         }
-        for c in 0..3 {
-            self.gs.average(comm, &mut adv[c]);
-        }
-        // Recycle the expiring ring slot before inserting so the push never
-        // grows the Vec and the buffers return to the arena.
-        if self.adv_hist.len() == 3 {
-            let old = self.adv_hist.pop().expect("ring non-empty");
-            self.ws.put3(old);
-        }
-        self.adv_hist.insert(0, adv);
-        if let Some(mut ta) = t_adv {
-            self.gs.average(comm, &mut ta);
-            if self.t_adv_hist.len() == 3 {
-                let old = self.t_adv_hist.pop().expect("ring non-empty");
-                self.ws.put(old);
-            }
-            self.t_adv_hist.insert(0, ta);
+        for f in &mut self.fields {
+            self.gs.average(comm, &mut f.rhs_hist[0]);
         }
         drop(sp);
-        self.note_block_phase(comm, BlockPhase::Advection);
 
-        // 2. Tentative velocity û. (Pure local arithmetic: charges no
-        // virtual time, so it carries no span.)
-        let mut u_hat: [Vec<f64>; 3] = [self.ws.take(), self.ws.take(), self.ws.take()];
-        for c in 0..3 {
-            for (j, &bj) in bprev.iter().enumerate() {
-                let uj: &[f64] = if j == 0 {
-                    &self.u[c]
-                } else {
-                    &self.u_hist[j - 1][c]
-                };
-                let coeff = -bj / b0;
-                for i in 0..n {
-                    u_hat[c][i] += coeff * uj[i];
-                }
-            }
-            for (j, &aj) in a.iter().enumerate() {
-                let nj = &self.adv_hist[j.min(self.adv_hist.len() - 1)][c];
-                let coeff = dt / b0 * aj;
-                for i in 0..n {
-                    u_hat[c][i] += coeff * nj[i];
-                }
-            }
-        }
+        // 2. Tentative velocity û.
+        let mut u_hat = [0, 1, 2].map(|c| self.fields[c].extrapolate(k, dt, &mut self.ws));
 
         // 3. Pressure Poisson.
         let sp = comm.span("sem/pressure");
@@ -678,11 +618,10 @@ impl FlowSolver {
             ..self.cfg.pressure_cg
         };
         let ops = &self.ops;
-        let arena = &mut self.block_arena;
         let pressure = cg::solve(
             comm,
             &self.gs,
-            |comm, x, out| ops.stiffness_apply_blocked(comm, x, out, arena),
+            |comm, x, out| ops.stiffness_apply(comm, x, out, &mut []),
             &b_p,
             &mut self.p,
             &self.p_diag_inv,
@@ -692,7 +631,6 @@ impl FlowSolver {
         );
         self.ws.put(b_p);
         drop(sp);
-        self.note_block_phase(comm, BlockPhase::Pressure);
 
         // 4. Projection u** = û − (Δt/b₀)∇p.
         let sp = comm.span("sem/project");
@@ -711,95 +649,41 @@ impl FlowSolver {
         }
         self.ws.put3([gx, gy, gz]);
         drop(sp);
-        self.note_block_phase(comm, BlockPhase::Project);
-
-        // Save current velocity into history before overwriting.
-        let mut u_old: [Vec<f64>; 3] = [
-            self.ws.take_uninit(),
-            self.ws.take_uninit(),
-            self.ws.take_uninit(),
-        ];
-        for c in 0..3 {
-            u_old[c].copy_from_slice(&self.u[c]);
-        }
 
         // 5. Viscous Helmholtz per component.
         let sp = comm.span("sem/viscous");
-        let nu = self.cfg.viscosity;
-        let mut h_diag_inv = self.ws.take_uninit();
-        for i in 0..n {
-            let d = h0 * self.mass_diag_assembled[i] + nu * self.stiff_diag_assembled[i];
-            h_diag_inv[i] = 1.0 / d;
-        }
-        let mut velocity = [CgResult {
-            iterations: 0,
-            residual: 0.0,
-            converged: true,
-        }; 3];
-        for c in 0..3 {
-            let report = self.helmholtz_solve(comm, h0, nu, &u_hat[c], c, &h_diag_inv);
-            velocity[c] = report;
-        }
-        self.ws.put(h_diag_inv);
+        let velocity = [0, 1, 2].map(|c| self.advance(comm, c, h0, &u_hat[c]));
         self.ws.put3(u_hat);
-        if self.u_hist.len() == 2 {
-            let old = self.u_hist.pop().expect("ring non-empty");
-            self.ws.put3(old);
-        }
-        self.u_hist.insert(0, u_old);
         drop(sp);
-        self.note_block_phase(comm, BlockPhase::Viscous);
 
-        // 6. Temperature advection–diffusion.
-        let temperature = if self.cfg.temperature.is_some() {
-            let report = {
-                let _sp = comm.span("sem/temperature");
-                self.temperature_step(comm, k, b0, dt)
-            };
-            self.note_block_phase(comm, BlockPhase::Temperature);
-            Some(report)
-        } else {
-            None
-        };
+        // 6. Temperature advection–diffusion: the same update without the
+        // pressure projection.
+        let temperature = (self.fields.len() > TEMPERATURE).then(|| {
+            let _sp = comm.span("sem/temperature");
+            let t_hat = self.fields[TEMPERATURE].extrapolate(k, dt, &mut self.ws);
+            let report = self.advance(comm, TEMPERATURE, h0, &t_hat);
+            self.ws.put(t_hat);
+            report
+        });
 
         // Stabilization: modal filter on the advected fields, then restore
         // boundary values and continuity.
         let sp = comm.span("sem/filter");
-        if let Some(fm) = self.filter_matrix.as_ref() {
-            let fmt = self
-                .filter_matrix_t
-                .as_ref()
-                .expect("transpose built alongside filter matrix");
-            for c in 0..3 {
+        if let Some((fm, fmt)) = &self.filter_matrix {
+            for f in &mut self.fields {
                 self.ops
-                    .apply_tensor_op(comm, fm, fmt, &mut self.u[c], &mut self.scratch);
-                self.gs.average(comm, &mut self.u[c]);
-                for i in 0..n {
-                    self.u[c][i] = self.u[c][i] * self.vel_mask[c][i] + self.vel_vals[c][i];
-                }
-            }
-            if let Some(t) = self.t.as_mut() {
-                self.ops.apply_tensor_op(comm, fm, fmt, t, &mut self.scratch);
-                self.gs.average(comm, t);
-                for i in 0..n {
-                    t[i] = t[i] * self.t_mask[i] + self.t_vals[i];
-                }
+                    .apply_tensor_op(comm, fm, fmt, &mut f.value, &mut self.scratch);
+                f.project(comm, &self.gs);
             }
         }
         drop(sp);
-        self.note_block_phase(comm, BlockPhase::Filter);
 
         // Diagnostics: divergence of the end-of-step velocity.
         let sp = comm.span("sem/diagnostics");
         let mut div_new = self.ws.take_uninit();
-        self.ops.div(
-            comm,
-            &self.u[0],
-            &self.u[1],
-            &self.u[2],
-            &mut div_new,
-            &mut self.scratch,
-        );
+        let [ux, uy, uz] = [0, 1, 2].map(|c| &self.fields[c].value);
+        self.ops
+            .div(comm, ux, uy, uz, &mut div_new, &mut self.scratch);
         let w = self.gs.mult_inv();
         let local: f64 = div_new
             .iter()
@@ -810,14 +694,12 @@ impl FlowSolver {
         let divergence = comm.allreduce(local, ReduceOp::Sum).sqrt();
         self.ws.put(div_new);
         drop(sp);
-        self.note_block_phase(comm, BlockPhase::Diagnostics);
 
         // Overlap accounting for every gather-scatter in this step: the
         // fraction of exchange latency hidden behind interior compute.
-        let overlap = self.gs.take_overlap();
-        if let Some(instr) = &self.block_instr {
-            instr.overlap_ratio.set(overlap.ratio());
-        }
+        self.overlap_ratio
+            .get_or_insert_with(|| comm.telemetry().gauge("sem/overlap_ratio"))
+            .set(self.gs.take_overlap().ratio());
 
         self.step_index += 1;
         self.time += dt;
@@ -834,104 +716,14 @@ impl FlowSolver {
         }
     }
 
-    /// Solve `(h0·M + ν·A)·u_c = h0·M·u**` with Dirichlet lifting; writes
-    /// the new component into `self.u[c]`.
-    fn helmholtz_solve(
-        &mut self,
-        comm: &mut Comm,
-        h0: f64,
-        nu: f64,
-        rhs_field: &[f64],
-        c: usize,
-        h_diag_inv: &[f64],
-    ) -> CgResult {
+    /// Advance field `c` from its BDF/EXT sum `hat` (for velocity, after
+    /// the pressure projection): solve `(h0·M + κ·A)·x = h0·M·hat` with
+    /// Dirichlet lifting, then rotate the new value into the BDF ring.
+    fn advance(&mut self, comm: &mut Comm, c: usize, h0: f64, hat: &[f64]) -> CgResult {
         let n = self.n_nodes();
-
-        // b = h0·M·u** − H·x_bc, assembled and masked. (b, ax, x are
-        // workspace buffers, fully overwritten before use.)
-        let mut b = self.ws.take_uninit();
-        for i in 0..n {
-            b[i] = h0 * self.mass_diag[i] * rhs_field[i];
-        }
-        // H·x_bc = h0·M·x_bc + ν·A·x_bc — one fused blocked apply.
-        let mut ax = self.ws.take_uninit();
-        self.ops.helmholtz_apply_blocked(
-            comm,
-            nu,
-            h0,
-            &self.mass_diag,
-            &self.vel_vals[c],
-            &mut ax,
-            &mut self.block_arena,
-        );
-        for i in 0..n {
-            b[i] -= ax[i];
-        }
-        self.gs.sum(comm, &mut b);
-        for i in 0..n {
-            b[i] *= self.vel_mask[c][i];
-        }
-
-        // Initial guess: interior part of the current solution.
-        let mut x = self.ws.take_uninit();
-        for i in 0..n {
-            x[i] = self.u[c][i] * self.vel_mask[c][i];
-        }
-        let ops = &self.ops;
-        let mass_diag = &self.mass_diag;
-        let arena = &mut self.block_arena;
-        let result = cg::solve(
-            comm,
-            &self.gs,
-            |comm, v, out| ops.helmholtz_apply_blocked(comm, nu, h0, mass_diag, v, out, arena),
-            &b,
-            &mut x,
-            h_diag_inv,
-            &self.vel_mask[c],
-            &self.cfg.velocity_cg,
-            &mut self.ws,
-        );
-        for i in 0..n {
-            self.u[c][i] = x[i] + self.vel_vals[c][i];
-        }
-        self.ws.put(b);
-        self.ws.put(ax);
-        self.ws.put(x);
-        result
-    }
-
-    /// Advance the temperature equation one step (mirrors the velocity
-    /// update without pressure).
-    fn temperature_step(&mut self, comm: &mut Comm, k: usize, b0: f64, dt: f64) -> CgResult {
-        let n = self.n_nodes();
-        let (_, bprev) = bdf_coeffs(k);
-        let a = ext_coeffs(k);
-        let h0 = b0 / dt;
-        let kappa = self
-            .cfg
-            .temperature
-            .as_ref()
-            .expect("temperature config")
-            .diffusivity;
-
-        let mut t_hat = self.ws.take();
-        {
-            let t_now = self.t.as_deref().expect("temperature field");
-            for (j, &bj) in bprev.iter().enumerate() {
-                let tj: &[f64] = if j == 0 { t_now } else { &self.t_hist[j - 1] };
-                let coeff = -bj / b0;
-                for i in 0..n {
-                    t_hat[i] += coeff * tj[i];
-                }
-            }
-        }
-        for (j, &aj) in a.iter().enumerate() {
-            let nj = &self.t_adv_hist[j.min(self.t_adv_hist.len() - 1)];
-            let coeff = dt / b0 * aj;
-            for i in 0..n {
-                t_hat[i] += coeff * nj[i];
-            }
-        }
+        let f = &mut self.fields[c];
+        let kappa = f.diffusivity;
+        let (ops, mass_diag) = (&self.ops, &self.mass_diag);
 
         let mut h_diag_inv = self.ws.take_uninit();
         for i in 0..n {
@@ -939,71 +731,46 @@ impl FlowSolver {
                 1.0 / (h0 * self.mass_diag_assembled[i] + kappa * self.stiff_diag_assembled[i]);
         }
 
+        // b = h0·M·hat − H·lift, assembled and masked, with H·lift =
+        // h0·M·lift + κ·A·lift from one fused apply. (b and x are workspace
+        // buffers, fully overwritten before use.)
         let mut b = self.ws.take_uninit();
+        let mut x = self.ws.take_uninit();
+        ops.helmholtz_apply(comm, kappa, h0, mass_diag, &f.lift, &mut x);
         for i in 0..n {
-            b[i] = h0 * self.mass_diag[i] * t_hat[i];
-        }
-        let mut ax = self.ws.take_uninit();
-        self.ops.helmholtz_apply_blocked(
-            comm,
-            kappa,
-            h0,
-            &self.mass_diag,
-            &self.t_vals,
-            &mut ax,
-            &mut self.block_arena,
-        );
-        for i in 0..n {
-            b[i] -= ax[i];
+            b[i] = h0 * mass_diag[i] * hat[i] - x[i];
         }
         self.gs.sum(comm, &mut b);
         for i in 0..n {
-            b[i] *= self.t_mask[i];
+            b[i] *= f.mask[i];
         }
 
-        let mut x = self.ws.take_uninit();
-        {
-            let t_now = self.t.as_deref().expect("temperature field");
-            for i in 0..n {
-                x[i] = t_now[i] * self.t_mask[i];
-            }
+        // Initial guess: interior part of the current value.
+        for i in 0..n {
+            x[i] = f.value[i] * f.mask[i];
         }
-        let ops = &self.ops;
-        let mass_diag = &self.mass_diag;
-        let arena = &mut self.block_arena;
-        let t_mask = &self.t_mask;
-        let t_cg = self
-            .cfg
-            .temperature
-            .as_ref()
-            .expect("temperature config")
-            .cg;
         let result = cg::solve(
             comm,
             &self.gs,
-            |comm, v, out| ops.helmholtz_apply_blocked(comm, kappa, h0, mass_diag, v, out, arena),
+            |comm, v, out| ops.helmholtz_apply(comm, kappa, h0, mass_diag, v, out),
             &b,
             &mut x,
             &h_diag_inv,
-            t_mask,
-            &t_cg,
+            &f.mask,
+            &f.cg,
             &mut self.ws,
         );
-        let mut t_new = self.ws.take_uninit();
         for i in 0..n {
-            t_new[i] = x[i] + self.t_vals[i];
+            x[i] += f.lift[i];
         }
-        if self.t_hist.len() == 2 {
-            let old = self.t_hist.pop().expect("ring non-empty");
-            self.ws.put(old);
-        }
-        let t = self.t.as_mut().expect("temperature field");
-        self.t_hist.insert(0, std::mem::replace(t, t_new));
-        self.ws.put(t_hat);
-        self.ws.put(h_diag_inv);
+        rotate(
+            &mut f.hist,
+            2,
+            std::mem::replace(&mut f.value, x),
+            &mut self.ws,
+        );
         self.ws.put(b);
-        self.ws.put(ax);
-        self.ws.put(x);
+        self.ws.put(h_diag_inv);
         result
     }
 }
@@ -1644,5 +1411,73 @@ mod tests {
             comm.accountant("gpu").current()
         });
         assert!(res[0] > 0, "solver must charge device memory");
+    }
+    /// Every path through `Transported` — order ramp-up, full BDF and EXT
+    /// rings, Dirichlet lift, buoyancy, the filter tail — pinned bit for
+    /// bit against the four-parallel-histories solver it replaced (values
+    /// captured at commit 31d52a4, identical at any pool width and under
+    /// both schedulers).
+    #[test]
+    fn boussinesq_steps_match_bits_captured_before_the_transported_merge() {
+        let res = run_ranks(2, MachineModel::test_tiny(), |comm| {
+            let mut params = crate::cases::CaseParams::rbc_default();
+            params.elems = [2, 2, 2];
+            params.order = 3;
+            let mut setup = crate::cases::rbc(&params, 1e5, 0.7);
+            setup.config.bdf_order = 3;
+            setup.config.filter = Some(FilterConfig {
+                strength: 0.05,
+                modes: 1,
+            });
+            let mut solver = setup.build(comm);
+            let mut iters = 0;
+            for _ in 0..5 {
+                let r = solver.step(comm);
+                iters += r.pressure.iterations
+                    + r.velocity.iter().map(|v| v.iterations).sum::<usize>()
+                    + r.temperature.expect("temperature enabled").iterations;
+            }
+            let hash = |id: FieldId| {
+                solver
+                    .field_device(id)
+                    .expect("field enabled")
+                    .iter()
+                    .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                        (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
+                    })
+            };
+            (
+                iters,
+                [
+                    hash(FieldId::VelX),
+                    hash(FieldId::VelY),
+                    hash(FieldId::VelZ),
+                    hash(FieldId::Pressure),
+                    hash(FieldId::Temperature),
+                ],
+                comm.now().to_bits(),
+            )
+        });
+        let expected = [
+            [
+                0xfe74bd149df7390b,
+                0x1fdfa631295231c1,
+                0xab7329875037a95f,
+                0xafc964ad9a62bd7f,
+                0x52494b2e296a24b1,
+            ],
+            [
+                0x9d3b6d096ab9ba47,
+                0x28a6b0d2af1349d5,
+                0x18f32ecc695a752b,
+                0x00096dc0eed393fd,
+                0x2016aa8ba886a8e6,
+            ],
+        ];
+        for (rank, (iters, hashes, clock)) in res.into_iter().enumerate() {
+            assert_eq!(iters, 142, "rank {rank}: CG iterations over 5 steps");
+            assert_eq!(hashes, expected[rank], "rank {rank}: u_x, u_y, u_z, p, T");
+            assert_eq!(clock, 0x3f87638c9fe99d2d, "rank {rank}: virtual clock");
+        }
     }
 }

@@ -12,39 +12,34 @@
 use crate::basis::Basis1d;
 use crate::field::FieldLayout;
 use crate::mesh::LocalMesh;
-use crate::workspace::{BlockArena, Workspace};
+use crate::workspace::Workspace;
 use commsim::Comm;
 use rayon::pool;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Raw-pointer wrapper so per-block disjoint output ranges can be handed
-/// to pool workers.
-struct SendPtr(*mut f64);
-// SAFETY: each block derives a disjoint subslice; no two jobs alias.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-impl SendPtr {
+/// Evaluate `$body` with `$k` bound to the [`Kernel`] for `$np` nodes per
+/// direction: [`Fixed`] at polynomial orders 1..=7, [`Runtime`] otherwise.
+/// The crate's only match on the node count, made once per operator apply.
+macro_rules! with_kernel {
+    ($np:expr, $k:ident => $body:expr) => {
+        with_kernel!(@fixed 2 3 4 5 6 7 8, $np, $k => $body)
+    };
+    (@fixed $($n:literal)*, $np:expr, $k:ident => $body:expr) => {
+        match $np {
+            $($n => { let $k = Fixed::<$n>; $body })*
+            np => { let $k = Runtime(np); $body }
+        }
+    };
+}
+
+/// The output field's base pointer, shared with the pool workers of one
+/// [`Ops::zip_blocks`] dispatch.
+struct BlockBase(*mut f64);
+// SAFETY: the pointer is only ever offset into per-block element ranges,
+// which `pool::partition` makes disjoint; no two jobs touch one address.
+unsafe impl Sync for BlockBase {}
+impl BlockBase {
     fn get(&self) -> *mut f64 {
         self.0
-    }
-}
-
-/// Block-dispatch accounting: how many pool dispatches an operator
-/// context has issued and how many element-slots of slack (idle capacity
-/// in the largest block beyond a perfectly even split) they carried.
-/// Fed to the telemetry bus per solver phase by `FlowSolver::step`.
-#[derive(Debug, Default)]
-pub struct DispatchStats {
-    dispatches: AtomicU64,
-    slack_elems: AtomicU64,
-}
-
-impl Clone for DispatchStats {
-    fn clone(&self) -> Self {
-        Self {
-            dispatches: AtomicU64::new(self.dispatches.load(Ordering::Relaxed)),
-            slack_elems: AtomicU64::new(self.slack_elems.load(Ordering::Relaxed)),
-        }
     }
 }
 
@@ -66,10 +61,9 @@ pub struct Ops {
     /// 1-D stiffness diagonal `K1[i] = Σ_m w_m D[m][i]²`, cached so
     /// `stiffness_diag` never recomputes it.
     k1: Vec<f64>,
-    /// Transposed derivative matrix `Dᵀ[m][i] = D[i][m]` — the layout the
-    /// axis-0 SIMD kernels consume so their reads stay unit-stride.
+    /// Transposed derivative matrix `Dᵀ[m][i] = D[i][m]`: what the kernel
+    /// reads along axis 0, and the matrix itself when applying `Dᵀ`.
     dt: Vec<f64>,
-    stats: DispatchStats,
 }
 
 impl Ops {
@@ -105,7 +99,6 @@ impl Ops {
             w3,
             k1,
             dt,
-            stats: DispatchStats::default(),
         }
     }
 
@@ -113,47 +106,38 @@ impl Ops {
         self.basis.np()
     }
 
-    /// Record one block dispatch over `ne` elements: slack is how many
-    /// element-slots the largest block holds beyond `ne / n_blocks`
-    /// rounded down, summed over blocks — 0 when the split is perfectly
-    /// even, up to `n_blocks - 1` otherwise.
-    fn note_dispatch(&self, ne: usize) {
-        let nb = pool::n_blocks(ne);
-        let rem = ne % nb.max(1);
-        let slack = if rem > 0 { (nb - rem) as u64 } else { 0 };
-        self.stats.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.stats.slack_elems.fetch_add(slack, Ordering::Relaxed);
-    }
-
-    /// Drain the dispatch counters: `(dispatches, slack_elems)` since the
-    /// last call. The solver reads this after each phase to feed the
-    /// per-phase block-imbalance telemetry.
-    pub fn take_dispatch_stats(&self) -> (u64, u64) {
-        (
-            self.stats.dispatches.swap(0, Ordering::Relaxed),
-            self.stats.slack_elems.swap(0, Ordering::Relaxed),
-        )
-    }
-
-    /// Run `f(out_block, u_block)` over per-thread contiguous element
-    /// blocks — the one dispatch every element-local operator goes
-    /// through. Elements are partitioned once per call (contiguous
-    /// ranges, sizes differing by at most one), so each worker sweeps a
-    /// cache-friendly run of whole elements instead of interleaving
-    /// per-element chunks with other threads.
-    fn zip_blocks(&self, out: &mut [f64], u: &[f64], f: impl Fn(&mut [f64], &[f64]) + Sync) {
+    /// Run `f(e0, out_block, u_block)` over per-thread contiguous element
+    /// blocks (`e0` is the block's first element) — the one dispatch every
+    /// element-local operator goes through. Elements are partitioned once
+    /// per call (contiguous ranges, sizes differing by at most one), so
+    /// each worker sweeps a cache-friendly run of whole elements and every
+    /// element of `out` belongs to exactly one block.
+    fn zip_blocks(&self, out: &mut [f64], u: &[f64], f: impl Fn(usize, &mut [f64], &[f64]) + Sync) {
         let npe = self.layout.nodes_per_elem();
         let ne = self.layout.n_elems;
-        debug_assert_eq!(out.len(), ne * npe);
-        debug_assert_eq!(u.len(), ne * npe);
-        let base = SendPtr(out.as_mut_ptr());
+        assert_eq!(out.len(), ne * npe, "output is not one value per node");
+        assert_eq!(u.len(), ne * npe, "input is not one value per node");
+        let base = BlockBase(out.as_mut_ptr());
         pool::run_partitioned(ne, |_b, e0, e1| {
-            // SAFETY: blocks are disjoint element ranges of `out`.
-            let ob =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(e0 * npe), (e1 - e0) * npe) };
-            f(ob, &u[e0 * npe..e1 * npe]);
+            // SAFETY: the jobs' `e0..e1` ranges are disjoint and inside
+            // `0..ne`, and `out`, mutably borrowed until the dispatch
+            // returns, holds `ne * npe` values: each part is one job's own.
+            let ob = unsafe {
+                std::slice::from_raw_parts_mut(base.get().add(e0 * npe), (e1 - e0) * npe)
+            };
+            f(e0, ob, &u[e0 * npe..e1 * npe]);
         });
-        self.note_dispatch(ne);
+    }
+
+    /// `out = s·M u` along `axis` of every element, `mt` being `M`
+    /// transposed: the sweep behind derivatives and tensor operators.
+    fn sweep(&self, u: &[f64], m: &[f64], mt: &[f64], axis: usize, s: f64, out: &mut [f64]) {
+        let npe = self.layout.nodes_per_elem();
+        with_kernel!(self.np(), k => self.zip_blocks(out, u, |_, ob, ub| {
+            for (oe, ue) in ob.chunks_exact_mut(npe).zip(ub.chunks_exact(npe)) {
+                k.contract::<false>(ue, m, mt, axis, s, oe);
+            }
+        }));
     }
 
     /// Flop/byte cost of one derivative sweep over all local elements.
@@ -184,15 +168,7 @@ impl Ops {
     }
 
     fn deriv_nocost(&self, u: &[f64], axis: usize, out: &mut [f64]) {
-        let np = self.np();
-        let npe = self.layout.nodes_per_elem();
-        let (d, dt) = (&self.basis.deriv, &self.dt);
-        let s = self.scale[axis];
-        self.zip_blocks(out, u, |ob, ub| {
-            for (oe, ue) in ob.chunks_exact_mut(npe).zip(ub.chunks_exact(npe)) {
-                deriv_elem(ue, d, dt, np, axis, s, oe);
-            }
-        });
+        self.sweep(u, &self.basis.deriv, &self.dt, axis, self.scale[axis], out);
     }
 
     /// Gradient: three derivative sweeps.
@@ -231,7 +207,7 @@ impl Ops {
         let npe = self.layout.nodes_per_elem();
         let jac = self.jac;
         let w3 = &self.w3;
-        self.zip_blocks(out, u, |ob, ub| {
+        self.zip_blocks(out, u, |_, ob, ub| {
             for (oe, ue) in ob.chunks_exact_mut(npe).zip(ub.chunks_exact(npe)) {
                 for ((o, &v), &w) in oe.iter_mut().zip(ue).zip(w3) {
                     *o = jac * w * v;
@@ -255,65 +231,27 @@ impl Ops {
     /// The operator chain (deriv → weighting → transpose-deriv, all three
     /// axes) is fused per element: each element is loaded once, swept
     /// through the whole chain cache-resident, and written once — instead
-    /// of six full-field passes. `scratch` is only used element-wise
-    /// (each block touches its own elements' region), so the signature
-    /// and results are unchanged from the unfused version.
+    /// of six full-field passes, and bitwise identical to them.
+    ///
+    /// `_scratch` is unused — the per-element pencil lives on the worker's
+    /// stack — and stays only because `nekbench` names this signature; the
+    /// next `[benchmark]` PR can drop it.
     pub fn stiffness_apply(
         &self,
         comm: &mut Comm,
         u: &[f64],
         out: &mut [f64],
-        scratch: &mut [f64],
+        _scratch: &mut [f64],
     ) {
-        // 6 derivative sweeps + pointwise weights.
-        self.charge_derivs(comm, 6.0);
-        self.charge_pointwise(comm, 3.0, 3.0);
-        let npe = self.layout.nodes_per_elem();
-        let ne = self.layout.n_elems;
-        if ne == 0 {
-            return;
-        }
-        let (d, dt) = (&self.basis.deriv, &self.dt);
-        let (np, scale, jac, w3) = (self.np(), self.scale, self.jac, &self.w3);
-        let out_p = SendPtr(out.as_mut_ptr());
-        let scr_p = SendPtr(scratch.as_mut_ptr());
-        pool::run_partitioned(ne, |_b, e0, e1| {
-            for e in e0..e1 {
-                // SAFETY: per-block element ranges are disjoint in both
-                // `out` and `scratch`.
-                let oe = unsafe { std::slice::from_raw_parts_mut(out_p.get().add(e * npe), npe) };
-                let se = unsafe { std::slice::from_raw_parts_mut(scr_p.get().add(e * npe), npe) };
-                let ue = &u[e * npe..(e + 1) * npe];
-                stiffness_elem(ue, d, dt, np, scale, jac, w3, se, oe);
-            }
-        });
-        self.note_dispatch(ne);
-    }
-
-    /// [`Self::stiffness_apply`] with per-worker scratch pencils from a
-    /// [`BlockArena`] instead of a field-sized scratch buffer: each block
-    /// reuses one element-sized pencil for all its elements, so the
-    /// working set per element stays at three pencils regardless of mesh
-    /// size. Bitwise identical to `stiffness_apply`.
-    pub fn stiffness_apply_blocked(
-        &self,
-        comm: &mut Comm,
-        u: &[f64],
-        out: &mut [f64],
-        arena: &mut BlockArena,
-    ) {
-        self.charge_derivs(comm, 6.0);
-        self.charge_pointwise(comm, 3.0, 3.0);
-        self.stiffness_arena_blocks(u, out, arena, None);
+        self.weak_laplacian(comm, u, out, None);
     }
 
     /// Fused Helmholtz application `out = coeff·A u + h0·(M ∘ u)` — the
     /// viscous/temperature CG operator — with the diagonal-mass term
     /// folded into the same per-element sweep so `u` is read once.
-    /// Charges match the unfused `stiffness_apply` (the pointwise post
-    /// pass was never charged separately).
-    #[allow(clippy::too_many_arguments)]
-    pub fn helmholtz_apply_blocked(
+    /// Charges match [`Self::stiffness_apply`] (the pointwise post pass
+    /// was never charged separately).
+    pub fn helmholtz_apply(
         &self,
         comm: &mut Comm,
         coeff: f64,
@@ -321,48 +259,48 @@ impl Ops {
         mass_diag: &[f64],
         u: &[f64],
         out: &mut [f64],
-        arena: &mut BlockArena,
     ) {
-        self.charge_derivs(comm, 6.0);
-        self.charge_pointwise(comm, 3.0, 3.0);
-        self.stiffness_arena_blocks(u, out, arena, Some((coeff, h0, mass_diag)));
+        self.weak_laplacian(comm, u, out, Some((coeff, h0, mass_diag)));
     }
 
-    fn stiffness_arena_blocks(
+    /// `out = A u`, or `coeff·A u + h0·(mass ∘ u)` with `post = (coeff,
+    /// h0, mass)`. Per element the derivative lives in one pencil across
+    /// all three axes, in the accumulation order of three full-field
+    /// sweeps.
+    fn weak_laplacian(
         &self,
+        comm: &mut Comm,
         u: &[f64],
         out: &mut [f64],
-        arena: &mut BlockArena,
         post: Option<(f64, f64, &[f64])>,
     ) {
+        // 6 derivative sweeps + pointwise weights.
+        self.charge_derivs(comm, 6.0);
+        self.charge_pointwise(comm, 3.0, 3.0);
         let npe = self.layout.nodes_per_elem();
-        let ne = self.layout.n_elems;
-        if ne == 0 {
-            return;
-        }
-        arena.ensure(pool::n_blocks(ne), npe);
-        let slots = arena.slots();
         let (d, dt) = (&self.basis.deriv, &self.dt);
-        let (np, scale, jac, w3) = (self.np(), self.scale, self.jac, &self.w3);
-        let out_p = SendPtr(out.as_mut_ptr());
-        pool::run_partitioned(ne, |b, e0, e1| {
-            // SAFETY: one slot per block index; run_partitioned gives each
-            // job a unique `b`.
-            let se = unsafe { slots.slot(b) };
-            for e in e0..e1 {
-                // SAFETY: per-block element ranges of `out` are disjoint.
-                let oe = unsafe { std::slice::from_raw_parts_mut(out_p.get().add(e * npe), npe) };
-                let ue = &u[e * npe..(e + 1) * npe];
-                stiffness_elem(ue, d, dt, np, scale, jac, w3, se, oe);
-                if let Some((coeff, h0, mass)) = post {
-                    let me = &mass[e * npe..(e + 1) * npe];
-                    for i in 0..npe {
-                        oe[i] = coeff * oe[i] + h0 * me[i] * ue[i];
+        let (scale, jac, w3) = (self.scale, self.jac, &self.w3);
+        with_kernel!(self.np(), k => self.zip_blocks(out, u, |e0, ob, ub| {
+            k.with_pencil(|se| {
+                for (le, (oe, ue)) in ob.chunks_exact_mut(npe).zip(ub.chunks_exact(npe)).enumerate() {
+                    oe.fill(0.0);
+                    for (axis, &s) in scale.iter().enumerate() {
+                        k.contract::<false>(ue, d, dt, axis, s, se);
+                        // se ← s J w ∘ se (one factor of s comes from each D).
+                        for (v, &w) in se.iter_mut().zip(w3) {
+                            *v *= jac * w;
+                        }
+                        k.contract::<true>(se, dt, d, axis, s, oe);
+                    }
+                    if let Some((coeff, h0, mass)) = post {
+                        let me = &mass[(e0 + le) * npe..][..npe];
+                        for i in 0..npe {
+                            oe[i] = coeff * oe[i] + h0 * me[i] * ue[i];
+                        }
                     }
                 }
-            }
-        });
-        self.note_dispatch(ne);
+            })
+        }));
     }
 
     /// Diagonal of the unassembled stiffness operator (Jacobi
@@ -395,10 +333,9 @@ impl Ops {
     }
 
     /// Apply a 1-D operator matrix `m` (row-major (N+1)², with `mt` its
-    /// transpose) along all three tensor directions of `u` in place — the
-    /// application pattern of the modal filter, `u ← (F⊗F⊗F)u`. The
-    /// transpose feeds the axis-0 SIMD kernel's unit-stride reads; build
-    /// it once with [`transpose_op`].
+    /// transpose from [`transpose_op`]) along all three tensor directions
+    /// of `u` in place — the application pattern of the modal filter,
+    /// `u ← (F⊗F⊗F)u`.
     pub fn apply_tensor_op(
         &self,
         comm: &mut Comm,
@@ -411,15 +348,9 @@ impl Ops {
         let np = self.np();
         assert_eq!(m.len(), np * np, "operator must be (N+1)²");
         assert_eq!(mt.len(), np * np, "transpose must be (N+1)²");
-        // Reuse the derivative sweeps with scale 1 by swapping buffers.
-        let npe = self.layout.nodes_per_elem();
         for axis in 0..3 {
             scratch.copy_from_slice(u);
-            self.zip_blocks(u, &*scratch, |ob, ub| {
-                for (oe, ue) in ob.chunks_exact_mut(npe).zip(ub.chunks_exact(npe)) {
-                    deriv_elem(ue, m, mt, np, axis, 1.0, oe);
-                }
-            });
+            self.sweep(scratch, m, mt, axis, 1.0, u);
         }
     }
 
@@ -548,8 +479,8 @@ pub fn axpy(out: &mut [f64], a: &[f64], s: f64, b: &[f64]) {
     }
 }
 
-/// Transpose of a row-major (N+1)² operator matrix — the layout the
-/// axis-0 SIMD kernels consume (see [`Ops::apply_tensor_op`]).
+/// Transpose of a row-major (N+1)² operator matrix, which the kernel
+/// takes alongside the matrix (see [`Ops::apply_tensor_op`]).
 pub fn transpose_op(m: &[f64], np: usize) -> Vec<f64> {
     assert_eq!(m.len(), np * np, "operator must be (N+1)²");
     let mut mt = vec![0.0; np * np];
@@ -561,299 +492,130 @@ pub fn transpose_op(m: &[f64], np: usize) -> Vec<f64> {
     mt
 }
 
-/// Fused per-element weak Laplacian: `oe = Σ_axis s² J Dᵀ(w ∘ D ue)`.
-/// The element's derivative lives in `se` (one pencil, cache-resident)
-/// across all three axes — identical accumulation order to three
-/// full-field sweeps, so results are bitwise unchanged.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn stiffness_elem(
-    ue: &[f64],
-    d: &[f64],
-    dt: &[f64],
-    np: usize,
-    scale: [f64; 3],
-    jac: f64,
-    w3: &[f64],
-    se: &mut [f64],
-    oe: &mut [f64],
-) {
-    for v in oe.iter_mut() {
-        *v = 0.0;
-    }
-    for (axis, &s) in scale.iter().enumerate() {
-        deriv_elem(ue, d, dt, np, axis, s, se);
-        // se ← s J w ∘ se (one factor of s comes from each D).
-        for (v, &w) in se.iter_mut().zip(w3) {
-            *v *= jac * w;
-        }
-        deriv_t_elem_accum(se, d, np, axis, s, oe);
-    }
+/// The element-local kernel at one node count per direction: one 1-D
+/// contraction along a tensor axis of one (N+1)³ element. Derivatives,
+/// their transposes and the modal filter are all this with a different
+/// matrix. [`with_kernel!`] picks the implementation once per operator
+/// apply, so the element loops above are written once and compiled per
+/// order. Both implementations add each output's products in ascending
+/// `l` into a zeroed accumulator, so their results are bitwise identical.
+trait Kernel: Copy + Sync {
+    /// `out = s·M u` (`ACC = false`) or `out += s·M u` (`ACC = true`)
+    /// along `axis` of one element, `mt` being `M` transposed. `s·Mᵀ u` is
+    /// the same call with the two matrices swapped.
+    fn contract<const ACC: bool>(
+        self,
+        u: &[f64],
+        m: &[f64],
+        mt: &[f64],
+        axis: usize,
+        s: f64,
+        out: &mut [f64],
+    );
+
+    /// Run `f` with one element-sized scratch pencil of arbitrary content.
+    fn with_pencil(self, f: impl FnOnce(&mut [f64]));
 }
 
-// ----------------------------------------------------------------------
-// Element-local derivative kernels.
-//
-// Two tiers share one dispatch: generic bodies (runtime `np`, m-innermost
-// — the original reference kernels) and const-generic SIMD bodies for
-// the production orders (N = 2..7 ⇒ np = 3..8). The SIMD forms put the
-// unit-stride `i` index innermost with the operator coefficient
-// broadcast as a scalar and accumulate into a stack pencil `[f64; NP]`,
-// so LLVM autovectorizes the inner loop with no gathers and no aliasing;
-// axis 0 consumes the *transposed* matrix `dt` to keep its reads
-// unit-stride too. Every variant accumulates each output's m-sum in the
-// same ascending-m order into an explicitly zeroed accumulator, so
-// results are bitwise identical regardless of dispatch path (verified by
-// `simd_kernels_match_generic_bitwise_at_all_fixed_orders`).
-// ----------------------------------------------------------------------
+/// `NP` nodes per direction, fixed at compile time. The unit-stride `i`
+/// index is innermost, the other operand is a broadcast scalar, and the
+/// sum builds in a stack accumulator `[f64; NP]`, so LLVM vectorizes the
+/// inner loop with no gathers, aliasing or bounds checks; axis 0 reads
+/// `mt` so that its vector operand is unit-stride too. The pencil (at
+/// most 4 KiB) is on the stack.
+#[derive(Clone, Copy)]
+struct Fixed<const NP: usize>;
 
-#[inline(always)]
-fn deriv_elem_body(u: &[f64], d: &[f64], np: usize, axis: usize, s: f64, out: &mut [f64]) {
-    match axis {
-        0 => {
-            for k in 0..np {
-                for j in 0..np {
-                    let row = (k * np + j) * np;
-                    for i in 0..np {
-                        let mut acc = 0.0;
-                        for m in 0..np {
-                            acc += d[i * np + m] * u[row + m];
-                        }
-                        out[row + i] = s * acc;
-                    }
-                }
-            }
-        }
-        1 => {
-            for k in 0..np {
-                for j in 0..np {
-                    for i in 0..np {
-                        let mut acc = 0.0;
-                        for m in 0..np {
-                            acc += d[j * np + m] * u[(k * np + m) * np + i];
-                        }
-                        out[(k * np + j) * np + i] = s * acc;
-                    }
-                }
-            }
-        }
-        2 => {
-            for k in 0..np {
-                for j in 0..np {
-                    for i in 0..np {
-                        let mut acc = 0.0;
-                        for m in 0..np {
-                            acc += d[k * np + m] * u[(m * np + j) * np + i];
-                        }
-                        out[(k * np + j) * np + i] = s * acc;
-                    }
-                }
-            }
-        }
-        _ => unreachable!("axis must be 0..3"),
-    }
-}
-
-#[inline(always)]
-fn deriv_t_elem_body(u: &[f64], d: &[f64], np: usize, axis: usize, s: f64, out: &mut [f64]) {
-    match axis {
-        0 => {
-            for k in 0..np {
-                for j in 0..np {
-                    let row = (k * np + j) * np;
-                    for i in 0..np {
-                        let mut acc = 0.0;
-                        for m in 0..np {
-                            acc += d[m * np + i] * u[row + m];
-                        }
-                        out[row + i] += s * acc;
-                    }
-                }
-            }
-        }
-        1 => {
-            for k in 0..np {
-                for j in 0..np {
-                    for i in 0..np {
-                        let mut acc = 0.0;
-                        for m in 0..np {
-                            acc += d[m * np + j] * u[(k * np + m) * np + i];
-                        }
-                        out[(k * np + j) * np + i] += s * acc;
-                    }
-                }
-            }
-        }
-        2 => {
-            for k in 0..np {
-                for j in 0..np {
-                    for i in 0..np {
-                        let mut acc = 0.0;
-                        for m in 0..np {
-                            acc += d[m * np + k] * u[(m * np + j) * np + i];
-                        }
-                        out[(k * np + j) * np + i] += s * acc;
-                    }
-                }
-            }
-        }
-        _ => unreachable!("axis must be 0..3"),
-    }
-}
-
-fn deriv_elem_simd<const NP: usize>(
-    u: &[f64],
-    d: &[f64],
-    dt: &[f64],
-    axis: usize,
-    s: f64,
-    out: &mut [f64],
-) {
-    match axis {
-        0 => {
-            for p in 0..NP * NP {
-                let row = p * NP;
+impl<const NP: usize> Kernel for Fixed<NP> {
+    #[inline(always)]
+    fn contract<const ACC: bool>(
+        self,
+        u: &[f64],
+        m: &[f64],
+        mt: &[f64],
+        axis: usize,
+        s: f64,
+        out: &mut [f64],
+    ) {
+        let (u, out) = (&u[..NP * NP * NP], &mut out[..NP * NP * NP]);
+        let (m, mt) = (&m[..NP * NP], &mt[..NP * NP]);
+        for k in 0..NP {
+            for j in 0..NP {
+                let row = (k * NP + j) * NP;
                 let mut acc = [0.0; NP];
-                for m in 0..NP {
-                    let um = u[row + m];
-                    let dr = &dt[m * NP..m * NP + NP];
-                    for i in 0..NP {
-                        acc[i] += dr[i] * um;
+                if axis == 0 {
+                    for l in 0..NP {
+                        let (c, col) = (u[row + l], &mt[l * NP..][..NP]);
+                        for i in 0..NP {
+                            acc[i] += col[i] * c;
+                        }
                     }
-                }
-                for i in 0..NP {
-                    out[row + i] = s * acc[i];
-                }
-            }
-        }
-        1 => {
-            for k in 0..NP {
-                for j in 0..NP {
-                    let mut acc = [0.0; NP];
-                    for m in 0..NP {
-                        let c = d[j * NP + m];
-                        let base = (k * NP + m) * NP;
-                        let ur = &u[base..base + NP];
+                } else {
+                    // This is output row `q` along the axis; the rows of
+                    // `u` it sums start at `first` and lie `stride` apart.
+                    let (q, first, stride) = if axis == 1 {
+                        (j, k * NP * NP, NP)
+                    } else {
+                        (k, j * NP, NP * NP)
+                    };
+                    for l in 0..NP {
+                        let (c, ur) = (m[q * NP + l], &u[first + l * stride..][..NP]);
                         for i in 0..NP {
                             acc[i] += c * ur[i];
                         }
                     }
-                    let row = (k * NP + j) * NP;
-                    for i in 0..NP {
+                }
+                for i in 0..NP {
+                    if ACC {
+                        out[row + i] += s * acc[i];
+                    } else {
                         out[row + i] = s * acc[i];
                     }
                 }
             }
         }
-        2 => {
-            for k in 0..NP {
-                for j in 0..NP {
-                    let mut acc = [0.0; NP];
-                    for m in 0..NP {
-                        let c = d[k * NP + m];
-                        let base = (m * NP + j) * NP;
-                        let ur = &u[base..base + NP];
-                        for i in 0..NP {
-                            acc[i] += c * ur[i];
-                        }
-                    }
-                    let row = (k * NP + j) * NP;
-                    for i in 0..NP {
-                        out[row + i] = s * acc[i];
-                    }
-                }
-            }
-        }
-        _ => unreachable!("axis must be 0..3"),
+    }
+
+    fn with_pencil(self, f: impl FnOnce(&mut [f64])) {
+        f([[[0.0; NP]; NP]; NP].as_flattened_mut().as_flattened_mut());
     }
 }
 
-fn deriv_t_elem_simd<const NP: usize>(u: &[f64], d: &[f64], axis: usize, s: f64, out: &mut [f64]) {
-    match axis {
-        0 => {
-            // Dᵀ along x already reads `d` column-major in the generic
-            // body — which is row-major in `d` itself here, so no
-            // transposed copy is needed.
-            for p in 0..NP * NP {
-                let row = p * NP;
-                let mut acc = [0.0; NP];
-                for m in 0..NP {
-                    let um = u[row + m];
-                    let dr = &d[m * NP..m * NP + NP];
-                    for i in 0..NP {
-                        acc[i] += dr[i] * um;
-                    }
-                }
-                for i in 0..NP {
-                    out[row + i] += s * acc[i];
-                }
-            }
-        }
-        1 => {
-            for k in 0..NP {
-                for j in 0..NP {
-                    let mut acc = [0.0; NP];
-                    for m in 0..NP {
-                        let c = d[m * NP + j];
-                        let base = (k * NP + m) * NP;
-                        let ur = &u[base..base + NP];
-                        for i in 0..NP {
-                            acc[i] += c * ur[i];
-                        }
-                    }
-                    let row = (k * NP + j) * NP;
-                    for i in 0..NP {
-                        out[row + i] += s * acc[i];
-                    }
-                }
-            }
-        }
-        2 => {
-            for k in 0..NP {
-                for j in 0..NP {
-                    let mut acc = [0.0; NP];
-                    for m in 0..NP {
-                        let c = d[m * NP + k];
-                        let base = (m * NP + j) * NP;
-                        let ur = &u[base..base + NP];
-                        for i in 0..NP {
-                            acc[i] += c * ur[i];
-                        }
-                    }
-                    let row = (k * NP + j) * NP;
-                    for i in 0..NP {
-                        out[row + i] += s * acc[i];
-                    }
-                }
-            }
-        }
-        _ => unreachable!("axis must be 0..3"),
-    }
-}
+/// Any node count, one output at a time: the oracle the tests hold
+/// [`Fixed`] to, and the fallback for orders outside 1..=7. Its pencil is
+/// allocated per block, so stepping is allocation-free only at the fixed
+/// orders.
+#[derive(Clone, Copy)]
+struct Runtime(usize);
 
-fn deriv_elem(u: &[f64], d: &[f64], dt: &[f64], np: usize, axis: usize, s: f64, out: &mut [f64]) {
-    // Monomorphized SIMD paths for the production polynomial orders
-    // (N = 2..7 ⇒ np = 3..8); anything else takes the generic body.
-    match np {
-        3 => deriv_elem_simd::<3>(u, d, dt, axis, s, out),
-        4 => deriv_elem_simd::<4>(u, d, dt, axis, s, out),
-        5 => deriv_elem_simd::<5>(u, d, dt, axis, s, out),
-        6 => deriv_elem_simd::<6>(u, d, dt, axis, s, out),
-        7 => deriv_elem_simd::<7>(u, d, dt, axis, s, out),
-        8 => deriv_elem_simd::<8>(u, d, dt, axis, s, out),
-        _ => deriv_elem_body(u, d, np, axis, s, out),
+impl Kernel for Runtime {
+    fn contract<const ACC: bool>(
+        self,
+        u: &[f64],
+        m: &[f64],
+        _mt: &[f64],
+        axis: usize,
+        s: f64,
+        out: &mut [f64],
+    ) {
+        let np = self.0;
+        let stride = np.pow(axis as u32);
+        for node in 0..np * np * np {
+            let q = node / stride % np;
+            let mut acc = 0.0;
+            for l in 0..np {
+                acc += m[q * np + l] * u[node - q * stride + l * stride];
+            }
+            if ACC {
+                out[node] += s * acc;
+            } else {
+                out[node] = s * acc;
+            }
+        }
     }
-}
 
-fn deriv_t_elem_accum(u: &[f64], d: &[f64], np: usize, axis: usize, s: f64, out: &mut [f64]) {
-    match np {
-        3 => deriv_t_elem_simd::<3>(u, d, axis, s, out),
-        4 => deriv_t_elem_simd::<4>(u, d, axis, s, out),
-        5 => deriv_t_elem_simd::<5>(u, d, axis, s, out),
-        6 => deriv_t_elem_simd::<6>(u, d, axis, s, out),
-        7 => deriv_t_elem_simd::<7>(u, d, axis, s, out),
-        8 => deriv_t_elem_simd::<8>(u, d, axis, s, out),
-        _ => deriv_t_elem_body(u, d, np, axis, s, out),
+    fn with_pencil(self, f: impl FnOnce(&mut [f64])) {
+        f(&mut vec![0.0; self.0.pow(3)]);
     }
 }
 
@@ -881,21 +643,24 @@ mod tests {
 
     #[test]
     fn deriv_is_exact_for_linear_fields() {
-        let err = on_one_rank(|comm| {
-            let mesh = single_rank_mesh(4, [2, 2, 2]);
-            let ops = Ops::new(&mesh);
-            let u = mesh.eval_nodal(|x| 2.0 * x[0] - 3.0 * x[1] + 0.5 * x[2]);
-            let mut out = vec![0.0; u.len()];
-            let mut max_err: f64 = 0.0;
-            for (axis, exact) in [(0usize, 2.0), (1, -3.0), (2, 0.5)] {
-                ops.deriv(comm, &u, axis, &mut out);
-                for &v in &out {
-                    max_err = max_err.max((v - exact).abs());
+        // Order 4 takes a fixed kernel, order 8 the runtime fallback.
+        for order in [4, 8] {
+            let err = on_one_rank(move |comm| {
+                let mesh = single_rank_mesh(order, [2, 2, 2]);
+                let ops = Ops::new(&mesh);
+                let u = mesh.eval_nodal(|x| 2.0 * x[0] - 3.0 * x[1] + 0.5 * x[2]);
+                let mut out = vec![0.0; u.len()];
+                let mut max_err: f64 = 0.0;
+                for (axis, exact) in [(0usize, 2.0), (1, -3.0), (2, 0.5)] {
+                    ops.deriv(comm, &u, axis, &mut out);
+                    for &v in &out {
+                        max_err = max_err.max((v - exact).abs());
+                    }
                 }
-            }
-            max_err
-        });
-        assert!(err < 1e-10, "{err}");
+                max_err
+            });
+            assert!(err < 1e-10, "order {order}: {err}");
+        }
     }
 
     #[test]
@@ -1126,105 +891,151 @@ mod tests {
         assert_eq!(out, vec![22.0, 43.0, 64.0]);
     }
 
-    fn test_elem(np: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let npe = np * np * np;
-        let u: Vec<f64> = (0..npe).map(|i| ((i * 37 + np) as f64 * 0.7).sin()).collect();
-        let d: Vec<f64> = (0..np * np).map(|i| ((i * 13 + 1) as f64 * 0.3).cos()).collect();
-        let dt = transpose_op(&d, np);
-        (u, d, dt)
+    /// Deterministic noise in (-1, 1) (xorshift64*), so the bitwise tests
+    /// see operands with full mantissas.
+    fn noise(n: usize, seed: u64) -> Vec<f64> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect()
     }
 
-    #[test]
-    fn simd_kernels_match_generic_bitwise_at_all_fixed_orders() {
-        for np in 3..=8usize {
-            let (u, d, dt) = test_elem(np);
-            let npe = np * np * np;
-            for axis in 0..3 {
-                let mut fast = vec![0.0; npe];
-                let mut generic = vec![0.0; npe];
-                deriv_elem(&u, &d, &dt, np, axis, 1.7, &mut fast);
-                deriv_elem_body(&u, &d, np, axis, 1.7, &mut generic);
-                for i in 0..npe {
-                    assert_eq!(
-                        fast[i].to_bits(),
-                        generic[i].to_bits(),
-                        "deriv np={np} axis={axis} node {i}: {} vs {}",
-                        fast[i],
-                        generic[i],
-                    );
-                }
-                let mut fast_t = vec![0.5; npe];
-                let mut generic_t = vec![0.5; npe];
-                deriv_t_elem_accum(&u, &d, np, axis, 0.9, &mut fast_t);
-                deriv_t_elem_body(&u, &d, np, axis, 0.9, &mut generic_t);
-                for i in 0..npe {
-                    assert_eq!(
-                        fast_t[i].to_bits(),
-                        generic_t[i].to_bits(),
-                        "deriv_t np={np} axis={axis} node {i}",
-                    );
-                }
+    fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}, node {i}: {x} vs {y}");
+        }
+    }
+
+    fn contract_matches_oracle<const NP: usize>() {
+        let npe = NP * NP * NP;
+        let u = noise(npe, 7 + NP as u64);
+        let m = noise(NP * NP, 99 + NP as u64);
+        let mt = transpose_op(&m, NP);
+        for axis in 0..3 {
+            for (a, at, name) in [(&m, &mt, "M"), (&mt, &m, "Mᵀ")] {
+                let mut fast = noise(npe, 3);
+                let mut oracle = fast.clone();
+                Fixed::<NP>.contract::<false>(&u, a, at, axis, 1.7, &mut fast);
+                Runtime(NP).contract::<false>(&u, a, at, axis, 1.7, &mut oracle);
+                assert_bits_eq(
+                    &fast,
+                    &oracle,
+                    &format!("np={NP} axis={axis} {name} assign"),
+                );
+                Fixed::<NP>.contract::<true>(&u, a, at, axis, 0.9, &mut fast);
+                Runtime(NP).contract::<true>(&u, a, at, axis, 0.9, &mut oracle);
+                assert_bits_eq(
+                    &fast,
+                    &oracle,
+                    &format!("np={NP} axis={axis} {name} accumulate"),
+                );
             }
         }
     }
 
     #[test]
-    fn blocked_stiffness_and_helmholtz_match_reference_bitwise() {
-        let widths = [1usize, 3, 4];
-        for threads in widths {
-            let ok = on_one_rank(move |comm| {
-                rayon::pool::with_threads(threads, || {
-                    let mesh = single_rank_mesh(3, [2, 2, 2]);
-                    let ops = Ops::new(&mesh);
-                    let n = mesh.layout().n_nodes();
-                    let u = mesh.eval_nodal(|x| (3.0 * x[0] + x[1] * x[2]).sin());
-                    let mut scratch = vec![0.0; n];
-                    let mut a = vec![0.0; n];
-                    ops.stiffness_apply(comm, &u, &mut a, &mut scratch);
-                    let mut arena = BlockArena::new();
-                    let mut b = vec![1.0; n];
-                    ops.stiffness_apply_blocked(comm, &u, &mut b, &mut arena);
-                    for i in 0..n {
-                        assert_eq!(a[i].to_bits(), b[i].to_bits(), "stiffness node {i}");
-                    }
-                    // Helmholtz = coeff·A + h0·M∘ fused must equal the
-                    // two-pass composition exactly.
-                    let (nu, h0) = (0.04, 150.0);
-                    let mass = ops.mass_diag();
-                    let mut r = a.clone();
-                    for i in 0..n {
-                        r[i] = nu * r[i] + h0 * mass[i] * u[i];
-                    }
-                    let mut hout = vec![0.0; n];
-                    ops.helmholtz_apply_blocked(comm, nu, h0, &mass, &u, &mut hout, &mut arena);
-                    for i in 0..n {
-                        assert_eq!(r[i].to_bits(), hout[i].to_bits(), "helmholtz node {i}");
-                    }
-                    true
-                })
-            });
-            assert!(ok, "width {threads}");
+    fn fixed_kernels_match_the_runtime_oracle_bitwise() {
+        contract_matches_oracle::<2>();
+        contract_matches_oracle::<3>();
+        contract_matches_oracle::<4>();
+        contract_matches_oracle::<5>();
+        contract_matches_oracle::<6>();
+        contract_matches_oracle::<7>();
+        contract_matches_oracle::<8>();
+    }
+
+    /// The weak Laplacian as three full-field sweeps (axis outermost), from
+    /// the runtime oracle alone.
+    fn three_sweep_stiffness(ops: &Ops, u: &[f64]) -> Vec<f64> {
+        let (k, npe) = (Runtime(ops.np()), ops.layout.nodes_per_elem());
+        let (d, dt) = (&ops.basis.deriv, &ops.dt);
+        let mut out = vec![0.0; u.len()];
+        let mut g = vec![0.0; npe];
+        for (axis, &s) in ops.scale.iter().enumerate() {
+            for (oe, ue) in out.chunks_exact_mut(npe).zip(u.chunks_exact(npe)) {
+                k.contract::<false>(ue, d, dt, axis, s, &mut g);
+                for (v, &w) in g.iter_mut().zip(&ops.w3) {
+                    *v *= ops.jac * w;
+                }
+                k.contract::<true>(&g, dt, d, axis, s, oe);
+            }
         }
+        out
     }
 
     #[test]
-    fn dispatch_stats_drain_and_reset() {
-        on_one_rank(|comm| {
-            let mesh = single_rank_mesh(3, [3, 1, 1]);
-            let ops = Ops::new(&mesh);
-            let n = mesh.layout().n_nodes();
-            ops.take_dispatch_stats();
-            let u = vec![1.0; n];
-            let mut out = vec![0.0; n];
-            let mut arena = BlockArena::new();
-            rayon::pool::with_threads(2, || {
-                ops.stiffness_apply_blocked(comm, &u, &mut out, &mut arena);
+    fn fused_stiffness_and_helmholtz_match_reference_bitwise() {
+        // Orders 1..=7 take the fixed kernels, order 8 the runtime fallback.
+        for order in 1..=8usize {
+            for threads in [1usize, 3, 4] {
+                on_one_rank(move |comm| {
+                    rayon::pool::with_threads(threads, || {
+                        let mesh = single_rank_mesh(order, [2, 2, 2]);
+                        let ops = Ops::new(&mesh);
+                        let n = mesh.layout().n_nodes();
+                        let u = noise(n, 11);
+                        let what = format!("order {order}, {threads} threads");
+                        let reference = three_sweep_stiffness(&ops, &u);
+                        let mut a = vec![1.0; n];
+                        ops.stiffness_apply(comm, &u, &mut a, &mut []);
+                        assert_bits_eq(&a, &reference, &format!("stiffness, {what}"));
+                        // Helmholtz = coeff·A + h0·M∘ fused must equal the
+                        // two-pass composition exactly.
+                        let (nu, h0) = (0.04, 150.0);
+                        let mass = ops.mass_diag();
+                        let composed: Vec<f64> = (0..n)
+                            .map(|i| nu * reference[i] + h0 * mass[i] * u[i])
+                            .collect();
+                        let mut h = vec![1.0; n];
+                        ops.helmholtz_apply(comm, nu, h0, &mass, &u, &mut h);
+                        assert_bits_eq(&h, &composed, &format!("helmholtz, {what}"));
+                    })
+                });
+            }
+        }
+    }
+
+    /// Guards the one `unsafe` block: at every pool width the blocks tile
+    /// the elements, so each output value is written by exactly one job.
+    #[test]
+    fn zip_blocks_writes_every_element_exactly_once() {
+        // 7 elements: no width but 1 divides them evenly.
+        let mesh = single_rank_mesh(2, [7, 1, 1]);
+        let ops = Ops::new(&mesh);
+        let (n, npe) = (mesh.layout().n_nodes(), mesh.layout().nodes_per_elem());
+        let u: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        for threads in [1usize, 2, 3, 4] {
+            let mut writes = vec![0.0; n];
+            let blocks = std::sync::Mutex::new(Vec::new());
+            rayon::pool::with_threads(threads, || {
+                ops.zip_blocks(&mut writes, &u, |e0, ob, ub| {
+                    assert_eq!(ub[0], (e0 * npe) as f64, "u block is not out's");
+                    assert_eq!(ob.len(), ub.len());
+                    for o in ob.iter_mut() {
+                        *o += 1.0;
+                    }
+                    blocks.lock().unwrap().push((e0, ob.len() / npe));
+                });
             });
-            let (dispatches, slack) = ops.take_dispatch_stats();
-            assert_eq!(dispatches, 1, "one fused dispatch per apply");
-            // 3 elements over 2 blocks: split 2+1 ⇒ one idle slot.
-            assert_eq!(slack, 1);
-            assert_eq!(ops.take_dispatch_stats(), (0, 0), "drain must reset");
-        });
+            assert!(
+                writes.iter().all(|&w| w == 1.0),
+                "{threads} threads: {writes:?}"
+            );
+            let mut blocks = blocks.into_inner().unwrap();
+            blocks.sort();
+            assert_eq!(blocks.len(), threads);
+            let mut next = 0;
+            for (e0, len) in blocks {
+                assert_eq!(e0, next, "{threads} threads: gap or overlap");
+                next += len;
+            }
+            assert_eq!(next, 7);
+        }
     }
 }

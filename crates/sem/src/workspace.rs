@@ -82,100 +82,6 @@ impl Workspace {
     }
 }
 
-/// Per-block scratch slots for element-block parallel kernels.
-///
-/// The blocked operator dispatch (`rayon::pool::run_partitioned`) hands
-/// each worker one block of contiguous elements; the per-element fused
-/// stiffness/Helmholtz kernel needs one element-sized scratch pencil per
-/// worker. This arena backs all those pencils with a single contiguous
-/// allocation: slot `b` is a disjoint 64-byte-aligned stride, so no two
-/// blocks ever share a cache line and nothing is handed across threads
-/// inside a CG iteration — unlike the [`Workspace`] freelist, which is
-/// only ever touched on the submitting thread.
-///
-/// `ensure` grows (never shrinks) the backing buffer, so after the
-/// warm-up steps the hot loop reuses it with zero allocations.
-#[derive(Debug, Clone, Default)]
-pub struct BlockArena {
-    buf: Vec<f64>,
-    /// Padded slot stride (multiple of 8 f64 = one 64-byte cache line).
-    slot_stride: usize,
-    /// Usable slot length handed out by `slots()`.
-    slot_len: usize,
-    nslots: usize,
-}
-
-impl BlockArena {
-    /// Empty arena; `ensure` sizes it on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Make the arena serve at least `nslots` disjoint slots of `len`
-    /// f64s each. Growth-only: steady-state calls with the same (or
-    /// smaller) shape never touch the heap.
-    pub fn ensure(&mut self, nslots: usize, len: usize) {
-        let stride = len.div_ceil(8).max(1) * 8;
-        if stride > self.slot_stride {
-            self.slot_stride = stride;
-        }
-        if nslots > self.nslots {
-            self.nslots = nslots;
-        }
-        let need = self.slot_stride * self.nslots;
-        if self.buf.len() < need {
-            self.buf.resize(need, 0.0);
-        }
-        self.slot_len = len;
-    }
-
-    /// Slot count currently provisioned.
-    pub fn nslots(&self) -> usize {
-        self.nslots
-    }
-
-    /// Shareable view handing out the disjoint per-block slots. Slot
-    /// contents are arbitrary (recycled): kernels must write every
-    /// element they read, exactly like [`Workspace::take_uninit`].
-    pub fn slots(&mut self) -> BlockSlots<'_> {
-        BlockSlots {
-            base: self.buf.as_mut_ptr(),
-            stride: self.slot_stride,
-            len: self.slot_len,
-            nslots: self.nslots,
-            _lt: std::marker::PhantomData,
-        }
-    }
-}
-
-/// Borrowed view over a [`BlockArena`]'s slots, shareable across pool
-/// workers (each job touches only its own slot index).
-pub struct BlockSlots<'a> {
-    base: *mut f64,
-    stride: usize,
-    len: usize,
-    nslots: usize,
-    _lt: std::marker::PhantomData<&'a mut [f64]>,
-}
-
-// SAFETY: slots are disjoint strides of one buffer; the `slot` contract
-// (one thread per slot index at a time) makes shared use race-free.
-unsafe impl Send for BlockSlots<'_> {}
-unsafe impl Sync for BlockSlots<'_> {}
-
-impl BlockSlots<'_> {
-    /// Mutable view of slot `b`.
-    ///
-    /// # Safety
-    /// Each slot index must be accessed by at most one thread at a time.
-    /// `run_partitioned` guarantees this when `b` is the block index.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slot(&self, b: usize) -> &mut [f64] {
-        assert!(b < self.nslots, "slot {b} >= {}", self.nslots);
-        std::slice::from_raw_parts_mut(self.base.add(b * self.stride), self.len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,46 +117,5 @@ mod tests {
         ws.put3(triple);
         assert_eq!(ws.available(), 3);
         assert!(!ws.is_empty());
-    }
-
-    #[test]
-    fn block_arena_slots_are_disjoint_and_cache_line_separated() {
-        let mut arena = BlockArena::new();
-        arena.ensure(4, 27);
-        let slots = arena.slots();
-        let mut ranges = Vec::new();
-        for b in 0..4 {
-            // SAFETY: single-threaded access here.
-            let s = unsafe { slots.slot(b) };
-            assert_eq!(s.len(), 27);
-            let start = s.as_ptr() as usize;
-            assert_eq!(start % 8, 0);
-            ranges.push((start, start + 27 * 8));
-        }
-        ranges.sort();
-        for w in ranges.windows(2) {
-            // 64-byte padding: next slot starts at least a cache line
-            // after the previous slot's last touched byte.
-            assert!(w[1].0 >= w[0].1, "slots overlap: {ranges:?}");
-            assert_eq!((w[1].0 - w[0].0) % 64, 0, "stride not cache-aligned");
-        }
-    }
-
-    #[test]
-    fn block_arena_growth_is_monotone_and_then_allocation_stable() {
-        let mut arena = BlockArena::new();
-        arena.ensure(2, 100);
-        let p0 = arena.slots().base as usize;
-        // Same or smaller shape: backing buffer must not move.
-        arena.ensure(2, 64);
-        assert_eq!(arena.slots().base as usize, p0);
-        assert_eq!(unsafe { arena.slots().slot(0) }.len(), 64);
-        arena.ensure(1, 100);
-        assert_eq!(arena.slots().base as usize, p0);
-        assert_eq!(arena.nslots(), 2, "slot count never shrinks");
-        // Larger shape grows.
-        arena.ensure(8, 200);
-        assert_eq!(arena.nslots(), 8);
-        assert_eq!(unsafe { arena.slots().slot(7) }.len(), 200);
     }
 }

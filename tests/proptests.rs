@@ -357,3 +357,239 @@ proptest! {
         let _ = nek_sensei::read_fld(&bytes);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The VTU reader and the analysis XML parser: a checkpoint file and a user's
+// configuration come back as `Ok` or `Err`, never as a panic, a stack
+// overflow or an allocation sized by a count the document declares.
+// ---------------------------------------------------------------------------
+
+/// A real two-cell `.vtu` document with point and cell data.
+fn real_vtu(encoding: Encoding) -> Vec<u8> {
+    let mut g = UnstructuredGrid::new();
+    for k in 0..2 {
+        for j in 0..2 {
+            for i in 0..3 {
+                g.add_point([f64::from(i) * 0.5, f64::from(j) * 0.7, f64::from(k) * 0.9]);
+            }
+        }
+    }
+    g.add_cell(CellType::Hexahedron, &[0, 1, 4, 3, 6, 7, 10, 9]);
+    g.add_cell(CellType::Hexahedron, &[1, 2, 5, 4, 7, 8, 11, 10]);
+    g.add_point_data(DataArray::scalars_f64(
+        "pressure",
+        (0..12).map(|i| f64::from(i).sqrt()).collect(),
+    ))
+    .unwrap();
+    g.add_point_data(DataArray::vectors_f64(
+        "velocity",
+        (0..36).map(|i| f64::from(i) * 0.1 - 1.0).collect(),
+    ))
+    .unwrap();
+    g.add_cell_data(DataArray::scalars_f32("rank", vec![0.0, 1.0]))
+        .unwrap();
+    let mut doc = Vec::new();
+    write_vtu(&g, encoding, &mut doc).unwrap();
+    doc
+}
+
+/// The Catalyst configuration `run_insitu` generates, with an output
+/// directory.
+const SENSEI_CONFIG: &str = r#"<sensei>
+  <analysis type="catalyst" frequency="2" width="64" height="48"
+            slice_array="pressure" contour_array="velocity" output="out/frames"/>
+</sensei>"#;
+
+/// The way `Bridge::initialize` reads its configuration.
+fn read_config(text: &str) -> insitu::Result<insitu::ConfigurableAnalysis> {
+    insitu::ConfigurableAnalysis::from_xml(text, &[render::CatalystAnalysis::factory()])
+}
+
+/// Both decoders on `bytes`; must not panic, whatever they are.
+fn read_vtu_and_config(bytes: &[u8]) {
+    let _ = meshdata::reader::read_vtu(bytes);
+    let _ = read_config(&String::from_utf8_lossy(bytes));
+}
+
+/// Every truncation of a real document, and the document with one bit
+/// flipped at every position, come back as `Ok` or `Err`.
+#[test]
+fn vtu_and_config_survive_every_truncation_and_a_bit_flip_at_every_byte() {
+    let docs = [
+        real_vtu(Encoding::Ascii),
+        real_vtu(Encoding::Appended),
+        SENSEI_CONFIG.as_bytes().to_vec(),
+    ];
+    for (d, real) in docs.iter().enumerate() {
+        for cut in 0..real.len() {
+            read_vtu_and_config(&real[..cut]);
+        }
+        let mut flipped = real.clone();
+        for at in 0..real.len() {
+            flipped[at] ^= 1 << (at % 8);
+            read_vtu_and_config(&flipped);
+            flipped[at] = real[at];
+        }
+        // The undamaged document still reads.
+        if d < 2 {
+            meshdata::reader::read_vtu(real).expect("a written .vtu reads back");
+        } else {
+            assert_eq!(read_config(SENSEI_CONFIG).map(|c| c.len()).ok(), Some(1));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Arbitrary bytes, arbitrary XML punctuation, and real documents with
+    /// several bits flipped and their tails cut at once.
+    #[test]
+    fn vtu_reader_and_config_parser_never_panic(
+        noise in proptest::collection::vec(0u8..=255, 0..512),
+        tokens in "[<>/=\"'?!_a-zA-Z0-9 .&;-]{0,96}",
+        flips in proptest::collection::vec((0.0..1.0f64, 0u8..8), 1..8),
+        keep in 0.0..1.0f64,
+    ) {
+        read_vtu_and_config(&noise);
+        read_vtu_and_config(tokens.as_bytes());
+        for real in [
+            real_vtu(Encoding::Ascii),
+            real_vtu(Encoding::Appended),
+            SENSEI_CONFIG.as_bytes().to_vec(),
+        ] {
+            let mut mutated = real;
+            for &(at, bit) in &flips {
+                let at = (at * mutated.len() as f64) as usize;
+                mutated[at] ^= 1 << bit;
+            }
+            read_vtu_and_config(&mutated);
+            mutated.truncate((keep * mutated.len() as f64) as usize);
+            read_vtu_and_config(&mutated);
+        }
+    }
+}
+
+/// 200 000 open tags used to recurse 200 000 deep and abort the process;
+/// now all three entry points refuse them at `xml::MAX_DEPTH`.
+#[test]
+fn xml_depth_bomb_is_an_error_not_a_stack_overflow() {
+    let bombs = [
+        "<a>".repeat(200_000),
+        "<a x='1' y=\"2\">".repeat(200_000),
+        "<a><b k='v'><!-- c -->text".repeat(100_000),
+    ];
+    for bomb in &bombs {
+        let refusals = [
+            meshdata::xml::parse(bomb)
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            meshdata::reader::read_vtu(bomb.as_bytes())
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            read_config(bomb).map(drop).map_err(|e| e.to_string()),
+        ];
+        for refusal in refusals {
+            let err = refusal.expect_err("depth bomb must be refused");
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+    }
+    // The cap is on depth, not size: a document nested exactly to the limit
+    // parses, one level more does not, and siblings are not nesting.
+    let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    let depth = meshdata::xml::MAX_DEPTH;
+    meshdata::xml::parse(&nested(depth)).expect("nesting at the cap is legal");
+    assert!(meshdata::xml::parse(&nested(depth + 1)).is_err());
+    let wide = format!("<r>{}</r>", "<a/>".repeat(10_000));
+    assert_eq!(meshdata::xml::parse(&wide).unwrap().children.len(), 10_000);
+}
+
+/// A one-hexahedron ASCII `.vtu` with the given header counts and cell
+/// arrays.
+fn one_hex_vtu(n_points: &str, connectivity: &str, offsets: &str, types: &str) -> String {
+    format!(
+        r#"<VTKFile type="UnstructuredGrid">
+<UnstructuredGrid>
+<Piece NumberOfPoints="{n_points}" NumberOfCells="1">
+<Points>
+<DataArray type="Float64" NumberOfComponents="3" format="ascii">
+0 0 0 1 0 0 1 1 0 0 1 0 0 0 1 1 0 1 1 1 1 0 1 1
+</DataArray>
+</Points>
+<Cells>
+<DataArray type="Int64" Name="connectivity" format="ascii">{connectivity}</DataArray>
+<DataArray type="Int64" Name="offsets" format="ascii">{offsets}</DataArray>
+<DataArray type="UInt8" Name="types" format="ascii">{types}</DataArray>
+</Cells>
+</Piece>
+</UnstructuredGrid>
+</VTKFile>"#
+    )
+}
+
+fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    haystack.windows(needle.len()).position(|w| w == needle)
+}
+
+/// Offsets, counts and lengths in a `.vtu` are the file's claims: the
+/// reader checks each against what is there instead of slicing by it.
+#[test]
+fn read_vtu_refuses_hostile_offsets_and_counts() {
+    let read = |doc: String| meshdata::reader::read_vtu(doc.as_bytes());
+    let conn = "0 1 2 3 4 5 6 7";
+    read(one_hex_vtu("8", conn, "8", "12")).expect("the undamaged document reads");
+    for (what, doc) in [
+        ("negative offset", one_hex_vtu("8", conn, "-8", "12")),
+        ("offset past the end", one_hex_vtu("8", conn, "9", "12")),
+        (
+            "offset past any end",
+            one_hex_vtu("8", conn, "9223372036854775807", "12"),
+        ),
+        (
+            "cell shorter than its type",
+            one_hex_vtu("8", conn, "4", "12"),
+        ),
+        (
+            "cell longer than its type",
+            one_hex_vtu("8", conn, "8", "10"),
+        ),
+        ("no types", one_hex_vtu("8", conn, "8", "")),
+        // 3 × this does not fit in a usize.
+        (
+            "point count that overflows",
+            one_hex_vtu("9223372036854775808", conn, "8", "12"),
+        ),
+    ] {
+        assert!(read(doc).is_err(), "{what} must be refused");
+    }
+    // Decreasing offsets need two cells.
+    let two = one_hex_vtu("8", "0 1 2 3 4 5 6 7 0 1 2 3 4 5 6 7", "16 8", "12 12")
+        .replace("NumberOfCells=\"1\"", "NumberOfCells=\"2\"");
+    assert!(read(two).is_err(), "decreasing offsets must be refused");
+
+    // Appended arrays: the offset attribute and the length prefix behind it.
+    let appended = real_vtu(Encoding::Appended);
+    let at = find(&appended, br#"offset="0""#).expect("the first array sits at offset 0");
+    for hostile in ["18446744073709551615", "18446744073709551612", "100000"] {
+        let mut doc = appended.clone();
+        doc.splice(at + 8..at + 9, hostile.bytes());
+        assert!(
+            meshdata::reader::read_vtu(&doc).is_err(),
+            "offset {hostile} must be refused"
+        );
+    }
+    let blob = find(&appended, b">_").expect("appended blob") + 2;
+    let mut doc = appended.clone();
+    doc[blob..blob + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(
+        meshdata::reader::read_vtu(&doc).is_err(),
+        "a length prefix past the end must be refused"
+    );
+    let zero_components = String::from_utf8(real_vtu(Encoding::Ascii))
+        .unwrap()
+        .replace(
+            r#"Name="velocity" NumberOfComponents="3""#,
+            r#"Name="velocity" NumberOfComponents="0""#,
+        );
+    assert!(meshdata::reader::read_vtu(zero_components.as_bytes()).is_err());
+}
