@@ -223,7 +223,20 @@ fn session_table(aggs: &BTreeMap<String, Agg>) -> Vec<Vec<String>> {
         .collect()
 }
 
-fn agg_cell(a: &Agg) -> String {
+/// Seconds for the `*_time` histograms, a bare number for the rest
+/// (iteration counts, relative residuals).
+fn fmt_observed(name: &str, v: f64) -> String {
+    if name.ends_with("_time") {
+        fmt_secs(v)
+    } else if v >= 1.0 || v == 0.0 {
+        format!("{v:.1}")
+    } else {
+        format!("{v:.1e}")
+    }
+}
+
+fn agg_cell(name: &str, a: &Agg) -> String {
+    let fmt = |v: &f64| fmt_observed(name, *v);
     match a {
         Agg::Counter(c) => c.to_string(),
         Agg::Gauge { sum, ranks, avg } => {
@@ -238,11 +251,11 @@ fn agg_cell(a: &Agg) -> String {
             max,
         } => format!(
             "n={count} p50={} p90={} p95={} p99={} max={}",
-            fmt_secs(*p50),
-            fmt_secs(*p90),
-            fmt_secs(*p95),
-            fmt_secs(*p99),
-            fmt_secs(*max)
+            fmt(p50),
+            fmt(p90),
+            fmt(p95),
+            fmt(p99),
+            fmt(max)
         ),
     }
 }
@@ -302,11 +315,37 @@ fn summarize(r: &RunReport) {
             (msg + coll) as f64 / m.steps.max(1) as f64
         );
     }
+    // How hard the solves were, and whether any gave up.
+    if let (
+        Some(Agg::Histogram {
+            p50: p_p50,
+            max: p_max,
+            ..
+        }),
+        Some(Agg::Histogram { max: res_max, .. }),
+        Some(Agg::Histogram {
+            p50: v_p50,
+            max: v_max,
+            ..
+        }),
+        Some(Agg::Counter(unconverged)),
+    ) = (
+        aggs.get("sem/pressure_iters"),
+        aggs.get("sem/pressure_residual"),
+        aggs.get("sem/velocity_iters"),
+        aggs.get("sem/unconverged_solves"),
+    ) {
+        println!(
+            "\nsolver convergence: pressure p50 {p_p50:.1} / max {p_max:.0} iterations \
+             (final residual ≤ {res_max:.1e} of the rhs), velocity p50 {v_p50:.1} / max {v_max:.0}, \
+             {unconverged} unconverged solves"
+        );
+    }
     if !aggs.is_empty() {
         let rows: Vec<Vec<String>> = aggs
             .iter()
             .filter(|(name, _)| session_scope(name).is_none())
-            .map(|(name, a)| vec![name.clone(), agg_cell(a)])
+            .map(|(name, a)| vec![name.clone(), agg_cell(name, a)])
             .collect();
         println!("\nmetrics (summed over ranks; endpoint world prefixed)");
         print!("{}", format_table(&["metric", "value"], &rows));
@@ -395,7 +434,7 @@ fn diff(a: &RunReport, b: &RunReport) {
         let Some(vb) = ab.get(name) else {
             rows.push(vec![
                 name.clone(),
-                agg_cell(va),
+                agg_cell(name, va),
                 "-".into(),
                 "removed".into(),
             ]);
@@ -421,11 +460,21 @@ fn diff(a: &RunReport, b: &RunReport) {
             (Agg::Histogram { p95: x, .. }, Agg::Histogram { p95: y, .. }) => pct(*x, *y),
             _ => "type-changed".into(),
         };
-        rows.push(vec![name.clone(), agg_cell(va), agg_cell(vb), delta]);
+        rows.push(vec![
+            name.clone(),
+            agg_cell(name, va),
+            agg_cell(name, vb),
+            delta,
+        ]);
     }
     for (name, vb) in &ab {
         if !aa.contains_key(name) {
-            rows.push(vec![name.clone(), "-".into(), agg_cell(vb), "new".into()]);
+            rows.push(vec![
+                name.clone(),
+                "-".into(),
+                agg_cell(name, vb),
+                "new".into(),
+            ]);
         }
     }
     if !rows.is_empty() {

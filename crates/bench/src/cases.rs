@@ -129,8 +129,7 @@ pub fn juwels_derated() -> (MachineModel, f64) {
 }
 
 /// The §4.2 weak-scaling RBC case at `sim_ranks`: constant 9 elements per
-/// rank at order 3, domain growing with the rank count, and a fixed-work
-/// pressure solve emulating NekRS's resolution-independent p-multigrid.
+/// rank at order 3, domain growing with the rank count.
 pub fn rbc_weak_scaling(sim_ranks: usize) -> CaseSetup {
     let mut params = CaseParams::rbc_default();
     params.elems = [3, 3, sim_ranks];
@@ -138,13 +137,7 @@ pub fn rbc_weak_scaling(sim_ranks: usize) -> CaseSetup {
     // Weak scaling: the domain grows with the rank count so the element
     // size (and solver conditioning) is constant.
     params.lengths = Some([2.0, 2.0, sim_ranks as f64 / 4.0]);
-    let mut case = rbc(&params, 1e5, 0.7);
-    // Emulate NekRS's resolution-independent (p-multigrid) pressure solve
-    // with a fixed-work CG: constant iterations per step.
-    case.config.pressure_cg.tol = 1e-12;
-    case.config.pressure_cg.abs_tol = 1e-30;
-    case.config.pressure_cg.max_iter = 25;
-    case
+    rbc(&params, 1e5, 0.7)
 }
 
 /// A §4.2 run configuration with the shared defaults (4:1 ratio,

@@ -1,10 +1,13 @@
-//! Jacobi-preconditioned conjugate gradient over assembled SEM operators.
+//! Preconditioned conjugate gradient over assembled SEM operators.
 //!
 //! Works on unassembled (element-major) vectors: the operator callback
 //! applies the local element operator; this module gather-scatters, masks
 //! Dirichlet nodes, and computes multiplicity-weighted global inner
-//! products via `allreduce` — two collectives per iteration, exactly the
+//! products via `allreduce` — three collectives per iteration, the
 //! communication signature NekRS's pressure/viscous solves show at scale.
+//! The preconditioner is the caller's: [`jacobi`] for the Helmholtz
+//! solves, the [`crate::mg`] V-cycle for pressure. Plain PCG needs it
+//! fixed, symmetric and positive; both are.
 
 use crate::gs::GatherScatter;
 use crate::workspace::Workspace;
@@ -42,6 +45,8 @@ pub struct CgResult {
     pub iterations: usize,
     /// Final residual norm (weighted L2).
     pub residual: f64,
+    /// `residual` relative to the right-hand side's norm (0 when that is 0).
+    pub relative_residual: f64,
     /// Whether the tolerance was met within `max_iter`.
     pub converged: bool,
 }
@@ -62,18 +67,18 @@ pub fn wdot(comm: &mut Comm, a: &[f64], b: &[f64], weights: &[f64]) -> f64 {
 ///
 /// `b` must already be assembled (gather-scattered) and masked; `x` holds
 /// the initial guess (assembled/continuous, zero on masked nodes) and is
-/// overwritten with the solution. `diag_inv` is the inverse of the
-/// assembled operator diagonal (with masked entries arbitrary), `mask` is 1
-/// on free nodes and 0 on Dirichlet nodes. The four CG work vectors come
-/// from `ws` and are returned to it, so repeated solves don't allocate.
+/// overwritten with the solution. `precond(comm, r, z)` writes every
+/// element of `z ≈ A⁻¹ r`, zero on Dirichlet nodes; `mask` is 1 on free
+/// nodes and 0 on Dirichlet nodes. The four CG work vectors come from `ws`
+/// and are returned to it, so repeated solves don't allocate.
 #[allow(clippy::too_many_arguments)]
 pub fn solve(
     comm: &mut Comm,
     gs: &GatherScatter,
     apply: impl FnMut(&mut Comm, &[f64], &mut [f64]),
+    precond: impl FnMut(&mut Comm, &[f64], &mut [f64]),
     b: &[f64],
     x: &mut [f64],
-    diag_inv: &[f64],
     mask: &[f64],
     cfg: &CgConfig,
     ws: &mut Workspace,
@@ -86,7 +91,7 @@ pub fn solve(
     let mut p = ws.take_uninit();
     let mut q = ws.take_uninit();
     let result = solve_with(
-        comm, gs, apply, b, x, diag_inv, mask, cfg, &mut r, &mut z, &mut p, &mut q,
+        comm, gs, apply, precond, b, x, mask, cfg, &mut r, &mut z, &mut p, &mut q,
     );
     ws.put(r);
     ws.put(z);
@@ -100,9 +105,9 @@ fn solve_with(
     comm: &mut Comm,
     gs: &GatherScatter,
     mut apply: impl FnMut(&mut Comm, &[f64], &mut [f64]),
+    mut precond: impl FnMut(&mut Comm, &[f64], &mut [f64]),
     b: &[f64],
     x: &mut [f64],
-    diag_inv: &[f64],
     mask: &[f64],
     cfg: &CgConfig,
     r: &mut [f64],
@@ -131,13 +136,12 @@ fn solve_with(
         return CgResult {
             iterations: 0,
             residual: rnorm,
+            relative_residual: relative(rnorm, norm_b),
             converged: true,
         };
     }
 
-    for i in 0..n {
-        z[i] = diag_inv[i] * r[i] * mask[i];
-    }
+    precond(comm, &*r, &mut *z);
     p.copy_from_slice(&*z);
     let mut rz = wdot(comm, &*r, &*z, w);
 
@@ -165,9 +169,7 @@ fn solve_with(
         if rnorm <= target {
             break;
         }
-        for i in 0..n {
-            z[i] = diag_inv[i] * r[i] * mask[i];
-        }
+        precond(comm, &*r, &mut *z);
         let rz_new = wdot(comm, &*r, &*z, w);
         let beta = rz_new / rz;
         rz = rz_new;
@@ -185,7 +187,29 @@ fn solve_with(
     CgResult {
         iterations,
         residual: rnorm,
+        relative_residual: relative(rnorm, norm_b),
         converged: rnorm <= target,
+    }
+}
+
+fn relative(rnorm: f64, norm_b: f64) -> f64 {
+    if norm_b > 0.0 {
+        rnorm / norm_b
+    } else {
+        0.0
+    }
+}
+
+/// The Jacobi preconditioner `z = D⁻¹ r` on free nodes: `diag_inv` is the
+/// inverse of the assembled operator diagonal (masked entries arbitrary).
+pub fn jacobi<'a>(
+    diag_inv: &'a [f64],
+    mask: &'a [f64],
+) -> impl FnMut(&mut Comm, &[f64], &mut [f64]) + 'a {
+    move |_, r, z| {
+        for i in 0..r.len() {
+            z[i] = diag_inv[i] * r[i] * mask[i];
+        }
     }
 }
 
@@ -261,9 +285,9 @@ mod tests {
                 comm,
                 &gs,
                 |comm, p, out| ops.stiffness_apply(comm, p, out, &mut scratch),
+                jacobi(&diag_inv, &mask),
                 &b,
                 &mut x,
-                &diag_inv,
                 &mask,
                 &cfg,
                 &mut ws,
@@ -340,9 +364,9 @@ mod tests {
                 comm,
                 &gs,
                 |comm, p, out| ops.stiffness_apply(comm, p, out, &mut scratch),
+                jacobi(&diag_inv, &mask),
                 &b,
                 &mut x,
-                &diag_inv,
                 &mask,
                 &CgConfig::default(),
                 &mut ws,
@@ -384,9 +408,9 @@ mod tests {
                 comm,
                 &gs,
                 |comm, p, out| ops.stiffness_apply(comm, p, out, &mut scratch),
+                jacobi(&diag_inv, &mask),
                 &b,
                 &mut x,
-                &diag_inv,
                 &mask,
                 &cfg,
                 &mut ws,
@@ -432,9 +456,9 @@ mod tests {
                 comm,
                 &gs,
                 |comm, p, out| ops.stiffness_apply(comm, p, out, &mut scratch),
+                jacobi(&diag_inv, &mask),
                 &b,
                 &mut x,
-                &diag_inv,
                 &mask,
                 &cfg,
                 &mut ws,

@@ -79,6 +79,19 @@ impl GatherScatter {
     /// Build the topology for `mesh`, communicating with z-neighbors to
     /// establish multiplicities.
     pub fn new(mesh: &LocalMesh, comm: &mut Comm) -> Self {
+        // Multiplicity via a sum of ones. Every rank with any exchange must
+        // participate even if its own field were empty.
+        let mut gs = Self::with_mult_inv(mesh, Vec::new());
+        let mut ones = vec![1.0; gs.n_nodes];
+        gs.sum(comm, &mut ones);
+        gs.mult_inv = ones.iter().map(|&m| 1.0 / m).collect();
+        gs
+    }
+
+    /// The topology for `mesh` when its 1/multiplicity weights are already
+    /// known — a p-coarsening of an assembled mesh reads them off the fine
+    /// level ([`crate::mg`]) — so nothing is communicated.
+    pub fn with_mult_inv(mesh: &LocalMesh, mult_inv: Vec<f64>) -> Self {
         let l = mesh.layout();
         let n_nodes = l.n_nodes();
 
@@ -150,23 +163,17 @@ impl GatherScatter {
             }
         }
 
-        let mut gs = Self {
+        Self {
             n_nodes,
             order,
             seg_starts,
             exchanges,
-            mult_inv: Vec::new(),
+            mult_inv,
             boundary_segs,
             interior_segs,
             n_boundary_nodes,
             overlap: Cell::new(GsOverlap::default()),
-        };
-        // Multiplicity via a sum of ones. Every rank with any exchange must
-        // participate even if its own field were empty.
-        let mut ones = vec![1.0; n_nodes];
-        gs.sum(comm, &mut ones);
-        gs.mult_inv = ones.iter().map(|&m| 1.0 / m).collect();
-        gs
+        }
     }
 
     /// Number of local (duplicated) nodes.

@@ -17,8 +17,10 @@
 //!   analogue, including inter-rank halo exchange.
 //! * [`operators`] — tensor-product derivative/Laplacian/mass kernels with
 //!   flop/byte costing for the virtual clock.
-//! * [`cg`] — Jacobi-preconditioned conjugate gradient over assembled
-//!   operators with allreduce-based inner products.
+//! * [`cg`] — preconditioned conjugate gradient over assembled operators
+//!   with allreduce-based inner products (Jacobi for the Helmholtz solves).
+//! * [`mg`] — the pressure preconditioner: a p-multigrid V-cycle over
+//!   orders N → 3 → 1 with Chebyshev–Jacobi smoothing.
 //! * [`timestep`] — BDFk/EXTk coefficient tables (k = 1..3).
 //! * [`navier_stokes`] — the Pₙ–Pₙ splitting scheme: explicit
 //!   advection/extrapolation, pressure Poisson projection, implicit
@@ -40,6 +42,7 @@ pub mod cg;
 pub mod field;
 pub mod gs;
 pub mod mesh;
+pub mod mg;
 pub mod navier_stokes;
 pub mod operators;
 pub mod quadrature;

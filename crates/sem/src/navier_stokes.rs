@@ -5,8 +5,9 @@
 //! 1. evaluate the advection term `N(u) = −(u·∇)u` (+ buoyancy forcing)
 //!    explicitly and extrapolate with EXTk;
 //! 2. combine with the BDFk history into a tentative velocity `û`;
-//! 3. solve the pressure Poisson equation `A p = −(b₀/Δt)·M ∇·û` (CG,
-//!    Jacobi preconditioner, mean projection on pure-Neumann domains);
+//! 3. solve the pressure Poisson equation `A p = −(b₀/Δt)·M ∇·û` (CG
+//!    preconditioned by the [`crate::mg`] V-cycle, mean projection on
+//!    pure-Neumann domains);
 //! 4. project: `u** = û − (Δt/b₀)·∇p`;
 //! 5. solve the implicit viscous Helmholtz system
 //!    `((b₀/Δt)·M + ν·A)·u = (b₀/Δt)·M u**` per component, with Dirichlet
@@ -22,6 +23,7 @@
 use crate::cg::{self, CgConfig, CgResult};
 use crate::gs::GatherScatter;
 use crate::mesh::{BcSet, LocalMesh};
+use crate::mg::{self, Multigrid};
 use crate::operators::{transpose_op, Ops};
 use crate::snapshot::{self, FieldSnapshot, SnapshotPool, SnapshotSpec};
 use crate::timestep::{bdf_coeffs, ext_coeffs};
@@ -212,6 +214,17 @@ impl Transported {
     }
 }
 
+/// Per-solve convergence telemetry: `sem/pressure_iters`,
+/// `sem/pressure_residual` (final residual relative to the right-hand
+/// side), `sem/velocity_iters` and the `sem/unconverged_solves` counter
+/// (any solve, temperature included, that ended on its iteration cap).
+struct SolveStats {
+    pressure_iters: commsim::Histogram,
+    pressure_residual: commsim::Histogram,
+    velocity_iters: commsim::Histogram,
+    unconverged: commsim::Counter,
+}
+
 /// Insert `newest` at the front of a history ring holding at most `cap`
 /// entries. The expiring slot goes back to the arena first, so the push
 /// never grows the Vec.
@@ -244,6 +257,9 @@ pub struct FlowSolver {
     mass_diag_assembled: Vec<f64>,
     stiff_diag_assembled: Vec<f64>,
     p_diag_inv: Vec<f64>,
+    /// The pressure preconditioner's coarse levels; its fine level is
+    /// `gs`/`ops`/`p_mask`/`p_diag_inv` above.
+    p_mg: Multigrid,
     /// The modal filter's 1-D matrix and its transpose.
     filter_matrix: Option<(Vec<f64>, Vec<f64>)>,
     scratch: Vec<f64>,
@@ -258,6 +274,8 @@ pub struct FlowSolver {
     /// Lazily-bound gauge for the share of gather-scatter exchange latency
     /// hidden behind interior work (`sem/overlap_ratio`).
     overlap_ratio: Option<commsim::Gauge>,
+    /// Lazily-bound per-solve convergence instruments.
+    solve_stats: Option<SolveStats>,
     _gpu_charge: Charge,
 }
 
@@ -305,6 +323,7 @@ impl FlowSolver {
             .iter()
             .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
             .collect();
+        let p_mg = Multigrid::new(&mesh, &gs, &ops, &p_mask);
         let filter_matrix = cfg.filter.map(|f| {
             let m = ops.basis.filter_matrix(f.strength, f.modes);
             let mt = transpose_op(&m, ops.basis.np());
@@ -319,7 +338,8 @@ impl FlowSolver {
         // Everything above lives in device memory in NekRS; charge it.
         let n_fields = fields.len() + 1;
         let histories = 3 * 2 + 3 * 3 + 2 + 3; // BDF + EXT rings of u and T
-        let bytes = ((n_fields + histories + 8) * n * 8) as u64;
+        let mg_work = 3; // the V-cycle's fine-level vectors
+        let bytes = ((n_fields + histories + 8 + mg_work) * n * 8) as u64 + p_mg.device_bytes();
         let gpu_charge = comm.accountant("gpu").charge(bytes);
 
         // Setup-time gather-scatter traffic should not leak into the first
@@ -339,6 +359,7 @@ impl FlowSolver {
             mass_diag_assembled,
             stiff_diag_assembled,
             p_diag_inv,
+            p_mg,
             filter_matrix,
             scratch: vec![0.0; n],
             ws: Workspace::new(n),
@@ -346,6 +367,7 @@ impl FlowSolver {
             time: 0.0,
             step_hist: None,
             overlap_ratio: None,
+            solve_stats: None,
             _gpu_charge: gpu_charge,
         }
     }
@@ -617,18 +639,26 @@ impl FlowSolver {
             project_mean: self.p_fix_mean,
             ..self.cfg.pressure_cg
         };
-        let ops = &self.ops;
+        let fine = mg::Operator {
+            gs: &self.gs,
+            ops: &self.ops,
+            mask: &self.p_mask,
+            diag_inv: &self.p_diag_inv,
+        };
+        let (p_mg, ops) = (&mut self.p_mg, &self.ops);
+        let mut mg_work = [(); 3].map(|_| self.ws.take_uninit());
         let pressure = cg::solve(
             comm,
             &self.gs,
             |comm, x, out| ops.stiffness_apply(comm, x, out, &mut []),
+            |comm, r, z| p_mg.apply(comm, fine, &mut mg_work, r, z),
             &b_p,
             &mut self.p,
-            &self.p_diag_inv,
             &self.p_mask,
             &p_cfg,
             &mut self.ws,
         );
+        self.ws.put3(mg_work);
         self.ws.put(b_p);
         drop(sp);
 
@@ -701,6 +731,25 @@ impl FlowSolver {
             .get_or_insert_with(|| comm.telemetry().gauge("sem/overlap_ratio"))
             .set(self.gs.take_overlap().ratio());
 
+        let stats = self.solve_stats.get_or_insert_with(|| {
+            let t = comm.telemetry();
+            SolveStats {
+                pressure_iters: t.histogram("sem/pressure_iters"),
+                pressure_residual: t.histogram("sem/pressure_residual"),
+                velocity_iters: t.histogram("sem/velocity_iters"),
+                unconverged: t.counter("sem/unconverged_solves"),
+            }
+        });
+        stats.pressure_iters.observe(pressure.iterations as f64);
+        stats.pressure_residual.observe(pressure.relative_residual);
+        for v in &velocity {
+            stats.velocity_iters.observe(v.iterations as f64);
+        }
+        let solves = [pressure].into_iter().chain(velocity).chain(temperature);
+        stats
+            .unconverged
+            .add(solves.filter(|s| !s.converged).count() as u64);
+
         self.step_index += 1;
         self.time += dt;
         self.step_hist
@@ -753,9 +802,9 @@ impl FlowSolver {
             comm,
             &self.gs,
             |comm, v, out| ops.helmholtz_apply(comm, kappa, h0, mass_diag, v, out),
+            cg::jacobi(&h_diag_inv, &f.mask),
             &b,
             &mut x,
-            &h_diag_inv,
             &f.mask,
             &f.cg,
             &mut self.ws,

@@ -31,6 +31,16 @@ macro_rules! with_kernel {
     };
 }
 
+/// Fields smaller than this run their element loop on the calling thread:
+/// one pool dispatch costs tens of microseconds (`pool.dispatch_us` in
+/// `nekbench`), more than a whole operator apply on a thin rank's slab or
+/// on a p-multigrid coarse level.
+const POOLED_MIN_NODES: usize = 4096;
+
+/// Power iterations behind [`Ops::jacobi_lambda_max`]: from its start
+/// vector, 20 land within 0.05 % of the limit at every order up to 7.
+const POWER_STEPS: usize = 20;
+
 /// The output field's base pointer, shared with the pool workers of one
 /// [`Ops::zip_blocks`] dispatch.
 struct BlockBase(*mut f64);
@@ -111,12 +121,31 @@ impl Ops {
     /// element-local operator goes through. Elements are partitioned once
     /// per call (contiguous ranges, sizes differing by at most one), so
     /// each worker sweeps a cache-friendly run of whole elements and every
-    /// element of `out` belongs to exactly one block.
+    /// element of `out` belongs to exactly one block. A field of fewer
+    /// than [`POOLED_MIN_NODES`] nodes is one block on the calling thread:
+    /// the partition never enters the arithmetic, so the bits are the same.
     fn zip_blocks(&self, out: &mut [f64], u: &[f64], f: impl Fn(usize, &mut [f64], &[f64]) + Sync) {
+        let n = self.layout.n_nodes();
+        assert_eq!(out.len(), n, "output is not one value per node");
+        assert_eq!(u.len(), n, "input is not one value per node");
+        if n < POOLED_MIN_NODES {
+            f(0, out, u);
+        } else {
+            self.zip_blocks_pooled(out, u, f);
+        }
+    }
+
+    /// [`Self::zip_blocks`] above the inline threshold: one pool job per
+    /// block.
+    fn zip_blocks_pooled(
+        &self,
+        out: &mut [f64],
+        u: &[f64],
+        f: impl Fn(usize, &mut [f64], &[f64]) + Sync,
+    ) {
         let npe = self.layout.nodes_per_elem();
         let ne = self.layout.n_elems;
         assert_eq!(out.len(), ne * npe, "output is not one value per node");
-        assert_eq!(u.len(), ne * npe, "input is not one value per node");
         let base = BlockBase(out.as_mut_ptr());
         pool::run_partitioned(ne, |_b, e0, e1| {
             // SAFETY: the jobs' `e0..e1` ranges are disjoint and inside
@@ -314,22 +343,73 @@ impl Ops {
     /// Allocation-free form of [`Self::stiffness_diag`]: fill `out`
     /// (length `n_nodes`) from the cached 1-D diagonal.
     pub fn stiffness_diag_into(&self, out: &mut [f64]) {
+        let npe = self.layout.nodes_per_elem();
+        assert_eq!(out.len(), self.layout.n_nodes(), "one value per node");
+        let Some((first, rest)) = out.split_at_mut_checked(npe) else {
+            return;
+        };
+        self.elem_stiffness_diag(first);
+        for oe in rest.chunks_exact_mut(npe) {
+            oe.copy_from_slice(first);
+        }
+    }
+
+    /// The stiffness diagonal of one element — every element's, the mesh
+    /// being congruent.
+    fn elem_stiffness_diag(&self, out: &mut [f64]) {
         let np = self.np();
         let k1 = &self.k1;
         let w = &self.basis.weights;
-        for e in 0..self.layout.n_elems {
-            for k in 0..np {
-                for j in 0..np {
-                    for i in 0..np {
-                        let v = self.jac
-                            * (self.scale[0] * self.scale[0] * k1[i] * w[j] * w[k]
-                                + self.scale[1] * self.scale[1] * w[i] * k1[j] * w[k]
-                                + self.scale[2] * self.scale[2] * w[i] * w[j] * k1[k]);
-                        out[self.layout.idx(e, i, j, k)] = v;
-                    }
+        for k in 0..np {
+            for j in 0..np {
+                for i in 0..np {
+                    out[(k * np + j) * np + i] = self.jac
+                        * (self.scale[0] * self.scale[0] * k1[i] * w[j] * w[k]
+                            + self.scale[1] * self.scale[1] * w[i] * k1[j] * w[k]
+                            + self.scale[2] * self.scale[2] * w[i] * w[j] * k1[k]);
                 }
             }
         }
+    }
+
+    /// Upper bound on `λ_max(D⁻¹A)` of the assembled, masked stiffness
+    /// operator with its Jacobi diagonal — what a Chebyshev smoother needs —
+    /// from the 1-D reference element alone. With `A = Σ RᵀA_e R` and
+    /// `D = Σ RᵀD_e R`, `xᵀAx / xᵀDx ≤ max_e λ_max(D_e⁻¹A_e)`; on a
+    /// rectilinear element `A_e = Σ_d c_d·K̂⊗Ŵ⊗Ŵ` (`K̂ = D̂ᵀŴD̂` on axis
+    /// `d`) and `D_e` is the same sum over `diag K̂`, so the quotient is a
+    /// `c_d`-weighted mean of three 1-D quotients, each at most
+    /// `λ̂ = λ_max(diag(K̂)⁻¹K̂)` — attained by `v⊗v⊗v`. The bound is
+    /// therefore `λ̂`, whatever `h`, the element count or the rank count:
+    /// [`POWER_STEPS`] power iterations on an (N+1)² matrix, started from
+    /// the alternating vector the top mode resembles, and no global one.
+    pub fn jacobi_lambda_max(&self) -> f64 {
+        let np = self.np();
+        let (d, w, k1) = (&self.basis.deriv, &self.basis.weights, &self.k1);
+        let khat = |i: usize, j: usize| -> f64 {
+            (0..np).map(|m| w[m] * d[m * np + i] * d[m * np + j]).sum()
+        };
+        let mut x: Vec<f64> = (0..np)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        let mut kx = vec![0.0; np];
+        let mut lambda = 0.0;
+        for _ in 0..POWER_STEPS {
+            for i in 0..np {
+                kx[i] = (0..np).map(|j| khat(i, j) * x[j]).sum();
+            }
+            // Rayleigh quotient in the diag(K̂) inner product, then
+            // x ← diag(K̂)⁻¹K̂ x, normalised.
+            let xkx: f64 = x.iter().zip(&kx).map(|(a, b)| a * b).sum();
+            let xdx: f64 = x.iter().zip(k1).map(|(a, d)| a * a * d).sum();
+            lambda = xkx / xdx;
+            for i in 0..np {
+                x[i] = kx[i] / k1[i];
+            }
+            let norm = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            x.iter_mut().for_each(|v| *v /= norm);
+        }
+        lambda
     }
 
     /// Apply a 1-D operator matrix `m` (row-major (N+1)², with `mt` its
@@ -1002,40 +1082,66 @@ mod tests {
     }
 
     /// Guards the one `unsafe` block: at every pool width the blocks tile
-    /// the elements, so each output value is written by exactly one job.
+    /// the elements, so each output value is written by exactly one job —
+    /// `threads` of them above [`POOLED_MIN_NODES`], the caller alone
+    /// below it.
     #[test]
     fn zip_blocks_writes_every_element_exactly_once() {
-        // 7 elements: no width but 1 divides them evenly.
-        let mesh = single_rank_mesh(2, [7, 1, 1]);
+        // 7 and 161 elements: no width but 1 divides either evenly.
+        for (elems, pooled) in [([7, 1, 1], false), ([7, 23, 1], true)] {
+            let mesh = single_rank_mesh(2, elems);
+            let ops = Ops::new(&mesh);
+            let (n, npe) = (mesh.layout().n_nodes(), mesh.layout().nodes_per_elem());
+            assert_eq!(n >= POOLED_MIN_NODES, pooled);
+            let u: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            for threads in [1usize, 2, 3, 4] {
+                let mut writes = vec![0.0; n];
+                let blocks = std::sync::Mutex::new(Vec::new());
+                rayon::pool::with_threads(threads, || {
+                    ops.zip_blocks(&mut writes, &u, |e0, ob, ub| {
+                        assert_eq!(ub[0], (e0 * npe) as f64, "u block is not out's");
+                        assert_eq!(ob.len(), ub.len());
+                        for o in ob.iter_mut() {
+                            *o += 1.0;
+                        }
+                        blocks.lock().unwrap().push((e0, ob.len() / npe));
+                    });
+                });
+                assert!(writes.iter().all(|&w| w == 1.0), "{threads} threads");
+                let mut blocks = blocks.into_inner().unwrap();
+                blocks.sort();
+                assert_eq!(blocks.len(), if pooled { threads } else { 1 });
+                let mut next = 0;
+                for (e0, len) in blocks {
+                    assert_eq!(e0, next, "{threads} threads: gap or overlap");
+                    next += len;
+                }
+                assert_eq!(next, mesh.layout().n_elems);
+            }
+        }
+    }
+
+    /// The inline threshold moves work between threads, never bits: a
+    /// field below it gives the same result through the pooled dispatch.
+    #[test]
+    fn zip_blocks_inline_and_pooled_paths_give_identical_bits() {
+        let mesh = single_rank_mesh(3, [3, 2, 2]);
         let ops = Ops::new(&mesh);
         let (n, npe) = (mesh.layout().n_nodes(), mesh.layout().nodes_per_elem());
-        let u: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        for threads in [1usize, 2, 3, 4] {
-            let mut writes = vec![0.0; n];
-            let blocks = std::sync::Mutex::new(Vec::new());
-            rayon::pool::with_threads(threads, || {
-                ops.zip_blocks(&mut writes, &u, |e0, ob, ub| {
-                    assert_eq!(ub[0], (e0 * npe) as f64, "u block is not out's");
-                    assert_eq!(ob.len(), ub.len());
-                    for o in ob.iter_mut() {
-                        *o += 1.0;
-                    }
-                    blocks.lock().unwrap().push((e0, ob.len() / npe));
-                });
-            });
-            assert!(
-                writes.iter().all(|&w| w == 1.0),
-                "{threads} threads: {writes:?}"
-            );
-            let mut blocks = blocks.into_inner().unwrap();
-            blocks.sort();
-            assert_eq!(blocks.len(), threads);
-            let mut next = 0;
-            for (e0, len) in blocks {
-                assert_eq!(e0, next, "{threads} threads: gap or overlap");
-                next += len;
+        assert!(n < POOLED_MIN_NODES);
+        let u = noise(n, 5);
+        let (d, dt) = (&ops.basis.deriv, &ops.dt);
+        let body = |_: usize, ob: &mut [f64], ub: &[f64]| {
+            for (oe, ue) in ob.chunks_exact_mut(npe).zip(ub.chunks_exact(npe)) {
+                Fixed::<4>.contract::<false>(ue, d, dt, 1, 1.3, oe);
             }
-            assert_eq!(next, 7);
+        };
+        let mut inline = vec![0.0; n];
+        ops.zip_blocks(&mut inline, &u, body);
+        for threads in [2usize, 3] {
+            let mut pooled = vec![0.0; n];
+            rayon::pool::with_threads(threads, || ops.zip_blocks_pooled(&mut pooled, &u, body));
+            assert_bits_eq(&inline, &pooled, &format!("{threads} threads"));
         }
     }
 }
