@@ -151,183 +151,183 @@ fn check(cell: &str, cfg: &InSituConfig, expected: &str) {
 }
 
 const ORIGINAL: &str = "
-tts 0x3f6f71f4503a3798
-totals CommStats { messages_sent: 738, bytes_sent: 147600, messages_received: 738, collectives: 1786, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, bytes_h2d: 0, time_gpu_compute: 1.855871999999993e-5, time_host_compute: 0.0, time_xfer: 0.0, time_io: 0.0, time_comm: 0.0076584759910492345 }
+tts 0x3f66abb50c08bd38
+totals CommStats { messages_sent: 1308, bytes_sent: 181728, messages_received: 1308, collectives: 688, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 0.0, time_xfer: 0.0, time_io: 0.0, time_comm: 0.005514378350769292 }
 bytes_written 0
 files_written 0
-gpu_aggregate_peak 89856
+gpu_aggregate_peak 104936
 unscoped 0
 snapshot_pool_rank_peak 0
 host_aggregate_peak 168480
 host_max_rank_peak 103680
-span sem/advection x12 0x3f17d0c027877d72
-span sem/cg x48 0x3f7dde9218cf17da
-span sem/diagnostics x12 0x3f048019186708a0
+span sem/advection x12 0x3f17d0c027877cb2
+span sem/cg x48 0x3f751852d49d9d82
+span sem/diagnostics x12 0x3f04801918670820
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effa8a5f9967600
-span sem/project x12 0x3f17b94493181738
-span sem/viscous x12 0x3f17d5f80fa03f58
+span sem/pressure x12 0x3effa8a5f9967510
+span sem/project x12 0x3f17b944931816d8
+span sem/viscous x12 0x3f17d5f80fa03f34
 span sim/finalize x2 0x3edb4456479a9800
 span sim/setup x2 0x3f03342b42eaa03a
-step 1 0x3ef3340901e36d50 0x3f47421a8c2e8327 0x0000000000000000
-step 2 0x3f47421a8c2e8327 0x3f5627125ab96579 0x0000000000000000
-step 3 0x3f5627125ab96579 0x3f60568bb7adc4be 0x0000000000000000
-step 4 0x3f60568bb7adc4be 0x3f657fc762922c86 0x0000000000000000
-step 5 0x3f657fc762922c86 0x3f6a75754e9d3ebc 0x0000000000000000
-step 6 0x3f6a75754e9d3ebc 0x3f6f6b233aa850f2 0x0000000000000000
+step 1 0x3ef3340901e36d50 0x3f414ca87d60888a 0x0000000000000000
+step 2 0x3f414ca87d60888a 0x3f50652e0ac4c062 0x0000000000000000
+step 3 0x3f50652e0ac4c062 0x3f582407d6d93c95 0x0000000000000000
+step 4 0x3f582407d6d93c95 0x3f5f309d338ab734 0x0000000000000000
+step 5 0x3f5f309d338ab734 0x3f631e99481e1915 0x0000000000000000
+step 6 0x3f631e99481e1915 0x3f66a4e3f676d692 0x0000000000000000
 ";
 const CHECKPOINTING_SYNC: &str = "
-tts 0x3f8a61a5b5bce05d
-totals CommStats { messages_sent: 738, bytes_sent: 147600, messages_received: 738, collectives: 1786, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.855871999999993e-5, time_host_compute: 1.3679999999999999e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.007661089923356384 }
+tts 0x3f883015e4b08201
+totals CommStats { messages_sent: 1308, bytes_sent: 181728, messages_received: 1308, collectives: 688, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 1.3679999999999999e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0055169922830767566 }
 bytes_written 34200
 files_written 6
-gpu_aggregate_peak 89856
+gpu_aggregate_peak 104936
 unscoped 0
 snapshot_pool_rank_peak 6912
 host_aggregate_peak 191112
 host_max_rank_peak 117588
 span insitu/checkpoint x6 0x3f9271284f70e5b5
 span sem/advection x12 0x3f17d0c027877ad2
-span sem/cg x48 0x3f7de065e0d9649c
+span sem/cg x48 0x3f751a269ca7eb2c
 span sem/diagnostics x12 0x3f048019186706a0
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effa8a5f9967080
-span sem/project x12 0x3f17b94493181248
-span sem/viscous x12 0x3f17d5f80fa03b08
+span sem/pressure x12 0x3effa8a5f9967090
+span sem/project x12 0x3f17b94493181278
+span sem/viscous x12 0x3f17d5f80fa03b14
 span sim/finalize x2 0x3edeebe65c391800
 span sim/setup x2 0x3f03342b42eaa03a
 span snapshot/publish x6 0x3f1350e7398fb7a0
-step 1 0x3ef3340901e36d50 0x3f47421a8c2e8327 0x0000000000000000
-step 2 0x3f47421a8c2e8327 0x3f71e1a073c813d6 0x0000000000000000
-step 3 0x3f71e1a073c813d6 0x3f74840b9cf5c472 0x0000000000000000
-step 4 0x3f74840b9cf5c472 0x3f81b842a7c0d941 0x0000000000000000
-step 5 0x3f81b842a7c0d941 0x3f82f62314c6315c 0x0000000000000000
-step 6 0x3f82f62314c6315c 0x3f8a5f7c7e55d2e3 0x0000000000000000
+step 1 0x3ef3340901e36d50 0x3f414ca87d60888a 0x0000000000000000
+step 2 0x3f414ca87d60888a 0x3f7071275fcaea90 0x0000000000000000
+step 3 0x3f7071275fcaea90 0x3f7261c7b6d5313e 0x0000000000000000
+step 4 0x3f7261c7b6d5313e 0x3f803e64758da52e 0x0000000000000000
+step 5 0x3f803e64758da52e 0x3f81206c13266825 0x0000000000000000
+step 6 0x3f81206c13266825 0x3f882decad497487 0x0000000000000000
 ";
 const CHECKPOINTING_PIPELINED: &str = "
-tts 0x3f853d18edd9782a
-totals CommStats { messages_sent: 738, bytes_sent: 147600, messages_received: 738, collectives: 1786, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.855871999999993e-5, time_host_compute: 1.3679999999999999e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.007659736101818466 }
+tts 0x3f8484dc63dae387
+totals CommStats { messages_sent: 1308, bytes_sent: 181728, messages_received: 1308, collectives: 688, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 1.3679999999999999e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.005515638461538525 }
 bytes_written 34200
 files_written 6
-gpu_aggregate_peak 89856
+gpu_aggregate_peak 104936
 unscoped 0
 host_aggregate_peak_less_pool 179880
 span insitu/checkpoint x6 0x3f9271284f70e5b4
-span insitu/wait x8 0x3f665a94c352e4b8
-span sem/advection x12 0x3f17d0c027877d72
-span sem/cg x48 0x3f7dded7ace5b746
-span sem/diagnostics x12 0x3f048019186708a0
+span insitu/wait x8 0x3f6098b0735e3fa1
+span sem/advection x12 0x3f17d0c027877cb2
+span sem/cg x48 0x3f75189868b43cec
+span sem/diagnostics x12 0x3f04801918670820
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effa8a5f9967600
-span sem/project x12 0x3f17b94493181738
-span sem/viscous x12 0x3f17d5f80fa03f68
-span sim/finalize x2 0x3edf770e8977f000
+span sem/pressure x12 0x3effa8a5f9967510
+span sem/project x12 0x3f17b944931816d8
+span sem/viscous x12 0x3f17d5f80fa03f34
+span sim/finalize x2 0x3edf770e8977f400
 span sim/setup x2 0x3f03342b42eaa03a
-span snapshot/backpressure x2 0x3f5094fe50f37ebc
+span snapshot/backpressure x2 0x3f64151960e80f0e
 span snapshot/publish x6 0x3f1350e7398fb780
-step 1 0x3ef3340901e36d50 0x3f47421a8c2e8327 0x0000000000000000
-step 2 0x3f47421a8c2e8327 0x3f565a4f2f3c454e 0x0000000000000000
-step 3 0x3f565a4f2f3c454e 0x3f60706fb605d415 0x0000000000000000
-step 4 0x3f60706fb605d415 0x3f65b349cb2babc7 0x0000000000000000
-step 5 0x3f65b349cb2babc7 0x3f6aa93d4b4d5d68 0x0000000000000000
-step 6 0x3f6aa93d4b4d5d68 0x3f71ee6fa8e8cbcb 0x3f409156c0dee038
+step 1 0x3ef3340901e36d50 0x3f414ca87d60888a 0x0000000000000000
+step 2 0x3f414ca87d60888a 0x3f50986adf47a037 0x0000000000000000
+step 3 0x3f50986adf47a037 0x3f5857cfd3895b3e 0x0000000000000000
+step 4 0x3f5857cfd3895b3e 0x3f5f97a204bdb5b2 0x0000000000000000
+step 5 0x3f5f97a204bdb5b2 0x3f63526144ce37be 0x0000000000000000
+step 6 0x3f63526144ce37be 0x3f707df694eba285 0x3f54134598ddbfca
 ";
 const CATALYST_SYNC: &str = "
-tts 0x3f9681b188b474ce
-totals CommStats { messages_sent: 744, bytes_sent: 276624, messages_received: 744, collectives: 1818, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.855871999999993e-5, time_host_compute: 2.4949959999999994e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.025827256693985758 }
+tts 0x3f9568e9a02e458a
+totals CommStats { messages_sent: 1314, bytes_sent: 310752, messages_received: 1314, collectives: 720, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 2.4949959999999994e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.02368315905370611 }
 bytes_written 55992
 files_written 6
-gpu_aggregate_peak 89856
+gpu_aggregate_peak 104936
 unscoped 0
 snapshot_pool_rank_peak 6912
 host_aggregate_peak 289304
 host_max_rank_peak 168208
 span insitu/copy x6 0x3eb01f4ab19eb800
-span insitu/execute x6 0x3ef51af4a3ff8480
-span render/composite x12 0x3efef633fa26b340
-span render/filter x12 0x3f1922efcbccc7d0
-span render/raster x12 0x3eea30fb17046f80
+span insitu/execute x6 0x3ef51af4a3ff7f80
+span render/composite x12 0x3efef633fa26ad40
+span render/filter x12 0x3f1922efcbccc550
+span render/raster x12 0x3eea30fb17048380
 span render/write x6 0x3f9272347d5eb3e4
-span sem/advection x12 0x3f88ca32f9f61e95
-span sem/cg x48 0x3f7de3c695c181da
-span sem/diagnostics x12 0x3f048019186706a0
+span sem/advection x12 0x3f88ca32f9f61e98
+span sem/cg x48 0x3f751d87519007b8
+span sem/diagnostics x12 0x3f048019186704a0
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effaa4105ecd080
-span sem/project x12 0x3f17b94493180f48
-span sem/viscous x12 0x3f17d5f80fa03b08
-span sim/finalize x2 0x3f78a407a4457358
+span sem/pressure x12 0x3effaa4105ecd280
+span sem/project x12 0x3f17b94493181278
+span sem/viscous x12 0x3f17d5f80fa03a94
+span sim/finalize x2 0x3f78a407a4457356
 span sim/setup x2 0x3f03342b42eaa03a
 span snapshot/publish x6 0x3f1350e7398fb7e0
-step 1 0x3ef3340901e36d50 0x3f475f0736364512 0x0000000000000000
-step 2 0x3f475f0736364512 0x3f7e50ca4559edee 0x0000000000000000
-step 3 0x3f7e50ca4559edee 0x3f8079234b8e363a 0x0000000000000000
-step 4 0x3f8079234b8e363a 0x3f8e252642fc9e10 0x0000000000000000
-step 5 0x3f8e252642fc9e10 0x3f8f628f444c5d2e 0x0000000000000000
-step 6 0x3f8f628f444c5d2e 0x3f9680d7660237f9 0x0000000000000000
+step 1 0x3ef3340901e36d50 0x3f41699527684a75 0x0000000000000000
+step 2 0x3f41699527684a75 0x3f7ce051315cc4a8 0x0000000000000000
+step 3 0x3f7ce051315cc4a8 0x3f7ed002b0fbd959 0x0000000000000000
+step 4 0x3f7ed002b0fbd959 0x3f8cab4810c96a22 0x0000000000000000
+step 5 0x3f8cab4810c96a22 0x3f8d8cd842ac941b 0x0000000000000000
+step 6 0x3f8d8cd842ac941b 0x3f95680f7d7c08b5 0x0000000000000000
 ";
 const CATALYST_PIPELINED: &str = "
-tts 0x3f93ef63b2969396
-totals CommStats { messages_sent: 744, bytes_sent: 276624, messages_received: 744, collectives: 1818, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.855871999999993e-5, time_host_compute: 2.494996e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.02209487571384624 }
+tts 0x3f9393456d974945
+totals CommStats { messages_sent: 1314, bytes_sent: 310752, messages_received: 1314, collectives: 720, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 2.494996e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.021039791699300762 }
 bytes_written 55992
 files_written 6
-gpu_aggregate_peak 89856
+gpu_aggregate_peak 104936
 unscoped 0
 host_aggregate_peak_less_pool 278072
 span insitu/copy x6 0x3eb01f4ab19eb800
-span insitu/execute x6 0x3f861290c85f9586
-span insitu/wait x8 0x3f705e571a671f6f
+span insitu/execute x6 0x3f86d43270943520
+span insitu/wait x8 0x3f67f44344071b64
 span render/composite x12 0x3efef633fa26ad40
 span render/filter x12 0x3f1922efcbccc6d0
 span render/raster x12 0x3eea30fb17047b80
 span render/write x6 0x3f9272347d5eb3e5
-span sem/advection x12 0x3f17d0c027877d72
-span sem/cg x48 0x3f7dded76863a8e2
-span sem/diagnostics x12 0x3f048019186708a0
+span sem/advection x12 0x3f17d0c027877cb2
+span sem/cg x48 0x3f75189824322e86
+span sem/diagnostics x12 0x3f04801918670820
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effa8a5f9967600
-span sem/project x12 0x3f17b94493181738
-span sem/viscous x12 0x3f17d5f80fa03f68
-span sim/finalize x2 0x3f6d08cabfe6a9a3
+span sem/pressure x12 0x3effa8a5f9967500
+span sem/project x12 0x3f17b944931816d8
+span sem/viscous x12 0x3f17d5f80fa03f34
+span sim/finalize x2 0x3f71770bee0ee8bd
 span sim/setup x2 0x3f03342b42eaa03a
-span snapshot/backpressure x2 0x3f6cfb6e28d97bc2
+span snapshot/backpressure x2 0x3f71705da28851cd
 span snapshot/publish x6 0x3f1350e7398fb7a0
-step 1 0x3ef3340901e36d50 0x3f475f0736364512 0x0000000000000000
-step 2 0x3f475f0736364512 0x3f5668c584402644 0x0000000000000000
-step 3 0x3f5668c584402644 0x3f6077aae087c491 0x0000000000000000
-step 4 0x3f6077aae087c491 0x3f65ba84f5ad9c43 0x0000000000000000
-step 5 0x3f65ba84f5ad9c43 0x3f6ab07875cf4de4 0x0000000000000000
-step 6 0x3f6ab07875cf4de4 0x3f7e5d997a7aa5e3 0x3f6cfb6e28d97bc2
+step 1 0x3ef3340901e36d50 0x3f41699527684a75 0x0000000000000000
+step 2 0x3f41699527684a75 0x3f50a6e1344b812e 0x0000000000000000
+step 3 0x3f50a6e1344b812e 0x3f586646288d3c35 0x0000000000000000
+step 4 0x3f586646288d3c35 0x3f5fa61859c196a9 0x0000000000000000
+step 5 0x3f5fa61859c196a9 0x3f63599c6f502839 0x0000000000000000
+step 6 0x3f63599c6f502839 0x3f7ced20667d7c9d 0x3f71705da28851cd
 ";
 const CHECKPOINTING_PIPELINED_STALLED: &str = "
-tts 0x404901b616335d99
-totals CommStats { messages_sent: 964, bytes_sent: 192800, messages_received: 964, collectives: 2332, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, bytes_h2d: 0, time_gpu_compute: 2.4282719999999816e-5, time_host_compute: 1.824e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.011814893002494 }
+tts 0x404901aa926abdaf
+totals CommStats { messages_sent: 1660, bytes_sent: 231648, messages_received: 1660, collectives: 892, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, bytes_h2d: 0, time_gpu_compute: 2.6115840000000194e-5, time_host_compute: 1.824e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.00927237309642 }
 bytes_written 45600
 files_written 8
-gpu_aggregate_peak 89856
+gpu_aggregate_peak 104936
 unscoped 0
 host_aggregate_peak_less_pool 179880
 span insitu/checkpoint x8 0x3f9896e069ebdbd3
 span insitu/stall x1 0x4049000000000000
-span insitu/wait x10 0x4048ffbbebc6bd52
-span sem/advection x16 0x40490003da91edba
-span sem/cg x64 0x3f83840b2c9a1ba4
-span sem/diagnostics x16 0x3f0b5576cb6708a0
+span insitu/wait x10 0x4048ff97d55c4abe
+span sem/advection x16 0x40490003da91edb9
+span sem/cg x64 0x3f7afe20c8527cec
+span sem/diagnostics x16 0x3f0b5576cb670820
 span sem/filter x16 0x0000000000000000
-span sem/pressure x16 0x3f051b80146b3b00
-span sem/project x16 0x3f1fa1b0c4781738
-span sem/viscous x16 0x3f1fc7f56a603f68
-span sim/finalize x2 0x3f5dd7b453008000
+span sem/pressure x16 0x3f051b80146b3a88
+span sem/project x16 0x3f1fa1b0c47816d8
+span sem/viscous x16 0x3f1fc7f56a603f34
+span sim/finalize x2 0x3f622f9076308000
 span sim/setup x2 0x3f03342b42eaa03a
-span snapshot/backpressure x4 0x4049005ca3f2ebb2
+span snapshot/backpressure x4 0x40490098dd35002c
 span snapshot/publish x8 0x3f19c1344cc1ba40
-step 1 0x3ef3340901e36d50 0x3f47421a8c2e8327 0x0000000000000000
-step 2 0x3f47421a8c2e8327 0x3f565a4f2f3c454e 0x0000000000000000
-step 3 0x3f565a4f2f3c454e 0x3f60706fb605d415 0x0000000000000000
-step 4 0x3f60706fb605d415 0x3f65b349cb2babc7 0x0000000000000000
-step 5 0x3f65b349cb2babc7 0x3f6aa93d4b4d5d68 0x0000000000000000
-step 6 0x3f6aa93d4b4d5d68 0x4049008f737d4747 0x404900109156c0df
-step 7 0x4049008f737d4747 0x404900a2e2f1df04 0x0000000000000000
-step 8 0x404900a2e2f1df04 0x404900f1cbe2870f 0x3f5dbcfb24e58000
+step 1 0x3ef3340901e36d50 0x3f414ca87d60888a 0x0000000000000000
+step 2 0x3f414ca87d60888a 0x3f50986adf47a037 0x0000000000000000
+step 3 0x3f50986adf47a037 0x3f5857cfd3895b3e 0x0000000000000000
+step 4 0x3f5857cfd3895b3e 0x3f5f97a204bdb5b2 0x0000000000000000
+step 5 0x3f5f97a204bdb5b2 0x3f63526144ce37be 0x0000000000000000
+step 6 0x3f63526144ce37be 0x40490083efb4a75d 0x40490028268b31bb
+step 7 0x40490083efb4a75d 0x40490090a42ee6df 0x0000000000000000
+step 8 0x40490090a42ee6df 0x404900e64819e725 0x3f622233df230000
 ";
 
 #[test]
