@@ -68,8 +68,8 @@ impl Operator<'_> {
     /// `degree` steps of Chebyshev-accelerated Jacobi on `A x = b` for the
     /// eigenvalues of `D⁻¹A` in `[lambda/span, LAMBDA_MARGIN·lambda]`:
     /// `x ← x + p(D⁻¹A)·D⁻¹ r` with `r = b − A x` on entry (stale on exit,
-    /// which saves the last operator apply).
-    #[allow(clippy::too_many_arguments)]
+    /// which saves the last operator apply). Residuals are zero on
+    /// Dirichlet nodes, so every update is too.
     fn smooth(
         &self,
         comm: &mut Comm,
@@ -87,7 +87,7 @@ impl Operator<'_> {
         // Pointwise updates: 3 vector passes per step.
         comm.compute_gpu((4 * n * degree) as f64, (6 * 8 * n * degree) as f64);
         for i in 0..n {
-            d[i] = self.diag_inv[i] * r[i] * self.mask[i] / theta;
+            d[i] = self.diag_inv[i] * r[i] / theta;
         }
         for _ in 1..degree {
             for i in 0..n {
@@ -98,7 +98,7 @@ impl Operator<'_> {
             let (cd, cr) = (rho_next * rho, 2.0 * rho_next / delta);
             for i in 0..n {
                 r[i] -= q[i];
-                d[i] = cd * d[i] + cr * self.diag_inv[i] * r[i] * self.mask[i];
+                d[i] = cd * d[i] + cr * self.diag_inv[i] * r[i];
             }
             rho = rho_next;
         }
@@ -284,7 +284,6 @@ impl Level {
 
 /// `x ≈ A⁻¹ b` by one V-cycle from a zero guess on the level `op`
 /// describes, `coarse` being the levels below it, finest first.
-#[allow(clippy::too_many_arguments)]
 fn cycle(
     comm: &mut Comm,
     op: Operator<'_>,
@@ -491,7 +490,8 @@ mod tests {
 
     #[test]
     fn v_cycle_is_symmetric_and_positive() {
-        for (spec, bc) in [pb146_with_solids(5), rbc_all_neumann(3)] {
+        // Orders 5, 3 and 1: two coarse levels, one, and none.
+        for (spec, bc) in [pb146_with_solids(5), rbc_all_neumann(3), rbc_all_neumann(1)] {
             for ranks in [1, 2] {
                 let (spec, order) = (Arc::clone(&spec), spec.order);
                 let res = run_ranks(ranks, MachineModel::test_tiny(), move |comm| {
