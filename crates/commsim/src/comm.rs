@@ -12,16 +12,16 @@
 //! time is deterministic across runs regardless of OS scheduling.
 
 use crate::clock::Clock;
+use crate::lock;
 use crate::machine::MachineModel;
 use crate::reduce::ReduceOp;
 use crate::sched::{EventSched, WaitReason};
 use crate::stats::CommStats;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use memtrack::{Accountant, Registry};
-use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use telemetry::{RankTelemetry, TelemetryHub};
 use trace::{RankTrace, SpanGuard, Tracer};
@@ -149,7 +149,7 @@ impl World {
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
         for _ in 0..size {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(Some(rx));
         }
@@ -187,7 +187,7 @@ impl World {
     /// # Panics
     /// Panics if `rank` is out of range or already attached.
     pub fn attach(self: &Arc<Self>, rank: usize) -> Comm {
-        let rx = self.receivers.lock()[rank]
+        let rx = lock(&self.receivers)[rank]
             .take()
             .unwrap_or_else(|| panic!("rank {rank} attached twice"));
         Comm {
@@ -208,7 +208,7 @@ impl World {
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
         {
-            let _guard = self.coll.lock();
+            let _guard = lock(&self.coll);
             self.coll_cv.notify_all();
         }
         if let Some(s) = &self.sched {
@@ -602,7 +602,7 @@ impl Comm {
         let parity = self.coll_seq & 1;
         self.coll_seq += 1;
         let now = self.clock.now();
-        let mut slots = world.coll.lock();
+        let mut slots = lock(&world.coll);
         let slot = &mut slots[parity];
         assert!(
             slot.result.is_none(),
@@ -653,14 +653,16 @@ impl Comm {
                 match &world.sched {
                     None => {
                         self.check_poison();
-                        world
+                        slots = world
                             .coll_cv
-                            .wait_for(&mut slots, Duration::from_millis(50));
+                            .wait_timeout(slots, Duration::from_millis(50))
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0;
                     }
                     Some(_) => {
                         drop(slots);
                         self.sched_block(WaitReason::Collective);
-                        slots = world.coll.lock();
+                        slots = lock(&world.coll);
                     }
                 }
             }

@@ -499,7 +499,7 @@ mod tests {
     #[test]
     fn a_rank_that_only_sends_keeps_the_token() {
         const SENDS: u32 = 50;
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
         let log2 = Arc::clone(&log);
         let (_, sched) = event_world(4, move |comm| match comm.rank() {
             0 => {
@@ -508,18 +508,18 @@ mod tests {
                 comm.advance(1.0);
                 for i in 0..SENDS {
                     comm.send(1, 9, i, 4);
-                    log2.lock().push(0);
+                    log2.lock().unwrap().push(0);
                 }
             }
             1 => {
                 for i in 0..SENDS {
                     assert_eq!(comm.recv::<u32>(0, 9), i);
-                    log2.lock().push(1);
+                    log2.lock().unwrap().push(1);
                 }
             }
-            r => log2.lock().push(r),
+            r => log2.lock().unwrap().push(r),
         });
-        let log = log.lock().clone();
+        let log = log.lock().unwrap().clone();
         let first = log.iter().position(|&r| r == 0).unwrap();
         assert!(
             log[first..first + SENDS as usize].iter().all(|&r| r == 0),

@@ -66,9 +66,40 @@ pub use trace::{
 // these types in signatures.
 pub use telemetry::{Counter, EventKind, Gauge, Histogram, RankTelemetry, TelemetryHub};
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m` whether or not a holder panicked. A rank that unwinds inside a
+/// collective or a scheduler call leaves its lock poisoned; the runner
+/// poisons the *world* for that, and every other rank has to get through
+/// these locks once more to see it and unwind in turn.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lock_and_timed_wait_survive_a_holder_that_panicked() {
+        use std::sync::{Arc, Condvar};
+        let m = Arc::new(Mutex::new(0u32));
+        let m2 = Arc::clone(&m);
+        let holder = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("deliberate: unwind with the lock held");
+        });
+        assert!(holder.join().is_err());
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        // The form `Comm::collective` waits in: a wake on a poisoned mutex
+        // still comes back holding the lock.
+        let (g, wake) = Condvar::new()
+            .wait_timeout(lock(&m), std::time::Duration::from_millis(5))
+            .unwrap_or_else(PoisonError::into_inner);
+        assert!(wake.timed_out());
+        assert_eq!(*g, 1);
+    }
 
     #[test]
     fn end_to_end_ring_pass() {

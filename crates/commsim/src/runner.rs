@@ -17,10 +17,11 @@
 
 use crate::comm::Comm;
 use crate::exec::{EventExecutor, Executor, SchedMode, ThreadExecutor};
+use crate::lock;
 use crate::machine::MachineModel;
 use crate::stats::CommStats;
 use memtrack::Registry;
-use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Everything a rank produced: its closure's return value, final virtual
 /// time, and operation counters.
@@ -64,12 +65,10 @@ where
     R: Send + 'static,
     F: Fn(&mut Comm, S) -> R + Send + Sync + 'static,
 {
-    use parking_lot::Mutex;
-    let slots: Arc<Mutex<Vec<Option<S>>>> =
-        Arc::new(Mutex::new(states.into_iter().map(Some).collect()));
-    let n = slots.lock().len();
+    let n = states.len();
+    let slots = Mutex::new(states.into_iter().map(Some).collect::<Vec<_>>());
     run_ranks(n, machine, move |comm| {
-        let state = slots.lock()[comm.rank()]
+        let state = lock(&slots)[comm.rank()]
             .take()
             .expect("state taken exactly once per rank");
         f(comm, state)

@@ -41,11 +41,11 @@
 //! (Thread mode hangs forever on such programs; the proptests in
 //! `tests/proptests.rs` rely on this as a bounded-step watchdog.)
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::Thread;
 
 /// Why a rank parked (reported in deadlock diagnostics).
@@ -186,7 +186,7 @@ impl EventSched {
             .set(std::thread::current())
             .expect("rank registered twice");
         let wake = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let slot = &mut st.slots[rank];
             debug_assert_eq!(slot.state, RankState::Unstarted);
             slot.state = RankState::Ready;
@@ -208,7 +208,7 @@ impl EventSched {
     /// [`EventSched::deadlock_diag`].
     pub fn block(&self, rank: usize, reason: WaitReason, clock_bits: u64) -> bool {
         let wake = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             if self.is_poisoned() {
                 return false;
             }
@@ -235,7 +235,7 @@ impl EventSched {
     /// parked waiting for one. (The woken rank re-checks its match
     /// predicate and re-blocks if the message was not the one.)
     pub fn notify_message(&self, dest: usize) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let slot = &mut st.slots[dest];
         if slot.state == RankState::Blocked(WaitReason::Message) {
             slot.state = RankState::Ready;
@@ -248,7 +248,7 @@ impl EventSched {
     /// The collective in flight completed: every rank parked in it
     /// becomes runnable. The caller holds the token and keeps it.
     pub fn notify_collective(&self) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let SchedState {
             slots,
             ready,
@@ -268,7 +268,7 @@ impl EventSched {
     /// world keeps running while this rank waits on an external channel.
     pub fn external_begin(&self, rank: usize) {
         let wake = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             debug_assert!(
                 self.is_poisoned() || st.running == Some(rank),
                 "only the token holder may enter an external wait"
@@ -288,7 +288,7 @@ impl EventSched {
     /// communication aborts).
     pub fn external_end(&self, rank: usize, clock_bits: u64) -> bool {
         let wake = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             st.external -= 1;
             st.slots[rank].clock_bits = clock_bits;
             st.slots[rank].state = RankState::Ready;
@@ -306,7 +306,7 @@ impl EventSched {
     /// and hand the token on.
     pub fn finish(&self, rank: usize) {
         let wake = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             match st.slots[rank].state {
                 RankState::Finished => return,
                 RankState::External => st.external -= 1,
@@ -326,7 +326,7 @@ impl EventSched {
     /// Poison after a rank panic: wake every parked rank so it aborts.
     pub fn poison(&self) {
         {
-            let _st = self.state.lock();
+            let _st = lock(&self.state);
             self.poisoned.store(true, Ordering::SeqCst);
         }
         self.wake(Wake::Everyone);
@@ -334,17 +334,17 @@ impl EventSched {
 
     /// The deadlock diagnostic, when detection fired.
     pub fn deadlock_diag(&self) -> Option<Arc<String>> {
-        self.state.lock().deadlock.clone()
+        lock(&self.state).deadlock.clone()
     }
 
     /// How often `rank` has parked so far.
     pub fn rank_blocks(&self, rank: usize) -> BlockCounts {
-        self.state.lock().slots[rank].blocks
+        lock(&self.state).slots[rank].blocks
     }
 
     /// How often the whole world has parked so far.
     pub fn blocks(&self) -> BlockCounts {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         st.slots
             .iter()
             .fold(BlockCounts::default(), |acc, s| BlockCounts {
@@ -457,7 +457,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 assert!(s.start(rank));
                 assert!(s.block(rank, WaitReason::Message, clock.to_bits()));
-                order.lock().push(rank);
+                order.lock().unwrap().push(rank);
                 s.finish(rank);
             }));
         }
@@ -472,14 +472,17 @@ mod tests {
         for dest in [0, 2, 1] {
             s.notify_message(dest);
         }
-        assert!(order.lock().is_empty(), "a notify must not cede the token");
+        assert!(
+            order.lock().unwrap().is_empty(),
+            "a notify must not cede the token"
+        );
         s.finish(3);
         for h in handles {
             h.join().unwrap();
         }
         // Earliest clock first, lower rank first among equal clocks — not
         // the order they were notified in.
-        assert_eq!(*order.lock(), vec![1, 2, 0]);
+        assert_eq!(*order.lock().unwrap(), vec![1, 2, 0]);
         assert_eq!(
             s.blocks(),
             BlockCounts {

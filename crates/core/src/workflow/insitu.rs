@@ -27,7 +27,7 @@
 //!   of `solve + consume`.
 
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::checkpoint::FldCheckpointer;
@@ -41,7 +41,6 @@ use commsim::{
 };
 use insitu::Bridge;
 use memtrack::Registry;
-use parking_lot::Mutex;
 use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
 use sem::snapshot::{FieldSnapshot, SnapshotPool, SnapshotSpec};
@@ -517,7 +516,11 @@ fn run_world<L: Send + 'static>(
             cfg.machine.clone(),
             registry.clone(),
             move |comm| {
-                let link = links.lock().get_mut(comm.rank()).and_then(Option::take);
+                let link = links
+                    .lock()
+                    .unwrap()
+                    .get_mut(comm.rank())
+                    .and_then(Option::take);
                 body(comm, &cfg, hub.as_ref(), link)
             },
         )

@@ -20,11 +20,10 @@ use commsim::{
 };
 use insitu::Bridge;
 use memtrack::Registry;
-use parking_lot::Mutex;
 use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
 use sem::snapshot::{SnapshotPool, SnapshotSpec};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use transport::{
     QueuePolicy, ReportSink, SessionSpec, StagingLink, StagingNetwork, StagingReport,
     StagingService, TransportAnalysis, WireKind, WriterConfig,
@@ -230,7 +229,11 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
                 cfg.machine.clone(),
                 registry.clone(),
                 move |comm| {
-                    let writer = writers.lock().get_mut(comm.rank()).and_then(Option::take);
+                    let writer = writers
+                        .lock()
+                        .unwrap()
+                        .get_mut(comm.rank())
+                        .and_then(Option::take);
                     sim_rank(comm, &cfg, hub.as_ref(), writer, &sink)
                 },
             )
@@ -253,7 +256,7 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
         endpoint_corrupt_rejected: 0,
         endpoint_crashes: 0,
         endpoint_delivered: Vec::new(),
-        degradation: DegradationSummary::from_reports(&report_sink.lock()),
+        degradation: DegradationSummary::from_reports(&report_sink.lock().unwrap()),
         traces: results.into_iter().filter_map(|r| r.value).collect(),
         phases: None,
         run_report: None,

@@ -74,6 +74,7 @@ fn record_dealloc(size: usize) {
 // SAFETY: defers entirely to `System` for memory management; the counters are
 // side effects on atomics and cannot affect allocation correctness.
 unsafe impl GlobalAlloc for TrackingAllocator {
+    // SAFETY: the caller's `layout` goes to `System.alloc` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
@@ -82,11 +83,14 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         ptr
     }
 
+    // SAFETY: `ptr` came from `System` under this `layout` (every method
+    // here hands out only `System`'s pointers) and goes back the same way.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
         record_dealloc(layout.size());
     }
 
+    // SAFETY: as `alloc`; zeroing is `System`'s.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
@@ -95,6 +99,8 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         ptr
     }
 
+    // SAFETY: the caller's `ptr`/`layout`/`new_size` contract is exactly
+    // `System.realloc`'s, and the block is `System`'s (see `dealloc`).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = System.realloc(ptr, layout, new_size);
         if !new_ptr.is_null() {

@@ -5,9 +5,8 @@
 //! [`Registry::snapshot`] keeps the per-subsystem breakdown for analysis.
 
 use crate::accountant::Accountant;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// A named collection of [`Accountant`]s.
 ///
@@ -50,12 +49,17 @@ impl Registry {
         Self::default()
     }
 
+    /// Nothing can panic under the map's lock, so it is never poisoned.
+    fn map(&self) -> RwLockReadGuard<'_, BTreeMap<String, Accountant>> {
+        self.accountants.read().unwrap()
+    }
+
     /// Get or create the accountant with this name.
     pub fn accountant(&self, name: &str) -> Accountant {
-        if let Some(a) = self.accountants.read().get(name) {
+        if let Some(a) = self.map().get(name) {
             return a.clone();
         }
-        let mut map = self.accountants.write();
+        let mut map = self.accountants.write().unwrap();
         map.entry(name.to_string())
             .or_insert_with(|| Accountant::new(name))
             .clone()
@@ -63,17 +67,17 @@ impl Registry {
 
     /// Number of registered accountants.
     pub fn len(&self) -> usize {
-        self.accountants.read().len()
+        self.map().len()
     }
 
     /// True when no accountant has been registered.
     pub fn is_empty(&self) -> bool {
-        self.accountants.read().is_empty()
+        self.map().is_empty()
     }
 
     /// Snapshot every accountant.
     pub fn snapshot(&self) -> Snapshot {
-        let map = self.accountants.read();
+        let map = self.map();
         Snapshot {
             entries: map
                 .iter()
@@ -85,28 +89,23 @@ impl Registry {
     /// Aggregate peak over all accountants — the paper's "memory high water
     /// mark across all MPI ranks" when one accountant is kept per rank.
     pub fn aggregate_peak(&self) -> u64 {
-        self.accountants.read().values().map(|a| a.peak()).sum()
+        self.map().values().map(|a| a.peak()).sum()
     }
 
     /// Aggregate current bytes over all accountants.
     pub fn aggregate_current(&self) -> u64 {
-        self.accountants.read().values().map(|a| a.current()).sum()
+        self.map().values().map(|a| a.current()).sum()
     }
 
     /// Maximum single-accountant peak — the per-node footprint view used by
     /// Figure 6 (memory per simulation node).
     pub fn max_peak(&self) -> u64 {
-        self.accountants
-            .read()
-            .values()
-            .map(|a| a.peak())
-            .max()
-            .unwrap_or(0)
+        self.map().values().map(|a| a.peak()).max().unwrap_or(0)
     }
 
     /// Reset every accountant's peak to its current value.
     pub fn reset_peaks(&self) {
-        for a in self.accountants.read().values() {
+        for a in self.map().values() {
             a.reset_peak();
         }
     }

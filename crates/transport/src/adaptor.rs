@@ -24,9 +24,8 @@ use crate::file_engine::BpFileWriter;
 use commsim::Comm;
 use insitu::{AnalysisAdaptor, DataAdaptor};
 use meshdata::Centering;
-use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One producer's staging outcome, for the metrics layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,10 +127,10 @@ impl TransportAnalysis {
             if spec.kind != "adios-sst" {
                 return Ok(None);
             }
-            let (writer, fallback_dir, sink) = slot
-                .lock()
-                .take()
-                .ok_or_else(|| insitu::Error::Config("adios-sst writer already consumed".into()))?;
+            let (writer, fallback_dir, sink) =
+                slot.lock().unwrap().take().ok_or_else(|| {
+                    insitu::Error::Config("adios-sst writer already consumed".into())
+                })?;
             let arrays: Vec<String> = spec
                 .attr_or("arrays", "pressure,velocity")
                 .split(',')
@@ -229,7 +228,7 @@ impl AnalysisAdaptor for TransportAnalysis {
 
     fn finalize(&mut self, _comm: &mut Comm) -> insitu::Result<()> {
         if let Some(sink) = &self.sink {
-            sink.lock().push(self.report());
+            sink.lock().unwrap().push(self.report());
         }
         Ok(())
     }

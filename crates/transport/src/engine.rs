@@ -34,16 +34,14 @@ use crate::bp;
 use crate::error::{TransportError, WriteError};
 use crate::link::StagingLink;
 use crate::wire::{
-    loopback_listener, ChannelWireRx, ChannelWireTx, TcpWireRx, TcpWireTx, WireKind, WireRecvError,
-    WireSendError, WireRx, WireTx,
+    loopback_listener, queue, tcp_rx, TcpWireTx, WireKind, WireRecvError, WireRx, WireSendError,
+    WireTx,
 };
 use commsim::FaultPlan;
-use crossbeam_channel::bounded;
 use memtrack::Accountant;
 use meshdata::MultiBlock;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// What happens when the staging queue is full.
@@ -125,10 +123,6 @@ impl WriterConfig {
     fn backoff(&self, attempt: u32) -> f64 {
         (self.backoff_base * f64::powi(2.0, attempt as i32)).min(self.backoff_cap)
     }
-
-    fn enqueue_timeout(&self) -> Duration {
-        Duration::from_millis(self.enqueue_timeout_ms)
-    }
 }
 
 /// Successful outcome of one [`SstWriter::write`].
@@ -143,6 +137,7 @@ pub enum WriteOutcome {
     Discarded,
 }
 
+#[derive(Default)]
 struct ReaderState {
     /// Virtual time at which the reader last drained a packet.
     drain_time: Mutex<f64>,
@@ -284,53 +279,27 @@ impl SstWriter {
         comm: &mut commsim::Comm,
         packet: Packet,
     ) -> Result<Option<()>, (TransportError, Vec<u8>)> {
-        let step = packet.step;
         if self.tx.blocking() {
             // Real-socket wire: the OS send buffer is the queue and TCP
             // flow control is the back-pressure, so there is no cheap
             // "full" probe (DiscardNewest degrades to blocking here). Hold
             // the socket write outside the scheduler's run token.
-            let timeout = self.config.enqueue_timeout();
-            let tx = &mut self.tx;
-            return match comm.external_wait(|| tx.send_timeout(packet, timeout)) {
-                Ok(()) => Ok(Some(())),
-                Err(WireSendError::Timeout(p)) => {
-                    Err((TransportError::Backpressure { step }, p.payload))
-                }
-                Err(WireSendError::Full(p)) | Err(WireSendError::Closed(p)) => {
-                    Err((TransportError::Disconnected, p.payload))
-                }
-            };
+            return self.timed_send(comm, packet).map(Some);
         }
         match self.tx.try_send(packet) {
             Ok(()) => Ok(Some(())),
             Err(WireSendError::Full(p)) => match self.policy {
                 QueuePolicy::Block => {
                     let _sp = comm.span("transport/backpressure");
-                    // The reader lives in another world; block outside the
-                    // event scheduler's run token so its ranks can drain us.
-                    let timeout = self.config.enqueue_timeout();
-                    let tx = &mut self.tx;
-                    let sent = comm.external_wait(|| tx.send_timeout(p, timeout));
-                    match sent {
-                        Ok(()) => {
-                            // Real back-pressure: the reader freed a slot.
-                            // Read the drain time *after* the blocking send —
-                            // the pre-block value is stale under a slow
-                            // reader.
-                            let drain = *self.state.drain_time.lock();
-                            if drain > comm.now() {
-                                comm.advance(drain - comm.now());
-                            }
-                            Ok(Some(()))
-                        }
-                        Err(WireSendError::Timeout(p)) => {
-                            Err((TransportError::Backpressure { step }, p.payload))
-                        }
-                        Err(WireSendError::Full(p)) | Err(WireSendError::Closed(p)) => {
-                            Err((TransportError::Disconnected, p.payload))
-                        }
+                    self.timed_send(comm, p)?;
+                    // Real back-pressure: the reader freed a slot. Read the
+                    // drain time *after* the blocking send — the pre-block
+                    // value is stale under a slow reader.
+                    let drain = *self.state.drain_time.lock().unwrap();
+                    if drain > comm.now() {
+                        comm.advance(drain - comm.now());
                     }
+                    Ok(Some(()))
                 }
                 QueuePolicy::DiscardNewest => Ok(None),
             },
@@ -340,13 +309,32 @@ impl SstWriter {
         }
     }
 
+    /// The one blocking send: bounded by the wedged-reader guard, and made
+    /// outside the event scheduler's run token — the reader lives in another
+    /// world, whose ranks must keep running to drain this queue. A failure
+    /// hands the payload back: the reader is wedged, or gone.
+    fn timed_send(
+        &mut self,
+        comm: &commsim::Comm,
+        packet: Packet,
+    ) -> Result<(), (TransportError, Vec<u8>)> {
+        let step = packet.step;
+        let timeout = Duration::from_millis(self.config.enqueue_timeout_ms);
+        let tx = &mut self.tx;
+        comm.external_wait(|| tx.send_timeout(packet, timeout))
+            .map_err(|unsent| match unsent {
+                WireSendError::Timeout(p) => (TransportError::Backpressure { step }, p.payload),
+                WireSendError::Full(p) | WireSendError::Closed(p) => {
+                    (TransportError::Disconnected, p.payload)
+                }
+            })
+    }
+
     /// Fire-and-forget send (damaged frames, best-effort skips); routed
     /// off-token when the wire blocks for real.
     fn best_effort_send(&mut self, comm: &commsim::Comm, packet: Packet) {
         if self.tx.blocking() {
-            let timeout = self.config.enqueue_timeout();
-            let tx = &mut self.tx;
-            let _ = comm.external_wait(|| tx.send_timeout(packet, timeout));
+            let _ = self.timed_send(comm, packet);
         } else {
             let _ = self.tx.try_send(packet);
         }
@@ -373,13 +361,10 @@ impl SstWriter {
             return;
         }
         match self.tx.try_send(packet) {
-            Ok(()) => {}
             Err(WireSendError::Full(p)) if reliable => {
-                let timeout = self.config.enqueue_timeout();
-                let tx = &mut self.tx;
-                let _ = comm.external_wait(|| tx.send_timeout(p, timeout));
+                let _ = self.timed_send(comm, p);
             }
-            Err(_) => {}
+            _ => {}
         }
     }
 
@@ -511,7 +496,7 @@ impl StepDelivery {
 pub struct SstReader {
     /// This reader's index.
     pub index: usize,
-    rx: Option<Box<dyn WireRx>>,
+    rx: Option<WireRx>,
     state: Arc<ReaderState>,
     /// Number of producers feeding this reader.
     pub n_producers: usize,
@@ -723,7 +708,7 @@ impl SstReader {
             );
             comm.advance(stall);
         }
-        *self.state.drain_time.lock() = comm.now();
+        *self.state.drain_time.lock().unwrap() = comm.now();
         if let Some(a) = &self.queue_accountant {
             let bytes: u64 = packets.iter().map(|p| p.payload.len() as u64).sum();
             a.credit_raw(bytes);
@@ -873,27 +858,21 @@ impl StagingNetwork {
         let mut writers = Vec::with_capacity(n_writers);
         let mut readers = Vec::with_capacity(n_readers);
         for r in 0..n_readers {
-            let state = Arc::new(ReaderState {
-                drain_time: Mutex::new(0.0),
-            });
-            let (txs, rx): (Vec<Box<dyn WireTx>>, Box<dyn WireRx>) = match wire {
+            let state = Arc::<ReaderState>::default();
+            let mut txs: Vec<Box<dyn WireTx>> = Vec::with_capacity(per_reader);
+            let rx = match wire {
                 WireKind::Channel => {
-                    let (tx, rx) = bounded(capacity);
-                    (
-                        (0..per_reader)
-                            .map(|_| Box::new(ChannelWireTx(tx.clone())) as Box<dyn WireTx>)
-                            .collect(),
-                        Box::new(ChannelWireRx(rx)),
-                    )
+                    let (tx, rx) = queue(capacity);
+                    txs.extend((0..per_reader).map(|_| Box::new(tx.clone()) as Box<dyn WireTx>));
+                    rx
                 }
                 WireKind::Tcp => {
                     let (listener, port) = loopback_listener()?;
-                    let rx = TcpWireRx::spawn(listener, per_reader, capacity);
-                    let mut txs: Vec<Box<dyn WireTx>> = Vec::with_capacity(per_reader);
+                    let rx = tcp_rx(listener, per_reader, capacity);
                     for _ in 0..per_reader {
                         txs.push(Box::new(TcpWireTx::connect(&format!("127.0.0.1:{port}"))?));
                     }
-                    (txs, Box::new(rx))
+                    rx
                 }
             };
             // Reader-major, so `writers` comes out in producer order.
@@ -941,9 +920,7 @@ impl StagingNetwork {
             policy,
             config,
             Arc::new(faults),
-            Arc::new(ReaderState {
-                drain_time: Mutex::new(0.0),
-            }),
+            Arc::default(),
         ))
     }
 
@@ -958,10 +935,8 @@ impl StagingNetwork {
         let n = producers.len();
         Self::make_reader(
             0,
-            Box::new(TcpWireRx::spawn(listener, n, capacity)),
-            Arc::new(ReaderState {
-                drain_time: Mutex::new(0.0),
-            }),
+            tcp_rx(listener, n, capacity),
+            Arc::default(),
             producers,
             Arc::new(faults),
         )
@@ -1000,7 +975,7 @@ impl StagingNetwork {
 
     fn make_reader(
         index: usize,
-        rx: Box<dyn WireRx>,
+        rx: WireRx,
         state: Arc<ReaderState>,
         producers: Vec<usize>,
         faults: Arc<FaultPlan>,

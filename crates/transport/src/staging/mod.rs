@@ -32,7 +32,6 @@ pub use protocol::{DownMsg, FrameMsg, SessionSpec, TelemetryMsg};
 use crate::engine::SstReader;
 use crate::file_engine::{BpFileReader, BpFileWriter};
 use commsim::Comm;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use meshdata::MultiBlock;
 use render::pipeline::{FilterKind, RenderPass};
 use render::{Colormap, FrameCache, RenderPipeline, RenderScratch};
@@ -40,6 +39,7 @@ use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -143,8 +143,8 @@ impl StagingHandle {
     /// boundary (with catch-up from the parked files if the stream is
     /// already running).
     pub fn attach_local(&self, spec: SessionSpec, credits: u32) -> ConsumerClient {
-        let (down_tx, down_rx) = unbounded();
-        let (credit_tx, credit_rx) = bounded(1024);
+        let (down_tx, down_rx) = channel();
+        let (credit_tx, credit_rx) = sync_channel(1024);
         let _ = self.joiners.send(PendingSession {
             spec,
             credits,
@@ -169,7 +169,7 @@ impl StagingHandle {
 enum ClientInner {
     Local {
         frames: Receiver<DownMsg>,
-        credits: Sender<u32>,
+        credits: SyncSender<u32>,
     },
     Tcp(TcpStream),
 }
@@ -220,11 +220,11 @@ impl ConsumerClient {
                 Ok(DownMsg::Frame(f)) => Ok(Some(f)),
                 // Telemetry never targets a frame session.
                 Ok(DownMsg::Telemetry(_)) | Ok(DownMsg::End) => Ok(None),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(std::io::Error::new(
+                Err(RecvTimeoutError::Timeout) => Err(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
                     "no frame within timeout",
                 )),
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Ok(None),
+                Err(RecvTimeoutError::Disconnected) => Ok(None),
             },
             ClientInner::Tcp(stream) => {
                 stream.set_read_timeout(Some(timeout)).ok();
@@ -281,7 +281,7 @@ impl StagingService {
         park_dir: impl Into<PathBuf>,
         cache_frames: usize,
     ) -> Self {
-        let (joiners_tx, joiners_rx) = unbounded();
+        let (joiners_tx, joiners_rx) = channel();
         Self {
             reader,
             n_sim_ranks,
@@ -445,7 +445,7 @@ impl StagingService {
                     let credit_rx = &session.credit_rx;
                     match comm.external_wait(|| credit_rx.recv_timeout(CREDIT_POLL)) {
                         Ok(n) => session.credits += i64::from(n),
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                        Err(RecvTimeoutError::Timeout) => {
                             waited += CREDIT_POLL;
                             if waited >= CREDIT_WAIT {
                                 session.open = false;
@@ -453,7 +453,7 @@ impl StagingService {
                                 return;
                             }
                         }
-                        Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
+                        Err(RecvTimeoutError::Disconnected) => {
                             session.open = false;
                             session.stats.detached = true;
                             return;
@@ -658,7 +658,7 @@ fn serve_connection(
                 let Ok(read_half) = stream.try_clone() else {
                     return;
                 };
-                let (credit_tx, credit_rx) = bounded(1024);
+                let (credit_tx, credit_rx) = sync_channel(1024);
                 let pending = PendingSession {
                     spec,
                     credits,
@@ -683,7 +683,7 @@ fn serve_connection(
 /// kernel answer RST, and the RST throws away the frames and `End` the
 /// client has not read yet. A client that never hangs up is cut off
 /// [`CREDIT_WAIT`] after the service went away.
-fn forward_credits(mut stream: TcpStream, tx: Sender<u32>) {
+fn forward_credits(mut stream: TcpStream, tx: SyncSender<u32>) {
     let mut cutoff: Option<Instant> = None;
     loop {
         if let Some(cutoff) = cutoff {

@@ -1,24 +1,25 @@
-//! Pluggable wire engines for the staging data plane.
+//! The wire under the staging data plane: how a [`Packet`] gets from an
+//! [`crate::SstWriter`] to its [`crate::SstReader`].
 //!
-//! The SST-analogue engine ([`crate::SstWriter`] / [`crate::SstReader`])
-//! originally moved [`Packet`]s over in-process crossbeam channels only, so
-//! the writer and reader could never leave one process. This module
-//! factors the wire behind two small traits — [`WireTx`] on the producer
-//! side, [`WireRx`] on the consumer side — with two engines:
+//! The reader side is one struct, [`WireRx`]: the receiving end of a
+//! bounded queue of `Result<Packet, WireRecvError>`. The two engines,
+//! selected by [`WireKind`] (a config field on the library entry points,
+//! `--wire channel|tcp` on the harness binaries, channel when absent),
+//! differ in who pushes into it:
 //!
-//! * **channel** ([`ChannelWireTx`] / [`ChannelWireRx`]): the original
-//!   bounded crossbeam channel, delegated to verbatim. Runs with this
-//!   engine are bitwise identical to the pre-refactor behavior (the
-//!   scheduler-parity and golden-image suites pin that).
-//! * **tcp** ([`TcpWireTx`] / [`TcpWireRx`]): the same CRC32/BP-marshaled
-//!   frames as length-prefixed packets over a real socket, so the writer
-//!   and reader can live in separate OS processes. The OS send buffer plus
-//!   a bounded in-process forwarding queue play the staging-queue role;
-//!   TCP flow control carries the back-pressure.
+//! * **channel**: the writer pushes `Ok(packet)` itself, so the queue is
+//!   the staging queue and finding it full is the back-pressure signal.
+//! * **tcp** ([`TcpWireTx`]): the writer sends the same CRC32/BP-marshaled
+//!   payload as a length-prefixed frame over a real socket, so it can live
+//!   in another OS process; a framing thread per connection pushes what it
+//!   reads — a packet, or the short read the connection ended on. The OS
+//!   send buffer plus the queue play the staging-queue role; TCP flow
+//!   control carries the back-pressure.
 //!
-//! The engine is selected by [`WireKind`]: a config field on the library
-//! entry points, `--wire channel|tcp` on the harness binaries (channel
-//! when absent).
+//! The producer side is a trait, [`WireTx`]: two different send paths, and
+//! the engine's tests substitute a third. The queue is here because `std`
+//! has no bounded send with a timeout that hands the packet back — the
+//! wedged-reader guard behind [`crate::WriterConfig::enqueue_timeout_ms`].
 //!
 //! # Frame layout (tcp)
 //!
@@ -35,15 +36,16 @@
 
 use crate::codec::{self, Prefix, Reader};
 use crate::engine::{Packet, PacketKind};
-use crossbeam_channel::{Receiver, Sender};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Which wire engine carries the staging frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireKind {
-    /// In-process bounded crossbeam channel (the original engine).
+    /// In-process bounded queue (the original engine).
     #[default]
     Channel,
     /// Length-prefixed frames over a real loopback/TCP socket.
@@ -112,51 +114,6 @@ pub trait WireTx: Send {
     /// ranks keep running while this one is on the wire.
     fn blocking(&self) -> bool {
         false
-    }
-}
-
-/// Consumer side of a wire: yields [`Packet`]s from all producers feeding
-/// this reader.
-pub trait WireRx: Send {
-    /// Wait up to `timeout` for the next packet.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Packet, WireRecvError>;
-}
-
-// ---------------------------------------------------------------------------
-// Channel engine (the original semantics, delegated verbatim)
-// ---------------------------------------------------------------------------
-
-/// Sender half of the in-process channel engine.
-pub struct ChannelWireTx(pub(crate) Sender<Packet>);
-
-impl WireTx for ChannelWireTx {
-    fn try_send(&mut self, packet: Packet) -> Result<(), WireSendError> {
-        use crossbeam_channel::TrySendError;
-        self.0.try_send(packet).map_err(|e| match e {
-            TrySendError::Full(p) => WireSendError::Full(p),
-            TrySendError::Disconnected(p) => WireSendError::Closed(p),
-        })
-    }
-
-    fn send_timeout(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
-        use crossbeam_channel::SendTimeoutError;
-        self.0.send_timeout(packet, timeout).map_err(|e| match e {
-            SendTimeoutError::Timeout(p) => WireSendError::Timeout(p),
-            SendTimeoutError::Disconnected(p) => WireSendError::Closed(p),
-        })
-    }
-}
-
-/// Receiver half of the in-process channel engine.
-pub struct ChannelWireRx(pub(crate) Receiver<Packet>);
-
-impl WireRx for ChannelWireRx {
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Packet, WireRecvError> {
-        use crossbeam_channel::RecvTimeoutError;
-        self.0.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => WireRecvError::Timeout,
-            RecvTimeoutError::Disconnected => WireRecvError::Closed,
-        })
     }
 }
 
@@ -274,67 +231,41 @@ impl WireTx for TcpWireTx {
     }
 }
 
-/// Consumer half of the TCP engine.
-///
-/// An accept thread takes `n_producers` connections off the listener; each
-/// connection gets a framing thread that decodes packets and forwards them
-/// into one bounded queue (the staging bound — TCP flow control pushes the
+/// The reader half of the TCP engine: an accept thread takes
+/// `n_producers` connections off `listener`; each connection gets a
+/// framing thread that decodes packets and pushes them into one queue of
+/// `capacity` (the staging bound — TCP flow control pushes the
 /// back-pressure the rest of the way to the writer). A connection ending
-/// mid-frame forwards a [`WireRecvError::ShortRead`] before closing.
-pub struct TcpWireRx {
-    rx: Receiver<Result<Packet, WireRecvError>>,
-}
-
-impl TcpWireRx {
-    /// Spawn the accept/framing threads over `listener`.
-    pub fn spawn(listener: TcpListener, n_producers: usize, capacity: usize) -> Self {
-        let (tx, rx) = crossbeam_channel::bounded(capacity.max(1));
-        std::thread::spawn(move || {
-            let mut conns = Vec::new();
-            for _ in 0..n_producers {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nodelay(true).ok();
-                        let tx = tx.clone();
-                        conns.push(std::thread::spawn(move || forward_frames(stream, tx)));
-                    }
-                    Err(_) => break,
+/// mid-frame pushes a [`WireRecvError::ShortRead`] before closing.
+pub(crate) fn tcp_rx(listener: TcpListener, n_producers: usize, capacity: usize) -> WireRx {
+    let (tx, rx) = queue(capacity);
+    std::thread::spawn(move || {
+        let mut conns = Vec::new();
+        for _ in 0..n_producers {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nodelay(true).ok();
+                    let tx = tx.clone();
+                    conns.push(std::thread::spawn(move || forward_frames(stream, tx)));
                 }
-            }
-            drop(tx); // reader sees Closed once every framing thread exits
-            for c in conns {
-                let _ = c.join();
-            }
-        });
-        Self { rx }
-    }
-}
-
-fn forward_frames(mut stream: TcpStream, tx: Sender<Result<Packet, WireRecvError>>) {
-    loop {
-        match read_frame(&mut stream) {
-            Ok(Some(packet)) => {
-                if tx.send(Ok(packet)).is_err() {
-                    return; // reader gone
-                }
-            }
-            Ok(None) => return, // clean detach at a frame boundary
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
+                Err(_) => break,
             }
         }
-    }
+        drop(tx); // reader sees Closed once every framing thread exits
+        for c in conns {
+            let _ = c.join();
+        }
+    });
+    rx
 }
 
-impl WireRx for TcpWireRx {
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Packet, WireRecvError> {
-        use crossbeam_channel::RecvTimeoutError;
-        match self.rx.recv_timeout(timeout) {
-            Ok(Ok(packet)) => Ok(packet),
-            Ok(Err(e)) => Err(e),
-            Err(RecvTimeoutError::Timeout) => Err(WireRecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(WireRecvError::Closed),
+fn forward_frames(mut stream: TcpStream, tx: QueueTx) {
+    // Ends at a clean detach (`None`), after the error the connection died
+    // on, or when the reader is gone.
+    while let Some(item) = read_frame(&mut stream).transpose() {
+        let last = item.is_err();
+        if tx.push(item, None).is_err() || last {
+            return;
         }
     }
 }
@@ -348,6 +279,151 @@ pub fn loopback_listener() -> std::io::Result<(TcpListener, u16)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let port = listener.local_addr()?.port();
     Ok((listener, port))
+}
+
+// ---------------------------------------------------------------------------
+// The queue under both engines (and the channel engine's sender)
+// ---------------------------------------------------------------------------
+
+type Item = Result<Packet, WireRecvError>;
+
+/// Bounded, many producers, one consumer. No guard is held across code
+/// that can panic, so the mutex is never poisoned.
+struct Queue {
+    capacity: usize,
+    state: Mutex<QueueState>,
+    not_empty: Condvar,
+    not_full: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    items: VecDeque<Item>,
+    senders: usize,
+    reader_gone: bool,
+}
+
+/// A wire queue holding at most `capacity` items (at least one).
+pub(crate) fn queue(capacity: usize) -> (QueueTx, WireRx) {
+    let q = Arc::new(Queue {
+        capacity: capacity.max(1),
+        state: Mutex::default(),
+        not_empty: Condvar::new(),
+        not_full: Condvar::new(),
+    });
+    (QueueTx::new(&q), WireRx(q))
+}
+
+/// A producer's end of the queue: each channel-engine writer holds one (it
+/// is that engine's [`WireTx`]), and so does each tcp framing thread.
+pub(crate) struct QueueTx(Arc<Queue>);
+
+impl QueueTx {
+    fn new(q: &Arc<Queue>) -> Self {
+        q.state.lock().unwrap().senders += 1;
+        QueueTx(Arc::clone(q))
+    }
+
+    /// Push `item`, waiting for a free slot for at most `wait` (`None`:
+    /// until there is one). A failed push hands the item back with whether
+    /// the reader is gone (`true`) or the queue stayed full (`false`).
+    fn push(&self, item: Item, wait: Option<Duration>) -> Result<(), (Item, bool)> {
+        let q = &*self.0;
+        let deadline = wait.map(|w| Instant::now() + w);
+        let mut st = q.state.lock().unwrap();
+        loop {
+            if st.reader_gone {
+                return Err((item, true));
+            }
+            if st.items.len() < q.capacity {
+                st.items.push_back(item);
+                q.not_empty.notify_one();
+                return Ok(());
+            }
+            st = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => q.not_full.wait(st).unwrap(),
+                Some(left) if left.is_zero() => return Err((item, false)),
+                Some(left) => q.not_full.wait_timeout(st, left).unwrap().0,
+            };
+        }
+    }
+}
+
+impl Clone for QueueTx {
+    fn clone(&self) -> Self {
+        Self::new(&self.0)
+    }
+}
+
+impl Drop for QueueTx {
+    fn drop(&mut self) {
+        let mut st = self.0.state.lock().unwrap();
+        st.senders -= 1;
+        if st.senders == 0 {
+            self.0.not_empty.notify_all();
+        }
+    }
+}
+
+impl WireTx for QueueTx {
+    fn try_send(&mut self, packet: Packet) -> Result<(), WireSendError> {
+        match self.send_timeout(packet, Duration::ZERO) {
+            Err(WireSendError::Timeout(p)) => Err(WireSendError::Full(p)),
+            sent => sent,
+        }
+    }
+
+    fn send_timeout(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
+        let Err((item, closed)) = self.push(Ok(packet), Some(timeout)) else {
+            return Ok(());
+        };
+        let packet = item.expect("a packet was pushed");
+        Err(match closed {
+            true => WireSendError::Closed(packet),
+            false => WireSendError::Timeout(packet),
+        })
+    }
+}
+
+/// Consumer side of a wire: the queue's one receiving end, yielding the
+/// packets of every producer that feeds this reader. Dropping it is what
+/// a producer sees as [`WireSendError::Closed`].
+pub struct WireRx(Arc<Queue>);
+
+impl WireRx {
+    /// Wait up to `timeout` for the next packet.
+    ///
+    /// # Errors
+    /// [`WireRecvError::Timeout`] when nothing arrived in time,
+    /// [`WireRecvError::Closed`] once every producer is gone *and* the
+    /// backlog is drained, or the [`WireRecvError::ShortRead`] a TCP
+    /// connection ended on.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Packet, WireRecvError> {
+        let q = &*self.0;
+        let deadline = Instant::now() + timeout;
+        let mut st = q.state.lock().unwrap();
+        loop {
+            if let Some(item) = st.items.pop_front() {
+                q.not_full.notify_one();
+                return item;
+            }
+            if st.senders == 0 {
+                return Err(WireRecvError::Closed);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(WireRecvError::Timeout);
+            }
+            st = q.not_empty.wait_timeout(st, left).unwrap().0;
+        }
+    }
+}
+
+impl Drop for WireRx {
+    fn drop(&mut self) {
+        self.0.state.lock().unwrap().reader_gone = true;
+        self.0.not_full.notify_all();
+    }
 }
 
 #[cfg(test)]
@@ -433,7 +509,7 @@ mod tests {
     #[test]
     fn tcp_wire_moves_packets_between_threads() {
         let (listener, port) = loopback_listener().unwrap();
-        let mut rx = TcpWireRx::spawn(listener, 1, 8);
+        let mut rx = tcp_rx(listener, 1, 8);
         let mut tx = TcpWireTx::connect(&format!("127.0.0.1:{port}")).unwrap();
         for step in 0..5u64 {
             let mut p = sample(PacketKind::Data, vec![step as u8; 64]);
@@ -450,5 +526,109 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(5)).unwrap_err(),
             WireRecvError::Closed
         );
+    }
+    fn numbered(step: u64) -> Packet {
+        Packet {
+            step,
+            ..sample(PacketKind::Data, vec![step as u8])
+        }
+    }
+
+    #[test]
+    fn full_queue_hands_the_packet_back() {
+        let (mut tx, rx) = queue(2);
+        tx.try_send(numbered(0)).unwrap();
+        tx.try_send(numbered(1)).unwrap();
+        match tx.try_send(numbered(2)) {
+            Err(WireSendError::Full(p)) => assert_eq!(p.step, 2),
+            other => panic!("expected Full, got {other:?}"),
+        }
+        let start = Instant::now();
+        match tx.send_timeout(numbered(3), Duration::from_millis(20)) {
+            Err(WireSendError::Timeout(p)) => assert_eq!((p.step, p.payload), (3, vec![3])),
+            other => panic!("expected Timeout, got {other:?}"),
+        }
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        drop(rx);
+        for sent in [
+            tx.try_send(numbered(4)),
+            tx.send_timeout(numbered(4), Duration::from_secs(5)),
+        ] {
+            match sent {
+                Err(WireSendError::Closed(p)) => assert_eq!(p.step, 4),
+                other => panic!("expected Closed, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn backlog_is_drained_before_closed() {
+        let (mut tx, mut rx) = queue(4);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(1)).unwrap_err(),
+            WireRecvError::Timeout
+        );
+        let mut tx2 = tx.clone();
+        tx.try_send(numbered(7)).unwrap();
+        tx2.try_send(numbered(8)).unwrap();
+        drop(tx);
+        drop(tx2);
+        assert_eq!(rx.recv_timeout(Duration::ZERO).unwrap().step, 7);
+        assert_eq!(rx.recv_timeout(Duration::ZERO).unwrap().step, 8);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).unwrap_err(),
+            WireRecvError::Closed
+        );
+    }
+
+    #[test]
+    fn blocked_senders_wake_on_a_free_slot_and_on_a_dropped_reader() {
+        let (tx, mut rx) = queue(1);
+        tx.push(Ok(numbered(0)), None).unwrap();
+        let blocked = |step| {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                tx.push(Ok(numbered(step)), None)
+                    .map_err(|(_, closed)| closed)
+            })
+        };
+        let first = blocked(1);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().step, 0);
+        assert_eq!(first.join().unwrap(), Ok(()));
+        let second = blocked(2);
+        // Whether or not `second` is parked yet, the drop must release it.
+        std::thread::sleep(Duration::from_millis(10));
+        drop(rx);
+        assert_eq!(second.join().unwrap(), Err(true));
+    }
+
+    #[test]
+    fn two_concurrent_senders_stay_fifo_per_producer() {
+        const N: u64 = 200;
+        let (tx, mut rx) = queue(3);
+        let senders: Vec<_> = (0..2usize)
+            .map(|producer| {
+                let mut tx = tx.clone();
+                std::thread::spawn(move || {
+                    for step in 0..N {
+                        let p = Packet {
+                            producer,
+                            ..numbered(step)
+                        };
+                        tx.send_timeout(p, Duration::from_secs(5)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut next = [0u64; 2];
+        while let Ok(p) = rx.recv_timeout(Duration::from_secs(5)) {
+            assert_eq!(p.step, next[p.producer], "producer {}", p.producer);
+            next[p.producer] += 1;
+        }
+        assert_eq!(next, [N, N]);
+        for s in senders {
+            s.join().unwrap();
+        }
     }
 }

@@ -154,9 +154,8 @@ pub mod pool {
         ensure_workers(sh, helpers);
         let job_ref: &(dyn Fn(usize) + Sync) = &job;
         // SAFETY: lifetime-erased borrow of a stack closure. The batch
-        // protocol below guarantees every worker has made its last access
-        // (pending == 0) before `run` returns, so the borrow never
-        // outlives the closure.
+        // protocol below has every worker make its last access (pending ==
+        // 0) before `run` returns, so the borrow never outlives the closure.
         let job_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job_ref) };
         let batch = Batch {
             job: job_static,

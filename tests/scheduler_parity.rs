@@ -167,7 +167,7 @@ fn insitu_catalyst_parity_sync_and_pipelined() {
     }
 }
 
-// ---- in transit: two worlds over crossbeam channels --------------------
+// ---- in transit: two worlds over the staging wire -----------------------
 
 fn intransit_cfg(steps: usize, sched: SchedMode, faults: FaultPlan) -> InTransitConfig {
     let mut params = CaseParams::rbc_default();
