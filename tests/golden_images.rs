@@ -138,3 +138,165 @@ fn rbc_intransit_frames_match_goldens() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---- The benchmark's own cells, at their real image sizes --------------
+//
+// The 64×48 frames above cannot catch a span, tile-edge or clamp error
+// that only shows at real sizes, so the three render-heavy `nekbench`
+// cells are pinned too (seed 146, the benchmark's default): same meshes,
+// rank counts, image sizes and scheduler; fewer steps, which moves no
+// code path.
+
+/// The benchmark's seeded pb146 case on `elems` at order 3.
+fn bench_pb146(elems: [usize; 3]) -> sem::cases::CaseSetup {
+    let mut params = CaseParams::pb146_default();
+    params.elems = elems;
+    params.order = 3;
+    let mut case = pb146(&params, 146);
+    case.init = sem::cases::InitKind::AxialInflow {
+        w_in: 1.0 + 1e-6 * 146.0,
+    };
+    case
+}
+
+fn bench_insitu(
+    case: sem::cases::CaseSetup,
+    ranks: usize,
+    trigger_every: u64,
+    image_size: (usize, usize),
+    sched: commsim::SchedMode,
+    dir: &std::path::Path,
+) -> InSituConfig {
+    InSituConfig {
+        case,
+        ranks,
+        steps: 2,
+        trigger_every,
+        machine: MachineModel::polaris(),
+        image_size,
+        mode: InSituMode::Catalyst,
+        exec: ExecMode::Synchronous,
+        sched,
+        faults: commsim::FaultPlan::none(),
+        output_dir: Some(dir.to_path_buf()),
+        trace: false,
+        telemetry: false,
+        recovery: Default::default(),
+    }
+}
+
+const GOLDEN_BENCH_PB146_PRESSURE_SLICE: u64 = 0x521cfa9ec3ddf4db;
+const GOLDEN_BENCH_PB146_VELOCITY_CONTOUR: u64 = 0x60eeb5229a6843e2;
+
+/// `insitu_sync` / `insitu_pipelined`: 2 ranks, 128 elements, 800×600,
+/// a trigger every step — the second trigger draws on buffers the first
+/// one dirtied.
+#[test]
+fn bench_pb146_two_rank_800x600_frames_match_goldens() {
+    let dir = scratch_dir("bench-pb146");
+    let cfg = bench_insitu(
+        bench_pb146([4, 4, 8]),
+        2,
+        1,
+        (800, 600),
+        commsim::SchedMode::Thread,
+        &dir,
+    );
+    assert_eq!(run_insitu(&cfg).files_written, 4);
+    assert_golden(
+        &dir,
+        "pressure_slice_000002.png",
+        GOLDEN_BENCH_PB146_PRESSURE_SLICE,
+    );
+    assert_golden(
+        &dir,
+        "velocity_contour_000002.png",
+        GOLDEN_BENCH_PB146_VELOCITY_CONTOUR,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const GOLDEN_BENCH_MANYRANK_PRESSURE_SLICE: u64 = 0xf8ef09fa18145973;
+const GOLDEN_BENCH_MANYRANK_VELOCITY_CONTOUR: u64 = 0x72c51e7a07efb596;
+
+/// `manyrank_event`: 32 ranks of one element each under the event
+/// scheduler, 400×300 — 31 nearly-empty contributions into one root.
+#[test]
+fn bench_manyrank_event_400x300_frames_match_goldens() {
+    let dir = scratch_dir("bench-manyrank");
+    let cfg = bench_insitu(
+        bench_pb146([1, 1, 32]),
+        32,
+        2,
+        (400, 300),
+        commsim::SchedMode::Event,
+        &dir,
+    );
+    assert_eq!(run_insitu(&cfg).files_written, 2);
+    assert_golden(
+        &dir,
+        "pressure_slice_000002.png",
+        GOLDEN_BENCH_MANYRANK_PRESSURE_SLICE,
+    );
+    assert_golden(
+        &dir,
+        "velocity_contour_000002.png",
+        GOLDEN_BENCH_MANYRANK_VELOCITY_CONTOUR,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const GOLDEN_BENCH_RBC_TEMPERATURE_SLICE: u64 = 0x8defe2575eb05e23;
+const GOLDEN_BENCH_RBC_VELOCITY_CONTOUR: u64 = 0xeb2caad9ebe4314e;
+
+/// `intransit_tcp`: the §4.2 weak-scaling RBC case on 8 sim ranks feeding
+/// 2 Catalyst endpoint ranks, 800×600 (over the in-process wire: the
+/// wire carries the same bytes either way).
+#[test]
+fn bench_rbc_eight_to_two_800x600_endpoint_frames_match_goldens() {
+    let dir = scratch_dir("bench-rbc");
+    let mut params = CaseParams::rbc_default();
+    params.elems = [3, 3, 8];
+    params.order = 3;
+    params.lengths = Some([2.0, 2.0, 2.0]);
+    let mut case = rbc(&params, 1e5, 0.7);
+    case.init = sem::cases::InitKind::RbcPerturbed {
+        amplitude: 0.02 + 1e-6 * 146.0,
+    };
+    let report = run_intransit(&InTransitConfig {
+        case,
+        sim_ranks: 8,
+        ratio: 4,
+        steps: 2,
+        trigger_every: 1,
+        machine: MachineModel::juwels_booster(),
+        link: StagingLink::ucx_hdr200(),
+        queue_capacity: 8,
+        policy: QueuePolicy::Block,
+        mode: EndpointMode::Catalyst,
+        sched: Default::default(),
+        wire: Default::default(),
+        staging_consumers: 0,
+        staging_dir: None,
+        image_size: (800, 600),
+        output_dir: Some(dir.clone()),
+        faults: commsim::FaultPlan::none(),
+        writer_config: WriterConfig::default(),
+        fallback_dir: None,
+        trace: false,
+        telemetry: false,
+        recovery: Default::default(),
+    });
+    assert_eq!(report.endpoint_steps, 2, "a trigger every step");
+    assert_golden(
+        &dir,
+        "temperature_slice_000002.png",
+        GOLDEN_BENCH_RBC_TEMPERATURE_SLICE,
+    );
+    assert_golden(
+        &dir,
+        "velocity_contour_000002.png",
+        GOLDEN_BENCH_RBC_VELOCITY_CONTOUR,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
