@@ -94,18 +94,43 @@ impl Camera {
         m
     }
 
+    /// The world → pixel map for a `width × height` image, with the
+    /// view-projection matrix built once: what a draw call projects every
+    /// vertex through.
+    pub fn projector(&self, width: usize, height: usize) -> Projector {
+        let aspect = width as f64 / height as f64;
+        Projector {
+            view_projection: self.projection_matrix(aspect).mul(&self.view_matrix()),
+            width: width as f64,
+            height: height as f64,
+        }
+    }
+
     /// Project a world point to `(pixel_x, pixel_y, depth)`; `None` when
     /// behind the near plane. Depth increases away from the camera.
     pub fn project(&self, p: [f64; 3], width: usize, height: usize) -> Option<(f64, f64, f64)> {
-        let aspect = width as f64 / height as f64;
-        let vp = self.projection_matrix(aspect).mul(&self.view_matrix());
-        let h = vp.transform_point(Vec3::from_array(p));
+        self.projector(width, height).project(p)
+    }
+}
+
+/// A [`Camera`] bound to an image size (see [`Camera::projector`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Projector {
+    view_projection: Mat4,
+    width: f64,
+    height: f64,
+}
+
+impl Projector {
+    /// [`Camera::project`] for this camera and image size.
+    pub fn project(&self, p: [f64; 3]) -> Option<(f64, f64, f64)> {
+        let h = self.view_projection.transform_point(Vec3::from_array(p));
         if h[3] <= 1e-12 {
             return None;
         }
         let ndc = [h[0] / h[3], h[1] / h[3], h[2] / h[3]];
-        let x = (ndc[0] * 0.5 + 0.5) * width as f64;
-        let y = (1.0 - (ndc[1] * 0.5 + 0.5)) * height as f64;
+        let x = (ndc[0] * 0.5 + 0.5) * self.width;
+        let y = (1.0 - (ndc[1] * 0.5 + 0.5)) * self.height;
         Some((x, y, h[3]))
     }
 }

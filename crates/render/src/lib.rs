@@ -12,10 +12,12 @@
 //! * [`camera`] — look-at + perspective projection.
 //! * [`raster`] — a z-buffered triangle rasterizer with Lambertian shading
 //!   (the OSPRay stand-in; same output contract: a shaded, depth-correct
-//!   image of the extracted geometry).
+//!   image of the extracted geometry), onto a whole image or onto a tile
+//!   the size of what is drawn.
 //! * [`composite`] — sort-last parallel rendering: every rank rasterizes
-//!   its local blocks, then color+depth images are depth-composited to
-//!   rank 0 (serial gather).
+//!   its local blocks into a tile, then the color+depth tiles are
+//!   depth-composited into rank 0's image (serial gather of active
+//!   pixels).
 //! * [`image`] — the PNG encoder (stored-deflate, CRC-correct).
 //! * [`pipeline`] — a declarative render pipeline (the `analysis.py`
 //!   analogue) and [`pipeline::CatalystAnalysis`], the
@@ -38,9 +40,9 @@ pub mod raster;
 
 pub use camera::Camera;
 pub use colormap::Colormap;
-pub use composite::composite_to_root;
+pub use composite::{composite, composite_to_root};
 pub use filters::{contour, slice_plane, surface, threshold, TriangleSoup};
 pub use pipeline::{
     fnv1a64, CatalystAnalysis, FrameCache, FrameKey, RenderPass, RenderPipeline, RenderScratch,
 };
-pub use raster::Framebuffer;
+pub use raster::{Framebuffer, Tile};

@@ -9,10 +9,10 @@
 
 use crate::camera::Camera;
 use crate::colormap::Colormap;
-use crate::composite::composite_to_root;
+use crate::composite::composite;
 use crate::filters::{self, TriangleSoup};
 use crate::image::encode_png;
-use crate::raster::Framebuffer;
+use crate::raster::{image_bytes, Framebuffer, Tile};
 use commsim::{Comm, ReduceOp};
 use insitu::configurable::{AdaptorFactory, AnalysisSpec};
 use insitu::{AnalysisAdaptor, DataAdaptor};
@@ -83,13 +83,15 @@ pub struct RenderedImage {
 }
 
 /// Reusable buffers for [`RenderPipeline::execute_with`]: the triangle
-/// soup and the local framebuffer survive across passes and triggers, so
-/// steady-state rendering stops reallocating its two largest buffers.
-/// (Non-root ranks still hand their framebuffer to the compositor each
-/// pass — that transfer is the simulated MPI payload.)
+/// soup, the tile each rank rasterises into and — on rank 0 only, the
+/// other ranks' stays empty — the full-size image the tiles are
+/// composited into survive across passes and triggers. (Non-root ranks
+/// hand their tile's pixels to the compositor each pass — that transfer
+/// is the simulated MPI payload.)
 #[derive(Debug, Default)]
 pub struct RenderScratch {
-    fb: Framebuffer,
+    image: Framebuffer,
+    tile: Tile,
     soup: TriangleSoup,
 }
 
@@ -326,6 +328,7 @@ impl RenderPipeline {
 
         let render_acct = comm.accountant("render");
         let mut images = Vec::with_capacity(self.passes.len());
+        let mut tile_pixels = 0u64;
         for pass in &self.passes {
             let filter_span = comm.span("render/filter");
             // Global scalar range for this pass's array.
@@ -365,48 +368,48 @@ impl RenderPipeline {
             drop(filter_span);
             let raster_span = comm.span("render/raster");
 
-            // Rasterize locally into the reusable framebuffer. Triangle
-            // setup scales with the mesh (charged at the possibly-derated
+            // Rasterize locally into the reusable tile. Triangle setup
+            // scales with the mesh (charged at the possibly-derated
             // rates); per-pixel fill does not, so it is charged at the
             // machine's true rates via the derate factor.
-            scratch.fb.reset_to(self.width, self.height);
+            //
+            // The virtual machine holds and fills a whole image on every
+            // rank, as ParaView does, whatever the tile covers here.
             // Framebuffer memory is pixel-proportional: account the
             // derate-adjusted size so it stays in proportion to the
             // mesh-proportional accountants on scaled runs.
-            let fb_account =
-                (scratch.fb.heap_bytes() as f64 / comm.machine().derate_factor).max(1.0) as u64;
+            let fb_bytes = image_bytes(self.width, self.height) as f64;
+            let fb_account = (fb_bytes / comm.machine().derate_factor).max(1.0) as u64;
             let _fb_charge = render_acct.charge(fb_account);
             let camera = Camera::framing(bounds, pass.camera_dir);
             let n_tris = soup.n_triangles();
-            scratch.fb.draw(&camera, soup, &pass.colormap, (lo, hi));
+            scratch.tile.draw(
+                &camera,
+                soup,
+                &pass.colormap,
+                (lo, hi),
+                (self.width, self.height),
+            );
+            tile_pixels += scratch.tile.n_pixels() as u64;
             let s = 1.0 / comm.machine().derate_factor;
             comm.compute_host(n_tris as f64 * 300.0, soup.heap_bytes() as f64);
-            comm.compute_host(
-                (self.width * self.height) as f64 * 4.0 * s,
-                scratch.fb.heap_bytes() as f64 * s,
-            );
+            comm.compute_host((self.width * self.height) as f64 * 4.0 * s, fb_bytes * s);
             drop(raster_span);
             let _composite_span = comm.span("render/composite");
 
-            // Composite and encode on root. The compositor takes the
-            // framebuffer by value (it is the message payload off-root);
-            // rank 0 gets the merged image back and returns it to the
-            // scratch afterwards so the next pass reuses the allocation.
-            let local_fb = std::mem::take(&mut scratch.fb);
-            let png = match composite_to_root(comm, local_fb) {
-                Some(mut fb) => {
-                    if self.legend {
-                        fb.draw_legend(&pass.colormap, (lo, hi));
-                    }
-                    let png = encode_png(&fb);
-                    // Encoding is pixel-proportional: true rates.
-                    let s = 1.0 / comm.machine().derate_factor;
-                    comm.compute_host(png.len() as f64 * s, png.len() as f64 * 2.0 * s);
-                    scratch.fb = fb;
-                    Some(png)
+            // Composite and encode on root, the only rank whose scratch
+            // image is ever sized.
+            let png = composite(comm, &mut scratch.tile, &mut scratch.image).then(|| {
+                let fb = &mut scratch.image;
+                if self.legend {
+                    fb.draw_legend(&pass.colormap, (lo, hi));
                 }
-                None => None,
-            };
+                let png = encode_png(fb);
+                // Encoding is pixel-proportional: true rates.
+                let s = 1.0 / comm.machine().derate_factor;
+                comm.compute_host(png.len() as f64 * s, png.len() as f64 * 2.0 * s);
+                png
+            });
             images.push(RenderedImage {
                 name: format!("{}_{:06}", pass.name, step),
                 png,
@@ -415,6 +418,13 @@ impl RenderPipeline {
         let telemetry = comm.telemetry();
         if telemetry.enabled() {
             telemetry.counter("render/frames").add(images.len() as u64);
+            // Active-pixel ratio of sort-last compositing: what the ranks
+            // rasterised and shipped against the whole images ParaView
+            // would have.
+            telemetry.counter("render/tile_pixels").add(tile_pixels);
+            telemetry
+                .counter("render/image_pixels")
+                .add((self.width * self.height * self.passes.len()) as u64);
             telemetry
                 .histogram("render/execute_time")
                 .observe(comm.now() - t_render_start);
