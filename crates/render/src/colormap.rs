@@ -65,9 +65,9 @@ impl Colormap {
         };
         let rgb = self.sample(t);
         [
-            (rgb[0] * 255.0).round() as u8,
-            (rgb[1] * 255.0).round() as u8,
-            (rgb[2] * 255.0).round() as u8,
+            round_to_u8(rgb[0] * 255.0),
+            round_to_u8(rgb[1] * 255.0),
+            round_to_u8(rgb[2] * 255.0),
         ]
     }
 
@@ -90,6 +90,17 @@ impl Colormap {
         }
         stops[stops.len() - 1].1
     }
+}
+
+/// `v.round() as u8`, bit for bit, without the call into libm that
+/// `round` is on baseline x86-64 (three per shaded pixel): the saturating
+/// cast truncates, the remainder it leaves is exact, and half rounds away
+/// from zero.
+#[inline]
+fn round_to_u8(v: f64) -> u8 {
+    let floor = v as u8;
+    let frac = v - f64::from(floor);
+    floor + u8::from(frac >= 0.5 && floor < u8::MAX)
 }
 
 #[cfg(test)]
@@ -125,6 +136,40 @@ mod tests {
         // lo == hi → midpoint color.
         assert_eq!(cm.map(5.0, 5.0, 5.0), cm.map(0.5, 0.0, 1.0));
         assert_eq!(cm.map(f64::NAN, 0.0, 1.0), [0, 0, 0]);
+    }
+
+    #[test]
+    fn round_to_u8_is_round_then_cast() {
+        let same = |v: f64| assert_eq!(round_to_u8(v), v.round() as u8, "{v:e}");
+        // Around every integer and every half in and just past the range,
+        // a few representable values to either side.
+        for half_steps in -4..=516 {
+            let centre = f64::from(half_steps) * 0.5;
+            for ulps in -3i64..=3 {
+                same(f64::from_bits((centre.to_bits() as i64 + ulps) as u64));
+                same(-f64::from_bits((centre.to_bits() as i64 + ulps) as u64));
+            }
+        }
+        for v in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            0.49999999999999994,
+            1e300,
+            -1e300,
+        ] {
+            same(v);
+        }
+        // Every value the shipped colormaps can produce on a fine grid.
+        for cm in ["viridis", "cool-warm", "grayscale"].map(Colormap::by_name) {
+            for i in 0..=100_000 {
+                for c in cm.sample(f64::from(i) / 100_000.0) {
+                    same(c * 255.0);
+                }
+            }
+        }
     }
 
     #[test]
