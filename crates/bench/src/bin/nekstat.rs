@@ -341,6 +341,19 @@ fn summarize(r: &RunReport) {
              {unconverged} unconverged solves"
         );
     }
+    // Sort-last rendering: the share of the image the ranks' tiles covered
+    // (rasterised and sent) against a whole image per rank and pass.
+    for world in ["", "endpoint:"] {
+        if let (Some(Agg::Counter(tile)), Some(Agg::Counter(image))) = (
+            aggs.get(&format!("{world}render/tile_pixels")),
+            aggs.get(&format!("{world}render/image_pixels")),
+        ) {
+            println!(
+                "\n{world}render: {:.1} % of image pixels active ({tile} of {image})",
+                100.0 * *tile as f64 / (*image).max(1) as f64
+            );
+        }
+    }
     if !aggs.is_empty() {
         let rows: Vec<Vec<String>> = aggs
             .iter()

@@ -265,7 +265,9 @@ fn event_log_is_sorted_with_stable_tie_break_in_both_sched_modes() {
         let mut cfg = stalled_insitu_config(true, None);
         cfg.sched = sched;
         let r = run_insitu(&cfg);
-        r.run_report.expect("telemetry: true collects a report").events
+        r.run_report
+            .expect("telemetry: true collects a report")
+            .events
     };
     let thread = run(commsim::SchedMode::Thread);
     let event = run(commsim::SchedMode::Event);
@@ -322,6 +324,40 @@ fn event_mode_reports_carry_the_scheduler_hand_off_counts() {
     assert_eq!(coll_parks, Some(collectives / 2));
     assert!(msg_parks.is_some());
     assert_eq!(run(commsim::SchedMode::Thread), (collectives, None, None));
+}
+
+/// Sort-last rendering reports the ratio it exploits: per rank, the
+/// pixels of the tiles it rasterised and sent beside the whole images
+/// (width × height × passes) it would have shipped.
+#[test]
+fn catalyst_reports_carry_the_active_pixel_counters() {
+    let mut cfg = stalled_insitu_config(true, None);
+    cfg.mode = InSituMode::Catalyst;
+    cfg.exec = ExecMode::Synchronous;
+    cfg.faults = FaultPlan::none();
+    let report = run_insitu(&cfg).run_report.expect("telemetry: true");
+    let per_rank = |base: &str| -> Vec<u64> {
+        (report.metrics.iter())
+            .filter(|(name, _)| name.ends_with(base))
+            .map(|(_, v)| match v {
+                telemetry::MetricValue::Counter(c) => *c,
+                other => panic!("{base} is not a counter: {other:?}"),
+            })
+            .collect()
+    };
+    // Four triggers of two passes at 64×48 on each of the two ranks.
+    let image = 64 * 48 * 2 * 4;
+    assert_eq!(per_rank("/render/image_pixels"), [image, image]);
+    let tiles = per_rank("/render/tile_pixels");
+    assert_eq!(tiles.len(), 2);
+    for (rank, &tile) in tiles.iter().enumerate() {
+        assert!(tile <= image, "rank {rank}: {tile} tile pixels of {image}");
+    }
+    let total: u64 = tiles.iter().sum();
+    assert!(
+        0 < total && total < 2 * image,
+        "tiles must cover something and less than everything: {total}"
+    );
 }
 
 /// `nekstat` parses reports from files and, under `--follow`, JSON a TCP
