@@ -40,9 +40,9 @@ pub mod raster;
 
 pub use camera::Camera;
 pub use colormap::Colormap;
-pub use composite::{composite, composite_to_root};
+pub use composite::composite_to_root;
 pub use filters::{contour, slice_plane, surface, threshold, TriangleSoup};
 pub use pipeline::{
     fnv1a64, CatalystAnalysis, FrameCache, FrameKey, RenderPass, RenderPipeline, RenderScratch,
 };
-pub use raster::{Framebuffer, Tile};
+pub use raster::Framebuffer;

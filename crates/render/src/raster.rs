@@ -248,7 +248,9 @@ impl Framebuffer {
         let mut tile = Tile {
             rect: view.rect,
             image_size: (self.width, self.height),
-            ..Tile::default()
+            color: Vec::with_capacity(view.rect.area()),
+            depth: Vec::with_capacity(view.rect.area()),
+            triangles: Vec::new(),
         };
         for r in 0..view.rows() {
             let (color, depth) = view.row(r);

@@ -94,18 +94,21 @@ fn pb146_insitu_frames_match_goldens() {
 const GOLDEN_RBC_TEMPERATURE_SLICE: u64 = 0x05fb35f63597c9ac;
 const GOLDEN_RBC_VELOCITY_CONTOUR: u64 = 0xd45af6854e8f9b02;
 
-#[test]
-fn rbc_intransit_frames_match_goldens() {
-    let dir = scratch_dir("rbc");
-    let mut params = CaseParams::rbc_default();
-    params.elems = [2, 2, 4];
-    params.order = 2;
-    let report = run_intransit(&InTransitConfig {
-        case: rbc(&params, 1e4, 0.7),
-        sim_ranks: 4,
+/// `sim_ranks` simulation ranks feeding Catalyst endpoint ranks at 4:1
+/// for `steps` steps, a trigger every `trigger_every`.
+fn rbc_catalyst_endpoint(
+    case: sem::cases::CaseSetup,
+    sim_ranks: usize,
+    (steps, trigger_every): (usize, u64),
+    image_size: (usize, usize),
+    dir: &std::path::Path,
+) -> InTransitConfig {
+    InTransitConfig {
+        case,
+        sim_ranks,
         ratio: 4,
-        steps: 4,
-        trigger_every: 2,
+        steps,
+        trigger_every,
         machine: MachineModel::juwels_booster(),
         link: StagingLink::ucx_hdr200(),
         queue_capacity: 8,
@@ -115,15 +118,30 @@ fn rbc_intransit_frames_match_goldens() {
         wire: Default::default(),
         staging_consumers: 0,
         staging_dir: None,
-        image_size: (64, 48),
-        output_dir: Some(dir.clone()),
+        image_size,
+        output_dir: Some(dir.to_path_buf()),
         faults: commsim::FaultPlan::none(),
         writer_config: WriterConfig::default(),
         fallback_dir: None,
         trace: false,
         telemetry: false,
         recovery: Default::default(),
-    });
+    }
+}
+
+#[test]
+fn rbc_intransit_frames_match_goldens() {
+    let dir = scratch_dir("rbc");
+    let mut params = CaseParams::rbc_default();
+    params.elems = [2, 2, 4];
+    params.order = 2;
+    let report = run_intransit(&rbc_catalyst_endpoint(
+        rbc(&params, 1e4, 0.7),
+        4,
+        (4, 2),
+        (64, 48),
+        &dir,
+    ));
     assert_eq!(report.endpoint_steps, 2, "triggers at steps 2 and 4");
     // The endpoint renders on every delivered trigger; pin the last one.
     assert_golden(
@@ -263,30 +281,7 @@ fn bench_rbc_eight_to_two_800x600_endpoint_frames_match_goldens() {
     case.init = sem::cases::InitKind::RbcPerturbed {
         amplitude: 0.02 + 1e-6 * 146.0,
     };
-    let report = run_intransit(&InTransitConfig {
-        case,
-        sim_ranks: 8,
-        ratio: 4,
-        steps: 2,
-        trigger_every: 1,
-        machine: MachineModel::juwels_booster(),
-        link: StagingLink::ucx_hdr200(),
-        queue_capacity: 8,
-        policy: QueuePolicy::Block,
-        mode: EndpointMode::Catalyst,
-        sched: Default::default(),
-        wire: Default::default(),
-        staging_consumers: 0,
-        staging_dir: None,
-        image_size: (800, 600),
-        output_dir: Some(dir.clone()),
-        faults: commsim::FaultPlan::none(),
-        writer_config: WriterConfig::default(),
-        fallback_dir: None,
-        trace: false,
-        telemetry: false,
-        recovery: Default::default(),
-    });
+    let report = run_intransit(&rbc_catalyst_endpoint(case, 8, (2, 1), (800, 600), &dir));
     assert_eq!(report.endpoint_steps, 2, "a trigger every step");
     assert_golden(
         &dir,

@@ -287,6 +287,17 @@ fn event_log_is_sorted_with_stable_tie_break_in_both_sched_modes() {
     assert_eq!(thread, event, "event logs differ across schedulers");
 }
 
+/// Every rank's row of the counter whose name ends in `base`.
+fn counter_rows(report: &RunReport, base: &str) -> Vec<u64> {
+    (report.metrics.iter())
+        .filter(|(name, _)| name.ends_with(base))
+        .map(|(_, v)| match v {
+            telemetry::MetricValue::Counter(c) => *c,
+            other => panic!("{base} is not a counter: {other:?}"),
+        })
+        .collect()
+}
+
 /// The event scheduler's hand-off counts ride the bus: an event-mode
 /// report carries them per rank, and every collective parked exactly
 /// all ranks but the one that completed it. A thread-mode run has no
@@ -300,14 +311,7 @@ fn event_mode_reports_carry_the_scheduler_hand_off_counts() {
         cfg.sched = sched;
         let r = run_insitu(&cfg);
         let sum = |base: &str| -> Option<u64> {
-            let report = r.run_report.as_ref().expect("telemetry: true");
-            let rows: Vec<u64> = (report.metrics.iter())
-                .filter(|(name, _)| name.ends_with(base))
-                .map(|(_, v)| match v {
-                    telemetry::MetricValue::Counter(c) => *c,
-                    other => panic!("{base} is not a counter: {other:?}"),
-                })
-                .collect();
+            let rows = counter_rows(r.run_report.as_ref().expect("telemetry: true"), base);
             (!rows.is_empty()).then(|| {
                 assert_eq!(rows.len(), cfg.ranks, "one {base} row per rank");
                 rows.iter().sum()
@@ -336,15 +340,7 @@ fn catalyst_reports_carry_the_active_pixel_counters() {
     cfg.exec = ExecMode::Synchronous;
     cfg.faults = FaultPlan::none();
     let report = run_insitu(&cfg).run_report.expect("telemetry: true");
-    let per_rank = |base: &str| -> Vec<u64> {
-        (report.metrics.iter())
-            .filter(|(name, _)| name.ends_with(base))
-            .map(|(_, v)| match v {
-                telemetry::MetricValue::Counter(c) => *c,
-                other => panic!("{base} is not a counter: {other:?}"),
-            })
-            .collect()
-    };
+    let per_rank = |base: &str| counter_rows(&report, base);
     // Four triggers of two passes at 64×48 on each of the two ranks.
     let image = 64 * 48 * 2 * 4;
     assert_eq!(per_rank("/render/image_pixels"), [image, image]);
