@@ -592,7 +592,21 @@ impl Comm {
     // Collectives
     // ------------------------------------------------------------------
 
-    fn collective<T, R, F>(&mut self, input: T, payload_bytes: u64, combine: F) -> Arc<R>
+    /// The general collective: every rank contributes `input`, the last
+    /// rank to arrive runs `combine` — exactly once per call, over the
+    /// inputs in rank order whatever order the ranks arrived in — and every
+    /// rank leaves with the same shared result, its clock lifted to the
+    /// latest arrival plus the tree cost of `payload_bytes` per stage.
+    /// `payload_bytes` must be the same on every rank (the combining rank's
+    /// value is the one priced). [`Self::allreduce_vec`], [`Self::allgather`]
+    /// and the other collectives are this with a fixed `combine`; a caller
+    /// with its own — a sum that must not depend on arrival order, work that
+    /// one rank can do for all — calls it directly.
+    ///
+    /// # Panics
+    /// Panics if the ranks of one call disagree on `T`, or if the world is
+    /// poisoned while waiting.
+    pub fn reduce_with<T, R, F>(&mut self, input: T, payload_bytes: u64, combine: F) -> Arc<R>
     where
         T: Send + 'static,
         R: Send + Sync + 'static,
@@ -706,7 +720,7 @@ impl Comm {
     /// single-rank fast path for `allreduce{,_vec}` so hot solver loops
     /// stay allocation-free (the general path boxes inputs and allocates
     /// an `Arc` result even for one rank). The time charging mirrors
-    /// `collective` step for step so virtual-clock output is bit-identical.
+    /// `reduce_with` step for step so virtual-clock output is bit-identical.
     fn charge_single_rank_collective(&mut self, payload_bytes: u64) {
         let t_max = self.clock.now();
         let out_time = t_max
@@ -775,7 +789,7 @@ impl Comm {
 
     /// Synchronize all ranks (and their clocks) — MPI_Barrier.
     pub fn barrier(&mut self) {
-        self.collective((), 8, |_| ());
+        self.reduce_with((), 8, |_| ());
     }
 
     /// Allreduce one scalar — MPI_Allreduce on a single f64.
@@ -786,7 +800,7 @@ impl Comm {
             // cases like -0.0 normalize identically.
             return op.apply(op.identity(), value);
         }
-        *self.collective(value, 8, move |v| op.fold(v))
+        *self.reduce_with(value, 8, move |v| op.fold(v))
     }
 
     /// Elementwise allreduce of a slice, in place.
@@ -800,7 +814,7 @@ impl Comm {
         }
         let n = values.len();
         let input = values.to_vec();
-        let result = self.collective(input, (n * 8) as u64, move |contribs| {
+        let result = self.reduce_with(input, (n * 8) as u64, move |contribs| {
             let mut out = vec![0.0; n];
             op.fold_vecs(&mut out, &contribs);
             out
@@ -810,7 +824,7 @@ impl Comm {
 
     /// Gather one value from every rank onto every rank — MPI_Allgather.
     pub fn allgather<T: Clone + Send + Sync + 'static>(&mut self, value: T, nbytes: u64) -> Vec<T> {
-        self.collective(value, nbytes, |v| v).as_ref().clone()
+        self.reduce_with(value, nbytes, |v| v).as_ref().clone()
     }
 
     /// Gather one value from every rank onto `root`; other ranks get `None`.
@@ -820,7 +834,7 @@ impl Comm {
         value: T,
         nbytes: u64,
     ) -> Option<Vec<T>> {
-        let all = self.collective(value, nbytes, |v| v);
+        let all = self.reduce_with(value, nbytes, |v| v);
         (self.rank == root).then(|| all.as_ref().clone())
     }
 
@@ -833,7 +847,7 @@ impl Comm {
         value: T,
         nbytes: u64,
     ) -> T {
-        let all = self.collective(value, nbytes, |v| v);
+        let all = self.reduce_with(value, nbytes, |v| v);
         all[root].clone()
     }
 
@@ -923,6 +937,48 @@ mod tests {
         });
         for v in res {
             assert_eq!(v, vec![3.0, 30.0]);
+        }
+    }
+
+    #[test]
+    fn reduce_with_combines_once_per_call_in_rank_order() {
+        use crate::exec::{with_mode, SchedMode};
+        use std::sync::atomic::AtomicUsize;
+        const CALLS: usize = 40;
+        for mode in [SchedMode::Thread, SchedMode::Event] {
+            for ranks in [1usize, 2, 5] {
+                let combines = Arc::new(AtomicUsize::new(0));
+                let counter = Arc::clone(&combines);
+                let res = with_mode(mode, || {
+                    run_ranks(ranks, tiny(), move |comm| {
+                        (0..CALLS)
+                            .map(|call| {
+                                // Stagger the virtual clocks so the event
+                                // scheduler varies who arrives last.
+                                comm.advance(((comm.rank() + call) % 3) as f64 * 1e-6);
+                                let counter = Arc::clone(&counter);
+                                let folded = comm.reduce_with(
+                                    (comm.rank() + call) as u64,
+                                    8,
+                                    move |inputs: Vec<u64>| {
+                                        counter.fetch_add(1, Ordering::SeqCst);
+                                        // Not commutative: only rank order gives this value.
+                                        inputs.iter().fold(7u64, |acc, &v| acc * 31 + v)
+                                    },
+                                );
+                                *folded
+                            })
+                            .collect::<Vec<u64>>()
+                    })
+                });
+                let expected: Vec<u64> = (0..CALLS)
+                    .map(|call| (0..ranks).fold(7u64, |acc, r| acc * 31 + (r + call) as u64))
+                    .collect();
+                for got in &res {
+                    assert_eq!(got, &expected, "{ranks} ranks, {}", mode.label());
+                }
+                assert_eq!(combines.load(Ordering::SeqCst), CALLS, "{ranks} ranks");
+            }
         }
     }
 
