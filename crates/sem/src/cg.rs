@@ -3,7 +3,8 @@
 //! Works on unassembled (element-major) vectors: the operator callback
 //! applies the local element operator; this module gather-scatters, masks
 //! Dirichlet nodes, and computes multiplicity-weighted global inner
-//! products via `allreduce` — three collectives per iteration, the
+//! products via `allreduce` — three collectives per iteration (the mean
+//! projection of a singular solve rides the residual norm's), the
 //! communication signature NekRS's pressure/viscous solves show at scale.
 //! The preconditioner is the caller's: [`jacobi`] for the Helmholtz
 //! solves, the [`crate::mg`] V-cycle for pressure. Plain PCG needs it
@@ -16,7 +17,8 @@ use commsim::{Comm, ReduceOp};
 /// Solver controls.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgConfig {
-    /// Relative tolerance on the preconditioned residual norm.
+    /// Relative tolerance on the residual's weighted L2 norm — the plain
+    /// residual `b − A x`, not the preconditioned one.
     pub tol: f64,
     /// Absolute tolerance floor.
     pub abs_tol: f64,
@@ -124,14 +126,21 @@ fn solve_with(
     for i in 0..n {
         r[i] = b[i] - mask[i] * q[i];
     }
-    if cfg.project_mean {
-        remove_weighted_mean(comm, &mut *r, w, mask);
-    }
+    // Singular operator: the weight of the free nodes, once per solve; the
+    // mean of every residual then comes out with its norm.
+    let free_weight = cfg.project_mean.then(|| {
+        let local: f64 = w.iter().zip(mask).map(|(&wi, &m)| wi * m).sum();
+        comm.allreduce(local, ReduceOp::Sum)
+    });
+    let residual_norm = |comm: &mut Comm, r: &mut [f64]| match free_weight {
+        Some(fw) => remove_weighted_mean_norm(comm, r, w, mask, fw),
+        None => wdot(comm, r, r, w).sqrt(),
+    };
 
     let norm_b = wdot(comm, b, b, w).sqrt();
     let target = (cfg.tol * norm_b).max(cfg.abs_tol);
 
-    let mut rnorm = wdot(comm, &*r, &*r, w).sqrt();
+    let mut rnorm = residual_norm(comm, &mut *r);
     if rnorm <= target {
         return CgResult {
             iterations: 0,
@@ -162,10 +171,7 @@ fn solve_with(
             x[i] += alpha * p[i];
             r[i] -= alpha * q[i];
         }
-        if cfg.project_mean {
-            remove_weighted_mean(comm, &mut *r, w, mask);
-        }
-        rnorm = wdot(comm, &*r, &*r, w).sqrt();
+        rnorm = residual_norm(comm, &mut *r);
         if rnorm <= target {
             break;
         }
@@ -178,10 +184,10 @@ fn solve_with(
         }
     }
 
-    if cfg.project_mean {
+    if let Some(fw) = free_weight {
         // Pin the solution's mean to zero as well (it is only defined up to
         // a constant).
-        remove_weighted_mean(comm, x, w, mask);
+        remove_weighted_mean_norm(comm, x, w, mask, fw);
     }
 
     CgResult {
@@ -213,23 +219,38 @@ pub fn jacobi<'a>(
     }
 }
 
-/// Subtract the multiplicity-weighted mean over free nodes from `v`.
-fn remove_weighted_mean(comm: &mut Comm, v: &mut [f64], w: &[f64], mask: &[f64]) {
-    let local_sum: f64 = v
-        .iter()
-        .zip(w)
-        .zip(mask)
-        .map(|((&x, &wi), &m)| x * wi * m)
-        .sum();
-    let local_count: f64 = w.iter().zip(mask).map(|(&wi, &m)| wi * m).sum();
-    let mut both = [local_sum, local_count];
-    comm.allreduce_vec(&mut both, ReduceOp::Sum);
-    if both[1] > 0.0 {
-        let mean = both[0] / both[1];
-        for (x, &m) in v.iter_mut().zip(mask) {
-            *x -= mean * m;
-        }
+/// Subtract from `v` its multiplicity-weighted mean `μ` over the free
+/// nodes, whose total weight `free_weight = Σ w·m` the caller reduced
+/// once, and return `‖v − μ·m‖_w` — both from one collective, since
+/// `‖v − μ·m‖²_w = Σ w·v² − (Σ w·m·v)² / Σ w·m` (clamped at 0 against
+/// rounding, which is `ε·Σ w·v²`: nothing beside a CG residual, whose mean
+/// is itself rounding). `v` is zero on masked nodes, as residuals and
+/// solutions are.
+fn remove_weighted_mean_norm(
+    comm: &mut Comm,
+    v: &mut [f64],
+    w: &[f64],
+    mask: &[f64],
+    free_weight: f64,
+) -> f64 {
+    comm.compute_gpu(4.0 * v.len() as f64, 3.0 * 8.0 * v.len() as f64);
+    let mut sums = [0.0; 2];
+    for ((&x, &wi), &m) in v.iter().zip(w).zip(mask) {
+        sums[0] += wi * m * x;
+        sums[1] += wi * x * x;
     }
+    comm.allreduce_vec(&mut sums, ReduceOp::Sum);
+    let [weighted_sum, square] = sums;
+    if free_weight <= 0.0 {
+        return square.sqrt();
+    }
+    let mean = weighted_sum / free_weight;
+    for (x, &m) in v.iter_mut().zip(mask) {
+        *x -= mean * m;
+    }
+    (square - weighted_sum * weighted_sum / free_weight)
+        .max(0.0)
+        .sqrt()
 }
 
 #[cfg(test)]
@@ -426,6 +447,48 @@ mod tests {
             assert!(conv);
             assert!(err < 2e-3, "max err {err}");
         }
+    }
+
+    #[test]
+    fn fused_mean_projection_matches_subtract_then_dot() {
+        // Split over two ranks: the sums cross the collective.
+        let res = run_ranks(2, MachineModel::test_tiny(), |comm| {
+            let n = 400;
+            let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ comm.rank() as u64;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            // Hex-mesh multiplicities, every fifth node masked.
+            let w: Vec<f64> = (0..n)
+                .map(|_| 1.0 / (1u32 << (next() * 4.0) as u32) as f64)
+                .collect();
+            let mask: Vec<f64> = (0..n).map(|i| f64::from(i % 5 != 0)).collect();
+            let local: f64 = w.iter().zip(&mask).map(|(a, m)| a * m).sum();
+            let free_weight = comm.allreduce(local, ReduceOp::Sum);
+            let mut worst = 0.0f64;
+            for offset in [0.0, 3.0] {
+                let v: Vec<f64> = mask.iter().map(|m| m * (offset + next() - 0.5)).collect();
+                // Explicit: reduce the mean, subtract, then dot.
+                let sum: f64 = v.iter().zip(&w).map(|(x, wi)| x * wi).sum();
+                let mean = comm.allreduce(sum, ReduceOp::Sum) / free_weight;
+                let want: Vec<f64> = v.iter().zip(&mask).map(|(x, m)| x - mean * m).collect();
+                let want_norm = wdot(comm, &want, &want, &w).sqrt();
+                let mut got = v.clone();
+                let got_norm = remove_weighted_mean_norm(comm, &mut got, &w, &mask, free_weight);
+                assert_eq!(got, want, "offset {offset}: projected field");
+                worst = worst.max((got_norm - want_norm).abs() / want_norm);
+            }
+            // A constant has nothing left, exactly: every sum is dyadic.
+            let mut constant: Vec<f64> = mask.iter().map(|m| 3.0 * m).collect();
+            let zero = remove_weighted_mean_norm(comm, &mut constant, &w, &mask, free_weight);
+            assert_eq!(zero, 0.0);
+            assert!(constant.iter().all(|&x| x == 0.0));
+            worst
+        });
+        assert!(res[0] <= 1e-12, "norms differ by {} relative", res[0]);
     }
 
     #[test]
