@@ -335,10 +335,16 @@ fn summarize(r: &RunReport) {
         aggs.get("sem/velocity_iters"),
         aggs.get("sem/unconverged_solves"),
     ) {
+        let coarse = match (aggs.get("sem/coarse_dofs"), aggs.get("sem/coarse_band")) {
+            (Some(Agg::Gauge { sum: dofs, .. }), Some(Agg::Gauge { sum: band, .. })) => {
+                format!("; coarse grid {dofs:.0} dofs, band {band:.0}, solved exactly")
+            }
+            _ => String::new(),
+        };
         println!(
             "\nsolver convergence: pressure p50 {p_p50:.1} / max {p_max:.0} iterations \
              (final residual ≤ {res_max:.1e} of the rhs), velocity p50 {v_p50:.1} / max {v_max:.0}, \
-             {unconverged} unconverged solves"
+             {unconverged} unconverged solves{coarse}"
         );
     }
     // Sort-last rendering: the share of the image the ranks' tiles covered

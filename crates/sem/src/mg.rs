@@ -1,16 +1,21 @@
 //! p-multigrid preconditioner for the pressure Poisson solve.
 //!
 //! One V-cycle over polynomial orders N → 3 → 1 (N → 1 when N ≤ 3) on the
-//! same elements, NekRS's default pressure preconditioner. Every level is
-//! the ordinary machinery at a lower order — [`LocalMesh`] →
+//! same elements, NekRS's default pressure preconditioner. Every level above
+//! the last is the ordinary machinery at a lower order — [`LocalMesh`] →
 //! [`GatherScatter`] → [`Ops`] — smoothed by Chebyshev-accelerated Jacobi
-//! of one fixed degree before and after the coarse correction; the
-//! coarsest level is the same smoother at a higher fixed degree instead of
-//! an inner CG. Prolongation interpolates between the levels' GLL nodes
-//! element by element and restriction is its transpose, so the cycle is a
-//! fixed, symmetric, positive operator — what plain PCG needs — with no
-//! collective in it (gather–scatter halo messages only), and bitwise the
-//! same at any pool width.
+//! of one fixed degree before and after the coarse correction. The order-1
+//! level is not smoothed but solved: its global vertex matrix is factored
+//! once per world ([`CoarseFactor`], banded Cholesky, one copy shared by
+//! every rank) and each cycle makes one collective in which the ranks'
+//! unassembled restricted residuals are summed in rank order and the two
+//! substitutions run once, for everybody ([`CoarseSolve`]) — NekRS's XXT /
+//! AMG coarse solve at the scale of this reproduction. Prolongation
+//! interpolates between the levels' GLL nodes element by element and
+//! restriction is its transpose, so the cycle is a fixed, symmetric,
+//! positive operator — what plain PCG needs — costing gather–scatter halo
+//! rounds on the smoothed levels plus that one collective, and bitwise the
+//! same at any pool width and under either scheduler.
 //!
 //! Vectors follow [`crate::cg`]'s conventions: element-major with every
 //! copy of a shared node holding the same value, residuals assembled and
@@ -20,16 +25,13 @@ use crate::gs::GatherScatter;
 use crate::mesh::{LocalMesh, MeshSpec};
 use crate::operators::Ops;
 use commsim::Comm;
+use memtrack::Charge;
 use std::sync::Arc;
 
 /// Chebyshev degree of the pre- and post-smoother (equal, for symmetry).
 const SMOOTH_DEGREE: usize = 2;
 /// The smoother damps the eigenvalues of `D⁻¹A` in `[λ/10, 1.1·λ]`.
 const SMOOTH_SPAN: f64 = 10.0;
-/// Chebyshev degree of the coarsest level's stand-in for a solve.
-const COARSEST_DEGREE: usize = 8;
-/// The coarsest level targets `[λ/60, 1.1·λ]`.
-const COARSEST_SPAN: f64 = 60.0;
 /// Safety factor on the element estimate `λ` of `λ_max(D⁻¹A)`.
 const LAMBDA_MARGIN: f64 = 1.1;
 
@@ -65,22 +67,23 @@ impl Operator<'_> {
         }
     }
 
-    /// `degree` steps of Chebyshev-accelerated Jacobi on `A x = b` for the
-    /// eigenvalues of `D⁻¹A` in `[lambda/span, LAMBDA_MARGIN·lambda]`:
+    /// [`SMOOTH_DEGREE`] steps of Chebyshev-accelerated Jacobi on `A x = b`
+    /// for the eigenvalues of `D⁻¹A` in
+    /// `[lambda/SMOOTH_SPAN, LAMBDA_MARGIN·lambda]`:
     /// `x ← x + p(D⁻¹A)·D⁻¹ r` with `r = b − A x` on entry (stale on exit,
     /// which saves the last operator apply). Residuals are zero on
     /// Dirichlet nodes, so every update is too.
     fn smooth(
         &self,
         comm: &mut Comm,
-        (degree, lambda, span): (usize, f64, f64),
+        lambda: f64,
         x: &mut [f64],
         r: &mut [f64],
         d: &mut [f64],
         q: &mut [f64],
     ) {
-        let n = x.len();
-        let (lo, hi) = (lambda / span, LAMBDA_MARGIN * lambda);
+        let (n, degree) = (x.len(), SMOOTH_DEGREE);
+        let (lo, hi) = (lambda / SMOOTH_SPAN, LAMBDA_MARGIN * lambda);
         let (theta, delta) = (0.5 * (hi + lo), 0.5 * (hi - lo));
         let sigma = theta / delta;
         let mut rho = 1.0 / sigma;
@@ -239,6 +242,16 @@ impl Level {
     /// in the 1/multiplicity-weighted inner product, `w` being the finer
     /// level's weights and `r` its assembled residual.
     fn restrict(&mut self, comm: &mut Comm, w: &[f64], r: &[f64]) {
+        self.restrict_unassembled(comm, w, r);
+        self.gs.sum(comm, &mut self.b);
+        for (b, &m) in self.b.iter_mut().zip(&self.mask) {
+            *b *= m;
+        }
+    }
+
+    /// `self.b = Pᵀ(w ∘ r)` element by element: [`Self::restrict`] before
+    /// its assembly, which on the order-1 level is [`CoarseSolve`]'s.
+    fn restrict_unassembled(&mut self, comm: &mut Comm, w: &[f64], r: &[f64]) {
         self.charge_transfer(comm);
         let (nc, nf) = (self.ops.basis.np(), self.np_finer);
         let (npe_c, npe_f) = (nc * nc * nc, nf * nf * nf);
@@ -256,10 +269,6 @@ impl Level {
             contract(&self.interp_t, nc, wr, [nf, nf, nf], 2, t2);
             contract(&self.interp_t, nc, t2, [nf, nf, nc], 1, t1);
             contract(&self.interp_t, nc, t1, [nf, nc, nc], 0, be);
-        }
-        self.gs.sum(comm, &mut self.b);
-        for (b, &m) in self.b.iter_mut().zip(&self.mask) {
-            *b *= m;
         }
     }
 
@@ -282,79 +291,373 @@ impl Level {
     }
 }
 
-/// `x ≈ A⁻¹ b` by one V-cycle from a zero guess on the level `op`
-/// describes, `coarse` being the levels below it, finest first.
+/// The 8×8 stiffness matrix of one order-1 element, rows and columns in
+/// element-local node order (x fastest): what [`Ops::stiffness_apply`]
+/// applies, `J Σ_d s_d² K̂_d ⊗ Ŵ ⊗ Ŵ` with `K̂ = D̂ᵀŴD̂`, written out.
+fn vertex_element_matrix(ops: &Ops) -> [[f64; 8]; 8] {
+    let (w, d) = (&ops.basis.weights, &ops.basis.deriv);
+    let khat =
+        |i: usize, j: usize| -> f64 { (0..2).map(|m| w[m] * d[2 * m + i] * d[2 * m + j]).sum() };
+    let mut a = [[0.0; 8]; 8];
+    for (row, a_row) in a.iter_mut().enumerate() {
+        let p = [row & 1, (row >> 1) & 1, row >> 2];
+        for (col, v) in a_row.iter_mut().enumerate() {
+            let q = [col & 1, (col >> 1) & 1, col >> 2];
+            for axis in 0..3 {
+                let lumped: f64 = (0..3)
+                    .filter(|&o| o != axis)
+                    .map(|o| if p[o] == q[o] { w[p[o]] } else { 0.0 })
+                    .product();
+                *v += ops.jac * ops.scale[axis] * ops.scale[axis] * khat(p[axis], q[axis]) * lumped;
+            }
+        }
+    }
+    a
+}
+
+/// The order-1 level's exact solver, one per world: the banded Cholesky
+/// factor `L·Lᵀ` of the assembled, masked vertex stiffness matrix in the
+/// mesh's own lexicographic vertex numbering ([`MeshSpec::gid`] at order 1).
+/// GLL quadrature lumps the element matrix to a 7-point stencil — vertices
+/// couple along element edges only — so the half-bandwidth is one x–y plane
+/// of vertices, `nx·ny` — 4 on a one-element column however tall, periodic
+/// in x and y or not (only a periodic z wraps the last plane onto the
+/// first). A vertex that carries no unknown — Dirichlet, touched by solid
+/// elements only, or the one vertex pinned to fix the level of an
+/// all-Neumann operator — is an identity row whose right-hand side is
+/// zeroed, so the solve is a fixed symmetric operator, positive on what it
+/// does not zero.
+///
+/// Every rank could build it from the global [`MeshSpec`] it holds; one
+/// rank does, from what the ranks hand it of their slabs, and shares it,
+/// because `P` copies of it, and `P` solves a cycle, are what a simulator
+/// that runs its ranks on one host cannot afford at the paper's rank counts. A factor held whole
+/// in one memory is a device of this reproduction's scale (a few thousand
+/// vertices); XXT and AMG are the distributed forms.
+struct CoarseFactor {
+    band: usize,
+    /// Row-major `n × (band + 1)`: row `i` is `L[i][i − band ..= i]`, its
+    /// diagonal last.
+    l: Vec<f64>,
+    /// 1 on the vertices that carry an unknown, 0 on the identity rows.
+    free: Vec<f64>,
+    /// Nothing is Dirichlet anywhere: the operator has the constants for a
+    /// null space, and one vertex is pinned.
+    singular: bool,
+    /// The global vertex of every local order-1 node, rank by rank.
+    rank_nodes: Vec<Vec<u32>>,
+    /// How many distinct vertices each rank holds.
+    rank_vertices: Vec<usize>,
+}
+
+impl CoarseFactor {
+    /// Assemble and factor the order-1 operator on `n` global vertices from
+    /// its element matrix and what every rank knows of its own slab: the
+    /// global vertex and the Dirichlet mask of each local node, eight to an
+    /// element.
+    fn build(n: usize, a_elem: [[f64; 8]; 8], ranks: Vec<(Vec<u32>, Vec<f64>)>) -> Self {
+        let elements = || {
+            ranks
+                .iter()
+                .flat_map(|(nodes, mask)| nodes.chunks_exact(8).zip(mask.chunks_exact(8)))
+        };
+        let (mut free, mut band) = (vec![0.0; n], 0);
+        for (v, m) in elements() {
+            for (row, &gi) in v.iter().enumerate() {
+                free[gi as usize] = m[row];
+                for (col, &gj) in v.iter().enumerate() {
+                    if a_elem[row][col] != 0.0 {
+                        band = band.max(gi.abs_diff(gj) as usize);
+                    }
+                }
+            }
+        }
+        let singular = ranks.iter().all(|(_, mask)| mask.iter().all(|&m| m == 1.0));
+        if singular {
+            // All-Neumann: the operator is singular by the constants. One
+            // pinned vertex picks a solution; CG's mean projection moves it
+            // to the one it wants.
+            if let Some(pin) = free.iter_mut().find(|f| **f == 1.0) {
+                *pin = 0.0;
+            }
+        }
+
+        let bw = band + 1;
+        let mut l = vec![0.0; n * bw];
+        for (v, _) in elements() {
+            for (row, &gi) in v.iter().enumerate() {
+                for (col, &gj) in v.iter().enumerate() {
+                    let (gi, gj) = (gi as usize, gj as usize);
+                    if gi >= gj && free[gi] * free[gj] == 1.0 {
+                        l[gi * bw + band + gj - gi] += a_elem[row][col];
+                    }
+                }
+            }
+        }
+        for (i, &f) in free.iter().enumerate() {
+            if f == 0.0 {
+                l[i * bw + band] = 1.0;
+            }
+        }
+
+        // In-place banded Cholesky, row by row.
+        for i in 0..n {
+            let (done, rest) = l.split_at_mut(i * bw);
+            let row_i = &mut rest[..bw];
+            let first = i.saturating_sub(band);
+            for j in first..i {
+                let row_j = &done[j * bw..][..bw];
+                let k0 = first.max(j.saturating_sub(band));
+                let dot: f64 = row_i[band + k0 - i..band + j - i]
+                    .iter()
+                    .zip(&row_j[band + k0 - j..band])
+                    .map(|(a, b)| a * b)
+                    .sum();
+                row_i[band + j - i] = (row_i[band + j - i] - dot) / row_j[band];
+            }
+            let pivot = row_i[band]
+                - row_i[band + first - i..band]
+                    .iter()
+                    .map(|a| a * a)
+                    .sum::<f64>();
+            assert!(
+                pivot > 0.0,
+                "coarse pressure operator is not positive definite at vertex {i}: \
+                 a fluid region touches no Dirichlet boundary and holds no pinned vertex"
+            );
+            row_i[band] = pivot.sqrt();
+        }
+
+        let rank_nodes: Vec<Vec<u32>> = ranks.into_iter().map(|r| r.0).collect();
+        let rank_vertices = (rank_nodes.iter())
+            .map(|nodes| {
+                let mut distinct = nodes.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                distinct.len()
+            })
+            .collect();
+        Self {
+            band,
+            l,
+            free,
+            singular,
+            rank_nodes,
+            rank_vertices,
+        }
+    }
+
+    /// Vertices of the global numbering, unknowns and identity rows alike.
+    fn n(&self) -> usize {
+        self.free.len()
+    }
+
+    /// `rhs += ` rank `rank`'s unassembled nodal values `part`.
+    fn add(&self, rank: usize, part: &[f64], rhs: &mut [f64]) {
+        for (&g, &v) in self.rank_nodes[rank].iter().zip(part) {
+            rhs[g as usize] += v;
+        }
+    }
+
+    /// `rhs ← (L·Lᵀ)⁻¹ (free ∘ rhs)`, in place.
+    fn solve(&self, rhs: &mut [f64]) {
+        let (band, bw) = (self.band, self.band + 1);
+        for (v, &f) in rhs.iter_mut().zip(&self.free) {
+            *v *= f;
+        }
+        for i in 0..rhs.len() {
+            let first = i.saturating_sub(band);
+            let row = &self.l[i * bw..][..bw];
+            let dot: f64 = row[band + first - i..band]
+                .iter()
+                .zip(&rhs[first..i])
+                .map(|(a, y)| a * y)
+                .sum();
+            rhs[i] = (rhs[i] - dot) / row[band];
+        }
+        for i in (0..rhs.len()).rev() {
+            let first = i.saturating_sub(band);
+            let row = &self.l[i * bw..][..bw];
+            let xi = rhs[i] / row[band];
+            rhs[i] = xi;
+            for (y, &a) in rhs[first..i].iter_mut().zip(&row[band + first - i..band]) {
+                *y -= a * xi;
+            }
+        }
+    }
+}
+
+/// One rank's handle on the world's [`CoarseFactor`]. The virtual machine
+/// is charged what a distributed coarse solver costs a rank, not what the
+/// shared factor costs this simulator: per cycle the rank's own vertices
+/// leave the device and come back (the coarse solve is host work in NekRS),
+/// cross the collective once each way, and a `1/P` share of the two banded
+/// substitutions runs on the host, which also holds `1/P` of the factor.
+/// The copies are charged as time only: [`commsim::CommStats`]' `bytes_d2h`
+/// is the in situ staging traffic the paper measures, and stays that.
+struct CoarseSolve {
+    factor: Arc<CoarseFactor>,
+    /// Where a one-rank world, which has nobody to meet, sums and solves:
+    /// the cycle stays free of allocation there (`tests/zero_alloc_step.rs`).
+    global: Vec<f64>,
+    _host_charge: Charge,
+}
+
+impl CoarseSolve {
+    /// One collective: the world's last arriver builds the factor of the
+    /// order-1 mesh `mesh` is a slab of, `mask` being its Dirichlet mask.
+    fn new(comm: &mut Comm, mesh: &LocalMesh, mask: &[f64]) -> Self {
+        assert_eq!(
+            mesh.spec.order, 1,
+            "the coarse operator lives on the vertices"
+        );
+        let n: usize = (0..3).map(|axis| mesh.spec.n_nodes_axis(axis)).product();
+        assert!(u32::try_from(n).is_ok(), "{n} coarse vertices overflow u32");
+        let l = mesh.layout();
+        let nodes: Vec<u32> = (0..l.n_nodes())
+            .map(|idx| {
+                let (e, i, j, k) = l.coords(idx);
+                mesh.gid(e, i, j, k) as u32
+            })
+            .collect();
+        let a_elem = vertex_element_matrix(&Ops::new(mesh));
+        let factor = comm.reduce_with((nodes, mask.to_vec()), 8, move |ranks| {
+            CoarseFactor::build(n, a_elem, ranks)
+        });
+        let (band, p) = (factor.band as f64, comm.size() as f64);
+        let bytes = 8.0 * n as f64 * (band + 1.0) / p;
+        comm.compute_host(n as f64 * band * band / p, bytes);
+        Self {
+            global: vec![0.0; if comm.size() == 1 { n } else { 0 }],
+            _host_charge: comm.accountant("mg-coarse").charge(bytes as u64),
+            factor,
+        }
+    }
+
+    /// `x = A₁⁻¹·assemble(b)`: `b` holds this rank's unassembled nodal
+    /// right-hand side on the order-1 level and `x` receives the solution
+    /// on the same nodes, zero where the operator is constrained. The
+    /// collective is the assembly: contributions are summed in rank order
+    /// by whichever rank arrives last, which substitutes once for all.
+    fn apply(&mut self, comm: &mut Comm, b: &[f64], x: &mut [f64]) {
+        let _sp = comm.span("sem/mg_coarse");
+        let factor = &self.factor;
+        let own_bytes = 8 * factor.rank_vertices[comm.rank()] as u64;
+        comm.advance(comm.machine().d2h_time(own_bytes));
+        let mine = &factor.rank_nodes[comm.rank()];
+        let read = |global: &[f64], x: &mut [f64]| {
+            for (xv, &g) in x.iter_mut().zip(mine) {
+                *xv = global[g as usize];
+            }
+        };
+        if comm.size() == 1 {
+            self.global.fill(0.0);
+            factor.add(0, b, &mut self.global);
+            factor.solve(&mut self.global);
+            read(&self.global, x);
+        } else {
+            let shared = Arc::clone(factor);
+            let most = factor.rank_vertices.iter().max().copied().unwrap_or(0);
+            let payload = 16 * most as u64;
+            let global = comm.reduce_with(b.to_vec(), payload, move |parts: Vec<Vec<f64>>| {
+                let mut rhs = vec![0.0; shared.n()];
+                for (rank, part) in parts.iter().enumerate() {
+                    shared.add(rank, part, &mut rhs);
+                }
+                shared.solve(&mut rhs);
+                rhs
+            });
+            read(&global, x);
+        }
+        let (n, band, p) = (factor.n() as f64, factor.band as f64, comm.size() as f64);
+        comm.compute_host(4.0 * n * band / p, 16.0 * n * (band + 1.0) / p);
+        comm.advance(comm.machine().h2d_time(own_bytes));
+    }
+}
+
+/// `x ≈ A⁻¹ b` by one V-cycle from a zero guess on the smoothed level `op`
+/// describes; `coarse` holds the levels below it, finest first and never
+/// empty, the last being the order-1 level `solve` solves.
+#[allow(clippy::too_many_arguments)]
 fn cycle(
     comm: &mut Comm,
     op: Operator<'_>,
     lambda_max: f64,
     coarse: &mut [Level],
+    solve: &mut CoarseSolve,
     b: &[f64],
     x: &mut [f64],
     [r, d, q]: [&mut [f64]; 3],
 ) {
+    let (next, below) = coarse
+        .split_first_mut()
+        .expect("a smoothed level sits above the order-1 level");
     x.fill(0.0);
     r.copy_from_slice(b);
-    let Some((next, below)) = coarse.split_first_mut() else {
-        op.smooth(
-            comm,
-            (COARSEST_DEGREE, lambda_max, COARSEST_SPAN),
-            x,
-            r,
-            d,
-            q,
-        );
-        return;
-    };
-    let smoother = (SMOOTH_DEGREE, lambda_max, SMOOTH_SPAN);
-    op.smooth(comm, smoother, x, r, d, q);
+    op.smooth(comm, lambda_max, x, r, d, q);
     op.residual(comm, b, x, r, q);
-    next.restrict(comm, op.gs.mult_inv(), r);
-    let Level {
-        gs,
-        ops,
-        mask,
-        diag_inv,
-        lambda_max: next_lambda,
-        b: nb,
-        x: nx,
-        r: nr,
-        d: nd,
-        q: nq,
-        ..
-    } = next;
-    cycle(
-        comm,
-        Operator {
+    if below.is_empty() {
+        next.restrict_unassembled(comm, op.gs.mult_inv(), r);
+        solve.apply(comm, &next.b, &mut next.x);
+    } else {
+        next.restrict(comm, op.gs.mult_inv(), r);
+        let Level {
             gs,
             ops,
             mask,
             diag_inv,
-        },
-        *next_lambda,
-        below,
-        nb,
-        nx,
-        [nr, nd, nq],
-    );
+            lambda_max: next_lambda,
+            b: nb,
+            x: nx,
+            r: nr,
+            d: nd,
+            q: nq,
+            ..
+        } = next;
+        cycle(
+            comm,
+            Operator {
+                gs,
+                ops,
+                mask,
+                diag_inv,
+            },
+            *next_lambda,
+            below,
+            solve,
+            nb,
+            nx,
+            [nr, nd, nq],
+        );
+    }
     next.prolong_add(comm, x);
     op.residual(comm, b, x, r, q);
-    op.smooth(comm, smoother, x, r, d, q);
+    op.smooth(comm, lambda_max, x, r, d, q);
 }
 
 /// The pressure preconditioner: the coarse levels below the solver's own
-/// fine level, built once per solver.
+/// fine level and the order-1 solve under them, built once per solver.
 pub struct Multigrid {
     /// Element estimate of `λ_max(D⁻¹A)` on the fine level.
     lambda_max: f64,
-    /// Coarse levels, finest first.
+    /// Coarse levels, finest first; the last is the order-1 level, whose
+    /// operator `solve` inverts (empty when the fine level is order 1).
     coarse: Vec<Level>,
+    solve: CoarseSolve,
 }
 
 impl Multigrid {
     /// Build the hierarchy under the fine level (`mesh`, its `gs`, `ops`
-    /// and Dirichlet `mask`). Local work only — see [`Level::coarsen`].
-    pub fn new(mesh: &LocalMesh, gs: &GatherScatter, ops: &Ops, mask: &[f64]) -> Self {
+    /// and Dirichlet `mask`). The levels are local work — see
+    /// [`Level::coarsen`] — and the order-1 factor costs one collective
+    /// ([`CoarseSolve::new`]).
+    pub fn new(
+        comm: &mut Comm,
+        mesh: &LocalMesh,
+        gs: &GatherScatter,
+        ops: &Ops,
+        mask: &[f64],
+    ) -> Self {
         let orders: &[usize] = match mesh.spec.order {
             1 => &[],
             2 | 3 => &[1],
@@ -371,9 +674,12 @@ impl Multigrid {
             coarse.push(level);
             finer_mesh = mesh;
         }
+        let vertex_mask = coarse.last().map_or(mask, |l| l.mask.as_slice());
+        let solve = CoarseSolve::new(comm, &finer_mesh, vertex_mask);
         Self {
             lambda_max: ops.jacobi_lambda_max(),
             coarse,
+            solve,
         }
     }
 
@@ -381,6 +687,23 @@ impl Multigrid {
     /// diagonal and multiplicity per level.
     pub fn device_bytes(&self) -> u64 {
         self.coarse.iter().map(|l| 8 * 8 * l.b.len() as u64).sum()
+    }
+
+    /// Is the pressure operator all-Neumann — no Dirichlet node on any rank,
+    /// so the solution is defined up to a constant? The coarse factor's
+    /// builder saw the whole mesh, which saves the solver a collective.
+    pub fn operator_is_singular(&self) -> bool {
+        self.solve.factor.singular
+    }
+
+    /// Unknowns of the order-1 system the cycle solves exactly, and the
+    /// half-bandwidth of its factor.
+    pub fn coarse_dofs_and_band(&self) -> (usize, usize) {
+        let factor = &self.solve.factor;
+        (
+            factor.free.iter().filter(|&&f| f == 1.0).count(),
+            factor.band,
+        )
     }
 
     /// `z ≈ A⁻¹ r`: one V-cycle, `fine` being the solver's pressure
@@ -394,11 +717,21 @@ impl Multigrid {
         z: &mut [f64],
     ) {
         let [w0, w1, w2] = work;
+        if self.coarse.is_empty() {
+            // An order-1 fine level is the level that is solved: `w ∘ r`
+            // is its assembled residual taken apart again.
+            for ((o, &rv), &wv) in w0.iter_mut().zip(r).zip(fine.gs.mult_inv()) {
+                *o = wv * rv;
+            }
+            self.solve.apply(comm, w0, z);
+            return;
+        }
         cycle(
             comm,
             fine,
             self.lambda_max,
             &mut self.coarse,
+            &mut self.solve,
             r,
             z,
             [w0, w1, w2],
@@ -411,7 +744,7 @@ mod tests {
     use super::*;
     use crate::cases::{pb146, rbc, CaseParams};
     use crate::cg::{self, wdot, CgConfig};
-    use crate::mesh::BcSet;
+    use crate::mesh::{Bc, BcSet};
     use crate::workspace::Workspace;
     use commsim::{run_ranks, MachineModel, ReduceOp};
 
@@ -451,8 +784,8 @@ mod tests {
             }
         }
 
-        fn multigrid(&self) -> Multigrid {
-            Multigrid::new(&self.mesh, &self.gs, &self.ops, &self.mask)
+        fn multigrid(&self, comm: &mut Comm) -> Multigrid {
+            Multigrid::new(comm, &self.mesh, &self.gs, &self.ops, &self.mask)
         }
 
         /// A masked continuous field with content at every wavelength the
@@ -471,18 +804,28 @@ mod tests {
     }
 
     fn pb146_with_solids(order: usize) -> (Arc<MeshSpec>, BcSet) {
+        pb146_on(order, [4, 4, 4])
+    }
+
+    fn pb146_on(order: usize, elems: [usize; 3]) -> (Arc<MeshSpec>, BcSet) {
         let mut params = CaseParams::pb146_default();
-        params.order = order;
-        params.elems = [4, 4, 4];
+        (params.order, params.elems) = (order, elems);
         let case = pb146(&params, 146);
-        assert!(case.n_fluid_elems() < 64, "the pb146 mesh must have solids");
+        let all: usize = elems.iter().product();
+        assert!(
+            case.n_fluid_elems() < all,
+            "the pb146 mesh must have solids"
+        );
         (case.spec, case.bcs.pressure)
     }
 
     fn rbc_all_neumann(order: usize) -> (Arc<MeshSpec>, BcSet) {
+        rbc_on(order, [3, 3, 4])
+    }
+
+    fn rbc_on(order: usize, elems: [usize; 3]) -> (Arc<MeshSpec>, BcSet) {
         let mut params = CaseParams::rbc_default();
-        params.order = order;
-        params.elems = [3, 3, 4];
+        (params.order, params.elems) = (order, elems);
         let case = rbc(&params, 1e5, 0.7);
         assert_eq!(case.bcs.pressure, BcSet::all_neumann());
         (case.spec, case.bcs.pressure)
@@ -496,7 +839,7 @@ mod tests {
                 let (spec, order) = (Arc::clone(&spec), spec.order);
                 let res = run_ranks(ranks, MachineModel::test_tiny(), move |comm| {
                     let fine = Fine::new(comm, &spec, &bc);
-                    let mut mg = fine.multigrid();
+                    let mut mg = fine.multigrid(comm);
                     let n = fine.mask.len();
                     let mut work = [(); 3].map(|_| vec![0.0; n]);
                     let (u, v) = (fine.field(comm, 0.4), fine.field(comm, 1.9));
@@ -527,11 +870,11 @@ mod tests {
     fn poisson_iterations(order: usize, elems: [usize; 3]) -> usize {
         run_ranks(2, MachineModel::test_tiny(), move |comm| {
             use std::f64::consts::PI;
-            // Cubic elements on both meshes: [0,1]³ and [0,1]²×[0,2].
+            // Cubic elements on every mesh: [0,1]³, [0,1]²×[0,2], [0,1]²×[0,16].
             let lengths = elems.map(|e| e as f64 / elems[0] as f64);
             let spec = Arc::new(MeshSpec::box_mesh(order, elems, lengths, [false; 3]));
             let fine = Fine::new(comm, &spec, &BcSet::all_dirichlet_zero());
-            let mut mg = fine.multigrid();
+            let mut mg = fine.multigrid(comm);
             let n = fine.mask.len();
             let exact = fine
                 .mesh
@@ -573,7 +916,7 @@ mod tests {
 
     #[test]
     fn poisson_iterations_are_independent_of_order_and_mesh() {
-        let counts: Vec<usize> = [[2, 2, 2], [4, 4, 8]]
+        let counts: Vec<usize> = [[2, 2, 2], [4, 4, 8], [2, 2, 32]]
             .into_iter()
             .flat_map(|elems| [3, 5, 7].map(|order| poisson_iterations(order, elems)))
             .collect();
@@ -685,5 +1028,167 @@ mod tests {
                 "⟨Pc,r⟩ = {pc_r} but ⟨c,Pᵀr⟩ = {c_ptr}"
             );
         });
+    }
+
+    /// Order-1 meshes five slabs deep: pb146 with solids and its Dirichlet
+    /// outflow, all-Neumann RBC periodic in x and y, and a box of 15:1
+    /// elements, periodic in y, with one Dirichlet face.
+    fn coarse_cases() -> Vec<(&'static str, Arc<MeshSpec>, BcSet)> {
+        let (pb_spec, pb_bc) = pb146_on(1, [4, 4, 6]);
+        let (rbc_spec, rbc_bc) = rbc_on(1, [3, 3, 5]);
+        let thin = MeshSpec::box_mesh(1, [3, 2, 5], [1.0, 0.4, 25.0], [false, true, false]);
+        let mut one_face = BcSet::all_neumann();
+        one_face.faces[0] = Bc::Dirichlet(0.0);
+        vec![
+            ("pb146", pb_spec, pb_bc),
+            ("rbc", rbc_spec, rbc_bc),
+            ("anisotropic", Arc::new(thin), one_face),
+        ]
+    }
+
+    #[test]
+    fn coarse_factor_is_the_cholesky_factor_of_the_assembled_masked_operator() {
+        for (name, spec, bc) in coarse_cases() {
+            run_ranks(1, MachineModel::test_tiny(), move |comm| {
+                let fine = Fine::new(comm, &spec, &bc);
+                let mg = fine.multigrid(comm);
+                let factor = &mg.solve.factor;
+                let (n, band, nodes) = (factor.n(), factor.band, &factor.rank_nodes[0]);
+
+                // Identity rows: Dirichlet vertices, vertices no fluid
+                // element touches, and one pin iff nothing is Dirichlet.
+                let mut want_free = vec![0.0; n];
+                for (&g, &m) in nodes.iter().zip(&fine.mask) {
+                    want_free[g as usize] = m;
+                }
+                let pins: Vec<usize> = (0..n).filter(|&g| factor.free[g] != want_free[g]).collect();
+                let singular = fine.mask.iter().all(|&m| m == 1.0);
+                assert_eq!(pins.len(), usize::from(singular), "{name}: pins {pins:?}");
+                assert_eq!(mg.operator_is_singular(), singular, "{name}");
+                assert!(pins.iter().all(|&g| want_free[g] == 1.0), "{name}");
+                assert_eq!(singular, name == "rbc");
+
+                // Dense reference, a column per vertex: the assembled,
+                // masked operator applied to that vertex's unit vector.
+                let mut a = vec![0.0; n * n];
+                let (mut unit, mut col) = (vec![0.0; nodes.len()], vec![0.0; nodes.len()]);
+                for g in 0..n {
+                    if factor.free[g] == 0.0 {
+                        a[g * n + g] = 1.0;
+                        continue;
+                    }
+                    for (u, &v) in unit.iter_mut().zip(nodes) {
+                        *u = f64::from(v as usize == g);
+                    }
+                    fine.ops.stiffness_apply(comm, &unit, &mut col, &mut []);
+                    fine.gs.sum(comm, &mut col);
+                    for (&v, &c) in nodes.iter().zip(&col) {
+                        a[v as usize * n + g] = c * factor.free[v as usize];
+                    }
+                }
+                // Dense Cholesky, in place in the lower triangle.
+                for i in 0..n {
+                    for j in 0..=i {
+                        let dot: f64 = (0..j).map(|k| a[i * n + k] * a[j * n + k]).sum();
+                        a[i * n + j] = if i == j {
+                            (a[i * n + i] - dot).sqrt()
+                        } else {
+                            (a[i * n + j] - dot) / a[j * n + j]
+                        };
+                    }
+                }
+                let scale = (0..n).map(|i| a[i * n + i]).fold(0.0, f64::max);
+                let mut widest = 0;
+                for i in 0..n {
+                    for j in 0..=i {
+                        let want = a[i * n + j];
+                        if i - j > band {
+                            assert!(want.abs() <= 1e-13 * scale, "{name}: L[{i}][{j}] = {want}");
+                            continue;
+                        }
+                        let got = factor.l[i * (band + 1) + band + j - i];
+                        assert!(
+                            (got - want).abs() <= 1e-12 * scale,
+                            "{name}: L[{i}][{j}] = {got}, dense {want}"
+                        );
+                        if want.abs() > 1e-13 * scale {
+                            widest = widest.max(i - j);
+                        }
+                    }
+                }
+                assert_eq!(widest, band, "{name}: the band is no wider than the factor");
+            });
+        }
+    }
+
+    #[test]
+    fn on_an_order_one_level_the_cycle_is_the_inverse() {
+        for (name, spec, bc) in coarse_cases() {
+            for ranks in [1, 2, 5] {
+                let spec = Arc::clone(&spec);
+                let res = run_ranks(ranks, MachineModel::test_tiny(), move |comm| {
+                    let fine = Fine::new(comm, &spec, &bc);
+                    let mut mg = fine.multigrid(comm);
+                    let singular = bc == BcSet::all_neumann();
+                    let n = fine.mask.len();
+                    // A right-hand side in the operator's range.
+                    let mut b = vec![0.0; n];
+                    let u = fine.field(comm, 0.9);
+                    fine.operator().apply(comm, &u, &mut b);
+                    let mut x = vec![0.0; n];
+                    let mut work = [(); 3].map(|_| vec![0.0; n]);
+                    let cfg = CgConfig {
+                        tol: 1e-10,
+                        abs_tol: 0.0,
+                        max_iter: 10,
+                        project_mean: singular,
+                    };
+                    cg::solve(
+                        comm,
+                        &fine.gs,
+                        |comm, p, out| fine.ops.stiffness_apply(comm, p, out, &mut []),
+                        |comm, r, z| mg.apply(comm, fine.operator(), &mut work, r, z),
+                        &b,
+                        &mut x,
+                        &fine.mask,
+                        &cfg,
+                        &mut Workspace::new(n),
+                    )
+                });
+                for r in res {
+                    assert!(
+                        r.converged && r.iterations <= 2,
+                        "{name}, {ranks} ranks: {r:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cycle_is_bitwise_the_same_under_either_scheduler() {
+        use commsim::{with_mode, SchedMode};
+        let (spec, bc) = pb146_on(5, [3, 3, 5]);
+        let run = |mode: SchedMode| {
+            let spec = Arc::clone(&spec);
+            with_mode(mode, move || {
+                run_ranks(5, MachineModel::test_tiny(), move |comm| {
+                    let fine = Fine::new(comm, &spec, &bc);
+                    let mut mg = fine.multigrid(comm);
+                    let n = fine.mask.len();
+                    let mut work = [(); 3].map(|_| vec![0.0; n]);
+                    // Uneven clocks: the ranks reach the collective in a
+                    // different order each cycle.
+                    comm.advance(((3 * comm.rank()) % 5) as f64 * 1e-5);
+                    let (r, mut z) = (fine.field(comm, 0.4), vec![0.0; n]);
+                    mg.apply(comm, fine.operator(), &mut work, &r, &mut z);
+                    let r2 = z.clone();
+                    mg.apply(comm, fine.operator(), &mut work, &r2, &mut z);
+                    let bits: Vec<u64> = z.iter().map(|v| v.to_bits()).collect();
+                    (bits, comm.now().to_bits(), comm.stats().collectives)
+                })
+            })
+        };
+        assert_eq!(run(SchedMode::Thread), run(SchedMode::Event));
     }
 }

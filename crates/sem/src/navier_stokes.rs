@@ -218,6 +218,8 @@ impl Transported {
 /// `sem/pressure_residual` (final residual relative to the right-hand
 /// side), `sem/velocity_iters` and the `sem/unconverged_solves` counter
 /// (any solve, temperature included, that ended on its iteration cap).
+/// Binding them also sets, on rank 0, the gauges `sem/coarse_dofs` and
+/// `sem/coarse_band` of the pressure multigrid's order-1 solve.
 struct SolveStats {
     pressure_iters: commsim::Histogram,
     pressure_residual: commsim::Histogram,
@@ -309,10 +311,6 @@ impl FlowSolver {
             fields.push(Transported::new(&mesh, t, &tc.bc, tc.diffusivity, tc.cg));
         }
         let (p_mask, _) = mesh.dirichlet_mask(&bcs.pressure);
-        // Pure Neumann pressure (no Dirichlet node anywhere globally)?
-        let local_free = p_mask.iter().cloned().fold(1.0f64, f64::min);
-        let global_free = comm.allreduce(local_free, ReduceOp::Min);
-        let p_fix_mean = global_free > 0.5;
 
         let mass_diag = ops.mass_diag();
         let mut mass_diag_assembled = mass_diag.clone();
@@ -323,7 +321,9 @@ impl FlowSolver {
             .iter()
             .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
             .collect();
-        let p_mg = Multigrid::new(&mesh, &gs, &ops, &p_mask);
+        let p_mg = Multigrid::new(comm, &mesh, &gs, &ops, &p_mask);
+        // Pure Neumann pressure (no Dirichlet node anywhere globally)?
+        let p_fix_mean = p_mg.operator_is_singular();
         let filter_matrix = cfg.filter.map(|f| {
             let m = ops.basis.filter_matrix(f.strength, f.modes);
             let mt = transpose_op(&m, ops.basis.np());
@@ -733,6 +733,12 @@ impl FlowSolver {
 
         let stats = self.solve_stats.get_or_insert_with(|| {
             let t = comm.telemetry();
+            if comm.rank() == 0 {
+                // World-wide facts, reported once: `nekstat` sums gauges.
+                let (dofs, band) = self.p_mg.coarse_dofs_and_band();
+                t.gauge("sem/coarse_dofs").set(dofs as f64);
+                t.gauge("sem/coarse_band").set(band as f64);
+            }
             SolveStats {
                 pressure_iters: t.histogram("sem/pressure_iters"),
                 pressure_residual: t.histogram("sem/pressure_residual"),

@@ -98,6 +98,25 @@ fn pipelined_fault_run_emits_complete_run_report() {
         "per-step phase attribution missing"
     );
 
+    // So did the pressure multigrid's coarse solve, and the report says
+    // what it solved: the 3×3×5 order-1 grid less its Dirichlet outflow
+    // plane and five vertices inside the pebbles, one plane to the band.
+    assert!(
+        (report.series.iter()).all(|s| s
+            .phase_self
+            .iter()
+            .any(|(n, t)| n == "sem/mg_coarse" && *t > 0.0)),
+        "every step's coarse solves must be attributed"
+    );
+    let gauge = |name: &str| match report.metric(name) {
+        Some(telemetry::MetricValue::Gauge(g)) => Some(*g),
+        None => None,
+        other => panic!("{name} is not a gauge: {other:?}"),
+    };
+    assert_eq!(gauge("rank0/sem/coarse_dofs"), Some(31.0));
+    assert_eq!(gauge("rank0/sem/coarse_band"), Some(9.0));
+    assert_eq!(gauge("rank1/sem/coarse_dofs"), None, "reported once");
+
     // The injected stall is a structured event with its virtual onset
     // time, and checkpoint writes are logged too.
     let stalls: Vec<_> = report.events_of(EventKind::FaultInjected).collect();
