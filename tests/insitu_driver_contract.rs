@@ -151,183 +151,189 @@ fn check(cell: &str, cfg: &InSituConfig, expected: &str) {
 }
 
 const ORIGINAL: &str = "
-tts 0x3f66abb50c08bd38
-totals CommStats { messages_sent: 1308, bytes_sent: 181728, messages_received: 1308, collectives: 688, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 0.0, time_xfer: 0.0, time_io: 0.0, time_comm: 0.005514378350769292 }
+tts 0x3f67c6f55cb91bde
+totals CommStats { messages_sent: 654, bytes_sent: 130800, messages_received: 654, collectives: 742, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 5.2751249999999955e-6, time_xfer: 0.0, time_io: 0.0, time_comm: 0.004054821130070034 }
 bytes_written 0
 files_written 0
 gpu_aggregate_peak 104936
 unscoped 0
 snapshot_pool_rank_peak 0
-host_aggregate_peak 168480
-host_max_rank_peak 103680
-span sem/advection x12 0x3f17d0c027877cb2
-span sem/cg x48 0x3f751852d49d9d82
-span sem/diagnostics x12 0x3f04801918670820
+host_aggregate_peak 172080
+host_max_rank_peak 105480
+span sem/advection x12 0x3f17d0c027877d12
+span sem/cg x48 0x3f6c42025e78cbba
+span sem/diagnostics x12 0x3f04801918670860
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effa8a5f9967510
+span sem/mg_coarse x72 0x3f6024f30003447a
+span sem/pressure x12 0x3effa8a5f9967570
 span sem/project x12 0x3f17b944931816d8
-span sem/viscous x12 0x3f17d5f80fa03f34
+span sem/viscous x12 0x3f17d5f80fa03f38
 span sim/finalize x2 0x3edb4456479a9800
-span sim/setup x2 0x3f03342b42eaa03a
-step 1 0x3ef3340901e36d50 0x3f414ca87d60888a 0x0000000000000000
-step 2 0x3f414ca87d60888a 0x3f50652e0ac4c062 0x0000000000000000
-step 3 0x3f50652e0ac4c062 0x3f582407d6d93c95 0x0000000000000000
-step 4 0x3f582407d6d93c95 0x3f5f309d338ab734 0x0000000000000000
-step 5 0x3f5f309d338ab734 0x3f631e99481e1915 0x0000000000000000
-step 6 0x3f631e99481e1915 0x3f66a4e3f676d692 0x0000000000000000
+span sim/setup x2 0x3f0340664ae4a5e0
+step 1 0x3ef3404409dd72f7 0x3f42f94048bb49b7 0x0000000000000000
+step 2 0x3f42f94048bb49b7 0x3f521194e9ff9991 0x0000000000000000
+step 3 0x3f521194e9ff9991 0x3f59d5af1c980dd6 0x0000000000000000
+step 4 0x3f59d5af1c980dd6 0x3f60cce4a7984124 0x0000000000000000
+step 5 0x3f60cce4a7984124 0x3f644684775fbb2e 0x0000000000000000
+step 6 0x3f644684775fbb2e 0x3f67c02447273538 0x0000000000000000
 ";
 const CHECKPOINTING_SYNC: &str = "
-tts 0x3f883015e4b08201
-totals CommStats { messages_sent: 1308, bytes_sent: 181728, messages_received: 1308, collectives: 688, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 1.3679999999999999e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0055169922830767566 }
+tts 0x3f8876e5f8dc99c6
+totals CommStats { messages_sent: 654, bytes_sent: 130800, messages_received: 654, collectives: 742, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 6.643124999999996e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.004057435062377471 }
 bytes_written 34200
 files_written 6
 gpu_aggregate_peak 104936
 unscoped 0
 snapshot_pool_rank_peak 6912
-host_aggregate_peak 191112
-host_max_rank_peak 117588
+host_aggregate_peak 194712
+host_max_rank_peak 119388
 span insitu/checkpoint x6 0x3f9271284f70e5b5
 span sem/advection x12 0x3f17d0c027877ad2
-span sem/cg x48 0x3f751a269ca7eb2c
+span sem/cg x48 0x3f6c45a9ee8d67c2
 span sem/diagnostics x12 0x3f048019186706a0
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effa8a5f9967090
+span sem/mg_coarse x72 0x3f6024f3000344a8
+span sem/pressure x12 0x3effa8a5f9967070
 span sem/project x12 0x3f17b94493181278
-span sem/viscous x12 0x3f17d5f80fa03b14
+span sem/viscous x12 0x3f17d5f80fa03b18
 span sim/finalize x2 0x3edeebe65c391800
-span sim/setup x2 0x3f03342b42eaa03a
+span sim/setup x2 0x3f0340664ae4a5e0
 span snapshot/publish x6 0x3f1350e7398fb7a0
-step 1 0x3ef3340901e36d50 0x3f414ca87d60888a 0x0000000000000000
-step 2 0x3f414ca87d60888a 0x3f7071275fcaea90 0x0000000000000000
-step 3 0x3f7071275fcaea90 0x3f7261c7b6d5313e 0x0000000000000000
-step 4 0x3f7261c7b6d5313e 0x3f803e64758da52e 0x0000000000000000
-step 5 0x3f803e64758da52e 0x3f81206c13266825 0x0000000000000000
-step 6 0x3f81206c13266825 0x3f882decad497487 0x0000000000000000
+step 1 0x3ef3404409dd72f7 0x3f42f94048bb49b7 0x0000000000000000
+step 2 0x3f42f94048bb49b7 0x3f70dc411799a0dc 0x0000000000000000
+step 3 0x3f70dc411799a0dc 0x3f72ce318844e586 0x0000000000000000
+step 4 0x3f72ce318844e586 0x3f808b89f9025e83 0x0000000000000000
+step 5 0x3f808b89f9025e83 0x3f816a66def6d0b2 0x0000000000000000
+step 6 0x3f816a66def6d0b2 0x3f8874bcc1758c4c 0x0000000000000000
 ";
 const CHECKPOINTING_PIPELINED: &str = "
-tts 0x3f8484dc63dae387
-totals CommStats { messages_sent: 1308, bytes_sent: 181728, messages_received: 1308, collectives: 688, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 1.3679999999999999e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.005515638461538525 }
+tts 0x3f84ba693fc23ead
+totals CommStats { messages_sent: 654, bytes_sent: 130800, messages_received: 654, collectives: 742, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 6.643124999999995e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0040560812408392665 }
 bytes_written 34200
 files_written 6
 gpu_aggregate_peak 104936
 unscoped 0
-host_aggregate_peak_less_pool 179880
+host_aggregate_peak_less_pool 183480
 span insitu/checkpoint x6 0x3f9271284f70e5b4
-span insitu/wait x8 0x3f6098b0735e3fa1
-span sem/advection x12 0x3f17d0c027877cb2
-span sem/cg x48 0x3f75189868b43cec
-span sem/diagnostics x12 0x3f04801918670820
+span insitu/wait x8 0x3f624517529918d0
+span sem/advection x12 0x3f17d0c027877d12
+span sem/cg x48 0x3f6c428d86a60a95
+span sem/diagnostics x12 0x3f04801918670860
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effa8a5f9967510
+span sem/mg_coarse x72 0x3f6024f30003447a
+span sem/pressure x12 0x3effa8a5f9967570
 span sem/project x12 0x3f17b944931816d8
-span sem/viscous x12 0x3f17d5f80fa03f34
-span sim/finalize x2 0x3edf770e8977f400
-span sim/setup x2 0x3f03342b42eaa03a
-span snapshot/backpressure x2 0x3f64151960e80f0e
+span sem/viscous x12 0x3f17d5f80fa03f58
+span sim/finalize x2 0x3edf770e8977f000
+span sim/setup x2 0x3f0340664ae4a5e0
+span snapshot/backpressure x2 0x3f638aff9ec22ae8
 span snapshot/publish x6 0x3f1350e7398fb780
-step 1 0x3ef3340901e36d50 0x3f414ca87d60888a 0x0000000000000000
-step 2 0x3f414ca87d60888a 0x3f50986adf47a037 0x0000000000000000
-step 3 0x3f50986adf47a037 0x3f5857cfd3895b3e 0x0000000000000000
-step 4 0x3f5857cfd3895b3e 0x3f5f97a204bdb5b2 0x0000000000000000
-step 5 0x3f5f97a204bdb5b2 0x3f63526144ce37be 0x0000000000000000
-step 6 0x3f63526144ce37be 0x3f707df694eba285 0x3f54134598ddbfca
+step 1 0x3ef3404409dd72f7 0x3f42f94048bb49b7 0x0000000000000000
+step 2 0x3f42f94048bb49b7 0x3f5244d1be827966 0x0000000000000000
+step 3 0x3f5244d1be827966 0x3f5a097719482c7f 0x0000000000000000
+step 4 0x3f5a097719482c7f 0x3f6100671031c066 0x0000000000000000
+step 5 0x3f6100671031c066 0x3f647a4c740fd9db 0x0000000000000000
+step 6 0x3f647a4c740fd9db 0x3f70e9104cba58d1 0x3f53892bd6b7dba6
 ";
 const CATALYST_SYNC: &str = "
-tts 0x3f9568e9a02e458a
-totals CommStats { messages_sent: 1314, bytes_sent: 310752, messages_received: 1314, collectives: 720, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 2.4949959999999994e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.02368315905370611 }
+tts 0x3f958c51aa445169
+totals CommStats { messages_sent: 660, bytes_sent: 259824, messages_received: 660, collectives: 774, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 3.0225085000000012e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.022223601833006826 }
 bytes_written 55992
 files_written 6
 gpu_aggregate_peak 104936
 unscoped 0
 snapshot_pool_rank_peak 6912
-host_aggregate_peak 289304
-host_max_rank_peak 168208
+host_aggregate_peak 292904
+host_max_rank_peak 170008
 span insitu/copy x6 0x3eb01f4ab19eb800
-span insitu/execute x6 0x3ef51af4a3ff7f80
+span insitu/execute x6 0x3ef51af4a3ff8080
 span render/composite x12 0x3efef633fa26ad40
 span render/filter x12 0x3f1922efcbccc550
 span render/raster x12 0x3eea30fb17048380
-span render/write x6 0x3f9272347d5eb3e4
+span render/write x6 0x3f9272347d5eb3e5
 span sem/advection x12 0x3f88ca32f9f61e98
-span sem/cg x48 0x3f751d87519007b8
+span sem/cg x48 0x3f6c4c6b585da0a4
 span sem/diagnostics x12 0x3f048019186704a0
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effaa4105ecd280
-span sem/project x12 0x3f17b94493181278
-span sem/viscous x12 0x3f17d5f80fa03a94
-span sim/finalize x2 0x3f78a407a4457356
-span sim/setup x2 0x3f03342b42eaa03a
+span sem/mg_coarse x72 0x3f6024f3000344aa
+span sem/pressure x12 0x3effaa4105ecd270
+span sem/project x12 0x3f17b944931810f8
+span sem/viscous x12 0x3f17d5f80fa03a58
+span sim/finalize x2 0x3f78a407a4457358
+span sim/setup x2 0x3f0340664ae4a5e0
 span snapshot/publish x6 0x3f1350e7398fb7e0
-step 1 0x3ef3340901e36d50 0x3f41699527684a75 0x0000000000000000
-step 2 0x3f41699527684a75 0x3f7ce051315cc4a8 0x0000000000000000
-step 3 0x3f7ce051315cc4a8 0x3f7ed002b0fbd959 0x0000000000000000
-step 4 0x3f7ed002b0fbd959 0x3f8cab4810c96a22 0x0000000000000000
-step 5 0x3f8cab4810c96a22 0x3f8d8cd842ac941b 0x0000000000000000
-step 6 0x3f8d8cd842ac941b 0x3f95680f7d7c08b5 0x0000000000000000
+step 1 0x3ef3404409dd72f7 0x3f43162cf2c30ba2 0x0000000000000000
+step 2 0x3f43162cf2c30ba2 0x3f7d4b6ae92b7af4 0x0000000000000000
+step 3 0x3f7d4b6ae92b7af4 0x3f7f3c6c826b8da2 0x0000000000000000
+step 4 0x3f7f3c6c826b8da2 0x3f8cf86d943e236f 0x0000000000000000
+step 5 0x3f8cf86d943e236f 0x3f8dd6d30e7cfca0 0x0000000000000000
+step 6 0x3f8dd6d30e7cfca0 0x3f958b7787921494 0x0000000000000000
 ";
 const CATALYST_PIPELINED: &str = "
-tts 0x3f9393456d974945
-totals CommStats { messages_sent: 1314, bytes_sent: 310752, messages_received: 1314, collectives: 720, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 2.046816000000013e-5, time_host_compute: 2.494996e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.021039791699300762 }
+tts 0x3f93ae0bdb8af6d8
+totals CommStats { messages_sent: 660, bytes_sent: 259824, messages_received: 660, collectives: 774, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 3.0225084999999995e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.019502302342097967 }
 bytes_written 55992
 files_written 6
 gpu_aggregate_peak 104936
 unscoped 0
-host_aggregate_peak_less_pool 278072
+host_aggregate_peak_less_pool 281672
 span insitu/copy x6 0x3eb01f4ab19eb800
-span insitu/execute x6 0x3f86d43270943520
-span insitu/wait x8 0x3f67f44344071b64
+span insitu/execute x6 0x3f86bc99c906d6e2
+span insitu/wait x8 0x3f69ff0cc1776d8a
 span render/composite x12 0x3efef633fa26ad40
 span render/filter x12 0x3f1922efcbccc6d0
 span render/raster x12 0x3eea30fb17047b80
-span render/write x6 0x3f9272347d5eb3e5
-span sem/advection x12 0x3f17d0c027877cb2
-span sem/cg x48 0x3f75189824322e86
-span sem/diagnostics x12 0x3f04801918670820
+span render/write x6 0x3f9272347d5eb3e6
+span sem/advection x12 0x3f17d0c027877d12
+span sem/cg x48 0x3f6c428cfda1edcb
+span sem/diagnostics x12 0x3f04801918670860
 span sem/filter x12 0x0000000000000000
-span sem/pressure x12 0x3effa8a5f9967500
+span sem/mg_coarse x72 0x3f6024f30003447a
+span sem/pressure x12 0x3effa8a5f9967570
 span sem/project x12 0x3f17b944931816d8
-span sem/viscous x12 0x3f17d5f80fa03f34
-span sim/finalize x2 0x3f71770bee0ee8bd
-span sim/setup x2 0x3f03342b42eaa03a
-span snapshot/backpressure x2 0x3f71705da28851cd
+span sem/viscous x12 0x3f17d5f80fa03f58
+span sim/finalize x2 0x3f7154857d856fb4
+span sim/setup x2 0x3f0340664ae4a5e0
+span snapshot/backpressure x2 0x3f714dd731fed8c4
 span snapshot/publish x6 0x3f1350e7398fb7a0
-step 1 0x3ef3340901e36d50 0x3f41699527684a75 0x0000000000000000
-step 2 0x3f41699527684a75 0x3f50a6e1344b812e 0x0000000000000000
-step 3 0x3f50a6e1344b812e 0x3f586646288d3c35 0x0000000000000000
-step 4 0x3f586646288d3c35 0x3f5fa61859c196a9 0x0000000000000000
-step 5 0x3f5fa61859c196a9 0x3f63599c6f502839 0x0000000000000000
-step 6 0x3f63599c6f502839 0x3f7ced20667d7c9d 0x3f71705da28851cd
+step 1 0x3ef3404409dd72f7 0x3f43162cf2c30ba2 0x0000000000000000
+step 2 0x3f43162cf2c30ba2 0x3f52534813865a5c 0x0000000000000000
+step 3 0x3f52534813865a5c 0x3f5a17ed6e4c0d75 0x0000000000000000
+step 4 0x3f5a17ed6e4c0d75 0x3f6107a23ab3b0e2 0x0000000000000000
+step 5 0x3f6107a23ab3b0e2 0x3f6481879e91ca57 0x0000000000000000
+step 6 0x3f6481879e91ca57 0x3f7d583a1e4c32e9 0x3f714dd731fed8c4
 ";
 const CHECKPOINTING_PIPELINED_STALLED: &str = "
-tts 0x404901aa926abdaf
-totals CommStats { messages_sent: 1660, bytes_sent: 231648, messages_received: 1660, collectives: 892, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, bytes_h2d: 0, time_gpu_compute: 2.6115840000000194e-5, time_host_compute: 1.824e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.00927237309642 }
+tts 0x404901adeb387c25
+totals CommStats { messages_sent: 846, bytes_sent: 169200, messages_received: 846, collectives: 966, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, bytes_h2d: 0, time_gpu_compute: 2.0034560000000007e-5, time_host_compute: 8.539124999999994e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.00740498933028 }
 bytes_written 45600
 files_written 8
 gpu_aggregate_peak 104936
 unscoped 0
-host_aggregate_peak_less_pool 179880
+host_aggregate_peak_less_pool 183480
 span insitu/checkpoint x8 0x3f9896e069ebdbd3
 span insitu/stall x1 0x4049000000000000
-span insitu/wait x10 0x4048ff97d55c4abe
+span insitu/wait x10 0x4048ffa0eab290e7
 span sem/advection x16 0x40490003da91edb9
-span sem/cg x64 0x3f7afe20c8527cec
-span sem/diagnostics x16 0x3f0b5576cb670820
+span sem/cg x64 0x3f7261b88708054a
+span sem/diagnostics x16 0x3f0b5576cb670860
 span sem/filter x16 0x0000000000000000
-span sem/pressure x16 0x3f051b80146b3a88
+span sem/mg_coarse x92 0x3f64a0fd9c74c47a
+span sem/pressure x16 0x3f051b80146b3ab8
 span sem/project x16 0x3f1fa1b0c47816d8
-span sem/viscous x16 0x3f1fc7f56a603f34
-span sim/finalize x2 0x3f622f9076308000
-span sim/setup x2 0x3f03342b42eaa03a
-span snapshot/backpressure x4 0x40490098dd35002c
+span sem/viscous x16 0x3f1fc7f56a603f58
+span sim/finalize x2 0x3f6196a1c3e10000
+span sim/setup x2 0x3f0340664ae4a5e0
+span snapshot/backpressure x4 0x4049009451132e57
 span snapshot/publish x8 0x3f19c1344cc1ba40
-step 1 0x3ef3340901e36d50 0x3f414ca87d60888a 0x0000000000000000
-step 2 0x3f414ca87d60888a 0x3f50986adf47a037 0x0000000000000000
-step 3 0x3f50986adf47a037 0x3f5857cfd3895b3e 0x0000000000000000
-step 4 0x3f5857cfd3895b3e 0x3f5f97a204bdb5b2 0x0000000000000000
-step 5 0x3f5f97a204bdb5b2 0x3f63526144ce37be 0x0000000000000000
-step 6 0x3f63526144ce37be 0x40490083efb4a75d 0x40490028268b31bb
-step 7 0x40490083efb4a75d 0x40490090a42ee6df 0x0000000000000000
-step 8 0x40490090a42ee6df 0x404900e64819e725 0x3f622233df230000
+step 1 0x3ef3404409dd72f7 0x3f42f94048bb49b7 0x0000000000000000
+step 2 0x3f42f94048bb49b7 0x3f5244d1be827966 0x0000000000000000
+step 3 0x3f5244d1be827966 0x3f5a097719482c7f 0x0000000000000000
+step 4 0x3f5a097719482c7f 0x3f6100671031c066 0x0000000000000000
+step 5 0x3f6100671031c066 0x3f647a4c740fd9db 0x0000000000000000
+step 6 0x3f647a4c740fd9db 0x40490087488265d3 0x404900271257ad70
+step 7 0x40490087488265d3 0x404900952eda09f4 0x0000000000000000
+step 8 0x404900952eda09f4 0x404900e9a0e7a59b 0x3f6189452cd38000
 ";
 
 #[test]
