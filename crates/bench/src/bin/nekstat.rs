@@ -335,6 +335,12 @@ fn summarize(r: &RunReport) {
         aggs.get("sem/velocity_iters"),
         aggs.get("sem/unconverged_solves"),
     ) {
+        let smoother = match aggs.get("sem/smoother_omega") {
+            Some(Agg::Gauge { sum: omega, .. }) => {
+                format!("; smoother element Schwarz (FDM), ω {}", fraction(*omega))
+            }
+            _ => String::new(),
+        };
         let coarse = match (aggs.get("sem/coarse_dofs"), aggs.get("sem/coarse_band")) {
             (Some(Agg::Gauge { sum: dofs, .. }), Some(Agg::Gauge { sum: band, .. })) => {
                 format!("; coarse grid {dofs:.0} dofs, band {band:.0}, solved exactly")
@@ -344,7 +350,7 @@ fn summarize(r: &RunReport) {
         println!(
             "\nsolver convergence: pressure p50 {p_p50:.1} / max {p_max:.0} iterations \
              (final residual ≤ {res_max:.1e} of the rhs), velocity p50 {v_p50:.1} / max {v_max:.0}, \
-             {unconverged} unconverged solves{coarse}"
+             {unconverged} unconverged solves{smoother}{coarse}"
         );
     }
     // Sort-last rendering: the share of the image the ranks' tiles covered
@@ -404,6 +410,17 @@ fn summarize(r: &RunReport) {
             "\nmemory peaks: host aggregate {} (max rank {}), gpu {}, unscoped {}",
             mem.host_aggregate_peak, mem.host_max_rank_peak, mem.gpu_aggregate_peak, mem.unscoped
         );
+    }
+}
+
+/// `v` as `p/q` with the smallest denominator up to 12 that states it to
+/// 1e-12, or as a decimal.
+fn fraction(v: f64) -> String {
+    let exact = |q: &f64| ((v * q).round() - v * q).abs() <= 1e-12 * q;
+    match (1..=12).map(f64::from).find(exact) {
+        None => format!("{v:.4}"),
+        Some(1.0) => format!("{v:.0}"),
+        Some(q) => format!("{:.0}/{q:.0}", v * q),
     }
 }
 
@@ -816,5 +833,18 @@ fn follow_cmd(args: &[String]) {
             }
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fraction;
+
+    #[test]
+    fn fractions_print_as_the_solver_states_them() {
+        assert_eq!(fraction(sem::mg::OMEGA), "5/6");
+        assert_eq!(fraction(2.0), "2");
+        assert_eq!(fraction(0.75), "3/4");
+        assert_eq!(fraction(std::f64::consts::PI), "3.1416");
     }
 }

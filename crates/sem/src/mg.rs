@@ -3,8 +3,13 @@
 //! One V-cycle over polynomial orders N → 3 → 1 (N → 1 when N ≤ 3) on the
 //! same elements, NekRS's default pressure preconditioner. Every level above
 //! the last is the ordinary machinery at a lower order — [`LocalMesh`] →
-//! [`GatherScatter`] → [`Ops`] — smoothed by Chebyshev-accelerated Jacobi
-//! of one fixed degree before and after the coarse correction. The order-1
+//! [`GatherScatter`] → [`Ops`] — smoothed once before and once after the
+//! coarse correction by damped additive Schwarz over closed elements
+//! ([`Schwarz`]): each element's block of the assembled operator is
+//! separable on these congruent boxes and is inverted exactly by fast
+//! diagonalisation ([`Ops::fdm_apply`]), the sum of the element solves
+//! weighted by `√(1/multiplicity)` on both sides so that the cycle stays
+//! symmetric, and damped by [`OMEGA`]. The order-1
 //! level is not smoothed but solved: its global vertex matrix is factored
 //! once per world ([`CoarseFactor`], banded Cholesky, one copy shared by
 //! every rank) and each cycle makes one collective in which the ranks'
@@ -21,23 +26,21 @@
 //! copy of a shared node holding the same value, residuals assembled and
 //! masked, inner products weighted by 1/multiplicity.
 
+use crate::basis::Basis1d;
 use crate::gs::GatherScatter;
 use crate::mesh::{LocalMesh, MeshSpec};
-use crate::operators::Ops;
+use crate::operators::{transpose_op, AxisEigen, Ops};
 use commsim::Comm;
 use memtrack::Charge;
 use std::sync::Arc;
 
-/// Chebyshev degree of the pre- and post-smoother (equal, for symmetry).
-const SMOOTH_DEGREE: usize = 2;
-/// The smoother damps the eigenvalues of `D⁻¹A` in `[λ/10, 1.1·λ]`.
-const SMOOTH_SPAN: f64 = 10.0;
-/// Safety factor on the element estimate `λ` of `λ_max(D⁻¹A)`.
-const LAMBDA_MARGIN: f64 = 1.1;
+/// Damping of the Schwarz smoother: Chebyshev degree 1 on `[λ/10, 1.1λ]`
+/// with `λ = 2`, i.e. `2/(0.2 + 2.2)`. The weighted `λ_max(M⁻¹A)` reads
+/// 1.43–1.99 at orders 3–7 and at most 2.14 at order 2, so `ω·λ_max < 2`.
+pub const OMEGA: f64 = 5.0 / 6.0;
 
-/// One level's assembled, masked operator `x ↦ mask·GS(A_local x)` with its
-/// Jacobi diagonal: borrowed from the solver on the fine level, from a
-/// [`Level`] below it.
+/// One level's assembled, masked operator `x ↦ mask·GS(A_local x)`:
+/// borrowed from the solver on the fine level, from a [`Level`] below it.
 #[derive(Clone, Copy)]
 pub struct Operator<'a> {
     /// Assembly topology.
@@ -46,8 +49,6 @@ pub struct Operator<'a> {
     pub ops: &'a Ops,
     /// 1 on free nodes, 0 on Dirichlet nodes.
     pub mask: &'a [f64],
-    /// Inverse of the assembled stiffness diagonal.
-    pub diag_inv: &'a [f64],
 }
 
 impl Operator<'_> {
@@ -66,47 +67,225 @@ impl Operator<'_> {
             *ri = bi - qi;
         }
     }
+}
 
-    /// [`SMOOTH_DEGREE`] steps of Chebyshev-accelerated Jacobi on `A x = b`
-    /// for the eigenvalues of `D⁻¹A` in
-    /// `[lambda/SMOOTH_SPAN, LAMBDA_MARGIN·lambda]`:
-    /// `x ← x + p(D⁻¹A)·D⁻¹ r` with `r = b − A x` on entry (stale on exit,
-    /// which saves the last operator apply). Residuals are zero on
-    /// Dirichlet nodes, so every update is too.
+/// What lies beyond one end of an element along one axis.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum End {
+    /// A fluid element, across a face or a periodic wrap.
+    Neighbour,
+    /// A wholly masked face: the block drops its nodes.
+    Dirichlet,
+    /// The domain boundary or a solid element: nothing is added.
+    Neumann,
+}
+
+/// The 1-D reference stiffness matrix `K̂ = D̂ᵀŴD̂`, row-major (N+1)².
+fn reference_stiffness(basis: &Basis1d) -> Vec<f64> {
+    let (np, w, d) = (basis.np(), &basis.weights, &basis.deriv);
+    let mut k = vec![0.0; np * np];
+    for i in 0..np {
+        for j in 0..np {
+            k[i * np + j] = (0..np).map(|m| w[m] * d[m * np + i] * d[m * np + j]).sum();
+        }
+    }
+    k
+}
+
+/// `C = Q·diag(λ)·Qᵀ` for a symmetric row-major `n × n` matrix `c`, by
+/// cyclic Jacobi rotations: `(λ, Q)`, eigenvectors in the columns of `Q`.
+/// The sweeps end when no off-diagonal entry is above rounding, `ε‖C‖`.
+fn symmetric_eigen(mut c: Vec<f64>, n: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut q = vec![0.0; n * n];
+    for i in 0..n {
+        q[i * n + i] = 1.0;
+    }
+    let tol = f64::EPSILON * c.iter().map(|v| v * v).sum::<f64>().sqrt();
+    for _ in 0..50 {
+        let mut rotated = false;
+        for p in 0..n {
+            for r in p + 1..n {
+                let cpr = c[p * n + r];
+                if cpr.abs() <= tol {
+                    continue;
+                }
+                rotated = true;
+                // The rotation in the (p, r) plane that zeroes c[p][r].
+                let theta = (c[r * n + r] - c[p * n + p]) / (2.0 * cpr);
+                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                let cos = 1.0 / (t * t + 1.0).sqrt();
+                let sin = t * cos;
+                let rotate = |m: &mut [f64], a: usize, b: usize| {
+                    let (ma, mb) = (m[a], m[b]);
+                    m[a] = cos * ma - sin * mb;
+                    m[b] = sin * ma + cos * mb;
+                };
+                for k in 0..n {
+                    rotate(&mut c, k * n + p, k * n + r);
+                    rotate(&mut q, k * n + p, k * n + r);
+                }
+                for k in 0..n {
+                    rotate(&mut c, p * n + k, r * n + k);
+                }
+                // Zero in exact arithmetic; drop what rounding left.
+                (c[p * n + r], c[r * n + p]) = (0.0, 0.0);
+            }
+        }
+        if !rotated {
+            break;
+        }
+    }
+    ((0..n).map(|i| c[i * n + i]).collect(), q)
+}
+
+/// One axis of an element block of the assembled operator, in its
+/// generalised eigenbasis. The 1-D stiffness is `(2/h)K̂` and the 1-D mass
+/// `(h/2)Ŵ`; a neighbour end adds the neighbour's corner entries
+/// `(2/h)K̂₀₀` and `(h/2)w₀` to that end's diagonal, a Dirichlet end drops
+/// its node. `Ã s = λ B̃ s` is solved as the symmetric
+/// `B̃^{-½}ÃB̃^{-½}`, and `S = B̃^{-½}Q`.
+fn axis_eigen(khat: &[f64], w: &[f64], h: f64, ends: [End; 2]) -> AxisEigen {
+    let np = w.len();
+    let (ks, ms) = (2.0 / h, h / 2.0);
+    let mut a: Vec<f64> = khat.iter().map(|k| ks * k).collect();
+    let mut b: Vec<f64> = w.iter().map(|w| ms * w).collect();
+    let end_nodes = [0, np - 1];
+    for (end, node) in ends.into_iter().zip(end_nodes) {
+        if end == End::Neighbour {
+            a[node * np + node] += ks * khat[0];
+            b[node] += ms * w[0];
+        }
+    }
+    let kept: Vec<usize> = (0..np)
+        .filter(|i| !(ends.into_iter().zip(end_nodes)).any(|e| e == (End::Dirichlet, *i)))
+        .collect();
+    let m = kept.len();
+    let c = (0..m * m)
+        .map(|ij| {
+            let (i, j) = (kept[ij / m], kept[ij % m]);
+            a[i * np + j] / (b[i] * b[j]).sqrt()
+        })
+        .collect();
+    let (lambda_kept, q) = symmetric_eigen(c, m);
+    let (mut s, mut lambda) = (vec![0.0; np * np], vec![0.0; np]);
+    for (col, &l) in lambda_kept.iter().enumerate() {
+        lambda[col] = l;
+        for (row, &i) in kept.iter().enumerate() {
+            s[i * np + col] = q[row * m + col] / b[i].sqrt();
+        }
+    }
+    if ends == [End::Neumann; 2] {
+        // Singular by the constants: make its rounding-sized eigenvalue
+        // the exact zero `fdm_apply` recognises.
+        let zero = (0..m).min_by(|&i, &j| lambda[i].total_cmp(&lambda[j]));
+        lambda[zero.expect("a Neumann axis keeps its nodes")] = 0.0;
+    }
+    AxisEigen {
+        st: transpose_op(&s, np),
+        s,
+        lambda,
+    }
+}
+
+/// Damped additive Schwarz over closed elements on one smoothed level:
+/// `x ← x + ω·mask·W^½·GS(Σ_e Ã_e⁻¹ (mask·W^½ r)_e)`, `W` being
+/// 1/multiplicity and `Ã_e` element `e`'s block `R_e A R_eᵀ` of the
+/// assembled operator. Weighting both sides keeps the smoother, and so the
+/// V-cycle, symmetric. The blocks are read off the mesh without
+/// communication: what lies beyond each end of an element is the level's
+/// mask (a wholly masked face) or the global [`MeshSpec`] (a fluid
+/// neighbour, or a domain or solid face). A block is exact wherever an
+/// element's edge and corner neighbours are fluid exactly when its face
+/// neighbours are — everywhere but beside some solids, where it is a
+/// symmetric positive stand-in.
+struct Schwarz {
+    /// `mask·√(1/multiplicity)` per node.
+    weight: Vec<f64>,
+    /// The level's distinct axis blocks, one per element size and pair of
+    /// end kinds: at most 3 × 9.
+    axes: Vec<AxisEigen>,
+    /// Each element's x, y and z entry in `axes`.
+    elem_axes: Vec<[u8; 3]>,
+}
+
+impl Schwarz {
+    /// The smoother of the level `mesh`, `ops`, `mult_inv` and `mask`
+    /// describe.
+    fn new(mesh: &LocalMesh, ops: &Ops, mult_inv: &[f64], mask: &[f64]) -> Self {
+        let (np, npe) = (ops.basis.np(), ops.layout.nodes_per_elem());
+        let khat = reference_stiffness(&ops.basis);
+        let stride = [1, np, np * np];
+        let end = |le: usize, axis: usize, hi: bool| {
+            let face = le * npe + if hi { (np - 1) * stride[axis] } else { 0 };
+            let (s1, s2) = (stride[(axis + 1) % 3], stride[(axis + 2) % 3]);
+            let mut nodes = (0..np * np).map(|f| face + f % np * s1 + f / np * s2);
+            if nodes.all(|n| mask[n] == 0.0) {
+                return End::Dirichlet;
+            }
+            let mut offset = [0; 3];
+            offset[axis] = if hi { 1 } else { -1 };
+            match mesh.neighbor_elem(mesh.elems[le], offset) {
+                Some(e) if !mesh.spec.is_solid(e) => End::Neighbour,
+                _ => End::Neumann,
+            }
+        };
+        let mut keys: Vec<(u64, [End; 2])> = Vec::new();
+        let mut axes = Vec::new();
+        let elem_axes = (0..mesh.elems.len())
+            .map(|le| {
+                std::array::from_fn(|axis| {
+                    let (h, ends) = (ops.h[axis], [end(le, axis, false), end(le, axis, true)]);
+                    let key = (h.to_bits(), ends);
+                    let at = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                        keys.push(key);
+                        axes.push(axis_eigen(&khat, &ops.basis.weights, h, ends));
+                        axes.len() - 1
+                    });
+                    u8::try_from(at).expect("at most 27 axis blocks")
+                })
+            })
+            .collect();
+        Self {
+            weight: mult_inv
+                .iter()
+                .zip(mask)
+                .map(|(w, m)| m * w.sqrt())
+                .collect(),
+            axes,
+            elem_axes,
+        }
+    }
+
+    /// Device memory: the weights, the axis tables and the element index.
+    fn device_bytes(&self) -> u64 {
+        let tables: usize = (self.axes.iter())
+            .map(|a| a.s.len() + a.st.len() + a.lambda.len())
+            .sum();
+        (8 * (self.weight.len() + tables) + 3 * self.elem_axes.len()) as u64
+    }
+
+    /// `x += ω·mask·W^½·GS(Σ_e Ã_e⁻¹ (mask·W^½ r)_e)` on the level `op`
+    /// describes, through `d` and `q`. The weights carry the mask, so no
+    /// update touches a Dirichlet node.
     fn smooth(
         &self,
         comm: &mut Comm,
-        lambda: f64,
+        op: Operator<'_>,
         x: &mut [f64],
-        r: &mut [f64],
+        r: &[f64],
         d: &mut [f64],
         q: &mut [f64],
     ) {
-        let (n, degree) = (x.len(), SMOOTH_DEGREE);
-        let (lo, hi) = (lambda / SMOOTH_SPAN, LAMBDA_MARGIN * lambda);
-        let (theta, delta) = (0.5 * (hi + lo), 0.5 * (hi - lo));
-        let sigma = theta / delta;
-        let mut rho = 1.0 / sigma;
-        // Pointwise updates: 3 vector passes per step.
-        comm.compute_gpu((4 * n * degree) as f64, (6 * 8 * n * degree) as f64);
-        for i in 0..n {
-            d[i] = self.diag_inv[i] * r[i] / theta;
+        let n = x.len();
+        // Two pointwise passes over seven vectors.
+        comm.compute_gpu((4 * n) as f64, (7 * 8 * n) as f64);
+        for ((dv, &rv), &w) in d.iter_mut().zip(r).zip(&self.weight) {
+            *dv = w * rv;
         }
-        for _ in 1..degree {
-            for i in 0..n {
-                x[i] += d[i];
-            }
-            self.apply(comm, d, q);
-            let rho_next = 1.0 / (2.0 * sigma - rho);
-            let (cd, cr) = (rho_next * rho, 2.0 * rho_next / delta);
-            for i in 0..n {
-                r[i] -= q[i];
-                d[i] = cd * d[i] + cr * self.diag_inv[i] * r[i];
-            }
-            rho = rho_next;
-        }
-        for i in 0..n {
-            x[i] += d[i];
+        op.ops.fdm_apply(comm, &self.axes, &self.elem_axes, d, q);
+        op.gs.sum(comm, q);
+        for ((xv, &qv), &w) in x.iter_mut().zip(&*q).zip(&self.weight) {
+            *xv += OMEGA * w * qv;
         }
     }
 }
@@ -117,14 +296,13 @@ struct Level {
     gs: GatherScatter,
     ops: Ops,
     mask: Vec<f64>,
-    diag_inv: Vec<f64>,
-    lambda_max: f64,
     /// 1-D interpolation from this level's GLL nodes to the finer level's,
     /// row-major `np_finer × np`, and its transpose.
     interp: Vec<f64>,
     interp_t: Vec<f64>,
     np_finer: usize,
-    /// Right-hand side, correction, and the three smoother work vectors.
+    /// Right-hand side, correction, residual and the smoother's two work
+    /// vectors.
     b: Vec<f64>,
     x: Vec<f64>,
     r: Vec<f64>,
@@ -160,9 +338,7 @@ impl Level {
     /// `finer_mask`) to polynomial `order` on the same elements. Nothing is
     /// communicated: a coarse node's multiplicity and mask are those of a
     /// finer node on the same vertex, edge, face or interior of the same
-    /// element, and — the elements being congruent and the GLL diagonal
-    /// mirror-symmetric — every copy of a node carries the same local
-    /// diagonal, so the assembled diagonal is local diagonal × multiplicity.
+    /// element.
     fn coarsen(
         finer: &LocalMesh,
         finer_mult_inv: &[f64],
@@ -185,17 +361,12 @@ impl Level {
             c if c == order => order_finer,
             _ => 1,
         };
-        // Index folding makes the mirror symmetry of the diagonal exact, so
-        // the copies of a node agree to the bit.
-        let fold = |c: usize| c.min(order - c);
-        let local_diag = ops.stiffness_diag();
-        let (mut mult_inv, mut mask, mut diag_inv) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let (mut mult_inv, mut mask) = (vec![0.0; n], vec![0.0; n]);
         for idx in 0..n {
             let (e, i, j, k) = lc.coords(idx);
             let f = lf.idx(e, same_entity(i), same_entity(j), same_entity(k));
             mult_inv[idx] = finer_mult_inv[f];
             mask[idx] = finer_mask[f];
-            diag_inv[idx] = mult_inv[idx] / local_diag[lc.idx(e, fold(i), fold(j), fold(k))];
         }
 
         let (basis, np_finer) = (&ops.basis, order_finer + 1);
@@ -213,10 +384,8 @@ impl Level {
         }
         let level = Self {
             gs: GatherScatter::with_mult_inv(&mesh, mult_inv),
-            lambda_max: ops.jacobi_lambda_max(),
             ops,
             mask,
-            diag_inv,
             interp,
             interp_t,
             np_finer,
@@ -295,9 +464,7 @@ impl Level {
 /// element-local node order (x fastest): what [`Ops::stiffness_apply`]
 /// applies, `J Σ_d s_d² K̂_d ⊗ Ŵ ⊗ Ŵ` with `K̂ = D̂ᵀŴD̂`, written out.
 fn vertex_element_matrix(ops: &Ops) -> [[f64; 8]; 8] {
-    let (w, d) = (&ops.basis.weights, &ops.basis.deriv);
-    let khat =
-        |i: usize, j: usize| -> f64 { (0..2).map(|m| w[m] * d[2 * m + i] * d[2 * m + j]).sum() };
+    let (w, khat) = (&ops.basis.weights, reference_stiffness(&ops.basis));
     let mut a = [[0.0; 8]; 8];
     for (row, a_row) in a.iter_mut().enumerate() {
         let p = [row & 1, (row >> 1) & 1, row >> 2];
@@ -308,7 +475,11 @@ fn vertex_element_matrix(ops: &Ops) -> [[f64; 8]; 8] {
                     .filter(|&o| o != axis)
                     .map(|o| if p[o] == q[o] { w[p[o]] } else { 0.0 })
                     .product();
-                *v += ops.jac * ops.scale[axis] * ops.scale[axis] * khat(p[axis], q[axis]) * lumped;
+                *v += ops.jac
+                    * ops.scale[axis]
+                    * ops.scale[axis]
+                    * khat[2 * p[axis] + q[axis]]
+                    * lumped;
             }
         }
     }
@@ -576,25 +747,28 @@ impl CoarseSolve {
 }
 
 /// `x ≈ A⁻¹ b` by one V-cycle from a zero guess on the smoothed level `op`
-/// describes; `coarse` holds the levels below it, finest first and never
+/// describes; `smoothers` are its smoother and those of the smoothed levels
+/// below it, and `coarse` the levels below it, finest first and never
 /// empty, the last being the order-1 level `solve` solves.
 #[allow(clippy::too_many_arguments)]
 fn cycle(
     comm: &mut Comm,
     op: Operator<'_>,
-    lambda_max: f64,
+    smoothers: &[Schwarz],
     coarse: &mut [Level],
     solve: &mut CoarseSolve,
     b: &[f64],
     x: &mut [f64],
     [r, d, q]: [&mut [f64]; 3],
 ) {
+    let (smoother, smoothers_below) = smoothers
+        .split_first()
+        .expect("every level above the order-1 level is smoothed");
     let (next, below) = coarse
         .split_first_mut()
         .expect("a smoothed level sits above the order-1 level");
     x.fill(0.0);
-    r.copy_from_slice(b);
-    op.smooth(comm, lambda_max, x, r, d, q);
+    smoother.smooth(comm, op, x, b, d, q);
     op.residual(comm, b, x, r, q);
     if below.is_empty() {
         next.restrict_unassembled(comm, op.gs.mult_inv(), r);
@@ -605,8 +779,6 @@ fn cycle(
             gs,
             ops,
             mask,
-            diag_inv,
-            lambda_max: next_lambda,
             b: nb,
             x: nx,
             r: nr,
@@ -616,13 +788,8 @@ fn cycle(
         } = next;
         cycle(
             comm,
-            Operator {
-                gs,
-                ops,
-                mask,
-                diag_inv,
-            },
-            *next_lambda,
+            Operator { gs, ops, mask },
+            smoothers_below,
             below,
             solve,
             nb,
@@ -632,14 +799,15 @@ fn cycle(
     }
     next.prolong_add(comm, x);
     op.residual(comm, b, x, r, q);
-    op.smooth(comm, lambda_max, x, r, d, q);
+    smoother.smooth(comm, op, x, r, d, q);
 }
 
-/// The pressure preconditioner: the coarse levels below the solver's own
-/// fine level and the order-1 solve under them, built once per solver.
+/// The pressure preconditioner: the smoothers and coarse levels below the
+/// solver's own fine level and the order-1 solve under them, built once
+/// per solver.
 pub struct Multigrid {
-    /// Element estimate of `λ_max(D⁻¹A)` on the fine level.
-    lambda_max: f64,
+    /// One per smoothed level, the fine level's first.
+    smoothers: Vec<Schwarz>,
     /// Coarse levels, finest first; the last is the order-1 level, whose
     /// operator `solve` inverts (empty when the fine level is order 1).
     coarse: Vec<Level>,
@@ -648,9 +816,9 @@ pub struct Multigrid {
 
 impl Multigrid {
     /// Build the hierarchy under the fine level (`mesh`, its `gs`, `ops`
-    /// and Dirichlet `mask`). The levels are local work — see
-    /// [`Level::coarsen`] — and the order-1 factor costs one collective
-    /// ([`CoarseSolve::new`]).
+    /// and Dirichlet `mask`). The levels and their smoothers are local
+    /// work — see [`Level::coarsen`] and [`Schwarz::new`] — and the
+    /// order-1 factor costs one collective ([`CoarseSolve::new`]).
     pub fn new(
         comm: &mut Comm,
         mesh: &LocalMesh,
@@ -663,13 +831,15 @@ impl Multigrid {
             2 | 3 => &[1],
             _ => &[3, 1],
         };
+        let mut smoothers = Vec::with_capacity(orders.len());
         let mut coarse: Vec<Level> = Vec::with_capacity(orders.len());
         let mut finer_mesh = mesh.clone();
         for &order in orders {
-            let (mult_inv, mask) = match coarse.last() {
-                Some(l) => (l.gs.mult_inv(), l.mask.as_slice()),
-                None => (gs.mult_inv(), mask),
+            let (ops, mult_inv, mask) = match coarse.last() {
+                Some(l) => (&l.ops, l.gs.mult_inv(), l.mask.as_slice()),
+                None => (ops, gs.mult_inv(), mask),
             };
+            smoothers.push(Schwarz::new(&finer_mesh, ops, mult_inv, mask));
             let (mesh, level) = Level::coarsen(&finer_mesh, mult_inv, mask, order);
             coarse.push(level);
             finer_mesh = mesh;
@@ -677,16 +847,23 @@ impl Multigrid {
         let vertex_mask = coarse.last().map_or(mask, |l| l.mask.as_slice());
         let solve = CoarseSolve::new(comm, &finer_mesh, vertex_mask);
         Self {
-            lambda_max: ops.jacobi_lambda_max(),
+            smoothers,
             coarse,
             solve,
         }
     }
 
-    /// Device memory the coarse levels hold: five vectors plus mask,
-    /// diagonal and multiplicity per level.
+    /// Device memory the hierarchy holds: five vectors plus mask and
+    /// multiplicity per coarse level, and the smoothers' weights and
+    /// tables.
     pub fn device_bytes(&self) -> u64 {
-        self.coarse.iter().map(|l| 8 * 8 * l.b.len() as u64).sum()
+        let levels: u64 = self.coarse.iter().map(|l| 8 * 7 * l.b.len() as u64).sum();
+        levels
+            + self
+                .smoothers
+                .iter()
+                .map(Schwarz::device_bytes)
+                .sum::<u64>()
     }
 
     /// Is the pressure operator all-Neumann — no Dirichlet node on any rank,
@@ -707,7 +884,8 @@ impl Multigrid {
     }
 
     /// `z ≈ A⁻¹ r`: one V-cycle, `fine` being the solver's pressure
-    /// operator and `work` three fine-level vectors of arbitrary content.
+    /// operator — the one this was built on — and `work` three fine-level
+    /// vectors of arbitrary content.
     pub fn apply(
         &mut self,
         comm: &mut Comm,
@@ -729,7 +907,7 @@ impl Multigrid {
         cycle(
             comm,
             fine,
-            self.lambda_max,
+            &self.smoothers,
             &mut self.coarse,
             &mut self.solve,
             r,
@@ -755,7 +933,6 @@ mod tests {
         gs: GatherScatter,
         ops: Ops,
         mask: Vec<f64>,
-        diag_inv: Vec<f64>,
     }
 
     impl Fine {
@@ -764,14 +941,11 @@ mod tests {
             let gs = GatherScatter::new(&mesh, comm);
             let ops = Ops::new(&mesh);
             let (mask, _) = mesh.dirichlet_mask(bc);
-            let mut diag = ops.stiffness_diag();
-            gs.sum(comm, &mut diag);
             Self {
                 mesh,
                 gs,
                 ops,
                 mask,
-                diag_inv: diag.iter().map(|&d| 1.0 / d).collect(),
             }
         }
 
@@ -780,12 +954,15 @@ mod tests {
                 gs: &self.gs,
                 ops: &self.ops,
                 mask: &self.mask,
-                diag_inv: &self.diag_inv,
             }
         }
 
         fn multigrid(&self, comm: &mut Comm) -> Multigrid {
             Multigrid::new(comm, &self.mesh, &self.gs, &self.ops, &self.mask)
+        }
+
+        fn schwarz(&self) -> Schwarz {
+            Schwarz::new(&self.mesh, &self.ops, self.gs.mult_inv(), &self.mask)
         }
 
         /// A masked continuous field with content at every wavelength the
@@ -866,12 +1043,11 @@ mod tests {
     }
 
     /// Manufactured Poisson problem `−∇²u = f`, homogeneous Dirichlet,
-    /// solved to a relative 1e-8: the CG iteration count.
-    fn poisson_iterations(order: usize, elems: [usize; 3]) -> usize {
+    /// solved to a relative 1e-8 on `elems` elements over a box of
+    /// `lengths`: the CG iteration count.
+    fn poisson_iterations(order: usize, elems: [usize; 3], lengths: [f64; 3]) -> usize {
         run_ranks(2, MachineModel::test_tiny(), move |comm| {
             use std::f64::consts::PI;
-            // Cubic elements on every mesh: [0,1]³, [0,1]²×[0,2], [0,1]²×[0,16].
-            let lengths = elems.map(|e| e as f64 / elems[0] as f64);
             let spec = Arc::new(MeshSpec::box_mesh(order, elems, lengths, [false; 3]));
             let fine = Fine::new(comm, &spec, &BcSet::all_dirichlet_zero());
             let mut mg = fine.multigrid(comm);
@@ -889,7 +1065,7 @@ mod tests {
             let cfg = CgConfig {
                 tol: 1e-8,
                 abs_tol: 0.0,
-                max_iter: 20,
+                max_iter: 40,
                 project_mean: false,
             };
             let res = cg::solve(
@@ -909,17 +1085,25 @@ mod tests {
                 .zip(&exact)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max);
-            assert!(err < 2e-2 / order.pow(3) as f64, "order {order}: {err}");
+            // Interpolation error of the order-N elements, h^(N+1).
+            let h = lengths[0] / elems[0] as f64;
+            let bound = 2e-2 * (2.0 * h).powi(order as i32 + 1) / order.pow(3) as f64;
+            assert!(err < bound, "order {order}, {elems:?}: {err}");
             res.iterations
         })[0]
     }
 
     #[test]
     fn poisson_iterations_are_independent_of_order_and_mesh() {
+        // Cubic elements: [0,1]³, [0,1]²×[0,2], [0,1]²×[0,16].
         let counts: Vec<usize> = [[2, 2, 2], [4, 4, 8], [2, 2, 32]]
             .into_iter()
-            .flat_map(|elems| [3, 5, 7].map(|order| poisson_iterations(order, elems)))
+            .flat_map(|elems| {
+                let lengths = elems.map(|e| e as f64 / elems[0] as f64);
+                [3, 5, 7].map(|order| poisson_iterations(order, elems, lengths))
+            })
             .collect();
+
         let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
         for &c in &counts {
             assert!(
@@ -927,44 +1111,11 @@ mod tests {
                 "iteration counts {counts:?} spread beyond ±30 % of {mean}"
             );
         }
-    }
-
-    #[test]
-    fn element_estimate_bounds_the_global_lambda_max_tightly() {
-        let (pb_spec, pb_bc) = pb146_with_solids(4);
-        let anisotropic = Arc::new(MeshSpec::box_mesh(
-            5,
-            [3, 2, 4],
-            [1.0, 0.4, 6.0],
-            [false, true, false],
-        ));
-        for (spec, bc) in [(pb_spec, pb_bc), (anisotropic, BcSet::all_neumann())] {
-            let order = spec.order;
-            let (estimate, global) = run_ranks(2, MachineModel::test_tiny(), move |comm| {
-                let fine = Fine::new(comm, &spec, &bc);
-                let (op, w) = (fine.operator(), fine.gs.mult_inv());
-                // Power iteration on mask·D⁻¹·GS(A x), Rayleigh quotient in
-                // the D inner product.
-                let mut x = fine.field(comm, 0.7);
-                let mut ax = vec![0.0; x.len()];
-                let mut lambda = 0.0;
-                for _ in 0..60 {
-                    op.apply(comm, &x, &mut ax);
-                    let dx: Vec<f64> = x.iter().zip(op.diag_inv).map(|(x, d)| x / d).collect();
-                    lambda = wdot(comm, &x, &ax, w) / wdot(comm, &x, &dx, w);
-                    for i in 0..x.len() {
-                        x[i] = op.diag_inv[i] * ax[i];
-                    }
-                    let local = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                    let norm = comm.allreduce(local, ReduceOp::Max);
-                    x.iter_mut().for_each(|v| *v /= norm);
-                }
-                (fine.ops.jacobi_lambda_max(), lambda)
-            })[0];
-            assert!(
-                estimate >= global && estimate <= 1.1 * global,
-                "order {order}: element estimate {estimate} vs global {global}"
-            );
+        // A column of 16:1 elements, one element across: its order-1 level
+        // is all wall, so the smoothers carry the solve alone.
+        for order in [3, 5, 7] {
+            let c = poisson_iterations(order, [1, 1, 32], [1.0, 1.0, 2.0]);
+            assert!(c <= 36, "order {order}, 16:1 column: {c} iterations");
         }
     }
 
@@ -981,11 +1132,169 @@ mod tests {
                     let reference = Fine::new(comm, &mesh.spec, &bc);
                     assert_eq!(level.gs.mult_inv(), reference.gs.mult_inv());
                     assert_eq!(level.mask, reference.mask);
-                    for (got, want) in level.diag_inv.iter().zip(&reference.diag_inv) {
-                        assert!((got - want).abs() <= 1e-14 * want, "{got} vs {want}");
-                    }
                 }
             });
+        }
+    }
+
+    /// A box of `elems` elements of `1 × 1 × aspect`.
+    fn box_of(order: usize, elems: [usize; 3], aspect: f64, periodic: [bool; 3]) -> MeshSpec {
+        let lengths = [elems[0] as f64, elems[1] as f64, elems[2] as f64 * aspect];
+        MeshSpec::box_mesh(order, elems, lengths, periodic)
+    }
+
+    /// Elements whose block the smoother must invert exactly, each with the
+    /// mesh and pressure conditions around it: every neighbour fluid, a
+    /// Dirichlet end, Neumann domain ends, a solid end, and the neighbour
+    /// across a periodic wrap.
+    fn exact_block_cases(
+        order: usize,
+        aspect: f64,
+    ) -> Vec<(&'static str, MeshSpec, BcSet, [usize; 3])> {
+        let neumann = BcSet::all_neumann();
+        let mut top = neumann;
+        top.faces[5] = Bc::Dirichlet(0.0);
+        let mut solid_plane = box_of(order, [3, 3, 3], aspect, [false; 3]);
+        for (ey, ez) in (0..3).flat_map(|ey| (0..3).map(move |ez| (ey, ez))) {
+            let at = solid_plane.elem_index([2, ey, ez]);
+            solid_plane.solid[at] = true;
+        }
+        vec![
+            (
+                "interior",
+                box_of(order, [3, 3, 3], aspect, [false; 3]),
+                neumann,
+                [1, 1, 1],
+            ),
+            (
+                "Dirichlet end",
+                box_of(order, [3, 3, 2], aspect, [false; 3]),
+                top,
+                [1, 1, 1],
+            ),
+            (
+                "Neumann ends",
+                box_of(order, [2, 2, 2], aspect, [false; 3]),
+                neumann,
+                [0, 0, 0],
+            ),
+            ("solid end", solid_plane, neumann, [1, 1, 1]),
+            (
+                "periodic seam",
+                box_of(order, [3, 1, 1], aspect, [true, false, false]),
+                neumann,
+                [0, 0, 0],
+            ),
+        ]
+    }
+
+    #[test]
+    fn fdm_block_is_the_inverse_of_the_assembled_element_block() {
+        for (order, aspect) in [2, 3, 5, 7].into_iter().flat_map(|o| [(o, 1.0), (o, 16.0)]) {
+            for (name, spec, bc, elem) in exact_block_cases(order, aspect) {
+                let spec = Arc::new(spec);
+                let worst = run_ranks(1, MachineModel::test_tiny(), move |comm| {
+                    let fine = Fine::new(comm, &spec, &bc);
+                    let smoother = fine.schwarz();
+                    let l = fine.ops.layout;
+                    let (n, npe) = (l.n_nodes(), l.nodes_per_elem());
+                    let gid: Vec<u64> = (0..n)
+                        .map(|idx| {
+                            let (e, i, j, k) = l.coords(idx);
+                            fine.mesh.gid(e, i, j, k)
+                        })
+                        .collect();
+                    let le = fine.mesh.elems.iter().position(|&e| e == elem);
+                    let le = le.expect("a fluid element");
+                    let free: Vec<usize> = (0..npe)
+                        .filter(|&q| fine.mask[le * npe + q] == 1.0)
+                        .collect();
+                    // Element e's block alone, through a one-element slab.
+                    let alone = Ops::new(&LocalMesh {
+                        elems: vec![elem],
+                        ..fine.mesh.clone()
+                    });
+                    let elem_axes = &smoother.elem_axes[le..=le];
+                    let (mut unit, mut col) = (vec![0.0; n], vec![0.0; n]);
+                    let mut back = vec![0.0; npe];
+                    let mut worst: f64 = 0.0;
+                    for &p in &free {
+                        // Column p of R_e A R_eᵀ: A on every copy of p's
+                        // node, read on element e.
+                        for (u, &g) in unit.iter_mut().zip(&gid) {
+                            *u = f64::from(g == gid[le * npe + p]);
+                        }
+                        fine.operator().apply(comm, &unit, &mut col);
+                        let col_e = &col[le * npe..][..npe];
+                        alone.fdm_apply(comm, &smoother.axes, elem_axes, col_e, &mut back);
+                        for &q in &free {
+                            worst = worst.max((back[q] - f64::from(q == p)).abs());
+                        }
+                    }
+                    worst
+                })[0];
+                assert!(
+                    worst <= 1e-12,
+                    "order {order}, aspect {aspect}, {name}: Ã⁻¹(R A Rᵀ) is off the identity by {worst}"
+                );
+            }
+        }
+    }
+
+    /// `λ_max(M⁻¹A)` of the undamped smoother `M⁻¹`, by power iteration in
+    /// the A inner product.
+    fn schwarz_lambda_max(comm: &mut Comm, fine: &Fine) -> f64 {
+        let (op, smoother, w) = (fine.operator(), fine.schwarz(), fine.gs.mult_inv());
+        let mut x = fine.field(comm, 0.7);
+        let [mut ax, mut z, mut d, mut q] = [(); 4].map(|_| vec![0.0; x.len()]);
+        let mut lambda = 0.0;
+        for _ in 0..50 {
+            op.apply(comm, &x, &mut ax);
+            z.fill(0.0);
+            smoother.smooth(comm, op, &mut z, &ax, &mut d, &mut q);
+            lambda = wdot(comm, &ax, &z, w) / wdot(comm, &ax, &x, w) / OMEGA;
+            let local = z.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let norm = comm.allreduce(local, ReduceOp::Max);
+            for (xv, &zv) in x.iter_mut().zip(&z) {
+                *xv = zv / norm;
+            }
+        }
+        lambda
+    }
+
+    #[test]
+    fn schwarz_keeps_omega_lambda_max_below_two() {
+        let column = |order: usize, aspect: f64| {
+            let spec = box_of(order, [1, 1, 32], 1.0 / aspect, [false; 3]);
+            let mut outflow = BcSet::all_neumann();
+            outflow.faces[5] = Bc::Dirichlet(0.0);
+            (Arc::new(spec), outflow)
+        };
+        let walled = |order: usize| {
+            let spec = box_of(order, [2, 2, 3], 1.0, [false; 3]);
+            (Arc::new(spec), BcSet::all_dirichlet_zero())
+        };
+        for order in [2, 3, 5, 7] {
+            let cases = [
+                ("16:1 column", column(order, 16.0)),
+                ("128:1 column", column(order, 128.0)),
+                ("pb146", pb146_with_solids(order)),
+                ("rbc", rbc_all_neumann(order)),
+                ("Dirichlet box", walled(order)),
+            ];
+            for (name, (spec, bc)) in cases {
+                for ranks in [1, 2, 3] {
+                    let spec = Arc::clone(&spec);
+                    let lambda = run_ranks(ranks, MachineModel::test_tiny(), move |comm| {
+                        let fine = Fine::new(comm, &spec, &bc);
+                        schwarz_lambda_max(comm, &fine)
+                    })[0];
+                    assert!(
+                        (1.0..=2.2).contains(&lambda),
+                        "order {order}, {name}, {ranks} ranks: λ_max(M⁻¹A) = {lambda}"
+                    );
+                }
+            }
         }
     }
 

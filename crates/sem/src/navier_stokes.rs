@@ -219,7 +219,8 @@ impl Transported {
 /// side), `sem/velocity_iters` and the `sem/unconverged_solves` counter
 /// (any solve, temperature included, that ended on its iteration cap).
 /// Binding them also sets, on rank 0, the gauges `sem/coarse_dofs` and
-/// `sem/coarse_band` of the pressure multigrid's order-1 solve.
+/// `sem/coarse_band` of the pressure multigrid's order-1 solve and
+/// `sem/smoother_omega`, the damping of its Schwarz smoother.
 struct SolveStats {
     pressure_iters: commsim::Histogram,
     pressure_residual: commsim::Histogram,
@@ -258,9 +259,8 @@ pub struct FlowSolver {
     mass_diag: Vec<f64>,
     mass_diag_assembled: Vec<f64>,
     stiff_diag_assembled: Vec<f64>,
-    p_diag_inv: Vec<f64>,
-    /// The pressure preconditioner's coarse levels; its fine level is
-    /// `gs`/`ops`/`p_mask`/`p_diag_inv` above.
+    /// The pressure preconditioner's smoothers and coarse levels; its fine
+    /// level is `gs`/`ops`/`p_mask` above.
     p_mg: Multigrid,
     /// The modal filter's 1-D matrix and its transpose.
     filter_matrix: Option<(Vec<f64>, Vec<f64>)>,
@@ -317,10 +317,6 @@ impl FlowSolver {
         gs.sum(comm, &mut mass_diag_assembled);
         let mut stiff_diag_assembled = ops.stiffness_diag();
         gs.sum(comm, &mut stiff_diag_assembled);
-        let p_diag_inv: Vec<f64> = stiff_diag_assembled
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
-            .collect();
         let p_mg = Multigrid::new(comm, &mesh, &gs, &ops, &p_mask);
         // Pure Neumann pressure (no Dirichlet node anywhere globally)?
         let p_fix_mean = p_mg.operator_is_singular();
@@ -358,7 +354,6 @@ impl FlowSolver {
             mass_diag,
             mass_diag_assembled,
             stiff_diag_assembled,
-            p_diag_inv,
             p_mg,
             filter_matrix,
             scratch: vec![0.0; n],
@@ -643,7 +638,6 @@ impl FlowSolver {
             gs: &self.gs,
             ops: &self.ops,
             mask: &self.p_mask,
-            diag_inv: &self.p_diag_inv,
         };
         let (p_mg, ops) = (&mut self.p_mg, &self.ops);
         let mut mg_work = [(); 3].map(|_| self.ws.take_uninit());
@@ -738,6 +732,7 @@ impl FlowSolver {
                 let (dofs, band) = self.p_mg.coarse_dofs_and_band();
                 t.gauge("sem/coarse_dofs").set(dofs as f64);
                 t.gauge("sem/coarse_band").set(band as f64);
+                t.gauge("sem/smoother_omega").set(mg::OMEGA);
             }
             SolveStats {
                 pressure_iters: t.histogram("sem/pressure_iters"),

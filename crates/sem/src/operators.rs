@@ -37,9 +37,20 @@ macro_rules! with_kernel {
 /// on a p-multigrid coarse level.
 const POOLED_MIN_NODES: usize = 4096;
 
-/// Power iterations behind [`Ops::jacobi_lambda_max`]: from its start
-/// vector, 20 land within 0.05 % of the limit at every order up to 7.
-const POWER_STEPS: usize = 20;
+/// One axis of a separable element block `Ã_x⊗B̃_y⊗B̃_z + B̃_x⊗Ã_y⊗B̃_z +
+/// B̃_x⊗B̃_y⊗Ã_z` in its generalised eigenbasis: `Ã S = B̃ S Λ` with
+/// `Sᵀ B̃ S = I`, what [`Ops::fdm_apply`] inverts the block with. A node the
+/// block drops (a Dirichlet end) has a zero row in `S`, and the mode it
+/// leaves out a zero column and a zero eigenvalue.
+#[derive(Debug, Clone)]
+pub(crate) struct AxisEigen {
+    /// Row-major (N+1)², eigenvectors in the columns.
+    pub(crate) s: Vec<f64>,
+    /// `S` transposed.
+    pub(crate) st: Vec<f64>,
+    /// The eigenvalue of each column of `S`.
+    pub(crate) lambda: Vec<f64>,
+}
 
 /// The output field's base pointer, shared with the pool workers of one
 /// [`Ops::zip_blocks`] dispatch.
@@ -372,44 +383,48 @@ impl Ops {
         }
     }
 
-    /// Upper bound on `λ_max(D⁻¹A)` of the assembled, masked stiffness
-    /// operator with its Jacobi diagonal — what a Chebyshev smoother needs —
-    /// from the 1-D reference element alone. With `A = Σ RᵀA_e R` and
-    /// `D = Σ RᵀD_e R`, `xᵀAx / xᵀDx ≤ max_e λ_max(D_e⁻¹A_e)`; on a
-    /// rectilinear element `A_e = Σ_d c_d·K̂⊗Ŵ⊗Ŵ` (`K̂ = D̂ᵀŴD̂` on axis
-    /// `d`) and `D_e` is the same sum over `diag K̂`, so the quotient is a
-    /// `c_d`-weighted mean of three 1-D quotients, each at most
-    /// `λ̂ = λ_max(diag(K̂)⁻¹K̂)` — attained by `v⊗v⊗v`. The bound is
-    /// therefore `λ̂`, whatever `h`, the element count or the rank count:
-    /// [`POWER_STEPS`] power iterations on an (N+1)² matrix, started from
-    /// the alternating vector the top mode resembles, and no global one.
-    pub fn jacobi_lambda_max(&self) -> f64 {
-        let np = self.np();
-        let (d, w, k1) = (&self.basis.deriv, &self.basis.weights, &self.k1);
-        let khat = |i: usize, j: usize| -> f64 {
-            (0..np).map(|m| w[m] * d[m * np + i] * d[m * np + j]).sum()
-        };
-        let mut x: Vec<f64> = (0..np)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let mut kx = vec![0.0; np];
-        let mut lambda = 0.0;
-        for _ in 0..POWER_STEPS {
-            for i in 0..np {
-                kx[i] = (0..np).map(|j| khat(i, j) * x[j]).sum();
-            }
-            // Rayleigh quotient in the diag(K̂) inner product, then
-            // x ← diag(K̂)⁻¹K̂ x, normalised.
-            let xkx: f64 = x.iter().zip(&kx).map(|(a, b)| a * b).sum();
-            let xdx: f64 = x.iter().zip(k1).map(|(a, d)| a * a * d).sum();
-            lambda = xkx / xdx;
-            for i in 0..np {
-                x[i] = kx[i] / k1[i];
-            }
-            let norm = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            x.iter_mut().for_each(|v| *v /= norm);
-        }
-        lambda
+    /// `out_e = (S_x⊗S_y⊗S_z)·(Λ_x⊕Λ_y⊕Λ_z)⁺·(S_x⊗S_y⊗S_z)ᵀ·u_e` in every
+    /// element `e`, whose three axes are `axes[elem_axes[e][d]]`: the exact
+    /// inverse of a separable element block by fast diagonalisation. A mode
+    /// whose eigenvalues sum to zero — the constant of an element with
+    /// nothing but Neumann ends — maps to zero. Charged like
+    /// [`Self::stiffness_apply`]: six sweeps plus pointwise work.
+    pub(crate) fn fdm_apply(
+        &self,
+        comm: &mut Comm,
+        axes: &[AxisEigen],
+        elem_axes: &[[u8; 3]],
+        u: &[f64],
+        out: &mut [f64],
+    ) {
+        self.charge_derivs(comm, 6.0);
+        self.charge_pointwise(comm, 3.0, 3.0);
+        let (np, npe) = (self.np(), self.layout.nodes_per_elem());
+        assert_eq!(
+            elem_axes.len(),
+            self.layout.n_elems,
+            "one entry per element"
+        );
+        with_kernel!(np, k => self.zip_blocks(out, u, |e0, ob, ub| {
+            k.with_pencil(|p| {
+                for (le, (oe, ue)) in ob.chunks_exact_mut(npe).zip(ub.chunks_exact(npe)).enumerate() {
+                    let [x, y, z] = elem_axes[e0 + le].map(|a| &axes[usize::from(a)]);
+                    k.contract::<false>(ue, &x.st, &x.s, 0, 1.0, p);
+                    k.contract::<false>(p, &y.st, &y.s, 1, 1.0, oe);
+                    k.contract::<false>(oe, &z.st, &z.s, 2, 1.0, p);
+                    for (row, pr) in p.chunks_exact_mut(np).enumerate() {
+                        let lyz = y.lambda[row % np] + z.lambda[row / np];
+                        for (v, &lx) in pr.iter_mut().zip(&x.lambda) {
+                            let d = lx + lyz;
+                            *v = if d > 0.0 { *v / d } else { 0.0 };
+                        }
+                    }
+                    k.contract::<false>(p, &x.s, &x.st, 0, 1.0, oe);
+                    k.contract::<false>(oe, &y.s, &y.st, 1, 1.0, p);
+                    k.contract::<false>(p, &z.s, &z.st, 2, 1.0, oe);
+                }
+            })
+        }));
     }
 
     /// Apply a 1-D operator matrix `m` (row-major (N+1)², with `mt` its
