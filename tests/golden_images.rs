@@ -203,7 +203,7 @@ fn bench_insitu(
     }
 }
 
-const GOLDEN_BENCH_PB146_PRESSURE_SLICE: u64 = 0xef7959fc0bf8183d;
+const GOLDEN_BENCH_PB146_PRESSURE_SLICE: u64 = 0x83656c0a806d0d07;
 const GOLDEN_BENCH_PB146_VELOCITY_CONTOUR: u64 = 0x60eeb5229a6843e2;
 
 /// `insitu_sync` / `insitu_pipelined`: 2 ranks, 128 elements, 800×600,

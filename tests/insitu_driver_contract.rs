@@ -151,189 +151,189 @@ fn check(cell: &str, cfg: &InSituConfig, expected: &str) {
 }
 
 const ORIGINAL: &str = "
-tts 0x3f67c6f55cb91bde
-totals CommStats { messages_sent: 654, bytes_sent: 130800, messages_received: 654, collectives: 742, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 5.2751249999999955e-6, time_xfer: 0.0, time_io: 0.0, time_comm: 0.004054821130070034 }
+tts 0x3f641a668de3d7c6
+totals CommStats { messages_sent: 564, bytes_sent: 112800, messages_received: 564, collectives: 670, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 3.979124999999997e-6, time_xfer: 0.0, time_io: 0.0, time_comm: 0.0035944115916084598 }
 bytes_written 0
 files_written 0
-gpu_aggregate_peak 104936
+gpu_aggregate_peak 108295
 unscoped 0
 snapshot_pool_rank_peak 0
 host_aggregate_peak 172080
 host_max_rank_peak 105480
-span sem/advection x12 0x3f17d0c027877d12
-span sem/cg x48 0x3f6c42025e78cbba
-span sem/diagnostics x12 0x3f04801918670860
+span sem/advection x12 0x3f17d0c027877d06
+span sem/cg x48 0x3f68f245a164ac5e
+span sem/diagnostics x12 0x3f04801918670840
 span sem/filter x12 0x0000000000000000
-span sem/mg_coarse x72 0x3f6024f30003447a
-span sem/pressure x12 0x3effa8a5f9967570
-span sem/project x12 0x3f17b944931816d8
-span sem/viscous x12 0x3f17d5f80fa03f38
+span sem/mg_coarse x54 0x3f5837243ed9b754
+span sem/pressure x12 0x3effa8a5f9967520
+span sem/project x12 0x3f17b94493181648
+span sem/viscous x12 0x3f17d5f80fa03f24
 span sim/finalize x2 0x3edb4456479a9800
 span sim/setup x2 0x3f0340664ae4a5e0
-step 1 0x3ef3404409dd72f7 0x3f42f94048bb49b7 0x0000000000000000
-step 2 0x3f42f94048bb49b7 0x3f521194e9ff9991 0x0000000000000000
-step 3 0x3f521194e9ff9991 0x3f59d5af1c980dd6 0x0000000000000000
-step 4 0x3f59d5af1c980dd6 0x3f60cce4a7984124 0x0000000000000000
-step 5 0x3f60cce4a7984124 0x3f644684775fbb2e 0x0000000000000000
-step 6 0x3f644684775fbb2e 0x3f67c02447273538 0x0000000000000000
+step 1 0x3ef3404409dd72f7 0x3f3f6a9c88080848 0x0000000000000000
+step 2 0x3f3f6a9c88080848 0x3f4d9b45ca90a7e5 0x0000000000000000
+step 3 0x3f4d9b45ca90a7e5 0x3f54efd1a7fa1286 0x0000000000000000
+step 4 0x3f54efd1a7fa1286 0x3f5be2cd6b406479 0x0000000000000000
+step 5 0x3f5be2cd6b406479 0x3f61027e16f911a5 0x0000000000000000
+step 6 0x3f61027e16f911a5 0x3f6413957851f120 0x0000000000000000
 ";
 const CHECKPOINTING_SYNC: &str = "
-tts 0x3f8876e5f8dc99c6
-totals CommStats { messages_sent: 654, bytes_sent: 130800, messages_received: 654, collectives: 742, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 6.643124999999996e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.004057435062377471 }
+tts 0x3f878bc2452748d6
+totals CommStats { messages_sent: 564, bytes_sent: 112800, messages_received: 564, collectives: 670, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 5.347124999999997e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0035970255239159434 }
 bytes_written 34200
 files_written 6
-gpu_aggregate_peak 104936
+gpu_aggregate_peak 108295
 unscoped 0
 snapshot_pool_rank_peak 6912
 host_aggregate_peak 194712
 host_max_rank_peak 119388
 span insitu/checkpoint x6 0x3f9271284f70e5b5
-span sem/advection x12 0x3f17d0c027877ad2
-span sem/cg x48 0x3f6c45a9ee8d67c2
-span sem/diagnostics x12 0x3f048019186706a0
+span sem/advection x12 0x3f17d0c027877c5e
+span sem/cg x48 0x3f68f5ed31794913
+span sem/diagnostics x12 0x3f048019186706c0
 span sem/filter x12 0x0000000000000000
-span sem/mg_coarse x72 0x3f6024f3000344a8
-span sem/pressure x12 0x3effa8a5f9967070
+span sem/mg_coarse x54 0x3f5837243ed9b78a
+span sem/pressure x12 0x3effa8a5f9967260
 span sem/project x12 0x3f17b94493181278
-span sem/viscous x12 0x3f17d5f80fa03b18
+span sem/viscous x12 0x3f17d5f80fa03b14
 span sim/finalize x2 0x3edeebe65c391800
 span sim/setup x2 0x3f0340664ae4a5e0
 span snapshot/publish x6 0x3f1350e7398fb7a0
-step 1 0x3ef3404409dd72f7 0x3f42f94048bb49b7 0x0000000000000000
-step 2 0x3f42f94048bb49b7 0x3f70dc411799a0dc 0x0000000000000000
-step 3 0x3f70dc411799a0dc 0x3f72ce318844e586 0x0000000000000000
-step 4 0x3f72ce318844e586 0x3f808b89f9025e83 0x0000000000000000
-step 5 0x3f808b89f9025e83 0x3f816a66def6d0b2 0x0000000000000000
-step 6 0x3f816a66def6d0b2 0x3f8874bcc1758c4c 0x0000000000000000
+step 1 0x3ef3404409dd72f7 0x3f3f6a9c88080848 0x0000000000000000
+step 2 0x3f3f6a9c88080848 0x3f700b44966bcf74 0x0000000000000000
+step 3 0x3f700b44966bcf74 0x3f7194ba2b1d66b7 0x0000000000000000
+step 4 0x3f7194ba2b1d66b7 0x3f7fa954f908b5a6 0x0000000000000000
+step 5 0x3f7fa954f908b5a6 0x3f80996546dd2664 0x0000000000000000
+step 6 0x3f80996546dd2664 0x3f8789990dc03b5c 0x0000000000000000
 ";
 const CHECKPOINTING_PIPELINED: &str = "
-tts 0x3f84ba693fc23ead
-totals CommStats { messages_sent: 654, bytes_sent: 130800, messages_received: 654, collectives: 742, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 6.643124999999995e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0040560812408392665 }
+tts 0x3f8451eaff2b55f9
+totals CommStats { messages_sent: 564, bytes_sent: 112800, messages_received: 564, collectives: 670, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 5.3471249999999975e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.003595671702377694 }
 bytes_written 34200
 files_written 6
-gpu_aggregate_peak 104936
+gpu_aggregate_peak 108295
 unscoped 0
 host_aggregate_peak_less_pool 183480
 span insitu/checkpoint x6 0x3f9271284f70e5b4
-span insitu/wait x8 0x3f624517529918d0
-span sem/advection x12 0x3f17d0c027877d12
-span sem/cg x48 0x3f6c428d86a60a95
-span sem/diagnostics x12 0x3f04801918670860
+span insitu/wait x8 0x3f5e024a9bc3a663
+span sem/advection x12 0x3f17d0c027877d06
+span sem/cg x48 0x3f68f2d0c991eb40
+span sem/diagnostics x12 0x3f04801918670840
 span sem/filter x12 0x0000000000000000
-span sem/mg_coarse x72 0x3f6024f30003447a
-span sem/pressure x12 0x3effa8a5f9967570
-span sem/project x12 0x3f17b944931816d8
-span sem/viscous x12 0x3f17d5f80fa03f58
-span sim/finalize x2 0x3edf770e8977f000
+span sem/mg_coarse x54 0x3f5837243ed9b754
+span sem/pressure x12 0x3effa8a5f9967520
+span sem/project x12 0x3f17b94493181648
+span sem/viscous x12 0x3f17d5f80fa03f24
+span sim/finalize x2 0x3edf770e8977f400
 span sim/setup x2 0x3f0340664ae4a5e0
-span snapshot/backpressure x2 0x3f638aff9ec22ae8
+span snapshot/backpressure x2 0x3f67a02b37b56d76
 span snapshot/publish x6 0x3f1350e7398fb780
-step 1 0x3ef3404409dd72f7 0x3f42f94048bb49b7 0x0000000000000000
-step 2 0x3f42f94048bb49b7 0x3f5244d1be827966 0x0000000000000000
-step 3 0x3f5244d1be827966 0x3f5a097719482c7f 0x0000000000000000
-step 4 0x3f5a097719482c7f 0x3f6100671031c066 0x0000000000000000
-step 5 0x3f6100671031c066 0x3f647a4c740fd9db 0x0000000000000000
-step 6 0x3f647a4c740fd9db 0x3f70e9104cba58d1 0x3f53892bd6b7dba6
+step 1 0x3ef3404409dd72f7 0x3f3f6a9c88080848 0x0000000000000000
+step 2 0x3f3f6a9c88080848 0x3f4e01bf7396678f 0x0000000000000000
+step 3 0x3f4e01bf7396678f 0x3f552399a4aa3130 0x0000000000000000
+step 4 0x3f552399a4aa3130 0x3f5c49d23c7362f8 0x0000000000000000
+step 5 0x3f5c49d23c7362f8 0x3f61364613a93054 0x0000000000000000
+step 6 0x3f61364613a93054 0x3f701813cb8c8769 0x3f579e576fab1e32
 ";
 const CATALYST_SYNC: &str = "
-tts 0x3f958c51aa445169
-totals CommStats { messages_sent: 660, bytes_sent: 259824, messages_received: 660, collectives: 774, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 3.0225085000000012e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.022223601833006826 }
+tts 0x3f9516bfd069a8f6
+totals CommStats { messages_sent: 570, bytes_sent: 241824, messages_received: 570, collectives: 702, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 2.892908500000001e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.021763192294545316 }
 bytes_written 55992
 files_written 6
-gpu_aggregate_peak 104936
+gpu_aggregate_peak 108295
 unscoped 0
 snapshot_pool_rank_peak 6912
 host_aggregate_peak 292904
 host_max_rank_peak 170008
-span insitu/copy x6 0x3eb01f4ab19eb800
-span insitu/execute x6 0x3ef51af4a3ff8080
-span render/composite x12 0x3efef633fa26ad40
-span render/filter x12 0x3f1922efcbccc550
-span render/raster x12 0x3eea30fb17048380
-span render/write x6 0x3f9272347d5eb3e5
+span insitu/copy x6 0x3eb01f4ab19ebc00
+span insitu/execute x6 0x3ef51af4a3ff8180
+span render/composite x12 0x3efef633fa26ad60
+span render/filter x12 0x3f1922efcbccc6b8
+span render/raster x12 0x3eea30fb17047d40
+span render/write x6 0x3f9272347d5eb3e4
 span sem/advection x12 0x3f88ca32f9f61e98
-span sem/cg x48 0x3f6c4c6b585da0a4
-span sem/diagnostics x12 0x3f048019186704a0
+span sem/cg x48 0x3f68fcae9b498239
+span sem/diagnostics x12 0x3f048019186706c0
 span sem/filter x12 0x0000000000000000
-span sem/mg_coarse x72 0x3f6024f3000344aa
+span sem/mg_coarse x54 0x3f5837243ed9b79e
 span sem/pressure x12 0x3effaa4105ecd270
-span sem/project x12 0x3f17b944931810f8
-span sem/viscous x12 0x3f17d5f80fa03a58
-span sim/finalize x2 0x3f78a407a4457358
+span sem/project x12 0x3f17b94493181278
+span sem/viscous x12 0x3f17d5f80fa03b14
+span sim/finalize x2 0x3f78a407a4457356
 span sim/setup x2 0x3f0340664ae4a5e0
-span snapshot/publish x6 0x3f1350e7398fb7e0
-step 1 0x3ef3404409dd72f7 0x3f43162cf2c30ba2 0x0000000000000000
-step 2 0x3f43162cf2c30ba2 0x3f7d4b6ae92b7af4 0x0000000000000000
-step 3 0x3f7d4b6ae92b7af4 0x3f7f3c6c826b8da2 0x0000000000000000
-step 4 0x3f7f3c6c826b8da2 0x3f8cf86d943e236f 0x0000000000000000
-step 5 0x3f8cf86d943e236f 0x3f8dd6d30e7cfca0 0x0000000000000000
-step 6 0x3f8dd6d30e7cfca0 0x3f958b7787921494 0x0000000000000000
+span snapshot/publish x6 0x3f1350e7398fb7a0
+step 1 0x3ef3404409dd72f7 0x3f3fa475dc178c1f 0x0000000000000000
+step 2 0x3f3fa475dc178c1f 0x3f7c7a6e67fda98c 0x0000000000000000
+step 3 0x3f7c7a6e67fda98c 0x3f7e02f525440ed2 0x0000000000000000
+step 4 0x3f7e02f525440ed2 0x3f8c418e17c01fce 0x0000000000000000
+step 5 0x3f8c418e17c01fce 0x3f8d05d17663525d 0x0000000000000000
+step 6 0x3f8d05d17663525d 0x3f9515e5adb76c21 0x0000000000000000
 ";
 const CATALYST_PIPELINED: &str = "
-tts 0x3f93ae0bdb8af6d8
-totals CommStats { messages_sent: 660, bytes_sent: 259824, messages_received: 660, collectives: 774, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.5468479999999995e-5, time_host_compute: 3.0225084999999995e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.019502302342097967 }
+tts 0x3f9379ccbb3f827e
+totals CommStats { messages_sent: 570, bytes_sent: 241824, messages_received: 570, collectives: 702, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 2.8929084999999993e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.019440578465174878 }
 bytes_written 55992
 files_written 6
-gpu_aggregate_peak 104936
+gpu_aggregate_peak 108295
 unscoped 0
 host_aggregate_peak_less_pool 281672
-span insitu/copy x6 0x3eb01f4ab19eb800
-span insitu/execute x6 0x3f86bc99c906d6e2
-span insitu/wait x8 0x3f69ff0cc1776d8a
-span render/composite x12 0x3efef633fa26ad40
-span render/filter x12 0x3f1922efcbccc6d0
-span render/raster x12 0x3eea30fb17047b80
-span render/write x6 0x3f9272347d5eb3e6
-span sem/advection x12 0x3f17d0c027877d12
-span sem/cg x48 0x3f6c428cfda1edcb
-span sem/diagnostics x12 0x3f04801918670860
+span insitu/copy x6 0x3eb01f4ab19ebc00
+span insitu/execute x6 0x3f870afb04edf1e8
+span insitu/wait x8 0x3f658195cd23bbcd
+span render/composite x12 0x3efef633fa26ad60
+span render/filter x12 0x3f1922efcbccc6b8
+span render/raster x12 0x3eea30fb17047d40
+span render/write x6 0x3f9272347d5eb3e5
+span sem/advection x12 0x3f17d0c027877d02
+span sem/cg x48 0x3f68f2d0408dce74
+span sem/diagnostics x12 0x3f04801918670840
 span sem/filter x12 0x0000000000000000
-span sem/mg_coarse x72 0x3f6024f30003447a
-span sem/pressure x12 0x3effa8a5f9967570
-span sem/project x12 0x3f17b944931816d8
-span sem/viscous x12 0x3f17d5f80fa03f58
-span sim/finalize x2 0x3f7154857d856fb4
+span sem/mg_coarse x54 0x3f5837243ed9b754
+span sem/pressure x12 0x3effa8a5f9967530
+span sem/project x12 0x3f17b94493181678
+span sem/viscous x12 0x3f17d5f80fa03f34
+span sim/finalize x2 0x3f7259d063c24057
 span sim/setup x2 0x3f0340664ae4a5e0
-span snapshot/backpressure x2 0x3f714dd731fed8c4
+span snapshot/backpressure x2 0x3f725322183ba966
 span snapshot/publish x6 0x3f1350e7398fb7a0
-step 1 0x3ef3404409dd72f7 0x3f43162cf2c30ba2 0x0000000000000000
-step 2 0x3f43162cf2c30ba2 0x3f52534813865a5c 0x0000000000000000
-step 3 0x3f52534813865a5c 0x3f5a17ed6e4c0d75 0x0000000000000000
-step 4 0x3f5a17ed6e4c0d75 0x3f6107a23ab3b0e2 0x0000000000000000
-step 5 0x3f6107a23ab3b0e2 0x3f6481879e91ca57 0x0000000000000000
-step 6 0x3f6481879e91ca57 0x3f7d583a1e4c32e9 0x3f714dd731fed8c4
+step 1 0x3ef3404409dd72f7 0x3f3fa475dc178c1f 0x0000000000000000
+step 2 0x3f3fa475dc178c1f 0x3f4e1eac1d9e297a 0x0000000000000000
+step 3 0x3f4e1eac1d9e297a 0x3f55320ff9ae1226 0x0000000000000000
+step 4 0x3f55320ff9ae1226 0x3f5c5848917743ee 0x0000000000000000
+step 5 0x3f5c5848917743ee 0x3f613d813e2b20d0 0x0000000000000000
+step 6 0x3f613d813e2b20d0 0x3f7c873d9d1e6181 0x3f725322183ba966
 ";
 const CHECKPOINTING_PIPELINED_STALLED: &str = "
-tts 0x404901adeb387c25
-totals CommStats { messages_sent: 846, bytes_sent: 169200, messages_received: 846, collectives: 966, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, bytes_h2d: 0, time_gpu_compute: 2.0034560000000007e-5, time_host_compute: 8.539124999999994e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.00740498933028 }
+tts 0x404901a7635472b6
+totals CommStats { messages_sent: 736, bytes_sent: 147200, messages_received: 736, collectives: 878, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, bytes_h2d: 0, time_gpu_compute: 1.6413280000000013e-5, time_host_compute: 6.9551249999999955e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.0069419495764 }
 bytes_written 45600
 files_written 8
-gpu_aggregate_peak 104936
+gpu_aggregate_peak 108295
 unscoped 0
 host_aggregate_peak_less_pool 183480
 span insitu/checkpoint x8 0x3f9896e069ebdbd3
 span insitu/stall x1 0x4049000000000000
-span insitu/wait x10 0x4048ffa0eab290e7
+span insitu/wait x10 0x4048ff9096a70a9e
 span sem/advection x16 0x40490003da91edb9
-span sem/cg x64 0x3f7261b88708054a
-span sem/diagnostics x16 0x3f0b5576cb670860
+span sem/cg x64 0x3f705b9c823eb5a0
+span sem/diagnostics x16 0x3f0b5576cb670840
 span sem/filter x16 0x0000000000000000
-span sem/mg_coarse x92 0x3f64a0fd9c74c47a
-span sem/pressure x16 0x3f051b80146b3ab8
-span sem/project x16 0x3f1fa1b0c47816d8
-span sem/viscous x16 0x3f1fc7f56a603f58
-span sim/finalize x2 0x3f6196a1c3e10000
+span sem/mg_coarse x70 0x3f5f63ec9d4db754
+span sem/pressure x16 0x3f051b80146b3a90
+span sem/project x16 0x3f1fa1b0c4781648
+span sem/viscous x16 0x3f1fc7f56a603f24
+span sim/finalize x2 0x3f6267b2a0bc0000
 span sim/setup x2 0x3f0340664ae4a5e0
-span snapshot/backpressure x4 0x4049009451132e57
+span snapshot/backpressure x4 0x404900a7ea05058f
 span snapshot/publish x8 0x3f19c1344cc1ba40
-step 1 0x3ef3404409dd72f7 0x3f42f94048bb49b7 0x0000000000000000
-step 2 0x3f42f94048bb49b7 0x3f5244d1be827966 0x0000000000000000
-step 3 0x3f5244d1be827966 0x3f5a097719482c7f 0x0000000000000000
-step 4 0x3f5a097719482c7f 0x3f6100671031c066 0x0000000000000000
-step 5 0x3f6100671031c066 0x3f647a4c740fd9db 0x0000000000000000
-step 6 0x3f647a4c740fd9db 0x40490087488265d3 0x404900271257ad70
-step 7 0x40490087488265d3 0x404900952eda09f4 0x0000000000000000
-step 8 0x404900952eda09f4 0x404900e9a0e7a59b 0x3f6189452cd38000
+step 1 0x3ef3404409dd72f7 0x3f3f6a9c88080848 0x0000000000000000
+step 2 0x3f3f6a9c88080848 0x3f4e01bf7396678f 0x0000000000000000
+step 3 0x3f4e01bf7396678f 0x3f552399a4aa3130 0x0000000000000000
+step 4 0x3f552399a4aa3130 0x3f5c49d23c7362f8 0x0000000000000000
+step 5 0x3f5c49d23c7362f8 0x3f61364613a93054 0x0000000000000000
+step 6 0x3f61364613a93054 0x40490080c09e5c64 0x4049002f3caedf56
+step 7 0x40490080c09e5c64 0x4049008d04d446cf 0x0000000000000000
+step 8 0x4049008d04d446cf 0x404900e319039c2c 0x3f625a5609ae8000
 ";
 
 #[test]
