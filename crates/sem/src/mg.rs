@@ -36,7 +36,8 @@ use std::sync::Arc;
 
 /// Damping of the Schwarz smoother: Chebyshev degree 1 on `[λ/10, 1.1λ]`
 /// with `λ = 2`, i.e. `2/(0.2 + 2.2)`. The weighted `λ_max(M⁻¹A)` reads
-/// 1.43–1.99 at orders 3–7 and at most 2.14 at order 2, so `ω·λ_max < 2`.
+/// 1.33–1.98 at orders 3–7 and at most 2.12 at order 2 (the meshes of
+/// `schwarz_keeps_omega_lambda_max_below_two`), so `ω·λ_max < 2`.
 pub const OMEGA: f64 = 5.0 / 6.0;
 
 /// One level's assembled, masked operator `x ↦ mask·GS(A_local x)`:
