@@ -315,43 +315,8 @@ fn summarize(r: &RunReport) {
             (msg + coll) as f64 / m.steps.max(1) as f64
         );
     }
-    // How hard the solves were, and whether any gave up.
-    if let (
-        Some(Agg::Histogram {
-            p50: p_p50,
-            max: p_max,
-            ..
-        }),
-        Some(Agg::Histogram { max: res_max, .. }),
-        Some(Agg::Histogram {
-            p50: v_p50,
-            max: v_max,
-            ..
-        }),
-        Some(Agg::Counter(unconverged)),
-    ) = (
-        aggs.get("sem/pressure_iters"),
-        aggs.get("sem/pressure_residual"),
-        aggs.get("sem/velocity_iters"),
-        aggs.get("sem/unconverged_solves"),
-    ) {
-        let smoother = match aggs.get("sem/smoother_omega") {
-            Some(Agg::Gauge { sum: omega, .. }) => {
-                format!("; smoother element Schwarz (FDM), ω {}", fraction(*omega))
-            }
-            _ => String::new(),
-        };
-        let coarse = match (aggs.get("sem/coarse_dofs"), aggs.get("sem/coarse_band")) {
-            (Some(Agg::Gauge { sum: dofs, .. }), Some(Agg::Gauge { sum: band, .. })) => {
-                format!("; coarse grid {dofs:.0} dofs, band {band:.0}, solved exactly")
-            }
-            _ => String::new(),
-        };
-        println!(
-            "\nsolver convergence: pressure p50 {p_p50:.1} / max {p_max:.0} iterations \
-             (final residual ≤ {res_max:.1e} of the rhs), velocity p50 {v_p50:.1} / max {v_max:.0}, \
-             {unconverged} unconverged solves{smoother}{coarse}"
-        );
+    if let Some(line) = solver_convergence(&aggs) {
+        println!("\n{line}");
     }
     // Sort-last rendering: the share of the image the ranks' tiles covered
     // (rasterised and sent) against a whole image per rank and pass.
@@ -413,15 +378,44 @@ fn summarize(r: &RunReport) {
     }
 }
 
-/// `v` as `p/q` with the smallest denominator up to 12 that states it to
-/// 1e-12, or as a decimal.
-fn fraction(v: f64) -> String {
-    let exact = |q: &f64| ((v * q).round() - v * q).abs() <= 1e-12 * q;
-    match (1..=12).map(f64::from).find(exact) {
-        None => format!("{v:.4}"),
-        Some(1.0) => format!("{v:.0}"),
-        Some(q) => format!("{:.0}/{q:.0}", v * q),
-    }
+/// The summary's "solver convergence:" line: how hard the solves were and
+/// whether any gave up. A report whose pressure multigrid published its
+/// coarse gauges also gets how that multigrid smooths and solves.
+fn solver_convergence(aggs: &BTreeMap<String, Agg>) -> Option<String> {
+    let (
+        Some(Agg::Histogram {
+            p50: p_p50,
+            max: p_max,
+            ..
+        }),
+        Some(Agg::Histogram { max: res_max, .. }),
+        Some(Agg::Histogram {
+            p50: v_p50,
+            max: v_max,
+            ..
+        }),
+        Some(Agg::Counter(unconverged)),
+    ) = (
+        aggs.get("sem/pressure_iters"),
+        aggs.get("sem/pressure_residual"),
+        aggs.get("sem/velocity_iters"),
+        aggs.get("sem/unconverged_solves"),
+    )
+    else {
+        return None;
+    };
+    let multigrid = match (aggs.get("sem/coarse_dofs"), aggs.get("sem/coarse_band")) {
+        (Some(Agg::Gauge { sum: dofs, .. }), Some(Agg::Gauge { sum: band, .. })) => format!(
+            "; smoother element Schwarz (FDM), ω 5/6; \
+             coarse grid {dofs:.0} dofs, band {band:.0}, solved exactly"
+        ),
+        _ => String::new(),
+    };
+    Some(format!(
+        "solver convergence: pressure p50 {p_p50:.1} / max {p_max:.0} iterations \
+         (final residual ≤ {res_max:.1e} of the rhs), velocity p50 {v_p50:.1} / max {v_max:.0}, \
+         {unconverged} unconverged solves{multigrid}"
+    ))
 }
 
 fn pct(old: f64, new: f64) -> String {
@@ -838,13 +832,47 @@ fn follow_cmd(args: &[String]) {
 
 #[cfg(test)]
 mod tests {
-    use super::fraction;
+    use super::{aggregate, solver_convergence};
+    use commsim::{FaultPlan, MachineModel};
+    use nek_sensei::{run_insitu, ExecMode, InSituConfig, InSituMode};
+    use sem::cases::{pb146, CaseParams};
 
+    /// A two-step pb146 run's report names the pressure multigrid's
+    /// smoother and its coarse solve: the 3×3×5 order-1 grid less its
+    /// Dirichlet outflow plane and five vertices inside the pebbles.
     #[test]
-    fn fractions_print_as_the_solver_states_them() {
-        assert_eq!(fraction(sem::mg::OMEGA), "5/6");
-        assert_eq!(fraction(2.0), "2");
-        assert_eq!(fraction(0.75), "3/4");
-        assert_eq!(fraction(std::f64::consts::PI), "3.1416");
+    fn convergence_line_names_the_smoother_and_the_coarse_solve() {
+        let mut params = CaseParams::pb146_default();
+        (params.elems, params.order) = ([2, 2, 4], 2);
+        let report = run_insitu(&InSituConfig {
+            case: pb146(&params, 4),
+            ranks: 1,
+            steps: 2,
+            trigger_every: 2,
+            machine: MachineModel::test_tiny(),
+            image_size: (64, 48),
+            mode: InSituMode::Original,
+            exec: ExecMode::Synchronous,
+            sched: Default::default(),
+            faults: FaultPlan::none(),
+            output_dir: None,
+            trace: false,
+            telemetry: true,
+            recovery: Default::default(),
+        })
+        .run_report
+        .expect("telemetry: true collects a report");
+        let line = solver_convergence(&aggregate(&report)).expect("the report has solves");
+        assert!(
+            line.starts_with("solver convergence: pressure p50 "),
+            "{line}"
+        );
+        assert!(
+            line.ends_with(
+                " 0 unconverged solves; smoother element Schwarz (FDM), ω 5/6; \
+                 coarse grid 31 dofs, band 9, solved exactly"
+            ),
+            "{line}"
+        );
     }
 }

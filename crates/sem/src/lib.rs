@@ -20,7 +20,8 @@
 //! * [`cg`] — preconditioned conjugate gradient over assembled operators
 //!   with allreduce-based inner products (Jacobi for the Helmholtz solves).
 //! * [`mg`] — the pressure preconditioner: a p-multigrid V-cycle over
-//!   orders N → 3 → 1 with Chebyshev–Jacobi smoothing.
+//!   orders N → 3 → 1 with element-block Schwarz (FDM) smoothing and an
+//!   exact order-1 solve.
 //! * [`timestep`] — BDFk/EXTk coefficient tables (k = 1..3).
 //! * [`navier_stokes`] — the Pₙ–Pₙ splitting scheme: explicit
 //!   advection/extrapolation, pressure Poisson projection, implicit

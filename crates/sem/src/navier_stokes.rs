@@ -219,8 +219,7 @@ impl Transported {
 /// side), `sem/velocity_iters` and the `sem/unconverged_solves` counter
 /// (any solve, temperature included, that ended on its iteration cap).
 /// Binding them also sets, on rank 0, the gauges `sem/coarse_dofs` and
-/// `sem/coarse_band` of the pressure multigrid's order-1 solve and
-/// `sem/smoother_omega`, the damping of its Schwarz smoother.
+/// `sem/coarse_band` of the pressure multigrid's order-1 solve.
 struct SolveStats {
     pressure_iters: commsim::Histogram,
     pressure_residual: commsim::Histogram,
@@ -732,7 +731,6 @@ impl FlowSolver {
                 let (dofs, band) = self.p_mg.coarse_dofs_and_band();
                 t.gauge("sem/coarse_dofs").set(dofs as f64);
                 t.gauge("sem/coarse_band").set(band as f64);
-                t.gauge("sem/smoother_omega").set(mg::OMEGA);
             }
             SolveStats {
                 pressure_iters: t.histogram("sem/pressure_iters"),
