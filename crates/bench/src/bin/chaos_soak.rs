@@ -21,7 +21,7 @@
 //! `--seeds N` sizes the matrix (default 24; CI runs a small fixed
 //! subset), `--json-out FILE` writes a machine-readable summary.
 
-use bench_harness::{format_table, HarnessArgs};
+use bench_harness::{cli, format_table, HarnessArgs};
 use commsim::{CheckpointCorruption, ConsumerStall, FaultPlan, MachineModel, SimRankCrash};
 use nek_sensei::{
     run_supervised_insitu, run_supervised_intransit, EndpointMode, ExecMode, InSituConfig,
@@ -365,7 +365,7 @@ fn write_json(path: &std::path::Path, results: &[SeedResult]) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&cli::CHAOS_SOAK);
     let seeds = args.seeds.unwrap_or(24);
     println!(
         "chaos soak: {seeds} seeded fault schedules over supervised runs \

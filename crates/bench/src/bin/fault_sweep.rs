@@ -12,7 +12,7 @@
 //! 2. **Determinism** — the crash cell is executed twice with the same
 //!    seed and must produce bit-identical endpoint delivery logs.
 
-use bench_harness::{format_table, maybe_write_csv, HarnessArgs};
+use bench_harness::{cli, format_table, maybe_write_csv, HarnessArgs};
 use commsim::{EndpointCrash, FaultPlan, LinkFaultSpec, MachineModel};
 use nek_sensei::{run_intransit, EndpointMode, InTransitConfig, InTransitReport};
 use sem::cases::{rbc, CaseParams};
@@ -100,7 +100,7 @@ fn run_cell(steps: usize, trigger: u64, faults: FaultPlan, tag: &str) -> (InTran
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&cli::FAULT_SWEEP);
     let steps = args.steps.unwrap_or(12);
     let trigger = args.trigger.unwrap_or(2);
     let triggers_per_rank = steps as u64 / trigger.max(1);
@@ -170,8 +170,7 @@ fn main() {
 
     // Machine-readable recovery-stats summary for CI (`--json-out FILE`).
     if let Some(path) = &args.json_out {
-        let mut out = String::new();
-        out.push_str("{\"schema\": \"nekstat/fault-sweep/v1\", ");
+        let mut out = String::from("{\"schema\": \"nekstat/fault-sweep/v1\", ");
         out.push_str(&format!(
             "\"seed\": {seed}, \"steps\": {steps}, \"trigger_every\": {trigger}, \
              \"triggers_per_rank\": {triggers_per_rank}, \"cells\": ["
@@ -180,8 +179,10 @@ fn main() {
             if i > 0 {
                 out.push_str(", ");
             }
+            out.push_str("{\"drop_prob\": ");
+            telemetry::json::push_f64(&mut out, *drop_prob);
             out.push_str(&format!(
-                "{{\"drop_prob\": {drop_prob}, \"crash_step\": {}, \
+                ", \"crash_step\": {}, \
                  \"staged\": {}, \"lost\": {}, \"parked\": {}, \
                  \"parked_readback\": {}, \"switch_step\": {}, \
                  \"retries\": {}, \"endpoint_crashes\": {}, \"degraded\": {}}}",

@@ -5,12 +5,12 @@
 //! velocity magnitude plus a pressure slice. PNGs land under `--out`
 //! (default `out/fig1`).
 
-use bench_harness::{cases, maybe_write_report, HarnessArgs};
+use bench_harness::{cases, cli, maybe_write_report, HarnessArgs};
 use commsim::{run_ranks, MachineModel, TelemetryHub};
 use sem::cases::{pb146, CaseParams};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&cli::FIG1_PB146_RENDER);
     let out = args
         .out
         .clone()

@@ -13,13 +13,13 @@
 //! overhead over Checkpointing.
 
 use bench_harness::{
-    cases, fmt_secs, format_table, maybe_write_csv, maybe_write_report, maybe_write_trace,
+    cases, cli, fmt_secs, format_table, maybe_write_csv, maybe_write_report, maybe_write_trace,
     run_insitu_cell, HarnessArgs,
 };
 use nek_sensei::InSituMode;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&cli::FIG2_TIME_TO_SOLUTION);
     let sweep = cases::pb146_strong_scaling(&args);
     let (paper_ranks, ranks) = (sweep.paper_ranks.clone(), sweep.ranks.clone());
     println!(

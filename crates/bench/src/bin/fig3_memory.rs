@@ -5,12 +5,12 @@
 //! ranks; the observation is that Catalyst sits ≈25% above Checkpointing
 //! because of the GPU→CPU staging plus the VTK/rendering copies.
 
-use bench_harness::{cases, format_table, maybe_write_csv, maybe_write_report, HarnessArgs};
+use bench_harness::{cases, cli, format_table, maybe_write_csv, maybe_write_report, HarnessArgs};
 use memtrack::human_bytes;
 use nek_sensei::{run_insitu, InSituMode};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&cli::FIG3_MEMORY);
     // Same sweep as fig2 (memory is unaffected by rates but the runs
     // should be the same runs).
     let sweep = cases::pb146_strong_scaling(&args);

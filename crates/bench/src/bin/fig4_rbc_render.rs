@@ -4,12 +4,12 @@
 //! paper's side view: a vertical slice colored by temperature, with a
 //! velocity-magnitude contour as the second image.
 
-use bench_harness::{cases, maybe_write_report, HarnessArgs};
+use bench_harness::{cases, cli, maybe_write_report, HarnessArgs};
 use commsim::{run_ranks, MachineModel, TelemetryHub};
 use sem::cases::{rbc, CaseParams};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&cli::FIG4_RBC_RENDER);
     let out = args
         .out
         .clone()

@@ -9,13 +9,13 @@
 //! (good weak scaling) and the endpoint mode (small in-transit overhead).
 
 use bench_harness::{
-    cases, fmt_secs, format_table, maybe_write_csv, maybe_write_report, maybe_write_trace,
+    cases, cli, fmt_secs, format_table, maybe_write_csv, maybe_write_report, maybe_write_trace,
     HarnessArgs,
 };
 use nek_sensei::{run_intransit, EndpointMode};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&cli::FIG5_INTRANSIT_TIME);
     let sim_rank_counts: Vec<usize> = if args.full {
         vec![16, 32, 64, 128]
     } else {

@@ -7,12 +7,12 @@
 //! the architectural point — simulation-node memory is independent of the
 //! number of visualization nodes.
 
-use bench_harness::{cases, format_table, maybe_write_csv, maybe_write_report, HarnessArgs};
+use bench_harness::{cases, cli, format_table, maybe_write_csv, maybe_write_report, HarnessArgs};
 use memtrack::human_bytes;
 use nek_sensei::{run_intransit, EndpointMode};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&cli::FIG6_INTRANSIT_MEMORY);
     let sim_rank_counts: Vec<usize> = if args.full {
         vec![16, 32, 64, 128]
     } else {

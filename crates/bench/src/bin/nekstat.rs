@@ -10,6 +10,9 @@
 //! nekstat --follow 127.0.0.1:4455 [--json] [--max-snapshots N]
 //! ```
 //!
+//! `--help` prints these lines and the flags; any other flag, a flag a
+//! command does not read, or a missing or malformed value exits 2.
+//!
 //! `critical-path` reads the `critical` block a traced run embeds in
 //! its report and names the dominant (rank, phase) chain, per-step
 //! breakdown, and per-rank slack. `--follow` attaches a live telemetry
@@ -17,7 +20,7 @@
 //! consumer port) and prints one line per streamed delta snapshot;
 //! detaching (ctrl-C or `--max-snapshots`) never perturbs the run.
 
-use bench_harness::{fmt_secs, format_table};
+use bench_harness::{cli, fmt_secs, format_table, HarnessArgs};
 use std::collections::BTreeMap;
 use telemetry::{json, EventKind, MetricValue, RunReport};
 
@@ -25,28 +28,20 @@ use telemetry::{json, EventKind, MetricValue, RunReport};
 const SUMMARY_SCHEMA: &str = "nekstat/summary/v1";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("critical-path") => critical_path_cmd(&args[1..]),
-        Some("summary") => summary_cmd(&args[1..]),
-        Some("--follow") => follow_cmd(&args[1..]),
-        Some("diff") if args.len() == 3 => diff(&load(&args[1]), &load(&args[2])),
-        _ => match args.as_slice() {
-            [path] => summarize(&load(path)),
-            [a, b] => diff(&load(a), &load(b)),
-            _ => usage(),
-        },
+    let cli = &cli::NEKSTAT;
+    let args = HarnessArgs::parse(cli);
+    if args.max_snapshots.is_some() && args.follow.is_none() {
+        cli.refuse("--max-snapshots: only a --follow session detaches");
     }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: nekstat <report.json> [other-report.json]\n\
-         \x20      nekstat summary <report.json> [--json]\n\
-         \x20      nekstat critical-path <report.json> [--json]\n\
-         \x20      nekstat --follow <host:port> [--json] [--max-snapshots N]"
-    );
-    std::process::exit(2);
+    let operands: Vec<&str> = args.operands.iter().map(String::as_str).collect();
+    match (args.follow.as_deref(), operands.as_slice()) {
+        (Some(addr), []) => follow_cmd(addr, args.json, args.max_snapshots),
+        (None, ["critical-path", path]) => critical_path_cmd(path, args.json),
+        (None, ["summary", path] | [path]) => summary_cmd(path, args.json),
+        (None, ["diff", a, b] | [a, b]) if !args.json => diff(&load(a), &load(b)),
+        (None, ["diff", _, _] | [_, _]) => cli.refuse("--json: a diff has no JSON form"),
+        _ => cli.refuse("the arguments match none of the usage lines"),
+    }
 }
 
 fn load(path: &str) -> RunReport {
@@ -530,11 +525,7 @@ fn diff(a: &RunReport, b: &RunReport) {
 
 /// `nekstat summary <report> [--json]` — the human summary, or a
 /// machine-readable `nekstat/summary/v1` document.
-fn summary_cmd(args: &[String]) {
-    let json_out = args.iter().any(|a| a == "--json");
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
-        usage();
-    };
+fn summary_cmd(path: &str, json_out: bool) {
     let r = load(path);
     if !json_out {
         summarize(&r);
@@ -641,11 +632,7 @@ fn summary_cmd(args: &[String]) {
 
 /// `nekstat critical-path <report> [--json]` — name the dominant
 /// (rank, phase) chain from the report's embedded critical block.
-fn critical_path_cmd(args: &[String]) {
-    let json_out = args.iter().any(|a| a == "--json");
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
-        usage();
-    };
+fn critical_path_cmd(path: &str, json_out: bool) {
     let r = load(path);
     let Some(c) = &r.critical else {
         eprintln!(
@@ -758,24 +745,7 @@ fn live_counter_sum(state: &BTreeMap<String, json::Value>, base: &str) -> u64 {
 
 /// `nekstat --follow <host:port> [--json] [--max-snapshots N]` — attach
 /// a live telemetry session and print one line per delta snapshot.
-fn follow_cmd(args: &[String]) {
-    let json_out = args.iter().any(|a| a == "--json");
-    let max_snapshots: Option<u64> = args
-        .iter()
-        .position(|a| a == "--max-snapshots")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let Some(addr) = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && args.get(i.wrapping_sub(1)).map(String::as_str) != Some("--max-snapshots")
-        })
-        .map(|(_, a)| a)
-    else {
-        usage();
-    };
+fn follow_cmd(addr: &str, json_out: bool, max_snapshots: Option<u64>) {
     let mut client = transport::FollowClient::connect(addr).unwrap_or_else(|e| {
         eprintln!("nekstat: cannot attach to {addr}: {e}");
         std::process::exit(1);

@@ -17,6 +17,7 @@
 //! With `--report-out DIR` the staging side emits a `nekstat`-readable
 //! RunReport (workflow `staging`) carrying the `staging/*` counters.
 
+use bench_harness::{cli, HarnessArgs};
 use commsim::{run_ranks_with_state, Comm, FaultPlan, MachineModel, TelemetryHub};
 use insitu::AnalysisAdaptor as _;
 use meshdata::{CellType, DataArray, MultiBlock, UnstructuredGrid};
@@ -30,62 +31,14 @@ use transport::{
 
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(120);
 
-#[derive(Clone)]
-struct Args {
-    wire: WireKind,
-    consumers: usize,
-    steps: u64,
-    step_delay: Duration,
-    role: String,
-    connect: Option<String>,
-    port_file: Option<PathBuf>,
-    report_out: Option<PathBuf>,
+/// `--steps` (default 6).
+fn steps(args: &HarnessArgs) -> u64 {
+    args.steps.unwrap_or(6) as u64
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        wire: WireKind::default(),
-        consumers: 3,
-        steps: 6,
-        step_delay: Duration::ZERO,
-        role: "all".into(),
-        connect: None,
-        port_file: None,
-        report_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--wire" => {
-                if let Some(v) = it.next() {
-                    match WireKind::parse(&v) {
-                        Some(w) => args.wire = w,
-                        None => eprintln!("warning: unknown --wire '{v}' (channel|tcp)"),
-                    }
-                }
-            }
-            "--consumers" => {
-                args.consumers = it.next().and_then(|v| v.parse().ok()).unwrap_or(3)
-            }
-            "--steps" => args.steps = it.next().and_then(|v| v.parse().ok()).unwrap_or(6),
-            "--step-delay-ms" => {
-                args.step_delay =
-                    Duration::from_millis(it.next().and_then(|v| v.parse().ok()).unwrap_or(0))
-            }
-            "--role" => args.role = it.next().unwrap_or_else(|| "all".into()),
-            "--connect" => args.connect = it.next(),
-            "--port-file" => args.port_file = it.next().map(Into::into),
-            "--report-out" => args.report_out = it.next().map(Into::into),
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --wire channel|tcp | --consumers N | --steps N | --step-delay-ms N | --report-out DIR | --role all|writer|staging|consumer | --connect HOST:PORT | --port-file FILE"
-                );
-                std::process::exit(0);
-            }
-            other => eprintln!("warning: ignoring unknown flag '{other}'"),
-        }
-    }
-    args
+/// `--step-delay-ms` (default 0).
+fn step_delay(args: &HarnessArgs) -> Duration {
+    Duration::from_millis(args.step_delay_ms.unwrap_or(0))
 }
 
 /// One hex element per producer rank, same shape the staging tests use.
@@ -155,7 +108,13 @@ fn park_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn write_report(args: &Args, report: &StagingReport, hub: &TelemetryHub, endpoint_sessions: usize) {
+fn write_report(
+    args: &HarnessArgs,
+    wire: WireKind,
+    report: &StagingReport,
+    hub: &TelemetryHub,
+    endpoint_sessions: usize,
+) {
     let Some(dir) = &args.report_out else {
         return;
     };
@@ -169,7 +128,7 @@ fn write_report(args: &Args, report: &StagingReport, hub: &TelemetryHub, endpoin
             mode: "fanout".into(),
             exec: "concurrent".into(),
             sched: commsim::SchedMode::default().label().into(),
-            wire: args.wire.label().into(),
+            wire: wire.label().into(),
             ranks: 1,
             endpoint_ranks: 1,
             steps: report.steps,
@@ -220,7 +179,7 @@ fn print_summary(report: &StagingReport, elapsed: Duration) {
 }
 
 /// Single process: writer world + staging service + N local sessions.
-fn run_all(args: &Args) {
+fn run_all(args: &HarnessArgs) {
     let dir = park_dir("all");
     let (writers, mut readers) = StagingNetwork::build_wired(
         1,
@@ -230,12 +189,13 @@ fn run_all(args: &Args) {
         QueuePolicy::Block,
         FaultPlan::none(),
         WriterConfig::default(),
-        args.wire,
+        args.wire_kind(),
     )
     .expect("wire setup");
     let service = StagingService::new(readers.remove(0), 1, &dir, 32);
     let handle = service.handle();
-    let drains: Vec<_> = (0..args.consumers.max(1))
+    let consumers = args.consumers.unwrap_or(3);
+    let drains: Vec<_> = (0..consumers.max(1))
         .map(|_| {
             let mut client = handle.attach_local(SessionSpec::default(), 4);
             std::thread::spawn(move || client.drain(DRAIN_TIMEOUT).expect("drain"))
@@ -243,7 +203,7 @@ fn run_all(args: &Args) {
         .collect();
     let hub = TelemetryHub::default();
     let start = Instant::now();
-    let sim = drive_writers(writers, args.steps, args.step_delay);
+    let sim = drive_writers(writers, steps(args), step_delay(args));
     let report = run_service(service, hub.clone());
     sim.join().unwrap();
     let elapsed = start.elapsed();
@@ -256,7 +216,7 @@ fn run_all(args: &Args) {
         );
     }
     print_summary(&report, elapsed);
-    write_report(args, &report, &hub, args.consumers);
+    write_report(args, args.wire_kind(), &report, &hub, consumers);
     assert!(
         report.cache_hit_rate() > 0.0,
         "fan-out produced no cache hits"
@@ -264,12 +224,19 @@ fn run_all(args: &Args) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--connect`, which the `role` tier cannot run without.
+fn connect_addr<'a>(args: &'a HarnessArgs, role: &str) -> &'a str {
+    args.connect.as_deref().unwrap_or_else(|| {
+        cli::STAGING_BENCH.refuse(&format!("--role {role} needs --connect HOST:PORT"))
+    })
+}
+
 /// Multi-process writer tier: stream `--steps` steps to the staging
 /// service's data port.
-fn run_writer(args: &Args) {
-    let addr = args.connect.clone().expect("--connect HOST:PORT required");
+fn run_writer(args: &HarnessArgs) {
+    let addr = connect_addr(args, "writer");
     let writer = StagingNetwork::tcp_writer(
-        &addr,
+        addr,
         0,
         StagingLink::test_tiny(),
         QueuePolicy::Block,
@@ -277,22 +244,15 @@ fn run_writer(args: &Args) {
         WriterConfig::default(),
     )
     .expect("connect to staging data port");
-    drive_writers(vec![writer], args.steps, args.step_delay)
+    drive_writers(vec![writer], steps(args), step_delay(args))
         .join()
         .unwrap();
-    println!("writer: {} steps sent to {addr}", args.steps);
+    println!("writer: {} steps sent to {addr}", steps(args));
 }
 
 /// Multi-process staging tier: bind the data + consumer ports, publish
 /// them via `--port-file`, serve until the writer stream ends.
-fn run_staging(args: &Args) {
-    // The split-process tiers always talk over real sockets; record that
-    // in the report regardless of `--wire`.
-    let args = Args {
-        wire: WireKind::Tcp,
-        ..args.clone()
-    };
-    let args = &args;
+fn run_staging(args: &HarnessArgs) {
     let dir = park_dir("staging");
     let (data_listener, data_port) = loopback_listener().expect("bind data port");
     let (consumer_listener, consumer_port) = loopback_listener().expect("bind consumer port");
@@ -312,15 +272,17 @@ fn run_staging(args: &Args) {
     let start = Instant::now();
     let report = run_service(service, hub.clone());
     print_summary(&report, start.elapsed());
-    write_report(args, &report, &hub, report.sessions.len());
+    // The split-process tiers always talk over real sockets; record that
+    // in the report whatever `--wire` says.
+    write_report(args, WireKind::Tcp, &report, &hub, report.sessions.len());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Multi-process consumer tier: attach one session and drain it.
-fn run_consumer(args: &Args) {
-    let addr = args.connect.clone().expect("--connect HOST:PORT required");
+fn run_consumer(args: &HarnessArgs) {
+    let addr = connect_addr(args, "consumer");
     let mut client =
-        ConsumerClient::connect(&addr, &SessionSpec::default(), 4).expect("connect to staging");
+        ConsumerClient::connect(addr, &SessionSpec::default(), 4).expect("connect to staging");
     let frames = client.drain(DRAIN_TIMEOUT).expect("drain");
     let hits = frames.iter().filter(|f| f.cache_hit).count();
     println!(
@@ -332,15 +294,11 @@ fn run_consumer(args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
-    match args.role.as_str() {
-        "all" => run_all(&args),
+    let args = HarnessArgs::parse(&cli::STAGING_BENCH);
+    match args.role.unwrap_or("all") {
         "writer" => run_writer(&args),
         "staging" => run_staging(&args),
         "consumer" => run_consumer(&args),
-        other => {
-            eprintln!("unknown --role '{other}' (all|writer|staging|consumer)");
-            std::process::exit(2);
-        }
+        _ => run_all(&args),
     }
 }

@@ -8,14 +8,14 @@
 //! also extrapolates the dump side to the paper's mesh resolution to show
 //! the full gap.
 
-use bench_harness::{format_table, maybe_write_csv, HarnessArgs};
+use bench_harness::{cli, format_table, maybe_write_csv, HarnessArgs};
 use commsim::MachineModel;
 use memtrack::human_bytes;
 use nek_sensei::{run_insitu, InSituConfig, InSituMode};
 use sem::cases::{pb146, CaseParams};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&cli::STORAGE_ECONOMY);
     let ranks = 8;
     let steps = args.steps.unwrap_or(60);
     let trigger = args.trigger.unwrap_or(10);

@@ -37,8 +37,10 @@ pub struct Pb146Sweep {
     pub derate: f64,
 }
 
-/// Build the fig2/fig3 sweep from the common flags (`--scale`, `--steps`,
-/// `--trigger`, `--full`).
+/// The flags [`pb146_strong_scaling`] reads.
+pub const PB146_SWEEP_FLAGS: &[&str] = &["--scale", "--ranks", "--full", "--steps", "--trigger"];
+
+/// Build the fig2/fig3 sweep from the [`PB146_SWEEP_FLAGS`].
 pub fn pb146_strong_scaling(args: &HarnessArgs) -> Pb146Sweep {
     let scale = if args.full {
         1

@@ -1,7 +1,9 @@
 //! Shared utilities for the figure-regeneration harnesses.
 //!
-//! Every figure binary accepts the same flags (anything else — an
-//! unknown flag, a missing or malformed value — is a usage error, exit 2):
+//! Every binary parses its command line with [`HarnessArgs`] under its own
+//! [`cli::Cli`]: it accepts exactly the flags it reads, `--help` lists
+//! them, and anything else is a usage error with exit code 2 (see
+//! [`cli`]). The common ones:
 //!
 //! * `--scale <N>` — divide the paper's rank counts by `N` (default: a
 //!   scale that fits a laptop; see each binary). The mesh scales with the
@@ -18,161 +20,19 @@
 use std::fmt::Write as _;
 
 pub mod cases;
+pub mod cli;
 
-/// Parsed common CLI flags.
-#[derive(Debug, Clone, Default)]
-pub struct HarnessArgs {
-    /// Rank-count divisor relative to the paper.
-    pub scale: Option<usize>,
-    /// Timestep override.
-    pub steps: Option<usize>,
-    /// Trigger-period override.
-    pub trigger: Option<u64>,
-    /// Artifact output directory.
-    pub out: Option<std::path::PathBuf>,
-    /// Run at the paper's full scale.
-    pub full: bool,
-    /// Directory for Chrome trace-event JSON files (one per run cell);
-    /// also enables the per-phase breakdown printout.
-    pub trace_out: Option<std::path::PathBuf>,
-    /// Directory for RunReport JSON artifacts (one per run cell); also
-    /// enables the telemetry bus on the instrumented runs.
-    pub report_out: Option<std::path::PathBuf>,
-    /// Run consumers pipelined (overlapped with stepping).
-    pub pipelined: bool,
-    /// Seed count for the chaos soak matrix.
-    pub seeds: Option<u64>,
-    /// File for a machine-readable JSON summary of the run.
-    pub json_out: Option<std::path::PathBuf>,
-    /// Resume from the newest valid checkpoint generation in this
-    /// directory instead of starting from step 0.
-    pub restart_from: Option<std::path::PathBuf>,
-    /// Cut crash-consistent checkpoint generations under this directory
-    /// (enables the run supervisor).
-    pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Checkpoint cadence in steps (default 2 when supervision is on).
-    pub checkpoint_every: Option<u64>,
-    /// Rank scheduler override (`--sched thread|event`); `None` follows
-    /// `NEK_SCHED_MODE`.
-    pub sched: Option<commsim::SchedMode>,
-    /// Run the sweep at exactly this rank count instead of the scaled
-    /// paper series (`--ranks N`).
-    pub ranks: Option<usize>,
-    /// Wire engine (`--wire channel|tcp`); `None` is the channel engine.
-    pub wire: Option<transport::WireKind>,
-}
+pub use cli::{Cli, HarnessArgs};
 
-/// The flag list printed by `--help` and after a usage error.
-const USAGE: &str = "flags: --scale N | --ranks N | --steps N | --trigger N | --out DIR | --trace-out DIR | --report-out DIR | --full | --pipelined | --sched thread|event | --wire channel|tcp | --seeds N | --json-out FILE | --restart-from DIR | --checkpoint-dir DIR | --checkpoint-every N";
-
-/// The value following `flag`, read as a `T`. A value that is absent,
-/// looks like the next flag, or does not read as a `T` is an error: these
-/// binaries regenerate the paper's tables, and running the defaults
-/// instead of what was asked for is a wrong table with exit code 0.
-fn value<T: std::str::FromStr>(
-    flag: &str,
-    rest: &mut impl Iterator<Item = String>,
-) -> Result<T, String> {
-    let v = rest
-        .next()
-        .filter(|v| !v.starts_with("--"))
-        .ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("{flag}: cannot read '{v}' as a value"))
-}
-
-impl HarnessArgs {
-    /// Parse from `std::env::args`. `--help` prints the flag list and
-    /// exits 0; anything [`Self::parse_from`] refuses prints the reason
-    /// and the flag list and exits 2.
-    pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        if argv.iter().any(|a| a == "--help" || a == "-h") {
-            eprintln!("{USAGE}");
-            std::process::exit(0);
-        }
-        Self::parse_from(argv).unwrap_or_else(|msg| {
-            eprintln!("error: {msg}\n{USAGE}");
-            std::process::exit(2);
-        })
-    }
-
-    /// Parse a flag list (without the program name).
-    ///
-    /// # Errors
-    /// An unknown flag, a flag whose value is missing, and a value that
-    /// does not parse (`--steps abc`, `--sched evnt`) each name the flag.
-    pub fn parse_from(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut args = Self::default();
-        let mut it = argv.into_iter();
-        while let Some(flag) = it.next() {
-            let flag = flag.as_str();
-            match flag {
-                "--scale" => args.scale = Some(value(flag, &mut it)?),
-                "--steps" => args.steps = Some(value(flag, &mut it)?),
-                "--trigger" => args.trigger = Some(value(flag, &mut it)?),
-                "--out" => args.out = Some(value(flag, &mut it)?),
-                "--full" => args.full = true,
-                "--pipelined" => args.pipelined = true,
-                "--trace-out" => args.trace_out = Some(value(flag, &mut it)?),
-                "--report-out" => args.report_out = Some(value(flag, &mut it)?),
-                "--seeds" => args.seeds = Some(value(flag, &mut it)?),
-                "--json-out" => args.json_out = Some(value(flag, &mut it)?),
-                "--restart-from" => args.restart_from = Some(value(flag, &mut it)?),
-                "--checkpoint-dir" => args.checkpoint_dir = Some(value(flag, &mut it)?),
-                "--checkpoint-every" => args.checkpoint_every = Some(value(flag, &mut it)?),
-                "--sched" => {
-                    let v: String = value(flag, &mut it)?;
-                    args.sched = Some(if v.eq_ignore_ascii_case("event") {
-                        commsim::SchedMode::Event
-                    } else if v.eq_ignore_ascii_case("thread") {
-                        commsim::SchedMode::Thread
-                    } else {
-                        return Err(format!("--sched: '{v}' is neither thread nor event"));
-                    });
-                }
-                "--ranks" => args.ranks = Some(value(flag, &mut it)?),
-                "--wire" => {
-                    let v: String = value(flag, &mut it)?;
-                    args.wire = Some(
-                        transport::WireKind::parse(&v)
-                            .ok_or_else(|| format!("--wire: '{v}' is neither channel nor tcp"))?,
-                    );
-                }
-                other => return Err(format!("unknown flag '{other}'")),
-            }
-        }
-        Ok(args)
-    }
-
-    /// Execution mode for the in situ runners: pipelined with
-    /// `--pipelined`, synchronous without. The flag is the only selector.
-    pub fn exec_mode(&self) -> nek_sensei::ExecMode {
-        if self.pipelined {
-            nek_sensei::ExecMode::Pipelined
-        } else {
-            nek_sensei::ExecMode::Synchronous
-        }
-    }
-
-    /// Should the runs attach the telemetry bus? (`--report-out` implies
-    /// yes; there is nowhere to put the artifact otherwise.)
-    pub fn telemetry(&self) -> bool {
-        self.report_out.is_some()
-    }
-
-    /// Rank-scheduler mode: `--sched` wins, otherwise the
-    /// `NEK_SCHED_MODE` default applies.
-    pub fn sched_mode(&self) -> commsim::SchedMode {
-        self.sched.unwrap_or_default()
-    }
-
-    /// Wire engine: `--wire channel|tcp`, the channel engine without
-    /// the flag. The flag is the only selector.
-    pub fn wire_kind(&self) -> transport::WireKind {
-        self.wire.unwrap_or_default()
-    }
-}
+/// The flags [`run_insitu_cell`] reads.
+pub const INSITU_CELL_FLAGS: &[&str] =
+    &["--restart-from", "--checkpoint-dir", "--checkpoint-every"];
+/// The flag [`maybe_write_csv`] reads.
+pub const CSV_FLAGS: &[&str] = &["--out"];
+/// The flag [`maybe_write_trace`] reads.
+pub const TRACE_FLAGS: &[&str] = &["--trace-out"];
+/// The flag [`maybe_write_report`] reads.
+pub const REPORT_FLAGS: &[&str] = &["--report-out"];
 
 /// Run one in situ cell honoring the crash-recovery flags: resume from the
 /// newest valid generation under `--restart-from`, and run under the
@@ -358,86 +218,6 @@ pub fn fmt_secs(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(line: &str) -> Result<HarnessArgs, String> {
-        HarnessArgs::parse_from(line.split_whitespace().map(String::from))
-    }
-
-    #[test]
-    fn every_flag_ci_and_the_readme_pass_is_understood() {
-        let a =
-            parse("--steps 6 --trigger 3 --scale 140 --trace-out traces/ --report-out reports/")
-                .unwrap();
-        assert_eq!((a.steps, a.trigger, a.scale), (Some(6), Some(3), Some(140)));
-        assert_eq!(a.trace_out.as_deref(), Some("traces/".as_ref()));
-        assert_eq!(a.report_out.as_deref(), Some("reports/".as_ref()));
-        assert!(a.telemetry());
-
-        let a = parse("--ranks 1120 --sched event --steps 1 --trigger 1 --report-out r/").unwrap();
-        assert_eq!(a.ranks, Some(1120));
-        assert_eq!(a.sched_mode(), commsim::SchedMode::Event);
-        assert_eq!(
-            parse("--full --sched THREAD").unwrap().sched,
-            Some(commsim::SchedMode::Thread)
-        );
-
-        let a = parse("--seeds 8 --json-out soak.json").unwrap();
-        assert_eq!(a.seeds, Some(8));
-        assert_eq!(a.json_out.as_deref(), Some("soak.json".as_ref()));
-
-        let a = parse("--checkpoint-dir ck/ --checkpoint-every 2 --restart-from ck/cell").unwrap();
-        assert_eq!(a.checkpoint_dir.as_deref(), Some("ck/".as_ref()));
-        assert_eq!(a.checkpoint_every, Some(2));
-        assert_eq!(a.restart_from.as_deref(), Some("ck/cell".as_ref()));
-
-        let a = parse("--out out/fig1 --pipelined --wire tcp").unwrap();
-        assert_eq!(a.out.as_deref(), Some("out/fig1".as_ref()));
-        assert_eq!(a.exec_mode(), nek_sensei::ExecMode::Pipelined);
-        assert_eq!(a.wire_kind(), transport::WireKind::Tcp);
-
-        let none = parse("").unwrap();
-        assert!(none.steps.is_none() && !none.full && none.sched.is_none());
-    }
-
-    #[test]
-    fn malformed_values_are_usage_errors_that_name_the_flag() {
-        for (line, flag) in [
-            ("--steps abc", "--steps"),
-            ("--ranks 1120x", "--ranks"),
-            ("--trigger -1", "--trigger"),
-            ("--checkpoint-every 2.5", "--checkpoint-every"),
-            ("--sched evnt", "--sched"),
-            ("--wire udp", "--wire"),
-        ] {
-            let err = parse(line).expect_err(line);
-            assert!(err.contains(flag), "{line}: {err}");
-        }
-        // An empty value (`--scale ""`) is malformed too.
-        let err = HarnessArgs::parse_from(["--scale".to_string(), String::new()]).unwrap_err();
-        assert!(err.contains("--scale"), "{err}");
-    }
-
-    #[test]
-    fn missing_values_are_usage_errors() {
-        for line in [
-            "--steps",
-            "--out",
-            "--steps --full",
-            "--sched",
-            "--out --trace-out t/",
-        ] {
-            let err = parse(line).expect_err(line);
-            assert!(err.contains("needs a value"), "{line}: {err}");
-        }
-    }
-
-    #[test]
-    fn unknown_flags_are_usage_errors() {
-        for line in ["--stpes 6", "--steps 6 --quick", "extra", "--steps=6"] {
-            let err = parse(line).expect_err(line);
-            assert!(err.contains("unknown flag"), "{line}: {err}");
-        }
-    }
 
     #[test]
     fn table_is_aligned() {

@@ -8,8 +8,8 @@
 //!   original commsim behavior: simple, parallel on real cores, but every
 //!   blocked rank still burns a 50 ms wakeup poll, and collectives wake
 //!   all waiters per phase flip — at thousands of ranks the host drowns
-//!   in futile wakeups. A hard world-size cap (see
-//!   [`ThreadExecutor::max_ranks`]) turns the eventual OS thread-spawn
+//!   in futile wakeups. A hard world-size cap
+//!   ([`THREAD_MODE_DEFAULT_MAX_RANKS`]) turns the eventual OS thread-spawn
 //!   failure into an actionable error.
 //!
 //! * [`EventExecutor`] — discrete-event mode. Rank threads exist only as
@@ -144,11 +144,10 @@ pub trait Executor {
 /// stay small and hundreds of ranks fit comfortably.
 pub const RANK_STACK_BYTES: usize = 2 * 1024 * 1024;
 
-/// Default world-size cap for [`ThreadExecutor`] (overridable via
-/// `NEK_THREAD_MAX_RANKS`). Beyond ~2k free-running threads the condvar
-/// broadcast storms in the collective rendezvous dominate wall time long
-/// before the OS refuses to spawn, so the cap fails fast with a pointer
-/// to event mode instead.
+/// Largest world [`ThreadExecutor`] accepts. Beyond ~2k free-running
+/// threads the condvar broadcast storms in the collective rendezvous
+/// dominate wall time long before the OS refuses to spawn, so the cap
+/// fails fast with a pointer to event mode instead.
 pub const THREAD_MODE_DEFAULT_MAX_RANKS: usize = 2048;
 
 /// The original rank-per-thread executor: all ranks run concurrently and
@@ -157,20 +156,12 @@ pub const THREAD_MODE_DEFAULT_MAX_RANKS: usize = 2048;
 pub struct ThreadExecutor {
     /// Stack bytes per rank thread.
     pub stack_bytes: usize,
-    /// Largest world this executor accepts; exceeding it panics with an
-    /// actionable error instead of failing thread-by-thread at spawn.
-    pub max_ranks: usize,
 }
 
 impl Default for ThreadExecutor {
     fn default() -> Self {
-        let max_ranks = std::env::var("NEK_THREAD_MAX_RANKS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(THREAD_MODE_DEFAULT_MAX_RANKS);
         Self {
             stack_bytes: RANK_STACK_BYTES,
-            max_ranks,
         }
     }
 }
@@ -192,12 +183,11 @@ impl Executor for ThreadExecutor {
         F: Fn(&mut Comm) -> R + Send + Sync + 'static,
     {
         assert!(
-            size <= self.max_ranks,
-            "thread executor: world size {size} exceeds the {} free-running \
-             OS-thread cap ({} B stacks). Use NEK_SCHED_MODE=event (the \
-             discrete-event executor handles 10k+ virtual ranks), or raise \
-             NEK_THREAD_MAX_RANKS if the host really has the headroom.",
-            self.max_ranks,
+            size <= THREAD_MODE_DEFAULT_MAX_RANKS,
+            "thread executor: world size {size} exceeds the \
+             {THREAD_MODE_DEFAULT_MAX_RANKS} free-running OS-thread cap ({} B \
+             stacks). Use NEK_SCHED_MODE=event (the discrete-event executor \
+             handles 10k+ virtual ranks).",
             self.stack_bytes,
         );
         spawn_and_join(size, machine, registry, self.stack_bytes, None, f)
@@ -406,18 +396,6 @@ mod tests {
     fn labels_round_trip() {
         assert_eq!(SchedMode::Thread.label(), "thread");
         assert_eq!(SchedMode::Event.label(), "event");
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the 4 free-running OS-thread cap")]
-    fn thread_executor_caps_world_size() {
-        let exec = ThreadExecutor {
-            stack_bytes: RANK_STACK_BYTES,
-            max_ranks: 4,
-        };
-        exec.run_world(5, MachineModel::test_tiny(), Registry::new(), |comm| {
-            comm.rank()
-        });
     }
 
     #[test]

@@ -152,18 +152,6 @@ impl FaultPlan {
         }
     }
 
-    /// True when the plan injects no fault of any kind.
-    pub fn is_quiet(&self) -> bool {
-        let l = &self.link;
-        l.drop_prob <= 0.0
-            && l.corrupt_prob <= 0.0
-            && l.delay_prob <= 0.0
-            && self.crashes.is_empty()
-            && self.stalls.is_empty()
-            && self.sim_crashes.is_empty()
-            && self.disk_corruptions.is_empty()
-    }
-
     /// Uniform draw in `[0, 1)` keyed by `(seed, producer, step, attempt,
     /// salt)`. Pure: the same key always rolls the same value.
     fn roll(&self, producer: usize, step: u64, attempt: u32, salt: u64) -> f64 {
@@ -289,7 +277,6 @@ mod tests {
     #[test]
     fn quiet_plan_delivers_everything() {
         let p = FaultPlan::none();
-        assert!(p.is_quiet());
         for step in 0..100 {
             assert_eq!(
                 p.attempt_fate(3, step, 0),
@@ -370,7 +357,6 @@ mod tests {
         assert_eq!(p.crash_step(0), None);
         assert_eq!(p.stall_secs(0, 3), 2.5);
         assert_eq!(p.stall_secs(0, 4), 0.0);
-        assert!(!p.is_quiet());
     }
 
     #[test]
@@ -392,7 +378,6 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        assert!(!p.is_quiet());
         assert_eq!(p.sim_crash_step(2), Some(5), "earliest crash wins");
         assert_eq!(p.sim_crash_step(0), None);
         assert!(p.corrupts_checkpoint(0, 4));

@@ -228,11 +228,6 @@ impl MachineModel {
         }
     }
 
-    /// Number of nodes for a given rank count (ceiling division).
-    pub fn nodes_for_ranks(&self, ranks: usize) -> usize {
-        ranks.div_ceil(self.ranks_per_node)
-    }
-
     /// Derate every *throughput* by `factor`, keeping latencies unchanged.
     ///
     /// This is how the figure harnesses run paper-scale experiments through
@@ -334,15 +329,6 @@ mod tests {
         assert!((m.gpu_kernel_time(2.0e9, 8.0) - 2.0).abs() < 1e-12);
         // Bandwidth-bound: few flops, many bytes.
         assert!((m.gpu_kernel_time(8.0, 2.0e9) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nodes_for_ranks_rounds_up() {
-        let m = MachineModel::polaris();
-        assert_eq!(m.nodes_for_ranks(1), 1);
-        assert_eq!(m.nodes_for_ranks(4), 1);
-        assert_eq!(m.nodes_for_ranks(5), 2);
-        assert_eq!(m.nodes_for_ranks(1120), 280);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!
 //! Thread mode keeps stacks small (2 MiB) so hundreds of ranks fit, but it
 //! still spends one free-running OS thread per rank — it refuses world
-//! sizes above a documented cap (default 2048, see
-//! [`crate::exec::ThreadExecutor`]) with a clear error instead of dying in
-//! `pthread_create`. Event mode parks all but one rank and scales to tens
-//! of thousands of ranks.
+//! sizes above a fixed cap (2048,
+//! [`crate::exec::THREAD_MODE_DEFAULT_MAX_RANKS`]) with a clear error
+//! instead of dying in `pthread_create`. Event mode parks all but one rank
+//! and scales to tens of thousands of ranks.
 
 use crate::comm::Comm;
 use crate::exec::{EventExecutor, Executor, SchedMode, ThreadExecutor};

@@ -20,6 +20,8 @@ pub struct VtuCheckpointAnalysis {
     arrays: Vec<String>,
     output_dir: Option<std::path::PathBuf>,
     prefix: String,
+    /// Weld duplicated points before writing (smaller, conforming files;
+    /// see [`meshdata::UnstructuredGrid::welded`]); `weld="1"` in the XML.
     weld: bool,
     files_written: u64,
     bytes_written: u64,
@@ -42,12 +44,6 @@ impl VtuCheckpointAnalysis {
             files_written: 0,
             bytes_written: 0,
         }
-    }
-
-    /// Weld duplicated points before writing (smaller, conforming files;
-    /// see [`meshdata::UnstructuredGrid::welded`]).
-    pub fn set_weld(&mut self, weld: bool) {
-        self.weld = weld;
     }
 
     /// Build from `<analysis type="vtu-checkpoint" arrays="pressure,velocity"
@@ -261,7 +257,7 @@ mod tests {
             .map(|&weld| {
                 run_ranks(1, MachineModel::test_tiny(), move |comm| {
                     let mut chk = VtuCheckpointAnalysis::new("mesh", vec!["pressure".into()], None);
-                    chk.set_weld(weld);
+                    chk.weld = weld;
                     let mut da = StaticDataAdaptor::new("mesh", dup_block(), 0.0, 0);
                     chk.execute(comm, &mut da).unwrap();
                     chk.bytes_written()

@@ -13,7 +13,6 @@ use std::sync::Arc;
 struct Inner {
     current: AtomicU64,
     peak: AtomicU64,
-    charges: AtomicU64,
 }
 
 /// A cheap, clonable, thread-safe byte counter with a high-water mark.
@@ -54,7 +53,6 @@ impl Accountant {
     /// Record `bytes` as resident without a guard. Pair with
     /// [`Accountant::credit_raw`].
     pub fn charge_raw(&self, bytes: u64) {
-        self.inner.charges.fetch_add(1, Ordering::Relaxed);
         let now = self.inner.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
         let mut peak = self.inner.peak.load(Ordering::Relaxed);
         while now > peak {
@@ -98,19 +96,6 @@ impl Accountant {
     /// High-water mark of charged bytes.
     pub fn peak(&self) -> u64 {
         self.inner.peak.load(Ordering::Relaxed)
-    }
-
-    /// Number of charge operations (diagnostic).
-    pub fn charge_count(&self) -> u64 {
-        self.inner.charges.load(Ordering::Relaxed)
-    }
-
-    /// Reset the peak to the current value (phase-scoped measurement).
-    pub fn reset_peak(&self) {
-        self.inner.peak.store(
-            self.inner.current.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
     }
 }
 
@@ -212,16 +197,5 @@ mod tests {
         }
         assert_eq!(a.current(), 0);
         assert!(a.peak() >= 16);
-        assert_eq!(a.charge_count(), 8000);
-    }
-
-    #[test]
-    fn reset_peak_snaps_to_current() {
-        let a = Accountant::new("reset");
-        let c = a.charge(500);
-        drop(c);
-        assert_eq!(a.peak(), 500);
-        a.reset_peak();
-        assert_eq!(a.peak(), 0);
     }
 }

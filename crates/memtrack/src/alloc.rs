@@ -25,7 +25,6 @@ pub struct TrackingAllocator {
 
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
-static TOTAL_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 static ALLOCATION_COUNT: AtomicU64 = AtomicU64::new(0);
 
 impl TrackingAllocator {
@@ -54,7 +53,6 @@ impl Default for TrackingAllocator {
 
 fn record_alloc(size: usize) {
     let size = size as u64;
-    TOTAL_ALLOCATED.fetch_add(size, Ordering::Relaxed);
     ALLOCATION_COUNT.fetch_add(1, Ordering::Relaxed);
     let now = CURRENT.fetch_add(size, Ordering::Relaxed) + size;
     // CAS loop: only ratchet the peak upward.
@@ -119,11 +117,6 @@ pub fn global_current() -> u64 {
 /// Peak live heap bytes as seen by the tracking allocator (0 if not installed).
 pub fn global_peak() -> u64 {
     PEAK.load(Ordering::Relaxed)
-}
-
-/// Cumulative bytes ever allocated (never decreases).
-pub fn global_total_allocated() -> u64 {
-    TOTAL_ALLOCATED.load(Ordering::Relaxed)
 }
 
 /// Number of allocation calls observed.
@@ -204,12 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn totals_are_monotonic() {
-        let t0 = global_total_allocated();
+    fn allocation_count_is_monotonic() {
         let c0 = global_allocation_count();
         record_alloc(64);
         record_dealloc(64);
-        assert_eq!(global_total_allocated(), t0 + 64);
         assert_eq!(global_allocation_count(), c0 + 1);
     }
 

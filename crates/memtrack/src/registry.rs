@@ -24,25 +24,6 @@ pub struct Snapshot {
     pub entries: Vec<(String, u64, u64)>,
 }
 
-impl Snapshot {
-    /// Sum of current bytes over all entries.
-    pub fn total_current(&self) -> u64 {
-        self.entries.iter().map(|(_, c, _)| c).sum()
-    }
-
-    /// Entries whose name starts with `prefix` (e.g. `"rank3/"`).
-    pub fn with_prefix(&self, prefix: &str) -> Snapshot {
-        Snapshot {
-            entries: self
-                .entries
-                .iter()
-                .filter(|(n, _, _)| n.starts_with(prefix))
-                .cloned()
-                .collect(),
-        }
-    }
-}
-
 impl Registry {
     /// Create an empty registry.
     pub fn new() -> Self {
@@ -91,24 +72,6 @@ impl Registry {
     pub fn aggregate_peak(&self) -> u64 {
         self.map().values().map(|a| a.peak()).sum()
     }
-
-    /// Aggregate current bytes over all accountants.
-    pub fn aggregate_current(&self) -> u64 {
-        self.map().values().map(|a| a.current()).sum()
-    }
-
-    /// Maximum single-accountant peak — the per-node footprint view used by
-    /// Figure 6 (memory per simulation node).
-    pub fn max_peak(&self) -> u64 {
-        self.map().values().map(|a| a.peak()).max().unwrap_or(0)
-    }
-
-    /// Reset every accountant's peak to its current value.
-    pub fn reset_peaks(&self) {
-        for a in self.map().values() {
-            a.reset_peak();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -131,32 +94,21 @@ mod tests {
         r.accountant("rank0").charge_raw(100);
         r.accountant("rank1").charge_raw(250);
         assert_eq!(r.aggregate_peak(), 350);
-        assert_eq!(r.aggregate_current(), 350);
-        assert_eq!(r.max_peak(), 250);
     }
 
     #[test]
-    fn snapshot_prefix_filter_selects_rank() {
+    fn snapshot_lists_every_accountant_by_name() {
         let r = Registry::new();
-        r.accountant("rank0/solver").charge_raw(1);
-        r.accountant("rank0/vtk").charge_raw(2);
         r.accountant("rank1/solver").charge_raw(4);
-        let snap = r.snapshot();
-        assert_eq!(snap.total_current(), 7);
-        let rank0 = snap.with_prefix("rank0/");
-        assert_eq!(rank0.entries.len(), 2);
-        assert_eq!(rank0.total_current(), 3);
-    }
-
-    #[test]
-    fn reset_peaks_applies_to_all() {
-        let r = Registry::new();
-        let a = r.accountant("x");
-        let c = a.charge(1000);
+        let c = r.accountant("rank0/vtk").charge(2);
         drop(c);
-        assert_eq!(r.aggregate_peak(), 1000);
-        r.reset_peaks();
-        assert_eq!(r.aggregate_peak(), 0);
+        assert_eq!(
+            r.snapshot().entries,
+            vec![
+                ("rank0/vtk".to_string(), 0, 2),
+                ("rank1/solver".to_string(), 4, 4)
+            ]
+        );
     }
 
     #[test]
@@ -164,7 +116,6 @@ mod tests {
         let r = Registry::new();
         assert!(r.is_empty());
         assert_eq!(r.aggregate_peak(), 0);
-        assert_eq!(r.max_peak(), 0);
         assert_eq!(r.snapshot().entries.len(), 0);
     }
 }

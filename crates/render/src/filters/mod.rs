@@ -36,20 +36,6 @@ impl TriangleSoup {
         self.scalars.clear();
     }
 
-    /// Scalar range over all vertices.
-    pub fn scalar_range(&self) -> Option<(f64, f64)> {
-        if self.scalars.is_empty() {
-            return None;
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &s in &self.scalars {
-            lo = lo.min(s);
-            hi = hi.max(s);
-        }
-        Some((lo, hi))
-    }
-
     /// Heap bytes (memory accounting for the render stage).
     pub fn heap_bytes(&self) -> u64 {
         (self.positions.capacity() * 24 + self.scalars.capacity() * 8) as u64
@@ -76,22 +62,10 @@ pub fn scalar_view(array: &DataArray) -> Vec<f64> {
     }
 }
 
-/// Extract the isosurface `level(x) = iso` from `grid`, colored by the
-/// point scalars `color`.
+/// Append the isosurface `level(x) = iso` of `grid`, colored by the point
+/// scalars `color`, to `soup`.
 ///
 /// `level` and `color` are per-point values (use [`scalar_view`]).
-pub fn marching_tets(
-    grid: &UnstructuredGrid,
-    level: &[f64],
-    iso: f64,
-    color: &[f64],
-) -> TriangleSoup {
-    let mut soup = TriangleSoup::default();
-    marching_tets_into(grid, level, iso, color, &mut soup);
-    soup
-}
-
-/// [`marching_tets`], appending into an existing soup (buffer reuse).
 pub fn marching_tets_into(
     grid: &UnstructuredGrid,
     level: &[f64],
@@ -202,22 +176,10 @@ fn push_tri(soup: &mut TriangleSoup, a: ([f64; 3], f64), b: ([f64; 3], f64), c: 
 }
 
 /// Cut `grid` with the plane through `origin` with `normal`, colored by the
-/// point-centered array `color_array`.
+/// point-centered array `color_array`, appending to `soup`.
 ///
-/// Returns an empty soup if the array is missing (blocks without the array
+/// Appends nothing if the array is missing (blocks without the array
 /// contribute nothing, as in VTK).
-pub fn slice_plane(
-    grid: &UnstructuredGrid,
-    origin: [f64; 3],
-    normal: [f64; 3],
-    color_array: &str,
-) -> TriangleSoup {
-    let mut soup = TriangleSoup::default();
-    slice_plane_into(grid, origin, normal, color_array, &mut soup);
-    soup
-}
-
-/// [`slice_plane`], appending into an existing soup (buffer reuse).
 pub fn slice_plane_into(
     grid: &UnstructuredGrid,
     origin: [f64; 3],
@@ -241,14 +203,7 @@ pub fn slice_plane_into(
     marching_tets_into(grid, &level, 0.0, &color, soup);
 }
 
-/// Extract the isosurface `array = value`, colored by the same array.
-pub fn contour(grid: &UnstructuredGrid, array: &str, value: f64) -> TriangleSoup {
-    let mut soup = TriangleSoup::default();
-    contour_into(grid, array, value, &mut soup);
-    soup
-}
-
-/// [`contour`], appending into an existing soup (buffer reuse).
+/// Append the isosurface `array = value`, colored by the same array.
 pub fn contour_into(grid: &UnstructuredGrid, array: &str, value: f64, soup: &mut TriangleSoup) {
     let Some(a) = grid.find_array(array, Centering::Point) else {
         return;
@@ -257,15 +212,8 @@ pub fn contour_into(grid: &UnstructuredGrid, array: &str, value: f64, soup: &mut
     marching_tets_into(grid, &level, value, &level, soup);
 }
 
-/// Extract the external surface (faces owned by exactly one cell), colored
+/// Append the external surface (faces owned by exactly one cell), colored
 /// by a point array. Quads are emitted as two triangles.
-pub fn surface(grid: &UnstructuredGrid, color_array: &str) -> TriangleSoup {
-    let mut soup = TriangleSoup::default();
-    surface_into(grid, color_array, &mut soup);
-    soup
-}
-
-/// [`surface`], appending into an existing soup (buffer reuse).
 pub fn surface_into(grid: &UnstructuredGrid, color_array: &str, soup: &mut TriangleSoup) {
     surface_of_cells(grid, color_array, |_| true, soup);
 }
@@ -273,20 +221,7 @@ pub fn surface_into(grid: &UnstructuredGrid, color_array: &str, soup: &mut Trian
 /// Threshold filter: keep hex cells whose mean point value of
 /// `threshold_array` lies in `[lo, hi]`, then emit the external surface of
 /// the kept subset colored by `color_array` (VTK's Threshold + Surface
-/// combination).
-pub fn threshold(
-    grid: &UnstructuredGrid,
-    threshold_array: &str,
-    lo: f64,
-    hi: f64,
-    color_array: &str,
-) -> TriangleSoup {
-    let mut soup = TriangleSoup::default();
-    threshold_into(grid, threshold_array, lo, hi, color_array, &mut soup);
-    soup
-}
-
-/// [`threshold`], appending into an existing soup (buffer reuse).
+/// combination), appending to `soup`.
 pub fn threshold_into(
     grid: &UnstructuredGrid,
     threshold_array: &str,
@@ -378,6 +313,13 @@ mod tests {
     use super::*;
     use meshdata::CellType;
 
+    /// The soup one `_into` filter call appends to an empty one.
+    fn extract(filter: impl FnOnce(&mut TriangleSoup)) -> TriangleSoup {
+        let mut soup = TriangleSoup::default();
+        filter(&mut soup);
+        soup
+    }
+
     /// Unit cube hex with a point scalar equal to z.
     fn unit_cube() -> UnstructuredGrid {
         let mut g = UnstructuredGrid::new();
@@ -400,7 +342,7 @@ mod tests {
     #[test]
     fn slice_through_cube_center_covers_unit_area() {
         let g = unit_cube();
-        let soup = slice_plane(&g, [0.5, 0.5, 0.5], [0.0, 0.0, 1.0], "height");
+        let soup = extract(|s| slice_plane_into(&g, [0.5, 0.5, 0.5], [0.0, 0.0, 1.0], "height", s));
         assert!(soup.n_triangles() >= 2, "{} triangles", soup.n_triangles());
         // All vertices on the plane and inside the cube.
         for p in &soup.positions {
@@ -432,7 +374,7 @@ mod tests {
     #[test]
     fn slice_missing_the_cell_is_empty() {
         let g = unit_cube();
-        let soup = slice_plane(&g, [0.0, 0.0, 5.0], [0.0, 0.0, 1.0], "height");
+        let soup = extract(|s| slice_plane_into(&g, [0.0, 0.0, 5.0], [0.0, 0.0, 1.0], "height", s));
         assert_eq!(soup.n_triangles(), 0);
     }
 
@@ -440,7 +382,7 @@ mod tests {
     fn contour_equals_slice_for_coordinate_field() {
         // height == z, so contour(height=0.3) is the z=0.3 plane cut.
         let g = unit_cube();
-        let soup = contour(&g, "height", 0.3);
+        let soup = extract(|s| contour_into(&g, "height", 0.3, s));
         assert!(soup.n_triangles() >= 2);
         for p in &soup.positions {
             assert!((p[2] - 0.3).abs() < 1e-12);
@@ -453,16 +395,25 @@ mod tests {
     #[test]
     fn contour_outside_range_is_empty() {
         let g = unit_cube();
-        assert_eq!(contour(&g, "height", 2.0).n_triangles(), 0);
-        assert_eq!(contour(&g, "height", -1.0).n_triangles(), 0);
+        assert_eq!(
+            extract(|s| contour_into(&g, "height", 2.0, s)).n_triangles(),
+            0
+        );
+        assert_eq!(
+            extract(|s| contour_into(&g, "height", -1.0, s)).n_triangles(),
+            0
+        );
     }
 
     #[test]
     fn missing_array_yields_empty_not_panic() {
         let g = unit_cube();
-        assert_eq!(contour(&g, "nope", 0.5).n_triangles(), 0);
         assert_eq!(
-            slice_plane(&g, [0.5; 3], [0.0, 0.0, 1.0], "nope").n_triangles(),
+            extract(|s| contour_into(&g, "nope", 0.5, s)).n_triangles(),
+            0
+        );
+        assert_eq!(
+            extract(|s| slice_plane_into(&g, [0.5; 3], [0.0, 0.0, 1.0], "nope", s)).n_triangles(),
             0
         );
     }
@@ -470,7 +421,7 @@ mod tests {
     #[test]
     fn surface_of_single_hex_is_twelve_triangles() {
         let g = unit_cube();
-        let soup = surface(&g, "height");
+        let soup = extract(|s| surface_into(&g, "height", s));
         assert_eq!(soup.n_triangles(), 12, "6 quad faces × 2");
     }
 
@@ -512,7 +463,7 @@ mod tests {
                 id(1, 1, 1),
             ],
         );
-        let soup = surface(&g, "none");
+        let soup = extract(|s| surface_into(&g, "none", s));
         assert_eq!(soup.n_triangles(), 20);
     }
 
@@ -550,18 +501,24 @@ mod tests {
         ))
         .unwrap();
         // Only the bottom cell passes: 6 faces → 12 triangles.
-        let bottom = threshold(&g, "height", 0.0, 1.0, "height");
+        let bottom = extract(|s| threshold_into(&g, "height", 0.0, 1.0, "height", s));
         assert_eq!(bottom.n_triangles(), 12);
         for p in &bottom.positions {
             assert!(p[2] <= 1.0 + 1e-12);
         }
         // Both cells pass: 10 external faces → 20 triangles.
-        let both = threshold(&g, "height", 0.0, 2.0, "height");
+        let both = extract(|s| threshold_into(&g, "height", 0.0, 2.0, "height", s));
         assert_eq!(both.n_triangles(), 20);
         // None pass.
-        assert_eq!(threshold(&g, "height", 5.0, 6.0, "height").n_triangles(), 0);
+        assert_eq!(
+            extract(|s| threshold_into(&g, "height", 5.0, 6.0, "height", s)).n_triangles(),
+            0
+        );
         // Missing threshold array → empty, no panic.
-        assert_eq!(threshold(&g, "nope", 0.0, 1.0, "height").n_triangles(), 0);
+        assert_eq!(
+            extract(|s| threshold_into(&g, "nope", 0.0, 1.0, "height", s)).n_triangles(),
+            0
+        );
     }
 
     #[test]
@@ -580,14 +537,11 @@ mod tests {
     #[test]
     fn soup_bookkeeping() {
         let g = unit_cube();
-        let mut soup = surface(&g, "height");
+        let mut soup = extract(|s| surface_into(&g, "height", s));
         let n = soup.n_triangles();
-        let other = surface(&g, "height");
+        let other = extract(|s| surface_into(&g, "height", s));
         soup.extend(other);
         assert_eq!(soup.n_triangles(), 2 * n);
-        let (lo, hi) = soup.scalar_range().unwrap();
-        assert_eq!((lo, hi), (0.0, 1.0));
         assert!(soup.heap_bytes() > 0);
-        assert_eq!(TriangleSoup::default().scalar_range(), None);
     }
 }

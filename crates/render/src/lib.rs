@@ -41,7 +41,7 @@ pub mod raster;
 pub use camera::Camera;
 pub use colormap::Colormap;
 pub use composite::composite_to_root;
-pub use filters::{contour, slice_plane, surface, threshold, TriangleSoup};
+pub use filters::TriangleSoup;
 pub use pipeline::{
     fnv1a64, CatalystAnalysis, FrameCache, FrameKey, RenderPass, RenderPipeline, RenderScratch,
 };

@@ -85,17 +85,6 @@ impl Basis1d {
         self.eval_at(x).iter().zip(u).map(|(l, v)| l * v).sum()
     }
 
-    /// Apply the derivative matrix: `out[i] = Σ_j D[i][j] u[j]`.
-    pub fn apply_deriv(&self, u: &[f64], out: &mut [f64]) {
-        let np = self.np();
-        debug_assert_eq!(u.len(), np);
-        debug_assert_eq!(out.len(), np);
-        for i in 0..np {
-            let row = &self.deriv[i * np..(i + 1) * np];
-            out[i] = row.iter().zip(u).map(|(d, v)| d * v).sum();
-        }
-    }
-
     /// The 1-D modal low-pass filter matrix `F = V·diag(σ)·V⁻¹` (row-major)
     /// of Fischer & Mullen: nodal values are transformed to the Legendre
     /// modal basis, the top `modes` coefficients are attenuated by up to
@@ -189,14 +178,20 @@ fn invert_dense(m: &[f64], n: usize) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    /// `D·u`: the nodal derivative of `u`.
+    fn deriv_of(b: &Basis1d, u: &[f64]) -> Vec<f64> {
+        b.deriv
+            .chunks(b.np())
+            .map(|row| row.iter().zip(u).map(|(d, v)| d * v).sum())
+            .collect()
+    }
+
     #[test]
     fn derivative_of_constant_is_zero() {
         for n in 1..9 {
             let b = Basis1d::new(n);
             let u = vec![3.5; b.np()];
-            let mut du = vec![0.0; b.np()];
-            b.apply_deriv(&u, &mut du);
-            for d in du {
+            for d in deriv_of(&b, &u) {
                 assert!(d.abs() < 1e-11, "n={n}");
             }
         }
@@ -208,8 +203,7 @@ mod tests {
             let b = Basis1d::new(n);
             for k in 1..=n {
                 let u: Vec<f64> = b.nodes.iter().map(|x| x.powi(k as i32)).collect();
-                let mut du = vec![0.0; b.np()];
-                b.apply_deriv(&u, &mut du);
+                let du = deriv_of(&b, &u);
                 for (i, &x) in b.nodes.iter().enumerate() {
                     let exact = k as f64 * x.powi(k as i32 - 1);
                     assert!(

@@ -567,13 +567,6 @@ pub fn add_assign(out: &mut [f64], a: &[f64]) {
     }
 }
 
-/// `out = a + s·b` elementwise (allocation-free AXPY helper).
-pub fn axpy(out: &mut [f64], a: &[f64], s: f64, b: &[f64]) {
-    for ((o, &av), &bv) in out.iter_mut().zip(a).zip(b) {
-        *o = av + s * bv;
-    }
-}
-
 /// Transpose of a row-major (N+1)² operator matrix, which the kernel
 /// takes alongside the matrix (see [`Ops::apply_tensor_op`]).
 pub fn transpose_op(m: &[f64], np: usize) -> Vec<f64> {
@@ -978,10 +971,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_helpers() {
-        let mut out = vec![0.0; 3];
-        axpy(&mut out, &[1.0, 2.0, 3.0], 2.0, &[10.0, 20.0, 30.0]);
-        assert_eq!(out, vec![21.0, 42.0, 63.0]);
+    fn add_assign_adds_elementwise() {
+        let mut out = vec![21.0, 42.0, 63.0];
         add_assign(&mut out, &[1.0, 1.0, 1.0]);
         assert_eq!(out, vec![22.0, 43.0, 64.0]);
     }

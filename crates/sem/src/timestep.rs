@@ -4,17 +4,8 @@
 /// Backward-differentiation coefficients in the convention
 /// `(b0·u^{n+1} + Σ_{j=1..k} b[j-1]·u^{n+1-j}) / dt = RHS`.
 ///
-/// Returns `(b0, b_prev)` with `b_prev.len() == k`.
-///
-/// # Panics
-/// Panics for `k` outside 1..=3.
-pub fn bdf(k: usize) -> (f64, Vec<f64>) {
-    let (b0, b) = bdf_coeffs(k);
-    (b0, b.to_vec())
-}
-
-/// Allocation-free variant of [`bdf`]: the history coefficients are
-/// borrowed from static tables. This is what the stepping hot path uses.
+/// Returns `(b0, b_prev)` with `b_prev.len() == k`, borrowed from static
+/// tables so the stepping hot path never allocates.
 ///
 /// # Panics
 /// Panics for `k` outside 1..=3.
@@ -30,13 +21,7 @@ pub fn bdf_coeffs(k: usize) -> (f64, &'static [f64]) {
 /// Extrapolation coefficients of order `k`: an explicit term at time
 /// `n+1` is approximated by `Σ_{j=0..k-1} a[j]·N^{n-j}`.
 ///
-/// # Panics
-/// Panics for `k` outside 1..=3.
-pub fn ext(k: usize) -> Vec<f64> {
-    ext_coeffs(k).to_vec()
-}
-
-/// Allocation-free variant of [`ext`] borrowing from static tables.
+/// Borrowed from static tables.
 ///
 /// # Panics
 /// Panics for `k` outside 1..=3.
@@ -57,7 +42,7 @@ mod tests {
     fn bdf_coefficients_sum_to_zero() {
         // Consistency: a constant state must have zero discrete derivative.
         for k in 1..=3 {
-            let (b0, b) = bdf(k);
+            let (b0, b) = bdf_coeffs(k);
             let total: f64 = b0 + b.iter().sum::<f64>();
             assert!(total.abs() < 1e-14, "k={k}");
         }
@@ -67,7 +52,7 @@ mod tests {
     fn bdf_first_moment_is_one() {
         // Σ j·(-b_j) = 1 gives first-order consistency (du/dt of u = t).
         for k in 1..=3 {
-            let (_, b) = bdf(k);
+            let (_, b) = bdf_coeffs(k);
             let m: f64 = b
                 .iter()
                 .enumerate()
@@ -82,7 +67,7 @@ mod tests {
         // EXTk extrapolates values at t = -0, -1, -2 to t = +1 exactly for
         // polynomials of degree < k.
         for k in 1..=3usize {
-            let a = ext(k);
+            let a = ext_coeffs(k);
             for degree in 0..k {
                 let f = |t: f64| t.powi(degree as i32);
                 let approx: f64 = a
@@ -102,7 +87,7 @@ mod tests {
     fn bdf_exact_on_low_order_polynomials() {
         // BDFk differentiates t^d exactly for d <= k at t = 1 with dt = 1.
         for k in 1..=3usize {
-            let (b0, b) = bdf(k);
+            let (b0, b) = bdf_coeffs(k);
             for d in 0..=k {
                 let f = |t: f64| t.powi(d as i32);
                 let deriv_exact = d as f64; // d/dt t^d at t=1 is d·1^{d-1}.
@@ -118,12 +103,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "not supported")]
     fn bdf_rejects_order_4() {
-        bdf(4);
+        bdf_coeffs(4);
     }
 
     #[test]
     #[should_panic(expected = "not supported")]
     fn ext_rejects_order_0() {
-        ext(0);
+        ext_coeffs(0);
     }
 }

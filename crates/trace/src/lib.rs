@@ -279,11 +279,6 @@ impl Tracer {
         }
     }
 
-    /// True if spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The packed context word identifying this rank's innermost open
     /// span ([`pack_ctx`]); 0 when disabled. Senders stamp this onto
     /// outgoing messages so receivers can record happens-before edges.
@@ -457,7 +452,6 @@ mod tests {
             let _g = t.span("a");
             let _h = t.span("b");
         }
-        assert!(!t.is_enabled());
         assert!(t.take().is_none());
     }
 

@@ -79,13 +79,6 @@ impl TransportAnalysis {
         }
     }
 
-    /// Degrade to the BP file engine under `dir` when the endpoint dies.
-    #[must_use]
-    pub fn with_fallback(mut self, dir: PathBuf) -> Self {
-        self.fallback_dir = Some(dir);
-        self
-    }
-
     /// Writer statistics: (steps staged, steps dropped, bytes sent).
     pub fn stats(&self) -> (u64, u64, u64) {
         (
@@ -305,8 +298,9 @@ mod tests {
         let (mut writers, readers) =
             StagingNetwork::build(1, 1, 8, StagingLink::test_tiny(), QueuePolicy::Block);
         drop(readers); // the endpoint dies before the run starts
-        let analysis = TransportAnalysis::new("mesh", vec!["pressure".into()], writers.remove(0))
-            .with_fallback(dir.clone());
+        let mut analysis =
+            TransportAnalysis::new("mesh", vec!["pressure".into()], writers.remove(0));
+        analysis.fallback_dir = Some(dir.clone());
         let reports = run_ranks_with_state(
             MachineModel::test_tiny(),
             vec![analysis],

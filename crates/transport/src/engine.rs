@@ -5,7 +5,9 @@
 //! step payloads into per-reader staging queues; readers (endpoint ranks)
 //! drain them asynchronously. The queue is bounded in *steps*; when full,
 //! the writer either blocks (SST's default back-pressure) or discards the
-//! new step (streaming mode) — an ablation the benches exercise.
+//! new step (streaming mode). Every harness and workload blocks; only the
+//! engine's own tests and `tests/steering_and_policies.rs` discard, and
+//! on the TCP wire a discarding writer blocks too.
 //!
 //! Virtual time: payloads carry the writer's send timestamp plus the link
 //! transfer cost; a reader's clock advances to at least that arrival time

@@ -66,7 +66,7 @@ pub use error::{TransportError, WriteError};
 pub use file_engine::{BpFileReader, BpFileWriter};
 pub use link::StagingLink;
 pub use staging::{
-    ConsumerClient, FollowClient, FrameMsg, LiveServer, SessionSpec, SessionStats, StagingHandle,
+    ConsumerClient, FollowClient, FrameMsg, SessionSpec, SessionStats, StagingHandle,
     StagingReport, StagingService, TelemetryMsg,
 };
 pub use wire::{WireKind, WireRecvError, WireRx, WireSendError, WireTx};

@@ -20,7 +20,6 @@ use super::protocol::{self, DownMsg, SessionSpec, TelemetryMsg};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{json, MetricValue, TelemetryHub};
 
@@ -36,7 +35,9 @@ pub fn snapshot_json(seq: u64, full: bool, metrics: &[(String, MetricValue)]) ->
     let mut o = String::with_capacity(64 + metrics.len() * 48);
     o.push_str("{\"schema\": ");
     json::push_str(&mut o, SNAPSHOT_SCHEMA);
-    o.push_str(&format!(", \"seq\": {seq}, \"full\": {full}, \"metrics\": {{"));
+    o.push_str(&format!(
+        ", \"seq\": {seq}, \"full\": {full}, \"metrics\": {{"
+    ));
     for (i, (name, value)) in metrics.iter().enumerate() {
         if i > 0 {
             o.push_str(", ");
@@ -148,69 +149,9 @@ impl FollowClient {
     }
 }
 
-/// A standalone real-time follow server: binds nothing itself, accepts
-/// follow sessions off the listener it is given, one streaming thread
-/// per connection. Used by harnesses that have no staging consumer port
-/// (the staging service's own `listen_consumers` multiplexes follow
-/// sessions onto the consumer port instead).
-pub struct LiveServer {
-    stop: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
-}
-
-impl LiveServer {
-    /// Start accepting follow sessions on `listener`, streaming `hub`.
-    pub fn start(listener: std::net::TcpListener, hub: TelemetryHub) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let accept = std::thread::spawn(move || {
-            listener.set_nonblocking(true).ok();
-            loop {
-                if stop2.load(Ordering::SeqCst) {
-                    return;
-                }
-                match listener.accept() {
-                    // This listener serves telemetry only.
-                    Ok((stream, _)) => {
-                        super::serve_connection(stream, Some((hub.clone(), stop2.clone())), None)
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(_) => return,
-                }
-            }
-        });
-        Self {
-            stop,
-            accept: Some(accept),
-        }
-    }
-
-    /// Stop accepting and signal every open session to send `End`.
-    /// Session threads exit at their next tick.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for LiveServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::loopback_listener;
 
     #[test]
     fn snapshot_json_is_parseable_and_tagged() {
@@ -237,46 +178,5 @@ mod tests {
         assert!(delta.is_empty());
         let doc = json::parse(&snapshot_json(1, false, &delta)).unwrap();
         assert_eq!(doc.get("full"), Some(&json::Value::Bool(false)));
-    }
-
-    #[test]
-    fn live_server_streams_full_then_delta_and_detach_is_clean() {
-        let (listener, port) = loopback_listener().unwrap();
-        let hub = TelemetryHub::default();
-        hub.counter("staging/steps").add(1);
-        let server = LiveServer::start(listener, hub.clone());
-
-        let mut client = FollowClient::connect(&format!("127.0.0.1:{port}")).unwrap();
-        let first = client
-            .next_snapshot(Duration::from_secs(10))
-            .unwrap()
-            .expect("initial snapshot");
-        assert_eq!(first.seq, 0);
-        let doc = json::parse(&first.json).unwrap();
-        assert_eq!(doc.get("full"), Some(&json::Value::Bool(true)));
-        assert!(doc.get("metrics").unwrap().get("staging/steps").is_some());
-
-        // Bump a metric; a later delta must carry it.
-        hub.counter("staging/steps").add(5);
-        let mut saw_update = false;
-        for _ in 0..50 {
-            let Some(snap) = client.next_snapshot(Duration::from_secs(10)).unwrap() else {
-                break;
-            };
-            let doc = json::parse(&snap.json).unwrap();
-            if let Some(m) = doc.get("metrics").unwrap().get("staging/steps") {
-                assert_eq!(m.get("value").unwrap().as_u64(), Some(6));
-                saw_update = true;
-                break;
-            }
-        }
-        assert!(saw_update, "delta with updated counter never arrived");
-
-        // Detach by dropping the client; the hub keeps working and the
-        // server shuts down cleanly.
-        drop(client);
-        hub.counter("staging/steps").add(1);
-        assert_eq!(hub.counter("staging/steps").get(), 7);
-        server.stop();
     }
 }

@@ -26,7 +26,7 @@
 pub mod live;
 pub mod protocol;
 
-pub use live::{FollowClient, LiveServer};
+pub use live::FollowClient;
 pub use protocol::{DownMsg, FrameMsg, SessionSpec, TelemetryMsg};
 
 use crate::engine::SstReader;
@@ -330,7 +330,7 @@ impl StagingService {
             .map(|hub| (hub, self.live_stop.clone()));
         std::thread::spawn(move || {
             while let Ok((stream, _)) = listener.accept() {
-                serve_connection(stream, live.clone(), Some(handle.clone()));
+                serve_connection(stream, live.clone(), handle.clone());
             }
         });
     }
@@ -636,13 +636,12 @@ const HELLO_WAIT: Duration = Duration::from_secs(5);
 /// Serve one accepted connection on a thread of its own, so a peer that
 /// connects and says nothing holds up nobody else: read its `Hello` under
 /// [`HELLO_WAIT`], then stream telemetry (`live`) or attach a frame session
-/// (`frames`), whichever the `Hello` asks for and this listener offers —
-/// or answer `End`. Both the consumer listener and [`LiveServer`] accept
-/// through here.
+/// (`handle`), whichever the `Hello` asks for — or answer `End` to a
+/// follow request when the service has no live hub.
 fn serve_connection(
     mut stream: TcpStream,
     live: Option<(telemetry::TelemetryHub, Arc<std::sync::atomic::AtomicBool>)>,
-    frames: Option<StagingHandle>,
+    handle: StagingHandle,
 ) {
     std::thread::spawn(move || {
         stream.set_nonblocking(false).ok();
@@ -652,9 +651,9 @@ fn serve_connection(
             return;
         };
         stream.set_read_timeout(None).ok();
-        match (follow, live, frames) {
-            (true, Some((hub, stop)), _) => live::serve_follow(stream, &hub, &stop),
-            (false, _, Some(handle)) => {
+        match (follow, live) {
+            (true, Some((hub, stop))) => live::serve_follow(stream, &hub, &stop),
+            (false, _) => {
                 let Ok(read_half) = stream.try_clone() else {
                     return;
                 };
@@ -670,7 +669,7 @@ fn serve_connection(
                     forward_credits(read_half, credit_tx);
                 }
             }
-            _ => {
+            (true, None) => {
                 let _ = protocol::write_down(&mut stream, &DownMsg::End);
             }
         }
@@ -865,6 +864,7 @@ mod tests {
             doc.get("schema").unwrap().as_str(),
             Some(live::SNAPSHOT_SCHEMA)
         );
+        assert_eq!(doc.get("full"), Some(&telemetry::json::Value::Bool(true)));
 
         let sim = drive_writers(writers, 3);
         let hub2 = hub.clone();
@@ -876,8 +876,9 @@ mod tests {
             .remove(0)
         });
 
-        // Watch until the staging counters show progress, then detach
-        // mid-run by dropping the client.
+        // Watch until a delta carries the staging counters (they appear
+        // only once the service runs, after the full snapshot), then
+        // detach mid-run by dropping the client.
         let mut saw_metrics = false;
         for _ in 0..100 {
             let Some(snap) = follow.next_snapshot(Duration::from_secs(10)).unwrap() else {
@@ -891,6 +892,8 @@ mod tests {
                 .get("rank0/staging/frames_sent")
                 .is_some()
             {
+                assert!(snap.seq > 0, "counters arrived in the full snapshot");
+                assert_eq!(doc.get("full"), Some(&telemetry::json::Value::Bool(false)));
                 saw_metrics = true;
                 break;
             }

@@ -53,17 +53,6 @@ pub enum WireKind {
 }
 
 impl WireKind {
-    /// Parse `"channel"` / `"tcp"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        if s.eq_ignore_ascii_case("channel") {
-            Some(WireKind::Channel)
-        } else if s.eq_ignore_ascii_case("tcp") {
-            Some(WireKind::Tcp)
-        } else {
-            None
-        }
-    }
-
     /// Display / manifest label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -498,10 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_kind_parsing() {
-        assert_eq!(WireKind::parse("tcp"), Some(WireKind::Tcp));
-        assert_eq!(WireKind::parse("Channel"), Some(WireKind::Channel));
-        assert_eq!(WireKind::parse("carrier-pigeon"), None);
+    fn wire_kind_labels() {
         assert_eq!(WireKind::default().label(), "channel");
         assert_eq!(WireKind::Tcp.label(), "tcp");
     }

@@ -4,8 +4,7 @@
 //! operators dispatch their element blocks through.
 //!
 //! Jobs run on a fixed pool of worker threads (sized from
-//! `available_parallelism`, or `NEK_POOL_THREADS` / `RAYON_NUM_THREADS`
-//! when set). The design keeps three properties the workspace depends on:
+//! `available_parallelism`, or `NEK_POOL_THREADS` when set). The design keeps three properties the workspace depends on:
 //!
 //! * **Bitwise determinism.** [`pool::partition`] is pure arithmetic, each
 //!   job writes only its own output range, and the arithmetic inside a
@@ -237,24 +236,21 @@ pub mod pool {
         static OVERRIDE: Cell<usize> = const { Cell::new(0) };
     }
 
-    /// Process-wide default pool size: `NEK_POOL_THREADS`, then
-    /// `RAYON_NUM_THREADS`, then `available_parallelism`.
+    /// Process-wide default pool size: `NEK_POOL_THREADS` when set to a
+    /// positive count, otherwise `available_parallelism`.
     pub fn default_threads() -> usize {
         static DEFAULT: OnceLock<usize> = OnceLock::new();
         *DEFAULT.get_or_init(|| {
-            for var in ["NEK_POOL_THREADS", "RAYON_NUM_THREADS"] {
-                if let Some(n) = std::env::var(var)
-                    .ok()
-                    .and_then(|v| v.trim().parse::<usize>().ok())
-                {
-                    if n >= 1 {
-                        return n.min(MAX_WORKERS + 1);
-                    }
-                }
-            }
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            std::env::var("NEK_POOL_THREADS")
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .filter(|&n| n >= 1)
+                .map(|n| n.min(MAX_WORKERS + 1))
+                .unwrap_or_else(|| {
+                    thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                })
         })
     }
 
