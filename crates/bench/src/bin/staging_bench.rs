@@ -5,8 +5,9 @@
 //! frame-cache hit rate. Two shapes:
 //!
 //! * **Single process** (default, `--role all`): writer world, staging
-//!   service, and N local consumer sessions in one process, over the
-//!   in-process channel wire or loopback TCP (`--wire tcp`).
+//!   service, and N consumer sessions in one process; the writer uses the
+//!   in-process channel wire or loopback TCP (`--wire tcp`), the sessions
+//!   attach over loopback TCP either way.
 //! * **Multi process** (`--role writer|staging|consumer`): each tier is
 //!   its own OS process connected over real TCP sockets — the shape CI
 //!   runs to prove the wire format is process-portable. The staging role
@@ -178,7 +179,7 @@ fn print_summary(report: &StagingReport, elapsed: Duration) {
     }
 }
 
-/// Single process: writer world + staging service + N local sessions.
+/// Single process: writer world + staging service + N loopback sessions.
 fn run_all(args: &HarnessArgs) {
     let dir = park_dir("all");
     let (writers, mut readers) = StagingNetwork::build_wired(
@@ -193,14 +194,24 @@ fn run_all(args: &HarnessArgs) {
     )
     .expect("wire setup");
     let service = StagingService::new(readers.remove(0), 1, &dir, 32);
-    let handle = service.handle();
+    let (listener, port) = loopback_listener().expect("bind consumer port");
+    service.listen_consumers(listener);
     let consumers = args.consumers.unwrap_or(3);
-    let drains: Vec<_> = (0..consumers.max(1))
+    let sessions = consumers.max(1);
+    let drains: Vec<_> = (0..sessions)
         .map(|_| {
-            let mut client = handle.attach_local(SessionSpec::default(), 4);
+            let mut client =
+                ConsumerClient::connect(&format!("127.0.0.1:{port}"), &SessionSpec::default(), 4)
+                    .expect("connect to staging");
             std::thread::spawn(move || client.drain(DRAIN_TIMEOUT).expect("drain"))
         })
         .collect();
+    assert!(
+        service
+            .handle()
+            .wait_attached(sessions, Duration::from_secs(10)),
+        "consumer sessions did not attach"
+    );
     let hub = TelemetryHub::default();
     let start = Instant::now();
     let sim = drive_writers(writers, steps(args), step_delay(args));
@@ -235,15 +246,8 @@ fn connect_addr<'a>(args: &'a HarnessArgs, role: &str) -> &'a str {
 /// service's data port.
 fn run_writer(args: &HarnessArgs) {
     let addr = connect_addr(args, "writer");
-    let writer = StagingNetwork::tcp_writer(
-        addr,
-        0,
-        StagingLink::test_tiny(),
-        QueuePolicy::Block,
-        FaultPlan::none(),
-        WriterConfig::default(),
-    )
-    .expect("connect to staging data port");
+    let writer = StagingNetwork::tcp_writer(addr, 0, StagingLink::test_tiny(), FaultPlan::none())
+        .expect("connect to staging data port");
     drive_writers(vec![writer], steps(args), step_delay(args))
         .join()
         .unwrap();

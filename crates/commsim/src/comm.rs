@@ -26,39 +26,6 @@ use std::time::Duration;
 use telemetry::{RankTelemetry, TelemetryHub};
 use trace::{RankTrace, SpanGuard, Tracer};
 
-/// Errors surfaced by non-panicking communicator operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CommError {
-    /// A rank thread panicked; every blocked operation aborts.
-    Poisoned,
-    /// `try_recv` found no matching message.
-    WouldBlock,
-    /// A message with the requested (source, tag) carried a different type.
-    TypeMismatch {
-        /// Source rank of the offending message.
-        src: usize,
-        /// Tag of the offending message.
-        tag: u64,
-    },
-}
-
-impl std::fmt::Display for CommError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CommError::Poisoned => write!(f, "communicator poisoned by a rank panic"),
-            CommError::WouldBlock => write!(f, "no matching message available"),
-            CommError::TypeMismatch { src, tag } => {
-                write!(
-                    f,
-                    "message from rank {src} tag {tag} has unexpected payload type"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CommError {}
-
 struct Envelope {
     src: usize,
     tag: u64,
@@ -114,7 +81,7 @@ impl CollSlot {
 
 /// Shared state of one simulated job: mailboxes, collective rendezvous,
 /// machine model, and the memory registry.
-pub struct World {
+pub(crate) struct World {
     size: usize,
     machine: Arc<MachineModel>,
     senders: Vec<Sender<Envelope>>,
@@ -131,15 +98,9 @@ pub struct World {
 
 impl World {
     /// Build a world of `size` ranks over `machine`, sharing `registry` for
-    /// memory accounting. Runs in free-running thread mode; executors that
-    /// schedule ranks by virtual time use [`World::new_with_sched`].
-    pub fn new(size: usize, machine: MachineModel, registry: Registry) -> Arc<Self> {
-        Self::new_with_sched(size, machine, registry, None)
-    }
-
-    /// Build a world driven by `sched` when given (see
-    /// [`crate::exec::EventExecutor`]), or free-running when `None`.
-    pub fn new_with_sched(
+    /// memory accounting, driven by `sched` when given (event mode) or
+    /// free-running when `None` (thread mode).
+    pub fn new(
         size: usize,
         machine: MachineModel,
         registry: Registry,
@@ -164,21 +125,6 @@ impl World {
             registry,
             sched,
         })
-    }
-
-    /// Number of ranks in the world.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The machine model the world runs on.
-    pub fn machine(&self) -> &MachineModel {
-        &self.machine
-    }
-
-    /// The shared memory registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Create the communicator handle for `rank`. Each rank may be attached
@@ -489,33 +435,6 @@ impl Comm {
     pub fn recv<T: Send + 'static>(&mut self, src: usize, tag: u64) -> T {
         let env = self.wait_matching(|e| e.src == src && e.tag == tag);
         self.finish_recv(env)
-    }
-
-    /// Blocking receive of a message with `tag` from any rank; returns the
-    /// source rank alongside the payload.
-    pub fn recv_any<T: Send + 'static>(&mut self, tag: u64) -> (usize, T) {
-        let env = self.wait_matching(|e| e.tag == tag);
-        let src = env.src;
-        (src, self.finish_recv(env))
-    }
-
-    /// Non-blocking receive: `Ok` with the payload if a matching message is
-    /// already available, `Err(WouldBlock)` otherwise.
-    pub fn try_recv<T: Send + 'static>(&mut self, src: usize, tag: u64) -> Result<T, CommError> {
-        self.drain_channel();
-        match self.stash.iter().position(|e| e.src == src && e.tag == tag) {
-            Some(i) => {
-                let env = self.stash.remove(i);
-                Ok(self.finish_recv(env))
-            }
-            None => Err(CommError::WouldBlock),
-        }
-    }
-
-    /// True if a message from `src` with `tag` is waiting (MPI_Iprobe).
-    pub fn probe(&mut self, src: usize, tag: u64) -> bool {
-        self.drain_channel();
-        self.stash.iter().any(|e| e.src == src && e.tag == tag)
     }
 
     fn drain_channel(&mut self) {
@@ -837,25 +756,6 @@ impl Comm {
         let all = self.reduce_with(value, nbytes, |v| v);
         (self.rank == root).then(|| all.as_ref().clone())
     }
-
-    /// Broadcast `root`'s value to all ranks. Non-root ranks pass anything
-    /// (their contribution is ignored); typically `bcast(root, value)` where
-    /// non-roots pass a default.
-    pub fn bcast<T: Clone + Send + Sync + 'static>(
-        &mut self,
-        root: usize,
-        value: T,
-        nbytes: u64,
-    ) -> T {
-        let all = self.reduce_with(value, nbytes, |v| v);
-        all[root].clone()
-    }
-
-    /// Reduce one scalar to `root`; other ranks get `None`.
-    pub fn reduce(&mut self, root: usize, value: f64, op: ReduceOp) -> Option<f64> {
-        let r = self.allreduce(value, op);
-        (self.rank == root).then_some(r)
-    }
 }
 
 #[cfg(test)]
@@ -999,15 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_distributes_root_value() {
-        let res = run_ranks(4, tiny(), |comm| {
-            let mine = if comm.rank() == 2 { 99 } else { 0 };
-            comm.bcast(2, mine, 8)
-        });
-        assert_eq!(res, vec![99; 4]);
-    }
-
-    #[test]
     fn collective_syncs_clocks_to_slowest_rank() {
         let res = run_ranks(4, tiny(), |comm| {
             // Rank 3 does 3 virtual seconds of compute before the barrier.
@@ -1036,31 +927,6 @@ mod tests {
         for v in res {
             assert_eq!(v, expected);
         }
-    }
-
-    #[test]
-    fn try_recv_and_probe() {
-        let res = run_ranks(2, tiny(), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 3, 7u8, 1);
-                comm.barrier();
-                true
-            } else {
-                assert_eq!(comm.try_recv::<u8>(0, 99), Err(CommError::WouldBlock));
-                comm.barrier(); // ensure the message has been sent
-                                // The message may need a moment to traverse the channel.
-                let mut got = None;
-                for _ in 0..1000 {
-                    if comm.probe(0, 3) {
-                        got = comm.try_recv::<u8>(0, 3).ok();
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                got == Some(7)
-            }
-        });
-        assert!(res[1]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Execution modes: how the ranks of a [`crate::World`] are driven.
+//! Execution modes: how the ranks of a world are driven.
 //!
-//! Two executors implement the same rank-per-OS-thread spawn/join contract
-//! (see [`Executor`]):
+//! [`run_world`] spawns one OS thread per rank and joins them; the
+//! [`SchedMode`] decides how those threads take turns:
 //!
-//! * [`ThreadExecutor`] — every rank thread runs freely and blocks in the
-//!   rendezvous primitives (channel timeouts, condvars). This is the
+//! * [`SchedMode::Thread`] — every rank thread runs freely and blocks in
+//!   the rendezvous primitives (channel timeouts, condvars). This is the
 //!   original commsim behavior: simple, parallel on real cores, but every
 //!   blocked rank still burns a 50 ms wakeup poll, and collectives wake
 //!   all waiters per phase flip — at thousands of ranks the host drowns
@@ -12,8 +12,8 @@
 //!   ([`THREAD_MODE_DEFAULT_MAX_RANKS`]) turns the eventual OS thread-spawn
 //!   failure into an actionable error.
 //!
-//! * [`EventExecutor`] — discrete-event mode. Rank threads exist only as
-//!   resumable tasks: a single *run token* is granted to one rank at a
+//! * [`SchedMode::Event`] — discrete-event mode. Rank threads exist only
+//!   as resumable tasks: a single *run token* is granted to one rank at a
 //!   time by [`EventSched`], and a rank returns it only where it would
 //!   otherwise wait — a `recv` with no matching message, a collective
 //!   that is not complete yet, an `external_wait` — or when it finishes.
@@ -24,7 +24,7 @@
 //!   completed collective), which is what makes 10k-rank worlds
 //!   practical.
 //!
-//! Virtual-time output is bitwise identical across the two executors by
+//! Virtual-time output is bitwise identical across the two modes by
 //! construction: both drive the *same* rendezvous code in `comm.rs`, and
 //! the clock rules there depend only on operation order and sizes — never
 //! on which thread happened to run first. The differential suite in
@@ -120,129 +120,53 @@ pub fn with_mode_override<R>(over: Option<SchedMode>, f: impl FnOnce() -> R) -> 
     f()
 }
 
-/// Spawn-and-join contract shared by both executors: run `f` on every
-/// rank of a fresh world and return per-rank results indexed by rank,
-/// re-raising the first rank panic after poisoning the world.
-pub trait Executor {
-    /// The mode this executor implements.
-    fn mode(&self) -> SchedMode;
-
-    /// Run `f` on `size` ranks over `machine`, sharing `registry`.
-    fn run_world<R, F>(
-        &self,
-        size: usize,
-        machine: MachineModel,
-        registry: Registry,
-        f: F,
-    ) -> Vec<RankResult<R>>
-    where
-        R: Send + 'static,
-        F: Fn(&mut Comm) -> R + Send + Sync + 'static;
-}
-
 /// Default per-rank stack: ranks mostly block in rendezvous, so stacks
 /// stay small and hundreds of ranks fit comfortably.
 pub const RANK_STACK_BYTES: usize = 2 * 1024 * 1024;
 
-/// Largest world [`ThreadExecutor`] accepts. Beyond ~2k free-running
-/// threads the condvar broadcast storms in the collective rendezvous
-/// dominate wall time long before the OS refuses to spawn, so the cap
-/// fails fast with a pointer to event mode instead.
+/// Largest world thread mode accepts. Beyond ~2k free-running threads the
+/// condvar broadcast storms in the collective rendezvous dominate wall
+/// time long before the OS refuses to spawn, so the cap fails fast with a
+/// pointer to event mode instead.
 pub const THREAD_MODE_DEFAULT_MAX_RANKS: usize = 2048;
 
-/// The original rank-per-thread executor: all ranks run concurrently and
-/// block inside the rendezvous primitives.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadExecutor {
-    /// Stack bytes per rank thread.
-    pub stack_bytes: usize,
-}
-
-impl Default for ThreadExecutor {
-    fn default() -> Self {
-        Self {
-            stack_bytes: RANK_STACK_BYTES,
+/// Run `f` on every rank of a fresh world of `size` ranks over `machine`,
+/// sharing `registry`, each rank on a thread with `stack_bytes` of stack,
+/// scheduled per `mode`. Returns per-rank results indexed by rank,
+/// re-raising the first rank panic after poisoning the world.
+///
+/// # Panics
+/// In thread mode, if `size` exceeds [`THREAD_MODE_DEFAULT_MAX_RANKS`];
+/// and on any rank panic.
+pub fn run_world<R, F>(
+    mode: SchedMode,
+    size: usize,
+    machine: MachineModel,
+    registry: Registry,
+    stack_bytes: usize,
+    f: F,
+) -> Vec<RankResult<R>>
+where
+    R: Send + 'static,
+    F: Fn(&mut Comm) -> R + Send + Sync + 'static,
+{
+    let sched = match mode {
+        SchedMode::Thread => {
+            assert!(
+                size <= THREAD_MODE_DEFAULT_MAX_RANKS,
+                "thread executor: world size {size} exceeds the \
+                 {THREAD_MODE_DEFAULT_MAX_RANKS} free-running OS-thread cap ({stack_bytes} B \
+                 stacks). Use NEK_SCHED_MODE=event (the discrete-event executor \
+                 handles 10k+ virtual ranks).",
+            );
+            None
         }
-    }
+        SchedMode::Event => Some(Arc::new(EventSched::new(size))),
+    };
+    spawn_and_join(size, machine, registry, stack_bytes, sched, f)
 }
 
-impl Executor for ThreadExecutor {
-    fn mode(&self) -> SchedMode {
-        SchedMode::Thread
-    }
-
-    fn run_world<R, F>(
-        &self,
-        size: usize,
-        machine: MachineModel,
-        registry: Registry,
-        f: F,
-    ) -> Vec<RankResult<R>>
-    where
-        R: Send + 'static,
-        F: Fn(&mut Comm) -> R + Send + Sync + 'static,
-    {
-        assert!(
-            size <= THREAD_MODE_DEFAULT_MAX_RANKS,
-            "thread executor: world size {size} exceeds the \
-             {THREAD_MODE_DEFAULT_MAX_RANKS} free-running OS-thread cap ({} B \
-             stacks). Use NEK_SCHED_MODE=event (the discrete-event executor \
-             handles 10k+ virtual ranks).",
-            self.stack_bytes,
-        );
-        spawn_and_join(size, machine, registry, self.stack_bytes, None, f)
-    }
-}
-
-/// The discrete-event executor: rank threads are coroutine-style tasks
-/// suspended wherever they would wait; an [`EventSched`] resumes the
-/// runnable rank with the earliest virtual clock.
-#[derive(Debug, Clone, Copy)]
-pub struct EventExecutor {
-    /// Stack bytes per rank task. Only one rank runs at a time, but every
-    /// suspended rank keeps its stack; tests that spawn 10k trivial ranks
-    /// shrink this well below [`RANK_STACK_BYTES`].
-    pub stack_bytes: usize,
-}
-
-impl Default for EventExecutor {
-    fn default() -> Self {
-        Self {
-            stack_bytes: RANK_STACK_BYTES,
-        }
-    }
-}
-
-impl EventExecutor {
-    /// An executor with `stack_bytes` per rank task (for very wide,
-    /// trivial-workload worlds).
-    pub fn with_stack_bytes(stack_bytes: usize) -> Self {
-        Self { stack_bytes }
-    }
-}
-
-impl Executor for EventExecutor {
-    fn mode(&self) -> SchedMode {
-        SchedMode::Event
-    }
-
-    fn run_world<R, F>(
-        &self,
-        size: usize,
-        machine: MachineModel,
-        registry: Registry,
-        f: F,
-    ) -> Vec<RankResult<R>>
-    where
-        R: Send + 'static,
-        F: Fn(&mut Comm) -> R + Send + Sync + 'static,
-    {
-        let sched = Arc::new(EventSched::new(size));
-        spawn_and_join(size, machine, registry, self.stack_bytes, Some(sched), f)
-    }
-}
-
-/// The spawn/join loop both executors share. With a scheduler, each rank
+/// The spawn/join loop under both modes. With a scheduler, each rank
 /// registers itself and waits for the run token before touching user
 /// code, and releases its slot when it finishes or unwinds.
 fn spawn_and_join<R, F>(
@@ -257,7 +181,7 @@ where
     R: Send + 'static,
     F: Fn(&mut Comm) -> R + Send + Sync + 'static,
 {
-    let world = World::new_with_sched(size, machine, registry, sched.clone());
+    let world = World::new(size, machine, registry, sched.clone());
     let f = Arc::new(f);
     // Rank threads share one global compute pool (see `rayon::pool`); the
     // spawning thread's pool-size override carries over so e.g.
@@ -400,7 +324,6 @@ mod tests {
 
     #[test]
     fn event_executor_matches_thread_executor_on_a_ring() {
-        let run = |exec: &dyn Fn() -> Vec<RankResult<f64>>| exec();
         let workload = |comm: &mut Comm| {
             let n = comm.size();
             let r = comm.rank();
@@ -412,22 +335,17 @@ mod tests {
             assert_eq!(s, n as f64);
             comm.now()
         };
-        let a = run(&|| {
-            ThreadExecutor::default().run_world(
+        let run = |mode| {
+            run_world(
+                mode,
                 6,
                 MachineModel::test_tiny(),
                 Registry::new(),
+                RANK_STACK_BYTES,
                 workload,
             )
-        });
-        let b = run(&|| {
-            EventExecutor::default().run_world(
-                6,
-                MachineModel::test_tiny(),
-                Registry::new(),
-                workload,
-            )
-        });
+        };
+        let (a, b) = (run(SchedMode::Thread), run(SchedMode::Event));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.time.to_bits(), y.time.to_bits(), "rank {}", x.rank);
             assert_eq!(x.stats, y.stats, "rank {}", x.rank);
@@ -538,7 +456,7 @@ mod tests {
             let mut v = [r as f64, i as f64, (r ^ i) as f64];
             comm.allreduce_vec(&mut v, crate::ReduceOp::Max);
             let g = comm.allgather(vec![r as u8; i % 5], (i % 5) as u64);
-            let b = comm.bcast(i % n, (r * 1000 + i) as u64, 8);
+            let b = comm.allgather((r * 1000 + i) as u64, 8)[i % n];
             assert_eq!(b, ((i % n) * 1000 + i) as u64, "round {i}");
             assert!(g
                 .iter()
@@ -559,10 +477,12 @@ mod tests {
         // without a result — a diagnosed deadlock in the event world, which
         // therefore runs first.
         let (event, _) = event_world(8, mixed_collective_laps);
-        let thread = ThreadExecutor::default().run_world(
+        let thread = run_world(
+            SchedMode::Thread,
             8,
             MachineModel::test_tiny(),
             Registry::new(),
+            RANK_STACK_BYTES,
             mixed_collective_laps,
         );
         for (t, e) in thread.iter().zip(&event) {

@@ -8,7 +8,8 @@
 //!
 //! * [`Comm`] — per-rank communicator handle: `send`/`recv` with tags and
 //!   MPI-style (source, tag) ordering, plus collectives (`barrier`,
-//!   `allreduce`, `bcast`, `gather`, `allgather`, `alltoall`).
+//!   `allreduce`, `allreduce_vec`, `gather`, `allgather`, and the general
+//!   `reduce_with`).
 //! * [`clock::Clock`] — a per-rank **virtual clock**. Every compute kernel,
 //!   message, collective, device transfer, and file write advances the clock
 //!   by a deterministic cost from the [`machine::MachineModel`]. Wall-clock
@@ -40,11 +41,8 @@ pub mod sched;
 pub mod stats;
 
 pub use clock::Clock;
-pub use comm::{Comm, CommError, World};
-pub use exec::{
-    with_mode, EventExecutor, Executor, SchedMode, ThreadExecutor, RANK_STACK_BYTES,
-    THREAD_MODE_DEFAULT_MAX_RANKS,
-};
+pub use comm::Comm;
+pub use exec::{run_world, with_mode, SchedMode, RANK_STACK_BYTES, THREAD_MODE_DEFAULT_MAX_RANKS};
 pub use fault::{
     AttemptFate, CheckpointCorruption, ConsumerStall, EndpointCrash, FaultPlan, InjectedCrash,
     LinkFaultSpec, SimRankCrash, WatchdogTimeout,

@@ -3,10 +3,10 @@
 //! Rank counts can exceed the physical core count — ranks are threads that
 //! mostly block in rendezvous, and the figure harnesses rely on virtual
 //! time, not wall time. The actual spawn/park mechanics live in
-//! [`crate::exec`]: these entry points dispatch on the ambient
+//! [`crate::exec::run_world`]: these entry points pass it the ambient
 //! [`SchedMode`] (the `NEK_SCHED_MODE` env var or a
-//! [`crate::exec::with_mode`] override) between the free-running
-//! [`ThreadExecutor`] and the discrete-event [`EventExecutor`].
+//! [`crate::exec::with_mode`] override) — free-running threads or the
+//! discrete-event scheduler.
 //!
 //! Thread mode keeps stacks small (2 MiB) so hundreds of ranks fit, but it
 //! still spends one free-running OS thread per rank — it refuses world
@@ -16,7 +16,7 @@
 //! and scales to tens of thousands of ranks.
 
 use crate::comm::Comm;
-use crate::exec::{EventExecutor, Executor, SchedMode, ThreadExecutor};
+use crate::exec::{run_world, SchedMode, RANK_STACK_BYTES};
 use crate::lock;
 use crate::machine::MachineModel;
 use crate::stats::CommStats;
@@ -78,9 +78,9 @@ where
 /// Run `f` on `size` ranks with a caller-provided memory registry; return
 /// full [`RankResult`]s including virtual times and stats.
 ///
-/// Dispatches on [`SchedMode::current`]: `NEK_SCHED_MODE=event` (or an
+/// Runs under [`SchedMode::current`]: `NEK_SCHED_MODE=event` (or an
 /// enclosing [`crate::exec::with_mode`]) selects the discrete-event
-/// executor; the default is the free-running thread executor.
+/// scheduler; the default is free-running threads.
 pub fn run_ranks_with_registry<R, F>(
     size: usize,
     machine: MachineModel,
@@ -91,10 +91,14 @@ where
     R: Send + 'static,
     F: Fn(&mut Comm) -> R + Send + Sync + 'static,
 {
-    match SchedMode::current() {
-        SchedMode::Thread => ThreadExecutor::default().run_world(size, machine, registry, f),
-        SchedMode::Event => EventExecutor::default().run_world(size, machine, registry, f),
-    }
+    run_world(
+        SchedMode::current(),
+        size,
+        machine,
+        registry,
+        RANK_STACK_BYTES,
+        f,
+    )
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The discrete-event rank scheduler behind [`crate::exec::EventExecutor`].
+//! The discrete-event rank scheduler behind [`crate::exec::run_world`]'s
+//! event mode.
 //!
 //! Ranks are OS threads used purely as resumable tasks: a single *run
 //! token* means at most one rank executes simulation code at a time. A
@@ -53,7 +54,7 @@ use std::thread::Thread;
 pub enum WaitReason {
     /// Blocked in `recv`/`recv_any` waiting for a matching message.
     Message,
-    /// Blocked in a collective rendezvous (barrier/reduce/gather/bcast).
+    /// Blocked in a collective rendezvous (barrier/allreduce/gather).
     Collective,
 }
 

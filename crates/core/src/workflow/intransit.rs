@@ -24,9 +24,11 @@ use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
 use sem::snapshot::{SnapshotPool, SnapshotSpec};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
+use transport::wire::loopback_listener;
 use transport::{
-    QueuePolicy, ReportSink, SessionSpec, StagingLink, StagingNetwork, StagingReport,
-    StagingService, TransportAnalysis, WireKind, WriterConfig,
+    ConsumerClient, QueuePolicy, ReportSink, SessionSpec, StagingLink, StagingNetwork,
+    StagingReport, StagingService, TransportAnalysis, WireKind, WriterConfig,
 };
 
 /// What the SENSEI endpoint does with the received data.
@@ -72,7 +74,8 @@ pub struct InTransitConfig {
     pub link: StagingLink,
     /// Staging queue bound, in packets per endpoint rank.
     pub queue_capacity: usize,
-    /// Overflow policy.
+    /// Inert: a full staging queue always blocks the writer. The field
+    /// stays because the benchmark (`nekbench`) sets it.
     pub policy: QueuePolicy,
     /// Endpoint behavior under test.
     pub mode: EndpointMode,
@@ -86,8 +89,8 @@ pub struct InTransitConfig {
     pub wire: WireKind,
     /// When > 0, replace the endpoint's fixed analysis with a
     /// [`StagingService`] fanning each step out to this many concurrent
-    /// consumer sessions (requires a single endpoint rank). 0 keeps the
-    /// classic one-consumer endpoint.
+    /// consumer sessions over loopback TCP (requires a single endpoint
+    /// rank). 0 keeps the classic one-consumer endpoint.
     pub staging_consumers: usize,
     /// Where the staging service parks delivered steps (late-joiner
     /// catch-up source). Defaults to a temp dir when unset.
@@ -99,7 +102,9 @@ pub struct InTransitConfig {
     /// Seeded fault injection plan for the staging link and endpoints
     /// ([`FaultPlan::none`] for a healthy run).
     pub faults: FaultPlan,
-    /// Writer retry/backoff/circuit-breaker parameters.
+    /// Inert: the writer's retry, backoff and circuit-breaker settings are
+    /// constants of `transport::engine`. The field stays because the
+    /// benchmark (`nekbench`) sets it.
     pub writer_config: WriterConfig,
     /// When set, producers whose circuit breaker opens degrade to the BP
     /// file engine in this directory instead of dropping triggers.
@@ -321,13 +326,14 @@ fn endpoint_rank(
     reader.set_accountant(comm.accountant("staging"));
     let outcome = if cfg.staging_consumers > 0 {
         // Fan-out mode: the staging service replaces the fixed analysis; N
-        // local consumer sessions with identical specs drain concurrently
-        // (one render per step, N−1 cache hits).
+        // consumer sessions with identical specs attach over loopback TCP
+        // and drain concurrently (one render per step, N−1 cache hits).
         let staging_dir = cfg.staging_dir.clone().unwrap_or_else(|| {
             std::env::temp_dir().join(format!("nek-staging-{}", std::process::id()))
         });
         let mut service = StagingService::new(reader, cfg.sim_ranks, &staging_dir, 32);
-        let handle = service.handle();
+        let (listener, port) = loopback_listener().expect("consumer port");
+        service.listen_consumers(listener);
         let spec = SessionSpec {
             width: cfg.image_size.0,
             height: cfg.image_size.1,
@@ -335,14 +341,20 @@ fn endpoint_rank(
         };
         let drains: Vec<_> = (0..cfg.staging_consumers)
             .map(|_| {
-                let mut client = handle.attach_local(spec.clone(), 4);
+                let mut client = ConsumerClient::connect(&format!("127.0.0.1:{port}"), &spec, 4)
+                    .expect("consumer connect");
                 std::thread::spawn(move || {
                     client
-                        .drain(std::time::Duration::from_secs(120))
+                        .drain(Duration::from_secs(120))
                         .expect("consumer drain")
                 })
             })
             .collect();
+        // Every session rides the stream from its first step.
+        let handle = service.handle();
+        let attached = comm
+            .external_wait(|| handle.wait_attached(cfg.staging_consumers, Duration::from_secs(10)));
+        assert!(attached, "staging consumer sessions did not attach");
         let report = service.run(comm).expect("staging run");
         for d in drains {
             d.join().expect("consumer thread");

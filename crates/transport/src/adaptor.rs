@@ -79,15 +79,6 @@ impl TransportAnalysis {
         }
     }
 
-    /// Writer statistics: (steps staged, steps dropped, bytes sent).
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.writer.steps_written(),
-            self.writer.steps_dropped(),
-            self.writer.bytes_sent(),
-        )
-    }
-
     /// This producer's staging outcome so far.
     pub fn report(&self) -> ProducerReport {
         ProducerReport {
@@ -230,7 +221,7 @@ impl AnalysisAdaptor for TransportAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{QueuePolicy, StagingNetwork};
+    use crate::engine::StagingNetwork;
     use crate::link::StagingLink;
     use commsim::MachineModel;
     use insitu::data_adaptor::StaticDataAdaptor;
@@ -255,23 +246,19 @@ mod tests {
     fn adaptor_stages_payloads_per_trigger() {
         use commsim::run_ranks_with_state;
         use insitu::AnalysisAdaptor as _;
-        let (mut writers, readers) =
-            StagingNetwork::build(1, 1, 8, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (mut writers, readers) = StagingNetwork::build(1, 1, 8, StagingLink::test_tiny());
         let analysis = TransportAnalysis::new("mesh", vec!["pressure".into()], writers.remove(0));
-        let stats = run_ranks_with_state(
+        let staged = run_ranks_with_state(
             MachineModel::test_tiny(),
             vec![analysis],
             |comm, mut analysis| {
                 let mut da = StaticDataAdaptor::new("mesh", block(0, 1), 0.5, 9);
                 analysis.execute(comm, &mut da).unwrap();
                 analysis.execute(comm, &mut da).unwrap();
-                analysis.stats()
+                analysis.report().staged_steps
             },
         );
-        let (written, dropped, bytes) = stats[0];
-        assert_eq!(written, 2);
-        assert_eq!(dropped, 0);
-        assert!(bytes > 0);
+        assert_eq!(staged, vec![2]);
         // The endpoint can unmarshal what was staged.
         run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
             let d = reader.recv_step(comm).unwrap().unwrap();
@@ -295,8 +282,7 @@ mod tests {
             std::process::id(),
             line!()
         ));
-        let (mut writers, readers) =
-            StagingNetwork::build(1, 1, 8, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (mut writers, readers) = StagingNetwork::build(1, 1, 8, StagingLink::test_tiny());
         drop(readers); // the endpoint dies before the run starts
         let mut analysis =
             TransportAnalysis::new("mesh", vec!["pressure".into()], writers.remove(0));

@@ -128,7 +128,7 @@ impl EndpointConsumer {
 mod tests {
     use super::*;
     use crate::adaptor::TransportAnalysis;
-    use crate::engine::{QueuePolicy, StagingNetwork};
+    use crate::engine::StagingNetwork;
     use crate::link::StagingLink;
     use commsim::{run_ranks_with_state, MachineModel};
     use insitu::AnalysisAdaptor as _;
@@ -158,8 +158,7 @@ mod tests {
     /// data each step.
     #[test]
     fn four_to_one_end_to_end() {
-        let (writers, readers) =
-            StagingNetwork::build(4, 1, 16, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, readers) = StagingNetwork::build(4, 1, 16, StagingLink::test_tiny());
 
         // Simulation world: 4 ranks, each staging 3 steps.
         let sim = std::thread::spawn(move || {
@@ -174,7 +173,7 @@ mod tests {
                     );
                     analysis.execute(comm, &mut da).unwrap();
                 }
-                analysis.stats()
+                analysis.report().staged_steps
             })
         });
 
@@ -187,11 +186,7 @@ mod tests {
             consumer.run(comm).unwrap()
         });
 
-        let sim_stats = sim.join().unwrap();
-        for (written, dropped, _) in sim_stats {
-            assert_eq!(written, 3);
-            assert_eq!(dropped, 0);
-        }
+        assert_eq!(sim.join().unwrap(), vec![3; 4]);
         let report = &endpoint[0];
         assert_eq!(report.steps_processed, 3);
         assert_eq!(report.complete_steps, 3);
@@ -206,8 +201,7 @@ mod tests {
     fn unframed_payload_is_crc_rejected_not_fatal() {
         // A raw (non-CRC-framed) payload never reaches the analysis: the
         // engine rejects it at ingest and the consumer finishes cleanly.
-        let (writers, readers) =
-            StagingNetwork::build(1, 1, 4, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, readers) = StagingNetwork::build(1, 1, 4, StagingLink::test_tiny());
         run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, mut w| {
             w.write(comm, 1, 0.0, vec![0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
         });

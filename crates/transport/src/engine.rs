@@ -3,15 +3,13 @@
 //!
 //! Mirrors SST's architecture: writers (simulation ranks) push marshaled
 //! step payloads into per-reader staging queues; readers (endpoint ranks)
-//! drain them asynchronously. The queue is bounded in *steps*; when full,
-//! the writer either blocks (SST's default back-pressure) or discards the
-//! new step (streaming mode). Every harness and workload blocks; only the
-//! engine's own tests and `tests/steering_and_policies.rs` discard, and
-//! on the TCP wire a discarding writer blocks too.
+//! drain them asynchronously. The queue is bounded in *steps*; when it is
+//! full the writer blocks — SST's default back-pressure, and the only
+//! policy there is.
 //!
 //! Virtual time: payloads carry the writer's send timestamp plus the link
 //! transfer cost; a reader's clock advances to at least that arrival time
-//! on receive. Under the blocking policy a stalled writer advances its
+//! on receive. A writer that finds the channel queue full advances its
 //! clock to the reader's publicized drain time, modeling back-pressure.
 //!
 //! # Fault tolerance
@@ -27,7 +25,7 @@
 //! *deterministically* instead of hanging on a wall-clock deadline: a step
 //! is delivered (complete or [partial](StepDelivery::missing)) as soon as
 //! every producer has contributed, skipped, or detached. A per-writer
-//! circuit breaker trips after `breaker_threshold` consecutive step
+//! circuit breaker trips after `BREAKER_THRESHOLD` (3) consecutive step
 //! failures (or instantly on disconnect), at which point every further
 //! [`SstWriter::write`] fails fast with [`TransportError::CircuitOpen`] so
 //! the workflow can degrade to the BP file engine.
@@ -46,13 +44,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// What happens when the staging queue is full.
+/// What happens when the staging queue is full. One answer: the writer
+/// blocks. The type stays because the benchmark names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueuePolicy {
     /// Writer blocks until the reader frees a slot (SST default).
     Block,
-    /// Writer drops the new step and continues (lossy streaming).
-    DiscardNewest,
 }
 
 /// What a packet carries; the value is the wire frame's kind byte.
@@ -88,55 +85,28 @@ pub struct Packet {
     pub payload: Vec<u8>,
 }
 
-/// Retry/backoff/circuit-breaker parameters for one writer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WriterConfig {
-    /// Data-plane transmission attempts per step before giving up.
-    pub max_attempts: u32,
-    /// Virtual seconds waited before declaring an unacknowledged frame
-    /// lost.
-    pub ack_timeout: f64,
-    /// First retry backoff in virtual seconds (doubles per attempt).
-    pub backoff_base: f64,
-    /// Backoff ceiling in virtual seconds.
-    pub backoff_cap: f64,
-    /// Consecutive failed steps that trip the circuit breaker.
-    pub breaker_threshold: u32,
-    /// Real-time safety bound on a blocking enqueue (wedged-reader guard),
-    /// in milliseconds. Virtual-time back-pressure is modeled separately
-    /// through the reader's drain time.
-    pub enqueue_timeout_ms: u64,
-}
+/// A fieldless stand-in: the writer's retry and breaker settings are the
+/// constants below. The type stays because the benchmark names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WriterConfig {}
 
-impl Default for WriterConfig {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            ack_timeout: 5.0e-4,
-            backoff_base: 1.0e-4,
-            backoff_cap: 1.0e-2,
-            breaker_threshold: 3,
-            enqueue_timeout_ms: 10_000,
-        }
-    }
-}
+/// Data-plane transmission attempts per step before giving up.
+const MAX_ATTEMPTS: u32 = 4;
+/// Virtual seconds waited before declaring an unacknowledged frame lost.
+const ACK_TIMEOUT: f64 = 5.0e-4;
+/// First retry backoff in virtual seconds (doubles per attempt).
+const BACKOFF_BASE: f64 = 1.0e-4;
+/// Backoff ceiling in virtual seconds.
+const BACKOFF_CAP: f64 = 1.0e-2;
+/// Consecutive failed steps that trip the circuit breaker.
+const BREAKER_THRESHOLD: u32 = 3;
+/// Real-time safety bound on a blocking send (wedged-reader guard).
+/// Virtual-time back-pressure is modeled separately through the reader's
+/// drain time.
+const ENQUEUE_TIMEOUT: Duration = Duration::from_millis(10_000);
 
-impl WriterConfig {
-    fn backoff(&self, attempt: u32) -> f64 {
-        (self.backoff_base * f64::powi(2.0, attempt as i32)).min(self.backoff_cap)
-    }
-}
-
-/// Successful outcome of one [`SstWriter::write`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteOutcome {
-    /// The step was accepted by the staging queue.
-    Delivered {
-        /// Data-plane attempts used (1 = first try).
-        attempts: u32,
-    },
-    /// The step was dropped by the [`QueuePolicy::DiscardNewest`] policy.
-    Discarded,
+fn backoff(attempt: u32) -> f64 {
+    (BACKOFF_BASE * f64::powi(2.0, attempt as i32)).min(BACKOFF_CAP)
 }
 
 #[derive(Default)]
@@ -153,18 +123,14 @@ pub struct SstWriter {
     pub reader_index: usize,
     tx: Box<dyn WireTx>,
     link: StagingLink,
-    policy: QueuePolicy,
-    config: WriterConfig,
     faults: Arc<FaultPlan>,
     state: Arc<ReaderState>,
     consecutive_failures: u32,
     breaker_open: bool,
     steps_written: u64,
-    steps_dropped: u64,
     steps_failed: u64,
     retries: u64,
     corrupt_frames: u64,
-    bytes_sent: u64,
 }
 
 impl SstWriter {
@@ -181,7 +147,7 @@ impl SstWriter {
         step: u64,
         time: f64,
         payload: Vec<u8>,
-    ) -> Result<WriteOutcome, WriteError> {
+    ) -> Result<(), WriteError> {
         if self.breaker_open {
             return Err(WriteError {
                 error: TransportError::CircuitOpen,
@@ -198,39 +164,19 @@ impl SstWriter {
             // What the failed attempt costs the writer, in virtual time.
             let penalty = match self.faults.attempt_fate(self.producer, step, attempt) {
                 commsim::AttemptFate::Deliver { extra_delay } => {
-                    let packet = Packet {
-                        kind: PacketKind::Data,
-                        producer: self.producer,
-                        step,
-                        time,
-                        t_avail: comm.now() + self.link.transfer_time(nbytes) + extra_delay,
-                        ctx: comm.trace_ctx(),
-                        t_sent: comm.now(),
-                        payload,
-                    };
-                    return match self.enqueue_data(comm, packet) {
-                        Ok(Some(())) => {
+                    let t_avail = comm.now() + self.link.transfer_time(nbytes) + extra_delay;
+                    let packet = self.packet(comm, PacketKind::Data, step, time, t_avail, payload);
+                    return match self.send(comm, packet) {
+                        Ok(()) => {
                             self.steps_written += 1;
-                            self.bytes_sent += nbytes;
                             self.consecutive_failures = 0;
-                            Ok(WriteOutcome::Delivered {
-                                attempts: attempt + 1,
-                            })
-                        }
-                        Ok(None) => {
-                            self.steps_dropped += 1;
-                            // Best-effort skip marker so the reader need not
-                            // wait for this step (lost if the queue is full).
-                            self.control(comm, PacketKind::Skip, step, false);
-                            Ok(WriteOutcome::Discarded)
+                            Ok(())
                         }
                         Err((error, payload)) => self.fail_step(comm, step, error, payload),
                     };
                 }
                 // Lost on the wire: wait out the ack timeout and back off.
-                commsim::AttemptFate::Drop => {
-                    self.config.ack_timeout + self.config.backoff(attempt)
-                }
+                commsim::AttemptFate::Drop => ACK_TIMEOUT + backoff(attempt),
                 commsim::AttemptFate::Corrupt => {
                     // The frame arrives damaged; ship the damaged bytes so
                     // the reader's CRC genuinely rejects them, then pay the
@@ -238,23 +184,11 @@ impl SstWriter {
                     let mut damaged = payload.clone();
                     self.faults
                         .corrupt_payload(&mut damaged, self.producer, step, attempt);
-                    self.best_effort_send(
-                        comm,
-                        Packet {
-                            kind: PacketKind::Data,
-                            producer: self.producer,
-                            step,
-                            time,
-                            t_avail: comm.now() + self.link.transfer_time(nbytes),
-                            ctx: comm.trace_ctx(),
-                            t_sent: comm.now(),
-                            payload: damaged,
-                        },
-                    );
+                    let t_avail = comm.now() + self.link.transfer_time(nbytes);
+                    let packet = self.packet(comm, PacketKind::Data, step, time, t_avail, damaged);
+                    let _ = self.send(comm, packet);
                     self.corrupt_frames += 1;
-                    self.link.transfer_time(nbytes)
-                        + self.link.control_latency
-                        + self.config.backoff(attempt)
+                    self.link.transfer_time(nbytes) + self.link.control_latency + backoff(attempt)
                 }
             };
             // Retransmit, all in virtual time, until the attempts run out.
@@ -263,7 +197,7 @@ impl SstWriter {
             self.retries += 1;
             comm.telemetry().counter("transport/retries").inc();
             attempt += 1;
-            if attempt >= self.config.max_attempts {
+            if attempt >= MAX_ATTEMPTS {
                 let error = TransportError::StepLost {
                     step,
                     attempts: attempt,
@@ -273,101 +207,78 @@ impl SstWriter {
         }
     }
 
-    /// Enqueue a data packet honoring the overflow policy. `Ok(Some(()))`
-    /// = accepted, `Ok(None)` = discarded (DiscardNewest), `Err` = the
-    /// queue failed with the packet's payload handed back.
-    fn enqueue_data(
-        &mut self,
-        comm: &mut commsim::Comm,
-        packet: Packet,
-    ) -> Result<Option<()>, (TransportError, Vec<u8>)> {
-        if self.tx.blocking() {
-            // Real-socket wire: the OS send buffer is the queue and TCP
-            // flow control is the back-pressure, so there is no cheap
-            // "full" probe (DiscardNewest degrades to blocking here). Hold
-            // the socket write outside the scheduler's run token.
-            return self.timed_send(comm, packet).map(Some);
-        }
-        match self.tx.try_send(packet) {
-            Ok(()) => Ok(Some(())),
-            Err(WireSendError::Full(p)) => match self.policy {
-                QueuePolicy::Block => {
-                    let _sp = comm.span("transport/backpressure");
-                    self.timed_send(comm, p)?;
-                    // Real back-pressure: the reader freed a slot. Read the
-                    // drain time *after* the blocking send — the pre-block
-                    // value is stale under a slow reader.
-                    let drain = *self.state.drain_time.lock().unwrap();
-                    if drain > comm.now() {
-                        comm.advance(drain - comm.now());
-                    }
-                    Ok(Some(()))
-                }
-                QueuePolicy::DiscardNewest => Ok(None),
-            },
-            Err(WireSendError::Timeout(p)) | Err(WireSendError::Closed(p)) => {
-                Err((TransportError::Disconnected, p.payload))
-            }
+    /// A packet from this writer, stamped with the sender's clock and
+    /// trace context.
+    fn packet(
+        &self,
+        comm: &commsim::Comm,
+        kind: PacketKind,
+        step: u64,
+        time: f64,
+        t_avail: f64,
+        payload: Vec<u8>,
+    ) -> Packet {
+        Packet {
+            kind,
+            producer: self.producer,
+            step,
+            time,
+            t_avail,
+            ctx: comm.trace_ctx(),
+            t_sent: comm.now(),
+            payload,
         }
     }
 
-    /// The one blocking send: bounded by the wedged-reader guard, and made
-    /// outside the event scheduler's run token — the reader lives in another
-    /// world, whose ranks must keep running to drain this queue. A failure
-    /// hands the payload back: the reader is wedged, or gone.
-    fn timed_send(
+    /// Put one packet — data, damaged frame or control marker — on the
+    /// wire. A channel queue with room takes it at once. Otherwise (the
+    /// queue is full, or the wire is a socket) the send waits off the event
+    /// scheduler's run token, bounded by the wedged-reader guard: the
+    /// reader lives in another world, whose ranks must keep running to
+    /// drain this queue. A data packet that found the channel queue full is
+    /// back-pressure: the wait is a `transport/backpressure` span and the
+    /// writer resumes at the reader's drain time. A failure hands the
+    /// payload back: the reader is wedged, or gone.
+    fn send(
         &mut self,
-        comm: &commsim::Comm,
+        comm: &mut commsim::Comm,
         packet: Packet,
     ) -> Result<(), (TransportError, Vec<u8>)> {
         let step = packet.step;
-        let timeout = Duration::from_millis(self.config.enqueue_timeout_ms);
+        let mut backpressure = None;
+        let packet = if self.tx.blocking() {
+            packet
+        } else {
+            match self.tx.try_send(packet) {
+                Ok(()) => return Ok(()),
+                Err(WireSendError::Full(p)) => {
+                    if p.kind == PacketKind::Data {
+                        backpressure = Some(comm.span("transport/backpressure"));
+                    }
+                    p
+                }
+                Err(WireSendError::Timeout(p) | WireSendError::Closed(p)) => {
+                    return Err((TransportError::Disconnected, p.payload))
+                }
+            }
+        };
         let tx = &mut self.tx;
-        comm.external_wait(|| tx.send_timeout(packet, timeout))
+        comm.external_wait(|| tx.send_timeout(packet, ENQUEUE_TIMEOUT))
             .map_err(|unsent| match unsent {
                 WireSendError::Timeout(p) => (TransportError::Backpressure { step }, p.payload),
                 WireSendError::Full(p) | WireSendError::Closed(p) => {
                     (TransportError::Disconnected, p.payload)
                 }
-            })
-    }
-
-    /// Fire-and-forget send (damaged frames, best-effort skips); routed
-    /// off-token when the wire blocks for real.
-    fn best_effort_send(&mut self, comm: &commsim::Comm, packet: Packet) {
-        if self.tx.blocking() {
-            let _ = self.timed_send(comm, packet);
-        } else {
-            let _ = self.tx.try_send(packet);
-        }
-    }
-
-    /// Send a control marker. Control rides SST's reliable TCP plane: when
-    /// `reliable`, a full queue is waited out (bounded); otherwise the
-    /// marker is best-effort.
-    fn control(&mut self, comm: &commsim::Comm, kind: PacketKind, step: u64, reliable: bool) {
-        let packet = Packet {
-            kind,
-            producer: self.producer,
-            step,
-            time: 0.0,
-            t_avail: comm.now() + self.link.control_latency,
-            ctx: comm.trace_ctx(),
-            t_sent: comm.now(),
-            payload: Vec::new(),
-        };
-        if self.tx.blocking() {
-            // Socket control plane: the write is bounded-blocking either
-            // way; reliability falls out of TCP itself.
-            self.best_effort_send(comm, packet);
-            return;
-        }
-        match self.tx.try_send(packet) {
-            Err(WireSendError::Full(p)) if reliable => {
-                let _ = self.timed_send(comm, p);
+            })?;
+        if backpressure.is_some() {
+            // The reader freed a slot. Read the drain time *after* the
+            // wait — the pre-block value is stale under a slow reader.
+            let drain = *self.state.drain_time.lock().unwrap();
+            if drain > comm.now() {
+                comm.advance(drain - comm.now());
             }
-            _ => {}
         }
+        Ok(())
     }
 
     /// Account one failed step: notify the reader, advance the breaker,
@@ -378,7 +289,7 @@ impl SstWriter {
         step: u64,
         error: TransportError,
         payload: Vec<u8>,
-    ) -> Result<WriteOutcome, WriteError> {
+    ) -> Result<(), WriteError> {
         self.steps_failed += 1;
         if error == TransportError::Disconnected {
             // Unrecoverable: the reader is gone, nothing can be notified.
@@ -390,18 +301,22 @@ impl SstWriter {
             );
             return Err(WriteError { error, payload });
         }
-        // Reliable control plane: tell the reader this step will not
-        // arrive so it can resolve the step as partial instead of hanging.
-        self.control(comm, PacketKind::Skip, step, true);
+        // Control plane: tell the reader this step will not arrive so it
+        // can resolve the step as partial instead of hanging.
+        let t_avail = comm.now() + self.link.control_latency;
+        let skip = self.packet(comm, PacketKind::Skip, step, 0.0, t_avail, Vec::new());
+        let _ = self.send(comm, skip);
         self.consecutive_failures += 1;
-        if self.consecutive_failures >= self.config.breaker_threshold {
+        if self.consecutive_failures >= BREAKER_THRESHOLD {
             self.breaker_open = true;
             comm.telemetry_event(
                 commsim::EventKind::CircuitBreakerOpen,
                 Some(step),
                 format!("{} consecutive failures", self.consecutive_failures),
             );
-            self.control(comm, PacketKind::Detach, step, true);
+            let t_avail = comm.now() + self.link.control_latency;
+            let detach = self.packet(comm, PacketKind::Detach, step, 0.0, t_avail, Vec::new());
+            let _ = self.send(comm, detach);
             return Err(WriteError {
                 error: TransportError::CircuitOpen,
                 payload,
@@ -413,11 +328,6 @@ impl SstWriter {
     /// Steps accepted by the queue.
     pub fn steps_written(&self) -> u64 {
         self.steps_written
-    }
-
-    /// Steps dropped (DiscardNewest only).
-    pub fn steps_dropped(&self) -> u64 {
-        self.steps_dropped
     }
 
     /// Steps that exhausted their transmission attempts or hit a fatal
@@ -439,11 +349,6 @@ impl SstWriter {
     /// True once the circuit breaker has tripped (endpoint presumed dead).
     pub fn breaker_open(&self) -> bool {
         self.breaker_open
-    }
-
-    /// Payload bytes accepted.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
     }
 }
 
@@ -778,9 +683,8 @@ impl SstReader {
 pub struct StagingNetwork;
 
 impl StagingNetwork {
-    /// Build the writer and reader handles with no fault injection and
-    /// default retry parameters. `capacity` is the per-reader queue bound
-    /// in packets.
+    /// Build the writer and reader handles with no fault injection.
+    /// `capacity` is the per-reader queue bound in packets.
     ///
     /// # Panics
     /// If `n_writers % n_readers != 0` or either is zero.
@@ -789,21 +693,11 @@ impl StagingNetwork {
         n_readers: usize,
         capacity: usize,
         link: StagingLink,
-        policy: QueuePolicy,
     ) -> (Vec<SstWriter>, Vec<SstReader>) {
-        Self::build_faulty(
-            n_writers,
-            n_readers,
-            capacity,
-            link,
-            policy,
-            FaultPlan::none(),
-            WriterConfig::default(),
-        )
+        Self::build_faulty(n_writers, n_readers, capacity, link, FaultPlan::none())
     }
 
-    /// Build the network under a seeded [`FaultPlan`] and explicit writer
-    /// retry/breaker parameters.
+    /// Build the network under a seeded [`FaultPlan`].
     ///
     /// # Panics
     /// If `n_writers % n_readers != 0` or either is zero.
@@ -812,18 +706,16 @@ impl StagingNetwork {
         n_readers: usize,
         capacity: usize,
         link: StagingLink,
-        policy: QueuePolicy,
         faults: FaultPlan,
-        config: WriterConfig,
     ) -> (Vec<SstWriter>, Vec<SstReader>) {
         Self::build_wired(
             n_writers,
             n_readers,
             capacity,
             link,
-            policy,
+            QueuePolicy::Block,
             faults,
-            config,
+            WriterConfig::default(),
             WireKind::Channel,
         )
         .expect("channel wire cannot fail to build")
@@ -832,6 +724,8 @@ impl StagingNetwork {
     /// Build the network over the selected [`WireKind`]: the in-process
     /// channel engine (exactly [`Self::build_faulty`]) or real loopback
     /// TCP sockets, one listener per reader, one connection per writer.
+    /// The policy and config arguments are inert; they stay because the
+    /// benchmark passes them.
     ///
     /// # Errors
     /// Socket bind/connect failures (tcp only).
@@ -844,9 +738,9 @@ impl StagingNetwork {
         n_readers: usize,
         capacity: usize,
         link: StagingLink,
-        policy: QueuePolicy,
+        _policy: QueuePolicy,
         faults: FaultPlan,
-        config: WriterConfig,
+        _config: WriterConfig,
         wire: WireKind,
     ) -> std::io::Result<(Vec<SstWriter>, Vec<SstReader>)> {
         assert!(n_writers > 0 && n_readers > 0, "need writers and readers");
@@ -884,8 +778,6 @@ impl StagingNetwork {
                     r,
                     tx,
                     link,
-                    policy,
-                    config,
                     Arc::clone(&faults),
                     Arc::clone(&state),
                 ));
@@ -910,17 +802,13 @@ impl StagingNetwork {
         addr: &str,
         producer: usize,
         link: StagingLink,
-        policy: QueuePolicy,
         faults: FaultPlan,
-        config: WriterConfig,
     ) -> std::io::Result<SstWriter> {
         Ok(Self::make_writer(
             producer,
             0,
             Box::new(TcpWireTx::connect(addr)?),
             link,
-            policy,
-            config,
             Arc::new(faults),
             Arc::default(),
         ))
@@ -944,14 +832,11 @@ impl StagingNetwork {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn make_writer(
         producer: usize,
         reader_index: usize,
         tx: Box<dyn WireTx>,
         link: StagingLink,
-        policy: QueuePolicy,
-        config: WriterConfig,
         faults: Arc<FaultPlan>,
         state: Arc<ReaderState>,
     ) -> SstWriter {
@@ -960,18 +845,14 @@ impl StagingNetwork {
             reader_index,
             tx,
             link,
-            policy,
-            config,
             faults,
             state,
             consecutive_failures: 0,
             breaker_open: false,
             steps_written: 0,
-            steps_dropped: 0,
             steps_failed: 0,
             retries: 0,
             corrupt_frames: 0,
-            bytes_sent: 0,
         }
     }
 
@@ -1019,8 +900,7 @@ mod tests {
 
     #[test]
     fn four_to_one_mapping() {
-        let (writers, readers) =
-            StagingNetwork::build(8, 2, 4, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, readers) = StagingNetwork::build(8, 2, 4, StagingLink::test_tiny());
         assert_eq!(writers.len(), 8);
         assert_eq!(readers.len(), 2);
         for (i, w) in writers.iter().enumerate() {
@@ -1033,14 +913,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple")]
     fn non_divisible_mapping_rejected() {
-        StagingNetwork::build(5, 2, 4, StagingLink::test_tiny(), QueuePolicy::Block);
+        StagingNetwork::build(5, 2, 4, StagingLink::test_tiny());
     }
 
     #[test]
     fn writer_to_reader_step_assembly() {
         // 2 writers → 1 reader; reader assembles both packets per step.
-        let (writers, readers) =
-            StagingNetwork::build(2, 1, 8, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, readers) = StagingNetwork::build(2, 1, 8, StagingLink::test_tiny());
         let handle = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, mut w| {
                 let i = comm.rank();
@@ -1070,25 +949,6 @@ mod tests {
         assert_eq!(bytes, 624, "6 packets × 104 framed bytes");
     }
 
-    #[test]
-    fn discard_policy_drops_when_full() {
-        let (writers, readers) = StagingNetwork::build(
-            1,
-            1,
-            2,
-            StagingLink::test_tiny(),
-            QueuePolicy::DiscardNewest,
-        );
-        let res = run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, mut w| {
-            for step in 0..5u64 {
-                w.write(comm, step, 0.0, vec![0; 10]).unwrap();
-            }
-            (w.steps_written(), w.steps_dropped())
-        });
-        assert_eq!(res[0], (2, 3), "queue holds 2, rest dropped");
-        drop(readers);
-    }
-
     /// A wire that tells the test when a `try_send` found the queue full,
     /// i.e. when the writer is about to block on the reader.
     struct FullSignal {
@@ -1112,8 +972,7 @@ mod tests {
 
     #[test]
     fn blocking_policy_applies_backpressure() {
-        let (writers, readers) =
-            StagingNetwork::build(1, 1, 1, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, readers) = StagingNetwork::build(1, 1, 1, StagingLink::test_tiny());
         // Back-pressure is charged only when the writer finds the queue full,
         // so whether it happens is a real-time race between the two worlds.
         // Pin the schedule: the reader frees a slot only once the writer has
@@ -1164,8 +1023,7 @@ mod tests {
 
     #[test]
     fn reader_accountant_tracks_staged_bytes() {
-        let (writers, mut readers) =
-            StagingNetwork::build(1, 1, 4, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, mut readers) = StagingNetwork::build(1, 1, 4, StagingLink::test_tiny());
         let acct = Accountant::new("staging");
         readers[0].set_accountant(acct.clone());
         let framed = payload_for(7);
@@ -1194,15 +1052,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (writers, readers) = StagingNetwork::build_faulty(
-            1,
-            1,
-            32,
-            StagingLink::test_tiny(),
-            QueuePolicy::Block,
-            plan,
-            WriterConfig::default(),
-        );
+        let (writers, readers) =
+            StagingNetwork::build_faulty(1, 1, 32, StagingLink::test_tiny(), plan);
         let reader_thread = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
                 let mut delivered = Vec::new();
@@ -1235,7 +1086,7 @@ mod tests {
             }
         }
         // Retries are virtual-time-costed: ack timeouts + backoff.
-        let min_cost = retries as f64 * WriterConfig::default().ack_timeout;
+        let min_cost = retries as f64 * ACK_TIMEOUT;
         assert!(
             t >= min_cost * 0.5,
             "retries must advance the clock: t={t}, retries={retries}"
@@ -1251,15 +1102,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (writers, readers) = StagingNetwork::build_faulty(
-            1,
-            1,
-            64,
-            StagingLink::test_tiny(),
-            QueuePolicy::Block,
-            plan,
-            WriterConfig::default(),
-        );
+        let (writers, readers) =
+            StagingNetwork::build_faulty(1, 1, 64, StagingLink::test_tiny(), plan);
         let reader_thread = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
                 let mut complete = 0u64;
@@ -1291,10 +1135,60 @@ mod tests {
         assert_eq!(complete, ok, "every accepted step arrives intact");
     }
 
+    /// A wire whose queue is full at every first try, so every send takes
+    /// the waiting path whatever the reader is doing.
+    struct AlwaysFull(Box<dyn WireTx>);
+
+    impl WireTx for AlwaysFull {
+        fn try_send(&mut self, packet: Packet) -> Result<(), WireSendError> {
+            Err(WireSendError::Full(packet))
+        }
+
+        fn send_timeout(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
+            self.0.send_timeout(packet, timeout)
+        }
+    }
+
+    #[test]
+    fn damaged_frames_wait_for_a_full_queue_and_are_all_crc_rejected() {
+        let plan = FaultPlan::with_link(
+            7,
+            LinkFaultSpec {
+                corrupt_prob: 0.3,
+                ..Default::default()
+            },
+        );
+        let (writers, readers) =
+            StagingNetwork::build_faulty(1, 1, 1, StagingLink::test_tiny(), plan);
+        let writers: Vec<SstWriter> = writers
+            .into_iter()
+            .map(|w| SstWriter {
+                tx: Box::new(AlwaysFull(w.tx)),
+                ..w
+            })
+            .collect();
+        let reader_thread = std::thread::spawn(move || {
+            run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
+                while reader.recv_step(comm).unwrap().is_some() {}
+                reader.corrupt_rejected()
+            })
+        });
+        let corrupt_sent =
+            run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, mut w| {
+                for step in 0..20u64 {
+                    w.write(comm, step, 0.0, payload_for(3)).unwrap();
+                }
+                w.corrupt_frames()
+            })[0];
+        assert!(corrupt_sent > 0, "30% corruption must damage some frames");
+        // A damaged frame that finds the queue full waits for a slot like
+        // any other packet, so the reader sees, and rejects, every one.
+        assert_eq!(reader_thread.join().unwrap()[0], corrupt_sent);
+    }
+
     #[test]
     fn disconnect_trips_breaker_instead_of_panicking() {
-        let (writers, readers) =
-            StagingNetwork::build(1, 1, 2, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, readers) = StagingNetwork::build(1, 1, 2, StagingLink::test_tiny());
         drop(readers); // endpoint dies before the first write
         let res = run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, mut w| {
             let first = w.write(comm, 1, 0.0, payload_for(0));
@@ -1326,16 +1220,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let cfg = WriterConfig::default();
-        let (writers, readers) = StagingNetwork::build_faulty(
-            1,
-            1,
-            8,
-            StagingLink::test_tiny(),
-            QueuePolicy::Block,
-            plan,
-            cfg,
-        );
+        let (writers, readers) =
+            StagingNetwork::build_faulty(1, 1, 8, StagingLink::test_tiny(), plan);
         let reader_thread = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
                 let mut log = Vec::new();
@@ -1382,15 +1268,8 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let (writers, readers) = StagingNetwork::build_faulty(
-            1,
-            1,
-            2,
-            StagingLink::test_tiny(),
-            QueuePolicy::Block,
-            plan,
-            WriterConfig::default(),
-        );
+        let (writers, readers) =
+            StagingNetwork::build_faulty(1, 1, 2, StagingLink::test_tiny(), plan);
         let reader_thread = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
                 let mut steps = Vec::new();
@@ -1422,32 +1301,33 @@ mod tests {
         assert_eq!(delivered + fatal, 8, "every write accounted for, no panic");
     }
 
-    #[test]
-    fn consumer_stall_fault_backpressures_writers() {
-        use commsim::ConsumerStall;
-        let plan = FaultPlan {
-            stalls: vec![ConsumerStall {
+    /// Endpoint 0 stalls 25 virtual seconds delivering step 1.
+    fn stall_plan() -> FaultPlan {
+        FaultPlan {
+            stalls: vec![commsim::ConsumerStall {
                 endpoint: 0,
                 at_step: 1,
                 seconds: 25.0,
             }],
             ..FaultPlan::none()
-        };
-        let (writers, readers) = StagingNetwork::build_faulty(
-            1,
-            1,
-            1,
-            StagingLink::test_tiny(),
-            QueuePolicy::Block,
-            plan,
-            WriterConfig::default(),
-        );
-        let reader_thread = std::thread::spawn(move || {
+        }
+    }
+
+    /// Drain `readers` on their own world; yields each reader's final clock.
+    fn drain_clocks(readers: Vec<SstReader>) -> std::thread::JoinHandle<Vec<f64>> {
+        std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
                 while reader.recv_step(comm).unwrap().is_some() {}
                 comm.now()
             })
-        });
+        })
+    }
+
+    #[test]
+    fn consumer_stall_fault_backpressures_writers() {
+        let (writers, readers) =
+            StagingNetwork::build_faulty(1, 1, 1, StagingLink::test_tiny(), stall_plan());
+        let reader_thread = drain_clocks(readers);
         let res = run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, mut w| {
             for step in 1..=4u64 {
                 w.write(comm, step, 0.0, payload_for(0)).unwrap();
@@ -1464,5 +1344,41 @@ mod tests {
             "stall must back-pressure the writer through the full queue: {}",
             res[0]
         );
+    }
+
+    /// The same stall over real sockets: there TCP flow control is the
+    /// back-pressure, so the writer's clock carries its own control
+    /// latencies and nothing else — no drain-time advance, no
+    /// `transport/backpressure` span.
+    #[test]
+    fn consumer_stall_over_tcp_never_moves_the_writer_to_the_drain_time() {
+        let link = StagingLink::test_tiny();
+        let (writers, readers) = StagingNetwork::build_wired(
+            1,
+            1,
+            1,
+            link,
+            QueuePolicy::Block,
+            stall_plan(),
+            WriterConfig::default(),
+            WireKind::Tcp,
+        )
+        .unwrap();
+        let reader_thread = drain_clocks(readers);
+        let (t, trace) = run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, mut w| {
+            comm.enable_tracing(0);
+            for step in 1..=4u64 {
+                w.write(comm, step, 0.0, payload_for(0)).unwrap();
+            }
+            (comm.now(), comm.take_trace().unwrap())
+        })
+        .remove(0);
+        assert!(reader_thread.join().unwrap()[0] >= 25.0);
+        let own = (0..4).fold(0.0, |t: f64, _| t + link.control_latency);
+        assert_eq!(t.to_bits(), own.to_bits(), "writer clock {t}, own {own}");
+        assert!(trace
+            .spans
+            .iter()
+            .all(|s| s.name != "transport/backpressure"));
     }
 }

@@ -17,9 +17,9 @@
 //! * [`link`] — the staging network model (latency/bandwidth for the data
 //!   plane, per-message control latency — the UCX/TCP parameters).
 //! * [`engine`] — [`engine::SstWriter`] / [`engine::SstReader`]: bounded
-//!   staging queues between a simulation world and an endpoint world, with
-//!   blocking or discarding overflow policies, timestamped for the virtual
-//!   clock on both sides.
+//!   staging queues between a simulation world and an endpoint world; a
+//!   full queue blocks the writer, and both sides are timestamped for the
+//!   virtual clock.
 //! * [`endpoint`] — the SENSEI data consumer that the paper uses as the
 //!   workflow endpoint: collects each step from its producers, rebuilds a
 //!   multiblock, and drives a `ConfigurableAnalysis` (rendering or VTU
@@ -59,8 +59,7 @@ pub use adaptor::{ProducerReport, ReportSink, TransportAnalysis};
 pub use bp::{crc32, frame_crc_ok, marshal_blocks, unmarshal_blocks, StepData};
 pub use endpoint::{EndpointConsumer, EndpointReport};
 pub use engine::{
-    PacketKind, QueuePolicy, SstReader, SstWriter, StagingNetwork, StepDelivery, WriteOutcome,
-    WriterConfig,
+    PacketKind, QueuePolicy, SstReader, SstWriter, StagingNetwork, StepDelivery, WriterConfig,
 };
 pub use error::{TransportError, WriteError};
 pub use file_engine::{BpFileReader, BpFileWriter};

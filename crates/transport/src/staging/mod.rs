@@ -17,11 +17,11 @@
 //! * **catches up late joiners** by replaying the parked BP files through
 //!   the same cache before live frames resume.
 //!
-//! Sessions attach in-process (the [`StagingHandle`]) or over TCP
-//! ([`StagingService::listen_consumers`] + [`ConsumerClient::connect`]),
-//! using the protocol in [`protocol`]. All potentially blocking waits on
-//! real sockets/channels run under `Comm::external_wait`, so the service
-//! works in both `NEK_SCHED_MODE`s.
+//! Every session attaches over TCP ([`StagingService::listen_consumers`] +
+//! [`ConsumerClient::connect`], a loopback listener when the consumers
+//! share the process), using the protocol in [`protocol`]. All
+//! potentially blocking waits on sockets and channels run under
+//! `Comm::external_wait`, so the service works in both `NEK_SCHED_MODE`s.
 
 pub mod live;
 pub mod protocol;
@@ -108,14 +108,9 @@ impl StagingReport {
     }
 }
 
-enum DownLink {
-    Local(Sender<DownMsg>),
-    Tcp(TcpStream),
-}
-
 struct Session {
     pipeline: RenderPipeline,
-    down: DownLink,
+    down: TcpStream,
     credit_rx: Receiver<u32>,
     credits: i64,
     stats: SessionStats,
@@ -125,12 +120,12 @@ struct Session {
 struct PendingSession {
     spec: SessionSpec,
     credits: u32,
-    down: DownLink,
+    down: TcpStream,
     credit_rx: Receiver<u32>,
 }
 
-/// Cloneable attach point for new consumer sessions; safe to hand to
-/// other threads (the TCP accept loop uses one internally).
+/// Cloneable view of the sessions a service has taken in; safe to hand
+/// to other threads (the TCP accept loop uses one internally).
 #[derive(Clone)]
 pub struct StagingHandle {
     joiners: Sender<PendingSession>,
@@ -138,46 +133,31 @@ pub struct StagingHandle {
 }
 
 impl StagingHandle {
-    /// Open an in-process consumer session with `credits` initial frame
-    /// credits. The session is admitted at the service's next step
-    /// boundary (with catch-up from the parked files if the stream is
-    /// already running).
-    pub fn attach_local(&self, spec: SessionSpec, credits: u32) -> ConsumerClient {
-        let (down_tx, down_rx) = channel();
-        let (credit_tx, credit_rx) = sync_channel(1024);
-        let _ = self.joiners.send(PendingSession {
-            spec,
-            credits,
-            down: DownLink::Local(down_tx),
-            credit_rx,
-        });
-        self.attached.fetch_add(1, Ordering::SeqCst);
-        ConsumerClient {
-            inner: ClientInner::Local {
-                frames: down_rx,
-                credits: credit_tx,
-            },
-        }
-    }
-
     /// Sessions attached through this handle (admitted or pending).
     pub fn attached(&self) -> usize {
         self.attached.load(Ordering::SeqCst)
     }
-}
 
-enum ClientInner {
-    Local {
-        frames: Receiver<DownMsg>,
-        credits: SyncSender<u32>,
-    },
-    Tcp(TcpStream),
+    /// Wait until at least `n` sessions are attached; false if they are
+    /// not within `timeout`. A session connected before the stream starts
+    /// rides it from the first step once this returns true; one attached
+    /// later catches up from the parked files.
+    pub fn wait_attached(&self, n: usize, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        while self.attached() < n {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
 }
 
 /// Consumer-side handle on one staging session: receive frames, grant
-/// credits. Works identically for in-process and TCP sessions.
+/// credits.
 pub struct ConsumerClient {
-    inner: ClientInner,
+    stream: TcpStream,
 }
 
 impl ConsumerClient {
@@ -190,22 +170,15 @@ impl ConsumerClient {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         protocol::write_hello(&mut stream, spec, credits, false)?;
-        Ok(Self {
-            inner: ClientInner::Tcp(stream),
-        })
+        Ok(Self { stream })
     }
 
     /// Grant `n` more frame credits to the service.
     ///
     /// # Errors
-    /// Write failures (tcp) or a gone service (local).
+    /// Write failures.
     pub fn grant(&mut self, n: u32) -> std::io::Result<()> {
-        match &mut self.inner {
-            ClientInner::Local { credits, .. } => credits.send(n).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::BrokenPipe, "staging service gone")
-            }),
-            ClientInner::Tcp(stream) => protocol::write_credit(stream, n),
-        }
+        protocol::write_credit(&mut self.stream, n)
     }
 
     /// Wait up to `timeout` for the next frame. `Ok(None)` is the end of
@@ -215,27 +188,11 @@ impl ConsumerClient {
     /// Wire/protocol failures; a plain timeout is
     /// `ErrorKind::TimedOut`.
     pub fn next_frame(&mut self, timeout: Duration) -> std::io::Result<Option<FrameMsg>> {
-        match &mut self.inner {
-            ClientInner::Local { frames, .. } => match frames.recv_timeout(timeout) {
-                Ok(DownMsg::Frame(f)) => Ok(Some(f)),
-                // Telemetry never targets a frame session.
-                Ok(DownMsg::Telemetry(_)) | Ok(DownMsg::End) => Ok(None),
-                Err(RecvTimeoutError::Timeout) => Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "no frame within timeout",
-                )),
-                Err(RecvTimeoutError::Disconnected) => Ok(None),
-            },
-            ClientInner::Tcp(stream) => {
-                stream.set_read_timeout(Some(timeout)).ok();
-                match protocol::read_down(stream) {
-                    Ok(Some(DownMsg::Frame(f))) => Ok(Some(f)),
-                    Ok(Some(DownMsg::Telemetry(_))) | Ok(Some(DownMsg::End)) | Ok(None) => {
-                        Ok(None)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
+        self.stream.set_read_timeout(Some(timeout)).ok();
+        match protocol::read_down(&mut self.stream)? {
+            Some(DownMsg::Frame(f)) => Ok(Some(f)),
+            // Telemetry never targets a frame session.
+            Some(DownMsg::Telemetry(_) | DownMsg::End) | None => Ok(None),
         }
     }
 
@@ -469,14 +426,12 @@ impl StagingService {
                 name: img.name,
                 png,
             });
-            let sent = match &mut session.down {
-                DownLink::Local(tx) => tx.send(msg).is_ok(),
-                DownLink::Tcp(stream) => {
-                    stream.set_write_timeout(Some(CREDIT_WAIT)).ok();
-                    comm.external_wait(|| protocol::write_down(stream, &msg)).is_ok()
-                }
-            };
-            if !sent {
+            let stream = &mut session.down;
+            stream.set_write_timeout(Some(CREDIT_WAIT)).ok();
+            if comm
+                .external_wait(|| protocol::write_down(stream, &msg))
+                .is_err()
+            {
                 session.open = false;
                 session.stats.detached = true;
                 return;
@@ -574,20 +529,15 @@ impl StagingService {
             if !session.open {
                 continue;
             }
-            let sent = match &mut session.down {
-                DownLink::Local(tx) => tx.send(DownMsg::End).is_ok(),
-                DownLink::Tcp(stream) => {
-                    stream.set_write_timeout(Some(CREDIT_WAIT)).ok();
-                    let sent = comm
-                        .external_wait(|| protocol::write_down(stream, &DownMsg::End))
-                        .is_ok();
-                    // Half-close only: the client is still granting credits
-                    // for frames it has buffered, and `forward_credits`
-                    // keeps the read side open until the client hangs up.
-                    stream.shutdown(std::net::Shutdown::Write).ok();
-                    sent
-                }
-            };
+            let stream = &mut session.down;
+            stream.set_write_timeout(Some(CREDIT_WAIT)).ok();
+            let sent = comm
+                .external_wait(|| protocol::write_down(stream, &DownMsg::End))
+                .is_ok();
+            // Half-close only: the client is still granting credits for
+            // frames it has buffered, and `forward_credits` keeps the read
+            // side open until the client hangs up.
+            stream.shutdown(std::net::Shutdown::Write).ok();
             if !sent {
                 session.stats.detached = true;
             }
@@ -661,7 +611,7 @@ fn serve_connection(
                 let pending = PendingSession {
                     spec,
                     credits,
-                    down: DownLink::Tcp(stream),
+                    down: stream,
                     credit_rx,
                 };
                 if handle.joiners.send(pending).is_ok() {
@@ -706,7 +656,7 @@ fn forward_credits(mut stream: TcpStream, tx: SyncSender<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{QueuePolicy, StagingNetwork};
+    use crate::engine::StagingNetwork;
     use crate::link::StagingLink;
     use commsim::{run_ranks_with_state, MachineModel};
     use insitu::AnalysisAdaptor as _;
@@ -749,18 +699,31 @@ mod tests {
         })
     }
 
+    /// Serve consumer sessions on a fresh loopback port of `service`.
+    fn consumer_addr(service: &StagingService) -> String {
+        let (listener, port) = crate::wire::loopback_listener().unwrap();
+        service.listen_consumers(listener);
+        format!("127.0.0.1:{port}")
+    }
+
+    /// Open a session with `credits` initial credits and wait until it is
+    /// the service's `nth` attached one.
+    fn attach(service: &StagingService, addr: &str, credits: u32, nth: usize) -> ConsumerClient {
+        let client = ConsumerClient::connect(addr, &SessionSpec::default(), credits).unwrap();
+        assert!(service.handle().wait_attached(nth, Duration::from_secs(10)));
+        client
+    }
+
     #[test]
     fn three_identical_sessions_share_one_render() {
         let dir = tempdir("staging_share");
-        let (writers, mut readers) =
-            StagingNetwork::build(2, 1, 16, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, mut readers) = StagingNetwork::build(2, 1, 16, StagingLink::test_tiny());
         let service = StagingService::new(readers.remove(0), 2, &dir, 16);
-        let handle = service.handle();
+        let addr = consumer_addr(&service);
         // Enough initial credits that sequential draining below never
         // stalls the service (credit-stall behavior is tested separately).
-        let mut clients: Vec<ConsumerClient> = (0..3)
-            .map(|_| handle.attach_local(SessionSpec::default(), 8))
-            .collect();
+        let mut clients: Vec<ConsumerClient> =
+            (1..=3).map(|n| attach(&service, &addr, 8, n)).collect();
         let sim = drive_writers(writers, 3);
         let svc = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
@@ -801,11 +764,13 @@ mod tests {
     #[test]
     fn late_joiner_catches_up_from_parked_files() {
         let dir = tempdir("staging_late");
-        let (writers, mut readers) =
-            StagingNetwork::build(1, 1, 16, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, mut readers) = StagingNetwork::build(1, 1, 16, StagingLink::test_tiny());
         let service = StagingService::new(readers.remove(0), 1, &dir, 16);
+        let addr = consumer_addr(&service);
+        // One credit: after the first frame the service waits on `early`,
+        // which holds the stream until `late` is attached.
+        let mut early = attach(&service, &addr, 1, 1);
         let handle = service.handle();
-        let mut early = handle.attach_local(SessionSpec::default(), 8);
         let sim = drive_writers(writers, 4);
         let svc = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
@@ -816,7 +781,9 @@ mod tests {
         // Wait until at least one live frame went out, then join late.
         let first = early.next_frame(Duration::from_secs(20)).unwrap().unwrap();
         assert_eq!(first.step, 1);
-        let mut late = handle.attach_local(SessionSpec::default(), 8);
+        let mut late = ConsumerClient::connect(&addr, &SessionSpec::default(), 8).unwrap();
+        assert!(handle.wait_attached(2, Duration::from_secs(10)));
+        early.grant(8).unwrap();
         let mut late_frames = vec![];
         while let Some(f) = late.next_frame(Duration::from_secs(20)).unwrap() {
             late_frames.push(f);
@@ -832,8 +799,9 @@ mod tests {
         let steps: Vec<u64> = late_frames.iter().map(|f| f.step).collect();
         assert_eq!(steps, vec![1, 2, 3, 4]);
         assert_eq!(early_frames.len(), 4);
+        // Admitted at the boundary after step 2, which it replays.
         let late_stats = &report.sessions[1];
-        assert!(late_stats.catchup_steps >= 1, "no catch-up happened");
+        assert_eq!(late_stats.catchup_steps, 2);
         // Catch-up steps the early session already rendered are hits.
         assert!(report.cache_hits >= late_stats.catchup_steps);
         std::fs::remove_dir_all(&dir).ok();
@@ -842,18 +810,15 @@ mod tests {
     #[test]
     fn follow_session_on_consumer_port_streams_and_detaches_unharmed() {
         let dir = tempdir("staging_follow");
-        let (writers, mut readers) =
-            StagingNetwork::build(1, 1, 16, StagingLink::test_tiny(), QueuePolicy::Block);
+        let (writers, mut readers) = StagingNetwork::build(1, 1, 16, StagingLink::test_tiny());
         let hub = telemetry::TelemetryHub::default();
         let mut service = StagingService::new(readers.remove(0), 1, &dir, 16);
         service.set_live_hub(hub.clone());
-        let (listener, port) = crate::wire::loopback_listener().unwrap();
-        service.listen_consumers(listener);
-        let handle = service.handle();
-        let mut frames_client = handle.attach_local(SessionSpec::default(), 8);
+        let addr = consumer_addr(&service);
+        let mut frames_client = attach(&service, &addr, 8, 1);
 
-        // Attach a follow session over TCP before the stream starts.
-        let mut follow = live::FollowClient::connect(&format!("127.0.0.1:{port}")).unwrap();
+        // Attach a follow session on the same port before the stream starts.
+        let mut follow = live::FollowClient::connect(&addr).unwrap();
         let first = follow
             .next_snapshot(Duration::from_secs(10))
             .unwrap()

@@ -19,7 +19,7 @@
 //! The producer side is a trait, [`WireTx`]: two different send paths, and
 //! the engine's tests substitute a third. The queue is here because `std`
 //! has no bounded send with a timeout that hands the packet back — the
-//! wedged-reader guard behind [`crate::WriterConfig::enqueue_timeout_ms`].
+//! wedged-reader guard, the engine's private `ENQUEUE_TIMEOUT` (10 s).
 //!
 //! # Frame layout (tcp)
 //!

@@ -153,15 +153,7 @@ fn framed_payload(tag: u8) -> Vec<u8> {
 /// Engine-level run under `plan`: 2 producers feed 1 endpoint for
 /// `steps` steps; returns the delivered `(step, missing)` log.
 fn delivered_log(plan: FaultPlan, steps: u64) -> Vec<(u64, Vec<usize>)> {
-    let (writers, readers) = StagingNetwork::build_faulty(
-        2,
-        1,
-        64,
-        StagingLink::test_tiny(),
-        QueuePolicy::Block,
-        plan,
-        WriterConfig::default(),
-    );
+    let (writers, readers) = StagingNetwork::build_faulty(2, 1, 64, StagingLink::test_tiny(), plan);
     let reader_thread = std::thread::spawn(move || {
         run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
             let mut log = Vec::new();

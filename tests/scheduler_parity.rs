@@ -9,8 +9,8 @@
 //! rank world that thread mode refuses outright.
 
 use commsim::{
-    run_ranks_with_registry, with_mode, EventExecutor, Executor, FaultPlan, LinkFaultSpec,
-    MachineModel, SchedMode, SimRankCrash, ThreadExecutor, THREAD_MODE_DEFAULT_MAX_RANKS,
+    run_ranks_with_registry, run_world, with_mode, FaultPlan, LinkFaultSpec, MachineModel,
+    SchedMode, SimRankCrash, RANK_STACK_BYTES, THREAD_MODE_DEFAULT_MAX_RANKS,
 };
 use memtrack::alloc::{global_peak, reset_peak};
 use memtrack::{Registry, TrackingAllocator};
@@ -354,10 +354,12 @@ fn ten_thousand_virtual_ranks_complete_in_event_mode() {
     reset_peak();
     let before = global_peak();
     let n = 10_000usize;
-    let results = EventExecutor::with_stack_bytes(256 * 1024).run_world(
+    let results = run_world(
+        SchedMode::Event,
         n,
         MachineModel::test_tiny(),
         Registry::new(),
+        256 * 1024,
         move |comm| {
             let r = comm.rank();
             comm.advance((r % 7) as f64 * 1e-6);
@@ -390,10 +392,12 @@ fn ten_thousand_virtual_ranks_complete_in_event_mode() {
 #[test]
 fn thread_mode_rejects_worlds_beyond_its_cap() {
     let err = std::panic::catch_unwind(|| {
-        ThreadExecutor::default().run_world(
+        run_world(
+            SchedMode::Thread,
             THREAD_MODE_DEFAULT_MAX_RANKS + 1,
             MachineModel::test_tiny(),
             Registry::new(),
+            RANK_STACK_BYTES,
             |comm| comm.rank(),
         )
     })

@@ -38,7 +38,8 @@ fn block(rank: usize, nranks: usize) -> MultiBlock {
     MultiBlock::local(rank, nranks, g)
 }
 
-fn drive_writers(writers: Vec<SstWriter>, steps: u64) -> std::thread::JoinHandle<()> {
+/// Stream `steps` steps from `writers`; yields each writer's final clock.
+fn drive_writers(writers: Vec<SstWriter>, steps: u64) -> std::thread::JoinHandle<Vec<f64>> {
     std::thread::spawn(move || {
         run_ranks_with_state(MachineModel::test_tiny(), writers, move |comm, writer| {
             let mut analysis = TransportAnalysis::new("mesh", vec!["pressure".into()], writer);
@@ -51,7 +52,8 @@ fn drive_writers(writers: Vec<SstWriter>, steps: u64) -> std::thread::JoinHandle
                 );
                 analysis.execute(comm, &mut da).unwrap();
             }
-        });
+            comm.now()
+        })
     })
 }
 
@@ -81,44 +83,13 @@ fn assert_full_fanout(report: &StagingReport, collected: &[Vec<FrameMsg>]) {
     assert!(report.cache_hit_rate() > 0.0);
 }
 
-/// Channel-wire fan-out: three concurrent local sessions all see every
-/// step, rendered once per step.
-#[test]
-fn channel_fanout_three_concurrent_consumers() {
-    let dir = tempdir("channel");
-    let (writers, mut readers) = StagingNetwork::build_wired(
-        2,
-        1,
-        16,
-        StagingLink::test_tiny(),
-        QueuePolicy::Block,
-        FaultPlan::none(),
-        WriterConfig::default(),
-        WireKind::Channel,
-    )
-    .expect("channel wiring is infallible");
-    let service = StagingService::new(readers.remove(0), 2, &dir, 16);
-    let handle = service.handle();
-    let drains: Vec<_> = (0..CONSUMERS)
-        .map(|_| {
-            let mut client = handle.attach_local(SessionSpec::default(), 4);
-            std::thread::spawn(move || client.drain(Duration::from_secs(120)).expect("drain"))
-        })
-        .collect();
-    let sim = drive_writers(writers, STEPS);
-    let report = run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
-        s.run(comm).unwrap()
-    })
-    .remove(0);
-    sim.join().unwrap();
-    let collected: Vec<Vec<FrameMsg>> = drains.into_iter().map(|d| d.join().unwrap()).collect();
-    assert_full_fanout(&report, &collected);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `sim_ranks` TCP writers into one staging service that accepts TCP
-/// consumer sessions at the returned address.
-fn tcp_service(sim_ranks: usize, dir: &Path) -> (Vec<SstWriter>, StagingService, String) {
+/// `sim_ranks` writers over `wire` into one staging service that accepts
+/// TCP consumer sessions at the returned address.
+fn service_over(
+    wire: WireKind,
+    sim_ranks: usize,
+    dir: &Path,
+) -> (Vec<SstWriter>, StagingService, String) {
     let (writers, mut readers) = StagingNetwork::build_wired(
         sim_ranks,
         1,
@@ -127,13 +98,64 @@ fn tcp_service(sim_ranks: usize, dir: &Path) -> (Vec<SstWriter>, StagingService,
         QueuePolicy::Block,
         FaultPlan::none(),
         WriterConfig::default(),
-        WireKind::Tcp,
+        wire,
     )
     .expect("loopback sockets");
     let service = StagingService::new(readers.remove(0), sim_ranks, dir, 16);
     let (consumer_listener, port) = loopback_listener().expect("consumer port");
     service.listen_consumers(consumer_listener);
     (writers, service, format!("127.0.0.1:{port}"))
+}
+
+/// `n` consumer sessions at `addr`, each draining on a thread of its own;
+/// returns once `service` has attached them all, so every one rides the
+/// stream from step 1 (a late joiner would catch up from the parked files
+/// and the hit counts would depend on timing).
+fn drain_sessions(
+    service: &StagingService,
+    addr: &str,
+    n: usize,
+) -> Vec<std::thread::JoinHandle<Vec<FrameMsg>>> {
+    let before = service.handle().attached();
+    let drains = (0..n)
+        .map(|_| {
+            let mut client =
+                ConsumerClient::connect(addr, &SessionSpec::default(), 4).expect("connect");
+            std::thread::spawn(move || client.drain(Duration::from_secs(120)).expect("drain"))
+        })
+        .collect();
+    assert!(service
+        .handle()
+        .wait_attached(before + n, Duration::from_secs(10)));
+    drains
+}
+
+/// Run `service` over `writers`' stream and collect what `drains` got.
+fn run_fanout(
+    writers: Vec<SstWriter>,
+    service: StagingService,
+    drains: Vec<std::thread::JoinHandle<Vec<FrameMsg>>>,
+) -> (StagingReport, Vec<Vec<FrameMsg>>, Vec<f64>) {
+    let sim = drive_writers(writers, STEPS);
+    let report = run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
+        s.run(comm).unwrap()
+    })
+    .remove(0);
+    let clocks = sim.join().unwrap();
+    let collected = drains.into_iter().map(|d| d.join().unwrap()).collect();
+    (report, collected, clocks)
+}
+
+/// Channel writer wire, TCP sessions: three concurrent consumers all see
+/// every step, rendered once per step.
+#[test]
+fn channel_fanout_three_concurrent_consumers() {
+    let dir = tempdir("channel");
+    let (writers, service, addr) = service_over(WireKind::Channel, 2, &dir);
+    let drains = drain_sessions(&service, &addr, CONSUMERS);
+    let (report, collected, _) = run_fanout(writers, service, drains);
+    assert_full_fanout(&report, &collected);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// TCP everywhere: writers reach the service over loopback sockets AND
@@ -143,32 +165,9 @@ fn tcp_service(sim_ranks: usize, dir: &Path) -> (Vec<SstWriter>, StagingService,
 fn tcp_fanout(mode: SchedMode, tag: &str) {
     let dir = tempdir(tag);
     let report = with_mode(mode, || {
-        let (writers, service, addr) = tcp_service(2, &dir);
-        let drains: Vec<_> = (0..CONSUMERS)
-            .map(|_| {
-                let addr = addr.clone();
-                std::thread::spawn(move || {
-                    let mut client = ConsumerClient::connect(&addr, &SessionSpec::default(), 4)
-                        .expect("connect");
-                    client.drain(Duration::from_secs(120)).expect("drain")
-                })
-            })
-            .collect();
-        // Hold the stream until every session is attached so all three
-        // ride from step 1 (otherwise late joiners would catch up from
-        // the parked files and the hit counts would be timing-dependent).
-        let handle = service.handle();
-        while handle.attached() < CONSUMERS {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let sim = drive_writers(writers, STEPS);
-        let report =
-            run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
-                s.run(comm).unwrap()
-            })
-            .remove(0);
-        sim.join().unwrap();
-        let collected: Vec<Vec<FrameMsg>> = drains.into_iter().map(|d| d.join().unwrap()).collect();
+        let (writers, service, addr) = service_over(WireKind::Tcp, 2, &dir);
+        let drains = drain_sessions(&service, &addr, CONSUMERS);
+        let (report, collected, _) = run_fanout(writers, service, drains);
         assert_full_fanout(&report, &collected);
         report
     });
@@ -191,12 +190,12 @@ fn tcp_fanout_three_consumers_event_sched() {
 #[test]
 fn tcp_late_joiner_replays_parked_steps() {
     let dir = tempdir("tcp_late");
-    let (writers, service, addr) = tcp_service(1, &dir);
-    let mut early = ConsumerClient::connect(&addr, &SessionSpec::default(), 8).expect("connect");
+    let (writers, service, addr) = service_over(WireKind::Tcp, 1, &dir);
+    // One credit: after its first frame the service waits on `early`, so
+    // the stream cannot end before `late` is attached.
+    let mut early = ConsumerClient::connect(&addr, &SessionSpec::default(), 1).expect("connect");
     let handle = service.handle();
-    while handle.attached() < 1 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    assert!(handle.wait_attached(1, Duration::from_secs(10)));
     let sim = drive_writers(writers, STEPS);
     let svc = std::thread::spawn(move || {
         run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
@@ -208,6 +207,8 @@ fn tcp_late_joiner_replays_parked_steps() {
     let first = early.next_frame(Duration::from_secs(120)).unwrap().unwrap();
     assert_eq!(first.step, 1);
     let mut late = ConsumerClient::connect(&addr, &SessionSpec::default(), 8).expect("connect");
+    assert!(handle.wait_attached(2, Duration::from_secs(10)));
+    early.grant(8).expect("grant");
     let late_frames = late.drain(Duration::from_secs(120)).expect("drain");
     let mut early_frames = vec![first];
     early_frames.extend(early.drain(Duration::from_secs(120)).expect("drain"));
@@ -231,13 +232,10 @@ fn tcp_late_joiner_replays_parked_steps() {
 #[test]
 fn tcp_slow_reader_drains_after_the_service_is_gone() {
     let dir = tempdir("tcp_slow");
-    let (writers, service, addr) = tcp_service(1, &dir);
+    let (writers, service, addr) = service_over(WireKind::Tcp, 1, &dir);
     let mut client =
         ConsumerClient::connect(&addr, &SessionSpec::default(), STEPS as u32).expect("connect");
-    let handle = service.handle();
-    while handle.attached() < 1 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    assert!(service.handle().wait_attached(1, Duration::from_secs(10)));
     let sim = drive_writers(writers, STEPS);
     let report = run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
         s.run(comm).unwrap()
@@ -257,6 +255,44 @@ fn tcp_slow_reader_drains_after_the_service_is_gone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A slow peer: one TCP consumer grants its credits one at a time, long
+/// after each frame. The service waits on it, yet every other session
+/// still gets every frame, and the writers' virtual clocks are
+/// bit-identical to a run without the slow consumer — a consumer
+/// session's back-pressure never reaches the simulation's clock.
+#[test]
+fn tcp_slow_consumer_moves_no_writer_clock_and_starves_no_session() {
+    let run = |slow: bool| {
+        let dir = tempdir(if slow { "slow_peer" } else { "no_slow_peer" });
+        let (writers, service, addr) = service_over(WireKind::Tcp, 2, &dir);
+        let mut drains = drain_sessions(&service, &addr, 2);
+        if slow {
+            let mut client =
+                ConsumerClient::connect(&addr, &SessionSpec::default(), 1).expect("connect");
+            drains.push(std::thread::spawn(move || {
+                let mut frames = Vec::new();
+                while let Some(f) = client.next_frame(Duration::from_secs(120)).expect("frame") {
+                    frames.push(f);
+                    std::thread::sleep(Duration::from_millis(100));
+                    let _ = client.grant(1);
+                }
+                frames
+            }));
+            assert!(service.handle().wait_attached(3, Duration::from_secs(10)));
+        }
+        let (report, collected, clocks) = run_fanout(writers, service, drains);
+        for frames in &collected {
+            let steps: Vec<u64> = frames.iter().map(|f| f.step).collect();
+            assert_eq!(steps, (1..=STEPS).collect::<Vec<_>>());
+        }
+        let stalls: u64 = report.sessions.iter().map(|s| s.credit_stalls).sum();
+        assert_eq!(stalls > 0, slow, "{:?}", report.sessions);
+        std::fs::remove_dir_all(&dir).ok();
+        clocks.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
+    };
+    assert_eq!(run(true), run(false));
+}
+
 /// Drive `STEPS` steps through `service` with `client` attached, and
 /// return what the client drained next to the service's report.
 fn run_with_one_consumer(
@@ -265,25 +301,8 @@ fn run_with_one_consumer(
     mut client: ConsumerClient,
 ) -> (Vec<FrameMsg>, StagingReport) {
     let drain = std::thread::spawn(move || client.drain(Duration::from_secs(120)).expect("drain"));
-    let sim = drive_writers(writers, STEPS);
-    let report = run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
-        s.run(comm).unwrap()
-    })
-    .remove(0);
-    sim.join().unwrap();
-    (drain.join().unwrap(), report)
-}
-
-/// Wait for `n` sessions to be attached; false after two seconds.
-fn attached_within_2s(service: &StagingService, n: usize) -> bool {
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while service.handle().attached() < n {
-        if std::time::Instant::now() > deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    true
+    let (report, mut collected, _) = run_fanout(writers, service, vec![drain]);
+    (collected.remove(0), report)
 }
 
 /// A peer that connects and never sends its `Hello` used to sit on the
@@ -292,12 +311,12 @@ fn attached_within_2s(service: &StagingService, n: usize) -> bool {
 #[test]
 fn tcp_silent_peer_does_not_lock_out_later_consumers() {
     let dir = tempdir("tcp_silent");
-    let (writers, service, addr) = tcp_service(1, &dir);
+    let (writers, service, addr) = service_over(WireKind::Tcp, 1, &dir);
     // Connected first, so accepted first.
     let silent = std::net::TcpStream::connect(&addr).expect("silent peer");
     let client = ConsumerClient::connect(&addr, &SessionSpec::default(), 4).expect("connect");
     assert!(
-        attached_within_2s(&service, 1),
+        service.handle().wait_attached(1, Duration::from_secs(2)),
         "a silent peer kept a real consumer from attaching"
     );
     let (frames, report) = run_with_one_consumer(writers, service, client);
@@ -318,7 +337,7 @@ fn tcp_unusable_hellos_are_refused_and_the_next_session_is_unaffected() {
     use std::io::Read as _;
     use transport::staging::protocol::write_hello;
     let dir = tempdir("tcp_refused");
-    let (writers, service, addr) = tcp_service(1, &dir);
+    let (writers, service, addr) = service_over(WireKind::Tcp, 1, &dir);
     let oversized = SessionSpec {
         width: 100_000,
         height: 100_000,
@@ -344,7 +363,7 @@ fn tcp_unusable_hellos_are_refused_and_the_next_session_is_unaffected() {
     }
     assert_eq!(service.handle().attached(), 0);
     let client = ConsumerClient::connect(&addr, &SessionSpec::default(), 4).expect("connect");
-    assert!(attached_within_2s(&service, 1));
+    assert!(service.handle().wait_attached(1, Duration::from_secs(2)));
     let (frames, report) = run_with_one_consumer(writers, service, client);
     assert_eq!(frames.len(), STEPS as usize);
     assert_eq!(report.sessions.len(), 1);

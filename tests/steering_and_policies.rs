@@ -1,11 +1,10 @@
 //! Integration: steering (watchdog stop) through the full solver+bridge
-//! loop, and lossy staging policies end to end.
+//! loop.
 
-use commsim::{run_ranks, run_ranks_with_state, MachineModel};
+use commsim::{run_ranks, MachineModel};
 use insitu::Bridge;
 use nek_sensei::SnapshotPlane;
 use sem::cases::{pb146, CaseParams};
-use transport::{QueuePolicy, StagingLink, StagingNetwork, TransportAnalysis};
 
 #[test]
 fn watchdog_stops_a_simulation_mid_run() {
@@ -38,62 +37,4 @@ fn watchdog_stops_a_simulation_mid_run() {
     // First watchdog trigger is step 2 (frequency 2), so every rank stops
     // there — consistently.
     assert_eq!(res, vec![2, 2]);
-}
-
-#[test]
-fn discard_policy_loses_steps_but_keeps_the_stream_consistent() {
-    // One sim rank floods a 1-slot queue faster than the endpoint drains;
-    // DiscardNewest must drop steps without corrupting the survivors.
-    let (writers, readers) = StagingNetwork::build(
-        1,
-        1,
-        1,
-        StagingLink::test_tiny(),
-        QueuePolicy::DiscardNewest,
-    );
-
-    let endpoint = std::thread::spawn(move || {
-        run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
-            let mut steps = Vec::new();
-            while let Some(delivery) = reader.recv_step(comm).unwrap() {
-                // Discarded steps surface as skip-marker partials; only
-                // complete deliveries carry payloads.
-                if !delivery.is_complete() {
-                    continue;
-                }
-                // Every surviving payload still unmarshals cleanly.
-                let data = transport::unmarshal_blocks(&delivery.packets[0].payload).unwrap();
-                assert_eq!(data.step, delivery.step);
-                steps.push(delivery.step);
-                // Simulate a slow consumer so the queue stays congested.
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            steps
-        })
-    });
-
-    let sim_stats = run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, writer| {
-        use insitu::AnalysisAdaptor as _;
-        let mut params = CaseParams::pb146_default();
-        params.elems = [2, 2, 2];
-        params.order = 1;
-        let mut solver = pb146(&params, 2).build(comm);
-        let mut analysis = TransportAnalysis::new("mesh", vec!["pressure".into()], writer);
-        let plane = SnapshotPlane::new(comm, &solver);
-        for step in 1..=30u64 {
-            // Reuse the same solver state; only the step stamp changes.
-            let mut da = plane.publish(comm, &mut solver, ["pressure"]);
-            da.set_time_stamp(step as f64, step);
-            analysis.execute(comm, &mut da).unwrap();
-        }
-        analysis.stats()
-    });
-
-    let delivered = endpoint.join().unwrap().remove(0);
-    let (written, dropped, _) = sim_stats[0];
-    assert_eq!(written + dropped, 30, "every step accounted for");
-    assert!(dropped > 0, "congestion must force drops");
-    assert_eq!(written as usize, delivered.len());
-    // Delivered steps arrive in increasing order.
-    assert!(delivered.windows(2).all(|w| w[0] < w[1]), "{delivered:?}");
 }

@@ -15,7 +15,7 @@ use transport::staging::protocol::{read_credit, read_down, read_hello};
 use transport::wire::{read_frame, WireRecvError};
 use transport::{
     crc32, marshal_blocks, unmarshal_blocks, BpFileReader, BpFileWriter, EndpointConsumer,
-    QueuePolicy, StagingLink, StagingNetwork,
+    StagingLink, StagingNetwork,
 };
 
 #[global_allocator]
@@ -108,8 +108,7 @@ fn lying_headers_are_refused_without_reserving_for_them() {
 /// A frame that unmarshals fine but names block 7 of a 4-block dataset
 /// used to index out of bounds on the endpoint rank.
 fn block_index_outside_the_dataset_is_an_error_on_the_endpoint() {
-    let (writers, readers) =
-        StagingNetwork::build(1, 1, 4, StagingLink::test_tiny(), QueuePolicy::Block);
+    let (writers, readers) = StagingNetwork::build(1, 1, 4, StagingLink::test_tiny());
     run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, mut w| {
         let stray = marshal_blocks(0, 1, 0.1, &MultiBlock::local(7, 8, grid()));
         w.write(comm, 1, 0.1, stray).unwrap();
