@@ -21,7 +21,7 @@
 //! `--seeds N` sizes the matrix (default 24; CI runs a small fixed
 //! subset), `--json-out FILE` writes a machine-readable summary.
 
-use bench_harness::{cli, format_table, HarnessArgs};
+use bench_harness::{cases, cli, format_table, HarnessArgs};
 use commsim::{CheckpointCorruption, ConsumerStall, FaultPlan, MachineModel, SimRankCrash};
 use nek_sensei::{
     run_supervised_insitu, run_supervised_intransit, EndpointMode, ExecMode, InSituConfig,
@@ -29,7 +29,6 @@ use nek_sensei::{
 };
 use sem::cases::{pb146, rbc, CaseParams};
 use telemetry::{EventKind, RunReport, TelemetryHub};
-use transport::{QueuePolicy, StagingLink, WriterConfig};
 
 const STEPS: usize = 12;
 const INTERVAL: u64 = 2;
@@ -180,32 +179,17 @@ fn intransit_cfg(faults: FaultPlan, hub: TelemetryHub) -> InTransitConfig {
     let mut params = CaseParams::rbc_default();
     params.elems = [2, 2, 4];
     params.order = 2;
+    let (ranks, machine) = (Driver::InTransit.sim_ranks(), MachineModel::test_tiny());
     InTransitConfig {
         case: rbc(&params, 1e4, 0.7),
-        sim_ranks: Driver::InTransit.sim_ranks(),
-        ratio: 4,
-        steps: STEPS,
-        trigger_every: 2,
-        machine: MachineModel::test_tiny(),
-        link: StagingLink::ucx_hdr200(),
-        queue_capacity: 8,
-        policy: QueuePolicy::Block,
-        mode: EndpointMode::Checkpointing,
-        sched: Default::default(),
-        wire: Default::default(),
-        staging_consumers: 0,
-        staging_dir: None,
         image_size: (32, 24),
-        output_dir: None,
         faults,
-        writer_config: WriterConfig::default(),
-        fallback_dir: None,
-        trace: false,
         telemetry: true,
         recovery: RecoveryOptions {
             hub: Some(hub),
             ..Default::default()
         },
+        ..cases::intransit_config(ranks, STEPS, 2, machine, EndpointMode::Checkpointing)
     }
 }
 

@@ -12,39 +12,22 @@
 //! 2. **Determinism** — the crash cell is executed twice with the same
 //!    seed and must produce bit-identical endpoint delivery logs.
 
-use bench_harness::{cli, format_table, maybe_write_csv, HarnessArgs};
+use bench_harness::{cases, cli, format_table, maybe_write_csv, HarnessArgs};
 use commsim::{EndpointCrash, FaultPlan, LinkFaultSpec, MachineModel};
 use nek_sensei::{run_intransit, EndpointMode, InTransitConfig, InTransitReport};
 use sem::cases::{rbc, CaseParams};
-use transport::{BpFileReader, QueuePolicy, StagingLink, WriterConfig};
+use transport::BpFileReader;
 
 fn sweep_config(steps: usize, trigger: u64, faults: FaultPlan) -> InTransitConfig {
     let mut params = CaseParams::rbc_default();
     params.elems = [2, 2, 4];
     params.order = 2;
+    let machine = MachineModel::juwels_booster();
     InTransitConfig {
         case: rbc(&params, 1e4, 0.7),
-        sim_ranks: 4,
-        ratio: 4,
-        steps,
-        trigger_every: trigger,
-        machine: MachineModel::juwels_booster(),
-        link: StagingLink::ucx_hdr200(),
-        queue_capacity: 8,
-        policy: QueuePolicy::Block,
-        mode: EndpointMode::Checkpointing,
-        sched: Default::default(),
-        wire: Default::default(),
-        staging_consumers: 0,
-        staging_dir: None,
         image_size: (64, 48),
-        output_dir: None,
         faults,
-        writer_config: WriterConfig::default(),
-        fallback_dir: None,
-        trace: false,
-        telemetry: false,
-        recovery: Default::default(),
+        ..cases::intransit_config(4, steps, trigger, machine, EndpointMode::Checkpointing)
     }
 }
 

@@ -5,72 +5,63 @@
 //! velocity magnitude plus a pressure slice. PNGs land under `--out`
 //! (default `out/fig1`).
 
-use bench_harness::{cases, cli, maybe_write_report, HarnessArgs};
-use commsim::{run_ranks, MachineModel, TelemetryHub};
+use bench_harness::{cases::Showcase, cli, HarnessArgs};
+use commsim::MachineModel;
+use render::pipeline::{FilterKind, RenderPass, RenderPipeline};
+use render::Colormap;
 use sem::cases::{pb146, CaseParams};
 
 fn main() {
     let args = HarnessArgs::parse(&cli::FIG1_PB146_RENDER);
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("out/fig1"));
+    // Pebble-bed surface by velocity magnitude, pressure slice,
+    // Q-criterion vortex cores.
+    let pipeline = RenderPipeline {
+        width: 1000,
+        height: 750,
+        passes: vec![
+            RenderPass {
+                name: "pebble_bed_surface".into(),
+                filter: FilterKind::Surface,
+                array: "velocity".into(),
+                colormap: Colormap::viridis(),
+                range: None,
+                camera_dir: [1.0, 0.8, 0.45],
+            },
+            RenderPass {
+                name: "pressure_slice".into(),
+                filter: FilterKind::Slice {
+                    origin: [0.5, 0.5, 1.0],
+                    normal: [0.0, 1.0, 0.0],
+                },
+                array: "pressure".into(),
+                colormap: Colormap::cool_warm(),
+                range: None,
+                camera_dir: [0.0, -1.0, 0.15],
+            },
+            RenderPass {
+                name: "q_criterion_cores".into(),
+                filter: FilterKind::ContourAtFraction(0.55),
+                array: "q_criterion".into(),
+                colormap: Colormap::viridis(),
+                range: None,
+                camera_dir: [0.8, 1.0, 0.5],
+            },
+        ],
+        legend: true,
+    };
     let steps = args.steps.unwrap_or(30);
-    let ranks = 4;
+    let (ke, _, images, bytes) = Showcase {
+        name: "fig1_pb146_render",
+        view: "showcase",
+        case: pb146(&CaseParams::pb146_default(), 146),
+        machine: MachineModel::polaris(),
+        pipeline,
+        out: args.out.clone().unwrap_or_else(|| "out/fig1".into()),
+        steps,
+    }
+    .run(&args);
 
-    // Render harnesses have no workflow driver, so `--report-out` gets
-    // the hub-only artifact: instrument totals (sem/step_time quantiles,
-    // render counters), no per-step series.
-    let hub = args.telemetry().then(TelemetryHub::default);
-    let rank_hub = hub.clone();
-    let sched = args.sched_mode();
-    let results = commsim::with_mode(sched, || {
-        run_ranks(ranks, MachineModel::polaris(), move |comm| {
-            if let Some(hub) = &rank_hub {
-                comm.enable_telemetry(hub, 0);
-            }
-            let params = CaseParams::pb146_default();
-            let case = pb146(&params, 146);
-            let mut solver = case.build(comm);
-            for _ in 0..steps {
-                solver.step(comm);
-            }
-            let (images, bytes) = cases::render_current_state(
-                comm,
-                &mut solver,
-                cases::pb146_showcase_pipeline(),
-                Some(out.clone()),
-            );
-            (solver.kinetic_energy(comm), images, bytes)
-        })
-    });
-
-    let (ke, images, bytes) = results[0];
     println!("pb146 after {steps} steps: kinetic energy {ke:.4}");
     println!("Figure 1: rendered {images} image(s), {bytes} bytes of PNGs");
     println!("(rank 0 wrote the files; see the output directory)");
-    if let Some(hub) = &hub {
-        let report = telemetry::RunReport::collect(
-            telemetry::Manifest {
-                case: "pb146".into(),
-                workflow: "render".into(),
-                mode: "showcase".into(),
-                exec: "synchronous".into(),
-                sched: sched.label().into(),
-                wire: "none".into(),
-                ranks,
-                endpoint_ranks: 0,
-                steps: steps as u64,
-                trigger_every: steps as u64,
-                machine: "polaris".into(),
-                fault_plan: "none".into(),
-                pool_threads: rayon::pool::current_threads(),
-                pipeline_depth: 0,
-            },
-            hub,
-            Vec::new(),
-            telemetry::MemorySummary::default(),
-        );
-        maybe_write_report(&args, "fig1_pb146_render", Some(&report));
-    }
 }

@@ -11,6 +11,12 @@
 //! Expected shape (paper): strong scaling (time falls with ranks);
 //! Original < Checkpointing ≲ Catalyst, with Catalyst bearing a slight
 //! overhead over Checkpointing.
+//!
+//! **Figure 3** — memory usage of the same Checkpointing and Catalyst
+//! runs: the aggregate CPU-memory high-water mark across all ranks, from
+//! the tracking accountants. The paper's observation is that Catalyst sits
+//! ≈25% above Checkpointing because of the GPU→CPU staging plus the
+//! VTK/rendering copies.
 
 use bench_harness::{
     cases, cli, fmt_secs, format_table, maybe_write_csv, maybe_write_report, maybe_write_trace,
@@ -35,13 +41,17 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let mut by_mode: Vec<(InSituMode, Vec<f64>)> = Vec::new();
-    for mode in [
+    let mut mem_rows = Vec::new();
+    // Per mode (Original, Checkpointing, Catalyst), at each rank count:
+    // time-to-solution, and aggregate host memory peak of the in situ runs.
+    let mut times = [vec![], vec![], vec![]];
+    let mut peaks = [vec![], vec![], vec![]];
+    let modes = [
         InSituMode::Original,
         InSituMode::Checkpointing,
         InSituMode::Catalyst,
-    ] {
-        let mut times = Vec::new();
+    ];
+    for (m, mode) in modes.into_iter().enumerate() {
         for (&paper_r, &r) in paper_ranks.iter().zip(&ranks) {
             let mut cfg = cases::insitu_config(&sweep, r, mode);
             cfg.exec = args.exec_mode();
@@ -72,9 +82,22 @@ fn main() {
                     per_rank(t.time_io + t.time_xfer + t.time_host_compute)
                 ),
             ]);
-            times.push(report.metrics.time_to_solution);
+            times[m].push(report.metrics.time_to_solution);
+            // Figure 3 is the memory of the in situ runs.
+            if mode != InSituMode::Original {
+                let mem = report.memory();
+                peaks[m].push(mem.host_aggregate_peak);
+                mem_rows.push(vec![
+                    mode.label().to_string(),
+                    paper_r.to_string(),
+                    r.to_string(),
+                    mem.host_aggregate_peak.to_string(),
+                    mem.host_max_rank_peak.to_string(),
+                    mem.gpu_aggregate_peak.to_string(),
+                    mem.unscoped.to_string(),
+                ]);
+            }
         }
-        by_mode.push((mode, times));
     }
 
     let headers = [
@@ -92,21 +115,12 @@ fn main() {
     maybe_write_csv(&args, "fig2_time_to_solution", &headers, &rows);
 
     // Shape verdicts against the paper.
-    let find = |m: InSituMode| {
-        by_mode
-            .iter()
-            .find(|(mm, _)| *mm == m)
-            .map(|(_, t)| t.clone())
-            .expect("mode ran")
-    };
-    let orig = find(InSituMode::Original);
-    let chk = find(InSituMode::Checkpointing);
-    let cat = find(InSituMode::Catalyst);
+    let [orig, chk, cat] = &times;
     let strong_scaling = orig.windows(2).all(|w| w[1] < w[0]);
     let order_holds = orig
         .iter()
-        .zip(&chk)
-        .zip(&cat)
+        .zip(chk)
+        .zip(cat)
         .all(|((o, c), k)| o < c && c <= k);
     println!("shape: strong scaling (time falls with ranks): {strong_scaling}");
     println!("shape: Original < Checkpointing <= Catalyst at every scale: {order_holds}");
@@ -116,6 +130,28 @@ fn main() {
             paper_ranks[i],
             (cat[i] / chk[i] - 1.0) * 100.0,
             (cat[i] / orig[i] - 1.0) * 100.0
+        );
+    }
+
+    let headers = [
+        "config",
+        "paper_ranks",
+        "ranks",
+        "host_aggregate_peak_B",
+        "host_max_rank_peak_B",
+        "gpu_aggregate_peak_B",
+        "unscoped_B",
+    ];
+    println!("\nFigure 3 — memory high-water marks of the same runs (tracking accountants)");
+    println!("{}", format_table(&headers, &mem_rows));
+    maybe_write_csv(&args, "fig3_memory", &headers, &mem_rows);
+    let [_, chk, cat] = &peaks;
+    println!("shape: Catalyst overhead over Checkpointing (paper: ≈ +25%):");
+    for i in 0..chk.len() {
+        println!(
+            "  ranks {:>5}: {:+.1}%",
+            paper_ranks[i],
+            (cat[i] as f64 / chk[i] as f64 - 1.0) * 100.0
         );
     }
 }

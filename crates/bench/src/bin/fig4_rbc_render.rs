@@ -4,77 +4,56 @@
 //! paper's side view: a vertical slice colored by temperature, with a
 //! velocity-magnitude contour as the second image.
 
-use bench_harness::{cases, cli, maybe_write_report, HarnessArgs};
-use commsim::{run_ranks, MachineModel, TelemetryHub};
+use bench_harness::{cases::Showcase, cli, HarnessArgs};
+use commsim::MachineModel;
+use render::pipeline::{FilterKind, RenderPass, RenderPipeline};
+use render::Colormap;
 use sem::cases::{rbc, CaseParams};
 
 fn main() {
     let args = HarnessArgs::parse(&cli::FIG4_RBC_RENDER);
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("out/fig4"));
+    // A vertical temperature slice plus a velocity-magnitude contour.
+    let pipeline = RenderPipeline {
+        width: 1200,
+        height: 500,
+        passes: vec![
+            RenderPass {
+                name: "rbc_side_temperature".into(),
+                filter: FilterKind::Slice {
+                    origin: [1.0, 1.0, 0.5],
+                    normal: [0.0, 1.0, 0.0],
+                },
+                array: "temperature".into(),
+                colormap: Colormap::cool_warm(),
+                range: Some((0.0, 1.0)),
+                camera_dir: [0.0, -1.0, 0.0],
+            },
+            RenderPass {
+                name: "rbc_velocity_contour".into(),
+                filter: FilterKind::ContourAtFraction(0.5),
+                array: "velocity".into(),
+                colormap: Colormap::viridis(),
+                range: None,
+                camera_dir: [0.6, -1.0, 0.35],
+            },
+        ],
+        legend: true,
+    };
     let steps = args.steps.unwrap_or(120);
-    let ranks = 4;
+    let (ke, umax, images, _) = Showcase {
+        name: "fig4_rbc_render",
+        view: "side_view",
+        case: rbc(&CaseParams::rbc_default(), 1e5, 0.7),
+        machine: MachineModel::juwels_booster(),
+        pipeline,
+        out: args.out.clone().unwrap_or_else(|| "out/fig4".into()),
+        steps,
+    }
+    .run(&args);
 
-    // Hub-only telemetry, like fig1: instrument totals without a
-    // workflow driver's per-step series.
-    let hub = args.telemetry().then(TelemetryHub::default);
-    let rank_hub = hub.clone();
-    let sched = args.sched_mode();
-    let results = commsim::with_mode(sched, || {
-        run_ranks(ranks, MachineModel::juwels_booster(), move |comm| {
-            if let Some(hub) = &rank_hub {
-                comm.enable_telemetry(hub, 0);
-            }
-            let params = CaseParams::rbc_default();
-            let case = rbc(&params, 1e5, 0.7);
-            let mut solver = case.build(comm);
-            for _ in 0..steps {
-                solver.step(comm);
-            }
-            let (images, _bytes) = cases::render_current_state(
-                comm,
-                &mut solver,
-                cases::rbc_side_view_pipeline(),
-                Some(out.clone()),
-            );
-            (
-                solver.kinetic_energy(comm),
-                solver.max_velocity(comm),
-                images,
-            )
-        })
-    });
-
-    let (ke, umax, images) = results[0];
     println!("RBC after {steps} steps: KE = {ke:.5}, |u|max = {umax:.4}");
     println!("Figure 4: rendered {images} image(s) to the output directory");
     if ke < 1e-9 {
         println!("note: convection has not set in yet — try more --steps");
-    }
-    if let Some(hub) = &hub {
-        let report = telemetry::RunReport::collect(
-            telemetry::Manifest {
-                case: "rbc".into(),
-                workflow: "render".into(),
-                mode: "side_view".into(),
-                exec: "synchronous".into(),
-                sched: sched.label().into(),
-                wire: "none".into(),
-                ranks,
-                endpoint_ranks: 0,
-                steps: steps as u64,
-                trigger_every: steps as u64,
-                machine: "juwels-booster".into(),
-                fault_plan: "none".into(),
-                pool_threads: rayon::pool::current_threads(),
-                pipeline_depth: 0,
-            },
-            hub,
-            Vec::new(),
-            telemetry::MemorySummary::default(),
-        );
-        maybe_write_report(&args, "fig4_rbc_render", Some(&report));
     }
 }

@@ -1,23 +1,25 @@
 //! Shared case setup for the figure harnesses.
 //!
-//! Every harness used to carry its own copy of the paper-regime sizing
-//! arithmetic (mesh dimensions, throughput derating, run configuration
-//! literals). It lives here once, so fig2/fig3 provably run *the same
-//! runs* (ditto fig5/fig6) and a sizing fix lands everywhere at once.
+//! The paper-regime sizing arithmetic (mesh dimensions, throughput
+//! derating, run configuration literals) lives here once, with the one
+//! showcase body both render harnesses run. Each figure pair the paper
+//! draws from the same runs comes from one binary: fig2 writes Figures 2
+//! and 3 from one sweep, fig5 Figures 5 and 6.
 
 use crate::HarnessArgs;
-use commsim::{Comm, FaultPlan, MachineModel};
+use commsim::{run_ranks, FaultPlan, MachineModel, TelemetryHub};
 use insitu::AnalysisAdaptor;
 use nek_sensei::{InSituConfig, InSituMode, InTransitConfig, SnapshotPlane};
-use render::pipeline::{FilterKind, RenderPass, RenderPipeline};
-use render::{CatalystAnalysis, Colormap};
+use render::pipeline::RenderPipeline;
+use render::CatalystAnalysis;
 use sem::cases::{pb146, rbc, CaseParams, CaseSetup};
-use sem::navier_stokes::FlowSolver;
+use std::path::PathBuf;
+use telemetry::RunReport;
 use transport::{QueuePolicy, StagingLink, WriterConfig};
 
-/// The §4.1 strong-scaling sweep shared by fig2 and fig3: one global
-/// pb146 mesh sized for the largest rank count, run at each scaled rank
-/// count under a Polaris model derated to the paper's per-rank load.
+/// The §4.1 strong-scaling sweep behind Figures 2 and 3: one global pb146
+/// mesh sized for the largest rank count, run at each scaled rank count
+/// under a Polaris model derated to the paper's per-rank load.
 pub struct Pb146Sweep {
     /// The paper's rank counts (280/560/1120).
     pub paper_ranks: Vec<usize>,
@@ -40,7 +42,7 @@ pub struct Pb146Sweep {
 /// The flags [`pb146_strong_scaling`] reads.
 pub const PB146_SWEEP_FLAGS: &[&str] = &["--scale", "--ranks", "--full", "--steps", "--trigger"];
 
-/// Build the fig2/fig3 sweep from the [`PB146_SWEEP_FLAGS`].
+/// Build the Figure 2/3 sweep from the [`PB146_SWEEP_FLAGS`].
 pub fn pb146_strong_scaling(args: &HarnessArgs) -> Pb146Sweep {
     let scale = if args.full {
         1
@@ -177,88 +179,83 @@ pub fn intransit_config(
     }
 }
 
-/// The Figure 1 view: pebble-bed surface by velocity magnitude, pressure
-/// slice, Q-criterion vortex cores.
-pub fn pb146_showcase_pipeline() -> RenderPipeline {
-    RenderPipeline {
-        width: 1000,
-        height: 750,
-        passes: vec![
-            RenderPass {
-                name: "pebble_bed_surface".into(),
-                filter: FilterKind::Surface,
-                array: "velocity".into(),
-                colormap: Colormap::viridis(),
-                range: None,
-                camera_dir: [1.0, 0.8, 0.45],
-            },
-            RenderPass {
-                name: "pressure_slice".into(),
-                filter: FilterKind::Slice {
-                    origin: [0.5, 0.5, 1.0],
-                    normal: [0.0, 1.0, 0.0],
-                },
-                array: "pressure".into(),
-                colormap: Colormap::cool_warm(),
-                range: None,
-                camera_dir: [0.0, -1.0, 0.15],
-            },
-            RenderPass {
-                name: "q_criterion_cores".into(),
-                filter: FilterKind::ContourAtFraction(0.55),
-                array: "q_criterion".into(),
-                colormap: Colormap::viridis(),
-                range: None,
-                camera_dir: [0.8, 1.0, 0.5],
-            },
-        ],
-        legend: true,
-    }
+/// A render harness's figure: `case` on `machine`, stepped on four ranks
+/// and drawn once through `pipeline`.
+pub struct Showcase {
+    /// The binary; names its `--report-out` artifact.
+    pub name: &'static str,
+    /// The RunReport manifest's `mode`: which view of the case is drawn.
+    pub view: &'static str,
+    /// The case run.
+    pub case: CaseSetup,
+    /// The machine it runs on.
+    pub machine: MachineModel,
+    /// The passes drawn from the final state.
+    pub pipeline: RenderPipeline,
+    /// Where rank 0 writes the PNGs.
+    pub out: PathBuf,
+    /// Steps before the frame is drawn.
+    pub steps: usize,
 }
 
-/// The Figure 4 view: a vertical temperature slice plus a velocity-
-/// magnitude contour of the RBC case.
-pub fn rbc_side_view_pipeline() -> RenderPipeline {
-    RenderPipeline {
-        width: 1200,
-        height: 500,
-        passes: vec![
-            RenderPass {
-                name: "rbc_side_temperature".into(),
-                filter: FilterKind::Slice {
-                    origin: [1.0, 1.0, 0.5],
-                    normal: [0.0, 1.0, 0.0],
-                },
-                array: "temperature".into(),
-                colormap: Colormap::cool_warm(),
-                range: Some((0.0, 1.0)),
-                camera_dir: [0.0, -1.0, 0.0],
-            },
-            RenderPass {
-                name: "rbc_velocity_contour".into(),
-                filter: FilterKind::ContourAtFraction(0.5),
-                array: "velocity".into(),
-                colormap: Colormap::viridis(),
-                range: None,
-                camera_dir: [0.6, -1.0, 0.35],
-            },
-        ],
-        legend: true,
+impl Showcase {
+    /// Step the case, publish exactly the arrays the passes request and
+    /// render them. Returns rank 0's kinetic energy and maximum |u| of the
+    /// final state, images written and PNG bytes. Render harnesses have
+    /// no workflow driver, so `--report-out` gets the hub-only RunReport:
+    /// instrument totals (sem/step_time quantiles, render counters), no
+    /// per-step series.
+    pub fn run(self, args: &HarnessArgs) -> (f64, f64, u64, u64) {
+        let (steps, ranks) = (self.steps, 4);
+        let hub = args.telemetry().then(TelemetryHub::default);
+        let rank_hub = hub.clone();
+        let sched = args.sched_mode();
+        let manifest = telemetry::Manifest {
+            case: self.case.name.clone(),
+            workflow: "render".into(),
+            mode: self.view.into(),
+            exec: "synchronous".into(),
+            sched: sched.label().into(),
+            wire: "none".into(),
+            ranks,
+            steps: steps as u64,
+            trigger_every: steps as u64,
+            machine: self.machine.name.into(),
+            fault_plan: "none".into(),
+            pool_threads: rayon::pool::current_threads(),
+            ..Default::default()
+        };
+        let results = commsim::with_mode(sched, || {
+            run_ranks(ranks, self.machine, move |comm| {
+                if let Some(hub) = &rank_hub {
+                    comm.enable_telemetry(hub, 0);
+                }
+                let mut solver = self.case.build(comm);
+                for _ in 0..steps {
+                    solver.step(comm);
+                }
+                let plane = SnapshotPlane::new(comm, &solver);
+                let mut analysis = CatalystAnalysis::new(
+                    nek_sensei::MESH_NAME,
+                    self.pipeline.clone(),
+                    Some(self.out.clone()),
+                );
+                let mut da = plane.publish(comm, &mut solver, analysis.required_arrays());
+                analysis.execute(comm, &mut da).expect("render");
+                let ke = solver.kinetic_energy(comm);
+                let umax = solver.max_velocity(comm);
+                (
+                    ke,
+                    umax,
+                    analysis.images_rendered(),
+                    analysis.bytes_written(),
+                )
+            })
+        });
+        if let Some(hub) = &hub {
+            let report = RunReport::collect(manifest, hub, Vec::new(), Default::default());
+            crate::maybe_write_report(args, self.name, Some(&report));
+        }
+        results[0]
     }
-}
-
-/// Render one frame of `solver`'s current state through `pipeline`
-/// (publishing exactly the arrays the passes request) and return
-/// `(images_rendered, bytes_written)`.
-pub fn render_current_state(
-    comm: &mut Comm,
-    solver: &mut FlowSolver,
-    pipeline: RenderPipeline,
-    out: Option<std::path::PathBuf>,
-) -> (u64, u64) {
-    let plane = SnapshotPlane::new(comm, solver);
-    let mut analysis = CatalystAnalysis::new(nek_sensei::MESH_NAME, pipeline, out);
-    let mut da = plane.publish(comm, solver, analysis.required_arrays());
-    analysis.execute(comm, &mut da).expect("render");
-    (analysis.images_rendered(), analysis.bytes_written())
 }

@@ -289,7 +289,7 @@ impl Cli {
 /// What the in situ harnesses read to pick their execution mode and
 /// scheduler ([`HarnessArgs::exec_mode`], [`HarnessArgs::sched_mode`]).
 const INSITU_EXEC: &[&str] = &["--pipelined", "--sched"];
-/// What fig5 and fig6 read to size and run the §4.2 sweep.
+/// What fig5 reads to size and run the §4.2 sweep.
 const INTRANSIT_SWEEP: &[&str] = &["--full", "--steps", "--trigger", "--sched", "--wire"];
 /// What the two render harnesses read besides `--report-out`.
 const RENDER: &[&str] = &["--out", "--steps", "--sched"];
@@ -306,18 +306,10 @@ pub const FIG2_TIME_TO_SOLUTION: Cli = Cli::new(
         INSITU_EXEC,
     ],
 );
-pub const FIG3_MEMORY: Cli = Cli::new(
-    "fig3_memory",
-    &[PB146_SWEEP_FLAGS, CSV_FLAGS, REPORT_FLAGS, INSITU_EXEC],
-);
 pub const FIG4_RBC_RENDER: Cli = Cli::new("fig4_rbc_render", &[REPORT_FLAGS, RENDER]);
 pub const FIG5_INTRANSIT_TIME: Cli = Cli::new(
     "fig5_intransit_time",
     &[CSV_FLAGS, TRACE_FLAGS, REPORT_FLAGS, INTRANSIT_SWEEP],
-);
-pub const FIG6_INTRANSIT_MEMORY: Cli = Cli::new(
-    "fig6_intransit_memory",
-    &[CSV_FLAGS, REPORT_FLAGS, INTRANSIT_SWEEP],
 );
 pub const STORAGE_ECONOMY: Cli = Cli::new(
     "storage_economy",
@@ -358,13 +350,11 @@ mod tests {
     use super::*;
 
     /// Every binary in `crates/bench`.
-    const BINARIES: [&Cli; 11] = [
+    const BINARIES: [&Cli; 9] = [
         &FIG1_PB146_RENDER,
         &FIG2_TIME_TO_SOLUTION,
-        &FIG3_MEMORY,
         &FIG4_RBC_RENDER,
         &FIG5_INTRANSIT_TIME,
-        &FIG6_INTRANSIT_MEMORY,
         &STORAGE_ECONOMY,
         &FAULT_SWEEP,
         &CHAOS_SOAK,
@@ -554,7 +544,7 @@ mod tests {
     fn refusals_name_the_flag() {
         for (cli, line, flag) in [
             // Flags another binary reads, and flags nothing reads.
-            (&FIG3_MEMORY, "--trace-out t/", "--trace-out"),
+            (&STORAGE_ECONOMY, "--trace-out t/", "--trace-out"),
             (&FAULT_SWEEP, "--wire tcp", "--wire"),
             (&CHAOS_SOAK, "--steps 4", "--steps"),
             (&STAGING_BENCH, "--bogus", "--bogus"),

@@ -239,8 +239,6 @@ pub struct SnapshotAdaptor {
     geometry: Arc<NekGeometry>,
     vtk_accountant: Accountant,
     charges: Vec<Charge>,
-    time_override: Option<f64>,
-    step_override: Option<u64>,
 }
 
 impl SnapshotAdaptor {
@@ -252,21 +250,12 @@ impl SnapshotAdaptor {
             geometry,
             vtk_accountant: comm.accountant("vtk"),
             charges: Vec::new(),
-            time_override: None,
-            step_override: None,
         }
     }
 
     /// The snapshot being presented.
     pub fn snapshot(&self) -> &Arc<FieldSnapshot> {
         &self.snapshot
-    }
-
-    /// Override the reported `time`/`time_step` (replay and steering
-    /// harnesses re-present one snapshot under synthetic stamps).
-    pub fn set_time_stamp(&mut self, time: f64, time_step: u64) {
-        self.time_override = Some(time);
-        self.step_override = Some(time_step);
     }
 }
 
@@ -332,11 +321,11 @@ impl DataAdaptor for SnapshotAdaptor {
     }
 
     fn time(&self) -> f64 {
-        self.time_override.unwrap_or(self.snapshot.time)
+        self.snapshot.time
     }
 
     fn time_step(&self) -> u64 {
-        self.step_override.unwrap_or(self.snapshot.version as u64)
+        self.snapshot.version as u64
     }
 
     fn release_data(&mut self) {
@@ -574,22 +563,5 @@ mod tests {
                 .fold(0.0, f64::max)
         });
         assert_eq!(res[0], 0.0, "export must be bit-exact");
-    }
-
-    #[test]
-    fn time_stamp_override_rewrites_reported_step() {
-        run_ranks(1, MachineModel::test_tiny(), |comm| {
-            let mut solver = small_pb146_solver(comm);
-            solver.step(comm);
-            let spec = SnapshotSpec::from_names(["pressure"]);
-            let (snap, geo, _pool) = publish(comm, &mut solver, spec);
-            let mut da = SnapshotAdaptor::new(comm, snap, geo);
-            assert_eq!(da.time_step(), 1);
-            da.set_time_stamp(9.5, 42);
-            assert_eq!(da.time_step(), 42);
-            assert_eq!(da.time(), 9.5);
-            let md = da.mesh_metadata(comm, MESH_NAME).unwrap();
-            assert_eq!(md.time_step, 42);
-        });
     }
 }

@@ -90,6 +90,21 @@ pub fn encode_fld(snap: &FieldSnapshot) -> EncodedFld {
     }
 }
 
+/// [`encode_fld`], counting each truncated field tag on
+/// `checkpoint/tag_truncated` and warning about it on the event bus.
+fn encode_reporting_truncation(comm: &mut Comm, snap: &FieldSnapshot) -> Vec<u8> {
+    let encoded = encode_fld(snap);
+    for name in &encoded.truncated_tags {
+        comm.telemetry().counter("checkpoint/tag_truncated").inc();
+        comm.telemetry_event(
+            commsim::EventKind::CheckpointWrite,
+            Some(snap.version as u64),
+            format!("warning: field tag '{name}' truncated to {TAG_LEN} bytes"),
+        );
+    }
+    encoded.bytes
+}
+
 /// Raw field-dump checkpointer for one rank.
 pub struct FldCheckpointer {
     output_dir: Option<std::path::PathBuf>,
@@ -116,16 +131,7 @@ impl FldCheckpointer {
     /// already paid once at publish time. Returns bytes written by this
     /// rank.
     pub fn write(&mut self, comm: &mut Comm, snap: &FieldSnapshot) -> u64 {
-        let encoded = encode_fld(snap);
-        for name in &encoded.truncated_tags {
-            comm.telemetry().counter("checkpoint/tag_truncated").inc();
-            comm.telemetry_event(
-                commsim::EventKind::CheckpointWrite,
-                Some(snap.version as u64),
-                format!("warning: field tag '{name}' truncated to {TAG_LEN} bytes"),
-            );
-        }
-        let buf = encoded.bytes;
+        let buf = encode_reporting_truncation(comm, snap);
         let nbytes = buf.len() as u64;
         // The serialization buffer is resident while the write drains.
         let charge = self.buffer_accountant.charge(nbytes);

@@ -13,7 +13,7 @@ use sem::snapshot::FieldSnapshot;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use super::{encode_fld, read_fld, FldDump, TAG_LEN};
+use super::{encode_reporting_truncation, read_fld, FldDump};
 
 /// First line of a manifest file.
 const MANIFEST_MAGIC: &str = "NEKMANIFEST1";
@@ -108,16 +108,7 @@ impl CheckpointStore {
     ) -> u64 {
         let step = snap.version as u64;
         let rank = comm.rank();
-        let encoded = encode_fld(snap);
-        for name in &encoded.truncated_tags {
-            comm.telemetry().counter("checkpoint/tag_truncated").inc();
-            comm.telemetry_event(
-                EventKind::CheckpointWrite,
-                Some(step),
-                format!("warning: field tag '{name}' truncated to {TAG_LEN} bytes"),
-            );
-        }
-        let buf = encoded.bytes;
+        let buf = encode_reporting_truncation(comm, snap);
         let nbytes = buf.len() as u64;
         let crc = transport::crc32(&buf);
 

@@ -93,14 +93,9 @@ impl TransportAnalysis {
 
     /// A factory handling `<analysis type="adios-sst" arrays="a,b"/>` that
     /// consumes `writer` on first use (staging connections are established
-    /// out-of-band, as SST does with its contact-info files).
-    pub fn factory_with_writer(writer: SstWriter) -> insitu::configurable::AdaptorFactory {
-        Self::factory_with_recovery(writer, None, None)
-    }
-
-    /// Like [`Self::factory_with_writer`], but with the degradation ladder
-    /// wired up: a fallback directory for the BP file engine and a sink
-    /// that receives the producer's report at finalize.
+    /// out-of-band, as SST does with its contact-info files), with the
+    /// degradation ladder wired up: a fallback directory for the BP file
+    /// engine and a sink that receives the producer's report at finalize.
     pub fn factory_with_recovery(
         writer: SstWriter,
         fallback_dir: Option<PathBuf>,

@@ -69,11 +69,6 @@ impl EndpointConsumer {
         })
     }
 
-    /// Attach a memory accountant for the staging queue.
-    pub fn set_accountant(&mut self, a: memtrack::Accountant) {
-        self.reader.set_accountant(a);
-    }
-
     /// Drain the stream to completion, running the configured analyses on
     /// every step that carried data. Collective over the endpoint world's
     /// `comm`.
