@@ -255,24 +255,17 @@ impl LocalMesh {
     }
 
     /// Does any element adjacent to local node (i,j,k) of `le` lie outside
-    /// the fluid (i.e. is solid)? Used for no-slip on pebble surfaces.
+    /// the fluid (i.e. is solid)? Used for no-slip on pebble surfaces. The
+    /// search walks ranges of offsets: it allocates nothing.
     pub fn node_touches_solid(&self, le: usize, i: usize, j: usize, k: usize) -> bool {
         let e = self.elems[le];
         let n = self.spec.order;
-        let local = [i, j, k];
-        // Offsets of elements sharing this node along each axis.
-        let mut axis_offsets: [Vec<isize>; 3] = [vec![0], vec![0], vec![0]];
-        for d in 0..3 {
-            if local[d] == 0 {
-                axis_offsets[d].push(-1);
-            }
-            if local[d] == n {
-                axis_offsets[d].push(1);
-            }
-        }
-        for &dz in &axis_offsets[2] {
-            for &dy in &axis_offsets[1] {
-                for &dx in &axis_offsets[0] {
+        // Offsets of elements sharing this node along one axis: the one
+        // below on the element's low face, the one above on its high face.
+        let offsets = |c: usize| -isize::from(c == 0)..=isize::from(c == n);
+        for dz in offsets(k) {
+            for dy in offsets(j) {
+                for dx in offsets(i) {
                     if dx == 0 && dy == 0 && dz == 0 {
                         continue;
                     }
@@ -306,7 +299,8 @@ impl LocalMesh {
     }
 
     /// Build the Dirichlet mask (1 = free, 0 = constrained) and boundary
-    /// value field for one scalar field under `bc`.
+    /// value field for one scalar field under `bc`. The two fields are its
+    /// only allocations: nothing is allocated per node.
     pub fn dirichlet_mask(&self, bc: &BcSet) -> (Vec<f64>, Vec<f64>) {
         let l = self.layout();
         let n = self.spec.order;
@@ -515,6 +509,129 @@ mod tests {
         let m = LocalMesh::new(Arc::clone(&s), 0, 1);
         let (mask, _) = m.dirichlet_mask(&BcSet::all_dirichlet_zero());
         assert!(mask.iter().all(|&v| v == 1.0));
+    }
+
+    /// The solid search as first written, three `Vec`s of offsets per
+    /// node: the oracle for [`LocalMesh::node_touches_solid`].
+    fn touches_solid_reference(m: &LocalMesh, le: usize, i: usize, j: usize, k: usize) -> bool {
+        let e = m.elems[le];
+        let n = m.spec.order;
+        let local = [i, j, k];
+        let mut axis_offsets: [Vec<isize>; 3] = [vec![0], vec![0], vec![0]];
+        for d in 0..3 {
+            if local[d] == 0 {
+                axis_offsets[d].push(-1);
+            }
+            if local[d] == n {
+                axis_offsets[d].push(1);
+            }
+        }
+        for &dz in &axis_offsets[2] {
+            for &dy in &axis_offsets[1] {
+                for &dx in &axis_offsets[0] {
+                    if dx == 0 && dy == 0 && dz == 0 {
+                        continue;
+                    }
+                    if let Some(ne) = m.neighbor_elem(e, [dx, dy, dz]) {
+                        if m.spec.is_solid(ne) {
+                            return true;
+                        }
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// `dirichlet_mask` through the oracle: the box faces as
+    /// `dirichlet_mask` sets them with the solid surface left natural (the
+    /// solid search never runs), then the reference search over them, the
+    /// order in which `dirichlet_mask` visits the two at a node.
+    fn dirichlet_mask_reference(m: &LocalMesh, bc: &BcSet) -> (Vec<f64>, Vec<f64>) {
+        let faces_only = BcSet {
+            solid_surface: Bc::Neumann,
+            ..*bc
+        };
+        let (mut mask, mut values) = m.dirichlet_mask(&faces_only);
+        if let Bc::Dirichlet(v) = bc.solid_surface {
+            let l = m.layout();
+            for idx in 0..l.n_nodes() {
+                let (le, i, j, k) = l.coords(idx);
+                if touches_solid_reference(m, le, i, j, k) {
+                    mask[idx] = 0.0;
+                    values[idx] = v;
+                }
+            }
+        }
+        (mask, values)
+    }
+
+    #[test]
+    fn dirichlet_mask_matches_the_allocating_search_bit_for_bit() {
+        use crate::cases::{pb146, rbc, CaseParams};
+        let mut meshes: Vec<(String, Arc<MeshSpec>, Vec<BcSet>)> = Vec::new();
+        for order in [1, 2, 3, 7] {
+            let mut params = CaseParams::pb146_default();
+            (params.order, params.elems) = (order, [4, 4, 8]);
+            let case = pb146(&params, 146);
+            assert!(case.spec.solid.contains(&true), "pb146 has solids");
+            let mut bcs = case.bcs.velocity.to_vec();
+            bcs.push(case.bcs.pressure);
+            meshes.push((format!("pb146 order {order}"), case.spec, bcs));
+        }
+        // A plane of solid elements at x-max, touching the y and z faces.
+        let mut plane = MeshSpec::box_mesh(2, [3, 3, 3], [1.0; 3], [false; 3]);
+        for (ey, ez) in (0..3).flat_map(|ey| (0..3).map(move |ez| (ey, ez))) {
+            let at = plane.elem_index([2, ey, ez]);
+            plane.solid[at] = true;
+        }
+        meshes.push(("solid plane".into(), Arc::new(plane), Vec::new()));
+        let mut params = CaseParams::rbc_default();
+        (params.order, params.elems) = (3, [3, 3, 4]);
+        let case = rbc(&params, 1e5, 0.7);
+        let mut bcs = case.bcs.velocity.to_vec();
+        bcs.push(case.bcs.pressure);
+        bcs.extend(case.config.temperature.map(|t| t.bc));
+        meshes.push(("rbc".into(), case.spec, bcs));
+        let single = MeshSpec::box_mesh(3, [1, 1, 1], [1.0; 3], [true, true, false]);
+        meshes.push(("single element".into(), Arc::new(single), Vec::new()));
+        // One element across, periodic in x and y, its middle element solid.
+        let mut column = MeshSpec::box_mesh(3, [1, 1, 3], [1.0; 3], [true, true, false]);
+        column.solid[1] = true;
+        meshes.push(("periodic column".into(), Arc::new(column), Vec::new()));
+
+        // Every mesh also gets distinct face values under a Dirichlet solid
+        // surface, the no-slip box, and a Dirichlet solid surface alone.
+        let mut distinct = BcSet::all_dirichlet_zero();
+        for (f, face) in distinct.faces.iter_mut().enumerate() {
+            *face = Bc::Dirichlet(1.0 + f as f64);
+        }
+        distinct.solid_surface = Bc::Dirichlet(-1.5);
+        let solid_only = BcSet {
+            faces: [Bc::Neumann; 6],
+            solid_surface: Bc::Dirichlet(-0.0),
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut solid_nodes = 0;
+        for (name, spec, mut bcs) in meshes {
+            bcs.extend([distinct, BcSet::all_dirichlet_zero(), solid_only]);
+            for ranks in 1..=spec.elems[2].min(3) {
+                for rank in 0..ranks {
+                    let m = LocalMesh::new(Arc::clone(&spec), rank, ranks);
+                    for bc in &bcs {
+                        let (mask, values) = m.dirichlet_mask(bc);
+                        let (want_mask, want_values) = dirichlet_mask_reference(&m, bc);
+                        let what = format!("{name}, rank {rank} of {ranks}, {bc:?}");
+                        assert_eq!(bits(&mask), bits(&want_mask), "{what}: mask");
+                        assert_eq!(bits(&values), bits(&want_values), "{what}: lift");
+                        if *bc == solid_only {
+                            solid_nodes += mask.iter().filter(|&&v| v == 0.0).count();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(solid_nodes > 0, "no mesh exercised the solid search");
     }
 
     #[test]

@@ -348,10 +348,23 @@ struct Level {
 
 /// `out = M u` along `axis` of one x-fastest block of extents `n`, `M`
 /// being row-major `rows × n[axis]`; `out` has extent `rows` along `axis`.
+/// Every output is summed in ascending column order from `+0.0`, whichever
+/// loop computes it.
 fn contract(m: &[f64], rows: usize, u: &[f64], n: [usize; 3], axis: usize, out: &mut [f64]) {
     let cols = n[axis];
     let stride: usize = n[..axis].iter().product();
     let outer: usize = n[axis + 1..].iter().product();
+    if axis == 0 {
+        // Unit stride: output `r` of x-line `o` is row `r` of `M` dotted
+        // with x-line `o` of `u`.
+        let lines = u[..outer * cols].chunks_exact(cols);
+        for (u_line, out_line) in lines.zip(out[..outer * rows].chunks_exact_mut(rows)) {
+            for (ov, m_row) in out_line.iter_mut().zip(m.chunks_exact(cols)) {
+                *ov = (m_row.iter().zip(u_line)).fold(0.0, |acc, (&a, &b)| acc + a * b);
+            }
+        }
+        return;
+    }
     for o in 0..outer {
         for r in 0..rows {
             let out_row = &mut out[(o * rows + r) * stride..][..stride];
@@ -1379,6 +1392,88 @@ mod tests {
                         (1.0..=2.2).contains(&lambda),
                         "order {order}, {name}, {ranks} ranks: λ_max(M⁻¹A) = {lambda}"
                     );
+                }
+            }
+        }
+    }
+
+    /// `contract` as first written, one strided triple loop for all three
+    /// axes: the oracle for its unit-stride branch.
+    fn contract_strided(
+        m: &[f64],
+        rows: usize,
+        u: &[f64],
+        n: [usize; 3],
+        axis: usize,
+        out: &mut [f64],
+    ) {
+        let cols = n[axis];
+        let stride: usize = n[..axis].iter().product();
+        let outer: usize = n[axis + 1..].iter().product();
+        for o in 0..outer {
+            for r in 0..rows {
+                let out_row = &mut out[(o * rows + r) * stride..][..stride];
+                out_row.fill(0.0);
+                for c in 0..cols {
+                    let coef = m[r * cols + c];
+                    let u_row = &u[(o * cols + c) * stride..][..stride];
+                    for (ov, &uv) in out_row.iter_mut().zip(u_row) {
+                        *ov += coef * uv;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transfers_contract_bitwise_as_the_strided_loop_on_every_axis() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The cycle's two transfers: orders 7 ↔ 3 and 3 ↔ 1.
+        for (nf, nc) in [(8, 4), (4, 2)] {
+            let coarse = Basis1d::new(nc - 1);
+            let (fine_nodes, _) = crate::quadrature::gll(nf - 1);
+            let interp: Vec<f64> = fine_nodes.iter().flat_map(|&x| coarse.eval_at(x)).collect();
+            let interp_t: Vec<f64> = (0..nc * nf)
+                .map(|cf| interp[cf % nf * nc + cf / nf])
+                .collect();
+            // Prolongation and restriction, along each axis, with every
+            // mix of coarse and fine extents on the other two.
+            for (m, rows, cols) in [(&interp, nf, nc), (&interp_t, nc, nf)] {
+                for axis in 0..3 {
+                    for others in [[nc, nc], [nc, nf], [nf, nc], [nf, nf]] {
+                        let mut others = others.into_iter();
+                        let n: [usize; 3] = std::array::from_fn(|d| {
+                            if d == axis {
+                                cols
+                            } else {
+                                others.next().expect("two other axes")
+                            }
+                        });
+                        let len: usize = n.iter().product();
+                        let inputs = [
+                            (0..len).map(|_| next()).collect::<Vec<_>>(),
+                            (0..len).map(|q| [0.0, -0.0, next()][q % 3]).collect(),
+                            vec![-0.0; len],
+                        ];
+                        let out_len = len / cols * rows;
+                        for u in inputs {
+                            let (mut got, mut want) = (vec![1.0; out_len], vec![1.0; out_len]);
+                            contract(m, rows, &u, n, axis, &mut got);
+                            contract_strided(m, rows, &u, n, axis, &mut want);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{rows}×{cols}, axis {axis}, {n:?}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -1,4 +1,5 @@
-//! Steady-state Navier–Stokes stepping must not touch the heap.
+//! Steady-state Navier–Stokes stepping must not touch the heap, and
+//! solver set-up must not allocate per node.
 //!
 //! The workspace arena (`sem::workspace`) recycles every temporary field
 //! the CG solver and the splitting scheme need; after a few warm-up steps
@@ -6,7 +7,11 @@
 //! step runs entirely out of reused buffers. This binary installs the
 //! tracking allocator for real and asserts the allocation *count* stays
 //! flat across steady-state steps — any regression that sneaks a `vec!`
-//! or `clone()` back into the hot path fails loudly.
+//! or `clone()` back into the hot path fails loudly. It also pins the
+//! count of one `CaseSetup::build`: set-up allocates its fields, tables
+//! and levels, a number that does not grow with the node count, so a
+//! per-node allocation (the solid search of `LocalMesh::dirichlet_mask`
+//! once made 680 019 of them at order 7) fails it too.
 //!
 //! This test lives in its own binary (one test per process) because the
 //! allocator counters are process-wide: concurrent tests in a shared
@@ -48,6 +53,21 @@ fn steady_state_alloc_delta(build_rbc: bool, pool_threads: usize) -> u64 {
     })
 }
 
+/// Allocations of one one-rank `build` of the benchmark's pb146 mesh,
+/// `[4, 4, 8]` elements with 146 pebbles, at polynomial `order`.
+fn build_allocations(order: usize) -> u64 {
+    let mut params = CaseParams::pb146_default();
+    (params.elems, params.order) = ([4, 4, 8], order);
+    let case = pb146(&params, 146);
+    rayon::pool::with_override(1, || {
+        run_ranks(1, MachineModel::test_tiny(), move |comm| {
+            let before = global_allocation_count();
+            let _solver = case.build(comm);
+            global_allocation_count() - before
+        })[0]
+    })
+}
+
 #[test]
 fn ns_step_steady_state_is_allocation_free() {
     // pb146 (velocity + pressure only), sequential pool.
@@ -65,4 +85,14 @@ fn ns_step_steady_state_is_allocation_free() {
         delta, 0,
         "pb146 steady-state step with 4 pool threads allocated {delta} times"
     );
+
+    // Set-up: a few hundred allocations at order 3 and at order 7 alike,
+    // though order 7 masks eight times the nodes.
+    for order in [3, 7] {
+        let n = build_allocations(order);
+        assert!(
+            n < 1_000,
+            "pb146 [4, 4, 8] build at order {order} allocated {n} times"
+        );
+    }
 }
