@@ -300,7 +300,7 @@ fn summarize(r: &RunReport) {
     }
 
     let aggs = aggregate(r);
-    // Event-mode runs only: how often a rank gave up the run token.
+    // How often a rank gave up its run token.
     if let (Some(Agg::Counter(msg)), Some(Agg::Counter(coll))) = (
         aggs.get("sched/blocks_message"),
         aggs.get("sched/blocks_collective"),

@@ -10,6 +10,10 @@
 //!
 //! Because these rules depend only on operation order and sizes, virtual
 //! time is deterministic across runs regardless of OS scheduling.
+//!
+//! Every wait — a `recv` with no matching message, a collective this rank
+//! does not complete, an [`Comm::external_wait`] — parks through the
+//! world's [`EventSched`], whatever its number of run tokens.
 
 use crate::clock::Clock;
 use crate::lock;
@@ -19,10 +23,9 @@ use crate::sched::{EventSched, WaitReason};
 use crate::stats::CommStats;
 use memtrack::{Accountant, Registry};
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 use telemetry::{RankTelemetry, TelemetryHub};
 use trace::{RankTrace, SpanGuard, Tracer};
 
@@ -87,24 +90,20 @@ pub(crate) struct World {
     senders: Vec<Sender<Envelope>>,
     receivers: Mutex<Vec<Option<Receiver<Envelope>>>>,
     coll: Mutex<[CollSlot; 2]>,
-    coll_cv: Condvar,
-    poisoned: AtomicBool,
     registry: Registry,
-    /// Discrete-event scheduler (None = free-running thread mode). When
-    /// set, every blocking point below parks through it instead of
-    /// polling, and sends post targeted wakeups.
-    sched: Option<Arc<EventSched>>,
+    /// Every blocking point below parks through it, and sends and
+    /// completed collectives post targeted wakeups.
+    sched: Arc<EventSched>,
 }
 
 impl World {
     /// Build a world of `size` ranks over `machine`, sharing `registry` for
-    /// memory accounting, driven by `sched` when given (event mode) or
-    /// free-running when `None` (thread mode).
+    /// memory accounting, driven by `sched`.
     pub fn new(
         size: usize,
         machine: MachineModel,
         registry: Registry,
-        sched: Option<Arc<EventSched>>,
+        sched: Arc<EventSched>,
     ) -> Arc<Self> {
         assert!(size > 0, "a world needs at least one rank");
         let mut senders = Vec::with_capacity(size);
@@ -120,8 +119,6 @@ impl World {
             senders,
             receivers: Mutex::new(receivers),
             coll: Mutex::new([CollSlot::new(size), CollSlot::new(size)]),
-            coll_cv: Condvar::new(),
-            poisoned: AtomicBool::new(false),
             registry,
             sched,
         })
@@ -148,23 +145,6 @@ impl World {
             time_cell: None,
             telemetry: RankTelemetry::default(),
         }
-    }
-
-    /// Mark the world poisoned (a rank panicked) and wake all waiters.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
-        {
-            let _guard = lock(&self.coll);
-            self.coll_cv.notify_all();
-        }
-        if let Some(s) = &self.sched {
-            s.poison();
-        }
-    }
-
-    /// True if any rank has panicked.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
     }
 }
 
@@ -414,11 +394,9 @@ impl Comm {
         self.world.senders[dest]
             .send(env)
             .expect("mailbox closed: world torn down while sending");
-        if let Some(s) = &self.world.sched {
-            // Event mode: make the destination runnable if it is parked in
-            // a recv. The sender keeps the run token.
-            s.notify_message(dest);
-        }
+        // Make the destination runnable if it is parked in a recv. The
+        // sender keeps its run token.
+        self.world.sched.notify_message(dest);
     }
 
     /// Convenience: send a `Vec<f64>` with its true wire size.
@@ -447,35 +425,15 @@ impl Comm {
         if let Some(i) = self.stash.iter().position(&pred) {
             return self.stash.remove(i);
         }
-        if self.world.sched.is_some() {
-            // Event mode: drain the mailbox, re-check, and park until a
-            // sender posts a wakeup. No polling — the scheduler resumes
-            // this rank only when a message has actually arrived (or the
-            // world poisons/deadlocks).
-            loop {
-                self.drain_channel();
-                if let Some(i) = self.stash.iter().position(&pred) {
-                    return self.stash.remove(i);
-                }
-                self.sched_block(WaitReason::Message);
-            }
-        }
+        // Drain the mailbox, re-check, and park until a sender posts a
+        // wakeup. No polling — the scheduler resumes this rank only when a
+        // message has arrived (or the world poisons/deadlocks).
         loop {
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(env) => {
-                    if pred(&env) {
-                        return env;
-                    }
-                    self.stash.push(env);
-                }
-                Err(_) => {
-                    assert!(
-                        !self.world.is_poisoned(),
-                        "rank {} aborting recv: another rank panicked",
-                        self.rank
-                    );
-                }
+            self.drain_channel();
+            if let Some(i) = self.stash.iter().position(&pred) {
+                return self.stash.remove(i);
             }
+            self.sched_block(WaitReason::Message);
         }
     }
 
@@ -575,29 +533,12 @@ impl Comm {
                     .network
                     .collective_time(world.size, payload_bytes);
             slot.result = Some(Arc::new(combine(inputs)));
-            match &world.sched {
-                None => {
-                    world.coll_cv.notify_all();
-                }
-                Some(s) => s.notify_collective(),
-            }
+            world.sched.notify_collective(self.rank);
         } else {
             while slots[parity].result.is_none() {
-                match &world.sched {
-                    None => {
-                        self.check_poison();
-                        slots = world
-                            .coll_cv
-                            .wait_timeout(slots, Duration::from_millis(50))
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0;
-                    }
-                    Some(_) => {
-                        drop(slots);
-                        self.sched_block(WaitReason::Collective);
-                        slots = lock(&world.coll);
-                    }
-                }
+                drop(slots);
+                self.sched_block(WaitReason::Collective);
+                slots = lock(&world.coll);
             }
         }
         let slot = &mut slots[parity];
@@ -657,19 +598,11 @@ impl Comm {
         self.stats.collectives += 1;
     }
 
-    fn check_poison(&self) {
-        assert!(
-            !self.world.is_poisoned(),
-            "rank {} aborting collective: another rank panicked",
-            self.rank
-        );
-    }
-
-    /// Event mode: give up the run token until the scheduler grants it
-    /// back. Panics when it never will — the world poisoned, or the
-    /// program deadlocked (then with the scheduler's diagnostic).
+    /// Give up the run token until the scheduler grants one back.
+    /// Panics when it never will — the world poisoned, or the program
+    /// deadlocked (then with the scheduler's diagnostic).
     fn sched_block(&self, reason: WaitReason) {
-        let s = self.world.sched.as_ref().expect("event-mode world");
+        let s = &self.world.sched;
         if s.block(self.rank, reason, self.clock.now().to_bits()) {
             return;
         }
@@ -685,25 +618,19 @@ impl Comm {
 
     /// Run `f` — which may block on something *outside* this world (an OS
     /// channel to another world, a supervisor pipe, ...) — without holding
-    /// the event scheduler's run token. In thread mode this is just `f()`.
+    /// a run token.
     ///
-    /// Event mode serializes ranks on a single run token; blocking on an
-    /// external resource while holding it would wedge every other rank in
-    /// this world (and, transitively, whichever world feeds the resource).
+    /// Under one token (event mode) blocking on an external resource while
+    /// holding it would wedge every other rank in this world (and,
+    /// transitively, whichever world feeds the resource).
     pub fn external_wait<T>(&self, f: impl FnOnce() -> T) -> T {
-        match &self.world.sched {
-            None => f(),
-            Some(s) => {
-                s.external_begin(self.rank);
-                let out = f();
-                // A false return means the world poisoned while we were
-                // out; let the caller observe that through its own result
-                // handling (mirrors thread mode, where poisoning surfaces
-                // at the next comm op).
-                let _ = s.external_end(self.rank, self.clock.now().to_bits());
-                out
-            }
-        }
+        let s = &self.world.sched;
+        s.external_begin(self.rank);
+        let out = f();
+        // A false return means the world poisoned while we were out; the
+        // poisoning surfaces at this rank's next wait.
+        let _ = s.external_end(self.rank, self.clock.now().to_bits());
+        out
     }
 
     /// Synchronize all ranks (and their clocks) — MPI_Barrier.

@@ -1,34 +1,27 @@
 //! Execution modes: how the ranks of a world are driven.
 //!
-//! [`run_world`] spawns one OS thread per rank and joins them; the
-//! [`SchedMode`] decides how those threads take turns:
+//! [`run_world`] spawns one OS thread per rank and joins them under one
+//! run-token scheduler, [`EventSched`]. A rank holds a token while it
+//! runs and gives it back only where it would otherwise wait — a `recv`
+//! with no matching message, a collective that is not complete yet, an
+//! `external_wait` — or when it finishes; a free token goes to the ready
+//! rank with the **earliest virtual clock**. The [`SchedMode`] decides
+//! only how many tokens there are:
 //!
-//! * [`SchedMode::Thread`] — every rank thread runs freely and blocks in
-//!   the rendezvous primitives (channel timeouts, condvars). This is the
-//!   original commsim behavior: simple, parallel on real cores, but every
-//!   blocked rank still burns a 50 ms wakeup poll, and collectives wake
-//!   all waiters per phase flip — at thousands of ranks the host drowns
-//!   in futile wakeups. A hard world-size cap
-//!   ([`THREAD_MODE_DEFAULT_MAX_RANKS`]) turns the eventual OS thread-spawn
-//!   failure into an actionable error.
+//! * [`SchedMode::Thread`] — one token per rank: every rank runs freely,
+//!   in parallel on real cores, and parks only where it must wait.
 //!
-//! * [`SchedMode::Event`] — discrete-event mode. Rank threads exist only
-//!   as resumable tasks: a single *run token* is granted to one rank at a
-//!   time by [`EventSched`], and a rank returns it only where it would
-//!   otherwise wait — a `recv` with no matching message, a collective
-//!   that is not complete yet, an `external_wait` — or when it finishes.
-//!   Sends never give it up. The scheduler always resumes the runnable
-//!   rank with the **earliest virtual clock** (a pending queue keyed by
-//!   the clock's bit pattern), so the run repeats exactly. Blocked ranks
-//!   are woken by targeted `unpark`s (O(1) per message, O(waiters) per
-//!   completed collective), which is what makes 10k-rank worlds
-//!   practical.
+//! * [`SchedMode::Event`] — one token: one rank runs at a time, so a run
+//!   repeats hand-off for hand-off and 10k-rank worlds cost 10k parked
+//!   threads and no contention.
 //!
 //! Virtual-time output is bitwise identical across the two modes by
 //! construction: both drive the *same* rendezvous code in `comm.rs`, and
 //! the clock rules there depend only on operation order and sizes — never
 //! on which thread happened to run first. The differential suite in
-//! `tests/scheduler_parity.rs` enforces this end to end.
+//! `tests/scheduler_parity.rs` enforces this end to end. Under either
+//! mode a world whose ranks all wait with nobody left to wake them
+//! panics with the scheduler's deadlock diagnostic.
 //!
 //! Mode selection: `NEK_SCHED_MODE=event` (or `thread`, the default), or
 //! programmatically via [`with_mode`], which takes precedence and is
@@ -46,10 +39,10 @@ use std::thread;
 /// Which executor drives the rank world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
-    /// One free-running OS thread per rank (the original behavior).
+    /// A run token per rank: every rank runs freely.
     Thread,
-    /// Discrete-event scheduling: one rank runs at a time, earliest
-    /// virtual clock first.
+    /// One run token: one rank runs at a time, earliest virtual clock
+    /// first.
     Event,
 }
 
@@ -124,20 +117,13 @@ pub fn with_mode_override<R>(over: Option<SchedMode>, f: impl FnOnce() -> R) -> 
 /// stay small and hundreds of ranks fit comfortably.
 pub const RANK_STACK_BYTES: usize = 2 * 1024 * 1024;
 
-/// Largest world thread mode accepts. Beyond ~2k free-running threads the
-/// condvar broadcast storms in the collective rendezvous dominate wall
-/// time long before the OS refuses to spawn, so the cap fails fast with a
-/// pointer to event mode instead.
-pub const THREAD_MODE_DEFAULT_MAX_RANKS: usize = 2048;
-
 /// Run `f` on every rank of a fresh world of `size` ranks over `machine`,
 /// sharing `registry`, each rank on a thread with `stack_bytes` of stack,
 /// scheduled per `mode`. Returns per-rank results indexed by rank,
 /// re-raising the first rank panic after poisoning the world.
 ///
 /// # Panics
-/// In thread mode, if `size` exceeds [`THREAD_MODE_DEFAULT_MAX_RANKS`];
-/// and on any rank panic.
+/// On any rank panic, a deadlock included.
 pub fn run_world<R, F>(
     mode: SchedMode,
     size: usize,
@@ -150,38 +136,30 @@ where
     R: Send + 'static,
     F: Fn(&mut Comm) -> R + Send + Sync + 'static,
 {
-    let sched = match mode {
-        SchedMode::Thread => {
-            assert!(
-                size <= THREAD_MODE_DEFAULT_MAX_RANKS,
-                "thread executor: world size {size} exceeds the \
-                 {THREAD_MODE_DEFAULT_MAX_RANKS} free-running OS-thread cap ({stack_bytes} B \
-                 stacks). Use NEK_SCHED_MODE=event (the discrete-event executor \
-                 handles 10k+ virtual ranks).",
-            );
-            None
-        }
-        SchedMode::Event => Some(Arc::new(EventSched::new(size))),
+    let tokens = match mode {
+        SchedMode::Thread => size,
+        SchedMode::Event => 1,
     };
+    let sched = Arc::new(EventSched::new(size, tokens));
     spawn_and_join(size, machine, registry, stack_bytes, sched, f)
 }
 
-/// The spawn/join loop under both modes. With a scheduler, each rank
-/// registers itself and waits for the run token before touching user
-/// code, and releases its slot when it finishes or unwinds.
+/// The spawn/join loop: each rank registers itself with `sched` and waits
+/// for a run token before touching user code, and releases its slot when
+/// it finishes or unwinds.
 fn spawn_and_join<R, F>(
     size: usize,
     machine: MachineModel,
     registry: Registry,
     stack_bytes: usize,
-    sched: Option<Arc<EventSched>>,
+    sched: Arc<EventSched>,
     f: F,
 ) -> Vec<RankResult<R>>
 where
     R: Send + 'static,
     F: Fn(&mut Comm) -> R + Send + Sync + 'static,
 {
-    let world = World::new(size, machine, registry, sched.clone());
+    let world = World::new(size, machine, registry, Arc::clone(&sched));
     let f = Arc::new(f);
     // Rank threads share one global compute pool (see `rayon::pool`); the
     // spawning thread's pool-size override carries over so e.g.
@@ -194,18 +172,16 @@ where
     for rank in 0..size {
         let world = Arc::clone(&world);
         let f = Arc::clone(&f);
-        let sched = sched.clone();
+        let sched = Arc::clone(&sched);
         let handle = thread::Builder::new()
             .name(format!("rank{rank}"))
             .stack_size(stack_bytes)
             .spawn(move || {
                 let mut comm = world.attach(rank);
-                if let Some(s) = &sched {
-                    // Wait for the run token; on a world already poisoned
-                    // by an earlier rank panic, fall through — the first
-                    // communication attempt aborts with the poison error.
-                    s.start(rank);
-                }
+                // Wait for a run token; on a world already poisoned by an
+                // earlier rank panic, fall through — the first wait aborts
+                // with the poison error.
+                sched.start(rank);
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     rayon::pool::with_override(pool_override, || {
                         with_mode_override(sched_override, || f(&mut comm))
@@ -226,25 +202,23 @@ where
                         // A rank that panics because the world was already
                         // poisoned is collateral damage; remember that so the
                         // runner re-raises the original panic, not this one.
-                        let secondary = world.is_poisoned();
-                        world.poison();
+                        let secondary = sched.is_poisoned();
+                        sched.poison();
                         Err((secondary, payload))
                     }
                 };
-                if let Some(s) = &sched {
-                    // The scheduler's hand-off counts ride the telemetry
-                    // bus, not `CommStats`: that struct must compare
-                    // equal across executors.
-                    let blocks = s.rank_blocks(rank);
-                    let telemetry = comm.telemetry();
-                    telemetry
-                        .counter("sched/blocks_message")
-                        .add(blocks.message);
-                    telemetry
-                        .counter("sched/blocks_collective")
-                        .add(blocks.collective);
-                    s.finish(rank);
-                }
+                // The scheduler's hand-off counts ride the telemetry bus,
+                // not `CommStats`: that struct must compare equal across
+                // modes.
+                let blocks = sched.rank_blocks(rank);
+                let telemetry = comm.telemetry();
+                telemetry
+                    .counter("sched/blocks_message")
+                    .add(blocks.message);
+                telemetry
+                    .counter("sched/blocks_collective")
+                    .add(blocks.collective);
+                sched.finish(rank);
                 out
             })
             .expect("failed to spawn rank thread");
@@ -358,13 +332,13 @@ mod tests {
         R: Send + 'static,
         F: Fn(&mut Comm) -> R + Send + Sync + 'static,
     {
-        let sched = Arc::new(EventSched::new(size));
+        let sched = Arc::new(EventSched::new(size, 1));
         let results = spawn_and_join(
             size,
             MachineModel::test_tiny(),
             Registry::new(),
             RANK_STACK_BYTES,
-            Some(Arc::clone(&sched)),
+            Arc::clone(&sched),
             f,
         );
         (results, sched)
@@ -427,16 +401,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scheduler deadlock")]
     fn one_collective_short_is_a_diagnosed_deadlock() {
         // Rank 2 leaves after the first barrier; ranks 0 and 1 park in the
         // second one, in the slot nobody will ever complete.
-        event_world(3, |comm| {
-            comm.barrier();
-            if comm.rank() != 2 {
-                comm.barrier();
-            }
-        });
+        for mode in [SchedMode::Thread, SchedMode::Event] {
+            let err = std::panic::catch_unwind(|| {
+                run_world(
+                    mode,
+                    3,
+                    MachineModel::test_tiny(),
+                    Registry::new(),
+                    RANK_STACK_BYTES,
+                    |comm| {
+                        comm.barrier();
+                        if comm.rank() != 2 {
+                            comm.barrier();
+                        }
+                    },
+                )
+            })
+            .expect_err("a deadlocked world must panic");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                msg.contains("scheduler deadlock"),
+                "{}: {msg}",
+                mode.label()
+            );
+        }
     }
 
     /// Back-to-back collectives of five result types, every result
@@ -469,27 +460,61 @@ mod tests {
         sum
     }
 
-    #[test]
-    fn two_slot_rendezvous_holds_up_under_laps_in_thread_mode() {
-        // A slot reused a generation early trips the reuse assertion or
-        // hands some rank another round's result (wrong value, failed
-        // downcast); one reset before its last reader leaves that reader
-        // without a result — a diagnosed deadlock in the event world, which
-        // therefore runs first.
-        let (event, _) = event_world(8, mixed_collective_laps);
+    /// A send/recv ring, every result depending on the round; rank 3
+    /// stalls in real time now and then so its neighbours wait on it.
+    fn ring_laps(comm: &mut Comm) -> u64 {
+        let (n, r) = (comm.size(), comm.rank());
+        let (right, left) = ((r + 1) % n, (r + n - 1) % n);
+        let mut sum = 0u64;
+        for i in 0..2000u64 {
+            if r == 3 && i % 64 == 0 {
+                thread::sleep(std::time::Duration::from_micros(200));
+            }
+            comm.advance((r + 1) as f64 * 1e-6);
+            comm.send(right, 5, i * 100 + r as u64, 8);
+            let got = comm.recv::<u64>(left, 5);
+            assert_eq!(got, i * 100 + left as u64, "round {i}");
+            sum = sum.wrapping_mul(31).wrapping_add(got);
+        }
+        sum
+    }
+
+    /// Run `laps` on 8 ranks under both modes, check that every rank's
+    /// value, clock and counters agree, and return the thread-mode results.
+    fn thread_matches_event(laps: fn(&mut Comm) -> u64) -> Vec<RankResult<u64>> {
+        let (event, _) = event_world(8, laps);
         let thread = run_world(
             SchedMode::Thread,
             8,
             MachineModel::test_tiny(),
             Registry::new(),
             RANK_STACK_BYTES,
-            mixed_collective_laps,
+            laps,
         );
         for (t, e) in thread.iter().zip(&event) {
             assert_eq!(t.value, e.value, "rank {}", t.rank);
             assert_eq!(t.time.to_bits(), e.time.to_bits(), "rank {}", t.rank);
             assert_eq!(t.stats, e.stats, "rank {}", t.rank);
         }
+        thread
+    }
+
+    #[test]
+    fn ring_messages_are_not_lost_in_thread_mode() {
+        // A notification that reaches a rank between its look at the
+        // mailbox and its park must not be lost: a lost one leaves the
+        // ring a diagnosed deadlock.
+        let thread = thread_matches_event(ring_laps);
+        assert_eq!(thread[0].stats.messages_received, 2000);
+    }
+
+    #[test]
+    fn two_slot_rendezvous_holds_up_under_laps_in_thread_mode() {
+        // A slot reused a generation early trips the reuse assertion or
+        // hands some rank another round's result (wrong value, failed
+        // downcast); one reset before its last reader leaves that reader
+        // without a result — a diagnosed deadlock in either mode.
+        let thread = thread_matches_event(mixed_collective_laps);
         assert_eq!(thread[0].stats.collectives, 10_000);
     }
 }

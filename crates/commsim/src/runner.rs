@@ -1,19 +1,12 @@
 //! Spawn-join harness: run a closure on every rank of a world.
 //!
 //! Rank counts can exceed the physical core count — ranks are threads that
-//! mostly block in rendezvous, and the figure harnesses rely on virtual
-//! time, not wall time. The actual spawn/park mechanics live in
-//! [`crate::exec::run_world`]: these entry points pass it the ambient
-//! [`SchedMode`] (the `NEK_SCHED_MODE` env var or a
-//! [`crate::exec::with_mode`] override) — free-running threads or the
-//! discrete-event scheduler.
-//!
-//! Thread mode keeps stacks small (2 MiB) so hundreds of ranks fit, but it
-//! still spends one free-running OS thread per rank — it refuses world
-//! sizes above a fixed cap (2048,
-//! [`crate::exec::THREAD_MODE_DEFAULT_MAX_RANKS`]) with a clear error
-//! instead of dying in `pthread_create`. Event mode parks all but one rank
-//! and scales to tens of thousands of ranks.
+//! mostly park in rendezvous, on small (2 MiB) stacks, and the figure
+//! harnesses rely on virtual time, not wall time. The actual spawn/park
+//! mechanics live in [`crate::exec::run_world`]: these entry points pass
+//! it the ambient [`SchedMode`] (the `NEK_SCHED_MODE` env var or a
+//! [`crate::exec::with_mode`] override) — a run token per rank, or one
+//! for the whole world.
 
 use crate::comm::Comm;
 use crate::exec::{run_world, SchedMode, RANK_STACK_BYTES};
@@ -79,8 +72,8 @@ where
 /// full [`RankResult`]s including virtual times and stats.
 ///
 /// Runs under [`SchedMode::current`]: `NEK_SCHED_MODE=event` (or an
-/// enclosing [`crate::exec::with_mode`]) selects the discrete-event
-/// scheduler; the default is free-running threads.
+/// enclosing [`crate::exec::with_mode`]) runs one rank at a time; the
+/// default lets every rank run freely.
 pub fn run_ranks_with_registry<R, F>(
     size: usize,
     machine: MachineModel,

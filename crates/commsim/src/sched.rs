@@ -1,46 +1,50 @@
-//! The discrete-event rank scheduler behind [`crate::exec::run_world`]'s
-//! event mode.
+//! The run-token rank scheduler behind [`crate::exec::run_world`].
 //!
-//! Ranks are OS threads used purely as resumable tasks: a single *run
-//! token* means at most one rank executes simulation code at a time. A
-//! rank gives the token up only when it would otherwise **wait** — a
-//! `recv` with no matching message, a collective that is not yet
-//! complete, an [`EventSched::external_begin`] region — or when it
-//! finishes. Sends, probes and the arrival that completes a collective
-//! keep it. The scheduler then grants the token to the ready rank with
-//! the **earliest virtual clock** (ties broken by rank id, so grant
-//! order is deterministic once the world has started).
+//! Ranks are OS threads used as resumable tasks under *k* *run tokens*:
+//! at most *k* ranks execute simulation code at a time. Event mode has
+//! one token, so one rank runs at a time; thread mode has one per rank,
+//! so every rank runs freely. A rank gives its token up only when it
+//! would otherwise **wait** — a `recv` with no matching message, a
+//! collective that is not yet complete, an [`EventSched::external_begin`]
+//! region — or when it finishes. Sends, probes and the arrival that
+//! completes a collective keep it. A free token goes to the ready rank
+//! with the **earliest virtual clock** (ties broken by rank id, so with
+//! one token the grant order is deterministic once the world has
+//! started).
 //!
 //! Results do not depend on that order, or on any order: the clock
 //! rules in `comm.rs` depend only on what each rank does and on message
-//! and collective sizes, which is why the free-running thread executor
-//! — ranks in arbitrary real order — is bitwise equal to this one. The
-//! grant rule is there so runs repeat exactly, not to make them correct.
+//! and collective sizes, which is why a world with a token per rank —
+//! ranks in arbitrary real order — is bitwise equal to one with a single
+//! token. The grant rule is there so runs repeat exactly, not to make
+//! them correct.
 //!
 //! A hand-off costs one wake. Everything that decides who runs next
-//! sits under one state mutex, but the successor is unparked only
-//! *after* that mutex is released (woken under it, the successor
-//! preempts the waker and immediately blocks on the lock the waker
-//! still holds), and a parked rank watches two atomics — its own grant
-//! flag and the world's poison flag — so waking up takes no lock at
-//! all. Wakeups are targeted: O(1) per point-to-point message,
-//! O(waiters) per completed collective from a waiter list, never a scan
-//! of the world.
+//! sits under one state mutex, but a granted rank is unparked only
+//! *after* that mutex is released (woken under it, it preempts the waker
+//! and immediately blocks on the lock the waker still holds), and a
+//! parked rank watches two atomics — its own grant flag and the world's
+//! poison flag — so waking up takes no lock at all. Wakeups are
+//! targeted: O(1) per point-to-point message, O(waiters) per completed
+//! collective from a waiter list, never a scan of the world with one
+//! token.
+//!
+//! With more than one token a rank can look at its mailbox or its
+//! collective slot, find nothing, and be notified before it parks. The
+//! notification then finds it running, so it sets the rank's
+//! *wake-pending* bit instead, and the rank's next [`EventSched::block`]
+//! consumes the bit and returns at once; its caller looks again.
 //!
 //! Ranks that must block on something *outside* the world's own
 //! rendezvous (the pipelined frame/credit channels, the in-transit
 //! staging queues) bracket that wait with [`EventSched::external_begin`]
 //! / [`EventSched::external_end`] (see `Comm::external_wait`), releasing
-//! the token so the rest of the world keeps making progress. Without
-//! this, a producer parked on a cross-world channel would starve the
-//! very consumers that feed it.
+//! the token so the rest of the world keeps making progress.
 //!
 //! Deadlock detection falls out of the bookkeeping: when no rank is
 //! running, ready, starting, or in an external wait, yet unfinished
 //! ranks remain, no future wakeup can exist — the scheduler poisons the
 //! world and every parked rank panics with a per-rank wait diagnostic.
-//! (Thread mode hangs forever on such programs; the proptests in
-//! `tests/proptests.rs` rely on this as a bounded-step watchdog.)
 
 use crate::lock;
 use std::cmp::Reverse;
@@ -67,10 +71,10 @@ impl WaitReason {
     }
 }
 
-/// How many times ranks gave up the run token to wait, by [`WaitReason`]
+/// How many times ranks gave up a run token to wait, by [`WaitReason`]
 /// — the scheduler's hand-off count. Exact and repeatable for a given
-/// communication program; never part of `CommStats`, which must compare
-/// equal across executors.
+/// communication program under one token; never part of `CommStats`,
+/// which must compare equal across executors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockCounts {
     /// Parks in `recv`/`recv_any`.
@@ -83,9 +87,9 @@ pub struct BlockCounts {
 enum RankState {
     /// Thread not yet registered with the scheduler.
     Unstarted,
-    /// Runnable, queued for the token.
+    /// Runnable, queued for a token.
     Ready,
-    /// Holds the run token.
+    /// Holds a run token.
     Running,
     /// Parked in a communicator wait; woken by `notify_*`.
     Blocked(WaitReason),
@@ -102,6 +106,8 @@ struct Slot {
     /// non-negative finite clocks the simulator produces.
     clock_bits: u64,
     blocks: BlockCounts,
+    /// Notified while running: the next `block` returns without parking.
+    wake_pending: bool,
 }
 
 struct SchedState {
@@ -112,7 +118,8 @@ struct SchedState {
     /// whole world: a rank can park in the next collective only after
     /// this one completed, which drained the list.
     coll_waiters: Vec<usize>,
-    running: Option<usize>,
+    /// Ranks holding a token.
+    running: usize,
     unstarted: usize,
     external: usize,
     live: usize,
@@ -125,7 +132,7 @@ struct SchedState {
 struct Parker {
     /// The rank's thread, set once by [`EventSched::start`].
     thread: OnceLock<Thread>,
-    /// The run token was granted to this rank and not yet picked up.
+    /// A run token was granted to this rank and not yet picked up.
     granted: AtomicBool,
 }
 
@@ -134,22 +141,27 @@ struct Parker {
 enum Wake {
     Nobody,
     Rank(usize),
+    Ranks(Vec<usize>),
     Everyone,
 }
 
-/// Token scheduler for one event-mode world. Shared by the world, its
+/// Run-token scheduler for one world. Shared by the world, its
 /// communicators, and the executor's rank threads.
 pub struct EventSched {
     state: Mutex<SchedState>,
     parkers: Vec<Parker>,
+    /// How many ranks may run at once.
+    tokens: usize,
     /// Written only under the state lock, so a grant decision never
     /// races a poisoning; read lock-free by parked ranks.
     poisoned: AtomicBool,
 }
 
 impl EventSched {
-    /// A scheduler for a world of `size` ranks, all initially unstarted.
-    pub fn new(size: usize) -> Self {
+    /// A scheduler for a world of `size` ranks, all initially unstarted,
+    /// of which at most `tokens` run at once.
+    pub fn new(size: usize, tokens: usize) -> Self {
+        assert!(tokens > 0, "a world needs at least one run token");
         Self {
             state: Mutex::new(SchedState {
                 slots: (0..size)
@@ -157,11 +169,12 @@ impl EventSched {
                         state: RankState::Unstarted,
                         clock_bits: 0,
                         blocks: BlockCounts::default(),
+                        wake_pending: false,
                     })
                     .collect(),
                 ready: BinaryHeap::with_capacity(size),
                 coll_waiters: Vec::new(),
-                running: None,
+                running: 0,
                 unstarted: size,
                 external: 0,
                 live: size,
@@ -173,11 +186,12 @@ impl EventSched {
                     granted: AtomicBool::new(false),
                 })
                 .collect(),
+            tokens,
             poisoned: AtomicBool::new(false),
         }
     }
 
-    /// Register the calling thread as `rank` and wait for the run token.
+    /// Register the calling thread as `rank` and wait for a run token.
     /// Returns `false` when the world poisoned before the grant (the
     /// rank may proceed; its first communication will abort).
     pub fn start(&self, rank: usize) -> bool {
@@ -204,18 +218,26 @@ impl EventSched {
     }
 
     /// Park in a communicator wait (`reason`) at virtual time
-    /// `clock_bits`; returns when re-granted the token. `false` means
-    /// the world poisoned (or deadlocked) instead — see
-    /// [`EventSched::deadlock_diag`].
+    /// `clock_bits`; returns when re-granted a token, or at once when a
+    /// notification came since the caller last looked (the caller looks
+    /// again either way). `false` means the world poisoned (or
+    /// deadlocked) instead — see [`EventSched::deadlock_diag`].
     pub fn block(&self, rank: usize, reason: WaitReason, clock_bits: u64) -> bool {
         let wake = {
             let mut st = lock(&self.state);
             if self.is_poisoned() {
                 return false;
             }
-            debug_assert_eq!(st.running, Some(rank), "only the token holder may block");
             let st = &mut *st;
             let slot = &mut st.slots[rank];
+            debug_assert_eq!(
+                slot.state,
+                RankState::Running,
+                "only a token holder may block"
+            );
+            if std::mem::take(&mut slot.wake_pending) {
+                return true;
+            }
             slot.state = RankState::Blocked(reason);
             slot.clock_bits = clock_bits;
             match reason {
@@ -225,7 +247,7 @@ impl EventSched {
                     st.coll_waiters.push(rank);
                 }
             }
-            st.running = None;
+            st.running -= 1;
             self.grant_next(st)
         };
         self.wake(wake);
@@ -233,36 +255,57 @@ impl EventSched {
     }
 
     /// A message landed in `dest`'s mailbox: make it runnable if it was
-    /// parked waiting for one. (The woken rank re-checks its match
-    /// predicate and re-blocks if the message was not the one.)
+    /// parked waiting for one, or mark it wake-pending if it is running.
+    /// (The woken rank re-checks its match predicate and re-blocks if the
+    /// message was not the one.) The sender keeps its token.
     pub fn notify_message(&self, dest: usize) {
-        let mut st = lock(&self.state);
-        let slot = &mut st.slots[dest];
-        if slot.state == RankState::Blocked(WaitReason::Message) {
-            slot.state = RankState::Ready;
-            let bits = slot.clock_bits;
-            st.ready.push(Reverse((bits, dest)));
-            // No grant: the sender holds the token and keeps running.
-        }
+        let wake = {
+            let mut st = lock(&self.state);
+            // Only another running rank can be between its look and its park.
+            let others_run = st.running > 1;
+            let slot = &mut st.slots[dest];
+            match slot.state {
+                RankState::Blocked(WaitReason::Message) => {
+                    slot.state = RankState::Ready;
+                    let bits = slot.clock_bits;
+                    st.ready.push(Reverse((bits, dest)));
+                    self.grant_next(&mut st)
+                }
+                RankState::Running if others_run => {
+                    slot.wake_pending = true;
+                    Wake::Nobody
+                }
+                _ => Wake::Nobody,
+            }
+        };
+        self.wake(wake);
     }
 
-    /// The collective in flight completed: every rank parked in it
-    /// becomes runnable. The caller holds the token and keeps it.
-    pub fn notify_collective(&self) {
-        let mut st = lock(&self.state);
-        let SchedState {
-            slots,
-            ready,
-            coll_waiters,
-            ..
-        } = &mut *st;
-        for rank in coll_waiters.drain(..) {
-            let slot = &mut slots[rank];
-            if slot.state == RankState::Blocked(WaitReason::Collective) {
-                slot.state = RankState::Ready;
-                ready.push(Reverse((slot.clock_bits, rank)));
+    /// The collective in flight completed on rank `by`: every rank parked
+    /// in it becomes runnable, and every other running rank is marked
+    /// wake-pending (it may have arrived and not parked yet). `by` keeps
+    /// its token.
+    pub fn notify_collective(&self, by: usize) {
+        let wake = {
+            let mut st = lock(&self.state);
+            let st = &mut *st;
+            for rank in st.coll_waiters.drain(..) {
+                let slot = &mut st.slots[rank];
+                if slot.state == RankState::Blocked(WaitReason::Collective) {
+                    slot.state = RankState::Ready;
+                    st.ready.push(Reverse((slot.clock_bits, rank)));
+                }
             }
-        }
+            if st.running > 1 {
+                for (rank, slot) in st.slots.iter_mut().enumerate() {
+                    if slot.state == RankState::Running && rank != by {
+                        slot.wake_pending = true;
+                    }
+                }
+            }
+            self.grant_next(st)
+        };
+        self.wake(wake);
     }
 
     /// Enter a non-communicator blocking region: release the token so the
@@ -270,21 +313,22 @@ impl EventSched {
     pub fn external_begin(&self, rank: usize) {
         let wake = {
             let mut st = lock(&self.state);
+            let was = st.slots[rank].state;
             debug_assert!(
-                self.is_poisoned() || st.running == Some(rank),
-                "only the token holder may enter an external wait"
+                self.is_poisoned() || was == RankState::Running,
+                "only a token holder may enter an external wait"
             );
+            if was == RankState::Running {
+                st.running -= 1;
+            }
             st.slots[rank].state = RankState::External;
             st.external += 1;
-            if st.running == Some(rank) {
-                st.running = None;
-            }
             self.grant_next(&mut st)
         };
         self.wake(wake);
     }
 
-    /// Leave an external region and wait to be re-granted the token.
+    /// Leave an external region and wait to be re-granted a token.
     /// Returns `false` on poison (the caller proceeds; its next
     /// communication aborts).
     pub fn external_end(&self, rank: usize, clock_bits: u64) -> bool {
@@ -304,7 +348,7 @@ impl EventSched {
     }
 
     /// The rank returned (or unwound) from its closure: release its slot
-    /// and hand the token on.
+    /// and hand its token on.
     pub fn finish(&self, rank: usize) {
         let wake = {
             let mut st = lock(&self.state);
@@ -312,13 +356,11 @@ impl EventSched {
                 RankState::Finished => return,
                 RankState::External => st.external -= 1,
                 RankState::Unstarted => st.unstarted -= 1,
+                RankState::Running => st.running -= 1,
                 _ => {}
             }
             st.slots[rank].state = RankState::Finished;
             st.live -= 1;
-            if st.running == Some(rank) {
-                st.running = None;
-            }
             self.grant_next(&mut st)
         };
         self.wake(wake);
@@ -331,6 +373,11 @@ impl EventSched {
             self.poisoned.store(true, Ordering::SeqCst);
         }
         self.wake(Wake::Everyone);
+    }
+
+    /// True once a rank panicked or the world deadlocked.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::SeqCst)
     }
 
     /// The deadlock diagnostic, when detection fired.
@@ -354,37 +401,49 @@ impl EventSched {
             })
     }
 
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
-    }
-
-    /// Grant the token to the earliest-clock ready rank; with nobody to
-    /// grant and no possible future wakeup, declare deadlock. The caller
-    /// passes the answer to [`EventSched::wake`] after unlocking.
+    /// Grant free tokens to the earliest-clock ready ranks; with nobody
+    /// running, nobody to grant and no possible future wakeup, declare
+    /// deadlock. The caller passes the answer to [`EventSched::wake`]
+    /// after unlocking.
     fn grant_next(&self, st: &mut SchedState) -> Wake {
-        if st.running.is_some() || self.is_poisoned() {
+        if self.is_poisoned() {
             return Wake::Nobody;
         }
-        while let Some(Reverse((bits, rank))) = st.ready.pop() {
+        let mut wake = Wake::Nobody;
+        while st.running < self.tokens {
+            let Some(Reverse((bits, rank))) = st.ready.pop() else {
+                break;
+            };
             // Stale heap entries (rank moved on since being pushed) are
             // skipped; a slot is granted only from `Ready`.
-            if st.slots[rank].state == RankState::Ready && st.slots[rank].clock_bits == bits {
-                st.slots[rank].state = RankState::Running;
-                st.running = Some(rank);
-                // Release: pairs with the Acquire swap in
-                // `park_until_running`, so the rank resumes seeing all
-                // that earlier token holders did.
-                self.parkers[rank].granted.store(true, Ordering::Release);
-                return Wake::Rank(rank);
+            let slot = &mut st.slots[rank];
+            if slot.state != RankState::Ready || slot.clock_bits != bits {
+                continue;
             }
+            slot.state = RankState::Running;
+            slot.wake_pending = false;
+            st.running += 1;
+            // Release: pairs with the Acquire swap in
+            // `park_until_running`, so the rank resumes seeing all that
+            // earlier token holders did.
+            self.parkers[rank].granted.store(true, Ordering::Release);
+            wake = match wake {
+                Wake::Nobody => Wake::Rank(rank),
+                Wake::Rank(first) => Wake::Ranks(vec![first, rank]),
+                Wake::Ranks(mut all) => {
+                    all.push(rank);
+                    Wake::Ranks(all)
+                }
+                Wake::Everyone => unreachable!("grants never wake everyone"),
+            };
         }
-        if st.unstarted > 0 || st.external > 0 || st.live == 0 {
-            return Wake::Nobody;
+        if st.running > 0 || st.unstarted > 0 || st.external > 0 || st.live == 0 {
+            return wake;
         }
         // Every unfinished rank is parked in a communicator wait and
         // no runnable rank remains to wake any of them.
         let mut diag = format!(
-            "discrete-event scheduler deadlock: all {} unfinished ranks are blocked \
+            "rank scheduler deadlock: all {} unfinished ranks are blocked \
              with no possible wakeup (invalid communication program):",
             st.live
         );
@@ -412,19 +471,20 @@ impl EventSched {
     /// Unpark what [`EventSched::grant_next`] chose. Call with the state
     /// lock released.
     fn wake(&self, wake: Wake) {
-        let unpark = |p: &Parker| {
-            if let Some(t) = p.thread.get() {
+        let unpark = |rank: usize| {
+            if let Some(t) = self.parkers[rank].thread.get() {
                 t.unpark();
             }
         };
         match wake {
             Wake::Nobody => {}
-            Wake::Rank(rank) => unpark(&self.parkers[rank]),
-            Wake::Everyone => self.parkers.iter().for_each(unpark),
+            Wake::Rank(rank) => unpark(rank),
+            Wake::Ranks(ranks) => ranks.into_iter().for_each(unpark),
+            Wake::Everyone => (0..self.parkers.len()).for_each(unpark),
         }
     }
 
-    /// Park until granted the token (`true`) or poisoned (`false`).
+    /// Park until granted a token (`true`) or poisoned (`false`).
     fn park_until_running(&self, rank: usize) -> bool {
         let me = &self.parkers[rank];
         loop {
@@ -450,7 +510,7 @@ mod tests {
         // Ranks 0..3 park in a recv at clocks 200, 100, 100; rank 3 makes
         // them all runnable at once and leaves.
         let clocks = [200.0f64, 100.0, 100.0];
-        let s = Arc::new(EventSched::new(4));
+        let s = Arc::new(EventSched::new(4, 1));
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for (rank, clock) in clocks.into_iter().enumerate() {
@@ -498,7 +558,7 @@ mod tests {
         // Rank 1 parks in a recv, rank 2 in a collective; rank 0 completes
         // the collective. Rank 2 runs on; rank 1 stays parked, which the
         // scheduler then reports as the deadlock it is.
-        let s = Arc::new(EventSched::new(3));
+        let s = Arc::new(EventSched::new(3, 1));
         let s1 = Arc::clone(&s);
         let h1 = std::thread::spawn(move || {
             assert!(s1.start(1));
@@ -524,7 +584,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(s.external_end(0, 0));
-        s.notify_collective();
+        s.notify_collective(0);
         s.finish(0);
         assert!(h2.join().unwrap(), "the collective waiter is granted");
         // Rank 1 is still waiting for a message nobody will send.
@@ -533,8 +593,31 @@ mod tests {
     }
 
     #[test]
+    fn a_notify_that_finds_its_rank_running_is_kept_for_its_next_block() {
+        // Two tokens, so both ranks run. Rank 1 notifies rank 0 while
+        // rank 0 runs — as if between its look at the mailbox and its
+        // park — and leaves.
+        let s = Arc::new(EventSched::new(2, 2));
+        assert!(s.start(0));
+        let s1 = Arc::clone(&s);
+        std::thread::spawn(move || {
+            assert!(s1.start(1));
+            s1.notify_message(0);
+            s1.finish(1);
+        })
+        .join()
+        .unwrap();
+        // The notification is not lost: rank 0 returns to look again
+        // instead of parking, where nobody is left to wake it.
+        assert!(s.block(0, WaitReason::Message, 0));
+        assert_eq!(s.blocks(), BlockCounts::default());
+        s.finish(0);
+        assert!(s.deadlock_diag().is_none());
+    }
+
+    #[test]
     fn deadlock_is_detected_and_diagnosed() {
-        let s = Arc::new(EventSched::new(2));
+        let s = Arc::new(EventSched::new(2, 1));
         let mut handles = Vec::new();
         for rank in 0..2 {
             let s = Arc::clone(&s);
@@ -556,7 +639,7 @@ mod tests {
 
     #[test]
     fn external_waits_release_the_token() {
-        let s = Arc::new(EventSched::new(2));
+        let s = Arc::new(EventSched::new(2, 1));
         let (tx, rx) = std::sync::mpsc::channel::<u32>();
         let s0 = Arc::clone(&s);
         let h0 = std::thread::spawn(move || {

@@ -280,31 +280,34 @@ proptest! {
 }
 
 /// An *invalid* program (a recv whose send never happens) must not hang
-/// the event scheduler: when every live rank is blocked it diagnoses the
-/// deadlock and panics with the per-rank wait states.
+/// the scheduler in either mode: when every live rank is blocked it
+/// diagnoses the deadlock and panics with the per-rank wait states.
 #[test]
-fn event_scheduler_diagnoses_deadlock_instead_of_hanging() {
-    let err = std::panic::catch_unwind(|| {
-        commsim::with_mode(commsim::SchedMode::Event, || {
-            commsim::run_ranks(3, commsim::MachineModel::test_tiny(), |comm| {
-                if comm.rank() == 0 {
-                    // Nobody ever sends on tag 99.
-                    comm.recv::<u64>(1, 99);
-                }
-                comm.barrier();
+fn scheduler_diagnoses_deadlock_instead_of_hanging() {
+    for mode in [commsim::SchedMode::Thread, commsim::SchedMode::Event] {
+        let err = std::panic::catch_unwind(|| {
+            commsim::with_mode(mode, || {
+                commsim::run_ranks(3, commsim::MachineModel::test_tiny(), |comm| {
+                    if comm.rank() == 0 {
+                        // Nobody ever sends on tag 99.
+                        comm.recv::<u64>(1, 99);
+                    }
+                    comm.barrier();
+                })
             })
         })
-    })
-    .expect_err("the deadlocked world must panic, not hang");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    assert!(
-        msg.contains("deadlock"),
-        "panic must carry the deadlock diagnostic: {msg}"
-    );
+        .expect_err("the deadlocked world must panic, not hang");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            msg.contains("deadlock"),
+            "{}: panic must carry the deadlock diagnostic: {msg}",
+            mode.label()
+        );
+    }
 }
 
 /// A small valid NEKFLD01 dump to mutate in the fuzz cases below.

@@ -1,16 +1,17 @@
-//! Differential parity: the discrete-event rank scheduler versus the
-//! rank-per-thread executor. Event mode reuses the exact rendezvous code
-//! and only changes *how* ranks block, so every observable — solver field
-//! bytes, virtual clocks, CommStats, rendered images, fault outcomes,
-//! recovery stats — must be bitwise identical across the two modes.
+//! Differential parity: one run token for the whole world (event mode)
+//! versus one per rank (thread mode). Both drive the exact rendezvous
+//! code and differ only in how many ranks run at once, so every
+//! observable — solver field bytes, virtual clocks, CommStats, rendered
+//! images, fault outcomes, recovery stats — must be bitwise identical
+//! across the two modes.
 //!
 //! The binary also carries the scale smokes: the paper's 1120-rank pb146
 //! cell actually executing under the event scheduler, and a 10k-virtual-
-//! rank world that thread mode refuses outright.
+//! rank world.
 
 use commsim::{
     run_ranks_with_registry, run_world, with_mode, FaultPlan, LinkFaultSpec, MachineModel,
-    SchedMode, SimRankCrash, RANK_STACK_BYTES, THREAD_MODE_DEFAULT_MAX_RANKS,
+    SchedMode, SimRankCrash,
 };
 use memtrack::alloc::{global_peak, reset_peak};
 use memtrack::{Registry, TrackingAllocator};
@@ -231,10 +232,16 @@ fn intransit_catalyst_parity() {
 /// Degraded scenario: a seeded lossy link forces CRC rejects and
 /// retransmits. The fault schedule is derived from (seed, step, producer)
 /// — never wall time — so both modes must degrade *identically*.
+///
+/// The channel queue is deeper than the run can fill. With 30 %
+/// corruption more than 8 packets can be in flight, and a writer that
+/// finds the queue full is charged the reader's drain time — whether it
+/// does is a real-time race, which would make the sim-world time differ
+/// between two runs of the same mode.
 #[test]
 fn degraded_link_fault_outcomes_match() {
     let run = |sched: SchedMode| {
-        run_intransit(&intransit_cfg(
+        let mut cfg = intransit_cfg(
             8,
             sched,
             FaultPlan::with_link(
@@ -244,7 +251,9 @@ fn degraded_link_fault_outcomes_match() {
                     ..LinkFaultSpec::default()
                 },
             ),
-        ))
+        );
+        cfg.queue_capacity = 64;
+        run_intransit(&cfg)
     };
     let a = run(SchedMode::Thread);
     let b = run(SchedMode::Event);
@@ -378,37 +387,11 @@ fn ten_thousand_virtual_ranks_complete_in_event_mode() {
         );
     }
     let grown = global_peak() - before;
-    // Real heap growth stays far below what 10k thread-mode stacks would
+    // Real heap growth stays far below what 10k rank stacks would
     // cost (10k × 2 MiB = 20 GiB); the world itself is a few KB per rank.
     // Generous bound: concurrent tests in this binary also allocate.
     assert!(
         grown < 4 << 30,
         "10k-rank world must stay within a 4 GiB heap budget (grew {grown} B)"
-    );
-}
-
-/// Thread mode refuses oversized worlds with an actionable error instead
-/// of failing thread-by-thread at spawn time.
-#[test]
-fn thread_mode_rejects_worlds_beyond_its_cap() {
-    let err = std::panic::catch_unwind(|| {
-        run_world(
-            SchedMode::Thread,
-            THREAD_MODE_DEFAULT_MAX_RANKS + 1,
-            MachineModel::test_tiny(),
-            Registry::new(),
-            RANK_STACK_BYTES,
-            |comm| comm.rank(),
-        )
-    })
-    .expect_err("the cap must reject the world");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    assert!(
-        msg.contains("NEK_SCHED_MODE=event") && msg.contains("cap"),
-        "the error must point at event mode: {msg}"
     );
 }
