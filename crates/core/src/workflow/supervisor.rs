@@ -77,8 +77,6 @@ pub enum FailureKind {
     Watchdog,
     /// A rank failed to restore from a scanned generation.
     RestoreFailed,
-    /// A panic whose message names the transport circuit breaker.
-    CircuitOpen,
     /// Any other rank panic.
     RankPanic,
 }
@@ -90,7 +88,6 @@ impl FailureKind {
             Self::InjectedCrash => "injected_crash",
             Self::Watchdog => "watchdog",
             Self::RestoreFailed => "restore_failed",
-            Self::CircuitOpen => "circuit_open",
             Self::RankPanic => "rank_panic",
         }
     }
@@ -121,10 +118,6 @@ pub struct RecoveryStats {
     pub lost_steps: u64,
     /// Generations quarantined across all recovery scans.
     pub quarantined: u64,
-    /// Virtual-seconds of exponential backoff charged (bookkeeping; the
-    /// worlds are torn down between attempts, so no rank clock exists to
-    /// advance).
-    pub backoff_total: f64,
     /// Every failed attempt, in order.
     pub outcomes: Vec<AttemptOutcome>,
 }
@@ -145,21 +138,17 @@ pub struct SupervisorConfig {
     pub checkpoint: CheckpointSpec,
     /// Failed attempts to retry before giving up.
     pub max_restarts: u32,
-    /// Base of the exponential backoff ledger: retry *n* records
-    /// `backoff_base · 2ⁿ⁻¹` virtual seconds.
-    pub backoff_base: f64,
     /// Pipeline-credit watchdog deadline handed to the drivers.
     pub watchdog: Option<f64>,
 }
 
 impl SupervisorConfig {
     /// A policy writing generations under `dir` every `every` steps, with
-    /// a 3-restart budget and a 1-virtual-second backoff base.
+    /// a 3-restart budget.
     pub fn new(dir: impl Into<std::path::PathBuf>, every: u64) -> Self {
         Self {
             checkpoint: CheckpointSpec::new(dir, every),
             max_restarts: 3,
-            backoff_base: 1.0,
             watchdog: None,
         }
     }
@@ -286,13 +275,11 @@ fn supervise<R>(
         if let Some(step) = failed_step {
             faults = faults.without_fired(step);
         }
-        let backoff = sup.backoff_base * 2f64.powi(stats.restarts as i32 - 1);
-        stats.backoff_total += backoff;
         supervisor_event(
             hub,
             EventKind::RecoveryCompleted,
             Some(resumed_from),
-            format!("resuming from step {resumed_from} ({lost} steps lost, backoff {backoff:.1}s)"),
+            format!("resuming from step {resumed_from} ({lost} steps lost)"),
         );
         stats.outcomes.push(AttemptOutcome {
             failure: kind,
@@ -338,11 +325,7 @@ fn classify(payload: &(dyn Any + Send)) -> (FailureKind, Option<u64>, String) {
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
         .unwrap_or_else(|| "opaque panic payload".to_string());
-    if msg.contains("CircuitOpen") {
-        (FailureKind::CircuitOpen, None, msg)
-    } else {
-        (FailureKind::RankPanic, None, msg)
-    }
+    (FailureKind::RankPanic, None, msg)
 }
 
 /// Push a supervisor event. The worlds are torn down between attempts, so

@@ -9,8 +9,10 @@
 //!
 //! Virtual time: payloads carry the writer's send timestamp plus the link
 //! transfer cost; a reader's clock advances to at least that arrival time
-//! on receive. A writer that finds the channel queue full advances its
-//! clock to the reader's publicized drain time, modeling back-pressure.
+//! on receive. A writer whose send had to wait for room in the channel
+//! queue advances its clock to the reader's drain time, which the queue
+//! hands back with the slot, modeling back-pressure. Over TCP the writer's
+//! clock never moves for a wait: flow control is the back-pressure there.
 //!
 //! # Fault tolerance
 //!
@@ -41,7 +43,7 @@ use commsim::FaultPlan;
 use memtrack::Accountant;
 use meshdata::MultiBlock;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What happens when the staging queue is full. One answer: the writer
@@ -100,19 +102,12 @@ const BACKOFF_BASE: f64 = 1.0e-4;
 const BACKOFF_CAP: f64 = 1.0e-2;
 /// Consecutive failed steps that trip the circuit breaker.
 const BREAKER_THRESHOLD: u32 = 3;
-/// Real-time safety bound on a blocking send (wedged-reader guard).
-/// Virtual-time back-pressure is modeled separately through the reader's
-/// drain time.
+/// Real-time safety bound on a send (wedged-reader guard). Virtual-time
+/// back-pressure is modeled separately through the reader's drain time.
 const ENQUEUE_TIMEOUT: Duration = Duration::from_millis(10_000);
 
 fn backoff(attempt: u32) -> f64 {
     (BACKOFF_BASE * f64::powi(2.0, attempt as i32)).min(BACKOFF_CAP)
-}
-
-#[derive(Default)]
-struct ReaderState {
-    /// Virtual time at which the reader last drained a packet.
-    drain_time: Mutex<f64>,
 }
 
 /// Simulation-side handle: sends this rank's payloads to its endpoint.
@@ -124,7 +119,6 @@ pub struct SstWriter {
     tx: Box<dyn WireTx>,
     link: StagingLink,
     faults: Arc<FaultPlan>,
-    state: Arc<ReaderState>,
     consecutive_failures: u32,
     breaker_open: bool,
     steps_written: u64,
@@ -231,51 +225,30 @@ impl SstWriter {
     }
 
     /// Put one packet — data, damaged frame or control marker — on the
-    /// wire. A channel queue with room takes it at once. Otherwise (the
-    /// queue is full, or the wire is a socket) the send waits off the event
-    /// scheduler's run token, bounded by the wedged-reader guard: the
-    /// reader lives in another world, whose ranks must keep running to
-    /// drain this queue. A data packet that found the channel queue full is
-    /// back-pressure: the wait is a `transport/backpressure` span and the
-    /// writer resumes at the reader's drain time. A failure hands the
-    /// payload back: the reader is wedged, or gone.
+    /// wire. The send waits off the event scheduler's run token, bounded by
+    /// the wedged-reader guard: the reader lives in another world, whose
+    /// ranks must keep running to drain a full queue. A data packet that
+    /// waited for room in the channel queue is back-pressure: a
+    /// `transport/backpressure` span in which the writer advances to the
+    /// reader's drain time. A failure hands the payload back: the reader is
+    /// wedged, or gone.
     fn send(
         &mut self,
         comm: &mut commsim::Comm,
         packet: Packet,
     ) -> Result<(), (TransportError, Vec<u8>)> {
-        let step = packet.step;
-        let mut backpressure = None;
-        let packet = if self.tx.blocking() {
-            packet
-        } else {
-            match self.tx.try_send(packet) {
-                Ok(()) => return Ok(()),
-                Err(WireSendError::Full(p)) => {
-                    if p.kind == PacketKind::Data {
-                        backpressure = Some(comm.span("transport/backpressure"));
-                    }
-                    p
-                }
-                Err(WireSendError::Timeout(p) | WireSendError::Closed(p)) => {
-                    return Err((TransportError::Disconnected, p.payload))
-                }
-            }
-        };
+        let (step, kind) = (packet.step, packet.kind);
         let tx = &mut self.tx;
-        comm.external_wait(|| tx.send_timeout(packet, ENQUEUE_TIMEOUT))
+        let waited = comm
+            .external_wait(|| tx.send(packet, ENQUEUE_TIMEOUT))
             .map_err(|unsent| match unsent {
                 WireSendError::Timeout(p) => (TransportError::Backpressure { step }, p.payload),
-                WireSendError::Full(p) | WireSendError::Closed(p) => {
-                    (TransportError::Disconnected, p.payload)
-                }
+                WireSendError::Closed(p) => (TransportError::Disconnected, p.payload),
             })?;
-        if backpressure.is_some() {
-            // The reader freed a slot. Read the drain time *after* the
-            // wait — the pre-block value is stale under a slow reader.
-            let drain = *self.state.drain_time.lock().unwrap();
-            if drain > comm.now() {
-                comm.advance(drain - comm.now());
+        if let (Some(drained_at), PacketKind::Data) = (waited, kind) {
+            let _sp = comm.span("transport/backpressure");
+            if drained_at > comm.now() {
+                comm.advance(drained_at - comm.now());
             }
         }
         Ok(())
@@ -404,7 +377,6 @@ pub struct SstReader {
     /// This reader's index.
     pub index: usize,
     rx: Option<WireRx>,
-    state: Arc<ReaderState>,
     /// Number of producers feeding this reader.
     pub n_producers: usize,
     producers: Vec<usize>,
@@ -470,10 +442,8 @@ impl SstReader {
             };
             // Producers are in a different world; wait off-token so an
             // event-scheduled sim world can make progress toward us.
-            let got = comm.external_wait(|| rx.recv_timeout(Duration::from_millis(50)));
-            match got {
+            match comm.external_wait(|| rx.recv()) {
                 Ok(packet) => self.ingest(comm, packet),
-                Err(WireRecvError::Timeout) => continue,
                 Err(WireRecvError::Closed) => {
                     // Every producer is gone: resolve the whole backlog —
                     // complete steps first-class, stragglers as partials —
@@ -615,7 +585,9 @@ impl SstReader {
             );
             comm.advance(stall);
         }
-        *self.state.drain_time.lock().unwrap() = comm.now();
+        if let Some(rx) = &self.rx {
+            rx.set_drained_at(comm.now());
+        }
         if let Some(a) = &self.queue_accountant {
             let bytes: u64 = packets.iter().map(|p| p.payload.len() as u64).sum();
             a.credit_raw(bytes);
@@ -754,7 +726,6 @@ impl StagingNetwork {
         let mut writers = Vec::with_capacity(n_writers);
         let mut readers = Vec::with_capacity(n_readers);
         for r in 0..n_readers {
-            let state = Arc::<ReaderState>::default();
             let mut txs: Vec<Box<dyn WireTx>> = Vec::with_capacity(per_reader);
             let rx = match wire {
                 WireKind::Channel => {
@@ -779,13 +750,11 @@ impl StagingNetwork {
                     tx,
                     link,
                     Arc::clone(&faults),
-                    Arc::clone(&state),
                 ));
             }
             readers.push(Self::make_reader(
                 r,
                 rx,
-                state,
                 (r * per_reader..(r + 1) * per_reader).collect(),
                 Arc::clone(&faults),
             ));
@@ -810,7 +779,6 @@ impl StagingNetwork {
             Box::new(TcpWireTx::connect(addr)?),
             link,
             Arc::new(faults),
-            Arc::default(),
         ))
     }
 
@@ -826,7 +794,6 @@ impl StagingNetwork {
         Self::make_reader(
             0,
             tcp_rx(listener, n, capacity),
-            Arc::default(),
             producers,
             Arc::new(faults),
         )
@@ -838,7 +805,6 @@ impl StagingNetwork {
         tx: Box<dyn WireTx>,
         link: StagingLink,
         faults: Arc<FaultPlan>,
-        state: Arc<ReaderState>,
     ) -> SstWriter {
         SstWriter {
             producer,
@@ -846,7 +812,6 @@ impl StagingNetwork {
             tx,
             link,
             faults,
-            state,
             consecutive_failures: 0,
             breaker_open: false,
             steps_written: 0,
@@ -859,14 +824,12 @@ impl StagingNetwork {
     fn make_reader(
         index: usize,
         rx: WireRx,
-        state: Arc<ReaderState>,
         producers: Vec<usize>,
         faults: Arc<FaultPlan>,
     ) -> SstReader {
         SstReader {
             index,
             rx: Some(rx),
-            state,
             n_producers: producers.len(),
             producers,
             pending: BTreeMap::new(),
@@ -888,6 +851,7 @@ impl StagingNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::QueueTx;
     use commsim::{run_ranks_with_state, EndpointCrash, LinkFaultSpec, MachineModel};
 
     fn payload_for(i: usize) -> Vec<u8> {
@@ -949,46 +913,56 @@ mod tests {
         assert_eq!(bytes, 624, "6 packets × 104 framed bytes");
     }
 
-    /// A wire that tells the test when a `try_send` found the queue full,
-    /// i.e. when the writer is about to block on the reader.
+    /// One writer feeding one reader through a channel queue of one slot,
+    /// the writer's end wrapped by `wrap`.
+    fn wrapped_pair(
+        plan: FaultPlan,
+        wrap: impl FnOnce(QueueTx) -> Box<dyn WireTx>,
+    ) -> (Vec<SstWriter>, Vec<SstReader>) {
+        let faults = Arc::new(plan);
+        let (tx, rx) = queue(1);
+        let link = StagingLink::test_tiny();
+        let writer = StagingNetwork::make_writer(0, 0, wrap(tx), link, Arc::clone(&faults));
+        let reader = StagingNetwork::make_reader(0, rx, vec![0], faults);
+        (vec![writer], vec![reader])
+    }
+
+    /// A channel wire that tells the test when a send found the queue
+    /// full, i.e. when the writer is about to wait for the reader.
     struct FullSignal {
-        inner: Box<dyn WireTx>,
+        inner: QueueTx,
         full: std::sync::mpsc::Sender<()>,
     }
 
     impl WireTx for FullSignal {
-        fn try_send(&mut self, packet: Packet) -> Result<(), WireSendError> {
-            let sent = self.inner.try_send(packet);
-            if matches!(sent, Err(WireSendError::Full(_))) {
-                let _ = self.full.send(());
+        fn send(
+            &mut self,
+            packet: Packet,
+            timeout: Duration,
+        ) -> Result<Option<f64>, WireSendError> {
+            let Err((item, _)) = self.inner.push(Ok(packet), Some(Duration::ZERO)) else {
+                return Ok(None);
+            };
+            let _ = self.full.send(());
+            // The retry reports the drain time even if the slot freed
+            // before it looked: this send did find the queue full.
+            match self.inner.push(item, Some(timeout)) {
+                Ok((_, drained_at)) => Ok(Some(drained_at)),
+                Err((item, _)) => Err(WireSendError::Closed(item.expect("a packet was pushed"))),
             }
-            sent
-        }
-
-        fn send_timeout(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
-            self.inner.send_timeout(packet, timeout)
         }
     }
 
     #[test]
     fn blocking_policy_applies_backpressure() {
-        let (writers, readers) = StagingNetwork::build(1, 1, 1, StagingLink::test_tiny());
         // Back-pressure is charged only when the writer finds the queue full,
         // so whether it happens is a real-time race between the two worlds.
         // Pin the schedule: the reader frees a slot only once the writer has
         // hit the full queue (or is done and has dropped its wire).
         let (full, writer_blocked) = std::sync::mpsc::channel();
-        let writers: Vec<SstWriter> = writers
-            .into_iter()
-            .map(|w| SstWriter {
-                tx: Box::new(FullSignal {
-                    inner: w.tx,
-                    full: full.clone(),
-                }),
-                ..w
-            })
-            .collect();
-        drop(full);
+        let (writers, readers) = wrapped_pair(FaultPlan::none(), |inner| {
+            Box::new(FullSignal { inner, full })
+        });
         let readers: Vec<_> = readers.into_iter().zip([writer_blocked]).collect();
         let reader_thread = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, state| {
@@ -1135,17 +1109,21 @@ mod tests {
         assert_eq!(complete, ok, "every accepted step arrives intact");
     }
 
-    /// A wire whose queue is full at every first try, so every send takes
-    /// the waiting path whatever the reader is doing.
-    struct AlwaysFull(Box<dyn WireTx>);
+    /// A channel wire that reports every send as having waited for room,
+    /// so every packet takes the back-pressure path whatever the reader is
+    /// doing.
+    struct AlwaysFull(QueueTx);
 
     impl WireTx for AlwaysFull {
-        fn try_send(&mut self, packet: Packet) -> Result<(), WireSendError> {
-            Err(WireSendError::Full(packet))
-        }
-
-        fn send_timeout(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
-            self.0.send_timeout(packet, timeout)
+        fn send(
+            &mut self,
+            packet: Packet,
+            timeout: Duration,
+        ) -> Result<Option<f64>, WireSendError> {
+            match self.0.push(Ok(packet), Some(timeout)) {
+                Ok((_, drained_at)) => Ok(Some(drained_at)),
+                Err((item, _)) => Err(WireSendError::Closed(item.expect("a packet was pushed"))),
+            }
         }
     }
 
@@ -1158,15 +1136,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (writers, readers) =
-            StagingNetwork::build_faulty(1, 1, 1, StagingLink::test_tiny(), plan);
-        let writers: Vec<SstWriter> = writers
-            .into_iter()
-            .map(|w| SstWriter {
-                tx: Box::new(AlwaysFull(w.tx)),
-                ..w
-            })
-            .collect();
+        let (writers, readers) = wrapped_pair(plan, |tx| Box::new(AlwaysFull(tx)));
         let reader_thread = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
                 while reader.recv_step(comm).unwrap().is_some() {}

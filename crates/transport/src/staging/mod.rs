@@ -21,7 +21,9 @@
 //! [`ConsumerClient::connect`], a loopback listener when the consumers
 //! share the process), using the protocol in [`protocol`]. All
 //! potentially blocking waits on sockets and channels run under
-//! `Comm::external_wait`, so the service works in both `NEK_SCHED_MODE`s.
+//! `Comm::external_wait`, so the service works in both `NEK_SCHED_MODE`s,
+//! and none polls: a stalled session's credit is awaited to one
+//! `CREDIT_WAIT` deadline, an attach signals a condvar.
 
 pub mod live;
 pub mod protocol;
@@ -38,16 +40,14 @@ use render::{Colormap, FrameCache, RenderPipeline, RenderScratch};
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long the service will wait (real time) for a stalled session to
 /// replenish credits before detaching it.
 const CREDIT_WAIT: Duration = Duration::from_secs(10);
-/// Credit poll interval while stalled.
-const CREDIT_POLL: Duration = Duration::from_millis(20);
 
 /// Per-session fan-out accounting, reported and fed into `staging/*`
 /// telemetry.
@@ -129,13 +129,14 @@ struct PendingSession {
 #[derive(Clone)]
 pub struct StagingHandle {
     joiners: Sender<PendingSession>,
-    attached: Arc<AtomicUsize>,
+    /// Sessions attached so far, signalled on every attach.
+    attached: Arc<(Mutex<usize>, Condvar)>,
 }
 
 impl StagingHandle {
     /// Sessions attached through this handle (admitted or pending).
     pub fn attached(&self) -> usize {
-        self.attached.load(Ordering::SeqCst)
+        *self.attached.0.lock().unwrap()
     }
 
     /// Wait until at least `n` sessions are attached; false if they are
@@ -143,14 +144,12 @@ impl StagingHandle {
     /// rides it from the first step once this returns true; one attached
     /// later catches up from the parked files.
     pub fn wait_attached(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.attached() < n {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        true
+        let (count, attached) = &*self.attached;
+        let guard = count.lock().unwrap();
+        let (guard, _) = attached
+            .wait_timeout_while(guard, timeout, |count| *count < n)
+            .unwrap();
+        *guard >= n
     }
 }
 
@@ -249,7 +248,7 @@ impl StagingService {
             joiners: joiners_rx,
             handle: StagingHandle {
                 joiners: joiners_tx,
-                attached: Arc::new(AtomicUsize::new(0)),
+                attached: Arc::default(),
             },
             parkers: BTreeMap::new(),
             parked_steps: Vec::new(),
@@ -397,25 +396,17 @@ impl StagingService {
             if session.credits <= 0 {
                 session.stats.credit_stalls += 1;
                 comm.telemetry().counter("staging/credit_stalls").inc();
-                let mut waited = Duration::ZERO;
+                let deadline = Instant::now() + CREDIT_WAIT;
                 while session.credits <= 0 {
+                    let left = deadline.saturating_duration_since(Instant::now());
                     let credit_rx = &session.credit_rx;
-                    match comm.external_wait(|| credit_rx.recv_timeout(CREDIT_POLL)) {
-                        Ok(n) => session.credits += i64::from(n),
-                        Err(RecvTimeoutError::Timeout) => {
-                            waited += CREDIT_POLL;
-                            if waited >= CREDIT_WAIT {
-                                session.open = false;
-                                session.stats.detached = true;
-                                return;
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            session.open = false;
-                            session.stats.detached = true;
-                            return;
-                        }
-                    }
+                    let Ok(n) = comm.external_wait(|| credit_rx.recv_timeout(left)) else {
+                        // Stalled past the bound, or the link died.
+                        session.open = false;
+                        session.stats.detached = true;
+                        return;
+                    };
+                    session.credits += i64::from(n);
                 }
             }
             session.credits -= 1;
@@ -615,7 +606,9 @@ fn serve_connection(
                     credit_rx,
                 };
                 if handle.joiners.send(pending).is_ok() {
-                    handle.attached.fetch_add(1, Ordering::SeqCst);
+                    let (count, attached) = &*handle.attached;
+                    *count.lock().unwrap() += 1;
+                    attached.notify_all();
                     forward_credits(read_half, credit_tx);
                 }
             }
@@ -771,16 +764,28 @@ mod tests {
         // which holds the stream until `late` is attached.
         let mut early = attach(&service, &addr, 1, 1);
         let handle = service.handle();
+        let hub = telemetry::TelemetryHub::default();
+        let service_hub = hub.clone();
         let sim = drive_writers(writers, 4);
         let svc = std::thread::spawn(move || {
-            run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
-                s.run(comm).unwrap()
-            })
+            run_ranks_with_state(
+                MachineModel::test_tiny(),
+                vec![service],
+                move |comm, mut s| {
+                    comm.enable_telemetry(&service_hub, 0);
+                    s.run(comm).unwrap()
+                },
+            )
             .remove(0)
         });
-        // Wait until at least one live frame went out, then join late.
         let first = early.next_frame(Duration::from_secs(20)).unwrap().unwrap();
         assert_eq!(first.step, 1);
+        // A session is admitted at the first step boundary after it
+        // attaches. Join only once the service has parked step 2 and stalls
+        // on `early`'s credit, so `late` is admitted after step 2.
+        while hub.counter_sum("staging/credit_stalls") < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let mut late = ConsumerClient::connect(&addr, &SessionSpec::default(), 8).unwrap();
         assert!(handle.wait_attached(2, Duration::from_secs(10)));
         early.grant(8).unwrap();

@@ -16,10 +16,15 @@
 //!   send buffer plus the queue play the staging-queue role; TCP flow
 //!   control carries the back-pressure.
 //!
-//! The producer side is a trait, [`WireTx`]: two different send paths, and
-//! the engine's tests substitute a third. The queue is here because `std`
-//! has no bounded send with a timeout that hands the packet back — the
-//! wedged-reader guard, the engine's private `ENQUEUE_TIMEOUT` (10 s).
+//! The producer side is a trait, [`WireTx`], with one blocking `send`; the
+//! reader's side is one blocking [`WireRx::recv`]. A send reports whether
+//! the packet had to wait for room in a channel queue and, if so, the
+//! reader's drain time when the slot was taken: the reader publishes that
+//! time through its [`WireRx`], and the queue hands it back under its lock.
+//! The queue is here because `std` has neither a bounded send with a
+//! timeout that hands the packet back — the wedged-reader guard, the
+//! engine's private `ENQUEUE_TIMEOUT` (10 s) — nor one that carries a
+//! value back to the sender.
 //!
 //! # Frame layout (tcp)
 //!
@@ -65,9 +70,7 @@ impl WireKind {
 /// A failed wire send; the packet rides back so its payload can be parked.
 #[derive(Debug)]
 pub enum WireSendError {
-    /// The queue is full right now (non-blocking wires only).
-    Full(Packet),
-    /// A bounded blocking send ran out the real-time safety bound.
+    /// The send ran out its real-time bound waiting for room.
     Timeout(Packet),
     /// The peer is gone (channel disconnected / socket dead).
     Closed(Packet),
@@ -76,8 +79,6 @@ pub enum WireSendError {
 /// A failed wire receive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireRecvError {
-    /// Nothing arrived within the poll interval; try again.
-    Timeout,
     /// Every producer connection is gone and the queue is drained.
     Closed,
     /// A connection died mid-frame: `got` of `wanted` bytes arrived.
@@ -91,19 +92,11 @@ pub enum WireRecvError {
 
 /// Producer side of a wire: carries [`Packet`]s toward one reader.
 pub trait WireTx: Send {
-    /// Non-blocking send (channel engines); blocking wires may block up to
-    /// their configured write timeout.
-    fn try_send(&mut self, packet: Packet) -> Result<(), WireSendError>;
-
-    /// Blocking send bounded by `timeout`.
-    fn send_timeout(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError>;
-
-    /// True when sends may block on a real resource (socket) and must be
-    /// routed through `Comm::external_wait` so the event scheduler's other
-    /// ranks keep running while this one is on the wire.
-    fn blocking(&self) -> bool {
-        false
-    }
+    /// Send `packet`, waiting at most `timeout` for room. `Ok(Some(t))`:
+    /// the packet waited for a slot in a channel queue, and `t` is the
+    /// reader's drain time when it took the slot. `Ok(None)`: it went
+    /// straight in, or onto a socket, whose waits TCP flow control hides.
+    fn send(&mut self, packet: Packet, timeout: Duration) -> Result<Option<f64>, WireSendError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -192,31 +185,19 @@ impl TcpWireTx {
         stream.set_nodelay(true).ok();
         Ok(Self { stream })
     }
+}
 
-    fn write_frame(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
+impl WireTx for TcpWireTx {
+    fn send(&mut self, packet: Packet, timeout: Duration) -> Result<Option<f64>, WireSendError> {
         let frame = encode_packet(&packet);
         self.stream.set_write_timeout(Some(timeout)).ok();
         // Any write failure — timeout included — leaves the stream
         // possibly mid-frame, so the connection is unusable either way:
         // surface it as Closed and let the circuit breaker degrade.
         match self.stream.write_all(&frame) {
-            Ok(()) => Ok(()),
+            Ok(()) => Ok(None),
             Err(_) => Err(WireSendError::Closed(packet)),
         }
-    }
-}
-
-impl WireTx for TcpWireTx {
-    fn try_send(&mut self, packet: Packet) -> Result<(), WireSendError> {
-        self.write_frame(packet, Duration::from_secs(10))
-    }
-
-    fn send_timeout(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
-        self.write_frame(packet, timeout)
-    }
-
-    fn blocking(&self) -> bool {
-        true
     }
 }
 
@@ -290,6 +271,8 @@ struct QueueState {
     items: VecDeque<Item>,
     senders: usize,
     reader_gone: bool,
+    /// Virtual time at which the reader last drained a step.
+    drained_at: f64,
 }
 
 /// A wire queue holding at most `capacity` items (at least one).
@@ -314,12 +297,19 @@ impl QueueTx {
     }
 
     /// Push `item`, waiting for a free slot for at most `wait` (`None`:
-    /// until there is one). A failed push hands the item back with whether
-    /// the reader is gone (`true`) or the queue stayed full (`false`).
-    fn push(&self, item: Item, wait: Option<Duration>) -> Result<(), (Item, bool)> {
+    /// until there is one). A push reports whether it had to wait, with the
+    /// reader's drain time when it took the slot; a failed one hands the
+    /// item back with whether the reader is gone (`true`) or the queue
+    /// stayed full (`false`).
+    pub(crate) fn push(
+        &self,
+        item: Item,
+        wait: Option<Duration>,
+    ) -> Result<(bool, f64), (Item, bool)> {
         let q = &*self.0;
         let deadline = wait.map(|w| Instant::now() + w);
         let mut st = q.state.lock().unwrap();
+        let mut waited = false;
         loop {
             if st.reader_gone {
                 return Err((item, true));
@@ -327,8 +317,9 @@ impl QueueTx {
             if st.items.len() < q.capacity {
                 st.items.push_back(item);
                 q.not_empty.notify_one();
-                return Ok(());
+                return Ok((waited, st.drained_at));
             }
+            waited = true;
             st = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
                 None => q.not_full.wait(st).unwrap(),
                 Some(left) if left.is_zero() => return Err((item, false)),
@@ -355,22 +346,17 @@ impl Drop for QueueTx {
 }
 
 impl WireTx for QueueTx {
-    fn try_send(&mut self, packet: Packet) -> Result<(), WireSendError> {
-        match self.send_timeout(packet, Duration::ZERO) {
-            Err(WireSendError::Timeout(p)) => Err(WireSendError::Full(p)),
-            sent => sent,
+    fn send(&mut self, packet: Packet, timeout: Duration) -> Result<Option<f64>, WireSendError> {
+        match self.push(Ok(packet), Some(timeout)) {
+            Ok((waited, drained_at)) => Ok(waited.then_some(drained_at)),
+            Err((item, closed)) => {
+                let packet = item.expect("a packet was pushed");
+                Err(match closed {
+                    true => WireSendError::Closed(packet),
+                    false => WireSendError::Timeout(packet),
+                })
+            }
         }
-    }
-
-    fn send_timeout(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
-        let Err((item, closed)) = self.push(Ok(packet), Some(timeout)) else {
-            return Ok(());
-        };
-        let packet = item.expect("a packet was pushed");
-        Err(match closed {
-            true => WireSendError::Closed(packet),
-            false => WireSendError::Timeout(packet),
-        })
     }
 }
 
@@ -380,16 +366,14 @@ impl WireTx for QueueTx {
 pub struct WireRx(Arc<Queue>);
 
 impl WireRx {
-    /// Wait up to `timeout` for the next packet.
+    /// Wait for the next packet.
     ///
     /// # Errors
-    /// [`WireRecvError::Timeout`] when nothing arrived in time,
     /// [`WireRecvError::Closed`] once every producer is gone *and* the
     /// backlog is drained, or the [`WireRecvError::ShortRead`] a TCP
     /// connection ended on.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Packet, WireRecvError> {
+    pub fn recv(&mut self) -> Result<Packet, WireRecvError> {
         let q = &*self.0;
-        let deadline = Instant::now() + timeout;
         let mut st = q.state.lock().unwrap();
         loop {
             if let Some(item) = st.items.pop_front() {
@@ -399,12 +383,14 @@ impl WireRx {
             if st.senders == 0 {
                 return Err(WireRecvError::Closed);
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(WireRecvError::Timeout);
-            }
-            st = q.not_empty.wait_timeout(st, left).unwrap().0;
+            st = q.not_empty.wait(st).unwrap();
         }
+    }
+
+    /// Publish the virtual time at which the reader drained a step; a
+    /// producer that waits for room is handed it with its slot.
+    pub(crate) fn set_drained_at(&self, t: f64) {
+        self.0.state.lock().unwrap().drained_at = t;
     }
 }
 
@@ -500,19 +486,17 @@ mod tests {
         for step in 0..5u64 {
             let mut p = sample(PacketKind::Data, vec![step as u8; 64]);
             p.step = step;
-            tx.try_send(p).unwrap();
+            assert_eq!(tx.send(p, Duration::from_secs(5)).unwrap(), None);
         }
         drop(tx);
         for step in 0..5u64 {
-            let p = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            let p = rx.recv().unwrap();
             assert_eq!(p.step, step);
             assert_eq!(p.payload, vec![step as u8; 64]);
         }
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap_err(),
-            WireRecvError::Closed
-        );
+        assert_eq!(rx.recv().unwrap_err(), WireRecvError::Closed);
     }
+
     fn numbered(step: u64) -> Packet {
         Packet {
             step,
@@ -523,48 +507,33 @@ mod tests {
     #[test]
     fn full_queue_hands_the_packet_back() {
         let (mut tx, rx) = queue(2);
-        tx.try_send(numbered(0)).unwrap();
-        tx.try_send(numbered(1)).unwrap();
-        match tx.try_send(numbered(2)) {
-            Err(WireSendError::Full(p)) => assert_eq!(p.step, 2),
-            other => panic!("expected Full, got {other:?}"),
+        for step in 0..2 {
+            assert_eq!(tx.send(numbered(step), Duration::ZERO).unwrap(), None);
         }
         let start = Instant::now();
-        match tx.send_timeout(numbered(3), Duration::from_millis(20)) {
+        match tx.send(numbered(3), Duration::from_millis(20)) {
             Err(WireSendError::Timeout(p)) => assert_eq!((p.step, p.payload), (3, vec![3])),
             other => panic!("expected Timeout, got {other:?}"),
         }
         assert!(start.elapsed() >= Duration::from_millis(20));
         drop(rx);
-        for sent in [
-            tx.try_send(numbered(4)),
-            tx.send_timeout(numbered(4), Duration::from_secs(5)),
-        ] {
-            match sent {
-                Err(WireSendError::Closed(p)) => assert_eq!(p.step, 4),
-                other => panic!("expected Closed, got {other:?}"),
-            }
+        match tx.send(numbered(4), Duration::from_secs(5)) {
+            Err(WireSendError::Closed(p)) => assert_eq!(p.step, 4),
+            other => panic!("expected Closed, got {other:?}"),
         }
     }
 
     #[test]
     fn backlog_is_drained_before_closed() {
         let (mut tx, mut rx) = queue(4);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)).unwrap_err(),
-            WireRecvError::Timeout
-        );
         let mut tx2 = tx.clone();
-        tx.try_send(numbered(7)).unwrap();
-        tx2.try_send(numbered(8)).unwrap();
+        tx.send(numbered(7), Duration::ZERO).unwrap();
+        tx2.send(numbered(8), Duration::ZERO).unwrap();
         drop(tx);
         drop(tx2);
-        assert_eq!(rx.recv_timeout(Duration::ZERO).unwrap().step, 7);
-        assert_eq!(rx.recv_timeout(Duration::ZERO).unwrap().step, 8);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap_err(),
-            WireRecvError::Closed
-        );
+        assert_eq!(rx.recv().unwrap().step, 7);
+        assert_eq!(rx.recv().unwrap().step, 8);
+        assert_eq!(rx.recv().unwrap_err(), WireRecvError::Closed);
     }
 
     #[test]
@@ -575,12 +544,15 @@ mod tests {
             let tx = tx.clone();
             std::thread::spawn(move || {
                 tx.push(Ok(numbered(step)), None)
+                    .map(|(_, drained_at)| drained_at)
                     .map_err(|(_, closed)| closed)
             })
         };
         let first = blocked(1);
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().step, 0);
-        assert_eq!(first.join().unwrap(), Ok(()));
+        // The slot comes with the drain time published before it freed.
+        rx.set_drained_at(4.5);
+        assert_eq!(rx.recv().unwrap().step, 0);
+        assert_eq!(first.join().unwrap(), Ok(4.5));
         let second = blocked(2);
         // Whether or not `second` is parked yet, the drop must release it.
         std::thread::sleep(Duration::from_millis(10));
@@ -601,14 +573,14 @@ mod tests {
                             producer,
                             ..numbered(step)
                         };
-                        tx.send_timeout(p, Duration::from_secs(5)).unwrap();
+                        tx.send(p, Duration::from_secs(5)).unwrap();
                     }
                 })
             })
             .collect();
         drop(tx);
         let mut next = [0u64; 2];
-        while let Ok(p) = rx.recv_timeout(Duration::from_secs(5)) {
+        while let Ok(p) = rx.recv() {
             assert_eq!(p.step, next[p.producer], "producer {}", p.producer);
             next[p.producer] += 1;
         }

@@ -71,7 +71,7 @@ pub mod collection {
 pub mod prelude {
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
 /// Declare deterministic property tests. Mirrors the real macro's
@@ -114,7 +114,6 @@ macro_rules! __proptest_fns {
                     })();
                 match __result {
                     ::std::result::Result::Ok(()) => {}
-                    ::std::result::Result::Err(__e) if __e.is_reject() => {}
                     ::std::result::Result::Err(__e) => ::std::panic!(
                         "proptest '{}' failed at case {}/{}: {}",
                         stringify!($name),
@@ -158,29 +157,4 @@ macro_rules! prop_assert_eq {
             __r
         );
     }};
-}
-
-/// Inequality assert inside a `proptest!` body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (__l, __r) = (&$left, &$right);
-        $crate::prop_assert!(
-            *__l != *__r,
-            "assertion failed: `{} != {}`\n  both: {:?}",
-            stringify!($left),
-            stringify!($right),
-            __l
-        );
-    }};
-}
-
-/// Skip the current case when a precondition does not hold.
-#[macro_export]
-macro_rules! prop_assume {
-    ($cond:expr) => {
-        if !$cond {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::reject());
-        }
-    };
 }

@@ -68,8 +68,6 @@ impl Default for ProptestConfig {
 pub enum TestCaseError {
     /// An assertion failed; the run aborts with this message.
     Fail(String),
-    /// `prop_assume!` filtered the case out; the runner skips it.
-    Reject,
 }
 
 impl TestCaseError {
@@ -77,24 +75,12 @@ impl TestCaseError {
     pub fn fail(message: String) -> Self {
         TestCaseError::Fail(message)
     }
-
-    /// A filtered-out case.
-    pub fn reject() -> Self {
-        TestCaseError::Reject
-    }
-
-    /// True for `prop_assume!` rejections.
-    pub fn is_reject(&self) -> bool {
-        matches!(self, TestCaseError::Reject)
-    }
 }
 
 impl fmt::Display for TestCaseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TestCaseError::Fail(m) => f.write_str(m),
-            TestCaseError::Reject => f.write_str("rejected by prop_assume!"),
-        }
+        let TestCaseError::Fail(m) = self;
+        f.write_str(m)
     }
 }
 
