@@ -28,7 +28,7 @@ use nek_sensei::{
     InSituMode, InTransitConfig, RecoveryOptions, RecoveryStats, SupervisorConfig,
 };
 use sem::cases::{pb146, rbc, CaseParams};
-use telemetry::{EventKind, RunReport, TelemetryHub};
+use telemetry::{json, EventKind, RunReport, TelemetryHub};
 
 const STEPS: usize = 12;
 const INTERVAL: u64 = 2;
@@ -316,38 +316,6 @@ fn run_seed(seed: u64) -> SeedResult {
     }
 }
 
-fn write_json(path: &std::path::Path, results: &[SeedResult]) {
-    use telemetry::json::{push_f64, push_str};
-    let mut out = String::new();
-    out.push_str("{\"schema\": \"nekstat/chaos-soak/v1\", ");
-    out.push_str(&format!(
-        "\"seeds\": {}, \"steps\": {STEPS}, \"interval\": {INTERVAL}, \
-         \"max_restarts\": {MAX_RESTARTS}, \"all_ok\": true, \"results\": [",
-        results.len()
-    ));
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{{\"seed\": {}, \"driver\": ", r.seed));
-        push_str(&mut out, r.driver);
-        out.push_str(&format!(
-            ", \"crashes\": {}, \"corruptions\": {}, \"stalls\": {}, \
-             \"restarts\": {}, \"lost_steps\": {}, \"quarantined\": {}, \
-             \"max_lost_single_recovery\": ",
-            r.crashes, r.corruptions, r.stalls, r.restarts, r.lost_steps, r.quarantined
-        ));
-        push_f64(&mut out, r.max_lost as f64);
-        out.push_str(", \"ok\": true}");
-    }
-    out.push_str("]}");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(path, out).expect("write JSON summary");
-    println!("\nwrote {}", path.display());
-}
-
 fn main() {
     let args = HarnessArgs::parse(&cli::CHAOS_SOAK);
     let seeds = args.seeds.unwrap_or(24);
@@ -410,6 +378,30 @@ fn main() {
     );
 
     if let Some(path) = &args.json_out {
-        write_json(path, &results);
+        let doc = json::object(|o| {
+            o.text("schema", "nekstat/chaos-soak/v1")
+                .uint("seeds", results.len() as u64)
+                .uint("steps", STEPS as u64)
+                .uint("interval", INTERVAL)
+                .uint("max_restarts", MAX_RESTARTS.into())
+                .bool("all_ok", true)
+                .arr("results", &results, |o, r| {
+                    o.uint("seed", r.seed)
+                        .text("driver", r.driver)
+                        .uint("crashes", r.crashes as u64)
+                        .uint("corruptions", r.corruptions as u64)
+                        .uint("stalls", r.stalls as u64)
+                        .uint("restarts", r.restarts.into())
+                        .uint("lost_steps", r.lost_steps)
+                        .uint("quarantined", r.quarantined)
+                        .num("max_lost_single_recovery", r.max_lost as f64)
+                        .bool("ok", true);
+                });
+        });
+        if let Some(parent) = path.parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        std::fs::write(path, doc).expect("write JSON summary");
+        println!("\nwrote {}", path.display());
     }
 }

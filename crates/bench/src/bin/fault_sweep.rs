@@ -16,6 +16,7 @@ use bench_harness::{cases, cli, format_table, maybe_write_csv, HarnessArgs};
 use commsim::{EndpointCrash, FaultPlan, LinkFaultSpec, MachineModel};
 use nek_sensei::{run_intransit, EndpointMode, InTransitConfig, InTransitReport};
 use sem::cases::{rbc, CaseParams};
+use telemetry::json;
 use transport::BpFileReader;
 
 fn sweep_config(steps: usize, trigger: u64, faults: FaultPlan) -> InTransitConfig {
@@ -153,38 +154,33 @@ fn main() {
 
     // Machine-readable recovery-stats summary for CI (`--json-out FILE`).
     if let Some(path) = &args.json_out {
-        let mut out = String::from("{\"schema\": \"nekstat/fault-sweep/v1\", ");
-        out.push_str(&format!(
-            "\"seed\": {seed}, \"steps\": {steps}, \"trigger_every\": {trigger}, \
-             \"triggers_per_rank\": {triggers_per_rank}, \"cells\": ["
-        ));
-        for (i, (drop_prob, crash, d, parked_files, ep_crashes)) in cells.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"drop_prob\": ");
-            telemetry::json::push_f64(&mut out, *drop_prob);
-            out.push_str(&format!(
-                ", \"crash_step\": {}, \
-                 \"staged\": {}, \"lost\": {}, \"parked\": {}, \
-                 \"parked_readback\": {}, \"switch_step\": {}, \
-                 \"retries\": {}, \"endpoint_crashes\": {}, \"degraded\": {}}}",
-                crash.map_or("null".into(), |s| s.to_string()),
-                d.staged_steps,
-                d.lost_steps,
-                d.parked_steps,
-                parked_files,
-                d.first_switch_step.map_or("null".into(), |s| s.to_string()),
-                d.retries,
-                ep_crashes,
-                d.degraded(),
-            ));
-        }
-        out.push_str("]}");
+        let doc = json::object(|o| {
+            o.text("schema", "nekstat/fault-sweep/v1")
+                .uint("seed", seed)
+                .uint("steps", steps as u64)
+                .uint("trigger_every", trigger)
+                .uint("triggers_per_rank", triggers_per_rank)
+                .arr(
+                    "cells",
+                    &cells,
+                    |o, (drop_prob, crash, d, parked_files, ep_crashes)| {
+                        o.num("drop_prob", *drop_prob)
+                            .opt_uint("crash_step", *crash)
+                            .uint("staged", d.staged_steps)
+                            .uint("lost", d.lost_steps)
+                            .uint("parked", d.parked_steps)
+                            .uint("parked_readback", *parked_files)
+                            .opt_uint("switch_step", d.first_switch_step)
+                            .uint("retries", d.retries)
+                            .uint("endpoint_crashes", *ep_crashes as u64)
+                            .bool("degraded", d.degraded());
+                    },
+                );
+        });
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
-        std::fs::write(path, out).expect("write JSON summary");
+        std::fs::write(path, doc).expect("write JSON summary");
         println!("wrote {}", path.display());
     }
 

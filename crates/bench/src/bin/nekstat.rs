@@ -112,6 +112,31 @@ impl Agg {
             sum
         }
     }
+
+    /// Write the aggregate's members into a `nekstat/summary/v1` metric.
+    fn write(&self, o: &mut json::Obj<'_>) {
+        match *self {
+            Agg::Counter(c) => o.text("kind", "counter").uint("value", c),
+            Agg::Gauge { sum, ranks, avg } => o
+                .text("kind", "gauge")
+                .num("value", Agg::gauge_value(sum, ranks, avg)),
+            Agg::Histogram {
+                count,
+                p50,
+                p90,
+                p95,
+                p99,
+                max,
+            } => o
+                .text("kind", "histogram")
+                .uint("count", count)
+                .num("p50", p50)
+                .num("p90", p90)
+                .num("p95", p95)
+                .num("p99", p99)
+                .num("max", max),
+        };
+    }
 }
 
 /// Ratio-valued gauges are averaged over ranks instead of summed.
@@ -194,28 +219,22 @@ fn session_scope(name: &str) -> Option<(usize, &str)> {
     Some((id.parse().ok()?, field))
 }
 
-/// Build the per-session fan-out rows from `staging/session<k>/*`
-/// counters: one row per session, columns in a fixed order.
-fn session_table(aggs: &BTreeMap<String, Agg>) -> Vec<Vec<String>> {
-    let mut sessions: BTreeMap<usize, BTreeMap<&str, u64>> = BTreeMap::new();
+/// The per-session fan-out counters, in table and document order.
+const SESSION_FIELDS: [&str; 4] = ["frames_sent", "bytes_sent", "cache_hits", "catchup_steps"];
+
+/// The `staging/session<k>/*` counters by session, [`SESSION_FIELDS`]
+/// in order (0 for one a session never set).
+fn sessions(aggs: &BTreeMap<String, Agg>) -> BTreeMap<usize, [u64; 4]> {
+    let mut out: BTreeMap<usize, [u64; 4]> = BTreeMap::new();
     for (name, agg) in aggs {
         if let (Some((id, field)), Agg::Counter(c)) = (session_scope(name), agg) {
-            sessions.entry(id).or_default().insert(field, *c);
+            let row = out.entry(id).or_default();
+            if let Some(i) = SESSION_FIELDS.iter().position(|f| *f == field) {
+                row[i] = *c;
+            }
         }
     }
-    sessions
-        .iter()
-        .map(|(id, fields)| {
-            let get = |f: &str| fields.get(f).copied().unwrap_or(0).to_string();
-            vec![
-                id.to_string(),
-                get("frames_sent"),
-                get("bytes_sent"),
-                get("cache_hits"),
-                get("catchup_steps"),
-            ]
-        })
-        .collect()
+    out
 }
 
 /// Seconds for the `*_time` histograms, a bare number for the rest
@@ -336,14 +355,21 @@ fn summarize(r: &RunReport) {
         print!("{}", format_table(&["metric", "value"], &rows));
     }
 
-    let sessions = session_table(&aggs);
-    if !sessions.is_empty() {
+    let session_rows: Vec<Vec<String>> = sessions(&aggs)
+        .iter()
+        .map(|(id, row)| {
+            std::iter::once(id.to_string())
+                .chain(row.iter().map(u64::to_string))
+                .collect()
+        })
+        .collect();
+    if !session_rows.is_empty() {
         println!("\nstaging fan-out (per consumer session)");
         print!(
             "{}",
             format_table(
                 &["session", "frames", "bytes", "cache hits", "catch-up steps"],
-                &sessions
+                &session_rows
             )
         );
     }
@@ -532,33 +558,6 @@ fn summary_cmd(path: &str, json_out: bool) {
         return;
     }
     let aggs = aggregate(&r);
-    let m = &r.manifest;
-    let mut o = String::from("{\n  \"schema\": ");
-    json::push_str(&mut o, SUMMARY_SCHEMA);
-    o.push_str(",\n  \"manifest\": {");
-    for (i, (key, val)) in [
-        ("case", &m.case),
-        ("workflow", &m.workflow),
-        ("mode", &m.mode),
-        ("exec", &m.exec),
-        ("sched", &m.sched),
-        ("wire", &m.wire),
-        ("machine", &m.machine),
-        ("fault_plan", &m.fault_plan),
-    ]
-    .iter()
-    .enumerate()
-    {
-        if i > 0 {
-            o.push_str(", ");
-        }
-        o.push_str(&format!("\"{key}\": "));
-        json::push_str(&mut o, val);
-    }
-    o.push_str(&format!(
-        ", \"ranks\": {}, \"endpoint_ranks\": {}, \"steps\": {}, \"trigger_every\": {}, \"pool_threads\": {}, \"pipeline_depth\": {}}}",
-        m.ranks, m.endpoint_ranks, m.steps, m.trigger_every, m.pool_threads, m.pipeline_depth
-    ));
     let n = r.series.len();
     let total: f64 = r.series.iter().map(|s| s.t_end - s.t_start).sum();
     let max = r
@@ -566,68 +565,31 @@ fn summary_cmd(path: &str, json_out: bool) {
         .iter()
         .map(|s| s.t_end - s.t_start)
         .fold(0.0, f64::max);
-    o.push_str(&format!(
-        ",\n  \"series\": {{\"samples\": {n}, \"evicted\": {}, \"mean_s\": ",
-        r.evicted_samples
-    ));
-    json::push_f64(&mut o, if n > 0 { total / n as f64 } else { 0.0 });
-    o.push_str(", \"p95_s\": ");
-    json::push_f64(&mut o, r.step_time_p95());
-    o.push_str(", \"max_s\": ");
-    json::push_f64(&mut o, max);
-    o.push_str(", \"backpressure_wait_s\": ");
-    json::push_f64(&mut o, r.total_backpressure_wait());
-    o.push_str("},\n  \"metrics\": {");
-    for (i, (name, agg)) in aggs.iter().enumerate() {
-        if i > 0 {
-            o.push_str(", ");
-        }
-        o.push('\n');
-        o.push_str("    ");
-        json::push_str(&mut o, name);
-        o.push_str(": ");
-        match agg {
-            Agg::Counter(c) => o.push_str(&format!("{{\"kind\": \"counter\", \"value\": {c}}}")),
-            Agg::Gauge { sum, ranks, avg } => {
-                o.push_str("{\"kind\": \"gauge\", \"value\": ");
-                json::push_f64(&mut o, Agg::gauge_value(*sum, *ranks, *avg));
-                o.push('}');
-            }
-            Agg::Histogram {
-                count,
-                p50,
-                p90,
-                p95,
-                p99,
-                max,
-            } => {
-                o.push_str(&format!("{{\"kind\": \"histogram\", \"count\": {count}"));
-                for (key, v) in [
-                    ("p50", *p50),
-                    ("p90", *p90),
-                    ("p95", *p95),
-                    ("p99", *p99),
-                    ("max", *max),
-                ] {
-                    o.push_str(&format!(", \"{key}\": "));
-                    json::push_f64(&mut o, v);
+    let doc = json::object(|o| {
+        o.text("schema", SUMMARY_SCHEMA)
+            .obj("manifest", |o| r.manifest.write(o))
+            .obj("series", |o| {
+                o.uint("samples", n as u64)
+                    .uint("evicted", r.evicted_samples)
+                    .num("mean_s", if n > 0 { total / n as f64 } else { 0.0 })
+                    .num("p95_s", r.step_time_p95())
+                    .num("max_s", max)
+                    .num("backpressure_wait_s", r.total_backpressure_wait());
+            })
+            .obj("metrics", |o| {
+                for (name, agg) in &aggs {
+                    o.obj(name, |o| agg.write(o));
                 }
-                o.push('}');
-            }
-        }
-    }
-    o.push_str("\n  },\n  \"sessions\": [");
-    for (i, row) in session_table(&aggs).iter().enumerate() {
-        if i > 0 {
-            o.push_str(", ");
-        }
-        o.push_str(&format!(
-            "{{\"id\": {}, \"frames_sent\": {}, \"bytes_sent\": {}, \"cache_hits\": {}, \"catchup_steps\": {}}}",
-            row[0], row[1], row[2], row[3], row[4]
-        ));
-    }
-    o.push_str(&format!("],\n  \"events\": {}\n}}\n", r.events.len()));
-    print!("{o}");
+            })
+            .arr("sessions", sessions(&aggs), |o, (id, row)| {
+                o.uint("id", id as u64);
+                for (field, v) in SESSION_FIELDS.iter().zip(row) {
+                    o.uint(field, v);
+                }
+            })
+            .uint("events", r.events.len() as u64);
+    });
+    println!("{doc}");
 }
 
 /// `nekstat critical-path <report> [--json]` — name the dominant
@@ -642,10 +604,7 @@ fn critical_path_cmd(path: &str, json_out: bool) {
         std::process::exit(1);
     };
     if json_out {
-        let mut o = String::new();
-        telemetry::push_critical(&mut o, c);
-        o.push('\n');
-        print!("{o}");
+        println!("{}", json::object(|o| telemetry::write_critical(o, c)));
         return;
     }
     println!(

@@ -54,7 +54,6 @@ pub use stats::CommStats;
 // Re-export the span-tracing vocabulary so instrumented crates need no
 // direct `trace` dependency: they open spans through `Comm::span` and
 // only name these types in signatures.
-pub use trace::chrome::chrome_trace_json;
 pub use trace::{
     unpack_ctx, CausalEdge, EdgeKind, PhaseBreakdown, PhaseStat, RankPhases, RankTrace, Span,
     SpanGuard, Tracer,
@@ -62,6 +61,7 @@ pub use trace::{
 // Same deal for the telemetry vocabulary: instrumented crates reach the
 // bus through `Comm::telemetry` / `Comm::telemetry_event` and only name
 // these types in signatures.
+pub use telemetry::chrome::chrome_trace_json;
 pub use telemetry::{Counter, EventKind, Gauge, Histogram, RankTelemetry, TelemetryHub};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

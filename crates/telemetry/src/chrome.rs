@@ -4,27 +4,10 @@
 //! Perfetto and `chrome://tracing` — with one process per world (pid 0 =
 //! simulation ranks, pid 1 = endpoint ranks) and one thread track per
 //! rank. Stamps are virtual seconds converted to integer microseconds.
-//! Serialization is hand-rolled: the workspace is offline and the span
-//! payload is flat enough that serde would be overkill.
+//! Written through [`crate::json`], one event a line.
 
-use crate::RankTrace;
-
-/// Escape a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::json::{self, Obj};
+use trace::{RankTrace, Span};
 
 fn micros(t: f64) -> u64 {
     (t.max(0.0) * 1e6).round() as u64
@@ -38,61 +21,61 @@ fn process_name(pid: u32) -> &'static str {
     }
 }
 
+/// One trace event.
+enum Record<'a> {
+    Process(u32),
+    Thread(&'a RankTrace),
+    Span(&'a RankTrace, &'a Span),
+}
+
+/// A `"M"` (metadata) event naming track `(pid, tid)`.
+fn metadata(o: &mut Obj<'_>, what: &str, pid: u32, tid: usize, label: &str) {
+    o.text("name", what)
+        .text("ph", "M")
+        .uint("pid", pid.into())
+        .uint("tid", tid as u64)
+        .obj("args", |o| {
+            o.text("name", label);
+        });
+}
+
 /// Render `traces` as a Chrome trace-event JSON array: `"M"` metadata
 /// naming each process and rank track, then one `"X"` (complete) event
 /// per span.
 pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
-    let mut events: Vec<String> = Vec::new();
-
     let mut pids: Vec<u32> = traces.iter().map(|t| t.pid).collect();
     pids.sort_unstable();
     pids.dedup();
-    for pid in pids {
-        events.push(format!(
-            r#"{{"name":"process_name","ph":"M","pid":{pid},"tid":0,"args":{{"name":"{}"}}}}"#,
-            process_name(pid)
-        ));
-    }
-
     let mut ordered: Vec<&RankTrace> = traces.iter().collect();
     ordered.sort_by_key(|t| (t.pid, t.rank));
-    for t in &ordered {
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{},"tid":{},"args":{{"name":"rank {}"}}}}"#,
-            t.pid, t.rank, t.rank
-        ));
-    }
 
-    for t in &ordered {
-        for s in &t.spans {
-            events.push(format!(
-                r#"{{"name":"{}","cat":"{}","ph":"X","ts":{},"dur":{},"pid":{},"tid":{}}}"#,
-                escape(&s.name),
-                escape(s.name.split('/').next().unwrap_or("span")),
-                micros(s.start),
-                micros(s.duration()),
-                t.pid,
-                t.rank
-            ));
+    let records = pids
+        .into_iter()
+        .map(Record::Process)
+        .chain(ordered.iter().map(|t| Record::Thread(t)))
+        .chain(
+            ordered
+                .iter()
+                .flat_map(|t| t.spans.iter().map(move |s| Record::Span(t, s))),
+        );
+    json::array(records, |o, record| match record {
+        Record::Process(pid) => metadata(o, "process_name", pid, 0, process_name(pid)),
+        Record::Thread(t) => metadata(o, "thread_name", t.pid, t.rank, &format!("rank {}", t.rank)),
+        Record::Span(t, s) => {
+            o.text("name", &s.name)
+                .text("cat", s.name.split('/').next().unwrap_or("span"))
+                .text("ph", "X")
+                .uint("ts", micros(s.start))
+                .uint("dur", micros(s.duration()))
+                .uint("pid", t.pid.into())
+                .uint("tid", t.rank as u64);
         }
-    }
-
-    let mut out = String::from("[\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push(']');
-    out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Span;
 
     fn trace(pid: u32, rank: usize) -> RankTrace {
         RankTrace {

@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::json::{Obj, Value};
 use crate::recorder::{Event, FlightRecorder, StepSample};
 
 /// Swallow mutex poisoning: telemetry must never abort a run that a
@@ -288,6 +289,49 @@ pub enum MetricValue {
     Gauge(f64),
     /// Histogram summary.
     Histogram(HistogramSnapshot),
+}
+
+impl MetricValue {
+    /// Write the value's members into `o`, naming its kind under `tag`:
+    /// the RunReport says `type`, a live snapshot `kind`.
+    pub fn write(&self, o: &mut Obj<'_>, tag: &str) {
+        match self {
+            Self::Counter(c) => o.text(tag, "counter").uint("value", *c),
+            Self::Gauge(g) => o.text(tag, "gauge").num("value", *g),
+            Self::Histogram(h) => o
+                .text(tag, "histogram")
+                .uint("count", h.count)
+                .num("sum", h.sum)
+                .num("p50", h.p50)
+                .num("p90", h.p90)
+                .num("p95", h.p95)
+                .num("p99", h.p99)
+                .num("min", h.min)
+                .num("max", h.max),
+        };
+    }
+
+    /// Read a value [`MetricValue::write`] wrote with `tag`.
+    ///
+    /// # Errors
+    /// An unknown kind.
+    pub fn read(v: &Value, tag: &str) -> Result<Self, String> {
+        Ok(match v.text(tag) {
+            "counter" => Self::Counter(v.uint("value")),
+            "gauge" => Self::Gauge(v.num("value")),
+            "histogram" => Self::Histogram(HistogramSnapshot {
+                count: v.uint("count"),
+                sum: v.num("sum"),
+                p50: v.num("p50"),
+                p90: v.num("p90"),
+                p95: v.num("p95"),
+                p99: v.num("p99"),
+                min: v.num("min"),
+                max: v.num("max"),
+            }),
+            other => return Err(format!("unknown metric type {other:?}")),
+        })
+    }
 }
 
 enum Slot {

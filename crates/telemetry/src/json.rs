@@ -1,9 +1,17 @@
-//! Minimal JSON reader/writer helpers (the workspace vendors no serde).
+//! The workspace's one JSON reader and writer (it vendors no serde).
 //!
-//! The writer side is a handful of escape/format helpers used by
-//! [`crate::RunReport::to_json`]; the reader side is a small
-//! recursive-descent parser producing a [`Value`] tree, enough for
-//! `nekstat` and the report round-trip tests.
+//! Every product document goes out through the writer: the RunReport,
+//! its critical-path block, live telemetry snapshots, `nekstat summary
+//! --json`, the chaos-soak and fault-sweep summaries and the Chrome trace.
+//! [`object`] and [`array`] start a document and an [`Obj`] fills one
+//! object's members, in the order they are written. The layout is fixed:
+//! no spaces, each array element on its own line and an array closed by
+//! `\n]`, so an object without arrays is one line. Integers are written
+//! as they display, other numbers by [`push_f64`].
+//!
+//! The reader is a small recursive-descent parser producing a [`Value`]
+//! tree, whose [`Value::num`], [`Value::uint`] and [`Value::text`] read a
+//! member with 0 or `""` standing in for a missing one.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -64,6 +72,21 @@ impl Value {
             Value::Arr(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// Numeric member `key`, or 0.
+    pub fn num(&self, key: &str) -> f64 {
+        self.get(key).and_then(Value::as_f64).unwrap_or(0.0)
+    }
+
+    /// Non-negative integral member `key`, or 0.
+    pub fn uint(&self, key: &str) -> u64 {
+        self.get(key).and_then(Value::as_u64).unwrap_or(0)
+    }
+
+    /// String member `key`, or `""`.
+    pub fn text(&self, key: &str) -> &str {
+        self.get(key).and_then(Value::as_str).unwrap_or_default()
     }
 }
 
@@ -286,6 +309,112 @@ impl Parser<'_> {
     }
 }
 
+/// One JSON object; `fill` writes its members.
+pub fn object(fill: impl FnOnce(&mut Obj<'_>)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, fill);
+    out
+}
+
+/// A JSON array with one object per item, each on its own line; `each`
+/// writes an item's members. (Every array the documents hold is an array
+/// of objects.)
+pub fn array<I: IntoIterator>(items: I, each: impl FnMut(&mut Obj<'_>, I::Item)) -> String {
+    let mut out = String::new();
+    write_array(&mut out, items, each);
+    out
+}
+
+fn write_object(out: &mut String, fill: impl FnOnce(&mut Obj<'_>)) {
+    out.push('{');
+    fill(&mut Obj { out, empty: true });
+    out.push('}');
+}
+
+fn write_array<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut each: impl FnMut(&mut Obj<'_>, I::Item),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        write_object(out, |o| each(o, item));
+    }
+    out.push_str("\n]");
+}
+
+/// The members of one object being written. Each method appends one
+/// member and returns the object, so members chain in document order.
+pub struct Obj<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl Obj<'_> {
+    /// Start member `key`; the caller writes its value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        push_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub fn text(&mut self, key: &str, v: &str) -> &mut Self {
+        push_str(self.key(key), v);
+        self
+    }
+
+    /// A number member, written by [`push_f64`].
+    pub fn num(&mut self, key: &str, v: f64) -> &mut Self {
+        push_f64(self.key(key), v);
+        self
+    }
+
+    /// An integer member.
+    pub fn uint(&mut self, key: &str, v: u64) -> &mut Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    /// An integer member that may be absent, written as `null`.
+    pub fn opt_uint(&mut self, key: &str, v: Option<u64>) -> &mut Self {
+        match v {
+            Some(v) => self.uint(key, v),
+            None => {
+                self.key(key).push_str("null");
+                self
+            }
+        }
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// An object member; `fill` writes its members.
+    pub fn obj(&mut self, key: &str, fill: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+        write_object(self.key(key), fill);
+        self
+    }
+
+    /// An array member, as [`array`] writes one.
+    pub fn arr<I: IntoIterator>(
+        &mut self,
+        key: &str,
+        items: I,
+        each: impl FnMut(&mut Obj<'_>, I::Item),
+    ) -> &mut Self {
+        write_array(self.key(key), items, each);
+        self
+    }
+}
+
 /// Append `s` as a JSON string (with quotes) to `out`.
 pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
@@ -345,6 +474,34 @@ mod tests {
         push_str(&mut out, "line\nwith \"quotes\" and \\ tab\t\u{1}");
         let v = parse(&out).unwrap();
         assert_eq!(v.as_str(), Some("line\nwith \"quotes\" and \\ tab\t\u{1}"));
+    }
+
+    #[test]
+    fn writer_layout_and_accessors() {
+        let doc = object(|o| {
+            o.text("s", "a\"b")
+                .num("x", 2.0)
+                .num("nan", f64::NAN)
+                .uint("n", 7)
+                .opt_uint("none", None)
+                .bool("ok", true)
+                .obj("empty", |_| {})
+                .arr("rows", [1u64, 2], |o, i| {
+                    o.uint("i", i);
+                })
+                .arr("list", std::iter::empty::<u64>(), |_, _| {});
+        });
+        assert_eq!(
+            doc,
+            "{\"s\":\"a\\\"b\",\"x\":2.0,\"nan\":0,\"n\":7,\"none\":null,\"ok\":true,\
+             \"empty\":{},\"rows\":[\n{\"i\":1},\n{\"i\":2}\n],\"list\":[\n]}"
+        );
+        let v = parse(&doc).unwrap();
+        assert_eq!((v.text("s"), v.num("x"), v.uint("n")), ("a\"b", 2.0, 7));
+        assert_eq!(
+            (v.text("missing"), v.num("missing"), v.uint("s")),
+            ("", 0.0, 0)
+        );
     }
 
     #[test]

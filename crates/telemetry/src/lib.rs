@@ -19,8 +19,12 @@
 //! 3. **[`RunReport`]**: one serializable artifact per run — manifest,
 //!    final metric values, the time series, and the event log — written
 //!    by `--report-out` on the figure harnesses and read back by the
-//!    `nekstat` bin (hand-rolled JSON both ways; the workspace has no
-//!    serde).
+//!    `nekstat` bin.
+//!
+//! [`json`] is the workspace's one JSON reader and writer (it has no
+//! serde): every `nekstat/*/v1` document is written through it, and so is
+//! the Chrome trace-event export in [`chrome`], which lives here rather
+//! than in `trace` because `trace` cannot depend on this crate.
 //!
 //! The crate is substrate-free (std only): `commsim` carries a
 //! [`RankTelemetry`] per rank and stamps events with its clock, while
@@ -30,12 +34,13 @@ mod instruments;
 mod recorder;
 mod report;
 
+pub mod chrome;
 pub mod json;
 
 pub use instruments::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, TelemetryHub};
 pub use recorder::{Event, EventKind, FlightRecorder, StepSample};
 pub use report::{
-    parse_critical, push_critical, Manifest, MemorySummary, RunReport, REPORT_SCHEMA,
+    parse_critical, write_critical, Manifest, MemorySummary, RunReport, REPORT_SCHEMA,
 };
 
 use std::sync::Arc;

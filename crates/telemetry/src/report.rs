@@ -1,9 +1,8 @@
 //! The `RunReport`: one serializable artifact per run.
 
-use crate::instruments::{HistogramSnapshot, MetricValue, TelemetryHub};
-use crate::json::{self, push_f64, push_str, Value};
+use crate::instruments::{MetricValue, TelemetryHub};
+use crate::json::{self, Obj, Value};
 use crate::recorder::{Event, EventKind, StepSample};
-use std::fmt::Write as _;
 use trace::{CritContrib, CriticalReport, RankSlack, StepCritical, CRITICAL_SCHEMA};
 
 /// Schema tag written into every report (bump on breaking layout
@@ -137,147 +136,54 @@ impl RunReport {
 
     /// Serialize to the `nekstat/run-report/v1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        o.push_str("{\n  \"schema\": ");
-        push_str(&mut o, REPORT_SCHEMA);
-        o.push_str(",\n  \"manifest\": {");
-        let m = &self.manifest;
-        let str_fields = [
-            ("case", &m.case),
-            ("workflow", &m.workflow),
-            ("mode", &m.mode),
-            ("exec", &m.exec),
-            ("sched", &m.sched),
-            ("wire", &m.wire),
-            ("machine", &m.machine),
-            ("fault_plan", &m.fault_plan),
-        ];
-        for (k, v) in str_fields {
-            o.push_str("\n    ");
-            push_str(&mut o, k);
-            o.push_str(": ");
-            push_str(&mut o, v);
-            o.push(',');
-        }
-        let num_fields = [
-            ("ranks", m.ranks as u64),
-            ("endpoint_ranks", m.endpoint_ranks as u64),
-            ("steps", m.steps),
-            ("trigger_every", m.trigger_every),
-            ("pool_threads", m.pool_threads as u64),
-            ("pipeline_depth", m.pipeline_depth as u64),
-        ];
-        for (i, (k, v)) in num_fields.iter().enumerate() {
-            o.push_str("\n    ");
-            push_str(&mut o, k);
-            let _ = write!(o, ": {v}");
-            if i + 1 < num_fields.len() {
-                o.push(',');
+        json::object(|o| {
+            o.text("schema", REPORT_SCHEMA)
+                .obj("manifest", |o| self.manifest.write(o))
+                .arr("metrics", &self.metrics, |o, (name, v)| {
+                    v.write(o.text("name", name), "type");
+                })
+                .arr("series", &self.series, |o, s| {
+                    o.uint("step", s.step)
+                        .num("t_start", s.t_start)
+                        .num("t_end", s.t_end)
+                        .obj("phase_self", |o| {
+                            for (name, secs) in &s.phase_self {
+                                o.num(name, *secs);
+                            }
+                        })
+                        .uint("pool_resident_bytes", s.pool_resident_bytes)
+                        .uint("pool_free_buffers", s.pool_free_buffers)
+                        .num("backpressure_wait", s.backpressure_wait)
+                        .num("queue_depth", s.queue_depth)
+                        .uint("retries", s.retries)
+                        .uint("mem_current", s.mem_current)
+                        .uint("mem_peak", s.mem_peak);
+                })
+                .uint("evicted_samples", self.evicted_samples)
+                .arr("events", &self.events, |o, e| {
+                    o.num("at", e.at)
+                        .uint("pid", e.pid.into())
+                        .uint("rank", e.rank as u64)
+                        .opt_uint("step", e.step)
+                        .text("kind", e.kind.as_str())
+                        .text("detail", &e.detail);
+                })
+                .arr("watermarks", &self.watermarks, |o, (name, now, peak)| {
+                    o.text("name", name)
+                        .uint("current", *now)
+                        .uint("peak", *peak);
+                })
+                .obj("memory", |o| {
+                    let m = &self.memory;
+                    o.uint("host_aggregate_peak", m.host_aggregate_peak)
+                        .uint("host_max_rank_peak", m.host_max_rank_peak)
+                        .uint("gpu_aggregate_peak", m.gpu_aggregate_peak)
+                        .uint("unscoped", m.unscoped);
+                });
+            if let Some(c) = &self.critical {
+                o.obj("critical", |o| write_critical(o, c));
             }
-        }
-        o.push_str("\n  },\n  \"metrics\": [");
-        for (i, (name, v)) in self.metrics.iter().enumerate() {
-            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            o.push_str("{\"name\": ");
-            push_str(&mut o, name);
-            match v {
-                MetricValue::Counter(c) => {
-                    let _ = write!(o, ", \"type\": \"counter\", \"value\": {c}");
-                }
-                MetricValue::Gauge(g) => {
-                    o.push_str(", \"type\": \"gauge\", \"value\": ");
-                    push_f64(&mut o, *g);
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(o, ", \"type\": \"histogram\", \"count\": {}", h.count);
-                    for (k, x) in [
-                        ("sum", h.sum),
-                        ("p50", h.p50),
-                        ("p90", h.p90),
-                        ("p95", h.p95),
-                        ("p99", h.p99),
-                        ("min", h.min),
-                        ("max", h.max),
-                    ] {
-                        let _ = write!(o, ", \"{k}\": ");
-                        push_f64(&mut o, x);
-                    }
-                }
-            }
-            o.push('}');
-        }
-        o.push_str("\n  ],\n  \"series\": [");
-        for (i, s) in self.series.iter().enumerate() {
-            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            let _ = write!(o, "{{\"step\": {}, \"t_start\": ", s.step);
-            push_f64(&mut o, s.t_start);
-            o.push_str(", \"t_end\": ");
-            push_f64(&mut o, s.t_end);
-            o.push_str(", \"phase_self\": {");
-            for (j, (name, secs)) in s.phase_self.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                push_str(&mut o, name);
-                o.push_str(": ");
-                push_f64(&mut o, *secs);
-            }
-            let _ = write!(
-                o,
-                "}}, \"pool_resident_bytes\": {}, \"pool_free_buffers\": {}",
-                s.pool_resident_bytes, s.pool_free_buffers
-            );
-            o.push_str(", \"backpressure_wait\": ");
-            push_f64(&mut o, s.backpressure_wait);
-            o.push_str(", \"queue_depth\": ");
-            push_f64(&mut o, s.queue_depth);
-            let _ = write!(
-                o,
-                ", \"retries\": {}, \"mem_current\": {}, \"mem_peak\": {}}}",
-                s.retries, s.mem_current, s.mem_peak
-            );
-        }
-        let _ = write!(
-            o,
-            "\n  ],\n  \"evicted_samples\": {},\n  \"events\": [",
-            self.evicted_samples
-        );
-        for (i, e) in self.events.iter().enumerate() {
-            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            o.push_str("{\"at\": ");
-            push_f64(&mut o, e.at);
-            let _ = write!(o, ", \"pid\": {}, \"rank\": {}, \"step\": ", e.pid, e.rank);
-            match e.step {
-                Some(s) => {
-                    let _ = write!(o, "{s}");
-                }
-                None => o.push_str("null"),
-            }
-            o.push_str(", \"kind\": ");
-            push_str(&mut o, e.kind.as_str());
-            o.push_str(", \"detail\": ");
-            push_str(&mut o, &e.detail);
-            o.push('}');
-        }
-        o.push_str("\n  ],\n  \"watermarks\": [");
-        for (i, (name, current, peak)) in self.watermarks.iter().enumerate() {
-            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            o.push_str("{\"name\": ");
-            push_str(&mut o, name);
-            let _ = write!(o, ", \"current\": {current}, \"peak\": {peak}}}");
-        }
-        let mem = &self.memory;
-        let _ = write!(
-            o,
-            "\n  ],\n  \"memory\": {{\"host_aggregate_peak\": {}, \"host_max_rank_peak\": {}, \"gpu_aggregate_peak\": {}, \"unscoped\": {}}}",
-            mem.host_aggregate_peak, mem.host_max_rank_peak, mem.gpu_aggregate_peak, mem.unscoped
-        );
-        if let Some(c) = &self.critical {
-            o.push_str(",\n  \"critical\": ");
-            push_critical(&mut o, c);
-        }
-        o.push_str("\n}\n");
-        o
+        })
     }
 
     /// Parse a `nekstat/run-report/v1` document.
@@ -294,28 +200,21 @@ impl RunReport {
             return Err(format!("unsupported schema {schema:?}"));
         }
         let man = v.get("manifest").ok_or("missing manifest")?;
-        let gs = |k: &str| -> String {
-            man.get(k)
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string()
-        };
-        let gn = |k: &str| -> u64 { man.get(k).and_then(Value::as_u64).unwrap_or(0) };
         let manifest = Manifest {
-            case: gs("case"),
-            workflow: gs("workflow"),
-            mode: gs("mode"),
-            exec: gs("exec"),
-            sched: gs("sched"),
-            wire: gs("wire"),
-            ranks: gn("ranks") as usize,
-            endpoint_ranks: gn("endpoint_ranks") as usize,
-            steps: gn("steps"),
-            trigger_every: gn("trigger_every"),
-            machine: gs("machine"),
-            fault_plan: gs("fault_plan"),
-            pool_threads: gn("pool_threads") as usize,
-            pipeline_depth: gn("pipeline_depth") as usize,
+            case: man.text("case").into(),
+            workflow: man.text("workflow").into(),
+            mode: man.text("mode").into(),
+            exec: man.text("exec").into(),
+            sched: man.text("sched").into(),
+            wire: man.text("wire").into(),
+            ranks: man.uint("ranks") as usize,
+            endpoint_ranks: man.uint("endpoint_ranks") as usize,
+            steps: man.uint("steps"),
+            trigger_every: man.uint("trigger_every"),
+            machine: man.text("machine").into(),
+            fault_plan: man.text("fault_plan").into(),
+            pool_threads: man.uint("pool_threads") as usize,
+            pipeline_depth: man.uint("pipeline_depth") as usize,
         };
         let mut metrics = Vec::new();
         for mv in v
@@ -326,32 +225,8 @@ impl RunReport {
             let name = mv
                 .get("name")
                 .and_then(Value::as_str)
-                .ok_or("metric without name")?
-                .to_string();
-            let kind = mv.get("type").and_then(Value::as_str).unwrap_or("");
-            let value = match kind {
-                "counter" => {
-                    MetricValue::Counter(mv.get("value").and_then(Value::as_u64).unwrap_or(0))
-                }
-                "gauge" => {
-                    MetricValue::Gauge(mv.get("value").and_then(Value::as_f64).unwrap_or(0.0))
-                }
-                "histogram" => {
-                    let f = |k: &str| mv.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-                    MetricValue::Histogram(HistogramSnapshot {
-                        count: mv.get("count").and_then(Value::as_u64).unwrap_or(0),
-                        sum: f("sum"),
-                        p50: f("p50"),
-                        p90: f("p90"),
-                        p95: f("p95"),
-                        p99: f("p99"),
-                        min: f("min"),
-                        max: f("max"),
-                    })
-                }
-                other => return Err(format!("unknown metric type {other:?}")),
-            };
-            metrics.push((name, value));
+                .ok_or("metric without name")?;
+            metrics.push((name.to_string(), MetricValue::read(mv, "type")?));
         }
         let mut series = Vec::new();
         for sv in v
@@ -359,8 +234,6 @@ impl RunReport {
             .and_then(Value::as_arr)
             .ok_or("missing series")?
         {
-            let f = |k: &str| sv.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-            let n = |k: &str| sv.get(k).and_then(Value::as_u64).unwrap_or(0);
             let mut phase_self = Vec::new();
             if let Some(Value::Obj(m)) = sv.get("phase_self") {
                 for (k, x) in m {
@@ -368,17 +241,17 @@ impl RunReport {
                 }
             }
             series.push(StepSample {
-                step: n("step"),
-                t_start: f("t_start"),
-                t_end: f("t_end"),
+                step: sv.uint("step"),
+                t_start: sv.num("t_start"),
+                t_end: sv.num("t_end"),
                 phase_self,
-                pool_resident_bytes: n("pool_resident_bytes"),
-                pool_free_buffers: n("pool_free_buffers"),
-                backpressure_wait: f("backpressure_wait"),
-                queue_depth: f("queue_depth"),
-                retries: n("retries"),
-                mem_current: n("mem_current"),
-                mem_peak: n("mem_peak"),
+                pool_resident_bytes: sv.uint("pool_resident_bytes"),
+                pool_free_buffers: sv.uint("pool_free_buffers"),
+                backpressure_wait: sv.num("backpressure_wait"),
+                queue_depth: sv.num("queue_depth"),
+                retries: sv.uint("retries"),
+                mem_current: sv.uint("mem_current"),
+                mem_peak: sv.uint("mem_peak"),
             });
         }
         let mut events = Vec::new();
@@ -387,41 +260,23 @@ impl RunReport {
             .and_then(Value::as_arr)
             .ok_or("missing events")?
         {
-            let kind = ev
-                .get("kind")
-                .and_then(Value::as_str)
-                .and_then(EventKind::parse)
-                .ok_or("event with unknown kind")?;
             events.push(Event {
-                at: ev.get("at").and_then(Value::as_f64).unwrap_or(0.0),
-                pid: ev.get("pid").and_then(Value::as_u64).unwrap_or(0) as u32,
-                rank: ev.get("rank").and_then(Value::as_u64).unwrap_or(0) as usize,
+                at: ev.num("at"),
+                pid: ev.uint("pid") as u32,
+                rank: ev.uint("rank") as usize,
                 step: ev.get("step").and_then(Value::as_u64),
-                kind,
-                detail: ev
-                    .get("detail")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
+                kind: EventKind::parse(ev.text("kind")).ok_or("event with unknown kind")?,
+                detail: ev.text("detail").into(),
             });
         }
-        let mut watermarks = Vec::new();
-        for wv in v
+        let watermarks = v
             .get("watermarks")
             .and_then(Value::as_arr)
             .unwrap_or_default()
-        {
-            watermarks.push((
-                wv.get("name")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                wv.get("current").and_then(Value::as_u64).unwrap_or(0),
-                wv.get("peak").and_then(Value::as_u64).unwrap_or(0),
-            ));
-        }
-        let memv = v.get("memory").ok_or("missing memory")?;
-        let mn = |k: &str| memv.get(k).and_then(Value::as_u64).unwrap_or(0);
+            .iter()
+            .map(|w| (w.text("name").into(), w.uint("current"), w.uint("peak")))
+            .collect();
+        let mem = v.get("memory").ok_or("missing memory")?;
         let critical = match v.get("critical") {
             Some(cv) => Some(parse_critical(cv)?),
             None => None,
@@ -430,85 +285,83 @@ impl RunReport {
             manifest,
             metrics,
             series,
-            evicted_samples: v
-                .get("evicted_samples")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
+            evicted_samples: v.uint("evicted_samples"),
             events,
             watermarks,
             memory: MemorySummary {
-                host_aggregate_peak: mn("host_aggregate_peak"),
-                host_max_rank_peak: mn("host_max_rank_peak"),
-                gpu_aggregate_peak: mn("gpu_aggregate_peak"),
-                unscoped: mn("unscoped"),
+                host_aggregate_peak: mem.uint("host_aggregate_peak"),
+                host_max_rank_peak: mem.uint("host_max_rank_peak"),
+                gpu_aggregate_peak: mem.uint("gpu_aggregate_peak"),
+                unscoped: mem.uint("unscoped"),
             },
             critical,
         })
     }
 }
 
-fn push_contribs(o: &mut String, list: &[CritContrib]) {
-    o.push('[');
-    for (i, c) in list.iter().enumerate() {
-        if i > 0 {
-            o.push_str(", ");
-        }
-        let _ = write!(o, "{{\"pid\": {}, \"rank\": {}, \"phase\": ", c.pid, c.rank);
-        push_str(o, &c.phase);
-        o.push_str(", \"secs\": ");
-        push_f64(o, c.secs);
-        o.push('}');
+impl Manifest {
+    /// Write the manifest's members into `o` (the RunReport and `nekstat
+    /// summary --json` both carry it).
+    pub fn write(&self, o: &mut Obj<'_>) {
+        o.text("case", &self.case)
+            .text("workflow", &self.workflow)
+            .text("mode", &self.mode)
+            .text("exec", &self.exec)
+            .text("sched", &self.sched)
+            .text("wire", &self.wire)
+            .text("machine", &self.machine)
+            .text("fault_plan", &self.fault_plan)
+            .uint("ranks", self.ranks as u64)
+            .uint("endpoint_ranks", self.endpoint_ranks as u64)
+            .uint("steps", self.steps)
+            .uint("trigger_every", self.trigger_every)
+            .uint("pool_threads", self.pool_threads as u64)
+            .uint("pipeline_depth", self.pipeline_depth as u64);
     }
-    o.push(']');
 }
 
-/// Serialize a [`CriticalReport`] as the `nekstat/critical-path/v1`
-/// object (embedded in the run report and emitted standalone by
-/// `nekstat critical-path --json`).
-pub fn push_critical(o: &mut String, c: &CriticalReport) {
-    o.push_str("{\"schema\": ");
-    push_str(o, CRITICAL_SCHEMA);
-    let _ = write!(o, ", \"segments\": {}, \"total\": ", c.segments);
-    push_f64(o, c.total);
-    o.push_str(",\n    \"contrib\": ");
-    push_contribs(o, &c.contrib);
-    o.push_str(",\n    \"steps\": [");
-    for (i, s) in c.steps.iter().enumerate() {
-        o.push_str(if i == 0 { "\n      " } else { ",\n      " });
-        let _ = write!(o, "{{\"step\": {}, \"t_from\": ", s.step);
-        push_f64(o, s.t_from);
-        o.push_str(", \"t_to\": ");
-        push_f64(o, s.t_to);
-        o.push_str(", \"total\": ");
-        push_f64(o, s.total);
-        let _ = write!(o, ", \"dropped\": {}, \"contrib\": ", s.dropped);
-        push_contribs(o, &s.contrib);
-        o.push('}');
-    }
-    o.push_str("],\n    \"slack\": [");
-    for (i, s) in c.slack.iter().enumerate() {
-        if i > 0 {
-            o.push_str(", ");
-        }
-        let _ = write!(o, "{{\"pid\": {}, \"rank\": {}, \"wait_s\": ", s.pid, s.rank);
-        push_f64(o, s.wait_s);
-        o.push('}');
-    }
-    o.push_str("]}");
+fn write_contrib(o: &mut Obj<'_>, c: &CritContrib) {
+    o.uint("pid", c.pid.into())
+        .uint("rank", c.rank as u64)
+        .text("phase", &c.phase)
+        .num("secs", c.secs);
+}
+
+/// Write a [`CriticalReport`]'s members into `o`: the
+/// `nekstat/critical-path/v1` object the run report embeds and `nekstat
+/// critical-path --json` prints.
+pub fn write_critical(o: &mut Obj<'_>, c: &CriticalReport) {
+    o.text("schema", CRITICAL_SCHEMA)
+        .uint("segments", c.segments)
+        .num("total", c.total)
+        .arr("contrib", &c.contrib, write_contrib)
+        .arr("steps", &c.steps, |o, s| {
+            o.uint("step", s.step)
+                .num("t_from", s.t_from)
+                .num("t_to", s.t_to)
+                .num("total", s.total)
+                .uint("dropped", s.dropped)
+                .arr("contrib", &s.contrib, write_contrib);
+        })
+        .arr("slack", &c.slack, |o, s| {
+            o.uint("pid", s.pid.into())
+                .uint("rank", s.rank as u64)
+                .num("wait_s", s.wait_s);
+        });
 }
 
 fn parse_contribs(v: Option<&Value>) -> Result<Vec<CritContrib>, String> {
     let mut out = Vec::new();
     for cv in v.and_then(Value::as_arr).ok_or("missing contrib list")? {
         out.push(CritContrib {
-            pid: cv.get("pid").and_then(Value::as_u64).unwrap_or(0) as u32,
-            rank: cv.get("rank").and_then(Value::as_u64).unwrap_or(0) as usize,
+            pid: cv.uint("pid") as u32,
+            rank: cv.uint("rank") as usize,
             phase: cv
                 .get("phase")
                 .and_then(Value::as_str)
                 .ok_or("contrib without phase")?
                 .to_string(),
-            secs: cv.get("secs").and_then(Value::as_f64).unwrap_or(0.0),
+            secs: cv.num("secs"),
         });
     }
     Ok(out)
@@ -528,27 +381,29 @@ pub fn parse_critical(cv: &Value) -> Result<CriticalReport, String> {
     }
     let mut steps = Vec::new();
     for sv in cv.get("steps").and_then(Value::as_arr).unwrap_or_default() {
-        let f = |k: &str| sv.get(k).and_then(Value::as_f64).unwrap_or(0.0);
         steps.push(StepCritical {
-            step: sv.get("step").and_then(Value::as_u64).unwrap_or(0),
-            t_from: f("t_from"),
-            t_to: f("t_to"),
-            total: f("total"),
+            step: sv.uint("step"),
+            t_from: sv.num("t_from"),
+            t_to: sv.num("t_to"),
+            total: sv.num("total"),
             contrib: parse_contribs(sv.get("contrib"))?,
-            dropped: sv.get("dropped").and_then(Value::as_u64).unwrap_or(0),
+            dropped: sv.uint("dropped"),
         });
     }
-    let mut slack = Vec::new();
-    for rv in cv.get("slack").and_then(Value::as_arr).unwrap_or_default() {
-        slack.push(RankSlack {
-            pid: rv.get("pid").and_then(Value::as_u64).unwrap_or(0) as u32,
-            rank: rv.get("rank").and_then(Value::as_u64).unwrap_or(0) as usize,
-            wait_s: rv.get("wait_s").and_then(Value::as_f64).unwrap_or(0.0),
-        });
-    }
+    let slack = cv
+        .get("slack")
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .map(|rv| RankSlack {
+            pid: rv.uint("pid") as u32,
+            rank: rv.uint("rank") as usize,
+            wait_s: rv.num("wait_s"),
+        })
+        .collect();
     Ok(CriticalReport {
-        total: cv.get("total").and_then(Value::as_f64).unwrap_or(0.0),
-        segments: cv.get("segments").and_then(Value::as_u64).unwrap_or(0),
+        total: cv.num("total"),
+        segments: cv.uint("segments"),
         contrib: parse_contribs(cv.get("contrib"))?,
         steps,
         slack,

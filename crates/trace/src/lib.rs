@@ -6,8 +6,10 @@
 //! inside a commsim world, or from a real monotonic clock otherwise.
 //! Spans feed two sinks:
 //!
-//! * [`chrome::chrome_trace_json`] — a Chrome trace-event array loadable
-//!   in Perfetto / `chrome://tracing`, one track per rank;
+//! * `telemetry::chrome::chrome_trace_json` — a Chrome trace-event
+//!   array loadable in Perfetto / `chrome://tracing`, one track per rank
+//!   (it lives in `telemetry`, beside the JSON writer this crate cannot
+//!   depend on);
 //! * [`PhaseBreakdown`] — an in-memory per-rank aggregation
 //!   (count / total / max per span name) used by the figure harnesses to
 //!   attribute virtual wall time to pipeline phases.
@@ -23,7 +25,6 @@
 //!   descendants, and a second close of the same id is a no-op.
 
 pub mod breakdown;
-pub mod chrome;
 pub mod critical;
 
 pub use breakdown::{PhaseBreakdown, PhaseStat, RankPhases};

@@ -30,52 +30,20 @@ pub const SNAPSHOT_SCHEMA: &str = "nekstat/telemetry-snapshot/v1";
 pub const FOLLOW_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Serialize one snapshot document: `seq`, whether it is a `full`
-/// snapshot, and the (changed) metrics keyed by instrument name.
+/// snapshot, and the (changed) metrics keyed by instrument name. It holds
+/// no array, so it is one line (`nekstat --follow --json` prints JSON
+/// Lines).
 pub fn snapshot_json(seq: u64, full: bool, metrics: &[(String, MetricValue)]) -> String {
-    let mut o = String::with_capacity(64 + metrics.len() * 48);
-    o.push_str("{\"schema\": ");
-    json::push_str(&mut o, SNAPSHOT_SCHEMA);
-    o.push_str(&format!(
-        ", \"seq\": {seq}, \"full\": {full}, \"metrics\": {{"
-    ));
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        if i > 0 {
-            o.push_str(", ");
-        }
-        json::push_str(&mut o, name);
-        o.push_str(": ");
-        match value {
-            MetricValue::Counter(c) => {
-                o.push_str(&format!("{{\"kind\": \"counter\", \"value\": {c}}}"));
-            }
-            MetricValue::Gauge(g) => {
-                o.push_str("{\"kind\": \"gauge\", \"value\": ");
-                json::push_f64(&mut o, *g);
-                o.push('}');
-            }
-            MetricValue::Histogram(h) => {
-                o.push_str(&format!(
-                    "{{\"kind\": \"histogram\", \"count\": {}, \"sum\": ",
-                    h.count
-                ));
-                json::push_f64(&mut o, h.sum);
-                for (key, v) in [
-                    ("p50", h.p50),
-                    ("p90", h.p90),
-                    ("p95", h.p95),
-                    ("p99", h.p99),
-                    ("min", h.min),
-                    ("max", h.max),
-                ] {
-                    o.push_str(&format!(", \"{key}\": "));
-                    json::push_f64(&mut o, v);
+    json::object(|o| {
+        o.text("schema", SNAPSHOT_SCHEMA)
+            .uint("seq", seq)
+            .bool("full", full)
+            .obj("metrics", |o| {
+                for (name, value) in metrics {
+                    o.obj(name, |o| value.write(o, "kind"));
                 }
-                o.push('}');
-            }
-        }
-    }
-    o.push_str("}}");
-    o
+            });
+    })
 }
 
 /// Serve one follow session on `stream` until the client disconnects or

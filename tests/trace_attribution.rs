@@ -370,8 +370,7 @@ fn critical_path_json_is_byte_identical_across_runs_and_schedulers() {
         let r = run_intransit(&cfg);
         let report = r.run_report.expect("telemetry: true collects a report");
         let critical = report.critical.expect("traced run embeds a critical block");
-        let mut json = String::new();
-        telemetry::push_critical(&mut json, &critical);
+        let json = telemetry::json::object(|o| telemetry::write_critical(o, &critical));
         (critical, json)
     };
 
