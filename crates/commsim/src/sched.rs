@@ -8,9 +8,10 @@
 //! collective that is not yet complete, an [`EventSched::external_begin`]
 //! region — or when it finishes. Sends, probes and the arrival that
 //! completes a collective keep it. A free token goes to the ready rank
-//! with the **earliest virtual clock** (ties broken by rank id, so with
-//! one token the grant order is deterministic once the world has
-//! started).
+//! with the **earliest virtual clock** (ties broken by rank id). With
+//! fewer tokens than ranks, no token is granted before every rank has
+//! registered, so with one token the grant order is deterministic from
+//! the first grant on.
 //!
 //! Results do not depend on that order, or on any order: the clock
 //! rules in `comm.rs` depend only on what each rank does and on message
@@ -211,7 +212,14 @@ impl EventSched {
             if self.is_poisoned() {
                 return false;
             }
-            self.grant_next(&mut st)
+            // With fewer tokens than ranks, the first grants wait for the
+            // whole world, so they do not depend on which thread the OS
+            // got going first.
+            if st.unstarted > 0 && self.tokens < st.slots.len() {
+                Wake::Nobody
+            } else {
+                self.grant_next(&mut st)
+            }
         };
         self.wake(wake);
         self.park_until_running(rank)
@@ -551,6 +559,28 @@ mod tests {
                 collective: 0
             }
         );
+    }
+
+    #[test]
+    fn the_first_grant_waits_for_every_rank_to_register() {
+        // Rank 1's thread registers well before rank 0's; rank 0 still
+        // runs first, as it would had the OS started them the other way.
+        let s = Arc::new(EventSched::new(2, 1));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let spawn = |rank: usize, delay_ms: u64| {
+            let (s, order) = (Arc::clone(&s), Arc::clone(&order));
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(delay_ms));
+                assert!(s.start(rank));
+                order.lock().unwrap().push(rank);
+                s.finish(rank);
+            })
+        };
+        let late = spawn(0, 50);
+        let early = spawn(1, 0);
+        late.join().unwrap();
+        early.join().unwrap();
+        assert_eq!(*order.lock().unwrap(), vec![0, 1]);
     }
 
     #[test]
