@@ -98,9 +98,9 @@ impl SimLoop {
 }
 
 /// The report tail both drivers share: per-phase attribution and the
-/// critical path (with its `sem/critical_*` gauges) from the traces — None
-/// when tracing was off — and, with telemetry on, the hub drained into a
-/// [`RunReport`] carrying that critical path.
+/// critical path from the traces — None when tracing was off — and, with
+/// telemetry on, the hub drained into a [`RunReport`] carrying that
+/// critical path.
 pub(crate) fn collect_reports(
     traces: &[RankTrace],
     hub: Option<&TelemetryHub>,
@@ -110,22 +110,10 @@ pub(crate) fn collect_reports(
 ) -> (Option<PhaseBreakdown>, Option<RunReport>) {
     let phases = (!traces.is_empty()).then(|| PhaseBreakdown::from_traces(traces));
     // Critical path before the drain: the step windows are a non-draining
-    // peek at the flight recorder, and the gauges must be registered
-    // before the metrics snapshot.
+    // peek at the flight recorder.
     let critical = (!traces.is_empty()).then(|| {
         let bounds = hub.map(TelemetryHub::step_bounds).unwrap_or_default();
-        let critical = trace::critical::analyze(traces, &bounds);
-        if let Some(hub) = hub {
-            hub.gauge("sem/critical_total").set(critical.total);
-            if let Some(d) = critical.dominant() {
-                hub.gauge("sem/critical_dominant_secs").set(d.secs);
-                hub.gauge("sem/critical_dominant_pid").set(d.pid as f64);
-                hub.gauge("sem/critical_dominant_rank").set(d.rank as f64);
-            }
-            let max_slack = critical.slack.iter().map(|s| s.wait_s).fold(0.0, f64::max);
-            hub.gauge("sem/critical_max_slack").set(max_slack);
-        }
-        critical
+        trace::critical::analyze(traces, &bounds)
     });
     let run_report = hub.map(|hub| {
         // Mirrored field by field: telemetry stays dependency-free, so its

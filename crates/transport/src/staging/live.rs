@@ -125,7 +125,7 @@ mod tests {
     fn snapshot_json_is_parseable_and_tagged() {
         let hub = TelemetryHub::default();
         hub.counter("staging/steps").add(3);
-        hub.gauge("sem/critical_total").set(1.25);
+        hub.gauge("sem/overlap_ratio").set(1.25);
         hub.histogram("step_time").observe(0.5);
         let mut prev = Vec::new();
         let full = hub.delta_snapshot(&mut prev);
