@@ -315,7 +315,7 @@ impl MetricValue {
     ///
     /// # Errors
     /// An unknown kind.
-    pub fn read(v: &Value, tag: &str) -> Result<Self, String> {
+    pub(crate) fn read(v: &Value, tag: &str) -> Result<Self, String> {
         Ok(match v.text(tag) {
             "counter" => Self::Counter(v.uint("value")),
             "gauge" => Self::Gauge(v.num("value")),

@@ -10,17 +10,22 @@ use trace::{CritContrib, CriticalReport, RankSlack, StepCritical, CRITICAL_SCHEM
 pub const REPORT_SCHEMA: &str = "nekstat/run-report/v1";
 
 /// What was run: enough to reproduce the configuration and to label
-/// the report in `nekstat` output.
+/// the report in `nekstat` output. Each field's doc says what the in
+/// situ and in transit drivers, the render showcases (fig1, fig4) and
+/// `staging_bench` put there.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Manifest {
-    /// Case name (`pb146`, `rbc`, …).
+    /// Case name (`pb146`, `rbc`, `staging-fanout`, …).
     pub case: String,
-    /// `insitu` or `intransit` (or `render` for the image harnesses).
+    /// `insitu`, `intransit`, `render` (the showcases) or `staging`.
     pub workflow: String,
-    /// In situ mode (`original` / `checkpointing` / `catalyst`) or the
-    /// in-transit queue policy.
+    /// In situ mode (`original` / `checkpointing` / `catalyst`), the in
+    /// transit endpoint mode (`no transport` / `checkpointing` /
+    /// `catalyst`), the showcase's view, or `fanout`.
     pub mode: String,
-    /// Execution mode (`synchronous` / `pipelined`).
+    /// Execution mode: in situ `synchronous` / `pipelined`; `concurrent`
+    /// in transit and in `staging_bench`, whose worlds run side by side;
+    /// `synchronous` for the showcases.
     pub exec: String,
     /// Rank scheduler (`thread` / `event`): how the rank worlds were
     /// driven. Virtual-time results are bitwise identical either way;
@@ -31,7 +36,8 @@ pub struct Manifest {
     pub wire: String,
     /// Simulation ranks.
     pub ranks: usize,
-    /// Endpoint (consumer world) ranks; 0 for pure in situ.
+    /// Consumer world ranks: the endpoint ranks in transit, as many as
+    /// the simulation's when pipelined in situ, 0 when synchronous.
     pub endpoint_ranks: usize,
     /// Steps run.
     pub steps: u64,
@@ -43,7 +49,9 @@ pub struct Manifest {
     pub fault_plan: String,
     /// Shared thread-pool width on the host.
     pub pool_threads: usize,
-    /// Pipeline credit depth (0 when synchronous).
+    /// Pipeline credit depth when pipelined in situ, the staging queue
+    /// bound in transit, the consumer session count in `staging_bench`;
+    /// 0 otherwise.
     pub pipeline_depth: usize,
 }
 
