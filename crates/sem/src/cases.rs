@@ -338,11 +338,14 @@ mod tests {
     /// limit must land where "NekRS, a GPU-Accelerated Spectral Element
     /// Navier-Stokes Solver" and "Nek5000/RS Performance on Advanced GPU
     /// Architectures" (PAPERS.md) measure it: 2–3 million points per GPU.
-    /// The model reads 0.85 million here (0.98 at `solver_pb146`'s mesh) —
-    /// the low side, as a model that charges kernels no launch latency
-    /// should — so the band is 0.5–5 million: the papers' figure with
-    /// room above it, and below it the factor that launch latency (about
-    /// a thousand kernels a step) would account for.
+    /// The model read 1.03 million here while u_x, u_y and u_z were solved
+    /// one after another (101 collectives and 108 halo rounds a step) and
+    /// reads 0.50 million since they are one block (47 and 90): the low
+    /// side, as a model that charges kernels no launch latency should,
+    /// now at the floor of the band. The band is 0.5–5 million: the
+    /// papers' figure with room above it, and below it the factor that
+    /// launch latency (about a thousand kernels a step) would account
+    /// for.
     #[test]
     fn polaris_strong_scaling_limit_is_a_few_million_points_per_gpu() {
         let mut params = CaseParams::pb146_default();

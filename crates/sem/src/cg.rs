@@ -1,16 +1,30 @@
 //! Preconditioned conjugate gradient over assembled SEM operators.
 //!
-//! Works on unassembled (element-major) vectors: the operator callback
-//! applies the local element operator; this module gather-scatters, masks
-//! Dirichlet nodes, and computes multiplicity-weighted global inner
-//! products via `allreduce` — three collectives per iteration (the mean
-//! projection of a singular solve rides the residual norm's), the
-//! communication signature NekRS's pressure/viscous solves show at scale.
-//! The preconditioner is the caller's: [`jacobi`] for the Helmholtz
-//! solves, the [`crate::mg`] V-cycle for pressure. Plain PCG needs it
-//! fixed, symmetric and positive; both are.
+//! Works on unassembled (element-major) vectors: the operator applies the
+//! local element operator; this module gather-scatters, masks Dirichlet
+//! nodes, and computes multiplicity-weighted global inner products via
+//! `allreduce`. Two solvers share that ground:
+//!
+//! - [`solve`] takes the operator and preconditioner as closures; the
+//!   pressure solve runs it under the [`crate::mg`] V-cycle. Its
+//!   preconditioner communicates, so it stays behind the convergence test:
+//!   three collectives per iteration (the mean projection of a singular
+//!   solve rides the residual norm's).
+//! - [`solve_helmholtz`] runs K Jacobi-preconditioned Helmholtz solves in
+//!   lockstep — u_x, u_y, u_z as one block, or T alone. Jacobi is
+//!   pointwise, so `z` is formed before the convergence test and `‖r‖²`
+//!   and `rᵀz` share a collective: per lockstep iteration one operator
+//!   dispatch and one gather–scatter exchange for every field still
+//!   running, then two collectives (`pᵀq`, then `‖r‖²` with `rᵀz`), and one
+//!   collective to open the solve, so `1 + 2·max(i)` for the block where K
+//!   sequential solves made `3 + 3·i` each — the per-step reductions that
+//!   set NekRS's strong-scale limit.
+//!
+//! Plain PCG needs the preconditioner fixed, symmetric and positive; both
+//! are.
 
 use crate::gs::GatherScatter;
+use crate::operators::{HelmholtzTerm, Ops};
 use crate::workspace::Workspace;
 use commsim::{Comm, ReduceOp};
 
@@ -55,7 +69,7 @@ pub struct CgResult {
 
 /// Multiplicity-weighted global inner product (shared nodes counted once).
 pub fn wdot(comm: &mut Comm, a: &[f64], b: &[f64], weights: &[f64]) -> f64 {
-    comm.compute_gpu(2.0 * a.len() as f64, 3.0 * 8.0 * a.len() as f64);
+    charge_dots(comm, a.len(), 1);
     let local: f64 = a
         .iter()
         .zip(b)
@@ -206,17 +220,243 @@ fn relative(rnorm: f64, norm_b: f64) -> f64 {
     }
 }
 
-/// The Jacobi preconditioner `z = D⁻¹ r` on free nodes: `diag_inv` is the
-/// inverse of the assembled operator diagonal (masked entries arbitrary).
-pub fn jacobi<'a>(
-    diag_inv: &'a [f64],
-    mask: &'a [f64],
-) -> impl FnMut(&mut Comm, &[f64], &mut [f64]) + 'a {
-    move |_, r, z| {
-        for i in 0..r.len() {
-            z[i] = diag_inv[i] * r[i] * mask[i];
+/// The viscous operator `h0·M + κ·A` the fields of a [`solve_helmholtz`]
+/// block share but for κ, with the assembled diagonals its Jacobi
+/// preconditioner inverts.
+#[derive(Clone, Copy)]
+pub struct Helmholtz<'a> {
+    /// Assembly topology.
+    pub gs: &'a GatherScatter,
+    /// Operator context.
+    pub ops: &'a Ops,
+    /// The mass coefficient, `b₀/Δt`.
+    pub h0: f64,
+    /// The unassembled lumped mass `M`.
+    pub mass: &'a [f64],
+    /// `M`'s diagonal, assembled.
+    pub mass_assembled: &'a [f64],
+    /// `A`'s diagonal, assembled.
+    pub stiffness_assembled: &'a [f64],
+}
+
+impl Helmholtz<'_> {
+    /// The Jacobi preconditioner's `D⁻¹` at node `i` for diffusivity
+    /// `kappa`, computed per node: storing it would cost a buffer a field.
+    #[inline]
+    fn diag_inv(&self, kappa: f64, i: usize) -> f64 {
+        1.0 / (self.h0 * self.mass_assembled[i] + kappa * self.stiffness_assembled[i])
+    }
+}
+
+/// One field of a [`solve_helmholtz`] block.
+pub struct BlockField<'a> {
+    /// In: the right-hand side `b`, assembled and masked. Out: the final
+    /// residual.
+    pub rhs: &'a mut [f64],
+    /// In: the initial guess, continuous and zero on masked nodes. Out:
+    /// the solution.
+    pub x: &'a mut [f64],
+    /// 1 on free nodes, 0 on Dirichlet nodes.
+    pub mask: &'a [f64],
+    /// κ of this field's operator `h0·M + κ·A`.
+    pub diffusivity: f64,
+    /// This field's controls; `project_mean` must be off (the operator is
+    /// never singular).
+    pub cfg: CgConfig,
+}
+
+/// One field's CG state inside [`solve_helmholtz`].
+struct Lane<'a> {
+    /// Position in the caller's block.
+    slot: usize,
+    f: BlockField<'a>,
+    /// The search direction.
+    p: Vec<f64>,
+    /// `H p`, then — once the residual is updated — `z = D⁻¹ r`.
+    q: Vec<f64>,
+    iterations: usize,
+    norm_b: f64,
+    target: f64,
+    rnorm: f64,
+    rz: f64,
+    /// `pᵀq` vanished: the operator is degenerate on what is left.
+    stalled: bool,
+}
+
+impl Lane<'_> {
+    fn running(&self) -> bool {
+        !self.stalled && self.rnorm > self.target && self.iterations < self.f.cfg.max_iter
+    }
+
+    fn result(&self) -> CgResult {
+        CgResult {
+            iterations: self.iterations,
+            residual: self.rnorm,
+            relative_residual: relative(self.rnorm, self.norm_b),
+            converged: self.rnorm <= self.target,
         }
     }
+}
+
+/// Solve `(h0·M + κ_k·A) x_k = b_k` for the K fields of `block` by Jacobi
+/// PCG in lockstep. Every field keeps its own α, β, mask, controls and
+/// stopping iteration, so each gets the bits — solution, residual and
+/// iteration count — its own [`solve`] under a Jacobi preconditioner gives.
+/// What they share is the communication: one [`Ops::helmholtz_apply`]
+/// dispatch and one [`GatherScatter::sum_fields`] exchange per iteration
+/// over the fields still running, one collective for their `pᵀq` and one
+/// for their `‖r‖²` and `rᵀz`, after one collective for every field's
+/// `‖b‖²`, `‖r₀‖²` and `r₀ᵀz₀`. Two work vectors a field come from `ws`
+/// and go back to it.
+pub fn solve_helmholtz<const K: usize>(
+    comm: &mut Comm,
+    op: &Helmholtz<'_>,
+    block: [BlockField<'_>; K],
+    ws: &mut Workspace,
+) -> [CgResult; K] {
+    let _sp = comm.span("sem/cg");
+    let n = op.gs.n_nodes();
+    let w = op.gs.mult_inv();
+    let mut slot = 0..K;
+    let mut lanes = block.map(|f| {
+        assert!(
+            !f.cfg.project_mean,
+            "a Helmholtz operator is never singular"
+        );
+        debug_assert_eq!(f.rhs.len(), n, "field sized for a different mesh");
+        // Every element of p and q is written before it is read.
+        Lane {
+            slot: slot.next().expect("one slot a field"),
+            f,
+            p: ws.take_uninit(),
+            q: ws.take_uninit(),
+            iterations: 0,
+            norm_b: 0.0,
+            target: 0.0,
+            rnorm: 0.0,
+            rz: 0.0,
+            stalled: false,
+        }
+    });
+
+    // r = b − mask·GS(H x) in b's buffer, z = D⁻¹ r in q, p = z, and
+    // ‖b‖², ‖r‖², rᵀz from one collective.
+    let terms = lanes
+        .each_mut()
+        .map(|l| HelmholtzTerm::new(l.f.diffusivity, &*l.f.x, &mut l.q));
+    op.ops.helmholtz_apply(comm, op.h0, op.mass, &terms);
+    op.gs
+        .sum_fields(comm, &mut lanes.each_mut().map(|l| &mut l.q[..]));
+    let mut sums = [[0.0; 3]; K];
+    for (l, [bb, rr, rz]) in lanes.iter_mut().zip(&mut sums) {
+        charge_dots(comm, n, 3);
+        let (kappa, mask) = (l.f.diffusivity, l.f.mask);
+        for i in 0..n {
+            let b = l.f.rhs[i];
+            *bb += b * b * w[i];
+            let r = b - mask[i] * l.q[i];
+            let z = op.diag_inv(kappa, i) * r * mask[i];
+            (l.f.rhs[i], l.q[i], l.p[i]) = (r, z, z);
+            *rr += r * r * w[i];
+            *rz += r * z * w[i];
+        }
+    }
+    comm.allreduce_vec(sums.as_flattened_mut(), ReduceOp::Sum);
+    for (l, &[bb, rr, rz]) in lanes.iter_mut().zip(&sums) {
+        l.norm_b = bb.sqrt();
+        l.target = (l.f.cfg.tol * l.norm_b).max(l.f.cfg.abs_tol);
+        (l.rnorm, l.rz) = (rr.sqrt(), rz);
+    }
+    let mut active = K;
+    retire(&mut lanes, &mut active);
+
+    while active > 0 {
+        let terms = lanes
+            .each_mut()
+            .map(|l| HelmholtzTerm::new(l.f.diffusivity, &l.p, &mut l.q));
+        op.ops
+            .helmholtz_apply(comm, op.h0, op.mass, &terms[..active]);
+        op.gs
+            .sum_fields(comm, &mut lanes.each_mut().map(|l| &mut l.q[..])[..active]);
+        let mut pq = [0.0; K];
+        for (l, pq) in lanes[..active].iter_mut().zip(&mut pq) {
+            charge_dots(comm, n, 1);
+            let mask = l.f.mask;
+            for i in 0..n {
+                l.q[i] *= mask[i];
+                *pq += l.p[i] * l.q[i] * w[i];
+            }
+        }
+        comm.allreduce_vec(&mut pq[..active], ReduceOp::Sum);
+
+        let mut sums = [[0.0; 2]; K];
+        for ((l, &pq), [rr, rz]) in lanes[..active].iter_mut().zip(&pq).zip(&mut sums) {
+            l.iterations += 1;
+            l.stalled = pq.abs() < f64::MIN_POSITIVE * 1e10;
+            if l.stalled {
+                continue;
+            }
+            charge_dots(comm, n, 2);
+            let alpha = l.rz / pq;
+            let (kappa, mask) = (l.f.diffusivity, l.f.mask);
+            for i in 0..n {
+                l.f.x[i] += alpha * l.p[i];
+                let r = l.f.rhs[i] - alpha * l.q[i];
+                let z = op.diag_inv(kappa, i) * r * mask[i];
+                (l.f.rhs[i], l.q[i]) = (r, z);
+                *rr += r * r * w[i];
+                *rz += r * z * w[i];
+            }
+        }
+        comm.allreduce_vec(sums[..active].as_flattened_mut(), ReduceOp::Sum);
+
+        for (l, &[rr, rz]) in lanes[..active].iter_mut().zip(&sums) {
+            if l.stalled {
+                continue;
+            }
+            l.rnorm = rr.sqrt();
+            if !l.running() {
+                continue;
+            }
+            let beta = rz / l.rz;
+            l.rz = rz;
+            for i in 0..n {
+                l.p[i] = l.q[i] + beta * l.p[i];
+            }
+        }
+        retire(&mut lanes, &mut active);
+    }
+
+    lanes.sort_unstable_by_key(|l| l.slot);
+    lanes.map(|l| {
+        let result = l.result();
+        ws.put(l.p);
+        ws.put(l.q);
+        result
+    })
+}
+
+/// Move the lanes of `lanes[..active]` that stopped running behind those
+/// that did not, so the running lanes stay the prefix `lanes[..active]`.
+/// The order among them changes nothing: no lane's arithmetic reads
+/// another's.
+fn retire(lanes: &mut [Lane<'_>], active: &mut usize) {
+    let mut k = 0;
+    while k < *active {
+        if lanes[k].running() {
+            k += 1;
+        } else {
+            *active -= 1;
+            lanes.swap(k, *active);
+        }
+    }
+}
+
+/// Charge `dots` multiplicity-weighted inner products of `n` values, as
+/// [`wdot`] charges one.
+fn charge_dots(comm: &mut Comm, n: usize, dots: usize) {
+    let m = (dots * n) as f64;
+    comm.compute_gpu(2.0 * m, 24.0 * m);
 }
 
 /// Subtract from `v` its multiplicity-weighted mean `μ` over the free
@@ -257,9 +497,22 @@ fn remove_weighted_mean_norm(
 mod tests {
     use super::*;
     use crate::mesh::{Bc, BcSet, LocalMesh, MeshSpec};
-    use crate::operators::Ops;
     use commsim::{run_ranks, MachineModel};
     use std::sync::Arc;
+
+    /// The Jacobi preconditioner `z = D⁻¹ r` on free nodes: `diag_inv` is
+    /// the inverse of the assembled operator diagonal (masked entries
+    /// arbitrary).
+    fn jacobi<'a>(
+        diag_inv: &'a [f64],
+        mask: &'a [f64],
+    ) -> impl FnMut(&mut Comm, &[f64], &mut [f64]) + 'a {
+        move |_, r, z| {
+            for i in 0..r.len() {
+                z[i] = diag_inv[i] * r[i] * mask[i];
+            }
+        }
+    }
 
     /// Solve the Poisson problem −∇²u = f with homogeneous Dirichlet BCs
     /// and a manufactured solution, on `ranks` ranks.
@@ -529,5 +782,155 @@ mod tests {
         });
         assert_eq!(res[0].iterations, 3);
         assert!(!res[0].converged);
+    }
+
+    /// The oracle of [`solve_helmholtz`]: three [`solve`] calls under
+    /// [`jacobi`], one a field, against one block of the three, on two
+    /// ranks. The fields stop at different iterations: one at 0 (zero
+    /// right-hand side), one on its tolerance, one on its `max_iter` cap.
+    #[test]
+    fn helmholtz_block_matches_one_solve_a_field_bit_for_bit() {
+        let res = run_ranks(2, MachineModel::test_tiny(), |comm| {
+            let spec = Arc::new(MeshSpec::box_mesh(
+                4,
+                [2, 2, 4],
+                [1.0, 1.0, 2.0],
+                [false; 3],
+            ));
+            let mesh = LocalMesh::new(spec, comm.rank(), comm.size());
+            let gs = crate::gs::GatherScatter::new(&mesh, comm);
+            let ops = Ops::new(&mesh);
+            let n = mesh.layout().n_nodes();
+            let (mask, _) = mesh.dirichlet_mask(&BcSet::all_dirichlet_zero());
+            let mass = ops.mass_diag();
+            let mut mass_assembled = mass.clone();
+            gs.sum(comm, &mut mass_assembled);
+            let mut stiffness_assembled = ops.stiffness_diag();
+            gs.sum(comm, &mut stiffness_assembled);
+            let h0 = 150.0;
+            let kappas = [0.04, 0.01, 0.5];
+            let cfgs = [
+                CgConfig::default(),
+                CgConfig::default(),
+                CgConfig {
+                    tol: 1e-14,
+                    abs_tol: 0.0,
+                    max_iter: 4,
+                    ..Default::default()
+                },
+            ];
+            let sources: [fn([f64; 3]) -> f64; 3] = [
+                |_| 0.0,
+                |x| (3.0 * x[0]).sin() * x[1] * x[2],
+                |x| (x[0] - x[1]).cos() + x[2],
+            ];
+            let rhs = sources.map(|f| {
+                let f = mesh.eval_nodal(f);
+                let mut b = vec![0.0; n];
+                ops.mass_apply(comm, &f, &mut b);
+                gs.sum(comm, &mut b);
+                for i in 0..n {
+                    b[i] *= mask[i];
+                }
+                b
+            });
+            // A nonzero, continuous initial guess for the capped field.
+            let guesses = [0.0, 0.0, 1.0].map(|a| {
+                mesh.eval_nodal(|x| a * x[0] * x[1])
+                    .iter()
+                    .zip(&mask)
+                    .map(|(v, m)| v * m)
+                    .collect::<Vec<_>>()
+            });
+            let mut ws = Workspace::new(n);
+
+            let mut oracle = guesses.clone();
+            let mut want = Vec::new();
+            for (c, x) in oracle.iter_mut().enumerate() {
+                let diag_inv: Vec<f64> = (0..n)
+                    .map(|i| 1.0 / (h0 * mass_assembled[i] + kappas[c] * stiffness_assembled[i]))
+                    .collect();
+                want.push(solve(
+                    comm,
+                    &gs,
+                    |comm, v, out| {
+                        ops.helmholtz_apply(
+                            comm,
+                            h0,
+                            &mass,
+                            &[HelmholtzTerm::new(kappas[c], v, out)],
+                        )
+                    },
+                    jacobi(&diag_inv, &mask),
+                    &rhs[c],
+                    x,
+                    &mask,
+                    &cfgs[c],
+                    &mut ws,
+                ));
+            }
+
+            let op = Helmholtz {
+                gs: &gs,
+                ops: &ops,
+                h0,
+                mass: &mass,
+                mass_assembled: &mass_assembled,
+                stiffness_assembled: &stiffness_assembled,
+            };
+            let mut block_rhs = rhs.clone();
+            let mut block_x = guesses.clone();
+            let (mut bs, mut xs) = (block_rhs.iter_mut(), block_x.iter_mut());
+            let block: [BlockField<'_>; 3] = std::array::from_fn(|c| BlockField {
+                rhs: bs.next().unwrap(),
+                x: xs.next().unwrap(),
+                mask: &mask,
+                diffusivity: kappas[c],
+                cfg: cfgs[c],
+            });
+            let before = *comm.stats();
+            let got = solve_helmholtz(comm, &op, block, &mut ws);
+            let after = *comm.stats();
+            (
+                want,
+                got,
+                oracle,
+                block_x,
+                after.collectives - before.collectives,
+                after.messages_sent - before.messages_sent,
+            )
+        });
+        for (rank, (want, got, oracle, block_x, collectives, messages)) in
+            res.into_iter().enumerate()
+        {
+            let iterations = got.map(|r| r.iterations);
+            assert_eq!(iterations[0], 0, "zero right-hand side");
+            assert_eq!(iterations[2], 4, "the capped field");
+            assert!(got[1].converged && iterations[1] > 4, "{got:?}");
+            assert!(!got[2].converged);
+            for c in 0..3 {
+                assert_eq!(
+                    got[c].iterations, want[c].iterations,
+                    "rank {rank} field {c}"
+                );
+                assert_eq!(got[c].converged, want[c].converged, "rank {rank} field {c}");
+                for (a, b) in [
+                    (got[c].residual, want[c].residual),
+                    (got[c].relative_residual, want[c].relative_residual),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "rank {rank} field {c}: residual");
+                }
+                let same = block_x[c]
+                    .iter()
+                    .zip(&oracle[c])
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "rank {rank} field {c}: solution bits");
+            }
+            // One collective to open, two a lockstep iteration; one
+            // exchange with the one neighbour to open and one an iteration.
+            let lockstep = iterations[1] as u64;
+            assert_eq!(collectives, 1 + 2 * lockstep, "rank {rank}");
+            assert_eq!(messages, 1 + lockstep, "rank {rank}");
+        }
     }
 }

@@ -30,14 +30,15 @@ struct Exchange {
 
 /// Accumulated comm/compute overlap accounting for the split-phase
 /// exchange: virtual seconds of network latency hidden behind interior
-/// gather work vs. still exposed as recv wait, over `sums` calls.
+/// gather work vs. still exposed as recv wait, over `sums` rounds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GsOverlap {
     /// Network latency covered by interior compute while in flight.
     pub hidden_s: f64,
     /// Recv wait the interior phase could not cover.
     pub exposed_s: f64,
-    /// Number of `sum` calls accumulated.
+    /// Number of exchange rounds accumulated: one per
+    /// [`GatherScatter::sum_fields`] call, however many fields it carried.
     pub sums: u64,
 }
 
@@ -204,7 +205,15 @@ impl GatherScatter {
     }
 
     /// Direct stiffness summation: after this call, every copy of a shared
-    /// node holds the sum over all copies on all ranks.
+    /// node holds the sum over all copies on all ranks. The one-field case
+    /// of [`Self::sum_fields`].
+    pub fn sum(&self, comm: &mut Comm, field: &mut [f64]) {
+        self.sum_fields(comm, &mut [field]);
+    }
+
+    /// [`Self::sum`] of every field at once: each field ends as its own
+    /// `sum` would leave it, bit for bit, but the exchange is one message
+    /// per neighbour carrying all of them, field after field.
     ///
     /// Split-phase: boundary segments (those feeding the neighbor
     /// exchange) are gathered first and the sends posted immediately, so
@@ -216,18 +225,23 @@ impl GatherScatter {
     /// so total virtual compute time is unchanged); how much of the
     /// exchange latency the interior phase hid is accumulated in
     /// [`Self::overlap`].
-    pub fn sum(&self, comm: &mut Comm, field: &mut [f64]) {
-        assert_eq!(field.len(), self.n_nodes, "field/topology size mismatch");
+    pub fn sum_fields(&self, comm: &mut Comm, fields: &mut [&mut [f64]]) {
+        for field in fields.iter() {
+            assert_eq!(field.len(), self.n_nodes, "field/topology size mismatch");
+        }
         // Intra-rank gather+scatter is bandwidth-bound: 1 flop + 16 bytes
         // per node, split by boundary fraction across the two phases.
-        let (flops, bytes) = (self.n_nodes as f64, (self.n_nodes * 8 * 2) as f64);
+        let k = fields.len() as f64;
+        let (flops, bytes) = (k * self.n_nodes as f64, k * (self.n_nodes * 8 * 2) as f64);
         let fb = if self.n_nodes > 0 {
             self.n_boundary_nodes as f64 / self.n_nodes as f64
         } else {
             0.0
         };
         comm.compute_gpu(flops * fb, bytes * fb);
-        self.gather_segs(&self.boundary_segs, field);
+        for field in fields.iter_mut() {
+            self.gather_segs(&self.boundary_segs, field);
+        }
         // Post the exchange; latency now runs on the virtual wire.
         let wire_s: f64 = self
             .exchanges
@@ -235,31 +249,41 @@ impl GatherScatter {
             .map(|ex| {
                 comm.machine()
                     .network
-                    .p2p_time(((ex.starts.len() - 1) * 8) as u64)
+                    .p2p_time((fields.len() * (ex.starts.len() - 1) * 8) as u64)
             })
             .sum();
         for ex in &self.exchanges {
-            let payload: Vec<f64> = (0..ex.starts.len() - 1)
-                .map(|g| field[ex.nodes[ex.starts[g] as usize] as usize])
+            let payload: Vec<f64> = fields
+                .iter()
+                .flat_map(|field| {
+                    ex.starts[..ex.starts.len() - 1]
+                        .iter()
+                        .map(|&s| field[ex.nodes[s as usize] as usize])
+                })
                 .collect();
             comm.send_f64s(ex.peer, ex.send_tag, payload);
         }
         // Interior gather overlaps the in-flight exchange.
         comm.compute_gpu(flops * (1.0 - fb), bytes * (1.0 - fb));
-        self.gather_segs(&self.interior_segs, field);
+        for field in fields.iter_mut() {
+            self.gather_segs(&self.interior_segs, field);
+        }
         let t_ready = comm.now();
         // Complete the boundary: wait for neighbors and accumulate.
         for ex in &self.exchanges {
             let incoming: Vec<f64> = comm.recv(ex.peer, ex.recv_tag);
+            let groups = ex.starts.len() - 1;
             assert_eq!(
                 incoming.len(),
-                ex.starts.len() - 1,
+                fields.len() * groups,
                 "interface size mismatch with rank {}",
                 ex.peer
             );
-            for g in 0..incoming.len() {
-                for &i in &ex.nodes[ex.starts[g] as usize..ex.starts[g + 1] as usize] {
-                    field[i as usize] += incoming[g];
+            for (field, values) in fields.iter_mut().zip(incoming.chunks_exact(groups)) {
+                for (g, &v) in values.iter().enumerate() {
+                    for &i in &ex.nodes[ex.starts[g] as usize..ex.starts[g + 1] as usize] {
+                        field[i as usize] += v;
+                    }
                 }
             }
         }
@@ -582,6 +606,32 @@ mod tests {
             assert!(o.hidden_s >= 0.0 && o.exposed_s >= 0.0, "{o:?}");
             assert!((0.0..=1.0).contains(&o.ratio()), "{o:?}");
             assert_eq!(drained, GsOverlap::default(), "take must reset");
+        }
+    }
+
+    #[test]
+    fn sum_fields_is_each_fields_sum_in_one_message_a_neighbour() {
+        // Periodic z on three ranks: two neighbours each.
+        let res = with_mesh(3, 2, [2, 1, 3], [false, false, true], |mesh, gs, comm| {
+            let fields =
+                [1.0, 2.0, 3.0].map(|a| mesh.eval_nodal(|x| (a * x[0] + x[1] * x[2]).sin()));
+            let mut want = fields.clone();
+            for f in &mut want {
+                gs.sum(comm, f);
+            }
+            let mut got = fields;
+            let sent = comm.stats().messages_sent;
+            gs.sum_fields(comm, &mut got.each_mut().map(|f| &mut f[..]));
+            let same = got
+                .iter()
+                .flatten()
+                .zip(want.iter().flatten())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            (same, comm.stats().messages_sent - sent)
+        });
+        for (same, messages) in res {
+            assert!(same, "a field differs from its own sum");
+            assert_eq!(messages, 2, "one message a neighbour");
         }
     }
 

@@ -24,7 +24,7 @@ use crate::cg::{self, CgConfig, CgResult};
 use crate::gs::GatherScatter;
 use crate::mesh::{BcSet, LocalMesh};
 use crate::mg::{self, Multigrid};
-use crate::operators::{transpose_op, Ops};
+use crate::operators::{transpose_op, HelmholtzTerm, Ops};
 use crate::snapshot::{self, FieldSnapshot, SnapshotPool, SnapshotSpec};
 use crate::timestep::{bdf_coeffs, ext_coeffs};
 use crate::workspace::Workspace;
@@ -186,6 +186,18 @@ impl Transported {
         }
     }
 
+    /// A buffer for the value this step solves for: the BDF ring's
+    /// expiring slot once the ring is full, a workspace buffer while it
+    /// fills. Taking the slot before the solve, not after, keeps a block
+    /// of fields within the buffers one field at a time needed.
+    fn value_slot(&mut self, ws: &mut Workspace) -> Vec<f64> {
+        if self.hist.len() == BDF_RING {
+            self.hist.pop().expect("ring non-empty")
+        } else {
+            ws.take_uninit()
+        }
+    }
+
     /// The order-`k` BDF/EXT sum `Σ −(bⱼ/b₀)·valueⱼ + (Δt/b₀)·Σ aⱼ·rhsⱼ`
     /// in a workspace buffer. Pure local arithmetic: charges no virtual
     /// time.
@@ -236,6 +248,10 @@ fn rotate(ring: &mut Vec<Vec<f64>>, cap: usize, newest: Vec<f64>, ws: &mut Works
     }
     ring.insert(0, newest);
 }
+
+/// Earlier values a BDF ring holds: BDF3 reads the current value and
+/// these.
+const BDF_RING: usize = 2;
 
 /// Index of temperature in `FlowSolver::fields`, after the velocity
 /// components 0..3.
@@ -673,10 +689,9 @@ impl FlowSolver {
         self.ws.put3([gx, gy, gz]);
         drop(sp);
 
-        // 5. Viscous Helmholtz per component.
+        // 5. Viscous Helmholtz: u_x, u_y, u_z as one block.
         let sp = comm.span("sem/viscous");
-        let velocity = [0, 1, 2].map(|c| self.advance(comm, c, h0, &u_hat[c]));
-        self.ws.put3(u_hat);
+        let velocity = self.advance(comm, 0, h0, u_hat);
         drop(sp);
 
         // 6. Temperature advection–diffusion: the same update without the
@@ -684,8 +699,7 @@ impl FlowSolver {
         let temperature = (self.fields.len() > TEMPERATURE).then(|| {
             let _sp = comm.span("sem/temperature");
             let t_hat = self.fields[TEMPERATURE].extrapolate(k, dt, &mut self.ws);
-            let report = self.advance(comm, TEMPERATURE, h0, &t_hat);
-            self.ws.put(t_hat);
+            let [report] = self.advance(comm, TEMPERATURE, h0, [t_hat]);
             report
         });
 
@@ -764,62 +778,74 @@ impl FlowSolver {
         }
     }
 
-    /// Advance field `c` from its BDF/EXT sum `hat` (for velocity, after
-    /// the pressure projection): solve `(h0·M + κ·A)·x = h0·M·hat` with
-    /// Dirichlet lifting, then rotate the new value into the BDF ring.
-    fn advance(&mut self, comm: &mut Comm, c: usize, h0: f64, hat: &[f64]) -> CgResult {
+    /// Advance the K fields from `first` on from their BDF/EXT sums `hats`
+    /// (for velocity, after the pressure projection): solve `(h0·M +
+    /// κ·A)·x = h0·M·hat` for all of them as one [`cg::solve_helmholtz`]
+    /// block with Dirichlet lifting, then rotate each new value into its
+    /// BDF ring. Each `hat` becomes its field's right-hand side, then its
+    /// residual, and goes back to the workspace.
+    fn advance<const K: usize>(
+        &mut self,
+        comm: &mut Comm,
+        first: usize,
+        h0: f64,
+        mut hats: [Vec<f64>; K],
+    ) -> [CgResult; K] {
         let n = self.n_nodes();
-        let f = &mut self.fields[c];
-        let kappa = f.diffusivity;
-        let (ops, mass_diag) = (&self.ops, &self.mass_diag);
-
-        let mut h_diag_inv = self.ws.take_uninit();
-        for i in 0..n {
-            h_diag_inv[i] =
-                1.0 / (h0 * self.mass_diag_assembled[i] + kappa * self.stiff_diag_assembled[i]);
-        }
+        let fields = &mut self.fields[first..first + K];
+        let op = cg::Helmholtz {
+            gs: &self.gs,
+            ops: &self.ops,
+            h0,
+            mass: &self.mass_diag,
+            mass_assembled: &self.mass_diag_assembled,
+            stiffness_assembled: &self.stiff_diag_assembled,
+        };
+        let mut xs: [Vec<f64>; K] = std::array::from_fn(|c| fields[c].value_slot(&mut self.ws));
 
         // b = h0·M·hat − H·lift, assembled and masked, with H·lift =
-        // h0·M·lift + κ·A·lift from one fused apply. (b and x are workspace
-        // buffers, fully overwritten before use.)
-        let mut b = self.ws.take_uninit();
-        let mut x = self.ws.take_uninit();
-        ops.helmholtz_apply(comm, kappa, h0, mass_diag, &f.lift, &mut x);
-        for i in 0..n {
-            b[i] = h0 * mass_diag[i] * hat[i] - x[i];
+        // h0·M·lift + κ·A·lift from one fused apply into x.
+        let mut outs = xs.iter_mut();
+        let lifts: [HelmholtzTerm<'_>; K] = std::array::from_fn(|c| {
+            let out = outs.next().expect("one buffer a field");
+            HelmholtzTerm::new(fields[c].diffusivity, &fields[c].lift, out)
+        });
+        self.ops.helmholtz_apply(comm, h0, &self.mass_diag, &lifts);
+        for (b, x) in hats.iter_mut().zip(&xs) {
+            for i in 0..n {
+                b[i] = h0 * self.mass_diag[i] * b[i] - x[i];
+            }
         }
-        self.gs.sum(comm, &mut b);
-        for i in 0..n {
-            b[i] *= f.mask[i];
+        self.gs
+            .sum_fields(comm, &mut hats.each_mut().map(|b| &mut b[..]));
+        for ((b, x), f) in hats.iter_mut().zip(&mut xs).zip(&*fields) {
+            for i in 0..n {
+                b[i] *= f.mask[i];
+                // Initial guess: interior part of the current value.
+                x[i] = f.value[i] * f.mask[i];
+            }
         }
 
-        // Initial guess: interior part of the current value.
-        for i in 0..n {
-            x[i] = f.value[i] * f.mask[i];
+        let mut rhs = hats.iter_mut();
+        let mut sols = xs.iter_mut();
+        let block: [cg::BlockField<'_>; K] = std::array::from_fn(|c| cg::BlockField {
+            rhs: rhs.next().expect("one right-hand side a field"),
+            x: sols.next().expect("one solution a field"),
+            mask: &fields[c].mask,
+            diffusivity: fields[c].diffusivity,
+            cfg: fields[c].cg,
+        });
+        let results = cg::solve_helmholtz(comm, &op, block, &mut self.ws);
+
+        for ((f, mut x), hat) in fields.iter_mut().zip(xs).zip(hats) {
+            for i in 0..n {
+                x[i] += f.lift[i];
+            }
+            let old = std::mem::replace(&mut f.value, x);
+            f.hist.insert(0, old);
+            self.ws.put(hat);
         }
-        let result = cg::solve(
-            comm,
-            &self.gs,
-            |comm, v, out| ops.helmholtz_apply(comm, kappa, h0, mass_diag, v, out),
-            cg::jacobi(&h_diag_inv, &f.mask),
-            &b,
-            &mut x,
-            &f.mask,
-            &f.cg,
-            &mut self.ws,
-        );
-        for i in 0..n {
-            x[i] += f.lift[i];
-        }
-        rotate(
-            &mut f.hist,
-            2,
-            std::mem::replace(&mut f.value, x),
-            &mut self.ws,
-        );
-        self.ws.put(b);
-        self.ws.put(h_diag_inv);
-        result
+        results
     }
 }
 

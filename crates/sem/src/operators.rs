@@ -15,6 +15,7 @@ use crate::mesh::LocalMesh;
 use crate::workspace::Workspace;
 use commsim::Comm;
 use rayon::pool;
+use std::marker::PhantomData;
 
 /// Evaluate `$body` with `$k` bound to the [`Kernel`] for `$np` nodes per
 /// direction: [`Fixed`] at polynomial orders 1..=7, [`Runtime`] otherwise.
@@ -52,15 +53,55 @@ pub(crate) struct AxisEigen {
     pub(crate) lambda: Vec<f64>,
 }
 
-/// The output field's base pointer, shared with the pool workers of one
-/// [`Ops::zip_blocks`] dispatch.
-struct BlockBase(*mut f64);
-// SAFETY: the pointer is only ever offset into per-block element ranges,
-// which `pool::partition` makes disjoint; no two jobs touch one address.
-unsafe impl Sync for BlockBase {}
-impl BlockBase {
-    fn get(&self) -> *mut f64 {
-        self.0
+/// One field of an element-block dispatch ([`Ops::zip_fields`]): the input
+/// it reads and the output its jobs write, held as a base pointer so that
+/// every job of the dispatch can reach its own element range of it.
+struct Zip<'a> {
+    u: &'a [f64],
+    out: *mut f64,
+    /// `out` stays mutably borrowed for as long as the dispatch can write.
+    _out: PhantomData<&'a mut [f64]>,
+}
+// SAFETY: `out` is only ever offset into per-block element ranges, which
+// `pool::partition` makes disjoint; no two jobs touch one address.
+unsafe impl Sync for Zip<'_> {}
+
+impl<'a> Zip<'a> {
+    fn new(u: &'a [f64], out: &'a mut [f64]) -> Self {
+        assert_eq!(out.len(), u.len(), "input and output differ in length");
+        Self {
+            u,
+            out: out.as_mut_ptr(),
+            _out: PhantomData,
+        }
+    }
+}
+
+impl<'a> AsRef<Zip<'a>> for Zip<'a> {
+    fn as_ref(&self) -> &Zip<'a> {
+        self
+    }
+}
+
+/// One field of an [`Ops::helmholtz_apply`]: `out = coeff·A u + h0·(M ∘ u)`.
+pub struct HelmholtzTerm<'a> {
+    coeff: f64,
+    zip: Zip<'a>,
+}
+
+impl<'a> HelmholtzTerm<'a> {
+    /// The term writing `coeff·A u + h0·(M ∘ u)` into `out`.
+    pub fn new(coeff: f64, u: &'a [f64], out: &'a mut [f64]) -> Self {
+        Self {
+            coeff,
+            zip: Zip::new(u, out),
+        }
+    }
+}
+
+impl<'a> AsRef<Zip<'a>> for HelmholtzTerm<'a> {
+    fn as_ref(&self) -> &Zip<'a> {
+        &self.zip
     }
 }
 
@@ -128,45 +169,61 @@ impl Ops {
     }
 
     /// Run `f(e0, out_block, u_block)` over per-thread contiguous element
-    /// blocks (`e0` is the block's first element) — the one dispatch every
-    /// element-local operator goes through. Elements are partitioned once
-    /// per call (contiguous ranges, sizes differing by at most one), so
-    /// each worker sweeps a cache-friendly run of whole elements and every
-    /// element of `out` belongs to exactly one block. A field of fewer
-    /// than [`POOLED_MIN_NODES`] nodes is one block on the calling thread:
-    /// the partition never enters the arithmetic, so the bits are the same.
+    /// blocks (`e0` is the block's first element): [`Self::zip_fields`]
+    /// for one field, the dispatch nearly every element-local operator
+    /// goes through.
     fn zip_blocks(&self, out: &mut [f64], u: &[f64], f: impl Fn(usize, &mut [f64], &[f64]) + Sync) {
-        let n = self.layout.n_nodes();
-        assert_eq!(out.len(), n, "output is not one value per node");
-        assert_eq!(u.len(), n, "input is not one value per node");
-        if n < POOLED_MIN_NODES {
-            f(0, out, u);
-        } else {
-            self.zip_blocks_pooled(out, u, f);
-        }
+        self.zip_fields(&[Zip::new(u, out)], |_, e0, ob, ub| f(e0, ob, ub));
     }
 
-    /// [`Self::zip_blocks`] above the inline threshold: one pool job per
-    /// block.
-    fn zip_blocks_pooled(
+    /// Run `f(field, e0, out_block, u_block)` for every field over
+    /// per-thread contiguous element blocks — one dispatch for all the
+    /// fields. Elements are partitioned once per call (contiguous ranges,
+    /// sizes differing by at most one), so each worker sweeps a
+    /// cache-friendly run of whole elements of each field and every
+    /// element of every output belongs to exactly one block. A field of
+    /// fewer than [`POOLED_MIN_NODES`] nodes is one block on the calling
+    /// thread: the partition never enters the arithmetic, so the bits are
+    /// the same.
+    fn zip_fields<'a, T: AsRef<Zip<'a>> + Sync>(
         &self,
-        out: &mut [f64],
-        u: &[f64],
-        f: impl Fn(usize, &mut [f64], &[f64]) + Sync,
+        fields: &[T],
+        f: impl Fn(&T, usize, &mut [f64], &[f64]) + Sync,
+    ) {
+        let pooled = self.layout.n_nodes() >= POOLED_MIN_NODES;
+        self.zip_fields_on(pooled, fields, f);
+    }
+
+    /// [`Self::zip_fields`], one pool job per block when `pooled` and one
+    /// block on the calling thread otherwise.
+    fn zip_fields_on<'a, T: AsRef<Zip<'a>> + Sync>(
+        &self,
+        pooled: bool,
+        fields: &[T],
+        f: impl Fn(&T, usize, &mut [f64], &[f64]) + Sync,
     ) {
         let npe = self.layout.nodes_per_elem();
         let ne = self.layout.n_elems;
-        assert_eq!(out.len(), ne * npe, "output is not one value per node");
-        let base = BlockBase(out.as_mut_ptr());
-        pool::run_partitioned(ne, |_b, e0, e1| {
-            // SAFETY: the jobs' `e0..e1` ranges are disjoint and inside
-            // `0..ne`, and `out`, mutably borrowed until the dispatch
-            // returns, holds `ne * npe` values: each part is one job's own.
-            let ob = unsafe {
-                std::slice::from_raw_parts_mut(base.get().add(e0 * npe), (e1 - e0) * npe)
-            };
-            f(e0, ob, &u[e0 * npe..e1 * npe]);
-        });
+        for field in fields {
+            assert_eq!(field.as_ref().u.len(), ne * npe, "not one value per node");
+        }
+        let job = |e0: usize, e1: usize| {
+            for field in fields {
+                let zip = field.as_ref();
+                // SAFETY: the jobs' `e0..e1` ranges are disjoint and inside
+                // `0..ne`, and `out`, mutably borrowed until the dispatch
+                // returns, holds `ne * npe` values: each part is one job's own.
+                let ob = unsafe {
+                    std::slice::from_raw_parts_mut(zip.out.add(e0 * npe), (e1 - e0) * npe)
+                };
+                f(field, e0, ob, &zip.u[e0 * npe..e1 * npe]);
+            }
+        };
+        if pooled {
+            pool::run_partitioned(ne, |_b, e0, e1| job(e0, e1));
+        } else {
+            job(0, ne);
+        }
     }
 
     /// `out = s·M u` along `axis` of every element, `mt` being `M`
@@ -283,64 +340,80 @@ impl Ops {
         out: &mut [f64],
         _scratch: &mut [f64],
     ) {
-        self.weak_laplacian(comm, u, out, None);
+        self.charge_weak_laplacian(comm);
+        with_kernel!(self.np(), k => self.zip_blocks(out, u, |_, ob, ub| {
+            self.weak_laplacian(k, ob, ub, None);
+        }));
     }
 
-    /// Fused Helmholtz application `out = coeff·A u + h0·(M ∘ u)` — the
-    /// viscous/temperature CG operator — with the diagonal-mass term
-    /// folded into the same per-element sweep so `u` is read once.
-    /// Charges match [`Self::stiffness_apply`] (the pointwise post pass
-    /// was never charged separately).
+    /// Fused Helmholtz application, `out = coeff·A u + h0·(M ∘ u)` for
+    /// every term — the viscous/temperature CG operator — in one pool
+    /// dispatch, the diagonal-mass term folded into each element's sweep
+    /// so `u` is read once. Each term is charged like a
+    /// [`Self::stiffness_apply`] (the pointwise post pass was never charged
+    /// separately) and gets the bits a dispatch of its own would give.
     pub fn helmholtz_apply(
         &self,
         comm: &mut Comm,
-        coeff: f64,
         h0: f64,
         mass_diag: &[f64],
-        u: &[f64],
-        out: &mut [f64],
+        terms: &[HelmholtzTerm<'_>],
     ) {
-        self.weak_laplacian(comm, u, out, Some((coeff, h0, mass_diag)));
+        for _ in terms {
+            self.charge_weak_laplacian(comm);
+        }
+        let npe = self.layout.nodes_per_elem();
+        with_kernel!(self.np(), k => self.zip_fields(terms, |t, e0, ob, ub| {
+            let mass = &mass_diag[e0 * npe..][..ob.len()];
+            self.weak_laplacian(k, ob, ub, Some((t.coeff, h0, mass)));
+        }));
     }
 
-    /// `out = A u`, or `coeff·A u + h0·(mass ∘ u)` with `post = (coeff,
-    /// h0, mass)`. Per element the derivative lives in one pencil across
-    /// all three axes, in the accumulation order of three full-field
-    /// sweeps.
-    fn weak_laplacian(
-        &self,
-        comm: &mut Comm,
-        u: &[f64],
-        out: &mut [f64],
-        post: Option<(f64, f64, &[f64])>,
-    ) {
-        // 6 derivative sweeps + pointwise weights.
+    /// Six derivative sweeps plus the pointwise weights: the charge of one
+    /// weak-Laplacian or Helmholtz apply.
+    fn charge_weak_laplacian(&self, comm: &mut Comm) {
         self.charge_derivs(comm, 6.0);
         self.charge_pointwise(comm, 3.0, 3.0);
+    }
+
+    /// `ob = A ub` over a block of whole elements, or `coeff·A ub + h0·(mass
+    /// ∘ ub)` with `post = (coeff, h0, mass)`, `mass` the block's own part.
+    /// Per element the derivative lives in one pencil across all three
+    /// axes, in the accumulation order of three full-field sweeps.
+    #[inline(always)]
+    fn weak_laplacian(
+        &self,
+        k: impl Kernel,
+        ob: &mut [f64],
+        ub: &[f64],
+        post: Option<(f64, f64, &[f64])>,
+    ) {
         let npe = self.layout.nodes_per_elem();
         let (d, dt) = (&self.basis.deriv, &self.dt);
         let (scale, jac, w3) = (self.scale, self.jac, &self.w3);
-        with_kernel!(self.np(), k => self.zip_blocks(out, u, |e0, ob, ub| {
-            k.with_pencil(|se| {
-                for (le, (oe, ue)) in ob.chunks_exact_mut(npe).zip(ub.chunks_exact(npe)).enumerate() {
-                    oe.fill(0.0);
-                    for (axis, &s) in scale.iter().enumerate() {
-                        k.contract::<false>(ue, d, dt, axis, s, se);
-                        // se ← s J w ∘ se (one factor of s comes from each D).
-                        for (v, &w) in se.iter_mut().zip(w3) {
-                            *v *= jac * w;
-                        }
-                        k.contract::<true>(se, dt, d, axis, s, oe);
+        k.with_pencil(|se| {
+            for (le, (oe, ue)) in ob
+                .chunks_exact_mut(npe)
+                .zip(ub.chunks_exact(npe))
+                .enumerate()
+            {
+                oe.fill(0.0);
+                for (axis, &s) in scale.iter().enumerate() {
+                    k.contract::<false>(ue, d, dt, axis, s, se);
+                    // se ← s J w ∘ se (one factor of s comes from each D).
+                    for (v, &w) in se.iter_mut().zip(w3) {
+                        *v *= jac * w;
                     }
-                    if let Some((coeff, h0, mass)) = post {
-                        let me = &mass[(e0 + le) * npe..][..npe];
-                        for i in 0..npe {
-                            oe[i] = coeff * oe[i] + h0 * me[i] * ue[i];
-                        }
+                    k.contract::<true>(se, dt, d, axis, s, oe);
+                }
+                if let Some((coeff, h0, mass)) = post {
+                    let me = &mass[le * npe..][..npe];
+                    for i in 0..npe {
+                        oe[i] = coeff * oe[i] + h0 * me[i] * ue[i];
                     }
                 }
-            })
-        }));
+            }
+        })
     }
 
     /// Diagonal of the unassembled stiffness operator (Jacobi
@@ -1079,8 +1152,33 @@ mod tests {
                             .map(|i| nu * reference[i] + h0 * mass[i] * u[i])
                             .collect();
                         let mut h = vec![1.0; n];
-                        ops.helmholtz_apply(comm, nu, h0, &mass, &u, &mut h);
+                        ops.helmholtz_apply(comm, h0, &mass, &[HelmholtzTerm::new(nu, &u, &mut h)]);
                         assert_bits_eq(&h, &composed, &format!("helmholtz, {what}"));
+                        // Three terms in one dispatch: each the bits of its
+                        // own dispatch.
+                        let v = noise(n, 12);
+                        let mut alone = vec![1.0; n];
+                        ops.helmholtz_apply(
+                            comm,
+                            h0,
+                            &mass,
+                            &[HelmholtzTerm::new(2.0 * nu, &v, &mut alone)],
+                        );
+                        let mut block = [vec![1.0; n], vec![1.0; n], vec![1.0; n]];
+                        let [b0, b1, b2] = block.each_mut();
+                        ops.helmholtz_apply(
+                            comm,
+                            h0,
+                            &mass,
+                            &[
+                                HelmholtzTerm::new(nu, &u, b0),
+                                HelmholtzTerm::new(2.0 * nu, &v, b1),
+                                HelmholtzTerm::new(nu, &u, b2),
+                            ],
+                        );
+                        for (got, want) in block.iter().zip([&h, &alone, &h]) {
+                            assert_bits_eq(got, want, &format!("helmholtz block, {what}"));
+                        }
                     })
                 });
             }
@@ -1146,7 +1244,11 @@ mod tests {
         ops.zip_blocks(&mut inline, &u, body);
         for threads in [2usize, 3] {
             let mut pooled = vec![0.0; n];
-            rayon::pool::with_threads(threads, || ops.zip_blocks_pooled(&mut pooled, &u, body));
+            rayon::pool::with_threads(threads, || {
+                ops.zip_fields_on(true, &[Zip::new(&u, &mut pooled)], |_, e0, ob, ub| {
+                    body(e0, ob, ub)
+                })
+            });
             assert_bits_eq(&inline, &pooled, &format!("{threads} threads"));
         }
     }

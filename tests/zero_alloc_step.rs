@@ -7,7 +7,10 @@
 //! step runs entirely out of reused buffers. This binary installs the
 //! tracking allocator for real and asserts the allocation *count* stays
 //! flat across steady-state steps — any regression that sneaks a `vec!`
-//! or `clone()` back into the hot path fails loudly. It also pins the
+//! or `clone()` back into the hot path fails loudly. The warm-up steps
+//! are pinned too, at the count they had while u_x, u_y and u_z were
+//! solved one after another: solving them as one block holds no more
+//! workspace buffers. It also pins the
 //! count of one `CaseSetup::build`: set-up allocates its fields, tables
 //! and levels, a number that does not grow with the node count, so a
 //! per-node allocation (the solid search of `LocalMesh::dirichlet_mask`
@@ -41,8 +44,19 @@ fn steady_state_alloc_delta(build_rbc: bool, pool_threads: usize) -> u64 {
             };
             // Warm-up: populate the BDF/EXT history rings (depth 3), the
             // workspace arena, and the thread pool itself.
+            let before = global_allocation_count();
             for _ in 0..5 {
                 solver.step(comm);
+            }
+            let warm_up = global_allocation_count() - before;
+            if pool_threads == 1 {
+                // Steps 1–5 fill the rings and the arena: as many buffers
+                // as when each velocity component was solved on its own.
+                let pinned = if build_rbc { 31 } else { 26 };
+                assert_eq!(
+                    warm_up, pinned,
+                    "warm-up steps 1–5 allocated {warm_up} times (rbc: {build_rbc})"
+                );
             }
             let before = global_allocation_count();
             for _ in 0..3 {
