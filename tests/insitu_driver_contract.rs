@@ -151,8 +151,8 @@ fn check(cell: &str, cfg: &InSituConfig, expected: &str) {
 }
 
 const ORIGINAL: &str = "
-tts 0x3f641a668de3d7c6
-totals CommStats { messages_sent: 564, bytes_sent: 112800, messages_received: 564, collectives: 670, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 3.979124999999997e-6, time_xfer: 0.0, time_io: 0.0, time_comm: 0.0035944115916084598 }
+tts 0x3f5cfd13642d97ae
+totals CommStats { messages_sent: 440, bytes_sent: 112800, messages_received: 440, collectives: 344, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 3.979124999999997e-6, time_xfer: 0.0, time_io: 0.0, time_comm: 0.0022249495451748336 }
 bytes_written 0
 files_written 0
 gpu_aggregate_peak 108295
@@ -160,26 +160,26 @@ unscoped 0
 snapshot_pool_rank_peak 0
 host_aggregate_peak 172080
 host_max_rank_peak 105480
-span sem/advection x12 0x3f17d0c027877d06
-span sem/cg x48 0x3f68f245a164ac5e
-span sem/diagnostics x12 0x3f04801918670840
+span sem/advection x12 0x3f17d0c027877cee
+span sem/cg x24 0x3f5c70c055ffd1fe
+span sem/diagnostics x12 0x3f048019186707e0
 span sem/filter x12 0x0000000000000000
-span sem/mg_coarse x54 0x3f5837243ed9b754
-span sem/pressure x12 0x3effa8a5f9967520
-span sem/project x12 0x3f17b94493181648
-span sem/viscous x12 0x3f17d5f80fa03f24
-span sim/finalize x2 0x3edb4456479a9800
+span sem/mg_coarse x54 0x3f5837243ed9b759
+span sem/pressure x12 0x3effa8a5f99674e0
+span sem/project x12 0x3f17b944931815e0
+span sem/viscous x12 0x3f0036dfd1eb6008
+span sim/finalize x2 0x3edb4456479a9600
 span sim/setup x2 0x3f0340664ae4a5e0
-step 1 0x3ef3404409dd72f7 0x3f3f6a9c88080848 0x0000000000000000
-step 2 0x3f3f6a9c88080848 0x3f4d9b45ca90a7e5 0x0000000000000000
-step 3 0x3f4d9b45ca90a7e5 0x3f54efd1a7fa1286 0x0000000000000000
-step 4 0x3f54efd1a7fa1286 0x3f5be2cd6b406479 0x0000000000000000
-step 5 0x3f5be2cd6b406479 0x3f61027e16f911a5 0x0000000000000000
-step 6 0x3f61027e16f911a5 0x3f6413957851f120 0x0000000000000000
+step 1 0x3ef3404409dd72f7 0x3f366c2799e78980 0x0000000000000000
+step 2 0x3f366c2799e78980 0x3f4585998846058f 0x0000000000000000
+step 3 0x3f4585998846058f 0x3f4e3385426f1f9a 0x0000000000000000
+step 4 0x3f4e3385426f1f9a 0x3f5441857ee0b03b 0x0000000000000000
+step 5 0x3f5441857ee0b03b 0x3f58987b5bf53d4f 0x0000000000000000
+step 6 0x3f58987b5bf53d4f 0x3f5cef713909ca63 0x0000000000000000
 ";
 const CHECKPOINTING_SYNC: &str = "
-tts 0x3f878bc2452748d6
-totals CommStats { messages_sent: 564, bytes_sent: 112800, messages_received: 564, collectives: 670, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 5.347124999999997e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0035970255239159434 }
+tts 0x3f8624cb0e340621
+totals CommStats { messages_sent: 440, bytes_sent: 112800, messages_received: 440, collectives: 344, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 5.347124999999997e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0022275634774825046 }
 bytes_written 34200
 files_written 6
 gpu_aggregate_peak 108295
@@ -188,56 +188,56 @@ snapshot_pool_rank_peak 6912
 host_aggregate_peak 194712
 host_max_rank_peak 119388
 span insitu/checkpoint x6 0x3f9271284f70e5b5
-span sem/advection x12 0x3f17d0c027877c5e
-span sem/cg x48 0x3f68f5ed31794913
-span sem/diagnostics x12 0x3f048019186706c0
+span sem/advection x12 0x3f17d0c027877dde
+span sem/cg x24 0x3f5c780f76290f68
+span sem/diagnostics x12 0x3f04801918670ac0
 span sem/filter x12 0x0000000000000000
-span sem/mg_coarse x54 0x3f5837243ed9b78a
-span sem/pressure x12 0x3effa8a5f9967260
-span sem/project x12 0x3f17b94493181278
-span sem/viscous x12 0x3f17d5f80fa03b14
-span sim/finalize x2 0x3edeebe65c391800
+span sem/mg_coarse x54 0x3f5837243ed9b756
+span sem/pressure x12 0x3effa8a5f99674e0
+span sem/project x12 0x3f17b94493181618
+span sem/viscous x12 0x3f0036dfd1eb5d38
+span sim/finalize x2 0x3edeebe65c391000
 span sim/setup x2 0x3f0340664ae4a5e0
-span snapshot/publish x6 0x3f1350e7398fb7a0
-step 1 0x3ef3404409dd72f7 0x3f3f6a9c88080848 0x0000000000000000
-step 2 0x3f3f6a9c88080848 0x3f700b44966bcf74 0x0000000000000000
-step 3 0x3f700b44966bcf74 0x3f7194ba2b1d66b7 0x0000000000000000
-step 4 0x3f7194ba2b1d66b7 0x3f7fa954f908b5a6 0x0000000000000000
-step 5 0x3f7fa954f908b5a6 0x3f80996546dd2664 0x0000000000000000
-step 6 0x3f80996546dd2664 0x3f8789990dc03b5c 0x0000000000000000
+span snapshot/publish x6 0x3f1350e7398fb760
+step 1 0x3ef3404409dd72f7 0x3f366c2799e78980 0x0000000000000000
+step 2 0x3f366c2799e78980 0x3f6e111e1c44f652 0x0000000000000000
+step 3 0x3f6e111e1c44f652 0x3f701f36696cc61d 0x0000000000000000
+step 4 0x3f701f36696cc61d 0x3f7dc102fdf0c8ae 0x0000000000000000
+step 5 0x3f7dc102fdf0c8ae 0x3f7ed7aa593b1394 0x0000000000000000
+step 6 0x3f7ed7aa593b1394 0x3f8622a1d6ccf8a8 0x0000000000000000
 ";
 const CHECKPOINTING_PIPELINED: &str = "
-tts 0x3f8451eaff2b55f9
-totals CommStats { messages_sent: 564, bytes_sent: 112800, messages_received: 564, collectives: 670, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 5.3471249999999975e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.003595671702377694 }
+tts 0x3f83d0903b06abd4
+totals CommStats { messages_sent: 440, bytes_sent: 112800, messages_received: 440, collectives: 344, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 5.3471249999999975e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0022262096559440654 }
 bytes_written 34200
 files_written 6
 gpu_aggregate_peak 108295
 unscoped 0
 host_aggregate_peak_less_pool 183480
-span insitu/checkpoint x6 0x3f9271284f70e5b4
-span insitu/wait x8 0x3f5e024a9bc3a663
-span sem/advection x12 0x3f17d0c027877d06
-span sem/cg x48 0x3f68f2d0c991eb40
-span sem/diagnostics x12 0x3f04801918670840
+span insitu/checkpoint x6 0x3f9271284f70e5b5
+span insitu/wait x8 0x3f55ec9e5979040d
+span sem/advection x12 0x3f17d0c027877cee
+span sem/cg x24 0x3f5c71d6a65a4fa9
+span sem/diagnostics x12 0x3f048019186707e0
 span sem/filter x12 0x0000000000000000
-span sem/mg_coarse x54 0x3f5837243ed9b754
-span sem/pressure x12 0x3effa8a5f9967520
-span sem/project x12 0x3f17b94493181648
-span sem/viscous x12 0x3f17d5f80fa03f24
-span sim/finalize x2 0x3edf770e8977f400
+span sem/mg_coarse x54 0x3f5837243ed9b758
+span sem/pressure x12 0x3effa8a5f99674e0
+span sem/project x12 0x3f17b944931815e0
+span sem/viscous x12 0x3f0036dfd1eb6008
+span sim/finalize x2 0x3edf770e8977f600
 span sim/setup x2 0x3f0340664ae4a5e0
-span snapshot/backpressure x2 0x3f67a02b37b56d76
-span snapshot/publish x6 0x3f1350e7398fb780
-step 1 0x3ef3404409dd72f7 0x3f3f6a9c88080848 0x0000000000000000
-step 2 0x3f3f6a9c88080848 0x3f4e01bf7396678f 0x0000000000000000
-step 3 0x3f4e01bf7396678f 0x3f552399a4aa3130 0x0000000000000000
-step 4 0x3f552399a4aa3130 0x3f5c49d23c7362f8 0x0000000000000000
-step 5 0x3f5c49d23c7362f8 0x3f61364613a93054 0x0000000000000000
-step 6 0x3f61364613a93054 0x3f701813cb8c8769 0x3f579e576fab1e32
+span snapshot/backpressure x2 0x3f6ecd0ece2a3432
+span snapshot/publish x6 0x3f1350e7398fb7a0
+step 1 0x3ef3404409dd72f7 0x3f366c2799e78980 0x0000000000000000
+step 2 0x3f366c2799e78980 0x3f45ec13314bc539 0x0000000000000000
+step 3 0x3f45ec13314bc539 0x3f4e9b153bcf5cec 0x0000000000000000
+step 4 0x3f4e9b153bcf5cec 0x3f54a88a5013aeba 0x0000000000000000
+step 5 0x3f54a88a5013aeba 0x3f59000b55557aa2 0x0000000000000000
+step 6 0x3f59000b55557aa2 0x3f6e2abc8686663c 0x3f5ecb3b061fe4ee
 ";
 const CATALYST_SYNC: &str = "
-tts 0x3f9516bfd069a8f6
-totals CommStats { messages_sent: 570, bytes_sent: 241824, messages_received: 570, collectives: 702, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 2.892908500000001e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.021763192294545316 }
+tts 0x3f94634434f00792
+totals CommStats { messages_sent: 446, bytes_sent: 241824, messages_received: 446, collectives: 376, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 2.892908500000001e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.020393730248111846 }
 bytes_written 55992
 files_written 6
 gpu_aggregate_peak 108295
@@ -246,66 +246,66 @@ snapshot_pool_rank_peak 6912
 host_aggregate_peak 292904
 host_max_rank_peak 170008
 span insitu/copy x6 0x3eb01f4ab19ebc00
-span insitu/execute x6 0x3ef51af4a3ff8180
+span insitu/execute x6 0x3ef51af4a3ff8080
 span render/composite x12 0x3efef633fa26ad60
 span render/filter x12 0x3f1922efcbccc6b8
 span render/raster x12 0x3eea30fb17047d40
 span render/write x6 0x3f9272347d5eb3e4
 span sem/advection x12 0x3f88ca32f9f61e98
-span sem/cg x48 0x3f68fcae9b498239
+span sem/cg x24 0x3f5c859249c98090
 span sem/diagnostics x12 0x3f048019186706c0
 span sem/filter x12 0x0000000000000000
 span sem/mg_coarse x54 0x3f5837243ed9b79e
-span sem/pressure x12 0x3effaa4105ecd270
+span sem/pressure x12 0x3effaa4105ecd260
 span sem/project x12 0x3f17b94493181278
-span sem/viscous x12 0x3f17d5f80fa03b14
+span sem/viscous x12 0x3f0036dfd1eb61b8
 span sim/finalize x2 0x3f78a407a4457356
 span sim/setup x2 0x3f0340664ae4a5e0
 span snapshot/publish x6 0x3f1350e7398fb7a0
-step 1 0x3ef3404409dd72f7 0x3f3fa475dc178c1f 0x0000000000000000
-step 2 0x3f3fa475dc178c1f 0x3f7c7a6e67fda98c 0x0000000000000000
-step 3 0x3f7c7a6e67fda98c 0x3f7e02f525440ed2 0x0000000000000000
-step 4 0x3f7e02f525440ed2 0x3f8c418e17c01fce 0x0000000000000000
-step 5 0x3f8c418e17c01fce 0x3f8d05d17663525d 0x0000000000000000
-step 6 0x3f8d05d17663525d 0x3f9515e5adb76c21 0x0000000000000000
+step 1 0x3ef3404409dd72f7 0x3f36a600edf70d57 0x0000000000000000
+step 2 0x3f36a600edf70d57 0x3f7b77b8dfb45542 0x0000000000000000
+step 3 0x3f7b77b8dfb45542 0x3f7c8d7163936e2b 0x0000000000000000
+step 4 0x3f7c8d7163936e2b 0x3f8b4d651a34294c 0x0000000000000000
+step 5 0x3f8b4d651a34294c 0x3f8bd8415c23b5b8 0x0000000000000000
+step 6 0x3f8bd8415c23b5b8 0x3f94626a123dcabd 0x0000000000000000
 ";
 const CATALYST_PIPELINED: &str = "
-tts 0x3f9379ccbb3f827e
-totals CommStats { messages_sent: 570, bytes_sent: 241824, messages_received: 570, collectives: 702, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.2540960000000003e-5, time_host_compute: 2.8929084999999993e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.019440578465174878 }
+tts 0x3f93391f592d2d6b
+totals CommStats { messages_sent: 446, bytes_sent: 241824, messages_received: 446, collectives: 376, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 2.8929084999999993e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.018728039121958067 }
 bytes_written 55992
 files_written 6
 gpu_aggregate_peak 108295
 unscoped 0
 host_aggregate_peak_less_pool 281672
 span insitu/copy x6 0x3eb01f4ab19ebc00
-span insitu/execute x6 0x3f870afb04edf1e8
-span insitu/wait x8 0x3f658195cd23bbcd
+span insitu/execute x6 0x3f877dc93e553e4c
+span insitu/wait x8 0x3f5f570d8cc27232
 span render/composite x12 0x3efef633fa26ad60
 span render/filter x12 0x3f1922efcbccc6b8
 span render/raster x12 0x3eea30fb17047d40
 span render/write x6 0x3f9272347d5eb3e5
-span sem/advection x12 0x3f17d0c027877d02
-span sem/cg x48 0x3f68f2d0408dce74
-span sem/diagnostics x12 0x3f04801918670840
+span sem/advection x12 0x3f17d0c027877cee
+span sem/cg x24 0x3f5c71d594521612
+span sem/diagnostics x12 0x3f048019186707e0
 span sem/filter x12 0x0000000000000000
-span sem/mg_coarse x54 0x3f5837243ed9b754
-span sem/pressure x12 0x3effa8a5f9967530
-span sem/project x12 0x3f17b94493181678
-span sem/viscous x12 0x3f17d5f80fa03f34
-span sim/finalize x2 0x3f7259d063c24057
+span sem/mg_coarse x54 0x3f5837243ed9b758
+span sem/pressure x12 0x3effa8a5f99674e0
+span sem/project x12 0x3f17b944931815e0
+span sem/viscous x12 0x3f0036dfd1eb6008
+span sim/finalize x2 0x3f742509495f7208
 span sim/setup x2 0x3f0340664ae4a5e0
-span snapshot/backpressure x2 0x3f725322183ba966
-span snapshot/publish x6 0x3f1350e7398fb7a0
-step 1 0x3ef3404409dd72f7 0x3f3fa475dc178c1f 0x0000000000000000
-step 2 0x3f3fa475dc178c1f 0x3f4e1eac1d9e297a 0x0000000000000000
-step 3 0x3f4e1eac1d9e297a 0x3f55320ff9ae1226 0x0000000000000000
-step 4 0x3f55320ff9ae1226 0x3f5c5848917743ee 0x0000000000000000
-step 5 0x3f5c5848917743ee 0x3f613d813e2b20d0 0x0000000000000000
-step 6 0x3f613d813e2b20d0 0x3f7c873d9d1e6181 0x3f725322183ba966
+span snapshot/backpressure x2 0x3f741e5afdd8db17
+span snapshot/publish x6 0x3f1350e7398fb790
+step 1 0x3ef3404409dd72f7 0x3f36a600edf70d57 0x0000000000000000
+step 2 0x3f36a600edf70d57 0x3f4608ffdb538725 0x0000000000000000
+step 3 0x3f4608ffdb538725 0x3f4eb801e5d71ed8 0x0000000000000000
+step 4 0x3f4eb801e5d71ed8 0x3f54b700a5178fb0 0x0000000000000000
+step 5 0x3f54b700a5178fb0 0x3f590e81aa595b98 0x0000000000000000
+step 6 0x3f590e81aa595b98 0x3f7b848814d50d37 0x3f741e5afdd8db17
 ";
 const CHECKPOINTING_PIPELINED_STALLED: &str = "
-tts 0x404901a7635472b6
-totals CommStats { messages_sent: 736, bytes_sent: 147200, messages_received: 736, collectives: 878, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, bytes_h2d: 0, time_gpu_compute: 1.6413280000000013e-5, time_host_compute: 6.9551249999999955e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.0069419495764 }
+tts 0x4049019f4da8306c
+totals CommStats { messages_sent: 572, bytes_sent: 147200, messages_received: 572, collectives: 448, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, bytes_h2d: 0, time_gpu_compute: 1.656880000000003e-5, time_host_compute: 6.9551249999999955e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.00535347441539 }
 bytes_written 45600
 files_written 8
 gpu_aggregate_peak 108295
@@ -313,27 +313,27 @@ unscoped 0
 host_aggregate_peak_less_pool 183480
 span insitu/checkpoint x8 0x3f9896e069ebdbd3
 span insitu/stall x1 0x4049000000000000
-span insitu/wait x10 0x4048ff9096a70a9e
-span sem/advection x16 0x40490003da91edb9
-span sem/cg x64 0x3f705b9c823eb5a0
-span sem/diagnostics x16 0x3f0b5576cb670840
+span insitu/wait x10 0x4048ff793e6aef61
+span sem/advection x16 0x40490003da91edba
+span sem/cg x32 0x3f6290d32dd8a7d5
+span sem/diagnostics x16 0x3f0b5576cb6707e0
 span sem/filter x16 0x0000000000000000
-span sem/mg_coarse x70 0x3f5f63ec9d4db754
-span sem/pressure x16 0x3f051b80146b3a90
-span sem/project x16 0x3f1fa1b0c4781648
-span sem/viscous x16 0x3f1fc7f56a603f24
-span sim/finalize x2 0x3f6267b2a0bc0000
+span sem/mg_coarse x70 0x3f5f63ec9d4db758
+span sem/pressure x16 0x3f051b80146b3a70
+span sem/project x16 0x3f1fa1b0c47815e0
+span sem/viscous x16 0x3f059e7fc26b6008
+span sim/finalize x2 0x3f6432eb86660000
 span sim/setup x2 0x3f0340664ae4a5e0
-span snapshot/backpressure x4 0x404900a7ea05058f
-span snapshot/publish x8 0x3f19c1344cc1ba40
-step 1 0x3ef3404409dd72f7 0x3f3f6a9c88080848 0x0000000000000000
-step 2 0x3f3f6a9c88080848 0x3f4e01bf7396678f 0x0000000000000000
-step 3 0x3f4e01bf7396678f 0x3f552399a4aa3130 0x0000000000000000
-step 4 0x3f552399a4aa3130 0x3f5c49d23c7362f8 0x0000000000000000
-step 5 0x3f5c49d23c7362f8 0x3f61364613a93054 0x0000000000000000
-step 6 0x3f61364613a93054 0x40490080c09e5c64 0x4049002f3caedf56
-step 7 0x40490080c09e5c64 0x4049008d04d446cf 0x0000000000000000
-step 8 0x4049008d04d446cf 0x404900e319039c2c 0x3f625a5609ae8000
+span snapshot/backpressure x4 0x404900cbca76f60b
+span snapshot/publish x8 0x3f19c1344cc1ba60
+step 1 0x3ef3404409dd72f7 0x3f366c2799e78980 0x0000000000000000
+step 2 0x3f366c2799e78980 0x3f45ec13314bc539 0x0000000000000000
+step 3 0x3f45ec13314bc539 0x3f4e9b153bcf5cec 0x0000000000000000
+step 4 0x3f4e9b153bcf5cec 0x3f54a88a5013aeba 0x0000000000000000
+step 5 0x3f54a88a5013aeba 0x3f59000b55557aa2 0x0000000000000000
+step 6 0x3f59000b55557aa2 0x40490078aaf21a1a 0x4049003d96760c40
+step 7 0x40490078aaf21a1a 0x4049008158b63931 0x0000000000000000
+step 8 0x4049008158b63931 0x404900db035759e2 0x3f64258eef588000
 ";
 
 #[test]
