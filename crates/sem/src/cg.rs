@@ -223,7 +223,6 @@ fn relative(rnorm: f64, norm_b: f64) -> f64 {
 /// The viscous operator `h0·M + κ·A` the fields of a [`solve_helmholtz`]
 /// block share but for κ, with the assembled diagonals its Jacobi
 /// preconditioner inverts.
-#[derive(Clone, Copy)]
 pub struct Helmholtz<'a> {
     /// Assembly topology.
     pub gs: &'a GatherScatter,
@@ -237,15 +236,6 @@ pub struct Helmholtz<'a> {
     pub mass_assembled: &'a [f64],
     /// `A`'s diagonal, assembled.
     pub stiffness_assembled: &'a [f64],
-}
-
-impl Helmholtz<'_> {
-    /// The Jacobi preconditioner's `D⁻¹` at node `i` for diffusivity
-    /// `kappa`, computed per node: storing it would cost a buffer a field.
-    #[inline]
-    fn diag_inv(&self, kappa: f64, i: usize) -> f64 {
-        1.0 / (self.h0 * self.mass_assembled[i] + kappa * self.stiffness_assembled[i])
-    }
 }
 
 /// One field of a [`solve_helmholtz`] block.
@@ -348,18 +338,10 @@ pub fn solve_helmholtz<const K: usize>(
     op.gs
         .sum_fields(comm, &mut lanes.each_mut().map(|l| &mut l.q[..]));
     let mut sums = [[0.0; 3]; K];
-    for (l, [bb, rr, rz]) in lanes.iter_mut().zip(&mut sums) {
+    for (l, sums) in lanes.iter_mut().zip(&mut sums) {
         charge_dots(comm, n, 3);
-        let (kappa, mask) = (l.f.diffusivity, l.f.mask);
-        for i in 0..n {
-            let b = l.f.rhs[i];
-            *bb += b * b * w[i];
-            let r = b - mask[i] * l.q[i];
-            let z = op.diag_inv(kappa, i) * r * mask[i];
-            (l.f.rhs[i], l.q[i], l.p[i]) = (r, z, z);
-            *rr += r * r * w[i];
-            *rz += r * z * w[i];
-        }
+        let kappa = l.f.diffusivity;
+        *sums = open_residual(op, kappa, l.f.mask, w, l.f.rhs, &mut l.q, &mut l.p);
     }
     comm.allreduce_vec(sums.as_flattened_mut(), ReduceOp::Sum);
     for (l, &[bb, rr, rz]) in lanes.iter_mut().zip(&sums) {
@@ -381,16 +363,12 @@ pub fn solve_helmholtz<const K: usize>(
         let mut pq = [0.0; K];
         for (l, pq) in lanes[..active].iter_mut().zip(&mut pq) {
             charge_dots(comm, n, 1);
-            let mask = l.f.mask;
-            for i in 0..n {
-                l.q[i] *= mask[i];
-                *pq += l.p[i] * l.q[i] * w[i];
-            }
+            *pq = mask_dot(l.f.mask, w, &l.p, &mut l.q);
         }
         comm.allreduce_vec(&mut pq[..active], ReduceOp::Sum);
 
         let mut sums = [[0.0; 2]; K];
-        for ((l, &pq), [rr, rz]) in lanes[..active].iter_mut().zip(&pq).zip(&mut sums) {
+        for ((l, &pq), sums) in lanes[..active].iter_mut().zip(&pq).zip(&mut sums) {
             l.iterations += 1;
             l.stalled = pq.abs() < f64::MIN_POSITIVE * 1e10;
             if l.stalled {
@@ -398,15 +376,10 @@ pub fn solve_helmholtz<const K: usize>(
             }
             charge_dots(comm, n, 2);
             let alpha = l.rz / pq;
-            let (kappa, mask) = (l.f.diffusivity, l.f.mask);
-            for i in 0..n {
-                l.f.x[i] += alpha * l.p[i];
-                let r = l.f.rhs[i] - alpha * l.q[i];
-                let z = op.diag_inv(kappa, i) * r * mask[i];
-                (l.f.rhs[i], l.q[i]) = (r, z);
-                *rr += r * r * w[i];
-                *rz += r * z * w[i];
-            }
+            let kappa = l.f.diffusivity;
+            *sums = update_residual(
+                op, kappa, l.f.mask, w, alpha, &l.p, l.f.x, l.f.rhs, &mut l.q,
+            );
         }
         comm.allreduce_vec(sums[..active].as_flattened_mut(), ReduceOp::Sum);
 
@@ -420,8 +393,8 @@ pub fn solve_helmholtz<const K: usize>(
             }
             let beta = rz / l.rz;
             l.rz = rz;
-            for i in 0..n {
-                l.p[i] = l.q[i] + beta * l.p[i];
+            for (p, &z) in l.p.iter_mut().zip(&l.q) {
+                *p = z + beta * *p;
             }
         }
         retire(&mut lanes, &mut active);
@@ -450,6 +423,78 @@ fn retire(lanes: &mut [Lane<'_>], active: &mut usize) {
             lanes.swap(k, *active);
         }
     }
+}
+
+/// Open a field's solve: `r = b − mask·q` over `b` in `r`, `z = D⁻¹ r` in
+/// `q` (which held `GS(H x)`) and in `p`, `D` the assembled diagonal of
+/// `h0·M + κ·A`. Returns the local `‖b‖²`, `‖r‖²` and `rᵀz`, each summed
+/// in node order as [`wdot`] sums. The Jacobi preconditioner divides by
+/// `D` node by node, here and in [`update_residual`], rather than store
+/// its inverse, which would cost a buffer a field.
+fn open_residual(
+    op: &Helmholtz<'_>,
+    kappa: f64,
+    mask: &[f64],
+    w: &[f64],
+    r: &mut [f64],
+    q: &mut [f64],
+    p: &mut [f64],
+) -> [f64; 3] {
+    let n = r.len();
+    let (mask, w, q, p) = (&mask[..n], &w[..n], &mut q[..n], &mut p[..n]);
+    let (md, sd) = (&op.mass_assembled[..n], &op.stiffness_assembled[..n]);
+    let [mut bb, mut rr, mut rz] = [0.0; 3];
+    for i in 0..n {
+        let b = r[i];
+        bb += b * b * w[i];
+        r[i] = b - mask[i] * q[i];
+        let z = 1.0 / (op.h0 * md[i] + kappa * sd[i]) * r[i] * mask[i];
+        (q[i], p[i]) = (z, z);
+        rr += r[i] * r[i] * w[i];
+        rz += r[i] * z * w[i];
+    }
+    [bb, rr, rz]
+}
+
+/// `q ← mask·q` and the local `pᵀq`.
+fn mask_dot(mask: &[f64], w: &[f64], p: &[f64], q: &mut [f64]) -> f64 {
+    let n = q.len();
+    let (mask, w, p) = (&mask[..n], &w[..n], &p[..n]);
+    let mut pq = 0.0;
+    for i in 0..n {
+        q[i] *= mask[i];
+        pq += p[i] * q[i] * w[i];
+    }
+    pq
+}
+
+/// `x += α p`, `r −= α q`, then `z = D⁻¹ r` over `q`. Returns the local
+/// `‖r‖²` and `rᵀz`.
+#[allow(clippy::too_many_arguments)]
+fn update_residual(
+    op: &Helmholtz<'_>,
+    kappa: f64,
+    mask: &[f64],
+    w: &[f64],
+    alpha: f64,
+    p: &[f64],
+    x: &mut [f64],
+    r: &mut [f64],
+    q: &mut [f64],
+) -> [f64; 2] {
+    let n = r.len();
+    let (mask, w, p, x, q) = (&mask[..n], &w[..n], &p[..n], &mut x[..n], &mut q[..n]);
+    let (md, sd) = (&op.mass_assembled[..n], &op.stiffness_assembled[..n]);
+    let [mut rr, mut rz] = [0.0; 2];
+    for i in 0..n {
+        x[i] += alpha * p[i];
+        r[i] -= alpha * q[i];
+        let z = 1.0 / (op.h0 * md[i] + kappa * sd[i]) * r[i] * mask[i];
+        q[i] = z;
+        rr += r[i] * r[i] * w[i];
+        rz += r[i] * z * w[i];
+    }
+    [rr, rz]
 }
 
 /// Charge `dots` multiplicity-weighted inner products of `n` values, as

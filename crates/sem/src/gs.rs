@@ -253,14 +253,12 @@ impl GatherScatter {
             })
             .sum();
         for ex in &self.exchanges {
-            let payload: Vec<f64> = fields
-                .iter()
-                .flat_map(|field| {
-                    ex.starts[..ex.starts.len() - 1]
-                        .iter()
-                        .map(|&s| field[ex.nodes[s as usize] as usize])
-                })
-                .collect();
+            // One value per shared node (group), field after field.
+            let groups = &ex.starts[..ex.starts.len() - 1];
+            let mut payload = Vec::with_capacity(fields.len() * groups.len());
+            for field in fields.iter() {
+                payload.extend(groups.iter().map(|&s| field[ex.nodes[s as usize] as usize]));
+            }
             comm.send_f64s(ex.peer, ex.send_tag, payload);
         }
         // Interior gather overlaps the in-flight exchange.
