@@ -220,9 +220,9 @@ fn relative(rnorm: f64, norm_b: f64) -> f64 {
     }
 }
 
-/// The viscous operator `h0·M + κ·A` the fields of a [`solve_helmholtz`]
-/// block share but for κ, with the assembled diagonals its Jacobi
-/// preconditioner inverts.
+/// The viscous operator `h0·M + κ·A` every field of a [`solve_helmholtz`]
+/// block shares — u_x, u_y and u_z share ν — with the assembled diagonals
+/// its Jacobi preconditioner inverts.
 pub struct Helmholtz<'a> {
     /// Assembly topology.
     pub gs: &'a GatherScatter,
@@ -230,6 +230,9 @@ pub struct Helmholtz<'a> {
     pub ops: &'a Ops,
     /// The mass coefficient, `b₀/Δt`.
     pub h0: f64,
+    /// The stiffness coefficient κ: ν for velocity, the thermal
+    /// diffusivity for temperature.
+    pub diffusivity: f64,
     /// The unassembled lumped mass `M`.
     pub mass: &'a [f64],
     /// `M`'s diagonal, assembled.
@@ -248,8 +251,6 @@ pub struct BlockField<'a> {
     pub x: &'a mut [f64],
     /// 1 on free nodes, 0 on Dirichlet nodes.
     pub mask: &'a [f64],
-    /// κ of this field's operator `h0·M + κ·A`.
-    pub diffusivity: f64,
     /// This field's controls; `project_mean` must be off (the operator is
     /// never singular).
     pub cfg: CgConfig,
@@ -288,7 +289,7 @@ impl Lane<'_> {
     }
 }
 
-/// Solve `(h0·M + κ_k·A) x_k = b_k` for the K fields of `block` by Jacobi
+/// Solve `(h0·M + κ·A) x_k = b_k` for the K fields of `block` by Jacobi
 /// PCG in lockstep. Every field keeps its own α, β, mask, controls and
 /// stopping iteration, so each gets the bits — solution, residual and
 /// iteration count — its own [`solve`] under a Jacobi preconditioner gives.
@@ -296,8 +297,8 @@ impl Lane<'_> {
 /// dispatch and one [`GatherScatter::sum_fields`] exchange per iteration
 /// over the fields still running, one collective for their `pᵀq` and one
 /// for their `‖r‖²` and `rᵀz`, after one collective for every field's
-/// `‖b‖²`, `‖r₀‖²` and `r₀ᵀz₀`. Two work vectors a field come from `ws`
-/// and go back to it.
+/// `‖b‖²`, `‖r₀‖²` and `r₀ᵀz₀`. Two work vectors a field and the block's
+/// inverse Jacobi diagonal come from `ws` and go back to it.
 pub fn solve_helmholtz<const K: usize>(
     comm: &mut Comm,
     op: &Helmholtz<'_>,
@@ -329,19 +330,24 @@ pub fn solve_helmholtz<const K: usize>(
         }
     });
 
+    let kappa = op.diffusivity;
+    let mut diag_inv = ws.take_uninit();
+    for i in 0..n {
+        diag_inv[i] = 1.0 / (op.h0 * op.mass_assembled[i] + kappa * op.stiffness_assembled[i]);
+    }
+
     // r = b − mask·GS(H x) in b's buffer, z = D⁻¹ r in q, p = z, and
     // ‖b‖², ‖r‖², rᵀz from one collective.
     let terms = lanes
         .each_mut()
-        .map(|l| HelmholtzTerm::new(l.f.diffusivity, &*l.f.x, &mut l.q));
+        .map(|l| HelmholtzTerm::new(kappa, &*l.f.x, &mut l.q));
     op.ops.helmholtz_apply(comm, op.h0, op.mass, &terms);
     op.gs
         .sum_fields(comm, &mut lanes.each_mut().map(|l| &mut l.q[..]));
     let mut sums = [[0.0; 3]; K];
     for (l, sums) in lanes.iter_mut().zip(&mut sums) {
         charge_dots(comm, n, 3);
-        let kappa = l.f.diffusivity;
-        *sums = open_residual(op, kappa, l.f.mask, w, l.f.rhs, &mut l.q, &mut l.p);
+        *sums = open_residual(&diag_inv, l.f.mask, w, l.f.rhs, &mut l.q, &mut l.p);
     }
     comm.allreduce_vec(sums.as_flattened_mut(), ReduceOp::Sum);
     for (l, &[bb, rr, rz]) in lanes.iter_mut().zip(&sums) {
@@ -355,7 +361,7 @@ pub fn solve_helmholtz<const K: usize>(
     while active > 0 {
         let terms = lanes
             .each_mut()
-            .map(|l| HelmholtzTerm::new(l.f.diffusivity, &l.p, &mut l.q));
+            .map(|l| HelmholtzTerm::new(kappa, &l.p, &mut l.q));
         op.ops
             .helmholtz_apply(comm, op.h0, op.mass, &terms[..active]);
         op.gs
@@ -376,9 +382,8 @@ pub fn solve_helmholtz<const K: usize>(
             }
             charge_dots(comm, n, 2);
             let alpha = l.rz / pq;
-            let kappa = l.f.diffusivity;
             *sums = update_residual(
-                op, kappa, l.f.mask, w, alpha, &l.p, l.f.x, l.f.rhs, &mut l.q,
+                &diag_inv, l.f.mask, w, alpha, &l.p, l.f.x, l.f.rhs, &mut l.q,
             );
         }
         comm.allreduce_vec(sums[..active].as_flattened_mut(), ReduceOp::Sum);
@@ -400,6 +405,7 @@ pub fn solve_helmholtz<const K: usize>(
         retire(&mut lanes, &mut active);
     }
 
+    ws.put(diag_inv);
     lanes.sort_unstable_by_key(|l| l.slot);
     lanes.map(|l| {
         let result = l.result();
@@ -426,14 +432,11 @@ fn retire(lanes: &mut [Lane<'_>], active: &mut usize) {
 }
 
 /// Open a field's solve: `r = b − mask·q` over `b` in `r`, `z = D⁻¹ r` in
-/// `q` (which held `GS(H x)`) and in `p`, `D` the assembled diagonal of
-/// `h0·M + κ·A`. Returns the local `‖b‖²`, `‖r‖²` and `rᵀz`, each summed
-/// in node order as [`wdot`] sums. The Jacobi preconditioner divides by
-/// `D` node by node, here and in [`update_residual`], rather than store
-/// its inverse, which would cost a buffer a field.
+/// `q` (which held `GS(H x)`) and in `p`, `diag_inv` being `D⁻¹`. Returns
+/// the local `‖b‖²`, `‖r‖²` and `rᵀz`, each summed in node order as
+/// [`wdot`] sums.
 fn open_residual(
-    op: &Helmholtz<'_>,
-    kappa: f64,
+    diag_inv: &[f64],
     mask: &[f64],
     w: &[f64],
     r: &mut [f64],
@@ -441,14 +444,14 @@ fn open_residual(
     p: &mut [f64],
 ) -> [f64; 3] {
     let n = r.len();
-    let (mask, w, q, p) = (&mask[..n], &w[..n], &mut q[..n], &mut p[..n]);
-    let (md, sd) = (&op.mass_assembled[..n], &op.stiffness_assembled[..n]);
+    let (diag_inv, mask, w) = (&diag_inv[..n], &mask[..n], &w[..n]);
+    let (q, p) = (&mut q[..n], &mut p[..n]);
     let [mut bb, mut rr, mut rz] = [0.0; 3];
     for i in 0..n {
         let b = r[i];
         bb += b * b * w[i];
         r[i] = b - mask[i] * q[i];
-        let z = 1.0 / (op.h0 * md[i] + kappa * sd[i]) * r[i] * mask[i];
+        let z = diag_inv[i] * r[i] * mask[i];
         (q[i], p[i]) = (z, z);
         rr += r[i] * r[i] * w[i];
         rz += r[i] * z * w[i];
@@ -472,8 +475,7 @@ fn mask_dot(mask: &[f64], w: &[f64], p: &[f64], q: &mut [f64]) -> f64 {
 /// `‖r‖²` and `rᵀz`.
 #[allow(clippy::too_many_arguments)]
 fn update_residual(
-    op: &Helmholtz<'_>,
-    kappa: f64,
+    diag_inv: &[f64],
     mask: &[f64],
     w: &[f64],
     alpha: f64,
@@ -483,13 +485,13 @@ fn update_residual(
     q: &mut [f64],
 ) -> [f64; 2] {
     let n = r.len();
-    let (mask, w, p, x, q) = (&mask[..n], &w[..n], &p[..n], &mut x[..n], &mut q[..n]);
-    let (md, sd) = (&op.mass_assembled[..n], &op.stiffness_assembled[..n]);
+    let (diag_inv, mask, w, p) = (&diag_inv[..n], &mask[..n], &w[..n], &p[..n]);
+    let (x, q) = (&mut x[..n], &mut q[..n]);
     let [mut rr, mut rz] = [0.0; 2];
     for i in 0..n {
         x[i] += alpha * p[i];
         r[i] -= alpha * q[i];
-        let z = 1.0 / (op.h0 * md[i] + kappa * sd[i]) * r[i] * mask[i];
+        let z = diag_inv[i] * r[i] * mask[i];
         q[i] = z;
         rr += r[i] * r[i] * w[i];
         rz += r[i] * z * w[i];
@@ -852,8 +854,7 @@ mod tests {
             gs.sum(comm, &mut mass_assembled);
             let mut stiffness_assembled = ops.stiffness_diag();
             gs.sum(comm, &mut stiffness_assembled);
-            let h0 = 150.0;
-            let kappas = [0.04, 0.01, 0.5];
+            let (h0, kappa) = (150.0, 0.04);
             let cfgs = [
                 CgConfig::default(),
                 CgConfig::default(),
@@ -890,21 +891,16 @@ mod tests {
             let mut ws = Workspace::new(n);
 
             let mut oracle = guesses.clone();
+            let diag_inv: Vec<f64> = (0..n)
+                .map(|i| 1.0 / (h0 * mass_assembled[i] + kappa * stiffness_assembled[i]))
+                .collect();
             let mut want = Vec::new();
             for (c, x) in oracle.iter_mut().enumerate() {
-                let diag_inv: Vec<f64> = (0..n)
-                    .map(|i| 1.0 / (h0 * mass_assembled[i] + kappas[c] * stiffness_assembled[i]))
-                    .collect();
                 want.push(solve(
                     comm,
                     &gs,
                     |comm, v, out| {
-                        ops.helmholtz_apply(
-                            comm,
-                            h0,
-                            &mass,
-                            &[HelmholtzTerm::new(kappas[c], v, out)],
-                        )
+                        ops.helmholtz_apply(comm, h0, &mass, &[HelmholtzTerm::new(kappa, v, out)])
                     },
                     jacobi(&diag_inv, &mask),
                     &rhs[c],
@@ -919,6 +915,7 @@ mod tests {
                 gs: &gs,
                 ops: &ops,
                 h0,
+                diffusivity: kappa,
                 mass: &mass,
                 mass_assembled: &mass_assembled,
                 stiffness_assembled: &stiffness_assembled,
@@ -930,7 +927,6 @@ mod tests {
                 rhs: bs.next().unwrap(),
                 x: xs.next().unwrap(),
                 mask: &mask,
-                diffusivity: kappas[c],
                 cfg: cfgs[c],
             });
             let before = *comm.stats();

@@ -793,10 +793,16 @@ impl FlowSolver {
     ) -> [CgResult; K] {
         let n = self.n_nodes();
         let fields = &mut self.fields[first..first + K];
+        let kappa = fields[0].diffusivity;
+        assert!(
+            fields.iter().all(|f| f.diffusivity == kappa),
+            "a block shares one operator"
+        );
         let op = cg::Helmholtz {
             gs: &self.gs,
             ops: &self.ops,
             h0,
+            diffusivity: kappa,
             mass: &self.mass_diag,
             mass_assembled: &self.mass_diag_assembled,
             stiffness_assembled: &self.stiff_diag_assembled,
@@ -808,7 +814,7 @@ impl FlowSolver {
         let mut outs = xs.iter_mut();
         let lifts: [HelmholtzTerm<'_>; K] = std::array::from_fn(|c| {
             let out = outs.next().expect("one buffer a field");
-            HelmholtzTerm::new(fields[c].diffusivity, &fields[c].lift, out)
+            HelmholtzTerm::new(kappa, &fields[c].lift, out)
         });
         self.ops.helmholtz_apply(comm, h0, &self.mass_diag, &lifts);
         for (b, x) in hats.iter_mut().zip(&xs) {
@@ -832,7 +838,6 @@ impl FlowSolver {
             rhs: rhs.next().expect("one right-hand side a field"),
             x: sols.next().expect("one solution a field"),
             mask: &fields[c].mask,
-            diffusivity: fields[c].diffusivity,
             cfg: fields[c].cg,
         });
         let results = cg::solve_helmholtz(comm, &op, block, &mut self.ws);
