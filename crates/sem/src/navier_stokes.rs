@@ -10,8 +10,9 @@
 //!    pure-Neumann domains);
 //! 4. project: `u** = û − (Δt/b₀)·∇p`;
 //! 5. solve the implicit viscous Helmholtz system
-//!    `((b₀/Δt)·M + ν·A)·u = (b₀/Δt)·M u**` per component, with Dirichlet
-//!    lifting for inflow/no-slip values;
+//!    `((b₀/Δt)·M + ν·A)·u = (b₀/Δt)·M u**` for the three components as
+//!    one lockstep block ([`cg::solve_helmholtz`]), with Dirichlet lifting
+//!    for inflow/no-slip values;
 //! 6. optionally advance temperature by the same advection–diffusion
 //!    machinery and feed it back as buoyancy on the vertical momentum.
 //!
