@@ -165,13 +165,23 @@ pub fn cap_malloc_arenas() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     // The allocator is not installed in unit tests (installing a global
     // allocator in a lib crate would impose it on every dependent), so we
     // exercise the counter logic directly.
 
+    /// The counters are process-wide and the test harness runs tests on
+    /// several threads: each test that reads them holds this lock, so no
+    /// other test's allocation lands between its reads.
+    fn counters() -> MutexGuard<'static, ()> {
+        static COUNTERS: Mutex<()> = Mutex::new(());
+        COUNTERS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn peak_ratchets_up_only() {
+        let _counters = counters();
         reset_peak();
         let before_peak = global_peak();
         record_alloc(4096);
@@ -187,6 +197,7 @@ mod tests {
 
     #[test]
     fn current_tracks_alloc_dealloc_balance() {
+        let _counters = counters();
         let before = global_current();
         record_alloc(128);
         record_alloc(256);
@@ -198,6 +209,7 @@ mod tests {
 
     #[test]
     fn allocation_count_is_monotonic() {
+        let _counters = counters();
         let c0 = global_allocation_count();
         record_alloc(64);
         record_dealloc(64);
