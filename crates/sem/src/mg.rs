@@ -1272,6 +1272,9 @@ mod tests {
         ]
     }
 
+    /// Runs through [`Ops::fdm_apply`], so it checks the kernel build this
+    /// CPU picks (AVX2 where the CPU has it); the bitwise oracles in
+    /// `operators` hold every build to the same bits.
     #[test]
     fn fdm_block_is_the_inverse_of_the_assembled_element_block() {
         for (order, aspect) in [2, 3, 5, 7].into_iter().flat_map(|o| [(o, 1.0), (o, 16.0)]) {

@@ -18,15 +18,24 @@ use rayon::pool;
 use std::marker::PhantomData;
 
 /// Evaluate `$body` with `$k` bound to the [`Kernel`] for `$np` nodes per
-/// direction: [`Fixed`] at polynomial orders 1..=7, [`Runtime`] otherwise.
-/// The crate's only match on the node count, made once per operator apply.
+/// direction and for this CPU: at polynomial orders 1..=7 [`Avx2`] where
+/// the CPU has AVX2 and [`Fixed`] where it does not, [`Runtime`] at any
+/// other order. The crate's only match on the node count and on the build,
+/// made once per operator apply; the detection is cached for the process.
 macro_rules! with_kernel {
     ($np:expr, $k:ident => $body:expr) => {
         with_kernel!(@fixed 2 3 4 5 6 7 8, $np, $k => $body)
     };
     (@fixed $($n:literal)*, $np:expr, $k:ident => $body:expr) => {
         match $np {
-            $($n => { let $k = Fixed::<$n>; $body })*
+            $(
+                #[cfg(target_arch = "x86_64")]
+                $n if std::arch::is_x86_feature_detected!("avx2") => {
+                    let $k = Avx2::<$n>;
+                    $body
+                }
+                $n => { let $k = Fixed::<$n>; $body }
+            )*
             np => { let $k = Runtime(np); $body }
         }
     };
@@ -341,9 +350,12 @@ impl Ops {
         _scratch: &mut [f64],
     ) {
         self.charge_weak_laplacian(comm);
-        with_kernel!(self.np(), k => self.zip_blocks(out, u, |_, ob, ub| {
-            self.weak_laplacian(k, ob, ub, None);
-        }));
+        with_kernel!(self.np(), k => self.stiffness_on(k, u, out));
+    }
+
+    /// [`Self::stiffness_apply`]'s arithmetic on kernel `k`, uncharged.
+    fn stiffness_on(&self, k: impl Kernel, u: &[f64], out: &mut [f64]) {
+        self.zip_blocks(out, u, |_, ob, ub| self.weak_laplacian(k, ob, ub, None));
     }
 
     /// Fused Helmholtz application, `out = coeff·A u + h0·(M ∘ u)` for
@@ -362,11 +374,22 @@ impl Ops {
         for _ in terms {
             self.charge_weak_laplacian(comm);
         }
+        with_kernel!(self.np(), k => self.helmholtz_on(k, h0, mass_diag, terms));
+    }
+
+    /// [`Self::helmholtz_apply`]'s arithmetic on kernel `k`, uncharged.
+    fn helmholtz_on(
+        &self,
+        k: impl Kernel,
+        h0: f64,
+        mass_diag: &[f64],
+        terms: &[HelmholtzTerm<'_>],
+    ) {
         let npe = self.layout.nodes_per_elem();
-        with_kernel!(self.np(), k => self.zip_fields(terms, |t, e0, ob, ub| {
+        self.zip_fields(terms, |t, e0, ob, ub| {
             let mass = &mass_diag[e0 * npe..][..ob.len()];
             self.weak_laplacian(k, ob, ub, Some((t.coeff, h0, mass)));
-        }));
+        });
     }
 
     /// Six derivative sweeps plus the pointwise weights: the charge of one
@@ -657,9 +680,11 @@ pub fn transpose_op(m: &[f64], np: usize) -> Vec<f64> {
 /// contraction along a tensor axis of one (N+1)³ element. Derivatives,
 /// their transposes and the modal filter are all this with a different
 /// matrix. [`with_kernel!`] picks the implementation once per operator
-/// apply, so the element loops above are written once and compiled per
-/// order. Both implementations add each output's products in ascending
-/// `l` into a zeroed accumulator, so their results are bitwise identical.
+/// apply, by node count and by what the CPU runs, so the element loops
+/// above are written once and compiled per order and per build. Every
+/// implementation adds each output's products in ascending `l` into a
+/// zeroed accumulator, and Rust never contracts `a*b + c` into a fused
+/// multiply-add, so their results are bitwise identical on every host.
 trait Kernel: Copy + Sync {
     /// `out = s·M u` (`ACC = false`) or `out += s·M u` (`ACC = true`)
     /// along `axis` of one element, `mt` being `M` transposed. `s·Mᵀ u` is
@@ -683,7 +708,8 @@ trait Kernel: Copy + Sync {
 /// sum builds in a stack accumulator `[f64; NP]`, so LLVM vectorizes the
 /// inner loop with no gathers, aliasing or bounds checks; axis 0 reads
 /// `mt` so that its vector operand is unit-stride too. The pencil (at
-/// most 4 KiB) is on the stack.
+/// most 4 KiB) is on the stack. On x86-64 this is the baseline (SSE2)
+/// build of the body; [`Avx2`] compiles the same body a second time.
 #[derive(Clone, Copy)]
 struct Fixed<const NP: usize>;
 
@@ -742,10 +768,55 @@ impl<const NP: usize> Kernel for Fixed<NP> {
     }
 }
 
+/// [`Fixed`]'s body compiled a second time, for AVX2: four `f64` lanes a
+/// vector instead of two, the same products added in the same order, so
+/// the bits are [`Fixed`]'s. Made only behind
+/// `is_x86_feature_detected!("avx2")`, the guard in [`with_kernel!`] and
+/// in the tests: holding one is the proof that this CPU runs AVX2.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx2<const NP: usize>;
+
+#[cfg(target_arch = "x86_64")]
+impl<const NP: usize> Kernel for Avx2<NP> {
+    #[inline(always)]
+    fn contract<const ACC: bool>(
+        self,
+        u: &[f64],
+        m: &[f64],
+        mt: &[f64],
+        axis: usize,
+        s: f64,
+        out: &mut [f64],
+    ) {
+        // SAFETY: an `Avx2` exists only where `is_x86_feature_detected!`
+        // found AVX2 on this CPU, the one feature the callee is built for.
+        unsafe { avx2_contract::<NP, ACC>(u, m, mt, axis, s, out) }
+    }
+
+    fn with_pencil(self, f: impl FnOnce(&mut [f64])) {
+        Fixed::<NP>.with_pencil(f);
+    }
+}
+
+/// [`Fixed::contract`] inlined into a function built for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2_contract<const NP: usize, const ACC: bool>(
+    u: &[f64],
+    m: &[f64],
+    mt: &[f64],
+    axis: usize,
+    s: f64,
+    out: &mut [f64],
+) {
+    Fixed::<NP>.contract::<ACC>(u, m, mt, axis, s, out);
+}
+
 /// Any node count, one output at a time: the oracle the tests hold
-/// [`Fixed`] to, and the fallback for orders outside 1..=7. Its pencil is
-/// allocated per block, so stepping is allocation-free only at the fixed
-/// orders.
+/// [`Fixed`] and [`Avx2`] to, and the fallback for orders outside 1..=7.
+/// Its pencil is allocated per block, so stepping is allocation-free only
+/// at the fixed orders.
 #[derive(Clone, Copy)]
 struct Runtime(usize);
 
@@ -1071,42 +1142,56 @@ mod tests {
         }
     }
 
-    fn contract_matches_oracle<const NP: usize>() {
-        let npe = NP * NP * NP;
-        let u = noise(npe, 7 + NP as u64);
-        let m = noise(NP * NP, 99 + NP as u64);
-        let mt = transpose_op(&m, NP);
+    /// Run `$body` once with `$k` bound to each kernel build this host
+    /// runs at `$np` nodes: [`Fixed`], then [`Avx2`] where the CPU has
+    /// AVX2 (a line on stderr says so where it has not); [`Runtime`] alone
+    /// at any other node count.
+    macro_rules! each_build {
+        ($np:expr, $k:ident => $body:expr) => {
+            each_build!(@fixed 2 3 4 5 6 7 8, $np, $k => $body)
+        };
+        (@fixed $($n:literal)*, $np:expr, $k:ident => $body:expr) => {
+            match $np {
+                $($n => {
+                    { let $k = Fixed::<$n>; $body }
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        let $k = Avx2::<$n>;
+                        $body
+                    } else {
+                        eprintln!("np={}: no AVX2 on this CPU, its build skipped", $n);
+                    }
+                })*
+                np => { let $k = Runtime(np); $body }
+            }
+        };
+    }
+
+    fn contract_matches_oracle(k: impl Kernel, np: usize, build: &str) {
+        let npe = np * np * np;
+        let u = noise(npe, 7 + np as u64);
+        let m = noise(np * np, 99 + np as u64);
+        let mt = transpose_op(&m, np);
         for axis in 0..3 {
             for (a, at, name) in [(&m, &mt, "M"), (&mt, &m, "Mᵀ")] {
+                let what = format!("{build} np={np} axis={axis} {name}");
                 let mut fast = noise(npe, 3);
                 let mut oracle = fast.clone();
-                Fixed::<NP>.contract::<false>(&u, a, at, axis, 1.7, &mut fast);
-                Runtime(NP).contract::<false>(&u, a, at, axis, 1.7, &mut oracle);
-                assert_bits_eq(
-                    &fast,
-                    &oracle,
-                    &format!("np={NP} axis={axis} {name} assign"),
-                );
-                Fixed::<NP>.contract::<true>(&u, a, at, axis, 0.9, &mut fast);
-                Runtime(NP).contract::<true>(&u, a, at, axis, 0.9, &mut oracle);
-                assert_bits_eq(
-                    &fast,
-                    &oracle,
-                    &format!("np={NP} axis={axis} {name} accumulate"),
-                );
+                k.contract::<false>(&u, a, at, axis, 1.7, &mut fast);
+                Runtime(np).contract::<false>(&u, a, at, axis, 1.7, &mut oracle);
+                assert_bits_eq(&fast, &oracle, &format!("{what} assign"));
+                k.contract::<true>(&u, a, at, axis, 0.9, &mut fast);
+                Runtime(np).contract::<true>(&u, a, at, axis, 0.9, &mut oracle);
+                assert_bits_eq(&fast, &oracle, &format!("{what} accumulate"));
             }
         }
     }
 
     #[test]
     fn fixed_kernels_match_the_runtime_oracle_bitwise() {
-        contract_matches_oracle::<2>();
-        contract_matches_oracle::<3>();
-        contract_matches_oracle::<4>();
-        contract_matches_oracle::<5>();
-        contract_matches_oracle::<6>();
-        contract_matches_oracle::<7>();
-        contract_matches_oracle::<8>();
+        for np in 2..=8 {
+            each_build!(np, k => contract_matches_oracle(k, np, std::any::type_name_of_val(&k)));
+        }
     }
 
     /// The weak Laplacian as three full-field sweeps (axis outermost), from
@@ -1141,9 +1226,6 @@ mod tests {
                         let u = noise(n, 11);
                         let what = format!("order {order}, {threads} threads");
                         let reference = three_sweep_stiffness(&ops, &u);
-                        let mut a = vec![1.0; n];
-                        ops.stiffness_apply(comm, &u, &mut a, &mut []);
-                        assert_bits_eq(&a, &reference, &format!("stiffness, {what}"));
                         // Helmholtz = coeff·A + h0·M∘ fused must equal the
                         // two-pass composition exactly.
                         let (nu, h0) = (0.04, 150.0);
@@ -1151,34 +1233,43 @@ mod tests {
                         let composed: Vec<f64> = (0..n)
                             .map(|i| nu * reference[i] + h0 * mass[i] * u[i])
                             .collect();
+                        // The build this CPU picks, through the public,
+                        // charged applies.
+                        let mut a = vec![1.0; n];
+                        ops.stiffness_apply(comm, &u, &mut a, &mut []);
+                        assert_bits_eq(&a, &reference, &format!("stiffness, {what}"));
                         let mut h = vec![1.0; n];
                         ops.helmholtz_apply(comm, h0, &mass, &[HelmholtzTerm::new(nu, &u, &mut h)]);
                         assert_bits_eq(&h, &composed, &format!("helmholtz, {what}"));
-                        // Three terms in one dispatch: each the bits of its
-                        // own dispatch.
                         let v = noise(n, 12);
-                        let mut alone = vec![1.0; n];
-                        ops.helmholtz_apply(
-                            comm,
-                            h0,
-                            &mass,
-                            &[HelmholtzTerm::new(2.0 * nu, &v, &mut alone)],
-                        );
-                        let mut block = [vec![1.0; n], vec![1.0; n], vec![1.0; n]];
-                        let [b0, b1, b2] = block.each_mut();
-                        ops.helmholtz_apply(
-                            comm,
-                            h0,
-                            &mass,
-                            &[
-                                HelmholtzTerm::new(nu, &u, b0),
-                                HelmholtzTerm::new(2.0 * nu, &v, b1),
-                                HelmholtzTerm::new(nu, &u, b2),
-                            ],
-                        );
-                        for (got, want) in block.iter().zip([&h, &alone, &h]) {
-                            assert_bits_eq(got, want, &format!("helmholtz block, {what}"));
-                        }
+                        each_build!(ops.np(), k => {
+                            let what = format!("{}, {what}", std::any::type_name_of_val(&k));
+                            let mut a = vec![1.0; n];
+                            ops.stiffness_on(k, &u, &mut a);
+                            assert_bits_eq(&a, &reference, &format!("stiffness, {what}"));
+                            let mut h = vec![1.0; n];
+                            ops.helmholtz_on(k, h0, &mass, &[HelmholtzTerm::new(nu, &u, &mut h)]);
+                            assert_bits_eq(&h, &composed, &format!("helmholtz, {what}"));
+                            // Three terms in one dispatch: each the bits of
+                            // its own dispatch.
+                            let mut alone = vec![1.0; n];
+                            ops.helmholtz_on(k, h0, &mass, &[HelmholtzTerm::new(2.0 * nu, &v, &mut alone)]);
+                            let mut block = [vec![1.0; n], vec![1.0; n], vec![1.0; n]];
+                            let [b0, b1, b2] = block.each_mut();
+                            ops.helmholtz_on(
+                                k,
+                                h0,
+                                &mass,
+                                &[
+                                    HelmholtzTerm::new(nu, &u, b0),
+                                    HelmholtzTerm::new(2.0 * nu, &v, b1),
+                                    HelmholtzTerm::new(nu, &u, b2),
+                                ],
+                            );
+                            for (got, want) in block.iter().zip([&h, &alone, &h]) {
+                                assert_bits_eq(got, want, &format!("helmholtz block, {what}"));
+                            }
+                        });
                     })
                 });
             }
