@@ -1276,10 +1276,10 @@ mod tests {
         }
     }
 
-    /// Guards the one `unsafe` block: at every pool width the blocks tile
-    /// the elements, so each output value is written by exactly one job —
-    /// `threads` of them above [`POOLED_MIN_NODES`], the caller alone
-    /// below it.
+    /// Guards the dispatch's `unsafe` block: at every pool width the
+    /// blocks tile the elements, so each output value is written by
+    /// exactly one job — `threads` of them above [`POOLED_MIN_NODES`], the
+    /// caller alone below it.
     #[test]
     fn zip_blocks_writes_every_element_exactly_once() {
         // 7 and 161 elements: no width but 1 divides either evenly.
