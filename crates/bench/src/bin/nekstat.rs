@@ -604,7 +604,7 @@ fn critical_path_cmd(path: &str, json_out: bool) {
         std::process::exit(1);
     };
     if json_out {
-        println!("{}", json::object(|o| telemetry::write_critical(o, c)));
+        println!("{}", json::object(|o| telemetry::critical::write_critical(o, c)));
         return;
     }
     println!(

@@ -19,11 +19,12 @@
 //! RunReport (workflow `staging`) carrying the `staging/*` counters.
 
 use bench_harness::{cli, HarnessArgs};
-use commsim::{run_ranks_with_state, Comm, FaultPlan, MachineModel, TelemetryHub};
+use commsim::{run_ranks_with_state, Comm, FaultPlan, MachineModel};
 use insitu::AnalysisAdaptor as _;
 use meshdata::{CellType, DataArray, MultiBlock, UnstructuredGrid};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use telemetry::TelemetryHub;
 use transport::wire::loopback_listener;
 use transport::{
     ConsumerClient, QueuePolicy, SessionSpec, SstWriter, StagingLink, StagingNetwork,

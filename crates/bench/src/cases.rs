@@ -7,14 +7,14 @@
 //! and 3 from one sweep, fig5 Figures 5 and 6.
 
 use crate::HarnessArgs;
-use commsim::{run_ranks, FaultPlan, MachineModel, TelemetryHub};
+use commsim::{run_ranks, FaultPlan, MachineModel};
 use insitu::AnalysisAdaptor;
 use nek_sensei::{InSituConfig, InSituMode, InTransitConfig, SnapshotPlane};
 use render::pipeline::RenderPipeline;
 use render::CatalystAnalysis;
 use sem::cases::{pb146, rbc, CaseParams, CaseSetup};
 use std::path::PathBuf;
-use telemetry::RunReport;
+use telemetry::{RunReport, TelemetryHub};
 use transport::{QueuePolicy, StagingLink, WriterConfig};
 
 /// The §4.1 strong-scaling sweep behind Figures 2 and 3: one global pb146

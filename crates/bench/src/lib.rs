@@ -153,8 +153,8 @@ pub fn maybe_write_csv(args: &HarnessArgs, name: &str, headers: &[&str], rows: &
 pub fn maybe_write_trace(
     args: &HarnessArgs,
     name: &str,
-    traces: &[commsim::RankTrace],
-    phases: Option<&commsim::PhaseBreakdown>,
+    traces: &[telemetry::RankTrace],
+    phases: Option<&telemetry::PhaseBreakdown>,
 ) {
     let Some(dir) = &args.trace_out else {
         return;
@@ -166,7 +166,7 @@ pub fn maybe_write_trace(
         return;
     }
     let path = dir.join(format!("{name}.trace.json"));
-    if std::fs::write(&path, commsim::chrome_trace_json(traces)).is_ok() {
+    if std::fs::write(&path, telemetry::chrome::chrome_trace_json(traces)).is_ok() {
         println!("wrote {}", path.display());
     }
     if let Some(p) = phases {

@@ -14,15 +14,19 @@
 //!
 //! When a document changes on purpose, the failure names the file the new
 //! one was written to; copy it over the fixture.
+//!
+//! The same fixtures, damaged, check that the readers `nekstat` runs on
+//! a report from disk or a snapshot off a socket never panic.
 
-use commsim::{chrome_trace_json, RankTrace, Span};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use telemetry::chrome::chrome_trace_json;
+use telemetry::critical::{parse_critical, CritContrib, CriticalReport, RankSlack, StepCritical};
+use telemetry::json;
 use telemetry::{
-    Event, EventKind, HistogramSnapshot, Manifest, MemorySummary, MetricValue, RunReport,
-    StepSample,
+    Event, EventKind, HistogramSnapshot, Manifest, MemorySummary, MetricValue, RankTrace,
+    RunReport, Span, StepSample,
 };
-use trace::{CritContrib, CriticalReport, RankSlack, StepCritical};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -354,4 +358,58 @@ fn chrome_trace() {
 fn strip_keeps_whitespace_inside_strings() {
     assert_eq!(strip("{ \"a b\" : [ 1 ,\n 2 ] }"), "{\"a b\":[1,2]}");
     assert_eq!(strip("[\"q\\\" x\", \"\\\\\" ]"), "[\"q\\\" x\",\"\\\\\"]");
+}
+
+/// Every reader a report, a critical-path document or a live snapshot
+/// meets; must not panic, whatever `text` is.
+fn read_report_documents(text: &str) {
+    if let Ok(doc) = json::parse(text) {
+        let _ = parse_critical(&doc);
+    }
+    let _ = RunReport::from_json(text);
+}
+
+/// Every truncation of a committed document, and the document with one
+/// bit flipped at every position, come back as `Ok` or `Err`. Mutants
+/// that are not UTF-8 are skipped: the readers take `&str`.
+#[test]
+fn report_documents_survive_every_truncation_and_a_bit_flip_at_every_byte() {
+    let read = |bytes: &[u8]| {
+        if let Ok(text) = std::str::from_utf8(bytes) {
+            read_report_documents(text);
+        }
+    };
+    for name in [
+        "run-report.json",
+        "critical-path.json",
+        "telemetry-snapshot-full.json",
+        "telemetry-snapshot-delta.json",
+    ] {
+        let real = std::fs::read(fixture(name)).expect("committed fixture");
+        for cut in 0..real.len() {
+            read(&real[..cut]);
+        }
+        let mut flipped = real.clone();
+        for at in 0..real.len() {
+            flipped[at] ^= 1 << (at % 8);
+            read(&flipped);
+            flipped[at] = real[at];
+        }
+        // The undamaged document still reads.
+        let text = String::from_utf8(real).expect("fixtures are UTF-8");
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        match name {
+            "run-report.json" => {
+                let report = RunReport::from_json(&text).expect("the run report reads back");
+                assert!(
+                    report.critical.is_some(),
+                    "the fixture embeds a critical block"
+                );
+            }
+            "critical-path.json" => {
+                parse_critical(&doc).expect("the critical-path document reads back");
+            }
+            _ => {}
+        }
+    }
 }

@@ -26,8 +26,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use telemetry::{RankTelemetry, TelemetryHub};
-use trace::{RankTrace, SpanGuard, Tracer};
+use telemetry::{RankTelemetry, RankTrace, SpanGuard, TelemetryHub, Tracer};
 
 struct Envelope {
     src: usize,
@@ -35,7 +34,7 @@ struct Envelope {
     /// Virtual time at which the message is available at the receiver.
     t_avail: f64,
     nbytes: u64,
-    /// Sender's trace-context word ([`trace::pack_ctx`]); 0 when the
+    /// Sender's trace-context word ([`telemetry::pack_ctx`]); 0 when the
     /// sender is untraced. Piggybacked so the receiver can record a
     /// happens-before edge without any extra synchronization.
     ctx: u64,
@@ -259,7 +258,7 @@ impl Comm {
     /// context word as carried on the wire; no-op when it is 0 or when
     /// tracing is disabled. Never touches the clock — call before any
     /// `advance_to(t_ready)`.
-    pub fn trace_edge(&self, src: u64, t_send: f64, t_ready: f64, kind: trace::EdgeKind) {
+    pub fn trace_edge(&self, src: u64, t_send: f64, t_ready: f64, kind: telemetry::EdgeKind) {
         if src != 0 {
             self.tracer
                 .record_edge(src, t_send, t_ready, self.clock.now(), kind);
@@ -447,7 +446,7 @@ impl Comm {
                 env.t_sent,
                 env.t_avail,
                 self.clock.now(),
-                trace::EdgeKind::Message,
+                telemetry::EdgeKind::Message,
             );
         }
         let wait = env.t_avail - self.clock.now();
@@ -556,7 +555,7 @@ impl Comm {
                 slot.t_max,
                 out_time,
                 now,
-                trace::EdgeKind::Collective,
+                telemetry::EdgeKind::Collective,
             );
         }
         slot.departed += 1;

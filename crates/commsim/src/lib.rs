@@ -51,18 +51,6 @@ pub use machine::{FilesystemModel, GpuModel, MachineModel, NetworkModel};
 pub use reduce::ReduceOp;
 pub use runner::{run_ranks, run_ranks_with_registry, run_ranks_with_state, RankResult};
 pub use stats::CommStats;
-// Re-export the span-tracing vocabulary so instrumented crates need no
-// direct `trace` dependency: they open spans through `Comm::span` and
-// only name these types in signatures.
-pub use trace::{
-    unpack_ctx, CausalEdge, EdgeKind, PhaseBreakdown, PhaseStat, RankPhases, RankTrace, Span,
-    SpanGuard, Tracer,
-};
-// Same deal for the telemetry vocabulary: instrumented crates reach the
-// bus through `Comm::telemetry` / `Comm::telemetry_event` and only name
-// these types in signatures.
-pub use telemetry::chrome::chrome_trace_json;
-pub use telemetry::{Counter, EventKind, Gauge, Histogram, RankTelemetry, TelemetryHub};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -97,7 +97,7 @@ fn encode_reporting_truncation(comm: &mut Comm, snap: &FieldSnapshot) -> Vec<u8>
     for name in &encoded.truncated_tags {
         comm.telemetry().counter("checkpoint/tag_truncated").inc();
         comm.telemetry_event(
-            commsim::EventKind::CheckpointWrite,
+            telemetry::EventKind::CheckpointWrite,
             Some(snap.version as u64),
             format!("warning: field tag '{name}' truncated to {TAG_LEN} bytes"),
         );
@@ -144,7 +144,7 @@ impl FldCheckpointer {
             .counter("checkpoint/bytes_written")
             .add(nbytes);
         comm.telemetry_event(
-            commsim::EventKind::CheckpointWrite,
+            telemetry::EventKind::CheckpointWrite,
             Some(snap.version as u64),
             format!("{nbytes} B fld"),
         );

@@ -8,10 +8,11 @@
 //! either a complete, self-validating generation or a torn one that
 //! [`scan_for_restore`] detects and quarantines instead of restoring.
 
-use commsim::{Comm, EventKind, FaultPlan};
+use commsim::{Comm, FaultPlan};
 use sem::snapshot::FieldSnapshot;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use telemetry::EventKind;
 
 use super::{encode_reporting_truncation, read_fld, FldDump};
 

@@ -4,15 +4,6 @@
 use commsim::CommStats;
 use memtrack::{Registry, Snapshot};
 
-// Time attribution lives next to memory attribution: `MemoryBreakdown`
-// answers "where did the bytes go", `PhaseBreakdown` answers "where did
-// the virtual seconds go" (per rank, per span name). These types are
-// defined — and the aggregation implemented — in the `trace` crate,
-// which is their one canonical home; `commsim` re-exports them only so
-// instrumented crates need no direct `trace` dependency. Workflow
-// reports carry a breakdown when run with `trace: true`.
-pub use trace::{PhaseBreakdown, PhaseStat, RankPhases, RankTrace};
-
 /// Host/device memory split for one run, derived from the per-rank
 /// accountants (`rank<r>/<subsystem>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

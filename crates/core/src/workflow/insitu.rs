@@ -36,14 +36,15 @@ use crate::workflow::sampler::{attach_observability, collect_reports, fault_summ
 use crate::workflow::supervisor::RecoveryOptions;
 use commsim::WatchdogTimeout;
 use commsim::{
-    run_ranks_with_registry, with_mode, Comm, CommStats, EventKind, FaultPlan, MachineModel,
-    PhaseBreakdown, RankResult, RankTrace, SchedMode, TelemetryHub,
+    run_ranks_with_registry, with_mode, Comm, CommStats, FaultPlan, MachineModel, RankResult,
+    SchedMode,
 };
 use insitu::Bridge;
 use memtrack::Registry;
 use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
 use sem::snapshot::{FieldSnapshot, SnapshotPool, SnapshotSpec};
+use telemetry::{EventKind, PhaseBreakdown, RankTrace, TelemetryHub};
 
 /// Maximum unacknowledged snapshots per rank in pipelined mode (double
 /// buffering: one being consumed, one queued).
@@ -122,7 +123,8 @@ pub struct InSituConfig {
     pub faults: FaultPlan,
     /// Write real artifacts here when set (None → cost model only).
     pub output_dir: Option<std::path::PathBuf>,
-    /// Record per-phase spans against the virtual clock (see `trace`).
+    /// Record per-phase spans against the virtual clock (see
+    /// `telemetry::Tracer`).
     pub trace: bool,
     /// Run with the telemetry bus attached: typed metrics, the per-step
     /// flight recorder, and the structured event log, collected into

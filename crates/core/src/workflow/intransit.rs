@@ -15,8 +15,7 @@ use crate::metrics::{DegradationSummary, RunMetrics};
 use crate::workflow::sampler::{attach_observability, collect_reports, fault_summary, SimLoop};
 use crate::workflow::supervisor::RecoveryOptions;
 use commsim::{
-    run_ranks_with_registry, with_mode, Comm, CommStats, FaultPlan, MachineModel, PhaseBreakdown,
-    RankTrace, SchedMode, TelemetryHub,
+    run_ranks_with_registry, with_mode, Comm, CommStats, FaultPlan, MachineModel, SchedMode,
 };
 use insitu::Bridge;
 use memtrack::Registry;
@@ -25,6 +24,7 @@ use sem::cases::CaseSetup;
 use sem::snapshot::{SnapshotPool, SnapshotSpec};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use telemetry::{PhaseBreakdown, RankTrace, TelemetryHub};
 use transport::wire::loopback_listener;
 use transport::{
     ConsumerClient, QueuePolicy, ReportSink, SessionSpec, StagingLink, StagingNetwork,
@@ -110,7 +110,7 @@ pub struct InTransitConfig {
     /// file engine in this directory instead of dropping triggers.
     pub fallback_dir: Option<std::path::PathBuf>,
     /// Record per-phase spans against the virtual clock, on both the
-    /// simulation and endpoint worlds (see `trace`).
+    /// simulation and endpoint worlds (see `telemetry::Tracer`).
     pub trace: bool,
     /// Attach the telemetry bus (metrics + flight recorder + event log)
     /// to both worlds and collect [`InTransitReport::run_report`].

@@ -17,11 +17,13 @@
 
 use std::collections::BTreeMap;
 
-use commsim::{Comm, FaultPlan, PhaseBreakdown, RankTrace};
+use commsim::{Comm, FaultPlan};
 use memtrack::Registry;
 use sem::navier_stokes::FlowSolver;
 use sem::snapshot::SnapshotPool;
-use telemetry::{Manifest, MemorySummary, RunReport, StepSample, TelemetryHub};
+use telemetry::{
+    Manifest, MemorySummary, PhaseBreakdown, RankTrace, RunReport, StepSample, TelemetryHub,
+};
 
 use crate::metrics::MemoryBreakdown;
 use crate::workflow::supervisor::{resume_solver, RecoveryOptions, SupervisedStepper};
@@ -113,7 +115,7 @@ pub(crate) fn collect_reports(
     // peek at the flight recorder.
     let critical = (!traces.is_empty()).then(|| {
         let bounds = hub.map(TelemetryHub::step_bounds).unwrap_or_default();
-        trace::critical::analyze(traces, &bounds)
+        telemetry::critical::analyze(traces, &bounds)
     });
     let run_report = hub.map(|hub| {
         // Mirrored field by field: telemetry stays dependency-free, so its

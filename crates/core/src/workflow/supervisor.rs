@@ -25,9 +25,10 @@ use std::any::Any;
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use commsim::{Comm, EventKind, FaultPlan, InjectedCrash, TelemetryHub, WatchdogTimeout};
+use commsim::{Comm, FaultPlan, InjectedCrash, WatchdogTimeout};
 use sem::navier_stokes::FlowSolver;
 use sem::snapshot::{SnapshotPool, SnapshotSpec};
+use telemetry::{EventKind, TelemetryHub};
 
 use crate::checkpoint::{
     quarantine_generation, scan_for_restore, CheckpointSpec, CheckpointStore, RestoredGeneration,

@@ -234,10 +234,10 @@ impl Transported {
 /// Binding them also sets, on rank 0, the gauges `sem/coarse_dofs` and
 /// `sem/coarse_band` of the pressure multigrid's order-1 solve.
 struct SolveStats {
-    pressure_iters: commsim::Histogram,
-    pressure_residual: commsim::Histogram,
-    velocity_iters: commsim::Histogram,
-    unconverged: commsim::Counter,
+    pressure_iters: telemetry::Histogram,
+    pressure_residual: telemetry::Histogram,
+    velocity_iters: telemetry::Histogram,
+    unconverged: telemetry::Counter,
 }
 
 /// Insert `newest` at the front of a history ring holding at most `cap`
@@ -288,10 +288,10 @@ pub struct FlowSolver {
     time: f64,
     /// Lazily-bound telemetry instrument for per-step virtual time
     /// (`rank<r>/sem/step_time`); a no-op handle when telemetry is off.
-    step_hist: Option<commsim::Histogram>,
+    step_hist: Option<telemetry::Histogram>,
     /// Lazily-bound gauge for the share of gather-scatter exchange latency
     /// hidden behind interior work (`sem/overlap_ratio`).
-    overlap_ratio: Option<commsim::Gauge>,
+    overlap_ratio: Option<telemetry::Gauge>,
     /// Lazily-bound per-solve convergence instruments.
     solve_stats: Option<SolveStats>,
     _gpu_charge: Charge,

@@ -7,7 +7,7 @@
 //! Written through [`crate::json`], one event a line.
 
 use crate::json::{self, Obj};
-use trace::{RankTrace, Span};
+use crate::{RankTrace, Span};
 
 fn micros(t: f64) -> u64 {
     (t.max(0.0) * 1e6).round() as u64

@@ -7,16 +7,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use crate::json::{Obj, Value};
+use crate::lock;
 use crate::recorder::{Event, FlightRecorder, StepSample};
-
-/// Swallow mutex poisoning: telemetry must never abort a run that a
-/// panicking rank already aborted.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Monotonic counter. Cloning shares the underlying atomic; the
 /// `disabled` variant ignores updates and reads zero.

@@ -1,7 +1,8 @@
-//! Unified telemetry bus for the NekRS-SENSEI reproduction.
+//! The observability plane of the NekRS-SENSEI reproduction: one crate,
+//! one path per type.
 //!
-//! Three layers, all driven by the **virtual clock** (never the wall
-//! clock, so telemetry can never perturb the deterministic timings it
+//! Four layers, all driven by the **virtual clock** (never the wall
+//! clock, so observation can never perturb the deterministic timings it
 //! observes):
 //!
 //! 1. **Typed instruments** ([`Counter`], [`Gauge`], [`Histogram`])
@@ -20,30 +21,42 @@
 //!    final metric values, the time series, and the event log — written
 //!    by `--report-out` on the figure harnesses and read back by the
 //!    `nekstat` bin.
+//! 4. **Spans and causal edges**: a per-rank [`Tracer`] of nested spans
+//!    and happens-before edges, aggregated into a [`PhaseBreakdown`]
+//!    and walked by [`critical::analyze`] into the per-step critical
+//!    path.
 //!
 //! [`json`] is the workspace's one JSON reader and writer (it has no
 //! serde): every `nekstat/*/v1` document is written through it, and so is
-//! the Chrome trace-event export in [`chrome`], which lives here rather
-//! than in `trace` because `trace` cannot depend on this crate.
+//! the Chrome trace-event export in [`chrome`].
 //!
 //! The crate is substrate-free (std only): `commsim` carries a
-//! [`RankTelemetry`] per rank and stamps events with its clock, while
-//! `core::workflow` owns the hub and collects the report.
+//! [`RankTelemetry`] and a [`Tracer`] per rank and stamps both with its
+//! clock, while `core::workflow` owns the hub and collects the report.
 
+mod breakdown;
 mod instruments;
 mod recorder;
 mod report;
+mod tracer;
 
 pub mod chrome;
+pub mod critical;
 pub mod json;
 
+pub use breakdown::{PhaseBreakdown, PhaseStat, RankPhases};
 pub use instruments::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, TelemetryHub};
 pub use recorder::{Event, EventKind, FlightRecorder, StepSample};
-pub use report::{
-    parse_critical, write_critical, Manifest, MemorySummary, RunReport, REPORT_SCHEMA,
-};
+pub use report::{Manifest, MemorySummary, RunReport, REPORT_SCHEMA};
+pub use tracer::{pack_ctx, unpack_ctx, CausalEdge, EdgeKind, RankTrace, Span, SpanGuard, Tracer};
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Lock `m` whether or not a holder panicked: observation must never
+/// abort or wedge a run that a panicking rank already aborted.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Per-rank handle onto a [`TelemetryHub`]: prefixes instrument names
 /// with the rank scope and stamps events with pid/rank identity.

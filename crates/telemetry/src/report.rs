@@ -1,9 +1,9 @@
 //! The `RunReport`: one serializable artifact per run.
 
+use crate::critical::{parse_critical, write_critical, CriticalReport};
 use crate::instruments::{MetricValue, TelemetryHub};
 use crate::json::{self, Obj, Value};
 use crate::recorder::{Event, EventKind, StepSample};
-use trace::{CritContrib, CriticalReport, RankSlack, StepCritical, CRITICAL_SCHEMA};
 
 /// Schema tag written into every report (bump on breaking layout
 /// changes; `nekstat` and CI validate it).
@@ -328,99 +328,10 @@ impl Manifest {
     }
 }
 
-fn write_contrib(o: &mut Obj<'_>, c: &CritContrib) {
-    o.uint("pid", c.pid.into())
-        .uint("rank", c.rank as u64)
-        .text("phase", &c.phase)
-        .num("secs", c.secs);
-}
-
-/// Write a [`CriticalReport`]'s members into `o`: the
-/// `nekstat/critical-path/v1` object the run report embeds and `nekstat
-/// critical-path --json` prints.
-pub fn write_critical(o: &mut Obj<'_>, c: &CriticalReport) {
-    o.text("schema", CRITICAL_SCHEMA)
-        .uint("segments", c.segments)
-        .num("total", c.total)
-        .arr("contrib", &c.contrib, write_contrib)
-        .arr("steps", &c.steps, |o, s| {
-            o.uint("step", s.step)
-                .num("t_from", s.t_from)
-                .num("t_to", s.t_to)
-                .num("total", s.total)
-                .uint("dropped", s.dropped)
-                .arr("contrib", &s.contrib, write_contrib);
-        })
-        .arr("slack", &c.slack, |o, s| {
-            o.uint("pid", s.pid.into())
-                .uint("rank", s.rank as u64)
-                .num("wait_s", s.wait_s);
-        });
-}
-
-fn parse_contribs(v: Option<&Value>) -> Result<Vec<CritContrib>, String> {
-    let mut out = Vec::new();
-    for cv in v.and_then(Value::as_arr).ok_or("missing contrib list")? {
-        out.push(CritContrib {
-            pid: cv.uint("pid") as u32,
-            rank: cv.uint("rank") as usize,
-            phase: cv
-                .get("phase")
-                .and_then(Value::as_str)
-                .ok_or("contrib without phase")?
-                .to_string(),
-            secs: cv.num("secs"),
-        });
-    }
-    Ok(out)
-}
-
-/// Parse the `nekstat/critical-path/v1` object.
-///
-/// # Errors
-/// Malformed JSON or a schema tag mismatch.
-pub fn parse_critical(cv: &Value) -> Result<CriticalReport, String> {
-    let schema = cv
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("critical block without schema tag")?;
-    if schema != CRITICAL_SCHEMA {
-        return Err(format!("unsupported critical-path schema {schema:?}"));
-    }
-    let mut steps = Vec::new();
-    for sv in cv.get("steps").and_then(Value::as_arr).unwrap_or_default() {
-        steps.push(StepCritical {
-            step: sv.uint("step"),
-            t_from: sv.num("t_from"),
-            t_to: sv.num("t_to"),
-            total: sv.num("total"),
-            contrib: parse_contribs(sv.get("contrib"))?,
-            dropped: sv.uint("dropped"),
-        });
-    }
-    let slack = cv
-        .get("slack")
-        .and_then(Value::as_arr)
-        .unwrap_or_default()
-        .iter()
-        .map(|rv| RankSlack {
-            pid: rv.uint("pid") as u32,
-            rank: rv.uint("rank") as usize,
-            wait_s: rv.num("wait_s"),
-        })
-        .collect();
-    Ok(CriticalReport {
-        total: cv.num("total"),
-        segments: cv.uint("segments"),
-        contrib: parse_contribs(cv.get("contrib"))?,
-        steps,
-        slack,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::critical::{CritContrib, RankSlack, StepCritical, CRITICAL_SCHEMA};
 
     fn fixture() -> RunReport {
         let hub = TelemetryHub::default();

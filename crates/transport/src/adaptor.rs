@@ -151,7 +151,7 @@ impl TransportAnalysis {
         self.switch_step = Some(step);
         self.fallback = Some(fw);
         comm.telemetry_event(
-            commsim::EventKind::EngineSwitch,
+            telemetry::EventKind::EngineSwitch,
             Some(step),
             format!(
                 "producer {} parked to bp file engine: {error}",

@@ -78,7 +78,7 @@ pub struct Packet {
     pub time: f64,
     /// Virtual time at which the payload is available at the reader.
     pub t_avail: f64,
-    /// Producer's trace-context word ([`trace::pack_ctx`] via
+    /// Producer's trace-context word ([`telemetry::pack_ctx`] via
     /// `Comm::trace_ctx`); 0 when the producer is untraced.
     pub ctx: u64,
     /// Producer's virtual clock when the packet left it.
@@ -268,7 +268,7 @@ impl SstWriter {
             // Unrecoverable: the reader is gone, nothing can be notified.
             self.breaker_open = true;
             comm.telemetry_event(
-                commsim::EventKind::CircuitBreakerOpen,
+                telemetry::EventKind::CircuitBreakerOpen,
                 Some(step),
                 "endpoint disconnected",
             );
@@ -283,7 +283,7 @@ impl SstWriter {
         if self.consecutive_failures >= BREAKER_THRESHOLD {
             self.breaker_open = true;
             comm.telemetry_event(
-                commsim::EventKind::CircuitBreakerOpen,
+                telemetry::EventKind::CircuitBreakerOpen,
                 Some(step),
                 format!("{} consecutive failures", self.consecutive_failures),
             );
@@ -426,7 +426,7 @@ impl SstReader {
                 if let Some(at) = self.faults.crash_step(self.index) {
                     if delivery.step >= at {
                         comm.telemetry_event(
-                            commsim::EventKind::EndpointCrash,
+                            telemetry::EventKind::EndpointCrash,
                             Some(at),
                             format!("endpoint {} crashed", self.index),
                         );
@@ -569,7 +569,7 @@ impl SstReader {
             .filter(|p| p.t_avail == t_ready)
             .min_by_key(|p| p.producer)
         {
-            comm.trace_edge(crit.ctx, crit.t_sent, t_ready, commsim::EdgeKind::Wire);
+            comm.trace_edge(crit.ctx, crit.t_sent, t_ready, telemetry::EdgeKind::Wire);
         }
         if t_ready > comm.now() {
             comm.advance(t_ready - comm.now());
@@ -579,7 +579,7 @@ impl SstReader {
         let stall = self.faults.stall_secs(self.index, step);
         if stall > 0.0 {
             comm.telemetry_event(
-                commsim::EventKind::FaultInjected,
+                telemetry::EventKind::FaultInjected,
                 Some(step),
                 format!("consumer stall {stall}s on endpoint {}", self.index),
             );

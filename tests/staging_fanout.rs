@@ -2,7 +2,7 @@
 //! consumer sessions over both wire engines, with cached rendering,
 //! late-joiner catch-up, and typed short-read surfacing.
 
-use commsim::{run_ranks_with_state, with_mode, FaultPlan, MachineModel, SchedMode, TelemetryHub};
+use commsim::{run_ranks_with_state, with_mode, FaultPlan, MachineModel, SchedMode};
 use insitu::AnalysisAdaptor as _;
 use meshdata::{CellType, DataArray, MultiBlock, UnstructuredGrid};
 use nek_sensei::{run_intransit, EndpointMode, InTransitConfig};
@@ -10,6 +10,7 @@ use sem::cases::{rbc, CaseParams};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+use telemetry::TelemetryHub;
 use transport::wire::loopback_listener;
 use transport::{
     ConsumerClient, FrameMsg, QueuePolicy, SessionSpec, SstWriter, StagingLink, StagingNetwork,

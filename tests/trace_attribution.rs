@@ -3,11 +3,13 @@
 //! spans in in-transit runs, degraded-path spans, determinism, and the
 //! Chrome trace-event emitter's structure.
 
-use commsim::{chrome_trace_json, EndpointCrash, FaultPlan, MachineModel, PhaseBreakdown};
+use commsim::{EndpointCrash, FaultPlan, MachineModel};
 use nek_sensei::{
     run_insitu, run_intransit, EndpointMode, ExecMode, InSituConfig, InSituMode, InTransitConfig,
 };
 use sem::cases::{rbc, CaseParams};
+use telemetry::chrome::chrome_trace_json;
+use telemetry::PhaseBreakdown;
 use transport::{QueuePolicy, StagingLink, WriterConfig};
 
 /// Tiny traced in-transit config (the fig5 pattern at miniature scale).
@@ -277,7 +279,8 @@ const NO_SPAN: u64 = (1 << 40) - 1;
 /// virtual clocks, which the schedulers agree on).
 #[test]
 fn cross_rank_edges_link_send_to_recv_in_both_sched_modes() {
-    use commsim::{unpack_ctx, EdgeKind, SchedMode};
+    use commsim::SchedMode;
+    use telemetry::{unpack_ctx, EdgeKind};
 
     let run = |sched: SchedMode| {
         let mut cfg = traced_intransit(4, EndpointMode::Catalyst);
@@ -285,8 +288,8 @@ fn cross_rank_edges_link_send_to_recv_in_both_sched_modes() {
         run_intransit(&cfg).traces
     };
 
-    let validate = |traces: &[commsim::RankTrace], label: &str| {
-        let by_id: std::collections::BTreeMap<(u32, usize), &commsim::RankTrace> =
+    let validate = |traces: &[telemetry::RankTrace], label: &str| {
+        let by_id: std::collections::BTreeMap<(u32, usize), &telemetry::RankTrace> =
             traces.iter().map(|t| ((t.pid, t.rank), t)).collect();
         let mut total_edges = 0usize;
         let mut cross_rank = 0usize;
@@ -345,7 +348,7 @@ fn cross_rank_edges_link_send_to_recv_in_both_sched_modes() {
     validate(&event, "event");
 
     // Scheduler parity: the edge sets are identical, not just similar.
-    let key = |ts: &[commsim::RankTrace]| {
+    let key = |ts: &[telemetry::RankTrace]| {
         let mut v: Vec<_> = ts
             .iter()
             .map(|t| ((t.pid, t.rank), t.edges.clone()))
@@ -370,7 +373,7 @@ fn critical_path_json_is_byte_identical_across_runs_and_schedulers() {
         let r = run_intransit(&cfg);
         let report = r.run_report.expect("telemetry: true collects a report");
         let critical = report.critical.expect("traced run embeds a critical block");
-        let json = telemetry::json::object(|o| telemetry::write_critical(o, &critical));
+        let json = telemetry::json::object(|o| telemetry::critical::write_critical(o, &critical));
         (critical, json)
     };
 
