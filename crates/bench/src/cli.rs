@@ -73,6 +73,24 @@ pub struct HarnessArgs {
     pub max_snapshots: Option<u64>,
     /// `nekstat`: attach a live follow session to this staging port.
     pub follow: Option<String>,
+    /// `pairs`: the `nekbench` built from the parent commit's tree.
+    pub parent: Option<PathBuf>,
+    /// `pairs`: the `nekbench` built from the change's tree.
+    pub change: Option<PathBuf>,
+    /// `pairs`: the parent commit, as the ledger records it.
+    pub parent_rev: Option<String>,
+    /// `pairs`: the change's commit, as the ledger records it.
+    pub change_rev: Option<String>,
+    /// `pairs`: the PR the rows belong to.
+    pub pr: Option<u64>,
+    /// `pairs`: comma-separated `nekbench` workloads.
+    pub workloads: Option<String>,
+    /// `pairs`: the first pair's seed; pair i runs seed + i.
+    pub seed: Option<u64>,
+    /// `pairs`: alternating parent/change pairs per workload.
+    pub pairs: Option<usize>,
+    /// `pairs`: the ledger the rows are appended to.
+    pub ledger: Option<PathBuf>,
     /// Positional arguments, for a binary whose [`Cli`] takes operands.
     pub operands: Vec<String>,
 }
@@ -202,6 +220,15 @@ const FLAGS: &[(&str, &str, Setter)] = &[
     ("--json", "", |a, _| on(&mut a.json)),
     ("--max-snapshots", "N", |a, v| set(&mut a.max_snapshots, v)),
     ("--follow", "HOST:PORT", |a, v| set(&mut a.follow, v)),
+    ("--parent", "FILE", |a, v| set(&mut a.parent, v)),
+    ("--change", "FILE", |a, v| set(&mut a.change, v)),
+    ("--parent-rev", "REV", |a, v| set(&mut a.parent_rev, v)),
+    ("--change-rev", "REV", |a, v| set(&mut a.change_rev, v)),
+    ("--pr", "N", |a, v| set(&mut a.pr, v)),
+    ("--workloads", "A,B", |a, v| set(&mut a.workloads, v)),
+    ("--seed", "N", |a, v| set(&mut a.seed, v)),
+    ("--pairs", "N", |a, v| set(&mut a.pairs, v)),
+    ("--ledger", "FILE", |a, v| set(&mut a.ledger, v)),
 ];
 
 fn set<T: std::str::FromStr>(slot: &mut Option<T>, v: &str) -> Result<(), String> {
@@ -333,6 +360,20 @@ pub const STAGING_BENCH: Cli = Cli::new(
         "--report-out",
     ]],
 );
+pub const PAIRS: Cli = Cli::new(
+    "pairs",
+    &[&[
+        "--parent",
+        "--change",
+        "--parent-rev",
+        "--change-rev",
+        "--pr",
+        "--workloads",
+        "--seed",
+        "--pairs",
+        "--ledger",
+    ]],
+);
 pub const NEKSTAT: Cli = Cli {
     name: "nekstat",
     flags: &[&["--json", "--max-snapshots", "--follow"]],
@@ -350,7 +391,7 @@ mod tests {
     use super::*;
 
     /// Every binary in `crates/bench`.
-    const BINARIES: [&Cli; 9] = [
+    const BINARIES: [&Cli; 10] = [
         &FIG1_PB146_RENDER,
         &FIG2_TIME_TO_SOLUTION,
         &FIG4_RBC_RENDER,
@@ -359,6 +400,7 @@ mod tests {
         &FAULT_SWEEP,
         &CHAOS_SOAK,
         &STAGING_BENCH,
+        &PAIRS,
         &NEKSTAT,
     ];
 

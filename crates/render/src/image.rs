@@ -8,17 +8,21 @@
 //! encoder returns.
 //!
 //! Nothing is compressed, so every length in the file is known before the
-//! first pixel is read. [`encode_png`] uses that: it reserves the output
-//! once and writes signature, IHDR, the IDAT length, the stored-block
-//! headers and the scanlines straight into it, borrowing the pixels from
-//! the framebuffer. The only work per byte is one copy, the Adler-32 sum
+//! first pixel is read. [`encode_png_into`] uses that: it reserves the
+//! output once (nothing, when the buffer handed in is the last frame's)
+//! and writes signature, IHDR, the IDAT length, the stored-block headers
+//! and the scanlines straight into it, borrowing the pixels from the
+//! framebuffer. The only work per byte is one copy, the Adler-32 sum
 //! (modulo deferred to once per [`ADLER_NMAX`] bytes) and the chunk CRC
 //! taken over the bytes just written.
 //!
-//! [`crc32`] / [`Crc32`] is a slice-by-8 table kernel. It lives here
-//! because `render` is the lowest crate that checksums anything: PNG
-//! chunks use it directly, and `transport` (BP frame trailers, the TCP
-//! wire, and through it `core::checkpoint::store`) re-exports it.
+//! [`crc32`] / [`Crc32`] has two kernels and one result. Where the CPU has
+//! PCLMULQDQ (checked at run time), whole 16-byte blocks of an input of 64
+//! bytes or more fold by carry-less multiplication; a slice-by-8 table
+//! takes everything else. It lives here because `render` is the lowest
+//! crate that checksums anything: PNG chunks use it directly, and
+//! `transport` (BP frame trailers, park files, and through it
+//! `core::checkpoint::store`) re-exports it.
 
 use crate::raster::Framebuffer;
 
@@ -29,6 +33,14 @@ const STORED_BLOCK_MAX: usize = 65535;
 
 /// Encode a framebuffer as an 8-bit RGB PNG.
 pub fn encode_png(fb: &Framebuffer) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_png_into(fb, &mut out);
+    out
+}
+
+/// [`encode_png`] into `out`, replacing what it held: a buffer already
+/// large enough, such as the last frame's, is written without allocating.
+pub fn encode_png_into(fb: &Framebuffer, out: &mut Vec<u8>) {
     let rgb = fb.rgb_bytes();
     let stride = fb.width * 3;
     // Raw scanlines, each prefixed with filter type 0.
@@ -37,32 +49,32 @@ pub fn encode_png(fb: &Framebuffer) -> Vec<u8> {
     let n_blocks = raw_len.div_ceil(STORED_BLOCK_MAX).max(1);
     // zlib header + per-block headers + payload + Adler-32.
     let idat_len = 2 + 5 * n_blocks + raw_len + 4;
-    let mut out = Vec::with_capacity(PNG_SIGNATURE.len() + (12 + 13) + (12 + idat_len) + 12);
+    out.clear();
+    out.reserve_exact(PNG_SIGNATURE.len() + (12 + 13) + (12 + idat_len) + 12);
     out.extend_from_slice(&PNG_SIGNATURE);
 
-    let ihdr = begin_chunk(&mut out, b"IHDR", 13);
+    let ihdr = begin_chunk(out, b"IHDR", 13);
     out.extend_from_slice(&(fb.width as u32).to_be_bytes());
     out.extend_from_slice(&(fb.height as u32).to_be_bytes());
     out.extend_from_slice(&[8, 2, 0, 0, 0]); // 8-bit, RGB, deflate, none, none
-    end_chunk(&mut out, ihdr);
+    end_chunk(out, ihdr);
 
-    let idat = begin_chunk(&mut out, b"IDAT", idat_len);
+    let idat = begin_chunk(out, b"IDAT", idat_len);
     out.extend_from_slice(&[0x78, 0x01]); // 32K window, fastest
-    let mut blocks = StoredBlocks::begin(&mut out, raw_len);
+    let mut blocks = StoredBlocks::begin(out, raw_len);
     let mut adler = Adler32::new();
     for row in 0..fb.height {
         let line = &rgb[row * stride..(row + 1) * stride];
         for part in [&[0u8][..], line] {
-            blocks.put(&mut out, part);
+            blocks.put(out, part);
             adler.update(part);
         }
     }
     out.extend_from_slice(&adler.finish().to_be_bytes());
-    end_chunk(&mut out, idat);
+    end_chunk(out, idat);
 
-    let iend = begin_chunk(&mut out, b"IEND", 0);
-    end_chunk(&mut out, iend);
-    out
+    let iend = begin_chunk(out, b"IEND", 0);
+    end_chunk(out, iend);
 }
 
 /// A PNG chunk whose length and type are written and whose data is being
@@ -245,32 +257,152 @@ impl Crc32 {
         Self { state: 0xFFFF_FFFF }
     }
 
-    /// Fold `data` into the checksum, eight bytes per table round.
+    /// Fold `data` into the checksum: its whole 16-byte blocks by
+    /// carry-less multiplication where the CPU has it and there are at
+    /// least four, the rest by table.
     pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC32_TABLES;
-        let mut c = self.state;
-        let mut words = data.chunks_exact(8);
-        for w in &mut words {
-            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            c = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &byte in words.remainder() {
-            c = t[0][((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
+        #[cfg(target_arch = "x86_64")]
+        let data =
+            if data.len() >= clmul::MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+                let (blocks, tail) = data.split_at(data.len() & !15);
+                // SAFETY: `is_x86_feature_detected!("pclmulqdq")` held just
+                // above, and that is the one feature `clmul::fold` enables.
+                self.state = unsafe { clmul::fold(self.state, blocks) };
+                tail
+            } else {
+                data
+            };
+        self.state = table_update(self.state, data);
     }
 
     /// The checksum of everything folded in so far.
     pub fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
+    }
+}
+
+/// The table kernel: `state` advanced over `data`, eight bytes per round.
+/// It serves CPUs without PCLMULQDQ, inputs under 64 bytes and the tails
+/// the folding kernel leaves.
+fn table_update(state: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut c = state;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        c = t[0][((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// The folding kernel: Intel's "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction", with the constants and steps
+/// of the `crc32-pclmul` code in Linux and zlib. Four 128-bit lanes carry
+/// the state 64 bytes forward per round; they fold into one lane, which
+/// takes any last 16-byte blocks; that lane folds to 64 bits, and a
+/// Barrett reduction leaves the 32-bit state. Every constant is
+/// bit-reflected for 0xEDB88320, and `[a, b]` is `b:a` in a lane.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input [`fold`] takes: its four lanes start full.
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// x^(4·128+32) and x^(4·128−32) mod P, each shifted up 32 and one
+    /// bit: a lane carried 512 bits forward.
+    const K1_K2: [i64; 2] = [0x1_5444_2bd4, 0x1_c6e4_1596];
+    /// x^(128+32) and x^(128−32) mod P, likewise: carried 128 bits.
+    const K3_K4: [i64; 2] = [0x1_7519_97d0, 0x0_ccaa_009e];
+    /// x^64 mod P, likewise: 64 bits folded into 32.
+    const K5: i64 = 0x1_63cd_6124;
+    /// P itself and μ = x^64 / P, the Barrett pair.
+    const P_MU: [i64; 2] = [0x1_db71_0641, 0x1_f701_1641];
+
+    /// `state` advanced over `data`, a whole number of 16-byte blocks, at
+    /// least [`MIN_LEN`] bytes. A caller must have seen
+    /// `is_x86_feature_detected!("pclmulqdq")` hold: the instructions
+    /// this compiles to fault on a CPU without them.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn fold(state: u32, data: &[u8]) -> u32 {
+        let (blocks, tail) = data.as_chunks::<16>();
+        debug_assert!(tail.is_empty() && data.len() >= MIN_LEN);
+        let mut rounds = blocks.chunks_exact(4);
+        let first = rounds.next().expect("at least four blocks");
+        let mut lanes = [0, 1, 2, 3].map(|i| load(&first[i]));
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(state as i32));
+        let k1_k2 = pair(K1_K2);
+        for round in &mut rounds {
+            for (lane, block) in lanes.iter_mut().zip(round) {
+                *lane = fold_16(*lane, k1_k2, load(block));
+            }
+        }
+        let k3_k4 = pair(K3_K4);
+        let mut x = lanes[0];
+        for &lane in &lanes[1..] {
+            x = fold_16(x, k3_k4, lane);
+        }
+        for block in rounds.remainder() {
+            x = fold_16(x, k3_k4, load(block));
+        }
+
+        // 128 bits to 64: the low half times k4 onto the high half, then
+        // the low 32 bits of that times k5 onto the rest.
+        let low_32s = _mm_setr_epi32(!0, 0, !0, 0);
+        x = _mm_xor_si128(
+            _mm_srli_si128::<8>(x),
+            _mm_clmulepi64_si128::<0x10>(x, k3_k4),
+        );
+        let high = _mm_srli_si128::<4>(x);
+        let k5 = _mm_set_epi64x(0, K5);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low_32s), k5),
+            high,
+        );
+
+        // Barrett: q = ⌊x·μ⌋ on the low 32 bits, and x − q·P leaves the
+        // remainder in bits 32..64.
+        let p_mu = pair(P_MU);
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low_32s), p_mu);
+        let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low_32s), p_mu);
+        _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, qp))) as u32
+    }
+
+    /// `lane` carried forward by the constant pair `k`, plus `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_16(lane: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let low = _mm_clmulepi64_si128::<0x00>(lane, k);
+        let high = _mm_clmulepi64_si128::<0x11>(lane, k);
+        _mm_xor_si128(_mm_xor_si128(low, high), next)
+    }
+
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn pair([low, high]: [i64; 2]) -> __m128i {
+        _mm_set_epi64x(high, low)
+    }
+
+    /// One 16-byte block as a lane, little-endian.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*block);
+        pair([v as i64, (v >> 64) as i64])
     }
 }
 
@@ -461,24 +593,67 @@ mod tests {
         assert_eq!(crc.finish(), 0xCBF4_3926);
     }
 
+    type Kernel = fn(&[u8]) -> u32;
+
+    /// Both kernels by name: the table kernel on every host, and what
+    /// [`crc32`] runs, which is the folding kernel from 64 bytes on where
+    /// the CPU has PCLMULQDQ.
+    fn kernels() -> [(&'static str, Kernel); 2] {
+        #[cfg(target_arch = "x86_64")]
+        if !std::arch::is_x86_feature_detected!("pclmulqdq") {
+            println!("skipped: this CPU has no PCLMULQDQ, so crc32 runs the table kernel");
+        }
+        [
+            ("table", |d| table_update(0xFFFF_FFFF, d) ^ 0xFFFF_FFFF),
+            ("dispatched", crc32),
+        ]
+    }
+
     #[test]
-    fn crc32_matches_the_bitwise_oracle_at_every_length_and_alignment() {
-        // Lengths 0..=64 cover empty, tail-only, exactly-one-word and
-        // word+tail inputs; start offsets 0..8 move the 8-byte reads across
-        // every alignment of the underlying buffer.
-        let buf = patterned(8, 3, 1).rgb_bytes().to_vec();
-        assert_eq!(buf.len(), 72);
-        for start in 0..8 {
-            for len in 0..=64 {
-                let s = &buf[start..start + len];
-                assert_eq!(crc32(s), reference::crc32(s), "start {start} len {len}");
+    fn crc32_kernels_match_the_bitwise_oracle_at_every_length_and_alignment() {
+        // Lengths 0..=256 cover the table-only inputs, exactly four
+        // 16-byte blocks, and every tail after one to three rounds of 64;
+        // start offsets 0..16 move the loads across every alignment.
+        let buf = patterned(91, 1, 1).rgb_bytes().to_vec();
+        assert_eq!(buf.len(), 273);
+        for (name, kernel) in kernels() {
+            for start in 0..16 {
+                for len in 0..=256 {
+                    let s = &buf[start..start + len];
+                    assert_eq!(
+                        kernel(s),
+                        reference::crc32(s),
+                        "{name}: start {start} len {len}"
+                    );
+                }
+            }
+            // A frame-sized buffer: tens of thousands of folding rounds.
+            let big = patterned(1200, 1000, 2).rgb_bytes().to_vec();
+            assert!(big.len() > 3 << 20);
+            for s in [&big[..], &big[3..], &big[..big.len() - 7]] {
+                assert_eq!(kernel(s), reference::crc32(s), "{name}: {} bytes", s.len());
             }
         }
-        // A frame-sized buffer: the main loop runs ~500k rounds.
-        let big = patterned(1200, 1000, 2).rgb_bytes().to_vec();
-        assert!(big.len() > 3 << 20);
-        assert_eq!(crc32(&big), reference::crc32(&big));
-        assert_eq!(crc32(&big[3..]), reference::crc32(&big[3..]));
+    }
+
+    #[test]
+    fn crc32_updates_cut_across_block_edges_equal_one_shot() {
+        // Cuts one byte either side of the 16- and 64-byte edges, so
+        // pieces alternate between the two kernels and leave tails of
+        // every length for the table kernel to carry into the next piece.
+        let data = patterned(200, 1, 3).rgb_bytes().to_vec();
+        let whole = reference::crc32(&data);
+        for first in [15, 16, 17, 63, 64, 65, 79, 80, 81, 127, 128, 129] {
+            for second in [1, 15, 16, 17, 63, 64, 65, 128, 200] {
+                let (a, rest) = data.split_at(first);
+                let (b, c) = rest.split_at(second);
+                let mut crc = Crc32::new();
+                for piece in [a, b, c] {
+                    crc.update(piece);
+                }
+                assert_eq!(crc.finish(), whole, "cuts at {first} and +{second}");
+            }
+        }
     }
 
     #[test]
@@ -519,6 +694,24 @@ mod tests {
         assert_eq!(&png[png.len() - 8..png.len() - 4], b"IEND");
         // The up-front reservation was exact.
         assert_eq!(png.len(), png.capacity());
+    }
+
+    #[test]
+    fn png_into_a_recycled_buffer_is_the_same_file_in_the_same_allocation() {
+        let mut buf = encode_png(&patterned(40, 30, 5));
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        let fb = patterned(40, 30, 6);
+        encode_png_into(&fb, &mut buf);
+        assert_eq!(buf, reference::encode_png(&fb));
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+        // A smaller frame fits too; a larger one grows the buffer.
+        let small = patterned(7, 3, 7);
+        encode_png_into(&small, &mut buf);
+        assert_eq!(buf.as_ptr(), ptr);
+        assert_eq!(buf, reference::encode_png(&small));
+        let large = patterned(80, 60, 8);
+        encode_png_into(&large, &mut buf);
+        assert_eq!(buf, reference::encode_png(&large));
     }
 
     #[test]

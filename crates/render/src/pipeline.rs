@@ -11,13 +11,14 @@ use crate::camera::Camera;
 use crate::colormap::Colormap;
 use crate::composite::composite;
 use crate::filters::{self, TriangleSoup};
-use crate::image::encode_png;
+use crate::image::encode_png_into;
 use crate::raster::{image_bytes, Framebuffer, Tile};
 use commsim::{Comm, ReduceOp};
 use insitu::configurable::{AdaptorFactory, AnalysisSpec};
 use insitu::{AnalysisAdaptor, DataAdaptor};
 use meshdata::{Centering, MultiBlock};
 use std::io::Write;
+use std::sync::Arc;
 
 /// Geometry extraction for one pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,15 +85,28 @@ pub struct RenderedImage {
 
 /// Reusable buffers for [`RenderPipeline::execute_with`]: the triangle
 /// soup, the tile each rank rasterises into and — on rank 0 only, the
-/// other ranks' stays empty — the full-size image the tiles are
-/// composited into survive across passes and triggers. (Non-root ranks
-/// hand their tile's pixels to the compositor each pass — that transfer
-/// is the simulated MPI payload.)
+/// other ranks' stay empty — the full-size image the tiles are
+/// composited into and the PNG buffers of frames nobody reads any more
+/// survive across passes and triggers. (Non-root ranks hand their tile's
+/// pixels to the compositor each pass — that transfer is the simulated
+/// MPI payload.)
 #[derive(Debug, Default)]
 pub struct RenderScratch {
     image: Framebuffer,
     tile: Tile,
     soup: TriangleSoup,
+    /// Encoded frames handed back by [`Self::recycle`]; each pass takes
+    /// one to encode into, so there are never more than a frame set's.
+    pngs: Vec<Vec<u8>>,
+}
+
+impl RenderScratch {
+    /// Keep the PNG buffers of `images`, which nobody reads any more, for
+    /// the next passes to encode into.
+    fn recycle(&mut self, images: &mut [RenderedImage]) {
+        self.pngs
+            .extend(images.iter_mut().filter_map(|img| img.png.take()));
+    }
 }
 
 /// Identity of one rendered frame set: the step plus a fingerprint over
@@ -110,7 +124,8 @@ pub struct FrameKey {
 
 /// Bounded LRU cache of rendered frames keyed by [`FrameKey`]. The
 /// staging tier uses it to serve N consumers requesting the same
-/// (step, camera, colormap) without re-rasterizing N times.
+/// (step, camera, colormap) without re-rasterizing N times. Frame sets
+/// are shared, not copied: a hit hands out another reference.
 ///
 /// The hit/miss decision depends only on the key — never on field data —
 /// so when a multi-rank pipeline consults the cache, every rank takes the
@@ -119,7 +134,7 @@ pub struct FrameKey {
 pub struct FrameCache {
     capacity: usize,
     /// Most recently used at the back.
-    entries: Vec<(FrameKey, Vec<RenderedImage>)>,
+    entries: Vec<(FrameKey, Arc<[RenderedImage]>)>,
     hits: u64,
     misses: u64,
 }
@@ -135,28 +150,32 @@ impl FrameCache {
         }
     }
 
-    /// Look up `key`, refreshing its recency. Clones the frame set out so
-    /// the cache keeps serving later requests.
-    pub fn get(&mut self, key: &FrameKey) -> Option<Vec<RenderedImage>> {
+    /// Look up `key`, refreshing its recency.
+    pub fn get(&mut self, key: &FrameKey) -> Option<Arc<[RenderedImage]>> {
         let pos = self.entries.iter().position(|(k, _)| k == key)?;
         let entry = self.entries.remove(pos);
-        let images = entry.1.clone();
+        let images = Arc::clone(&entry.1);
         self.entries.push(entry);
         self.hits += 1;
         Some(images)
     }
 
     /// Insert a freshly rendered frame set, evicting the least recently
-    /// used entry if full.
-    pub fn insert(&mut self, key: FrameKey, images: Vec<RenderedImage>) {
+    /// used entry if full. Returns the set it dropped: the one under the
+    /// same key, else the evicted one.
+    pub fn insert(
+        &mut self,
+        key: FrameKey,
+        images: Arc<[RenderedImage]>,
+    ) -> Option<Arc<[RenderedImage]>> {
         self.misses += 1;
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(pos);
-        }
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-        }
+        let dropped = match self.entries.iter().position(|(k, _)| *k == key) {
+            Some(pos) => Some(self.entries.remove(pos)),
+            None if self.entries.len() >= self.capacity => Some(self.entries.remove(0)),
+            None => None,
+        };
         self.entries.push((key, images));
+        dropped.map(|(_, images)| images)
     }
 
     /// Lookups served from cache.
@@ -404,7 +423,8 @@ impl RenderPipeline {
                 if self.legend {
                     fb.draw_legend(&pass.colormap, (lo, hi));
                 }
-                let png = encode_png(fb);
+                let mut png = scratch.pngs.pop().unwrap_or_default();
+                encode_png_into(fb, &mut png);
                 // Encoding is pixel-proportional: true rates.
                 let s = 1.0 / comm.machine().derate_factor;
                 comm.compute_host(png.len() as f64 * s, png.len() as f64 * 2.0 * s);
@@ -435,7 +455,9 @@ impl RenderPipeline {
     /// Cache-aware [`execute_with`](Self::execute_with): serve the frame
     /// set from `cache` when an identical (step, camera, colormap, …)
     /// request was rendered before, otherwise render and populate the
-    /// cache. Returns the images plus whether they came from cache.
+    /// cache. Returns the images plus whether they came from cache. The
+    /// PNG buffers of a set the cache drops go back into `scratch` when
+    /// no caller still holds the set.
     ///
     /// On a hit every collective (bounds and range allreduces) is skipped;
     /// the hit decision is a pure function of the key, so all ranks of a
@@ -447,7 +469,7 @@ impl RenderPipeline {
         step: u64,
         scratch: &mut RenderScratch,
         cache: &mut FrameCache,
-    ) -> (Vec<RenderedImage>, bool) {
+    ) -> (Arc<[RenderedImage]>, bool) {
         let key = self.frame_key(step);
         if let Some(images) = cache.get(&key) {
             let telemetry = comm.telemetry();
@@ -456,12 +478,16 @@ impl RenderPipeline {
             }
             return (images, true);
         }
-        let images = self.execute_with(comm, mb, step, scratch);
+        let images: Arc<[RenderedImage]> = self.execute_with(comm, mb, step, scratch).into();
         let telemetry = comm.telemetry();
         if telemetry.enabled() {
             telemetry.counter("render/cache_misses").inc();
         }
-        cache.insert(key, images.clone());
+        if let Some(mut dropped) = cache.insert(key, Arc::clone(&images)) {
+            if let Some(dropped) = Arc::get_mut(&mut dropped) {
+                scratch.recycle(dropped);
+            }
+        }
         (images, false)
     }
 }
@@ -585,6 +611,7 @@ impl AnalysisAdaptor for CatalystAnalysis {
             data.add_array(comm, &mut mb, &self.mesh, Centering::Point, &array)?;
         }
         drop(copy);
+        self.scratch.recycle(&mut self.last_images);
         let images = self
             .pipeline
             .execute_with(comm, &mb, data.time_step(), &mut self.scratch);
@@ -669,6 +696,38 @@ mod tests {
         assert!(res[0][1].0.contains("velocity_contour_000100"));
         // Non-trivial image sizes.
         assert!(res[0][0].1.unwrap() > 1000);
+    }
+
+    #[test]
+    fn cache_hits_share_frame_sets_and_dropped_sets_feed_the_next_encode() {
+        run_ranks(1, MachineModel::test_tiny(), |comm| {
+            let pipeline = RenderPipeline {
+                width: 64,
+                height: 48,
+                ..RenderPipeline::two_image_default("pressure", "velocity")
+            };
+            let mb = block(0, 1);
+            let mut scratch = RenderScratch::default();
+            let mut cache = FrameCache::new(1);
+            let (first, hit) = pipeline.execute_cached(comm, &mb, 0, &mut scratch, &mut cache);
+            let (again, rehit) = pipeline.execute_cached(comm, &mb, 0, &mut scratch, &mut cache);
+            assert!(!hit && rehit && Arc::ptr_eq(&first, &again));
+            let buffers: Vec<_> = first
+                .iter()
+                .map(|i| i.png.as_ref().unwrap().as_ptr())
+                .collect();
+            drop((first, again));
+            // Step 1 evicts step 0's set, whose buffers step 2 encodes into.
+            pipeline.execute_cached(comm, &mb, 1, &mut scratch, &mut cache);
+            let (third, _) = pipeline.execute_cached(comm, &mb, 2, &mut scratch, &mut cache);
+            let mut reused: Vec<_> = third
+                .iter()
+                .map(|i| i.png.as_ref().unwrap().as_ptr())
+                .collect();
+            reused.reverse();
+            assert_eq!(reused, buffers);
+            assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 3, 1));
+        });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the buffer cannot hold, and [`read_record`] grows its buffer only as
 //! bytes actually arrive.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Why a [`Reader`] refused; each format maps it onto its own error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +44,19 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// `N` bytes laid out from `parts`, which add up to exactly `N`: a
+/// fixed-size header built on the stack.
+pub(crate) fn concat<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let mut at = 0;
+    for part in parts {
+        out[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    assert_eq!(at, N, "the parts fill the header");
+    out
 }
 
 /// `[u32 len][bytes]`.
@@ -185,15 +198,175 @@ impl From<ShortRecord> for std::io::Error {
 /// arrived for it: a length prefix is a peer's claim, not a reservation.
 const CHUNK: usize = 256 << 10;
 
-/// Append exactly `wanted` bytes of `r` to `buf`.
+/// Append exactly `wanted` bytes of `r` to `buf`. The buffer grows by at
+/// most [`CHUNK`], or by what has arrived so far if that is more, ahead of
+/// the bytes: a 1 MiB body arrives in three exact reservations.
 fn fill(r: &mut impl Read, buf: &mut Vec<u8>, wanted: usize) -> Result<(), ShortRecord> {
-    buf.reserve(wanted.min(CHUNK));
-    let before = buf.len();
-    let cause = r.by_ref().take(wanted as u64).read_to_end(buf).err();
-    match buf.len() - before {
-        got if got == wanted => Ok(()),
-        got => Err(ShortRecord { wanted, got, cause }),
+    let mut got = 0;
+    while got < wanted {
+        let step = (wanted - got).min(got.max(CHUNK));
+        buf.reserve_exact(step);
+        let before = buf.len();
+        let cause = r.by_ref().take(step as u64).read_to_end(buf).err();
+        got += buf.len() - before;
+        if buf.len() - before < step {
+            return Err(ShortRecord { wanted, got, cause });
+        }
     }
+    Ok(())
+}
+
+/// One `[len][body]` record read off a stream part by part, so that each
+/// part lands where it is used — a header in a stack array, a payload in
+/// the `Vec` that carries it on — instead of the whole body in one buffer
+/// that is cut up afterwards. A stream that ends inside the body reports
+/// the whole declared body as `wanted`.
+pub(crate) struct RecordIn<'r, R> {
+    r: &'r mut R,
+    /// The declared body length.
+    len: usize,
+    /// Body bytes read so far.
+    got: usize,
+}
+
+/// Why reading a record's part failed: the stream ended, or the record's
+/// own lengths do not add up (the rest of it is still to be read).
+#[derive(Debug)]
+pub(crate) enum PartError {
+    Short(ShortRecord),
+    Malformed(std::io::Error),
+}
+
+impl From<ShortRecord> for PartError {
+    fn from(s: ShortRecord) -> Self {
+        PartError::Short(s)
+    }
+}
+
+impl From<Error> for PartError {
+    fn from(e: Error) -> Self {
+        PartError::Malformed(e.into())
+    }
+}
+
+impl<'r, R: Read> RecordIn<'r, R> {
+    /// Read the next record's length prefix. `Ok(None)` is a clean end of
+    /// stream at a record boundary; a torn prefix is a [`ShortRecord`].
+    pub(crate) fn open(r: &'r mut R, prefix: Prefix) -> Result<Option<Self>, ShortRecord> {
+        let mut word = [0u8; 8];
+        let (got, cause) = read_full(r, &mut word[..prefix as usize]);
+        if got < prefix as usize {
+            let clean_end = got == 0 && cause.is_none();
+            let wanted = prefix as usize;
+            return if clean_end {
+                Ok(None)
+            } else {
+                Err(ShortRecord { wanted, got, cause })
+            };
+        }
+        // A length no `usize` holds cannot arrive either; let the read say so.
+        let len = usize::try_from(u64::from_le_bytes(word)).unwrap_or(usize::MAX);
+        Ok(Some(Self { r, len, got: 0 }))
+    }
+
+    /// The declared body length.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Body bytes not read yet.
+    fn left(&self) -> usize {
+        self.len - self.got
+    }
+
+    fn short(&self, got: usize, cause: Option<std::io::Error>) -> ShortRecord {
+        ShortRecord {
+            wanted: self.len,
+            got: self.got + got,
+            cause,
+        }
+    }
+
+    /// The next `N` body bytes; a body with fewer left is malformed.
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], PartError> {
+        if N > self.left() {
+            return Err(Error::Truncated.into());
+        }
+        let mut a = [0u8; N];
+        match read_full(self.r, &mut a) {
+            (got, None) if got == N => {
+                self.got += N;
+                Ok(a)
+            }
+            (got, cause) => Err(self.short(got, cause).into()),
+        }
+    }
+
+    /// The next `n` body bytes in a buffer of their own.
+    pub(crate) fn vec(&mut self, n: usize) -> Result<Vec<u8>, PartError> {
+        if n > self.left() {
+            return Err(Error::Truncated.into());
+        }
+        Ok(self.take_vec(n)?)
+    }
+
+    /// Everything the body has left.
+    pub(crate) fn rest(&mut self) -> Result<Vec<u8>, ShortRecord> {
+        self.take_vec(self.left())
+    }
+
+    fn take_vec(&mut self, n: usize) -> Result<Vec<u8>, ShortRecord> {
+        let mut buf = Vec::new();
+        fill(self.r, &mut buf, n).map_err(|s| self.short(s.got, s.cause))?;
+        self.got += n;
+        Ok(buf)
+    }
+
+    /// Read past the rest of the body, so the stream stands at the next
+    /// record, then hand back what parsing the record gave.
+    pub(crate) fn finish<T>(self, parsed: Result<T, PartError>) -> std::io::Result<T> {
+        let parsed = match parsed {
+            Ok(value) => Ok(value),
+            Err(PartError::Short(s)) => return Err(s.into()),
+            Err(PartError::Malformed(e)) => Err(e),
+        };
+        let left = self.left();
+        match skip(self.r, left) {
+            (got, None) if got == left => parsed,
+            (got, cause) => Err(self.short(got, cause).into()),
+        }
+    }
+}
+
+/// Read into `buf` until it is full or the stream ends: how many bytes
+/// arrived, and the error the stream failed on, if it did.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> (usize, Option<std::io::Error>) {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return (got, Some(e)),
+        }
+    }
+    (got, None)
+}
+
+/// Read and drop up to `n` bytes: how many there were, and the error the
+/// stream failed on, if it did.
+fn skip(r: &mut impl Read, n: usize) -> (usize, Option<std::io::Error>) {
+    let mut scratch = [0u8; 4096];
+    let mut got = 0;
+    while got < n {
+        let want = (n - got).min(scratch.len());
+        let (arrived, cause) = read_full(r, &mut scratch[..want]);
+        got += arrived;
+        if arrived < want {
+            return (got, cause);
+        }
+    }
+    (got, None)
 }
 
 /// Read one `[len][body]` record off a stream and return its body.
@@ -203,16 +376,28 @@ pub(crate) fn read_record(
     r: &mut impl Read,
     prefix: Prefix,
 ) -> Result<Option<Vec<u8>>, ShortRecord> {
-    let mut buf = Vec::new();
-    if let Err(short) = fill(r, &mut buf, prefix as usize) {
-        let clean_end = short.got == 0 && short.cause.is_none();
-        return if clean_end { Ok(None) } else { Err(short) };
+    match RecordIn::open(r, prefix)? {
+        Some(mut record) => record.rest().map(Some),
+        None => Ok(None),
     }
-    // A length no `usize` holds cannot arrive either; let the read say so.
-    let len = Reader::new(&buf).count(prefix, 0).unwrap_or(usize::MAX);
-    buf.clear();
-    fill(r, &mut buf, len)?;
-    Ok(Some(buf))
+}
+
+/// Write every byte of `bufs`, in order, in as few calls as the writer
+/// allows: one `writev` for a header and the payload it heads.
+pub(crate) fn write_all_vectored(
+    w: &mut impl Write,
+    mut bufs: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// One bare `u64` onto a stream: a file magic, or the length ahead of a

@@ -369,7 +369,7 @@ impl StagingService {
                     .execute_cached(comm, &mb, step, &mut self.scratch, &mut self.cache);
             session.stats.catchup_steps += 1;
             comm.telemetry().counter("staging/catchup_steps").inc();
-            Self::deliver(comm, session, step, hit, images);
+            Self::deliver(comm, session, step, hit, &images);
         }
         Ok(())
     }
@@ -382,13 +382,13 @@ impl StagingService {
         session: &mut Session,
         step: u64,
         cache_hit: bool,
-        images: Vec<render::pipeline::RenderedImage>,
+        images: &[render::pipeline::RenderedImage],
     ) {
         if !session.open {
             return;
         }
         for img in images {
-            let Some(png) = img.png else { continue };
+            let Some(png) = &img.png else { continue };
             // Top up from the session's credit feed without blocking.
             while let Ok(n) = session.credit_rx.try_recv() {
                 session.credits += i64::from(n);
@@ -411,16 +411,10 @@ impl StagingService {
             }
             session.credits -= 1;
             let nbytes = png.len() as u64;
-            let msg = DownMsg::Frame(FrameMsg {
-                step,
-                cache_hit,
-                name: img.name,
-                png,
-            });
             let stream = &mut session.down;
             stream.set_write_timeout(Some(CREDIT_WAIT)).ok();
             if comm
-                .external_wait(|| protocol::write_down(stream, &msg))
+                .external_wait(|| protocol::write_frame(stream, step, cache_hit, &img.name, png))
                 .is_err()
             {
                 session.open = false;
@@ -510,7 +504,7 @@ impl StagingService {
                     &mut self.scratch,
                     &mut self.cache,
                 );
-                Self::deliver(comm, session, delivery.step, hit, images);
+                Self::deliver(comm, session, delivery.step, hit, &images);
             }
         }
         // Stream over: admit any last-second joiners (they get a pure

@@ -22,8 +22,8 @@
 //! atomics only, so attaching and detaching never perturbs the
 //! virtual-clock run being observed.
 
-use crate::codec::{self, Prefix, Reader};
-use std::io::{Read, Write};
+use crate::codec::{self, PartError, Prefix, Reader, RecordIn};
+use std::io::{IoSlice, Read, Write};
 
 /// What one consumer session wants rendered from every staged step.
 ///
@@ -207,12 +207,7 @@ pub fn read_credit(r: &mut impl Read) -> std::io::Result<Option<u32>> {
 /// I/O failures.
 pub fn write_down(w: &mut impl Write, msg: &DownMsg) -> std::io::Result<()> {
     match msg {
-        DownMsg::Frame(f) => send(w, TAG_FRAME, 17 + f.name.len() + f.png.len(), |msg| {
-            codec::put_u64(msg, f.step);
-            msg.push(u8::from(f.cache_hit));
-            codec::put_bytes(msg, f.name.as_bytes());
-            codec::put_bytes(msg, &f.png);
-        }),
+        DownMsg::Frame(f) => write_frame(w, f.step, f.cache_hit, &f.name, &f.png),
         DownMsg::End => send(w, TAG_END, 0, |_| ()),
         DownMsg::Telemetry(t) => send(w, TAG_TELEMETRY, 12 + t.json.len(), |msg| {
             codec::put_u64(msg, t.seq);
@@ -221,40 +216,85 @@ pub fn write_down(w: &mut impl Write, msg: &DownMsg) -> std::io::Result<()> {
     }
 }
 
+/// Write a `Frame` message from borrowed bytes: the head from the stack,
+/// the name and the PNG from where they lie, in one vectored write.
+///
+/// # Errors
+/// I/O failures.
+pub fn write_frame(
+    w: &mut impl Write,
+    step: u64,
+    cache_hit: bool,
+    name: &str,
+    png: &[u8],
+) -> std::io::Result<()> {
+    let len = (FRAME_FIXED + name.len() + 4 + png.len()) as u32;
+    let head: [u8; 4 + FRAME_FIXED] = codec::concat(&[
+        &len.to_le_bytes(),
+        &[TAG_FRAME],
+        &step.to_le_bytes(),
+        &[u8::from(cache_hit)],
+        &(name.len() as u32).to_le_bytes(),
+    ]);
+    let png_len = (png.len() as u32).to_le_bytes();
+    codec::write_all_vectored(
+        w,
+        &mut [
+            IoSlice::new(&head),
+            IoSlice::new(name.as_bytes()),
+            IoSlice::new(&png_len),
+            IoSlice::new(png),
+        ],
+    )
+}
+
+/// A `Frame` body's fixed head: tag, step, cache-hit byte, name length.
+const FRAME_FIXED: usize = 1 + 8 + 1 + 4;
+
 /// Read the next down message; `Ok(None)` when the service closed the
-/// socket without an explicit `End`.
+/// socket without an explicit `End`. A frame's PNG is read straight into
+/// the buffer the [`FrameMsg`] keeps.
 ///
 /// # Errors
 /// I/O failures or a malformed frame.
 pub fn read_down(r: &mut impl Read) -> std::io::Result<Option<DownMsg>> {
-    let Some(mut msg) = codec::read_record(r, Prefix::U32)? else {
+    let Some(mut record) = RecordIn::open(r, Prefix::U32)? else {
         return Ok(None);
     };
-    let mut c = Reader::new(&msg);
-    match c.u8()? {
-        TAG_FRAME => {
-            let (step, cache_hit) = (c.u64()?, c.u8()? != 0);
-            let name = c.str()?.to_owned();
-            // The PNG is most of the message: keep the buffer it arrived
-            // in and cut the header off its front.
-            let png_len = c.bytes()?.len();
-            let end = msg.len() - c.remaining();
-            msg.truncate(end);
-            msg.drain(..end - png_len);
-            Ok(Some(DownMsg::Frame(FrameMsg {
-                step,
-                cache_hit,
-                name,
-                png: msg,
-            })))
-        }
-        TAG_END => Ok(Some(DownMsg::End)),
-        TAG_TELEMETRY => Ok(Some(DownMsg::Telemetry(TelemetryMsg {
-            seq: c.u64()?,
-            json: c.str()?.to_owned(),
-        }))),
-        tag => Err(invalid(format!("unexpected down tag {tag}"))),
+    let msg = parse_down(&mut record);
+    record.finish(msg).map(Some)
+}
+
+fn parse_down(record: &mut RecordIn<'_, impl Read>) -> Result<DownMsg, PartError> {
+    let [tag] = record.array()?;
+    if tag != TAG_FRAME {
+        // Small messages: read whole, then parsed in place.
+        let body = record.rest()?;
+        let mut c = Reader::new(&body);
+        return match tag {
+            TAG_END => Ok(DownMsg::End),
+            TAG_TELEMETRY => Ok(DownMsg::Telemetry(TelemetryMsg {
+                seq: c.u64()?,
+                json: c.str()?.to_owned(),
+            })),
+            tag => Err(PartError::Malformed(invalid(format!(
+                "unexpected down tag {tag}"
+            )))),
+        };
     }
+    let head: [u8; FRAME_FIXED - 1] = record.array()?;
+    let mut c = Reader::new(&head);
+    let (step, cache_hit) = (c.u64()?, c.u8()? != 0);
+    let name_len = c.u32()? as usize;
+    let name = String::from_utf8(record.vec(name_len)?).map_err(|_| codec::Error::NotUtf8)?;
+    let png_len = u32::from_le_bytes(record.array()?) as usize;
+    let png = record.vec(png_len)?;
+    Ok(DownMsg::Frame(FrameMsg {
+        step,
+        cache_hit,
+        name,
+        png,
+    }))
 }
 
 #[cfg(test)]

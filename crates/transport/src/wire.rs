@@ -33,16 +33,19 @@
 //! ```
 //!
 //! `len` counts everything after itself (little-endian throughout, like
-//! the BP marshaling). A connection that ends *between* frames is a clean
-//! detach; one that ends *inside* a frame surfaces as
+//! the BP marshaling). The sender writes the length and header from the
+//! stack and the payload from the packet in one vectored write; the
+//! reader reads the header into a stack array and the payload straight
+//! into the packet's own buffer. A connection that ends *between* frames
+//! is a clean detach; one that ends *inside* a frame surfaces as
 //! [`WireRecvError::ShortRead`], which the reader reports as a typed
 //! [`crate::TransportError::ShortRead`] and counts under
 //! `transport/short_reads`.
 
-use crate::codec::{self, Prefix, Reader};
+use crate::codec::{self, PartError, Prefix, Reader, RecordIn, ShortRecord};
 use crate::engine::{Packet, PacketKind};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -114,24 +117,42 @@ fn byte_kind(b: u8) -> Option<PacketKind> {
     }
 }
 
-/// Serialize one packet into its wire frame (length prefix included).
-pub fn encode_packet(packet: &Packet) -> Vec<u8> {
-    codec::record(HEADER_LEN + packet.payload.len(), |out| {
-        out.push(packet.kind as u8);
-        codec::put_u32(out, packet.producer as u32);
-        codec::put_u64(out, packet.step);
-        codec::put_f64(out, packet.time);
-        codec::put_f64(out, packet.t_avail);
-        codec::put_u64(out, packet.ctx);
-        codec::put_f64(out, packet.t_sent);
-        out.extend_from_slice(&packet.payload);
-    })
+/// A frame's length prefix and header: everything before the payload.
+fn frame_head(packet: &Packet) -> [u8; 4 + HEADER_LEN] {
+    let len = (HEADER_LEN + packet.payload.len()) as u32;
+    codec::concat(&[
+        &len.to_le_bytes(),
+        &[packet.kind as u8],
+        &(packet.producer as u32).to_le_bytes(),
+        &packet.step.to_le_bytes(),
+        &packet.time.to_le_bytes(),
+        &packet.t_avail.to_le_bytes(),
+        &packet.ctx.to_le_bytes(),
+        &packet.t_sent.to_le_bytes(),
+    ])
 }
 
-fn parse_packet(body: &[u8]) -> Result<Packet, codec::Error> {
-    let mut r = Reader::new(body);
+/// Write `packet` as one frame: its head from the stack and the payload
+/// from where it lies, in one vectored write.
+///
+/// # Errors
+/// I/O failures.
+pub fn write_packet(w: &mut impl Write, packet: &Packet) -> std::io::Result<()> {
+    let head = frame_head(packet);
+    codec::write_all_vectored(w, &mut [IoSlice::new(&head), IoSlice::new(&packet.payload)])
+}
+
+/// Serialize one packet into its wire frame (length prefix included): the
+/// bytes [`TcpWireTx`] writes.
+pub fn encode_packet(packet: &Packet) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + HEADER_LEN + packet.payload.len());
+    write_packet(&mut frame, packet).expect("a Vec takes every byte");
+    frame
+}
+
+fn parse_packet(header: &[u8], payload: Vec<u8>) -> Result<Packet, codec::Error> {
+    let mut r = Reader::new(header);
     Ok(Packet {
-        // An unknown kind reads like a header that is not all there.
         kind: byte_kind(r.u8()?).ok_or(codec::Error::Truncated)?,
         producer: r.u32()? as usize,
         step: r.u64()?,
@@ -139,31 +160,47 @@ fn parse_packet(body: &[u8]) -> Result<Packet, codec::Error> {
         t_avail: r.f64()?,
         ctx: r.u64()?,
         t_sent: r.f64()?,
-        payload: r.take(r.remaining())?.to_vec(),
+        payload,
     })
 }
 
-/// Decode one frame *body* (everything after the length prefix).
-pub fn decode_packet(body: &[u8]) -> Result<Packet, WireRecvError> {
-    parse_packet(body).map_err(|_| WireRecvError::ShortRead {
-        wanted: HEADER_LEN,
-        got: body.len(),
-    })
-}
-
-/// Read one frame off a byte stream. `Ok(None)` is a clean end-of-stream
-/// at a frame boundary; an end *inside* a frame is a
-/// [`WireRecvError::ShortRead`]. I/O errors (reset connections) are
-/// reported as short reads too — the bytes are equally gone.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Packet>, WireRecvError> {
-    match codec::read_record(r, Prefix::U32) {
-        Ok(Some(body)) => decode_packet(&body).map(Some),
-        Ok(None) => Ok(None),
-        Err(short) => Err(WireRecvError::ShortRead {
+impl From<ShortRecord> for WireRecvError {
+    fn from(short: ShortRecord) -> Self {
+        WireRecvError::ShortRead {
             wanted: short.wanted,
             got: short.got,
-        }),
+        }
     }
+}
+
+/// Read one frame off a byte stream: the header into a stack array, the
+/// payload straight into the buffer the packet keeps. `Ok(None)` is a
+/// clean end-of-stream at a frame boundary; an end *inside* a frame is a
+/// [`WireRecvError::ShortRead`] of the declared body. I/O errors (reset
+/// connections) are reported as short reads too — the bytes are equally
+/// gone.
+pub fn read_frame(r: &mut impl Read) -> Result<Option<Packet>, WireRecvError> {
+    let Some(mut frame) = RecordIn::open(r, Prefix::U32)? else {
+        return Ok(None);
+    };
+    // A body too short for the header, or with an unknown kind, reads like
+    // a header that is not all there.
+    let not_a_header = WireRecvError::ShortRead {
+        wanted: HEADER_LEN,
+        got: frame.len(),
+    };
+    let header = match frame.array::<HEADER_LEN>() {
+        Ok(header) => header,
+        Err(PartError::Short(short)) => return Err(short.into()),
+        Err(PartError::Malformed(_)) => {
+            frame.rest()?;
+            return Err(not_a_header);
+        }
+    };
+    let payload = frame.rest()?;
+    parse_packet(&header, payload)
+        .map(Some)
+        .map_err(|_| not_a_header)
 }
 
 // ---------------------------------------------------------------------------
@@ -189,12 +226,11 @@ impl TcpWireTx {
 
 impl WireTx for TcpWireTx {
     fn send(&mut self, packet: Packet, timeout: Duration) -> Result<Option<f64>, WireSendError> {
-        let frame = encode_packet(&packet);
         self.stream.set_write_timeout(Some(timeout)).ok();
         // Any write failure — timeout included — leaves the stream
         // possibly mid-frame, so the connection is unusable either way:
         // surface it as Closed and let the circuit breaker degrade.
-        match self.stream.write_all(&frame) {
+        match write_packet(&mut self.stream, &packet) {
             Ok(()) => Ok(None),
             Err(_) => Err(WireSendError::Closed(packet)),
         }
@@ -425,7 +461,9 @@ mod tests {
             let frame = encode_packet(&p);
             let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
             assert_eq!(len, frame.len() - 4);
-            let q = decode_packet(&frame[4..]).expect("decode");
+            let q = read_frame(&mut &frame[..])
+                .expect("decode")
+                .expect("one frame");
             assert_eq!(q.kind, p.kind);
             assert_eq!(q.producer, p.producer);
             assert_eq!(q.step, p.step);
@@ -438,10 +476,23 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_a_short_read() {
+    fn a_body_shorter_than_the_header_is_a_short_read_of_the_header() {
         let frame = encode_packet(&sample(PacketKind::Data, vec![9; 16]));
-        let err = decode_packet(&frame[4..HEADER_LEN]).unwrap_err();
-        assert!(matches!(err, WireRecvError::ShortRead { .. }));
+        let short = HEADER_LEN - 4;
+        let mut stream = (short as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&frame[4..4 + short]);
+        stream.extend_from_slice(&encode_packet(&sample(PacketKind::Skip, Vec::new())));
+        let mut r = &stream[..];
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(
+            err,
+            WireRecvError::ShortRead {
+                wanted: HEADER_LEN,
+                got: short
+            }
+        );
+        // The stream stands at the next frame.
+        assert_eq!(read_frame(&mut r).unwrap().unwrap().kind, PacketKind::Skip);
     }
 
     #[test]
