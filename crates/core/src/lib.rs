@@ -36,7 +36,7 @@ pub use checkpoint::{
     FldCheckpointer, FldDump, QuarantinedGeneration, RecoveryScan, RestoreError,
     RestoredGeneration,
 };
-pub use metrics::{DegradationSummary, MemoryBreakdown, RunMetrics};
+pub use metrics::{DegradationSummary, RunMetrics};
 pub use workflow::insitu::{
     run_insitu, ExecMode, InSituConfig, InSituMode, InSituReport, PIPELINE_DEPTH,
 };

@@ -2,34 +2,19 @@
 //! the quantities the paper's figures plot.
 
 use commsim::CommStats;
-use memtrack::{Registry, Snapshot};
+use memtrack::Registry;
+use telemetry::MemorySummary;
 
-/// Host/device memory split for one run, derived from the per-rank
-/// accountants (`rank<r>/<subsystem>`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoryBreakdown {
-    /// Sum over ranks of host-side peaks (Figure 3's metric).
-    pub host_aggregate_peak: u64,
-    /// Largest single-rank host peak.
-    pub host_max_rank_peak: u64,
-    /// Sum over ranks of device (`gpu`) peaks.
-    pub gpu_aggregate_peak: u64,
-    /// Peak bytes in accountants without a `rank<r>/` prefix (shared or
-    /// process-global allocations that belong to no single rank). Not
-    /// part of the per-rank host figures, but surfaced so nothing the
-    /// registry tracked disappears from the report.
-    pub unscoped: u64,
-}
-
-/// Compute the breakdown from a registry snapshot. Host = every subsystem
-/// except `gpu` (the paper's Figures 3/6 report CPU memory; the GPU
-/// footprint is identical across configurations by construction).
-pub fn memory_breakdown(registry: &Registry) -> MemoryBreakdown {
-    breakdown_of(&registry.snapshot())
-}
-
-fn breakdown_of(snap: &Snapshot) -> MemoryBreakdown {
+/// The host/device memory split of one run from the per-rank accountants
+/// (`rank<r>/<subsystem>`). Host = every subsystem except `gpu` (the
+/// paper's Figures 3/6 report CPU memory; the GPU footprint is identical
+/// across configurations by construction). Accountants without a `rank<r>/`
+/// prefix (shared or process-global allocations) stay out of the per-rank
+/// host figures but are summed into `unscoped`, so nothing the registry
+/// tracked disappears from the report.
+pub fn memory_breakdown(registry: &Registry) -> MemorySummary {
     use std::collections::BTreeMap;
+    let snap = registry.snapshot();
     let mut host_by_rank: BTreeMap<String, u64> = BTreeMap::new();
     let mut gpu = 0u64;
     let mut unscoped = 0u64;
@@ -45,7 +30,7 @@ fn breakdown_of(snap: &Snapshot) -> MemoryBreakdown {
             *host_by_rank.entry(rank.to_string()).or_default() += peak;
         }
     }
-    MemoryBreakdown {
+    MemorySummary {
         host_aggregate_peak: host_by_rank.values().sum(),
         host_max_rank_peak: host_by_rank.values().copied().max().unwrap_or(0),
         gpu_aggregate_peak: gpu,
@@ -115,7 +100,7 @@ pub struct RunMetrics {
     /// Aggregated per-rank operation counters.
     pub totals: CommStats,
     /// Memory accountant breakdown.
-    pub memory: MemoryBreakdown,
+    pub memory: MemorySummary,
 }
 
 impl RunMetrics {
@@ -212,6 +197,6 @@ mod tests {
         let reg = Registry::new();
         let m = RunMetrics::from_ranks(&[], 0, &reg);
         assert_eq!(m.time_to_solution, 0.0);
-        assert_eq!(m.memory, MemoryBreakdown::default());
+        assert_eq!(m.memory, MemorySummary::default());
     }
 }

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::checkpoint::FldCheckpointer;
-use crate::metrics::{MemoryBreakdown, RunMetrics};
+use crate::metrics::RunMetrics;
 use crate::workflow::sampler::{attach_observability, collect_reports, fault_summary, SimLoop};
 use crate::workflow::supervisor::RecoveryOptions;
 use commsim::WatchdogTimeout;
@@ -171,7 +171,7 @@ pub struct InSituReport {
 
 impl InSituReport {
     /// Memory breakdown shortcut.
-    pub fn memory(&self) -> MemoryBreakdown {
+    pub fn memory(&self) -> telemetry::MemorySummary {
         self.metrics.memory
     }
 }
@@ -194,19 +194,14 @@ impl Consumer {
                 Consumer::Checkpoint(FldCheckpointer::new(comm, cfg.output_dir.clone()))
             }
             InSituMode::Catalyst => {
-                let trigger = cfg.trigger_every.max(1);
-                let (width, height) = cfg.image_size;
-                let out_attr = cfg
-                    .output_dir
-                    .as_ref()
-                    .map(|d| format!(r#" output="{}""#, d.display()))
-                    .unwrap_or_default();
-                let xml = format!(
-                    r#"<sensei>
-  <analysis type="catalyst" frequency="{trigger}" width="{width}" height="{height}"
-            slice_array="pressure" contour_array="velocity"{out_attr}/>
-</sensei>"#
+                let analysis = super::sampler::catalyst_element(
+                    cfg.trigger_every.max(1),
+                    cfg.image_size,
+                    "pressure",
+                    cfg.output_dir.as_deref(),
+                    "\n            ",
                 );
+                let xml = format!("<sensei>\n  {analysis}\n</sensei>");
                 Consumer::Catalyst(
                     Bridge::initialize(comm, &xml, &[CatalystAnalysis::factory()])
                         .expect("valid generated config"),
@@ -574,7 +569,7 @@ pub fn run_insitu(cfg: &InSituConfig) -> InSituReport {
         &traces,
         hub.as_ref(),
         &registry,
-        &metrics.memory,
+        metrics.memory,
         telemetry::Manifest {
             case: cfg.case.name.clone(),
             workflow: "insitu".into(),

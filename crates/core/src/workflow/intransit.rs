@@ -12,7 +12,9 @@
 
 use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::metrics::{DegradationSummary, RunMetrics};
-use crate::workflow::sampler::{attach_observability, collect_reports, fault_summary, SimLoop};
+use crate::workflow::sampler::{
+    attach_observability, catalyst_element, collect_reports, fault_summary, output_attr, SimLoop,
+};
 use crate::workflow::supervisor::RecoveryOptions;
 use commsim::{
     run_ranks_with_registry, with_mode, Comm, CommStats, FaultPlan, MachineModel, SchedMode,
@@ -22,6 +24,7 @@ use memtrack::Registry;
 use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
 use sem::snapshot::{SnapshotPool, SnapshotSpec};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use telemetry::{PhaseBreakdown, RankTrace, TelemetryHub};
@@ -292,7 +295,7 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
         &report.traces,
         hub.as_ref(),
         &registry,
-        &report.sim.memory,
+        report.sim.memory,
         telemetry::Manifest {
             case: cfg.case.name.clone(),
             workflow: "intransit".into(),
@@ -329,7 +332,9 @@ fn endpoint_rank(
         // consumer sessions with identical specs attach over loopback TCP
         // and drain concurrently (one render per step, N−1 cache hits).
         let staging_dir = cfg.staging_dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("nek-staging-{}", std::process::id()))
+            static RUNS: AtomicU64 = AtomicU64::new(0);
+            let run = RUNS.fetch_add(1, Ordering::Relaxed);
+            std::env::temp_dir().join(format!("nek-staging-{}-{run}", std::process::id()))
         });
         let mut service = StagingService::new(reader, cfg.sim_ranks, &staging_dir, 32);
         let (listener, port) = loopback_listener().expect("consumer port");
@@ -358,6 +363,9 @@ fn endpoint_rank(
         let report = service.run(comm).expect("staging run");
         for d in drains {
             d.join().expect("consumer thread");
+        }
+        if cfg.staging_dir.is_none() {
+            std::fs::remove_dir_all(&staging_dir).ok();
         }
         EndpointOutcome::Staging(Box::new(report))
     } else {
@@ -446,24 +454,18 @@ fn sim_rank(
 }
 
 fn endpoint_xml(cfg: &InTransitConfig) -> String {
-    let out_attr = cfg
-        .output_dir
-        .as_ref()
-        .map(|d| format!(r#" output="{}""#, d.display()))
-        .unwrap_or_default();
-    match cfg.mode {
-        EndpointMode::NoTransport => "<sensei></sensei>".to_string(),
+    let output = cfg.output_dir.as_deref();
+    let analysis = match cfg.mode {
+        EndpointMode::NoTransport => String::new(),
         EndpointMode::Checkpointing => format!(
-            r#"<sensei><analysis type="vtu-checkpoint" frequency="1" arrays="pressure,velocity"{out_attr}/></sensei>"#
+            r#"<analysis type="vtu-checkpoint" frequency="1" arrays="pressure,velocity"{}/>"#,
+            output_attr(output)
         ),
         EndpointMode::Catalyst => {
-            let (w, h) = cfg.image_size;
-            format!(
-                r#"<sensei><analysis type="catalyst" frequency="1" width="{w}" height="{h}"
-   slice_array="temperature" contour_array="velocity"{out_attr}/></sensei>"#
-            )
+            catalyst_element(1, cfg.image_size, "temperature", output, "\n   ")
         }
-    }
+    };
+    format!("<sensei>{analysis}</sensei>")
 }
 
 #[cfg(test)]
@@ -537,6 +539,25 @@ mod tests {
         // Images are far smaller than VTU checkpoints.
         let chk = run_intransit(&tiny_config(4, EndpointMode::Checkpointing));
         assert!(r.endpoint_bytes_written < chk.endpoint_bytes_written);
+    }
+
+    /// A fan-out run that names no park directory parks into one of its
+    /// own and leaves nothing behind under the temp directory.
+    #[test]
+    fn default_park_directory_is_removed_when_the_run_ends() {
+        let mut cfg = tiny_config(4, EndpointMode::Catalyst);
+        cfg.staging_consumers = 2;
+        let r = run_intransit(&cfg);
+        assert_eq!(r.staging.expect("staging report").steps, 2);
+        let pid = std::process::id();
+        let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| {
+                *n == format!("nek-staging-{pid}") || n.starts_with(&format!("nek-staging-{pid}-"))
+            })
+            .collect();
+        assert!(left.is_empty(), "park directories left behind: {left:?}");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! identical solver output with telemetry on or off.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use commsim::{Comm, FaultPlan};
 use memtrack::Registry;
@@ -25,7 +26,6 @@ use telemetry::{
     Manifest, MemorySummary, PhaseBreakdown, RankTrace, RunReport, StepSample, TelemetryHub,
 };
 
-use crate::metrics::MemoryBreakdown;
 use crate::workflow::supervisor::{resume_solver, RecoveryOptions, SupervisedStepper};
 
 /// Attach this rank to the run's tracer and telemetry bus as process
@@ -107,7 +107,7 @@ pub(crate) fn collect_reports(
     traces: &[RankTrace],
     hub: Option<&TelemetryHub>,
     registry: &Registry,
-    memory: &MemoryBreakdown,
+    memory: MemorySummary,
     manifest: Manifest,
 ) -> (Option<PhaseBreakdown>, Option<RunReport>) {
     let phases = (!traces.is_empty()).then(|| PhaseBreakdown::from_traces(traces));
@@ -118,19 +118,33 @@ pub(crate) fn collect_reports(
         telemetry::critical::analyze(traces, &bounds)
     });
     let run_report = hub.map(|hub| {
-        // Mirrored field by field: telemetry stays dependency-free, so its
-        // plain-number summary is a distinct type.
-        let memory = MemorySummary {
-            host_aggregate_peak: memory.host_aggregate_peak,
-            host_max_rank_peak: memory.host_max_rank_peak,
-            gpu_aggregate_peak: memory.gpu_aggregate_peak,
-            unscoped: memory.unscoped,
-        };
         let mut report = RunReport::collect(manifest, hub, registry.snapshot().entries, memory);
         report.critical = critical;
         report
     });
     (phases, run_report)
+}
+
+/// ` output="<dir>"` when the consumer writes under `dir`, else nothing.
+pub(crate) fn output_attr(dir: Option<&Path>) -> String {
+    dir.map(|d| format!(r#" output="{}""#, d.display()))
+        .unwrap_or_default()
+}
+
+/// The Catalyst `<analysis …/>` element both drivers configure: a slice of
+/// `slice_array` and a velocity contour every `frequency` steps, images
+/// under `output` when set; `wrap` breaks the element's line.
+pub(crate) fn catalyst_element(
+    frequency: u64,
+    (width, height): (usize, usize),
+    slice_array: &str,
+    output: Option<&Path>,
+    wrap: &str,
+) -> String {
+    let output = output_attr(output);
+    format!(
+        r#"<analysis type="catalyst" frequency="{frequency}" width="{width}" height="{height}"{wrap}slice_array="{slice_array}" contour_array="velocity"{output}/>"#
+    )
 }
 
 /// Compact human-readable fault-plan description for the run manifest.

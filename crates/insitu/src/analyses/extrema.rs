@@ -2,12 +2,12 @@
 //! *and where they are*, per trigger — the lightweight monitoring analysis
 //! scientists run to watch for hot spots or blow-ups without images.
 
+use super::Field;
 use crate::analysis_adaptor::AnalysisAdaptor;
 use crate::configurable::AnalysisSpec;
 use crate::data_adaptor::DataAdaptor;
-use crate::{Error, Result};
+use crate::Result;
 use commsim::Comm;
-use meshdata::Centering;
 
 /// One located extreme value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,8 +35,7 @@ pub struct ExtremaRecord {
 
 /// The analysis adaptor: a history of located extrema.
 pub struct ExtremaAnalysis {
-    mesh: String,
-    array: String,
+    field: Field,
     history: Vec<ExtremaRecord>,
 }
 
@@ -44,8 +43,7 @@ impl ExtremaAnalysis {
     /// Track extrema of the point array `array` on `mesh`.
     pub fn new(mesh: impl Into<String>, array: impl Into<String>) -> Self {
         Self {
-            mesh: mesh.into(),
-            array: array.into(),
+            field: Field::new(mesh, array),
             history: Vec::new(),
         }
     }
@@ -55,10 +53,10 @@ impl ExtremaAnalysis {
     /// # Errors
     /// Missing `array` attribute.
     pub fn from_spec(spec: &AnalysisSpec) -> Result<Self> {
-        let array = spec
-            .attr("array")
-            .ok_or_else(|| Error::Config("extrema analysis needs 'array'".into()))?;
-        Ok(Self::new(spec.attr_or("mesh", "mesh"), array))
+        Ok(Self {
+            field: Field::from_spec(spec, "extrema")?,
+            history: Vec::new(),
+        })
     }
 
     /// All records so far.
@@ -73,12 +71,11 @@ impl AnalysisAdaptor for ExtremaAnalysis {
     }
 
     fn required_arrays(&self) -> Vec<String> {
-        vec![self.array.clone()]
+        vec![self.field.array.clone()]
     }
 
     fn execute(&mut self, comm: &mut Comm, data: &mut dyn DataAdaptor) -> Result<bool> {
-        let mut mb = data.mesh(comm, &self.mesh)?;
-        data.add_array(comm, &mut mb, &self.mesh, Centering::Point, &self.array)?;
+        let mb = self.field.fetch(comm, data)?;
         // Local candidates (scalar view: magnitude for vectors).
         let mut lo = Extremum {
             value: f64::INFINITY,
@@ -91,9 +88,7 @@ impl AnalysisAdaptor for ExtremaAnalysis {
             rank: comm.rank(),
         };
         for (_, g) in mb.local_blocks() {
-            let a = g
-                .find_array(&self.array, Centering::Point)
-                .ok_or_else(|| Error::NoSuchData(self.array.clone()))?;
+            let a = self.field.in_block(g)?;
             for i in 0..a.len() {
                 let v = a.tuple_magnitude(i);
                 if v < lo.value {

@@ -1,12 +1,12 @@
 //! Global histogram analysis (SENSEI's canonical demo analysis): fixed bin
 //! count over the global range, bins reduced across ranks.
 
+use super::Field;
 use crate::analysis_adaptor::AnalysisAdaptor;
 use crate::configurable::AnalysisSpec;
 use crate::data_adaptor::DataAdaptor;
-use crate::{Error, Result};
+use crate::Result;
 use commsim::{Comm, ReduceOp};
-use meshdata::Centering;
 
 /// One trigger's histogram.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,9 +28,7 @@ impl Histogram {
 
 /// The analysis adaptor: keeps the latest [`Histogram`] per trigger.
 pub struct HistogramAnalysis {
-    mesh: String,
-    array: String,
-    centering: Centering,
+    field: Field,
     bins: usize,
     history: Vec<Histogram>,
 }
@@ -40,9 +38,7 @@ impl HistogramAnalysis {
     pub fn new(mesh: impl Into<String>, array: impl Into<String>, bins: usize) -> Self {
         assert!(bins >= 1, "need at least one bin");
         Self {
-            mesh: mesh.into(),
-            array: array.into(),
-            centering: Centering::Point,
+            field: Field::new(mesh, array),
             bins,
             history: Vec::new(),
         }
@@ -53,15 +49,11 @@ impl HistogramAnalysis {
     /// # Errors
     /// Missing `array` attribute.
     pub fn from_spec(spec: &AnalysisSpec) -> Result<Self> {
-        let array = spec
-            .attr("array")
-            .ok_or_else(|| Error::Config("histogram analysis needs 'array'".into()))?;
-        let bins = spec.attr_parse_or("bins", 16usize).max(1);
-        let mut h = Self::new(spec.attr_or("mesh", "mesh"), array, bins);
-        if spec.attr("centering") == Some("cell") {
-            h.centering = Centering::Cell;
-        }
-        Ok(h)
+        Ok(Self {
+            field: Field::from_spec(spec, "histogram")?.centering_from(spec),
+            bins: spec.attr_parse_or("bins", 16usize).max(1),
+            history: Vec::new(),
+        })
     }
 
     /// All histograms so far.
@@ -76,20 +68,17 @@ impl AnalysisAdaptor for HistogramAnalysis {
     }
 
     fn required_arrays(&self) -> Vec<String> {
-        vec![self.array.clone()]
+        vec![self.field.array.clone()]
     }
 
     fn execute(&mut self, comm: &mut Comm, data: &mut dyn DataAdaptor) -> Result<bool> {
-        let mut mb = data.mesh(comm, &self.mesh)?;
-        data.add_array(comm, &mut mb, &self.mesh, self.centering, &self.array)?;
+        let mb = self.field.fetch(comm, data)?;
 
         // Pass 1: global range.
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for (_, g) in mb.local_blocks() {
-            let a = g
-                .find_array(&self.array, self.centering)
-                .ok_or_else(|| Error::NoSuchData(self.array.clone()))?;
+            let a = self.field.in_block(g)?;
             for i in 0..a.data.scalar_len() {
                 let v = a.data.get_as_f64(i);
                 lo = lo.min(v);
@@ -103,9 +92,7 @@ impl AnalysisAdaptor for HistogramAnalysis {
         // Pass 2: local bins, then a vector allreduce.
         let mut counts = vec![0.0f64; self.bins];
         for (_, g) in mb.local_blocks() {
-            let a = g
-                .find_array(&self.array, self.centering)
-                .expect("checked in pass 1");
+            let a = self.field.in_block(g)?;
             for i in 0..a.data.scalar_len() {
                 let v = a.data.get_as_f64(i);
                 let bin = (((v - gmin) / width) * self.bins as f64) as usize;
@@ -184,7 +171,7 @@ mod tests {
         };
         let h = HistogramAnalysis::from_spec(&spec).unwrap();
         assert_eq!(h.bins, 16);
-        assert_eq!(h.array, "pressure");
-        assert_eq!(h.mesh, "mesh");
+        assert_eq!(h.field.array, "pressure");
+        assert_eq!(h.field.mesh, "mesh");
     }
 }

@@ -2,12 +2,12 @@
 //! point nearest to a fixed location — the virtual equivalent of a hot-wire
 //! or thermocouple in the flow.
 
+use super::{write_csv, Field};
 use crate::analysis_adaptor::AnalysisAdaptor;
 use crate::configurable::AnalysisSpec;
 use crate::data_adaptor::DataAdaptor;
-use crate::{Error, Result};
+use crate::Result;
 use commsim::{Comm, ReduceOp};
-use meshdata::Centering;
 
 /// One probe sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,8 +24,7 @@ pub struct ProbeSample {
 
 /// The analysis adaptor: a probe time series.
 pub struct ProbeAnalysis {
-    mesh: String,
-    array: String,
+    field: Field,
     location: [f64; 3],
     history: Vec<ProbeSample>,
     output: Option<std::path::PathBuf>,
@@ -35,8 +34,7 @@ impl ProbeAnalysis {
     /// Probe `array` at the grid point nearest `location`.
     pub fn new(mesh: impl Into<String>, array: impl Into<String>, location: [f64; 3]) -> Self {
         Self {
-            mesh: mesh.into(),
-            array: array.into(),
+            field: Field::new(mesh, array),
             location,
             history: Vec::new(),
             output: None,
@@ -53,17 +51,16 @@ impl ProbeAnalysis {
     /// # Errors
     /// Missing `array` attribute.
     pub fn from_spec(spec: &AnalysisSpec) -> Result<Self> {
-        let array = spec
-            .attr("array")
-            .ok_or_else(|| Error::Config("probe analysis needs 'array'".into()))?;
-        let location = [
-            spec.attr_parse_or("x", 0.0),
-            spec.attr_parse_or("y", 0.0),
-            spec.attr_parse_or("z", 0.0),
-        ];
-        let mut p = Self::new(spec.attr_or("mesh", "mesh"), array, location);
-        p.output = spec.attr("output").map(std::path::PathBuf::from);
-        Ok(p)
+        Ok(Self {
+            field: Field::from_spec(spec, "probe")?,
+            location: [
+                spec.attr_parse_or("x", 0.0),
+                spec.attr_parse_or("y", 0.0),
+                spec.attr_parse_or("z", 0.0),
+            ],
+            history: Vec::new(),
+            output: spec.attr("output").map(std::path::PathBuf::from),
+        })
     }
 
     /// The time series so far.
@@ -78,19 +75,16 @@ impl AnalysisAdaptor for ProbeAnalysis {
     }
 
     fn required_arrays(&self) -> Vec<String> {
-        vec![self.array.clone()]
+        vec![self.field.array.clone()]
     }
 
     fn execute(&mut self, comm: &mut Comm, data: &mut dyn DataAdaptor) -> Result<bool> {
-        let mut mb = data.mesh(comm, &self.mesh)?;
-        data.add_array(comm, &mut mb, &self.mesh, Centering::Point, &self.array)?;
+        let mb = self.field.fetch(comm, data)?;
         // Nearest local point.
         let mut best_d2 = f64::INFINITY;
         let mut best_v = 0.0;
         for (_, g) in mb.local_blocks() {
-            let a = g
-                .find_array(&self.array, Centering::Point)
-                .ok_or_else(|| Error::NoSuchData(self.array.clone()))?;
+            let a = self.field.in_block(g)?;
             for (i, p) in g.points.iter().enumerate() {
                 let d2: f64 = (0..3).map(|d| (p[d] - self.location[d]).powi(2)).sum();
                 if d2 < best_d2 {
@@ -115,25 +109,16 @@ impl AnalysisAdaptor for ProbeAnalysis {
     }
 
     fn finalize(&mut self, comm: &mut Comm) -> Result<()> {
-        let Some(path) = &self.output else {
-            return Ok(());
-        };
-        if comm.rank() != 0 {
-            return Ok(());
-        }
-        let mut csv = String::from("time_step,time,value,distance\n");
-        for s in &self.history {
-            csv.push_str(&format!(
-                "{},{},{},{}\n",
-                s.time_step, s.time, s.value, s.distance
-            ));
-        }
-        comm.fs_write(csv.len() as u64, 1);
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).ok();
-        }
-        std::fs::write(path, csv).map_err(|e| Error::Analysis(format!("write {path:?}: {e}")))?;
-        Ok(())
+        write_csv(comm, self.output.as_deref(), || {
+            let mut csv = String::from("time_step,time,value,distance\n");
+            for s in &self.history {
+                csv.push_str(&format!(
+                    "{},{},{},{}\n",
+                    s.time_step, s.time, s.value, s.distance
+                ));
+            }
+            csv
+        })
     }
 }
 

@@ -1,12 +1,12 @@
 //! Descriptive statistics analysis: global min/max/mean/std of one array,
 //! computed with two `allreduce`s per trigger (count+sum+sumsq, min/max).
 
+use super::{write_csv, Field};
 use crate::analysis_adaptor::AnalysisAdaptor;
 use crate::configurable::AnalysisSpec;
 use crate::data_adaptor::DataAdaptor;
-use crate::{Error, Result};
+use crate::Result;
 use commsim::{Comm, ReduceOp};
-use meshdata::Centering;
 
 /// One trigger's result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,9 +28,7 @@ pub struct FieldStats {
 
 /// The analysis adaptor: accumulates a history of [`FieldStats`].
 pub struct StatsAnalysis {
-    mesh: String,
-    array: String,
-    centering: Centering,
+    field: Field,
     history: Vec<FieldStats>,
     output: Option<std::path::PathBuf>,
 }
@@ -39,9 +37,7 @@ impl StatsAnalysis {
     /// Analyze `array` (point-centered) on `mesh`.
     pub fn new(mesh: impl Into<String>, array: impl Into<String>) -> Self {
         Self {
-            mesh: mesh.into(),
-            array: array.into(),
-            centering: Centering::Point,
+            field: Field::new(mesh, array),
             history: Vec::new(),
             output: None,
         }
@@ -52,15 +48,11 @@ impl StatsAnalysis {
     /// # Errors
     /// Missing `array` attribute.
     pub fn from_spec(spec: &AnalysisSpec) -> Result<Self> {
-        let array = spec
-            .attr("array")
-            .ok_or_else(|| Error::Config("stats analysis needs 'array'".into()))?;
-        let mut s = Self::new(spec.attr_or("mesh", "mesh"), array);
-        if spec.attr("centering") == Some("cell") {
-            s.centering = Centering::Cell;
-        }
-        s.output = spec.attr("output").map(std::path::PathBuf::from);
-        Ok(s)
+        Ok(Self {
+            field: Field::from_spec(spec, "stats")?.centering_from(spec),
+            history: Vec::new(),
+            output: spec.attr("output").map(std::path::PathBuf::from),
+        })
     }
 
     /// Write the accumulated time series as CSV at finalize time.
@@ -80,21 +72,18 @@ impl AnalysisAdaptor for StatsAnalysis {
     }
 
     fn required_arrays(&self) -> Vec<String> {
-        vec![self.array.clone()]
+        vec![self.field.array.clone()]
     }
 
     fn execute(&mut self, comm: &mut Comm, data: &mut dyn DataAdaptor) -> Result<bool> {
-        let mut mb = data.mesh(comm, &self.mesh)?;
-        data.add_array(comm, &mut mb, &self.mesh, self.centering, &self.array)?;
+        let mb = self.field.fetch(comm, data)?;
         let mut count = 0.0f64;
         let mut sum = 0.0f64;
         let mut sumsq = 0.0f64;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for (_, g) in mb.local_blocks() {
-            let a = g
-                .find_array(&self.array, self.centering)
-                .ok_or_else(|| Error::NoSuchData(self.array.clone()))?;
+            let a = self.field.in_block(g)?;
             let n = a.data.scalar_len();
             for i in 0..n {
                 let v = a.data.get_as_f64(i);
@@ -130,25 +119,16 @@ impl AnalysisAdaptor for StatsAnalysis {
     fn finalize(&mut self, comm: &mut Comm) -> Result<()> {
         // Histories are identical on every rank (built from collectives);
         // rank 0 persists the CSV.
-        let Some(path) = &self.output else {
-            return Ok(());
-        };
-        if comm.rank() != 0 {
-            return Ok(());
-        }
-        let mut csv = String::from("time_step,count,min,max,mean,std\n");
-        for s in &self.history {
-            csv.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                s.time_step, s.count, s.min, s.max, s.mean, s.std
-            ));
-        }
-        comm.fs_write(csv.len() as u64, 1);
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).ok();
-        }
-        std::fs::write(path, csv).map_err(|e| Error::Analysis(format!("write {path:?}: {e}")))?;
-        Ok(())
+        write_csv(comm, self.output.as_deref(), || {
+            let mut csv = String::from("time_step,count,min,max,mean,std\n");
+            for s in &self.history {
+                csv.push_str(&format!(
+                    "{},{},{},{},{},{}\n",
+                    s.time_step, s.count, s.min, s.max, s.mean, s.std
+                ));
+            }
+            csv
+        })
     }
 }
 

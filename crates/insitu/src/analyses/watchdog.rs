@@ -7,18 +7,17 @@
 //! is exactly the in situ value proposition the paper's introduction
 //! motivates (catching events between checkpoints).
 
+use super::Field;
 use crate::analysis_adaptor::AnalysisAdaptor;
 use crate::configurable::AnalysisSpec;
 use crate::data_adaptor::DataAdaptor;
-use crate::{Error, Result};
+use crate::Result;
 use commsim::{Comm, ReduceOp};
-use meshdata::Centering;
 
 /// Stops the run when `|array|`'s global max exceeds `max_abs` or any
 /// value is non-finite.
 pub struct WatchdogAnalysis {
-    mesh: String,
-    array: String,
+    field: Field,
     max_abs: f64,
     tripped_at: Option<u64>,
 }
@@ -27,8 +26,7 @@ impl WatchdogAnalysis {
     /// Watch the point array `array` on `mesh` against `max_abs`.
     pub fn new(mesh: impl Into<String>, array: impl Into<String>, max_abs: f64) -> Self {
         Self {
-            mesh: mesh.into(),
-            array: array.into(),
+            field: Field::new(mesh, array),
             max_abs,
             tripped_at: None,
         }
@@ -39,14 +37,11 @@ impl WatchdogAnalysis {
     /// # Errors
     /// Missing `array` attribute.
     pub fn from_spec(spec: &AnalysisSpec) -> Result<Self> {
-        let array = spec
-            .attr("array")
-            .ok_or_else(|| Error::Config("watchdog analysis needs 'array'".into()))?;
-        Ok(Self::new(
-            spec.attr_or("mesh", "mesh"),
-            array,
-            spec.attr_parse_or("max", f64::INFINITY),
-        ))
+        Ok(Self {
+            field: Field::from_spec(spec, "watchdog")?,
+            max_abs: spec.attr_parse_or("max", f64::INFINITY),
+            tripped_at: None,
+        })
     }
 
     /// The step at which the watchdog tripped, if it did.
@@ -61,17 +56,14 @@ impl AnalysisAdaptor for WatchdogAnalysis {
     }
 
     fn required_arrays(&self) -> Vec<String> {
-        vec![self.array.clone()]
+        vec![self.field.array.clone()]
     }
 
     fn execute(&mut self, comm: &mut Comm, data: &mut dyn DataAdaptor) -> Result<bool> {
-        let mut mb = data.mesh(comm, &self.mesh)?;
-        data.add_array(comm, &mut mb, &self.mesh, Centering::Point, &self.array)?;
+        let mb = self.field.fetch(comm, data)?;
         let mut worst = 0.0f64;
         for (_, g) in mb.local_blocks() {
-            let a = g
-                .find_array(&self.array, Centering::Point)
-                .ok_or_else(|| Error::NoSuchData(self.array.clone()))?;
+            let a = self.field.in_block(g)?;
             for i in 0..a.data.scalar_len() {
                 let v = a.data.get_as_f64(i);
                 worst = if v.is_finite() {

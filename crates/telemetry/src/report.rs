@@ -55,8 +55,8 @@ pub struct Manifest {
     pub pipeline_depth: usize,
 }
 
-/// Host/GPU memory roll-up (mirrors `MemoryBreakdown` in core, kept
-/// here as plain numbers so the crate stays dependency-free).
+/// Host/GPU memory roll-up of one run, the one type for it: `core`'s
+/// run metrics carry it and the report writes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemorySummary {
     /// Sum of host peaks over ranks.

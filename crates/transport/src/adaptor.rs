@@ -27,6 +27,9 @@ use meshdata::Centering;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+/// What BP marshaling charges the host per payload byte.
+const MARSHAL_FLOPS_PER_BYTE: f64 = 1.0;
+
 /// One producer's staging outcome, for the metrics layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProducerReport {
@@ -53,7 +56,6 @@ pub struct TransportAnalysis {
     mesh: String,
     arrays: Vec<String>,
     writer: SstWriter,
-    marshal_flops_per_byte: f64,
     fallback_dir: Option<PathBuf>,
     fallback: Option<BpFileWriter>,
     lost_steps: u64,
@@ -69,7 +71,6 @@ impl TransportAnalysis {
             mesh: mesh.into(),
             arrays,
             writer,
-            marshal_flops_per_byte: 1.0,
             fallback_dir: None,
             fallback: None,
             lost_steps: 0,
@@ -182,7 +183,7 @@ impl AnalysisAdaptor for TransportAnalysis {
         let payload = bp::marshal_blocks(comm.rank() as u32, data.time_step(), data.time(), &mb);
         // BP marshaling is a host-side memory sweep.
         comm.compute_host(
-            payload.len() as f64 * self.marshal_flops_per_byte,
+            payload.len() as f64 * MARSHAL_FLOPS_PER_BYTE,
             payload.len() as f64 * 2.0,
         );
         drop(marshal);

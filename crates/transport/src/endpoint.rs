@@ -77,21 +77,8 @@ impl EndpointConsumer {
     /// First analysis failure.
     pub fn run(&mut self, comm: &mut Comm) -> insitu::Result<EndpointReport> {
         let mut delivered_steps = Vec::new();
-        loop {
-            let recv = comm.span("transport/recv");
-            let delivery = match self.reader.recv_step(comm) {
-                Ok(Some(delivery)) => delivery,
-                Ok(None) => break,
-                // A transient wire fault (e.g. a mid-frame short read): the
-                // truncated frame is gone but surviving connections keep
-                // feeding the reader, so keep draining.
-                Err(e) if !e.is_fatal() => {
-                    drop(recv);
-                    continue;
-                }
-                Err(e) => return Err(insitu::Error::Analysis(format!("transport: {e}"))),
-            };
-            drop(recv);
+        let failed = |e| insitu::Error::Analysis(format!("transport: {e}"));
+        while let Some(delivery) = self.reader.next_step(comm).map_err(failed)? {
             delivered_steps.push(delivery.step);
             if delivery.packets.is_empty() {
                 // Every producer skipped or died: nothing to render.

@@ -372,6 +372,14 @@ impl StepDelivery {
     }
 }
 
+/// What a reader holds of one step it has not delivered yet: the data
+/// packets that arrived intact and the producers that skipped the step.
+#[derive(Default)]
+struct Outstanding {
+    packets: Vec<Packet>,
+    skipped: BTreeSet<usize>,
+}
+
 /// Endpoint-side handle: drains payloads from this reader's producers.
 pub struct SstReader {
     /// This reader's index.
@@ -380,13 +388,14 @@ pub struct SstReader {
     /// Number of producers feeding this reader.
     pub n_producers: usize,
     producers: Vec<usize>,
-    pending: BTreeMap<u64, Vec<Packet>>,
-    skipped: BTreeMap<u64, BTreeSet<usize>>,
+    outstanding: BTreeMap<u64, Outstanding>,
     detached: BTreeSet<usize>,
     faults: Arc<FaultPlan>,
     crashed: bool,
     last_delivered: Option<u64>,
     queue_accountant: Option<Accountant>,
+    /// Payload bytes accepted and not yet delivered.
+    staged: u64,
     bytes_received: u64,
     corrupt_rejected: u64,
     complete_steps: u64,
@@ -464,6 +473,24 @@ impl SstReader {
         }
     }
 
+    /// The next step for an endpoint draining the stream: [`Self::recv_step`]
+    /// under one `transport/recv` span per attempt, a non-fatal error (a
+    /// short read, already counted) skipped. `Ok(None)` is the end.
+    pub(crate) fn next_step(
+        &mut self,
+        comm: &mut commsim::Comm,
+    ) -> Result<Option<StepDelivery>, TransportError> {
+        loop {
+            let _recv = comm.span("transport/recv");
+            match self.recv_step(comm) {
+                // The truncated frame is gone, but the surviving
+                // connections keep feeding the reader.
+                Err(e) if !e.is_fatal() => continue,
+                next => return next,
+            }
+        }
+    }
+
     /// The endpoint process dies: stop consuming and release the channel
     /// so producers observe the disconnect.
     fn crash(&mut self) {
@@ -471,16 +498,10 @@ impl SstReader {
         self.rx = None;
         // Staged-but-unprocessed bytes die with the process.
         if let Some(a) = &self.queue_accountant {
-            let staged: u64 = self
-                .pending
-                .values()
-                .flatten()
-                .map(|p| p.payload.len() as u64)
-                .sum();
-            a.credit_raw(staged);
+            a.credit_raw(self.staged);
         }
-        self.pending.clear();
-        self.skipped.clear();
+        self.staged = 0;
+        self.outstanding.clear();
     }
 
     fn ingest(&mut self, comm: &mut commsim::Comm, packet: Packet) {
@@ -503,23 +524,24 @@ impl SstReader {
                     self.corrupt_rejected += 1;
                     return;
                 }
-                let entry = self.pending.entry(packet.step).or_default();
-                if entry.iter().any(|p| p.producer == packet.producer) {
+                let entry = self.outstanding.entry(packet.step).or_default();
+                if entry.packets.iter().any(|p| p.producer == packet.producer) {
                     return; // duplicate retransmit
                 }
                 if let Some(a) = &self.queue_accountant {
                     a.charge_raw(nbytes);
                 }
-                entry.push(packet);
-                let staged = self.staged_bytes();
+                entry.packets.push(packet);
+                self.staged += nbytes;
                 comm.telemetry()
                     .gauge("transport/queue_depth")
-                    .set(staged as f64);
+                    .set(self.staged as f64);
             }
             PacketKind::Skip => {
-                self.skipped
+                self.outstanding
                     .entry(packet.step)
                     .or_default()
+                    .skipped
                     .insert(packet.producer);
             }
             PacketKind::Detach => {
@@ -532,32 +554,20 @@ impl SstReader {
     /// accounted for. Per-producer FIFO guarantees that if the earliest
     /// candidate is unresolved, later ones are too — so one check suffices.
     fn pop_deliverable(&mut self, comm: &mut commsim::Comm) -> Option<StepDelivery> {
-        let step = match (
-            self.pending.keys().next().copied(),
-            self.skipped.keys().next().copied(),
-        ) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return None,
-        };
-        let empty = Vec::new();
-        let packets = self.pending.get(&step).unwrap_or(&empty);
-        let skips = self.skipped.get(&step);
+        let (&step, candidate) = self.outstanding.first_key_value()?;
         let missing: Vec<usize> = self
             .producers
             .iter()
             .copied()
-            .filter(|p| !packets.iter().any(|pkt| pkt.producer == *p))
+            .filter(|p| !candidate.packets.iter().any(|pkt| pkt.producer == *p))
             .collect();
         let resolved = missing
             .iter()
-            .all(|p| skips.is_some_and(|s| s.contains(p)) || self.detached.contains(p));
+            .all(|p| candidate.skipped.contains(p) || self.detached.contains(p));
         if !resolved {
             return None;
         }
-        let packets = self.pending.remove(&step).unwrap_or_default();
-        self.skipped.remove(&step);
+        let packets = self.outstanding.remove(&step).unwrap_or_default().packets;
         let time = packets.first().map(|p| p.time).unwrap_or(0.0);
         // Clock: the step is ready when the latest payload lands.
         let t_ready = packets.iter().map(|p| p.t_avail).fold(0.0, f64::max);
@@ -588,14 +598,14 @@ impl SstReader {
         if let Some(rx) = &self.rx {
             rx.set_drained_at(comm.now());
         }
+        let bytes: u64 = packets.iter().map(|p| p.payload.len() as u64).sum();
         if let Some(a) = &self.queue_accountant {
-            let bytes: u64 = packets.iter().map(|p| p.payload.len() as u64).sum();
             a.credit_raw(bytes);
         }
-        let staged = self.staged_bytes();
+        self.staged -= bytes;
         comm.telemetry()
             .gauge("transport/queue_depth")
-            .set(staged as f64);
+            .set(self.staged as f64);
         if missing.is_empty() {
             self.complete_steps += 1;
         } else {
@@ -607,15 +617,6 @@ impl SstReader {
             packets,
             missing,
         })
-    }
-
-    /// Bytes currently staged (accepted, not yet delivered).
-    fn staged_bytes(&self) -> u64 {
-        self.pending
-            .values()
-            .flatten()
-            .map(|p| p.payload.len() as u64)
-            .sum()
     }
 
     /// Total payload bytes received (including CRC-rejected frames).
@@ -832,13 +833,13 @@ impl StagingNetwork {
             rx: Some(rx),
             n_producers: producers.len(),
             producers,
-            pending: BTreeMap::new(),
-            skipped: BTreeMap::new(),
+            outstanding: BTreeMap::new(),
             detached: BTreeSet::new(),
             faults,
             crashed: false,
             last_delivered: None,
             queue_accountant: None,
+            staged: 0,
             bytes_received: 0,
             corrupt_rejected: 0,
             complete_steps: 0,

@@ -465,21 +465,12 @@ impl StagingService {
         );
         let mut steps = 0u64;
         let mut parked_appends = 0u64;
+        let failed = |e| insitu::Error::Analysis(format!("staging transport: {e}"));
         loop {
             self.admit_joiners(comm)?;
-            let recv = comm.span("transport/recv");
-            let delivery = match self.reader.recv_step(comm) {
-                Ok(Some(delivery)) => delivery,
-                Ok(None) => break,
-                Err(e) if !e.is_fatal() => {
-                    drop(recv);
-                    continue;
-                }
-                Err(e) => {
-                    return Err(insitu::Error::Analysis(format!("staging transport: {e}")))
-                }
+            let Some(delivery) = self.reader.next_step(comm).map_err(failed)? else {
+                break;
             };
-            drop(recv);
             steps += 1;
             if delivery.packets.is_empty() {
                 continue;

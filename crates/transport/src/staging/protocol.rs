@@ -3,8 +3,7 @@
 //! A consumer opens a session by sending `Hello` (its render spec plus an
 //! initial credit grant), then replenishes credits as it consumes frames;
 //! the service answers with `Frame` messages (one per delivered step) and
-//! a final `End`. Local sessions move these messages over in-process
-//! channels; TCP sessions use length-prefixed frames:
+//! a final `End`. Every session runs over TCP in length-prefixed frames:
 //!
 //! ```text
 //! [u32 len][u8 tag][body…]        len counts everything after itself
