@@ -22,7 +22,7 @@
 
 use bench_harness::{cli, fmt_secs, format_table, HarnessArgs};
 use std::collections::BTreeMap;
-use telemetry::{json, EventKind, MetricValue, RunReport};
+use telemetry::{json, EventKind, HistogramSnapshot, MetricValue, RunReport};
 
 /// Schema tag of `nekstat summary --json` output.
 const SUMMARY_SCHEMA: &str = "nekstat/summary/v1";
@@ -87,19 +87,12 @@ fn base_name(name: &str) -> (&str, bool) {
 /// One aggregated row per logical metric: counters sum over ranks;
 /// gauges sum too, except ratio-valued gauges (name ending in `ratio`,
 /// e.g. `sem/overlap_ratio`), which average — a sum of per-rank ratios
-/// is meaningless; histograms combine counts exactly and keep the worst
-/// p95.
+/// is meaningless; histograms combine counts, sums and minima exactly
+/// and keep the worst quantiles and maximum.
 enum Agg {
     Counter(u64),
     Gauge { sum: f64, ranks: u64, avg: bool },
-    Histogram {
-        count: u64,
-        p50: f64,
-        p90: f64,
-        p95: f64,
-        p99: f64,
-        max: f64,
-    },
+    Histogram(HistogramSnapshot),
 }
 
 impl Agg {
@@ -120,21 +113,14 @@ impl Agg {
             Agg::Gauge { sum, ranks, avg } => o
                 .text("kind", "gauge")
                 .num("value", Agg::gauge_value(sum, ranks, avg)),
-            Agg::Histogram {
-                count,
-                p50,
-                p90,
-                p95,
-                p99,
-                max,
-            } => o
+            Agg::Histogram(h) => o
                 .text("kind", "histogram")
-                .uint("count", count)
-                .num("p50", p50)
-                .num("p90", p90)
-                .num("p95", p95)
-                .num("p99", p99)
-                .num("max", max),
+                .uint("count", h.count)
+                .num("p50", h.p50)
+                .num("p90", h.p90)
+                .num("p95", h.p95)
+                .num("p99", h.p99)
+                .num("max", h.max),
         };
     }
 }
@@ -169,40 +155,22 @@ fn aggregate(report: &RunReport) -> BTreeMap<String, Agg> {
                 );
             }
             (None, MetricValue::Histogram(h)) => {
-                out.insert(
-                    key,
-                    Agg::Histogram {
-                        count: h.count,
-                        p50: h.p50,
-                        p90: h.p90,
-                        p95: h.p95,
-                        p99: h.p99,
-                        max: h.max,
-                    },
-                );
+                out.insert(key, Agg::Histogram(*h));
             }
             (Some(Agg::Counter(total)), MetricValue::Counter(c)) => *total += c,
             (Some(Agg::Gauge { sum, ranks, .. }), MetricValue::Gauge(g)) => {
                 *sum += g;
                 *ranks += 1;
             }
-            (
-                Some(Agg::Histogram {
-                    count,
-                    p50,
-                    p90,
-                    p95,
-                    p99,
-                    max,
-                }),
-                MetricValue::Histogram(h),
-            ) => {
-                *count += h.count;
-                *p50 = p50.max(h.p50);
-                *p90 = p90.max(h.p90);
-                *p95 = p95.max(h.p95);
-                *p99 = p99.max(h.p99);
-                *max = max.max(h.max);
+            (Some(Agg::Histogram(total)), MetricValue::Histogram(h)) => {
+                total.count += h.count;
+                total.sum += h.sum;
+                total.p50 = total.p50.max(h.p50);
+                total.p90 = total.p90.max(h.p90);
+                total.p95 = total.p95.max(h.p95);
+                total.p99 = total.p99.max(h.p99);
+                total.min = total.min.min(h.min);
+                total.max = total.max.max(h.max);
             }
             // Mixed types under one base name: keep the first.
             _ => {}
@@ -256,20 +224,14 @@ fn agg_cell(name: &str, a: &Agg) -> String {
         Agg::Gauge { sum, ranks, avg } => {
             format!("{:.3}", Agg::gauge_value(*sum, *ranks, *avg))
         }
-        Agg::Histogram {
-            count,
-            p50,
-            p90,
-            p95,
-            p99,
-            max,
-        } => format!(
-            "n={count} p50={} p90={} p95={} p99={} max={}",
-            fmt(p50),
-            fmt(p90),
-            fmt(p95),
-            fmt(p99),
-            fmt(max)
+        Agg::Histogram(h) => format!(
+            "n={} p50={} p90={} p95={} p99={} max={}",
+            h.count,
+            fmt(&h.p50),
+            fmt(&h.p90),
+            fmt(&h.p95),
+            fmt(&h.p99),
+            fmt(&h.max)
         ),
     }
 }
@@ -404,17 +366,9 @@ fn summarize(r: &RunReport) {
 /// coarse gauges also gets how that multigrid smooths and solves.
 fn solver_convergence(aggs: &BTreeMap<String, Agg>) -> Option<String> {
     let (
-        Some(Agg::Histogram {
-            p50: p_p50,
-            max: p_max,
-            ..
-        }),
-        Some(Agg::Histogram { max: res_max, .. }),
-        Some(Agg::Histogram {
-            p50: v_p50,
-            max: v_max,
-            ..
-        }),
+        Some(Agg::Histogram(pressure)),
+        Some(Agg::Histogram(residual)),
+        Some(Agg::Histogram(velocity)),
         Some(Agg::Counter(unconverged)),
     ) = (
         aggs.get("sem/pressure_iters"),
@@ -433,9 +387,10 @@ fn solver_convergence(aggs: &BTreeMap<String, Agg>) -> Option<String> {
         _ => String::new(),
     };
     Some(format!(
-        "solver convergence: pressure p50 {p_p50:.1} / max {p_max:.0} iterations \
-         (final residual ≤ {res_max:.1e} of the rhs), velocity p50 {v_p50:.1} / max {v_max:.0}, \
-         {unconverged} unconverged solves{multigrid}"
+        "solver convergence: pressure p50 {:.1} / max {:.0} iterations \
+         (final residual ≤ {:.1e} of the rhs), velocity p50 {:.1} / max {:.0}, \
+         {unconverged} unconverged solves{multigrid}",
+        pressure.p50, pressure.max, residual.max, velocity.p50, velocity.max
     ))
 }
 
@@ -508,7 +463,7 @@ fn diff(a: &RunReport, b: &RunReport) {
                 Agg::gauge_value(*xs, *xr, *xa),
                 Agg::gauge_value(*ys, *yr, *ya),
             ),
-            (Agg::Histogram { p95: x, .. }, Agg::Histogram { p95: y, .. }) => pct(*x, *y),
+            (Agg::Histogram(x), Agg::Histogram(y)) => pct(x.p95, y.p95),
             _ => "type-changed".into(),
         };
         rows.push(vec![
@@ -604,7 +559,10 @@ fn critical_path_cmd(path: &str, json_out: bool) {
         std::process::exit(1);
     };
     if json_out {
-        println!("{}", json::object(|o| telemetry::critical::write_critical(o, c)));
+        println!(
+            "{}",
+            json::object(|o| telemetry::critical::write_critical(o, c))
+        );
         return;
     }
     println!(
@@ -620,7 +578,11 @@ fn critical_path_cmd(path: &str, json_out: bool) {
             d.rank,
             d.phase,
             fmt_secs(d.secs),
-            if c.total > 0.0 { d.secs / c.total * 100.0 } else { 0.0 }
+            if c.total > 0.0 {
+                d.secs / c.total * 100.0
+            } else {
+                0.0
+            }
         );
     }
     if !c.contrib.is_empty() {
@@ -677,15 +639,12 @@ fn critical_path_cmd(path: &str, json_out: bool) {
         let rows: Vec<Vec<String>> = slack
             .iter()
             .take(8)
-            .map(|s| {
-                vec![
-                    s.pid.to_string(),
-                    s.rank.to_string(),
-                    fmt_secs(s.wait_s),
-                ]
-            })
+            .map(|s| vec![s.pid.to_string(), s.rank.to_string(), fmt_secs(s.wait_s)])
             .collect();
-        println!("\nper-rank slack (blocking wait off the critical path, top {})", rows.len());
+        println!(
+            "\nper-rank slack (blocking wait off the critical path, top {})",
+            rows.len()
+        );
         print!("{}", format_table(&["pid", "rank", "wait"], &rows));
     }
 }

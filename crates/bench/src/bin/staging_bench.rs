@@ -263,8 +263,11 @@ fn run_staging(args: &HarnessArgs) {
     let (consumer_listener, consumer_port) = loopback_listener().expect("bind consumer port");
     if let Some(path) = &args.port_file {
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, format!("data={data_port}\nconsumer={consumer_port}\n"))
-            .expect("write port file");
+        std::fs::write(
+            &tmp,
+            format!("data={data_port}\nconsumer={consumer_port}\n"),
+        )
+        .expect("write port file");
         std::fs::rename(&tmp, path).expect("publish port file");
     }
     println!("staging: data port {data_port}, consumer port {consumer_port}");

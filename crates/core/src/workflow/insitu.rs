@@ -27,24 +27,19 @@
 //!   of `solve + consume`.
 
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::checkpoint::FldCheckpointer;
 use crate::metrics::RunMetrics;
-use crate::workflow::sampler::{attach_observability, collect_reports, fault_summary, SimLoop};
+use crate::workflow::sampler::{catalyst_element, manifest, Run, SolverRank};
 use crate::workflow::supervisor::RecoveryOptions;
-use commsim::WatchdogTimeout;
-use commsim::{
-    run_ranks_with_registry, with_mode, Comm, CommStats, FaultPlan, MachineModel, RankResult,
-    SchedMode,
-};
+use commsim::{Comm, FaultPlan, MachineModel, SchedMode, WatchdogTimeout};
 use insitu::Bridge;
-use memtrack::Registry;
 use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
 use sem::snapshot::{FieldSnapshot, SnapshotPool, SnapshotSpec};
-use telemetry::{EventKind, PhaseBreakdown, RankTrace, TelemetryHub};
+use telemetry::{EventKind, Manifest, PhaseBreakdown, RankTrace};
 
 /// Maximum unacknowledged snapshots per rank in pipelined mode (double
 /// buffering: one being consumed, one queued).
@@ -194,7 +189,7 @@ impl Consumer {
                 Consumer::Checkpoint(FldCheckpointer::new(comm, cfg.output_dir.clone()))
             }
             InSituMode::Catalyst => {
-                let analysis = super::sampler::catalyst_element(
+                let analysis = catalyst_element(
                     cfg.trigger_every.max(1),
                     cfg.image_size,
                     "pressure",
@@ -337,24 +332,24 @@ struct ConsumerLink {
     credits: mpsc::Sender<Credit>,
 }
 
-fn pipeline_links(ranks: usize) -> (Vec<Option<ProducerLink>>, Vec<Option<ConsumerLink>>) {
-    let mut producers = Vec::with_capacity(ranks);
-    let mut consumers = Vec::with_capacity(ranks);
-    for _ in 0..ranks {
-        let (frame_tx, frame_rx) = mpsc::channel();
-        let (credit_tx, credit_rx) = mpsc::channel();
-        producers.push(Some(ProducerLink {
-            frames: frame_tx,
-            credits: credit_rx,
-            in_flight: 0,
-            backpressure_wait: 0.0,
-        }));
-        consumers.push(Some(ConsumerLink {
-            frames: frame_rx,
-            credits: credit_tx,
-        }));
-    }
-    (producers, consumers)
+fn pipeline_links(ranks: usize) -> (Vec<ProducerLink>, Vec<ConsumerLink>) {
+    (0..ranks)
+        .map(|_| {
+            let (frame_tx, frame_rx) = mpsc::channel();
+            let (credit_tx, credit_rx) = mpsc::channel();
+            let producer = ProducerLink {
+                frames: frame_tx,
+                credits: credit_rx,
+                in_flight: 0,
+                backpressure_wait: 0.0,
+            };
+            let consumer = ConsumerLink {
+                frames: frame_rx,
+                credits: credit_tx,
+            };
+            (producer, consumer)
+        })
+        .unzip()
 }
 
 /// Advance the consumer clock to the frame's publish time, then apply any
@@ -381,14 +376,7 @@ fn consumer_arrive(comm: &mut Comm, faults: &FaultPlan, frame: &PublishedFrame) 
 
 /// One rank of the pipelined consumer world: the [`Consumer`] behind its
 /// link, crediting the producer after every frame.
-fn consumer_rank(
-    comm: &mut Comm,
-    cfg: &InSituConfig,
-    hub: Option<&TelemetryHub>,
-    link: Option<ConsumerLink>,
-) -> Option<RankTrace> {
-    attach_observability(comm, cfg.trace, hub, 1);
-    let link = link.expect("one consumer link per rank");
+fn consumer_rank(comm: &mut Comm, cfg: &InSituConfig, link: ConsumerLink) -> Option<RankTrace> {
     let mut consumer = Consumer::new(comm, cfg);
     // Frames come from the producer world: wait off-token (see
     // `Comm::external_wait`) so an event-scheduled producer can progress.
@@ -429,21 +417,12 @@ enum Sink {
 fn solver_rank(
     comm: &mut Comm,
     cfg: &InSituConfig,
-    hub: Option<&TelemetryHub>,
     link: Option<ProducerLink>,
 ) -> Option<RankTrace> {
-    attach_observability(comm, cfg.trace, hub, 0);
-    let setup = comm.span("sim/setup");
-    let mut solver = cfg.case.build(comm);
-    drop(setup);
-    // Host-side baseline: mesh setup, solver host mirrors, MPI
-    // buffers (NekRS keeps roughly the field set on the host too).
-    let host_base = comm.accountant("host-base");
-    let _base = host_base.charge(solver.n_nodes() as u64 * 8 * 60);
+    let (mut rank, ()) = SolverRank::open(comm, &cfg.case, &cfg.recovery, &cfg.faults, |_| ());
     // Original publishes nothing: no staging pool, no sink, no geometry.
     let pool = (cfg.mode != InSituMode::Original)
         .then(|| SnapshotPool::new(comm.accountant("snapshot-pool")));
-    let mut sim = SimLoop::new(comm, &mut solver, &cfg.recovery, &cfg.faults, pool.clone());
     let mut sink = pool.is_some().then(|| match link {
         Some(link) => Sink::Linked(link),
         None => Sink::Inline(Consumer::new(comm, cfg)),
@@ -458,10 +437,10 @@ fn solver_rank(
         temperature: cfg.mode == InSituMode::Checkpointing,
         ..SnapshotSpec::default()
     };
-    let geometry =
-        (cfg.mode == InSituMode::Catalyst).then(|| Arc::new(NekGeometry::build(comm, &solver)));
+    let geometry = (cfg.mode == InSituMode::Catalyst)
+        .then(|| Arc::new(NekGeometry::build(comm, &rank.solver)));
     let trigger = cfg.trigger_every.max(1);
-    sim.run(comm, &mut solver, cfg.steps, |comm, solver, step| {
+    rank.run(comm, cfg.steps, pool.as_ref(), |comm, solver, step| {
         let (Some(sink), Some(pool)) = (&mut sink, &pool) else {
             return 0.0;
         };
@@ -490,102 +469,45 @@ fn solver_rank(
         Some(Sink::Linked(link)) => link.finish(comm),
         None => {}
     }
-    {
-        let _sp = comm.span("sim/finalize");
-        comm.barrier();
-    }
-    comm.take_trace()
-}
-
-/// Run one of the run's rank worlds under its scheduler: rank `r` takes
-/// `links[r]` (None past the end) into `body`.
-fn run_world<L: Send + 'static>(
-    cfg: &Arc<InSituConfig>,
-    hub: &Option<TelemetryHub>,
-    registry: &Registry,
-    links: Vec<Option<L>>,
-    body: fn(&mut Comm, &InSituConfig, Option<&TelemetryHub>, Option<L>) -> Option<RankTrace>,
-) -> Vec<RankResult<Option<RankTrace>>> {
-    let (cfg, hub, links) = (Arc::clone(cfg), hub.clone(), Mutex::new(links));
-    with_mode(cfg.sched, || {
-        run_ranks_with_registry(
-            cfg.ranks,
-            cfg.machine.clone(),
-            registry.clone(),
-            move |comm| {
-                let link = links
-                    .lock()
-                    .unwrap()
-                    .get_mut(comm.rank())
-                    .and_then(Option::take);
-                body(comm, &cfg, hub.as_ref(), link)
-            },
-        )
-    })
+    rank.close(comm, |_| {})
 }
 
 /// Execute one configuration and collect the paper's §4.1 metrics.
 pub fn run_insitu(cfg: &InSituConfig) -> InSituReport {
-    memtrack::cap_malloc_arenas();
-    let registry = Registry::new();
-    let hub = cfg
-        .telemetry
-        .then(|| cfg.recovery.hub.clone().unwrap_or_default());
-    // The rank closures outlive this borrow ('static worlds).
-    let shared = Arc::new(cfg.clone());
+    let run = Run::open(cfg, cfg.trace, cfg.telemetry, &cfg.recovery);
     // Original has no consumer to overlap with: its pipelined run is the
     // synchronous run.
     let pipelined = cfg.exec == ExecMode::Pipelined && cfg.mode != InSituMode::Original;
-
-    // Pipelined: the consumer world, on its own thread. Same registry as
-    // the solver world: the analysis threads live on the same node as the
-    // rank they serve, so their memory charges land on the same per-rank
-    // accountants.
-    let (producer_links, consumer_links) = pipeline_links(if pipelined { cfg.ranks } else { 0 });
-    let consumer_world = pipelined.then(|| {
-        let (cfg, hub, registry) = (Arc::clone(&shared), hub.clone(), registry.clone());
-        std::thread::spawn(move || run_world(&cfg, &hub, &registry, consumer_links, consumer_rank))
-    });
-    // Solver world, on the calling thread.
-    let solver_results = run_world(&shared, &hub, &registry, producer_links, solver_rank);
-    let consumer_results = consumer_world
-        .map(|world| world.join().expect("consumer world"))
-        .unwrap_or_default();
-
-    let results: Vec<_> = solver_results.into_iter().chain(consumer_results).collect();
-    let times_stats: Vec<(f64, CommStats)> = results.iter().map(|r| (r.time, r.stats)).collect();
-    let traces: Vec<RankTrace> = results.into_iter().filter_map(|r| r.value).collect();
-
-    let metrics = RunMetrics::from_ranks(&times_stats, cfg.steps, &registry);
-    let snapshot_pool_rank_peak = registry
-        .snapshot()
-        .entries
-        .iter()
+    // Pipelined: the consumer world shares the solver world's registry:
+    // the analysis threads live on the same node as the rank they serve,
+    // so their memory charges land on the same per-rank accountants.
+    let (producers, consumers) = pipeline_links(if pipelined { cfg.ranks } else { 0 });
+    let mut producers = producers.into_iter();
+    let links = (0..cfg.ranks).map(|_| producers.next()).collect();
+    let (solver, consumer) = run.launch(
+        cfg.sched,
+        &cfg.machine,
+        (run.registry.clone(), links, solver_rank),
+        (run.registry.clone(), consumers, consumer_rank),
+    );
+    let snapshot_pool_rank_peak = (run.registry.snapshot().entries.iter())
         .filter(|(name, _, _)| name.ends_with("/snapshot-pool"))
         .map(|(_, _, peak)| *peak)
         .max()
         .unwrap_or(0);
-    let (phases, run_report) = collect_reports(
-        &traces,
-        hub.as_ref(),
-        &registry,
-        metrics.memory,
-        telemetry::Manifest {
-            case: cfg.case.name.clone(),
+    let (metrics, traces, phases, run_report) = run.close(
+        solver.into_iter().chain(consumer).collect(),
+        Vec::new(),
+        Manifest {
             workflow: "insitu".into(),
             mode: cfg.mode.label().to_ascii_lowercase(),
             exec: cfg.exec.label().into(),
-            sched: cfg.sched.label().into(),
             wire: "none".into(),
             ranks: cfg.ranks,
             // The pipelined consumer world mirrors the sim world 1:1.
             endpoint_ranks: if pipelined { cfg.ranks } else { 0 },
-            steps: cfg.steps as u64,
-            trigger_every: cfg.trigger_every.max(1),
-            machine: cfg.machine.name.into(),
-            fault_plan: fault_summary(&cfg.faults),
-            pool_threads: rayon::pool::current_threads(),
             pipeline_depth: if pipelined { PIPELINE_DEPTH } else { 0 },
+            ..manifest!(cfg)
         },
     );
     InSituReport {

@@ -12,13 +12,9 @@
 
 use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::metrics::{DegradationSummary, RunMetrics};
-use crate::workflow::sampler::{
-    attach_observability, catalyst_element, collect_reports, fault_summary, output_attr, SimLoop,
-};
+use crate::workflow::sampler::{catalyst_element, manifest, output_attr, Run, SolverRank};
 use crate::workflow::supervisor::RecoveryOptions;
-use commsim::{
-    run_ranks_with_registry, with_mode, Comm, CommStats, FaultPlan, MachineModel, SchedMode,
-};
+use commsim::{Comm, FaultPlan, MachineModel, SchedMode};
 use insitu::Bridge;
 use memtrack::Registry;
 use render::CatalystAnalysis;
@@ -27,7 +23,7 @@ use sem::snapshot::{SnapshotPool, SnapshotSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use telemetry::{PhaseBreakdown, RankTrace, TelemetryHub};
+use telemetry::{Manifest, PhaseBreakdown, RankTrace};
 use transport::wire::loopback_listener;
 use transport::{
     ConsumerClient, QueuePolicy, ReportSink, SessionSpec, StagingLink, StagingNetwork,
@@ -180,7 +176,7 @@ enum EndpointOutcome {
 /// Execute one in-transit configuration.
 pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
     assert!(cfg.ratio >= 1, "ratio must be >= 1");
-    memtrack::cap_malloc_arenas();
+    let run = Run::open(cfg, cfg.trace, cfg.telemetry, &cfg.recovery);
     let endpoint_ranks = match cfg.mode {
         EndpointMode::NoTransport => 0,
         _ => (cfg.sim_ranks / cfg.ratio).max(1),
@@ -191,17 +187,8 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
             "the staging service is a single-rank server; pick ratio >= sim_ranks"
         );
     }
-
-    let registry = Registry::new();
-    let hub = cfg
-        .telemetry
-        .then(|| cfg.recovery.hub.clone().unwrap_or_default());
-    // The rank closures outlive this borrow ('static worlds).
-    let shared = Arc::new(cfg.clone());
-
-    // Endpoint world (when transporting).
-    let (writers, endpoint_handle) = if endpoint_ranks > 0 {
-        let (writers, readers) = StagingNetwork::build_wired(
+    let (writers, readers) = if endpoint_ranks > 0 {
+        StagingNetwork::build_wired(
             cfg.sim_ranks,
             endpoint_ranks,
             cfg.queue_capacity,
@@ -211,52 +198,48 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
             cfg.writer_config,
             cfg.wire,
         )
-        .expect("wire setup");
-        let (cfg, hub) = (Arc::clone(&shared), hub.clone());
-        let handle = std::thread::spawn(move || {
-            with_mode(cfg.sched, || {
-                commsim::run_ranks_with_state(cfg.machine.clone(), readers, move |comm, reader| {
-                    endpoint_rank(comm, &cfg, hub.as_ref(), reader)
-                })
-            })
-        });
-        (writers.into_iter().map(Some).collect(), Some(handle))
+        .expect("wire setup")
     } else {
-        (Vec::new(), None)
+        (Vec::new(), Vec::new())
     };
-
-    // Simulation world.
     let report_sink: ReportSink = Arc::new(Mutex::new(Vec::new()));
-    let results = {
-        let (cfg, hub) = (shared, hub.clone());
-        let writers: Mutex<Vec<Option<transport::SstWriter>>> = Mutex::new(writers);
-        let sink = Arc::clone(&report_sink);
-        with_mode(cfg.sched, || {
-            run_ranks_with_registry(
-                cfg.sim_ranks,
-                cfg.machine.clone(),
-                registry.clone(),
-                move |comm| {
-                    let writer = writers
-                        .lock()
-                        .unwrap()
-                        .get_mut(comm.rank())
-                        .and_then(Option::take);
-                    sim_rank(comm, &cfg, hub.as_ref(), writer, &sink)
-                },
-            )
-        })
-    };
-
-    let times_stats: Vec<(f64, CommStats)> = results.iter().map(|r| (r.time, r.stats)).collect();
-    let sim = RunMetrics::from_ranks(&times_stats, cfg.steps, &registry);
+    let mut writers = writers.into_iter();
+    let sim_states = (0..cfg.sim_ranks)
+        .map(|_| (writers.next(), Arc::clone(&report_sink)))
+        .collect();
+    let (sim, mut endpoints) = run.launch(
+        cfg.sched,
+        &cfg.machine,
+        (run.registry.clone(), sim_states, sim_rank),
+        // The endpoint nodes' memory is not the simulation's: their world
+        // charges a registry of its own, which the report leaves out.
+        (Registry::new(), readers, endpoint_rank),
+    );
+    let endpoint_traces = (endpoints.iter_mut())
+        .filter_map(|r| r.value.1.take())
+        .collect();
+    let (metrics, traces, phases, run_report) = run.close(
+        sim,
+        endpoint_traces,
+        Manifest {
+            workflow: "intransit".into(),
+            mode: cfg.mode.label().to_ascii_lowercase(),
+            exec: "concurrent".into(),
+            wire: cfg.wire.label().into(),
+            ranks: cfg.sim_ranks,
+            endpoint_ranks,
+            // The staging queue bound plays the credit-depth role here.
+            pipeline_depth: cfg.queue_capacity,
+            ..manifest!(cfg)
+        },
+    );
     let mut report = InTransitReport {
         mode: cfg.mode,
         sim_ranks: cfg.sim_ranks,
         endpoint_ranks,
         steps: cfg.steps,
-        sim_node_mem_peak: sim.memory.host_max_rank_peak * cfg.machine.ranks_per_node as u64,
-        sim,
+        sim_node_mem_peak: metrics.memory.host_max_rank_peak * cfg.machine.ranks_per_node as u64,
+        sim: metrics,
         endpoint_steps: 0,
         endpoint_bytes_received: 0,
         endpoint_bytes_written: 0,
@@ -265,16 +248,14 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
         endpoint_crashes: 0,
         endpoint_delivered: Vec::new(),
         degradation: DegradationSummary::from_reports(&report_sink.lock().unwrap()),
-        traces: results.into_iter().filter_map(|r| r.value).collect(),
-        phases: None,
-        run_report: None,
+        traces,
+        phases,
+        run_report,
         staging: None,
     };
-    let endpoint_results = endpoint_handle.map(|h| h.join().expect("endpoint world"));
-    for (outcome, stats, trace) in endpoint_results.unwrap_or_default() {
-        report.endpoint_bytes_written += stats.bytes_written_fs;
-        report.traces.extend(trace);
-        match outcome {
+    for endpoint in endpoints {
+        report.endpoint_bytes_written += endpoint.stats.bytes_written_fs;
+        match endpoint.value.0 {
             EndpointOutcome::Consumer(r) => {
                 report.endpoint_steps = report.endpoint_steps.max(r.steps_processed);
                 report.endpoint_bytes_received += r.bytes_received;
@@ -290,30 +271,6 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
             }
         }
     }
-
-    (report.phases, report.run_report) = collect_reports(
-        &report.traces,
-        hub.as_ref(),
-        &registry,
-        report.sim.memory,
-        telemetry::Manifest {
-            case: cfg.case.name.clone(),
-            workflow: "intransit".into(),
-            mode: cfg.mode.label().to_ascii_lowercase(),
-            exec: "concurrent".into(),
-            sched: cfg.sched.label().into(),
-            wire: cfg.wire.label().into(),
-            ranks: cfg.sim_ranks,
-            endpoint_ranks,
-            steps: cfg.steps as u64,
-            trigger_every: cfg.trigger_every.max(1),
-            machine: cfg.machine.name.into(),
-            fault_plan: fault_summary(&cfg.faults),
-            pool_threads: rayon::pool::current_threads(),
-            // The staging queue bound plays the credit-depth role here.
-            pipeline_depth: cfg.queue_capacity,
-        },
-    );
     report
 }
 
@@ -322,11 +279,8 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
 fn endpoint_rank(
     comm: &mut Comm,
     cfg: &InTransitConfig,
-    hub: Option<&TelemetryHub>,
-    mut reader: transport::SstReader,
-) -> (EndpointOutcome, CommStats, Option<RankTrace>) {
-    attach_observability(comm, cfg.trace, hub, 1);
-    reader.set_accountant(comm.accountant("staging"));
+    reader: transport::SstReader,
+) -> (EndpointOutcome, Option<RankTrace>) {
     let outcome = if cfg.staging_consumers > 0 {
         // Fan-out mode: the staging service replaces the fixed analysis; N
         // consumer sessions with identical specs attach over loopback TCP
@@ -379,29 +333,22 @@ fn endpoint_rank(
                 .expect("valid endpoint config");
         EndpointOutcome::Consumer(consumer.run(comm).expect("endpoint run"))
     };
-    (outcome, *comm.stats(), comm.take_trace())
+    (outcome, comm.take_trace())
 }
 
 /// One simulation rank: the solver with the SENSEI bridge configured for
-/// the staging transport (`writer` is this rank's end of the link; None
-/// only under NoTransport).
+/// the staging transport (`writer` is this rank's end of the link, None
+/// only under NoTransport; its writer reports go to `report_sink`).
 fn sim_rank(
     comm: &mut Comm,
     cfg: &InTransitConfig,
-    hub: Option<&TelemetryHub>,
-    writer: Option<transport::SstWriter>,
-    report_sink: &ReportSink,
+    (writer, report_sink): (Option<transport::SstWriter>, ReportSink),
 ) -> Option<RankTrace> {
-    attach_observability(comm, cfg.trace, hub, 0);
-    let setup = comm.span("sim/setup");
-    let mut solver = cfg.case.build(comm);
-    let host_base = comm.accountant("host-base");
-    let _base = host_base.charge(solver.n_nodes() as u64 * 8 * 60);
-
-    let (xml, factories): (String, Vec<insitu::AdaptorFactory>) = match cfg.mode {
-        EndpointMode::NoTransport => ("<sensei></sensei>".to_string(), vec![]),
-        _ => {
-            let writer = writer.expect("one staging writer per sim rank");
+    // The sim-side SENSEI configuration: the staging transport, fed
+    // `writer` every trigger (nothing under NoTransport).
+    let (xml, factories): (String, Vec<insitu::AdaptorFactory>) = match writer {
+        None => ("<sensei></sensei>".to_string(), vec![]),
+        Some(writer) => {
             let trigger = cfg.trigger_every.max(1);
             let arrays = if cfg.case.config.temperature.is_some() {
                 "pressure,velocity,temperature"
@@ -415,25 +362,20 @@ fn sim_rank(
                 vec![TransportAnalysis::factory_with_recovery(
                     writer,
                     cfg.fallback_dir.clone(),
-                    Some(Arc::clone(report_sink)),
+                    Some(report_sink),
                 )],
             )
         }
     };
-    let mut bridge = Bridge::initialize(comm, &xml, &factories).expect("valid generated config");
-    drop(setup);
+    let (mut rank, mut bridge) =
+        SolverRank::open(comm, &cfg.case, &cfg.recovery, &cfg.faults, |c| {
+            Bridge::initialize(c, &xml, &factories).expect("valid generated config")
+        });
     let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
-    let mut sim = SimLoop::new(
-        comm,
-        &mut solver,
-        &cfg.recovery,
-        &cfg.faults,
-        Some(pool.clone()),
-    );
     // Built on the first trigger: NoTransport never pays for the VTK
     // geometry, matching its bare-solver memory profile.
     let mut geometry: Option<Arc<NekGeometry>> = None;
-    sim.run(comm, &mut solver, cfg.steps, |comm, solver, step| {
+    rank.run(comm, cfg.steps, Some(&pool), |comm, solver, step| {
         if bridge.triggers_at(step) {
             let geometry =
                 geometry.get_or_insert_with(|| Arc::new(NekGeometry::build(comm, solver)));
@@ -445,12 +387,7 @@ fn sim_rank(
         // No credit pipeline on this side of the staging link.
         0.0
     });
-    {
-        let _sp = comm.span("sim/finalize");
-        bridge.finalize(comm).expect("finalize");
-        comm.barrier();
-    }
-    comm.take_trace()
+    rank.close(comm, |comm| bridge.finalize(comm).expect("finalize"))
 }
 
 fn endpoint_xml(cfg: &InTransitConfig) -> String {

@@ -235,14 +235,14 @@ pub fn analyze(traces: &[RankTrace], step_bounds: &[(u64, f64, f64)]) -> Critica
 
     // Start from the rank that finishes last (smallest (pid, rank) on
     // ties — BTreeMap iteration order makes this deterministic).
-    let start = traces
-        .iter()
-        .map(|t| ((t.pid, t.rank), t.end))
-        .fold(None::<((u32, usize), f64)>, |best, cur| match best {
+    let start = traces.iter().map(|t| ((t.pid, t.rank), t.end)).fold(
+        None::<((u32, usize), f64)>,
+        |best, cur| match best {
             None => Some(cur),
             Some(b) if cur.1 > b.1 || (cur.1 == b.1 && cur.0 < b.0) => Some(cur),
             Some(b) => Some(b),
-        });
+        },
+    );
     let Some(((mut pid, mut rank), total)) = start else {
         return CriticalReport {
             total: 0.0,
@@ -389,7 +389,8 @@ fn accumulate(
                 phases.insert(UNTRACKED, hi - lo);
             }
             for (name, secs) in phases {
-                *agg.entry((seg.pid, seg.rank, name.to_string())).or_insert(0.0) += secs;
+                *agg.entry((seg.pid, seg.rank, name.to_string()))
+                    .or_insert(0.0) += secs;
             }
         }
     }
@@ -558,7 +559,10 @@ mod tests {
         let r = analyze(&[t0, t1], &[]);
         assert_eq!(r.total, 7.0);
         let sum: f64 = r.contrib.iter().map(|c| c.secs).sum();
-        assert!((sum - 7.0).abs() < 1e-12, "chain must cover [0, end]: {sum}");
+        assert!(
+            (sum - 7.0).abs() < 1e-12,
+            "chain must cover [0, end]: {sum}"
+        );
         let d = r.dominant().unwrap();
         assert_eq!((d.pid, d.rank, d.phase.as_str()), (0, 0, "compute"));
         assert!((d.secs - 4.0).abs() < 1e-12);

@@ -585,7 +585,10 @@ mod tests {
             assert_eq!(h.quantile(q), 3.25e-3, "q={q}");
         }
         let s = h.snapshot();
-        assert_eq!((s.p50, s.p90, s.p95, s.p99), (3.25e-3, 3.25e-3, 3.25e-3, 3.25e-3));
+        assert_eq!(
+            (s.p50, s.p90, s.p95, s.p99),
+            (3.25e-3, 3.25e-3, 3.25e-3, 3.25e-3)
+        );
         assert_eq!(s.count, 100);
     }
 
@@ -621,7 +624,10 @@ mod tests {
         let mut prev = Vec::new();
         let full = hub.delta_snapshot(&mut prev);
         assert_eq!(full.len(), 3, "first delta is the full snapshot");
-        assert!(hub.delta_snapshot(&mut prev).is_empty(), "no change, no delta");
+        assert!(
+            hub.delta_snapshot(&mut prev).is_empty(),
+            "no change, no delta"
+        );
         hub.counter("a").add(1);
         hub.counter("d").inc();
         let delta = hub.delta_snapshot(&mut prev);

@@ -40,7 +40,6 @@ use crate::wire::{
     WireTx,
 };
 use commsim::FaultPlan;
-use memtrack::Accountant;
 use meshdata::MultiBlock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -393,8 +392,8 @@ pub struct SstReader {
     faults: Arc<FaultPlan>,
     crashed: bool,
     last_delivered: Option<u64>,
-    queue_accountant: Option<Accountant>,
-    /// Payload bytes accepted and not yet delivered.
+    /// Payload bytes accepted and not yet delivered (the
+    /// `transport/queue_depth` gauge).
     staged: u64,
     bytes_received: u64,
     corrupt_rejected: u64,
@@ -404,11 +403,6 @@ pub struct SstReader {
 }
 
 impl SstReader {
-    /// Attach a memory accountant for staged-but-unprocessed bytes.
-    pub fn set_accountant(&mut self, a: Accountant) {
-        self.queue_accountant = Some(a);
-    }
-
     /// Receive the next step. Blocks until the earliest outstanding step is
     /// *resolved*: every producer has contributed a packet, skipped the
     /// step, or detached — so a step with failed producers is returned as a
@@ -439,7 +433,7 @@ impl SstReader {
                             Some(at),
                             format!("endpoint {} crashed", self.index),
                         );
-                        self.crash();
+                        self.crash(comm);
                         return Ok(None);
                     }
                 }
@@ -493,15 +487,21 @@ impl SstReader {
 
     /// The endpoint process dies: stop consuming and release the channel
     /// so producers observe the disconnect.
-    fn crash(&mut self) {
+    fn crash(&mut self, comm: &commsim::Comm) {
         self.crashed = true;
         self.rx = None;
         // Staged-but-unprocessed bytes die with the process.
-        if let Some(a) = &self.queue_accountant {
-            a.credit_raw(self.staged);
-        }
-        self.staged = 0;
         self.outstanding.clear();
+        self.set_staged(comm, 0);
+    }
+
+    /// Record the staged byte count, in the reader and on the
+    /// `transport/queue_depth` gauge.
+    fn set_staged(&mut self, comm: &commsim::Comm, bytes: u64) {
+        self.staged = bytes;
+        comm.telemetry()
+            .gauge("transport/queue_depth")
+            .set(bytes as f64);
     }
 
     fn ingest(&mut self, comm: &mut commsim::Comm, packet: Packet) {
@@ -528,14 +528,8 @@ impl SstReader {
                 if entry.packets.iter().any(|p| p.producer == packet.producer) {
                     return; // duplicate retransmit
                 }
-                if let Some(a) = &self.queue_accountant {
-                    a.charge_raw(nbytes);
-                }
                 entry.packets.push(packet);
-                self.staged += nbytes;
-                comm.telemetry()
-                    .gauge("transport/queue_depth")
-                    .set(self.staged as f64);
+                self.set_staged(comm, self.staged + nbytes);
             }
             PacketKind::Skip => {
                 self.outstanding
@@ -599,13 +593,7 @@ impl SstReader {
             rx.set_drained_at(comm.now());
         }
         let bytes: u64 = packets.iter().map(|p| p.payload.len() as u64).sum();
-        if let Some(a) = &self.queue_accountant {
-            a.credit_raw(bytes);
-        }
-        self.staged -= bytes;
-        comm.telemetry()
-            .gauge("transport/queue_depth")
-            .set(self.staged as f64);
+        self.set_staged(comm, self.staged - bytes);
         if missing.is_empty() {
             self.complete_steps += 1;
         } else {
@@ -838,7 +826,6 @@ impl StagingNetwork {
             faults,
             crashed: false,
             last_delivered: None,
-            queue_accountant: None,
             staged: 0,
             bytes_received: 0,
             corrupt_rejected: 0,
@@ -996,23 +983,73 @@ mod tests {
         assert!(t >= 10.0, "backpressure must slow the writer: t = {t}");
     }
 
+    /// Two producers into one reader, each writing `steps` in a world of
+    /// its own, producer 0 first, so the reader's queue order is fixed.
+    /// The reader then runs `read` with the hub attached.
+    fn staged_in_order<R: Send + 'static>(
+        steps: u64,
+        faults: FaultPlan,
+        read: impl Fn(&mut commsim::Comm, &mut SstReader) -> R + Send + Sync + 'static,
+    ) -> (R, telemetry::TelemetryHub) {
+        let (writers, readers) =
+            StagingNetwork::build_faulty(2, 1, 16, StagingLink::test_tiny(), faults);
+        for w in writers {
+            run_ranks_with_state(MachineModel::test_tiny(), vec![w], move |comm, mut w| {
+                for step in 0..steps {
+                    w.write(comm, step, 0.0, payload_for(7)).unwrap();
+                }
+            });
+        }
+        let hub = telemetry::TelemetryHub::default();
+        let reader_hub = hub.clone();
+        let mut out =
+            run_ranks_with_state(MachineModel::test_tiny(), readers, move |comm, mut r| {
+                comm.enable_telemetry(&reader_hub, 1);
+                read(comm, &mut r)
+            });
+        (out.remove(0), hub)
+    }
+
     #[test]
-    fn reader_accountant_tracks_staged_bytes() {
-        let (writers, mut readers) = StagingNetwork::build(1, 1, 4, StagingLink::test_tiny());
-        let acct = Accountant::new("staging");
-        readers[0].set_accountant(acct.clone());
-        let framed = payload_for(7);
-        let len = framed.len() as u64;
-        run_ranks_with_state(MachineModel::test_tiny(), writers, move |comm, mut w| {
-            w.write(comm, 0, 0.0, framed.clone()).unwrap();
+    fn reader_gauge_tracks_staged_bytes() {
+        let len = payload_for(7).len() as f64;
+        let (depths, hub) = staged_in_order(2, FaultPlan::none(), |comm, reader| {
+            let mut depths = Vec::new();
+            while let Some(d) = reader.recv_step(comm).unwrap() {
+                depths.push((
+                    d.step,
+                    comm.telemetry().gauge("transport/queue_depth").get(),
+                ));
+            }
+            depths
         });
-        run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
-            let d = reader.recv_step(comm).unwrap().unwrap();
-            assert_eq!(d.step, 0);
+        // Charged on receive: step 1's first packet waits while step 0
+        // goes out. Zero once drained.
+        assert_eq!(depths, vec![(0, len), (1, 0.0)]);
+        assert_eq!(hub.gauge_sum("transport/queue_depth"), 0.0);
+    }
+
+    #[test]
+    fn reader_gauge_reads_zero_after_a_crash() {
+        let crash = FaultPlan {
+            crashes: vec![EndpointCrash {
+                endpoint: 0,
+                at_step: 1,
+            }],
+            ..FaultPlan::none()
+        };
+        // Step 0 goes out; resolving step 1 fires the crash with producer
+        // 0's steps 2 and 3 still staged, and they die with the endpoint.
+        let (delivered, hub) = staged_in_order(4, crash, |comm, reader| {
+            let mut delivered = Vec::new();
+            while let Some(d) = reader.recv_step(comm).unwrap() {
+                delivered.push(d.step);
+            }
+            assert!(reader.crashed());
+            delivered
         });
-        // Charged on receive, credited on drain.
-        assert_eq!(acct.peak(), len);
-        assert_eq!(acct.current(), 0);
+        assert_eq!(delivered, vec![0]);
+        assert_eq!(hub.gauge_sum("transport/queue_depth"), 0.0);
     }
 
     #[test]

@@ -73,7 +73,10 @@ impl std::fmt::Display for TransportError {
             }
             TransportError::Corrupt(e) => write!(f, "corrupt frame: {e}"),
             TransportError::ShortRead { wanted, got } => {
-                write!(f, "short read: connection ended after {got} of {wanted} bytes")
+                write!(
+                    f,
+                    "short read: connection ended after {got} of {wanted} bytes"
+                )
             }
         }
     }

@@ -363,10 +363,13 @@ impl StagingService {
             }
         }
         for (step, mb) in steps {
-            let (images, hit) =
-                session
-                    .pipeline
-                    .execute_cached(comm, &mb, step, &mut self.scratch, &mut self.cache);
+            let (images, hit) = session.pipeline.execute_cached(
+                comm,
+                &mb,
+                step,
+                &mut self.scratch,
+                &mut self.cache,
+            );
             session.stats.catchup_steps += 1;
             comm.telemetry().counter("staging/catchup_steps").inc();
             Self::deliver(comm, session, step, hit, &images);
@@ -824,10 +827,14 @@ mod tests {
         let sim = drive_writers(writers, 3);
         let hub2 = hub.clone();
         let svc = std::thread::spawn(move || {
-            run_ranks_with_state(MachineModel::test_tiny(), vec![service], move |comm, mut s| {
-                comm.enable_telemetry(&hub2, 0);
-                s.run(comm).unwrap()
-            })
+            run_ranks_with_state(
+                MachineModel::test_tiny(),
+                vec![service],
+                move |comm, mut s| {
+                    comm.enable_telemetry(&hub2, 0);
+                    s.run(comm).unwrap()
+                },
+            )
             .remove(0)
         });
 
@@ -871,7 +878,10 @@ mod tests {
             "nek_{}_{}_{}",
             tag,
             std::process::id(),
-            std::thread::current().name().unwrap_or("t").replace("::", "_")
+            std::thread::current()
+                .name()
+                .unwrap_or("t")
+                .replace("::", "_")
         ));
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -506,7 +506,10 @@ mod tests {
         wire.extend_from_slice(&b);
         wire.extend_from_slice(&c[..c.len() - 5]);
         let mut cursor = std::io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap().payload, vec![1; 8]);
+        assert_eq!(
+            read_frame(&mut cursor).unwrap().unwrap().payload,
+            vec![1; 8]
+        );
         assert_eq!(
             read_frame(&mut cursor).unwrap().unwrap().kind,
             PacketKind::Skip

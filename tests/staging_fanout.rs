@@ -63,7 +63,10 @@ fn tempdir(tag: &str) -> PathBuf {
         "nek_fanout_{}_{}_{}",
         tag,
         std::process::id(),
-        std::thread::current().name().unwrap_or("t").replace("::", "_")
+        std::thread::current()
+            .name()
+            .unwrap_or("t")
+            .replace("::", "_")
     ));
     std::fs::create_dir_all(&dir).expect("tempdir");
     dir
@@ -400,7 +403,13 @@ fn mid_frame_disconnect_is_a_typed_short_read() {
                 }
             };
             assert!(
-                matches!(err, TransportError::ShortRead { wanted: 64, got: 10 }),
+                matches!(
+                    err,
+                    TransportError::ShortRead {
+                        wanted: 64,
+                        got: 10
+                    }
+                ),
                 "unexpected error: {err:?}"
             );
             assert!(!err.is_fatal(), "short reads must be survivable");

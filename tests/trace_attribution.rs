@@ -356,7 +356,11 @@ fn cross_rank_edges_link_send_to_recv_in_both_sched_modes() {
         v.sort_by_key(|(id, _)| *id);
         v
     };
-    assert_eq!(key(&thread), key(&event), "edge sets differ across schedulers");
+    assert_eq!(
+        key(&thread),
+        key(&event),
+        "edge sets differ across schedulers"
+    );
 }
 
 /// Critical-path analysis is deterministic: the same seed produces
@@ -384,7 +388,10 @@ fn critical_path_json_is_byte_identical_across_runs_and_schedulers() {
         !crit_a.contrib.is_empty(),
         "critical path names no (rank, phase) contributors"
     );
-    assert_eq!(json_a, json_b, "same seed, same mode: JSON must be identical");
+    assert_eq!(
+        json_a, json_b,
+        "same seed, same mode: JSON must be identical"
+    );
 
     let (_, json_event) = run(SchedMode::Event);
     assert_eq!(
