@@ -4,7 +4,13 @@
 //! rectangle of the image. A [`Framebuffer`] is that rectangle at full
 //! size; a [`Tile`] is only as large as the bounding box of what one rank
 //! draws, which is what sort-last compositing ships (see
-//! [`crate::composite`]). Both produce the same pixels, bit for bit.
+//! [`crate::composite`]). A tile is filled in bands of rows on the shared
+//! pool. All produce the same pixels, bit for bit.
+
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use rayon::pool;
 
 use crate::camera::{Camera, Projector};
 use crate::colormap::Colormap;
@@ -64,10 +70,6 @@ impl Rect {
             x1: self.x1.max(o.x1),
             y1: self.y1.max(o.y1),
         }
-    }
-
-    fn contains(&self, o: Rect) -> bool {
-        o.is_empty() || (self.x0 <= o.x0 && self.y0 <= o.y0 && o.x1 <= self.x1 && o.y1 <= self.y1)
     }
 }
 
@@ -250,7 +252,7 @@ impl Framebuffer {
             image_size: (self.width, self.height),
             color: Vec::with_capacity(view.rect.area()),
             depth: Vec::with_capacity(view.rect.area()),
-            triangles: Vec::new(),
+            ..Tile::default()
         };
         for r in 0..view.rows() {
             let (color, depth) = view.row(r);
@@ -310,6 +312,8 @@ pub struct Tile {
     depth: Vec<f32>,
     /// The draw call's projected triangles; kept for the allocation.
     triangles: Vec<ScreenTriangle>,
+    /// Per entry of `triangles`: whether some band wrote one of its pixels.
+    touched: Vec<AtomicBool>,
 }
 
 impl Tile {
@@ -335,7 +339,9 @@ impl Tile {
     }
 
     /// Size the tile to `self.triangles`' bounding box, clear it and
-    /// rasterise them.
+    /// rasterise them: one band of rows per pool thread, each band walking
+    /// every triangle in order over its own rows, so each pixel sees the
+    /// depth tests it would see in one pass.
     fn fill_triangles(&mut self, colormap: &Colormap, range: (f64, f64)) -> usize {
         let rect = self
             .triangles
@@ -346,16 +352,42 @@ impl Tile {
         self.color.resize(rect.area(), BACKGROUND);
         self.depth.clear();
         self.depth.resize(rect.area(), f32::INFINITY);
-        let mut target = Target {
-            rect,
-            color: &mut self.color,
-            depth: &mut self.depth,
-        };
-        let mut drawn = 0;
-        for tri in &self.triangles {
-            drawn += usize::from(target.fill(tri, colormap, range));
-        }
-        drawn
+        self.touched.clear();
+        self.touched
+            .resize_with(self.triangles.len(), AtomicBool::default);
+        let rows = &Rows::new(rect, &mut self.color, &mut self.depth);
+        let (triangles, touched) = (&self.triangles, &self.touched);
+        let stride = rect.width();
+        pool::run_partitioned(rect.y1 - rect.y0, move |_, r0, r1| {
+            let span = r0 * stride..r1 * stride;
+            // SAFETY: `run_partitioned` hands each job its own `r0..r1`, so
+            // the spans are disjoint and inside the `rect.area()` pixels
+            // `rows` borrows mutably until the dispatch returns.
+            let (color, depth) = unsafe {
+                (
+                    std::slice::from_raw_parts_mut(rows.color.add(span.start), span.len()),
+                    std::slice::from_raw_parts_mut(rows.depth.add(span.start), span.len()),
+                )
+            };
+            let mut band = Target {
+                rect: Rect {
+                    y0: rect.y0 + r0,
+                    y1: rect.y0 + r1,
+                    ..rect
+                },
+                color,
+                depth,
+            };
+            for (tri, touched) in triangles.iter().zip(touched) {
+                if band.fill(tri, colormap, range) {
+                    touched.store(true, Ordering::Relaxed);
+                }
+            }
+        });
+        self.touched
+            .iter()
+            .filter(|t| t.load(Ordering::Relaxed))
+            .count()
     }
 
     /// Pixels held (and sent): the bounding box's area.
@@ -376,7 +408,7 @@ impl Tile {
             image_size: self.image_size,
             color: std::mem::take(&mut self.color),
             depth: std::mem::take(&mut self.depth),
-            triangles: Vec::new(),
+            ..Tile::default()
         }
     }
 
@@ -505,6 +537,30 @@ struct Target<'a> {
     depth: &'a mut [f32],
 }
 
+/// A tile's pixel rows, shared by the jobs of one fill; each job makes
+/// its own band of rows into a [`Target`].
+struct Rows<'a> {
+    color: *mut [u8; 3],
+    depth: *mut f32,
+    /// The pixels stay mutably borrowed for as long as a job can write.
+    _pixels: PhantomData<(&'a mut [[u8; 3]], &'a mut [f32])>,
+}
+
+// SAFETY: the pointers are only made into slices over one job's band of
+// rows, and the bands are disjoint; no two jobs touch one pixel.
+unsafe impl Sync for Rows<'_> {}
+
+impl<'a> Rows<'a> {
+    fn new(rect: Rect, color: &'a mut [[u8; 3]], depth: &'a mut [f32]) -> Self {
+        assert!(color.len() == rect.area() && depth.len() == rect.area());
+        Self {
+            color: color.as_mut_ptr(),
+            depth: depth.as_mut_ptr(),
+            _pixels: PhantomData,
+        }
+    }
+}
+
 /// Reads `edge / area < 0.0` off the signs, without dividing, wherever
 /// that is certain.
 ///
@@ -541,10 +597,15 @@ impl SignReject {
 }
 
 impl Target<'_> {
-    /// Depth-test and shade every pixel centre inside `tri`; true when a
-    /// pixel was written. `tri.bounds` must lie inside the target.
+    /// Depth-test and shade every pixel centre inside `tri` on the
+    /// target's rows; true when a pixel was written. `tri.bounds` must lie
+    /// inside the target's columns.
     fn fill(&mut self, tri: &ScreenTriangle, colormap: &Colormap, range: (f64, f64)) -> bool {
-        assert!(self.rect.contains(tri.bounds), "triangle outside target");
+        let (rect, bounds) = (self.rect, tri.bounds);
+        assert!(
+            rect.x0 <= bounds.x0 && bounds.x1 <= rect.x1,
+            "triangle outside target"
+        );
         let [v0, v1, v2] = tri.v;
         let (s, area, intensity) = (tri.s, tri.area, tri.intensity);
         // Most of the bounding box is outside the triangle: drop it on the
@@ -552,9 +613,9 @@ impl Target<'_> {
         let outside = SignReject::new(area);
         let stride = self.rect.width();
         let mut touched = false;
-        for y in tri.bounds.y0..tri.bounds.y1 {
-            let row = (y - self.rect.y0) * stride;
-            for x in tri.bounds.x0..tri.bounds.x1 {
+        for y in bounds.y0.max(rect.y0)..bounds.y1.min(rect.y1) {
+            let row = (y - rect.y0) * stride;
+            for x in bounds.x0..bounds.x1 {
                 let pt = (x as f64 + 0.5, y as f64 + 0.5, 0.0);
                 let e0 = edge(v1, v2, pt);
                 let e1 = edge(v2, v0, pt);
@@ -569,7 +630,7 @@ impl Target<'_> {
                     continue;
                 }
                 let depth = (w0 * v0.2 + w1 * v1.2 + w2 * v2.2) as f32;
-                let idx = row + (x - self.rect.x0);
+                let idx = row + (x - rect.x0);
                 if depth < self.depth[idx] {
                     self.depth[idx] = depth;
                     let scalar = w0 * s[0] + w1 * s[1] + w2 * s[2];
@@ -1212,6 +1273,38 @@ pub(crate) mod tests {
             assert_same_pixels(&fb, &want, "draw after reset_to");
             tile.draw(&cam, &second, &cm, range, (w2, h2));
             assert_same_pixels(&expand(&tile), &want, "tile reused at a new size");
+        }
+
+        /// Filled in bands on pools of 1, 2, 3 and 5 threads, a tile is the
+        /// oracle's image bit for bit and counts what it does, drawn into
+        /// twice, also when the image has fewer rows than there are bands.
+        #[test]
+        fn banded_tiles_draw_as_the_reference_does(
+            seed in 0u64..u64::MAX,
+            (w, h) in (1usize..=97, 1usize..=71),
+        ) {
+            let rng = &mut TestRng::from_seed(seed);
+            let (cam, cm) = (camera_for(rng), colormap(rng));
+            let range = (0.0, uniform(rng, 0.5, 1.5));
+            let h = if seed % 4 == 0 { 1 + h % 4 } else { h };
+            let soups = [world_soup(rng, 60), world_soup(rng, 60)];
+            let want = soups.each_ref().map(|soup| {
+                let mut want = reference::Framebuffer::new(w, h);
+                let drawn = want.draw(&cam, soup, &cm, range);
+                (want, drawn)
+            });
+            let mut tile = Tile::default();
+            for threads in [1, 2, 3, 5] {
+                for (soup, (want, want_drawn)) in soups.iter().zip(&want) {
+                    let drawn =
+                        pool::with_threads(threads, || tile.draw(&cam, soup, &cm, range, (w, h)));
+                    prop_assert!(
+                        drawn == *want_drawn,
+                        "{threads} threads drew {drawn}, the oracle {want_drawn}"
+                    );
+                    assert_same_pixels(&expand(&tile), want, &format!("{threads} threads"));
+                }
+            }
         }
 
         #[test]

@@ -57,7 +57,7 @@ impl RankPhases {
         if self.wall <= 0.0 {
             return 1.0;
         }
-        self.phases.values().map(|p| p.self_total).sum::<f64>() / self.wall
+        crate::sum(self.phases.values().map(|p| p.self_total)) / self.wall
     }
 }
 
@@ -93,20 +93,22 @@ impl PhaseBreakdown {
 
     /// Summed inclusive time of `name` across all ranks.
     pub fn total(&self, name: &str) -> f64 {
-        self.ranks
-            .iter()
-            .filter_map(|r| r.phases.get(name))
-            .map(|p| p.total)
-            .sum()
+        crate::sum(
+            self.ranks
+                .iter()
+                .filter_map(|r| r.phases.get(name))
+                .map(|p| p.total),
+        )
     }
 
     /// Summed exclusive time of `name` across all ranks.
     pub fn self_total(&self, name: &str) -> f64 {
-        self.ranks
-            .iter()
-            .filter_map(|r| r.phases.get(name))
-            .map(|p| p.self_total)
-            .sum()
+        crate::sum(
+            self.ranks
+                .iter()
+                .filter_map(|r| r.phases.get(name))
+                .map(|p| p.self_total),
+        )
     }
 
     /// Total span count of `name` across all ranks.

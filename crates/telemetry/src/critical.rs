@@ -351,7 +351,7 @@ pub fn analyze(traces: &[RankTrace], step_bounds: &[(u64, f64, f64)]) -> Critica
     // Per-rank slack over every trace (not only chain members).
     let mut slack = Vec::with_capacity(traces.len());
     for ((pid, rank), ri) in &index {
-        let wait_s = ri.binding.iter().map(|e| e.t_ready - e.t_recv).sum();
+        let wait_s = crate::sum(ri.binding.iter().map(|e| e.t_ready - e.t_recv));
         slack.push(RankSlack {
             pid: *pid,
             rank: *rank,
@@ -572,7 +572,7 @@ mod tests {
             .any(|c| c.phase == "net/message" && (c.secs - 1.0).abs() < 1e-12));
         // Rank 1 waited 4s; rank 0 never waited.
         assert_eq!(r.slack.len(), 2);
-        assert_eq!(r.slack[0].wait_s, 0.0);
+        assert_eq!(r.slack[0].wait_s.to_bits(), 0.0f64.to_bits());
         assert!((r.slack[1].wait_s - 4.0).abs() < 1e-12);
     }
 

@@ -416,13 +416,14 @@ impl TelemetryHub {
     /// aggregate e.g. endpoint queue depths into one series column).
     pub fn gauge_sum(&self, suffix: &str) -> f64 {
         let map = lock(&self.inner.instruments);
-        map.iter()
+        let values = map
+            .iter()
             .filter(|(name, _)| name.ends_with(suffix))
             .map(|(_, slot)| match slot {
                 Slot::Gauge(g) => f64::from_bits(g.load(Ordering::Relaxed)),
                 _ => 0.0,
-            })
-            .sum()
+            });
+        crate::sum(values)
     }
 
     /// Final value of every registered instrument, sorted by name.
@@ -667,6 +668,18 @@ mod tests {
         let g = hub.gauge("rank0/g");
         hub.gauge("rank0/g").set(2.5);
         assert_eq!(g.get(), 2.5);
+    }
+
+    /// Bits, not `==`, which cannot tell `-0.0` from `0.0`.
+    #[test]
+    fn gauge_sum_over_no_gauge_is_positive_zero() {
+        let hub = TelemetryHub::default();
+        let depth = || hub.gauge_sum("transport/queue_depth").to_bits();
+        assert_eq!(depth(), 0.0f64.to_bits());
+        hub.gauge("rank0/transport/queue_depth").set(-0.0);
+        assert_eq!(depth(), 0.0f64.to_bits());
+        hub.gauge("rank1/transport/queue_depth").set(2.5);
+        assert_eq!(depth(), 2.5f64.to_bits());
     }
 
     #[test]

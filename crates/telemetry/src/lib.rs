@@ -58,6 +58,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Sum from `+0.0`: `f64`'s `Sum` starts at `-0.0`, so a sum of nothing
+/// would reach a report as `-0.0`.
+fn sum(values: impl Iterator<Item = f64>) -> f64 {
+    values.fold(0.0, |acc, v| acc + v)
+}
+
 /// Per-rank handle onto a [`TelemetryHub`]: prefixes instrument names
 /// with the rank scope and stamps events with pid/rank identity.
 ///

@@ -139,7 +139,7 @@ impl RunReport {
 
     /// Total rank-0 backpressure wait over the series, in seconds.
     pub fn total_backpressure_wait(&self) -> f64 {
-        self.series.iter().map(|s| s.backpressure_wait).sum()
+        crate::sum(self.series.iter().map(|s| s.backpressure_wait))
     }
 
     /// Serialize to the `nekstat/run-report/v1` JSON document.

@@ -1,7 +1,8 @@
 //! Offline stand-in for the part of `rayon` this workspace uses: not the
 //! parallel-iterator prelude but a small work-distributing thread pool,
-//! [`pool`], whose [`pool::run`] / [`pool::run_partitioned`] the SEM
-//! operators dispatch their element blocks through.
+//! [`pool`]. It has two clients: the SEM operators dispatch their element
+//! blocks through [`pool::run_partitioned`], and the rasteriser
+//! (`render::raster`) fills a tile's row bands through it.
 //!
 //! Jobs run on a fixed pool of worker threads (sized from
 //! `available_parallelism`, or `NEK_POOL_THREADS` when set). The design keeps three properties the workspace depends on:

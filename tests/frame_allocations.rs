@@ -2,12 +2,16 @@
 //! installed in this test binary: writing a frame copies its bytes once
 //! and allocates nothing of its own, reading one back allocates the
 //! buffer the payload arrives in and nothing besides, and a PNG encoded
-//! into the last frame's buffer allocates nothing at all.
+//! into the last frame's buffer allocates nothing at all; nor does a draw
+//! into a warm tile, its row bands on the pool or not.
 
 use memtrack::alloc::{global_allocation_count, global_current, global_peak, reset_peak};
 use memtrack::TrackingAllocator;
+use rayon::pool;
 use render::image::{encode_png, encode_png_into};
-use render::Framebuffer;
+use render::raster::Tile;
+use render::{Camera, Colormap, Framebuffer, TriangleSoup};
+use std::sync::Barrier;
 use transport::engine::{Packet, PacketKind};
 use transport::staging::protocol::{read_down, write_frame, DownMsg};
 use transport::wire::{read_frame, write_packet};
@@ -89,4 +93,40 @@ fn frames_cost_the_heap_one_payload_buffer() {
     encode_png_into(&fb, &mut png);
     assert_eq!(global_allocation_count(), before, "encoding allocated");
     assert_eq!(png, encode_png(&fb));
+
+    // A 24 × 16 grid of quads over the whole view, two triangles each.
+    let mut soup = TriangleSoup::default();
+    for (i, j) in (0..24).flat_map(|i| (0..16).map(move |j| (i, j))) {
+        let corner = |di: usize, dj: usize| {
+            let (x, y) = ((i + di) as f64 / 12.0 - 1.0, (j + dj) as f64 / 8.0 - 1.0);
+            [x, y, 0.1 * (x * y).sin()]
+        };
+        let (a, b, c, d) = (corner(0, 0), corner(1, 0), corner(1, 1), corner(0, 1));
+        soup.positions.extend([a, b, c, a, c, d]);
+        soup.scalars.extend([0.0, 0.5, 1.0, 0.0, 1.0, 0.25]);
+    }
+    let camera = Camera::framing([-1.0, 1.0, -1.0, 1.0, -0.1, 0.1], [0.2, 0.1, 1.0]);
+    let cm = Colormap::viridis();
+    let mut tile = Tile::default();
+    for threads in [1, 3] {
+        pool::with_threads(threads, || {
+            // Hold every pool thread of this width in one job, so each has
+            // made its once-per-thread start-up allocations before the count.
+            let all = Barrier::new(threads);
+            pool::run(threads, |_| {
+                all.wait();
+            });
+            let draw = |tile: &mut Tile| tile.draw(&camera, &soup, &cm, (0.0, 1.0), (400, 300));
+            let warm = draw(&mut tile);
+            assert_eq!(warm, 2 * 24 * 16, "every triangle is in view");
+            let before = global_allocation_count();
+            let (grown, drawn) = peak_growth(|| draw(&mut tile));
+            assert_eq!(drawn, warm);
+            assert_eq!(
+                (global_allocation_count() - before, grown),
+                (0, 0),
+                "a warm draw on {threads} threads allocated"
+            );
+        });
+    }
 }

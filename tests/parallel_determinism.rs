@@ -126,7 +126,9 @@ fn golden_hashes(pool_threads: usize, exec: ExecMode) -> Vec<(String, u64)> {
 #[test]
 fn golden_image_hashes_identical_across_pool_widths() {
     let sequential = golden_hashes(1, ExecMode::Synchronous);
+    // Width 3 splits a tile's rows into uneven bands.
     for (threads, exec) in [
+        (3, ExecMode::Synchronous),
         (4, ExecMode::Synchronous),
         (1, ExecMode::Pipelined),
         (4, ExecMode::Pipelined),

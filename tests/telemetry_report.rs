@@ -80,6 +80,13 @@ fn pipelined_fault_run_emits_complete_run_report() {
         );
     }
 
+    // No transport queue in situ: its depth reads +0.0 in bits, not the
+    // -0.0 of a float sum over no gauge.
+    assert!(
+        report.series.iter().all(|s| s.queue_depth.to_bits() == 0),
+        "queue depth of an in situ run must be +0.0"
+    );
+
     // The p95 readout works and the stall's backpressure reached the
     // producer (50 s parked in a <1 s/step run must dominate).
     assert!(report.step_time_p95() > 0.0);
