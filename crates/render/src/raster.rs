@@ -172,23 +172,30 @@ impl Framebuffer {
     ) -> usize {
         let size = (self.width, self.height);
         let projector = camera.projector(self.width, self.height);
+        let build = Build::detect();
         let mut drawn = 0;
         for t in 0..soup.n_triangles() {
             if let Some(tri) = ScreenTriangle::project(&projector, soup, t, size) {
-                drawn += usize::from(self.fill(&tri, colormap, range));
+                drawn += usize::from(self.fill(build, &tri, colormap, range));
             }
         }
         drawn
     }
 
-    fn fill(&mut self, tri: &ScreenTriangle, colormap: &Colormap, range: (f64, f64)) -> bool {
+    fn fill(
+        &mut self,
+        build: Build,
+        tri: &ScreenTriangle,
+        colormap: &Colormap,
+        range: (f64, f64),
+    ) -> bool {
         self.dirty = self.dirty.union(tri.bounds);
         let mut target = Target {
             rect: Rect::image(self.width, self.height),
             color: &mut self.color,
             depth: &mut self.depth,
         };
-        target.fill(tri, colormap, range)
+        target.fill(build, tri, colormap, range)
     }
 
     /// Burn a vertical colormap legend into the right edge of the image
@@ -357,7 +364,7 @@ impl Tile {
             .resize_with(self.triangles.len(), AtomicBool::default);
         let rows = &Rows::new(rect, &mut self.color, &mut self.depth);
         let (triangles, touched) = (&self.triangles, &self.touched);
-        let stride = rect.width();
+        let (stride, build) = (rect.width(), Build::detect());
         pool::run_partitioned(rect.y1 - rect.y0, move |_, r0, r1| {
             let span = r0 * stride..r1 * stride;
             // SAFETY: `run_partitioned` hands each job its own `r0..r1`, so
@@ -379,7 +386,7 @@ impl Tile {
                 depth,
             };
             for (tri, touched) in triangles.iter().zip(touched) {
-                if band.fill(tri, colormap, range) {
+                if band.fill(build, tri, colormap, range) {
                     touched.store(true, Ordering::Relaxed);
                 }
             }
@@ -561,38 +568,83 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// Reads `edge / area < 0.0` off the signs, without dividing, wherever
-/// that is certain.
-///
-/// The quotient is negative exactly when the signs differ and it does not
-/// underflow to -0.0, which `|edge|` above the smallest normal and
-/// `|area|` below 2⁵⁰ rule out (the quotient stays above 2⁻¹⁰⁷², a
-/// subnormal). Anything else — tiny or NaN edge values, huge or NaN areas
-/// — is never rejected here and is left to the division.
+/// Pixels of one bounding-box row that [`Target::fill`] computes together.
+const LANES: usize = 8;
+
+/// Lane `l`'s pixel centre lies `l + 0.5` right of its chunk's first
+/// pixel; `x as f64 + (l + 0.5)` is exact, so it is `(x + l) as f64 + 0.5`.
+const LANE_CENTRES: [f64; LANES] = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5];
+
+/// The compilation of [`Target::fill`]'s body that runs.
 #[derive(Debug, Clone, Copy)]
-struct SignReject {
-    /// ±1, the sign of the area.
-    sign: f64,
-    /// `edge × sign` below this is a negative weight.
-    below: f64,
+enum Build {
+    /// The target's baseline instruction set.
+    Portable,
+    /// The same body built for AVX2: eight lanes in two vectors instead of
+    /// four, the same operations in the same order, so the same bits.
+    /// Made only behind `is_x86_feature_detected!("avx2")`, in
+    /// [`Build::detect`] and in the tests: holding one is the proof that
+    /// this CPU runs AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
 }
 
-impl SignReject {
-    const MAX_AREA: f64 = (1u64 << 50) as f64;
+impl Build {
+    /// The build this CPU runs; the detection is cached for the process.
+    fn detect() -> Build {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Build::Avx2;
+        }
+        Build::Portable
+    }
+}
 
-    fn new(area: f64) -> Self {
+/// The colours one fill has shaded, by the bits of the scalar. Within a
+/// fill the colormap, range and intensity are fixed, so the colour is a
+/// function of those bits alone. Direct-mapped on the low bits, which tell
+/// apart the few roundings of one value that a triangle with three equal
+/// vertex scalars (a contour's) interpolates to.
+struct Shades<'a> {
+    colormap: &'a Colormap,
+    range: (f64, f64),
+    intensity: f64,
+    slots: [Option<(u64, [u8; 3])>; Shades::SLOTS],
+}
+
+impl<'a> Shades<'a> {
+    const SLOTS: usize = 4;
+
+    fn new(colormap: &'a Colormap, range: (f64, f64), intensity: f64) -> Self {
         Self {
-            sign: if area < 0.0 { -1.0 } else { 1.0 },
-            below: if area.abs() < Self::MAX_AREA {
-                -f64::MIN_POSITIVE
-            } else {
-                f64::NEG_INFINITY
-            },
+            colormap,
+            range,
+            intensity,
+            slots: [None; Shades::SLOTS],
         }
     }
 
-    fn rejects(&self, edge: f64) -> bool {
-        edge * self.sign < self.below
+    fn slot(bits: u64) -> usize {
+        bits as usize % Shades::SLOTS
+    }
+
+    /// `scalar` through the colormap, dimmed by the intensity.
+    fn get(&mut self, scalar: f64) -> [u8; 3] {
+        let bits = scalar.to_bits();
+        let slot = &mut self.slots[Shades::slot(bits)];
+        match *slot {
+            Some((key, rgb)) if key == bits => rgb,
+            _ => {
+                let rgb = self.colormap.map(scalar, self.range.0, self.range.1);
+                let rgb = [
+                    (rgb[0] as f64 * self.intensity) as u8,
+                    (rgb[1] as f64 * self.intensity) as u8,
+                    (rgb[2] as f64 * self.intensity) as u8,
+                ];
+                *slot = Some((bits, rgb));
+                rgb
+            }
+        }
     }
 }
 
@@ -600,47 +652,72 @@ impl Target<'_> {
     /// Depth-test and shade every pixel centre inside `tri` on the
     /// target's rows; true when a pixel was written. `tri.bounds` must lie
     /// inside the target's columns.
-    fn fill(&mut self, tri: &ScreenTriangle, colormap: &Colormap, range: (f64, f64)) -> bool {
+    fn fill(
+        &mut self,
+        build: Build,
+        tri: &ScreenTriangle,
+        colormap: &Colormap,
+        range: (f64, f64),
+    ) -> bool {
+        match build {
+            Build::Portable => self.fill_lanes(tri, colormap, range),
+            // SAFETY: a `Build::Avx2` is made only where
+            // `is_x86_feature_detected!("avx2")` held.
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx2 => unsafe { self.fill_avx2(tri, colormap, range) },
+        }
+    }
+
+    /// [`Self::fill_lanes`] inlined into a function built for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn fill_avx2(&mut self, tri: &ScreenTriangle, colormap: &Colormap, range: (f64, f64)) -> bool {
+        self.fill_lanes(tri, colormap, range)
+    }
+
+    /// The fill's one body. Each bounding-box row is walked in chunks of
+    /// [`LANES`] pixels: every lane gets its edge values, weights, inside
+    /// verdict, depth and scalar without a branch, by the oracle's
+    /// expressions in the oracle's order; then the chunk's real lanes
+    /// (fewer at the row's end) that are inside and nearer than the pixel
+    /// are written. A triangle covers a pixel once, so the order of the
+    /// writes within a chunk changes nothing.
+    #[inline(always)]
+    fn fill_lanes(&mut self, tri: &ScreenTriangle, colormap: &Colormap, range: (f64, f64)) -> bool {
         let (rect, bounds) = (self.rect, tri.bounds);
         assert!(
             rect.x0 <= bounds.x0 && bounds.x1 <= rect.x1,
             "triangle outside target"
         );
         let [v0, v1, v2] = tri.v;
-        let (s, area, intensity) = (tri.s, tri.area, tri.intensity);
-        // Most of the bounding box is outside the triangle: drop it on the
-        // signs. What survives runs the exact test, whose verdict counts.
-        let outside = SignReject::new(area);
+        let (s, area) = (tri.s, tri.area);
+        let mut shades = Shades::new(colormap, range, tri.intensity);
         let stride = self.rect.width();
         let mut touched = false;
         for y in bounds.y0.max(rect.y0)..bounds.y1.min(rect.y1) {
             let row = (y - rect.y0) * stride;
-            for x in bounds.x0..bounds.x1 {
-                let pt = (x as f64 + 0.5, y as f64 + 0.5, 0.0);
-                let e0 = edge(v1, v2, pt);
-                let e1 = edge(v2, v0, pt);
-                let e2 = edge(v0, v1, pt);
-                if outside.rejects(e0) || outside.rejects(e1) || outside.rejects(e2) {
-                    continue;
+            let py = y as f64 + 0.5;
+            for x in (bounds.x0..bounds.x1).step_by(LANES) {
+                let (px, mut inside) = (x as f64, [false; LANES]);
+                let (mut depth, mut scalar) = ([0.0f32; LANES], [0.0; LANES]);
+                for l in 0..LANES {
+                    let pt = (px + LANE_CENTRES[l], py, 0.0);
+                    let w0 = edge(v1, v2, pt) / area;
+                    let w1 = edge(v2, v0, pt) / area;
+                    let w2 = edge(v0, v1, pt) / area;
+                    inside[l] = !((w0 < 0.0) | (w1 < 0.0) | (w2 < 0.0));
+                    depth[l] = (w0 * v0.2 + w1 * v1.2 + w2 * v2.2) as f32;
+                    scalar[l] = w0 * s[0] + w1 * s[1] + w2 * s[2];
                 }
-                let w0 = e0 / area;
-                let w1 = e1 / area;
-                let w2 = e2 / area;
-                if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
-                    continue;
-                }
-                let depth = (w0 * v0.2 + w1 * v1.2 + w2 * v2.2) as f32;
-                let idx = row + (x - rect.x0);
-                if depth < self.depth[idx] {
-                    self.depth[idx] = depth;
-                    let scalar = w0 * s[0] + w1 * s[1] + w2 * s[2];
-                    let rgb = colormap.map(scalar, range.0, range.1);
-                    self.color[idx] = [
-                        (rgb[0] as f64 * intensity) as u8,
-                        (rgb[1] as f64 * intensity) as u8,
-                        (rgb[2] as f64 * intensity) as u8,
-                    ];
-                    touched = true;
+                let (at, lanes) = (row + (x - rect.x0), LANES.min(bounds.x1 - x));
+                let color = &mut self.color[at..at + lanes];
+                let old = &mut self.depth[at..at + lanes];
+                for l in 0..lanes {
+                    if inside[l] && depth[l] < old[l] {
+                        old[l] = depth[l];
+                        color[l] = shades.get(scalar[l]);
+                        touched = true;
+                    }
                 }
             }
         }
@@ -653,9 +730,9 @@ fn edge(a: (f64, f64, f64), b: (f64, f64, f64), p: (f64, f64, f64)) -> f64 {
 }
 
 /// The rasteriser and the merge this module shipped before tiles, dirty
-/// rectangles and the sign reject: every triangle re-projects its vertices
-/// through a freshly built matrix, every bounding-box pixel is divided
-/// before it is tested, every merge and clear walks the whole image. Kept
+/// rectangles, lane chunks and the colour memo: every triangle re-projects
+/// its vertices through a freshly built matrix, every pixel it writes runs
+/// the colormap, every merge and clear walks the whole image. Kept
 /// verbatim as the oracle the tests here and in [`crate::composite`]
 /// compare colour and depth against, bit for bit.
 #[cfg(test)]
@@ -979,9 +1056,9 @@ pub(crate) mod tests {
         rng.next_u64() % n
     }
 
-    /// Magnitudes the fast paths must hand back to the exact test: signed
-    /// zeros, subnormals (an edge value the division flushes to -0.0),
-    /// coordinates whose doubled area passes 2⁵⁰, overflow, NaN.
+    /// Magnitudes where a shortcut in the fill would part from the oracle:
+    /// signed zeros, subnormals (an edge value the division flushes to
+    /// -0.0), coordinates whose doubled area passes 2⁵⁰, overflow, NaN.
     const ODD: [f64; 23] = [
         0.0,
         -0.0,
@@ -1121,7 +1198,8 @@ pub(crate) mod tests {
                 let intensity = uniform(rng, 0.35, 1.0);
                 let touched = want.raster_one(v0, v1, v2, s, intensity, &cm, range);
                 let tri = ScreenTriangle::new([v0, v1, v2], s, intensity, (w, h));
-                prop_assert_eq!(tri.is_some_and(|tri| fb.fill(&tri, &cm, range)), touched);
+                let build = Build::detect();
+                prop_assert_eq!(tri.is_some_and(|tri| fb.fill(build, &tri, &cm, range)), touched);
                 tile.triangles.extend(tri);
             }
             assert_same_pixels(&fb, &want, "whole-image target");
@@ -1131,42 +1209,122 @@ pub(crate) mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(20_000))]
+    /// Every build of the fill this CPU runs: the portable one, then AVX2
+    /// where the CPU has it (a line on stderr says so where it has not).
+    fn builds() -> Vec<Build> {
+        #[allow(unused_mut)]
+        let mut builds = vec![Build::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            builds.push(Build::Avx2);
+        } else {
+            eprintln!("no AVX2 on this CPU: the fill's AVX2 build skipped");
+        }
+        builds
+    }
 
-        /// The reject is sound: whatever it drops, the division drops.
+    /// A triangle whose bounding box is 1..=24 pixels wide and ends at the
+    /// image's right edge: rows that end mid-chunk, with lanes past the
+    /// row's end that lie inside the triangle.
+    fn right_edge_triangle(rng: &mut TestRng, (w, h): (usize, usize)) -> [ScreenVertex; 3] {
+        let x0 = (w - 1 - below(rng, w.min(24) as u64) as usize) as f64;
+        let vertex = |rng: &mut TestRng, x: f64| {
+            (
+                x,
+                uniform(rng, -2.0, h as f64 + 2.0),
+                uniform(rng, 0.1, 10.0),
+            )
+        };
+        let (dx, overhang) = (uniform(rng, 0.0, 0.99), uniform(rng, 0.0, 30.0));
+        let left = vertex(rng, x0 + dx);
+        let right = vertex(rng, w as f64 + overhang);
+        let x = uniform(rng, left.0, right.0);
+        let third = vertex(rng, x);
+        if below(rng, 2) == 0 {
+            [left, right, third]
+        } else {
+            [left, third, right]
+        }
+    }
+
+    /// `v`'s bits, counted up until they land in `slot` of the colour memo.
+    fn in_slot(v: f64, slot: usize) -> f64 {
+        let mut bits = v.to_bits();
+        while Shades::slot(bits) != slot {
+            bits = bits.wrapping_add(1);
+        }
+        f64::from_bits(bits)
+    }
+
+    /// Vertex scalars: a contour's three equal ones (the memo's hits),
+    /// three in one memo slot, a NaN among them, or any three.
+    fn vertex_scalars(rng: &mut TestRng) -> [f64; 3] {
+        match below(rng, 4) {
+            0 => [scalar(rng); 3],
+            1 => {
+                let slot = below(rng, Shades::SLOTS as u64) as usize;
+                [(); 3].map(|_| in_slot(scalar(rng), slot))
+            }
+            2 => {
+                let mut s = [scalar(rng), scalar(rng), scalar(rng)];
+                s[below(rng, 3) as usize] = f64::NAN;
+                s
+            }
+            _ => [scalar(rng), scalar(rng), scalar(rng)],
+        }
+    }
+
+    #[test]
+    fn the_colour_memo_tells_apart_scalars_that_share_a_slot() {
+        let cm = Colormap::viridis();
+        let mut shades = Shades::new(&cm, (0.0, 1.0), 0.8);
+        let want = |v: f64| cm.map(v, 0.0, 1.0).map(|c| (c as f64 * 0.8) as u8);
+        let values = [0.1, 0.9, 0.5, f64::NAN, 1.0].map(|v| in_slot(v, 1));
+        for v in values.into_iter().chain(values).chain([0.9, 0.1]) {
+            assert_eq!(shades.get(v), want(v), "{v}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Each build of the fill is the oracle bit for bit and counts what
+        /// it does: on bounding boxes that end mid-chunk at the image's
+        /// right edge, on flat (contour) scalars, on scalars that share a
+        /// memo slot, on NaN, on the adversarial coordinates, and on
+        /// geometry drawn again in other colours at equal depth.
         #[test]
-        fn sign_reject_never_outvotes_the_division(seed in 0u64..u64::MAX) {
-            const AREAS: [f64; 13] = [
-                1e-12,
-                1e-3,
-                1.0,
-                4.0,
-                1e10,
-                SignReject::MAX_AREA - 0.125,
-                SignReject::MAX_AREA,
-                1e16,
-                1.5e17,
-                1e100,
-                1e300,
-                f64::INFINITY,
-                f64::NAN,
-            ];
+        fn each_build_fills_as_the_reference_does(
+            seed in 0u64..u64::MAX,
+            w in 1usize..=97,
+            h in 1usize..=40,
+        ) {
             let rng = &mut TestRng::from_seed(seed);
-            let any = |rng: &mut TestRng, odd: f64| match below(rng, 3) {
-                0 => f64::from_bits(rng.next_u64()),
-                1 => -odd,
-                _ => odd,
-            };
-            let pick = AREAS[below(rng, AREAS.len() as u64) as usize];
-            let area = any(rng, pick);
-            let pick = odd(rng);
-            let edge = any(rng, pick);
-            let rejected = SignReject::new(area).rejects(edge);
-            prop_assert!(!rejected || edge / area < 0.0, "edge {edge:e} area {area:e}");
-            // And it is not vacuous: ordinary outside pixels are dropped.
-            if area.abs() < 1e15 && edge.abs() > 1e-300 && (edge < 0.0) != (area < 0.0) {
-                prop_assert!(rejected, "edge {edge:e} area {area:e}");
+            let cm = colormap(rng);
+            let range = (uniform(rng, -0.2, 0.4), uniform(rng, 0.3, 1.2));
+            let mut triangles: Vec<([ScreenVertex; 3], [f64; 3], f64)> = Vec::new();
+            for _ in 0..=below(rng, 12) {
+                let v = match (triangles.last(), below(rng, 4)) {
+                    (Some(&(v, _, _)), 0) => v,
+                    (_, 1) => screen_triangle(rng, (w, h)),
+                    _ => right_edge_triangle(rng, (w, h)),
+                };
+                triangles.push((v, vertex_scalars(rng), uniform(rng, 0.35, 1.0)));
+            }
+            let mut want = reference::Framebuffer::new(w, h);
+            let want_touched: Vec<bool> = triangles
+                .iter()
+                .map(|&([v0, v1, v2], s, i)| want.raster_one(v0, v1, v2, s, i, &cm, range))
+                .collect();
+            for build in builds() {
+                let mut fb = Framebuffer::new(w, h);
+                fb.reset();
+                for (&(v, s, intensity), &drew) in triangles.iter().zip(&want_touched) {
+                    let tri = ScreenTriangle::new(v, s, intensity, (w, h));
+                    let got = tri.is_some_and(|tri| fb.fill(build, &tri, &cm, range));
+                    prop_assert!(got == drew, "{build:?} drew {got}, the oracle {drew}");
+                }
+                assert_same_pixels(&fb, &want, &format!("{build:?}"));
             }
         }
     }
