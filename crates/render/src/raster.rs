@@ -172,30 +172,23 @@ impl Framebuffer {
     ) -> usize {
         let size = (self.width, self.height);
         let projector = camera.projector(self.width, self.height);
-        let build = Build::detect();
         let mut drawn = 0;
         for t in 0..soup.n_triangles() {
             if let Some(tri) = ScreenTriangle::project(&projector, soup, t, size) {
-                drawn += usize::from(self.fill(build, &tri, colormap, range));
+                drawn += usize::from(self.fill(&tri, colormap, range));
             }
         }
         drawn
     }
 
-    fn fill(
-        &mut self,
-        build: Build,
-        tri: &ScreenTriangle,
-        colormap: &Colormap,
-        range: (f64, f64),
-    ) -> bool {
+    fn fill(&mut self, tri: &ScreenTriangle, colormap: &Colormap, range: (f64, f64)) -> bool {
         self.dirty = self.dirty.union(tri.bounds);
         let mut target = Target {
             rect: Rect::image(self.width, self.height),
             color: &mut self.color,
             depth: &mut self.depth,
         };
-        target.fill(build, tri, colormap, range)
+        target.fill(tri, colormap, range)
     }
 
     /// Burn a vertical colormap legend into the right edge of the image
@@ -364,7 +357,7 @@ impl Tile {
             .resize_with(self.triangles.len(), AtomicBool::default);
         let rows = &Rows::new(rect, &mut self.color, &mut self.depth);
         let (triangles, touched) = (&self.triangles, &self.touched);
-        let (stride, build) = (rect.width(), Build::detect());
+        let stride = rect.width();
         pool::run_partitioned(rect.y1 - rect.y0, move |_, r0, r1| {
             let span = r0 * stride..r1 * stride;
             // SAFETY: `run_partitioned` hands each job its own `r0..r1`, so
@@ -386,7 +379,7 @@ impl Tile {
                 depth,
             };
             for (tri, touched) in triangles.iter().zip(touched) {
-                if band.fill(build, tri, colormap, range) {
+                if band.fill(tri, colormap, range) {
                     touched.store(true, Ordering::Relaxed);
                 }
             }
@@ -575,31 +568,6 @@ const LANES: usize = 8;
 /// pixel; `x as f64 + (l + 0.5)` is exact, so it is `(x + l) as f64 + 0.5`.
 const LANE_CENTRES: [f64; LANES] = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5];
 
-/// The compilation of [`Target::fill`]'s body that runs.
-#[derive(Debug, Clone, Copy)]
-enum Build {
-    /// The target's baseline instruction set.
-    Portable,
-    /// The same body built for AVX2: eight lanes in two vectors instead of
-    /// four, the same operations in the same order, so the same bits.
-    /// Made only behind `is_x86_feature_detected!("avx2")`, in
-    /// [`Build::detect`] and in the tests: holding one is the proof that
-    /// this CPU runs AVX2.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Build {
-    /// The build this CPU runs; the detection is cached for the process.
-    fn detect() -> Build {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Build::Avx2;
-        }
-        Build::Portable
-    }
-}
-
 /// The colours one fill has shaded, by the bits of the scalar. Within a
 /// fill the colormap, range and intensity are fixed, so the colour is a
 /// function of those bits alone. Direct-mapped on the low bits, which tell
@@ -652,38 +620,14 @@ impl Target<'_> {
     /// Depth-test and shade every pixel centre inside `tri` on the
     /// target's rows; true when a pixel was written. `tri.bounds` must lie
     /// inside the target's columns.
-    fn fill(
-        &mut self,
-        build: Build,
-        tri: &ScreenTriangle,
-        colormap: &Colormap,
-        range: (f64, f64),
-    ) -> bool {
-        match build {
-            Build::Portable => self.fill_lanes(tri, colormap, range),
-            // SAFETY: a `Build::Avx2` is made only where
-            // `is_x86_feature_detected!("avx2")` held.
-            #[cfg(target_arch = "x86_64")]
-            Build::Avx2 => unsafe { self.fill_avx2(tri, colormap, range) },
-        }
-    }
-
-    /// [`Self::fill_lanes`] inlined into a function built for AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn fill_avx2(&mut self, tri: &ScreenTriangle, colormap: &Colormap, range: (f64, f64)) -> bool {
-        self.fill_lanes(tri, colormap, range)
-    }
-
-    /// The fill's one body. Each bounding-box row is walked in chunks of
-    /// [`LANES`] pixels: every lane gets its edge values, weights, inside
-    /// verdict, depth and scalar without a branch, by the oracle's
-    /// expressions in the oracle's order; then the chunk's real lanes
-    /// (fewer at the row's end) that are inside and nearer than the pixel
-    /// are written. A triangle covers a pixel once, so the order of the
-    /// writes within a chunk changes nothing.
-    #[inline(always)]
-    fn fill_lanes(&mut self, tri: &ScreenTriangle, colormap: &Colormap, range: (f64, f64)) -> bool {
+    ///
+    /// Each bounding-box row is walked in chunks of [`LANES`] pixels: every
+    /// lane gets its edge values, weights, inside verdict, depth and scalar
+    /// without a branch, by the oracle's expressions in the oracle's order;
+    /// then the chunk's real lanes (fewer at the row's end) that are inside
+    /// and nearer than the pixel are written. A triangle covers a pixel
+    /// once, so the order of the writes within a chunk changes nothing.
+    fn fill(&mut self, tri: &ScreenTriangle, colormap: &Colormap, range: (f64, f64)) -> bool {
         let (rect, bounds) = (self.rect, tri.bounds);
         assert!(
             rect.x0 <= bounds.x0 && bounds.x1 <= rect.x1,
@@ -1198,8 +1142,7 @@ pub(crate) mod tests {
                 let intensity = uniform(rng, 0.35, 1.0);
                 let touched = want.raster_one(v0, v1, v2, s, intensity, &cm, range);
                 let tri = ScreenTriangle::new([v0, v1, v2], s, intensity, (w, h));
-                let build = Build::detect();
-                prop_assert_eq!(tri.is_some_and(|tri| fb.fill(build, &tri, &cm, range)), touched);
+                prop_assert_eq!(tri.is_some_and(|tri| fb.fill(&tri, &cm, range)), touched);
                 tile.triangles.extend(tri);
             }
             assert_same_pixels(&fb, &want, "whole-image target");
@@ -1207,20 +1150,6 @@ pub(crate) mod tests {
             prop_assert!(tile.n_pixels() <= w * h);
             assert_same_pixels(&expand(&tile), &want, "tile target");
         }
-    }
-
-    /// Every build of the fill this CPU runs: the portable one, then AVX2
-    /// where the CPU has it (a line on stderr says so where it has not).
-    fn builds() -> Vec<Build> {
-        #[allow(unused_mut)]
-        let mut builds = vec![Build::Portable];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            builds.push(Build::Avx2);
-        } else {
-            eprintln!("no AVX2 on this CPU: the fill's AVX2 build skipped");
-        }
-        builds
     }
 
     /// A triangle whose bounding box is 1..=24 pixels wide and ends at the
@@ -1274,27 +1203,16 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn the_colour_memo_tells_apart_scalars_that_share_a_slot() {
-        let cm = Colormap::viridis();
-        let mut shades = Shades::new(&cm, (0.0, 1.0), 0.8);
-        let want = |v: f64| cm.map(v, 0.0, 1.0).map(|c| (c as f64 * 0.8) as u8);
-        let values = [0.1, 0.9, 0.5, f64::NAN, 1.0].map(|v| in_slot(v, 1));
-        for v in values.into_iter().chain(values).chain([0.9, 0.1]) {
-            assert_eq!(shades.get(v), want(v), "{v}");
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        /// Each build of the fill is the oracle bit for bit and counts what
+        /// The lane-chunked fill is the oracle bit for bit and counts what
         /// it does: on bounding boxes that end mid-chunk at the image's
         /// right edge, on flat (contour) scalars, on scalars that share a
         /// memo slot, on NaN, on the adversarial coordinates, and on
         /// geometry drawn again in other colours at equal depth.
         #[test]
-        fn each_build_fills_as_the_reference_does(
+        fn chunked_fill_matches_the_reference(
             seed in 0u64..u64::MAX,
             w in 1usize..=97,
             h in 1usize..=40,
@@ -1316,16 +1234,14 @@ pub(crate) mod tests {
                 .iter()
                 .map(|&([v0, v1, v2], s, i)| want.raster_one(v0, v1, v2, s, i, &cm, range))
                 .collect();
-            for build in builds() {
-                let mut fb = Framebuffer::new(w, h);
-                fb.reset();
-                for (&(v, s, intensity), &drew) in triangles.iter().zip(&want_touched) {
-                    let tri = ScreenTriangle::new(v, s, intensity, (w, h));
-                    let got = tri.is_some_and(|tri| fb.fill(build, &tri, &cm, range));
-                    prop_assert!(got == drew, "{build:?} drew {got}, the oracle {drew}");
-                }
-                assert_same_pixels(&fb, &want, &format!("{build:?}"));
+            let mut fb = Framebuffer::new(w, h);
+            fb.reset();
+            for (&(v, s, intensity), &drew) in triangles.iter().zip(&want_touched) {
+                let tri = ScreenTriangle::new(v, s, intensity, (w, h));
+                let got = tri.is_some_and(|tri| fb.fill(&tri, &cm, range));
+                prop_assert!(got == drew, "the fill drew {got}, the oracle {drew}");
             }
+            assert_same_pixels(&fb, &want, "chunked fill");
         }
     }
 
