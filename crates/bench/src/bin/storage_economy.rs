@@ -37,7 +37,9 @@ fn main() {
             exec: args.exec_mode(),
             sched: args.sched_mode(),
             faults: commsim::FaultPlan::none(),
-            output_dir: args.out.clone().map(|d| d.join(mode.label())),
+            // Files and bytes are counted from the encoded buffers, so
+            // nothing needs to land on disk: `--out` takes only the CSV.
+            output_dir: None,
             trace: false,
             telemetry: false,
             recovery: Default::default(),

@@ -22,6 +22,8 @@
 //! * [`fault`] — seeded, deterministic fault schedules ([`fault::FaultPlan`]):
 //!   link drops/corruption/delay spikes, endpoint crashes, and consumer
 //!   stalls, all costed in virtual time so faulty runs stay reproducible.
+//! * [`credit`] — the bounded hand-off between two worlds
+//!   ([`CreditWindow`]): a producer's back-pressure, charged in virtual time.
 //!
 //! Virtual time is deterministic: it depends only on the sequence of
 //! operations each rank performs and the sizes involved, never on real
@@ -32,6 +34,7 @@
 
 pub mod clock;
 pub mod comm;
+pub mod credit;
 pub mod exec;
 pub mod fault;
 pub mod machine;
@@ -42,6 +45,7 @@ pub mod stats;
 
 pub use clock::Clock;
 pub use comm::Comm;
+pub use credit::{credit_window, CreditRelease, CreditWindow};
 pub use exec::{run_world, with_mode, SchedMode, RANK_STACK_BYTES};
 pub use fault::{
     AttemptFate, CheckpointCorruption, ConsumerStall, EndpointCrash, FaultPlan, InjectedCrash,

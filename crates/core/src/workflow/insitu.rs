@@ -20,21 +20,26 @@
 //!   and immediately resumes stepping while the previous snapshot is
 //!   rendered/written concurrently. Snapshots are owned and immutable, so
 //!   no copy-on-publish beyond the single device→host staging is needed.
-//!   A credit scheme bounds the pipeline at [`PIPELINE_DEPTH`] frames in
-//!   flight: the producer blocks (and its virtual clock advances to the
-//!   consumer's completion time) when the consumer falls behind, so
-//!   per-step cost converges to `max(solve, consume)` + publish instead
-//!   of `solve + consume`.
+//!   A credit window ([`commsim::CreditWindow`], the one the staging
+//!   writers use) bounds the pipeline at [`PIPELINE_DEPTH`] frames in
+//!   flight: the producer's k-th frame waits for the consumer to finish
+//!   frame k − [`PIPELINE_DEPTH`], and its virtual clock advances to that
+//!   completion time, so per-step cost converges to `max(solve, consume)`
+//!   + publish instead of `solve + consume`.
 
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::checkpoint::FldCheckpointer;
 use crate::metrics::RunMetrics;
 use crate::workflow::sampler::{catalyst_element, manifest, Run, SolverRank};
 use crate::workflow::supervisor::RecoveryOptions;
-use commsim::{Comm, FaultPlan, MachineModel, SchedMode, WatchdogTimeout};
+use commsim::{
+    credit_window, Comm, CreditRelease, CreditWindow, FaultPlan, MachineModel, SchedMode,
+    WatchdogTimeout,
+};
 use insitu::Bridge;
 use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
@@ -253,55 +258,36 @@ enum ToConsumer {
     },
 }
 
-/// Consumer → producer acknowledgement freeing one pipeline slot.
-struct Credit {
-    finished_at: f64,
-}
-
 /// Producer-side endpoint of one rank's pipeline.
 struct ProducerLink {
     frames: mpsc::Sender<ToConsumer>,
-    credits: mpsc::Receiver<Credit>,
-    in_flight: usize,
+    window: CreditWindow,
     /// Cumulative virtual seconds this producer spent blocked on a full
     /// pipeline (the flight recorder diffs this per step).
     backpressure_wait: f64,
 }
 
 impl ProducerLink {
-    /// Block until a pipeline slot is free. Waiting is charged to the
-    /// virtual clock: the producer cannot be further ahead than the
-    /// moment the consumer freed the slot. When a `watchdog` deadline is
-    /// set and a single credit wait exceeds it (a stalled consumer), the
-    /// producer raises a typed [`WatchdogTimeout`] panic for the
-    /// supervisor to classify.
+    /// Take a pipeline slot; the wait is charged to the virtual clock (see
+    /// [`CreditWindow::reserve`]). When a `watchdog` deadline is set and
+    /// the wait exceeds it (a stalled consumer), the producer raises a
+    /// typed [`WatchdogTimeout`] panic for the supervisor to classify.
     fn reserve(&mut self, comm: &mut Comm, step: u64, watchdog: Option<f64>) {
-        while self.in_flight >= PIPELINE_DEPTH {
-            let _sp = comm.span("snapshot/backpressure");
-            let before = comm.now();
-            // The credit comes from the consumer world: wait outside the
-            // event scheduler's run token so consumer ranks can run.
-            let credit = comm
-                .external_wait(|| self.credits.recv())
-                .expect("consumer rank alive");
-            comm.advance_to(credit.finished_at);
-            let waited = (comm.now() - before).max(0.0);
-            self.backpressure_wait += waited;
-            self.in_flight -= 1;
-            if let Some(deadline) = watchdog {
-                if waited > deadline {
-                    comm.telemetry_event(
-                        EventKind::FaultInjected,
-                        Some(step),
-                        format!("watchdog: credit wait {waited:.1}s > deadline {deadline:.1}s"),
-                    );
-                    std::panic::panic_any(WatchdogTimeout {
-                        rank: comm.rank(),
-                        step,
-                        waited,
-                    });
-                }
-            }
+        let waited = (self.window)
+            .reserve(comm, "snapshot/backpressure", Duration::MAX)
+            .expect("consumer rank alive");
+        self.backpressure_wait += waited;
+        if let Some(deadline) = watchdog.filter(|&deadline| waited > deadline) {
+            comm.telemetry_event(
+                EventKind::FaultInjected,
+                Some(step),
+                format!("watchdog: credit wait {waited:.1}s > deadline {deadline:.1}s"),
+            );
+            std::panic::panic_any(WatchdogTimeout {
+                rank: comm.rank(),
+                step,
+                waited,
+            });
         }
     }
 
@@ -309,19 +295,13 @@ impl ProducerLink {
         self.frames
             .send(ToConsumer::Frame(frame))
             .expect("consumer rank alive");
-        self.in_flight += 1;
     }
 
-    /// Drain outstanding credits (without advancing the solver clock —
-    /// the simulation is finished; the consumer world finishes on its
-    /// own time) and signal end of stream.
+    /// Wait for the outstanding frames (without advancing the solver
+    /// clock — the simulation is finished; the consumer world finishes on
+    /// its own time) and signal end of stream.
     fn finish(mut self, comm: &Comm) {
-        while self.in_flight > 0 {
-            if comm.external_wait(|| self.credits.recv()).is_err() {
-                break;
-            }
-            self.in_flight -= 1;
-        }
+        self.window.finish(comm);
         let _ = self.frames.send(ToConsumer::Done { at: comm.now() });
     }
 }
@@ -329,23 +309,22 @@ impl ProducerLink {
 /// Consumer-side endpoint of one rank's pipeline.
 struct ConsumerLink {
     frames: mpsc::Receiver<ToConsumer>,
-    credits: mpsc::Sender<Credit>,
+    credits: CreditRelease,
 }
 
 fn pipeline_links(ranks: usize) -> (Vec<ProducerLink>, Vec<ConsumerLink>) {
     (0..ranks)
         .map(|_| {
             let (frame_tx, frame_rx) = mpsc::channel();
-            let (credit_tx, credit_rx) = mpsc::channel();
+            let (window, credits) = credit_window(PIPELINE_DEPTH);
             let producer = ProducerLink {
                 frames: frame_tx,
-                credits: credit_rx,
-                in_flight: 0,
+                window,
                 backpressure_wait: 0.0,
             };
             let consumer = ConsumerLink {
                 frames: frame_rx,
-                credits: credit_tx,
+                credits,
             };
             (producer, consumer)
         })
@@ -386,9 +365,7 @@ fn consumer_rank(comm: &mut Comm, cfg: &InSituConfig, link: ConsumerLink) -> Opt
                 consumer_arrive(comm, &cfg.faults, &frame);
                 // The pooled buffers are back before the slot is credited.
                 consumer.consume(comm, frame.step, frame.snapshot, frame.geometry);
-                let _ = link.credits.send(Credit {
-                    finished_at: comm.now(),
-                });
+                link.credits.release(comm.now());
             }
             ToConsumer::Done { at } => {
                 {

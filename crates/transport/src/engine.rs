@@ -1,18 +1,21 @@
 //! The staging engine: bounded queues between simulation and endpoint
 //! worlds.
 //!
-//! Mirrors SST's architecture: writers (simulation ranks) push marshaled
-//! step payloads into per-reader staging queues; readers (endpoint ranks)
-//! drain them asynchronously. The queue is bounded in *steps*; when it is
-//! full the writer blocks — SST's default back-pressure, and the only
-//! policy there is.
+//! Mirrors SST's architecture: writers (simulation ranks) send marshaled
+//! step payloads to their reader; readers (endpoint ranks) drain them
+//! asynchronously. On the channel wire each writer has a credit window
+//! ([`commsim::CreditWindow`]) of `max(1, capacity / writers per reader)`
+//! steps, SST's `QueueLimit` on the writer side: a writer's k-th written
+//! step waits until the reader has delivered its (k − W)-th — SST's
+//! blocking back-pressure, and the only policy there is.
 //!
 //! Virtual time: payloads carry the writer's send timestamp plus the link
 //! transfer cost; a reader's clock advances to at least that arrival time
-//! on receive. A writer whose send had to wait for room in the channel
-//! queue advances its clock to the reader's drain time, which the queue
-//! hands back with the slot, modeling back-pressure. Over TCP the writer's
-//! clock never moves for a wait: flow control is the back-pressure there.
+//! on receive. The reader releases each delivered packet's slot at its
+//! clock after the delivery (stall included), and a writer that takes a
+//! slot advances to that release time, whether or not it blocked for it in
+//! real time. Over TCP there is no window and the writer's clock never
+//! moves for a wait: flow control is the back-pressure there.
 //!
 //! # Fault tolerance
 //!
@@ -30,23 +33,27 @@
 //! circuit breaker trips after `BREAKER_THRESHOLD` (3) consecutive step
 //! failures (or instantly on disconnect), at which point every further
 //! [`SstWriter::write`] fails fast with [`TransportError::CircuitOpen`] so
-//! the workflow can degrade to the BP file engine.
+//! the workflow can degrade to the BP file engine. A planned endpoint
+//! crash at step s is such a disconnect, and each writer meets it at its
+//! own first step ≥ s: it reads the crash off the plan, never off when a
+//! wire happens to close.
 
 use crate::bp;
 use crate::error::{TransportError, WriteError};
 use crate::link::StagingLink;
 use crate::wire::{
-    loopback_listener, queue, tcp_rx, TcpWireTx, WireKind, WireRecvError, WireRx, WireSendError,
+    channel, loopback_listener, tcp_rx, TcpWireTx, WireKind, WireRecvError, WireRx, WireSendError,
     WireTx,
 };
-use commsim::FaultPlan;
+use commsim::{credit_window, CreditRelease, CreditWindow, FaultPlan};
 use meshdata::MultiBlock;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What happens when the staging queue is full. One answer: the writer
-/// blocks. The type stays because the benchmark names it.
+/// What happens when a writer's staging window is full. One answer: the
+/// writer blocks. The type stays because the benchmark names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueuePolicy {
     /// Writer blocks until the reader frees a slot (SST default).
@@ -101,8 +108,9 @@ const BACKOFF_BASE: f64 = 1.0e-4;
 const BACKOFF_CAP: f64 = 1.0e-2;
 /// Consecutive failed steps that trip the circuit breaker.
 const BREAKER_THRESHOLD: u32 = 3;
-/// Real-time safety bound on a send (wedged-reader guard). Virtual-time
-/// back-pressure is modeled separately through the reader's drain time.
+/// Real-time bound on a wait for a credit and on a socket write (the
+/// wedged-reader guard). Running it out is a diagnosed error,
+/// [`TransportError::Backpressure`] or a disconnect, never virtual time.
 const ENQUEUE_TIMEOUT: Duration = Duration::from_millis(10_000);
 
 fn backoff(attempt: u32) -> f64 {
@@ -116,6 +124,8 @@ pub struct SstWriter {
     /// The endpoint (reader) index this writer feeds.
     pub reader_index: usize,
     tx: Box<dyn WireTx>,
+    /// This writer's staging slots (channel wire only).
+    window: Option<CreditWindow>,
     link: StagingLink,
     faults: Arc<FaultPlan>,
     consecutive_failures: u32,
@@ -129,7 +139,7 @@ pub struct SstWriter {
 impl SstWriter {
     /// Stage one step's payload. Charges marshal-transfer time to the
     /// writer's clock; retries (with virtual-time backoff) through link
-    /// faults; under back-pressure, also charges the stall time.
+    /// faults; under back-pressure, also charges the wait for a slot.
     ///
     /// # Errors
     /// [`WriteError`] carrying the failure kind and the payload back to
@@ -152,11 +162,27 @@ impl SstWriter {
         // control latency and its share of injection, not the full
         // transfer (SST overlaps the bulk move with the simulation).
         comm.advance(self.link.control_latency);
+        if self
+            .faults
+            .crash_step(self.reader_index)
+            .is_some_and(|at| step >= at)
+        {
+            // The endpoint is dead from its planned crash step on. The
+            // step's control marker still reaches it, which is where it
+            // dies: resolving a step at or past its crash step.
+            let t_avail = comm.now() + self.link.control_latency;
+            let skip = self.packet(comm, PacketKind::Skip, step, 0.0, t_avail, Vec::new());
+            let _ = self.send(comm, skip);
+            return self.fail_step(comm, step, TransportError::Disconnected, payload);
+        }
         let mut attempt = 0u32;
         loop {
             // What the failed attempt costs the writer, in virtual time.
             let penalty = match self.faults.attempt_fate(self.producer, step, attempt) {
                 commsim::AttemptFate::Deliver { extra_delay } => {
+                    if let Err(error) = self.reserve(comm, step) {
+                        return self.fail_step(comm, step, error, payload);
+                    }
                     let t_avail = comm.now() + self.link.transfer_time(nbytes) + extra_delay;
                     let packet = self.packet(comm, PacketKind::Data, step, time, t_avail, payload);
                     return match self.send(comm, packet) {
@@ -223,34 +249,35 @@ impl SstWriter {
         }
     }
 
-    /// Put one packet — data, damaged frame or control marker — on the
-    /// wire. The send waits off the event scheduler's run token, bounded by
-    /// the wedged-reader guard: the reader lives in another world, whose
-    /// ranks must keep running to drain a full queue. A data packet that
-    /// waited for room in the channel queue is back-pressure: a
+    /// Take a slot in this writer's credit window for an intact data
+    /// packet (channel wire only). Waiting for one is back-pressure: a
     /// `transport/backpressure` span in which the writer advances to the
-    /// reader's drain time. A failure hands the payload back: the reader is
-    /// wedged, or gone.
+    /// time the reader delivered its W-th last written step. The wait runs
+    /// off the event scheduler's run token — the reader's world must keep
+    /// running to deliver — bounded by the wedged-reader guard.
+    fn reserve(&mut self, comm: &mut commsim::Comm, step: u64) -> Result<(), TransportError> {
+        let Some(window) = &mut self.window else {
+            return Ok(());
+        };
+        match window.reserve(comm, "transport/backpressure", ENQUEUE_TIMEOUT) {
+            Ok(_) => Ok(()),
+            Err(RecvTimeoutError::Timeout) => Err(TransportError::Backpressure { step }),
+            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
+        }
+    }
+
+    /// Put one packet — data, damaged frame or control marker — on the
+    /// wire, off the event scheduler's run token (a socket write can block
+    /// on TCP flow control). A failure hands the payload back: the reader
+    /// is gone.
     fn send(
         &mut self,
         comm: &mut commsim::Comm,
         packet: Packet,
     ) -> Result<(), (TransportError, Vec<u8>)> {
-        let (step, kind) = (packet.step, packet.kind);
         let tx = &mut self.tx;
-        let waited = comm
-            .external_wait(|| tx.send(packet, ENQUEUE_TIMEOUT))
-            .map_err(|unsent| match unsent {
-                WireSendError::Timeout(p) => (TransportError::Backpressure { step }, p.payload),
-                WireSendError::Closed(p) => (TransportError::Disconnected, p.payload),
-            })?;
-        if let (Some(drained_at), PacketKind::Data) = (waited, kind) {
-            let _sp = comm.span("transport/backpressure");
-            if drained_at > comm.now() {
-                comm.advance(drained_at - comm.now());
-            }
-        }
-        Ok(())
+        comm.external_wait(|| tx.send(packet, ENQUEUE_TIMEOUT))
+            .map_err(|WireSendError::Closed(p)| (TransportError::Disconnected, p.payload))
     }
 
     /// Account one failed step: notify the reader, advance the breaker,
@@ -297,13 +324,13 @@ impl SstWriter {
         Err(WriteError { error, payload })
     }
 
-    /// Steps accepted by the queue.
+    /// Steps put on the wire intact.
     pub fn steps_written(&self) -> u64 {
         self.steps_written
     }
 
-    /// Steps that exhausted their transmission attempts or hit a fatal
-    /// queue failure.
+    /// Steps that exhausted their transmission attempts, ran out the wait
+    /// for a slot, or found the endpoint gone.
     pub fn steps_failed(&self) -> u64 {
         self.steps_failed
     }
@@ -384,6 +411,9 @@ pub struct SstReader {
     /// This reader's index.
     pub index: usize,
     rx: Option<WireRx>,
+    /// Each producer's credit window, released per delivered packet
+    /// (channel wire only).
+    releases: BTreeMap<usize, CreditRelease>,
     /// Number of producers feeding this reader.
     pub n_producers: usize,
     producers: Vec<usize>,
@@ -485,11 +515,13 @@ impl SstReader {
         }
     }
 
-    /// The endpoint process dies: stop consuming and release the channel
-    /// so producers observe the disconnect.
+    /// The endpoint process dies: stop consuming and drop its ends of the
+    /// wire and of the credit windows. (Writers read the crash off the
+    /// plan; a write that still reaches a dropped end is a disconnect.)
     fn crash(&mut self, comm: &commsim::Comm) {
         self.crashed = true;
         self.rx = None;
+        self.releases.clear();
         // Staged-but-unprocessed bytes die with the process.
         self.outstanding.clear();
         self.set_staged(comm, 0);
@@ -579,7 +611,7 @@ impl SstReader {
             comm.advance(t_ready - comm.now());
         }
         // Slow-consumer fault: this delivery takes extra virtual time,
-        // which back-pressures writers through the published drain time.
+        // which back-pressures writers through the slots it releases.
         let stall = self.faults.stall_secs(self.index, step);
         if stall > 0.0 {
             comm.telemetry_event(
@@ -589,8 +621,10 @@ impl SstReader {
             );
             comm.advance(stall);
         }
-        if let Some(rx) = &self.rx {
-            rx.set_drained_at(comm.now());
+        for p in &packets {
+            if let Some(release) = self.releases.get(&p.producer) {
+                release.release(comm.now());
+            }
         }
         let bytes: u64 = packets.iter().map(|p| p.payload.len() as u64).sum();
         self.set_staged(comm, self.staged - bytes);
@@ -645,7 +679,8 @@ pub struct StagingNetwork;
 
 impl StagingNetwork {
     /// Build the writer and reader handles with no fault injection.
-    /// `capacity` is the per-reader queue bound in packets.
+    /// `capacity` is the per-reader staging bound in packets, split evenly
+    /// among the reader's writers (at least one each).
     ///
     /// # Panics
     /// If `n_writers % n_readers != 0` or either is zero.
@@ -715,28 +750,36 @@ impl StagingNetwork {
         let mut writers = Vec::with_capacity(n_writers);
         let mut readers = Vec::with_capacity(n_readers);
         for r in 0..n_readers {
-            let mut txs: Vec<Box<dyn WireTx>> = Vec::with_capacity(per_reader);
+            let producers: Vec<usize> = (r * per_reader..(r + 1) * per_reader).collect();
+            let mut txs: Vec<(Box<dyn WireTx>, Option<CreditWindow>)> = Vec::new();
+            let mut releases = BTreeMap::new();
             let rx = match wire {
                 WireKind::Channel => {
-                    let (tx, rx) = queue(capacity);
-                    txs.extend((0..per_reader).map(|_| Box::new(tx.clone()) as Box<dyn WireTx>));
+                    let (tx, rx) = channel();
+                    for &p in &producers {
+                        let (window, release) = credit_window(capacity / per_reader);
+                        txs.push((Box::new(tx.clone()), Some(window)));
+                        releases.insert(p, release);
+                    }
                     rx
                 }
                 WireKind::Tcp => {
                     let (listener, port) = loopback_listener()?;
                     let rx = tcp_rx(listener, per_reader, capacity);
                     for _ in 0..per_reader {
-                        txs.push(Box::new(TcpWireTx::connect(&format!("127.0.0.1:{port}"))?));
+                        let tx = TcpWireTx::connect(&format!("127.0.0.1:{port}"))?;
+                        txs.push((Box::new(tx), None));
                     }
                     rx
                 }
             };
             // Reader-major, so `writers` comes out in producer order.
-            for (w, tx) in txs.into_iter().enumerate() {
+            for (&p, (tx, window)) in producers.iter().zip(txs) {
                 writers.push(Self::make_writer(
-                    r * per_reader + w,
+                    p,
                     r,
                     tx,
+                    window,
                     link,
                     Arc::clone(&faults),
                 ));
@@ -744,7 +787,8 @@ impl StagingNetwork {
             readers.push(Self::make_reader(
                 r,
                 rx,
-                (r * per_reader..(r + 1) * per_reader).collect(),
+                producers,
+                releases,
                 Arc::clone(&faults),
             ));
         }
@@ -766,6 +810,7 @@ impl StagingNetwork {
             producer,
             0,
             Box::new(TcpWireTx::connect(addr)?),
+            None,
             link,
             Arc::new(faults),
         ))
@@ -784,6 +829,7 @@ impl StagingNetwork {
             0,
             tcp_rx(listener, n, capacity),
             producers,
+            BTreeMap::new(),
             Arc::new(faults),
         )
     }
@@ -792,6 +838,7 @@ impl StagingNetwork {
         producer: usize,
         reader_index: usize,
         tx: Box<dyn WireTx>,
+        window: Option<CreditWindow>,
         link: StagingLink,
         faults: Arc<FaultPlan>,
     ) -> SstWriter {
@@ -799,6 +846,7 @@ impl StagingNetwork {
             producer,
             reader_index,
             tx,
+            window,
             link,
             faults,
             consecutive_failures: 0,
@@ -814,11 +862,13 @@ impl StagingNetwork {
         index: usize,
         rx: WireRx,
         producers: Vec<usize>,
+        releases: BTreeMap<usize, CreditRelease>,
         faults: Arc<FaultPlan>,
     ) -> SstReader {
         SstReader {
             index,
             rx: Some(rx),
+            releases,
             n_producers: producers.len(),
             producers,
             outstanding: BTreeMap::new(),
@@ -839,7 +889,6 @@ impl StagingNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::QueueTx;
     use commsim::{run_ranks_with_state, EndpointCrash, LinkFaultSpec, MachineModel};
 
     fn payload_for(i: usize) -> Vec<u8> {
@@ -901,102 +950,23 @@ mod tests {
         assert_eq!(bytes, 624, "6 packets × 104 framed bytes");
     }
 
-    /// One writer feeding one reader through a channel queue of one slot,
-    /// the writer's end wrapped by `wrap`.
-    fn wrapped_pair(
-        plan: FaultPlan,
-        wrap: impl FnOnce(QueueTx) -> Box<dyn WireTx>,
-    ) -> (Vec<SstWriter>, Vec<SstReader>) {
-        let faults = Arc::new(plan);
-        let (tx, rx) = queue(1);
-        let link = StagingLink::test_tiny();
-        let writer = StagingNetwork::make_writer(0, 0, wrap(tx), link, Arc::clone(&faults));
-        let reader = StagingNetwork::make_reader(0, rx, vec![0], faults);
-        (vec![writer], vec![reader])
-    }
-
-    /// A channel wire that tells the test when a send found the queue
-    /// full, i.e. when the writer is about to wait for the reader.
-    struct FullSignal {
-        inner: QueueTx,
-        full: std::sync::mpsc::Sender<()>,
-    }
-
-    impl WireTx for FullSignal {
-        fn send(
-            &mut self,
-            packet: Packet,
-            timeout: Duration,
-        ) -> Result<Option<f64>, WireSendError> {
-            let Err((item, _)) = self.inner.push(Ok(packet), Some(Duration::ZERO)) else {
-                return Ok(None);
-            };
-            let _ = self.full.send(());
-            // The retry reports the drain time even if the slot freed
-            // before it looked: this send did find the queue full.
-            match self.inner.push(item, Some(timeout)) {
-                Ok((_, drained_at)) => Ok(Some(drained_at)),
-                Err((item, _)) => Err(WireSendError::Closed(item.expect("a packet was pushed"))),
-            }
-        }
-    }
-
-    #[test]
-    fn blocking_policy_applies_backpressure() {
-        // Back-pressure is charged only when the writer finds the queue full,
-        // so whether it happens is a real-time race between the two worlds.
-        // Pin the schedule: the reader frees a slot only once the writer has
-        // hit the full queue (or is done and has dropped its wire).
-        let (full, writer_blocked) = std::sync::mpsc::channel();
-        let (writers, readers) = wrapped_pair(FaultPlan::none(), |inner| {
-            Box::new(FullSignal { inner, full })
-        });
-        let readers: Vec<_> = readers.into_iter().zip([writer_blocked]).collect();
-        let reader_thread = std::thread::spawn(move || {
-            run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, state| {
-                let (mut reader, writer_blocked) = state;
-                let mut n = 0;
-                loop {
-                    let _ = writer_blocked.recv();
-                    if reader.recv_step(comm).unwrap().is_none() {
-                        break n;
-                    }
-                    comm.advance(10.0); // slow consumer: 10 virtual s/step
-                    n += 1;
-                }
-            })
-        });
-        let writer_times =
-            run_ranks_with_state(MachineModel::test_tiny(), writers, |comm, mut w| {
-                for step in 0..4u64 {
-                    w.write(comm, step, 0.0, payload_for(0)).unwrap();
-                }
-                (comm.now(), w.steps_written())
-            });
-        assert_eq!(reader_thread.join().unwrap()[0], 4);
-        let (t, written) = writer_times[0];
-        assert_eq!(written, 4);
-        // Depth 1: write k blocks until the reader takes step k-1 off the
-        // queue, which it does only after processing step k-2 — so the last
-        // write (k = 3) resumes no earlier than the drain time the reader
-        // published delivering step 1, one 10 s step in.
-        assert!(t >= 10.0, "backpressure must slow the writer: t = {t}");
-    }
-
     /// Two producers into one reader, each writing `steps` in a world of
-    /// its own, producer 0 first, so the reader's queue order is fixed.
-    /// The reader then runs `read` with the hub attached.
+    /// its own, producer 0 first, so the reader's arrival order is fixed.
+    /// A write fails exactly when the plan has crashed the endpoint by its
+    /// step. The reader then runs `read` with the hub attached.
     fn staged_in_order<R: Send + 'static>(
         steps: u64,
         faults: FaultPlan,
         read: impl Fn(&mut commsim::Comm, &mut SstReader) -> R + Send + Sync + 'static,
     ) -> (R, telemetry::TelemetryHub) {
+        let crash = faults.crash_step(0);
         let (writers, readers) =
             StagingNetwork::build_faulty(2, 1, 16, StagingLink::test_tiny(), faults);
         for w in writers {
             run_ranks_with_state(MachineModel::test_tiny(), vec![w], move |comm, mut w| {
                 for step in 0..steps {
-                    w.write(comm, step, 0.0, payload_for(7)).unwrap();
+                    let written = w.write(comm, step, 0.0, payload_for(7)).is_ok();
+                    assert_eq!(written, crash.is_none_or(|at| step < at), "step {step}");
                 }
             });
         }
@@ -1038,8 +1008,8 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        // Step 0 goes out; resolving step 1 fires the crash with producer
-        // 0's steps 2 and 3 still staged, and they die with the endpoint.
+        // Step 0 goes out; each writer meets the crash at step 1 and says
+        // so with a skip marker, and resolving step 1 fires the crash.
         let (delivered, hub) = staged_in_order(4, crash, |comm, reader| {
             let mut delivered = Vec::new();
             while let Some(d) = reader.recv_step(comm).unwrap() {
@@ -1147,26 +1117,8 @@ mod tests {
         assert_eq!(complete, ok, "every accepted step arrives intact");
     }
 
-    /// A channel wire that reports every send as having waited for room,
-    /// so every packet takes the back-pressure path whatever the reader is
-    /// doing.
-    struct AlwaysFull(QueueTx);
-
-    impl WireTx for AlwaysFull {
-        fn send(
-            &mut self,
-            packet: Packet,
-            timeout: Duration,
-        ) -> Result<Option<f64>, WireSendError> {
-            match self.0.push(Ok(packet), Some(timeout)) {
-                Ok((_, drained_at)) => Ok(Some(drained_at)),
-                Err((item, _)) => Err(WireSendError::Closed(item.expect("a packet was pushed"))),
-            }
-        }
-    }
-
     #[test]
-    fn damaged_frames_wait_for_a_full_queue_and_are_all_crc_rejected() {
+    fn damaged_frames_take_no_slot_and_are_all_crc_rejected() {
         let plan = FaultPlan::with_link(
             7,
             LinkFaultSpec {
@@ -1174,7 +1126,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (writers, readers) = wrapped_pair(plan, |tx| Box::new(AlwaysFull(tx)));
+        // One slot: a damaged frame that took one would wait for a release
+        // no delivery ever sends, and the write would fail.
+        let (writers, readers) =
+            StagingNetwork::build_faulty(1, 1, 1, StagingLink::test_tiny(), plan);
         let reader_thread = std::thread::spawn(move || {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
                 while reader.recv_step(comm).unwrap().is_some() {}
@@ -1189,8 +1144,7 @@ mod tests {
                 w.corrupt_frames()
             })[0];
         assert!(corrupt_sent > 0, "30% corruption must damage some frames");
-        // A damaged frame that finds the queue full waits for a slot like
-        // any other packet, so the reader sees, and rejects, every one.
+        // Every damaged frame reaches the reader, which rejects each one.
         assert_eq!(reader_thread.join().unwrap()[0], corrupt_sent);
     }
 
@@ -1354,9 +1308,83 @@ mod tests {
         );
     }
 
-    /// The same stall over real sockets: there TCP flow control is the
-    /// back-pressure, so the writer's clock carries its own control
-    /// latencies and nothing else — no drain-time advance, no
+    /// Which world a skewed run holds back, 20 ms of real time a step.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Skew {
+        /// The writer naps before each write: the reader has always
+        /// drained its slot already.
+        SlowWriter,
+        /// The reader naps before each `recv_step`: the slot is always
+        /// taken when the writer comes for it.
+        SlowReader,
+    }
+
+    /// One writer feeding one reader through a one-slot window under
+    /// `plan`, with `skew` holding one side back in real time. Yields each
+    /// write's outcome (steps 1–4) and the writer's final clock bits.
+    fn skewed_run(plan: FaultPlan, skew: Skew) -> (Vec<Result<(), TransportError>>, u64) {
+        let nap = || std::thread::sleep(Duration::from_millis(20));
+        let (writers, readers) =
+            StagingNetwork::build_faulty(1, 1, 1, StagingLink::test_tiny(), plan);
+        let reader_thread = std::thread::spawn(move || {
+            run_ranks_with_state(MachineModel::test_tiny(), readers, move |comm, mut r| {
+                while {
+                    if skew == Skew::SlowReader {
+                        comm.external_wait(nap);
+                    }
+                    r.recv_step(comm).unwrap().is_some()
+                } {}
+            })
+        });
+        let out = run_ranks_with_state(MachineModel::test_tiny(), writers, move |comm, mut w| {
+            let outcomes = (1..=4u64)
+                .map(|step| {
+                    if skew == Skew::SlowWriter {
+                        comm.external_wait(nap);
+                    }
+                    w.write(comm, step, 0.0, payload_for(0))
+                        .map_err(|e| e.error)
+                })
+                .collect();
+            (outcomes, comm.now().to_bits())
+        });
+        reader_thread.join().unwrap();
+        out.into_iter().next().unwrap()
+    }
+
+    #[test]
+    fn stall_backpressure_is_the_same_whichever_world_runs_ahead() {
+        let drained = skewed_run(stall_plan(), Skew::SlowWriter);
+        let full = skewed_run(stall_plan(), Skew::SlowReader);
+        assert!(drained.0.iter().all(Result::is_ok), "{:?}", drained.0);
+        assert_eq!(full, drained, "writer outcomes and clock bits");
+        let t = f64::from_bits(drained.1);
+        assert!(t >= 25.0, "the stall back-pressures the writer: {t}");
+    }
+
+    #[test]
+    fn crash_outcome_is_the_same_whichever_world_runs_ahead() {
+        let plan = || FaultPlan {
+            crashes: vec![EndpointCrash {
+                endpoint: 0,
+                at_step: 3,
+            }],
+            ..stall_plan()
+        };
+        let drained = skewed_run(plan(), Skew::SlowWriter);
+        let full = skewed_run(plan(), Skew::SlowReader);
+        assert_eq!(full, drained, "writer outcomes and clock bits");
+        // The writer meets the crash at step 3, from the plan.
+        use TransportError::{CircuitOpen, Disconnected};
+        assert_eq!(
+            drained.0,
+            vec![Ok(()), Ok(()), Err(Disconnected), Err(CircuitOpen)]
+        );
+    }
+
+    /// The same stall over real sockets: there is no credit window and TCP
+    /// flow control is the back-pressure, so the writer's clock carries its
+    /// own control latencies and nothing else — no wait charged, no
     /// `transport/backpressure` span.
     #[test]
     fn consumer_stall_over_tcp_never_moves_the_writer_to_the_drain_time() {

@@ -2,29 +2,24 @@
 //! [`crate::SstWriter`] to its [`crate::SstReader`].
 //!
 //! The reader side is one struct, [`WireRx`]: the receiving end of a
-//! bounded queue of `Result<Packet, WireRecvError>`. The two engines,
+//! `std` channel of `Result<Packet, WireRecvError>`. The two engines,
 //! selected by [`WireKind`] (a config field on the library entry points,
 //! `--wire channel|tcp` on the harness binaries, channel when absent),
-//! differ in who pushes into it:
+//! differ in who sends into it:
 //!
-//! * **channel**: the writer pushes `Ok(packet)` itself, so the queue is
-//!   the staging queue and finding it full is the back-pressure signal.
+//! * **channel**: the writer sends `Ok(packet)` itself. The channel is
+//!   unbounded; what bounds a writer's data is its credit window
+//!   ([`commsim::CreditWindow`]), which the reader releases at delivery.
 //! * **tcp** ([`TcpWireTx`]): the writer sends the same CRC32/BP-marshaled
 //!   payload as a length-prefixed frame over a real socket, so it can live
-//!   in another OS process; a framing thread per connection pushes what it
-//!   reads — a packet, or the short read the connection ended on. The OS
-//!   send buffer plus the queue play the staging-queue role; TCP flow
-//!   control carries the back-pressure.
+//!   in another OS process; a framing thread per connection sends what it
+//!   reads — a packet, or the short read the connection ended on — into a
+//!   bounded `sync_channel`. The OS send buffer plus that channel play the
+//!   staging-queue role; TCP flow control carries the back-pressure.
 //!
-//! The producer side is a trait, [`WireTx`], with one blocking `send`; the
-//! reader's side is one blocking [`WireRx::recv`]. A send reports whether
-//! the packet had to wait for room in a channel queue and, if so, the
-//! reader's drain time when the slot was taken: the reader publishes that
-//! time through its [`WireRx`], and the queue hands it back under its lock.
-//! The queue is here because `std` has neither a bounded send with a
-//! timeout that hands the packet back — the wedged-reader guard, the
-//! engine's private `ENQUEUE_TIMEOUT` (10 s) — nor one that carries a
-//! value back to the sender.
+//! The producer side is a trait, [`WireTx`], with one blocking `send` that
+//! hands the packet back when the reader is gone; the reader's side is one
+//! blocking [`WireRx::recv`].
 //!
 //! # Frame layout (tcp)
 //!
@@ -44,16 +39,15 @@
 
 use crate::codec::{self, PartError, Prefix, Reader, RecordIn, ShortRecord};
 use crate::engine::{Packet, PacketKind};
-use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// Which wire engine carries the staging frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireKind {
-    /// In-process bounded queue (the original engine).
+    /// In-process channel (the original engine).
     #[default]
     Channel,
     /// Length-prefixed frames over a real loopback/TCP socket.
@@ -73,16 +67,15 @@ impl WireKind {
 /// A failed wire send; the packet rides back so its payload can be parked.
 #[derive(Debug)]
 pub enum WireSendError {
-    /// The send ran out its real-time bound waiting for room.
-    Timeout(Packet),
-    /// The peer is gone (channel disconnected / socket dead).
+    /// The peer is gone (channel disconnected / socket dead, or a socket
+    /// write that ran out its real-time bound).
     Closed(Packet),
 }
 
 /// A failed wire receive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireRecvError {
-    /// Every producer connection is gone and the queue is drained.
+    /// Every producer connection is gone and the backlog is drained.
     Closed,
     /// A connection died mid-frame: `got` of `wanted` bytes arrived.
     ShortRead {
@@ -95,11 +88,8 @@ pub enum WireRecvError {
 
 /// Producer side of a wire: carries [`Packet`]s toward one reader.
 pub trait WireTx: Send {
-    /// Send `packet`, waiting at most `timeout` for room. `Ok(Some(t))`:
-    /// the packet waited for a slot in a channel queue, and `t` is the
-    /// reader's drain time when it took the slot. `Ok(None)`: it went
-    /// straight in, or onto a socket, whose waits TCP flow control hides.
-    fn send(&mut self, packet: Packet, timeout: Duration) -> Result<Option<f64>, WireSendError>;
+    /// Send `packet`; a socket write waits at most `timeout` for room.
+    fn send(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -225,13 +215,13 @@ impl TcpWireTx {
 }
 
 impl WireTx for TcpWireTx {
-    fn send(&mut self, packet: Packet, timeout: Duration) -> Result<Option<f64>, WireSendError> {
+    fn send(&mut self, packet: Packet, timeout: Duration) -> Result<(), WireSendError> {
         self.stream.set_write_timeout(Some(timeout)).ok();
         // Any write failure — timeout included — leaves the stream
         // possibly mid-frame, so the connection is unusable either way:
         // surface it as Closed and let the circuit breaker degrade.
         match write_packet(&mut self.stream, &packet) {
-            Ok(()) => Ok(None),
+            Ok(()) => Ok(()),
             Err(_) => Err(WireSendError::Closed(packet)),
         }
     }
@@ -239,12 +229,12 @@ impl WireTx for TcpWireTx {
 
 /// The reader half of the TCP engine: an accept thread takes
 /// `n_producers` connections off `listener`; each connection gets a
-/// framing thread that decodes packets and pushes them into one queue of
+/// framing thread that decodes packets and sends them into one channel of
 /// `capacity` (the staging bound — TCP flow control pushes the
 /// back-pressure the rest of the way to the writer). A connection ending
-/// mid-frame pushes a [`WireRecvError::ShortRead`] before closing.
+/// mid-frame sends a [`WireRecvError::ShortRead`] before closing.
 pub(crate) fn tcp_rx(listener: TcpListener, n_producers: usize, capacity: usize) -> WireRx {
-    let (tx, rx) = queue(capacity);
+    let (tx, rx) = mpsc::sync_channel(capacity.max(1));
     std::thread::spawn(move || {
         let mut conns = Vec::new();
         for _ in 0..n_producers {
@@ -262,15 +252,15 @@ pub(crate) fn tcp_rx(listener: TcpListener, n_producers: usize, capacity: usize)
             let _ = c.join();
         }
     });
-    rx
+    WireRx(rx)
 }
 
-fn forward_frames(mut stream: TcpStream, tx: QueueTx) {
+fn forward_frames(mut stream: TcpStream, tx: mpsc::SyncSender<Item>) {
     // Ends at a clean detach (`None`), after the error the connection died
     // on, or when the reader is gone.
     while let Some(item) = read_frame(&mut stream).transpose() {
         let last = item.is_err();
-        if tx.push(item, None).is_err() || last {
+        if tx.send(item).is_err() || last {
             return;
         }
     }
@@ -288,118 +278,35 @@ pub fn loopback_listener() -> std::io::Result<(TcpListener, u16)> {
 }
 
 // ---------------------------------------------------------------------------
-// The queue under both engines (and the channel engine's sender)
+// The channel both engines feed
 // ---------------------------------------------------------------------------
 
 type Item = Result<Packet, WireRecvError>;
 
-/// Bounded, many producers, one consumer. No guard is held across code
-/// that can panic, so the mutex is never poisoned.
-struct Queue {
-    capacity: usize,
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
+/// The channel engine: each writer holds a clone of [`ChannelTx`], the
+/// sending end of the reader's channel. It is unbounded: the writers'
+/// credit windows bound the data in flight.
+pub(crate) fn channel() -> (ChannelTx, WireRx) {
+    let (tx, rx) = mpsc::channel();
+    (ChannelTx(tx), WireRx(rx))
 }
 
-#[derive(Default)]
-struct QueueState {
-    items: VecDeque<Item>,
-    senders: usize,
-    reader_gone: bool,
-    /// Virtual time at which the reader last drained a step.
-    drained_at: f64,
-}
+/// A channel-engine writer's end of the wire.
+#[derive(Clone)]
+pub(crate) struct ChannelTx(mpsc::Sender<Item>);
 
-/// A wire queue holding at most `capacity` items (at least one).
-pub(crate) fn queue(capacity: usize) -> (QueueTx, WireRx) {
-    let q = Arc::new(Queue {
-        capacity: capacity.max(1),
-        state: Mutex::default(),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-    });
-    (QueueTx::new(&q), WireRx(q))
-}
-
-/// A producer's end of the queue: each channel-engine writer holds one (it
-/// is that engine's [`WireTx`]), and so does each tcp framing thread.
-pub(crate) struct QueueTx(Arc<Queue>);
-
-impl QueueTx {
-    fn new(q: &Arc<Queue>) -> Self {
-        q.state.lock().unwrap().senders += 1;
-        QueueTx(Arc::clone(q))
-    }
-
-    /// Push `item`, waiting for a free slot for at most `wait` (`None`:
-    /// until there is one). A push reports whether it had to wait, with the
-    /// reader's drain time when it took the slot; a failed one hands the
-    /// item back with whether the reader is gone (`true`) or the queue
-    /// stayed full (`false`).
-    pub(crate) fn push(
-        &self,
-        item: Item,
-        wait: Option<Duration>,
-    ) -> Result<(bool, f64), (Item, bool)> {
-        let q = &*self.0;
-        let deadline = wait.map(|w| Instant::now() + w);
-        let mut st = q.state.lock().unwrap();
-        let mut waited = false;
-        loop {
-            if st.reader_gone {
-                return Err((item, true));
-            }
-            if st.items.len() < q.capacity {
-                st.items.push_back(item);
-                q.not_empty.notify_one();
-                return Ok((waited, st.drained_at));
-            }
-            waited = true;
-            st = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                None => q.not_full.wait(st).unwrap(),
-                Some(left) if left.is_zero() => return Err((item, false)),
-                Some(left) => q.not_full.wait_timeout(st, left).unwrap().0,
-            };
-        }
+impl WireTx for ChannelTx {
+    fn send(&mut self, packet: Packet, _timeout: Duration) -> Result<(), WireSendError> {
+        self.0
+            .send(Ok(packet))
+            .map_err(|unsent| WireSendError::Closed(unsent.0.expect("a packet was sent")))
     }
 }
 
-impl Clone for QueueTx {
-    fn clone(&self) -> Self {
-        Self::new(&self.0)
-    }
-}
-
-impl Drop for QueueTx {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock().unwrap();
-        st.senders -= 1;
-        if st.senders == 0 {
-            self.0.not_empty.notify_all();
-        }
-    }
-}
-
-impl WireTx for QueueTx {
-    fn send(&mut self, packet: Packet, timeout: Duration) -> Result<Option<f64>, WireSendError> {
-        match self.push(Ok(packet), Some(timeout)) {
-            Ok((waited, drained_at)) => Ok(waited.then_some(drained_at)),
-            Err((item, closed)) => {
-                let packet = item.expect("a packet was pushed");
-                Err(match closed {
-                    true => WireSendError::Closed(packet),
-                    false => WireSendError::Timeout(packet),
-                })
-            }
-        }
-    }
-}
-
-/// Consumer side of a wire: the queue's one receiving end, yielding the
-/// packets of every producer that feeds this reader. Dropping it is what
-/// a producer sees as [`WireSendError::Closed`].
-pub struct WireRx(Arc<Queue>);
+/// Consumer side of a wire: the one receiving end of the channel that
+/// every producer feeding this reader sends into. Dropping it is what a
+/// producer sees as [`WireSendError::Closed`].
+pub struct WireRx(mpsc::Receiver<Item>);
 
 impl WireRx {
     /// Wait for the next packet.
@@ -409,31 +316,7 @@ impl WireRx {
     /// backlog is drained, or the [`WireRecvError::ShortRead`] a TCP
     /// connection ended on.
     pub fn recv(&mut self) -> Result<Packet, WireRecvError> {
-        let q = &*self.0;
-        let mut st = q.state.lock().unwrap();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                q.not_full.notify_one();
-                return item;
-            }
-            if st.senders == 0 {
-                return Err(WireRecvError::Closed);
-            }
-            st = q.not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// Publish the virtual time at which the reader drained a step; a
-    /// producer that waits for room is handed it with its slot.
-    pub(crate) fn set_drained_at(&self, t: f64) {
-        self.0.state.lock().unwrap().drained_at = t;
-    }
-}
-
-impl Drop for WireRx {
-    fn drop(&mut self) {
-        self.0.state.lock().unwrap().reader_gone = true;
-        self.0.not_full.notify_all();
+        self.0.recv().unwrap_or(Err(WireRecvError::Closed))
     }
 }
 
@@ -540,7 +423,7 @@ mod tests {
         for step in 0..5u64 {
             let mut p = sample(PacketKind::Data, vec![step as u8; 64]);
             p.step = step;
-            assert_eq!(tx.send(p, Duration::from_secs(5)).unwrap(), None);
+            tx.send(p, Duration::from_secs(5)).unwrap();
         }
         drop(tx);
         for step in 0..5u64 {
@@ -559,65 +442,28 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_hands_the_packet_back() {
-        let (mut tx, rx) = queue(2);
-        for step in 0..2 {
-            assert_eq!(tx.send(numbered(step), Duration::ZERO).unwrap(), None);
-        }
-        let start = Instant::now();
-        match tx.send(numbered(3), Duration::from_millis(20)) {
-            Err(WireSendError::Timeout(p)) => assert_eq!((p.step, p.payload), (3, vec![3])),
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-        assert!(start.elapsed() >= Duration::from_millis(20));
+    fn backlog_is_drained_before_closed_and_a_gone_reader_hands_the_packet_back() {
+        let (mut tx, mut rx) = channel();
+        let mut tx2 = tx.clone();
+        tx.send(numbered(7), Duration::ZERO).unwrap();
+        tx2.send(numbered(8), Duration::ZERO).unwrap();
+        drop(tx);
+        assert_eq!(rx.recv().unwrap().step, 7);
+        drop(tx2);
+        assert_eq!(rx.recv().unwrap().step, 8);
+        assert_eq!(rx.recv().unwrap_err(), WireRecvError::Closed);
+        let (mut tx, rx) = channel();
         drop(rx);
         match tx.send(numbered(4), Duration::from_secs(5)) {
-            Err(WireSendError::Closed(p)) => assert_eq!(p.step, 4),
+            Err(WireSendError::Closed(p)) => assert_eq!((p.step, p.payload), (4, vec![4])),
             other => panic!("expected Closed, got {other:?}"),
         }
     }
 
     #[test]
-    fn backlog_is_drained_before_closed() {
-        let (mut tx, mut rx) = queue(4);
-        let mut tx2 = tx.clone();
-        tx.send(numbered(7), Duration::ZERO).unwrap();
-        tx2.send(numbered(8), Duration::ZERO).unwrap();
-        drop(tx);
-        drop(tx2);
-        assert_eq!(rx.recv().unwrap().step, 7);
-        assert_eq!(rx.recv().unwrap().step, 8);
-        assert_eq!(rx.recv().unwrap_err(), WireRecvError::Closed);
-    }
-
-    #[test]
-    fn blocked_senders_wake_on_a_free_slot_and_on_a_dropped_reader() {
-        let (tx, mut rx) = queue(1);
-        tx.push(Ok(numbered(0)), None).unwrap();
-        let blocked = |step| {
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                tx.push(Ok(numbered(step)), None)
-                    .map(|(_, drained_at)| drained_at)
-                    .map_err(|(_, closed)| closed)
-            })
-        };
-        let first = blocked(1);
-        // The slot comes with the drain time published before it freed.
-        rx.set_drained_at(4.5);
-        assert_eq!(rx.recv().unwrap().step, 0);
-        assert_eq!(first.join().unwrap(), Ok(4.5));
-        let second = blocked(2);
-        // Whether or not `second` is parked yet, the drop must release it.
-        std::thread::sleep(Duration::from_millis(10));
-        drop(rx);
-        assert_eq!(second.join().unwrap(), Err(true));
-    }
-
-    #[test]
     fn two_concurrent_senders_stay_fifo_per_producer() {
         const N: u64 = 200;
-        let (tx, mut rx) = queue(3);
+        let (tx, mut rx) = channel();
         let senders: Vec<_> = (0..2usize)
             .map(|producer| {
                 let mut tx = tx.clone();

@@ -232,16 +232,10 @@ fn intransit_catalyst_parity() {
 /// Degraded scenario: a seeded lossy link forces CRC rejects and
 /// retransmits. The fault schedule is derived from (seed, step, producer)
 /// — never wall time — so both modes must degrade *identically*.
-///
-/// The channel queue is deeper than the run can fill. With 30 %
-/// corruption more than 8 packets can be in flight, and a writer that
-/// finds the queue full is charged the reader's drain time — whether it
-/// does is a real-time race, which would make the sim-world time differ
-/// between two runs of the same mode.
 #[test]
 fn degraded_link_fault_outcomes_match() {
     let run = |sched: SchedMode| {
-        let mut cfg = intransit_cfg(
+        run_intransit(&intransit_cfg(
             8,
             sched,
             FaultPlan::with_link(
@@ -251,9 +245,7 @@ fn degraded_link_fault_outcomes_match() {
                     ..LinkFaultSpec::default()
                 },
             ),
-        );
-        cfg.queue_capacity = 64;
-        run_intransit(&cfg)
+        ))
     };
     let a = run(SchedMode::Thread);
     let b = run(SchedMode::Event);
