@@ -162,17 +162,12 @@ impl SstWriter {
         // control latency and its share of injection, not the full
         // transfer (SST overlaps the bulk move with the simulation).
         comm.advance(self.link.control_latency);
-        if self
-            .faults
-            .crash_step(self.reader_index)
-            .is_some_and(|at| step >= at)
-        {
+        let crash = self.faults.crash_step(self.reader_index);
+        if crash.is_some_and(|at| step >= at) {
             // The endpoint is dead from its planned crash step on. The
-            // step's control marker still reaches it, which is where it
-            // dies: resolving a step at or past its crash step.
-            let t_avail = comm.now() + self.link.control_latency;
-            let skip = self.packet(comm, PacketKind::Skip, step, 0.0, t_avail, Vec::new());
-            let _ = self.send(comm, skip);
+            // step's skip marker still reaches it, which is where it dies:
+            // resolving a step at or past its crash step.
+            self.mark(comm, PacketKind::Skip, step);
             return self.fail_step(comm, step, TransportError::Disconnected, payload);
         }
         let mut attempt = 0u32;
@@ -191,7 +186,9 @@ impl SstWriter {
                             self.consecutive_failures = 0;
                             Ok(())
                         }
-                        Err((error, payload)) => self.fail_step(comm, step, error, payload),
+                        Err(payload) => {
+                            self.fail_step(comm, step, TransportError::Disconnected, payload)
+                        }
                     };
                 }
                 // Lost on the wire: wait out the ack timeout and back off.
@@ -252,9 +249,7 @@ impl SstWriter {
     /// Take a slot in this writer's credit window for an intact data
     /// packet (channel wire only). Waiting for one is back-pressure: a
     /// `transport/backpressure` span in which the writer advances to the
-    /// time the reader delivered its W-th last written step. The wait runs
-    /// off the event scheduler's run token — the reader's world must keep
-    /// running to deliver — bounded by the wedged-reader guard.
+    /// time the reader delivered its W-th last written step.
     fn reserve(&mut self, comm: &mut commsim::Comm, step: u64) -> Result<(), TransportError> {
         let Some(window) = &mut self.window else {
             return Ok(());
@@ -270,14 +265,17 @@ impl SstWriter {
     /// wire, off the event scheduler's run token (a socket write can block
     /// on TCP flow control). A failure hands the payload back: the reader
     /// is gone.
-    fn send(
-        &mut self,
-        comm: &mut commsim::Comm,
-        packet: Packet,
-    ) -> Result<(), (TransportError, Vec<u8>)> {
+    fn send(&mut self, comm: &commsim::Comm, packet: Packet) -> Result<(), Vec<u8>> {
         let tx = &mut self.tx;
         comm.external_wait(|| tx.send(packet, ENQUEUE_TIMEOUT))
-            .map_err(|WireSendError::Closed(p)| (TransportError::Disconnected, p.payload))
+            .map_err(|WireSendError(p)| p.payload)
+    }
+
+    /// Send a control marker for `step` on the reliable plane.
+    fn mark(&mut self, comm: &commsim::Comm, kind: PacketKind, step: u64) {
+        let t_avail = comm.now() + self.link.control_latency;
+        let marker = self.packet(comm, kind, step, 0.0, t_avail, Vec::new());
+        let _ = self.send(comm, marker);
     }
 
     /// Account one failed step: notify the reader, advance the breaker,
@@ -302,9 +300,7 @@ impl SstWriter {
         }
         // Control plane: tell the reader this step will not arrive so it
         // can resolve the step as partial instead of hanging.
-        let t_avail = comm.now() + self.link.control_latency;
-        let skip = self.packet(comm, PacketKind::Skip, step, 0.0, t_avail, Vec::new());
-        let _ = self.send(comm, skip);
+        self.mark(comm, PacketKind::Skip, step);
         self.consecutive_failures += 1;
         if self.consecutive_failures >= BREAKER_THRESHOLD {
             self.breaker_open = true;
@@ -313,9 +309,7 @@ impl SstWriter {
                 Some(step),
                 format!("{} consecutive failures", self.consecutive_failures),
             );
-            let t_avail = comm.now() + self.link.control_latency;
-            let detach = self.packet(comm, PacketKind::Detach, step, 0.0, t_avail, Vec::new());
-            let _ = self.send(comm, detach);
+            self.mark(comm, PacketKind::Detach, step);
             return Err(WriteError {
                 error: TransportError::CircuitOpen,
                 payload,

@@ -24,10 +24,10 @@ pub enum TransportError {
         /// Attempts made before giving up.
         attempts: u32,
     },
-    /// A blocking enqueue exceeded the real-time safety bound (wedged
-    /// reader). Transient but counts toward the circuit breaker.
+    /// A wait for a staging slot exceeded the real-time safety bound
+    /// (wedged reader). Transient but counts toward the circuit breaker.
     Backpressure {
-        /// The step whose enqueue timed out.
+        /// The step whose wait timed out.
         step: u64,
     },
     /// A received frame failed validation.

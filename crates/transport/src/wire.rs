@@ -64,13 +64,11 @@ impl WireKind {
     }
 }
 
-/// A failed wire send; the packet rides back so its payload can be parked.
+/// A failed wire send: the peer is gone (channel disconnected, socket dead,
+/// or a socket write that ran out its real-time bound). The packet rides
+/// back so its payload can be parked.
 #[derive(Debug)]
-pub enum WireSendError {
-    /// The peer is gone (channel disconnected / socket dead, or a socket
-    /// write that ran out its real-time bound).
-    Closed(Packet),
-}
+pub struct WireSendError(pub Packet);
 
 /// A failed wire receive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,7 +220,7 @@ impl WireTx for TcpWireTx {
         // surface it as Closed and let the circuit breaker degrade.
         match write_packet(&mut self.stream, &packet) {
             Ok(()) => Ok(()),
-            Err(_) => Err(WireSendError::Closed(packet)),
+            Err(_) => Err(WireSendError(packet)),
         }
     }
 }
@@ -299,13 +297,13 @@ impl WireTx for ChannelTx {
     fn send(&mut self, packet: Packet, _timeout: Duration) -> Result<(), WireSendError> {
         self.0
             .send(Ok(packet))
-            .map_err(|unsent| WireSendError::Closed(unsent.0.expect("a packet was sent")))
+            .map_err(|unsent| WireSendError(unsent.0.expect("a packet was sent")))
     }
 }
 
 /// Consumer side of a wire: the one receiving end of the channel that
 /// every producer feeding this reader sends into. Dropping it is what a
-/// producer sees as [`WireSendError::Closed`].
+/// producer sees as a [`WireSendError`].
 pub struct WireRx(mpsc::Receiver<Item>);
 
 impl WireRx {
@@ -455,8 +453,8 @@ mod tests {
         let (mut tx, rx) = channel();
         drop(rx);
         match tx.send(numbered(4), Duration::from_secs(5)) {
-            Err(WireSendError::Closed(p)) => assert_eq!((p.step, p.payload), (4, vec![4])),
-            other => panic!("expected Closed, got {other:?}"),
+            Err(WireSendError(p)) => assert_eq!((p.step, p.payload), (4, vec![4])),
+            other => panic!("expected the packet back, got {other:?}"),
         }
     }
 
