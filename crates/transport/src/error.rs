@@ -68,7 +68,7 @@ impl std::fmt::Display for TransportError {
             TransportError::Backpressure { step } => {
                 write!(
                     f,
-                    "step {step}: blocking enqueue exceeded the real-time bound"
+                    "step {step}: the wait for a staging slot exceeded the real-time bound"
                 )
             }
             TransportError::Corrupt(e) => write!(f, "corrupt frame: {e}"),
