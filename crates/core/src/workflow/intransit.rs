@@ -73,7 +73,7 @@ pub struct InTransitConfig {
     pub link: StagingLink,
     /// Staging queue bound, in packets per endpoint rank.
     pub queue_capacity: usize,
-    /// Inert: a full staging queue always blocks the writer. The field
+    /// Inert: a writer whose staging window is full always blocks. The field
     /// stays because the benchmark (`nekbench`) sets it.
     pub policy: QueuePolicy,
     /// Endpoint behavior under test.

@@ -35,7 +35,7 @@ const MARSHAL_FLOPS_PER_BYTE: f64 = 1.0;
 pub struct ProducerReport {
     /// Producer (simulation rank) id.
     pub producer: usize,
-    /// Steps accepted by the staging queue.
+    /// Steps put on the staging wire intact.
     pub staged_steps: u64,
     /// Steps lost outright (transient failures, or fatal with no fallback).
     pub lost_steps: u64,

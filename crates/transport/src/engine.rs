@@ -1297,7 +1297,7 @@ mod tests {
         );
         assert!(
             res[0] >= 25.0,
-            "stall must back-pressure the writer through the full queue: {}",
+            "stall must back-pressure the writer through its credit window: {}",
             res[0]
         );
     }

@@ -17,9 +17,9 @@
 //! * [`link`] — the staging network model (latency/bandwidth for the data
 //!   plane, per-message control latency — the UCX/TCP parameters).
 //! * [`engine`] — [`engine::SstWriter`] / [`engine::SstReader`]: bounded
-//!   staging queues between a simulation world and an endpoint world; a
-//!   full queue blocks the writer, and both sides are timestamped for the
-//!   virtual clock.
+//!   staging between a simulation world and an endpoint world; a writer
+//!   whose credit window is full blocks, and both sides are timestamped for
+//!   the virtual clock.
 //! * [`endpoint`] — the SENSEI data consumer that the paper uses as the
 //!   workflow endpoint: collects each step from its producers, rebuilds a
 //!   multiblock, and drives a `ConfigurableAnalysis` (rendering or VTU
