@@ -273,7 +273,8 @@ impl ProducerLink {
     /// the wait exceeds it (a stalled consumer), the producer raises a
     /// typed [`WatchdogTimeout`] panic for the supervisor to classify.
     fn reserve(&mut self, comm: &mut Comm, step: u64, watchdog: Option<f64>) {
-        let waited = (self.window)
+        let waited = self
+            .window
             .reserve(comm, "snapshot/backpressure", Duration::MAX)
             .expect("consumer rank alive");
         self.backpressure_wait += waited;
