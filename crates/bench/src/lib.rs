@@ -24,75 +24,12 @@ pub mod cli;
 
 pub use cli::{Cli, HarnessArgs};
 
-/// The flags [`run_insitu_cell`] reads.
-pub const INSITU_CELL_FLAGS: &[&str] =
-    &["--restart-from", "--checkpoint-dir", "--checkpoint-every"];
 /// The flag [`maybe_write_csv`] reads.
 pub const CSV_FLAGS: &[&str] = &["--out"];
 /// The flag [`maybe_write_trace`] reads.
 pub const TRACE_FLAGS: &[&str] = &["--trace-out"];
 /// The flag [`maybe_write_report`] reads.
 pub const REPORT_FLAGS: &[&str] = &["--report-out"];
-
-/// Run one in situ cell honoring the crash-recovery flags: resume from the
-/// newest valid generation under `--restart-from`, and run under the
-/// supervisor (cutting generations into `--checkpoint-dir/<cell>`) when
-/// supervision is requested. Without either flag this is plain
-/// [`nek_sensei::run_insitu`].
-pub fn run_insitu_cell(
-    args: &HarnessArgs,
-    cell: &str,
-    mut cfg: nek_sensei::InSituConfig,
-) -> nek_sensei::InSituReport {
-    if let Some(dir) = &args.restart_from {
-        let scan = nek_sensei::scan_for_restore(dir, cfg.ranks);
-        for q in &scan.quarantined {
-            eprintln!(
-                "warning: quarantined generation {} in {}: {}",
-                q.step,
-                dir.display(),
-                q.reason
-            );
-        }
-        for f in &scan.foreign {
-            eprintln!(
-                "note: skipping generation {} in {}: {}",
-                f.step,
-                dir.display(),
-                f.reason
-            );
-        }
-        match scan.restored {
-            Some(generation) => {
-                println!(
-                    "  resuming from generation {} in {}",
-                    generation.step,
-                    dir.display()
-                );
-                cfg.recovery.resume_from = Some(std::sync::Arc::new(generation));
-            }
-            None => eprintln!(
-                "warning: no restorable generation in {}; starting from step 0",
-                dir.display()
-            ),
-        }
-    }
-    let Some(dir) = &args.checkpoint_dir else {
-        return nek_sensei::run_insitu(&cfg);
-    };
-    // Each cell gets its own generation directory: sweeps mix rank counts,
-    // and generations are only restorable into an equally sized world.
-    let every = args.checkpoint_every.unwrap_or(2);
-    let sup = nek_sensei::SupervisorConfig::new(dir.join(cell), every);
-    let out = nek_sensei::run_supervised_insitu(&cfg, &sup);
-    if out.recovery.restarts > 0 {
-        println!(
-            "  supervisor: {} restarts, {} steps lost, {} generations quarantined",
-            out.recovery.restarts, out.recovery.lost_steps, out.recovery.quarantined
-        );
-    }
-    out.report
-}
 
 /// Render an aligned text table.
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -8,9 +8,8 @@
 //! byte for byte.
 //!
 //! The summary and critical-path documents come from the `nekstat` binary
-//! run on the run-report fixture. The chaos-soak and fault-sweep
-//! documents come from their binaries, under the thread scheduler: a soak
-//! seed quarantines a different number of generations under event mode.
+//! run on the run-report fixture. The fault-sweep document comes from its
+//! binary, under the thread scheduler.
 //!
 //! When a document changes on purpose, the failure names the file the new
 //! one was written to; copy it over the fixture.
@@ -290,20 +289,6 @@ fn telemetry_snapshots() {
     check(
         "telemetry-snapshot-delta.json",
         &snapshot_json(1, false, &[]),
-        false,
-    );
-}
-
-#[test]
-fn chaos_soak() {
-    let path = scratch("chaos-soak.out.json");
-    run(
-        env!("CARGO_BIN_EXE_chaos_soak"),
-        &["--seeds", "1", "--json-out", path.to_str().unwrap()],
-    );
-    check(
-        "chaos-soak.json",
-        &std::fs::read_to_string(path).unwrap(),
         false,
     );
 }

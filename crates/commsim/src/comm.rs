@@ -616,8 +616,8 @@ impl Comm {
     }
 
     /// Run `f` — which may block on something *outside* this world (an OS
-    /// channel to another world, a supervisor pipe, ...) — without holding
-    /// a run token.
+    /// channel to another world, a socket, ...) — without holding a run
+    /// token.
     ///
     /// Under one token (event mode) blocking on an external resource while
     /// holding it would wedge every other rank in this world (and,

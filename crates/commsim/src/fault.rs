@@ -47,53 +47,6 @@ pub struct ConsumerStall {
     pub seconds: f64,
 }
 
-/// Kill one *simulation* rank right after it completes `at_step` — the
-/// node-failure fault a run supervisor must recover from. The rank raises
-/// an [`InjectedCrash`] panic, poisoning its world; the supervisor
-/// classifies the payload and restarts from the newest valid checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimRankCrash {
-    /// Simulation rank that dies.
-    pub rank: usize,
-    /// Last step the rank completes before dying.
-    pub at_step: u64,
-}
-
-/// Flip bytes of one rank's checkpoint file *after* it has been written
-/// and renamed into place — silent on-disk bit rot. The generation's
-/// manifest CRC no longer matches, so a later restore must quarantine the
-/// generation instead of loading it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointCorruption {
-    /// Rank whose dump file is damaged.
-    pub rank: usize,
-    /// Checkpoint generation (step) to damage.
-    pub at_step: u64,
-}
-
-/// Panic payload raised by a rank whose scheduled [`SimRankCrash`] fired.
-/// Supervisors downcast the payload to classify the failure precisely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InjectedCrash {
-    /// Rank that crashed.
-    pub rank: usize,
-    /// Step it crashed at.
-    pub step: u64,
-}
-
-/// Panic payload raised when a producer's pipeline-backpressure wait
-/// exceeds the configured watchdog deadline (a stalled consumer that
-/// would otherwise wedge the run indefinitely).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogTimeout {
-    /// Producer rank that tripped the watchdog.
-    pub rank: usize,
-    /// Step the producer was publishing when it gave up.
-    pub step: u64,
-    /// Virtual seconds it waited before tripping.
-    pub waited: f64,
-}
-
 /// The fate of one data-frame transmission attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttemptFate {
@@ -119,10 +72,6 @@ pub struct FaultPlan {
     pub crashes: Vec<EndpointCrash>,
     /// Slow-consumer stalls.
     pub stalls: Vec<ConsumerStall>,
-    /// Simulation-rank crashes (recoverable only under a supervisor).
-    pub sim_crashes: Vec<SimRankCrash>,
-    /// On-disk checkpoint corruption (silent bit rot after the write).
-    pub disk_corruptions: Vec<CheckpointCorruption>,
 }
 
 const SALT_FATE: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -193,38 +142,6 @@ impl FaultPlan {
             .filter(|c| c.endpoint == endpoint)
             .map(|c| c.at_step)
             .min()
-    }
-
-    /// The step at which simulation rank `rank` crashes, if any.
-    pub fn sim_crash_step(&self, rank: usize) -> Option<u64> {
-        self.sim_crashes
-            .iter()
-            .filter(|c| c.rank == rank)
-            .map(|c| c.at_step)
-            .min()
-    }
-
-    /// True when `rank`'s checkpoint file for generation `step` is
-    /// scheduled to rot on disk after the write.
-    pub fn corrupts_checkpoint(&self, rank: usize, step: u64) -> bool {
-        self.disk_corruptions
-            .iter()
-            .any(|c| c.rank == rank && c.at_step == step)
-    }
-
-    /// Drop every scheduled one-shot fault that already fired at or
-    /// before `step` — the supervisor calls this before a restart so a
-    /// transient crash/stall does not re-fire while the run replays the
-    /// steps since the restored checkpoint. Link-fault probabilities and
-    /// disk corruptions (already materialized on disk) are left alone.
-    #[must_use]
-    pub fn without_fired(&self, step: u64) -> Self {
-        let mut plan = self.clone();
-        plan.sim_crashes.retain(|c| c.at_step > step);
-        plan.crashes.retain(|c| c.at_step > step);
-        plan.stalls.retain(|s| s.at_step > step);
-        plan.disk_corruptions.retain(|c| c.at_step > step);
-        plan
     }
 
     /// Extra virtual seconds `endpoint` spends delivering `step`.
@@ -357,74 +274,6 @@ mod tests {
         assert_eq!(p.crash_step(0), None);
         assert_eq!(p.stall_secs(0, 3), 2.5);
         assert_eq!(p.stall_secs(0, 4), 0.0);
-    }
-
-    #[test]
-    fn sim_crash_and_disk_corruption_lookups() {
-        let p = FaultPlan {
-            sim_crashes: vec![
-                SimRankCrash {
-                    rank: 2,
-                    at_step: 9,
-                },
-                SimRankCrash {
-                    rank: 2,
-                    at_step: 5,
-                },
-            ],
-            disk_corruptions: vec![CheckpointCorruption {
-                rank: 0,
-                at_step: 4,
-            }],
-            ..FaultPlan::none()
-        };
-        assert_eq!(p.sim_crash_step(2), Some(5), "earliest crash wins");
-        assert_eq!(p.sim_crash_step(0), None);
-        assert!(p.corrupts_checkpoint(0, 4));
-        assert!(!p.corrupts_checkpoint(0, 6));
-        assert!(!p.corrupts_checkpoint(1, 4));
-    }
-
-    #[test]
-    fn without_fired_strips_only_elapsed_one_shot_faults() {
-        let p = FaultPlan {
-            link: LinkFaultSpec {
-                drop_prob: 0.1,
-                ..LinkFaultSpec::default()
-            },
-            crashes: vec![EndpointCrash {
-                endpoint: 0,
-                at_step: 3,
-            }],
-            stalls: vec![
-                ConsumerStall {
-                    endpoint: 0,
-                    at_step: 2,
-                    seconds: 1.0,
-                },
-                ConsumerStall {
-                    endpoint: 0,
-                    at_step: 8,
-                    seconds: 1.0,
-                },
-            ],
-            sim_crashes: vec![SimRankCrash {
-                rank: 1,
-                at_step: 5,
-            }],
-            disk_corruptions: vec![CheckpointCorruption {
-                rank: 0,
-                at_step: 4,
-            }],
-            ..FaultPlan::none()
-        };
-        let after = p.without_fired(5);
-        assert_eq!(after.link.drop_prob, 0.1, "link probabilities persist");
-        assert!(after.crashes.is_empty());
-        assert!(after.sim_crashes.is_empty());
-        assert!(after.disk_corruptions.is_empty());
-        assert_eq!(after.stalls.len(), 1);
-        assert_eq!(after.stalls[0].at_step, 8, "future faults survive");
     }
 
     #[test]

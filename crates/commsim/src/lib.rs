@@ -47,10 +47,7 @@ pub use clock::Clock;
 pub use comm::Comm;
 pub use credit::{credit_window, CreditRelease, CreditWindow};
 pub use exec::{run_world, with_mode, SchedMode, RANK_STACK_BYTES};
-pub use fault::{
-    AttemptFate, CheckpointCorruption, ConsumerStall, EndpointCrash, FaultPlan, InjectedCrash,
-    LinkFaultSpec, SimRankCrash, WatchdogTimeout,
-};
+pub use fault::{AttemptFate, ConsumerStall, EndpointCrash, FaultPlan, LinkFaultSpec};
 pub use machine::{FilesystemModel, GpuModel, MachineModel, NetworkModel};
 pub use reduce::ReduceOp;
 pub use runner::{run_ranks, run_ranks_with_registry, run_ranks_with_state, RankResult};

@@ -11,14 +11,6 @@ use memtrack::Accountant;
 use sem::navier_stokes::FlowSolver;
 use sem::snapshot::FieldSnapshot;
 
-mod store;
-
-pub(crate) use store::quarantine_generation;
-pub use store::{
-    scan_for_restore, CheckpointSpec, CheckpointStore, QuarantinedGeneration, RecoveryScan,
-    RestoredGeneration,
-};
-
 /// Magic prefix of a dump file.
 const FLD_MAGIC: &[u8; 8] = b"NEKFLD01";
 
@@ -195,8 +187,7 @@ impl FldDump {
     ///
     /// # Errors
     /// Returns [`RestoreError`] when a required field is missing or
-    /// mis-sized — a bad dump is a quarantine event for the supervisor,
-    /// never a crash.
+    /// mis-sized: a bad dump is reported to the caller, never a crash.
     pub fn restore_into(
         &self,
         comm: &mut commsim::Comm,

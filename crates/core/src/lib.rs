@@ -31,17 +31,9 @@ pub mod metrics;
 pub mod workflow;
 
 pub use adaptor::{NekGeometry, SnapshotAdaptor, SnapshotPlane, MESH_NAME};
-pub use checkpoint::{
-    encode_fld, read_fld, scan_for_restore, CheckpointSpec, CheckpointStore, EncodedFld,
-    FldCheckpointer, FldDump, QuarantinedGeneration, RecoveryScan, RestoreError,
-    RestoredGeneration,
-};
+pub use checkpoint::{encode_fld, read_fld, EncodedFld, FldCheckpointer, FldDump, RestoreError};
 pub use metrics::{DegradationSummary, RunMetrics};
 pub use workflow::insitu::{
-    run_insitu, ExecMode, InSituConfig, InSituMode, InSituReport, PIPELINE_DEPTH,
+    run_insitu, ExecMode, InSituConfig, InSituMode, InSituReport, RecoveryOptions, PIPELINE_DEPTH,
 };
 pub use workflow::intransit::{run_intransit, EndpointMode, InTransitConfig, InTransitReport};
-pub use workflow::supervisor::{
-    run_supervised_insitu, run_supervised_intransit, AttemptOutcome, FailureKind, RecoveryOptions,
-    RecoveryStats, SupervisedReport, SupervisorConfig,
-};

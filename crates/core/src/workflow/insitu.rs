@@ -35,10 +35,8 @@ use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::checkpoint::FldCheckpointer;
 use crate::metrics::RunMetrics;
 use crate::workflow::sampler::{catalyst_element, manifest, Run, SolverRank};
-use crate::workflow::supervisor::RecoveryOptions;
 use commsim::{
     credit_window, Comm, CreditRelease, CreditWindow, FaultPlan, MachineModel, SchedMode,
-    WatchdogTimeout,
 };
 use insitu::Bridge;
 use render::CatalystAnalysis;
@@ -132,11 +130,14 @@ pub struct InSituConfig {
     /// but never advances it, so solver output is bitwise identical with
     /// this on or off.
     pub telemetry: bool,
-    /// Crash-recovery plumbing (supervised checkpoint cadence, restart
-    /// point, pipeline watchdog, externally owned hub); the default
-    /// disables it all. See [`crate::workflow::supervisor`].
+    /// Inert; see [`RecoveryOptions`].
     pub recovery: RecoveryOptions,
 }
+
+/// A fieldless stand-in: no run restarts from a checkpoint. The type and
+/// the two `recovery` config fields stay because the benchmark names them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RecoveryOptions {}
 
 /// What one run produced.
 #[derive(Debug, Clone)]
@@ -269,27 +270,12 @@ struct ProducerLink {
 
 impl ProducerLink {
     /// Take a pipeline slot; the wait is charged to the virtual clock (see
-    /// [`CreditWindow::reserve`]). When a `watchdog` deadline is set and
-    /// the wait exceeds it (a stalled consumer), the producer raises a
-    /// typed [`WatchdogTimeout`] panic for the supervisor to classify.
-    fn reserve(&mut self, comm: &mut Comm, step: u64, watchdog: Option<f64>) {
-        let waited = self
+    /// [`CreditWindow::reserve`]).
+    fn reserve(&mut self, comm: &mut Comm) {
+        self.backpressure_wait += self
             .window
             .reserve(comm, "snapshot/backpressure", Duration::MAX)
             .expect("consumer rank alive");
-        self.backpressure_wait += waited;
-        if let Some(deadline) = watchdog.filter(|&deadline| waited > deadline) {
-            comm.telemetry_event(
-                EventKind::FaultInjected,
-                Some(step),
-                format!("watchdog: credit wait {waited:.1}s > deadline {deadline:.1}s"),
-            );
-            std::panic::panic_any(WatchdogTimeout {
-                rank: comm.rank(),
-                step,
-                waited,
-            });
-        }
     }
 
     fn send(&mut self, frame: PublishedFrame) {
@@ -397,7 +383,7 @@ fn solver_rank(
     cfg: &InSituConfig,
     link: Option<ProducerLink>,
 ) -> Option<RankTrace> {
-    let (mut rank, ()) = SolverRank::open(comm, &cfg.case, &cfg.recovery, &cfg.faults, |_| ());
+    let (mut rank, ()) = SolverRank::open(comm, &cfg.case, |_| ());
     // Original publishes nothing: no staging pool, no sink, no geometry.
     let pool = (cfg.mode != InSituMode::Original)
         .then(|| SnapshotPool::new(comm.accountant("snapshot-pool")));
@@ -424,7 +410,7 @@ fn solver_rank(
         };
         if step.is_multiple_of(trigger) {
             if let Sink::Linked(link) = sink {
-                link.reserve(comm, step, cfg.recovery.watchdog);
+                link.reserve(comm);
             }
             let snapshot = solver.publish_snapshot(comm, &spec, pool);
             match sink {
@@ -452,7 +438,7 @@ fn solver_rank(
 
 /// Execute one configuration and collect the paper's §4.1 metrics.
 pub fn run_insitu(cfg: &InSituConfig) -> InSituReport {
-    let run = Run::open(cfg, cfg.trace, cfg.telemetry, &cfg.recovery);
+    let run = Run::open(cfg, cfg.trace, cfg.telemetry);
     // Original has no consumer to overlap with: its pipelined run is the
     // synchronous run.
     let pipelined = cfg.exec == ExecMode::Pipelined && cfg.mode != InSituMode::Original;

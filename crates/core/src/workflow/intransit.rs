@@ -12,8 +12,8 @@
 
 use crate::adaptor::{NekGeometry, SnapshotAdaptor};
 use crate::metrics::{DegradationSummary, RunMetrics};
+use crate::workflow::insitu::RecoveryOptions;
 use crate::workflow::sampler::{catalyst_element, manifest, output_attr, Run, SolverRank};
-use crate::workflow::supervisor::RecoveryOptions;
 use commsim::{Comm, FaultPlan, MachineModel, SchedMode};
 use insitu::Bridge;
 use memtrack::Registry;
@@ -116,9 +116,7 @@ pub struct InTransitConfig {
     /// Endpoint-world instruments register under `endpoint<r>/` so the
     /// two worlds never collide on a name.
     pub telemetry: bool,
-    /// Crash-recovery plumbing (supervised checkpoint cadence, restart
-    /// point, externally owned hub); the default disables it all. See
-    /// [`crate::workflow::supervisor`].
+    /// Inert; see [`RecoveryOptions`].
     pub recovery: RecoveryOptions,
 }
 
@@ -176,7 +174,7 @@ enum EndpointOutcome {
 /// Execute one in-transit configuration.
 pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
     assert!(cfg.ratio >= 1, "ratio must be >= 1");
-    let run = Run::open(cfg, cfg.trace, cfg.telemetry, &cfg.recovery);
+    let run = Run::open(cfg, cfg.trace, cfg.telemetry);
     let endpoint_ranks = match cfg.mode {
         EndpointMode::NoTransport => 0,
         _ => (cfg.sim_ranks / cfg.ratio).max(1),
@@ -359,7 +357,7 @@ fn sim_rank(
                 format!(
                     r#"<sensei><analysis type="adios-sst" frequency="{trigger}" arrays="{arrays}"/></sensei>"#
                 ),
-                vec![TransportAnalysis::factory_with_recovery(
+                vec![TransportAnalysis::factory_with_fallback(
                     writer,
                     cfg.fallback_dir.clone(),
                     Some(report_sink),
@@ -367,10 +365,9 @@ fn sim_rank(
             )
         }
     };
-    let (mut rank, mut bridge) =
-        SolverRank::open(comm, &cfg.case, &cfg.recovery, &cfg.faults, |c| {
-            Bridge::initialize(c, &xml, &factories).expect("valid generated config")
-        });
+    let (mut rank, mut bridge) = SolverRank::open(comm, &cfg.case, |c| {
+        Bridge::initialize(c, &xml, &factories).expect("valid generated config")
+    });
     let pool = SnapshotPool::new(comm.accountant("snapshot-pool"));
     // Built on the first trigger: NoTransport never pays for the VTK
     // geometry, matching its bare-solver memory profile.

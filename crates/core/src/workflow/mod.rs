@@ -3,4 +3,3 @@
 pub mod insitu;
 pub mod intransit;
 mod sampler;
-pub mod supervisor;

@@ -1,7 +1,7 @@
 //! The simulation side both workflow drivers share: a [`Run`] opens,
 //! launches its rank worlds and closes into the report artifacts; each
 //! solver rank is a [`SolverRank`] from open (`sim/setup`) through the
-//! `step → supervise → consume → sample` loop to close (`sim/finalize`).
+//! `step → consume → sample` loop to close (`sim/finalize`).
 //! Where the analysis runs — inline, in a pipelined consumer world or at
 //! an in transit endpoint — is all that is left to a driver.
 //!
@@ -29,7 +29,6 @@ use sem::snapshot::SnapshotPool;
 use telemetry::{Manifest, PhaseBreakdown, RankTrace, RunReport, StepSample, TelemetryHub};
 
 use crate::metrics::RunMetrics;
-use crate::workflow::supervisor::{resume_solver, RecoveryOptions, SupervisedStepper};
 
 /// A run between its open and close: the registry the simulation world
 /// charges, the hub (None with telemetry off) and the config the ranks
@@ -56,13 +55,13 @@ type Closed = (
 
 impl<C: Clone + Send + Sync + 'static> Run<C> {
     /// Cap the malloc arenas and start an empty registry; with `telemetry`
-    /// on, take the supervisor's hub (`recovery.hub`) or a fresh one.
-    pub(crate) fn open(cfg: &C, trace: bool, telemetry: bool, recovery: &RecoveryOptions) -> Self {
+    /// on, a fresh hub.
+    pub(crate) fn open(cfg: &C, trace: bool, telemetry: bool) -> Self {
         memtrack::cap_malloc_arenas();
         Self {
             cfg: Arc::new(cfg.clone()),
             registry: Registry::new(),
-            hub: telemetry.then(|| recovery.hub.clone().unwrap_or_default()),
+            hub: telemetry.then(TelemetryHub::default),
             trace,
         }
     }
@@ -149,37 +148,29 @@ impl<C: Clone + Send + Sync + 'static> Run<C> {
 
 /// A solver rank from open to close: the solver, its host baseline (mesh
 /// setup, host mirrors, MPI buffers: NekRS keeps roughly the field set on
-/// the host too), the step it (re)starts at, the supervised crash and
-/// checkpoint hooks and, on a rank 0 with a hub, the sampler.
+/// the host too) and, on a rank 0 with a hub, the sampler.
 pub(crate) struct SolverRank {
     pub(crate) solver: FlowSolver,
     _host_base: Charge,
-    start: usize,
-    supervised: SupervisedStepper,
     sampler: Option<StepSampler>,
 }
 
 impl SolverRank {
     /// Build `case`, charge the host baseline and run the driver's own
-    /// `setup` under one `sim/setup` span; then restore the solver when
-    /// the attempt resumes from a generation and open the sampler's first
+    /// `setup` under one `sim/setup` span; then open the sampler's first
     /// step window.
     pub(crate) fn open<T>(
         comm: &mut Comm,
         case: &CaseSetup,
-        recovery: &RecoveryOptions,
-        faults: &FaultPlan,
         setup: impl FnOnce(&mut Comm) -> T,
     ) -> (Self, T) {
         let span = comm.span("sim/setup");
-        let mut solver = case.build(comm);
+        let solver = case.build(comm);
         let host_base = comm.accountant("host-base");
         let _host_base = host_base.charge(solver.n_nodes() as u64 * 8 * 60);
         let done = setup(comm);
         drop(span);
         let rank = Self {
-            start: resume_solver(comm, &mut solver, recovery),
-            supervised: SupervisedStepper::new(comm, recovery, faults),
             sampler: (comm.telemetry().hub())
                 .filter(|_| comm.rank() == 0)
                 .map(|hub| StepSampler::new(comm, hub.clone())),
@@ -189,7 +180,7 @@ impl SolverRank {
         (rank, done)
     }
 
-    /// Step on up to `steps`. `after_step` is the driver's per-step work
+    /// Step from 1 to `steps`. `after_step` is the driver's per-step work
     /// (trigger check, publish, consume or hand off) and returns the
     /// rank's *cumulative* backpressure wait; the sampler records `pool`.
     pub(crate) fn run(
@@ -200,10 +191,9 @@ impl SolverRank {
         mut after_step: impl FnMut(&mut Comm, &mut FlowSolver, u64) -> f64,
     ) {
         let solver = &mut self.solver;
-        for s in self.start..=steps {
+        for s in 1..=steps {
             solver.step(comm);
             let step = s as u64;
-            self.supervised.after_step(comm, solver, step);
             let backpressure_total = after_step(comm, solver, step);
             if let Some(sampler) = &mut self.sampler {
                 sampler.sample(comm, step, backpressure_total, pool);
@@ -282,12 +272,6 @@ pub(crate) fn fault_summary(plan: &FaultPlan) -> String {
     }
     if !plan.stalls.is_empty() {
         parts.push(format!("stalls={}", plan.stalls.len()));
-    }
-    if !plan.sim_crashes.is_empty() {
-        parts.push(format!("sim_crashes={}", plan.sim_crashes.len()));
-    }
-    if !plan.disk_corruptions.is_empty() {
-        parts.push(format!("disk_corruptions={}", plan.disk_corruptions.len()));
     }
     if parts.is_empty() {
         "none".into()

@@ -21,8 +21,7 @@
 //! bytes or more fold by carry-less multiplication; a slice-by-8 table
 //! takes everything else. It lives here because `render` is the lowest
 //! crate that checksums anything: PNG chunks use it directly, and
-//! `transport` (BP frame trailers, park files, and through it
-//! `core::checkpoint::store`) re-exports it.
+//! `transport` (BP frame trailers, park files) re-exports it.
 
 use crate::raster::Framebuffer;
 

@@ -2,7 +2,7 @@
 //!
 //! Every product document goes out through the writer: the RunReport,
 //! its critical-path block, live telemetry snapshots, `nekstat summary
-//! --json`, the chaos-soak and fault-sweep summaries and the Chrome trace.
+//! --json`, the fault-sweep summary and the Chrome trace.
 //! [`object`] and [`array`] start a document and an [`Obj`] fills one
 //! object's members, in the order they are written. The layout is fixed:
 //! no spaces, each array element on its own line and an array closed by

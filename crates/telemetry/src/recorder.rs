@@ -17,15 +17,6 @@ pub enum EventKind {
     CheckpointWrite,
     /// An endpoint rank crashed per the fault plan.
     EndpointCrash,
-    /// The run supervisor observed a recoverable failure and began a
-    /// restore-and-restart cycle.
-    RecoveryStarted,
-    /// The run supervisor restored from a checkpoint generation and
-    /// resumed the run.
-    RecoveryCompleted,
-    /// A checkpoint generation failed manifest/CRC validation and was
-    /// quarantined (it will never be restored from).
-    GenerationQuarantined,
 }
 
 impl EventKind {
@@ -37,9 +28,6 @@ impl EventKind {
             Self::EngineSwitch => "engine_switch",
             Self::CheckpointWrite => "checkpoint_write",
             Self::EndpointCrash => "endpoint_crash",
-            Self::RecoveryStarted => "recovery_started",
-            Self::RecoveryCompleted => "recovery_completed",
-            Self::GenerationQuarantined => "generation_quarantined",
         }
     }
 
@@ -51,9 +39,6 @@ impl EventKind {
             "engine_switch" => Self::EngineSwitch,
             "checkpoint_write" => Self::CheckpointWrite,
             "endpoint_crash" => Self::EndpointCrash,
-            "recovery_started" => Self::RecoveryStarted,
-            "recovery_completed" => Self::RecoveryCompleted,
-            "generation_quarantined" => Self::GenerationQuarantined,
             _ => return None,
         })
     }
@@ -232,9 +217,6 @@ mod tests {
             EventKind::EngineSwitch,
             EventKind::CheckpointWrite,
             EventKind::EndpointCrash,
-            EventKind::RecoveryStarted,
-            EventKind::RecoveryCompleted,
-            EventKind::GenerationQuarantined,
         ] {
             assert_eq!(EventKind::parse(kind.as_str()), Some(kind));
         }

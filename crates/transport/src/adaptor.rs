@@ -97,7 +97,7 @@ impl TransportAnalysis {
     /// out-of-band, as SST does with its contact-info files), with the
     /// degradation ladder wired up: a fallback directory for the BP file
     /// engine and a sink that receives the producer's report at finalize.
-    pub fn factory_with_recovery(
+    pub fn factory_with_fallback(
         writer: SstWriter,
         fallback_dir: Option<PathBuf>,
         sink: Option<ReportSink>,

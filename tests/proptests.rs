@@ -327,8 +327,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // A checkpoint reader fed disk garbage must reject it with an error,
-    // never panic or over-allocate (the supervisor turns parse errors into
-    // generation quarantines, so they have to surface as values).
+    // never panic or over-allocate: a dump is bytes from outside the
+    // process, so its parse errors have to surface as values.
     #[test]
     fn read_fld_never_panics_on_arbitrary_bytes(
         bytes in proptest::collection::vec(0u8..=255, 0..256)
@@ -355,8 +355,8 @@ proptest! {
         let mut bytes = valid_fld_bytes();
         let byte = byte % bytes.len();
         bytes[byte] ^= 1 << bit;
-        // Bit rot in the payload may still parse (integrity is the
-        // manifest CRC's job); the reader just must not panic.
+        // Bit rot in the payload may still parse (the format carries no
+        // checksum); the reader just must not panic.
         let _ = nek_sensei::read_fld(&bytes);
     }
 }

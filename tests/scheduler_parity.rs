@@ -2,7 +2,7 @@
 //! versus one per rank (thread mode). Both drive the exact rendezvous
 //! code and differ only in how many ranks run at once, so every
 //! observable — solver field bytes, virtual clocks, CommStats, rendered
-//! images, fault outcomes, recovery stats — must be bitwise identical
+//! images, fault outcomes — must be bitwise identical
 //! across the two modes.
 //!
 //! The binary also carries the scale smokes: the paper's 1120-rank pb146
@@ -11,13 +11,12 @@
 
 use commsim::{
     run_ranks_with_registry, run_world, with_mode, FaultPlan, LinkFaultSpec, MachineModel,
-    SchedMode, SimRankCrash,
+    SchedMode,
 };
 use memtrack::alloc::{global_peak, reset_peak};
 use memtrack::{Registry, TrackingAllocator};
 use nek_sensei::{
-    run_insitu, run_intransit, run_supervised_insitu, EndpointMode, ExecMode, InSituConfig,
-    InSituMode, InTransitConfig, SupervisorConfig,
+    run_insitu, run_intransit, EndpointMode, ExecMode, InSituConfig, InSituMode, InTransitConfig,
 };
 use render::fnv1a64;
 use sem::cases::{pb146, rbc, CaseParams};
@@ -258,44 +257,6 @@ fn degraded_link_fault_outcomes_match() {
         a.sim.time_to_solution.to_bits(),
         b.sim.time_to_solution.to_bits()
     );
-}
-
-/// Supervised crash-recovery: an injected rank crash kills the run, the
-/// supervisor restores from the newest checkpoint generation, and the
-/// recovery trajectory (restart count, resume step, lost steps) plus the
-/// completed run's metrics must be identical across schedulers.
-#[test]
-fn supervised_crash_recovery_parity() {
-    let run = |sched: SchedMode| {
-        let dir = scratch(&format!("recovery-{}", sched.label()));
-        let mut cfg = insitu_cfg(InSituMode::Original, ExecMode::Synchronous, sched);
-        cfg.steps = 8;
-        cfg.faults = FaultPlan {
-            sim_crashes: vec![SimRankCrash {
-                rank: 1,
-                at_step: 5,
-            }],
-            ..FaultPlan::none()
-        };
-        let out = run_supervised_insitu(&cfg, &SupervisorConfig::new(dir.clone(), 2));
-        let _ = std::fs::remove_dir_all(&dir);
-        out
-    };
-    let a = run(SchedMode::Thread);
-    let b = run(SchedMode::Event);
-    assert_eq!(a.recovery.restarts, 1, "the crash must fire");
-    assert_eq!(a.recovery.restarts, b.recovery.restarts);
-    assert_eq!(a.recovery.lost_steps, b.recovery.lost_steps);
-    assert_eq!(
-        a.recovery.outcomes[0].resumed_from,
-        b.recovery.outcomes[0].resumed_from
-    );
-    assert_eq!(a.report.steps, b.report.steps);
-    assert_eq!(
-        a.report.metrics.time_to_solution.to_bits(),
-        b.report.metrics.time_to_solution.to_bits()
-    );
-    assert_eq!(a.report.metrics.totals, b.report.metrics.totals);
 }
 
 // ---- scale: the paper's rank counts, actually executed -----------------
