@@ -215,43 +215,6 @@ pub fn contour_into(grid: &UnstructuredGrid, array: &str, value: f64, soup: &mut
 /// Append the external surface (faces owned by exactly one cell), colored
 /// by a point array. Quads are emitted as two triangles.
 pub fn surface_into(grid: &UnstructuredGrid, color_array: &str, soup: &mut TriangleSoup) {
-    surface_of_cells(grid, color_array, |_| true, soup);
-}
-
-/// Threshold filter: keep hex cells whose mean point value of
-/// `threshold_array` lies in `[lo, hi]`, then emit the external surface of
-/// the kept subset colored by `color_array` (VTK's Threshold + Surface
-/// combination), appending to `soup`.
-pub fn threshold_into(
-    grid: &UnstructuredGrid,
-    threshold_array: &str,
-    lo: f64,
-    hi: f64,
-    color_array: &str,
-    soup: &mut TriangleSoup,
-) {
-    let Some(t) = grid.find_array(threshold_array, Centering::Point) else {
-        return;
-    };
-    let values = scalar_view(t);
-    surface_of_cells(
-        grid,
-        color_array,
-        |cell_pts| {
-            let mean: f64 =
-                cell_pts.iter().map(|&p| values[p as usize]).sum::<f64>() / cell_pts.len() as f64;
-            (lo..=hi).contains(&mean)
-        },
-        soup,
-    );
-}
-
-fn surface_of_cells(
-    grid: &UnstructuredGrid,
-    color_array: &str,
-    keep: impl Fn(&[i64]) -> bool,
-    soup: &mut TriangleSoup,
-) {
     use std::collections::HashMap;
     let color: Vec<f64> = match grid.find_array(color_array, Centering::Point) {
         Some(a) => scalar_view(a),
@@ -272,9 +235,6 @@ fn surface_of_cells(
             continue;
         }
         let pts = grid.cell_points(c);
-        if !keep(pts) {
-            continue;
-        }
         for f in &HEX_FACES {
             let quad = [pts[f[0]], pts[f[1]], pts[f[2]], pts[f[3]]];
             let mut key = quad;
@@ -465,60 +425,6 @@ mod tests {
         );
         let soup = extract(|s| surface_into(&g, "none", s));
         assert_eq!(soup.n_triangles(), 20);
-    }
-
-    #[test]
-    fn threshold_keeps_matching_cells_only() {
-        // Two stacked hexes; "height" runs 0..2 in z, so cell means are
-        // 0.5 (bottom) and 1.5 (top).
-        let mut g = UnstructuredGrid::new();
-        for z in [0.0, 1.0, 2.0] {
-            for y in [0.0, 1.0] {
-                for x in [0.0, 1.0] {
-                    g.add_point([x, y, z]);
-                }
-            }
-        }
-        let id = |x: i64, y: i64, z: i64| x + 2 * y + 4 * z;
-        for z in 0..2 {
-            g.add_cell(
-                CellType::Hexahedron,
-                &[
-                    id(0, 0, z),
-                    id(1, 0, z),
-                    id(1, 1, z),
-                    id(0, 1, z),
-                    id(0, 0, z + 1),
-                    id(1, 0, z + 1),
-                    id(1, 1, z + 1),
-                    id(0, 1, z + 1),
-                ],
-            );
-        }
-        g.add_point_data(DataArray::scalars_f64(
-            "height",
-            g.points.iter().map(|p| p[2]).collect(),
-        ))
-        .unwrap();
-        // Only the bottom cell passes: 6 faces → 12 triangles.
-        let bottom = extract(|s| threshold_into(&g, "height", 0.0, 1.0, "height", s));
-        assert_eq!(bottom.n_triangles(), 12);
-        for p in &bottom.positions {
-            assert!(p[2] <= 1.0 + 1e-12);
-        }
-        // Both cells pass: 10 external faces → 20 triangles.
-        let both = extract(|s| threshold_into(&g, "height", 0.0, 2.0, "height", s));
-        assert_eq!(both.n_triangles(), 20);
-        // None pass.
-        assert_eq!(
-            extract(|s| threshold_into(&g, "height", 5.0, 6.0, "height", s)).n_triangles(),
-            0
-        );
-        // Missing threshold array → empty, no panic.
-        assert_eq!(
-            extract(|s| threshold_into(&g, "nope", 0.0, 1.0, "height", s)).n_triangles(),
-            0
-        );
     }
 
     #[test]

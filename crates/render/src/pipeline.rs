@@ -34,14 +34,6 @@ pub enum FilterKind {
     ContourAtFraction(f64),
     /// External surface of the blocks.
     Surface,
-    /// External surface of cells whose `array` mean lies in the given
-    /// fractional range of the global scalar range (VTK Threshold).
-    ThresholdBand {
-        /// Lower bound as a fraction of the global range.
-        lo: f64,
-        /// Upper bound as a fraction of the global range.
-        hi: f64,
-    },
 }
 
 /// One image per trigger.
@@ -293,11 +285,6 @@ impl RenderPipeline {
                     fnv1a_f64(&mut h, *f);
                 }
                 FilterKind::Surface => fnv1a(&mut h, &[3]),
-                FilterKind::ThresholdBand { lo, hi } => {
-                    fnv1a(&mut h, &[4]);
-                    fnv1a_f64(&mut h, *lo);
-                    fnv1a_f64(&mut h, *hi);
-                }
             }
         }
         h
@@ -371,14 +358,6 @@ impl RenderPipeline {
                         filters::contour_into(g, &pass.array, lo + f * (hi - lo), soup)
                     }
                     FilterKind::Surface => filters::surface_into(g, &pass.array, soup),
-                    FilterKind::ThresholdBand { lo: f0, hi: f1 } => filters::threshold_into(
-                        g,
-                        &pass.array,
-                        lo + f0 * (hi - lo),
-                        lo + f1 * (hi - lo),
-                        &pass.array,
-                        soup,
-                    ),
                 }
             }
             // ~6 tets × ~40 flops per cell for extraction.
