@@ -167,38 +167,6 @@ impl MachineModel {
         }
     }
 
-    /// Aurora (ALCF): the exascale system the paper's introduction
-    /// motivates with — HPE Cray EX, 2× Xeon Max + 6× Intel Data Center
-    /// GPU Max per node, Slingshot-11, DAOS storage. Included so the
-    /// "widening gap between compute and I/O" claim can be explored by
-    /// re-running any harness with this model.
-    pub fn aurora() -> Self {
-        Self {
-            name: "aurora",
-            ranks_per_node: 6,
-            gpu: GpuModel {
-                flops: 2.0e13, // PVC tile pair sustained FP64
-                mem_bandwidth: 2.0e12,
-                d2h_bandwidth: 40.0e9,
-                h2d_bandwidth: 40.0e9,
-                xfer_latency: 8.0e-6,
-            },
-            network: NetworkModel {
-                latency: 2.0e-6,
-                bandwidth: 25.0e9, // Slingshot-11 per-NIC share
-                collective_factor: 1.25,
-            },
-            filesystem: FilesystemModel {
-                aggregate_write_bandwidth: 1.0e12, // DAOS-class
-                metadata_latency: 1.0e-3,
-                max_parallel_streams: 512,
-            },
-            host_flops: 8.0e10,
-            host_mem_bandwidth: 100.0e9,
-            derate_factor: 1.0,
-        }
-    }
-
     /// A deliberately tiny, fast model for unit tests: all rates are round
     /// numbers so expected virtual times can be computed by hand.
     pub fn test_tiny() -> Self {
@@ -337,21 +305,6 @@ mod tests {
         assert_eq!(MachineModel::juwels_booster().name, "juwels-booster");
         assert_eq!(MachineModel::polaris().ranks_per_node, 4);
         assert_eq!(MachineModel::juwels_booster().ranks_per_node, 4);
-        assert_eq!(MachineModel::aurora().name, "aurora");
-        assert_eq!(MachineModel::aurora().ranks_per_node, 6);
-    }
-
-    #[test]
-    fn aurora_widens_the_compute_vs_io_gap() {
-        // The paper's motivation: exascale compute grows faster than I/O.
-        // Flops per byte of filesystem bandwidth must be larger on Aurora
-        // than on Polaris.
-        let p = MachineModel::polaris();
-        let a = MachineModel::aurora();
-        let ratio = |m: &MachineModel| {
-            m.gpu.flops * m.ranks_per_node as f64 / m.filesystem.aggregate_write_bandwidth
-        };
-        assert!(ratio(&a) > ratio(&p), "{} vs {}", ratio(&a), ratio(&p));
     }
 
     #[test]
