@@ -68,18 +68,6 @@ impl VtuCheckpointAnalysis {
         Ok(chk)
     }
 
-    /// Factory handling `type="vtu-checkpoint"`.
-    pub fn factory() -> crate::configurable::AdaptorFactory {
-        Box::new(|spec: &AnalysisSpec| {
-            if spec.kind != "vtu-checkpoint" {
-                return Ok(None);
-            }
-            Ok(Some(
-                Box::new(VtuCheckpointAnalysis::from_spec(spec)?) as Box<dyn AnalysisAdaptor>
-            ))
-        })
-    }
-
     /// Files written so far by this rank.
     pub fn files_written(&self) -> u64 {
         self.files_written
