@@ -5,7 +5,7 @@ use crate::Result;
 use commsim::Comm;
 
 /// Implemented by analysis/visualization back ends (Catalyst-style
-/// renderers, checkpoint writers, in-transit senders, statistics).
+/// renderers, checkpoint writers, in-transit senders).
 ///
 /// `execute` is collective: every rank of the simulation communicator calls
 /// it at the same trigger with its own `DataAdaptor`, mirroring SENSEI's

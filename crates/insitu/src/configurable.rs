@@ -4,16 +4,16 @@
 //! <sensei>
 //!   <analysis type="catalyst" pipeline="pythonscript"
 //!             filename="analysis.py" frequency="100" />
-//!   <analysis type="histogram" mesh="mesh" array="pressure" bins="32"
-//!             frequency="10" />
+//!   <analysis type="vtu-checkpoint" arrays="pressure,velocity"
+//!             output="chk" frequency="10" />
 //! </sensei>
 //! ```
 //!
 //! The key property the paper leans on: back ends are chosen **at runtime**
 //! from the XML, without recompiling the simulation. Factories map an
-//! `<analysis>` element to an [`AnalysisAdaptor`]; the built-in analyses
-//! register themselves, and heavier back ends (rendering, checkpointing,
-//! transport) register factories from their own crates.
+//! `<analysis>` element to an [`AnalysisAdaptor`]; the built-in VTU
+//! checkpoint writer is always the last factory tried, and the other back
+//! ends (rendering, transport) register factories from their own crates.
 
 use crate::analysis_adaptor::AnalysisAdaptor;
 use crate::data_adaptor::DataAdaptor;

@@ -8,8 +8,8 @@
 //!   demand. Mirrors Listing 2 of the paper (`GetNumberOfMeshes`,
 //!   `GetMeshMetadata`, `GetMesh`, `AddArray`).
 //! * **[`AnalysisAdaptor`]** — implemented by *analysis back ends*
-//!   (Catalyst-style rendering, checkpoint writers, in-transit senders,
-//!   statistics): consumes a `DataAdaptor` when triggered.
+//!   (Catalyst-style rendering, checkpoint writers, in-transit senders):
+//!   consumes a `DataAdaptor` when triggered.
 //! * **[`ConfigurableAnalysis`]** — reads the runtime XML (Listing 1:
 //!   `<sensei><analysis type="catalyst" ... frequency="100"/></sensei>`)
 //!   and instantiates adaptors through pluggable factories, so back ends
@@ -17,11 +17,11 @@
 //! * **[`bridge`]** — the small embedding layer a simulation calls:
 //!   `initialize` / `update(step, time)` / `finalize` (Listing 3).
 //!
-//! Built-in analyses live in [`analyses`]: descriptive statistics, a
-//! global histogram, located extrema, a point probe, a VTU checkpoint
-//! writer, and a watchdog (steering stop on blow-up) — all communicating
-//! via `allreduce` like SENSEI's stock analyses, all selectable from the
-//! runtime XML.
+//! The one built-in analysis lives in [`analyses`]: the VTU checkpoint
+//! writer, the endpoint of the paper's Checkpointing configuration. The
+//! other back ends the paper configures, Catalyst rendering and ADIOS2
+//! staging, register factories from their own crates (`render`,
+//! `transport`).
 
 pub mod analyses;
 pub mod analysis_adaptor;

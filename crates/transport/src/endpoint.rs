@@ -113,8 +113,9 @@ mod tests {
     use crate::engine::StagingNetwork;
     use crate::link::StagingLink;
     use commsim::{run_ranks_with_state, MachineModel};
-    use insitu::AnalysisAdaptor as _;
-    use meshdata::{CellType, DataArray, MultiBlock, UnstructuredGrid};
+    use insitu::{AnalysisAdaptor, AnalysisSpec, DataAdaptor};
+    use meshdata::{CellType, Centering, DataArray, MultiBlock, UnstructuredGrid};
+    use std::sync::{Arc, Mutex};
 
     fn block(rank: usize, nranks: usize) -> MultiBlock {
         let z0 = rank as f64;
@@ -135,9 +136,36 @@ mod tests {
         MultiBlock::local(rank, nranks, g)
     }
 
+    /// Each step the endpoint saw: its index, then every block's index
+    /// and `pressure` values.
+    type Seen = Vec<(u64, Vec<(usize, Vec<f64>)>)>;
+
+    /// An analysis that records what the endpoint hands it.
+    struct Recorder(Arc<Mutex<Seen>>);
+
+    impl AnalysisAdaptor for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+
+        fn execute(&mut self, comm: &mut Comm, data: &mut dyn DataAdaptor) -> insitu::Result<bool> {
+            let mut mb = data.mesh(comm, "mesh")?;
+            data.add_array(comm, &mut mb, "mesh", Centering::Point, "pressure")?;
+            let blocks = mb
+                .local_blocks()
+                .map(|(idx, g)| {
+                    let p = g.find_array("pressure", Centering::Point).unwrap();
+                    (idx, (0..p.len()).map(|i| p.get(i, 0)).collect())
+                })
+                .collect();
+            self.0.lock().unwrap().push((data.time_step(), blocks));
+            Ok(true)
+        }
+    }
+
     /// Full in-transit round trip: 4 sim ranks stage 3 steps to 1 endpoint
-    /// rank running a stats analysis; verify the endpoint saw the global
-    /// data each step.
+    /// rank running a recording analysis; verify the endpoint saw the
+    /// global data each step.
     #[test]
     fn four_to_one_end_to_end() {
         let (writers, readers) = StagingNetwork::build(4, 1, 16, StagingLink::test_tiny());
@@ -161,15 +189,27 @@ mod tests {
 
         // Endpoint world: 1 rank consuming.
         let endpoint = run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, reader| {
-            let xml = r#"<sensei>
-                <analysis type="stats" mesh="mesh" array="pressure"/>
-            </sensei>"#;
-            let mut consumer = EndpointConsumer::new(reader, xml, &[], 4).unwrap();
-            consumer.run(comm).unwrap()
+            let seen = Arc::new(Mutex::new(Seen::new()));
+            let shared = Arc::clone(&seen);
+            let recorder: AdaptorFactory = Box::new(move |spec: &AnalysisSpec| {
+                Ok((spec.kind == "recorder")
+                    .then(|| Box::new(Recorder(Arc::clone(&shared))) as Box<dyn AnalysisAdaptor>))
+            });
+            let xml = r#"<sensei><analysis type="recorder"/></sensei>"#;
+            let mut consumer = EndpointConsumer::new(reader, xml, &[recorder], 4).unwrap();
+            let report = consumer.run(comm).unwrap();
+            let seen = std::mem::take(&mut *seen.lock().unwrap());
+            (report, seen)
         });
 
         assert_eq!(sim.join().unwrap(), vec![3; 4]);
-        let report = &endpoint[0];
+        let (report, seen) = &endpoint[0];
+        // Every step arrived whole: all four ranks' blocks, each carrying
+        // its rank's pressure values `i + 100·rank`.
+        let pressure = |rank: usize| (0..8).map(|i| i as f64 + 100.0 * rank as f64).collect();
+        let global: Vec<(usize, Vec<f64>)> = (0..4).map(|rank| (rank, pressure(rank))).collect();
+        let expected: Seen = (1..=3).map(|step| (step, global.clone())).collect();
+        assert_eq!(seen, &expected);
         assert_eq!(report.steps_processed, 3);
         assert_eq!(report.complete_steps, 3);
         assert_eq!(report.partial_steps, 0);

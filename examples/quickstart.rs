@@ -11,6 +11,7 @@
 use commsim::{run_ranks, MachineModel};
 use insitu::Bridge;
 use nek_sensei::SnapshotPlane;
+use render::CatalystAnalysis;
 use sem::cases::{pb146, CaseParams};
 
 fn main() {
@@ -18,8 +19,10 @@ fn main() {
     // here — the simulation code below never changes.
     const CONFIG: &str = r#"
 <sensei>
-  <analysis type="stats"     array="velocity" frequency="5"/>
-  <analysis type="histogram" array="pressure" bins="12" frequency="10"/>
+  <analysis type="vtu-checkpoint" arrays="pressure,velocity" frequency="5"
+            output="out/quickstart"/>
+  <analysis type="catalyst" width="400" height="300" frequency="10"
+            output="out/quickstart"/>
 </sensei>"#;
 
     let reports = run_ranks(2, MachineModel::polaris(), |comm| {
@@ -30,7 +33,8 @@ fn main() {
 
         // 2. Initialize the bridge (paper Listing 3) and the snapshot
         //    data plane (geometry cached once, staging buffers pooled).
-        let mut bridge = Bridge::initialize(comm, CONFIG, &[]).expect("valid config");
+        let mut bridge =
+            Bridge::initialize(comm, CONFIG, &[CatalystAnalysis::factory()]).expect("valid config");
         let plane = SnapshotPlane::new(comm, &solver);
 
         // 3. Main loop: step; when an analysis triggers, publish exactly
@@ -60,5 +64,8 @@ fn main() {
              analysis executions {counts:?}"
         );
     }
-    println!("stats ran every 5 steps (4×), histogram every 10 (2×) — all from XML.");
+    println!(
+        "vtu-checkpoint ran every 5 steps (4×), catalyst every 10 (2×) — all from XML; \
+         files under out/quickstart/."
+    );
 }

@@ -41,13 +41,16 @@ fn empty_config_is_free() {
 }
 
 #[test]
-fn stats_config_stages_but_does_not_write() {
+fn vtu_checkpoint_config_stages_and_writes_on_every_rank() {
+    // No `output`: the checkpoint charges the file system and leaves no files.
     let res = simulate_with_config(
-        r#"<sensei><analysis type="stats" array="pressure" frequency="2"/></sensei>"#,
+        r#"<sensei><analysis type="vtu-checkpoint" arrays="pressure" frequency="2"/></sensei>"#,
     );
+    // Unlike Catalyst, where rank 0 writes every image, each rank writes
+    // its own piece.
     for (d2h, fs) in res {
-        assert!(d2h > 0, "stats needs the field on the host");
-        assert_eq!(fs, 0, "stats writes nothing");
+        assert!(d2h > 0, "the checkpoint needs the field on the host");
+        assert!(fs > 0, "every rank writes its own piece");
     }
 }
 
@@ -66,24 +69,37 @@ fn catalyst_config_stages_and_writes_images() {
 
 #[test]
 fn multiple_analyses_compose() {
-    let res = simulate_with_config(
+    let checkpoint = simulate_with_config(
+        r#"<sensei><analysis type="vtu-checkpoint" arrays="velocity" frequency="2"/></sensei>"#,
+    );
+    let catalyst = simulate_with_config(
+        r#"<sensei><analysis type="catalyst" frequency="3" width="32" height="24"/></sensei>"#,
+    );
+    let both = simulate_with_config(
         r#"<sensei>
-             <analysis type="stats"     array="velocity" frequency="1"/>
-             <analysis type="histogram" array="pressure" frequency="2" bins="8"/>
-             <analysis type="catalyst"  frequency="6" width="32" height="24"/>
+             <analysis type="vtu-checkpoint" arrays="velocity" frequency="2"/>
+             <analysis type="catalyst" frequency="3" width="32" height="24"/>
            </sensei>"#,
     );
-    // All three ran; catalyst wrote once.
-    assert!(res[0].0 > 0);
-    assert!(res[0].1 > 0);
+    for rank in 0..2 {
+        assert_eq!(
+            both[rank].1,
+            checkpoint[rank].1 + catalyst[rank].1,
+            "rank {rank}: each back end writes what it writes alone"
+        );
+        assert!(both[rank].0 >= checkpoint[rank].0.max(catalyst[rank].0));
+    }
 }
 
 #[test]
 fn disabled_analysis_behaves_like_absent() {
-    let on = simulate_with_config(r#"<sensei><analysis type="stats" array="pressure"/></sensei>"#);
+    let on = simulate_with_config(
+        r#"<sensei><analysis type="vtu-checkpoint" arrays="pressure"/></sensei>"#,
+    );
     let off = simulate_with_config(
-        r#"<sensei><analysis type="stats" array="pressure" enabled="false"/></sensei>"#,
+        r#"<sensei><analysis type="vtu-checkpoint" arrays="pressure" enabled="false"/></sensei>"#,
     );
     assert!(on[0].0 > 0);
-    assert_eq!(off[0].0, 0);
+    assert!(on[0].1 > 0);
+    assert_eq!(off, vec![(0, 0); 2]);
 }
