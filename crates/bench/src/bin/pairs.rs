@@ -350,8 +350,13 @@ fn host() -> String {
 }
 
 fn read_json(path: &Path) -> Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        fail(&format!(
+            "cannot read {}: {e}; run pairs from the repository root, \
+             where nekbench also keeps its scratch files",
+            path.display()
+        ))
+    });
     json::parse(&text).unwrap_or_else(|e| fail(&format!("{} does not parse: {e}", path.display())))
 }
 
