@@ -400,8 +400,7 @@ pub(crate) fn write_all_vectored(
     Ok(())
 }
 
-/// One bare `u64` onto a stream: a file magic, or the length ahead of a
-/// body that is written from where it already lies.
+/// One bare `u64` onto a stream: a file's magic.
 pub(crate) fn write_u64(w: &mut impl Write, v: u64) -> std::io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }

@@ -13,7 +13,7 @@
 use crate::bp::{self, StepData};
 use crate::codec::{self, Prefix, Reader};
 use commsim::Comm;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read};
 use std::path::{Path, PathBuf};
 
 const FILE_MAGIC: u64 = 0x4250_464c_4531_0001; // "BPFLE1" + version
@@ -45,13 +45,17 @@ impl BpFileWriter {
         })
     }
 
-    /// Append one marshaled step payload.
+    /// Append one marshaled step payload: its length prefix and the
+    /// payload go out in one vectored write.
     ///
     /// # Errors
     /// I/O failures.
     pub fn append(&mut self, comm: &mut Comm, payload: &[u8]) -> std::io::Result<()> {
-        codec::write_u64(&mut self.file, payload.len() as u64)?;
-        self.file.write_all(payload)?;
+        let len = (payload.len() as u64).to_le_bytes();
+        codec::write_all_vectored(
+            &mut self.file,
+            &mut [IoSlice::new(&len), IoSlice::new(payload)],
+        )?;
         let nbytes = payload.len() as u64 + 8;
         comm.fs_write(nbytes, comm.size());
         self.steps_written += 1;

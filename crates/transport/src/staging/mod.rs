@@ -31,6 +31,7 @@ pub mod protocol;
 pub use live::FollowClient;
 pub use protocol::{DownMsg, FrameMsg, SessionSpec, TelemetryMsg};
 
+use crate::bp::StepData;
 use crate::engine::SstReader;
 use crate::file_engine::{BpFileReader, BpFileWriter};
 use commsim::Comm;
@@ -39,7 +40,7 @@ use render::pipeline::{FilterKind, RenderPass};
 use render::{Colormap, FrameCache, RenderPipeline, RenderScratch};
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -222,7 +223,6 @@ pub struct StagingService {
     joiners: Receiver<PendingSession>,
     handle: StagingHandle,
     parkers: BTreeMap<usize, BpFileWriter>,
-    parked_steps: Vec<u64>,
     next_session: usize,
     live_hub: Option<telemetry::TelemetryHub>,
     live_stop: Arc<std::sync::atomic::AtomicBool>,
@@ -231,12 +231,15 @@ pub struct StagingService {
 impl StagingService {
     /// Wrap `reader` into a staging service parking steps under
     /// `park_dir` and caching up to `cache_frames` rendered frame sets.
+    /// Caps the malloc arenas first, as the drivers do: the service's
+    /// threads are not spawned yet.
     pub fn new(
         reader: SstReader,
         n_sim_ranks: usize,
         park_dir: impl Into<PathBuf>,
         cache_frames: usize,
     ) -> Self {
+        memtrack::cap_malloc_arenas();
         let (joiners_tx, joiners_rx) = channel();
         Self {
             reader,
@@ -251,7 +254,6 @@ impl StagingService {
                 attached: Arc::default(),
             },
             parkers: BTreeMap::new(),
-            parked_steps: Vec::new(),
             next_session: 0,
             live_hub: None,
             live_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
@@ -342,27 +344,19 @@ impl StagingService {
     /// Replay every parked step to one late-joining session, through the
     /// frame cache (a spec another session already watches replays as
     /// pure cache hits).
+    ///
+    /// The per-producer park files are merged by step one step at a time
+    /// ([`Replay`]), so one decoded step is alive at once. That rests on
+    /// each file holding its steps in delivery order, which
+    /// [`SstReader::next_step`] makes ascending; a file whose steps go
+    /// backwards fails the catch-up as a read error.
     fn catch_up(&mut self, comm: &mut Comm, session: &mut Session) -> insitu::Result<()> {
-        if self.parked_steps.is_empty() {
+        if self.parkers.is_empty() {
             return Ok(());
         }
         let _span = comm.span("staging/catchup");
-        // Merge the parked per-producer files back into per-step datasets.
-        let mut steps: BTreeMap<u64, MultiBlock> = BTreeMap::new();
-        for producer in self.parkers.keys() {
-            let path = self.park_dir.join(format!("producer_{producer:05}.bp4l"));
-            let failed = |what: &str, e: &dyn std::fmt::Display| {
-                insitu::Error::Analysis(format!("catch-up {what} {path:?}: {e}"))
-            };
-            let mut file = BpFileReader::open(&path).map_err(|e| failed("open", &e))?;
-            while let Some(data) = file.next_step().map_err(|e| failed("read", &e))? {
-                let mb = steps
-                    .entry(data.step)
-                    .or_insert_with(|| MultiBlock::new(self.n_sim_ranks));
-                data.place_into(mb).map_err(|e| failed("read", &e))?;
-            }
-        }
-        for (step, mb) in steps {
+        let mut replay = Replay::open(&self.park_dir, self.parkers.keys(), self.n_sim_ranks)?;
+        while let Some((step, mb)) = replay.next_step()? {
             let (images, hit) = session.pipeline.execute_cached(
                 comm,
                 &mb,
@@ -483,7 +477,6 @@ impl StagingService {
             for packet in &delivery.packets {
                 parked_appends += self.park(comm, packet.producer, &packet.payload)?;
             }
-            self.parked_steps.push(delivery.step);
             let mb = delivery.unmarshal(comm, self.n_sim_ranks)?;
             let _render = comm.span("staging/fanout");
             for i in 0..self.sessions.len() {
@@ -556,6 +549,91 @@ impl StagingService {
             sessions: self.sessions.iter().map(|s| s.stats.clone()).collect(),
             finish_time: comm.now(),
         })
+    }
+}
+
+/// The park files merged back into per-step datasets, one step at a time:
+/// a k-way merge by step that keeps one decoded head per file.
+struct Replay {
+    files: Vec<ParkFile>,
+    n_sim_ranks: usize,
+}
+
+/// One producer's park file and the next step it holds.
+struct ParkFile {
+    path: PathBuf,
+    reader: BpFileReader,
+    head: Option<StepData>,
+}
+
+impl ParkFile {
+    fn failed(&self, what: &str, e: &dyn std::fmt::Display) -> insitu::Error {
+        insitu::Error::Analysis(format!("catch-up {what} {:?}: {e}", self.path))
+    }
+
+    /// Read the record after one of step `after`; a step below `after` is
+    /// out of delivery order.
+    fn advance(&mut self, after: u64) -> insitu::Result<()> {
+        self.head = self
+            .reader
+            .next_step()
+            .map_err(|e| self.failed("read", &e))?;
+        match &self.head {
+            Some(head) if head.step < after => {
+                let step = head.step;
+                Err(self.failed("read", &format!("step {step} after step {after}")))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+impl Replay {
+    /// Open the park files of `producers` under `dir` and read each one's
+    /// first step.
+    fn open<'a>(
+        dir: &Path,
+        producers: impl Iterator<Item = &'a usize>,
+        n_sim_ranks: usize,
+    ) -> insitu::Result<Self> {
+        let files = producers
+            .map(|producer| {
+                let path = dir.join(format!("producer_{producer:05}.bp4l"));
+                let reader = BpFileReader::open(&path)
+                    .map_err(|e| insitu::Error::Analysis(format!("catch-up open {path:?}: {e}")))?;
+                let mut file = ParkFile {
+                    path,
+                    reader,
+                    head: None,
+                };
+                file.advance(0)?;
+                Ok(file)
+            })
+            .collect::<insitu::Result<_>>()?;
+        Ok(Self { files, n_sim_ranks })
+    }
+
+    /// The smallest step any file holds next, with every file's blocks of
+    /// it placed in producer order (a file that repeats the step places
+    /// each copy in file order); `None` once every file is read.
+    fn next_step(&mut self) -> insitu::Result<Option<(u64, MultiBlock)>> {
+        let Some(step) = self
+            .files
+            .iter()
+            .filter_map(|f| f.head.as_ref().map(|h| h.step))
+            .min()
+        else {
+            return Ok(None);
+        };
+        let mut mb = MultiBlock::new(self.n_sim_ranks);
+        for file in &mut self.files {
+            while let Some(head) = file.head.take_if(|h| h.step == step) {
+                head.place_into(&mut mb)
+                    .map_err(|e| file.failed("read", &e))?;
+                file.advance(step)?;
+            }
+        }
+        Ok(Some((step, mb)))
     }
 }
 
@@ -797,6 +875,110 @@ mod tests {
         assert_eq!(late_stats.catchup_steps, 2);
         // Catch-up steps the early session already rendered are hits.
         assert!(report.cache_hits >= late_stats.catchup_steps);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Producer `producer`'s block of a two-producer step, stamped with the
+    /// step so a block placed under the wrong step shows.
+    fn stamped(producer: usize, step: u64) -> MultiBlock {
+        let mut mb = block(producer, 2);
+        let grid = mb.blocks[producer].as_mut().unwrap();
+        grid.add_point_data(DataArray::scalars_f64("step", vec![step as f64; 8]))
+            .unwrap();
+        mb
+    }
+
+    /// Park `steps[p]` for each producer `p` under `dir`, as the service's
+    /// own writers would.
+    fn park_files(dir: &Path, steps: &[&[u64]]) -> BTreeMap<usize, BpFileWriter> {
+        let (dir, steps): (PathBuf, Vec<Vec<u64>>) =
+            (dir.into(), steps.iter().map(|s| s.to_vec()).collect());
+        commsim::run_ranks(1, MachineModel::test_tiny(), move |comm| {
+            let mut parkers = BTreeMap::new();
+            for (producer, steps) in steps.iter().enumerate() {
+                let mut writer = BpFileWriter::create(&dir, producer).unwrap();
+                for &step in steps {
+                    let mb = stamped(producer, step);
+                    let payload = crate::bp::marshal_blocks(producer as u32, step, 0.1, &mb);
+                    writer.append(comm, &payload).unwrap();
+                }
+                parkers.insert(producer, writer);
+            }
+            parkers
+        })
+        .remove(0)
+    }
+
+    /// Chop the last `n` bytes off a park file.
+    fn truncate(writer: &BpFileWriter, n: usize) {
+        let bytes = std::fs::read(writer.path()).unwrap();
+        std::fs::write(writer.path(), &bytes[..bytes.len() - n]).unwrap();
+    }
+
+    #[test]
+    fn replay_merges_park_files_by_step_with_exactly_their_blocks() {
+        let dir = tempdir("staging_merge");
+        let files: [&[u64]; 2] = [&[1, 2, 4], &[1, 3, 4]];
+        let parkers = park_files(&dir, &files);
+        let mut replay = Replay::open(&dir, parkers.keys(), 2).unwrap();
+        let mut seen = Vec::new();
+        while let Some((step, mb)) = replay.next_step().unwrap() {
+            let expected: Vec<Option<UnstructuredGrid>> = (0..2)
+                .map(|p| {
+                    files[p]
+                        .contains(&step)
+                        .then(|| stamped(p, step).blocks[p].take().unwrap())
+                })
+                .collect();
+            assert_eq!(mb.blocks, expected, "step {step}");
+            seen.push(step);
+        }
+        assert_eq!(seen, vec![1, 2, 3, 4]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_fails_on_a_truncated_or_backward_file_instead_of_reordering() {
+        let dir = tempdir("staging_merge_bad");
+        let parkers = park_files(&dir, &[&[1, 2, 4], &[1, 3, 4]]);
+        truncate(&parkers[&0], 10);
+        let mut replay = Replay::open(&dir, parkers.keys(), 2).unwrap();
+        // Step 1 is whole; producer 0's next record after step 2 is cut.
+        assert_eq!(replay.next_step().unwrap().unwrap().0, 1);
+        let err = replay.next_step().unwrap_err().to_string();
+        assert!(err.contains("catch-up read"), "{err}");
+
+        let backward = park_files(&dir, &[&[1, 3, 2]]);
+        let mut replay = Replay::open(&dir, backward.keys(), 2).unwrap();
+        assert_eq!(replay.next_step().unwrap().unwrap().0, 1);
+        let err = replay.next_step().unwrap_err().to_string();
+        assert!(err.contains("catch-up read") && err.contains("step 2 after step 3"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A late joiner over a park file whose last record was cut: `run`
+    /// stops with the catch-up read error, not a panic.
+    #[test]
+    fn run_reports_a_truncated_park_file_as_a_catch_up_read_error() {
+        let dir = tempdir("staging_trunc");
+        let parkers = park_files(&dir, &[&[1, 2, 4], &[1, 3, 4]]);
+        truncate(&parkers[&1], 10);
+        let (writers, mut readers) = StagingNetwork::build(1, 1, 16, StagingLink::test_tiny());
+        drop(writers);
+        let mut service = StagingService::new(readers.remove(0), 2, &dir, 16);
+        service.parkers = parkers;
+        let addr = consumer_addr(&service);
+        let _late = attach(&service, &addr, 8, 1);
+        let result =
+            run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
+                s.run(comm).map(|r| r.steps)
+            })
+            .remove(0);
+        let err = result.unwrap_err().to_string();
+        assert!(
+            err.contains("catch-up read") && err.contains("producer_00001.bp4l"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -229,6 +229,76 @@ fn tcp_late_joiner_replays_parked_steps() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Four producers park four files. A late joiner with a camera no live
+/// session has, attached once every step is parked, replays them all
+/// merged back by step: every frame a cache miss rendered from the files.
+/// Its frames are, byte for byte, those of a session with that camera
+/// attached from step 1 in a second run.
+#[test]
+fn tcp_late_joiner_over_four_producers_gets_the_frames_of_a_live_session() {
+    const PRODUCERS: usize = 4;
+    let late_spec = SessionSpec {
+        camera_dir: [0.4, -1.0, 0.6],
+        ..SessionSpec::default()
+    };
+
+    let dir = tempdir("tcp_late_merge");
+    let (writers, service, addr) = service_over(WireKind::Tcp, PRODUCERS, &dir);
+    // Credits for all steps but the last: the service waits on `early`
+    // with every step parked.
+    let mut early =
+        ConsumerClient::connect(&addr, &SessionSpec::default(), STEPS as u32 - 1).expect("connect");
+    let handle = service.handle();
+    assert!(handle.wait_attached(1, Duration::from_secs(10)));
+    let hub = TelemetryHub::default();
+    let service_hub = hub.clone();
+    let sim = drive_writers(writers, STEPS);
+    let svc = std::thread::spawn(move || {
+        run_ranks_with_state(
+            MachineModel::test_tiny(),
+            vec![service],
+            move |comm, mut s| {
+                comm.enable_telemetry(&service_hub, 0);
+                s.run(comm).unwrap()
+            },
+        )
+        .remove(0)
+    });
+    while hub.counter_sum("staging/credit_stalls") < 1 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut late = ConsumerClient::connect(&addr, &late_spec, 4).expect("connect");
+    assert!(handle.wait_attached(2, Duration::from_secs(10)));
+    early.grant(1).expect("grant");
+    let late_frames = late.drain(Duration::from_secs(120)).expect("drain");
+    let early_frames = early.drain(Duration::from_secs(120)).expect("drain");
+    sim.join().unwrap();
+    let report = svc.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(early_frames.len(), STEPS as usize);
+    assert_eq!(report.sessions[1].catchup_steps, STEPS);
+    assert!(late_frames.iter().all(|f| !f.cache_hit));
+    assert_eq!(report.cache_misses, 2 * STEPS);
+
+    let dir = tempdir("tcp_live_merge");
+    let (writers, service, addr) = service_over(WireKind::Tcp, PRODUCERS, &dir);
+    let client = ConsumerClient::connect(&addr, &late_spec, 4).expect("connect");
+    assert!(service.handle().wait_attached(1, Duration::from_secs(10)));
+    let (live_frames, _) = run_with_one_consumer(writers, service, client);
+    std::fs::remove_dir_all(&dir).ok();
+    let pixels = |frames: &[FrameMsg]| {
+        frames
+            .iter()
+            .map(|f| (f.step, f.name.clone(), f.png.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(live_frames.len(), STEPS as usize);
+    assert!(
+        pixels(&late_frames) == pixels(&live_frames),
+        "the replayed frames differ from the live ones"
+    );
+}
+
 /// The service sends every frame and `End` and is gone before the client
 /// reads anything; the client then reads slowly, granting one credit per
 /// frame. Grants that arrive after the service left must not reset the
