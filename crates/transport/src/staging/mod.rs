@@ -355,7 +355,7 @@ impl StagingService {
             return Ok(());
         }
         let _span = comm.span("staging/catchup");
-        let mut replay = Replay::open(&self.park_dir, self.parkers.keys(), self.n_sim_ranks)?;
+        let mut replay = Replay::open(&self.parkers, self.n_sim_ranks)?;
         while let Some((step, mb)) = replay.next_step()? {
             let (images, hit) = session.pipeline.execute_cached(
                 comm,
@@ -559,6 +559,10 @@ struct Replay {
     n_sim_ranks: usize,
 }
 
+fn catch_up_error(what: &str, path: &Path, e: &dyn std::fmt::Display) -> insitu::Error {
+    insitu::Error::Analysis(format!("catch-up {what} {path:?}: {e}"))
+}
+
 /// One producer's park file and the next step it holds.
 struct ParkFile {
     path: PathBuf,
@@ -567,21 +571,30 @@ struct ParkFile {
 }
 
 impl ParkFile {
-    fn failed(&self, what: &str, e: &dyn std::fmt::Display) -> insitu::Error {
-        insitu::Error::Analysis(format!("catch-up {what} {:?}: {e}", self.path))
+    /// Open `path` and read its first step.
+    fn open(path: PathBuf) -> insitu::Result<Self> {
+        let reader = BpFileReader::open(&path).map_err(|e| catch_up_error("open", &path, &e))?;
+        let mut file = Self {
+            path,
+            reader,
+            head: None,
+        };
+        file.advance(0)?;
+        Ok(file)
     }
 
-    /// Read the record after one of step `after`; a step below `after` is
-    /// out of delivery order.
+    /// Read the next record into `head`. A step below `after`, the step
+    /// just taken, breaks delivery order.
     fn advance(&mut self, after: u64) -> insitu::Result<()> {
         self.head = self
             .reader
             .next_step()
-            .map_err(|e| self.failed("read", &e))?;
+            .map_err(|e| catch_up_error("read", &self.path, &e))?;
         match &self.head {
             Some(head) if head.step < after => {
                 let step = head.step;
-                Err(self.failed("read", &format!("step {step} after step {after}")))
+                let e = format!("step {step} after step {after}");
+                Err(catch_up_error("read", &self.path, &e))
             }
             _ => Ok(()),
         }
@@ -589,26 +602,12 @@ impl ParkFile {
 }
 
 impl Replay {
-    /// Open the park files of `producers` under `dir` and read each one's
-    /// first step.
-    fn open<'a>(
-        dir: &Path,
-        producers: impl Iterator<Item = &'a usize>,
-        n_sim_ranks: usize,
-    ) -> insitu::Result<Self> {
-        let files = producers
-            .map(|producer| {
-                let path = dir.join(format!("producer_{producer:05}.bp4l"));
-                let reader = BpFileReader::open(&path)
-                    .map_err(|e| insitu::Error::Analysis(format!("catch-up open {path:?}: {e}")))?;
-                let mut file = ParkFile {
-                    path,
-                    reader,
-                    head: None,
-                };
-                file.advance(0)?;
-                Ok(file)
-            })
+    /// Open the park files of `parkers`, in producer order, and read each
+    /// one's first step.
+    fn open(parkers: &BTreeMap<usize, BpFileWriter>, n_sim_ranks: usize) -> insitu::Result<Self> {
+        let files = parkers
+            .values()
+            .map(|writer| ParkFile::open(writer.path().to_path_buf()))
             .collect::<insitu::Result<_>>()?;
         Ok(Self { files, n_sim_ranks })
     }
@@ -629,7 +628,7 @@ impl Replay {
         for file in &mut self.files {
             while let Some(head) = file.head.take_if(|h| h.step == step) {
                 head.place_into(&mut mb)
-                    .map_err(|e| file.failed("read", &e))?;
+                    .map_err(|e| catch_up_error("read", &file.path, &e))?;
                 file.advance(step)?;
             }
         }
@@ -920,7 +919,7 @@ mod tests {
         let dir = tempdir("staging_merge");
         let files: [&[u64]; 2] = [&[1, 2, 4], &[1, 3, 4]];
         let parkers = park_files(&dir, &files);
-        let mut replay = Replay::open(&dir, parkers.keys(), 2).unwrap();
+        let mut replay = Replay::open(&parkers, 2).unwrap();
         let mut seen = Vec::new();
         while let Some((step, mb)) = replay.next_step().unwrap() {
             let expected: Vec<Option<UnstructuredGrid>> = (0..2)
@@ -942,14 +941,14 @@ mod tests {
         let dir = tempdir("staging_merge_bad");
         let parkers = park_files(&dir, &[&[1, 2, 4], &[1, 3, 4]]);
         truncate(&parkers[&0], 10);
-        let mut replay = Replay::open(&dir, parkers.keys(), 2).unwrap();
+        let mut replay = Replay::open(&parkers, 2).unwrap();
         // Step 1 is whole; producer 0's next record after step 2 is cut.
         assert_eq!(replay.next_step().unwrap().unwrap().0, 1);
         let err = replay.next_step().unwrap_err().to_string();
         assert!(err.contains("catch-up read"), "{err}");
 
         let backward = park_files(&dir, &[&[1, 3, 2]]);
-        let mut replay = Replay::open(&dir, backward.keys(), 2).unwrap();
+        let mut replay = Replay::open(&backward, 2).unwrap();
         assert_eq!(replay.next_step().unwrap().unwrap().0, 1);
         let err = replay.next_step().unwrap_err().to_string();
         assert!(err.contains("catch-up read") && err.contains("step 2 after step 3"));
@@ -971,7 +970,7 @@ mod tests {
         let _late = attach(&service, &addr, 8, 1);
         let result =
             run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
-                s.run(comm).map(|r| r.steps)
+                s.run(comm)
             })
             .remove(0);
         let err = result.unwrap_err().to_string();
