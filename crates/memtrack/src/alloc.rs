@@ -143,8 +143,8 @@ pub fn reset_peak() {
 /// wall time (the hot paths do not allocate, so ranks do not contend for
 /// arenas).
 ///
-/// The drivers call this before they spawn a thread: glibc fixes the
-/// limit for good once a ninth arena exists.
+/// The drivers and the staging service call this before they spawn a
+/// thread: glibc fixes the limit for good once a ninth arena exists.
 pub fn cap_malloc_arenas() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {

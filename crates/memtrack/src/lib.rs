@@ -19,7 +19,9 @@
 //! use concurrently from many rank threads.
 //!
 //! Because ranks are threads, the crate also holds the one allocator
-//! setting the drivers make: [`cap_malloc_arenas`].
+//! setting, [`cap_malloc_arenas`]. Its callers: the drivers (`nek_sensei`'s
+//! `Run::open`, behind `run_insitu` and `run_intransit`) and the staging
+//! tier (`transport::StagingService::new`).
 
 pub mod accountant;
 pub mod alloc;
