@@ -342,15 +342,6 @@ impl Comm {
         self.tick();
     }
 
-    /// Charge a host→device copy of `bytes`.
-    pub fn h2d(&mut self, bytes: u64) {
-        let t = self.world.machine.h2d_time(bytes);
-        self.stats.bytes_h2d += bytes;
-        self.stats.time_xfer += t;
-        self.clock.advance(t);
-        self.tick();
-    }
-
     /// Charge a filesystem write of `bytes` with `concurrent_writers` ranks
     /// writing simultaneously (bandwidth sharing per the FS model).
     pub fn fs_write(&mut self, bytes: u64, concurrent_writers: usize) {

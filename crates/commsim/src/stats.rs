@@ -22,7 +22,10 @@ pub struct CommStats {
     pub files_written: u64,
     /// Bytes moved device→host.
     pub bytes_d2h: u64,
-    /// Bytes moved host→device.
+    /// Bytes moved host→device. Nothing charges this counter (the
+    /// coarse solve's upload advances the clock by
+    /// [`crate::MachineModel::h2d_time`] alone), so it reads 0; the
+    /// contract transcripts print it.
     pub bytes_h2d: u64,
     /// Virtual seconds spent in GPU compute.
     pub time_gpu_compute: f64,

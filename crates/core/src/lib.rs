@@ -31,7 +31,7 @@ pub mod metrics;
 pub mod workflow;
 
 pub use adaptor::{NekGeometry, SnapshotAdaptor, SnapshotPlane, MESH_NAME};
-pub use checkpoint::{encode_fld, read_fld, EncodedFld, FldCheckpointer, FldDump, RestoreError};
+pub use checkpoint::{encode_fld, read_fld, EncodedFld, FldCheckpointer, FldDump};
 pub use metrics::{DegradationSummary, RunMetrics};
 pub use workflow::insitu::{
     run_insitu, ExecMode, InSituConfig, InSituMode, InSituReport, RecoveryOptions, PIPELINE_DEPTH,

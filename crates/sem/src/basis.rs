@@ -84,94 +84,6 @@ impl Basis1d {
     pub fn interpolate(&self, u: &[f64], x: f64) -> f64 {
         self.eval_at(x).iter().zip(u).map(|(l, v)| l * v).sum()
     }
-
-    /// The 1-D modal low-pass filter matrix `F = V·diag(σ)·V⁻¹` (row-major)
-    /// of Fischer & Mullen: nodal values are transformed to the Legendre
-    /// modal basis, the top `modes` coefficients are attenuated by up to
-    /// `strength` (quadratic ramp), and transformed back. `F·u` preserves
-    /// polynomials below the cutoff exactly.
-    ///
-    /// # Panics
-    /// Panics when `modes` is 0 or exceeds N, or `strength` ∉ [0, 1].
-    pub fn filter_matrix(&self, strength: f64, modes: usize) -> Vec<f64> {
-        let np = self.np();
-        assert!((1..np).contains(&modes), "filter needs 1..=N modes");
-        assert!((0.0..=1.0).contains(&strength), "strength must be in [0,1]");
-        // Vandermonde V[i][k] = P_k(x_i).
-        let mut v = vec![0.0; np * np];
-        for i in 0..np {
-            for k in 0..np {
-                v[i * np + k] = crate::quadrature::legendre(k, self.nodes[i]).0;
-            }
-        }
-        let v_inv = invert_dense(&v, np);
-        // σ_k: identity below the cutoff, quadratic roll-off above.
-        let k0 = np - modes;
-        let mut f = vec![0.0; np * np];
-        for i in 0..np {
-            for j in 0..np {
-                let mut acc = 0.0;
-                for k in 0..np {
-                    let sigma = if k < k0 {
-                        1.0
-                    } else {
-                        let t = (k - k0 + 1) as f64 / modes as f64;
-                        1.0 - strength * t * t
-                    };
-                    acc += v[i * np + k] * sigma * v_inv[k * np + j];
-                }
-                f[i * np + j] = acc;
-            }
-        }
-        f
-    }
-}
-
-/// Dense matrix inverse by Gauss–Jordan with partial pivoting (basis-sized
-/// matrices only: (N+1)² entries).
-///
-/// # Panics
-/// Panics on singular input.
-fn invert_dense(m: &[f64], n: usize) -> Vec<f64> {
-    let mut a = m.to_vec();
-    let mut inv = vec![0.0; n * n];
-    for (i, row) in inv.chunks_mut(n).enumerate() {
-        row[i] = 1.0;
-    }
-    for col in 0..n {
-        // Pivot.
-        let pivot_row = (col..n)
-            .max_by(|&r1, &r2| a[r1 * n + col].abs().total_cmp(&a[r2 * n + col].abs()))
-            .expect("nonempty");
-        assert!(
-            a[pivot_row * n + col].abs() > 1e-13,
-            "singular matrix in basis filter construction"
-        );
-        if pivot_row != col {
-            for j in 0..n {
-                a.swap(col * n + j, pivot_row * n + j);
-                inv.swap(col * n + j, pivot_row * n + j);
-            }
-        }
-        let p = a[col * n + col];
-        for j in 0..n {
-            a[col * n + j] /= p;
-            inv[col * n + j] /= p;
-        }
-        for r in 0..n {
-            if r == col {
-                continue;
-            }
-            let factor = a[r * n + col];
-            if factor != 0.0 {
-                for j in 0..n {
-                    a[r * n + j] -= factor * a[col * n + j];
-                    inv[r * n + j] -= factor * inv[col * n + j];
-                }
-            }
-        }
-    }
-    inv
 }
 
 #[cfg(test)]
@@ -254,63 +166,6 @@ mod tests {
             let s: f64 = b.eval_at(x).iter().sum();
             assert!((s - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn filter_preserves_low_order_polynomials() {
-        let b = Basis1d::new(7);
-        let f = b.filter_matrix(0.3, 2); // attenuate only modes 6, 7
-        let np = b.np();
-        for degree in 0..=5 {
-            let u: Vec<f64> = b.nodes.iter().map(|x| x.powi(degree)).collect();
-            for i in 0..np {
-                let fu: f64 = (0..np).map(|j| f[i * np + j] * u[j]).sum();
-                assert!(
-                    (fu - u[i]).abs() < 1e-10,
-                    "degree {degree} must pass through unchanged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn filter_attenuates_the_highest_mode() {
-        let b = Basis1d::new(6);
-        let strength = 0.4;
-        let f = b.filter_matrix(strength, 1);
-        let np = b.np();
-        // Highest Legendre mode sampled at the nodes.
-        let u: Vec<f64> = b
-            .nodes
-            .iter()
-            .map(|&x| crate::quadrature::legendre(6, x).0)
-            .collect();
-        for i in 0..np {
-            let fu: f64 = (0..np).map(|j| f[i * np + j] * u[j]).sum();
-            assert!(
-                (fu - (1.0 - strength) * u[i]).abs() < 1e-10,
-                "top mode must be scaled by 1−α"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_strength_filter_is_identity() {
-        let b = Basis1d::new(5);
-        let f = b.filter_matrix(0.0, 2);
-        let np = b.np();
-        for i in 0..np {
-            for j in 0..np {
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((f[i * np + j] - expected).abs() < 1e-11);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "modes")]
-    fn filter_rejects_zero_modes() {
-        Basis1d::new(4).filter_matrix(0.5, 0);
     }
 
     #[test]

@@ -232,7 +232,6 @@ pub fn pb146(params: &CaseParams, n_pebbles: usize) -> CaseSetup {
             ..Default::default()
         },
         body_force: [0.0; 3],
-        filter: None,
         temperature: None,
     };
     CaseSetup {
@@ -292,7 +291,6 @@ pub fn rbc(params: &CaseParams, ra: f64, pr: f64) -> CaseSetup {
             ..Default::default()
         },
         body_force: [0.0; 3],
-        filter: None,
         temperature: Some(TemperatureConfig {
             diffusivity: kappa,
             buoyancy: 1.0,

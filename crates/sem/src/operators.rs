@@ -236,7 +236,7 @@ impl Ops {
     }
 
     /// `out = s·M u` along `axis` of every element, `mt` being `M`
-    /// transposed: the sweep behind derivatives and tensor operators.
+    /// transposed: the sweep behind every derivative.
     fn sweep(&self, u: &[f64], m: &[f64], mt: &[f64], axis: usize, s: f64, out: &mut [f64]) {
         let npe = self.layout.nodes_per_elem();
         with_kernel!(self.np(), k => self.zip_blocks(out, u, |_, ob, ub| {
@@ -523,66 +523,6 @@ impl Ops {
         }));
     }
 
-    /// Apply a 1-D operator matrix `m` (row-major (N+1)², with `mt` its
-    /// transpose from [`transpose_op`]) along all three tensor directions
-    /// of `u` in place — the application pattern of the modal filter,
-    /// `u ← (F⊗F⊗F)u`.
-    pub fn apply_tensor_op(
-        &self,
-        comm: &mut Comm,
-        m: &[f64],
-        mt: &[f64],
-        u: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        self.charge_derivs(comm, 3.0);
-        let np = self.np();
-        assert_eq!(m.len(), np * np, "operator must be (N+1)²");
-        assert_eq!(mt.len(), np * np, "transpose must be (N+1)²");
-        for axis in 0..3 {
-            scratch.copy_from_slice(u);
-            self.sweep(scratch, m, mt, axis, 1.0, u);
-        }
-    }
-
-    /// Curl of a vector field (collocation): `out = ∇×u`.
-    ///
-    /// Uses six derivative sweeps; callers typically gather-scatter-average
-    /// the result to restore continuity.
-    #[allow(clippy::too_many_arguments)]
-    pub fn curl(
-        &self,
-        comm: &mut Comm,
-        ux: &[f64],
-        uy: &[f64],
-        uz: &[f64],
-        wx: &mut [f64],
-        wy: &mut [f64],
-        wz: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        self.charge_derivs(comm, 6.0);
-        self.charge_pointwise(comm, 3.0, 6.0);
-        // ω_x = ∂y uz − ∂z uy
-        self.deriv_nocost(uz, 1, wx);
-        self.deriv_nocost(uy, 2, scratch);
-        for (o, &s) in wx.iter_mut().zip(scratch.iter()) {
-            *o -= s;
-        }
-        // ω_y = ∂z ux − ∂x uz
-        self.deriv_nocost(ux, 2, wy);
-        self.deriv_nocost(uz, 0, scratch);
-        for (o, &s) in wy.iter_mut().zip(scratch.iter()) {
-            *o -= s;
-        }
-        // ω_z = ∂x uy − ∂y ux
-        self.deriv_nocost(uy, 0, wz);
-        self.deriv_nocost(ux, 1, scratch);
-        for (o, &s) in wz.iter_mut().zip(scratch.iter()) {
-            *o -= s;
-        }
-    }
-
     /// Q-criterion of a velocity field: `Q = ½(‖Ω‖² − ‖S‖²)` where S and Ω
     /// are the symmetric/antisymmetric parts of ∇u. Positive Q marks
     /// rotation-dominated (vortex-core) regions — the standard CFD
@@ -664,7 +604,7 @@ pub fn add_assign(out: &mut [f64], a: &[f64]) {
 }
 
 /// Transpose of a row-major (N+1)² operator matrix, which the kernel
-/// takes alongside the matrix (see [`Ops::apply_tensor_op`]).
+/// takes alongside the matrix.
 pub fn transpose_op(m: &[f64], np: usize) -> Vec<f64> {
     assert_eq!(m.len(), np * np, "operator must be (N+1)²");
     let mut mt = vec![0.0; np * np];
@@ -678,8 +618,8 @@ pub fn transpose_op(m: &[f64], np: usize) -> Vec<f64> {
 
 /// The element-local kernel at one node count per direction: one 1-D
 /// contraction along a tensor axis of one (N+1)³ element. Derivatives,
-/// their transposes and the modal filter are all this with a different
-/// matrix. [`with_kernel!`] picks the implementation once per operator
+/// their transposes and the Schwarz smoother's eigenbases are all this
+/// with a different matrix. [`with_kernel!`] picks the implementation once per operator
 /// apply, by node count and by what the CPU runs, so the element loops
 /// above are written once and compiled per order and per build. Every
 /// implementation adds each output's products in ascending `l` into a
@@ -1028,50 +968,6 @@ mod tests {
             out.iter().map(|v| (v + 7.0).abs()).fold(0.0, f64::max)
         });
         assert!(err < 1e-9, "{err}");
-    }
-
-    #[test]
-    fn curl_of_rigid_rotation_is_twice_omega() {
-        // u = ω × x with ω = (0,0,1): u = (-y, x, 0); ∇×u = (0,0,2).
-        let err = on_one_rank(|comm| {
-            let mesh = single_rank_mesh(4, [2, 2, 2]);
-            let ops = Ops::new(&mesh);
-            let n = mesh.layout().n_nodes();
-            let ux = mesh.eval_nodal(|x| -x[1]);
-            let uy = mesh.eval_nodal(|x| x[0]);
-            let uz = vec![0.0; n];
-            let (mut wx, mut wy, mut wz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-            let mut scratch = vec![0.0; n];
-            ops.curl(comm, &ux, &uy, &uz, &mut wx, &mut wy, &mut wz, &mut scratch);
-            let mut e: f64 = 0.0;
-            for i in 0..n {
-                e = e.max(wx[i].abs()).max(wy[i].abs()).max((wz[i] - 2.0).abs());
-            }
-            e
-        });
-        assert!(err < 1e-10, "{err}");
-    }
-
-    #[test]
-    fn curl_of_gradient_field_vanishes() {
-        // u = ∇φ with φ = x² + 3yz ⇒ ∇×u = 0 (φ quadratic: exact at N≥2).
-        let err = on_one_rank(|comm| {
-            let mesh = single_rank_mesh(3, [2, 2, 2]);
-            let ops = Ops::new(&mesh);
-            let n = mesh.layout().n_nodes();
-            let ux = mesh.eval_nodal(|x| 2.0 * x[0]);
-            let uy = mesh.eval_nodal(|x| 3.0 * x[2]);
-            let uz = mesh.eval_nodal(|x| 3.0 * x[1]);
-            let (mut wx, mut wy, mut wz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-            let mut scratch = vec![0.0; n];
-            ops.curl(comm, &ux, &uy, &uz, &mut wx, &mut wy, &mut wz, &mut scratch);
-            wx.iter()
-                .chain(&wy)
-                .chain(&wz)
-                .map(|v| v.abs())
-                .fold(0.0, f64::max)
-        });
-        assert!(err < 1e-10, "{err}");
     }
 
     #[test]

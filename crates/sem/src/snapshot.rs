@@ -27,8 +27,6 @@ pub struct SnapshotSpec {
     pub velocity: bool,
     /// Stage the temperature field (ignored when the case has none).
     pub temperature: bool,
-    /// Compute and stage vorticity ∇×u (interleaved 3-component).
-    pub vorticity: bool,
     /// Compute and stage the Q-criterion scalar.
     pub q_criterion: bool,
 }
@@ -44,7 +42,6 @@ impl SnapshotSpec {
                 "pressure" => spec.pressure = true,
                 "velocity" => spec.velocity = true,
                 "temperature" => spec.temperature = true,
-                "vorticity" => spec.vorticity = true,
                 "q_criterion" => spec.q_criterion = true,
                 _ => {}
             }
@@ -52,20 +49,9 @@ impl SnapshotSpec {
         spec
     }
 
-    /// A spec covering every field the solver can publish.
-    pub fn all() -> Self {
-        Self {
-            pressure: true,
-            velocity: true,
-            temperature: true,
-            vorticity: true,
-            q_criterion: true,
-        }
-    }
-
     /// True when no field is requested (publishing would be a no-op).
     pub fn is_empty(&self) -> bool {
-        !(self.pressure || self.velocity || self.temperature || self.vorticity || self.q_criterion)
+        !(self.pressure || self.velocity || self.temperature || self.q_criterion)
     }
 
     /// In-place union with another spec.
@@ -73,7 +59,6 @@ impl SnapshotSpec {
         self.pressure |= other.pressure;
         self.velocity |= other.velocity;
         self.temperature |= other.temperature;
-        self.vorticity |= other.vorticity;
         self.q_criterion |= other.q_criterion;
     }
 }
@@ -343,7 +328,6 @@ mod tests {
         a.union(&b);
         assert!(a.pressure && a.velocity && a.q_criterion);
         assert!(SnapshotSpec::default().is_empty());
-        assert!(!SnapshotSpec::all().is_empty());
     }
 
     #[test]

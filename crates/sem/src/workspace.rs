@@ -3,9 +3,9 @@
 //! Steady-state stepping must not touch the heap (see the tracking
 //! allocator test `ns_step_steady_state_is_allocation_free`), so every
 //! temporary field the CG solver, the Navier–Stokes step, and the
-//! post-processing kernels (`q_criterion`, `curl`) used to `vec!` per
-//! call is now taken from — and returned to — a [`Workspace`] owned by
-//! the solver. The arena is a simple freelist of equal-length `f64`
+//! post-processing kernel `q_criterion` used to `vec!` per call is now
+//! taken from — and returned to — a [`Workspace`] owned by the solver.
+//! The arena is a simple freelist of equal-length `f64`
 //! buffers: `take` hands out a recycled buffer (allocating only when the
 //! list is empty, i.e. during the first few warm-up steps), `put` gives
 //! it back.

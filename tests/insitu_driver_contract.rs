@@ -163,7 +163,6 @@ host_max_rank_peak 105480
 span sem/advection x12 0x3f17d0c027877cee
 span sem/cg x24 0x3f5c70c055ffd1fe
 span sem/diagnostics x12 0x3f048019186707e0
-span sem/filter x12 0x0000000000000000
 span sem/mg_coarse x54 0x3f5837243ed9b759
 span sem/pressure x12 0x3effa8a5f99674e0
 span sem/project x12 0x3f17b944931815e0
@@ -191,7 +190,6 @@ span insitu/checkpoint x6 0x3f9271284f70e5b5
 span sem/advection x12 0x3f17d0c027877dde
 span sem/cg x24 0x3f5c780f76290f68
 span sem/diagnostics x12 0x3f04801918670ac0
-span sem/filter x12 0x0000000000000000
 span sem/mg_coarse x54 0x3f5837243ed9b756
 span sem/pressure x12 0x3effa8a5f99674e0
 span sem/project x12 0x3f17b94493181618
@@ -219,7 +217,6 @@ span insitu/wait x8 0x3f55ec9e5979040d
 span sem/advection x12 0x3f17d0c027877cee
 span sem/cg x24 0x3f5c71d6a65a4fa9
 span sem/diagnostics x12 0x3f048019186707e0
-span sem/filter x12 0x0000000000000000
 span sem/mg_coarse x54 0x3f5837243ed9b758
 span sem/pressure x12 0x3effa8a5f99674e0
 span sem/project x12 0x3f17b944931815e0
@@ -254,7 +251,6 @@ span render/write x6 0x3f9272347d5eb3e4
 span sem/advection x12 0x3f88ca32f9f61e98
 span sem/cg x24 0x3f5c859249c98090
 span sem/diagnostics x12 0x3f048019186706c0
-span sem/filter x12 0x0000000000000000
 span sem/mg_coarse x54 0x3f5837243ed9b79e
 span sem/pressure x12 0x3effaa4105ecd260
 span sem/project x12 0x3f17b94493181278
@@ -287,7 +283,6 @@ span render/write x6 0x3f9272347d5eb3e5
 span sem/advection x12 0x3f17d0c027877cee
 span sem/cg x24 0x3f5c71d594521612
 span sem/diagnostics x12 0x3f048019186707e0
-span sem/filter x12 0x0000000000000000
 span sem/mg_coarse x54 0x3f5837243ed9b758
 span sem/pressure x12 0x3effa8a5f99674e0
 span sem/project x12 0x3f17b944931815e0
@@ -317,7 +312,6 @@ span insitu/wait x10 0x4048ff793e6aef61
 span sem/advection x16 0x40490003da91edba
 span sem/cg x32 0x3f6290d32dd8a7d5
 span sem/diagnostics x16 0x3f0b5576cb6707e0
-span sem/filter x16 0x0000000000000000
 span sem/mg_coarse x70 0x3f5f63ec9d4db758
 span sem/pressure x16 0x3f051b80146b3a70
 span sem/project x16 0x3f1fa1b0c47815e0
