@@ -15,7 +15,8 @@
 //!   per-session credit back-pressure (a slow consumer stalls only
 //!   itself; a dead one is detached after a bounded wait);
 //! * **catches up late joiners** by replaying the parked BP files through
-//!   the same cache before live frames resume.
+//!   the same cache before live frames resume; a joiner whose replay fails
+//!   is detached alone, and the live sessions still run to `End`.
 //!
 //! Every session attaches over TCP ([`StagingService::listen_consumers`] +
 //! [`ConsumerClient::connect`], a loopback listener when the consumers
@@ -182,24 +183,30 @@ impl ConsumerClient {
     }
 
     /// Wait up to `timeout` for the next frame. `Ok(None)` is the end of
-    /// the stream (explicit `End` or a closed link).
+    /// the stream: the service's explicit `End`.
     ///
     /// # Errors
     /// Wire/protocol failures; a plain timeout is
-    /// `ErrorKind::TimedOut`.
+    /// `ErrorKind::TimedOut`, and a link the service closed before `End`
+    /// (a detached session) is `ErrorKind::UnexpectedEof`.
     pub fn next_frame(&mut self, timeout: Duration) -> std::io::Result<Option<FrameMsg>> {
         self.stream.set_read_timeout(Some(timeout)).ok();
         match protocol::read_down(&mut self.stream)? {
             Some(DownMsg::Frame(f)) => Ok(Some(f)),
             // Telemetry never targets a frame session.
-            Some(DownMsg::Telemetry(_) | DownMsg::End) | None => Ok(None),
+            Some(DownMsg::Telemetry(_) | DownMsg::End) => Ok(None),
+            None => Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "staging link closed before End",
+            )),
         }
     }
 
     /// Drain the whole stream, granting one credit back per frame.
     ///
     /// # Errors
-    /// Wire/protocol failures or `timeout` expiring between frames.
+    /// Wire/protocol failures, a link closed before `End`, or `timeout`
+    /// expiring between frames.
     pub fn drain(&mut self, timeout: Duration) -> std::io::Result<Vec<FrameMsg>> {
         let mut frames = Vec::new();
         while let Some(f) = self.next_frame(timeout)? {
@@ -313,8 +320,11 @@ impl StagingService {
     }
 
     /// Admit every pending joiner: build its pipeline, replay the parked
-    /// steps through the cache, then it rides the live stream.
-    fn admit_joiners(&mut self, comm: &mut Comm) -> insitu::Result<()> {
+    /// steps through the cache, then it rides the live stream. A joiner
+    /// whose replay fails is detached as a stalled session is, and its link
+    /// closed without `End`; the first such error is returned.
+    fn admit_joiners(&mut self, comm: &mut Comm) -> Option<insitu::Error> {
+        let mut failure = None;
         while let Ok(pending) = self.joiners.try_recv() {
             let id = self.next_session;
             self.next_session += 1;
@@ -335,10 +345,15 @@ impl StagingService {
                 open: true,
             };
             comm.telemetry().counter("staging/sessions").inc();
-            self.catch_up(comm, &mut session)?;
+            if let Err(e) = self.catch_up(comm, &mut session) {
+                session.open = false;
+                session.stats.detached = true;
+                session.down.shutdown(std::net::Shutdown::Write).ok();
+                failure.get_or_insert(e);
+            }
             self.sessions.push(session);
         }
-        Ok(())
+        failure
     }
 
     /// Replay every parked step to one late-joining session, through the
@@ -450,7 +465,8 @@ impl StagingService {
     /// service is one OS-level server, not a collective.
     ///
     /// # Errors
-    /// Park/unmarshal failures; fatal transport errors.
+    /// Park/unmarshal failures; fatal transport errors; a late joiner's
+    /// catch-up failure, returned only after every live session got `End`.
     ///
     /// # Panics
     /// If `comm` has more than one rank.
@@ -462,9 +478,12 @@ impl StagingService {
         );
         let mut steps = 0u64;
         let mut parked_appends = 0u64;
+        // The first late joiner's catch-up failure, returned once every
+        // live session has its `End`.
+        let mut catch_up_failure = None;
         let failed = |e| insitu::Error::Analysis(format!("staging transport: {e}"));
         loop {
-            self.admit_joiners(comm)?;
+            catch_up_failure = catch_up_failure.or(self.admit_joiners(comm));
             let Some(delivery) = self.reader.next_step(comm).map_err(failed)? else {
                 break;
             };
@@ -496,7 +515,7 @@ impl StagingService {
         }
         // Stream over: admit any last-second joiners (they get a pure
         // catch-up replay), then close every session.
-        self.admit_joiners(comm)?;
+        catch_up_failure = catch_up_failure.or(self.admit_joiners(comm));
         for session in &mut self.sessions {
             if !session.open {
                 continue;
@@ -539,6 +558,9 @@ impl StagingService {
         }
         // Follow sessions get an explicit `End` at their next tick.
         self.live_stop.store(true, Ordering::SeqCst);
+        if let Some(e) = catch_up_failure {
+            return Err(e);
+        }
         Ok(StagingReport {
             steps,
             parked_appends,
@@ -956,7 +978,9 @@ mod tests {
     }
 
     /// A late joiner over a park file whose last record was cut: `run`
-    /// stops with the catch-up read error, not a panic.
+    /// reports the catch-up read error, not a panic, and only after the
+    /// session already riding the stream got its `End`. The joiner alone
+    /// is cut off: its link closes before `End`.
     #[test]
     fn run_reports_a_truncated_park_file_as_a_catch_up_read_error() {
         let dir = tempdir("staging_trunc");
@@ -964,20 +988,34 @@ mod tests {
         truncate(&parkers[&1], 10);
         let (writers, mut readers) = StagingNetwork::build(1, 1, 16, StagingLink::test_tiny());
         drop(writers);
-        let mut service = StagingService::new(readers.remove(0), 2, &dir, 16);
-        service.parkers = parkers;
+        let service = StagingService::new(readers.remove(0), 2, &dir, 16);
         let addr = consumer_addr(&service);
-        let _late = attach(&service, &addr, 8, 1);
-        let result =
-            run_ranks_with_state(MachineModel::test_tiny(), vec![service], |comm, mut s| {
-                s.run(comm)
-            })
-            .remove(0);
+        let mut live = attach(&service, &addr, 8, 1);
+        let state = vec![(service, parkers)];
+        let (result, mut late) = run_ranks_with_state(
+            MachineModel::test_tiny(),
+            state,
+            move |comm, (mut s, parked)| {
+                // Admitted before anything is parked: the live session
+                // has nothing to catch up on.
+                assert!(s.admit_joiners(comm).is_none());
+                s.parkers = parked;
+                let late = attach(&s, &addr, 8, 2);
+                (s.run(comm), late)
+            },
+        )
+        .remove(0);
         let err = result.unwrap_err().to_string();
         assert!(
             err.contains("catch-up read") && err.contains("producer_00001.bp4l"),
             "{err}"
         );
+        let frames = live
+            .drain(Duration::from_secs(20))
+            .expect("the live session reads End");
+        assert!(frames.is_empty(), "no step was streamed");
+        let cut = late.drain(Duration::from_secs(20)).unwrap_err();
+        assert_eq!(cut.kind(), std::io::ErrorKind::UnexpectedEof, "{cut}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
