@@ -316,7 +316,7 @@ mod tests {
     fn dump_read_back_matches_the_solver_bit_for_bit() {
         let dir = std::env::temp_dir().join(format!("fld_readback_{}", std::process::id()));
         let dir2 = dir.clone();
-        let res = run_ranks(2, MachineModel::test_tiny(), move |comm| {
+        run_ranks(2, MachineModel::test_tiny(), move |comm| {
             use sem::navier_stokes::FieldId;
             let mut params = CaseParams::pb146_default();
             params.elems = [2, 2, 4];
@@ -359,7 +359,6 @@ mod tests {
                 );
             }
         });
-        assert_eq!(res.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

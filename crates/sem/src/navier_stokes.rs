@@ -403,8 +403,8 @@ impl FlowSolver {
     /// (velocity, pressure, temperature) share one pooled D2H transfer —
     /// one launch latency for the batch; the derived Q-criterion is computed
     /// on device, gather-scatter averaged, and staged with a transfer of
-    /// its own. Each field is staged once per call
-    /// no matter how many consumers later read the snapshot.
+    /// its own. Each field is staged once per call no matter how many
+    /// consumers later read the snapshot.
     pub fn publish_snapshot(
         &mut self,
         comm: &mut Comm,
