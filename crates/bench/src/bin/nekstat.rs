@@ -7,7 +7,6 @@
 //! nekstat summary report.json --json                          # machine summary
 //! nekstat before.report.json after.report.json                # diff
 //! nekstat critical-path report.json [--json]                  # dominant chain
-//! nekstat --follow 127.0.0.1:4455 [--json] [--max-snapshots N]
 //! ```
 //!
 //! `--help` prints these lines and the flags; any other flag, a flag a
@@ -15,10 +14,7 @@
 //!
 //! `critical-path` reads the `critical` block a traced run embeds in
 //! its report and names the dominant (rank, phase) chain, per-step
-//! breakdown, and per-rank slack. `--follow` attaches a live telemetry
-//! session to a running `staging_bench`/figure process (its staging
-//! consumer port) and prints one line per streamed delta snapshot;
-//! detaching (ctrl-C or `--max-snapshots`) never perturbs the run.
+//! breakdown, and per-rank slack.
 
 use bench_harness::{cli, fmt_secs, format_table, HarnessArgs};
 use std::collections::BTreeMap;
@@ -30,16 +26,12 @@ const SUMMARY_SCHEMA: &str = "nekstat/summary/v1";
 fn main() {
     let cli = &cli::NEKSTAT;
     let args = HarnessArgs::parse(cli);
-    if args.max_snapshots.is_some() && args.follow.is_none() {
-        cli.refuse("--max-snapshots: only a --follow session detaches");
-    }
     let operands: Vec<&str> = args.operands.iter().map(String::as_str).collect();
-    match (args.follow.as_deref(), operands.as_slice()) {
-        (Some(addr), []) => follow_cmd(addr, args.json, args.max_snapshots),
-        (None, ["critical-path", path]) => critical_path_cmd(path, args.json),
-        (None, ["summary", path] | [path]) => summary_cmd(path, args.json),
-        (None, ["diff", a, b] | [a, b]) if !args.json => diff(&load(a), &load(b)),
-        (None, ["diff", _, _] | [_, _]) => cli.refuse("--json: a diff has no JSON form"),
+    match operands.as_slice() {
+        ["critical-path", path] => critical_path_cmd(path, args.json),
+        ["summary", path] | [path] => summary_cmd(path, args.json),
+        ["diff", a, b] | [a, b] if !args.json => diff(&load(a), &load(b)),
+        ["diff", _, _] | [_, _] => cli.refuse("--json: a diff has no JSON form"),
         _ => cli.refuse("the arguments match none of the usage lines"),
     }
 }
@@ -646,75 +638,6 @@ fn critical_path_cmd(path: &str, json_out: bool) {
             rows.len()
         );
         print!("{}", format_table(&["pid", "rank", "wait"], &rows));
-    }
-}
-
-/// Sum every counter whose rank-stripped base name equals `base` over a
-/// merged live-metric state.
-fn live_counter_sum(state: &BTreeMap<String, json::Value>, base: &str) -> u64 {
-    state
-        .iter()
-        .filter(|(name, _)| base_name(name).0 == base)
-        .filter_map(|(_, v)| {
-            (v.get("kind")?.as_str()? == "counter").then(|| v.get("value")?.as_u64())?
-        })
-        .sum()
-}
-
-/// `nekstat --follow <host:port> [--json] [--max-snapshots N]` — attach
-/// a live telemetry session and print one line per delta snapshot.
-fn follow_cmd(addr: &str, json_out: bool, max_snapshots: Option<u64>) {
-    let mut client = transport::FollowClient::connect(addr).unwrap_or_else(|e| {
-        eprintln!("nekstat: cannot attach to {addr}: {e}");
-        std::process::exit(1);
-    });
-    let mut state: BTreeMap<String, json::Value> = BTreeMap::new();
-    let mut received = 0u64;
-    loop {
-        let snap = match client.next_snapshot(std::time::Duration::from_secs(30)) {
-            Ok(Some(s)) => s,
-            Ok(None) => {
-                if !json_out {
-                    println!("stream ended after {received} snapshots");
-                }
-                return;
-            }
-            Err(e) => {
-                eprintln!("nekstat: follow stream error: {e}");
-                std::process::exit(1);
-            }
-        };
-        received += 1;
-        if json_out {
-            println!("{}", snap.json);
-        } else {
-            let doc = json::parse(&snap.json).unwrap_or_else(|e| {
-                eprintln!("nekstat: malformed snapshot: {e}");
-                std::process::exit(1);
-            });
-            let mut changed = 0usize;
-            if let Some(json::Value::Obj(metrics)) = doc.get("metrics").cloned() {
-                changed = metrics.len();
-                state.extend(metrics);
-            }
-            println!(
-                "snap {:>4} ({}, {} changed) | steps={} frames={} KiB={:.1} credit_stalls={} retries={}",
-                snap.seq,
-                if snap.seq == 0 { "full" } else { "delta" },
-                changed,
-                live_counter_sum(&state, "staging/steps"),
-                live_counter_sum(&state, "staging/frames_sent"),
-                live_counter_sum(&state, "staging/bytes_sent") as f64 / 1024.0,
-                live_counter_sum(&state, "staging/credit_stalls"),
-                live_counter_sum(&state, "transport/retries"),
-            );
-        }
-        if max_snapshots.is_some_and(|m| received >= m) {
-            if !json_out {
-                println!("detaching after {received} snapshots (run continues unharmed)");
-            }
-            return;
-        }
     }
 }
 

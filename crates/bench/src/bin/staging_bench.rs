@@ -38,11 +38,6 @@ fn steps(args: &HarnessArgs) -> u64 {
     args.steps.unwrap_or(6) as u64
 }
 
-/// `--step-delay-ms` (default 0).
-fn step_delay(args: &HarnessArgs) -> Duration {
-    Duration::from_millis(args.step_delay_ms.unwrap_or(0))
-}
-
 /// One hex element per producer rank, same shape the staging tests use.
 fn block(rank: usize, nranks: usize) -> MultiBlock {
     let z0 = rank as f64;
@@ -64,21 +59,12 @@ fn block(rank: usize, nranks: usize) -> MultiBlock {
 }
 
 /// Drive `writers` through `steps` triggered steps on their own sim
-/// world. A nonzero `step_delay` sleeps real time between steps so a
-/// live follower has a running process to watch (the virtual clock is
-/// untouched — pacing changes wall time only).
-fn drive_writers(
-    writers: Vec<SstWriter>,
-    steps: u64,
-    step_delay: Duration,
-) -> std::thread::JoinHandle<()> {
+/// world.
+fn drive_writers(writers: Vec<SstWriter>, steps: u64) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         run_ranks_with_state(MachineModel::test_tiny(), writers, move |comm, writer| {
             let mut analysis = TransportAnalysis::new("mesh", vec!["pressure".into()], writer);
             for step in 1..=steps {
-                if !step_delay.is_zero() {
-                    comm.external_wait(|| std::thread::sleep(step_delay));
-                }
                 let mut da = insitu::data_adaptor::StaticDataAdaptor::new(
                     "mesh",
                     block(comm.rank(), comm.size()),
@@ -215,7 +201,7 @@ fn run_all(args: &HarnessArgs) {
     );
     let hub = TelemetryHub::default();
     let start = Instant::now();
-    let sim = drive_writers(writers, steps(args), step_delay(args));
+    let sim = drive_writers(writers, steps(args));
     let report = run_service(service, hub.clone());
     sim.join().unwrap();
     let elapsed = start.elapsed();
@@ -249,9 +235,7 @@ fn run_writer(args: &HarnessArgs) {
     let addr = connect_addr(args, "writer");
     let writer = StagingNetwork::tcp_writer(addr, 0, StagingLink::test_tiny(), FaultPlan::none())
         .expect("connect to staging data port");
-    drive_writers(vec![writer], steps(args), step_delay(args))
-        .join()
-        .unwrap();
+    drive_writers(vec![writer], steps(args)).join().unwrap();
     println!("writer: {} steps sent to {addr}", steps(args));
 }
 
@@ -272,10 +256,8 @@ fn run_staging(args: &HarnessArgs) {
     }
     println!("staging: data port {data_port}, consumer port {consumer_port}");
     let reader = StagingNetwork::tcp_reader(data_listener, vec![0], 16, FaultPlan::none());
-    let mut service = StagingService::new(reader, 1, &dir, 32);
+    let service = StagingService::new(reader, 1, &dir, 32);
     let hub = TelemetryHub::default();
-    // Follow sessions (`nekstat --follow`) share the consumer port.
-    service.set_live_hub(hub.clone());
     service.listen_consumers(consumer_listener);
     let start = Instant::now();
     let report = run_service(service, hub.clone());

@@ -49,8 +49,6 @@ pub struct HarnessArgs {
     pub wire: Option<WireKind>,
     /// `staging_bench`: local consumer sessions (default 3).
     pub consumers: Option<usize>,
-    /// `staging_bench`: real-time pause between writer steps (default 0).
-    pub step_delay_ms: Option<u64>,
     /// `staging_bench`: which tier this process runs (default `all`).
     pub role: Option<&'static str>,
     /// `staging_bench`: the staging port a writer or consumer connects to.
@@ -59,10 +57,6 @@ pub struct HarnessArgs {
     pub port_file: Option<PathBuf>,
     /// `nekstat`: print JSON instead of the human view.
     pub json: bool,
-    /// `nekstat --follow`: detach after this many snapshots.
-    pub max_snapshots: Option<u64>,
-    /// `nekstat`: attach a live follow session to this staging port.
-    pub follow: Option<String>,
     /// `pairs`: the `nekbench` built from the parent commit's tree.
     pub parent: Option<PathBuf>,
     /// `pairs`: the `nekbench` built from the change's tree.
@@ -192,7 +186,6 @@ const FLAGS: &[(&str, &str, Setter)] = &[
     ("--report-out", "DIR", |a, v| set(&mut a.report_out, v)),
     ("--json-out", "FILE", |a, v| set(&mut a.json_out, v)),
     ("--consumers", "N", |a, v| set(&mut a.consumers, v)),
-    ("--step-delay-ms", "N", |a, v| set(&mut a.step_delay_ms, v)),
     ("--role", "all|writer|staging|consumer", |a, v| {
         let roles = ["all", "writer", "staging", "consumer"];
         choose(&mut a.role, v, &roles.map(|r| (r, r)))
@@ -200,8 +193,6 @@ const FLAGS: &[(&str, &str, Setter)] = &[
     ("--connect", "HOST:PORT", |a, v| set(&mut a.connect, v)),
     ("--port-file", "FILE", |a, v| set(&mut a.port_file, v)),
     ("--json", "", |a, _| on(&mut a.json)),
-    ("--max-snapshots", "N", |a, v| set(&mut a.max_snapshots, v)),
-    ("--follow", "HOST:PORT", |a, v| set(&mut a.follow, v)),
     ("--parent", "FILE", |a, v| set(&mut a.parent, v)),
     ("--change", "FILE", |a, v| set(&mut a.change, v)),
     ("--parent-rev", "REV", |a, v| set(&mut a.parent_rev, v)),
@@ -333,7 +324,6 @@ pub const STAGING_BENCH: Cli = Cli::new(
         "--wire",
         "--consumers",
         "--steps",
-        "--step-delay-ms",
         "--role",
         "--connect",
         "--port-file",
@@ -356,13 +346,12 @@ pub const PAIRS: Cli = Cli::new(
 );
 pub const NEKSTAT: Cli = Cli {
     name: "nekstat",
-    flags: &[&["--json", "--max-snapshots", "--follow"]],
+    flags: &[&["--json"]],
     operands: &[
         "<report.json> [<other.report.json>]",
         "summary <report.json> [--json]",
         "critical-path <report.json> [--json]",
         "diff <a.report.json> <b.report.json>",
-        "--follow HOST:PORT [--json] [--max-snapshots N]",
     ],
 };
 
@@ -530,22 +519,16 @@ mod tests {
 
         let a = parse(
             &STAGING_BENCH,
-            "--role writer --steps 12 --step-delay-ms 300 --connect 127.0.0.1:9 --consumers 2",
+            "--role writer --steps 12 --connect 127.0.0.1:9 --consumers 2",
         )
         .unwrap();
         assert_eq!(a.role, Some("writer"));
-        assert_eq!(
-            (a.steps, a.step_delay_ms, a.consumers),
-            (Some(12), Some(300), Some(2))
-        );
+        assert_eq!((a.steps, a.consumers), (Some(12), Some(2)));
         assert_eq!(a.connect.as_deref(), Some("127.0.0.1:9"));
 
-        let a = parse(&NEKSTAT, "--follow 127.0.0.1:9 --json --max-snapshots 4").unwrap();
-        assert_eq!(a.follow.as_deref(), Some("127.0.0.1:9"));
-        assert!(a.json);
-        assert_eq!(a.max_snapshots, Some(4));
         let a = parse(&NEKSTAT, "critical-path r.json --json").unwrap();
         assert_eq!(a.operands, ["critical-path", "r.json"]);
+        assert!(a.json);
 
         let none = parse(&STAGING_BENCH, "").unwrap();
         assert!(none.steps.is_none() && none.role.is_none() && none.consumers.is_none());
@@ -580,14 +563,25 @@ mod tests {
                 concat!("--restart", "-from ck/"),
                 concat!("--restart", "-from"),
             ),
+            // Flags of the deleted live telemetry follow plane.
+            (
+                &NEKSTAT,
+                concat!("--fol", "low 127.0.0.1:9"),
+                concat!("--fol", "low"),
+            ),
+            (
+                &NEKSTAT,
+                concat!("--max", "-snapshots 4"),
+                concat!("--max", "-snapshots"),
+            ),
+            (
+                &STAGING_BENCH,
+                concat!("--step", "-delay-ms 300"),
+                concat!("--step", "-delay-ms"),
+            ),
             // Values that do not parse.
             (&STAGING_BENCH, "--consumers abc", "--consumers"),
             (&STAGING_BENCH, "--role boss", "--role"),
-            (
-                &NEKSTAT,
-                "--follow ADDR --max-snapshots four",
-                "--max-snapshots",
-            ),
             (&FIG2_TIME_TO_SOLUTION, "--steps abc", "--steps"),
             (&FIG2_TIME_TO_SOLUTION, "--ranks 1120x", "--ranks"),
             (&FIG2_TIME_TO_SOLUTION, "--trigger -1", "--trigger"),
@@ -598,7 +592,6 @@ mod tests {
             (&FIG2_TIME_TO_SOLUTION, "--out", "--out"),
             (&FIG2_TIME_TO_SOLUTION, "--steps --full", "--steps"),
             (&FIG2_TIME_TO_SOLUTION, "--out --trace-out t/", "--out"),
-            (&NEKSTAT, "--follow", "--follow"),
         ] {
             let err = parse(cli, line).expect_err(line);
             assert!(err.contains(flag), "{} {line}: {err}", cli.name);

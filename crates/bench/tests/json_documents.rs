@@ -15,7 +15,7 @@
 //! one was written to; copy it over the fixture.
 //!
 //! The same fixtures, damaged, check that the readers `nekstat` runs on
-//! a report from disk or a snapshot off a socket never panic.
+//! a report from disk never panic.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -279,21 +279,6 @@ fn summary() {
 }
 
 #[test]
-fn telemetry_snapshots() {
-    use transport::staging::live::snapshot_json;
-    check(
-        "telemetry-snapshot-full.json",
-        &snapshot_json(0, true, &metrics()),
-        false,
-    );
-    check(
-        "telemetry-snapshot-delta.json",
-        &snapshot_json(1, false, &[]),
-        false,
-    );
-}
-
-#[test]
 fn fault_sweep() {
     let path = scratch("fault-sweep.out.json");
     run(
@@ -345,8 +330,8 @@ fn strip_keeps_whitespace_inside_strings() {
     assert_eq!(strip("[\"q\\\" x\", \"\\\\\" ]"), "[\"q\\\" x\",\"\\\\\"]");
 }
 
-/// Every reader a report, a critical-path document or a live snapshot
-/// meets; must not panic, whatever `text` is.
+/// Every reader a report or a critical-path document meets; must not
+/// panic, whatever `text` is.
 fn read_report_documents(text: &str) {
     if let Ok(doc) = json::parse(text) {
         let _ = parse_critical(&doc);
@@ -364,12 +349,7 @@ fn report_documents_survive_every_truncation_and_a_bit_flip_at_every_byte() {
             read_report_documents(text);
         }
     };
-    for name in [
-        "run-report.json",
-        "critical-path.json",
-        "telemetry-snapshot-full.json",
-        "telemetry-snapshot-delta.json",
-    ] {
+    for name in ["run-report.json", "critical-path.json"] {
         let real = std::fs::read(fixture(name)).expect("committed fixture");
         for cut in 0..real.len() {
             read(&real[..cut]);

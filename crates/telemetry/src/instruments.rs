@@ -287,14 +287,13 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    /// Write the value's members into `o`, naming its kind under `tag`:
-    /// the RunReport says `type`, a live snapshot `kind`.
-    pub fn write(&self, o: &mut Obj<'_>, tag: &str) {
+    /// Write the value's members into `o`, naming its kind under `type`.
+    pub fn write(&self, o: &mut Obj<'_>) {
         match self {
-            Self::Counter(c) => o.text(tag, "counter").uint("value", *c),
-            Self::Gauge(g) => o.text(tag, "gauge").num("value", *g),
+            Self::Counter(c) => o.text("type", "counter").uint("value", *c),
+            Self::Gauge(g) => o.text("type", "gauge").num("value", *g),
             Self::Histogram(h) => o
-                .text(tag, "histogram")
+                .text("type", "histogram")
                 .uint("count", h.count)
                 .num("sum", h.sum)
                 .num("p50", h.p50)
@@ -306,12 +305,12 @@ impl MetricValue {
         };
     }
 
-    /// Read a value [`MetricValue::write`] wrote with `tag`.
+    /// Read a value [`MetricValue::write`] wrote.
     ///
     /// # Errors
     /// An unknown kind.
-    pub(crate) fn read(v: &Value, tag: &str) -> Result<Self, String> {
-        Ok(match v.text(tag) {
+    pub(crate) fn read(v: &Value) -> Result<Self, String> {
+        Ok(match v.text("type") {
             "counter" => Self::Counter(v.uint("value")),
             "gauge" => Self::Gauge(v.num("value")),
             "histogram" => Self::Histogram(HistogramSnapshot {
@@ -468,30 +467,6 @@ impl TelemetryHub {
     pub fn step_bounds(&self) -> Vec<(u64, f64, f64)> {
         lock(&self.inner.recorder).bounds()
     }
-
-    /// Metrics that changed since `prev`, which is replaced with the
-    /// current snapshot — the delta engine behind live streaming. Both
-    /// lists are name-sorted, so the diff is one linear merge; an empty
-    /// `prev` yields the full snapshot.
-    pub fn delta_snapshot(
-        &self,
-        prev: &mut Vec<(String, MetricValue)>,
-    ) -> Vec<(String, MetricValue)> {
-        let cur = self.metrics_snapshot();
-        let mut delta = Vec::new();
-        let mut pi = 0usize;
-        for item in &cur {
-            while pi < prev.len() && prev[pi].0 < item.0 {
-                pi += 1;
-            }
-            let unchanged = pi < prev.len() && prev[pi].0 == item.0 && prev[pi].1 == item.1;
-            if !unchanged {
-                delta.push(item.clone());
-            }
-        }
-        *prev = cur;
-        delta
-    }
 }
 
 #[cfg(test)]
@@ -614,27 +589,6 @@ mod tests {
         // And the interpolated p50 sits near the true median, well
         // inside the 1/16 bucket bound.
         assert!((h.quantile(0.5) - 1.5).abs() / 1.5 < 1.0 / 16.0);
-    }
-
-    #[test]
-    fn delta_snapshot_reports_only_changes() {
-        let hub = TelemetryHub::default();
-        hub.counter("a").add(1);
-        hub.gauge("b").set(2.0);
-        hub.histogram("c").observe(0.5);
-        let mut prev = Vec::new();
-        let full = hub.delta_snapshot(&mut prev);
-        assert_eq!(full.len(), 3, "first delta is the full snapshot");
-        assert!(
-            hub.delta_snapshot(&mut prev).is_empty(),
-            "no change, no delta"
-        );
-        hub.counter("a").add(1);
-        hub.counter("d").inc();
-        let delta = hub.delta_snapshot(&mut prev);
-        let names: Vec<&str> = delta.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["a", "d"]);
-        assert_eq!(prev.len(), 4, "prev tracks the full current snapshot");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The workspace's one JSON reader and writer (it vendors no serde).
 //!
 //! Every product document goes out through the writer: the RunReport,
-//! its critical-path block, live telemetry snapshots, `nekstat summary
-//! --json`, the fault-sweep summary and the Chrome trace.
+//! its critical-path block, `nekstat summary --json`, the fault-sweep
+//! summary and the Chrome trace.
 //! [`object`] and [`array`] start a document and an [`Obj`] fills one
 //! object's members, in the order they are written. The layout is fixed:
 //! no spaces, each array element on its own line and an array closed by
@@ -91,9 +91,9 @@ impl Value {
 }
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses
-/// once per level and its input can come from a TCP peer (`nekstat
-/// --follow`), so the depth must not be the sender's to choose; a
-/// RunReport nests 4 deep.
+/// once per level and its input is a file from outside the program
+/// (`nekstat` reads any report it is given), so the depth must not be
+/// the writer's to choose; a RunReport nests 4 deep.
 pub const MAX_DEPTH: usize = 64;
 
 /// Parse `text` as a single JSON document.

@@ -148,7 +148,7 @@ impl RunReport {
             o.text("schema", REPORT_SCHEMA)
                 .obj("manifest", |o| self.manifest.write(o))
                 .arr("metrics", &self.metrics, |o, (name, v)| {
-                    v.write(o.text("name", name), "type");
+                    v.write(o.text("name", name));
                 })
                 .arr("series", &self.series, |o, s| {
                     o.uint("step", s.step)
@@ -234,7 +234,7 @@ impl RunReport {
                 .get("name")
                 .and_then(Value::as_str)
                 .ok_or("metric without name")?;
-            metrics.push((name.to_string(), MetricValue::read(mv, "type")?));
+            metrics.push((name.to_string(), MetricValue::read(mv)?));
         }
         let mut series = Vec::new();
         for sv in v

@@ -65,7 +65,7 @@ pub use error::{TransportError, WriteError};
 pub use file_engine::{BpFileReader, BpFileWriter};
 pub use link::StagingLink;
 pub use staging::{
-    ConsumerClient, FollowClient, FrameMsg, SessionSpec, SessionStats, StagingHandle,
-    StagingReport, StagingService, TelemetryMsg,
+    ConsumerClient, FrameMsg, SessionSpec, SessionStats, StagingHandle, StagingReport,
+    StagingService,
 };
 pub use wire::{WireKind, WireRecvError, WireRx, WireSendError, WireTx};

@@ -26,11 +26,9 @@
 //! and none polls: a stalled session's credit is awaited to one
 //! `CREDIT_WAIT` deadline, an attach signals a condvar.
 
-pub mod live;
 pub mod protocol;
 
-pub use live::FollowClient;
-pub use protocol::{DownMsg, FrameMsg, SessionSpec, TelemetryMsg};
+pub use protocol::{DownMsg, FrameMsg, SessionSpec};
 
 use crate::bp::StepData;
 use crate::engine::SstReader;
@@ -42,7 +40,6 @@ use render::{Colormap, FrameCache, RenderPipeline, RenderScratch};
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -170,7 +167,7 @@ impl ConsumerClient {
     pub fn connect(addr: &str, spec: &SessionSpec, credits: u32) -> std::io::Result<Self> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        protocol::write_hello(&mut stream, spec, credits, false)?;
+        protocol::write_hello(&mut stream, spec, credits)?;
         Ok(Self { stream })
     }
 
@@ -193,8 +190,7 @@ impl ConsumerClient {
         self.stream.set_read_timeout(Some(timeout)).ok();
         match protocol::read_down(&mut self.stream)? {
             Some(DownMsg::Frame(f)) => Ok(Some(f)),
-            // Telemetry never targets a frame session.
-            Some(DownMsg::Telemetry(_) | DownMsg::End) => Ok(None),
+            Some(DownMsg::End) => Ok(None),
             None => Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "staging link closed before End",
@@ -231,8 +227,6 @@ pub struct StagingService {
     handle: StagingHandle,
     parkers: BTreeMap<usize, BpFileWriter>,
     next_session: usize,
-    live_hub: Option<telemetry::TelemetryHub>,
-    live_stop: Arc<std::sync::atomic::AtomicBool>,
 }
 
 impl StagingService {
@@ -262,8 +256,6 @@ impl StagingService {
             },
             parkers: BTreeMap::new(),
             next_session: 0,
-            live_hub: None,
-            live_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
         }
     }
 
@@ -272,30 +264,15 @@ impl StagingService {
         self.handle.clone()
     }
 
-    /// Serve live telemetry follow sessions off the consumer listener:
-    /// a `Hello` with the follow flag set streams delta snapshots of
-    /// `hub` (see [`live`]) instead of opening a frame session. Must be
-    /// called before [`StagingService::listen_consumers`].
-    pub fn set_live_hub(&mut self, hub: telemetry::TelemetryHub) {
-        self.live_hub = Some(hub);
-    }
-
     /// Accept TCP consumer sessions off `listener`. Each connection sends
     /// a `Hello` and is served on a thread of its own (see
     /// [`serve_connection`]), which then forwards the session's credit
-    /// grants. A `Hello` with the follow flag set opens a live telemetry
-    /// session instead (only honored after
-    /// [`StagingService::set_live_hub`]; otherwise the connection gets an
-    /// immediate `End`).
+    /// grants.
     pub fn listen_consumers(&self, listener: TcpListener) {
         let handle = self.handle();
-        let live = self
-            .live_hub
-            .clone()
-            .map(|hub| (hub, self.live_stop.clone()));
         std::thread::spawn(move || {
             while let Ok((stream, _)) = listener.accept() {
-                serve_connection(stream, live.clone(), handle.clone());
+                serve_connection(stream, handle.clone());
             }
         });
     }
@@ -556,8 +533,6 @@ impl StagingService {
                 .counter("staging/cache_misses")
                 .add(self.cache.misses());
         }
-        // Follow sessions get an explicit `End` at their next tick.
-        self.live_stop.store(true, Ordering::SeqCst);
         if let Some(e) = catch_up_failure {
             return Err(e);
         }
@@ -663,45 +638,31 @@ const HELLO_WAIT: Duration = Duration::from_secs(5);
 
 /// Serve one accepted connection on a thread of its own, so a peer that
 /// connects and says nothing holds up nobody else: read its `Hello` under
-/// [`HELLO_WAIT`], then stream telemetry (`live`) or attach a frame session
-/// (`handle`), whichever the `Hello` asks for — or answer `End` to a
-/// follow request when the service has no live hub.
-fn serve_connection(
-    mut stream: TcpStream,
-    live: Option<(telemetry::TelemetryHub, Arc<std::sync::atomic::AtomicBool>)>,
-    handle: StagingHandle,
-) {
+/// [`HELLO_WAIT`], then attach its frame session to `handle`.
+fn serve_connection(mut stream: TcpStream, handle: StagingHandle) {
     std::thread::spawn(move || {
         stream.set_nonblocking(false).ok();
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(HELLO_WAIT)).ok();
-        let Ok((spec, credits, follow)) = protocol::read_hello(&mut stream) else {
+        let Ok((spec, credits)) = protocol::read_hello(&mut stream) else {
             return;
         };
         stream.set_read_timeout(None).ok();
-        match (follow, live) {
-            (true, Some((hub, stop))) => live::serve_follow(stream, &hub, &stop),
-            (false, _) => {
-                let Ok(read_half) = stream.try_clone() else {
-                    return;
-                };
-                let (credit_tx, credit_rx) = sync_channel(1024);
-                let pending = PendingSession {
-                    spec,
-                    credits,
-                    down: stream,
-                    credit_rx,
-                };
-                if handle.joiners.send(pending).is_ok() {
-                    let (count, attached) = &*handle.attached;
-                    *count.lock().unwrap() += 1;
-                    attached.notify_all();
-                    forward_credits(read_half, credit_tx);
-                }
-            }
-            (true, None) => {
-                let _ = protocol::write_down(&mut stream, &DownMsg::End);
-            }
+        let Ok(read_half) = stream.try_clone() else {
+            return;
+        };
+        let (credit_tx, credit_rx) = sync_channel(1024);
+        let pending = PendingSession {
+            spec,
+            credits,
+            down: stream,
+            credit_rx,
+        };
+        if handle.joiners.send(pending).is_ok() {
+            let (count, attached) = &*handle.attached;
+            *count.lock().unwrap() += 1;
+            attached.notify_all();
+            forward_credits(read_half, credit_tx);
         }
     });
 }
@@ -1016,79 +977,6 @@ mod tests {
         assert!(frames.is_empty(), "no step was streamed");
         let cut = late.drain(Duration::from_secs(20)).unwrap_err();
         assert_eq!(cut.kind(), std::io::ErrorKind::UnexpectedEof, "{cut}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn follow_session_on_consumer_port_streams_and_detaches_unharmed() {
-        let dir = tempdir("staging_follow");
-        let (writers, mut readers) = StagingNetwork::build(1, 1, 16, StagingLink::test_tiny());
-        let hub = telemetry::TelemetryHub::default();
-        let mut service = StagingService::new(readers.remove(0), 1, &dir, 16);
-        service.set_live_hub(hub.clone());
-        let addr = consumer_addr(&service);
-        let mut frames_client = attach(&service, &addr, 8, 1);
-
-        // Attach a follow session on the same port before the stream starts.
-        let mut follow = live::FollowClient::connect(&addr).unwrap();
-        let first = follow
-            .next_snapshot(Duration::from_secs(10))
-            .unwrap()
-            .expect("initial snapshot");
-        assert_eq!(first.seq, 0);
-        let doc = telemetry::json::parse(&first.json).unwrap();
-        assert_eq!(
-            doc.get("schema").unwrap().as_str(),
-            Some(live::SNAPSHOT_SCHEMA)
-        );
-        assert_eq!(doc.get("full"), Some(&telemetry::json::Value::Bool(true)));
-
-        let sim = drive_writers(writers, 3);
-        let hub2 = hub.clone();
-        let svc = std::thread::spawn(move || {
-            run_ranks_with_state(
-                MachineModel::test_tiny(),
-                vec![service],
-                move |comm, mut s| {
-                    comm.enable_telemetry(&hub2, 0);
-                    s.run(comm).unwrap()
-                },
-            )
-            .remove(0)
-        });
-
-        // Watch until a delta carries the staging counters (they appear
-        // only once the service runs, after the full snapshot), then
-        // detach mid-run by dropping the client.
-        let mut saw_metrics = false;
-        for _ in 0..100 {
-            let Some(snap) = follow.next_snapshot(Duration::from_secs(10)).unwrap() else {
-                break;
-            };
-            let doc = telemetry::json::parse(&snap.json).unwrap();
-            // Service-side counters are rank-scoped on the hub.
-            if doc
-                .get("metrics")
-                .unwrap()
-                .get("rank0/staging/frames_sent")
-                .is_some()
-            {
-                assert!(snap.seq > 0, "counters arrived in the full snapshot");
-                assert_eq!(doc.get("full"), Some(&telemetry::json::Value::Bool(false)));
-                saw_metrics = true;
-                break;
-            }
-        }
-        drop(follow);
-
-        let frames = frames_client.drain(Duration::from_secs(20)).unwrap();
-        sim.join().unwrap();
-        let report = svc.join().unwrap();
-        assert!(saw_metrics, "live snapshots never showed staging counters");
-        // The frame session is untouched by the follow attach/detach.
-        assert_eq!(report.steps, 3);
-        assert_eq!(frames.len(), 3);
-        assert!(!report.sessions[0].detached);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,16 +10,8 @@
 //! ```
 //!
 //! Up (consumer → service): tag 0 `Hello`, tag 1 `Credit`.
-//! Down (service → consumer): tag 10 `Frame`, tag 11 `End`,
-//! tag 12 `Telemetry` (live snapshot JSON, follow sessions only).
+//! Down (service → consumer): tag 10 `Frame`, tag 11 `End`.
 //! All integers little-endian, like the BP marshaling.
-//!
-//! A `Hello` whose trailing follow byte is 1 opens a **follow session**:
-//! the service sends no frames and ignores the spec/credits; instead a
-//! real-time thread streams `Telemetry` messages (delta snapshots of the
-//! run's metric hub) until either side disconnects. Follow sessions read
-//! atomics only, so attaching and detaching never perturbs the
-//! virtual-clock run being observed.
 
 use crate::codec::{self, PartError, Prefix, Reader, RecordIn};
 use std::io::{IoSlice, Read, Write};
@@ -67,15 +59,6 @@ pub struct FrameMsg {
     pub png: Vec<u8>,
 }
 
-/// One live telemetry delta snapshot (follow sessions only).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryMsg {
-    /// Snapshot sequence number, 0 for the initial full snapshot.
-    pub seq: u64,
-    /// Snapshot document (`nekstat/telemetry-snapshot/v1` JSON).
-    pub json: String,
-}
-
 /// Service → consumer messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DownMsg {
@@ -83,15 +66,12 @@ pub enum DownMsg {
     Frame(FrameMsg),
     /// The stream is over; no more frames will arrive.
     End,
-    /// One live telemetry snapshot (follow sessions only).
-    Telemetry(TelemetryMsg),
 }
 
 const TAG_HELLO: u8 = 0;
 const TAG_CREDIT: u8 = 1;
 const TAG_FRAME: u8 = 10;
 const TAG_END: u8 = 11;
-const TAG_TELEMETRY: u8 = 12;
 
 /// Largest image side a `Hello` may ask for: the spec sizes a
 /// framebuffer on the service.
@@ -115,18 +95,12 @@ fn send(
     }))
 }
 
-/// Write the session-opening `Hello` (spec + initial credits). A true
-/// `follow` opens a telemetry follow session instead of a frame stream.
+/// Write the session-opening `Hello` (spec + initial credits).
 ///
 /// # Errors
 /// I/O failures.
-pub fn write_hello(
-    w: &mut impl Write,
-    spec: &SessionSpec,
-    credits: u32,
-    follow: bool,
-) -> std::io::Result<()> {
-    let room = 48 + spec.colormap.len() + spec.array.len();
+pub fn write_hello(w: &mut impl Write, spec: &SessionSpec, credits: u32) -> std::io::Result<()> {
+    let room = 45 + spec.colormap.len() + spec.array.len();
     send(w, TAG_HELLO, room, |msg| {
         codec::put_u32(msg, spec.width as u32);
         codec::put_u32(msg, spec.height as u32);
@@ -136,18 +110,19 @@ pub fn write_hello(
         codec::put_bytes(msg, spec.colormap.as_bytes());
         codec::put_bytes(msg, spec.array.as_bytes());
         codec::put_u32(msg, credits);
-        msg.push(u8::from(follow));
+        // Reserved, always 0: the follow flag of the former follow sessions.
+        msg.push(0);
     })
 }
 
-/// Read a `Hello` off a fresh consumer connection; the final bool is the
-/// follow flag.
+/// Read a `Hello` off a fresh consumer connection: the spec and the
+/// initial credits.
 ///
 /// # Errors
 /// I/O failures, a non-Hello first frame, a malformed body, or a spec no
 /// session can be built from (an image side of 0 or above
 /// `MAX_IMAGE_SIDE`, a non-finite camera direction).
-pub fn read_hello(r: &mut impl Read) -> std::io::Result<(SessionSpec, u32, bool)> {
+pub fn read_hello(r: &mut impl Read) -> std::io::Result<(SessionSpec, u32)> {
     let Some(msg) = codec::read_record(r, Prefix::U32)? else {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
@@ -166,7 +141,8 @@ pub fn read_hello(r: &mut impl Read) -> std::io::Result<(SessionSpec, u32, bool)
         colormap: c.str()?.to_owned(),
         array: c.str()?.to_owned(),
     };
-    let (credits, follow) = (c.u32()?, c.u8()? != 0);
+    let credits = c.u32()?;
+    c.u8()?;
     let usable = [spec.width, spec.height]
         .iter()
         .all(|side| (1..=MAX_IMAGE_SIDE).contains(side))
@@ -174,7 +150,7 @@ pub fn read_hello(r: &mut impl Read) -> std::io::Result<(SessionSpec, u32, bool)
     if !usable {
         return Err(invalid(format!("no session can be built from {spec:?}")));
     }
-    Ok((spec, credits, follow))
+    Ok((spec, credits))
 }
 
 /// Write a credit replenishment.
@@ -208,10 +184,6 @@ pub fn write_down(w: &mut impl Write, msg: &DownMsg) -> std::io::Result<()> {
     match msg {
         DownMsg::Frame(f) => write_frame(w, f.step, f.cache_hit, &f.name, &f.png),
         DownMsg::End => send(w, TAG_END, 0, |_| ()),
-        DownMsg::Telemetry(t) => send(w, TAG_TELEMETRY, 12 + t.json.len(), |msg| {
-            codec::put_u64(msg, t.seq);
-            codec::put_bytes(msg, t.json.as_bytes());
-        }),
     }
 }
 
@@ -265,21 +237,14 @@ pub fn read_down(r: &mut impl Read) -> std::io::Result<Option<DownMsg>> {
 }
 
 fn parse_down(record: &mut RecordIn<'_, impl Read>) -> Result<DownMsg, PartError> {
-    let [tag] = record.array()?;
-    if tag != TAG_FRAME {
-        // Small messages: read whole, then parsed in place.
-        let body = record.rest()?;
-        let mut c = Reader::new(&body);
-        return match tag {
-            TAG_END => Ok(DownMsg::End),
-            TAG_TELEMETRY => Ok(DownMsg::Telemetry(TelemetryMsg {
-                seq: c.u64()?,
-                json: c.str()?.to_owned(),
-            })),
-            tag => Err(PartError::Malformed(invalid(format!(
-                "unexpected down tag {tag}"
-            )))),
-        };
+    match record.array()? {
+        [TAG_FRAME] => {}
+        // `RecordIn::finish` reads past whatever body an `End` carries.
+        [TAG_END] => return Ok(DownMsg::End),
+        [tag] => {
+            let what = format!("unexpected down tag {tag}");
+            return Err(PartError::Malformed(invalid(what)));
+        }
     }
     let head: [u8; FRAME_FIXED - 1] = record.array()?;
     let mut c = Reader::new(&head);
@@ -310,33 +275,10 @@ mod tests {
             array: "velocity".into(),
         };
         let mut wire = Vec::new();
-        write_hello(&mut wire, &spec, 7, false).unwrap();
-        let (got, credits, follow) = read_hello(&mut std::io::Cursor::new(wire)).unwrap();
+        write_hello(&mut wire, &spec, 7).unwrap();
+        let (got, credits) = read_hello(&mut std::io::Cursor::new(wire)).unwrap();
         assert_eq!(got, spec);
         assert_eq!(credits, 7);
-        assert!(!follow);
-    }
-
-    #[test]
-    fn follow_hello_roundtrip() {
-        let mut wire = Vec::new();
-        write_hello(&mut wire, &SessionSpec::default(), 0, true).unwrap();
-        let (_, credits, follow) = read_hello(&mut std::io::Cursor::new(wire)).unwrap();
-        assert_eq!(credits, 0);
-        assert!(follow);
-    }
-
-    #[test]
-    fn telemetry_down_roundtrip() {
-        let msg = DownMsg::Telemetry(TelemetryMsg {
-            seq: 42,
-            json: "{\"schema\":\"nekstat/telemetry-snapshot/v1\"}".into(),
-        });
-        let mut wire = Vec::new();
-        write_down(&mut wire, &msg).unwrap();
-        let mut cursor = std::io::Cursor::new(wire);
-        assert_eq!(read_down(&mut cursor).unwrap(), Some(msg));
-        assert_eq!(read_down(&mut cursor).unwrap(), None);
     }
 
     #[test]
@@ -366,7 +308,7 @@ mod tests {
     #[test]
     fn truncated_hello_is_invalid_data() {
         let mut wire = Vec::new();
-        write_hello(&mut wire, &SessionSpec::default(), 2, false).unwrap();
+        write_hello(&mut wire, &SessionSpec::default(), 2).unwrap();
         wire.truncate(wire.len() - 3);
         assert!(read_hello(&mut std::io::Cursor::new(wire)).is_err());
     }

@@ -426,9 +426,7 @@ mod session_and_park_framing {
         read_credit, read_down, read_hello, write_credit, write_down, write_hello,
     };
     use transport::staging::DownMsg;
-    use transport::{
-        marshal_blocks, BpFileReader, BpFileWriter, FrameMsg, SessionSpec, TelemetryMsg,
-    };
+    use transport::{marshal_blocks, BpFileReader, BpFileWriter, FrameMsg, SessionSpec};
 
     /// `bytes`, every prefix of it, and a copy per byte with bit
     /// `(position + salt) % 8` flipped.
@@ -461,21 +459,18 @@ mod session_and_park_framing {
             noise in vec(0u8..=255, 0..256),
             (width, height, credits) in (0usize..5000, 0usize..5000, 0u32..1000),
             colormap in "[a-z-]{0,12}",
-            json in "[a-z0-9{}:\" ]{0,40}",
             png in vec(0u8..=255, 0..64),
             salt in 0usize..8,
         ) {
             read_everything(&noise);
             let spec = SessionSpec { width, height, colormap, ..SessionSpec::default() };
             let frame = FrameMsg { step: 9, cache_hit: true, name: spec.array.clone(), png };
-            let telemetry = TelemetryMsg { seq: 3, json };
             // One stream per direction, every message kind in it.
             let mut up = Vec::new();
-            write_hello(&mut up, &spec, credits, salt % 2 == 1).unwrap();
+            write_hello(&mut up, &spec, credits).unwrap();
             write_credit(&mut up, credits).unwrap();
             let mut down = Vec::new();
             write_down(&mut down, &DownMsg::Frame(frame.clone())).unwrap();
-            write_down(&mut down, &DownMsg::Telemetry(telemetry.clone())).unwrap();
             write_down(&mut down, &DownMsg::End).unwrap();
             for wire in mutations(&up, salt).iter().chain(&mutations(&down, salt)) {
                 read_everything(wire);
@@ -483,7 +478,6 @@ mod session_and_park_framing {
             // Untouched, the down stream reads back as written.
             let mut r = &down[..];
             prop_assert_eq!(read_down(&mut r).unwrap(), Some(DownMsg::Frame(frame)));
-            prop_assert_eq!(read_down(&mut r).unwrap(), Some(DownMsg::Telemetry(telemetry)));
             prop_assert_eq!(read_down(&mut r).unwrap(), Some(DownMsg::End));
             prop_assert_eq!(read_down(&mut r).unwrap(), None);
         }

@@ -427,7 +427,7 @@ fn tcp_unusable_hellos_are_refused_and_the_next_session_is_unaffected() {
     };
     for spec in [oversized, zero_height, nan_camera] {
         let mut peer = std::net::TcpStream::connect(&addr).expect("connect");
-        write_hello(&mut peer, &spec, 4, false).expect("hello");
+        write_hello(&mut peer, &spec, 4).expect("hello");
         peer.set_read_timeout(Some(Duration::from_secs(5))).ok();
         let closed = peer.read(&mut [0u8; 1]);
         assert!(

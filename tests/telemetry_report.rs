@@ -386,10 +386,10 @@ fn catalyst_reports_carry_the_active_pixel_counters() {
     );
 }
 
-/// `nekstat` parses reports from files and, under `--follow`, JSON a TCP
-/// peer sent: the parser recurses once per nesting level, so the level
-/// count must not be the sender's to choose. (Without the cap 100 000
-/// brackets overflow the stack — an abort, not a panic.)
+/// `nekstat` parses report files that come from outside the program: the
+/// parser recurses once per nesting level, so the level count must not
+/// be the writer's to choose. (Without the cap 100 000 brackets overflow
+/// the stack — an abort, not a panic.)
 #[test]
 fn json_depth_bomb_is_an_error_not_a_stack_overflow() {
     let bombs = [

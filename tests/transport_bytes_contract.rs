@@ -17,7 +17,6 @@ use transport::staging::DownMsg;
 use transport::wire::encode_packet;
 use transport::{
     marshal_blocks, unmarshal_blocks, BpFileReader, BpFileWriter, FrameMsg, SessionSpec,
-    TelemetryMsg,
 };
 
 /// `(what, length, fnv1a64)` of one encoded message.
@@ -179,26 +178,18 @@ fn session_protocol_bytes() {
         name: "pressure_staged_000012".into(),
         png: (0..200u8).rev().collect(),
     });
-    let telemetry = DownMsg::Telemetry(TelemetryMsg {
-        seq: 42,
-        json: "{\"schema\": \"nekstat/telemetry-snapshot/v1\", \"seq\": 42}".into(),
-    });
     assert_eq!(
         [
-            pin("hello", &written(|w| write_hello(w, &spec, 7, false))),
-            pin("hello follow", &written(|w| write_hello(w, &spec, 0, true))),
+            pin("hello", &written(|w| write_hello(w, &spec, 7))),
             pin("credit", &written(|w| write_credit(w, 0x0403_0201))),
             pin("frame", &written(|w| write_down(w, &frame))),
             pin("end", &written(|w| write_down(w, &DownMsg::End))),
-            pin("telemetry", &written(|w| write_down(w, &telemetry))),
         ],
         [
             ("hello", 69, 0x0079_8960_8dcf_7e8b),
-            ("hello follow", 69, 0x3fe3_fa35_005c_942d),
             ("credit", 9, 0x605c_4688_5adb_ae8b),
             ("frame", 244, 0x2585_cfcd_d35b_2d4a),
             ("end", 5, 0xd80d_77ae_a7dc_919d),
-            ("telemetry", 71, 0xf247_ef3f_1fe1_519f),
         ]
     );
 }

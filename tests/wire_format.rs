@@ -18,7 +18,7 @@ use std::time::Duration;
 use transport::engine::{Packet, PacketKind};
 use transport::staging::protocol::{read_down, write_down, write_frame, DownMsg};
 use transport::wire::{encode_packet, read_frame, write_packet, TcpWireTx, WireRecvError};
-use transport::{FrameMsg, TelemetryMsg, WireTx};
+use transport::{FrameMsg, WireTx};
 
 /// The one-buffer encoders and readers: a frame is built with its length
 /// patched in at the front, and read whole and then cut up.
@@ -63,11 +63,6 @@ mod reference {
                 put_bytes(out, &f.png);
             }),
             DownMsg::End => record(|out| out.push(11)),
-            DownMsg::Telemetry(t) => record(|out| {
-                out.push(12);
-                out.extend_from_slice(&t.seq.to_le_bytes());
-                put_bytes(out, t.json.as_bytes());
-            }),
         }
     }
 
@@ -168,14 +163,6 @@ mod reference {
                 })))
             }
             11 => Ok(Some(DownMsg::End)),
-            12 => {
-                let seq = u64::from_le_bytes(take(&mut c, 8)?.try_into().unwrap());
-                let n = u32::from_le_bytes(take(&mut c, 4)?.try_into().unwrap()) as usize;
-                let json = std::str::from_utf8(take(&mut c, n)?)
-                    .map_err(|_| not_utf8())?
-                    .to_owned();
-                Ok(Some(DownMsg::Telemetry(TelemetryMsg { seq, json })))
-            }
             tag => Err((
                 std::io::ErrorKind::InvalidData,
                 format!("unexpected down tag {tag}"),
@@ -269,15 +256,10 @@ fn vectored_senders_write_the_bytes_of_the_one_buffer_encoders() {
         }
     }
 
-    let telemetry = DownMsg::Telemetry(TelemetryMsg {
-        seq: 77,
-        json: "{\"schema\":\"nekstat/telemetry-snapshot/v1\"}".into(),
-    });
     for msg in [
         frame(12, true, "pressure_slice_000012", patterned(MIB, 3)),
         frame(0, false, "", Vec::new()),
         DownMsg::End,
-        telemetry,
     ] {
         let want = reference::write_down(&msg);
         let mut whole = Vec::new();
