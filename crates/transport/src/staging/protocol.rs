@@ -100,7 +100,7 @@ fn send(
 /// # Errors
 /// I/O failures.
 pub fn write_hello(w: &mut impl Write, spec: &SessionSpec, credits: u32) -> std::io::Result<()> {
-    let room = 45 + spec.colormap.len() + spec.array.len();
+    let room = 44 + spec.colormap.len() + spec.array.len();
     send(w, TAG_HELLO, room, |msg| {
         codec::put_u32(msg, spec.width as u32);
         codec::put_u32(msg, spec.height as u32);
@@ -110,8 +110,6 @@ pub fn write_hello(w: &mut impl Write, spec: &SessionSpec, credits: u32) -> std:
         codec::put_bytes(msg, spec.colormap.as_bytes());
         codec::put_bytes(msg, spec.array.as_bytes());
         codec::put_u32(msg, credits);
-        // Reserved, always 0: the follow flag of the former follow sessions.
-        msg.push(0);
     })
 }
 
@@ -142,7 +140,6 @@ pub fn read_hello(r: &mut impl Read) -> std::io::Result<(SessionSpec, u32)> {
         array: c.str()?.to_owned(),
     };
     let credits = c.u32()?;
-    c.u8()?;
     let usable = [spec.width, spec.height]
         .iter()
         .all(|side| (1..=MAX_IMAGE_SIDE).contains(side))
