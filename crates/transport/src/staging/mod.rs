@@ -980,6 +980,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn hellos_with_bytes_past_the_credits_attach_nothing() {
+        use std::io::{Read as _, Write as _};
+        let (_writers, mut readers) = StagingNetwork::build(1, 1, 16, StagingLink::test_tiny());
+        let dir = tempdir("staging_stale");
+        let service = StagingService::new(readers.remove(0), 1, &dir, 16);
+        let addr = consumer_addr(&service);
+        let mut hello = Vec::new();
+        protocol::write_hello(&mut hello, &SessionSpec::default(), 4).unwrap();
+        // The earlier format's follow `Hello`, then a frame `Hello` plus one byte.
+        for extra in [1, 0] {
+            let mut peer = TcpStream::connect(&addr).unwrap();
+            peer.write_all(&protocol::tests::with_trailing(&hello, extra))
+                .unwrap();
+            peer.set_read_timeout(Some(Duration::from_secs(10))).ok();
+            let closed = peer.read(&mut [0u8; 1]);
+            assert!(matches!(closed, Ok(0)), "not refused: {closed:?}");
+        }
+        assert_eq!(service.handle().attached(), 0);
+        attach(&service, &addr, 4, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "nek_{}_{}_{}",

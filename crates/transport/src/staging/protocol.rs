@@ -11,7 +11,8 @@
 //!
 //! Up (consumer → service): tag 0 `Hello`, tag 1 `Credit`.
 //! Down (service → consumer): tag 10 `Frame`, tag 11 `End`.
-//! All integers little-endian, like the BP marshaling.
+//! All integers little-endian, like the BP marshaling. An up record
+//! with bytes past its last field is refused, not read as a shorter one.
 
 use crate::codec::{self, PartError, Prefix, Reader, RecordIn};
 use std::io::{IoSlice, Read, Write};
@@ -81,6 +82,14 @@ fn invalid(what: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, what)
 }
 
+/// Refuse a record that holds bytes past its last field.
+fn finished(c: &Reader<'_>, what: &str) -> std::io::Result<()> {
+    match c.remaining() {
+        0 => Ok(()),
+        n => Err(invalid(format!("{n} bytes past the end of {what}"))),
+    }
+}
+
 /// Write one `[u32 len][u8 tag][body…]` message; `capacity` is the room
 /// to reserve for what `body` appends.
 fn send(
@@ -117,9 +126,10 @@ pub fn write_hello(w: &mut impl Write, spec: &SessionSpec, credits: u32) -> std:
 /// initial credits.
 ///
 /// # Errors
-/// I/O failures, a non-Hello first frame, a malformed body, or a spec no
-/// session can be built from (an image side of 0 or above
-/// `MAX_IMAGE_SIDE`, a non-finite camera direction).
+/// I/O failures, a non-Hello first frame, a malformed body (bytes past
+/// the credits included), or a spec no session can be built from (an
+/// image side of 0 or above `MAX_IMAGE_SIDE`, a non-finite camera
+/// direction).
 pub fn read_hello(r: &mut impl Read) -> std::io::Result<(SessionSpec, u32)> {
     let Some(msg) = codec::read_record(r, Prefix::U32)? else {
         return Err(std::io::Error::new(
@@ -140,6 +150,7 @@ pub fn read_hello(r: &mut impl Read) -> std::io::Result<(SessionSpec, u32)> {
         array: c.str()?.to_owned(),
     };
     let credits = c.u32()?;
+    finished(&c, "Hello")?;
     let usable = [spec.width, spec.height]
         .iter()
         .all(|side| (1..=MAX_IMAGE_SIDE).contains(side))
@@ -168,7 +179,11 @@ pub fn read_credit(r: &mut impl Read) -> std::io::Result<Option<u32>> {
     };
     let mut c = Reader::new(&msg);
     match c.u8()? {
-        TAG_CREDIT => Ok(Some(c.u32()?)),
+        TAG_CREDIT => {
+            let n = c.u32()?;
+            finished(&c, "Credit")?;
+            Ok(Some(n))
+        }
         tag => Err(invalid(format!("expected Credit, got tag {tag}"))),
     }
 }
@@ -259,7 +274,7 @@ fn parse_down(record: &mut RecordIn<'_, impl Read>) -> Result<DownMsg, PartError
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
     #[test]
@@ -276,6 +291,32 @@ mod tests {
         let (got, credits) = read_hello(&mut std::io::Cursor::new(wire)).unwrap();
         assert_eq!(got, spec);
         assert_eq!(credits, 7);
+    }
+
+    /// `record` with `extra` appended to its body and its length prefix
+    /// grown to match.
+    pub(in crate::staging) fn with_trailing(record: &[u8], extra: u8) -> Vec<u8> {
+        let len = u32::from_le_bytes(record[..4].try_into().unwrap()) + 1;
+        let mut out = len.to_le_bytes().to_vec();
+        out.extend_from_slice(&record[4..]);
+        out.push(extra);
+        out
+    }
+
+    #[test]
+    fn records_with_bytes_past_their_last_field_are_refused() {
+        let mut hello = Vec::new();
+        write_hello(&mut hello, &SessionSpec::default(), 4).unwrap();
+        // A follow `Hello` of the earlier format ended in a flag byte of 1.
+        for stale in [with_trailing(&hello, 1), with_trailing(&hello, 0)] {
+            let err = read_hello(&mut std::io::Cursor::new(stale)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
+        let mut credit = Vec::new();
+        write_credit(&mut credit, 3).unwrap();
+        let long = with_trailing(&credit, 0);
+        let err = read_credit(&mut std::io::Cursor::new(long)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]
