@@ -119,11 +119,14 @@ impl AnalysisAdaptor for VtuCheckpointAnalysis {
             }
             piece_names.push(name);
         }
-        // Rank 0 writes the .pvtu index over all pieces.
+        // Rank 0 writes the .pvtu index over all pieces; it declares the
+        // arrays the pieces hold, not every array the adaptor offers.
         let all_pieces: Vec<Vec<String>> =
             comm.allgather(piece_names, 64 * mb.local_blocks().count().max(1) as u64);
         if comm.rank() == 0 {
-            let md = data.mesh_metadata(comm, &self.mesh)?;
+            let mut md = data.mesh_metadata(comm, &self.mesh)?;
+            md.arrays
+                .retain(|a| a.centering == Centering::Point && self.arrays.contains(&a.name));
             let pieces: Vec<String> = all_pieces.into_iter().flatten().collect();
             let mut buf = Vec::new();
             let nbytes = write_pvtu(&md, &pieces, &mut buf)?;
@@ -210,7 +213,16 @@ mod tests {
         let grid = meshdata::reader::read_vtu(&bytes).unwrap();
         assert_eq!(grid.n_points(), 8);
         assert!(grid.find_array("pressure", Centering::Point).is_some());
-        assert!(dir.join("chk_000007.pvtu").exists());
+        // The block also has `velocity`; the index declares only what the
+        // piece holds.
+        let index = std::fs::read_to_string(dir.join("chk_000007.pvtu")).unwrap();
+        let data = &index[index.find("<PPointData>").unwrap()..index.find("<PPoints>").unwrap()];
+        let declared: Vec<&str> = data
+            .split("<PDataArray")
+            .skip(1)
+            .map(|a| a.split('"').nth(3).unwrap())
+            .collect();
+        assert_eq!(declared, ["pressure"], "{index}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
