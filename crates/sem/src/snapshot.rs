@@ -48,19 +48,6 @@ impl SnapshotSpec {
         }
         spec
     }
-
-    /// True when no field is requested (publishing would be a no-op).
-    pub fn is_empty(&self) -> bool {
-        !(self.pressure || self.velocity || self.temperature || self.q_criterion)
-    }
-
-    /// In-place union with another spec.
-    pub fn union(&mut self, other: &SnapshotSpec) {
-        self.pressure |= other.pressure;
-        self.velocity |= other.velocity;
-        self.temperature |= other.temperature;
-        self.q_criterion |= other.q_criterion;
-    }
 }
 
 /// Pool counters (diagnostics and lifecycle tests).
@@ -321,13 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn spec_from_names_and_union() {
-        let mut a = SnapshotSpec::from_names(["pressure", "nonsense"]);
-        assert!(a.pressure && !a.velocity && !a.is_empty());
+    fn spec_from_names() {
+        let a = SnapshotSpec::from_names(["pressure", "nonsense"]);
+        assert_eq!(
+            a,
+            SnapshotSpec {
+                pressure: true,
+                ..SnapshotSpec::default()
+            }
+        );
         let b = SnapshotSpec::from_names(["velocity", "q_criterion"]);
-        a.union(&b);
-        assert!(a.pressure && a.velocity && a.q_criterion);
-        assert!(SnapshotSpec::default().is_empty());
+        assert!(b.velocity && b.q_criterion && !b.pressure && !b.temperature);
     }
 
     #[test]
