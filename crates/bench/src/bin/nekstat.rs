@@ -57,9 +57,7 @@ fn load(path: &str) -> RunReport {
 /// * `endpoint<k>/<metric>` — endpoint-world rank scope; stripped the
 ///   same way but kept separate from the simulation rows by an
 ///   `endpoint:` marker, so sim and endpoint totals never mix.
-/// * Anything else (including `staging/session<k>/…`, which scopes a
-///   *consumer session*, not a rank) passes through untouched —
-///   session rows are per-session facts and must not sum.
+/// * Anything else passes through untouched.
 fn base_name(name: &str) -> (&str, bool) {
     if let Some((scope, rest)) = name.split_once('/') {
         let endpoint = scope.starts_with("endpoint");
@@ -171,32 +169,6 @@ fn aggregate(report: &RunReport) -> BTreeMap<String, Agg> {
     out
 }
 
-/// Split a `staging/session<k>/<field>` metric into `(k, field)`; the
-/// session scope is a consumer id, not a rank prefix (see [`base_name`]).
-fn session_scope(name: &str) -> Option<(usize, &str)> {
-    let rest = name.strip_prefix("staging/session")?;
-    let (id, field) = rest.split_once('/')?;
-    Some((id.parse().ok()?, field))
-}
-
-/// The per-session fan-out counters, in table and document order.
-const SESSION_FIELDS: [&str; 4] = ["frames_sent", "bytes_sent", "cache_hits", "catchup_steps"];
-
-/// The `staging/session<k>/*` counters by session, [`SESSION_FIELDS`]
-/// in order (0 for one a session never set).
-fn sessions(aggs: &BTreeMap<String, Agg>) -> BTreeMap<usize, [u64; 4]> {
-    let mut out: BTreeMap<usize, [u64; 4]> = BTreeMap::new();
-    for (name, agg) in aggs {
-        if let (Some((id, field)), Agg::Counter(c)) = (session_scope(name), agg) {
-            let row = out.entry(id).or_default();
-            if let Some(i) = SESSION_FIELDS.iter().position(|f| *f == field) {
-                row[i] = *c;
-            }
-        }
-    }
-    out
-}
-
 /// Seconds for the `*_time` histograms, a bare number for the rest
 /// (iteration counts, relative residuals).
 fn fmt_observed(name: &str, v: f64) -> String {
@@ -302,30 +274,10 @@ fn summarize(r: &RunReport) {
     if !aggs.is_empty() {
         let rows: Vec<Vec<String>> = aggs
             .iter()
-            .filter(|(name, _)| session_scope(name).is_none())
             .map(|(name, a)| vec![name.clone(), agg_cell(name, a)])
             .collect();
         println!("\nmetrics (summed over ranks; endpoint world prefixed)");
         print!("{}", format_table(&["metric", "value"], &rows));
-    }
-
-    let session_rows: Vec<Vec<String>> = sessions(&aggs)
-        .iter()
-        .map(|(id, row)| {
-            std::iter::once(id.to_string())
-                .chain(row.iter().map(u64::to_string))
-                .collect()
-        })
-        .collect();
-    if !session_rows.is_empty() {
-        println!("\nstaging fan-out (per consumer session)");
-        print!(
-            "{}",
-            format_table(
-                &["session", "frames", "bytes", "cache hits", "catch-up steps"],
-                &session_rows
-            )
-        );
     }
 
     if !r.events.is_empty() {
@@ -526,12 +478,6 @@ fn summary_cmd(path: &str, json_out: bool) {
             .obj("metrics", |o| {
                 for (name, agg) in &aggs {
                     o.obj(name, |o| agg.write(o));
-                }
-            })
-            .arr("sessions", sessions(&aggs), |o, (id, row)| {
-                o.uint("id", id as u64);
-                for (field, v) in SESSION_FIELDS.iter().zip(row) {
-                    o.uint(field, v);
                 }
             })
             .uint("events", r.events.len() as u64);

@@ -47,14 +47,6 @@ pub struct HarnessArgs {
     pub ranks: Option<usize>,
     /// Wire engine (`--wire channel|tcp`); `None` is the channel engine.
     pub wire: Option<WireKind>,
-    /// `staging_bench`: local consumer sessions (default 3).
-    pub consumers: Option<usize>,
-    /// `staging_bench`: which tier this process runs (default `all`).
-    pub role: Option<&'static str>,
-    /// `staging_bench`: the staging port a writer or consumer connects to.
-    pub connect: Option<String>,
-    /// `staging_bench`: where the staging tier publishes its ports.
-    pub port_file: Option<PathBuf>,
     /// `nekstat`: print JSON instead of the human view.
     pub json: bool,
     /// `pairs`: the `nekbench` built from the parent commit's tree.
@@ -185,13 +177,6 @@ const FLAGS: &[(&str, &str, Setter)] = &[
     ("--trace-out", "DIR", |a, v| set(&mut a.trace_out, v)),
     ("--report-out", "DIR", |a, v| set(&mut a.report_out, v)),
     ("--json-out", "FILE", |a, v| set(&mut a.json_out, v)),
-    ("--consumers", "N", |a, v| set(&mut a.consumers, v)),
-    ("--role", "all|writer|staging|consumer", |a, v| {
-        let roles = ["all", "writer", "staging", "consumer"];
-        choose(&mut a.role, v, &roles.map(|r| (r, r)))
-    }),
-    ("--connect", "HOST:PORT", |a, v| set(&mut a.connect, v)),
-    ("--port-file", "FILE", |a, v| set(&mut a.port_file, v)),
     ("--json", "", |a, _| on(&mut a.json)),
     ("--parent", "FILE", |a, v| set(&mut a.parent, v)),
     ("--change", "FILE", |a, v| set(&mut a.change, v)),
@@ -318,18 +303,6 @@ pub const FAULT_SWEEP: Cli = Cli::new(
     "fault_sweep",
     &[CSV_FLAGS, &["--steps", "--trigger", "--json-out"]],
 );
-pub const STAGING_BENCH: Cli = Cli::new(
-    "staging_bench",
-    &[&[
-        "--wire",
-        "--consumers",
-        "--steps",
-        "--role",
-        "--connect",
-        "--port-file",
-        "--report-out",
-    ]],
-);
 pub const PAIRS: Cli = Cli::new(
     "pairs",
     &[&[
@@ -360,14 +333,13 @@ mod tests {
     use super::*;
 
     /// Every binary in `crates/bench`.
-    const BINARIES: [&Cli; 9] = [
+    const BINARIES: [&Cli; 8] = [
         &FIG1_PB146_RENDER,
         &FIG2_TIME_TO_SOLUTION,
         &FIG4_RBC_RENDER,
         &FIG5_INTRANSIT_TIME,
         &STORAGE_ECONOMY,
         &FAULT_SWEEP,
-        &STAGING_BENCH,
         &PAIRS,
         &NEKSTAT,
     ];
@@ -517,21 +489,12 @@ mod tests {
         let a = parse(&FIG5_INTRANSIT_TIME, "--wire tcp").unwrap();
         assert_eq!(a.wire_kind(), WireKind::Tcp);
 
-        let a = parse(
-            &STAGING_BENCH,
-            "--role writer --steps 12 --connect 127.0.0.1:9 --consumers 2",
-        )
-        .unwrap();
-        assert_eq!(a.role, Some("writer"));
-        assert_eq!((a.steps, a.consumers), (Some(12), Some(2)));
-        assert_eq!(a.connect.as_deref(), Some("127.0.0.1:9"));
-
         let a = parse(&NEKSTAT, "critical-path r.json --json").unwrap();
         assert_eq!(a.operands, ["critical-path", "r.json"]);
         assert!(a.json);
 
-        let none = parse(&STAGING_BENCH, "").unwrap();
-        assert!(none.steps.is_none() && none.role.is_none() && none.consumers.is_none());
+        let none = parse(&FAULT_SWEEP, "").unwrap();
+        assert!(none.steps.is_none() && none.json_out.is_none());
     }
 
     #[test]
@@ -540,7 +503,7 @@ mod tests {
             // Flags another binary reads, and flags nothing reads.
             (&STORAGE_ECONOMY, "--trace-out t/", "--trace-out"),
             (&FAULT_SWEEP, "--wire tcp", "--wire"),
-            (&STAGING_BENCH, "--bogus", "--bogus"),
+            (&PAIRS, "--bogus", "--bogus"),
             (&NEKSTAT, "summary --jsno r.json", "--jsno"),
             (&FIG2_TIME_TO_SOLUTION, "--stpes 6", "--stpes"),
             (&FIG2_TIME_TO_SOLUTION, "--steps 6 --quick", "--quick"),
@@ -574,14 +537,7 @@ mod tests {
                 concat!("--max", "-snapshots 4"),
                 concat!("--max", "-snapshots"),
             ),
-            (
-                &STAGING_BENCH,
-                concat!("--step", "-delay-ms 300"),
-                concat!("--step", "-delay-ms"),
-            ),
             // Values that do not parse.
-            (&STAGING_BENCH, "--consumers abc", "--consumers"),
-            (&STAGING_BENCH, "--role boss", "--role"),
             (&FIG2_TIME_TO_SOLUTION, "--steps abc", "--steps"),
             (&FIG2_TIME_TO_SOLUTION, "--ranks 1120x", "--ranks"),
             (&FIG2_TIME_TO_SOLUTION, "--trigger -1", "--trigger"),
@@ -595,6 +551,20 @@ mod tests {
         ] {
             let err = parse(cli, line).expect_err(line);
             assert!(err.contains(flag), "{} {line}: {err}", cli.name);
+        }
+        // Flags of the deleted staging fan-out binary and the follow plane's
+        // step delay, refused by every binary that is left.
+        for flag in [
+            concat!("--consum", "ers"),
+            concat!("--ro", "le"),
+            concat!("--con", "nect"),
+            concat!("--port", "-file"),
+            concat!("--step", "-delay-ms"),
+        ] {
+            for cli in BINARIES {
+                let err = parse(cli, &format!("{flag} 1")).expect_err(flag);
+                assert!(err.contains(flag), "{} {flag}: {err}", cli.name);
+            }
         }
         // An empty value (`--scale ""`) is malformed too.
         let argv = ["--scale".to_string(), String::new()];

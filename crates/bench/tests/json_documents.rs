@@ -106,8 +106,8 @@ fn histogram() -> HistogramSnapshot {
     }
 }
 
-/// Every metric kind, a non-finite gauge among them, and one staging
-/// session's counters for the summary's session table.
+/// Every metric kind, a non-finite gauge among them, and two counters
+/// under no rank scope, which the summary passes through unsummed.
 fn metrics() -> Vec<(String, MetricValue)> {
     vec![
         ("rank0/pool/free".into(), MetricValue::Gauge(2.5)),

@@ -20,14 +20,10 @@ use memtrack::Registry;
 use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
 use sem::snapshot::{SnapshotPool, SnapshotSpec};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 use telemetry::{Manifest, PhaseBreakdown, RankTrace};
-use transport::wire::loopback_listener;
 use transport::{
-    ConsumerClient, QueuePolicy, ReportSink, SessionSpec, StagingLink, StagingNetwork,
-    StagingReport, StagingService, TransportAnalysis, WireKind, WriterConfig,
+    QueuePolicy, ReportSink, StagingLink, StagingNetwork, TransportAnalysis, WireKind, WriterConfig,
 };
 
 /// What the SENSEI endpoint does with the received data.
@@ -86,13 +82,10 @@ pub struct InTransitConfig {
     /// in-process channel engine (bitwise-identical to the original
     /// transport) or real loopback TCP sockets (`--wire tcp`).
     pub wire: WireKind,
-    /// When > 0, replace the endpoint's fixed analysis with a
-    /// [`StagingService`] fanning each step out to this many concurrent
-    /// consumer sessions over loopback TCP (requires a single endpoint
-    /// rank). 0 keeps the classic one-consumer endpoint.
+    /// Inert: must be 0, since the endpoint world runs no staging fan-out.
+    /// The field stays because the benchmark (`nekbench`) sets it.
     pub staging_consumers: usize,
-    /// Where the staging service parks delivered steps (late-joiner
-    /// catch-up source). Defaults to a temp dir when unset.
+    /// Inert: must be `None`, for the same reason as `staging_consumers`.
     pub staging_dir: Option<std::path::PathBuf>,
     /// Rendered image size (Catalyst endpoint).
     pub image_size: (usize, usize),
@@ -160,31 +153,20 @@ pub struct InTransitReport {
     pub phases: Option<PhaseBreakdown>,
     /// The unified telemetry artifact (None unless `telemetry` was set).
     pub run_report: Option<telemetry::RunReport>,
-    /// Staging fan-out outcome (None unless `staging_consumers` > 0).
-    pub staging: Option<StagingReport>,
-}
-
-/// What the endpoint world produced: the classic single consumer or the
-/// staging fan-out service.
-enum EndpointOutcome {
-    Consumer(transport::EndpointReport),
-    Staging(Box<StagingReport>),
 }
 
 /// Execute one in-transit configuration.
 pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
     assert!(cfg.ratio >= 1, "ratio must be >= 1");
+    assert!(
+        cfg.staging_consumers == 0 && cfg.staging_dir.is_none(),
+        "staging_consumers and staging_dir are inert: set 0 and None"
+    );
     let run = Run::open(cfg, cfg.trace, cfg.telemetry);
     let endpoint_ranks = match cfg.mode {
         EndpointMode::NoTransport => 0,
         _ => (cfg.sim_ranks / cfg.ratio).max(1),
     };
-    if cfg.staging_consumers > 0 {
-        assert_eq!(
-            endpoint_ranks, 1,
-            "the staging service is a single-rank server; pick ratio >= sim_ranks"
-        );
-    }
     let (writers, readers) = if endpoint_ranks > 0 {
         StagingNetwork::build_wired(
             cfg.sim_ranks,
@@ -249,89 +231,35 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
         traces,
         phases,
         run_report,
-        staging: None,
     };
     for endpoint in endpoints {
+        let r = endpoint.value.0;
         report.endpoint_bytes_written += endpoint.stats.bytes_written_fs;
-        match endpoint.value.0 {
-            EndpointOutcome::Consumer(r) => {
-                report.endpoint_steps = report.endpoint_steps.max(r.steps_processed);
-                report.endpoint_bytes_received += r.bytes_received;
-                report.endpoint_partial_steps += r.partial_steps;
-                report.endpoint_corrupt_rejected += r.corrupt_rejected;
-                report.endpoint_crashes += usize::from(r.crashed);
-                report.endpoint_delivered.push(r.delivered_steps);
-            }
-            EndpointOutcome::Staging(r) => {
-                report.endpoint_steps = report.endpoint_steps.max(r.steps);
-                report.endpoint_bytes_received += r.bytes_received;
-                report.staging = Some(*r);
-            }
-        }
+        report.endpoint_steps = report.endpoint_steps.max(r.steps_processed);
+        report.endpoint_bytes_received += r.bytes_received;
+        report.endpoint_partial_steps += r.partial_steps;
+        report.endpoint_corrupt_rejected += r.corrupt_rejected;
+        report.endpoint_crashes += usize::from(r.crashed);
+        report.endpoint_delivered.push(r.delivered_steps);
     }
     report
 }
 
-/// One endpoint rank: the classic single consumer, or the staging
-/// fan-out service when `staging_consumers` > 0.
+/// One endpoint rank: a SENSEI consumer driving the endpoint's analysis.
 fn endpoint_rank(
     comm: &mut Comm,
     cfg: &InTransitConfig,
     reader: transport::SstReader,
-) -> (EndpointOutcome, Option<RankTrace>) {
-    let outcome = if cfg.staging_consumers > 0 {
-        // Fan-out mode: the staging service replaces the fixed analysis; N
-        // consumer sessions with identical specs attach over loopback TCP
-        // and drain concurrently (one render per step, N−1 cache hits).
-        let staging_dir = cfg.staging_dir.clone().unwrap_or_else(|| {
-            static RUNS: AtomicU64 = AtomicU64::new(0);
-            let run = RUNS.fetch_add(1, Ordering::Relaxed);
-            std::env::temp_dir().join(format!("nek-staging-{}-{run}", std::process::id()))
-        });
-        let mut service = StagingService::new(reader, cfg.sim_ranks, &staging_dir, 32);
-        let (listener, port) = loopback_listener().expect("consumer port");
-        service.listen_consumers(listener);
-        let spec = SessionSpec {
-            width: cfg.image_size.0,
-            height: cfg.image_size.1,
-            ..SessionSpec::default()
-        };
-        let drains: Vec<_> = (0..cfg.staging_consumers)
-            .map(|_| {
-                let mut client = ConsumerClient::connect(&format!("127.0.0.1:{port}"), &spec, 4)
-                    .expect("consumer connect");
-                std::thread::spawn(move || {
-                    client
-                        .drain(Duration::from_secs(120))
-                        .expect("consumer drain")
-                })
-            })
-            .collect();
-        // Every session rides the stream from its first step.
-        let handle = service.handle();
-        let attached = comm
-            .external_wait(|| handle.wait_attached(cfg.staging_consumers, Duration::from_secs(10)));
-        assert!(attached, "staging consumer sessions did not attach");
-        let report = service.run(comm).expect("staging run");
-        for d in drains {
-            d.join().expect("consumer thread");
-        }
-        if cfg.staging_dir.is_none() {
-            std::fs::remove_dir_all(&staging_dir).ok();
-        }
-        EndpointOutcome::Staging(Box::new(report))
-    } else {
-        let factories = match cfg.mode {
-            EndpointMode::Catalyst => vec![CatalystAnalysis::factory()],
-            _ => vec![],
-        };
-        let xml = endpoint_xml(cfg);
-        let mut consumer =
-            transport::EndpointConsumer::new(reader, &xml, &factories, cfg.sim_ranks)
-                .expect("valid endpoint config");
-        EndpointOutcome::Consumer(consumer.run(comm).expect("endpoint run"))
+) -> (transport::EndpointReport, Option<RankTrace>) {
+    let factories = match cfg.mode {
+        EndpointMode::Catalyst => vec![CatalystAnalysis::factory()],
+        _ => vec![],
     };
-    (outcome, comm.take_trace())
+    let xml = endpoint_xml(cfg);
+    let mut consumer = transport::EndpointConsumer::new(reader, &xml, &factories, cfg.sim_ranks)
+        .expect("valid endpoint config");
+    let report = consumer.run(comm).expect("endpoint run");
+    (report, comm.take_trace())
 }
 
 /// One simulation rank: the solver with the SENSEI bridge configured for
@@ -475,23 +403,22 @@ mod tests {
         assert!(r.endpoint_bytes_written < chk.endpoint_bytes_written);
     }
 
-    /// A fan-out run that names no park directory parks into one of its
-    /// own and leaves nothing behind under the temp directory.
+    /// The fan-out fields are inert, so a config that sets either is
+    /// refused rather than run as if it had not.
     #[test]
-    fn default_park_directory_is_removed_when_the_run_ends() {
+    #[should_panic(expected = "staging_consumers and staging_dir are inert")]
+    fn staging_consumers_are_refused() {
         let mut cfg = tiny_config(4, EndpointMode::Catalyst);
         cfg.staging_consumers = 2;
-        let r = run_intransit(&cfg);
-        assert_eq!(r.staging.expect("staging report").steps, 2);
-        let pid = std::process::id();
-        let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
-            .unwrap()
-            .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .filter(|n| {
-                *n == format!("nek-staging-{pid}") || n.starts_with(&format!("nek-staging-{pid}-"))
-            })
-            .collect();
-        assert!(left.is_empty(), "park directories left behind: {left:?}");
+        run_intransit(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "staging_consumers and staging_dir are inert")]
+    fn a_staging_dir_is_refused() {
+        let mut cfg = tiny_config(4, EndpointMode::Catalyst);
+        cfg.staging_dir = Some(std::env::temp_dir());
+        run_intransit(&cfg);
     }
 
     #[test]

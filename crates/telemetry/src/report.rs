@@ -11,21 +11,21 @@ pub const REPORT_SCHEMA: &str = "nekstat/run-report/v1";
 
 /// What was run: enough to reproduce the configuration and to label
 /// the report in `nekstat` output. Each field's doc says what the in
-/// situ and in transit drivers, the render showcases (fig1, fig4) and
-/// `staging_bench` put there.
+/// situ and in transit drivers and the render showcases (fig1, fig4) put
+/// there.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Manifest {
-    /// Case name (`pb146`, `rbc`, `staging-fanout`, …).
+    /// Case name (`pb146`, `rbc`, …).
     pub case: String,
-    /// `insitu`, `intransit`, `render` (the showcases) or `staging`.
+    /// `insitu`, `intransit` or `render` (the showcases).
     pub workflow: String,
     /// In situ mode (`original` / `checkpointing` / `catalyst`), the in
     /// transit endpoint mode (`no transport` / `checkpointing` /
-    /// `catalyst`), the showcase's view, or `fanout`.
+    /// `catalyst`) or the showcase's view.
     pub mode: String,
     /// Execution mode: in situ `synchronous` / `pipelined`; `concurrent`
-    /// in transit and in `staging_bench`, whose worlds run side by side;
-    /// `synchronous` for the showcases.
+    /// in transit, whose worlds run side by side; `synchronous` for the
+    /// showcases.
     pub exec: String,
     /// Rank scheduler (`thread` / `event`): how the rank worlds were
     /// driven. Virtual-time results are bitwise identical either way;
@@ -50,8 +50,7 @@ pub struct Manifest {
     /// Shared thread-pool width on the host.
     pub pool_threads: usize,
     /// Pipeline credit depth when pipelined in situ, the staging queue
-    /// bound in transit, the consumer session count in `staging_bench`;
-    /// 0 otherwise.
+    /// bound in transit; 0 otherwise.
     pub pipeline_depth: usize,
 }
 

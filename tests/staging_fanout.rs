@@ -5,8 +5,6 @@
 use commsim::{run_ranks_with_state, with_mode, FaultPlan, MachineModel, SchedMode};
 use insitu::AnalysisAdaptor as _;
 use meshdata::{CellType, DataArray, MultiBlock, UnstructuredGrid};
-use nek_sensei::{run_intransit, EndpointMode, InTransitConfig};
-use sem::cases::{rbc, CaseParams};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -498,48 +496,4 @@ fn mid_frame_disconnect_is_a_typed_short_read() {
         matches!(count, Some(telemetry::MetricValue::Counter(1))),
         "transport/short_reads not counted: {count:?}"
     );
-}
-
-/// The full in-transit workflow with `staging_consumers > 0`: the
-/// endpoint world runs the staging service instead of the fixed
-/// analysis, and the run report carries the fan-out accounting.
-#[test]
-fn intransit_workflow_with_staging_fanout() {
-    let mut params = CaseParams::rbc_default();
-    params.elems = [2, 2, 4];
-    params.order = 2;
-    let dir = tempdir("intransit");
-    let cfg = InTransitConfig {
-        case: rbc(&params, 1e4, 0.7),
-        sim_ranks: 4,
-        ratio: 4,
-        steps: 6,
-        trigger_every: 3,
-        machine: MachineModel::juwels_booster(),
-        link: StagingLink::ucx_hdr200(),
-        queue_capacity: 8,
-        policy: QueuePolicy::Block,
-        mode: EndpointMode::Catalyst,
-        sched: Default::default(),
-        wire: Default::default(),
-        staging_consumers: CONSUMERS,
-        staging_dir: Some(dir.clone()),
-        image_size: (80, 60),
-        output_dir: None,
-        faults: FaultPlan::none(),
-        writer_config: WriterConfig::default(),
-        fallback_dir: None,
-        trace: false,
-        telemetry: false,
-        recovery: Default::default(),
-    };
-    let report = run_intransit(&cfg);
-    let staging = report.staging.expect("staging report present");
-    assert_eq!(staging.steps, 2, "triggers at steps 3 and 6");
-    assert_eq!(staging.sessions.len(), CONSUMERS);
-    assert_eq!(staging.cache_misses, 2);
-    assert_eq!(staging.cache_hits, (CONSUMERS as u64 - 1) * 2);
-    assert!(staging.cache_hit_rate() > 0.0);
-    assert!(report.endpoint_bytes_received > 0);
-    std::fs::remove_dir_all(&dir).ok();
 }
