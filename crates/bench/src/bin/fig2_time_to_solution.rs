@@ -65,7 +65,7 @@ fn main() {
                 mode.label(),
                 fmt_secs(report.metrics.time_to_solution)
             );
-            maybe_write_trace(&args, &cell, &report.traces, report.phases.as_ref());
+            maybe_write_trace(&args, &cell, &report.traces);
             maybe_write_report(&args, &cell, report.run_report.as_ref());
             let t = &report.metrics.totals;
             let per_rank = |x: f64| x / r as f64;

@@ -64,7 +64,7 @@ fn main() {
                 "fig5_{}_{sim_ranks}ranks",
                 mode.label().to_lowercase().replace(' ', "_")
             );
-            maybe_write_trace(&args, &cell, &report.traces, report.phases.as_ref());
+            maybe_write_trace(&args, &cell, &report.traces);
             maybe_write_report(&args, &cell, report.run_report.as_ref());
             rows.push(vec![
                 mode.label().to_string(),

@@ -238,13 +238,12 @@ fn summarize(r: &RunReport) {
         if bp > 0.0 {
             println!("backpressure wait (rank 0, total): {}", fmt_secs(bp));
         }
-        let retries = r.series.last().map(|s| s.retries).unwrap_or(0);
-        if retries > 0 {
-            println!("transport retries by final step: {retries}");
-        }
     }
 
     let aggs = aggregate(r);
+    if let Some(Agg::Counter(retries @ 1..)) = aggs.get("transport/retries") {
+        println!("transport retries: {retries}");
+    }
     // How often a rank gave up its run token.
     if let (Some(Agg::Counter(msg)), Some(Agg::Counter(coll))) = (
         aggs.get("sched/blocks_message"),

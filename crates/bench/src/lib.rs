@@ -87,12 +87,7 @@ pub fn maybe_write_csv(args: &HarnessArgs, name: &str, headers: &[&str], rows: &
 /// When `--trace-out DIR` is set, write one Chrome trace-event JSON per
 /// run cell (`<name>.trace.json`, loadable in Perfetto) and print the
 /// per-phase virtual-time breakdown.
-pub fn maybe_write_trace(
-    args: &HarnessArgs,
-    name: &str,
-    traces: &[telemetry::RankTrace],
-    phases: Option<&telemetry::PhaseBreakdown>,
-) {
+pub fn maybe_write_trace(args: &HarnessArgs, name: &str, traces: &[telemetry::RankTrace]) {
     let Some(dir) = &args.trace_out else {
         return;
     };
@@ -106,14 +101,13 @@ pub fn maybe_write_trace(
     if std::fs::write(&path, telemetry::chrome::chrome_trace_json(traces)).is_ok() {
         println!("wrote {}", path.display());
     }
-    if let Some(p) = phases {
-        println!(
-            "  phase breakdown ({} ranks, {:.1}% of wall attributed):",
-            p.ranks.len(),
-            p.attributed_fraction() * 100.0
-        );
-        print!("{}", p.to_table());
-    }
+    let p = telemetry::PhaseBreakdown::from_traces(traces);
+    println!(
+        "  phase breakdown ({} ranks, {:.1}% of wall attributed):",
+        p.ranks.len(),
+        p.attributed_fraction() * 100.0
+    );
+    print!("{}", p.to_table());
 }
 
 /// When `--report-out DIR` is set, write one RunReport JSON per run cell

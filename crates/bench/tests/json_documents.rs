@@ -157,21 +157,14 @@ fn report() -> RunReport {
                 step: 1,
                 t_start: 0.0,
                 t_end: 0.4,
-                phase_self: vec![("sem/cg".into(), 0.3), ("snapshot/publish".into(), 0.05)],
                 pool_resident_bytes: 1024,
-                pool_free_buffers: 2,
                 backpressure_wait: 0.0,
-                queue_depth: 1.5,
-                retries: 0,
-                mem_current: 4096,
-                mem_peak: 8192,
             },
             StepSample {
                 step: 2,
                 t_start: 0.4,
                 t_end: 1.1,
                 backpressure_wait: 0.25,
-                retries: 3,
                 ..StepSample::default()
             },
         ],

@@ -23,9 +23,10 @@
 //! mode a world whose ranks all wait with nobody left to wake them
 //! panics with the scheduler's deadlock diagnostic.
 //!
-//! Mode selection: `NEK_SCHED_MODE=event` (or `thread`, the default), or
-//! programmatically via [`with_mode`], which takes precedence and is
-//! propagated into spawned rank threads like the compute-pool override.
+//! Mode selection: `NEK_SCHED_MODE=event` (or `thread`, the default when
+//! unset; any other value panics), or programmatically via [`with_mode`],
+//! which takes precedence and is propagated into spawned rank threads
+//! like the compute-pool override.
 
 use crate::comm::{Comm, World};
 use crate::machine::MachineModel;
@@ -47,12 +48,24 @@ pub enum SchedMode {
 }
 
 impl SchedMode {
-    /// Read `NEK_SCHED_MODE` (`"event"` / `"thread"`); defaults to
-    /// [`SchedMode::Thread`] when unset or unrecognised.
+    /// Read `NEK_SCHED_MODE` (`"event"` / `"thread"`, any case);
+    /// [`SchedMode::Thread`] when unset.
+    ///
+    /// # Panics
+    /// When the variable is set to anything else, so a misspelt mode
+    /// never runs the default one.
     pub fn from_env() -> Self {
-        match std::env::var("NEK_SCHED_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("event") => SchedMode::Event,
-            _ => SchedMode::Thread,
+        let value = std::env::var_os("NEK_SCHED_MODE");
+        Self::parse_env(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// [`Self::from_env`] on the variable's value, `None` when unset.
+    fn parse_env(value: Option<&str>) -> Self {
+        match value.map(str::trim) {
+            None => SchedMode::Thread,
+            Some(v) if v.eq_ignore_ascii_case("thread") => SchedMode::Thread,
+            Some(v) if v.eq_ignore_ascii_case("event") => SchedMode::Event,
+            Some(v) => panic!("NEK_SCHED_MODE={v:?}: expected `thread` or `event`"),
         }
     }
 
@@ -261,11 +274,20 @@ mod tests {
     use crate::sched::BlockCounts;
 
     #[test]
-    fn env_default_is_thread() {
-        // The test harness never sets NEK_SCHED_MODE=event globally for
-        // this unit test binary; current() must fall back cleanly.
-        let m = SchedMode::current();
-        assert!(matches!(m, SchedMode::Thread | SchedMode::Event));
+    fn env_value_parses_or_panics() {
+        assert_eq!(SchedMode::parse_env(None), SchedMode::Thread);
+        assert_eq!(SchedMode::parse_env(Some("thread")), SchedMode::Thread);
+        assert_eq!(SchedMode::parse_env(Some("Event")), SchedMode::Event);
+        assert_eq!(SchedMode::parse_env(Some(" event\n")), SchedMode::Event);
+        for bad in ["", "evnet", "threads", "1"] {
+            let err = std::panic::catch_unwind(|| SchedMode::parse_env(Some(bad)))
+                .expect_err("an unparsable mode must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                msg.contains("NEK_SCHED_MODE") && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use insitu::Bridge;
 use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
 use sem::snapshot::{FieldSnapshot, SnapshotPool, SnapshotSpec};
-use telemetry::{EventKind, Manifest, PhaseBreakdown, RankTrace};
+use telemetry::{EventKind, Manifest, RankTrace};
 
 /// Maximum unacknowledged snapshots per rank in pipelined mode (double
 /// buffering: one being consumed, one queued).
@@ -156,10 +156,9 @@ pub struct InSituReport {
     pub bytes_written: u64,
     /// Files written (images for Catalyst, dumps for Checkpointing).
     pub files_written: u64,
-    /// Raw per-rank span traces (empty unless `trace` was set).
+    /// Raw per-rank span traces (empty unless `trace` was set);
+    /// [`telemetry::PhaseBreakdown::from_traces`] attributes them to phases.
     pub traces: Vec<RankTrace>,
-    /// Per-phase attribution of virtual wall time (None unless traced).
-    pub phases: Option<PhaseBreakdown>,
     /// Largest single-rank peak of the `snapshot-pool` accountant: the
     /// staging-buffer high-water mark. Pipelined runs are bounded at
     /// [`PIPELINE_DEPTH`] snapshots' worth of buffers per rank.
@@ -459,7 +458,7 @@ pub fn run_insitu(cfg: &InSituConfig) -> InSituReport {
         .map(|(_, _, peak)| *peak)
         .max()
         .unwrap_or(0);
-    let (metrics, traces, phases, run_report) = run.close(
+    let (metrics, traces, run_report) = run.close(
         solver.into_iter().chain(consumer).collect(),
         Vec::new(),
         Manifest {
@@ -483,7 +482,6 @@ pub fn run_insitu(cfg: &InSituConfig) -> InSituReport {
         files_written: metrics.totals.files_written,
         metrics,
         traces,
-        phases,
         snapshot_pool_rank_peak,
         run_report,
     }

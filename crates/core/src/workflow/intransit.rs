@@ -21,7 +21,7 @@ use render::CatalystAnalysis;
 use sem::cases::CaseSetup;
 use sem::snapshot::{SnapshotPool, SnapshotSpec};
 use std::sync::{Arc, Mutex};
-use telemetry::{Manifest, PhaseBreakdown, RankTrace};
+use telemetry::{Manifest, RankTrace};
 use transport::{
     QueuePolicy, ReportSink, StagingLink, StagingNetwork, TransportAnalysis, WireKind, WriterConfig,
 };
@@ -148,9 +148,8 @@ pub struct InTransitReport {
     pub degradation: DegradationSummary,
     /// Raw per-rank span traces, simulation world (pid 0) then endpoint
     /// world (pid 1); empty unless `trace` was set.
+    /// [`telemetry::PhaseBreakdown::from_traces`] attributes them to phases.
     pub traces: Vec<RankTrace>,
-    /// Per-phase attribution of virtual wall time (None unless traced).
-    pub phases: Option<PhaseBreakdown>,
     /// The unified telemetry artifact (None unless `telemetry` was set).
     pub run_report: Option<telemetry::RunReport>,
 }
@@ -198,7 +197,7 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
     let endpoint_traces = (endpoints.iter_mut())
         .filter_map(|r| r.value.1.take())
         .collect();
-    let (metrics, traces, phases, run_report) = run.close(
+    let (metrics, traces, run_report) = run.close(
         sim,
         endpoint_traces,
         Manifest {
@@ -229,7 +228,6 @@ pub fn run_intransit(cfg: &InTransitConfig) -> InTransitReport {
         endpoint_delivered: Vec::new(),
         degradation: DegradationSummary::from_reports(&report_sink.lock().unwrap()),
         traces,
-        phases,
         run_report,
     };
     for endpoint in endpoints {

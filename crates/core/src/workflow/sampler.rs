@@ -6,18 +6,15 @@
 //! an in transit endpoint — is all that is left to a driver.
 //!
 //! Rank 0 of the simulation world owns one [`StepSampler`], fed by
-//! [`SolverRank::run`] after every solver step. Each sample snapshots the
-//! cheap-to-read state of the run — rank-0 tracer self-times, the
-//! snapshot pool, transport gauges on the hub, and the memory registry —
-//! into one [`telemetry::StepSample`] pushed onto the hub's ring buffer.
-//!
-//! Everything read there is either already maintained (gauges, counters,
-//! the memory registry) or derived by diffing cumulative totals between
-//! consecutive calls (tracer self-time per span, backpressure wait), so
-//! sampling never advances the virtual clock and a run produces bitwise
-//! identical solver output with telemetry on or off.
+//! [`SolverRank::run`] after every solver step. Each sample is what rank 0
+//! measures on its own: its clock at the step's ends, its snapshot pool's
+//! resident bytes and its backpressure wait (diffed from the cumulative
+//! total between calls), pushed as one [`telemetry::StepSample`] onto the
+//! hub's ring buffer. It reads no other rank or world, whose state moves
+//! in real time, so a config gives the same series on every run; and it
+//! never advances the virtual clock, so solver output is bitwise
+//! identical with telemetry on or off.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -26,7 +23,7 @@ use memtrack::{Charge, Registry};
 use sem::cases::CaseSetup;
 use sem::navier_stokes::FlowSolver;
 use sem::snapshot::SnapshotPool;
-use telemetry::{Manifest, PhaseBreakdown, RankTrace, RunReport, StepSample, TelemetryHub};
+use telemetry::{Manifest, RankTrace, RunReport, StepSample, TelemetryHub};
 
 use crate::metrics::RunMetrics;
 
@@ -44,14 +41,9 @@ pub(crate) struct Run<C> {
 /// body each rank runs on the config and its state.
 type World<C, S, R> = (Registry, Vec<S>, fn(&mut Comm, &C, S) -> R);
 
-/// A closed run: metrics, traces (simulation world first), per-phase
-/// attribution (None unless traced), RunReport (None without telemetry).
-type Closed = (
-    RunMetrics,
-    Vec<RankTrace>,
-    Option<PhaseBreakdown>,
-    Option<RunReport>,
-);
+/// A closed run: metrics, traces (simulation world first, empty unless
+/// traced), RunReport (None without telemetry).
+type Closed = (RunMetrics, Vec<RankTrace>, Option<RunReport>);
 
 impl<C: Clone + Send + Sync + 'static> Run<C> {
     /// Cap the malloc arenas and start an empty registry; with `telemetry`
@@ -118,7 +110,7 @@ impl<C: Clone + Send + Sync + 'static> Run<C> {
 
     /// The report tail: `ranks` (the worlds charging [`Self::registry`])
     /// give the metrics over `manifest.steps`; their traces, then
-    /// `endpoint_traces`, the phase attribution and critical path; the hub
+    /// `endpoint_traces`, and the critical path over them; the hub
     /// drains into a [`RunReport`] carrying that critical path.
     pub(crate) fn close(
         self,
@@ -131,7 +123,6 @@ impl<C: Clone + Send + Sync + 'static> Run<C> {
         let traces: Vec<RankTrace> = (ranks.into_iter().filter_map(|r| r.value))
             .chain(endpoint_traces)
             .collect();
-        let phases = (!traces.is_empty()).then(|| PhaseBreakdown::from_traces(&traces));
         let entries = self.registry.snapshot().entries;
         let run_report = self.hub.map(|hub| {
             // Critical path before the drain: the step windows are a
@@ -142,7 +133,7 @@ impl<C: Clone + Send + Sync + 'static> Run<C> {
             report.critical = critical;
             report
         });
-        (metrics, traces, phases, run_report)
+        (metrics, traces, run_report)
     }
 }
 
@@ -283,12 +274,8 @@ pub(crate) fn fault_summary(plan: &FaultPlan) -> String {
 /// Rank-0 per-step series sampler (see module docs).
 struct StepSampler {
     hub: TelemetryHub,
-    registry: Registry,
     /// Rank-0 virtual time at the end of the previous sample.
     t_prev: f64,
-    /// Cumulative tracer self-times at the previous sample (diffed to get
-    /// per-step phase attribution).
-    phase_prev: BTreeMap<String, f64>,
     /// Cumulative backpressure wait at the previous sample.
     backpressure_prev: f64,
 }
@@ -299,9 +286,7 @@ impl StepSampler {
     fn new(comm: &Comm, hub: TelemetryHub) -> Self {
         Self {
             hub,
-            registry: comm.registry().clone(),
             t_prev: comm.now(),
-            phase_prev: BTreeMap::new(),
             backpressure_prev: 0.0,
         }
     }
@@ -318,41 +303,14 @@ impl StepSampler {
         pool: Option<&SnapshotPool>,
     ) {
         let t_end = comm.now();
-        let phase_now = comm.tracer().self_totals();
-        let mut phase_self: Vec<(String, f64)> = Vec::new();
-        for (name, total) in &phase_now {
-            let delta = total - self.phase_prev.get(name).copied().unwrap_or(0.0);
-            if delta > 0.0 {
-                phase_self.push((name.clone(), delta));
-            }
-        }
-        let (pool_resident_bytes, pool_free_buffers) = match pool {
-            Some(p) => {
-                let s = p.stats();
-                (s.resident_bytes, s.free_buffers as u64)
-            }
-            None => (0, 0),
-        };
-        let (mut mem_current, mut mem_peak) = (0u64, 0u64);
-        for (_, cur, peak) in &self.registry.snapshot().entries {
-            mem_current += cur;
-            mem_peak += peak;
-        }
         self.hub.record(StepSample {
             step,
             t_start: self.t_prev,
             t_end,
-            phase_self,
-            pool_resident_bytes,
-            pool_free_buffers,
+            pool_resident_bytes: pool.map_or(0, |p| p.stats().resident_bytes),
             backpressure_wait: (backpressure_total - self.backpressure_prev).max(0.0),
-            queue_depth: self.hub.gauge_sum("transport/queue_depth"),
-            retries: self.hub.counter_sum("transport/retries"),
-            mem_current,
-            mem_peak,
         });
         self.t_prev = t_end;
-        self.phase_prev = phase_now;
         self.backpressure_prev = backpressure_total;
     }
 }

@@ -398,33 +398,6 @@ impl TelemetryHub {
         lock(&self.inner.recorder).record(sample);
     }
 
-    /// Sum of every counter whose name ends with `/suffix` (used to
-    /// aggregate e.g. `*/transport/retries` across ranks).
-    pub fn counter_sum(&self, suffix: &str) -> u64 {
-        let map = lock(&self.inner.instruments);
-        map.iter()
-            .filter(|(name, _)| name.ends_with(suffix))
-            .map(|(_, slot)| match slot {
-                Slot::Counter(c) => c.load(Ordering::Relaxed),
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Sum of every gauge whose name ends with `/suffix` (used to
-    /// aggregate e.g. endpoint queue depths into one series column).
-    pub fn gauge_sum(&self, suffix: &str) -> f64 {
-        let map = lock(&self.inner.instruments);
-        let values = map
-            .iter()
-            .filter(|(name, _)| name.ends_with(suffix))
-            .map(|(_, slot)| match slot {
-                Slot::Gauge(g) => f64::from_bits(g.load(Ordering::Relaxed)),
-                _ => 0.0,
-            });
-        crate::sum(values)
-    }
-
     /// Final value of every registered instrument, sorted by name.
     pub fn metrics_snapshot(&self) -> Vec<(String, MetricValue)> {
         let map = lock(&self.inner.instruments);
@@ -622,18 +595,6 @@ mod tests {
         let g = hub.gauge("rank0/g");
         hub.gauge("rank0/g").set(2.5);
         assert_eq!(g.get(), 2.5);
-    }
-
-    /// Bits, not `==`, which cannot tell `-0.0` from `0.0`.
-    #[test]
-    fn gauge_sum_over_no_gauge_is_positive_zero() {
-        let hub = TelemetryHub::default();
-        let depth = || hub.gauge_sum("transport/queue_depth").to_bits();
-        assert_eq!(depth(), 0.0f64.to_bits());
-        hub.gauge("rank0/transport/queue_depth").set(-0.0);
-        assert_eq!(depth(), 0.0f64.to_bits());
-        hub.gauge("rank1/transport/queue_depth").set(2.5);
-        assert_eq!(depth(), 2.5f64.to_bits());
     }
 
     #[test]

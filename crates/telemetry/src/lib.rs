@@ -12,11 +12,10 @@
 //!    a lock-free atomic op. A handle obtained from a disabled
 //!    [`RankTelemetry`] is a no-op, so producer code stays branch-free.
 //! 2. **Flight recorder**: a fixed-capacity ring buffer of per-step
-//!    [`StepSample`]s (step time, per-phase self time, snapshot-pool
-//!    occupancy, backpressure wait, transport queue depth/retries,
-//!    memory watermarks) plus a structured [`Event`] log (fault
-//!    injections, circuit-breaker opens, engine switches, checkpoint
-//!    writes) with virtual timestamps.
+//!    [`StepSample`]s (what simulation rank 0 reads on its own clock:
+//!    step window, snapshot-pool bytes, backpressure wait) plus a
+//!    structured [`Event`] log (fault injections, circuit-breaker opens,
+//!    engine switches, checkpoint writes) with virtual timestamps.
 //! 3. **[`RunReport`]**: one serializable artifact per run — manifest,
 //!    final metric values, the time series, and the event log — written
 //!    by `--report-out` on the figure harnesses and read back by the
@@ -186,7 +185,8 @@ mod tests {
             names,
             vec!["endpoint3/transport/retries", "rank3/transport/retries"]
         );
-        assert_eq!(hub.counter_sum("transport/retries"), 9);
+        assert_eq!(hub.counter("rank3/transport/retries").get(), 2);
+        assert_eq!(hub.counter("endpoint3/transport/retries").get(), 7);
     }
 
     #[test]

@@ -62,8 +62,10 @@ pub struct Event {
     pub detail: String,
 }
 
-/// One row of the per-step time series, sampled on simulation rank 0
-/// after each step.
+/// One row of the per-step time series: what simulation rank 0 measures
+/// on its own clock after each step, so the row is the same on every run
+/// of one config. Run-wide totals (retries, memory) are in the report's
+/// metrics and memory blocks; per-phase time is in the trace.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepSample {
     /// Solver step number (1-based).
@@ -73,23 +75,10 @@ pub struct StepSample {
     /// Rank 0 virtual time when the step (and any synchronous in situ
     /// work) finished.
     pub t_end: f64,
-    /// Per-phase self time accrued *during this step*, from the span
-    /// tracer (`(span name, seconds)`; empty when tracing is off).
-    pub phase_self: Vec<(String, f64)>,
-    /// Snapshot-pool resident bytes after the step.
+    /// Rank 0's snapshot-pool resident bytes after the step.
     pub pool_resident_bytes: u64,
-    /// Snapshot-pool free buffers after the step.
-    pub pool_free_buffers: u64,
     /// Seconds rank 0 spent waiting for pipeline credits this step.
     pub backpressure_wait: f64,
-    /// Staging queue depth summed over endpoint readers (bytes).
-    pub queue_depth: f64,
-    /// Cumulative transport retries across all producers.
-    pub retries: u64,
-    /// Host bytes currently allocated (tracked ranks, all subsystems).
-    pub mem_current: u64,
-    /// Host high-water mark so far.
-    pub mem_peak: u64,
 }
 
 /// Fixed-capacity ring of [`StepSample`]s: when full, recording a new

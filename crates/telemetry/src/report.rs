@@ -153,18 +153,8 @@ impl RunReport {
                     o.uint("step", s.step)
                         .num("t_start", s.t_start)
                         .num("t_end", s.t_end)
-                        .obj("phase_self", |o| {
-                            for (name, secs) in &s.phase_self {
-                                o.num(name, *secs);
-                            }
-                        })
                         .uint("pool_resident_bytes", s.pool_resident_bytes)
-                        .uint("pool_free_buffers", s.pool_free_buffers)
-                        .num("backpressure_wait", s.backpressure_wait)
-                        .num("queue_depth", s.queue_depth)
-                        .uint("retries", s.retries)
-                        .uint("mem_current", s.mem_current)
-                        .uint("mem_peak", s.mem_peak);
+                        .num("backpressure_wait", s.backpressure_wait);
                 })
                 .uint("evicted_samples", self.evicted_samples)
                 .arr("events", &self.events, |o, e| {
@@ -235,32 +225,19 @@ impl RunReport {
                 .ok_or("metric without name")?;
             metrics.push((name.to_string(), MetricValue::read(mv)?));
         }
-        let mut series = Vec::new();
-        for sv in v
+        let series = v
             .get("series")
             .and_then(Value::as_arr)
             .ok_or("missing series")?
-        {
-            let mut phase_self = Vec::new();
-            if let Some(Value::Obj(m)) = sv.get("phase_self") {
-                for (k, x) in m {
-                    phase_self.push((k.clone(), x.as_f64().unwrap_or(0.0)));
-                }
-            }
-            series.push(StepSample {
+            .iter()
+            .map(|sv| StepSample {
                 step: sv.uint("step"),
                 t_start: sv.num("t_start"),
                 t_end: sv.num("t_end"),
-                phase_self,
                 pool_resident_bytes: sv.uint("pool_resident_bytes"),
-                pool_free_buffers: sv.uint("pool_free_buffers"),
                 backpressure_wait: sv.num("backpressure_wait"),
-                queue_depth: sv.num("queue_depth"),
-                retries: sv.uint("retries"),
-                mem_current: sv.uint("mem_current"),
-                mem_peak: sv.uint("mem_peak"),
-            });
-        }
+            })
+            .collect();
         let mut events = Vec::new();
         for ev in v
             .get("events")
@@ -347,21 +324,14 @@ mod tests {
             step: 1,
             t_start: 0.0,
             t_end: 0.4,
-            phase_self: vec![("sem/cg".into(), 0.3), ("snapshot/publish".into(), 0.05)],
             pool_resident_bytes: 1024,
-            pool_free_buffers: 2,
             backpressure_wait: 0.0,
-            queue_depth: 0.0,
-            retries: 0,
-            mem_current: 4096,
-            mem_peak: 8192,
         });
         hub.record(StepSample {
             step: 2,
             t_start: 0.5,
             t_end: 1.5,
             backpressure_wait: 0.25,
-            retries: 3,
             ..StepSample::default()
         });
         RunReport::collect(

@@ -173,10 +173,6 @@ struct TracerState {
     open: Vec<OpenSpan>,
     closed: Vec<Span>,
     edges: Vec<CausalEdge>,
-    /// Cumulative self time per span name over every span closed so
-    /// far — a running aggregate cheap enough to read once per step
-    /// (the telemetry flight recorder diffs consecutive readings).
-    self_totals: std::collections::BTreeMap<String, f64>,
 }
 
 struct Inner {
@@ -210,7 +206,6 @@ impl TracerState {
                 parent.child_time += inclusive;
             }
             let self_time = (inclusive - span.child_time).max(0.0);
-            *self.self_totals.entry(span.name.clone()).or_insert(0.0) += self_time;
             self.closed.push(Span {
                 id: span.id,
                 name: span.name,
@@ -263,7 +258,6 @@ impl Tracer {
                     open: Vec::new(),
                     closed: Vec::new(),
                     edges: Vec::new(),
-                    self_totals: std::collections::BTreeMap::new(),
                 }),
             })),
         }
@@ -338,18 +332,6 @@ impl Tracer {
         st.close_from(pos, inner.now());
     }
 
-    /// Cumulative self time per span name over every span closed so far
-    /// (since creation or the last [`Self::take`]). Empty when the
-    /// tracer is disabled. Open spans are not included until they
-    /// close, so readings taken at step boundaries (where the
-    /// instrumented phases have all closed) are exact.
-    pub fn self_totals(&self) -> std::collections::BTreeMap<String, f64> {
-        self.inner
-            .as_ref()
-            .map(|inner| lock(&inner.state).self_totals.clone())
-            .unwrap_or_default()
-    }
-
     /// Force-close any open spans and return everything recorded so far,
     /// or `None` for a disabled tracer. The tracer is left empty and
     /// reusable.
@@ -360,7 +342,6 @@ impl Tracer {
         st.close_from(0, now);
         let spans = std::mem::take(&mut st.closed);
         let edges = std::mem::take(&mut st.edges);
-        st.self_totals.clear();
         Some(RankTrace {
             pid: inner.pid,
             rank: inner.rank,
@@ -488,31 +469,6 @@ mod tests {
         let trace = t.take().unwrap();
         assert_eq!(trace.spans.len(), 1);
         assert_eq!(trace.spans[0].name, "after-poison");
-    }
-
-    #[test]
-    fn self_totals_accumulate_and_reset_on_take() {
-        let c = cell(0.0);
-        let t = Tracer::virtual_clock(0, 0, Arc::clone(&c));
-        {
-            let _outer = t.span("phase/a");
-            set(&c, 1.0);
-            {
-                let _inner = t.span("phase/b");
-                set(&c, 4.0);
-            }
-            set(&c, 5.0);
-        }
-        {
-            let _again = t.span("phase/b");
-            set(&c, 6.0);
-        }
-        let totals = t.self_totals();
-        assert!((totals["phase/a"] - 2.0).abs() < 1e-12);
-        assert!((totals["phase/b"] - 4.0).abs() < 1e-12, "3.0 + 1.0");
-        let _ = t.take().unwrap();
-        assert!(t.self_totals().is_empty(), "take resets the aggregate");
-        assert!(Tracer::disabled().self_totals().is_empty());
     }
 
     #[test]

@@ -990,7 +990,10 @@ mod tests {
         // Charged on receive: step 1's first packet waits while step 0
         // goes out. Zero once drained.
         assert_eq!(depths, vec![(0, len), (1, 0.0)]);
-        assert_eq!(hub.gauge_sum("transport/queue_depth").to_bits(), 0);
+        assert_eq!(
+            hub.gauge("endpoint0/transport/queue_depth").get().to_bits(),
+            0
+        );
     }
 
     #[test]
@@ -1013,7 +1016,10 @@ mod tests {
             delivered
         });
         assert_eq!(delivered, vec![0]);
-        assert_eq!(hub.gauge_sum("transport/queue_depth").to_bits(), 0);
+        assert_eq!(
+            hub.gauge("endpoint0/transport/queue_depth").get().to_bits(),
+            0
+        );
     }
 
     #[test]

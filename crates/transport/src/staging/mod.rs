@@ -831,7 +831,7 @@ mod tests {
         // A session is admitted at the first step boundary after it
         // attaches. Join only once the service has parked step 2 and stalls
         // on `early`'s credit, so `late` is admitted after step 2.
-        while hub.counter_sum("staging/credit_stalls") < 1 {
+        while hub.counter("rank0/staging/credit_stalls").get() < 1 {
             std::thread::sleep(Duration::from_millis(1));
         }
         let mut late = ConsumerClient::connect(&addr, &SessionSpec::default(), 8).unwrap();

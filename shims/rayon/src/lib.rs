@@ -28,6 +28,7 @@ pub mod pool {
     use std::any::Any;
     use std::cell::Cell;
     use std::collections::VecDeque;
+    use std::num::IntErrorKind;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex, OnceLock};
@@ -237,22 +238,35 @@ pub mod pool {
         static OVERRIDE: Cell<usize> = const { Cell::new(0) };
     }
 
-    /// Process-wide default pool size: `NEK_POOL_THREADS` when set to a
-    /// positive count, otherwise `available_parallelism`.
+    /// Process-wide default pool size: `NEK_POOL_THREADS` (a positive
+    /// count, clamped to `MAX_WORKERS + 1`), or `available_parallelism`
+    /// when unset.
+    ///
+    /// # Panics
+    /// When the variable is set to anything but a positive count.
     pub fn default_threads() -> usize {
         static DEFAULT: OnceLock<usize> = OnceLock::new();
         *DEFAULT.get_or_init(|| {
-            std::env::var("NEK_POOL_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .map(|n| n.min(MAX_WORKERS + 1))
-                .unwrap_or_else(|| {
+            let value = std::env::var_os("NEK_POOL_THREADS");
+            parse_threads(value.as_ref().map(|v| v.to_string_lossy()).as_deref()).unwrap_or_else(
+                || {
                     thread::available_parallelism()
                         .map(|n| n.get())
                         .unwrap_or(1)
-                })
+                },
+            )
         })
+    }
+
+    /// [`default_threads`]'s reading of `NEK_POOL_THREADS`, `None` when
+    /// unset. A count past the cap, however many digits it has, clamps.
+    pub(crate) fn parse_threads(value: Option<&str>) -> Option<usize> {
+        let v = value?;
+        match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Some(n.min(MAX_WORKERS + 1)),
+            Err(e) if *e.kind() == IntErrorKind::PosOverflow => Some(MAX_WORKERS + 1),
+            _ => panic!("NEK_POOL_THREADS={v:?}: expected a positive thread count"),
+        }
     }
 
     /// Pool size par calls from this thread will use.
@@ -301,6 +315,28 @@ pub mod pool {
 mod tests {
     use super::pool;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+    #[test]
+    fn thread_count_variable_parses_or_panics() {
+        assert_eq!(pool::parse_threads(None), None);
+        assert_eq!(pool::parse_threads(Some("3")), Some(3));
+        assert_eq!(pool::parse_threads(Some(" 1\n")), Some(1));
+        // Past the cap (MAX_WORKERS + 1 = 257), even past usize, clamps.
+        assert_eq!(pool::parse_threads(Some("100000")), Some(257));
+        assert_eq!(
+            pool::parse_threads(Some("1".repeat(40).as_str())),
+            Some(257)
+        );
+        for bad in ["", "0", "-2", "four", "2.5"] {
+            let err = std::panic::catch_unwind(|| pool::parse_threads(Some(bad)))
+                .expect_err("an unparsable count must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                msg.contains("NEK_POOL_THREADS") && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
+    }
 
     #[test]
     fn results_identical_across_pool_sizes() {

@@ -89,7 +89,7 @@ fn fingerprint(r: &InSituReport) -> String {
         writeln!(w, "host_aggregate_peak {}", m.memory.host_aggregate_peak).unwrap();
         writeln!(w, "host_max_rank_peak {}", m.memory.host_max_rank_peak).unwrap();
     }
-    let phases = r.phases.as_ref().expect("trace: true");
+    let phases = telemetry::PhaseBreakdown::from_traces(&r.traces);
     for name in phases.names() {
         writeln!(
             w,

@@ -262,7 +262,7 @@ fn tcp_late_joiner_over_four_producers_gets_the_frames_of_a_live_session() {
         )
         .remove(0)
     });
-    while hub.counter_sum("staging/credit_stalls") < 1 {
+    while hub.counter("rank0/staging/credit_stalls").get() < 1 {
         std::thread::sleep(Duration::from_millis(1));
     }
     let mut late = ConsumerClient::connect(&addr, &late_spec, 4).expect("connect");

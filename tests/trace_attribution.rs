@@ -88,7 +88,7 @@ fn assert_phases_bounded_by_wall(phases: &PhaseBreakdown) {
 fn intransit_catalyst_attributes_virtual_time_to_phases() {
     let r = run_intransit(&traced_intransit(8, EndpointMode::Catalyst));
     assert_eq!(r.traces.len(), 10, "8 sim ranks + 2 endpoint ranks traced");
-    let phases = r.phases.expect("trace: true produces a breakdown");
+    let phases = PhaseBreakdown::from_traces(&r.traces);
     assert_phases_bounded_by_wall(&phases);
     // The acceptance bar: at least 95% of every rank's virtual wall time
     // lands in a named span (ISSUE: per-phase overhead attribution).
@@ -115,7 +115,7 @@ fn intransit_catalyst_attributes_virtual_time_to_phases() {
 fn insitu_catalyst_attribution_holds_without_transport() {
     for (exec, worlds) in EXEC_WORLDS {
         let r = run_insitu(&traced_insitu(4, exec));
-        let phases = r.phases.expect("trace: true produces a breakdown");
+        let phases = PhaseBreakdown::from_traces(&r.traces);
         assert_eq!(phases.ranks.len(), 4 * worlds);
         assert_phases_bounded_by_wall(&phases);
         assert!(
@@ -141,7 +141,7 @@ fn idle_endpoint_is_vacuously_attributed() {
     cfg.trigger_every = 100; // > steps: no trigger ever fires
     let r = run_intransit(&cfg);
     assert_eq!(r.endpoint_steps, 0);
-    let phases = r.phases.expect("traced");
+    let phases = PhaseBreakdown::from_traces(&r.traces);
     assert_phases_bounded_by_wall(&phases);
     assert!(
         phases.attributed_fraction() >= 0.95,
@@ -156,7 +156,7 @@ fn untraced_runs_carry_no_breakdown() {
     cfg.trace = false;
     let r = run_intransit(&cfg);
     assert!(r.traces.is_empty());
-    assert!(r.phases.is_none());
+    assert!(PhaseBreakdown::from_traces(&r.traces).ranks.is_empty());
 }
 
 /// Satellite-4 regression: a fault-injected run (endpoint crash mid-flight,
@@ -187,7 +187,7 @@ fn degraded_run_traces_park_spans_without_panicking() {
 
     assert_eq!(r.endpoint_crashes, 1, "scheduled crash must fire");
     assert!(r.degradation.degraded(), "producers must switch engines");
-    let phases = r.phases.expect("tracing survives the fault path");
+    let phases = PhaseBreakdown::from_traces(&r.traces);
     assert_phases_bounded_by_wall(&phases);
     assert!(
         phases.count("transport/park") > 0,
@@ -203,7 +203,10 @@ fn same_seed_runs_produce_identical_breakdowns() {
     let b = run_intransit(&traced_intransit(4, EndpointMode::Catalyst));
     // The virtual clock makes timing deterministic: not just "close", the
     // two breakdowns are bit-identical (PhaseBreakdown: PartialEq on f64).
-    assert_eq!(a.phases.expect("traced"), b.phases.expect("traced"));
+    assert_eq!(
+        PhaseBreakdown::from_traces(&a.traces),
+        PhaseBreakdown::from_traces(&b.traces)
+    );
 }
 
 /// Minimal structural validation of a JSON value: balanced brackets and
