@@ -241,8 +241,8 @@ fn summarize(r: &RunReport) {
     }
 
     let aggs = aggregate(r);
-    if let Some(Agg::Counter(retries @ 1..)) = aggs.get("transport/retries") {
-        println!("transport retries: {retries}");
+    if let Some(line) = retries_line(&aggs) {
+        println!("{line}");
     }
     // How often a rank gave up its run token.
     if let (Some(Agg::Counter(msg)), Some(Agg::Counter(coll))) = (
@@ -301,6 +301,15 @@ fn summarize(r: &RunReport) {
             "\nmemory peaks: host aggregate {} (max rank {}), gpu {}, unscoped {}",
             mem.host_aggregate_peak, mem.host_max_rank_peak, mem.gpu_aggregate_peak, mem.unscoped
         );
+    }
+}
+
+/// The simulation world's summed `transport/retries` counter, when any
+/// send was retried.
+fn retries_line(aggs: &BTreeMap<String, Agg>) -> Option<String> {
+    match aggs.get("transport/retries") {
+        Some(Agg::Counter(retries @ 1..)) => Some(format!("transport retries: {retries}")),
+        _ => None,
     }
 }
 
@@ -588,7 +597,7 @@ fn critical_path_cmd(path: &str, json_out: bool) {
 
 #[cfg(test)]
 mod tests {
-    use super::{aggregate, solver_convergence};
+    use super::{aggregate, load, retries_line, solver_convergence};
     use commsim::{FaultPlan, MachineModel};
     use nek_sensei::{run_insitu, ExecMode, InSituConfig, InSituMode};
     use sem::cases::{pb146, CaseParams};
@@ -629,6 +638,20 @@ mod tests {
                  coarse grid 31 dofs, band 9, solved exactly"
             ),
             "{line}"
+        );
+    }
+
+    /// The summary's retry line sums the fixture report's two ranks'
+    /// `transport/retries` counters (3 + 4).
+    #[test]
+    fn retries_line_sums_the_ranks_counters() {
+        let report = load(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/run-report.json"
+        ));
+        assert_eq!(
+            retries_line(&aggregate(&report)).as_deref(),
+            Some("transport retries: 7")
         );
     }
 }

@@ -28,7 +28,6 @@ pub mod pool {
     use std::any::Any;
     use std::cell::Cell;
     use std::collections::VecDeque;
-    use std::num::IntErrorKind;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex, OnceLock};
@@ -259,12 +258,11 @@ pub mod pool {
     }
 
     /// [`default_threads`]'s reading of `NEK_POOL_THREADS`, `None` when
-    /// unset. A count past the cap, however many digits it has, clamps.
+    /// unset. A count past the cap clamps.
     pub(crate) fn parse_threads(value: Option<&str>) -> Option<usize> {
         let v = value?;
         match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => Some(n.min(MAX_WORKERS + 1)),
-            Err(e) if *e.kind() == IntErrorKind::PosOverflow => Some(MAX_WORKERS + 1),
             _ => panic!("NEK_POOL_THREADS={v:?}: expected a positive thread count"),
         }
     }
@@ -321,12 +319,8 @@ mod tests {
         assert_eq!(pool::parse_threads(None), None);
         assert_eq!(pool::parse_threads(Some("3")), Some(3));
         assert_eq!(pool::parse_threads(Some(" 1\n")), Some(1));
-        // Past the cap (MAX_WORKERS + 1 = 257), even past usize, clamps.
+        // Past the cap (MAX_WORKERS + 1 = 257) clamps.
         assert_eq!(pool::parse_threads(Some("100000")), Some(257));
-        assert_eq!(
-            pool::parse_threads(Some("1".repeat(40).as_str())),
-            Some(257)
-        );
         for bad in ["", "0", "-2", "four", "2.5"] {
             let err = std::panic::catch_unwind(|| pool::parse_threads(Some(bad)))
                 .expect_err("an unparsable count must panic");
