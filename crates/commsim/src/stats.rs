@@ -22,11 +22,6 @@ pub struct CommStats {
     pub files_written: u64,
     /// Bytes moved device→host.
     pub bytes_d2h: u64,
-    /// Bytes moved host→device. Nothing charges this counter (the
-    /// coarse solve's upload advances the clock by
-    /// [`crate::MachineModel::h2d_time`] alone), so it reads 0; the
-    /// contract transcripts print it.
-    pub bytes_h2d: u64,
     /// Virtual seconds spent in GPU compute.
     pub time_gpu_compute: f64,
     /// Virtual seconds spent in host compute.
@@ -49,7 +44,6 @@ impl CommStats {
         self.bytes_written_fs += other.bytes_written_fs;
         self.files_written += other.files_written;
         self.bytes_d2h += other.bytes_d2h;
-        self.bytes_h2d += other.bytes_h2d;
         self.time_gpu_compute += other.time_gpu_compute;
         self.time_host_compute += other.time_host_compute;
         self.time_xfer += other.time_xfer;
@@ -81,7 +75,6 @@ mod tests {
             bytes_written_fs: 4,
             files_written: 5,
             bytes_d2h: 6,
-            bytes_h2d: 7,
             time_gpu_compute: 1.0,
             time_host_compute: 2.0,
             time_xfer: 3.0,

@@ -213,14 +213,7 @@ impl SnapshotPlane {
         let snapshot = solver.publish_snapshot(comm, &spec, &self.pool);
         let telemetry = comm.telemetry();
         if telemetry.enabled() {
-            let stats = self.pool.stats();
             telemetry.counter("snapshot/published").inc();
-            telemetry
-                .gauge("snapshot/pool_resident_bytes")
-                .set(stats.resident_bytes as f64);
-            telemetry
-                .gauge("snapshot/pool_free_buffers")
-                .set(stats.free_buffers as f64);
         }
         SnapshotAdaptor::new(comm, snapshot, Arc::clone(&self.geometry))
     }

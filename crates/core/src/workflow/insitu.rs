@@ -27,6 +27,7 @@
 //!   completion time, so per-step cost converges to `max(solve, consume)`
 //!   + publish instead of `solve + consume`.
 
+use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -160,8 +161,10 @@ pub struct InSituReport {
     /// [`telemetry::PhaseBreakdown::from_traces`] attributes them to phases.
     pub traces: Vec<RankTrace>,
     /// Largest single-rank peak of the `snapshot-pool` accountant: the
-    /// staging-buffer high-water mark. Pipelined runs are bounded at
-    /// [`PIPELINE_DEPTH`] snapshots' worth of buffers per rank.
+    /// staging-buffer high-water mark. A synchronous rank holds one
+    /// snapshot's worth of buffers; a pipelined rank that published at
+    /// least [`PIPELINE_DEPTH`] frames holds exactly [`PIPELINE_DEPTH`]
+    /// snapshots' worth.
     pub snapshot_pool_rank_peak: u64,
     /// The unified telemetry artifact (None unless `telemetry` was set):
     /// per-step flight-recorder series, metric registry dump, structured
@@ -210,8 +213,8 @@ impl Consumer {
         }
     }
 
-    /// Consume one step. Takes the snapshot by value so its pooled
-    /// buffers are back in the pool when this returns.
+    /// Consume one step. Takes the snapshot by value so this consumer's
+    /// hold on it ends when this returns.
     fn consume(
         &mut self,
         comm: &mut Comm,
@@ -262,6 +265,11 @@ enum ToConsumer {
 struct ProducerLink {
     frames: mpsc::Sender<ToConsumer>,
     window: CreditWindow,
+    /// The snapshot of every frame whose credit has not come back, oldest
+    /// first. Holding them until then returns their pooled buffers on this
+    /// thread at a fixed point of its program, so the pool's size never
+    /// depends on when the consumer world ran.
+    in_flight: VecDeque<Arc<FieldSnapshot>>,
     /// Cumulative virtual seconds this producer spent blocked on a full
     /// pipeline (the flight recorder diffs this per step).
     backpressure_wait: f64,
@@ -269,15 +277,20 @@ struct ProducerLink {
 
 impl ProducerLink {
     /// Take a pipeline slot; the wait is charged to the virtual clock (see
-    /// [`CreditWindow::reserve`]).
+    /// [`CreditWindow::reserve`]). With the window full, the slot is the
+    /// oldest frame's, and its snapshot drops here.
     fn reserve(&mut self, comm: &mut Comm) {
         self.backpressure_wait += self
             .window
             .reserve(comm, "snapshot/backpressure", Duration::MAX)
             .expect("consumer rank alive");
+        if self.in_flight.len() == PIPELINE_DEPTH {
+            self.in_flight.pop_front();
+        }
     }
 
     fn send(&mut self, frame: PublishedFrame) {
+        self.in_flight.push_back(Arc::clone(&frame.snapshot));
         self.frames
             .send(ToConsumer::Frame(frame))
             .expect("consumer rank alive");
@@ -285,9 +298,10 @@ impl ProducerLink {
 
     /// Wait for the outstanding frames (without advancing the solver
     /// clock — the simulation is finished; the consumer world finishes on
-    /// its own time) and signal end of stream.
+    /// its own time), drop their snapshots and signal end of stream.
     fn finish(mut self, comm: &Comm) {
         self.window.finish(comm);
+        self.in_flight.clear();
         let _ = self.frames.send(ToConsumer::Done { at: comm.now() });
     }
 }
@@ -306,6 +320,7 @@ fn pipeline_links(ranks: usize) -> (Vec<ProducerLink>, Vec<ConsumerLink>) {
             let producer = ProducerLink {
                 frames: frame_tx,
                 window,
+                in_flight: VecDeque::with_capacity(PIPELINE_DEPTH),
                 backpressure_wait: 0.0,
             };
             let consumer = ConsumerLink {
@@ -349,7 +364,8 @@ fn consumer_rank(comm: &mut Comm, cfg: &InSituConfig, link: ConsumerLink) -> Opt
         match msg {
             ToConsumer::Frame(frame) => {
                 consumer_arrive(comm, &cfg.faults, &frame);
-                // The pooled buffers are back before the slot is credited.
+                // The consumer's hold on the snapshot ends before the slot
+                // is credited; the producer's ends when it takes the slot.
                 consumer.consume(comm, frame.step, frame.snapshot, frame.geometry);
                 link.credits.release(comm.now());
             }

@@ -307,7 +307,7 @@ impl StepSampler {
             step,
             t_start: self.t_prev,
             t_end,
-            pool_resident_bytes: pool.map_or(0, |p| p.stats().resident_bytes),
+            pool_resident_bytes: pool.map_or(0, SnapshotPool::resident_bytes),
             backpressure_wait: (backpressure_total - self.backpressure_prev).max(0.0),
         });
         self.t_prev = t_end;

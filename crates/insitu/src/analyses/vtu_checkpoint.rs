@@ -14,15 +14,14 @@ use commsim::Comm;
 use meshdata::writer::{write_pvtu, write_vtu, Encoding};
 use meshdata::Centering;
 
+/// File name prefix of every piece and index.
+const PREFIX: &str = "chk";
+
 /// Writes requested arrays as VTU/PVTU each trigger.
 pub struct VtuCheckpointAnalysis {
     mesh: String,
     arrays: Vec<String>,
     output_dir: Option<std::path::PathBuf>,
-    prefix: String,
-    /// Weld duplicated points before writing (smaller, conforming files;
-    /// see [`meshdata::UnstructuredGrid::welded`]); `weld="1"` in the XML.
-    weld: bool,
     files_written: u64,
     bytes_written: u64,
 }
@@ -39,8 +38,6 @@ impl VtuCheckpointAnalysis {
             mesh: mesh.into(),
             arrays,
             output_dir,
-            prefix: "chk".to_string(),
-            weld: false,
             files_written: 0,
             bytes_written: 0,
         }
@@ -59,13 +56,11 @@ impl VtuCheckpointAnalysis {
             .map(|s| s.trim().to_string())
             .filter(|s| !s.is_empty())
             .collect();
-        let mut chk = Self::new(
+        Ok(Self::new(
             spec.attr_or("mesh", "mesh"),
             arrays,
             spec.attr("output").map(std::path::PathBuf::from),
-        );
-        chk.weld = spec.attr("weld").is_some_and(|v| v == "1" || v == "true");
-        Ok(chk)
+        ))
     }
 
     /// Files written so far by this rank.
@@ -96,17 +91,8 @@ impl AnalysisAdaptor for VtuCheckpointAnalysis {
         let step = data.time_step();
         let mut piece_names = Vec::new();
         for (block_idx, grid) in mb.local_blocks() {
-            let name = format!("{}_{:06}_b{block_idx}.vtu", self.prefix, step);
+            let name = format!("{PREFIX}_{step:06}_b{block_idx}.vtu");
             let mut buf = Vec::new();
-            let welded;
-            let grid = if self.weld {
-                // Welding is a host-side hash pass over the points.
-                comm.compute_host(grid.n_points() as f64 * 8.0, grid.heap_bytes() as f64);
-                welded = grid.welded(1e-12);
-                &welded
-            } else {
-                grid
-            };
             let nbytes = write_vtu(grid, Encoding::Appended, &mut buf)?;
             // Serialization is host-side work; the write hits the shared FS
             // with every rank writing concurrently.
@@ -134,7 +120,7 @@ impl AnalysisAdaptor for VtuCheckpointAnalysis {
             self.files_written += 1;
             self.bytes_written += nbytes;
             if let Some(dir) = &self.output_dir {
-                persist(dir, &format!("{}_{:06}.pvtu", self.prefix, step), &buf)?;
+                persist(dir, &format!("{PREFIX}_{step:06}.pvtu"), &buf)?;
             }
         } else {
             // Metadata aggregation is collective; keep ranks symmetric.
@@ -224,52 +210,6 @@ mod tests {
             .collect();
         assert_eq!(declared, ["pressure"], "{index}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn welded_checkpoints_are_smaller_on_duplicated_meshes() {
-        // An element-major style block: two hexes with duplicated shared
-        // face points.
-        fn dup_block() -> MultiBlock {
-            let mut g = UnstructuredGrid::new();
-            for e in 0..2 {
-                let x0 = e as f64;
-                for z in [0.0, 1.0] {
-                    for y in [0.0, 1.0] {
-                        for x in [x0, x0 + 1.0] {
-                            g.add_point([x, y, z]);
-                        }
-                    }
-                }
-                let b = (e * 8) as i64;
-                g.add_cell(
-                    CellType::Hexahedron,
-                    &[b, b + 1, b + 3, b + 2, b + 4, b + 5, b + 7, b + 6],
-                );
-            }
-            let n = g.n_points();
-            g.add_point_data(DataArray::scalars_f64("pressure", vec![1.0; n]))
-                .unwrap();
-            MultiBlock::local(0, 1, g)
-        }
-        let sizes: Vec<u64> = [false, true]
-            .iter()
-            .map(|&weld| {
-                run_ranks(1, MachineModel::test_tiny(), move |comm| {
-                    let mut chk = VtuCheckpointAnalysis::new("mesh", vec!["pressure".into()], None);
-                    chk.weld = weld;
-                    let mut da = StaticDataAdaptor::new("mesh", dup_block(), 0.0, 0);
-                    chk.execute(comm, &mut da).unwrap();
-                    chk.bytes_written()
-                })[0]
-            })
-            .collect();
-        assert!(
-            sizes[1] < sizes[0],
-            "welded {} must beat raw {}",
-            sizes[1],
-            sizes[0]
-        );
     }
 
     #[test]

@@ -1,15 +1,7 @@
 //! Unstructured grids (the `vtkUnstructuredGrid` analogue).
 
-use crate::array::{ArrayData, Centering, DataArray};
+use crate::array::{Centering, DataArray};
 use crate::{Error, Result};
-
-fn gather_tuples<T: Copy>(values: &[T], kept: &[usize], components: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(kept.len() * components);
-    for &i in kept {
-        out.extend_from_slice(&values[i * components..(i + 1) * components]);
-    }
-    out
-}
 
 /// VTK cell types (numeric values match VTK's so written files are honest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -204,64 +196,6 @@ impl UnstructuredGrid {
         geom + arrays
     }
 
-    /// Merge coincident points (within `tolerance` per axis) and rewrite the
-    /// connectivity — "point welding". Element-major SEM exports duplicate
-    /// every shared face/edge/corner node; welding shrinks checkpoints and
-    /// gives downstream tools a conforming mesh. Point data is taken from
-    /// the first occurrence of each merged point (duplicates carry equal
-    /// values for continuous fields); cell data is untouched.
-    pub fn welded(&self, tolerance: f64) -> UnstructuredGrid {
-        use std::collections::HashMap;
-        let quant = |v: f64| -> i64 {
-            if tolerance > 0.0 {
-                (v / tolerance).round() as i64
-            } else {
-                v.to_bits() as i64
-            }
-        };
-        let mut first_at: HashMap<[i64; 3], i64> = HashMap::new();
-        let mut remap = Vec::with_capacity(self.n_points());
-        let mut out = UnstructuredGrid::new();
-        let mut kept: Vec<usize> = Vec::new();
-        for (i, p) in self.points.iter().enumerate() {
-            let key = [quant(p[0]), quant(p[1]), quant(p[2])];
-            match first_at.get(&key) {
-                Some(&id) => remap.push(id),
-                None => {
-                    let id = out.add_point(*p);
-                    first_at.insert(key, id);
-                    remap.push(id);
-                    kept.push(i);
-                }
-            }
-        }
-        for c in 0..self.n_cells() {
-            let ids: Vec<i64> = self
-                .cell_points(c)
-                .iter()
-                .map(|&i| remap[i as usize])
-                .collect();
-            out.add_cell(self.types[c], &ids);
-        }
-        for a in &self.point_data {
-            let data = match &a.data {
-                ArrayData::F64(v) => ArrayData::F64(gather_tuples(v, &kept, a.components)),
-                // Welding subsets the tuples, so the result is owned.
-                ArrayData::F64Shared(v) => ArrayData::F64(gather_tuples(v, &kept, a.components)),
-                ArrayData::F32(v) => ArrayData::F32(gather_tuples(v, &kept, a.components)),
-                ArrayData::I64(v) => ArrayData::I64(gather_tuples(v, &kept, a.components)),
-                ArrayData::U8(v) => ArrayData::U8(gather_tuples(v, &kept, a.components)),
-            };
-            out.point_data.push(DataArray {
-                name: a.name.clone(),
-                components: a.components,
-                data,
-            });
-        }
-        out.cell_data = self.cell_data.clone();
-        out
-    }
-
     /// Check structural invariants: monotone offsets, in-range connectivity,
     /// type/offset agreement, array lengths.
     ///
@@ -427,66 +361,6 @@ mod tests {
             ArrayData::U8(g.types.iter().map(|t| *t as u8).collect()).scalar_len(),
             3
         );
-    }
-
-    #[test]
-    fn welding_merges_duplicated_sem_nodes() {
-        // Two hexes exported element-major share a face: 16 points with 4
-        // duplicates; welding yields 12 points and identical topology.
-        let mut g = UnstructuredGrid::new();
-        for e in 0..2 {
-            let x0 = e as f64;
-            for z in [0.0, 1.0] {
-                for y in [0.0, 1.0] {
-                    for x in [x0, x0 + 1.0] {
-                        g.add_point([x, y, z]);
-                    }
-                }
-            }
-            let b = (e * 8) as i64;
-            g.add_cell(
-                CellType::Hexahedron,
-                &[b, b + 1, b + 3, b + 2, b + 4, b + 5, b + 7, b + 6],
-            );
-        }
-        g.add_point_data(DataArray::scalars_f64(
-            "x",
-            g.points.iter().map(|p| p[0]).collect(),
-        ))
-        .unwrap();
-        let w = g.welded(1e-9);
-        w.validate().unwrap();
-        assert_eq!(g.n_points(), 16);
-        assert_eq!(w.n_points(), 12);
-        assert_eq!(w.n_cells(), 2);
-        // Field values ride along and still match the coordinates.
-        let a = w.find_array("x", Centering::Point).unwrap();
-        for i in 0..w.n_points() {
-            assert_eq!(a.get(i, 0), w.points[i][0]);
-        }
-        // Geometry is unchanged where it matters: same bounds.
-        assert_eq!(g.bounds(), w.bounds());
-    }
-
-    #[test]
-    fn welding_without_duplicates_is_identity_shaped() {
-        let g = unit_hex();
-        let w = g.welded(1e-9);
-        assert_eq!(w.n_points(), g.n_points());
-        assert_eq!(w.connectivity, g.connectivity);
-        assert_eq!(w.point_data, g.point_data);
-    }
-
-    #[test]
-    fn welding_respects_tolerance() {
-        let mut g = UnstructuredGrid::new();
-        g.add_point([0.0, 0.0, 0.0]);
-        g.add_point([0.4, 0.0, 0.0]);
-        g.add_cell(CellType::Line, &[0, 1]);
-        // Coarse tolerance quantizes both points into one bucket...
-        assert_eq!(g.welded(1.0).n_points(), 1);
-        // ...a fine tolerance keeps them apart.
-        assert_eq!(g.welded(1e-3).n_points(), 2);
     }
 
     #[test]

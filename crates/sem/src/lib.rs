@@ -55,5 +55,5 @@ pub use cases::{pb146, rbc, CaseParams};
 pub use field::FieldLayout;
 pub use mesh::{Bc, BcSet, LocalMesh, MeshSpec};
 pub use navier_stokes::{FlowSolver, SolverConfig, StepReport};
-pub use snapshot::{FieldSnapshot, PoolStats, SnapshotField, SnapshotPool, SnapshotSpec};
+pub use snapshot::{FieldSnapshot, SnapshotField, SnapshotPool, SnapshotSpec};
 pub use workspace::Workspace;

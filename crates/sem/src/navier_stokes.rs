@@ -26,7 +26,7 @@ use crate::gs::GatherScatter;
 use crate::mesh::{BcSet, LocalMesh};
 use crate::mg::{self, Multigrid};
 use crate::operators::{HelmholtzTerm, Ops};
-use crate::snapshot::{self, FieldSnapshot, SnapshotPool, SnapshotSpec};
+use crate::snapshot::{FieldSnapshot, SnapshotField, SnapshotPool, SnapshotSpec};
 use crate::timestep::{bdf_coeffs, ext_coeffs};
 use crate::workspace::Workspace;
 use commsim::{Comm, ReduceOp};
@@ -425,20 +425,20 @@ impl FlowSolver {
                 buf[3 * i + 2] = uz[i];
             }
             primary_bytes += (3 * n * 8) as u64;
-            fields.push(snapshot::field_from_pooled("velocity", 3, buf));
+            fields.push(SnapshotField::pooled("velocity", 3, buf));
         }
         if spec.pressure {
             let mut buf = pool.take(n);
             buf.copy_from_slice(&self.p);
             primary_bytes += (n * 8) as u64;
-            fields.push(snapshot::field_from_pooled("pressure", 1, buf));
+            fields.push(SnapshotField::pooled("pressure", 1, buf));
         }
         if spec.temperature {
             if let Some(t) = self.fields.get(TEMPERATURE) {
                 let mut buf = pool.take(n);
                 buf.copy_from_slice(&t.value);
                 primary_bytes += (n * 8) as u64;
-                fields.push(snapshot::field_from_pooled("temperature", 1, buf));
+                fields.push(SnapshotField::pooled("temperature", 1, buf));
             }
         }
         if primary_bytes > 0 {
@@ -450,7 +450,7 @@ impl FlowSolver {
             self.ops.q_criterion(comm, ux, uy, uz, &mut q, &mut self.ws);
             self.gs.average(comm, &mut q);
             comm.d2h((n * 8) as u64);
-            fields.push(snapshot::field_from_pooled("q_criterion", 1, q));
+            fields.push(SnapshotField::pooled("q_criterion", 1, q));
         }
 
         Arc::new(FieldSnapshot::new(

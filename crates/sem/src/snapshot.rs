@@ -11,11 +11,19 @@
 //!
 //! Buffers are recycled through a [`SnapshotPool`] freelist so steady-state
 //! publishing allocates nothing: when the last `Arc` to a snapshot drops,
-//! its buffers return to the pool. The pool charges every byte it owns to a
-//! `snapshot-pool` accountant, so the memtrack high-water mark bounds the
-//! number of snapshots ever live at once (pipeline depth).
+//! its buffers return to the pool. A free buffer is reused only for a
+//! request of exactly its length (every caller asks for `n` or `3n` values
+//! on a fixed mesh); otherwise the pool allocates a new buffer and charges
+//! it to a `snapshot-pool` accountant. Each buffer carries that
+//! `memtrack::Charge` for its whole life, so the accountant's current bytes
+//! are the buffers the pool owns, lent or free, and its high-water mark
+//! counts the most snapshots ever live at once. A buffer that a consumer
+//! still aliases when its snapshot drops is not recycled: its charge
+//! credits then. A synthetic [`SnapshotField::new`] buffer carries no
+//! charge and is freed, never recycled.
 
-use memtrack::Accountant;
+use memtrack::{Accountant, Charge};
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, Weak};
 
 /// Which fields [`crate::FlowSolver::publish_snapshot`] should stage.
@@ -50,47 +58,31 @@ impl SnapshotSpec {
     }
 }
 
-/// Pool counters (diagnostics and lifecycle tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolStats {
-    /// Fresh heap allocations (buffer creations plus capacity growths).
-    pub allocations: u64,
-    /// Buffers served from the freelist without allocating.
-    pub reuses: u64,
-    /// Bytes of buffer capacity currently owned by the pool (live + free).
-    pub resident_bytes: u64,
-    /// Buffers currently parked in the freelist.
-    pub free_buffers: usize,
+/// A zeroed staging buffer lent by a [`SnapshotPool`], carrying the
+/// charge taken when the pool allocated it. Derefs to its values.
+#[derive(Debug)]
+pub struct PooledBuffer {
+    values: Vec<f64>,
+    charge: Charge,
 }
 
-#[derive(Debug, Default)]
-struct PoolInner {
-    free: Vec<Vec<f64>>,
-    allocations: u64,
-    reuses: u64,
-    resident_bytes: u64,
+impl Deref for PooledBuffer {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.values
+    }
+}
+
+impl DerefMut for PooledBuffer {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
 }
 
 #[derive(Debug)]
 struct PoolShared {
-    inner: Mutex<PoolInner>,
+    free: Mutex<Vec<PooledBuffer>>,
     acct: Accountant,
-}
-
-impl PoolShared {
-    /// Accept a buffer back into the freelist.
-    fn put(&self, buf: Vec<f64>) {
-        let mut inner = self.inner.lock().expect("snapshot pool poisoned");
-        inner.free.push(buf);
-    }
-
-    /// A buffer escaped the pool (a consumer kept an `Arc` alias beyond the
-    /// snapshot's life); its bytes are no longer pool-resident.
-    fn forfeit(&self, capacity_bytes: u64) {
-        let mut inner = self.inner.lock().expect("snapshot pool poisoned");
-        inner.resident_bytes = inner.resident_bytes.saturating_sub(capacity_bytes);
-        self.acct.credit_raw(capacity_bytes);
-    }
 }
 
 /// Freelist of host staging buffers shared by every snapshot a rank
@@ -101,112 +93,77 @@ pub struct SnapshotPool {
 }
 
 impl SnapshotPool {
-    /// Create a pool charging its resident bytes to `acct` (by convention
-    /// the rank's `snapshot-pool` accountant).
+    /// Create a pool charging its buffers to `acct` (by convention the
+    /// rank's `snapshot-pool` accountant).
     pub fn new(acct: Accountant) -> Self {
         Self {
             shared: Arc::new(PoolShared {
-                inner: Mutex::new(PoolInner::default()),
+                free: Mutex::new(Vec::new()),
                 acct,
             }),
         }
     }
 
-    /// Take a zeroed buffer of `len` values, reusing freelist capacity when
-    /// possible. Only capacity growth charges the accountant.
-    pub fn take(&self, len: usize) -> Vec<f64> {
-        let mut inner = self.shared.inner.lock().expect("snapshot pool poisoned");
-        // Prefer the free buffer whose capacity fits best to avoid growing
-        // a small buffer while a large one sits idle.
-        let pick = inner
-            .free
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.capacity() >= len)
-            .min_by_key(|(_, b)| b.capacity())
-            .map(|(i, _)| i)
-            .or_else(|| {
-                inner
-                    .free
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, b)| b.capacity())
-                    .map(|(i, _)| i)
-            });
-        let mut buf = match pick {
+    /// Take a zeroed buffer of `len` values: a free buffer of exactly
+    /// `len` values when there is one, else a new buffer charged to the
+    /// accountant.
+    pub fn take(&self, len: usize) -> PooledBuffer {
+        let mut free = self.shared.free.lock().expect("snapshot pool poisoned");
+        match free.iter().position(|b| b.values.len() == len) {
             Some(i) => {
-                inner.reuses += 1;
-                inner.free.swap_remove(i)
+                let mut buf = free.swap_remove(i);
+                buf.values.fill(0.0);
+                buf
             }
-            None => Vec::new(),
-        };
-        let old_cap = buf.capacity();
-        buf.clear();
-        buf.resize(len, 0.0);
-        if buf.capacity() > old_cap {
-            let grown = ((buf.capacity() - old_cap) * 8) as u64;
-            inner.allocations += 1;
-            inner.resident_bytes += grown;
-            self.shared.acct.charge_raw(grown);
-        }
-        buf
-    }
-
-    /// Return a buffer to the freelist directly (for scratch that never
-    /// became a snapshot field).
-    pub fn put(&self, buf: Vec<f64>) {
-        self.shared.put(buf);
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> PoolStats {
-        let inner = self.shared.inner.lock().expect("snapshot pool poisoned");
-        PoolStats {
-            allocations: inner.allocations,
-            reuses: inner.reuses,
-            resident_bytes: inner.resident_bytes,
-            free_buffers: inner.free.len(),
+            None => PooledBuffer {
+                values: vec![0.0; len],
+                charge: self.shared.acct.charge((len * 8) as u64),
+            },
         }
     }
 
-    /// The accountant the pool charges.
-    pub fn accountant(&self) -> &Accountant {
-        &self.shared.acct
-    }
-
-    fn downgrade(&self) -> Weak<PoolShared> {
-        Arc::downgrade(&self.shared)
-    }
-}
-
-impl Drop for PoolShared {
-    fn drop(&mut self) {
-        let inner = self.inner.get_mut().expect("snapshot pool poisoned");
-        self.acct.credit_raw(inner.resident_bytes);
-        inner.resident_bytes = 0;
+    /// Bytes charged to the pool's accountant: every buffer it allocated
+    /// that is not yet freed, lent or free.
+    pub fn resident_bytes(&self) -> u64 {
+        self.shared.acct.current()
     }
 }
 
 /// One staged field inside a [`FieldSnapshot`]: name, tuple arity, and a
 /// refcounted view of the host buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SnapshotField {
     /// Canonical array name ("pressure", "velocity", ...).
     pub name: &'static str,
     /// Components per tuple (1 = scalar, 3 = interleaved vector).
     pub components: usize,
     data: Arc<Vec<f64>>,
+    /// The pool's charge for the buffer; `None` for a synthetic field.
+    charge: Option<Charge>,
 }
 
 impl SnapshotField {
     /// Build a field from an owned buffer. Normally fields come from
     /// [`crate::FlowSolver::publish_snapshot`]; this is public so tests
-    /// and checkpoint tooling can assemble synthetic snapshots.
+    /// and checkpoint tooling can assemble synthetic snapshots. No pool
+    /// charged the buffer, so no pool recycles it.
     pub fn new(name: &'static str, components: usize, buf: Vec<f64>) -> Self {
         Self {
             name,
             components,
             data: Arc::new(buf),
+            charge: None,
+        }
+    }
+
+    /// A field over a pooled buffer, which returns to its pool with the
+    /// snapshot.
+    pub(crate) fn pooled(name: &'static str, components: usize, buf: PooledBuffer) -> Self {
+        Self {
+            name,
+            components,
+            data: Arc::new(buf.values),
+            charge: Some(buf.charge),
         }
     }
 
@@ -223,8 +180,8 @@ impl SnapshotField {
 }
 
 /// An immutable, versioned bundle of host-side field copies taken at one
-/// published step. Dropping the snapshot returns its buffers to the pool
-/// it was taken from (if the pool is still alive).
+/// published step. Dropping the snapshot returns its pooled buffers to the
+/// pool it was taken from (if the pool is still alive).
 #[derive(Debug)]
 pub struct FieldSnapshot {
     /// Solver step index the snapshot was taken at.
@@ -252,7 +209,7 @@ impl FieldSnapshot {
             time,
             n_nodes,
             fields,
-            pool: pool.downgrade(),
+            pool: Arc::downgrade(&pool.shared),
         }
     }
 
@@ -277,26 +234,16 @@ impl Drop for FieldSnapshot {
         let Some(pool) = self.pool.upgrade() else {
             return;
         };
+        let mut free = pool.free.lock().expect("snapshot pool poisoned");
         for f in self.fields.drain(..) {
-            let cap_bytes = (f.data.capacity() * 8) as u64;
-            match Arc::try_unwrap(f.data) {
-                Ok(buf) => pool.put(buf),
-                // A consumer still aliases the buffer; it leaves the pool
-                // and is freed when that alias drops.
-                Err(_) => pool.forfeit(cap_bytes),
+            // A buffer a consumer still aliases is not recycled: its charge
+            // credits now and the alias frees it. A synthetic buffer has no
+            // charge and is freed here.
+            if let (Some(charge), Ok(values)) = (f.charge, Arc::try_unwrap(f.data)) {
+                free.push(PooledBuffer { values, charge });
             }
         }
     }
-}
-
-/// Helper used by `publish_snapshot`: build a [`SnapshotField`] from a
-/// pooled buffer.
-pub(crate) fn field_from_pooled(
-    name: &'static str,
-    components: usize,
-    buf: Vec<f64>,
-) -> SnapshotField {
-    SnapshotField::new(name, components, buf)
 }
 
 #[cfg(test)]
@@ -321,76 +268,109 @@ mod tests {
         assert!(b.velocity && b.q_criterion && !b.pressure && !b.temperature);
     }
 
-    #[test]
-    fn pool_reuses_buffers_and_charges_once() {
-        let p = pool();
-        let b1 = p.take(64);
-        assert_eq!(b1.len(), 64);
-        let charged = p.accountant().current();
-        assert!(charged >= 64 * 8);
-        p.put(b1);
-        let b2 = p.take(64);
-        let s = p.stats();
-        assert_eq!(s.reuses, 1, "second take must reuse");
-        assert_eq!(
-            p.accountant().current(),
-            charged,
-            "reuse must not charge new bytes"
-        );
-        p.put(b2);
+    /// A snapshot on `p` over one pooled buffer of `len` values.
+    fn snapshot(p: &SnapshotPool, len: usize) -> FieldSnapshot {
+        let field = SnapshotField::pooled("pressure", 1, p.take(len));
+        FieldSnapshot::new(1, 0.0, len, vec![field], p)
     }
 
     #[test]
-    fn pool_prefers_best_fit_buffer() {
+    fn pool_reuses_buffers_and_charges_once() {
         let p = pool();
+        drop(snapshot(&p, 64));
+        assert_eq!(p.resident_bytes(), 64 * 8);
+        let mut again = p.take(64);
+        assert!(again.iter().all(|&v| v == 0.0), "a reused buffer is zeroed");
+        again[0] = 1.0;
+        assert_eq!(
+            p.resident_bytes(),
+            64 * 8,
+            "reuse must not charge new bytes"
+        );
+    }
+
+    #[test]
+    fn pool_reuses_only_exact_lengths() {
+        let p = pool();
+        drop(snapshot(&p, 1024));
         let small = p.take(8);
+        assert_eq!(small.len(), 8);
+        assert_eq!(
+            p.resident_bytes(),
+            (1024 + 8) * 8,
+            "a longer free buffer is not cut down"
+        );
         let large = p.take(1024);
-        p.put(small);
-        p.put(large);
-        let again = p.take(8);
-        assert!(again.capacity() < 1024, "should pick the small buffer");
-        let stats = p.stats();
-        assert_eq!(stats.reuses, 1);
+        assert_eq!(
+            p.resident_bytes(),
+            (1024 + 8) * 8,
+            "the free buffer of that length serves"
+        );
+        drop((small, large));
+        assert_eq!(p.resident_bytes(), 0, "a buffer never published is freed");
     }
 
     #[test]
     fn snapshot_drop_returns_buffers() {
         let p = pool();
-        let buf = p.take(32);
-        let snap = FieldSnapshot::new(3, 0.1, 32, vec![field_from_pooled("pressure", 1, buf)], &p);
+        let snap = snapshot(&p, 32);
         assert_eq!(snap.field("pressure").unwrap().values().len(), 32);
         assert_eq!(snap.staged_bytes(), 32 * 8);
-        assert_eq!(p.stats().free_buffers, 0);
         drop(snap);
-        assert_eq!(p.stats().free_buffers, 1, "drop must recycle the buffer");
-        let resident = p.accountant().current();
-        assert!(resident >= 32 * 8, "recycled bytes stay pool-resident");
+        assert_eq!(
+            p.resident_bytes(),
+            32 * 8,
+            "recycled bytes stay pool-resident"
+        );
+        drop(snapshot(&p, 32));
+        assert_eq!(
+            p.resident_bytes(),
+            32 * 8,
+            "the next snapshot reuses the buffer"
+        );
     }
 
     #[test]
-    fn escaped_alias_forfeits_bytes_instead_of_recycling() {
+    fn field_aliased_past_its_snapshot_credits_its_bytes() {
         let p = pool();
-        let buf = p.take(16);
-        let snap = FieldSnapshot::new(1, 0.0, 16, vec![field_from_pooled("q", 1, buf)], &p);
-        let alias = snap.field("q").unwrap().shared();
-        let before = p.accountant().current();
+        let snap = snapshot(&p, 16);
+        let alias = snap.field("pressure").unwrap().shared();
         drop(snap);
-        assert_eq!(p.stats().free_buffers, 0, "aliased buffer must not recycle");
-        assert!(
-            p.accountant().current() < before,
-            "forfeit credits the bytes"
+        assert_eq!(p.resident_bytes(), 0, "the aliased buffer's charge credits");
+        assert_eq!(alias.len(), 16);
+        drop(snapshot(&p, 16));
+        assert_eq!(
+            p.resident_bytes(),
+            16 * 8,
+            "the next take allocates and charges anew"
         );
-        drop(alias);
+    }
+
+    #[test]
+    fn synthetic_field_buffer_is_freed_not_recycled() {
+        let p = pool();
+        let field = SnapshotField::new("pressure", 1, vec![1.0; 16]);
+        drop(FieldSnapshot::new(1, 0.0, 16, vec![field], &p));
+        let buf = p.take(16);
+        assert_eq!(p.resident_bytes(), 16 * 8, "the take is charged");
+        assert!(buf.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn pool_drop_credits_everything() {
         let acct = Accountant::new("t");
         let p = SnapshotPool::new(acct.clone());
-        let b = p.take(100);
-        p.put(b);
-        assert!(acct.current() > 0);
+        let lent = snapshot(&p, 50);
+        drop(snapshot(&p, 100));
+        assert_eq!(acct.current(), 150 * 8);
         drop(p);
-        assert_eq!(acct.current(), 0);
+        assert_eq!(acct.current(), 50 * 8, "the free buffer's charge credits");
+        drop(lent);
+        assert_eq!(
+            acct.current(),
+            0,
+            "a snapshot outliving its pool credits on drop"
+        );
+        assert_eq!(acct.peak(), 150 * 8);
     }
 }

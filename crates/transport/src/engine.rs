@@ -361,11 +361,6 @@ pub struct StepDelivery {
 }
 
 impl StepDelivery {
-    /// True when every producer contributed.
-    pub fn is_complete(&self) -> bool {
-        self.missing.is_empty()
-    }
-
     /// Rebuild the `n_blocks`-slot multiblock from the producers that did
     /// arrive, charging one sweep over each payload.
     ///
@@ -928,7 +923,7 @@ mod tests {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
                 let mut steps = Vec::new();
                 while let Some(d) = reader.recv_step(comm).unwrap() {
-                    assert!(d.is_complete());
+                    assert!(d.missing.is_empty());
                     assert_eq!(d.packets.len(), 2);
                     steps.push((d.step, d.time));
                 }
@@ -1090,7 +1085,7 @@ mod tests {
             run_ranks_with_state(MachineModel::test_tiny(), readers, |comm, mut reader| {
                 let mut complete = 0u64;
                 while let Some(d) = reader.recv_step(comm).unwrap() {
-                    if d.is_complete() {
+                    if d.missing.is_empty() {
                         complete += 1;
                     }
                     for p in &d.packets {

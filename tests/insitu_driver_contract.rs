@@ -7,15 +7,9 @@
 //! Each cell is rendered as text (floats as IEEE bit patterns) and
 //! compared to the block captured at `a3ecdf3`. To re-capture after an
 //! *intended* change, paste the "actual" block the failure prints.
-//!
-//! One quantity is not pinned exactly: in pipelined cells the
-//! `snapshot-pool` accountant's peak depends on whether the consumer
-//! thread returned a buffer before the producer's next publish (real
-//! time, not virtual), so those cells pin the `PIPELINE_DEPTH` bound and
-//! the host peaks net of the pool instead.
 
 use commsim::{ConsumerStall, FaultPlan, MachineModel, SchedMode};
-use nek_sensei::{run_insitu, ExecMode, InSituConfig, InSituMode, InSituReport, PIPELINE_DEPTH};
+use nek_sensei::{run_insitu, ExecMode, InSituConfig, InSituMode, InSituReport};
 use sem::cases::{pb146, CaseParams};
 use std::fmt::Write;
 
@@ -59,7 +53,6 @@ fn stalled_config() -> InSituConfig {
 
 /// Everything the contract covers, one quantity per line.
 fn fingerprint(r: &InSituReport) -> String {
-    let pipelined = r.exec == ExecMode::Pipelined && r.mode != InSituMode::Original;
     let m = &r.metrics;
     let mut out = String::new();
     let w = &mut out;
@@ -70,25 +63,9 @@ fn fingerprint(r: &InSituReport) -> String {
     writeln!(w, "gpu_aggregate_peak {}", m.memory.gpu_aggregate_peak).unwrap();
     writeln!(w, "unscoped {}", m.memory.unscoped).unwrap();
     let report = r.run_report.as_ref().expect("telemetry: true");
-    if pipelined {
-        // See the module docs: the pool peak is bounded, not exact.
-        let pool: u64 = report
-            .watermarks
-            .iter()
-            .filter(|(name, _, _)| name.ends_with("/snapshot-pool"))
-            .map(|(_, _, peak)| *peak)
-            .sum();
-        writeln!(
-            w,
-            "host_aggregate_peak_less_pool {}",
-            m.memory.host_aggregate_peak - pool
-        )
-        .unwrap();
-    } else {
-        writeln!(w, "snapshot_pool_rank_peak {}", r.snapshot_pool_rank_peak).unwrap();
-        writeln!(w, "host_aggregate_peak {}", m.memory.host_aggregate_peak).unwrap();
-        writeln!(w, "host_max_rank_peak {}", m.memory.host_max_rank_peak).unwrap();
-    }
+    writeln!(w, "snapshot_pool_rank_peak {}", r.snapshot_pool_rank_peak).unwrap();
+    writeln!(w, "host_aggregate_peak {}", m.memory.host_aggregate_peak).unwrap();
+    writeln!(w, "host_max_rank_peak {}", m.memory.host_max_rank_peak).unwrap();
     let phases = telemetry::PhaseBreakdown::from_traces(&r.traces);
     for name in phases.names() {
         writeln!(
@@ -131,28 +108,12 @@ fn check(cell: &str, cfg: &InSituConfig, expected: &str) {
             sched.label(),
             diff.join("\n")
         );
-        if cfg.exec == ExecMode::Pipelined && cfg.mode != InSituMode::Original {
-            let sync_peak = run_insitu(&InSituConfig {
-                exec: ExecMode::Synchronous,
-                faults: FaultPlan::none(),
-                trace: false,
-                telemetry: false,
-                ..cfg.clone()
-            })
-            .snapshot_pool_rank_peak;
-            assert!(
-                (sync_peak..=PIPELINE_DEPTH as u64 * sync_peak)
-                    .contains(&r.snapshot_pool_rank_peak),
-                "{cell}: pool peak {} outside [1, {PIPELINE_DEPTH}] x {sync_peak}",
-                r.snapshot_pool_rank_peak
-            );
-        }
     }
 }
 
 const ORIGINAL: &str = "
 tts 0x3f5cfd13642d97ae
-totals CommStats { messages_sent: 440, bytes_sent: 112800, messages_received: 440, collectives: 344, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 3.979124999999997e-6, time_xfer: 0.0, time_io: 0.0, time_comm: 0.0022249495451748336 }
+totals CommStats { messages_sent: 440, bytes_sent: 112800, messages_received: 440, collectives: 344, bytes_written_fs: 0, files_written: 0, bytes_d2h: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 3.979124999999997e-6, time_xfer: 0.0, time_io: 0.0, time_comm: 0.0022249495451748336 }
 bytes_written 0
 files_written 0
 gpu_aggregate_peak 108295
@@ -178,7 +139,7 @@ step 6 0x3f58987b5bf53d4f 0x3f5cef713909ca63 0x0000000000000000
 ";
 const CHECKPOINTING_SYNC: &str = "
 tts 0x3f8624cb0e340621
-totals CommStats { messages_sent: 440, bytes_sent: 112800, messages_received: 440, collectives: 344, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 5.347124999999997e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0022275634774825046 }
+totals CommStats { messages_sent: 440, bytes_sent: 112800, messages_received: 440, collectives: 344, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, time_gpu_compute: 1.26576e-5, time_host_compute: 5.347124999999997e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0022275634774825046 }
 bytes_written 34200
 files_written 6
 gpu_aggregate_peak 108295
@@ -206,12 +167,14 @@ step 6 0x3f7ed7aa593b1394 0x3f8622a1d6ccf8a8 0x0000000000000000
 ";
 const CHECKPOINTING_PIPELINED: &str = "
 tts 0x3f83d0903b06abd4
-totals CommStats { messages_sent: 440, bytes_sent: 112800, messages_received: 440, collectives: 344, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 5.3471249999999975e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0022262096559440654 }
+totals CommStats { messages_sent: 440, bytes_sent: 112800, messages_received: 440, collectives: 344, bytes_written_fs: 34200, files_written: 6, bytes_d2h: 33696, time_gpu_compute: 1.26576e-5, time_host_compute: 5.3471249999999975e-6, time_xfer: 7.36848e-5, time_io: 0.018008418461538462, time_comm: 0.0022262096559440654 }
 bytes_written 34200
 files_written 6
 gpu_aggregate_peak 108295
 unscoped 0
-host_aggregate_peak_less_pool 183480
+snapshot_pool_rank_peak 13824
+host_aggregate_peak 205944
+host_max_rank_peak 126300
 span insitu/checkpoint x6 0x3f9271284f70e5b5
 span insitu/wait x8 0x3f55ec9e5979040d
 span sem/advection x12 0x3f17d0c027877cee
@@ -234,7 +197,7 @@ step 6 0x3f59000b55557aa2 0x3f6e2abc8686663c 0x3f5ecb3b061fe4ee
 ";
 const CATALYST_SYNC: &str = "
 tts 0x3f94634434f00792
-totals CommStats { messages_sent: 446, bytes_sent: 241824, messages_received: 446, collectives: 376, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 2.892908500000001e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.020393730248111846 }
+totals CommStats { messages_sent: 446, bytes_sent: 241824, messages_received: 446, collectives: 376, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, time_gpu_compute: 1.26576e-5, time_host_compute: 2.892908500000001e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.020393730248111846 }
 bytes_written 55992
 files_written 6
 gpu_aggregate_peak 108295
@@ -267,12 +230,14 @@ step 6 0x3f8bd8415c23b5b8 0x3f94626a123dcabd 0x0000000000000000
 ";
 const CATALYST_PIPELINED: &str = "
 tts 0x3f93391f592d2d6b
-totals CommStats { messages_sent: 446, bytes_sent: 241824, messages_received: 446, collectives: 376, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, bytes_h2d: 0, time_gpu_compute: 1.26576e-5, time_host_compute: 2.8929084999999993e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.018728039121958067 }
+totals CommStats { messages_sent: 446, bytes_sent: 241824, messages_received: 446, collectives: 376, bytes_written_fs: 55992, files_written: 6, bytes_d2h: 33696, time_gpu_compute: 1.26576e-5, time_host_compute: 2.8929084999999993e-5, time_xfer: 7.36848e-5, time_io: 0.018013782646153848, time_comm: 0.018728039121958067 }
 bytes_written 55992
 files_written 6
 gpu_aggregate_peak 108295
 unscoped 0
-host_aggregate_peak_less_pool 281672
+snapshot_pool_rank_peak 13824
+host_aggregate_peak 304136
+host_max_rank_peak 176920
 span insitu/copy x6 0x3eb01f4ab19ebc00
 span insitu/execute x6 0x3f877dc93e553e4c
 span insitu/wait x8 0x3f5f570d8cc27232
@@ -300,12 +265,14 @@ step 6 0x3f590e81aa595b98 0x3f7b848814d50d37 0x3f741e5afdd8db17
 ";
 const CHECKPOINTING_PIPELINED_STALLED: &str = "
 tts 0x4049019f4da8306c
-totals CommStats { messages_sent: 572, bytes_sent: 147200, messages_received: 572, collectives: 448, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, bytes_h2d: 0, time_gpu_compute: 1.656880000000003e-5, time_host_compute: 6.9551249999999955e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.00535347441539 }
+totals CommStats { messages_sent: 572, bytes_sent: 147200, messages_received: 572, collectives: 448, bytes_written_fs: 45600, files_written: 8, bytes_d2h: 44928, time_gpu_compute: 1.656880000000003e-5, time_host_compute: 6.9551249999999955e-6, time_xfer: 9.82464e-5, time_io: 0.024011224615384616, time_comm: 50.00535347441539 }
 bytes_written 45600
 files_written 8
 gpu_aggregate_peak 108295
 unscoped 0
-host_aggregate_peak_less_pool 183480
+snapshot_pool_rank_peak 13824
+host_aggregate_peak 205944
+host_max_rank_peak 126300
 span insitu/checkpoint x8 0x3f9896e069ebdbd3
 span insitu/stall x1 0x4049000000000000
 span insitu/wait x10 0x4048ff793e6aef61

@@ -313,30 +313,25 @@ fn differing_paths(path: &str, a: &Value, b: &Value, out: &mut Vec<String>) {
     }
 }
 
-/// A RunReport is a function of its config: a traced synchronous Catalyst
-/// in situ run and a traced channel-wire Catalyst in transit run, each
-/// run twice under each scheduler, write the same document. The one
-/// exception is the scheduler's hand-off counts, which under the thread
-/// scheduler count parks that depend on how the host interleaved the
-/// rank threads. A pipelined run is left out: its snapshot pool's
-/// resident bytes and peak depend on when the consumer world returned a
-/// buffer in real time.
+/// A RunReport is a function of its config: a traced synchronous and a
+/// traced pipelined Catalyst in situ run and a traced channel-wire
+/// Catalyst in transit run, each run twice under each scheduler, write
+/// the same document. The one exception is the scheduler's hand-off
+/// counts, which under the thread scheduler count parks that depend on
+/// how the host interleaved the rank threads.
 #[test]
 fn reports_repeat_but_for_the_scheduler_hand_off_counts() {
-    let document = |sched: commsim::SchedMode, intransit: bool| {
-        let report = if intransit {
+    // `exec` is the in situ run's mode; `None` runs in transit.
+    let document = |sched: commsim::SchedMode, exec: Option<ExecMode>| {
+        let report = if let Some(exec) = exec {
+            let mut cfg = stalled_insitu_config(true, None);
+            (cfg.mode, cfg.exec, cfg.faults) = (InSituMode::Catalyst, exec, FaultPlan::none());
+            cfg.sched = sched;
+            run_insitu(&cfg).run_report
+        } else {
             let mut cfg = intransit_config(EndpointMode::Catalyst);
             (cfg.sched, cfg.trace) = (sched, true);
             run_intransit(&cfg).run_report
-        } else {
-            let mut cfg = stalled_insitu_config(true, None);
-            (cfg.mode, cfg.exec, cfg.faults) = (
-                InSituMode::Catalyst,
-                ExecMode::Synchronous,
-                FaultPlan::none(),
-            );
-            cfg.sched = sched;
-            run_insitu(&cfg).run_report
         };
         let json = report.expect("telemetry: true").to_json();
         let mut doc = telemetry::json::parse(&json).expect("a report parses");
@@ -352,13 +347,13 @@ fn reports_repeat_but_for_the_scheduler_hand_off_counts() {
         doc
     };
     for sched in [commsim::SchedMode::Thread, commsim::SchedMode::Event] {
-        for intransit in [false, true] {
-            let (a, b) = (document(sched, intransit), document(sched, intransit));
+        for exec in [Some(ExecMode::Synchronous), Some(ExecMode::Pipelined), None] {
+            let (a, b) = (document(sched, exec), document(sched, exec));
             let mut paths = Vec::new();
             differing_paths("", &a, &b, &mut paths);
             assert!(
                 paths.is_empty(),
-                "{sched:?} (in transit: {intransit}): two runs differ at {paths:?}"
+                "{sched:?} (in situ exec: {exec:?}): two runs differ at {paths:?}"
             );
         }
     }
