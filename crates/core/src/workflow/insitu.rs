@@ -298,10 +298,10 @@ impl ProducerLink {
 
     /// Wait for the outstanding frames (without advancing the solver
     /// clock — the simulation is finished; the consumer world finishes on
-    /// its own time), drop their snapshots and signal end of stream.
+    /// its own time) and signal end of stream. Their snapshots drop with
+    /// `self`.
     fn finish(mut self, comm: &Comm) {
         self.window.finish(comm);
-        self.in_flight.clear();
         let _ = self.frames.send(ToConsumer::Done { at: comm.now() });
     }
 }

@@ -420,23 +420,23 @@ impl FlowSolver {
         if spec.velocity {
             let mut buf = pool.take(3 * n);
             for i in 0..n {
-                buf[3 * i] = ux[i];
-                buf[3 * i + 1] = uy[i];
-                buf[3 * i + 2] = uz[i];
+                buf.values[3 * i] = ux[i];
+                buf.values[3 * i + 1] = uy[i];
+                buf.values[3 * i + 2] = uz[i];
             }
             primary_bytes += (3 * n * 8) as u64;
             fields.push(SnapshotField::pooled("velocity", 3, buf));
         }
         if spec.pressure {
             let mut buf = pool.take(n);
-            buf.copy_from_slice(&self.p);
+            buf.values.copy_from_slice(&self.p);
             primary_bytes += (n * 8) as u64;
             fields.push(SnapshotField::pooled("pressure", 1, buf));
         }
         if spec.temperature {
             if let Some(t) = self.fields.get(TEMPERATURE) {
                 let mut buf = pool.take(n);
-                buf.copy_from_slice(&t.value);
+                buf.values.copy_from_slice(&t.value);
                 primary_bytes += (n * 8) as u64;
                 fields.push(SnapshotField::pooled("temperature", 1, buf));
             }
@@ -447,8 +447,9 @@ impl FlowSolver {
 
         if spec.q_criterion {
             let mut q = pool.take(n);
-            self.ops.q_criterion(comm, ux, uy, uz, &mut q, &mut self.ws);
-            self.gs.average(comm, &mut q);
+            self.ops
+                .q_criterion(comm, ux, uy, uz, &mut q.values, &mut self.ws);
+            self.gs.average(comm, &mut q.values);
             comm.d2h((n * 8) as u64);
             fields.push(SnapshotField::pooled("q_criterion", 1, q));
         }

@@ -23,7 +23,6 @@
 //! charge and is freed, never recycled.
 
 use memtrack::{Accountant, Charge};
-use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, Weak};
 
 /// Which fields [`crate::FlowSolver::publish_snapshot`] should stage.
@@ -58,25 +57,12 @@ impl SnapshotSpec {
     }
 }
 
-/// A zeroed staging buffer lent by a [`SnapshotPool`], carrying the
-/// charge taken when the pool allocated it. Derefs to its values.
+/// A staging buffer lent by a [`SnapshotPool`], carrying the charge taken
+/// when the pool allocated it.
 #[derive(Debug)]
-pub struct PooledBuffer {
-    values: Vec<f64>,
+pub(crate) struct PooledBuffer {
+    pub(crate) values: Vec<f64>,
     charge: Charge,
-}
-
-impl Deref for PooledBuffer {
-    type Target = [f64];
-    fn deref(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl DerefMut for PooledBuffer {
-    fn deref_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
 }
 
 #[derive(Debug)]
@@ -107,7 +93,7 @@ impl SnapshotPool {
     /// Take a zeroed buffer of `len` values: a free buffer of exactly
     /// `len` values when there is one, else a new buffer charged to the
     /// accountant.
-    pub fn take(&self, len: usize) -> PooledBuffer {
+    pub(crate) fn take(&self, len: usize) -> PooledBuffer {
         let mut free = self.shared.free.lock().expect("snapshot pool poisoned");
         match free.iter().position(|b| b.values.len() == len) {
             Some(i) => {
@@ -277,11 +263,16 @@ mod tests {
     #[test]
     fn pool_reuses_buffers_and_charges_once() {
         let p = pool();
-        drop(snapshot(&p, 64));
+        let mut buf = p.take(64);
+        buf.values.fill(1.0);
+        let field = SnapshotField::pooled("pressure", 1, buf);
+        drop(FieldSnapshot::new(1, 0.0, 64, vec![field], &p));
         assert_eq!(p.resident_bytes(), 64 * 8);
-        let mut again = p.take(64);
-        assert!(again.iter().all(|&v| v == 0.0), "a reused buffer is zeroed");
-        again[0] = 1.0;
+        let again = p.take(64);
+        assert!(
+            again.values.iter().all(|&v| v == 0.0),
+            "a reused buffer is zeroed"
+        );
         assert_eq!(
             p.resident_bytes(),
             64 * 8,
@@ -294,7 +285,7 @@ mod tests {
         let p = pool();
         drop(snapshot(&p, 1024));
         let small = p.take(8);
-        assert_eq!(small.len(), 8);
+        assert_eq!(small.values.len(), 8);
         assert_eq!(
             p.resident_bytes(),
             (1024 + 8) * 8,
@@ -353,7 +344,7 @@ mod tests {
         drop(FieldSnapshot::new(1, 0.0, 16, vec![field], &p));
         let buf = p.take(16);
         assert_eq!(p.resident_bytes(), 16 * 8, "the take is charged");
-        assert!(buf.iter().all(|&v| v == 0.0));
+        assert!(buf.values.iter().all(|&v| v == 0.0));
     }
 
     #[test]
